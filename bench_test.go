@@ -30,7 +30,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Run(id, experiments.ScaleQuick)
+		r, err := experiments.Run(id, experiments.RunConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func BenchmarkProfilerOverhead(b *testing.B) {
 			if labeled {
 				l.AfterL(time.Microsecond, lb, fn)
 			} else {
-				l.After(time.Microsecond, fn)
+				l.AfterL(time.Microsecond, 0, fn)
 			}
 			if !l.Step() {
 				b.Fatal("empty loop")

@@ -77,28 +77,29 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	var cfg experiments.RunConfig
 	if *faultSpec != "" {
-		experiments.SetFaultSpec(*faultSpec)
+		cfg.FaultSpec = *faultSpec
 		if *fig == "all" {
 			*fig = "faults"
 		}
 	}
 	if *tortureSeeds > 0 || *tortureStart > 0 {
-		experiments.SetTortureOverride(func(p *experiments.TortureParams) {
+		cfg.Torture = func(p *experiments.TortureParams) {
 			if *tortureSeeds > 0 {
 				p.Seeds = *tortureSeeds
 			}
 			if *tortureStart > 0 {
 				p.StartSeed = *tortureStart
 			}
-		})
+		}
 		if *fig == "all" {
 			*fig = "torture"
 		}
 	}
 
 	if *simSmoke {
-		experiments.SetSimScaleOverride(func(p *experiments.SimScaleParams) {
+		cfg.SimScale = func(p *experiments.SimScaleParams) {
 			for _, pt := range p.Points {
 				if pt.Shards == 120000 {
 					p.Points = []experiments.SimScalePoint{pt}
@@ -108,18 +109,18 @@ func main() {
 			if len(p.Points) > 0 { // fallback: keep the last point
 				p.Points = p.Points[len(p.Points)-1:]
 			}
-		})
+		}
 		if *fig == "all" {
 			*fig = "simscale"
 		}
 	}
 
 	if *controlSmoke {
-		experiments.SetControlScaleOverride(func(p *experiments.ControlScaleParams) {
+		cfg.ControlScale = func(p *experiments.ControlScaleParams) {
 			if len(p.Points) > 1 {
 				p.Points = p.Points[:1]
 			}
-		})
+		}
 		if *fig == "all" {
 			*fig = "controlscale"
 		}
@@ -128,16 +129,16 @@ func main() {
 	var tracer *trace.Tracer
 	if *traceOut != "" || *traceText != "" {
 		tracer = trace.New(trace.Options{})
-		experiments.SetDefaultTracer(tracer)
+		cfg.Tracer = tracer
 	}
 	var reg *metrics.Registry
 	if *metricsOut != "" {
 		// One registry across every deployment the run builds, so the
 		// export covers the whole invocation.
 		reg = metrics.NewRegistry()
-		experiments.SetDefaultHealthFactory(func() *healthmon.Monitor {
+		cfg.Health = func() *healthmon.Monitor {
 			return healthmon.New(healthmon.Options{Registry: reg})
-		})
+		}
 	}
 	var prof *simprof.Profile
 	if *profOut != "" || *profJSON != "" || *profFolded != "" {
@@ -146,7 +147,7 @@ func main() {
 		// whole invocation. Alloc attribution only when the wall-clock
 		// columns that render it were requested (it costs ~1µs/event).
 		prof = simprof.New(simprof.Options{Allocs: *profWall, Registry: reg})
-		experiments.SetDefaultProfiler(func() sim.Profiler { return prof })
+		cfg.Profiler = func() sim.Profiler { return prof }
 	}
 
 	if *list {
@@ -155,13 +156,13 @@ func main() {
 		}
 		return
 	}
-	sc := experiments.ScaleFull
 	switch *scale {
 	case "full":
+		cfg.Scale = experiments.ScaleFull
 	case "quick":
-		sc = experiments.ScaleQuick
+		cfg.Scale = experiments.ScaleQuick
 	case "stress":
-		sc = experiments.ScaleStress
+		cfg.Scale = experiments.ScaleStress
 	default:
 		fmt.Fprintf(os.Stderr, "smbench: unknown scale %q\n", *scale)
 		os.Exit(2)
@@ -174,7 +175,7 @@ func main() {
 	bugsFound := false
 	for _, id := range ids {
 		start := time.Now()
-		report, err := experiments.Run(id, sc)
+		report, err := experiments.Run(id, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "smbench: %v\n", err)
 			os.Exit(1)

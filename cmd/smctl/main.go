@@ -239,8 +239,7 @@ func runFaults(argv []string) {
 		fmt.Fprintf(os.Stderr, "smctl faults: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	experiments.SetFaultSpec(*spec)
-	report, err := experiments.Run("faults", sc)
+	report, err := experiments.Run("faults", experiments.RunConfig{Scale: sc, FaultSpec: *spec})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "smctl faults: %v\n", err)
 		os.Exit(1)
@@ -260,7 +259,7 @@ func runAudit(argv []string) {
 	full := fs.Bool("report", false, "also print the full audit report (every violation with its timeline)")
 	fs.Parse(argv)
 
-	run := experiments.RunTortureSeed(experiments.DefaultTortureParams(), *seed)
+	run := experiments.RunTortureSeed(experiments.RunConfig{}, experiments.DefaultTortureParams(), *seed)
 	a := run.Auditor
 	checks := int64(0)
 	for _, n := range a.Checks() {

@@ -81,7 +81,7 @@ func main() {
 	measure := func(label string, dur time.Duration) {
 		var sum time.Duration
 		n := 0
-		tick := d.Loop.Every(100*time.Millisecond, func() {
+		tick := d.Loop.EveryL(100*time.Millisecond, 0, func() {
 			key := experiments.KeyForShard(rng.Intn(ecShards))
 			client.Do(key, false, apps.KVOpScan, nil, func(res routing.Result) {
 				if res.OK {

@@ -77,7 +77,7 @@ func main() {
 	rng := d.Loop.RNG().Fork()
 	ratio := metrics.NewSuccessRatio(time.Minute)
 	n := 0
-	d.Loop.Every(50*time.Millisecond, func() {
+	d.Loop.EveryL(50*time.Millisecond, 0, func() {
 		n++
 		key := experiments.KeyForShard(rng.Intn(numShards))
 		client.Do(key, true, apps.QueueOpEnqueue, fmt.Sprintf("msg-%d", n), func(res routing.Result) {

@@ -2,6 +2,7 @@ package allocator
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -14,9 +15,19 @@ import (
 // random inputs: every emitted placement targets a live server, no shard
 // ever has two replicas on one server, per-shard and global churn caps are
 // respected, and the result is internally consistent with its own moves.
+// The 60 inputs come from a fixed source, so a failure replays; widen the
+// search by changing the source, and pin what it finds in
+// TestRunInvariantsRegressions.
 func TestRunInvariantsProperty(t *testing.T) {
-	check := func(seed uint64) bool { return checkRunInvariants(t, seed) }
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
+	check := func(seed uint64) bool {
+		ok := checkRunInvariants(t, seed)
+		if !ok {
+			t.Errorf("invariants violated for seed %d", seed)
+		}
+		return ok
+	}
+	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

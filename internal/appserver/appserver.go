@@ -366,7 +366,7 @@ func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Applicat
 // --- SM library API, invoked by the orchestrator (Fig 11) ---
 
 // applyGrantGen screens one grant's fencing token. Generation 0 grants (the
-// pre-epoch API, used directly by tests and hand-wired setups) always apply.
+// pre-epoch form, used directly by tests and hand-wired setups) always apply.
 // A positive generation at or below the fence generation belongs to a lease
 // the server already lost — the grant is stale and must be dropped.
 func (s *Server) applyGrantGen(gen int64) bool {
@@ -407,14 +407,9 @@ func (s *Server) FenceGen() int64 { return s.fenceGen }
 // already prepared (or already served) activates immediately; a brand-new
 // replica first loads shard state for LoadTime and rejects requests until
 // done (step 3 of §4.3 when preceded by prepare_add_shard; a cold add
-// otherwise).
-func (s *Server) AddShard(id shard.ID, role shard.Role) {
-	s.AddShardGen(id, role, 0)
-}
-
-// AddShardGen is AddShard carrying the grant's fencing generation; stale
-// grants (gen at or below the fence generation) are dropped.
-func (s *Server) AddShardGen(id shard.ID, role shard.Role, gen int64) {
+// otherwise). gen is the grant's fencing generation; stale grants (gen at or
+// below the fence generation) are dropped.
+func (s *Server) AddShard(id shard.ID, role shard.Role, gen int64) {
 	if !s.applyGrantGen(gen) {
 		return
 	}
@@ -503,14 +498,9 @@ func (s *Server) DropShard(id shard.ID) {
 }
 
 // ChangeRole changes the replica's role in place (§2.2.3; also used to
-// demote primaries ahead of non-negotiable maintenance, §4.2).
-func (s *Server) ChangeRole(id shard.ID, from, to shard.Role) error {
-	return s.ChangeRoleGen(id, from, to, 0)
-}
-
-// ChangeRoleGen is ChangeRole carrying the grant's fencing generation; stale
-// grants are dropped with an error.
-func (s *Server) ChangeRoleGen(id shard.ID, from, to shard.Role, gen int64) error {
+// demote primaries ahead of non-negotiable maintenance, §4.2). gen is the
+// grant's fencing generation; stale grants are dropped with an error.
+func (s *Server) ChangeRole(id shard.ID, from, to shard.Role, gen int64) error {
 	if !s.applyGrantGen(gen) {
 		return fmt.Errorf("appserver: stale role grant for %s (gen %d <= fence %d)", id, gen, s.fenceGen)
 	}
@@ -535,14 +525,9 @@ func (s *Server) ChangeRoleGen(id shard.ID, from, to shard.Role, gen int64) erro
 // PrepareAddShard readies this server to take over the shard: it loads
 // state (LoadTime) and then processes only requests forwarded from the
 // current owner (step 1 of §4.3). The old primary keeps serving clients
-// throughout, which is why the load is invisible to them.
-func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role shard.Role) {
-	s.PrepareAddShardGen(id, currentOwner, role, 0)
-}
-
-// PrepareAddShardGen is PrepareAddShard carrying the grant's fencing
-// generation; stale grants are dropped.
-func (s *Server) PrepareAddShardGen(id shard.ID, currentOwner shard.ServerID, role shard.Role, gen int64) {
+// throughout, which is why the load is invisible to them. gen is the grant's
+// fencing generation; stale grants are dropped.
+func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role shard.Role, gen int64) {
 	if !s.applyGrantGen(gen) {
 		return
 	}
@@ -585,12 +570,9 @@ func (s *Server) PrepareDropShard(id shard.ID, newOwner shard.ServerID, role sha
 // serving. The orchestrator issues it when a graceful migration aborts after
 // its prepare_drop already executed on the old primary — without it the old
 // primary would forward to a target that no longer holds the shard. No-op
-// unless the replica is forwarding.
-func (s *Server) ResumeShard(id shard.ID) { s.ResumeShardGen(id, 0) }
-
-// ResumeShardGen is ResumeShard carrying the grant's fencing generation;
+// unless the replica is forwarding. gen is the grant's fencing generation;
 // stale grants are dropped.
-func (s *Server) ResumeShardGen(id shard.ID, gen int64) {
+func (s *Server) ResumeShard(id shard.ID, gen int64) {
 	if !s.applyGrantGen(gen) {
 		return
 	}

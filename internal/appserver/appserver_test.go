@@ -72,7 +72,7 @@ func TestAddDropShardLifecycle(t *testing.T) {
 	env := newEnv()
 	app := newEchoApp()
 	s := env.server("s1", "a", app)
-	s.AddShard("sh1", shard.RolePrimary)
+	s.AddShard("sh1", shard.RolePrimary, 0)
 	if !s.HoldsActive("sh1") {
 		t.Fatal("shard not active after AddShard")
 	}
@@ -91,17 +91,17 @@ func TestChangeRole(t *testing.T) {
 	env := newEnv()
 	app := newEchoApp()
 	s := env.server("s1", "a", app)
-	s.AddShard("sh1", shard.RoleSecondary)
-	if err := s.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary); err != nil {
+	s.AddShard("sh1", shard.RoleSecondary, 0)
+	if err := s.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary, 0); err != nil {
 		t.Fatal(err)
 	}
 	if app.roles["sh1"] != shard.RolePrimary {
 		t.Fatal("app not notified of role change")
 	}
-	if err := s.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary); err == nil {
+	if err := s.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary, 0); err == nil {
 		t.Fatal("stale role change accepted")
 	}
-	if err := s.ChangeRole("ghost", shard.RolePrimary, shard.RoleSecondary); err == nil {
+	if err := s.ChangeRole("ghost", shard.RolePrimary, shard.RoleSecondary, 0); err == nil {
 		t.Fatal("role change on unowned shard accepted")
 	}
 }
@@ -121,7 +121,7 @@ func serve(t *testing.T, env *testEnv, s *Server, req *Request) Response {
 func TestServeActivePrimary(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RolePrimary)
+	s.AddShard("sh1", shard.RolePrimary, 0)
 	resp := serve(t, env, s, &Request{Shard: "sh1", Key: "k", Write: true})
 	if !resp.OK || resp.Payload != "echo:k" || resp.Server != "s1" {
 		t.Fatalf("resp = %+v", resp)
@@ -131,7 +131,7 @@ func TestServeActivePrimary(t *testing.T) {
 func TestServeWriteOnSecondaryRejected(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RoleSecondary)
+	s.AddShard("sh1", shard.RoleSecondary, 0)
 	resp := serve(t, env, s, &Request{Shard: "sh1", Write: true})
 	if resp.OK || resp.Err != "not-primary" {
 		t.Fatalf("resp = %+v", resp)
@@ -160,7 +160,7 @@ func TestServeAppError(t *testing.T) {
 	app := newEchoApp()
 	app.failAll = true
 	s := env.server("s1", "a", app)
-	s.AddShard("sh1", shard.RolePrimary)
+	s.AddShard("sh1", shard.RolePrimary, 0)
 	resp := serve(t, env, s, &Request{Shard: "sh1", Write: true})
 	if resp.OK || resp.Err != "app-error" {
 		t.Fatalf("resp = %+v", resp)
@@ -172,11 +172,11 @@ func TestGracefulMigrationProtocol(t *testing.T) {
 	appOld, appNew := newEchoApp(), newEchoApp()
 	old := env.server("old", "a", appOld)
 	newer := env.server("new", "b", appNew)
-	old.AddShard("sh1", shard.RolePrimary)
+	old.AddShard("sh1", shard.RolePrimary, 0)
 
 	// Step 1: prepare_add on the new primary. Direct client requests are
 	// rejected; only forwarded ones are served.
-	newer.PrepareAddShard("sh1", "old", shard.RolePrimary)
+	newer.PrepareAddShard("sh1", "old", shard.RolePrimary, 0)
 	if appNew.prepAdd != 1 {
 		t.Fatal("PrepareAddShard hook not invoked")
 	}
@@ -196,7 +196,7 @@ func TestGracefulMigrationProtocol(t *testing.T) {
 	}
 
 	// Step 3: add_shard on the new primary: it serves directly.
-	newer.AddShard("sh1", shard.RolePrimary)
+	newer.AddShard("sh1", shard.RolePrimary, 0)
 	resp = serve(t, env, newer, &Request{Shard: "sh1", Write: true})
 	if !resp.OK || resp.Hops != 0 {
 		t.Fatalf("direct resp after add = %+v", resp)
@@ -221,7 +221,7 @@ func TestForwardToDeadServerFails(t *testing.T) {
 	env := newEnv()
 	old := env.server("old", "a", newEchoApp())
 	env.server("new", "b", newEchoApp())
-	old.AddShard("sh1", shard.RolePrimary)
+	old.AddShard("sh1", shard.RolePrimary, 0)
 	old.PrepareDropShard("sh1", "new", shard.RolePrimary)
 	env.net.Unregister("new")
 	resp := serve(t, env, old, &Request{Shard: "sh1", Write: true})
@@ -233,7 +233,7 @@ func TestForwardToDeadServerFails(t *testing.T) {
 func TestForwardLoopRejected(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RolePrimary)
+	s.AddShard("sh1", shard.RolePrimary, 0)
 	s.PrepareDropShard("sh1", "s1", shard.RolePrimary)
 	resp := serve(t, env, s, &Request{Shard: "sh1", Write: true})
 	if resp.OK || resp.Err != "forward-loop" {
@@ -244,8 +244,8 @@ func TestForwardLoopRejected(t *testing.T) {
 func TestLoadReportDefaultsToShardCount(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("a", shard.RolePrimary)
-	s.AddShard("b", shard.RoleSecondary)
+	s.AddShard("a", shard.RolePrimary, 0)
+	s.AddShard("b", shard.RoleSecondary, 0)
 	rep := s.LoadReport()
 	if len(rep) != 2 || rep["a"].Get(topology.ResourceShardCount) != 1 {
 		t.Fatalf("LoadReport = %v", rep)
@@ -263,7 +263,7 @@ func (l loadApp) ShardLoad(s shard.ID) topology.Capacity {
 func TestLoadReporterOverride(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", loadApp{newEchoApp()})
-	s.AddShard("a", shard.RolePrimary)
+	s.AddShard("a", shard.RolePrimary, 0)
 	if got := s.LoadReport()["a"].Get(topology.ResourceCPU); got != 7 {
 		t.Fatalf("load = %v", got)
 	}
@@ -428,7 +428,7 @@ func TestHostLivenessRetriesThroughCoordWriteStall(t *testing.T) {
 func TestServeDelayGrayFailure(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RolePrimary)
+	s.AddShard("sh1", shard.RolePrimary, 0)
 
 	timed := func() time.Duration {
 		start := env.loop.Now()

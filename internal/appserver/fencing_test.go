@@ -27,7 +27,7 @@ func fencedHost(t *testing.T) (*testEnv, *Host, *coord.Store, *Server) {
 	if srv == nil {
 		t.Fatal("server not started")
 	}
-	srv.AddShard("sh1", shard.RolePrimary)
+	srv.AddShard("sh1", shard.RolePrimary, 0)
 	return env, host, store, srv
 }
 
@@ -82,7 +82,7 @@ func TestSyncAssignmentLiftsFence(t *testing.T) {
 
 	// A grant from before the fence (stale generation) must not unfence or
 	// apply: the lease it rode on is already lost.
-	if err := srv.ChangeRoleGen("sh1", shard.RolePrimary, shard.RoleSecondary, srv.FenceGen()); err == nil {
+	if err := srv.ChangeRole("sh1", shard.RolePrimary, shard.RoleSecondary, srv.FenceGen()); err == nil {
 		t.Fatal("stale role grant accepted on fenced server")
 	}
 

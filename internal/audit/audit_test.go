@@ -55,11 +55,11 @@ func newRig(t *testing.T, opts Options) *rig {
 
 func TestOnePrimaryViolation(t *testing.T) {
 	r := newRig(t, Options{})
-	r.srvA.AddShard("s1", shard.RolePrimary)
+	r.srvA.AddShard("s1", shard.RolePrimary, 0)
 	if n := r.a.ViolationCount(); n != 0 {
 		t.Fatalf("single primary flagged: %d violations", n)
 	}
-	r.srvB.AddShard("s1", shard.RolePrimary)
+	r.srvB.AddShard("s1", shard.RolePrimary, 0)
 	vs := r.a.Violations()
 	if len(vs) != 1 || vs[0].Invariant != InvOnePrimary {
 		t.Fatalf("want one one-primary violation, got %+v", vs)
@@ -68,15 +68,15 @@ func TestOnePrimaryViolation(t *testing.T) {
 		t.Fatalf("violation servers = %q", got)
 	}
 	// Still inside the same episode: no second violation.
-	r.srvB.AddShard("s1", shard.RolePrimary)
+	r.srvB.AddShard("s1", shard.RolePrimary, 0)
 	if n := len(r.a.Violations()); n != 1 {
 		t.Fatalf("dedup failed: %d violations", n)
 	}
 	// End the episode, then re-enter it: a fresh violation fires.
-	if err := r.srvA.ChangeRole("s1", shard.RolePrimary, shard.RoleSecondary); err != nil {
+	if err := r.srvA.ChangeRole("s1", shard.RolePrimary, shard.RoleSecondary, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.srvA.ChangeRole("s1", shard.RoleSecondary, shard.RolePrimary); err != nil {
+	if err := r.srvA.ChangeRole("s1", shard.RoleSecondary, shard.RolePrimary, 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(r.a.Violations()); n != 2 {
@@ -86,8 +86,8 @@ func TestOnePrimaryViolation(t *testing.T) {
 
 func TestWriteOwnerViolation(t *testing.T) {
 	r := newRig(t, Options{})
-	r.srvA.AddShard("s1", shard.RolePrimary)
-	r.srvB.AddShard("s1", shard.RolePrimary) // fires one-primary
+	r.srvA.AddShard("s1", shard.RolePrimary, 0)
+	r.srvB.AddShard("s1", shard.RolePrimary, 0) // fires one-primary
 	var resp appserver.Response
 	r.srvA.Serve(&appserver.Request{App: "kv", Shard: "s1", Write: true, Op: "set"},
 		func(rs appserver.Response) { resp = rs })
@@ -154,11 +154,11 @@ func TestStaleRoutingRemovedServer(t *testing.T) {
 	a.onMap(mapV(1, "s1", shard.Assignment{Server: "srv-a", Role: shard.RolePrimary}))
 	a.onMap(mapV(2, "s1", shard.Assignment{Server: "srv-b", Role: shard.RolePrimary}))
 	// Within the bound: tombstone forwarding makes this legitimate.
-	loop.After(30*time.Second, func() {
+	loop.AfterL(30*time.Second, 0, func() {
 		obs(routing.Result{OK: true, Server: "srv-a", Shard: "s1", MapVersion: 1})
 	})
 	// Past the bound: the map has long converged, srv-a must be out.
-	loop.After(50*time.Second, func() {
+	loop.AfterL(50*time.Second, 0, func() {
 		obs(routing.Result{OK: true, Server: "srv-a", Shard: "s1", MapVersion: 1})
 	})
 	loop.Run()
@@ -180,10 +180,10 @@ func TestStaleRoutingNotOwner(t *testing.T) {
 	obs := a.clientObserver()
 	a.onMap(mapV(1, "s1", shard.Assignment{Server: "srv-a", Role: shard.RolePrimary}))
 	// Shortly after publication a not-owner is ordinary propagation lag.
-	loop.After(10*time.Second, func() {
+	loop.AfterL(10*time.Second, 0, func() {
 		obs(routing.Result{Err: "not-owner", RejectedBy: "srv-b", Shard: "s1", MapVersion: 1})
 	})
-	loop.After(60*time.Second, func() {
+	loop.AfterL(60*time.Second, 0, func() {
 		obs(routing.Result{Err: "not-owner", RejectedBy: "srv-b", Shard: "s1", MapVersion: 1})
 		// Same stale episode: deduped.
 		obs(routing.Result{Err: "not-owner", RejectedBy: "srv-b", Shard: "s1", MapVersion: 1})
@@ -233,16 +233,16 @@ func scenario() *Auditor {
 		shard.Assignment{Server: "srv-b", Role: shard.RoleSecondary}))
 	dobs.ReplicaChanged("srv-a", "s1", shard.RolePrimary, appserver.PhaseActive, "")
 	dobs.ReplicaChanged("srv-b", "s1", shard.RoleSecondary, appserver.PhaseActive, "")
-	loop.After(5*time.Second, func() {
+	loop.AfterL(5*time.Second, 0, func() {
 		a.onMap(mapV(2, "s1",
 			shard.Assignment{Server: "srv-b", Role: shard.RolePrimary}))
 		dobs.ReplicaChanged("srv-b", "s1", shard.RolePrimary, appserver.PhaseActive, "")
 	})
-	loop.After(8*time.Second, func() {
+	loop.AfterL(8*time.Second, 0, func() {
 		// srv-a never demoted: dual active primaries.
 		dobs.Handled("srv-b", "s1", true, false, appserver.PhaseActive)
 	})
-	loop.After(55*time.Second, func() {
+	loop.AfterL(55*time.Second, 0, func() {
 		cobs(routing.Result{OK: true, Server: "srv-a", Shard: "s1", MapVersion: 1})
 	})
 	loop.Run()

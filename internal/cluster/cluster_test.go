@@ -162,7 +162,7 @@ func TestRollingUpgradeBoundedConcurrency(t *testing.T) {
 	loop.RunFor(time.Minute)
 
 	maxDown := 0
-	loop.Every(time.Second, func() {
+	loop.EveryL(time.Second, 0, func() {
 		down := 10 - len(m.RunningContainers("app"))
 		if down > maxDown {
 			maxDown = down

@@ -123,7 +123,7 @@ func TestGenericControllerWithRealClusterManager(t *testing.T) {
 
 	down := 0
 	maxDown := 0
-	loop.Every(time.Second, func() {
+	loop.EveryL(time.Second, 0, func() {
 		down = 4 - len(mgr.RunningContainers("db"))
 		if down > maxDown {
 			maxDown = down

@@ -80,7 +80,7 @@ func TestPublishDeltaGapTriggersResync(t *testing.T) {
 
 	f := &deltaFollower{applyNG: t}
 	var statuses []string
-	svc.SetObserver(func(app shard.AppID, version int64, lag time.Duration, status string) {
+	svc.AddObserver(func(app shard.AppID, version int64, lag time.Duration, status string) {
 		statuses = append(statuses, status)
 	})
 	svc.SubscribeDelta("app", f.onFull, f.onDelta)

@@ -95,10 +95,9 @@ type Service struct {
 	// publish schedules O(subs/batch) events instead of O(subs).
 	fanoutBatch int
 
-	// freeDeliveries / freeBatchDeliveries recycle the per-delivery records
-	// that ride the event loop's arg slot, keeping fan-out allocation-free.
-	freeDeliveries      *delivery
-	freeBatchDeliveries *batchDelivery
+	// freeDeliveries recycles the per-delivery records that ride the event
+	// loop's arg slot, keeping fan-out allocation-free.
+	freeDeliveries *delivery
 
 	// Publications counts Publish calls, for tests and smctl.
 	Publications int64
@@ -111,18 +110,8 @@ type Service struct {
 	observers []func(app shard.AppID, version int64, lag time.Duration, status string)
 }
 
-// SetObserver registers the delivery observer, replacing any previously
-// attached observers (nil to clear).
-func (s *Service) SetObserver(fn func(app shard.AppID, version int64, lag time.Duration, status string)) {
-	if fn == nil {
-		s.observers = nil
-		return
-	}
-	s.observers = []func(shard.AppID, int64, time.Duration, string){fn}
-}
-
-// AddObserver registers an additional delivery observer without disturbing
-// ones already attached; observers fire in attachment order.
+// AddObserver registers a delivery observer without disturbing ones already
+// attached; observers fire in attachment order.
 func (s *Service) AddObserver(fn func(app shard.AppID, version int64, lag time.Duration, status string)) {
 	if fn == nil {
 		panic("discovery: AddObserver(nil)")
@@ -224,15 +213,7 @@ func (s *Service) publish(m, scratch *shard.Map) *shard.Map {
 		mr.Counter("discovery_publications_total", "app", string(m.App)).Inc()
 		mr.Gauge("discovery_map_version", "app", string(m.App)).Set(float64(snap.Version))
 	}
-	if s.fanoutBatch > 1 {
-		for _, b := range st.batches {
-			s.deliverBatch(b, st, snap, nil, st.pubAt)
-		}
-	} else {
-		for _, sub := range st.subs {
-			s.deliver(sub, st, snap, nil, st.pubAt)
-		}
-	}
+	s.fanout(st, snap, nil)
 	return prev
 }
 
@@ -291,28 +272,21 @@ func (s *Service) PublishDelta(d *shard.Delta) *shard.Delta {
 		mr.Counter("discovery_delta_publishes_total", "app", string(d.App)).Inc()
 		mr.Gauge("discovery_map_version", "app", string(d.App)).Set(float64(st.current.Version))
 	}
-	if s.fanoutBatch > 1 {
-		for _, b := range st.batches {
-			s.deliverBatch(b, st, nil, d, st.pubAt)
-		}
-	} else {
-		for _, sub := range st.subs {
-			s.deliver(sub, st, nil, d, st.pubAt)
-		}
-	}
+	s.fanout(st, nil, d)
 	recycled := st.inflight
 	st.inflight = d
 	return recycled
 }
 
-// delivery is the pooled state of one scheduled per-subscriber delivery —
-// what the old per-delivery closure captured, recycled when it fires. Exactly
-// one of m (full snapshot) and d (incremental delta) is non-nil; st is the
-// owning app's state, consulted at fire time when a delta delivery must fall
-// back to a full resync.
+// delivery is the pooled state of one scheduled delivery event, recycled when
+// it fires. The event serves one subscriber (sub) or, when sub is nil, every
+// subscriber of batch. Exactly one of m (full snapshot) and d (incremental
+// delta) is non-nil; st is the owning app's state, consulted at fire time
+// when a delta delivery must fall back to a full resync.
 type delivery struct {
 	s     *Service
 	sub   *Subscription
+	batch *subBatch
 	st    *appState
 	m     *shard.Map
 	d     *shard.Delta
@@ -321,42 +295,59 @@ type delivery struct {
 	next  *delivery
 }
 
-// batchDelivery is the pooled state of one scheduled batch fan-out event.
-type batchDelivery struct {
-	s     *Service
-	batch *subBatch
-	st    *appState
-	m     *shard.Map
-	d     *shard.Delta
-	pubAt time.Duration
-	sp    trace.SpanID
-	next  *batchDelivery
+// pubMeta returns the app and version a publication — a full map m or, when m
+// is nil, the delta dlt — brings its receivers to.
+func pubMeta(m *shard.Map, dlt *shard.Delta) (shard.AppID, int64) {
+	if m != nil {
+		return m.App, m.Version
+	}
+	return dlt.App, dlt.ToVersion
 }
 
-// deliver schedules one delivery — a full map m, or a delta dlt when m is
-// nil; its span stretches from publication to the subscriber's callback, so
-// map-propagation lag is directly visible. pubAt is when the version was
-// published, so staleness metrics measure from publication rather than from
-// this (possibly later) subscribe time. Full and delta deliveries draw their
-// delays from the same per-subscriber RNG stream, so switching a publisher
-// to deltas does not shift anyone's delay sequence.
-func (s *Service) deliver(sub *Subscription, st *appState, m *shard.Map, dlt *shard.Delta, pubAt time.Duration) {
-	d := s.delay(sub.rng)
-	tr := s.loop.Tracer()
-	var sp trace.SpanID
-	if tr.Enabled() {
-		if m != nil {
-			sp = tr.StartSpan("discovery", "propagate", 0,
-				trace.String("app", string(m.App)),
-				trace.Int64("version", m.Version),
-				trace.Int("sub", sub.id))
-		} else {
-			sp = tr.StartSpan("discovery", "propagate", 0,
-				trace.String("app", string(dlt.App)),
-				trace.Int64("version", dlt.ToVersion),
-				trace.Int("sub", sub.id),
-				trace.Int("edits", dlt.Len()))
+// fanout schedules one publication's delivery to every subscriber of st: one
+// event per batch when batching, one per subscriber otherwise.
+func (s *Service) fanout(st *appState, m *shard.Map, dlt *shard.Delta) {
+	if s.fanoutBatch > 1 {
+		for _, b := range st.batches {
+			s.deliver(nil, b, st, m, dlt)
 		}
+		return
+	}
+	for _, sub := range st.subs {
+		s.deliver(sub, nil, st, m, dlt)
+	}
+}
+
+// deliver schedules one delivery event — a full map m, or a delta dlt when m
+// is nil — for sub or, when sub is nil, for the whole batch: one sampled
+// delay, one event, one span. The span stretches from publication to the
+// subscriber callbacks, so map-propagation lag is directly visible, and
+// staleness is measured from st.pubAt (when the version was published) rather
+// than from a later subscribe time. Full and delta deliveries draw their
+// delays from the same per-subscriber (or per-batch) RNG stream, so switching
+// a publisher to deltas does not shift anyone's delay sequence.
+func (s *Service) deliver(sub *Subscription, batch *subBatch, st *appState, m *shard.Map, dlt *shard.Delta) {
+	var rng *sim.RNG
+	if sub != nil {
+		rng = sub.rng
+	} else {
+		rng = batch.rng
+	}
+	d := s.delay(rng)
+	var sp trace.SpanID
+	if tr := s.loop.Tracer(); tr.Enabled() {
+		app, version := pubMeta(m, dlt)
+		attrs := append(make([]trace.Attr, 0, 4),
+			trace.String("app", string(app)), trace.Int64("version", version))
+		if sub != nil {
+			attrs = append(attrs, trace.Int("sub", sub.id))
+		} else {
+			attrs = append(attrs, trace.Int("subs", len(batch.subs)))
+		}
+		if m == nil {
+			attrs = append(attrs, trace.Int("edits", dlt.Len()))
+		}
+		sp = tr.StartSpan("discovery", "propagate", 0, attrs...)
 	}
 	dv := s.freeDeliveries
 	if dv == nil {
@@ -365,189 +356,85 @@ func (s *Service) deliver(sub *Subscription, st *appState, m *shard.Map, dlt *sh
 		s.freeDeliveries = dv.next
 		dv.next = nil
 	}
-	dv.sub, dv.st, dv.m, dv.d, dv.pubAt, dv.sp = sub, st, m, dlt, pubAt, sp
-	s.loop.PostArgL(d, lbDeliver, deliverOne, dv)
+	dv.sub, dv.batch, dv.st, dv.m, dv.d, dv.pubAt, dv.sp = sub, batch, st, m, dlt, st.pubAt, sp
+	s.loop.PostArgL(d, lbDeliver, fire, dv)
 }
 
-// applyDeltaDelivery applies one delta delivery to sub, emitting the delivery
-// metrics and observer calls, and returns the outcome status. A subscriber
-// whose version chains onto the delta (lastSeen == FromVersion) applies it
-// in order through its delta callback; one that missed a version — or that
-// subscribed without a delta callback — resyncs from the app's authoritative
-// current map instead (status "resync").
-func (s *Service) applyDeltaDelivery(sub *Subscription, st *appState, dlt *shard.Delta, lag time.Duration) string {
-	status, version := "delivered", dlt.ToVersion
-	var resync *shard.Map
-	switch {
-	case sub.cancelled:
-		status = "cancelled"
-	case dlt.ToVersion <= sub.lastSeen:
-		status = "stale"
-	case sub.deltaFn != nil && sub.lastSeen == dlt.FromVersion:
-		// In-order: apply below, after metrics/observers.
-	default:
-		if cur := st.current; cur != nil && cur.Version > sub.lastSeen {
-			status, version, resync = "resync", cur.Version, cur
-		} else {
-			status = "stale"
-		}
-	}
-	if mr := s.loop.Metrics(); mr != nil {
-		mr.Counter("discovery_deliveries_total",
-			"app", string(dlt.App), "status", status).Inc()
-		if status == "delivered" || status == "resync" {
-			mr.Histogram("discovery_propagation_ms", nil, "app", string(dlt.App)).
-				Observe(float64(lag) / float64(time.Millisecond))
-		}
-	}
-	for _, obs := range s.observers {
-		obs(dlt.App, version, lag, status)
-	}
-	switch status {
-	case "delivered":
-		sub.lastSeen = dlt.ToVersion
-		sub.deltaFn(dlt)
-	case "resync":
-		sub.lastSeen = resync.Version
-		sub.fn(resync)
-	}
-	return status
-}
-
-// deliverOne runs one per-subscriber delivery at its propagation instant.
-func deliverOne(a any) {
+// fire runs one delivery event at its propagation instant. The propagate span
+// ends after the subscriber callbacks return, in every mode, so a span a
+// callback starts nests inside it.
+func fire(a any) {
 	dv := a.(*delivery)
-	s, sub, st, m, dlt, pubAt, sp := dv.s, dv.sub, dv.st, dv.m, dv.d, dv.pubAt, dv.sp
+	s, sub, batch, st, m, dlt, pubAt, sp := dv.s, dv.sub, dv.batch, dv.st, dv.m, dv.d, dv.pubAt, dv.sp
 	*dv = delivery{s: s, next: s.freeDeliveries}
 	s.freeDeliveries = dv
 
-	if dlt != nil {
-		status := s.applyDeltaDelivery(sub, st, dlt, s.loop.Now()-pubAt)
-		if tr := s.loop.Tracer(); tr.Enabled() {
+	lag := s.loop.Now() - pubAt
+	tr := s.loop.Tracer()
+	if sub != nil {
+		status := s.apply(sub, st, m, dlt, lag)
+		if tr.Enabled() {
 			tr.EndSpan(sp, trace.String("status", status))
 		}
 		return
 	}
-
-	status := "delivered"
-	if sub.cancelled || m.Version <= sub.lastSeen {
-		status = "stale"
-		if sub.cancelled {
-			status = "cancelled"
+	delivered := 0
+	for _, sub := range batch.subs {
+		if s.apply(sub, st, m, dlt, lag) == "delivered" {
+			delivered++
 		}
 	}
-	lag := s.loop.Now() - pubAt
+	if tr.Enabled() {
+		tr.EndSpan(sp, trace.String("status", "delivered"),
+			trace.Int("delivered", delivered))
+	}
+}
+
+// apply hands one publication — a full map m or, when m is nil, the delta dlt
+// — to sub at its delivery instant: classify the outcome, count it, tell the
+// observers, run the subscriber's callback; it returns the outcome status. A
+// cancelled subscriber, or one already at or past the publication's version
+// (overtaken by a newer delivery), receives nothing. A delta applies in order
+// through the delta callback when the subscriber's version chains onto it
+// (lastSeen == FromVersion); a subscriber that missed a version — or that
+// subscribed without a delta callback — resyncs from the app's authoritative
+// current map instead (status "resync").
+func (s *Service) apply(sub *Subscription, st *appState, m *shard.Map, dlt *shard.Delta, lag time.Duration) string {
+	app, version := pubMeta(m, dlt)
+	status, snap := "delivered", m // snap stays nil when dlt applies in order
+	switch {
+	case sub.cancelled:
+		status = "cancelled"
+	case version <= sub.lastSeen:
+		status = "stale"
+	case m != nil || (sub.deltaFn != nil && sub.lastSeen == dlt.FromVersion):
+		// In order: handed over below, after metrics/observers.
+	case st.current.Version > sub.lastSeen:
+		status, snap, version = "resync", st.current, st.current.Version
+	default:
+		status = "stale"
+	}
+	received := status == "delivered" || status == "resync"
 	if mr := s.loop.Metrics(); mr != nil {
 		mr.Counter("discovery_deliveries_total",
-			"app", string(m.App), "status", status).Inc()
-		if status == "delivered" {
-			mr.Histogram("discovery_propagation_ms", nil, "app", string(m.App)).
+			"app", string(app), "status", status).Inc()
+		if received {
+			mr.Histogram("discovery_propagation_ms", nil, "app", string(app)).
 				Observe(float64(lag) / float64(time.Millisecond))
 		}
 	}
 	for _, obs := range s.observers {
-		obs(m.App, m.Version, lag, status)
+		obs(app, version, lag, status)
 	}
-	tr := s.loop.Tracer()
-	if status != "delivered" {
-		if tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", status))
-		}
-		return // stale delivery overtaken by a newer one
-	}
-	sub.lastSeen = m.Version
-	if tr.Enabled() {
-		tr.EndSpan(sp, trace.String("status", "delivered"))
-	}
-	sub.fn(m)
-}
-
-// deliverBatch schedules one delivery event for a whole subscriber batch —
-// one sampled delay from the batch's RNG, one event, one span — carrying a
-// full map m or, when m is nil, the delta dlt.
-func (s *Service) deliverBatch(b *subBatch, st *appState, m *shard.Map, dlt *shard.Delta, pubAt time.Duration) {
-	d := s.delay(b.rng)
-	tr := s.loop.Tracer()
-	var sp trace.SpanID
-	if tr.Enabled() {
-		if m != nil {
-			sp = tr.StartSpan("discovery", "propagate", 0,
-				trace.String("app", string(m.App)),
-				trace.Int64("version", m.Version),
-				trace.Int("subs", len(b.subs)))
+	if received {
+		sub.lastSeen = version
+		if snap != nil {
+			sub.fn(snap)
 		} else {
-			sp = tr.StartSpan("discovery", "propagate", 0,
-				trace.String("app", string(dlt.App)),
-				trace.Int64("version", dlt.ToVersion),
-				trace.Int("subs", len(b.subs)),
-				trace.Int("edits", dlt.Len()))
+			sub.deltaFn(dlt)
 		}
 	}
-	bd := s.freeBatchDeliveries
-	if bd == nil {
-		bd = &batchDelivery{s: s}
-	} else {
-		s.freeBatchDeliveries = bd.next
-		bd.next = nil
-	}
-	bd.batch, bd.st, bd.m, bd.d, bd.pubAt, bd.sp = b, st, m, dlt, pubAt, sp
-	s.loop.PostArgL(d, lbDeliver, deliverToBatch, bd)
-}
-
-// deliverToBatch applies one published map or delta to every subscriber in a
-// batch.
-func deliverToBatch(a any) {
-	bd := a.(*batchDelivery)
-	s, batch, st, m, dlt, pubAt, sp := bd.s, bd.batch, bd.st, bd.m, bd.d, bd.pubAt, bd.sp
-	*bd = batchDelivery{s: s, next: s.freeBatchDeliveries}
-	s.freeBatchDeliveries = bd
-
-	lag := s.loop.Now() - pubAt
-	if dlt != nil {
-		delivered := 0
-		for _, sub := range batch.subs {
-			if s.applyDeltaDelivery(sub, st, dlt, lag) == "delivered" {
-				delivered++
-			}
-		}
-		if tr := s.loop.Tracer(); tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", "delivered"),
-				trace.Int("delivered", delivered))
-		}
-		return
-	}
-	mr := s.loop.Metrics()
-	delivered := 0
-	for _, sub := range batch.subs {
-		status := "delivered"
-		if sub.cancelled || m.Version <= sub.lastSeen {
-			status = "stale"
-			if sub.cancelled {
-				status = "cancelled"
-			}
-		}
-		if mr != nil {
-			mr.Counter("discovery_deliveries_total",
-				"app", string(m.App), "status", status).Inc()
-			if status == "delivered" {
-				mr.Histogram("discovery_propagation_ms", nil, "app", string(m.App)).
-					Observe(float64(lag) / float64(time.Millisecond))
-			}
-		}
-		for _, obs := range s.observers {
-			obs(m.App, m.Version, lag, status)
-		}
-		if status != "delivered" {
-			continue
-		}
-		delivered++
-		sub.lastSeen = m.Version
-		sub.fn(m)
-	}
-	if tr := s.loop.Tracer(); tr.Enabled() {
-		tr.EndSpan(sp, trace.String("status", "delivered"),
-			trace.Int("delivered", delivered))
-	}
+	return status
 }
 
 // Subscribe registers fn to receive the app's shard maps. If a map already
@@ -570,7 +457,7 @@ func (s *Service) Subscribe(app shard.AppID, fn func(*shard.Map)) *Subscription 
 	if st.current != nil {
 		// Start-up catch-up is per-subscriber even in batch mode: the new
 		// subscriber fetches the current map on its own stream.
-		s.deliver(sub, st, st.current, nil, st.pubAt)
+		s.deliver(sub, nil, st, st.current, nil)
 	}
 	return sub
 }

@@ -18,7 +18,7 @@ func quickTortureParams() TortureParams {
 // zero violations — the auditor proves the graceful-migration protocol
 // survives the fault barrage, not just that availability recovers.
 func TestCompoundFaultsAuditClean(t *testing.T) {
-	r := CompoundFaults(quickCompoundFaultParams())
+	r := CompoundFaults(RunConfig{}, quickCompoundFaultParams())
 	if got := r.Values["audit_violations"]; got != 0 {
 		art, _ := r.Extra.(*AuditArtifacts)
 		txt := ""
@@ -40,7 +40,7 @@ func TestCompoundFaultsAuditClean(t *testing.T) {
 func TestCompoundFaultsAuditByteIdentical(t *testing.T) {
 	var texts [2]string
 	for i := range texts {
-		r := CompoundFaults(quickCompoundFaultParams())
+		r := CompoundFaults(RunConfig{}, quickCompoundFaultParams())
 		art, ok := r.Extra.(*AuditArtifacts)
 		if !ok {
 			t.Fatalf("compound report carries no audit artifacts (Extra = %T)", r.Extra)
@@ -56,7 +56,7 @@ func TestCompoundFaultsAuditByteIdentical(t *testing.T) {
 // TestTortureCleanSeed pins a seed the sweep found clean: concurrent
 // migrations under its random fault timeline with zero violations.
 func TestTortureCleanSeed(t *testing.T) {
-	run := RunTortureSeed(quickTortureParams(), 1)
+	run := RunTortureSeed(RunConfig{}, quickTortureParams(), 1)
 	if n := run.Auditor.ViolationCount(); n != 0 {
 		t.Fatalf("seed 1: %d violations, want 0 (first: %+v)", n, run.Bugs)
 	}
@@ -77,7 +77,7 @@ func TestTortureCleanSeed(t *testing.T) {
 // this test asserts the finding stays gone and that fencing actually
 // engaged during the run rather than the fault timeline going soft.
 func TestTortureRegressionSeed5(t *testing.T) {
-	run := RunTortureSeed(quickTortureParams(), 5)
+	run := RunTortureSeed(RunConfig{}, quickTortureParams(), 5)
 	if n := run.Auditor.ViolationCount(); n != 0 {
 		t.Fatalf("seed 5: %d violations, want 0 — the false-dead dual-primary regressed (bugs: %+v)",
 			n, run.Bugs)
@@ -88,7 +88,7 @@ func TestTortureRegressionSeed5(t *testing.T) {
 		t.Error("seed 5: no server ever self-fenced; the expire faults should trigger fencing")
 	}
 	// Determinism pin: the same seed must yield the identical report.
-	again := RunTortureSeed(quickTortureParams(), 5)
+	again := RunTortureSeed(RunConfig{}, quickTortureParams(), 5)
 	if a, b := NewAuditArtifacts(run.Auditor).Text, NewAuditArtifacts(again.Auditor).Text; a != b {
 		t.Fatal("seed 5 audit reports differ between identical runs")
 	}
@@ -100,7 +100,7 @@ func TestTortureRegressionSeed5(t *testing.T) {
 // ordered map application plus rejection-triggered map refresh keeps client
 // routing inside StaleBound; the seed must stay clean.
 func TestTortureRegressionSeed70(t *testing.T) {
-	run := RunTortureSeed(quickTortureParams(), 70)
+	run := RunTortureSeed(RunConfig{}, quickTortureParams(), 70)
 	for _, b := range run.Bugs {
 		if b.Invariant == "stale-routing" {
 			t.Fatalf("seed 70: stale-routing finding returned: %s", b.Detail)
@@ -118,14 +118,14 @@ func TestTortureRegressionSeed70(t *testing.T) {
 // entry (counted in orchestrator_publish_rejected_total) instead of
 // publishing garbage or panicking; the seed must run to completion clean.
 func TestTortureRegressionSeed321(t *testing.T) {
-	run := RunTortureSeed(quickTortureParams(), 321)
+	run := RunTortureSeed(RunConfig{}, quickTortureParams(), 321)
 	if run.Panic != "" {
 		t.Fatalf("seed 321: world crashed again: %q", run.Panic)
 	}
 	if n := run.Auditor.ViolationCount(); n != 0 {
 		t.Fatalf("seed 321: %d violations, want 0 (bugs: %+v)", n, run.Bugs)
 	}
-	again := RunTortureSeed(quickTortureParams(), 321)
+	again := RunTortureSeed(RunConfig{}, quickTortureParams(), 321)
 	if a, b := NewAuditArtifacts(run.Auditor).Text, NewAuditArtifacts(again.Auditor).Text; a != b {
 		t.Fatal("seed 321 audit reports differ between identical runs")
 	}
@@ -137,7 +137,7 @@ func TestTortureRegressionSeed321(t *testing.T) {
 func TestTortureReport(t *testing.T) {
 	p := quickTortureParams()
 	p.StartSeed, p.Seeds = 5, 1
-	r := Torture(p)
+	r := Torture(RunConfig{}, p)
 	art, ok := r.Extra.(*TortureArtifacts)
 	if !ok {
 		t.Fatalf("torture report Extra = %T, want *TortureArtifacts", r.Extra)

@@ -66,14 +66,6 @@ func DefaultControlScaleParams() ControlScaleParams {
 	}
 }
 
-// controlScaleOverride, when non-nil, reshapes the point sweep. smbench sets
-// it from the -controlscale smoke flag.
-var controlScaleOverride func(*ControlScaleParams)
-
-// SetControlScaleOverride installs a mutator applied to the controlscale
-// params after scale selection (nil to clear).
-func SetControlScaleOverride(fn func(*ControlScaleParams)) { controlScaleOverride = fn }
-
 // ControlScaleModeRecord is one publication mode's measured cost at a point.
 type ControlScaleModeRecord struct {
 	// Publishes counts steady-state churn publications (full snapshots or

@@ -78,7 +78,7 @@ func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
 	// Deterministic traffic: every 500ms each client hits a rotating shard,
 	// alternating reads and writes.
 	i := 0
-	d.Loop.Every(500*time.Millisecond, func() {
+	d.Loop.EveryL(500*time.Millisecond, 0, func() {
 		key := KeyForShard(i % shards)
 		clients["west"].Do(key, i%2 == 0, "op", i, func(routing.Result) {})
 		clients["east"].Do(key, i%3 == 0, "op", i, func(routing.Result) {})

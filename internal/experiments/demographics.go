@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shardmanager/internal/controlplane"
+	"shardmanager/internal/metrics"
 	"shardmanager/internal/shard"
 	"shardmanager/internal/sim"
 	"shardmanager/internal/topology"
@@ -159,8 +160,8 @@ func Fig15(p DemographicsParams) *Report {
 		}
 	}
 	qs := []float64{0.5, 0.9, 0.99, 1.0}
-	serverQ := quantiles(servers, qs...)
-	shardQ := quantiles(shards, qs...)
+	serverQ := metrics.Quantiles(servers, qs...)
+	shardQ := metrics.Quantiles(shards, qs...)
 	for i, q := range qs {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("p%.0f", q*100),
@@ -211,13 +212,4 @@ func Fig16(p DemographicsParams) *Report {
 	r.Tables = append(r.Tables, t)
 	r.AddNote("paper: 139 regional + 48 geo mini-SMs; largest manages ~50K servers / ~1.3M shards")
 	return r
-}
-
-func quantile(vals []float64, q float64) float64 {
-	return metricsQuantile(vals, q)
-}
-
-// quantiles pulls several quantiles from one slice with a single sort.
-func quantiles(vals []float64, qs ...float64) []float64 {
-	return metricsQuantiles(vals, qs...)
 }

@@ -21,35 +21,6 @@ import (
 	"shardmanager/internal/trace"
 )
 
-// defaultTracer, when non-nil, is attached to every deployment whose spec
-// does not set its own tracer. smbench sets it from the -trace flags so
-// experiment code needs no per-figure plumbing.
-var defaultTracer *trace.Tracer
-
-// SetDefaultTracer installs the tracer used by deployments whose spec leaves
-// Tracer nil. Pass nil to clear.
-func SetDefaultTracer(tr *trace.Tracer) { defaultTracer = tr }
-
-// defaultHealthFactory, when non-nil, supplies a health monitor for every
-// deployment whose spec does not set its own. A factory (rather than a shared
-// monitor) because each deployment has its own loop/clock, and tests want one
-// monitor per Build to cross-check figures.
-var defaultHealthFactory func() *healthmon.Monitor
-
-// SetDefaultHealthFactory installs the monitor factory used by deployments
-// whose spec leaves Health nil. Pass nil to clear.
-func SetDefaultHealthFactory(fn func() *healthmon.Monitor) { defaultHealthFactory = fn }
-
-// defaultProfiler, when non-nil, supplies the kernel profiler for every
-// deployment whose spec does not set its own. A factory so callers can choose
-// between one shared profile (combined attribution across the sequentially
-// built deployments of a run, as smbench does) and one per Build.
-var defaultProfiler func() sim.Profiler
-
-// SetDefaultProfiler installs the profiler factory used by deployments whose
-// spec leaves Profiler nil. Pass nil to clear.
-func SetDefaultProfiler(fn func() sim.Profiler) { defaultProfiler = fn }
-
 // DeploymentSpec wires a complete single-application world: fleet, one
 // cluster manager + job per region, application hosts, an orchestrator,
 // and optionally a TaskController.
@@ -81,16 +52,14 @@ type DeploymentSpec struct {
 	PropagationDelay discovery.DelayFunc
 
 	// Tracer, if non-nil, records the whole deployment's control-plane
-	// activity (falls back to the package default set by SetDefaultTracer).
+	// activity.
 	Tracer *trace.Tracer
 
 	// Health, if non-nil, watches the whole deployment — cluster managers,
-	// discovery, orchestrator, and every client made with NewClient (falls
-	// back to the factory set by SetDefaultHealthFactory).
+	// discovery, orchestrator, and every client made with NewClient.
 	Health *healthmon.Monitor
 
-	// Profiler, if non-nil, receives the loop's kernel-profiling hooks
-	// (falls back to the factory set by SetDefaultProfiler).
+	// Profiler, if non-nil, receives the loop's kernel-profiling hooks.
 	Profiler sim.Profiler
 
 	// Audit, if non-nil, attaches a runtime migration auditor to the whole
@@ -132,21 +101,11 @@ func Build(spec DeploymentSpec) *Deployment {
 	}
 	loop := sim.NewLoop(spec.Seed)
 	tr := spec.Tracer
-	if tr == nil {
-		tr = defaultTracer
-	}
 	loop.SetTracer(tr) // before any component is built or scheduled
-	prof := spec.Profiler
-	if prof == nil && defaultProfiler != nil {
-		prof = defaultProfiler()
-	}
-	if prof != nil {
-		loop.SetProfiler(prof)
+	if spec.Profiler != nil {
+		loop.SetProfiler(spec.Profiler)
 	}
 	mon := spec.Health
-	if mon == nil && defaultHealthFactory != nil {
-		mon = defaultHealthFactory()
-	}
 	if mon != nil {
 		mon.Bind(loop)
 		loop.SetMetrics(mon.Registry())

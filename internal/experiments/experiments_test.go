@@ -39,7 +39,7 @@ func TestFig02GrowthReachesAMillion(t *testing.T) {
 
 func TestDemographicTablesRender(t *testing.T) {
 	for _, id := range []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig15", "fig16"} {
-		r, err := Run(id, ScaleQuick)
+		r, err := Run(id, RunConfig{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -82,7 +82,7 @@ func atoiOrZero(s string) int {
 func TestFig17ShapeMatchesPaper(t *testing.T) {
 	p := DefaultAvailabilityParams()
 	p.Servers, p.Shards, p.RequestRate = 20, 1000, 30
-	r := Fig17(p)
+	r := Fig17(RunConfig{}, p)
 	// Parse outcomes from the table: SM best, no-graceful in between,
 	// neither worst and below ~92%.
 	rows := r.Tables[0].Rows
@@ -167,7 +167,7 @@ func parseDur(t *testing.T, s string) time.Duration {
 func TestFig19FailoverShape(t *testing.T) {
 	p := DefaultGeoFailoverParams()
 	p.Shards, p.ECShards, p.ServersPerRegion, p.RequestRate = 300, 120, 10, 30
-	r := Fig19(p)
+	r := Fig19(RunConfig{}, p)
 	curve := r.Curves[0].Points
 	steady := meanVal(curve, 20*time.Second, p.FailAt-10*time.Second)
 	plateau := meanVal(curve, p.FailAt+60*time.Second, p.RecoverAt-10*time.Second)
@@ -183,7 +183,7 @@ func TestFig19FailoverShape(t *testing.T) {
 func TestFig20LatencySpikesAndRecovers(t *testing.T) {
 	p := DefaultDBShardParams()
 	p.Shards, p.BatchSize, p.ServersPerRegion = 200, 50, 6
-	r := Fig20(p)
+	r := Fig20(RunConfig{}, p)
 	lat := r.Curves[0].Points
 	steady := meanVal(lat, 0, p.Batch1At-time.Minute)
 	spike := maxVal(lat, p.Batch1At, p.Batch1At+10*time.Minute)
@@ -262,7 +262,7 @@ func TestFig23KeepsP99Bounded(t *testing.T) {
 func TestFig18ErrorsStayFlat(t *testing.T) {
 	p := DefaultProductionTraceParams()
 	p.Servers, p.Shards, p.Days, p.BaseRate = 20, 600, 1, 5
-	r := Fig18(p)
+	r := Fig18(RunConfig{}, p)
 	var errCurve, moveCurve *Curve
 	for i := range r.Curves {
 		switch r.Curves[i].Name {
@@ -289,7 +289,7 @@ func TestRegistryRunAll(t *testing.T) {
 			id == "fig21" || id == "fig22" || id == "fig23" || id == "ablations" {
 			continue // exercised by their dedicated tests above
 		}
-		r, err := Run(id, ScaleQuick)
+		r, err := Run(id, RunConfig{})
 		if err != nil || r == nil {
 			t.Fatalf("Run(%s) = %v", id, err)
 		}
@@ -297,7 +297,7 @@ func TestRegistryRunAll(t *testing.T) {
 			t.Fatalf("missing title for %s", id)
 		}
 	}
-	if _, err := Run("nope", ScaleQuick); err == nil {
+	if _, err := Run("nope", RunConfig{}); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }

@@ -4,16 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"shardmanager/internal/allocator"
-	"shardmanager/internal/apps"
-	"shardmanager/internal/appserver"
 	"shardmanager/internal/audit"
 	"shardmanager/internal/faults"
 	"shardmanager/internal/healthmon"
-	"shardmanager/internal/metrics"
-	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
-	"shardmanager/internal/shard"
 	"shardmanager/internal/topology"
 )
 
@@ -66,7 +60,7 @@ const DefaultCompoundFaultSpec = "" +
 // CompoundFaults runs the compound-fault experiment: drive steady read
 // traffic from a region-a client while the scenario unfolds, and cross-check
 // what the client saw against healthmon's SLO-violation intervals.
-func CompoundFaults(p CompoundFaultParams) *Report {
+func CompoundFaults(c RunConfig, p CompoundFaultParams) *Report {
 	specText := p.Spec
 	if specText == "" {
 		specText = DefaultCompoundFaultSpec
@@ -87,54 +81,22 @@ func CompoundFaults(p CompoundFaultParams) *Report {
 		},
 	}
 
-	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	pol.SpreadLevel = topology.LevelRegion
-	pol.SpreadWeight = 100
-	cfg := orchestrator.Config{
-		App:      "faultstore",
-		Strategy: shard.SecondaryOnly,
-		Shards: UniformShardConfigs(p.Shards, p.Replicas, topology.Capacity{
-			topology.ResourceCPU:        0.5,
-			topology.ResourceShardCount: 1,
-		}),
-		Policy: pol,
-		ServerCapacity: topology.Capacity{
-			topology.ResourceCPU:        100,
-			topology.ResourceShardCount: float64(p.Shards),
-		},
-		HomeRegion:              "region-c",
-		GracefulMigration:       true,
-		FailoverGrace:           20 * time.Second,
-		AllocInterval:           15 * time.Second,
-		MaxConcurrentMigrations: 200,
-	}
-	backing := apps.NewKVBacking()
-	// Respect an installed default health factory (smbench -metrics-out,
-	// determinism tests) so the run's metrics land in the caller's registry;
-	// the experiment needs its own handle on the monitor for cross-checks.
+	// The run's health factory (smbench -metrics-out, determinism tests) is
+	// respected so the run's metrics land in the caller's registry; the
+	// experiment needs its own handle on the monitor for cross-checks.
 	var mon *healthmon.Monitor
-	if defaultHealthFactory != nil {
-		mon = defaultHealthFactory()
+	if c.Health != nil {
+		mon = c.Health()
 	}
 	if mon == nil {
 		mon = healthmon.New(healthmon.Options{})
 	}
-	d := Build(DeploymentSpec{
-		Regions:          []topology.RegionID{"region-a", "region-b", "region-c"},
-		ServersPerRegion: p.ServersPerRegion,
-		Latency: map[[2]topology.RegionID]time.Duration{
-			{"region-a", "region-b"}: 35 * time.Millisecond,
-			{"region-a", "region-c"}: 45 * time.Millisecond,
-			{"region-b", "region-c"}: 80 * time.Millisecond,
-		},
-		Orch: cfg,
-		AppFactory: func(s *appserver.Server) appserver.Application {
-			return apps.NewKVStore(s, backing)
-		},
-		Health: mon,
-		Audit:  &audit.Options{},
-		Seed:   p.Seed,
-	})
+	spec := geoKVSpec("faultstore", [3]topology.RegionID{"region-a", "region-b", "region-c"}, "region-c",
+		p.Shards, p.Replicas, p.ServersPerRegion, p.Seed)
+	spec.Health = mon
+	spec.Audit = &audit.Options{}
+	appID := spec.Orch.App
+	d := c.build(spec)
 	if err := d.Settle(10 * time.Minute); err != nil {
 		panic(err)
 	}
@@ -144,20 +106,8 @@ func CompoundFaults(p CompoundFaultParams) *Report {
 	ks := KeyspaceFor(p.Shards)
 	client := d.NewClient("region-a", ks, routing.DefaultOptions())
 	d.Loop.RunFor(2 * time.Second)
-	rng := d.Loop.RNG().Fork()
-	latency := metrics.NewSeries("latency")
-	failures := metrics.NewSeries("failures")
-	t0 := d.Loop.Now()
-	d.Loop.EveryL(time.Second/time.Duration(p.RequestRate), lbExpClient, func() {
-		key := KeyForShard(rng.Intn(p.Shards))
-		client.Do(key, false, apps.KVOpScan, nil, func(res routing.Result) {
-			if res.OK {
-				latency.Record(d.Loop.Now()-t0, float64(res.Latency)/float64(time.Millisecond))
-			} else {
-				failures.Record(d.Loop.Now()-t0, 1)
-			}
-		})
-	})
+	reads := startKVReads(d, client, p.RequestRate, p.Shards)
+	latency, failures, t0 := reads.Latency, reads.Failures, reads.T0
 
 	// Arm the fault timeline (relative to t0) and run it out.
 	inj := faults.NewInjector(d.FaultEnv())
@@ -172,21 +122,7 @@ func CompoundFaults(p CompoundFaultParams) *Report {
 	inj.Schedule(shifted)
 	d.Loop.RunFor(p.Horizon)
 
-	// Latency curve in 10s buckets.
-	curve := Curve{Name: "read latency (region-a client)", Unit: "ms"}
-	bucket := 10 * time.Second
-	for t := time.Duration(0); t < p.Horizon; t += bucket {
-		pts := latency.Between(t, t+bucket-1)
-		if len(pts) == 0 {
-			continue
-		}
-		sum := 0.0
-		for _, pt := range pts {
-			sum += pt.V
-		}
-		curve.Points = append(curve.Points, point(t, sum/float64(len(pts))))
-	}
-	r.Curves = append(r.Curves, curve)
+	r.Curves = append(r.Curves, reads.latencyCurve("read latency (region-a client)", p.Horizon))
 
 	// Cross-check against healthmon: violations must overlap the fault
 	// window and stop before the recovery tail. Healthmon timestamps are
@@ -195,7 +131,7 @@ func CompoundFaults(p CompoundFaultParams) *Report {
 	snap := mon.Snapshot()
 	var violations []healthmon.Interval
 	for _, app := range snap.Apps {
-		if app.App != cfg.App {
+		if app.App != appID {
 			continue
 		}
 		for _, v := range app.Violations {
@@ -206,7 +142,7 @@ func CompoundFaults(p CompoundFaultParams) *Report {
 		}
 	}
 	recoveryFrom := p.Horizon - 90*time.Second
-	tailRate := mon.RateBetween(cfg.App, t0+recoveryFrom, t0+p.Horizon)
+	tailRate := mon.RateBetween(appID, t0+recoveryFrom, t0+p.Horizon)
 	firstAt, lastEnd := time.Duration(-1), time.Duration(-1)
 	for _, v := range violations {
 		if firstAt < 0 || v.From < firstAt {

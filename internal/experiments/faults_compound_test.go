@@ -15,7 +15,7 @@ func quickCompoundFaultParams() CompoundFaultParams {
 }
 
 func TestCompoundFaultsBreachSLOAndRecover(t *testing.T) {
-	r := CompoundFaults(quickCompoundFaultParams())
+	r := CompoundFaults(RunConfig{}, quickCompoundFaultParams())
 
 	if got := r.Values["faults_injected"]; got != 8 {
 		t.Errorf("faults_injected = %v, want 8", got)
@@ -61,15 +61,10 @@ func TestCompoundFaultsIsDeterministic(t *testing.T) {
 	run := func() (traceOut, metricsOut []byte) {
 		tr := trace.New(trace.Options{})
 		var mon *healthmon.Monitor
-		SetDefaultTracer(tr)
-		SetDefaultHealthFactory(func() *healthmon.Monitor {
+		CompoundFaults(RunConfig{Tracer: tr, Health: func() *healthmon.Monitor {
 			mon = healthmon.New(healthmon.Options{})
 			return mon
-		})
-		defer SetDefaultTracer(nil)
-		defer SetDefaultHealthFactory(nil)
-
-		CompoundFaults(quickCompoundFaultParams())
+		}}, quickCompoundFaultParams())
 
 		var tb, mb bytes.Buffer
 		if err := tr.WriteChrome(&tb); err != nil {

@@ -74,7 +74,7 @@ type availabilityOutcome struct {
 }
 
 // Fig17 regenerates Figure 17.
-func Fig17(p AvailabilityParams) *Report {
+func Fig17(c RunConfig, p AvailabilityParams) *Report {
 	r := &Report{
 		ID:    "fig17",
 		Title: "Request success rate during a rolling software upgrade",
@@ -96,7 +96,7 @@ func Fig17(p AvailabilityParams) *Report {
 		Columns: []string{"configuration", "success rate", "worst 30s bucket", "upgrade duration"},
 	}
 	for _, v := range variants {
-		out := runAvailabilityVariant(p, v)
+		out := runAvailabilityVariant(c, p, v)
 		r.Curves = append(r.Curves, Curve{Name: v.name, Unit: "success fraction", Points: out.curve})
 		t.Rows = append(t.Rows, []string{
 			v.name,
@@ -115,7 +115,7 @@ func Fig17(p AvailabilityParams) *Report {
 	return r
 }
 
-func runAvailabilityVariant(p AvailabilityParams, v availabilityVariant) availabilityOutcome {
+func runAvailabilityVariant(c RunConfig, p AvailabilityParams, v availabilityVariant) availabilityOutcome {
 	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
 	pol.SpreadWeight = 0 // single-replica shards
 	pol.MaxTotalMoves = 0
@@ -147,7 +147,7 @@ func runAvailabilityVariant(p AvailabilityParams, v availabilityVariant) availab
 	backing := apps.NewQueueBacking()
 	opts := cluster.DefaultOptions()
 	opts.RestartDuration = 80 * time.Second
-	d := Build(DeploymentSpec{
+	d := c.build(DeploymentSpec{
 		Regions:          []topology.RegionID{"region1"},
 		ServersPerRegion: p.Servers,
 		Orch:             cfg,

@@ -49,7 +49,7 @@ func DefaultProductionTraceParams() ProductionTraceParams {
 }
 
 // Fig18 regenerates Figure 18.
-func Fig18(p ProductionTraceParams) *Report {
+func Fig18(c RunConfig, p ProductionTraceParams) *Report {
 	r := &Report{
 		ID:    "fig18",
 		Title: "No increase in client errors during upgrades, thanks to graceful shard migration",
@@ -85,7 +85,7 @@ func Fig18(p ProductionTraceParams) *Report {
 	backing := apps.NewQueueBacking()
 	opts := cluster.DefaultOptions()
 	opts.RestartDuration = 80 * time.Second
-	d := Build(DeploymentSpec{
+	d := c.build(DeploymentSpec{
 		Regions:          []topology.RegionID{"region1"},
 		ServersPerRegion: p.Servers,
 		Orch:             cfg,

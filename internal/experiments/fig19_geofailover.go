@@ -4,14 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"shardmanager/internal/allocator"
-	"shardmanager/internal/apps"
-	"shardmanager/internal/appserver"
-	"shardmanager/internal/metrics"
-	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/rpcnet"
-	"shardmanager/internal/shard"
 	"shardmanager/internal/topology"
 )
 
@@ -50,7 +44,7 @@ func DefaultGeoFailoverParams() GeoFailoverParams {
 }
 
 // Fig19 regenerates Figure 19.
-func Fig19(p GeoFailoverParams) *Report {
+func Fig19(c RunConfig, p GeoFailoverParams) *Report {
 	r := &Report{
 		ID:    "fig19",
 		Title: "SM migrates a geo-distributed application's shards across regions to handle failures",
@@ -63,47 +57,14 @@ func Fig19(p GeoFailoverParams) *Report {
 		},
 	}
 
-	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	pol.SpreadLevel = topology.LevelRegion
-	pol.SpreadWeight = 100
-	pol.AffinityWeight = 300
-	shards := UniformShardConfigs(p.Shards, p.Replicas, topology.Capacity{
-		topology.ResourceCPU:        0.5,
-		topology.ResourceShardCount: 1,
-	})
+	spec := geoKVSpec("geostore", [3]topology.RegionID{"frc", "prn", "odn"}, "prn",
+		p.Shards, p.Replicas, p.ServersPerRegion, p.Seed)
+	spec.Orch.Policy.AffinityWeight = 300
+	shards := spec.Orch.Shards
 	for i := 0; i < p.ECShards; i++ {
 		shards[i].RegionPreference = "frc"
 	}
-	cfg := orchestrator.Config{
-		App:      "geostore",
-		Strategy: shard.SecondaryOnly,
-		Shards:   shards,
-		Policy:   pol,
-		ServerCapacity: topology.Capacity{
-			topology.ResourceCPU:        100,
-			topology.ResourceShardCount: float64(p.Shards),
-		},
-		HomeRegion:              "prn",
-		GracefulMigration:       true,
-		FailoverGrace:           20 * time.Second,
-		AllocInterval:           15 * time.Second,
-		MaxConcurrentMigrations: 200,
-	}
-	backing := apps.NewKVBacking()
-	d := Build(DeploymentSpec{
-		Regions:          []topology.RegionID{"frc", "prn", "odn"},
-		ServersPerRegion: p.ServersPerRegion,
-		Latency: map[[2]topology.RegionID]time.Duration{
-			{"frc", "prn"}: 35 * time.Millisecond,
-			{"frc", "odn"}: 45 * time.Millisecond,
-			{"prn", "odn"}: 80 * time.Millisecond,
-		},
-		Orch: cfg,
-		AppFactory: func(s *appserver.Server) appserver.Application {
-			return apps.NewKVStore(s, backing)
-		},
-		Seed: p.Seed,
-	})
+	d := c.build(spec)
 	if err := d.Settle(10 * time.Minute); err != nil {
 		panic(err)
 	}
@@ -124,41 +85,15 @@ func Fig19(p GeoFailoverParams) *Report {
 	// FRC client reading EC shards.
 	ks := KeyspaceFor(p.Shards)
 	client := d.NewClient("frc", ks, routing.DefaultOptions())
-	rng := d.Loop.RNG().Fork()
-	latency := metrics.NewSeries("latency")
-	failures := metrics.NewSeries("failures")
-	t0 := d.Loop.Now()
-	d.Loop.EveryL(time.Second/time.Duration(p.RequestRate), lbExpClient, func() {
-		key := KeyForShard(rng.Intn(p.ECShards))
-		client.Do(key, false, apps.KVOpScan, nil, func(res routing.Result) {
-			if res.OK {
-				latency.Record(d.Loop.Now()-t0, float64(res.Latency)/float64(time.Millisecond))
-			} else {
-				failures.Record(d.Loop.Now()-t0, 1)
-			}
-		})
-	})
+	reads := startKVReads(d, client, p.RequestRate, p.ECShards)
+	latency, failures, t0 := reads.Latency, reads.Failures, reads.T0
 
 	frc := d.Managers["frc"]
 	d.Loop.AtL(t0+p.FailAt, lbExpAdmin, frc.FailRegion)
 	d.Loop.AtL(t0+p.RecoverAt, lbExpAdmin, frc.RecoverRegion)
 	d.Loop.RunFor(p.Horizon)
 
-	// Bucket latency into 10s means for the plotted curve.
-	curve := Curve{Name: "EC-shard read latency (FRC client)", Unit: "ms"}
-	bucket := 10 * time.Second
-	for t := time.Duration(0); t < p.Horizon; t += bucket {
-		pts := latency.Between(t, t+bucket-1)
-		if len(pts) == 0 {
-			continue
-		}
-		sum := 0.0
-		for _, pt := range pts {
-			sum += pt.V
-		}
-		curve.Points = append(curve.Points, point(t, sum/float64(len(pts))))
-	}
-	r.Curves = append(r.Curves, curve)
+	r.Curves = append(r.Curves, reads.latencyCurve("EC-shard read latency (FRC client)", p.Horizon))
 
 	before := latency.MeanBetween(0, p.FailAt-1)
 	during := latency.MeanBetween(p.FailAt+60*time.Second, p.RecoverAt-1)

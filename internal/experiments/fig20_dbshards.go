@@ -49,7 +49,7 @@ func DefaultDBShardParams() DBShardParams {
 }
 
 // Fig20 regenerates Figure 20.
-func Fig20(p DBShardParams) *Report {
+func Fig20(c RunConfig, p DBShardParams) *Report {
 	r := &Report{
 		ID:    "fig20",
 		Title: "SM migrates AppShards across regions to follow DBShards and reduce latency",
@@ -97,7 +97,7 @@ func Fig20(p DBShardParams) *Report {
 		ShardLoadTime:           2 * time.Second,
 	}
 	bus := apps.NewDataBus()
-	d := Build(DeploymentSpec{
+	d := c.build(DeploymentSpec{
 		Regions:          regions,
 		ServersPerRegion: p.ServersPerRegion,
 		Orch:             cfg,

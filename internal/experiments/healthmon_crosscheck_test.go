@@ -17,28 +17,25 @@ import (
 	"shardmanager/internal/topology"
 )
 
-// captureMonitors installs a default health factory that hands every Build a
-// fresh monitor and records it, so figure harnesses need no health plumbing.
-func captureMonitors(t *testing.T) *[]*healthmon.Monitor {
-	t.Helper()
+// captureMonitors returns a run config whose health factory hands every Build
+// a fresh monitor and records it, so figure harnesses need no health plumbing.
+func captureMonitors() (RunConfig, *[]*healthmon.Monitor) {
 	var mons []*healthmon.Monitor
-	SetDefaultHealthFactory(func() *healthmon.Monitor {
+	return RunConfig{Health: func() *healthmon.Monitor {
 		m := healthmon.New(healthmon.Options{})
 		mons = append(mons, m)
 		return m
-	})
-	t.Cleanup(func() { SetDefaultHealthFactory(nil) })
-	return &mons
+	}}, &mons
 }
 
 // TestHealthMonitorMatchesFig17 recomputes each Fig 17 variant's success
 // rate from the health monitor's independent observation stream and demands
 // agreement with the figure's own bookkeeping to 1e-9.
 func TestHealthMonitorMatchesFig17(t *testing.T) {
-	mons := captureMonitors(t)
+	cfg, mons := captureMonitors()
 	p := DefaultAvailabilityParams()
 	p.Servers, p.Shards, p.RequestRate = 12, 400, 20
-	r := Fig17(p)
+	r := Fig17(cfg, p)
 
 	names := []string{"SM", "no graceful migration", "no graceful migration & no TaskController"}
 	if len(*mons) != len(names) {
@@ -61,10 +58,10 @@ func TestHealthMonitorMatchesFig17(t *testing.T) {
 // TestHealthMonitorMatchesFig18 checks the overall Fig 18 success rate
 // against the monitor's availability for the same app.
 func TestHealthMonitorMatchesFig18(t *testing.T) {
-	mons := captureMonitors(t)
+	cfg, mons := captureMonitors()
 	p := DefaultProductionTraceParams()
 	p.Servers, p.Shards, p.Days, p.BaseRate = 20, 600, 1, 5
-	r := Fig18(p)
+	r := Fig18(cfg, p)
 
 	if len(*mons) != 1 {
 		t.Fatalf("captured %d monitors, want 1", len(*mons))
@@ -119,7 +116,7 @@ func runMonitoredFailover(t *testing.T, seed uint64) *healthmon.Monitor {
 	ks := KeyspaceFor(20)
 	client := d.NewClient("west", ks, routing.DefaultOptions())
 	rng := d.Loop.RNG().Fork()
-	d.Loop.Every(500*time.Millisecond, func() {
+	d.Loop.EveryL(500*time.Millisecond, 0, func() {
 		client.Do(KeyForShard(rng.Intn(20)), false, apps.KVOpGet, "k", func(routing.Result) {})
 	})
 

@@ -18,14 +18,6 @@ func yearDur(year float64) time.Duration {
 	return time.Duration((year - 2012) * 365 * 24 * float64(time.Hour))
 }
 
-// metricsQuantile is a thin alias so experiment files read naturally.
-func metricsQuantile(vals []float64, q float64) float64 { return metrics.Quantile(vals, q) }
-
-// metricsQuantiles is the batched form: one sort for all requested quantiles.
-func metricsQuantiles(vals []float64, qs ...float64) []float64 {
-	return metrics.Quantiles(vals, qs...)
-}
-
 // newSeededRNG builds a deterministic random source for harness-local
 // decisions that must not perturb the simulation's own streams.
 func newSeededRNG(seed uint64) *sim.RNG { return sim.NewRNG(seed ^ 0xabcdef) }

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"shardmanager/internal/healthmon"
+	"shardmanager/internal/sim"
+	"shardmanager/internal/trace"
 )
 
 // Scale selects experiment sizing: Full mirrors the paper's parameters;
@@ -30,81 +34,99 @@ func (s Scale) String() string {
 	return "quick"
 }
 
-// faultSpec, when non-empty, overrides the "faults" experiment's timeline.
-// smbench sets it from the -faults flag.
-var faultSpec string
+// RunConfig is everything a caller can vary about one experiment run. The
+// zero value runs at ScaleQuick with no instruments attached and every
+// experiment's built-in parameters.
+type RunConfig struct {
+	Scale Scale
 
-// SetFaultSpec installs the scenario DSL text the "faults" experiment runs
-// (empty restores the built-in compound timeline).
-func SetFaultSpec(spec string) { faultSpec = spec }
+	// Tracer, Health and Profiler instrument every deployment the experiment
+	// builds whose spec leaves that field unset. Health and Profiler are
+	// factories because each deployment has its own loop: a caller chooses
+	// between one instrument per Build (tests cross-checking figures) and one
+	// shared across the sequentially built deployments of a run (smbench's
+	// combined profile).
+	Tracer   *trace.Tracer
+	Health   func() *healthmon.Monitor
+	Profiler func() sim.Profiler
 
-// tortureOverride, when non-nil, reshapes the "torture" experiment's sweep.
-// smbench sets it from the -torture-* flags.
-var tortureOverride func(*TortureParams)
+	// FaultSpec, when non-empty, is the scenario DSL text the "faults"
+	// experiment runs instead of its built-in compound timeline.
+	FaultSpec string
 
-// SetTortureOverride installs a mutator applied to the torture params after
-// scale selection (nil to clear).
-func SetTortureOverride(fn func(*TortureParams)) { tortureOverride = fn }
+	// Torture, SimScale and ControlScale, when non-nil, reshape that
+	// experiment's params after scale selection.
+	Torture      func(*TortureParams)
+	SimScale     func(*SimScaleParams)
+	ControlScale func(*ControlScaleParams)
+}
 
-// simScaleOverride, when non-nil, reshapes the "simscale" experiment's point
-// sweep. smbench sets it from the -sim-smoke flag.
-var simScaleOverride func(*SimScaleParams)
-
-// SetSimScaleOverride installs a mutator applied to the simscale params after
-// scale selection (nil to clear).
-func SetSimScaleOverride(fn func(*SimScaleParams)) { simScaleOverride = fn }
+// build is Build with the run's instruments filled into whichever of the
+// spec's Tracer, Health and Profiler fields the experiment left unset.
+func (c RunConfig) build(spec DeploymentSpec) *Deployment {
+	if spec.Tracer == nil {
+		spec.Tracer = c.Tracer
+	}
+	if spec.Profiler == nil && c.Profiler != nil {
+		spec.Profiler = c.Profiler()
+	}
+	if spec.Health == nil && c.Health != nil {
+		spec.Health = c.Health()
+	}
+	return Build(spec)
+}
 
 // runner builds one experiment report.
 type runner struct {
 	id    string
 	title string
-	run   func(Scale) *Report
+	run   func(RunConfig) *Report
 }
 
 var registry = []runner{
-	{"fig1", "planned vs unplanned container stops", func(Scale) *Report {
+	{"fig1", "planned vs unplanned container stops", func(RunConfig) *Report {
 		return Fig01(DefaultDemographicsParams())
 	}},
-	{"fig2", "SM adoption growth", func(Scale) *Report { return Fig02() }},
-	{"fig4", "sharding-scheme breakdown", func(Scale) *Report { return Fig04(DefaultDemographicsParams()) }},
-	{"fig5", "regional vs geo-distributed", func(Scale) *Report { return Fig05(DefaultDemographicsParams()) }},
-	{"fig6", "replication strategies", func(Scale) *Report { return Fig06(DefaultDemographicsParams()) }},
-	{"fig7", "load-balancing policies", func(Scale) *Report { return Fig07(DefaultDemographicsParams()) }},
-	{"fig8", "drain policies", func(Scale) *Report { return Fig08(DefaultDemographicsParams()) }},
-	{"fig9", "storage machines", func(Scale) *Report { return Fig09(DefaultDemographicsParams()) }},
-	{"fig15", "scale of SM applications", func(Scale) *Report { return Fig15(DefaultDemographicsParams()) }},
-	{"fig16", "scale of mini-SMs", func(Scale) *Report { return Fig16(DefaultDemographicsParams()) }},
-	{"fig17", "availability during upgrades", func(s Scale) *Report {
+	{"fig2", "SM adoption growth", func(RunConfig) *Report { return Fig02() }},
+	{"fig4", "sharding-scheme breakdown", func(RunConfig) *Report { return Fig04(DefaultDemographicsParams()) }},
+	{"fig5", "regional vs geo-distributed", func(RunConfig) *Report { return Fig05(DefaultDemographicsParams()) }},
+	{"fig6", "replication strategies", func(RunConfig) *Report { return Fig06(DefaultDemographicsParams()) }},
+	{"fig7", "load-balancing policies", func(RunConfig) *Report { return Fig07(DefaultDemographicsParams()) }},
+	{"fig8", "drain policies", func(RunConfig) *Report { return Fig08(DefaultDemographicsParams()) }},
+	{"fig9", "storage machines", func(RunConfig) *Report { return Fig09(DefaultDemographicsParams()) }},
+	{"fig15", "scale of SM applications", func(RunConfig) *Report { return Fig15(DefaultDemographicsParams()) }},
+	{"fig16", "scale of mini-SMs", func(RunConfig) *Report { return Fig16(DefaultDemographicsParams()) }},
+	{"fig17", "availability during upgrades", func(c RunConfig) *Report {
 		p := DefaultAvailabilityParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Servers, p.Shards, p.RequestRate = 20, 1000, 30
 		}
-		return Fig17(p)
+		return Fig17(c, p)
 	}},
-	{"fig18", "production availability trace", func(s Scale) *Report {
+	{"fig18", "production availability trace", func(c RunConfig) *Report {
 		p := DefaultProductionTraceParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Servers, p.Shards, p.Days, p.BaseRate = 20, 600, 1, 5
 		}
-		return Fig18(p)
+		return Fig18(c, p)
 	}},
-	{"fig19", "geo-distributed failover", func(s Scale) *Report {
+	{"fig19", "geo-distributed failover", func(c RunConfig) *Report {
 		p := DefaultGeoFailoverParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Shards, p.ECShards, p.ServersPerRegion, p.RequestRate = 300, 120, 10, 30
 		}
-		return Fig19(p)
+		return Fig19(c, p)
 	}},
-	{"fig20", "AppShards follow DBShards", func(s Scale) *Report {
+	{"fig20", "AppShards follow DBShards", func(c RunConfig) *Report {
 		p := DefaultDBShardParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Shards, p.BatchSize, p.ServersPerRegion = 200, 50, 6
 		}
-		return Fig20(p)
+		return Fig20(c, p)
 	}},
-	{"fig21", "allocator scalability", func(s Scale) *Report {
+	{"fig21", "allocator scalability", func(c RunConfig) *Report {
 		p := DefaultSolverScaleParams()
-		switch s {
+		switch c.Scale {
 		case ScaleQuick:
 			p.Scales = [][2]int{{200, 15000}, {600, 45000}, {1000, 75000}}
 		case ScaleStress:
@@ -112,9 +134,9 @@ var registry = []runner{
 		}
 		return Fig21(p)
 	}},
-	{"fig22", "solver optimization ablation", func(s Scale) *Report {
+	{"fig22", "solver optimization ablation", func(c RunConfig) *Report {
 		p := DefaultSolverAblationParams()
-		switch s {
+		switch c.Scale {
 		case ScaleQuick:
 			p.Servers, p.Shards, p.TimeLimit = 400, 30000, 10*time.Second
 		case ScaleStress:
@@ -122,36 +144,36 @@ var registry = []runner{
 		}
 		return Fig22(p)
 	}},
-	{"fig23", "continuous load balancing", func(s Scale) *Report {
+	{"fig23", "continuous load balancing", func(c RunConfig) *Report {
 		p := DefaultContinuousLBParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Servers, p.Shards, p.Days = 40, 1200, 1
 		}
 		return Fig23(p)
 	}},
-	{"faults", "compound fault injection and recovery", func(s Scale) *Report {
+	{"faults", "compound fault injection and recovery", func(c RunConfig) *Report {
 		p := DefaultCompoundFaultParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Shards, p.ServersPerRegion, p.RequestRate = 150, 6, 15
 		}
-		if faultSpec != "" {
-			p.Spec = faultSpec
+		if c.FaultSpec != "" {
+			p.Spec = c.FaultSpec
 		}
-		return CompoundFaults(p)
+		return CompoundFaults(c, p)
 	}},
-	{"torture", "randomized migration torture under runtime audit", func(s Scale) *Report {
+	{"torture", "randomized migration torture under runtime audit", func(c RunConfig) *Report {
 		p := DefaultTortureParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Seeds = 40
 		}
-		if tortureOverride != nil {
-			tortureOverride(&p)
+		if c.Torture != nil {
+			c.Torture(&p)
 		}
-		return Torture(p)
+		return Torture(c, p)
 	}},
-	{"simscale", "sim-kernel throughput benchmark -> BENCH_sim.json", func(s Scale) *Report {
+	{"simscale", "sim-kernel throughput benchmark -> BENCH_sim.json", func(c RunConfig) *Report {
 		p := DefaultSimScaleParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Points = []SimScalePoint{
 				{Shards: 2000, Clients: 200, Servers: 50},
 				{Shards: 5000, Clients: 500, Servers: 100},
@@ -159,33 +181,33 @@ var registry = []runner{
 			}
 			p.SimTime = 2 * time.Minute
 		}
-		if simScaleOverride != nil {
-			simScaleOverride(&p)
+		if c.SimScale != nil {
+			c.SimScale(&p)
 		}
 		return SimScale(p)
 	}},
-	{"controlscale", "partitioned control plane: full vs delta publish -> BENCH_controlplane.json", func(s Scale) *Report {
+	{"controlscale", "partitioned control plane: full vs delta publish -> BENCH_controlplane.json", func(c RunConfig) *Report {
 		p := DefaultControlScaleParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Points = []ControlScalePoint{
 				{Shards: 20000, PartitionMaxShards: 2000, MiniSMMaxShards: 2000, ChurnPerPartition: 50, Rounds: 3},
 			}
 		}
-		if controlScaleOverride != nil {
-			controlScaleOverride(&p)
+		if c.ControlScale != nil {
+			c.ControlScale(&p)
 		}
 		return ControlScale(p)
 	}},
-	{"solverscale", "solver fast-path scale benchmark (serial vs parallel)", func(s Scale) *Report {
+	{"solverscale", "solver fast-path scale benchmark (serial vs parallel)", func(c RunConfig) *Report {
 		p := DefaultSolverBenchParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Servers, p.Shards = 1000, 20000
 		}
 		return SolverScale(p)
 	}},
-	{"ablations", "extra §5.3 design-choice ablations", func(s Scale) *Report {
+	{"ablations", "extra §5.3 design-choice ablations", func(c RunConfig) *Report {
 		p := DefaultSolverAblationParams()
-		if s == ScaleQuick {
+		if c.Scale == ScaleQuick {
 			p.Servers, p.Shards, p.TimeLimit = 400, 30000, 10*time.Second
 		}
 		return Ablations(p)
@@ -211,11 +233,11 @@ func Title(id string) string {
 	return ""
 }
 
-// Run executes one experiment by id at the given scale.
-func Run(id string, scale Scale) (*Report, error) {
+// Run executes one experiment by id under cfg.
+func Run(id string, cfg RunConfig) (*Report, error) {
 	for _, r := range registry {
 		if r.id == id {
-			return r.run(scale), nil
+			return r.run(cfg), nil
 		}
 	}
 	known := IDs()

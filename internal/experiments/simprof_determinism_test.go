@@ -88,14 +88,13 @@ func TestProfilerReportByteIdenticalAcrossRuns(t *testing.T) {
 }
 
 // TestProfilerDeterministicOnFaultsExperiment repeats the determinism check
-// on the fault-injection experiment via the package-default profiler hook —
+// on the fault-injection experiment via the run config's profiler factory —
 // the path smbench's -prof-out flag uses.
 func TestProfilerDeterministicOnFaultsExperiment(t *testing.T) {
 	run := func() string {
 		prof := simprof.New(simprof.Options{})
-		SetDefaultProfiler(func() sim.Profiler { return prof })
-		defer SetDefaultProfiler(nil)
-		if _, err := Run("faults", ScaleQuick); err != nil {
+		cfg := RunConfig{Profiler: func() sim.Profiler { return prof }}
+		if _, err := Run("faults", cfg); err != nil {
 			t.Fatal(err)
 		}
 		var txt bytes.Buffer

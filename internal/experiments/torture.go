@@ -187,7 +187,7 @@ func tortureScenario(rng *sim.RNG, fleet *topology.Fleet, horizon time.Duration,
 // RunTortureSeed runs one torture world to completion and returns it with
 // the auditor still attached. Deterministic: same params + seed, same
 // violations, same timelines.
-func RunTortureSeed(p TortureParams, seed uint64) *TortureRun {
+func RunTortureSeed(c RunConfig, p TortureParams, seed uint64) *TortureRun {
 	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
 	pol.SpreadLevel = topology.LevelRegion
 	pol.SpreadWeight = 100
@@ -210,7 +210,7 @@ func RunTortureSeed(p TortureParams, seed uint64) *TortureRun {
 		MaxConcurrentMigrations: 50,
 	}
 	backing := apps.NewKVBacking()
-	d := Build(DeploymentSpec{
+	d := c.build(DeploymentSpec{
 		Regions:          tortureRegions,
 		ServersPerRegion: p.ServersPerRegion,
 		Orch:             cfg,
@@ -311,7 +311,7 @@ func RunTortureSeed(p TortureParams, seed uint64) *TortureRun {
 
 // Torture sweeps Seeds seeds and reports every invariant violation found,
 // each pinned to the seed that reproduces it.
-func Torture(p TortureParams) *Report {
+func Torture(c RunConfig, p TortureParams) *Report {
 	if p.Seeds <= 0 {
 		p.Seeds = 1
 	}
@@ -334,7 +334,7 @@ func Torture(p TortureParams) *Report {
 	art := &TortureArtifacts{Seeds: p.Seeds, StartSeed: p.StartSeed}
 	for i := 0; i < p.Seeds; i++ {
 		seed := p.StartSeed + uint64(i)
-		run := RunTortureSeed(p, seed)
+		run := RunTortureSeed(c, p, seed)
 		for _, n := range run.Auditor.Checks() {
 			art.Checks += n
 		}

@@ -63,7 +63,7 @@ type Action interface {
 	// Name is a short stable kind label ("partition", "crash-rack", ...)
 	// used in traces, metrics, and String().
 	Name() string
-	// Describe returns the human-readable parameterization for logs.
+	// Describe returns the action as ParseSpec's DSL spells it.
 	Describe() string
 	Apply(env *Env)
 	Revert(env *Env)
@@ -202,17 +202,15 @@ type linkAction struct {
 func (a *linkAction) Name() string { return a.name }
 
 func (a *linkAction) Describe() string {
-	desc := a.name + "("
-	for i, p := range a.pairs {
-		if i > 0 {
-			desc += ","
-		}
-		desc += fmt.Sprintf("%s>%s", p[0], p[1])
+	sep := ">" // one directed link
+	if len(a.pairs) == 2 {
+		sep = "|" // both directions
 	}
+	desc := fmt.Sprintf("%s(%s%s%s", a.name, a.pairs[0][0], sep, a.pairs[0][1])
 	switch {
-	case a.fault.DropProb > 0 && a.fault.DropProb < 1:
-		desc += fmt.Sprintf(", %.2f", a.fault.DropProb)
-	case a.fault.LatencyScale > 1:
+	case a.name == "loss":
+		desc += fmt.Sprintf(", %g", a.fault.DropProb)
+	case a.fault.LatencyScale > 0:
 		desc += fmt.Sprintf(", x%g", a.fault.LatencyScale)
 	case a.fault.LatencyAdd > 0:
 		desc += fmt.Sprintf(", +%s", a.fault.LatencyAdd)
@@ -349,12 +347,17 @@ type expireAction struct {
 
 func (a *expireAction) Name() string { return "expire-session" }
 
+// Describe includes the clause's "for": the action absorbed it as the
+// reconnect delay, so the event carries none.
 func (a *expireAction) Describe() string {
-	n := "all"
+	s := fmt.Sprintf("expire(%s)", a.region)
 	if a.count > 0 {
-		n = fmt.Sprintf("%d", a.count)
+		s = fmt.Sprintf("expire(%s, %d)", a.region, a.count)
 	}
-	return fmt.Sprintf("expire(%s, %s)", a.region, n)
+	if a.reconnect > 0 {
+		s += fmt.Sprintf(" for %s", a.reconnect)
+	}
+	return s
 }
 
 func (a *expireAction) Apply(env *Env) {
@@ -412,11 +415,10 @@ type grayAction struct {
 func (a *grayAction) Name() string { return "gray" }
 
 func (a *grayAction) Describe() string {
-	n := "all"
 	if a.count > 0 {
-		n = fmt.Sprintf("%d", a.count)
+		return fmt.Sprintf("gray(%s, %d, %s)", a.region, a.count, a.delay)
 	}
-	return fmt.Sprintf("gray(%s, %s, %s)", a.region, n, a.delay)
+	return fmt.Sprintf("gray(%s, %s)", a.region, a.delay)
 }
 
 func (a *grayAction) targets(env *Env) []*appserver.Server {

@@ -54,7 +54,7 @@ func newWorld(t testing.TB) *world {
 	srv := appserver.NewServer(loop, net, dir, okApp{}, "app", "far-srv", "far")
 	dir.Register(srv)
 	net.Register("far-srv", "far")
-	srv.AddShard("s1", shard.RoleSecondary)
+	srv.AddShard("s1", shard.RoleSecondary, 0)
 	ks, err := shard.NewKeyspace([]shard.ID{"s1"}, []string{""})
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +125,10 @@ func TestScheduledLatencyFaultInflatesAndReverts(t *testing.T) {
 		Add(start+10*time.Second, 20*time.Second, faults.LatencyScale("near", "far", 5)))
 
 	var during, after routing.Result
-	w.loop.At(start+15*time.Second, func() {
+	w.loop.AtL(start+15*time.Second, 0, func() {
 		w.client.Do("k", false, "op", nil, func(r routing.Result) { during = r })
 	})
-	w.loop.At(start+45*time.Second, func() {
+	w.loop.AtL(start+45*time.Second, 0, func() {
 		w.client.Do("k", false, "op", nil, func(r routing.Result) { after = r })
 	})
 	w.loop.RunFor(time.Minute)

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -71,6 +72,9 @@ func parseClause(clause string) (Event, error) {
 		if err != nil {
 			return Event{}, fmt.Errorf("bad duration: %w", err)
 		}
+		if dur < 0 {
+			return Event{}, fmt.Errorf("negative duration %s", dur)
+		}
 		rest = rest[:n-2]
 	}
 	actionText := strings.Join(rest, " ")
@@ -130,7 +134,7 @@ func parseAction(s string, dur time.Duration) (action Action, selfHealing bool, 
 		switch {
 		case strings.HasPrefix(args[1], "x"):
 			f, err := strconv.ParseFloat(args[1][1:], 64)
-			if err != nil || f <= 0 {
+			if err != nil || !(f > 0) || math.IsInf(f, 0) { // !(f > 0) also rejects NaN
 				return nil, false, fmt.Errorf("bad latency scale %q", args[1])
 			}
 			return LatencyScale(from, to, f), false, nil
@@ -155,7 +159,7 @@ func parseAction(s string, dur time.Duration) (action Action, selfHealing bool, 
 			return nil, false, fmt.Errorf("loss faults are symmetric; use a|b")
 		}
 		p, err := strconv.ParseFloat(args[1], 64)
-		if err != nil || p <= 0 || p > 1 {
+		if err != nil || !(p > 0 && p <= 1) { // written so NaN is rejected
 			return nil, false, fmt.Errorf("bad loss probability %q", args[1])
 		}
 		return PacketLoss(from, to, p), false, nil

@@ -1,15 +1,18 @@
 package faults_test
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"shardmanager/internal/experiments"
 	"shardmanager/internal/faults"
 )
 
-func TestParseSpecFullGrammar(t *testing.T) {
-	spec := `
+// fullGrammarSpec uses every action of the DSL once.
+const fullGrammarSpec = `
 		t=60s partition(region-a|region-b) for 120s
 		t=75s partition(region-a>region-c) for 60s
 		t=3m latency(region-a|region-c, x5) for 1m
@@ -22,7 +25,9 @@ func TestParseSpecFullGrammar(t *testing.T) {
 		t=9m gray(region-b, 2, 300ms) for 1m
 		t=10m crash(region:region-b)
 	`
-	s, err := faults.ParseSpec(spec)
+
+func TestParseSpecFullGrammar(t *testing.T) {
+	s, err := faults.ParseSpec(fullGrammarSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +54,9 @@ func TestParseSpecFullGrammar(t *testing.T) {
 	if last := s.Events[10]; last.For != 0 || last.Action.Name() != "crash-region" {
 		t.Fatalf("last event = %+v (%s)", last, last.Action.Name())
 	}
-	// String renders every event in DSL-like syntax, in time order.
+	// String renders every event in the DSL, in time order.
 	out := s.String()
-	if !strings.Contains(out, "t=1m0s partition(region-a>region-b,region-b>region-a) for 2m0s") {
+	if !strings.Contains(out, "t=1m0s partition(region-a|region-b) for 2m0s") {
 		t.Fatalf("String() missing partition line:\n%s", out)
 	}
 	if strings.Count(out, "\n") != 10 {
@@ -59,8 +64,10 @@ func TestParseSpecFullGrammar(t *testing.T) {
 	}
 }
 
+const commentedSpec = "# a comment\nt=1s stall(coord) for 5s; t=10s partition(a|b) for 1s"
+
 func TestParseSpecSemicolonSeparatedAndComments(t *testing.T) {
-	s, err := faults.ParseSpec("# a comment\nt=1s stall(coord) for 5s; t=10s partition(a|b) for 1s")
+	s, err := faults.ParseSpec(commentedSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,27 +76,62 @@ func TestParseSpecSemicolonSeparatedAndComments(t *testing.T) {
 	}
 }
 
+var badSpecs = []string{
+	"",
+	"partition(a|b)",                 // missing t=
+	"t=5s",                           // missing action
+	"t=5s explode(a)",                // unknown action
+	"t=5s partition(a|b) until 10s",  // bad trailing tokens
+	"t=5s partition(a)",              // bad link
+	"t=5s latency(a|b, 3)",           // bad amount
+	"t=5s latency(a>b, x3)",          // one-way latency unsupported
+	"t=5s loss(a|b, 1.5)",            // probability out of range
+	"t=5s loss(a|b, NaN)",            // not a probability
+	"t=5s latency(a|b, xNaN)",        // not a scale
+	"t=5s latency(a|b, x+Inf)",       // not a finite scale
+	"t=5s crash(planet:earth)",       // bad crash kind
+	"t=5s crash(region-b)",           // missing kind:
+	"t=5s gray(region-b)",            // missing delay
+	"t=5s expire(region-c, zero)",    // bad count
+	"t=5s stall(zookeeper)",          // unknown stall target
+	"t=banana partition(a|b) for 1s", // bad time
+	"t=5s partition(a|b) for -1s",    // negative duration
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"partition(a|b)",                 // missing t=
-		"t=5s",                           // missing action
-		"t=5s explode(a)",                // unknown action
-		"t=5s partition(a|b) until 10s",  // bad trailing tokens
-		"t=5s partition(a)",              // bad link
-		"t=5s latency(a|b, 3)",           // bad amount
-		"t=5s latency(a>b, x3)",          // one-way latency unsupported
-		"t=5s loss(a|b, 1.5)",            // probability out of range
-		"t=5s crash(planet:earth)",       // bad crash kind
-		"t=5s crash(region-b)",           // missing kind:
-		"t=5s gray(region-b)",            // missing delay
-		"t=5s expire(region-c, zero)",    // bad count
-		"t=5s stall(zookeeper)",          // unknown stall target
-		"t=banana partition(a|b) for 1s", // bad time
-	}
-	for _, spec := range bad {
+	for _, spec := range badSpecs {
 		if _, err := faults.ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", spec)
 		}
 	}
+}
+
+// FuzzParseSpec feeds the parser what smbench -faults and smctl faults feed
+// it: text from outside the program. No input may panic it, and whatever it
+// accepts must survive a round trip — Scenario.String is the timeline a user
+// is shown, so it has to be valid DSL for the same timeline.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(fullGrammarSpec)
+	f.Add(commentedSpec)
+	f.Add(experiments.DefaultCompoundFaultSpec)
+	for _, spec := range badSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := faults.ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		text := s.String()
+		again, err := faults.ParseSpec(text)
+		if err != nil {
+			t.Fatalf("String() of a parsed scenario does not re-parse: %v\n%s", err, text)
+		}
+		// String lists events in time order; parsing keeps clause order.
+		want := append([]faults.Event(nil), s.Events...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+		if !reflect.DeepEqual(again.Events, want) {
+			t.Fatalf("re-parsed scenario differs:\n%s\nvs\n%s", again, text)
+		}
+	})
 }

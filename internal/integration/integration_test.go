@@ -81,7 +81,7 @@ func TestCrossRegionRestartsNeverLoseAllReplicas(t *testing.T) {
 
 	// Sample every second: every shard must keep >= 1 alive replica.
 	minAlive := 99
-	d.Loop.Every(time.Second, func() {
+	d.Loop.EveryL(time.Second, 0, func() {
 		m := d.Orch.AssignmentSnapshot()
 		for _, id := range d.Orch.ShardIDs() {
 			alive := 0
@@ -125,7 +125,7 @@ func TestZeroRequestLossDuringDrainedUpgrade(t *testing.T) {
 
 	rng := d.Loop.RNG().Fork()
 	var sent, failed int
-	d.Loop.Every(100*time.Millisecond, func() {
+	d.Loop.EveryL(100*time.Millisecond, 0, func() {
 		key := experiments.KeyForShard(rng.Intn(200))
 		sent++
 		client.Do(key, true, apps.KVOpPut, apps.KVPut{Value: "v"}, func(res routing.Result) {
@@ -480,7 +480,7 @@ func TestRollingUpgradePreservesQueueData(t *testing.T) {
 
 	// Enqueue sequenced messages to shard 0 throughout an upgrade.
 	seq := 0
-	tick := d.Loop.Every(500*time.Millisecond, func() {
+	tick := d.Loop.EveryL(500*time.Millisecond, 0, func() {
 		seq++
 		client.Do(experiments.KeyForShard(0), true, apps.QueueOpEnqueue,
 			fmt.Sprintf("m%06d", seq), func(routing.Result) {})

@@ -209,105 +209,6 @@ func nearestRank(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// Histogram accumulates observations and answers quantile queries. It stores
-// raw values; experiments are bounded so memory is not a concern, and exact
-// quantiles keep figure shapes faithful.
-type Histogram struct {
-	vals   []float64
-	sorted bool
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.vals = append(h.vals, v)
-	h.sorted = false
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int { return len(h.vals) }
-
-// Quantile returns the q-quantile of the observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.ensureSorted()
-	if len(h.vals) == 0 {
-		checkQ(q)
-		return 0
-	}
-	return nearestRank(h.vals, q)
-}
-
-// Quantiles returns the q-quantile for each of qs, sorting the observations
-// at most once — the call experiments use to pull p50/p90/p99 from one
-// histogram.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	h.ensureSorted()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if len(h.vals) == 0 {
-			checkQ(q)
-			continue
-		}
-		out[i] = nearestRank(h.vals, q)
-	}
-	return out
-}
-
-func (h *Histogram) ensureSorted() {
-	if !h.sorted {
-		sort.Float64s(h.vals)
-		h.sorted = true
-	}
-}
-
-// Mean returns the average observation, or 0 if empty.
-func (h *Histogram) Mean() float64 {
-	if len(h.vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range h.vals {
-		sum += v
-	}
-	return sum / float64(len(h.vals))
-}
-
-// Reset discards all observations.
-func (h *Histogram) Reset() {
-	h.vals = h.vals[:0]
-	h.sorted = false
-}
-
-// SeriesRegistry is a named collection of series, handy for experiments that
-// emit several curves per figure. (The labeled-metric-family Registry lives
-// in registry.go.)
-type SeriesRegistry struct {
-	series map[string]*Series
-	order  []string
-}
-
-// NewSeriesRegistry returns an empty series registry.
-func NewSeriesRegistry() *SeriesRegistry {
-	return &SeriesRegistry{series: make(map[string]*Series)}
-}
-
-// Series returns the series with the given name, creating it on first use.
-func (r *SeriesRegistry) Series(name string) *Series {
-	s, ok := r.series[name]
-	if !ok {
-		s = NewSeries(name)
-		r.series[name] = s
-		r.order = append(r.order, name)
-	}
-	return s
-}
-
-// Names returns the series names in creation order.
-func (r *SeriesRegistry) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
 // SuccessRatio tracks a ratio of successes to total attempts within bucketed
 // windows of simulated time, producing the success-rate curves in Fig 17/18.
 type SuccessRatio struct {

@@ -169,64 +169,6 @@ func TestQuantilesPanicsOutOfRange(t *testing.T) {
 	Quantiles([]float64{1}, 0.5, -0.1)
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	got := h.Quantiles(0.5, 0.9, 0.99, 1)
-	want := []float64{50, 90, 99, 100}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Quantiles = %v, want %v", got, want)
-		}
-	}
-	var empty Histogram
-	for _, v := range empty.Quantiles(0.5, 1) {
-		if v != 0 {
-			t.Fatal("empty histogram quantiles should be zero")
-		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if got := h.Quantile(0.99); got != 99 {
-		t.Fatalf("p99 = %v, want 99", got)
-	}
-	if got := h.Mean(); got != 50.5 {
-		t.Fatalf("Mean = %v, want 50.5", got)
-	}
-	// Observing after a quantile query must re-sort.
-	h.Observe(1000)
-	if got := h.Quantile(1); got != 1000 {
-		t.Fatalf("max after new observation = %v, want 1000", got)
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-}
-
-func TestSeriesRegistry(t *testing.T) {
-	r := NewSeriesRegistry()
-	a := r.Series("a")
-	b := r.Series("b")
-	if r.Series("a") != a || r.Series("b") != b {
-		t.Fatal("Series should be stable per name")
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
 func TestSuccessRatio(t *testing.T) {
 	sr := NewSuccessRatio(time.Second)
 	// Bucket 0: 3 ok, 1 fail. Bucket 2: all ok.

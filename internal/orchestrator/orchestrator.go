@@ -296,13 +296,9 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 	return o
 }
 
-// SetHooks installs the observer hooks, replacing any previously attached
-// set (zero value clears them).
-func (o *Orchestrator) SetHooks(h Hooks) { o.hooks = []Hooks{h} }
-
-// AddHooks attaches an additional set of observer hooks without disturbing
-// ones already installed; all attached hooks fire in attachment order. The
-// runtime auditor uses this to coexist with healthmon.
+// AddHooks attaches a set of observer hooks without disturbing ones already
+// installed; all attached hooks fire in attachment order, which is how the
+// runtime auditor coexists with healthmon.
 func (o *Orchestrator) AddHooks(h Hooks) { o.hooks = append(o.hooks, h) }
 
 // App returns the managed application ID.
@@ -979,7 +975,7 @@ func (o *Orchestrator) runMigration(m migration) {
 		// executed, leaving a half-prepared replica to clean up.
 		gen := o.store.NextEpoch()
 		o.callStep(m.span, "prepare_add_shard", m.shard, m.to, func(srv *appserver.Server) {
-			srv.PrepareAddShardGen(m.shard, m.from, shard.RolePrimary, gen)
+			srv.PrepareAddShard(m.shard, m.from, shard.RolePrimary, gen)
 		}, func() {
 			o.loop.AfterL(o.cfg.ShardLoadTime, lbMigrationLoad, func() { o.gracefulStep2(m, commit, abort) })
 		}, abort)
@@ -987,7 +983,7 @@ func (o *Orchestrator) runMigration(m migration) {
 		// Make-before-break: add the new secondary, then drop the old.
 		gen := o.store.NextEpoch()
 		o.callStep(m.span, "add_shard", m.shard, m.to, func(srv *appserver.Server) {
-			srv.AddShardGen(m.shard, shard.RoleSecondary, gen)
+			srv.AddShard(m.shard, shard.RoleSecondary, gen)
 		}, func() {
 			commit()
 			o.loop.AfterL(o.cfg.PublishMargin, lbPublishMargin, func() {
@@ -1009,7 +1005,7 @@ func (o *Orchestrator) runMigration(m migration) {
 		addNew := func() {
 			gen := o.store.NextEpoch()
 			o.callStep(m.span, "add_shard", m.shard, m.to, func(srv *appserver.Server) {
-				srv.AddShardGen(m.shard, role, gen)
+				srv.AddShard(m.shard, role, gen)
 			}, func() {
 				commit()
 				o.finishMigration(m, true)
@@ -1039,7 +1035,7 @@ func (o *Orchestrator) gracefulStep2(m migration, commit func(), fail func()) {
 		// Step 3: add_shard on the new primary.
 		gen := o.store.NextEpoch()
 		o.callStep(m.span, "add_shard", m.shard, m.to, func(srv *appserver.Server) {
-			srv.AddShardGen(m.shard, shard.RolePrimary, gen)
+			srv.AddShard(m.shard, shard.RolePrimary, gen)
 		}, func() {
 			// Step 4: publish the new map.
 			commit()
@@ -1124,7 +1120,7 @@ func (o *Orchestrator) dropOrphan(s shard.ID, id shard.ServerID, then func()) {
 // resumeSource returns an aborted graceful migration's old primary to active
 // serving: its prepare_drop may have executed (leaving it forwarding to a
 // target that no longer holds the shard) even though the reply was lost.
-// Safe to issue blindly — ResumeShardGen no-ops unless the replica is
+// Safe to issue blindly — ResumeShard no-ops unless the replica is
 // forwarding. It waits out any pending orphan of the shard first: an orphan
 // may be an active primary, and resuming next to it would put two primaries
 // up at once. Retries until acknowledged: a stuck forwarder bounces every
@@ -1144,7 +1140,7 @@ func (o *Orchestrator) resumeSource(s shard.ID, id shard.ServerID) {
 	}
 	gen := o.store.NextEpoch()
 	o.callStep(o.curAlloc, "resume_shard", s, id, func(srv *appserver.Server) {
-		srv.ResumeShardGen(s, gen)
+		srv.ResumeShard(s, gen)
 	}, nil, func() {
 		o.failedRPC()
 		o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.resumeSource(s, id) })
@@ -1217,7 +1213,7 @@ func (o *Orchestrator) callStep(parent trace.SpanID, step string, s shard.ID, id
 func (o *Orchestrator) rpcAddShard(id shard.ServerID, s shard.ID, role shard.Role) {
 	gen := o.store.NextEpoch()
 	o.callStep(o.curAlloc, "add_shard", s, id,
-		func(srv *appserver.Server) { srv.AddShardGen(s, role, gen) }, nil, func() {
+		func(srv *appserver.Server) { srv.AddShard(s, role, gen) }, nil, func() {
 			o.failedRPC()
 			o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.retryAdd(s, id) })
 		})
@@ -1284,7 +1280,7 @@ func (o *Orchestrator) rpcChangeRoleThen(id shard.ServerID, s shard.ID, from, to
 		}
 	}
 	gen := o.store.NextEpoch()
-	o.call(id, func(srv *appserver.Server) { _ = srv.ChangeRoleGen(s, from, to, gen) },
+	o.call(id, func(srv *appserver.Server) { _ = srv.ChangeRole(s, from, to, gen) },
 		func() {
 			tr.EndSpan(sp, trace.String("status", "ok"))
 			if done != nil {

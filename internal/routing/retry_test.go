@@ -11,8 +11,8 @@ func TestForwardedRequestCountsHops(t *testing.T) {
 	e := newEnv(t)
 	old := e.addServer("old", "near")
 	newer := e.addServer("new", "far")
-	old.AddShard("s1", shard.RolePrimary)
-	newer.PrepareAddShard("s1", "old", shard.RolePrimary)
+	old.AddShard("s1", shard.RolePrimary, 0)
+	newer.PrepareAddShard("s1", "old", shard.RolePrimary, 0)
 	old.PrepareDropShard("s1", "new", shard.RolePrimary)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "old", Role: shard.RolePrimary}},
@@ -52,7 +52,7 @@ func TestDefaultsAppliedForZeroOptions(t *testing.T) {
 func TestRetrySucceedsWhenServerRecovers(t *testing.T) {
 	e := newEnv(t)
 	srv := e.addServer("srv", "near")
-	srv.AddShard("s1", shard.RolePrimary)
+	srv.AddShard("s1", shard.RolePrimary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "srv", Role: shard.RolePrimary}},
 	})
@@ -64,7 +64,7 @@ func TestRetrySucceedsWhenServerRecovers(t *testing.T) {
 	var res Result
 	gotIt := false
 	c.Do("abc", true, "op", nil, func(r Result) { res = r; gotIt = true })
-	e.loop.After(300*time.Millisecond, func() {
+	e.loop.AfterL(300*time.Millisecond, 0, func() {
 		e.net.Register("srv", "near")
 	})
 	e.loop.RunFor(time.Minute)
@@ -80,8 +80,8 @@ func TestReadSpreadsAcrossEquidistantReplicas(t *testing.T) {
 	e := newEnv(t)
 	a := e.addServer("a", "near")
 	b := e.addServer("b", "near")
-	a.AddShard("s1", shard.RoleSecondary)
-	b.AddShard("s1", shard.RoleSecondary)
+	a.AddShard("s1", shard.RoleSecondary, 0)
+	b.AddShard("s1", shard.RoleSecondary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "a", Role: shard.RoleSecondary}, {Server: "b", Role: shard.RoleSecondary}},
 	})
@@ -100,7 +100,7 @@ func TestReadSpreadsAcrossEquidistantReplicas(t *testing.T) {
 func TestServerGoneFromDirectoryFails(t *testing.T) {
 	e := newEnv(t)
 	srv := e.addServer("srv", "near")
-	srv.AddShard("s1", shard.RolePrimary)
+	srv.AddShard("s1", shard.RolePrimary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "srv", Role: shard.RolePrimary}},
 	})
@@ -119,8 +119,8 @@ func benchEnv(b *testing.B) (*env, *Client) {
 	b.Helper()
 	e := newEnv(b)
 	srv := e.addServer("srv", "near")
-	srv.AddShard("s1", shard.RolePrimary)
-	srv.AddShard("s2", shard.RolePrimary)
+	srv.AddShard("s1", shard.RolePrimary, 0)
+	srv.AddShard("s2", shard.RolePrimary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "srv", Role: shard.RolePrimary}},
 		"s2": {{Server: "srv", Role: shard.RolePrimary}},

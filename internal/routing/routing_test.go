@@ -97,8 +97,8 @@ func TestRouteWriteToPrimary(t *testing.T) {
 	e := newEnv(t)
 	p := e.addServer("p", "near")
 	sec := e.addServer("sec", "near")
-	p.AddShard("s1", shard.RolePrimary)
-	sec.AddShard("s1", shard.RoleSecondary)
+	p.AddShard("s1", shard.RolePrimary, 0)
+	sec.AddShard("s1", shard.RoleSecondary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "sec", Role: shard.RoleSecondary}, {Server: "p", Role: shard.RolePrimary}},
 	})
@@ -117,8 +117,8 @@ func TestRouteReadPrefersLocalReplica(t *testing.T) {
 	e := newEnv(t)
 	nearSrv := e.addServer("near-srv", "near")
 	farSrv := e.addServer("far-srv", "far")
-	nearSrv.AddShard("s1", shard.RoleSecondary)
-	farSrv.AddShard("s1", shard.RoleSecondary)
+	nearSrv.AddShard("s1", shard.RoleSecondary, 0)
+	farSrv.AddShard("s1", shard.RoleSecondary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "far-srv", Role: shard.RoleSecondary}, {Server: "near-srv", Role: shard.RoleSecondary}},
 	})
@@ -139,8 +139,8 @@ func TestReadFailsOverToRemoteReplica(t *testing.T) {
 	e := newEnv(t)
 	nearSrv := e.addServer("near-srv", "near")
 	farSrv := e.addServer("far-srv", "far")
-	nearSrv.AddShard("s1", shard.RoleSecondary)
-	farSrv.AddShard("s1", shard.RoleSecondary)
+	nearSrv.AddShard("s1", shard.RoleSecondary, 0)
+	farSrv.AddShard("s1", shard.RoleSecondary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "near-srv", Role: shard.RoleSecondary}, {Server: "far-srv", Role: shard.RoleSecondary}},
 	})
@@ -175,7 +175,7 @@ func TestStaleMapRetriesAndRecovers(t *testing.T) {
 	e := newEnv(t)
 	old := e.addServer("old", "near")
 	newer := e.addServer("new", "near")
-	old.AddShard("s1", shard.RolePrimary)
+	old.AddShard("s1", shard.RolePrimary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "old", Role: shard.RolePrimary}},
 	})
@@ -184,7 +184,7 @@ func TestStaleMapRetriesAndRecovers(t *testing.T) {
 	// Non-graceful move: old drops, new adds, map updated. The client
 	// still has v1 when it first sends; retry after map refresh works.
 	old.DropShard("s1")
-	newer.AddShard("s1", shard.RolePrimary)
+	newer.AddShard("s1", shard.RolePrimary, 0)
 	e.publish(2, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "new", Role: shard.RolePrimary}},
 	})
@@ -200,7 +200,7 @@ func TestStaleMapRetriesAndRecovers(t *testing.T) {
 func TestWriteToSecondaryOnlyMapFails(t *testing.T) {
 	e := newEnv(t)
 	srv := e.addServer("srv", "near")
-	srv.AddShard("s1", shard.RoleSecondary)
+	srv.AddShard("s1", shard.RoleSecondary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "srv", Role: shard.RoleSecondary}},
 	})
@@ -229,8 +229,8 @@ func TestKeyRoutesToCorrectShard(t *testing.T) {
 	e := newEnv(t)
 	a := e.addServer("a", "near")
 	b := e.addServer("b", "near")
-	a.AddShard("s1", shard.RolePrimary)
-	b.AddShard("s2", shard.RolePrimary)
+	a.AddShard("s1", shard.RolePrimary, 0)
+	b.AddShard("s2", shard.RolePrimary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "a", Role: shard.RolePrimary}},
 		"s2": {{Server: "b", Role: shard.RolePrimary}},

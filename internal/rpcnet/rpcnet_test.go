@@ -53,7 +53,7 @@ func TestEndpointGoesDownInFlight(t *testing.T) {
 	failed := false
 	n.Send("a", "dst", nil, func() { failed = true })
 	// Kill the endpoint before the message lands.
-	loop.After(10*time.Millisecond, func() { n.Unregister("dst") })
+	loop.AfterL(10*time.Millisecond, 0, func() { n.Unregister("dst") })
 	loop.Run()
 	if !failed {
 		t.Fatal("in-flight message delivered to dead endpoint")

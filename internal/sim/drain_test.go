@@ -13,7 +13,7 @@ import (
 func TestTimerStopAfterFireIsInert(t *testing.T) {
 	l := NewLoop(1)
 	n := 0
-	tm := l.After(time.Second, func() { n++ })
+	tm := l.AfterL(time.Second, 0, func() { n++ })
 	l.Run()
 	if n != 1 {
 		t.Fatalf("fired %d times, want 1", n)
@@ -23,7 +23,7 @@ func TestTimerStopAfterFireIsInert(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("Stop after fire returned true")
 	}
-	l.After(time.Second, func() { n++ })
+	l.AfterL(time.Second, 0, func() { n++ })
 	if tm.Stop() {
 		t.Fatal("repeated Stop returned true")
 	}
@@ -37,7 +37,7 @@ func TestCancelledEventsDrainFromQueue(t *testing.T) {
 	l := NewLoop(1)
 	timers := make([]*Timer, 0, 10)
 	for i := 0; i < 10; i++ {
-		timers = append(timers, l.After(time.Duration(i+1)*time.Second, func() {
+		timers = append(timers, l.AfterL(time.Duration(i+1)*time.Second, 0, func() {
 			t.Error("cancelled timer fired")
 		}))
 	}
@@ -61,9 +61,9 @@ func TestCancelledEventsDrainFromQueue(t *testing.T) {
 func TestPendingExcludesCancelledButUndrainedEvents(t *testing.T) {
 	l := NewLoop(1)
 	fired := 0
-	keepA := l.After(time.Second, func() { fired++ })
-	victim := l.After(2*time.Second, func() { t.Error("cancelled timer fired") })
-	keepB := l.After(3*time.Second, func() { fired++ })
+	keepA := l.AfterL(time.Second, 0, func() { fired++ })
+	victim := l.AfterL(2*time.Second, 0, func() { t.Error("cancelled timer fired") })
+	keepB := l.AfterL(3*time.Second, 0, func() { fired++ })
 	if l.Pending() != 3 {
 		t.Fatalf("Pending = %d, want 3", l.Pending())
 	}
@@ -104,7 +104,7 @@ func TestTickerStopInsideCallbackLeavesNoResidue(t *testing.T) {
 	l := NewLoop(1)
 	n := 0
 	var tk *Ticker
-	tk = l.Every(time.Second, func() {
+	tk = l.EveryL(time.Second, 0, func() {
 		n++
 		if n == 3 {
 			tk.Stop()
@@ -126,7 +126,7 @@ func TestTickerStopInsideCallbackLeavesNoResidue(t *testing.T) {
 
 func TestTickerStopThenStopAgain(t *testing.T) {
 	l := NewLoop(1)
-	tk := l.Every(time.Second, func() { t.Error("tick after immediate stop") })
+	tk := l.EveryL(time.Second, 0, func() { t.Error("tick after immediate stop") })
 	tk.Stop()
 	tk.Stop() // double-stop must be harmless
 	l.RunUntil(5 * time.Second)
@@ -140,7 +140,7 @@ func TestRunUntilRunsAllEventsExactlyAtDeadline(t *testing.T) {
 	const deadline = 10 * time.Second
 	ran := 0
 	for i := 0; i < 5; i++ {
-		l.At(deadline, func() { ran++ })
+		l.AtL(deadline, 0, func() { ran++ })
 	}
 	l.RunUntil(deadline)
 	if ran != 5 {
@@ -155,13 +155,13 @@ func TestRunUntilRunsReentrantlyScheduledDeadlineEvents(t *testing.T) {
 	l := NewLoop(1)
 	const deadline = 10 * time.Second
 	var order []string
-	l.At(deadline, func() {
+	l.AtL(deadline, 0, func() {
 		order = append(order, "first")
 		// Scheduled from inside a deadline event, at the deadline: still
 		// <= deadline, so RunUntil must run it before returning.
-		l.At(deadline, func() { order = append(order, "nested") })
+		l.AtL(deadline, 0, func() { order = append(order, "nested") })
 	})
-	l.At(deadline+time.Nanosecond, func() { order = append(order, "past") })
+	l.AtL(deadline+time.Nanosecond, 0, func() { order = append(order, "past") })
 	l.RunUntil(deadline)
 	if len(order) != 2 || order[0] != "first" || order[1] != "nested" {
 		t.Fatalf("order = %v, want [first nested]", order)
@@ -177,9 +177,9 @@ func TestRunUntilRunsReentrantlyScheduledDeadlineEvents(t *testing.T) {
 
 func TestRunUntilSkipsCancelledHeadEvent(t *testing.T) {
 	l := NewLoop(1)
-	tm := l.After(time.Second, func() { t.Error("cancelled head fired") })
+	tm := l.AfterL(time.Second, 0, func() { t.Error("cancelled head fired") })
 	ran := false
-	l.After(2*time.Second, func() { ran = true })
+	l.AfterL(2*time.Second, 0, func() { ran = true })
 	tm.Stop()
 	l.RunUntil(2 * time.Second)
 	if !ran {

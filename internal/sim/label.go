@@ -75,20 +75,6 @@ func NumLabels() int {
 	return len(labelTable.names)
 }
 
-// LabeledFunc pairs a callback with its attribution label so schedule
-// sites read naturally: l.Schedule(d, sim.Labeled("rpcnet", "deliver", fn)).
-type LabeledFunc struct {
-	Label Label
-	Fn    func()
-}
-
-// Labeled tags fn with an attribution label for the kernel profiler. It
-// interns (component, kind) on every call; per-message hot paths should
-// intern once with LabelFor and use AfterL/AtL directly.
-func Labeled(component, kind string, fn func()) LabeledFunc {
-	return LabeledFunc{Label: LabelFor(component, kind), Fn: fn}
-}
-
 // Profiler observes the loop's event lifecycle. internal/simprof provides
 // the real implementation; the loop only knows this interface so sim stays
 // dependency-free. All methods are invoked on the loop goroutine.

@@ -57,8 +57,8 @@ func TestProfilerHooksSeeScheduleCancelDispatch(t *testing.T) {
 	ran := 0
 	l.AfterL(time.Second, lbA, func() { ran++ })
 	tm := l.AfterL(2*time.Second, lbB, func() { t.Error("cancelled event ran") })
-	l.Schedule(3*time.Second, Labeled("hooktest", "a", func() { ran++ }))
-	l.After(4*time.Second, func() { ran++ }) // unlabeled
+	l.PostArgL(3*time.Second, lbA, func(any) { ran++ }, nil)
+	l.AfterL(4*time.Second, 0, func() { ran++ }) // unlabeled
 	tm.Stop()
 	l.Run()
 
@@ -142,7 +142,7 @@ func TestDisabledProfilerAddsNoAllocations(t *testing.T) {
 			l.Step()
 		})
 	}
-	plain := measure(func(l *Loop) { l.After(time.Microsecond, func() {}) })
+	plain := measure(func(l *Loop) { l.AfterL(time.Microsecond, 0, func() {}) })
 	labeled := measure(func(l *Loop) { l.AfterL(time.Microsecond, lb, func() {}) })
 	if labeled > plain {
 		t.Fatalf("labeled schedule+dispatch allocates %.1f/op, unlabeled %.1f/op", labeled, plain)

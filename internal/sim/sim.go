@@ -3,7 +3,7 @@
 // All Shard Manager components take time from a Clock rather than the wall
 // clock, so the same control-plane code runs both in unit tests (driven
 // directly) and in whole-cluster experiments (driven by a Loop). A Loop is a
-// single-threaded event queue: callbacks scheduled with At or After run in
+// single-threaded event queue: callbacks scheduled with AtL or AfterL run in
 // timestamp order, ties broken by scheduling order, which makes every
 // experiment reproducible from its seed.
 //
@@ -27,17 +27,6 @@ type Clock interface {
 	// Now returns the current simulated time as an offset from the
 	// simulation epoch.
 	Now() time.Duration
-}
-
-// Scheduler schedules callbacks to run at future simulated times.
-type Scheduler interface {
-	Clock
-	// After schedules fn to run d after the current time. It returns a
-	// Timer that can cancel the callback before it fires.
-	After(d time.Duration, fn func()) *Timer
-	// At schedules fn at an absolute simulated time. Times in the past
-	// run immediately after the current event, at the current time.
-	At(t time.Duration, fn func()) *Timer
 }
 
 // Timer is a handle to a scheduled callback. Event objects are recycled, so
@@ -197,7 +186,7 @@ func (l *Loop) recycle(ev *event) {
 	l.free = ev
 }
 
-// schedule files a new event; the common core of every At/After variant.
+// schedule files a new event; the common core of every scheduling method.
 func (l *Loop) schedule(t time.Duration, lb Label, fn func(), fnA func(any), arg any) *event {
 	if t < l.now {
 		t = l.now
@@ -214,11 +203,6 @@ func (l *Loop) schedule(t time.Duration, lb Label, fn func(), fnA func(any), arg
 	return ev
 }
 
-// After schedules fn to run d after the current time.
-func (l *Loop) After(d time.Duration, fn func()) *Timer {
-	return l.AfterL(d, 0, fn)
-}
-
 // AfterL schedules fn to run d after the current time, attributing its
 // dispatch cost to lb when a profiler is attached.
 func (l *Loop) AfterL(d time.Duration, lb Label, fn func()) *Timer {
@@ -228,35 +212,14 @@ func (l *Loop) AfterL(d time.Duration, lb Label, fn func()) *Timer {
 	return l.AtL(l.now+d, lb, fn)
 }
 
-// At schedules fn at absolute time t (clamped to the present).
-func (l *Loop) At(t time.Duration, fn func()) *Timer {
-	return l.AtL(t, 0, fn)
-}
-
 // AtL schedules fn at absolute time t (clamped to the present) under an
 // attribution label. The body stays small enough to inline so that callers
 // which discard the returned handle keep it on the stack.
 func (l *Loop) AtL(t time.Duration, lb Label, fn func()) *Timer {
 	if fn == nil {
-		panic("sim: At with nil callback")
+		panic("sim: AtL with nil callback")
 	}
 	ev := l.schedule(t, lb, fn, nil, nil)
-	return &Timer{ev: ev, gen: ev.gen, loop: l}
-}
-
-// AfterArgL schedules fn(arg) to run d after the current time. Passing the
-// argument through the event instead of capturing it keeps arg-shaped hot
-// paths (one pointer per RPC message or map delivery) closure-free; arg
-// should be a pointer type so boxing it into the event is allocation-free.
-func (l *Loop) AfterArgL(d time.Duration, lb Label, fn func(any), arg any) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	t := l.now + d
-	if fn == nil {
-		panic("sim: AfterArgL with nil callback")
-	}
-	ev := l.schedule(t, lb, nil, fn, arg)
 	return &Timer{ev: ev, gen: ev.gen, loop: l}
 }
 
@@ -264,7 +227,8 @@ func (l *Loop) AfterArgL(d time.Duration, lb Label, fn func(any), arg any) *Time
 // cancellation handle at all. It is the allocation-free form for
 // fire-and-forget hot paths (message deliveries, replies) that never stop
 // their timers: no Timer is constructed, no closure is captured, and the
-// pooled event is the only storage the callback occupies.
+// pooled event is the only storage the callback occupies. arg should be a
+// pointer type so boxing it into the event is allocation-free.
 func (l *Loop) PostArgL(d time.Duration, lb Label, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: PostArgL with nil callback")
@@ -275,22 +239,11 @@ func (l *Loop) PostArgL(d time.Duration, lb Label, fn func(any), arg any) {
 	l.schedule(l.now+d, lb, nil, fn, arg)
 }
 
-// Schedule schedules a labeled callback built with Labeled to run d after
-// the current time.
-func (l *Loop) Schedule(d time.Duration, lf LabeledFunc) *Timer {
-	return l.AfterL(d, lf.Label, lf.Fn)
-}
-
-// Every schedules fn to run every interval, starting one interval from now,
-// until the returned Ticker is stopped.
-func (l *Loop) Every(interval time.Duration, fn func()) *Ticker {
-	return l.EveryL(interval, 0, fn)
-}
-
-// EveryL is Every with an attribution label applied to every tick.
+// EveryL schedules fn to run every interval, starting one interval from now,
+// until the returned Ticker is stopped; lb attributes every tick.
 func (l *Loop) EveryL(interval time.Duration, lb Label, fn func()) *Ticker {
 	if interval <= 0 {
-		panic(fmt.Sprintf("sim: Every with non-positive interval %v", interval))
+		panic(fmt.Sprintf("sim: EveryL with non-positive interval %v", interval))
 	}
 	tk := &Ticker{loop: l, interval: interval, label: lb, fn: fn}
 	tk.schedule()

@@ -9,9 +9,9 @@ import (
 func TestLoopOrdersEventsByTime(t *testing.T) {
 	l := NewLoop(1)
 	var got []int
-	l.After(3*time.Second, func() { got = append(got, 3) })
-	l.After(1*time.Second, func() { got = append(got, 1) })
-	l.After(2*time.Second, func() { got = append(got, 2) })
+	l.AfterL(3*time.Second, 0, func() { got = append(got, 3) })
+	l.AfterL(1*time.Second, 0, func() { got = append(got, 1) })
+	l.AfterL(2*time.Second, 0, func() { got = append(got, 2) })
 	l.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -29,7 +29,7 @@ func TestLoopTieBreakIsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		l.At(time.Second, func() { got = append(got, i) })
+		l.AtL(time.Second, 0, func() { got = append(got, i) })
 	}
 	l.Run()
 	for i := range got {
@@ -42,7 +42,7 @@ func TestLoopTieBreakIsFIFO(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	l := NewLoop(1)
 	fired := false
-	tm := l.After(time.Second, func() { fired = true })
+	tm := l.AfterL(time.Second, 0, func() { fired = true })
 	if !tm.Stop() {
 		t.Fatal("Stop on pending timer returned false")
 	}
@@ -57,7 +57,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	l := NewLoop(1)
-	tm := l.After(time.Second, func() {})
+	tm := l.AfterL(time.Second, 0, func() {})
 	l.Run()
 	if tm.Stop() {
 		t.Fatal("Stop after firing returned true")
@@ -66,8 +66,8 @@ func TestTimerStopAfterFire(t *testing.T) {
 
 func TestAtInThePastRunsNow(t *testing.T) {
 	l := NewLoop(1)
-	l.After(5*time.Second, func() {
-		l.At(time.Second, func() {
+	l.AfterL(5*time.Second, 0, func() {
+		l.AtL(time.Second, 0, func() {
 			if l.Now() != 5*time.Second {
 				t.Errorf("past event ran at %v, want 5s", l.Now())
 			}
@@ -79,7 +79,7 @@ func TestAtInThePastRunsNow(t *testing.T) {
 func TestRunUntilAdvancesClock(t *testing.T) {
 	l := NewLoop(1)
 	ran := false
-	l.After(10*time.Second, func() { ran = true })
+	l.AfterL(10*time.Second, 0, func() { ran = true })
 	l.RunUntil(5 * time.Second)
 	if ran {
 		t.Fatal("event beyond deadline ran")
@@ -96,7 +96,7 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 func TestRunUntilRunsEventAtDeadline(t *testing.T) {
 	l := NewLoop(1)
 	ran := false
-	l.After(5*time.Second, func() { ran = true })
+	l.AfterL(5*time.Second, 0, func() { ran = true })
 	l.RunUntil(5 * time.Second)
 	if !ran {
 		t.Fatal("event exactly at deadline should run")
@@ -106,7 +106,7 @@ func TestRunUntilRunsEventAtDeadline(t *testing.T) {
 func TestEverticksAndStops(t *testing.T) {
 	l := NewLoop(1)
 	n := 0
-	tk := l.Every(time.Second, func() {
+	tk := l.EveryL(time.Second, 0, func() {
 		n++
 		if n == 3 {
 			// Stop from within the callback.
@@ -124,7 +124,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	l := NewLoop(1)
 	n := 0
 	var tk *Ticker
-	tk = l.Every(time.Second, func() {
+	tk = l.EveryL(time.Second, 0, func() {
 		n++
 		if n == 2 {
 			tk.Stop()
@@ -143,10 +143,10 @@ func TestNestedScheduling(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			l.After(time.Millisecond, recurse)
+			l.AfterL(time.Millisecond, 0, recurse)
 		}
 	}
-	l.After(0, recurse)
+	l.AfterL(0, 0, recurse)
 	l.Run()
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -282,8 +282,8 @@ func TestManualClockPanics(t *testing.T) {
 
 func TestLoopPanicsOnBadArgs(t *testing.T) {
 	l := NewLoop(1)
-	mustPanic(t, func() { l.At(0, nil) })
-	mustPanic(t, func() { l.Every(0, func() {}) })
+	mustPanic(t, func() { l.AtL(0, 0, nil) })
+	mustPanic(t, func() { l.EveryL(0, 0, func() {}) })
 	mustPanic(t, func() { NewRNG(1).Intn(0) })
 }
 
@@ -314,7 +314,7 @@ func BenchmarkLoopScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l := NewLoop(1)
 		for j := 0; j < 1000; j++ {
-			l.After(time.Duration(j)*time.Millisecond, func() {})
+			l.AfterL(time.Duration(j)*time.Millisecond, 0, func() {})
 		}
 		l.Run()
 	}

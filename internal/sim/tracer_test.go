@@ -17,8 +17,8 @@ func TestTracerOnLoop(t *testing.T) {
 	if l.Tracer() != tr {
 		t.Fatal("Tracer() did not return the attached tracer")
 	}
-	l.After(time.Second, func() {})
-	l.After(2*time.Second, func() {})
+	l.AfterL(time.Second, 0, func() {})
+	l.AfterL(2*time.Second, 0, func() {})
 	l.Run()
 	spans := tr.FindSpans("sim.loop", "dispatch")
 	if len(spans) != 2 {
@@ -45,7 +45,7 @@ func TestLoopWithoutTracerIsUnaffected(t *testing.T) {
 		t.Fatal("new loop has a tracer attached")
 	}
 	n := 0
-	l.After(time.Second, func() { n++ })
+	l.AfterL(time.Second, 0, func() { n++ })
 	l.Run()
 	if n != 1 {
 		t.Fatalf("event ran %d times, want 1", n)

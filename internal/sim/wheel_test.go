@@ -141,7 +141,7 @@ func TestWheelDispatchOrderMatchesReferenceHeap(t *testing.T) {
 				id := ref.nextID
 				topIDs[id] = true
 				re := ref.schedule(d, child)
-				tm := loop.After(d, func() {
+				tm := loop.AfterL(d, 0, func() {
 					log = append(log, id)
 					if child >= 0 {
 						// Children consume a seq on both sides in fire order;
@@ -149,7 +149,7 @@ func TestWheelDispatchOrderMatchesReferenceHeap(t *testing.T) {
 						// top-level ids are logged and compared — a child
 						// ordering bug still surfaces as a seq skew that
 						// reorders later same-instant top-level events.
-						loop.After(child, func() {})
+						loop.AfterL(child, 0, func() {})
 					}
 				})
 				timers = append(timers, tm)
@@ -228,7 +228,7 @@ func TestCompactionSweepsCancelledEvents(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		// Spread across levels so the sweep touches near, L0, upper levels.
 		d := time.Duration(i) * 37 * time.Millisecond
-		timers = append(timers, l.After(d, func() { fired++ }))
+		timers = append(timers, l.AfterL(d, 0, func() { fired++ }))
 	}
 	// Cancel 600. The sweep triggers at the 501st cancel (cancelled*2 >
 	// stored once 501*2 > 1000), reclaiming all 501 dead entries; the
@@ -262,7 +262,7 @@ func TestCompactionBelowFloorKeepsLazyEntries(t *testing.T) {
 	l := NewLoop(1)
 	var timers []*Timer
 	for i := 0; i < 100; i++ {
-		timers = append(timers, l.After(time.Duration(i+1)*time.Second, func() {}))
+		timers = append(timers, l.AfterL(time.Duration(i+1)*time.Second, 0, func() {}))
 	}
 	for _, tm := range timers {
 		tm.Stop()
@@ -301,7 +301,7 @@ func TestScheduleDispatchAllocationFree(t *testing.T) {
 func TestTickerSteadyStateAllocationFree(t *testing.T) {
 	l := NewLoop(1)
 	n := 0
-	tk := l.Every(time.Second, func() { n++ })
+	tk := l.EveryL(time.Second, 0, func() { n++ })
 	l.RunFor(10 * time.Second) // warm-up
 	allocs := testing.AllocsPerRun(100, func() {
 		l.RunFor(10 * time.Second)

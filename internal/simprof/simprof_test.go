@@ -35,7 +35,7 @@ func runFixedWorkload(p *Profile) {
 		})
 	}
 	l.AfterL(4*time.Second, lbDead, func() {}).Stop()
-	l.After(2*time.Second, func() {}) // unlabeled
+	l.AfterL(2*time.Second, 0, func() {}) // unlabeled
 	l.RunUntil(10 * time.Second)
 	tk.Stop()
 }
@@ -177,8 +177,11 @@ func TestAllocAttribution(t *testing.T) {
 	lb := sim.LabelFor("alloctest", "make")
 	var sink [][]byte
 	l.AfterL(time.Second, lb, func() {
+		// Large objects: the runtime counts those at once, where a small
+		// one is counted only when its span leaves the mcache, so the
+		// reading would lag by up to a span's worth.
 		for i := 0; i < 100; i++ {
-			sink = append(sink, make([]byte, 1024))
+			sink = append(sink, make([]byte, 64<<10))
 		}
 	})
 	l.Run()

@@ -309,7 +309,7 @@ func TestEndToEndRollingUpgradeWithController(t *testing.T) {
 
 	done := false
 	maxDown := 0
-	loop.Every(time.Second, func() {
+	loop.EveryL(time.Second, 0, func() {
 		if down := 10 - len(mgr.RunningContainers("job")); down > maxDown {
 			maxDown = down
 		}

@@ -20,10 +20,6 @@ echo "== go test -race (all packages except sim-heavy experiments)"
 # under the race detector for zero extra coverage; it runs un-instrumented
 # below instead.
 go test -race $(go list ./... | grep -v 'internal/experiments$')
-echo "== go test -race ./internal/audit/..."
-go test -race ./internal/audit/...
-echo "== go test -race ./internal/controlplane/..."
-go test -race ./internal/controlplane/...
 echo "== go test ./internal/experiments"
 go test ./internal/experiments
 echo "== audit torture smoke (12 seeds, must be violation-free)"
@@ -36,4 +32,6 @@ echo "== kernel-bench smoke (120k-shard point vs committed BENCH_sim.json, >20% 
 go run ./cmd/smbench -fig simscale -sim-smoke -sim-baseline BENCH_sim.json -bench-sim-out ""
 echo "== control-plane smoke (100k-shard point vs committed BENCH_controlplane.json, >20% regression fails)"
 go run ./cmd/smbench -controlscale -controlplane-baseline BENCH_controlplane.json -bench-controlplane-out ""
+echo "== code lines (scripts/loc.sh)"
+sh scripts/loc.sh
 echo "check: OK"
