@@ -3,19 +3,22 @@ package shardmanager
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"shardmanager/internal/appserver"
 	"shardmanager/internal/discovery"
 	"shardmanager/internal/orchestrator"
+	"shardmanager/internal/routing"
 	"shardmanager/internal/sim"
 )
 
 // TestOneEntryPointPerMechanism pins the exported method sets that used to
 // carry a second way to do the same thing, so a removed entry point cannot
 // drift back in: the loop schedules through exactly four methods, grants
-// come only generation-stamped under the paper's names, and hooks attach
-// only through Add*.
+// come only generation-stamped under the paper's names, hooks attach only
+// through Add*, and a shard map is published one way: discovery has one
+// Publish and one Subscribe, and no configuration selects another.
 func TestOneEntryPointPerMechanism(t *testing.T) {
 	// A scheduling method is one that takes a callback.
 	var scheduling []string
@@ -54,6 +57,35 @@ func TestOneEntryPointPerMechanism(t *testing.T) {
 			if _, ok := typ.MethodByName(name); ok {
 				t.Errorf("%v has method %s: it was deleted in favour of the single surviving entry point", typ, name)
 			}
+		}
+	}
+
+	// Publication: one publish form, one subscribe form, one authoritative
+	// read (Latest). (Names again assembled from stems.)
+	disc := reflect.TypeOf((*discovery.Service)(nil))
+	for _, stem := range []string{"Publish", "Subscribe"} {
+		var have []string
+		for i := 0; i < disc.NumMethod(); i++ {
+			if name := disc.Method(i).Name; strings.HasPrefix(name, stem) {
+				have = append(have, name)
+			}
+		}
+		if len(have) != 1 {
+			t.Errorf("%v has methods %v starting with %s, want exactly one", disc, have, stem)
+		}
+	}
+	for _, suffix := range []string{"", "Into", "Meta"} {
+		if _, ok := disc.MethodByName("Current" + suffix); ok {
+			t.Errorf("%v has method Current%s: Latest is the one authoritative read", disc, suffix)
+		}
+	}
+	for typ, field := range map[reflect.Type]string{
+		reflect.TypeOf(orchestrator.Config{}): "Delta" + "Publish",
+		reflect.TypeOf(routing.Options{}):     "Apply" + "Deltas",
+		reflect.TypeOf(orchestrator.Hooks{}):  "Map" + "Snapshot",
+	} {
+		if _, ok := typ.FieldByName(field); ok {
+			t.Errorf("%v has field %s: it selected a second publication path", typ, field)
 		}
 	}
 }

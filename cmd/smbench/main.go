@@ -55,7 +55,7 @@ func main() {
 	simBaseline := flag.String("sim-baseline", "", "compare the simscale run's events/sec against this committed BENCH_sim.json (points matched by shard count); exit non-zero if any point regresses more than 20%")
 	benchControlOut := flag.String("bench-controlplane-out", "BENCH_controlplane.json", "where the controlscale experiment writes its machine-readable control-plane benchmark record")
 	controlSmoke := flag.Bool("controlscale", false, "run only the smallest controlscale point as a fast control-plane publish-cost smoke; implies -fig controlscale unless -fig is set")
-	controlBaseline := flag.String("controlplane-baseline", "", "compare the controlscale run's delta entries/sec against this committed BENCH_controlplane.json (points matched by shard count); exit non-zero if any point regresses more than 20%")
+	controlBaseline := flag.String("controlplane-baseline", "", "compare the controlscale run's seed-exact columns (publishes, changed entries, bytes/publish, convergence) against this committed BENCH_controlplane.json (points matched by shard count); exit non-zero if any differs")
 	profOut := flag.String("prof-out", "", "write the kernel profiler's text report to this file (byte-stable for a given seed unless -prof-wall)")
 	profJSON := flag.String("prof-json", "", "write the kernel profiler's JSON report to this file")
 	profFolded := flag.String("prof-folded", "", "write folded stacks (flamegraph.pl / inferno / speedscope input) to this file")
@@ -324,8 +324,8 @@ func checkSimBaseline(r *experiments.Report, path string) error {
 
 // writeBenchControl writes the controlscale experiment's structured
 // control-plane benchmark record (BENCH_controlplane.json): one entry per
-// scale point with the mini-SM pool size, full-vs-delta publication cost and
-// bytes per publish, and simulated map-convergence latency.
+// scale point with the mini-SM pool size, publication cost and bytes per
+// publish, and simulated map-convergence latency.
 func writeBenchControl(r *experiments.Report, path string) error {
 	if r.Extra == nil {
 		return fmt.Errorf("controlscale report carries no benchmark record")
@@ -341,11 +341,13 @@ func writeBenchControl(r *experiments.Report, path string) error {
 	return nil
 }
 
-// checkControlBaseline guards delta-publication throughput: every point in
-// the run that has a same-shard-count point in the committed
-// BENCH_controlplane.json must reach at least 80% of its recorded delta
-// entries/sec. The loose margin tolerates shared-machine wall-clock noise;
-// the gate exists to catch structural regressions in the delta publish path.
+// checkControlBaseline guards the control-plane record: every point in the
+// run that has a same-shard-count point in the committed
+// BENCH_controlplane.json must reproduce its seed-exact columns — publishes,
+// changed entries, bytes per publish, simulated convergence. Entries/sec is
+// printed beside the committed figure but not gated: the smoke point's churn
+// window is ~300 ms of wall clock, which a shared machine moves by more than
+// any margin worth gating on.
 func checkControlBaseline(r *experiments.Report, path string) error {
 	rec, ok := r.Extra.(*experiments.ControlScaleRecord)
 	if !ok || rec == nil {
@@ -366,16 +368,19 @@ func checkControlBaseline(r *experiments.Report, path string) error {
 	checked := 0
 	for _, pt := range rec.Points {
 		b, ok := basePts[pt.Shards]
-		if !ok || b.DeltaEntriesPerSec <= 0 {
+		if !ok {
 			continue
 		}
 		checked++
-		if pt.DeltaEntriesPerSec < 0.8*b.DeltaEntriesPerSec {
-			return fmt.Errorf("delta publish regression at %d shards: %.0f entries/sec vs committed %.0f (more than 20%% below %s)",
-				pt.Shards, pt.DeltaEntriesPerSec, b.DeltaEntriesPerSec, path)
+		if pt.Publishes != b.Publishes || pt.ChangedEntries != b.ChangedEntries ||
+			pt.BytesPerPublish != b.BytesPerPublish || pt.ConvergenceMS != b.ConvergenceMS {
+			return fmt.Errorf("control-plane record drifted at %d shards: publishes %d, changed entries %d, %.0f bytes/publish, convergence %.6f ms vs committed %d, %d, %.0f, %.6f (%s)",
+				pt.Shards, pt.Publishes, pt.ChangedEntries, pt.BytesPerPublish, pt.ConvergenceMS,
+				b.Publishes, b.ChangedEntries, b.BytesPerPublish, b.ConvergenceMS, path)
 		}
-		fmt.Printf("control-plane smoke: %d shards at %.0f delta entries/sec vs committed %.0f (ok)\n",
-			pt.Shards, pt.DeltaEntriesPerSec, b.DeltaEntriesPerSec)
+		fmt.Printf("control-plane smoke: %d shards reproduce the committed record (%d publishes, %d changed entries, %.0f bytes/publish, convergence %.0f ms); %.0f entries/sec vs committed %.0f (not gated)\n",
+			pt.Shards, pt.Publishes, pt.ChangedEntries, pt.BytesPerPublish, pt.ConvergenceMS,
+			pt.EntriesPerSec, b.EntriesPerSec)
 	}
 	if checked == 0 {
 		return fmt.Errorf("no point in this run matches any committed point in %s", path)

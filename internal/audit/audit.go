@@ -327,26 +327,24 @@ func (a *Auditor) WatchOrchestrator(o *orchestrator.Orchestrator) {
 		RoleChanged: func(s shard.ID, server shard.ServerID, from, to shard.Role) {
 			a.event(a.shard(s), "role", fmt.Sprintf("%s %s -> %s", server, from, to))
 		},
-		MapSnapshot: a.onMap,
+		MapDelta: a.onMap,
 	})
 }
 
-// onMap diffs a published map against the auditor's view: per-shard map
-// events, removal timestamps for the stale-routing bound, and the
-// publication clock. Iteration is sorted so timelines are deterministic.
-func (a *Auditor) onMap(m *shard.Map) {
+// onMap folds one publication's changed entries into the auditor's view:
+// per-shard map events, removal timestamps for the stale-routing bound, and
+// the publication clock. Shards are visited in sorted order so timelines are
+// deterministic; a shard the publication removes has no entry to describe and
+// leaves no event.
+func (a *Auditor) onMap(d *shard.Delta) {
 	now := a.loop.Now()
 	a.havePublish = true
 	a.lastPublishAt = now
-	a.lastVersion = m.Version
-	ids := make([]string, 0, len(m.Entries))
-	for s := range m.Entries {
-		ids = append(ids, string(s))
-	}
-	sort.Strings(ids)
-	for _, sid := range ids {
-		s := shard.ID(sid)
-		as := m.Entries[s]
+	a.lastVersion = d.ToVersion
+	changed := append([]shard.DeltaEntry(nil), d.Changed...)
+	sort.Slice(changed, func(i, j int) bool { return changed[i].Shard < changed[j].Shard })
+	for _, e := range changed {
+		s, as := e.Shard, e.Assignments
 		desc := describeAssignments(as)
 		st := a.shard(s)
 		if st.mapSeen && desc == st.mapDesc {
@@ -372,7 +370,7 @@ func (a *Auditor) onMap(m *shard.Map) {
 		st.mapDesc = desc
 		st.mapSeen = true
 		st.staleMap = false
-		ev := fmt.Sprintf("v%d g%d %s", m.Version, m.Gen, desc)
+		ev := fmt.Sprintf("v%d g%d %s", d.ToVersion, d.Gen, desc)
 		if len(removed) > 0 {
 			ev += " removed=" + strings.Join(removed, ",")
 		}

@@ -140,11 +140,11 @@ func TestServeDuringPrepareDrop(t *testing.T) {
 	}
 }
 
-func mapV(v int64, s shard.ID, as ...shard.Assignment) *shard.Map {
-	m := shard.NewMap("kv")
-	m.Version = v
-	m.Entries[s] = as
-	return m
+// mapV is the publication that sets shard s to as in version v.
+func mapV(v int64, s shard.ID, as ...shard.Assignment) *shard.Delta {
+	d := shard.NewDelta("kv").Reset("kv", v-1, v, 0)
+	d.Set(s, as)
+	return d
 }
 
 func TestStaleRoutingRemovedServer(t *testing.T) {

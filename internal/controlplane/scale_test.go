@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -195,95 +196,73 @@ func buildPartitionMap(app shard.AppID, shards int) *shard.Map {
 	return m
 }
 
-// TestPartitionPublisherDeltaMatchesFull drives identical churn through a
-// delta-mode and a full-mode publisher and checks the subscriber-visible
-// maps stay deep-equal, while the delta stream moves far fewer bytes.
+// TestPartitionPublisherDeltaMatchesFull drives churn through a publisher and
+// checks that what a subscriber reads — fed by deltas only, after the first
+// snapshot — is at every version the full map an independent mirror of the
+// same edits holds, while a delta moves far fewer bytes than that map.
 func TestPartitionPublisherDeltaMatchesFull(t *testing.T) {
 	const shards = 500
-	type world struct {
-		loop *sim.Loop
-		pub  *PartitionPublisher
-		f    *shard.Map
-	}
-	mk := func(deltaMode bool) *world {
-		loop := sim.NewLoop(3)
-		disc := discovery.NewService(loop, discovery.FixedDelay(time.Millisecond))
-		w := &world{loop: loop}
-		w.pub = NewPartitionPublisher(disc, "app/p000", buildPartitionMap("app/p000", shards), deltaMode)
-		disc.SubscribeDelta("app/p000",
-			func(m *shard.Map) { w.f = m.CloneInto(w.f) },
-			func(d *shard.Delta) {
-				if err := w.f.ApplyDelta(d); err != nil {
-					t.Fatalf("follower: %v", err)
-				}
-			})
-		return w
-	}
-	wd, wf := mk(true), mk(false)
-	step := func(w *world, round int) {
+	loop := sim.NewLoop(3)
+	disc := discovery.NewService(loop, discovery.FixedDelay(time.Millisecond))
+	full := buildPartitionMap("app/p000", shards) // the mirror
+	pub := NewPartitionPublisher(disc, "app/p000", full.Clone())
+	var got discovery.View
+	disc.Subscribe("app/p000", func(v discovery.View) { got = v })
+	var firstBytes int64
+	for round := 0; round < 12; round++ {
 		for k := 0; k < 20; k++ {
-			idx := (round*37 + k*13) % shards
-			w.pub.SetOne(shard.ID(fmt.Sprintf("s%05d", idx)),
-				shard.ServerID(fmt.Sprintf("srv%03d", (round+k)%11)), shard.RolePrimary)
+			id := shard.ID(fmt.Sprintf("s%05d", (round*37+k*13)%shards))
+			server := shard.ServerID(fmt.Sprintf("srv%03d", (round+k)%11))
+			pub.SetOne(id, server, shard.RolePrimary)
+			full.Entries[id] = []shard.Assignment{{Server: server, Role: shard.RolePrimary}}
 		}
 		if round%5 == 4 {
-			w.pub.Remove(shard.ID(fmt.Sprintf("s%05d", round%shards)))
+			id := shard.ID(fmt.Sprintf("s%05d", round%shards))
+			pub.Remove(id)
+			delete(full.Entries, id)
 		}
-		w.pub.Flush()
-		w.loop.RunFor(10 * time.Millisecond)
-	}
-	for round := 0; round < 12; round++ {
-		step(wd, round)
-		step(wf, round)
-	}
-	if wd.f.Version != wf.f.Version || len(wd.f.Entries) != len(wf.f.Entries) {
-		t.Fatalf("followers diverged: v%d/%d entries vs v%d/%d entries",
-			wd.f.Version, len(wd.f.Entries), wf.f.Version, len(wf.f.Entries))
-	}
-	for s, as := range wf.f.Entries {
-		das, ok := wd.f.Entries[s]
-		if !ok || len(das) != len(as) || das[0] != as[0] {
-			t.Fatalf("shard %s: delta follower %v vs full follower %v", s, das, as)
+		pub.Flush()
+		loop.RunFor(10 * time.Millisecond)
+		full.Version++
+		if round == 0 {
+			firstBytes = pub.Stats.Bytes
+		}
+		if got.Version != full.Version || pub.Version() != full.Version {
+			t.Fatalf("round %d: subscriber at v%d, publisher at v%d, want v%d", round, got.Version, pub.Version(), full.Version)
+		}
+		if m := got.Map(); !reflect.DeepEqual(m.Entries, full.Entries) {
+			t.Fatalf("round %d: subscriber's map differs from the mirror", round)
 		}
 	}
-	// Stats: the first flush publishes the full base, the other 11 rounds go
-	// out as deltas; the full-mode publisher pays a full snapshot every
-	// round. The delta stream must be at least 10x smaller.
-	if wd.pub.Stats.FullPublishes != 1 || wd.pub.Stats.DeltaPublishes != 11 {
-		t.Fatalf("delta publisher stats: %+v", wd.pub.Stats)
+	// The first flush carried the whole partition under its 20 edits, the
+	// other 11 only their churn — 20 edits, twice 21 — which must be at least
+	// 10x smaller than the map.
+	if pub.Stats.Publishes != 12 || pub.Stats.ChangedEntries != shards+12*20+2 {
+		t.Fatalf("publisher stats: %+v", pub.Stats)
 	}
-	if wf.pub.Stats.FullPublishes != 12 || wf.pub.Stats.DeltaPublishes != 0 {
-		t.Fatalf("full publisher stats: %+v", wf.pub.Stats)
+	if firstBytes < full.ApproxBytes() {
+		t.Fatalf("first flush moved %d bytes, less than the %d-byte map", firstBytes, full.ApproxBytes())
 	}
-	// Per-publish, the delta stream must be at least 10x smaller than the
-	// full snapshots the legacy path keeps re-sending.
-	deltaPer := wd.pub.Stats.DeltaBytes / wd.pub.Stats.DeltaPublishes
-	fullPer := wf.pub.Stats.FullBytes / wf.pub.Stats.FullPublishes
-	if deltaPer*10 >= fullPer {
-		t.Fatalf("delta bytes/publish %d not <10%% of full %d", deltaPer, fullPer)
+	perDelta := (pub.Stats.Bytes - firstBytes) / (pub.Stats.Publishes - 1)
+	if perDelta*10 >= full.ApproxBytes() {
+		t.Fatalf("delta bytes/publish %d not <10%% of the map's %d", perDelta, full.ApproxBytes())
 	}
 }
 
 // TestPartitionPublisherSteadyStateAllocs pins the warm-path contract: a
-// delta-mode stage+flush+deliver cycle allocates nothing once buffers have
-// ping-ponged.
+// stage+flush+deliver cycle allocates what discovery stores for the one
+// changed entry, and nothing that grows with the partition.
 func TestPartitionPublisherSteadyStateAllocs(t *testing.T) {
 	loop := sim.NewLoop(1)
 	disc := discovery.NewService(loop, discovery.FixedDelay(time.Millisecond))
-	pub := NewPartitionPublisher(disc, "app/p000", buildPartitionMap("app/p000", 200), true)
-	follower := shard.NewMap("app/p000")
-	disc.SubscribeDelta("app/p000",
-		func(m *shard.Map) { follower = m.CloneInto(follower) },
-		func(d *shard.Delta) {
-			if err := follower.ApplyDelta(d); err != nil {
-				t.Fatal(err)
-			}
-		})
+	pub := NewPartitionPublisher(disc, "app/p000", buildPartitionMap("app/p000", 200))
+	var got discovery.View
+	disc.Subscribe("app/p000", func(v discovery.View) { got = v })
 	servers := make([]shard.ServerID, 7)
 	for i := range servers {
 		servers[i] = shard.ServerID(fmt.Sprintf("srv%03d", i))
 	}
-	for i := 0; i < 4; i++ { // warm the ping-pong and delivery freelist
+	for i := 0; i < 4; i++ { // warm the staging buffer and delivery freelist
 		pub.SetOne("s00005", servers[i], shard.RolePrimary)
 		pub.Flush()
 		loop.RunFor(10 * time.Millisecond)
@@ -295,8 +274,11 @@ func TestPartitionPublisherSteadyStateAllocs(t *testing.T) {
 		loop.RunFor(10 * time.Millisecond)
 		i++
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state stage+flush allocates %.1f/run, want 0", allocs)
+	if allocs > 2 {
+		t.Fatalf("steady-state stage+flush allocates %.1f/run, want at most 2", allocs)
+	}
+	if got.Version != pub.Version() || got.Replicas("s00005")[0].Server != servers[(i-1)%len(servers)] {
+		t.Fatalf("subscriber at v%d, publisher at v%d", got.Version, pub.Version())
 	}
 }
 
@@ -307,7 +289,7 @@ func TestFlushWaveBatchesAndCompletes(t *testing.T) {
 	pubs := make([]*PartitionPublisher, parts)
 	for i := range pubs {
 		app := shard.AppID(fmt.Sprintf("app/p%03d", i))
-		pubs[i] = NewPartitionPublisher(disc, app, buildPartitionMap(app, 10), true)
+		pubs[i] = NewPartitionPublisher(disc, app, buildPartitionMap(app, 10))
 	}
 	var doneAt time.Duration
 	FlushWave(loop, pubs, 4, 10*time.Millisecond, func() { doneAt = loop.Now() })
@@ -317,8 +299,8 @@ func TestFlushWaveBatchesAndCompletes(t *testing.T) {
 		t.Fatalf("wave completed at %v, want 20ms", doneAt)
 	}
 	for i, p := range pubs {
-		if p.Map().Version != 1 {
-			t.Fatalf("publisher %d not flushed (v%d)", i, p.Map().Version)
+		if p.Version() != 1 {
+			t.Fatalf("publisher %d not flushed (v%d)", i, p.Version())
 		}
 	}
 }

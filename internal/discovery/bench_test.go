@@ -9,24 +9,25 @@ import (
 	"shardmanager/internal/sim"
 )
 
-// BenchmarkPublishFanout measures publishing a 1,000-shard map to 100
+// BenchmarkPublishFanout measures publishing a 1,000-shard snapshot to 100
 // subscribers, including delivery.
 func BenchmarkPublishFanout(b *testing.B) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Millisecond))
 	delivered := 0
 	for i := 0; i < 100; i++ {
-		svc.Subscribe("app", func(*shard.Map) { delivered++ })
+		svc.Subscribe("app", func(View) { delivered++ })
 	}
 	m := shard.NewMap("app")
 	for i := 0; i < 1000; i++ {
 		id := shard.ID(fmt.Sprintf("s%04d", i))
 		m.Entries[id] = []shard.Assignment{{Server: "srv", Role: shard.RolePrimary}}
 	}
+	d := snap(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Version = int64(i + 1)
-		svc.Publish(m)
+		d.ToVersion = int64(i + 1)
+		svc.Publish(d)
 		loop.RunFor(10 * time.Millisecond)
 	}
 	if delivered == 0 {
@@ -45,58 +46,18 @@ func benchMap(n int) *shard.Map {
 	return m
 }
 
-// publishSizes are the map sizes the full-vs-delta comparison runs at; the
-// 1M point is the simscale baseline where a full-copy publish costs ~1.1 s.
-var publishSizes = []int{10_000, 120_000, 1_000_000}
-
-// BenchmarkPublishFullScratch measures the pre-delta steady state: a full
-// republish through PublishScratch, whose cost is the O(shards) CloneInto
-// copy even when nothing changed but churn touched a handful of entries.
-func BenchmarkPublishFullScratch(b *testing.B) {
-	for _, n := range publishSizes {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			loop := sim.NewLoop(1)
-			svc := NewService(loop, FixedDelay(time.Millisecond))
-			delivered := 0
-			svc.Subscribe("app", func(*shard.Map) { delivered++ })
-			m := benchMap(n)
-			svc.Publish(m)
-			loop.RunFor(10 * time.Millisecond)
-			scratch := shard.NewMap("app")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Version++
-				m.Entries["s0000000"] = []shard.Assignment{
-					{Server: shard.ServerID(fmt.Sprintf("srv%05d", i%512)), Role: shard.RolePrimary}}
-				scratch = svc.PublishScratch(m, scratch)
-				loop.RunFor(10 * time.Millisecond)
-			}
-			b.StopTimer()
-			if delivered == 0 {
-				b.Fatal("nothing delivered")
-			}
-		})
-	}
-}
-
-// BenchmarkPublishDelta measures the same single-entry churn published as a
-// delta: cost is O(changed entries) regardless of map size, which is the
-// entire point of the delta path (ROADMAP item 2).
+// BenchmarkPublishDelta measures single-entry churn published and delivered:
+// cost is O(changed entries) regardless of map size (the 1M point is where a
+// whole-map copy per publish used to cost ~1.1 s).
 func BenchmarkPublishDelta(b *testing.B) {
-	for _, n := range publishSizes {
+	for _, n := range []int{10_000, 120_000, 1_000_000} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			loop := sim.NewLoop(1)
 			svc := NewService(loop, FixedDelay(time.Millisecond))
-			f := &deltaFollower{}
-			f.m = shard.NewMap("app")
-			svc.SubscribeDelta("app", f.onFull, func(d *shard.Delta) {
-				if err := f.m.ApplyDelta(d); err != nil {
-					b.Fatal(err)
-				}
-				f.deltas++
-			})
+			f := &follower{}
+			svc.Subscribe("app", f.on)
 			m := benchMap(n)
-			svc.Publish(m)
+			svc.Publish(snap(m))
 			loop.RunFor(10 * time.Millisecond)
 			d := shard.NewDelta("app")
 			version := m.Version
@@ -105,57 +66,47 @@ func BenchmarkPublishDelta(b *testing.B) {
 				d.Reset("app", version, version+1, 0)
 				d.SetOne("s0000000", shard.ServerID(fmt.Sprintf("srv%05d", i%512)), shard.RolePrimary)
 				version++
-				d = svc.PublishDelta(d)
+				svc.Publish(d)
 				loop.RunFor(10 * time.Millisecond)
-				if d == nil {
-					d = shard.NewDelta("app")
-				}
 			}
 			b.StopTimer()
-			if f.deltas == 0 {
+			if f.delivered < 2 {
 				b.Fatal("no deltas delivered")
 			}
 		})
 	}
 }
 
-// TestPublishDeltaSteadyStateAllocs pins the pooled steady state: once the
-// delta ping-pong and delivery records have warmed up, a publish-and-deliver
-// delta cycle allocates nothing.
+// TestPublishDeltaSteadyStateAllocs pins what a publish costs once the staging
+// delta and delivery records have warmed up: a publish-and-deliver cycle
+// allocates the revision it stores — the one changed entry's assignment list
+// and, now and then, room in that shard's revision list — and nothing that
+// grows with the 1,000-shard map.
 func TestPublishDeltaSteadyStateAllocs(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Millisecond))
-	follower := shard.NewMap("app")
-	svc.SubscribeDelta("app",
-		func(m *shard.Map) { follower = m.CloneInto(follower) },
-		func(d *shard.Delta) {
-			if err := follower.ApplyDelta(d); err != nil {
-				t.Fatal(err)
-			}
-		})
+	f := &follower{}
+	svc.Subscribe("app", f.on)
 	m := benchMap(1000)
-	svc.Publish(m)
+	svc.Publish(snap(m))
 	loop.RunFor(10 * time.Millisecond)
 	version := m.Version
 	d := shard.NewDelta("app")
-	// Warm up the ping-pong pair and the delivery freelist.
-	for i := 0; i < 3; i++ {
+	publish := func(server shard.ServerID) {
 		d.Reset("app", version, version+1, 0)
-		d.SetOne("s0000100", "srvX", shard.RolePrimary)
+		d.SetOne("s0000100", server, shard.RolePrimary)
 		version++
-		if next := svc.PublishDelta(d); next != nil {
-			d = next
-		}
+		svc.Publish(d)
 		loop.RunFor(10 * time.Millisecond)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		d.Reset("app", version, version+1, 0)
-		d.SetOne("s0000100", "srvY", shard.RolePrimary)
-		version++
-		d = svc.PublishDelta(d)
-		loop.RunFor(10 * time.Millisecond)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state delta publish allocates %.1f/run, want 0", allocs)
+	for i := 0; i < 3; i++ { // warm up the staging delta and the delivery freelist
+		publish("srvX")
+	}
+	allocs := testing.AllocsPerRun(100, func() { publish("srvY") })
+	if allocs > 2 {
+		t.Fatalf("steady-state delta publish allocates %.1f/run, want at most 2", allocs)
+	}
+	if f.v.Version != version || f.v.Replicas("s0000100")[0].Server != "srvY" {
+		t.Fatalf("follower at v%d, want v%d", f.v.Version, version)
 	}
 }

@@ -8,27 +8,20 @@ import (
 	"shardmanager/internal/sim"
 )
 
-// deltaFollower is a test subscriber that maintains its own map the way a
-// routing client in delta mode does: full snapshots clone, deltas apply in
-// place.
-type deltaFollower struct {
-	m       *shard.Map
-	fulls   int
-	deltas  int
-	applyNG *testing.T
+// follower is a test subscriber that routes the way a client does: it keeps
+// the delivered View and reads it in place.
+type follower struct {
+	v         View
+	delivered int
 }
 
-func (f *deltaFollower) onFull(m *shard.Map) {
-	f.m = m.CloneInto(f.m)
-	f.fulls++
+func (f *follower) on(v View) {
+	f.v = v
+	f.delivered++
 }
 
-func (f *deltaFollower) onDelta(d *shard.Delta) {
-	if err := f.m.ApplyDelta(d); err != nil {
-		f.applyNG.Fatalf("follower ApplyDelta: %v", err)
-	}
-	f.deltas++
-}
+// primary returns the server s1's only replica is on in the follower's view.
+func (f *follower) primary() shard.ServerID { return f.v.Replicas("s1")[0].Server }
 
 func stageDelta(d *shard.Delta, from, to, gen int64, server shard.ServerID) *shard.Delta {
 	if d == nil {
@@ -42,169 +35,160 @@ func stageDelta(d *shard.Delta, from, to, gen int64, server shard.ServerID) *sha
 func TestPublishDeltaInOrderChaining(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
-	f := &deltaFollower{applyNG: t}
-	svc.SubscribeDelta("app", f.onFull, f.onDelta)
-	svc.Publish(mapV(1))
+	f := &follower{}
+	svc.Subscribe("app", f.on)
+	svc.Publish(snap(mapV(1)))
 	loop.RunFor(2 * time.Second)
-	if f.fulls != 1 || f.m.Version != 1 {
-		t.Fatalf("catch-up: fulls=%d v=%d", f.fulls, f.m.Version)
+	if f.delivered != 1 || f.v.Version != 1 || f.primary() != "srv" {
+		t.Fatalf("catch-up: delivered=%d v=%d", f.delivered, f.v.Version)
 	}
 
-	var scratch *shard.Delta
+	// One staging buffer, restaged for every publish: Publish copies out of it.
+	d := shard.NewDelta("app")
+	servers := []shard.ServerID{"a", "b", "c", "srv2"}
 	for v := int64(1); v < 5; v++ {
-		scratch = svc.PublishDelta(stageDelta(scratch, v, v+1, 0, shard.ServerID("srv2")))
+		svc.Publish(stageDelta(d, v, v+1, 0, servers[v-1]))
 		loop.RunFor(2 * time.Second)
+		if f.v.Version != v+1 || f.primary() != servers[v-1] {
+			t.Fatalf("after %d->%d: follower at v%d on %s", v, v+1, f.v.Version, f.primary())
+		}
 	}
-	if f.deltas != 4 || f.fulls != 1 {
-		t.Fatalf("deltas=%d fulls=%d, want 4/1", f.deltas, f.fulls)
+	if f.delivered != 5 {
+		t.Fatalf("delivered=%d, want 5", f.delivered)
 	}
-	if f.m.Version != 5 {
-		t.Fatalf("follower at v%d, want 5", f.m.Version)
-	}
-	if cur := svc.Current("app"); cur.Version != 5 ||
-		cur.Entries["s1"][0].Server != "srv2" {
-		t.Fatalf("service current: %+v", cur)
-	}
-	// The first PublishDelta had no prior delta to recycle; later ones hand
-	// back the previously retained buffer.
-	if scratch == nil {
-		t.Fatal("no recycled delta buffer returned")
+	if cur := svc.Latest("app"); cur.Version != 5 || cur.Replicas("s1")[0].Server != "srv2" {
+		t.Fatalf("service latest: %+v", cur)
 	}
 }
 
+// TestPublishDeltaGapTriggersResync: a publisher whose delta no longer chains
+// onto the service's latest version (it was made against a base the service
+// never saw) is dropped; the publisher notices Latest is not where it left it
+// and resyncs with a snapshot. A subscriber that the dropped and overtaken
+// versions never reached jumps straight to the snapshot's version.
 func TestPublishDeltaGapTriggersResync(t *testing.T) {
 	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Second))
-	svc.Publish(mapV(1))
-	loop.RunFor(2 * time.Second)
-
-	f := &deltaFollower{applyNG: t}
+	// The 1->2 delivery is slow, everything else fast: v2 is overtaken.
+	delays := []time.Duration{time.Second, 5 * time.Second, time.Second}
+	i := 0
+	svc := NewService(loop, func(*sim.RNG) time.Duration {
+		d := delays[i%len(delays)]
+		i++
+		return d
+	})
+	f := &follower{}
 	var statuses []string
-	svc.AddObserver(func(app shard.AppID, version int64, lag time.Duration, status string) {
+	svc.AddObserver(func(_ shard.AppID, version int64, _ time.Duration, status string) {
 		statuses = append(statuses, status)
 	})
-	svc.SubscribeDelta("app", f.onFull, f.onDelta)
-	loop.RunFor(2 * time.Second) // catch-up at v1
-
-	// Two deltas published back-to-back: the follower receives 1→2 in order,
-	// but a delta jumping straight past its version forces a full resync.
-	d1 := stageDelta(nil, 1, 2, 0, shard.ServerID("a"))
-	svc.PublishDelta(d1)
+	svc.Subscribe("app", f.on)
+	svc.Publish(snap(mapV(1)))
 	loop.RunFor(2 * time.Second)
-	d3 := stageDelta(nil, 3, 4, 0, shard.ServerID("b"))
-	d3.ToVersion = 4
-	// Force the service itself past v3 so the delta chains there but not at
-	// the follower: publish v3 as a full map with no propagation to f by
-	// cancelling... simpler: publish full v3, let it deliver, then make the
-	// follower stale by hand.
-	m3 := mapV(3)
-	m3.Entries["s1"] = []shard.Assignment{{Server: shard.ServerID("c"), Role: shard.RolePrimary}}
-	svc.Publish(m3)
-	loop.RunFor(2 * time.Second)
-	// Follower is now at v3 via the full path. Rewind it to simulate a missed
-	// version, then publish the 3→4 delta: lastSeen(2) != FromVersion(3).
-	f.m.Version = 2
-	subRewind(svc, "app", 2)
-	svc.PublishDelta(d3)
-	loop.RunFor(2 * time.Second)
+	svc.Publish(stageDelta(nil, 1, 2, 0, "a"))
 
-	if f.m.Version != 4 {
-		t.Fatalf("follower at v%d after resync, want 4", f.m.Version)
+	// The publisher believes the service is at v3; the service is at v2.
+	svc.Publish(stageDelta(nil, 3, 4, 0, "b"))
+	if got := svc.Latest("app"); got.Version != 2 || svc.Publications != 2 {
+		t.Fatalf("gap delta applied: latest v%d, %d publications", got.Version, svc.Publications)
 	}
-	last := statuses[len(statuses)-1]
-	if last != "resync" {
-		t.Fatalf("last delivery status %q, want resync (all: %v)", last, statuses)
-	}
-	if f.m.Entries["s1"][0].Server != "b" {
-		t.Fatalf("resync content: %+v", f.m.Entries["s1"])
-	}
-}
+	// Resync: the publisher's whole map at v4, which also drops nothing the
+	// snapshot lists and removes what it does not.
+	m4 := mapV(4)
+	m4.Entries["s1"][0].Server = "b"
+	m4.Entries["s2"] = []shard.Assignment{{Server: "c", Role: shard.RolePrimary}}
+	svc.Publish(snap(m4))
+	loop.RunFor(10 * time.Second)
 
-// subRewind forces app's subscribers' lastSeen to v, simulating a missed
-// delivery window.
-func subRewind(s *Service, app shard.AppID, v int64) {
-	for _, sub := range s.state(app).subs {
-		sub.lastSeen = v
+	if f.v.Version != 4 || f.primary() != "b" || len(f.v.Replicas("s2")) != 1 {
+		t.Fatalf("follower after resync: v%d s1=%v s2=%v", f.v.Version, f.v.Replicas("s1"), f.v.Replicas("s2"))
+	}
+	// v1 delivered, v4 delivered (jumping over v2), then the slow v2 stale.
+	want := []string{"delivered", "delivered", "stale"}
+	if len(statuses) != len(want) {
+		t.Fatalf("statuses = %v, want %v", statuses, want)
+	}
+	for i := range want {
+		if statuses[i] != want[i] {
+			t.Fatalf("statuses = %v, want %v", statuses, want)
+		}
 	}
 }
 
 func TestPublishDeltaStaleAndGapDrops(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
-	svc.Publish(mapV(5))
+
+	// Gap: a delta onto a map the service never had.
+	svc.Publish(stageDelta(nil, 4, 5, 0, "x"))
+	if svc.Latest("app") != (View{}) || svc.Publications != 0 {
+		t.Fatal("delta onto nothing accepted")
+	}
+	svc.Publish(snap(mapV(5)))
 
 	// Stale: target version behind current.
-	d := stageDelta(nil, 4, 5, 0, shard.ServerID("x"))
-	if got := svc.PublishDelta(d); got != d {
-		t.Fatal("stale delta not returned to caller")
-	}
-	// Gap: FromVersion doesn't match the current map.
-	d.Reset("app", 6, 7, 0)
-	d.SetOne("s1", shard.ServerID("x"), shard.RolePrimary)
-	if got := svc.PublishDelta(d); got != d {
-		t.Fatal("gap delta not returned to caller")
-	}
-	if svc.Current("app").Version != 5 || svc.Publications != 1 {
-		t.Fatalf("dropped deltas mutated state: v%d pubs=%d",
-			svc.Current("app").Version, svc.Publications)
+	svc.Publish(stageDelta(nil, 4, 5, 0, "x"))
+	// Gap: FromVersion doesn't match the latest version.
+	svc.Publish(stageDelta(nil, 6, 7, 0, "x"))
+	if cur := svc.Latest("app"); cur.Version != 5 || svc.Publications != 1 || cur.Replicas("s1")[0].Server != "srv" {
+		t.Fatalf("dropped deltas changed the store: v%d pubs=%d", cur.Version, svc.Publications)
 	}
 
 	// Generation ordering: a delta with an older gen is stale even with a
 	// newer version.
-	m := mapV(5)
-	m.Gen = 10
-	svc.Publish(mapV(6)) // bump version first so the gen-stamped map lands
-	mg := mapV(7)
-	mg.Gen = 10
-	svc.Publish(mg)
-	d.Reset("app", 7, 8, 9) // gen 9 < current gen 10
-	if got := svc.PublishDelta(d); got != d {
-		t.Fatal("gen-stale delta accepted")
+	svc.Publish(stageDelta(nil, 5, 6, 10, "y"))
+	svc.Publish(stageDelta(nil, 6, 7, 9, "z")) // gen 9 < latest gen 10
+	if cur := svc.Latest("app"); cur.Version != 6 || cur.Gen != 10 || cur.Replicas("s1")[0].Server != "y" {
+		t.Fatalf("gen-stale delta accepted: v%d g%d", cur.Version, cur.Gen)
 	}
 }
 
+// TestPublishDeltaLegacySubscriberGetsFullMaps: a subscriber that treats every
+// delivery as a whole map — materialising it, as subscribers had to before
+// views — gets the complete map after a delta publish, the entries the delta
+// did not touch included.
 func TestPublishDeltaLegacySubscriberGetsFullMaps(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
-	var got []int64
-	svc.Subscribe("app", func(m *shard.Map) { got = append(got, m.Version) })
-	svc.Publish(mapV(1))
+	var got []*shard.Map
+	svc.Subscribe("app", func(v View) { got = append(got, v.Map()) })
+	m := mapV(1)
+	m.Entries["s2"] = []shard.Assignment{{Server: "other", Role: shard.RolePrimary}}
+	svc.Publish(snap(m))
 	loop.RunFor(2 * time.Second)
-	svc.PublishDelta(stageDelta(nil, 1, 2, 0, shard.ServerID("y")))
+	svc.Publish(stageDelta(nil, 1, 2, 0, "y"))
 	loop.RunFor(2 * time.Second)
-	if len(got) != 2 || got[1] != 2 {
-		t.Fatalf("legacy subscriber deliveries = %v, want [1 2]", got)
+	if len(got) != 2 || got[1].Version != 2 {
+		t.Fatalf("deliveries = %v, want versions [1 2]", got)
+	}
+	if len(got[1].Entries) != 2 || got[1].Entries["s1"][0].Server != "y" || got[1].Entries["s2"][0].Server != "other" {
+		t.Fatalf("map after the delta: %+v", got[1].Entries)
+	}
+	if got[0].Entries["s1"][0].Server != "srv" {
+		t.Fatalf("the earlier materialised map changed: %+v", got[0].Entries)
 	}
 }
 
 // TestPublishDeltaRNGParityWithFull pins the schedule-identity contract: a
-// run where the publisher uses deltas consumes exactly the same delay draws
-// as one using full maps, so every delivery lands at the same instant.
+// run where the publisher sends incremental deltas consumes exactly the same
+// delay draws as one that resends the whole map as a snapshot every time, so
+// every delivery lands at the same instant.
 func TestPublishDeltaRNGParityWithFull(t *testing.T) {
 	run := func(useDelta bool) []time.Duration {
 		loop := sim.NewLoop(42)
 		svc := NewService(loop, nil) // DefaultDelay: real RNG draws
 		var at []time.Duration
-		for i := 0; i < 5; i++ {
-			svc.Subscribe("app", func(*shard.Map) { at = append(at, loop.Now()) })
+		for i := 0; i < 6; i++ {
+			svc.Subscribe("app", func(View) { at = append(at, loop.Now()) })
 		}
-		f := &deltaFollower{applyNG: t}
-		svc.SubscribeDelta("app", func(m *shard.Map) {
-			f.onFull(m)
-			at = append(at, loop.Now())
-		}, func(d *shard.Delta) {
-			f.onDelta(d)
-			at = append(at, loop.Now())
-		})
-		svc.Publish(mapV(1))
+		svc.Publish(snap(mapV(1)))
 		loop.RunFor(5 * time.Second)
 		for v := int64(1); v <= 3; v++ {
 			if useDelta {
-				svc.PublishDelta(stageDelta(nil, v, v+1, 0, shard.ServerID("z")))
+				svc.Publish(stageDelta(nil, v, v+1, 0, "z"))
 			} else {
 				m := mapV(v + 1)
-				m.Entries["s1"] = []shard.Assignment{{Server: shard.ServerID("z"), Role: shard.RolePrimary}}
-				svc.Publish(m)
+				m.Entries["s1"][0].Server = "z"
+				svc.Publish(snap(m))
 			}
 			loop.RunFor(5 * time.Second)
 		}
@@ -216,7 +200,7 @@ func TestPublishDeltaRNGParityWithFull(t *testing.T) {
 	}
 	for i := range full {
 		if full[i] != delta[i] {
-			t.Fatalf("delivery %d at %v (full) vs %v (delta)", i, full[i], delta[i])
+			t.Fatalf("delivery %d at %v (snapshots) vs %v (deltas)", i, full[i], delta[i])
 		}
 	}
 }
@@ -226,49 +210,75 @@ func TestPublishDeltaBatchFanout(t *testing.T) {
 	svc := NewService(loop, FixedDelay(time.Second))
 	svc.SetFanoutBatch(4)
 	const subs = 10
-	fs := make([]*deltaFollower, subs)
+	fs := make([]*follower, subs)
 	for i := range fs {
-		fs[i] = &deltaFollower{applyNG: t}
-		svc.SubscribeDelta("app", fs[i].onFull, fs[i].onDelta)
+		fs[i] = &follower{}
+		svc.Subscribe("app", fs[i].on)
 	}
-	svc.Publish(mapV(1))
+	svc.Publish(snap(mapV(1)))
 	loop.RunFor(2 * time.Second)
-	var scratch *shard.Delta
+	d := shard.NewDelta("app")
 	for v := int64(1); v <= 4; v++ {
-		scratch = svc.PublishDelta(stageDelta(scratch, v, v+1, 0, shard.ServerID("b")))
+		svc.Publish(stageDelta(d, v, v+1, 0, "b"))
 		loop.RunFor(2 * time.Second)
 	}
 	for i, f := range fs {
-		if f.m.Version != 5 || f.deltas != 4 {
-			t.Fatalf("sub %d: v%d deltas=%d, want v5/4", i, f.m.Version, f.deltas)
+		if f.v.Version != 5 || f.delivered != 5 || f.primary() != "b" {
+			t.Fatalf("sub %d: v%d delivered=%d, want v5/5", i, f.v.Version, f.delivered)
 		}
 	}
 }
 
-func TestCurrentMetaAndCurrentInto(t *testing.T) {
+func TestLatestViewAndMap(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
-	if _, _, ok := svc.CurrentMeta("app"); ok {
-		t.Fatal("CurrentMeta ok before publish")
-	}
-	if svc.CurrentInto("app", nil) != nil {
-		t.Fatal("CurrentInto non-nil before publish")
+	if v := svc.Latest("app"); v != (View{}) || v.Map() != nil {
+		t.Fatalf("Latest before publish = %+v", v)
 	}
 	m := mapV(3)
 	m.Gen = 11
-	svc.Publish(m)
-	v, g, ok := svc.CurrentMeta("app")
-	if !ok || v != 3 || g != 11 {
-		t.Fatalf("CurrentMeta = (%d,%d,%v)", v, g, ok)
+	svc.Publish(snap(m))
+	v := svc.Latest("app")
+	if v.Version != 3 || v.Gen != 11 {
+		t.Fatalf("Latest = v%d g%d", v.Version, v.Gen)
 	}
-	dst := shard.NewMap("app")
-	got := svc.CurrentInto("app", dst)
-	if got != dst || got.Version != 3 || len(got.Entries) != 1 {
-		t.Fatalf("CurrentInto: %+v", got)
+	got := v.Map()
+	if got.App != "app" || got.Version != 3 || got.Gen != 11 || len(got.Entries) != 1 {
+		t.Fatalf("Map: %+v", got)
 	}
-	// Reusing dst must not alias service state.
+	// The materialised map is the caller's: changing it must not reach the store.
 	got.Entries["s1"][0].Server = "mutated"
-	if svc.Current("app").Entries["s1"][0].Server == "mutated" {
-		t.Fatal("CurrentInto aliased the service's map")
+	if svc.Latest("app").Replicas("s1")[0].Server == "mutated" {
+		t.Fatal("Map aliased the store's revisions")
 	}
+}
+
+// TestReclaimedViewPanics: a view kept past the last subscription at or below
+// it is reclaimed, and reading it panics instead of answering from a newer
+// revision; a view a live subscription still holds stays readable.
+func TestReclaimedViewPanics(t *testing.T) {
+	loop := sim.NewLoop(1)
+	svc := NewService(loop, FixedDelay(time.Second))
+	f := &follower{}
+	sub := svc.Subscribe("app", f.on)
+	svc.Publish(snap(mapV(1)))
+	loop.RunFor(2 * time.Second)
+	held := f.v // v1, pinned by sub's cursor
+	d := shard.NewDelta("app")
+	for v := int64(1); v <= 8; v++ {
+		svc.Publish(stageDelta(d, v, v+1, 0, "later"))
+	}
+	if held.Replicas("s1")[0].Server != "srv" {
+		t.Fatal("a view its subscription still holds was reclaimed")
+	}
+	sub.Cancel()
+	for v := int64(9); v <= 16; v++ {
+		svc.Publish(stageDelta(d, v, v+1, 0, "later"))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reading a reclaimed view did not panic")
+		}
+	}()
+	held.Replicas("s1")
 }

@@ -9,6 +9,7 @@
 package discovery
 
 import (
+	"fmt"
 	"time"
 
 	"shardmanager/internal/shard"
@@ -41,25 +42,113 @@ func UniformDelay(lo, hi time.Duration) DelayFunc {
 // learn a new map within a second or two.
 func DefaultDelay() DelayFunc { return UniformDelay(500*time.Millisecond, 2*time.Second) }
 
+// revision is one shard's assignment list from store sequence since on, until
+// the shard's next revision; a nil list means the shard has no entry. A
+// published revision is never modified, so a slice read through a View stays
+// what it was.
+type revision struct {
+	since int64
+	as    []shard.Assignment
+}
+
+// View is a by-value cursor on one version of an app's shard map: Version
+// and Gen name it, Replicas reads it in place and Map materialises it.
+// Nothing is copied to make one. A View stays readable while a live
+// subscription of its app is at or below it — the subscription it was
+// delivered to, or, for one taken with Latest, any subscription that has not
+// yet been delivered something newer; reading one the store has reclaimed
+// panics. The zero View is "nothing published": it has no replicas and a nil
+// Map.
+type View struct {
+	Version int64
+	Gen     int64
+
+	st  *appState
+	seq int64 // position in the app's publish sequence; revisions are keyed by it
+}
+
+// After reports whether v supersedes u: by fencing generation when both carry
+// one (the total order shared with sessions and grants), by version
+// otherwise. Every view supersedes the zero View, which supersedes nothing.
+func (v View) After(u View) bool {
+	if v.st == nil {
+		return false
+	}
+	if u.st == nil {
+		return true
+	}
+	if v.Gen > 0 && u.Gen > 0 {
+		return v.Gen > u.Gen
+	}
+	return v.Version > u.Version
+}
+
+// at returns the assignments revs holds for sequence seq: the newest
+// revision made at or before it.
+func at(revs []revision, seq int64) []shard.Assignment {
+	for i := len(revs) - 1; i >= 0; i-- {
+		if revs[i].since <= seq {
+			return revs[i].as
+		}
+	}
+	return nil
+}
+
+// readable panics when v lies below the reclaimed floor: the revisions it
+// would read may be gone, and the next newer ones are not what it saw.
+func (v View) readable() {
+	if v.seq < v.st.floor {
+		panic(fmt.Sprintf("discovery: view v%d of %s read after its revisions were reclaimed (no live subscription at or below it)",
+			v.Version, v.st.app))
+	}
+}
+
+// Replicas returns the shard's assignments in this version (nil if it has
+// none). The slice is the store's own: read it, do not modify it.
+func (v View) Replicas(id shard.ID) []shard.Assignment {
+	if v.st == nil {
+		return nil
+	}
+	v.readable()
+	return at(v.st.revs[id], v.seq)
+}
+
+// Map materialises this version as a caller-owned shard.Map — O(shards), for
+// control-plane reads and tests, not for the delivery path.
+func (v View) Map() *shard.Map {
+	if v.st == nil {
+		return nil
+	}
+	v.readable()
+	m := &shard.Map{App: v.st.app, Version: v.Version, Gen: v.Gen,
+		Entries: make(map[shard.ID][]shard.Assignment, v.st.live)}
+	for id, revs := range v.st.revs {
+		if as := at(revs, v.seq); as != nil {
+			m.Entries[id] = append([]shard.Assignment(nil), as...)
+		}
+	}
+	return m
+}
+
 // Subscription is one client's registration for an app's shard maps.
 type Subscription struct {
-	app shard.AppID
-	id  int // per-app subscriber index, for trace labels
-	fn  func(*shard.Map)
-	// deltaFn, when non-nil, receives in-order incremental updates instead
-	// of full snapshots (SubscribeDelta). fn still handles full snapshots:
-	// the initial catch-up and any resync after a missed version.
-	deltaFn func(*shard.Delta)
+	id int // per-app subscriber index, for trace labels
+	fn func(View)
 	// rng drives this subscriber's propagation delays. Each subscriber owns
 	// a stream forked at Subscribe time: were delays drawn from one shared
 	// service RNG, adding or removing any subscriber would shift every other
 	// subscriber's delay sequence.
-	rng       *sim.RNG
-	lastSeen  int64
+	rng *sim.RNG
+	// cursor is the last view delivered. Until the first delivery it is the
+	// zero View, which holds every revision: the pending start-up catch-up —
+	// or, in a batch, an older publication still in flight to the batch the
+	// subscriber joined — may hand over any version.
+	cursor    View
 	cancelled bool
 }
 
-// Cancel stops future deliveries.
+// Cancel stops future deliveries and releases the subscription's hold on old
+// revisions.
 func (s *Subscription) Cancel() { s.cancelled = true }
 
 // subBatch groups consecutive subscribers that share one delivery event per
@@ -70,15 +159,90 @@ type subBatch struct {
 	subs []*Subscription
 }
 
+// appState is one app's versioned store: per shard, the revisions some
+// readable view can still see, oldest first, the last one being the shard's
+// state in the latest version.
 type appState struct {
-	current *shard.Map
-	pubAt   time.Duration // simulated time current was published
+	app  shard.AppID
+	revs map[shard.ID][]revision
+
+	seq     int64 // accepted publishes so far; 0 means nothing published
+	version int64 // of the latest publish
+	gen     int64
+	pubAt   time.Duration // simulated time the latest version was published
+
+	live   int   // shards with an entry in the latest version
+	stored int   // revisions held in revs
+	kept   int   // revisions beyond one per live shard that the last sweep had to keep
+	floor  int64 // views below this sequence have been reclaimed
+
 	subs    []*Subscription
 	batches []*subBatch // populated only when fanoutBatch > 1
-	// inflight is the delta delivered by the most recent PublishDelta,
-	// retained until the next publish so in-flight deliveries can read it;
-	// it is then handed back to the publisher as a recycled buffer.
-	inflight *shard.Delta
+}
+
+func (st *appState) latest() View {
+	return View{Version: st.version, Gen: st.gen, st: st, seq: st.seq}
+}
+
+// put records shard id's assignments (nil: no entry) as of the publish being
+// applied.
+func (st *appState) put(id shard.ID, as []shard.Assignment) {
+	revs := st.revs[id]
+	n := len(revs)
+	had := n > 0 && revs[n-1].as != nil
+	if as == nil && !had {
+		return
+	}
+	if n > 0 && revs[n-1].since == st.seq {
+		revs[n-1].as = as // staged twice in one delta: the last one wins
+	} else {
+		st.revs[id] = append(revs, revision{since: st.seq, as: as})
+		st.stored++
+	}
+	if had && as == nil {
+		st.live--
+	} else if !had && as != nil {
+		st.live++
+	}
+}
+
+// sweep reclaims every revision no readable view can see. The floor follows
+// the slowest live cursor: a subscriber may be handed any version above its
+// cursor, and may have kept the one at it, so per shard the newest revision
+// at or below the floor and everything after it stay. A subscriber that has
+// been delivered nothing yet holds the floor where it stands.
+func (st *appState) sweep() {
+	floor := st.seq
+	for _, sub := range st.subs {
+		if !sub.cancelled && sub.cursor.seq < floor {
+			floor = sub.cursor.seq
+		}
+	}
+	if floor < st.floor {
+		floor = st.floor
+	}
+	st.floor = floor
+	for id, revs := range st.revs {
+		k := 0
+		for k+1 < len(revs) && revs[k+1].since <= floor {
+			k++
+		}
+		if len(revs)-k == 1 && revs[k].as == nil {
+			k++ // a removal every readable view has seen
+		}
+		if k == 0 {
+			continue
+		}
+		st.stored -= k
+		if k == len(revs) {
+			delete(st.revs, id)
+			continue
+		}
+		n := copy(revs, revs[k:])
+		clear(revs[n:])
+		st.revs[id] = revs[:n]
+	}
+	st.kept = st.stored - st.live
 }
 
 // Service is the discovery system. One instance serves all applications.
@@ -99,14 +263,13 @@ type Service struct {
 	// loop's arg slot, keeping fan-out allocation-free.
 	freeDeliveries *delivery
 
-	// Publications counts Publish calls, for tests and smctl.
+	// Publications counts accepted Publish calls, for tests and smctl.
 	Publications int64
 
 	// observers see every delivery outcome. Unlike Subscribe they consume
 	// no RNG draws, so attaching one (healthmon and the auditor do) cannot
 	// perturb a seeded run. lag is publish-to-delivery staleness; status is
-	// "delivered", "stale", "cancelled", or — delta mode only — "resync" (a
-	// subscriber that could not chain onto a delta received a full snapshot).
+	// "delivered", "stale" or "cancelled".
 	observers []func(app shard.AppID, version int64, lag time.Duration, status string)
 }
 
@@ -153,180 +316,104 @@ func (s *Service) SetFanoutBatch(n int) {
 func (s *Service) state(app shard.AppID) *appState {
 	st, ok := s.apps[app]
 	if !ok {
-		st = &appState{}
+		st = &appState{app: app, revs: make(map[shard.ID][]revision)}
 		s.apps[app] = st
 	}
 	return st
 }
 
-// Publish stores the map as the app's current version and schedules delivery
-// to every subscriber after an independent propagation delay. Maps are
-// applied in generation order when stamped (Gen > 0) — a publish whose
-// fencing generation is behind the current map's is stale (e.g. reordered in
-// flight from a superseded control-plane incarnation) and dropped, counted in
-// discovery_stale_publishes_total; unstamped maps fall back to version order.
-// The map is cloned; the caller may keep mutating its copy.
-func (s *Service) Publish(m *shard.Map) {
-	s.publish(m, nil)
-}
-
-// PublishScratch is Publish for callers that recycle map storage: the
-// snapshot is cloned into scratch (reusing its entry map and assignment
-// slices) instead of deep-allocating, and the app's previous current map is
-// returned to serve as the caller's next scratch buffer. It is only safe
-// when no subscriber retains a delivered map beyond its callback and every
-// delivery of the previous map has completed (propagation delay shorter
-// than the publish interval); otherwise retained maps would be mutated in
-// place. Returns scratch unchanged when the publish is dropped as stale.
-func (s *Service) PublishScratch(m, scratch *shard.Map) *shard.Map {
-	return s.publish(m, scratch)
-}
-
-func (s *Service) publish(m, scratch *shard.Map) *shard.Map {
-	if m == nil {
+// Publish applies d to the app's store as its next version — O(entries in d),
+// whatever the map's size — and schedules delivery of that version to every
+// subscriber after an independent propagation delay. A delta with
+// FromVersion 0 is a snapshot: the shards it does not list are removed. d is
+// copied from; the caller may restage it at once.
+//
+// Versions are applied in generation order when stamped (Gen > 0) and in
+// version order otherwise. A delta that is behind the latest version (e.g.
+// reordered in flight from a superseded control-plane incarnation), or that
+// was made against a version other than the latest and is not a snapshot, is
+// dropped and counted in discovery_stale_publishes_total; its publisher finds
+// Latest is not where it left it and resends a snapshot.
+func (s *Service) Publish(d *shard.Delta) {
+	if d == nil {
 		panic("discovery: Publish(nil)")
 	}
-	st := s.state(m.App)
-	if st.current != nil {
-		stale := m.Version <= st.current.Version
-		if m.Gen > 0 && st.current.Gen > 0 {
-			stale = m.Gen <= st.current.Gen
-		}
-		if stale {
-			if mr := s.loop.Metrics(); mr != nil {
-				mr.Counter("discovery_stale_publishes_total", "app", string(m.App)).Inc()
-			}
-			return scratch
-		}
-	}
-	var prev, snap *shard.Map
-	if scratch != nil {
-		prev = st.current
-		snap = m.CloneInto(scratch)
-	} else {
-		snap = m.Clone()
-	}
-	st.current = snap
-	st.pubAt = s.loop.Now()
-	s.Publications++
-	if mr := s.loop.Metrics(); mr != nil {
-		mr.Counter("discovery_publications_total", "app", string(m.App)).Inc()
-		mr.Gauge("discovery_map_version", "app", string(m.App)).Set(float64(snap.Version))
-	}
-	s.fanout(st, snap, nil)
-	return prev
-}
-
-// PublishDelta publishes an incremental update: the delta is applied in
-// place to the app's current map — O(changed entries) instead of the
-// O(shards) copy a full publish pays — and fanned out to subscribers, who
-// chain it onto their own maps (or resync from a full snapshot when they
-// can't; see SubscribeDelta). Delivery delays draw from the same
-// per-subscriber (or per-batch) RNG streams as full publishes, so a run is
-// schedule-identical whichever form the publisher uses.
-//
-// Ordering follows Publish: a delta whose generation (when stamped, Gen > 0)
-// or target version is behind the current map is dropped as stale and
-// counted in discovery_stale_publishes_total; a non-stale delta whose
-// FromVersion does not match the current map (the publisher diffed against a
-// base the service never saw) is dropped and counted in
-// discovery_delta_gap_publishes_total — the publisher must fall back to a
-// full Publish.
-//
-// Buffer recycling mirrors PublishScratch: the service retains d until the
-// app's next publish and then returns it as the caller's next scratch
-// buffer, so the returned delta (nil on the first call, d itself on a drop)
-// must not be read — only Reset and refilled. As with PublishScratch this is
-// safe only while propagation delays are shorter than the publish interval.
-func (s *Service) PublishDelta(d *shard.Delta) *shard.Delta {
-	if d == nil {
-		panic("discovery: PublishDelta(nil)")
-	}
 	st := s.state(d.App)
-	if st.current == nil {
-		panic("discovery: PublishDelta before any full Publish")
-	}
-	stale := d.ToVersion <= st.current.Version
-	if d.Gen > 0 && st.current.Gen > 0 {
-		stale = d.Gen <= st.current.Gen
-	}
-	if stale {
+	snapshot := d.FromVersion == 0
+	behind := st.seq > 0 && !View{Version: d.ToVersion, Gen: d.Gen, st: st}.After(st.latest())
+	if behind || (!snapshot && (st.seq == 0 || d.FromVersion != st.version)) {
 		if mr := s.loop.Metrics(); mr != nil {
 			mr.Counter("discovery_stale_publishes_total", "app", string(d.App)).Inc()
 		}
-		return d
+		return
 	}
-	if st.current.Version != d.FromVersion {
-		if mr := s.loop.Metrics(); mr != nil {
-			mr.Counter("discovery_delta_gap_publishes_total", "app", string(d.App)).Inc()
+	st.seq++
+	st.version, st.pubAt = d.ToVersion, s.loop.Now()
+	if snapshot || d.Gen > 0 {
+		st.gen = d.Gen
+	}
+	for i := range d.Changed {
+		e := &d.Changed[i]
+		st.put(e.Shard, append(make([]shard.Assignment, 0, len(e.Assignments)), e.Assignments...))
+	}
+	for _, id := range d.Removed {
+		st.put(id, nil)
+	}
+	if snapshot {
+		for id, revs := range st.revs {
+			if revs[len(revs)-1].since != st.seq {
+				st.put(id, nil)
+			}
 		}
-		return d
 	}
-	if err := st.current.ApplyDelta(d); err != nil {
-		panic("discovery: " + err.Error())
+	// The kernel's lazy-cancel rule: sweep once the revisions added since the
+	// last sweep outnumber the live entries, so reclamation (one pass over
+	// subscribers and shards) is paid for by the publishes that made the
+	// garbage, not by every publish.
+	if st.stored-st.live-st.kept > st.live {
+		st.sweep()
 	}
-	st.pubAt = s.loop.Now()
 	s.Publications++
 	if mr := s.loop.Metrics(); mr != nil {
 		mr.Counter("discovery_publications_total", "app", string(d.App)).Inc()
-		mr.Counter("discovery_delta_publishes_total", "app", string(d.App)).Inc()
-		mr.Gauge("discovery_map_version", "app", string(d.App)).Set(float64(st.current.Version))
+		mr.Gauge("discovery_map_version", "app", string(d.App)).Set(float64(st.version))
 	}
-	s.fanout(st, nil, d)
-	recycled := st.inflight
-	st.inflight = d
-	return recycled
+	s.fanout(st.latest())
 }
 
 // delivery is the pooled state of one scheduled delivery event, recycled when
-// it fires. The event serves one subscriber (sub) or, when sub is nil, every
-// subscriber of batch. Exactly one of m (full snapshot) and d (incremental
-// delta) is non-nil; st is the owning app's state, consulted at fire time
-// when a delta delivery must fall back to a full resync.
+// it fires. The event hands v to one subscriber (sub) or, when sub is nil, to
+// every subscriber of batch.
 type delivery struct {
 	s     *Service
 	sub   *Subscription
 	batch *subBatch
-	st    *appState
-	m     *shard.Map
-	d     *shard.Delta
+	v     View
 	pubAt time.Duration
 	sp    trace.SpanID
 	next  *delivery
 }
 
-// pubMeta returns the app and version a publication — a full map m or, when m
-// is nil, the delta dlt — brings its receivers to.
-func pubMeta(m *shard.Map, dlt *shard.Delta) (shard.AppID, int64) {
-	if m != nil {
-		return m.App, m.Version
-	}
-	return dlt.App, dlt.ToVersion
-}
-
-// fanout schedules one publication's delivery to every subscriber of st: one
-// event per batch when batching, one per subscriber otherwise.
-func (s *Service) fanout(st *appState, m *shard.Map, dlt *shard.Delta) {
+// fanout schedules one publication's delivery to every subscriber of its app:
+// one event per batch when batching, one per subscriber otherwise.
+func (s *Service) fanout(v View) {
 	if s.fanoutBatch > 1 {
-		for _, b := range st.batches {
-			s.deliver(nil, b, st, m, dlt)
+		for _, b := range v.st.batches {
+			s.deliver(nil, b, v)
 		}
 		return
 	}
-	for _, sub := range st.subs {
-		s.deliver(sub, nil, st, m, dlt)
+	for _, sub := range v.st.subs {
+		s.deliver(sub, nil, v)
 	}
 }
 
-// deliver schedules one delivery event — a full map m, or a delta dlt when m
-// is nil — for sub or, when sub is nil, for the whole batch: one sampled
-// delay, one event, one span. The span stretches from publication to the
-// subscriber callbacks, so map-propagation lag is directly visible, and
-// staleness is measured from st.pubAt (when the version was published) rather
-// than from a later subscribe time. Full and delta deliveries draw their
-// delays from the same per-subscriber (or per-batch) RNG stream, so switching
-// a publisher to deltas does not shift anyone's delay sequence.
-func (s *Service) deliver(sub *Subscription, batch *subBatch, st *appState, m *shard.Map, dlt *shard.Delta) {
+// deliver schedules one delivery event of v for sub or, when sub is nil, for
+// the whole batch: one sampled delay, one event, one span. The span stretches
+// from publication to the subscriber callbacks, so map-propagation lag is
+// directly visible, and staleness is measured from when the version was
+// published rather than from a later subscribe time.
+func (s *Service) deliver(sub *Subscription, batch *subBatch, v View) {
 	var rng *sim.RNG
 	if sub != nil {
 		rng = sub.rng
@@ -336,16 +423,12 @@ func (s *Service) deliver(sub *Subscription, batch *subBatch, st *appState, m *s
 	d := s.delay(rng)
 	var sp trace.SpanID
 	if tr := s.loop.Tracer(); tr.Enabled() {
-		app, version := pubMeta(m, dlt)
-		attrs := append(make([]trace.Attr, 0, 4),
-			trace.String("app", string(app)), trace.Int64("version", version))
+		attrs := append(make([]trace.Attr, 0, 3),
+			trace.String("app", string(v.st.app)), trace.Int64("version", v.Version))
 		if sub != nil {
 			attrs = append(attrs, trace.Int("sub", sub.id))
 		} else {
 			attrs = append(attrs, trace.Int("subs", len(batch.subs)))
-		}
-		if m == nil {
-			attrs = append(attrs, trace.Int("edits", dlt.Len()))
 		}
 		sp = tr.StartSpan("discovery", "propagate", 0, attrs...)
 	}
@@ -356,23 +439,23 @@ func (s *Service) deliver(sub *Subscription, batch *subBatch, st *appState, m *s
 		s.freeDeliveries = dv.next
 		dv.next = nil
 	}
-	dv.sub, dv.batch, dv.st, dv.m, dv.d, dv.pubAt, dv.sp = sub, batch, st, m, dlt, st.pubAt, sp
+	dv.sub, dv.batch, dv.v, dv.pubAt, dv.sp = sub, batch, v, v.st.pubAt, sp
 	s.loop.PostArgL(d, lbDeliver, fire, dv)
 }
 
 // fire runs one delivery event at its propagation instant. The propagate span
-// ends after the subscriber callbacks return, in every mode, so a span a
-// callback starts nests inside it.
+// ends after the subscriber callbacks return, so a span a callback starts
+// nests inside it.
 func fire(a any) {
 	dv := a.(*delivery)
-	s, sub, batch, st, m, dlt, pubAt, sp := dv.s, dv.sub, dv.batch, dv.st, dv.m, dv.d, dv.pubAt, dv.sp
+	s, sub, batch, v, pubAt, sp := dv.s, dv.sub, dv.batch, dv.v, dv.pubAt, dv.sp
 	*dv = delivery{s: s, next: s.freeDeliveries}
 	s.freeDeliveries = dv
 
 	lag := s.loop.Now() - pubAt
 	tr := s.loop.Tracer()
 	if sub != nil {
-		status := s.apply(sub, st, m, dlt, lag)
+		status := s.apply(sub, v, lag)
 		if tr.Enabled() {
 			tr.EndSpan(sp, trace.String("status", status))
 		}
@@ -380,7 +463,7 @@ func fire(a any) {
 	}
 	delivered := 0
 	for _, sub := range batch.subs {
-		if s.apply(sub, st, m, dlt, lag) == "delivered" {
+		if s.apply(sub, v, lag) == "delivered" {
 			delivered++
 		}
 	}
@@ -390,62 +473,50 @@ func fire(a any) {
 	}
 }
 
-// apply hands one publication — a full map m or, when m is nil, the delta dlt
-// — to sub at its delivery instant: classify the outcome, count it, tell the
-// observers, run the subscriber's callback; it returns the outcome status. A
-// cancelled subscriber, or one already at or past the publication's version
-// (overtaken by a newer delivery), receives nothing. A delta applies in order
-// through the delta callback when the subscriber's version chains onto it
-// (lastSeen == FromVersion); a subscriber that missed a version — or that
-// subscribed without a delta callback — resyncs from the app's authoritative
-// current map instead (status "resync").
-func (s *Service) apply(sub *Subscription, st *appState, m *shard.Map, dlt *shard.Delta, lag time.Duration) string {
-	app, version := pubMeta(m, dlt)
-	status, snap := "delivered", m // snap stays nil when dlt applies in order
+// apply hands v to sub at its delivery instant: classify the outcome, count
+// it, tell the observers, move the cursor, run the subscriber's callback; it
+// returns the outcome status. A cancelled subscriber, or one already at or
+// past v's version (overtaken by a newer delivery), receives nothing; neither
+// does one that joined a batch after every older member had passed v and v
+// was reclaimed — its start-up catch-up carries something newer. A cursor may
+// jump over any number of versions: the store holds v itself, not the step
+// that led to it.
+func (s *Service) apply(sub *Subscription, v View, lag time.Duration) string {
+	status := "delivered"
 	switch {
 	case sub.cancelled:
 		status = "cancelled"
-	case version <= sub.lastSeen:
-		status = "stale"
-	case m != nil || (sub.deltaFn != nil && sub.lastSeen == dlt.FromVersion):
-		// In order: handed over below, after metrics/observers.
-	case st.current.Version > sub.lastSeen:
-		status, snap, version = "resync", st.current, st.current.Version
-	default:
+	case v.Version <= sub.cursor.Version || v.seq < v.st.floor:
 		status = "stale"
 	}
-	received := status == "delivered" || status == "resync"
+	app := string(v.st.app)
 	if mr := s.loop.Metrics(); mr != nil {
 		mr.Counter("discovery_deliveries_total",
-			"app", string(app), "status", status).Inc()
-		if received {
-			mr.Histogram("discovery_propagation_ms", nil, "app", string(app)).
+			"app", app, "status", status).Inc()
+		if status == "delivered" {
+			mr.Histogram("discovery_propagation_ms", nil, "app", app).
 				Observe(float64(lag) / float64(time.Millisecond))
 		}
 	}
 	for _, obs := range s.observers {
-		obs(app, version, lag, status)
+		obs(v.st.app, v.Version, lag, status)
 	}
-	if received {
-		sub.lastSeen = version
-		if snap != nil {
-			sub.fn(snap)
-		} else {
-			sub.deltaFn(dlt)
-		}
+	if status == "delivered" {
+		sub.cursor = v
+		sub.fn(v)
 	}
 	return status
 }
 
-// Subscribe registers fn to receive the app's shard maps. If a map already
-// exists it is delivered after one propagation delay (a client fetching the
-// current state at start-up).
-func (s *Service) Subscribe(app shard.AppID, fn func(*shard.Map)) *Subscription {
+// Subscribe registers fn to receive a View of each version of the app's shard
+// map. If a version already exists it is delivered after one propagation
+// delay (a client fetching the current state at start-up).
+func (s *Service) Subscribe(app shard.AppID, fn func(View)) *Subscription {
 	if fn == nil {
 		panic("discovery: Subscribe(nil)")
 	}
 	st := s.state(app)
-	sub := &Subscription{app: app, id: len(st.subs), fn: fn, rng: s.rng.Fork()}
+	sub := &Subscription{id: len(st.subs), fn: fn, rng: s.rng.Fork()}
 	st.subs = append(st.subs, sub)
 	if s.fanoutBatch > 1 {
 		if nb := len(st.batches); nb == 0 || len(st.batches[nb-1].subs) == s.fanoutBatch {
@@ -454,59 +525,21 @@ func (s *Service) Subscribe(app shard.AppID, fn func(*shard.Map)) *Subscription 
 		b := st.batches[len(st.batches)-1]
 		b.subs = append(b.subs, sub)
 	}
-	if st.current != nil {
+	if st.seq > 0 {
 		// Start-up catch-up is per-subscriber even in batch mode: the new
 		// subscriber fetches the current map on its own stream.
-		s.deliver(sub, nil, st, st.current, nil)
+		s.deliver(sub, nil, st.latest())
 	}
 	return sub
 }
 
-// SubscribeDelta registers a delta-aware subscriber. onDelta receives each
-// in-order incremental update (the N→N+1 delta when the subscriber's map is
-// at N); onFull receives full snapshots — the start-up catch-up, full-map
-// publishes, and a resync whenever the subscriber cannot chain onto a
-// delivered delta (observer status "resync"). Both arguments are
-// service-owned: apply them inside the callback and do not retain them.
-// RNG accounting matches Subscribe exactly, so replacing a Subscribe call
-// with SubscribeDelta does not perturb a seeded run.
-func (s *Service) SubscribeDelta(app shard.AppID, onFull func(*shard.Map), onDelta func(*shard.Delta)) *Subscription {
-	if onFull == nil || onDelta == nil {
-		panic("discovery: SubscribeDelta(nil)")
-	}
-	sub := s.Subscribe(app, onFull)
-	sub.deltaFn = onDelta
-	return sub
-}
-
-// Current returns the latest published map for app (no delay — this is the
-// authoritative read used by control-plane components, not clients), or nil.
-func (s *Service) Current(app shard.AppID) *shard.Map {
+// Latest returns the newest published version of app with no delay — the
+// authoritative read control-plane components use, and a client's on-demand
+// refresh — or the zero View when nothing has been published.
+func (s *Service) Latest(app shard.AppID) View {
 	st, ok := s.apps[app]
-	if !ok || st.current == nil {
-		return nil
+	if !ok || st.seq == 0 {
+		return View{}
 	}
-	return st.current.Clone()
-}
-
-// CurrentMeta returns the version and generation of app's current map
-// without cloning it, or ok=false when nothing has been published. Clients
-// use it to decide whether a refresh is worth the copy.
-func (s *Service) CurrentMeta(app shard.AppID) (version, gen int64, ok bool) {
-	st, found := s.apps[app]
-	if !found || st.current == nil {
-		return 0, 0, false
-	}
-	return st.current.Version, st.current.Gen, true
-}
-
-// CurrentInto clones the latest published map for app into dst, reusing its
-// storage (shard.Map.CloneInto; dst may be nil). Returns the clone, or nil
-// when nothing has been published.
-func (s *Service) CurrentInto(app shard.AppID, dst *shard.Map) *shard.Map {
-	st, ok := s.apps[app]
-	if !ok || st.current == nil {
-		return nil
-	}
-	return st.current.CloneInto(dst)
+	return st.latest()
 }

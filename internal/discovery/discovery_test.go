@@ -15,12 +15,15 @@ func mapV(v int64) *shard.Map {
 	return m
 }
 
+// snap is m's snapshot publication: the whole map as a FromVersion-0 delta.
+func snap(m *shard.Map) *shard.Delta { return m.Diff(nil, nil) }
+
 func TestPublishDeliversAfterDelay(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
 	var got []int64
-	svc.Subscribe("app", func(m *shard.Map) { got = append(got, m.Version) })
-	svc.Publish(mapV(1))
+	svc.Subscribe("app", func(v View) { got = append(got, v.Version) })
+	svc.Publish(snap(mapV(1)))
 	loop.RunFor(500 * time.Millisecond)
 	if len(got) != 0 {
 		t.Fatal("delivered before propagation delay")
@@ -34,9 +37,9 @@ func TestPublishDeliversAfterDelay(t *testing.T) {
 func TestSubscribeReceivesCurrentMap(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
-	svc.Publish(mapV(7))
+	svc.Publish(snap(mapV(7)))
 	var got int64
-	svc.Subscribe("app", func(m *shard.Map) { got = m.Version })
+	svc.Subscribe("app", func(v View) { got = v.Version })
 	loop.RunFor(2 * time.Second)
 	if got != 7 {
 		t.Fatalf("late subscriber got v%d, want 7", got)
@@ -46,14 +49,14 @@ func TestSubscribeReceivesCurrentMap(t *testing.T) {
 func TestStaleVersionsIgnoredOnPublish(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
-	svc.Publish(mapV(5))
-	svc.Publish(mapV(4)) // older, ignored
-	svc.Publish(mapV(5)) // same, ignored
+	svc.Publish(snap(mapV(5)))
+	svc.Publish(snap(mapV(4))) // older, ignored
+	svc.Publish(snap(mapV(5))) // same, ignored
 	if svc.Publications != 1 {
 		t.Fatalf("Publications = %d, want 1", svc.Publications)
 	}
-	if svc.Current("app").Version != 5 {
-		t.Fatalf("Current = v%d", svc.Current("app").Version)
+	if got := svc.Latest("app").Version; got != 5 {
+		t.Fatalf("Latest = v%d", got)
 	}
 }
 
@@ -69,9 +72,9 @@ func TestOutOfOrderDeliverySuppressed(t *testing.T) {
 		return d
 	})
 	var got []int64
-	svc.Subscribe("app", func(m *shard.Map) { got = append(got, m.Version) })
-	svc.Publish(mapV(1))
-	svc.Publish(mapV(2))
+	svc.Subscribe("app", func(v View) { got = append(got, v.Version) })
+	svc.Publish(snap(mapV(1)))
+	svc.Publish(snap(mapV(2)))
 	loop.RunFor(10 * time.Second)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("got = %v, want just [2]", got)
@@ -82,8 +85,8 @@ func TestCancelStopsDelivery(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
 	n := 0
-	sub := svc.Subscribe("app", func(*shard.Map) { n++ })
-	svc.Publish(mapV(1))
+	sub := svc.Subscribe("app", func(View) { n++ })
+	svc.Publish(snap(mapV(1)))
 	sub.Cancel()
 	loop.RunFor(5 * time.Second)
 	if n != 0 {
@@ -94,18 +97,19 @@ func TestCancelStopsDelivery(t *testing.T) {
 func TestPublishClonesMap(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(0))
-	m := mapV(1)
-	svc.Publish(m)
-	m.Entries["s1"][0].Server = "mutated"
-	if svc.Current("app").Entries["s1"][0].Server != "srv" {
-		t.Fatal("Publish did not clone")
+	d := snap(mapV(1))
+	svc.Publish(d)
+	d.Changed[0].Assignments[0].Server = "mutated"
+	if svc.Latest("app").Replicas("s1")[0].Server != "srv" {
+		t.Fatal("Publish did not copy out of the delta")
 	}
 }
 
 func TestCurrentUnknownApp(t *testing.T) {
 	svc := NewService(sim.NewLoop(1), nil)
-	if svc.Current("nope") != nil {
-		t.Fatal("Current of unknown app should be nil")
+	v := svc.Latest("nope")
+	if v != (View{}) || v.Replicas("s1") != nil || v.Map() != nil {
+		t.Fatalf("Latest of unknown app = %+v, want the zero View", v)
 	}
 }
 
@@ -134,9 +138,9 @@ func TestMultipleSubscribersIndependentDelays(t *testing.T) {
 	svc := NewService(loop, DefaultDelay())
 	n := 0
 	for i := 0; i < 50; i++ {
-		svc.Subscribe("app", func(*shard.Map) { n++ })
+		svc.Subscribe("app", func(View) { n++ })
 	}
-	svc.Publish(mapV(1))
+	svc.Publish(snap(mapV(1)))
 	loop.RunFor(3 * time.Second)
 	if n != 50 {
 		t.Fatalf("deliveries = %d, want 50", n)
@@ -171,12 +175,12 @@ func TestSubscriberDeliveryTimingUnaffectedByOtherSubscribers(t *testing.T) {
 		loop := sim.NewLoop(42)
 		svc := NewService(loop, DefaultDelay())
 		var at []time.Duration
-		svc.Subscribe("app", func(*shard.Map) { at = append(at, loop.Now()) })
+		svc.Subscribe("app", func(View) { at = append(at, loop.Now()) })
 		for i := 0; i < extraSubscribers; i++ {
-			svc.Subscribe("app", func(*shard.Map) {})
+			svc.Subscribe("app", func(View) {})
 		}
 		for v := int64(1); v <= 5; v++ {
-			svc.Publish(mapV(v))
+			svc.Publish(snap(mapV(v)))
 			loop.RunFor(5 * time.Second)
 		}
 		return at
@@ -200,13 +204,13 @@ func TestCancelDoesNotPerturbOtherSubscribers(t *testing.T) {
 		loop := sim.NewLoop(7)
 		svc := NewService(loop, DefaultDelay())
 		var at []time.Duration
-		svc.Subscribe("app", func(*shard.Map) { at = append(at, loop.Now()) })
-		other := svc.Subscribe("app", func(*shard.Map) {})
+		svc.Subscribe("app", func(View) { at = append(at, loop.Now()) })
+		other := svc.Subscribe("app", func(View) {})
 		if cancel {
 			other.Cancel()
 		}
 		for v := int64(1); v <= 5; v++ {
-			svc.Publish(mapV(v))
+			svc.Publish(snap(mapV(v)))
 			loop.RunFor(5 * time.Second)
 		}
 		return at
@@ -227,9 +231,9 @@ func TestBatchedFanoutDeliversToAllSubscribers(t *testing.T) {
 	got := make([]int64, subs)
 	for i := 0; i < subs; i++ {
 		i := i
-		svc.Subscribe("app", func(m *shard.Map) { got[i] = m.Version })
+		svc.Subscribe("app", func(v View) { got[i] = v.Version })
 	}
-	svc.Publish(mapV(1))
+	svc.Publish(snap(mapV(1)))
 	// One event per batch, not per subscriber.
 	if p := loop.Pending(); p != 3 {
 		t.Fatalf("Pending = %d after publish, want 3 batch events", p)
@@ -247,11 +251,11 @@ func TestBatchedFanoutRespectsCancelAndStaleness(t *testing.T) {
 	svc := NewService(loop, FixedDelay(time.Second))
 	svc.SetFanoutBatch(8)
 	var live, dead int
-	svc.Subscribe("app", func(*shard.Map) { live++ })
-	cancelled := svc.Subscribe("app", func(*shard.Map) { dead++ })
+	svc.Subscribe("app", func(View) { live++ })
+	cancelled := svc.Subscribe("app", func(View) { dead++ })
 	cancelled.Cancel()
-	svc.Publish(mapV(1))
-	svc.Publish(mapV(2))
+	svc.Publish(snap(mapV(1)))
+	svc.Publish(snap(mapV(2)))
 	loop.RunFor(5 * time.Second)
 	if live != 2 || dead != 0 {
 		t.Fatalf("live=%d dead=%d, want 2/0", live, dead)
@@ -262,10 +266,10 @@ func TestBatchedFanoutCatchUpOnSubscribe(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
 	svc.SetFanoutBatch(4)
-	svc.Publish(mapV(3))
+	svc.Publish(snap(mapV(3)))
 	loop.RunFor(2 * time.Second)
 	var got int64
-	svc.Subscribe("app", func(m *shard.Map) { got = m.Version })
+	svc.Subscribe("app", func(v View) { got = v.Version })
 	loop.RunFor(2 * time.Second)
 	if got != 3 {
 		t.Fatalf("late subscriber saw version %d, want 3", got)
@@ -275,7 +279,7 @@ func TestBatchedFanoutCatchUpOnSubscribe(t *testing.T) {
 func TestSetFanoutBatchAfterSubscribePanics(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
-	svc.Subscribe("app", func(*shard.Map) {})
+	svc.Subscribe("app", func(View) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("SetFanoutBatch after Subscribe did not panic")
@@ -294,9 +298,9 @@ func TestDefaultFanoutMatchesLegacyPerSubscriberTiming(t *testing.T) {
 		configure(svc)
 		var at []time.Duration
 		for i := 0; i < 5; i++ {
-			svc.Subscribe("app", func(*shard.Map) { at = append(at, loop.Now()) })
+			svc.Subscribe("app", func(View) { at = append(at, loop.Now()) })
 		}
-		svc.Publish(mapV(1))
+		svc.Publish(snap(mapV(1)))
 		loop.RunFor(time.Minute)
 		return at
 	}
@@ -309,31 +313,5 @@ func TestDefaultFanoutMatchesLegacyPerSubscriberTiming(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d at %v vs %v: batch=1 diverges from legacy", i, a[i], b[i])
 		}
-	}
-}
-
-func TestPublishScratchReusesBuffers(t *testing.T) {
-	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Second))
-	applied := 0
-	svc.Subscribe("app", func(*shard.Map) { applied++ })
-	m := mapV(1)
-	scratch := svc.PublishScratch(m, shard.NewMap("app"))
-	loop.RunFor(2 * time.Second)
-	for v := int64(2); v <= 4; v++ {
-		m.Version = v
-		scratch = svc.PublishScratch(m, scratch)
-		loop.RunFor(2 * time.Second)
-	}
-	if applied != 4 {
-		t.Fatalf("applied = %d, want 4", applied)
-	}
-	if cur := svc.Current("app"); cur == nil || cur.Version != 4 {
-		t.Fatalf("Current = %+v, want version 4", cur)
-	}
-	// A stale publish hands the scratch straight back.
-	m.Version = 2
-	if got := svc.PublishScratch(m, scratch); got != scratch {
-		t.Fatal("stale PublishScratch did not return the scratch buffer")
 	}
 }

@@ -1,0 +1,295 @@
+package discovery
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"shardmanager/internal/shard"
+	"shardmanager/internal/sim"
+)
+
+// storeFuzz drives one Service from a byte string and checks it, after every
+// step, against reference maps built with shard.Map.ApplyDelta.
+type storeFuzz struct {
+	t    *testing.T
+	data []byte
+	loop *sim.Loop
+	svc  *Service
+
+	// ref[i] is the reference map of store sequence i+1.
+	ref []*shard.Map
+	gen int64 // last generation handed out
+
+	subs []*fuzzSub
+	// loose are views nothing pins: kept after their subscription was
+	// cancelled, or taken with Latest and held on to.
+	loose []View
+}
+
+type fuzzSub struct {
+	sub  *Subscription
+	held View
+}
+
+var (
+	fuzzShards  = []shard.ID{"s0", "s1", "s2", "s3", "s4", "s5"}
+	fuzzServers = []shard.ServerID{"a", "b", "c", "d"}
+)
+
+func (z *storeFuzz) next() int {
+	if len(z.data) == 0 {
+		return 0
+	}
+	b := z.data[0]
+	z.data = z.data[1:]
+	return int(b)
+}
+
+func (z *storeFuzz) state() *appState { return z.svc.state("app") }
+
+func (z *storeFuzz) latestRef() *shard.Map {
+	if len(z.ref) == 0 {
+		return nil
+	}
+	return z.ref[len(z.ref)-1]
+}
+
+// stage fills d with a few random edits: assignment lists of length 0-2
+// (an empty list is an entry, not a removal), sometimes a removal, sometimes
+// the same shard twice.
+func (z *storeFuzz) stage(d *shard.Delta) {
+	for n := 1 + z.next()%3; n > 0; n-- {
+		as := make([]shard.Assignment, z.next()%3)
+		for i := range as {
+			as[i] = shard.Assignment{Server: fuzzServers[z.next()%len(fuzzServers)], Role: shard.Role(z.next() % 2)}
+		}
+		d.Set(fuzzShards[z.next()%len(fuzzShards)], as)
+	}
+	if z.next()%3 == 0 {
+		d.Remove(fuzzShards[z.next()%len(fuzzShards)])
+	}
+}
+
+// publish hands d to the service and, from the reference alone, decides
+// whether it must have been accepted.
+func (z *storeFuzz) publish(d *shard.Delta) {
+	cur := z.latestRef()
+	accept := d.FromVersion == 0 || (cur != nil && d.FromVersion == cur.Version)
+	if cur != nil {
+		newer := d.ToVersion > cur.Version
+		if d.Gen > 0 && cur.Gen > 0 {
+			newer = d.Gen > cur.Gen
+		}
+		accept = accept && newer
+	}
+	before := z.svc.Publications
+	z.svc.Publish(d)
+	if got := z.svc.Publications > before; got != accept {
+		z.t.Fatalf("publish %d->%d g%d onto %v: accepted=%v, want %v", d.FromVersion, d.ToVersion, d.Gen, cur, got, accept)
+	}
+	if !accept {
+		return
+	}
+	next := shard.NewMap("app")
+	if d.FromVersion != 0 {
+		next = cur.Clone()
+	}
+	if err := next.ApplyDelta(d); err != nil {
+		z.t.Fatal(err)
+	}
+	z.ref = append(z.ref, next)
+}
+
+func (z *storeFuzz) step() {
+	var version int64
+	if cur := z.latestRef(); cur != nil {
+		version = cur.Version
+	}
+	stamp := func() int64 { // most publishes are generation-stamped, in order
+		if z.next()%4 == 0 {
+			return 0
+		}
+		z.gen++
+		return z.gen
+	}
+	switch z.next() % 9 {
+	case 0, 1: // a delta that chains
+		d := shard.NewDelta("app").Reset("app", version, version+1+int64(z.next()%2), stamp())
+		z.stage(d)
+		z.publish(d)
+	case 2: // a snapshot
+		d := shard.NewDelta("app").Reset("app", 0, version+1, stamp())
+		z.stage(d)
+		z.publish(d)
+	case 3: // behind: an old generation, an old version, or a base the service is not at
+		d := shard.NewDelta("app").Reset("app", version, version+1, stamp())
+		switch z.next() % 3 {
+		case 0:
+			d.Gen = 1
+		case 1:
+			d.FromVersion, d.ToVersion = version-1, version
+		case 2:
+			d.FromVersion, d.ToVersion = version+3, version+4
+		}
+		z.stage(d)
+		z.publish(d)
+	case 4:
+		if len(z.subs) < 6 {
+			fs := &fuzzSub{}
+			fs.sub = z.svc.Subscribe("app", func(v View) {
+				if v.seq < 1 || int(v.seq) > len(z.ref) || v.Version != z.ref[v.seq-1].Version {
+					z.t.Fatalf("delivered view seq %d v%d, reference has %d versions", v.seq, v.Version, len(z.ref))
+				}
+				z.checkView(v, "delivery")
+				fs.held = v
+			})
+			z.subs = append(z.subs, fs)
+		}
+	case 5:
+		if len(z.subs) > 0 {
+			i := z.next() % len(z.subs)
+			fs := z.subs[i]
+			fs.sub.Cancel()
+			z.loose = append(z.loose, fs.held)
+			z.subs = append(z.subs[:i], z.subs[i+1:]...)
+		}
+	case 6:
+		z.loop.RunFor(time.Duration(z.next()%6) * time.Millisecond)
+	case 7:
+		z.loose = append(z.loose, z.svc.Latest("app"))
+	case 8:
+		st := z.state()
+		st.sweep()
+		// Everything reclaimable is gone: per shard at most one revision at
+		// or below the floor, and no removal standing alone.
+		for id, revs := range st.revs {
+			old := 0
+			for _, r := range revs {
+				if r.since <= st.floor {
+					old++
+				}
+			}
+			if old > 1 || (len(revs) == 1 && revs[0].as == nil) {
+				z.t.Fatalf("after sweep at floor %d, shard %s keeps %+v", st.floor, id, revs)
+			}
+		}
+	}
+}
+
+// checkView compares v with the reference map of its sequence, or, when v is
+// below the reclaimed floor, requires reading it to panic.
+func (z *storeFuzz) checkView(v View, what string) {
+	if v == (View{}) {
+		return
+	}
+	if v.seq < z.state().floor {
+		for name, read := range map[string]func(){
+			"Replicas": func() { v.Replicas(fuzzShards[0]) },
+			"Map":      func() { v.Map() },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						z.t.Fatalf("%s: %s of view seq %d below floor %d did not panic", what, name, v.seq, z.state().floor)
+					}
+				}()
+				read()
+			}()
+		}
+		return
+	}
+	want := z.ref[v.seq-1]
+	if v.Version != want.Version || v.Gen != want.Gen {
+		z.t.Fatalf("%s: view seq %d is v%d g%d, reference v%d g%d", what, v.seq, v.Version, v.Gen, want.Version, want.Gen)
+	}
+	m := v.Map()
+	if m.App != want.App || m.Version != want.Version || m.Gen != want.Gen || len(m.Entries) != len(want.Entries) {
+		z.t.Fatalf("%s: Map() of seq %d = %+v, reference %+v", what, v.seq, m, want)
+	}
+	for _, id := range fuzzShards {
+		was, ok := want.Entries[id]
+		got := v.Replicas(id)
+		if !slices.Equal(got, was) || (got != nil) != ok {
+			z.t.Fatalf("%s: seq %d shard %s: Replicas %v, reference %v (present %v)", what, v.seq, id, got, was, ok)
+		}
+		mas, mok := m.Entries[id]
+		if !slices.Equal(mas, was) || mok != ok {
+			z.t.Fatalf("%s: seq %d shard %s: Map() has %v (present %v), reference %v (present %v)", what, v.seq, id, mas, mok, was, ok)
+		}
+	}
+}
+
+func (z *storeFuzz) check() {
+	st := z.state()
+	for i, fs := range z.subs {
+		if fs.held != fs.sub.cursor {
+			z.t.Fatalf("sub %d holds seq %d, its cursor is at %d", i, fs.held.seq, fs.sub.cursor.seq)
+		}
+		if fs.held != (View{}) && fs.held.seq < st.floor {
+			z.t.Fatalf("floor %d passed live sub %d's cursor %d", st.floor, i, fs.held.seq)
+		}
+		z.checkView(fs.held, fmt.Sprintf("sub %d", i))
+	}
+	for i, v := range z.loose {
+		z.checkView(v, fmt.Sprintf("loose view %d", i))
+	}
+	z.checkView(z.svc.Latest("app"), "Latest")
+
+	stored, live := 0, 0
+	for _, revs := range st.revs {
+		stored += len(revs)
+		if revs[len(revs)-1].as != nil {
+			live++
+		}
+	}
+	if stored != st.stored || live != st.live {
+		z.t.Fatalf("accounting: stored %d live %d, counted %d and %d", st.stored, st.live, stored, live)
+	}
+	if cur := z.latestRef(); cur != nil && live != len(cur.Entries) {
+		z.t.Fatalf("live %d, reference has %d entries", live, len(cur.Entries))
+	}
+	// At most twice the live entries, plus what the last sweep found pinned
+	// by the slowest cursor.
+	if st.stored > 2*st.live+st.kept {
+		z.t.Fatalf("store holds %d revisions for %d live entries with %d pinned", st.stored, st.live, st.kept)
+	}
+}
+
+// FuzzVersionedStore interleaves deltas, snapshots, publishes that must be
+// dropped (stale generation, stale version, a base the service is not at),
+// subscribe, cancel, deliveries in any order and reclamation. After every
+// step each live subscriber's View reads exactly the reference map of its
+// version — entry by entry through Replicas and whole through Map — a view
+// below the reclaimed floor panics, the floor never passes a live cursor, and
+// the store holds at most two revisions per live entry plus those a live
+// cursor pins.
+func FuzzVersionedStore(f *testing.F) {
+	f.Add([]byte{0, 2, 1, 1, 0, 1, 1, 2, 4, 6, 5, 0, 1, 2, 0, 0, 1, 6, 3})
+	f.Add([]byte{1, 4, 4, 2, 1, 2, 0, 1, 1, 0, 0, 1, 1, 1, 2, 1, 0, 0, 6, 1, 0, 3, 1, 1, 1, 0, 7, 5, 0, 0, 2, 2, 1, 1, 8, 6, 5})
+	f.Add([]byte("\x03\x04\x02\x01\x00\x00\x01\x01\x01\x07\x00\x02\x00\x00\x00\x01\x00\x03\x02\x05\x00\x00\x02\x01\x00\x08\x06\x04\x08\x03\x00\x01\x01\x00\x02\x00\x00\x02\x00\x00\x00\x06\x05\x08"))
+	var churn []byte // one subscriber pinned early while many versions pass
+	churn = append(churn, 1, 2, 1, 1, 0, 1, 0, 0, 0, 4, 6, 5)
+	for i := 0; i < 40; i++ {
+		churn = append(churn, 0, 1, 0, 1, byte(i), 1, byte(i), 1, 0, 1)
+	}
+	churn = append(churn, 5, 0, 8, 7)
+	f.Add(churn)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		z := &storeFuzz{t: t, data: data, loop: sim.NewLoop(1)}
+		z.svc = NewService(z.loop, func(*sim.RNG) time.Duration {
+			return time.Duration(z.next()%8) * time.Millisecond
+		})
+		if z.next()%2 == 1 {
+			z.svc.SetFanoutBatch(3)
+		}
+		for len(z.data) > 0 {
+			z.step()
+			z.check()
+		}
+		z.loop.RunFor(time.Second)
+		z.check()
+	})
+}

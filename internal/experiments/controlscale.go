@@ -31,8 +31,7 @@ type ControlScalePoint struct {
 // ControlScaleParams configure the controlscale benchmark.
 type ControlScaleParams struct {
 	// Points are run in order; BENCH_controlplane.json records one entry
-	// each. Every point runs twice — full-snapshot publication and delta
-	// publication — over the same churn sequence.
+	// each.
 	Points []ControlScalePoint
 	// ShardsPerServer sizes the synthetic fleet (Shards/ShardsPerServer
 	// servers, minimum 1).
@@ -66,39 +65,31 @@ func DefaultControlScaleParams() ControlScaleParams {
 	}
 }
 
-// ControlScaleModeRecord is one publication mode's measured cost at a point.
-type ControlScaleModeRecord struct {
-	// Publishes counts steady-state churn publications (full snapshots or
-	// deltas; the bootstrap base is excluded).
-	Publishes int64 `json:"publishes"`
+// ControlScalePointRecord is one point's machine-readable result. Every
+// column but the wall-clock ones (bootstrap_wall_ms, churn_wall_ms and the
+// rate derived from it) is exact per seed.
+type ControlScalePointRecord struct {
+	Shards            int     `json:"shards"`
+	Partitions        int     `json:"partitions"`
+	MiniSMs           int     `json:"mini_sms"`
+	Servers           int     `json:"servers"`
+	Rounds            int     `json:"rounds"`
+	ChurnPerPartition int     `json:"churn_per_partition"`
+	BootstrapWallMS   float64 `json:"bootstrap_wall_ms"`
+	// Publishes counts steady-state churn publications (the bootstrap
+	// snapshots are excluded) and ChangedEntries the edits they carried.
+	Publishes      int64 `json:"publishes"`
+	ChangedEntries int64 `json:"changed_entries"`
 	// BytesPerPublish is the approximate wire size of one steady-state
-	// publication (shard.Map/Delta ApproxBytes, same accounting both modes).
+	// publication (shard.Delta.ApproxBytes).
 	BytesPerPublish float64 `json:"bytes_per_publish"`
 	// ChurnWallMS is the wall-clock cost of all churn waves end to end:
-	// staging, publication, discovery fan-out, and subscriber application.
-	ChurnWallMS     float64 `json:"churn_wall_ms"`
-	PublishesPerSec float64 `json:"publishes_per_sec"`
-}
-
-// ControlScalePointRecord is one point's machine-readable result.
-type ControlScalePointRecord struct {
-	Shards            int                    `json:"shards"`
-	Partitions        int                    `json:"partitions"`
-	MiniSMs           int                    `json:"mini_sms"`
-	Servers           int                    `json:"servers"`
-	Rounds            int                    `json:"rounds"`
-	ChurnPerPartition int                    `json:"churn_per_partition"`
-	BootstrapWallMS   float64                `json:"bootstrap_wall_ms"`
-	Full              ControlScaleModeRecord `json:"full"`
-	Delta             ControlScaleModeRecord `json:"delta"`
-	// DeltaSpeedup is Full.ChurnWallMS / Delta.ChurnWallMS — how much
-	// cheaper steady-state publication is with deltas.
-	DeltaSpeedup float64 `json:"delta_speedup"`
-	// DeltaEntriesPerSec is changed entries propagated per wall-clock
-	// second on the delta path (the baseline-gate metric).
-	DeltaEntriesPerSec float64 `json:"delta_entries_per_sec"`
+	// staging, publication, discovery fan-out, and subscriber delivery.
+	ChurnWallMS float64 `json:"churn_wall_ms"`
+	// EntriesPerSec is changed entries propagated per wall-clock second.
+	EntriesPerSec float64 `json:"entries_per_sec"`
 	// ConvergenceMS is the worst-case simulated latency from the start of a
-	// delta publication wave until every subscriber has applied its update.
+	// publication wave until every subscriber has been delivered its update.
 	ConvergenceMS float64 `json:"convergence_ms"`
 }
 
@@ -112,12 +103,12 @@ type ControlScaleRecord struct {
 // into partitions and packs them onto mini-SMs; every partition owns a
 // publication stream (its mini-SM's shard map slice) with one subscriber.
 // Steady-state churn — a few hundred reassignments per partition per wave —
-// is published either as full snapshots (the pre-delta control plane) or as
-// deltas, over the identical churn sequence, and the two costs are compared.
+// is staged and published partition by partition, and the cost of a wave is
+// measured against the partition count.
 func ControlScale(p ControlScaleParams) *Report {
 	rep := &Report{
 		ID:    "controlscale",
-		Title: "partitioned control plane: full vs delta publication cost",
+		Title: "partitioned control plane: publication cost by scale",
 		Params: map[string]string{
 			"points":        fmt.Sprintf("%d", len(p.Points)),
 			"flush_batch":   fmt.Sprintf("%d", p.FlushBatch),
@@ -129,8 +120,8 @@ func ControlScale(p ControlScaleParams) *Report {
 	rec := &ControlScaleRecord{}
 	table := Table{
 		Title: "steady-state publication cost by scale",
-		Columns: []string{"shards", "parts", "miniSMs", "full ms/wave", "delta ms/wave",
-			"full B/pub", "delta B/pub", "speedup", "converge ms"},
+		Columns: []string{"shards", "parts", "miniSMs", "publishes", "entries",
+			"B/pub", "ms/wave", "entries/s", "converge ms"},
 	}
 	for i, pt := range p.Points {
 		r := runControlScalePoint(p, pt, p.Seed+uint64(i))
@@ -139,11 +130,11 @@ func ControlScale(p ControlScaleParams) *Report {
 			fmt.Sprintf("%d", r.Shards),
 			fmt.Sprintf("%d", r.Partitions),
 			fmt.Sprintf("%d", r.MiniSMs),
-			fmt.Sprintf("%.1f", r.Full.ChurnWallMS/float64(r.Rounds)),
-			fmt.Sprintf("%.2f", r.Delta.ChurnWallMS/float64(r.Rounds)),
-			fmt.Sprintf("%.0f", r.Full.BytesPerPublish),
-			fmt.Sprintf("%.0f", r.Delta.BytesPerPublish),
-			fmt.Sprintf("%.0fx", r.DeltaSpeedup),
+			fmt.Sprintf("%d", r.Publishes),
+			fmt.Sprintf("%d", r.ChangedEntries),
+			fmt.Sprintf("%.0f", r.BytesPerPublish),
+			fmt.Sprintf("%.2f", r.ChurnWallMS/float64(r.Rounds)),
+			fmt.Sprintf("%.0f", r.EntriesPerSec),
 			fmt.Sprintf("%.0f", r.ConvergenceMS),
 		})
 	}
@@ -151,72 +142,20 @@ func ControlScale(p ControlScaleParams) *Report {
 	last := rec.Points[len(rec.Points)-1]
 	rep.AddValue("shards", float64(last.Shards))
 	rep.AddValue("mini_sms", float64(last.MiniSMs))
-	rep.AddValue("delta_speedup", last.DeltaSpeedup)
-	rep.AddValue("delta_entries_per_sec", rec.Points[0].DeltaEntriesPerSec)
-	rep.AddNote("largest point: %d shards over %d partitions on %d mini-SMs; delta publication %.0fx cheaper than full snapshots (%.0f vs %.0f bytes/publish)",
-		last.Shards, last.Partitions, last.MiniSMs, last.DeltaSpeedup,
-		last.Delta.BytesPerPublish, last.Full.BytesPerPublish)
-	rep.AddNote("worst-case map convergence at that point: %.0f ms simulated from wave start to every subscriber applied",
+	rep.AddNote("largest point: %d shards over %d partitions on %d mini-SMs; a wave of %d changed entries costs %.1f ms of wall clock at %.0f bytes/publish",
+		last.Shards, last.Partitions, last.MiniSMs, last.ChangedEntries/int64(last.Rounds),
+		last.ChurnWallMS/float64(last.Rounds), last.BytesPerPublish)
+	rep.AddNote("worst-case map convergence at that point: %.0f ms simulated from wave start to every subscriber delivered",
 		last.ConvergenceMS)
 	rep.Extra = rec
 	return rep
 }
 
-// runControlScalePoint drives one configuration through both publication
-// modes over the same churn sequence and merges the results.
+// runControlScalePoint builds one world — control plane, partition
+// publishers, one subscriber per partition — bootstraps it with a snapshot
+// wave, then drives Rounds churn waves, measuring wall-clock publication cost
+// and simulated convergence latency.
 func runControlScalePoint(p ControlScaleParams, pt ControlScalePoint, seed uint64) ControlScalePointRecord {
-	full := runControlScaleWorld(p, pt, seed, false)
-	delta := runControlScaleWorld(p, pt, seed, true)
-
-	r := ControlScalePointRecord{
-		Shards:            pt.Shards,
-		Partitions:        delta.partitions,
-		MiniSMs:           delta.miniSMs,
-		Servers:           delta.servers,
-		Rounds:            pt.Rounds,
-		ChurnPerPartition: pt.ChurnPerPartition,
-		BootstrapWallMS:   delta.bootstrapWall.Seconds() * 1e3,
-		Full:              full.mode(),
-		Delta:             delta.mode(),
-		ConvergenceMS:     float64(delta.convergence) / float64(time.Millisecond),
-	}
-	if r.Delta.ChurnWallMS > 0 {
-		r.DeltaSpeedup = r.Full.ChurnWallMS / r.Delta.ChurnWallMS
-		r.DeltaEntriesPerSec = float64(delta.changedEntries) / (r.Delta.ChurnWallMS / 1e3)
-	}
-	return r
-}
-
-// controlScaleWorld holds one mode's measurements.
-type controlScaleWorld struct {
-	partitions, miniSMs, servers int
-	bootstrapWall                time.Duration
-	churnWall                    time.Duration
-	publishes                    int64 // steady-state churn publications
-	bytes                        int64 // their total approximate wire size
-	changedEntries               int64
-	convergence                  time.Duration // worst sim-time wave->applied
-}
-
-func (w *controlScaleWorld) mode() ControlScaleModeRecord {
-	m := ControlScaleModeRecord{
-		Publishes:   w.publishes,
-		ChurnWallMS: w.churnWall.Seconds() * 1e3,
-	}
-	if w.publishes > 0 {
-		m.BytesPerPublish = float64(w.bytes) / float64(w.publishes)
-	}
-	if w.churnWall > 0 {
-		m.PublishesPerSec = float64(w.publishes) / w.churnWall.Seconds()
-	}
-	return m
-}
-
-// runControlScaleWorld builds one world — control plane, partition
-// publishers, one subscriber per partition — bootstraps it with a full
-// publication wave, then drives Rounds churn waves, measuring wall-clock
-// publication cost and simulated convergence latency.
-func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint64, deltaMode bool) *controlScaleWorld {
 	const app = shard.AppID("controlscale")
 	loop := sim.NewLoop(seed)
 	disc := discovery.NewService(loop, discovery.DefaultDelay())
@@ -243,10 +182,13 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 	}
 	router := controlplane.NewShardRouter(app, pt.Shards, len(parts))
 
-	w := &controlScaleWorld{
-		partitions: len(parts),
-		miniSMs:    len(cp.MiniSMs()),
-		servers:    servers,
+	r := ControlScalePointRecord{
+		Shards:            pt.Shards,
+		Partitions:        len(parts),
+		MiniSMs:           len(cp.MiniSMs()),
+		Servers:           servers,
+		Rounds:            pt.Rounds,
+		ChurnPerPartition: pt.ChurnPerPartition,
 	}
 
 	// Identities are precomputed so churn staging costs no formatting.
@@ -256,11 +198,9 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 		srvs[i] = shard.ServerID(fmt.Sprintf("srv-%05d", i))
 	}
 
-	// One publisher and one subscriber per partition. The subscriber mirrors
-	// a mini-SM's downstream consumer: in delta mode it maintains a private
-	// map copy and applies each delta in place; in full mode each delivery
-	// replaces the whole map (storage recycled by discovery, so the
-	// subscriber only observes, never retains).
+	// One publisher and one subscriber per partition. The subscriber stands
+	// for a mini-SM's downstream consumer: what it is delivered is a cursor
+	// into discovery's store, so all it does here is note the arrival.
 	pubs := make([]*controlplane.PartitionPublisher, len(parts))
 	lastApplied := make([]time.Duration, len(parts))
 	for pi := range parts {
@@ -273,25 +213,10 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 				Role:   shard.RolePrimary,
 			}}
 		}
-		pubs[pi] = controlplane.NewPartitionPublisher(disc, pm.App, pm, deltaMode)
+		pubs[pi] = controlplane.NewPartitionPublisher(disc, pm.App, pm)
 
 		cell := &lastApplied[pi]
-		if deltaMode {
-			var mine *shard.Map
-			disc.SubscribeDelta(pm.App,
-				func(m *shard.Map) {
-					mine = m.CloneInto(mine)
-					*cell = loop.Now()
-				},
-				func(d *shard.Delta) {
-					if err := mine.ApplyDelta(d); err != nil {
-						panic(err)
-					}
-					*cell = loop.Now()
-				})
-		} else {
-			disc.Subscribe(pm.App, func(*shard.Map) { *cell = loop.Now() })
-		}
+		disc.Subscribe(pm.App, func(discovery.View) { *cell = loop.Now() })
 	}
 
 	settle := func() {
@@ -303,19 +228,21 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 		}
 	}
 
-	// Bootstrap: the base full publication wave (both modes publish full
-	// snapshots here; deltas need a base).
+	// Bootstrap: the snapshot wave.
 	t0 := time.Now()
 	settle()
-	w.bootstrapWall = time.Since(t0)
-	base := aggregate(pubs)
+	r.BootstrapWallMS = time.Since(t0).Seconds() * 1e3
+	for _, pub := range pubs {
+		pub.Stats = controlplane.PublisherStats{} // the record counts steady-state churn only
+	}
 
 	// Steady-state churn: each wave stages ChurnPerPartition single-replica
 	// reassignments per partition, then publishes partition-by-partition in
 	// batched flush groups. Wall clock covers staging through subscriber
-	// application; convergence is simulated time from wave start to the last
-	// subscriber's apply.
+	// delivery; convergence is simulated time from wave start to the last
+	// subscriber's delivery.
 	rng := loop.RNG().Fork()
+	var churnWall, convergence time.Duration
 	for round := 0; round < pt.Rounds; round++ {
 		waveStart := loop.Now()
 		t0 = time.Now()
@@ -327,35 +254,27 @@ func runControlScaleWorld(p ControlScaleParams, pt ControlScalePoint, seed uint6
 			}
 		}
 		settle()
-		w.churnWall += time.Since(t0)
+		churnWall += time.Since(t0)
 		for _, at := range lastApplied {
-			if lag := at - waveStart; lag > w.convergence {
-				w.convergence = lag
+			if lag := at - waveStart; lag > convergence {
+				convergence = lag
 			}
 		}
 	}
 
-	st := aggregate(pubs)
-	w.changedEntries = st.ChangedEntries - base.ChangedEntries
-	if deltaMode {
-		w.publishes = st.DeltaPublishes - base.DeltaPublishes
-		w.bytes = st.DeltaBytes - base.DeltaBytes
-	} else {
-		w.publishes = st.FullPublishes - base.FullPublishes
-		w.bytes = st.FullBytes - base.FullBytes
+	var bytes int64
+	for _, pub := range pubs {
+		r.Publishes += pub.Stats.Publishes
+		r.ChangedEntries += pub.Stats.ChangedEntries
+		bytes += pub.Stats.Bytes
 	}
-	return w
-}
-
-// aggregate sums publisher stats across partitions.
-func aggregate(pubs []*controlplane.PartitionPublisher) controlplane.PublisherStats {
-	var st controlplane.PublisherStats
-	for _, p := range pubs {
-		st.FullPublishes += p.Stats.FullPublishes
-		st.DeltaPublishes += p.Stats.DeltaPublishes
-		st.FullBytes += p.Stats.FullBytes
-		st.DeltaBytes += p.Stats.DeltaBytes
-		st.ChangedEntries += p.Stats.ChangedEntries
+	r.ChurnWallMS = churnWall.Seconds() * 1e3
+	r.ConvergenceMS = float64(convergence) / float64(time.Millisecond)
+	if r.Publishes > 0 {
+		r.BytesPerPublish = float64(bytes) / float64(r.Publishes)
 	}
-	return st
+	if churnWall > 0 {
+		r.EntriesPerSec = float64(r.ChangedEntries) / churnWall.Seconds()
+	}
+	return r
 }

@@ -1,30 +1,26 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"shardmanager/internal/allocator"
 	"shardmanager/internal/apps"
 	"shardmanager/internal/appserver"
-	"shardmanager/internal/healthmon"
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/shard"
 	"shardmanager/internal/topology"
 )
 
-// runDeltaEquivalenceWorld builds a small deployment, drives deterministic
-// client traffic through shard-map churn (a drain moves primaries mid-run),
-// and returns a rendering of every final routing Result in completion order.
-// The delta flag switches the publisher to orchestrator delta publishes and
-// the clients to in-place delta application; everything else is identical.
-func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
-	t.Helper()
-	const shards = 24
+// kvWorld builds a two-region, eight-server primary-secondary KV deployment
+// of the given size; the caller settles it.
+func kvWorld(app shard.AppID, shards int, seed uint64, tune func(*orchestrator.Config)) *Deployment {
 	cfg := orchestrator.Config{
-		App:      "deltakv",
+		App:      app,
 		Strategy: shard.PrimarySecondary,
 		Shards: UniformShardConfigs(shards, 2, topology.Capacity{
 			topology.ResourceCPU:        1,
@@ -38,10 +34,12 @@ func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
 		GracefulMigration: true,
 		FailoverGrace:     10 * time.Second,
 		AllocInterval:     15 * time.Second,
-		DeltaPublish:      delta,
+	}
+	if tune != nil {
+		tune(&cfg)
 	}
 	backing := apps.NewKVBacking()
-	d := Build(DeploymentSpec{
+	return Build(DeploymentSpec{
 		Regions:          []topology.RegionID{"west", "east"},
 		ServersPerRegion: 4,
 		Orch:             cfg,
@@ -50,28 +48,38 @@ func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
 		},
 		Seed: seed,
 	})
+}
+
+// recordResults registers a client observer that renders every final routing
+// Result, in completion order, into *out.
+func recordResults(d *Deployment, c *routing.Client, name string, out *[]string) {
+	c.OnResult(func(r routing.Result) {
+		*out = append(*out, fmt.Sprintf(
+			"%s t=%d ok=%v err=%s srv=%s shard=%s att=%d hops=%d lat=%d v=%d",
+			name, d.Loop.Now(), r.OK, r.Err, r.Server, r.Shard,
+			r.Attempts, r.Hops, r.Latency, r.MapVersion))
+	})
+}
+
+// runDeltaEquivalenceWorld builds a small deployment, drives deterministic
+// client traffic through shard-map churn (a drain moves primaries mid-run),
+// and returns a rendering of every final routing Result in completion order.
+func runDeltaEquivalenceWorld(t *testing.T, seed uint64) []string {
+	t.Helper()
+	const shards = 24
+	d := kvWorld("deltakv", shards, seed, nil)
 	if err := d.Settle(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
 	ks := KeyspaceFor(shards)
-	opts := routing.DefaultOptions()
-	opts.ApplyDeltas = delta
 	var results []string
-	record := func(region string) func(routing.Result) {
-		return func(r routing.Result) {
-			results = append(results, fmt.Sprintf(
-				"%s t=%d ok=%v err=%s srv=%s shard=%s att=%d hops=%d lat=%d v=%d",
-				region, d.Loop.Now(), r.OK, r.Err, r.Server, r.Shard,
-				r.Attempts, r.Hops, r.Latency, r.MapVersion))
-		}
-	}
 	clients := map[string]*routing.Client{
-		"west": d.NewClient("west", ks, opts),
-		"east": d.NewClient("east", ks, opts),
+		"west": d.NewClient("west", ks, routing.DefaultOptions()),
+		"east": d.NewClient("east", ks, routing.DefaultOptions()),
 	}
 	for region, c := range clients {
-		c.OnResult(record(region))
+		recordResults(d, c, region, &results)
 	}
 	d.Loop.RunFor(5 * time.Second) // let the start-up catch-up land
 
@@ -97,76 +105,141 @@ func runDeltaEquivalenceWorld(t *testing.T, seed uint64, delta bool) []string {
 	return results
 }
 
-// TestDeltaPublishRoutingOutcomesIdentical is the tentpole's equivalence
-// gate: with DeltaPublish + ApplyDeltas enabled, every final routing Result
-// (outcome, server, attempts, latency, map version, completion instant) is
-// byte-identical to the legacy full-publish run of the same seed — the delta
-// path changes publication cost, not behavior.
-func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
-	for _, seed := range []uint64{3, 11} {
-		full := runDeltaEquivalenceWorld(t, seed, false)
-		del := runDeltaEquivalenceWorld(t, seed, true)
-		if len(full) == 0 {
-			t.Fatalf("seed %d: no results recorded", seed)
+// runPublishBurstWorld is the regime where publishes outrun propagation: two
+// servers drain at once with no migration cap to speak of, so 80 moves commit
+// — one publish each — inside a fraction of the 0.5-2 s a map takes to reach
+// a client, while six clients keep 60 requests a second in flight. A client
+// therefore routes by a version many publishes old, and every delivery it
+// gets has been overtaken several times: it must be handed exactly the
+// version that delivery was scheduled for.
+func runPublishBurstWorld(t *testing.T, seed uint64) []string {
+	t.Helper()
+	const shards = 160
+	d := kvWorld("burstkv", shards, seed, func(cfg *orchestrator.Config) {
+		cfg.ServerCapacity = topology.Capacity{
+			topology.ResourceCPU:        200,
+			topology.ResourceShardCount: 100,
 		}
-		if len(full) != len(del) {
-			t.Fatalf("seed %d: %d results (full) vs %d (delta)", seed, len(full), len(del))
+		cfg.MaxConcurrentMigrations = 200
+	})
+	if err := d.Settle(10 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var pubAt []time.Duration
+	d.Orch.AddHooks(orchestrator.Hooks{MapPublished: func(int64, int) { pubAt = append(pubAt, d.Loop.Now()) }})
+
+	ks := KeyspaceFor(shards)
+	var results []string
+	var clients []*routing.Client
+	for i := 0; i < 6; i++ {
+		region := []topology.RegionID{"west", "east"}[i%2]
+		c := d.NewClient(region, ks, routing.DefaultOptions())
+		recordResults(d, c, fmt.Sprintf("%s%d", region, i/2), &results)
+		clients = append(clients, c)
+	}
+	d.Loop.RunFor(5 * time.Second)
+
+	i := 0
+	d.Loop.EveryL(100*time.Millisecond, 0, func() {
+		for j, c := range clients {
+			key := KeyForShard((i*7 + j*23) % shards)
+			c.Do(key, (i+j)%2 == 0, "op", i, func(routing.Result) {})
 		}
-		for i := range full {
-			if full[i] != del[i] {
-				t.Fatalf("seed %d: result %d differs:\nfull:  %s\ndelta: %s",
-					seed, i, full[i], del[i])
+		i++
+	})
+	d.Loop.RunFor(5 * time.Second)
+	m := d.Orch.AssignmentSnapshot()
+	west, _ := m.Primary("s00000")
+	var east shard.ServerID
+	for _, a := range m.Replicas("s00000") {
+		if a.Server != west {
+			east = a.Server
+		}
+	}
+	d.Orch.Drain(west, nil)
+	d.Orch.Drain(east, nil)
+	d.Loop.RunFor(60 * time.Second)
+
+	// The case is only worth its name if a burst really fits inside one
+	// propagation window.
+	burst := 0
+	for lo := range pubAt {
+		n := 0
+		for _, at := range pubAt[lo:] {
+			if at-pubAt[lo] < 2*time.Second {
+				n++
 			}
 		}
-		// The delta run must actually have exercised the delta path.
-		if full[0] == "" {
-			t.Fatal("unreachable")
+		burst = max(burst, n)
+	}
+	if burst < 50 {
+		t.Fatalf("largest burst is %d publishes in 2 s, want at least 50", burst)
+	}
+	return results
+}
+
+// TestDeltaPublishRoutingOutcomesIdentical is the equivalence gate of the one
+// publication path: every final routing Result (outcome, server, attempts,
+// latency, map version, completion instant) must be what whole-map
+// publication produced. The counts and digests below were recorded with
+// these same worlds at the last commit that still published whole maps, on
+// its full-publish side. (That commit's delta side reproduced the first two
+// and diverged on the burst — digest 39f99d75ee57888a — because a client that
+// could not chain a delta was resynced to the current map, not handed the
+// version the delivery was for.)
+func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		run    func() []string
+		count  int
+		digest string
+	}{
+		{"drain seed 3", func() []string { return runDeltaEquivalenceWorld(t, 3) }, 992, "32bdceeb22a22ebc"},
+		{"drain seed 11", func() []string { return runDeltaEquivalenceWorld(t, 11) }, 992, "f636326fad66feaf"},
+		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3798, "e5dc3397c13b43aa"},
+	} {
+		results := c.run()
+		sum := sha256.Sum256([]byte(strings.Join(results, "\n")))
+		if got := fmt.Sprintf("%x", sum[:8]); len(results) != c.count || got != c.digest {
+			t.Errorf("%s: %d results, digest %s; recorded %d, %s", c.name, len(results), got, c.count, c.digest)
 		}
 	}
 }
 
 // TestDeltaPublishActuallyPublishesDeltas guards against the equivalence test
-// passing vacuously: the delta-enabled world must route its map updates
-// through PublishDelta (discovery_delta_publishes_total > 0).
+// passing vacuously: after the first publication, which carries every entry,
+// what the orchestrator hands discovery must chain onto the previous version
+// and carry only the entries a move touched.
 func TestDeltaPublishActuallyPublishesDeltas(t *testing.T) {
-	cfg := orchestrator.Config{
-		App:      "deltakv",
-		Strategy: shard.PrimarySecondary,
-		Shards: UniformShardConfigs(8, 2, topology.Capacity{
-			topology.ResourceCPU:        1,
-			topology.ResourceShardCount: 1,
-		}),
-		Policy: allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount),
-		ServerCapacity: topology.Capacity{
-			topology.ResourceCPU:        100,
-			topology.ResourceShardCount: 40,
-		},
-		DeltaPublish:  true,
-		AllocInterval: 15 * time.Second,
-	}
-	backing := apps.NewKVBacking()
-	d := Build(DeploymentSpec{
-		Regions:          []topology.RegionID{"west"},
-		ServersPerRegion: 4,
-		Orch:             cfg,
-		AppFactory: func(s *appserver.Server) appserver.Application {
-			return apps.NewKVStore(s, backing)
-		},
-		Health: healthmon.New(healthmon.Options{}),
-		Seed:   1,
-	})
+	const shards = 24
+	d := kvWorld("deltakv", shards, 1, nil)
+	type pub struct{ from, to, edits int64 }
+	var pubs []pub
+	d.Orch.AddHooks(orchestrator.Hooks{MapDelta: func(dl *shard.Delta) {
+		pubs = append(pubs, pub{dl.FromVersion, dl.ToVersion, int64(dl.Len())})
+	}})
 	if err := d.Settle(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Force extra publishes past the initial snapshot.
+	// Force extra publishes past the initial placement.
 	victim, ok := d.Orch.AssignmentSnapshot().Primary(shard.ID("s00000"))
 	if !ok {
 		t.Fatal("no primary")
 	}
 	d.Orch.Drain(victim, nil)
 	d.Loop.RunFor(2 * time.Minute)
-	n := d.Health.Registry().Counter("discovery_delta_publishes_total", "app", "deltakv").Value()
-	if n == 0 {
-		t.Fatal("no delta publishes recorded; DeltaPublish not wired")
+	if len(pubs) < 3 || pubs[0].from != 0 || pubs[0].edits != shards {
+		t.Fatalf("publications: %+v", pubs)
+	}
+	for i, p := range pubs[1:] {
+		if p.from != pubs[i].to || p.to != p.from+1 {
+			t.Fatalf("publication %d is %d->%d after %d->%d", i+1, p.from, p.to, pubs[i].from, pubs[i].to)
+		}
+		if p.edits == 0 || p.edits > 2 {
+			t.Fatalf("publication %d carries %d entries; a drain moves one replica per publish", i+1, p.edits)
+		}
+	}
+	if got := d.Disc.Latest("deltakv").Map(); got.Version != pubs[len(pubs)-1].to || len(got.Entries) != shards {
+		t.Fatalf("discovery holds v%d with %d entries after %d publications", got.Version, len(got.Entries), len(pubs))
 	}
 }

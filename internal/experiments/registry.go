@@ -186,7 +186,7 @@ var registry = []runner{
 		}
 		return SimScale(p)
 	}},
-	{"controlscale", "partitioned control plane: full vs delta publish -> BENCH_controlplane.json", func(c RunConfig) *Report {
+	{"controlscale", "partitioned control plane: publication cost by scale -> BENCH_controlplane.json", func(c RunConfig) *Report {
 		p := DefaultControlScaleParams()
 		if c.Scale == ScaleQuick {
 			p.Points = []ControlScalePoint{

@@ -44,11 +44,9 @@ type SimScalePoint struct {
 	// per-subscriber fan-out.
 	FanoutBatch int
 
-	// DeltaPublish switches the republication timer to incremental
-	// publishes: each tick stages ChurnPerPublish random single-replica
-	// reassignments and publishes them as a delta — O(changed) instead of
-	// the O(shards) full-map copy — and clients apply deltas in place.
-	DeltaPublish    bool
+	// ChurnPerPublish is how many random single-replica reassignments each
+	// republication tick stages; 0 republishes the map unchanged (a version
+	// bump).
 	ChurnPerPublish int
 }
 
@@ -96,7 +94,6 @@ func DefaultSimScaleParams() SimScaleParams {
 				LivenessInterval: 10 * time.Minute,
 				PublishInterval:  4 * time.Hour,
 				FanoutBatch:      256,
-				DeltaPublish:     true,
 				ChurnPerPublish:  256,
 			},
 		},
@@ -125,7 +122,6 @@ type SimScalePointRecord struct {
 	Servers        int             `json:"servers"`
 	SimTime        string          `json:"sim_time"`
 	FanoutBatch    int             `json:"fanout_batch"`
-	DeltaPublish   bool            `json:"delta_publish"`
 	Events         uint64          `json:"events"`
 	Requests       int             `json:"requests"`
 	MapDeliveries  int             `json:"map_deliveries"`
@@ -274,62 +270,34 @@ func runSimScalePoint(p SimScaleParams, pt SimScalePoint, seed uint64) SimScaleP
 		})
 	}
 
-	// Shard map: every shard assigned to one server; republished with a
-	// version bump on a timer so discovery fans the map out to all
-	// subscribed clients. Republishes recycle map storage through a
-	// scratch-buffer ping-pong: PublishScratch clones into the caller's
-	// scratch and hands back the previous current map as the next scratch,
-	// so steady-state publishes allocate nothing. (They still *copy*
-	// O(shards) entries per publish — that residual cost is the baseline
-	// the ROADMAP's delta shard-map format is measured against.)
+	// Shard map: every shard assigned to one server, published once as a
+	// snapshot; a timer then republishes it — ChurnPerPublish random
+	// single-replica reassignments per tick, as one delta — so discovery
+	// fans a new version out to all subscribed clients at a cost that does
+	// not depend on the shard count.
 	const app = shard.AppID("simscale")
-	m := shard.NewMap(app)
-	m.Version = 1
+	dlt := shard.NewDelta(app).Reset(app, 0, 1, 0)
 	ids := make([]shard.ID, pt.Shards)
-	for i := 0; i < pt.Shards; i++ {
+	for i := range ids {
 		ids[i] = shard.ID(fmt.Sprintf("s%07d", i))
-		m.Entries[ids[i]] = []shard.Assignment{{
-			Server: shard.ServerID(endpoints[i%len(endpoints)]),
-			Role:   shard.RolePrimary,
-		}}
+		dlt.SetOne(ids[i], shard.ServerID(endpoints[i%len(endpoints)]), shard.RolePrimary)
 	}
-	disc.Publish(m)
-	if pt.DeltaPublish {
-		// Delta republication: each tick stages ChurnPerPublish random
-		// single-replica reassignments (mirrored into the authoritative map)
-		// and publishes only those — O(changed) instead of the O(shards)
-		// copy above, which dominated this point's profile before deltas.
-		churn := pt.ChurnPerPublish
-		if churn < 1 {
-			churn = 1
+	disc.Publish(dlt)
+	version := dlt.ToVersion
+	dlt = shard.NewDelta(app) // let go of the snapshot-sized buffer; churn needs little
+	var prng *sim.RNG         // the churn stream; a point without churn draws nothing
+	if pt.ChurnPerPublish > 0 {
+		prng = loop.RNG().Fork()
+	}
+	loop.EveryL(publishInterval, lbSimPublish, func() {
+		dlt.Reset(app, version, version+1, 0)
+		for j := 0; j < pt.ChurnPerPublish; j++ {
+			id := ids[prng.Intn(pt.Shards)]
+			dlt.SetOne(id, shard.ServerID(endpoints[prng.Intn(len(endpoints))]), shard.RolePrimary)
 		}
-		dlt := shard.NewDelta(app)
-		prng := loop.RNG().Fork()
-		loop.EveryL(publishInterval, lbSimPublish, func() {
-			dlt.Reset(app, m.Version, m.Version+1, 0)
-			for j := 0; j < churn; j++ {
-				id := ids[prng.Intn(pt.Shards)]
-				srv := shard.ServerID(endpoints[prng.Intn(len(endpoints))])
-				dlt.SetOne(id, srv, shard.RolePrimary)
-				m.Entries[id][0] = shard.Assignment{Server: srv, Role: shard.RolePrimary}
-			}
-			m.Version++
-			if next := disc.PublishDelta(dlt); next != nil {
-				dlt = next
-			}
-		})
-	} else {
-		// Full republication recycles map storage through a scratch-buffer
-		// ping-pong: PublishScratch clones into the caller's scratch and
-		// hands back the previous current map as the next scratch, so
-		// steady-state publishes allocate nothing — but still copy
-		// O(shards) entries each, the baseline the delta path replaces.
-		scratch := m.Clone() // seeds the ping-pong; first republish reuses it
-		loop.EveryL(publishInterval, lbSimPublish, func() {
-			m.Version++
-			scratch = disc.PublishScratch(m, scratch)
-		})
-	}
+		version++
+		disc.Publish(dlt)
+	})
 
 	// One load report per shard, uniformly spread over the horizon. These
 	// are all scheduled up front, so the event queue starts at a depth
@@ -350,16 +318,11 @@ func runSimScalePoint(p SimScaleParams, pt SimScalePoint, seed uint64) SimScaleP
 	var served, failed, mapsApplied int
 	onDone := func(time.Duration) { served++ }
 	onFail := func() { failed++ }
-	onMap := func(*shard.Map) { mapsApplied++ }
-	onDelta := func(*shard.Delta) { mapsApplied++ }
+	onMap := func(discovery.View) { mapsApplied++ }
 	for c := 0; c < pt.Clients; c++ {
 		region := regions[c%len(regions)]
 		crng := loop.RNG().Fork()
-		if pt.DeltaPublish {
-			disc.SubscribeDelta(app, onMap, onDelta)
-		} else {
-			disc.Subscribe(app, onMap)
-		}
+		disc.Subscribe(app, onMap)
 		var step func()
 		step = func() {
 			target := endpoints[crng.Intn(len(endpoints))]
@@ -391,7 +354,6 @@ func runSimScalePoint(p SimScaleParams, pt SimScalePoint, seed uint64) SimScaleP
 		Servers:       pt.Servers,
 		SimTime:       simTime.String(),
 		FanoutBatch:   fanoutBatch,
-		DeltaPublish:  pt.DeltaPublish,
 		Events:        events,
 		Requests:      served + failed,
 		MapDeliveries: mapsApplied,

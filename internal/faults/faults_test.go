@@ -64,7 +64,7 @@ func newWorld(t testing.TB) *world {
 	m.Entries = map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "far-srv", Role: shard.RoleSecondary}},
 	}
-	disc.Publish(m)
+	disc.Publish(m.Diff(nil, nil))
 	client := routing.NewClient(loop, net, dir, disc, fleet, "app", ks, "near", routing.DefaultOptions())
 	loop.RunFor(2 * time.Second) // map propagation
 	return &world{

@@ -107,14 +107,6 @@ type Config struct {
 	// retried until acknowledged: an unacknowledged orphan is a live
 	// primary the control plane no longer knows about.
 	OrphanRetry time.Duration
-	// DeltaPublish switches publication to the incremental path after the
-	// first full snapshot: the orchestrator retains its last published map,
-	// diffs each new build against it, and hands discovery an O(changed
-	// entries) delta instead of an O(shards) snapshot to clone and fan out.
-	// Off by default (the legacy full-publish path, byte-identical to prior
-	// behavior). Routing clients must set Options.ApplyDeltas when this is
-	// on, because delta publishes mutate the discovery-side map in place.
-	DeltaPublish bool
 }
 
 func (c *Config) fillDefaults() {
@@ -152,6 +144,12 @@ type serverState struct {
 	deadSince time.Duration
 	// load is the latest per-shard load report.
 	load map[shard.ID]topology.Capacity
+	// shards is the server's part of the published map, which is what its
+	// assignment node in the coordination store should hold; nodeStale is
+	// set while the node does not hold it: never written, changed since the
+	// last write, or the last write failed.
+	shards    map[shard.ID]shard.Role
+	nodeStale bool
 }
 
 type replicaSlot struct {
@@ -201,10 +199,10 @@ type Hooks struct {
 	RoleChanged func(s shard.ID, server shard.ServerID, from, to shard.Role)
 	// MapPublished fires on every shard-map publication.
 	MapPublished func(version int64, entries int)
-	// MapSnapshot fires on every publication with the full map about to be
-	// handed to discovery. The callback must treat it as read-only and not
-	// retain it past the call (clone what it needs).
-	MapSnapshot func(m *shard.Map)
+	// MapDelta fires on every publication with the entries that changed
+	// since the previous one (every entry, on the first). The callback must
+	// treat the delta as read-only and not retain it past the call.
+	MapDelta func(d *shard.Delta)
 }
 
 // Orchestrator is one mini-SM control-plane instance.
@@ -222,12 +220,10 @@ type Orchestrator struct {
 	servers map[shard.ServerID]*serverState
 	shards  map[shard.ID]*shardState
 	order   []shard.ID // deterministic shard iteration
-	version int64
-	// lastPub is the previously published map, retained only in
-	// DeltaPublish mode as the diff base; deltaScratch is the ping-ponged
-	// delta buffer recycled through discovery.PublishDelta.
-	lastPub      *shard.Map
-	deltaScratch *shard.Delta
+	// pub is the authoritative shard map as last published, patched in place
+	// by publish; delta is publish's staging buffer, restaged every time.
+	pub   *shard.Map
+	delta *shard.Delta
 
 	migrationQueue []migration
 	inFlight       int
@@ -277,6 +273,8 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		fleet:           fleet,
 		alloc:           allocator.New(cfg.Policy, seed),
 		paths:           appserver.DefaultPaths(cfg.App),
+		pub:             shard.NewMap(cfg.App),
+		delta:           shard.NewDelta(cfg.App),
 		servers:         make(map[shard.ServerID]*serverState),
 		shards:          make(map[shard.ID]*shardState),
 		draining:        make(map[shard.ServerID]*drainRequest),
@@ -387,7 +385,8 @@ func (o *Orchestrator) syncMembership() {
 		st := o.servers[id]
 		rejoined := false
 		if st == nil {
-			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity)}
+			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity),
+				shards: make(map[shard.ID]shard.Role), nodeStale: true}
 			o.servers[id] = st
 		} else if !st.alive {
 			rejoined = true
@@ -1343,100 +1342,133 @@ func (o *Orchestrator) sanitizeSlots(ss *shardState) {
 	ss.slots = out
 }
 
-// buildMap assembles the shard map (and per-server assignment index) from
-// the current slots, stamped with the given version and a fresh epoch.
-func (o *Orchestrator) buildMap(version int64) (*shard.Map, map[shard.ServerID]map[shard.ID]shard.Role) {
-	m := shard.NewMap(o.cfg.App)
-	m.Version = version
-	m.Gen = o.store.NextEpoch()
-	perServer := make(map[shard.ServerID]map[shard.ID]shard.Role)
-	for _, id := range o.order {
-		ss := o.shards[id]
-		var as []shard.Assignment
-		for _, slot := range ss.slots {
-			if slot.server == "" {
-				continue
-			}
+// assignmentsOf lists the occupied slots as a shard-map entry.
+func assignmentsOf(slots []replicaSlot) []shard.Assignment {
+	var as []shard.Assignment
+	for _, slot := range slots {
+		if slot.server != "" {
 			as = append(as, shard.Assignment{Server: slot.server, Role: slot.role})
-			if perServer[slot.server] == nil {
-				perServer[slot.server] = make(map[shard.ID]shard.Role)
-			}
-			perServer[slot.server][id] = slot.role
-		}
-		if len(as) > 0 {
-			m.Entries[id] = as
 		}
 	}
-	return m, perServer
+	return as
+}
+
+// slotsMatch reports whether assignmentsOf(slots) would equal as.
+func slotsMatch(slots []replicaSlot, as []shard.Assignment) bool {
+	i := 0
+	for _, slot := range slots {
+		if slot.server == "" {
+			continue
+		}
+		if i == len(as) || as[i] != (shard.Assignment{Server: slot.server, Role: slot.role}) {
+			return false
+		}
+		i++
+	}
+	return i == len(as)
 }
 
 // publish pushes a new shard-map version to service discovery and persists
-// per-server assignments to the coordination store. Every publication is
-// stamped with a fresh coordination epoch so consumers apply maps in
-// generation order and drop stale ones.
+// per-server assignments to the coordination store, at a cost proportional to
+// what changed: one pass compares each shard's slots with its entry in the
+// retained map, and only the entries that differ are validated, patched into
+// the map, sent as the delta and written through to their servers'
+// assignment nodes. Every publication is stamped with a fresh coordination
+// epoch so consumers apply maps in generation order and drop stale ones.
 func (o *Orchestrator) publish() {
-	o.version++
-	m, perServer := o.buildMap(o.version)
-	if err := m.Validate(); err != nil {
-		// Never publish (or panic on) an invariant-violating map: repair
-		// the offending slots, count the rejection, and rebuild.
-		for _, id := range o.order {
-			o.sanitizeSlots(o.shards[id])
+	last := *o.pub // header only: what discovery should be holding
+	o.pub.Version, o.pub.Gen = last.Version+1, o.store.NextEpoch()
+	d := o.delta.Reset(o.cfg.App, last.Version, o.pub.Version, o.pub.Gen)
+	for _, id := range o.order {
+		ss := o.shards[id]
+		old := o.pub.Entries[id]
+		if slotsMatch(ss.slots, old) {
+			continue
 		}
-		m, perServer = o.buildMap(o.version)
-		if err := m.Validate(); err != nil {
-			panic(fmt.Sprintf("orchestrator: invalid map after sanitize: %v", err))
+		// The entries left alone were validated when they were published and
+		// Validate judges each entry on its own, so checking the changed ones
+		// keeps the whole map valid.
+		as := assignmentsOf(ss.slots)
+		if err := shard.ValidateEntry(id, as); err != nil {
+			// Never publish (or panic on) an invariant-violating entry:
+			// repair the offending slots and count the rejection.
+			o.sanitizeSlots(ss)
+			as = assignmentsOf(ss.slots)
+			if err := shard.ValidateEntry(id, as); err != nil {
+				panic(fmt.Sprintf("orchestrator: invalid map after sanitize: %v", err))
+			}
+			if slotsMatch(ss.slots, old) {
+				continue
+			}
+		}
+		for _, a := range old {
+			if st := o.servers[a.Server]; st != nil {
+				delete(st.shards, id)
+				st.nodeStale = true
+			}
+		}
+		if len(as) == 0 {
+			delete(o.pub.Entries, id)
+			d.Remove(id)
+		} else {
+			o.pub.Entries[id] = as
+			d.Set(id, as)
+		}
+		for _, a := range as {
+			if st := o.servers[a.Server]; st != nil {
+				st.shards[id] = a.Role
+				st.nodeStale = true
+			}
 		}
 	}
 	if tr := o.loop.Tracer(); tr.Enabled() {
 		tr.Event("orchestrator", "publish", o.curAlloc,
 			trace.String("app", string(o.cfg.App)),
-			trace.Int64("version", m.Version),
-			trace.Int("entries", len(m.Entries)))
+			trace.Int64("version", o.pub.Version),
+			trace.Int("entries", len(o.pub.Entries)))
 	}
 	o.loop.Metrics().Counter("orchestrator_publishes_total",
 		"app", string(o.cfg.App)).Inc()
 	for _, h := range o.hooks {
 		if h.MapPublished != nil {
-			h.MapPublished(m.Version, len(m.Entries))
+			h.MapPublished(o.pub.Version, len(o.pub.Entries))
 		}
-		if h.MapSnapshot != nil {
-			h.MapSnapshot(m)
+		if h.MapDelta != nil {
+			h.MapDelta(d)
 		}
 	}
-	if o.cfg.DeltaPublish && o.lastPub != nil {
-		d := m.Diff(o.lastPub, o.deltaScratch)
-		o.deltaScratch = o.disc.PublishDelta(d)
-		if v, _, ok := o.disc.CurrentMeta(o.cfg.App); !ok || v != m.Version {
-			// The delta could not chain onto discovery's current map (it was
-			// dropped as a gap); resync with a full snapshot.
-			o.disc.Publish(m)
-		}
-		o.lastPub = m
+	if lv := o.disc.Latest(o.cfg.App); lv.Version != last.Version || lv.Gen != last.Gen {
+		// Discovery is not where this orchestrator left it: another
+		// incarnation published in between, so the last delta was dropped or
+		// this one would land on a map it was not made against. Resend the
+		// whole map.
+		o.disc.Publish(o.pub.Diff(nil, nil))
 	} else {
-		o.disc.Publish(m)
-		if o.cfg.DeltaPublish {
-			// First publication: discovery cloned m, so the freshly built map
-			// is ours to retain as the next diff base.
-			o.lastPub = m
-		}
+		o.disc.Publish(d)
 	}
 
-	// Persist assignments for server start-up reads (§3.2). Servers with
-	// no shards get their node cleared.
+	// Persist assignments for server start-up reads (§3.2); a server left
+	// with no shards gets its node cleared. A write the store refuses (a
+	// coord stall) leaves the node stale, so the next publish retries it.
 	for _, id := range o.sortedServerIDs() {
-		node := o.paths.AssignNode(id)
-		data := appserver.EncodeAssignment(perServer[id])
-		if o.store.Exists(node) {
-			_, _ = o.store.Set(node, data, -1)
-		} else {
-			_ = o.store.Create(node, data, nil)
+		st := o.servers[id]
+		if !st.nodeStale {
+			continue
 		}
+		node := o.paths.AssignNode(id)
+		data := appserver.EncodeAssignment(st.shards)
+		var err error
+		if o.store.Exists(node) {
+			_, err = o.store.Set(node, data, -1)
+		} else {
+			err = o.store.Create(node, data, nil)
+		}
+		st.nodeStale = err != nil
 	}
 }
 
 // Version returns the latest published map version.
-func (o *Orchestrator) Version() int64 { return o.version }
+func (o *Orchestrator) Version() int64 { return o.pub.Version }
 
 // --- TaskController-facing API ---
 
@@ -1444,16 +1476,9 @@ func (o *Orchestrator) Version() int64 { return o.version }
 // possibly stale discovery view).
 func (o *Orchestrator) AssignmentSnapshot() *shard.Map {
 	m := shard.NewMap(o.cfg.App)
-	m.Version = o.version
+	m.Version = o.pub.Version
 	for _, id := range o.order {
-		ss := o.shards[id]
-		var as []shard.Assignment
-		for _, slot := range ss.slots {
-			if slot.server != "" {
-				as = append(as, shard.Assignment{Server: slot.server, Role: slot.role})
-			}
-		}
-		if len(as) > 0 {
+		if as := assignmentsOf(o.shards[id].slots); len(as) > 0 {
 			m.Entries[id] = as
 		}
 	}
@@ -1685,6 +1710,6 @@ func (o *Orchestrator) Stats() string {
 		}
 	}
 	return fmt.Sprintf("app=%s servers=%d/%d shards=%d version=%d moves=%d emergencies=%d",
-		o.cfg.App, alive, len(o.servers), len(o.shards), o.version,
+		o.cfg.App, alive, len(o.servers), len(o.shards), o.pub.Version,
 		o.ShardMoves.Value(), o.EmergencyRuns.Value())
 }

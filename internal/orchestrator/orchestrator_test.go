@@ -146,9 +146,9 @@ func TestInitialPlacementPrimaryOnly(t *testing.T) {
 			t.Fatalf("server %s does not hold %s", as[0].Server, id)
 		}
 	}
-	// Discovery received the map.
-	if cur := w.disc.Current("app"); cur == nil || cur.Version == 0 {
-		t.Fatal("map never published")
+	// Discovery received the map: its latest version is the orchestrator's.
+	if got := w.disc.Latest("app").Map(); got == nil || got.Version != w.orch.Version() || len(got.Entries) != len(m.Entries) {
+		t.Fatalf("discovery holds %+v, orchestrator published v%d with %d entries", got, w.orch.Version(), len(m.Entries))
 	}
 }
 

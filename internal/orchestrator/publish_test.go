@@ -1,0 +1,223 @@
+package orchestrator
+
+import (
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"shardmanager/internal/allocator"
+	"shardmanager/internal/appserver"
+	"shardmanager/internal/cluster"
+	"shardmanager/internal/coord"
+	"shardmanager/internal/shard"
+	"shardmanager/internal/topology"
+)
+
+// TestPublishedDeltasMatchSnapshotDiffs scripts every kind of slot mutation —
+// initial executeDiff adds, a drain's graceful and make-before-break
+// migrations, reconcileRoles after a server dies, the emergency re-add,
+// DemotePrimaries, a sanitize repair and the removal of an entry — and
+// requires each publication's delta to be exactly the Diff of the
+// AssignmentSnapshots around it, the retained map to equal the snapshot and
+// validate as a whole, and discovery to hold that same map.
+func TestPublishedDeltasMatchSnapshotDiffs(t *testing.T) {
+	cfg := baseConfig(shard.PrimarySecondary, 10, 2)
+	cfg.FailoverGrace = 20 * time.Second
+	w := buildWorld(t, []topology.RegionID{"r1"}, 5, cfg)
+	before := w.orch.AssignmentSnapshot()
+	publishes, removals := 0, 0
+	w.orch.AddHooks(Hooks{MapDelta: func(d *shard.Delta) {
+		publishes++
+		removals += len(d.Removed)
+		after := w.orch.AssignmentSnapshot()
+		want := after.Diff(before, nil)
+		got := &shard.Delta{App: d.App, FromVersion: d.FromVersion, ToVersion: d.ToVersion}
+		for _, e := range d.Changed {
+			got.Set(e.Shard, e.Assignments)
+		}
+		got.Removed = append(got.Removed, d.Removed...)
+		sort.Slice(got.Changed, func(i, j int) bool { return got.Changed[i].Shard < got.Changed[j].Shard })
+		sort.Slice(got.Removed, func(i, j int) bool { return got.Removed[i] < got.Removed[j] })
+		if d.Gen == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("publication %d (g%d):\n delta %+v\n diff  %+v", publishes, d.Gen, got, want)
+		}
+		if err := w.orch.pub.Validate(); err != nil {
+			t.Fatalf("publication %d: retained map: %v", publishes, err)
+		}
+		if w.orch.pub.Version != after.Version || !reflect.DeepEqual(w.orch.pub.Entries, after.Entries) {
+			t.Fatalf("publication %d: retained map %+v, slots say %+v", publishes, w.orch.pub, after)
+		}
+		before = after
+	}})
+	settle := func(d time.Duration) {
+		t.Helper()
+		w.loop.RunFor(d)
+		if got := w.disc.Latest("app").Map(); !reflect.DeepEqual(got.Entries, before.Entries) || got.Version != before.Version {
+			t.Fatalf("discovery holds v%d %+v, last publication was v%d %+v", got.Version, got.Entries, before.Version, before.Entries)
+		}
+	}
+	step := func(what string, min int, do func()) {
+		t.Helper()
+		was := publishes
+		do()
+		if publishes-was < min {
+			t.Fatalf("%s: %d publications, want at least %d", what, publishes-was, min)
+		}
+	}
+
+	step("initial placement", 1, func() { settle(3 * time.Minute) })
+	assertConverged(t, w, 2)
+
+	primaryOf := func(s shard.ID) shard.ServerID {
+		t.Helper()
+		srv, ok := before.Primary(s)
+		if !ok {
+			t.Fatalf("%s has no primary", s)
+		}
+		return srv
+	}
+	// A drain moves primaries gracefully and secondaries make-before-break.
+	drained := primaryOf("s000")
+	step("drain", 2, func() {
+		w.orch.Drain(drained, nil)
+		settle(3 * time.Minute)
+		w.orch.CancelDrain(drained)
+	})
+	// A dead server's primaries are demoted in place (reconcileRoles), a
+	// secondary is promoted after the hold, and the emergency allocation
+	// re-adds the lost replicas.
+	victim := primaryOf("s001")
+	step("server death", 3, func() {
+		w.managers["r1"].KillMachine(w.fleet.Machine(topology.MachineID(w.orch.servers[victim].machine)).ID)
+		settle(3 * time.Minute)
+	})
+	step("demote primaries", 1, func() {
+		w.orch.DemotePrimaries(primaryOf("s002"))
+		settle(time.Minute)
+	})
+	// A planning bug leaves a shard with a moved replica listed twice: the
+	// repair collapses the duplicate and the entry still goes out changed.
+	step("sanitize repair", 1, func() {
+		ss := w.orch.shards["s003"]
+		spare := shard.ServerID("")
+		for id, st := range w.orch.servers {
+			if st.alive && w.orch.findSlot(ss, id) == -1 && (spare == "" || id < spare) {
+				spare = id
+			}
+		}
+		ss.slots[1].server = spare
+		ss.slots = append(ss.slots, ss.slots[1])
+		w.orch.publish()
+		if len(ss.slots) != 2 || before.Replicas("s003")[1].Server != spare {
+			t.Fatalf("after repair: slots %+v, published %+v", ss.slots, before.Replicas("s003"))
+		}
+	})
+	// Dropping every replica of a shard removes its entry; the next periodic
+	// allocation places it again.
+	step("entry removed and re-added", 2, func() {
+		var drops []allocator.ReplicaMove
+		for _, a := range before.Replicas("s004") {
+			drops = append(drops, allocator.ReplicaMove{Shard: "s004", From: a.Server})
+		}
+		w.orch.executeDiff(&allocator.Result{Moves: drops})
+		if removals != 1 || before.Replicas("s004") != nil {
+			t.Fatalf("removals = %d, s004 = %+v", removals, before.Replicas("s004"))
+		}
+		settle(3 * time.Minute)
+		if len(before.Replicas("s004")) != 2 {
+			t.Fatalf("s004 not placed again: %+v", before.Replicas("s004"))
+		}
+	})
+}
+
+// TestPublishResyncsAfterForeignPublish: when another publisher's version
+// lands in discovery between two of this orchestrator's publications, its
+// next delta cannot chain; it must notice and resend its whole map.
+func TestPublishResyncsAfterForeignPublish(t *testing.T) {
+	w := buildWorld(t, []topology.RegionID{"r1"}, 4, baseConfig(shard.PrimarySecondary, 6, 2))
+	w.loop.RunFor(3 * time.Minute)
+	foreign := shard.NewMap("app")
+	foreign.Version, foreign.Gen = 1, w.store.NextEpoch()
+	foreign.Entries["elsewhere"] = []shard.Assignment{{Server: "x", Role: shard.RolePrimary}}
+	w.disc.Publish(foreign.Diff(nil, nil))
+
+	srv, _ := w.orch.AssignmentSnapshot().Primary("s000")
+	w.orch.DemotePrimaries(srv)
+	want := w.orch.AssignmentSnapshot()
+	if got := w.disc.Latest("app").Map(); got.Version != want.Version || !reflect.DeepEqual(got.Entries, want.Entries) {
+		t.Fatalf("discovery holds v%d %+v, orchestrator published v%d %+v", got.Version, got.Entries, want.Version, want.Entries)
+	}
+}
+
+// TestStalledAssignmentWriteHealsOnNextPublish: a coordination-store write
+// stall (what the stall(coord) fault installs) covers a migration, so neither
+// server's assignment node learns of it; the next publication after the stall
+// heals changes nothing on either server — here, nothing at all — yet it must
+// bring both nodes up to date: a restarted server restores its shards from
+// that node alone.
+func TestStalledAssignmentWriteHealsOnNextPublish(t *testing.T) {
+	cfg := baseConfig(shard.PrimarySecondary, 8, 2)
+	cfg.AllocInterval = time.Hour // after the initial placement, only the scripted moves
+	w := buildWorld(t, []topology.RegionID{"r1"}, 4, cfg)
+	w.loop.RunFor(2 * time.Minute) // servers come up
+	w.orch.ForceAllocate(allocator.Periodic)
+	w.loop.RunFor(3 * time.Minute)
+	assertConverged(t, w, 2)
+	m := w.orch.AssignmentSnapshot()
+
+	// Move s000's secondary from one server to another that does not hold it.
+	var from, to shard.ServerID
+	for _, a := range m.Replicas("s000") {
+		if a.Role == shard.RoleSecondary {
+			from = a.Server
+		}
+	}
+	for _, id := range w.orch.sortedServerIDs() {
+		if to == "" && w.orch.findSlot(w.orch.shards["s000"], id) == -1 {
+			to = id
+		}
+	}
+	if from == "" || to == "" {
+		t.Fatalf("no usable move in %+v", m.Entries)
+	}
+	persisted := func(srv shard.ServerID) string {
+		data, _, err := w.store.Get(appserver.DefaultPaths("app").AssignNode(srv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	w.store.SetWriteGate(func(op, path string) error { return coord.ErrUnavailable })
+	w.orch.executeDiff(&allocator.Result{Moves: []allocator.ReplicaMove{{Shard: "s000", From: from, To: to}}})
+	w.loop.RunFor(time.Minute)
+	if got := w.orch.AssignmentSnapshot().Replicas("s000"); got[0].Server != to && got[1].Server != to {
+		t.Fatalf("migration did not commit: %+v", got)
+	}
+	if !strings.Contains(persisted(from), "s000 ") || strings.Contains(persisted(to), "s000 ") {
+		t.Fatal("the stalled writes went through; the test proves nothing")
+	}
+	w.store.SetWriteGate(nil)
+
+	w.orch.publish() // changes no entry at all
+	if strings.Contains(persisted(from), "s000 ") || !strings.Contains(persisted(to), "s000 s\n") {
+		t.Fatalf("after the healing publication: source node %q, target node %q", persisted(from), persisted(to))
+	}
+
+	// With the control plane down, the target restarts and must come back
+	// holding s000 from its persisted assignment.
+	w.loop.RunFor(time.Minute)
+	w.orch.Stop()
+	mgr := w.managers["r1"]
+	mgr.Submit(cluster.Operation{Type: cluster.OpRestart, Container: cluster.ContainerID(to), Negotiable: false, Reason: "restart"})
+	w.loop.RunFor(10 * time.Minute)
+	srv := w.dir.Lookup(to)
+	if srv == nil {
+		t.Fatal("server did not come back")
+	}
+	if !srv.HoldsActive("s000") {
+		t.Fatalf("restarted target restored %v, without s000", srv.Shards())
+	}
+}

@@ -43,13 +43,6 @@ type Options struct {
 	// many clients decorrelate instead of stampeding in lockstep after a
 	// partition heals. Set negative to disable jitter entirely.
 	RetryJitter float64
-	// ApplyDeltas subscribes the client through the incremental path: the
-	// client owns a private map, cloning full snapshots into it and applying
-	// deltas in place (O(changed entries) per update instead of retaining
-	// O(shards) snapshots). Required when the publisher uses delta publishes
-	// (which mutate the discovery-side map in place); routing outcomes are
-	// identical either way.
-	ApplyDeltas bool
 }
 
 // DefaultOptions returns sensible client settings.
@@ -101,12 +94,9 @@ type Client struct {
 	rng      *sim.RNG
 	retryRNG *sim.RNG
 
-	current *shard.Map
-	// owned is the client-private map buffer used in ApplyDeltas mode:
-	// full snapshots are cloned into it and deltas applied in place, so the
-	// client never retains a service-owned map that a later delta publish
-	// would mutate underneath it.
-	owned *shard.Map
+	// view is the shard-map version the client routes by: a cursor into the
+	// discovery store, valid while the client's subscription is live.
+	view discovery.View
 
 	// MapUpdates counts received shard-map versions.
 	MapUpdates int64
@@ -149,109 +139,32 @@ func NewClient(loop *sim.Loop, net *rpcnet.Network, dir *appserver.Directory,
 	// jitter from c.rng directly would shift the read tie-break sequence
 	// whenever a request happens to retry.
 	c.retryRNG = c.rng.Fork()
-	if opts.ApplyDeltas {
-		// SubscribeDelta's RNG accounting matches Subscribe exactly, so the
-		// mode flag cannot shift any other subscriber's delay stream.
-		disc.SubscribeDelta(app, c.onFullSnapshot, c.onDelta)
-	} else {
-		disc.Subscribe(app, func(m *shard.Map) {
-			// An on-demand refresh may already have installed a newer map than
-			// this delivery carries; never regress.
-			if !newerMap(m, c.current) {
-				return
-			}
-			c.current = m
-			c.MapUpdates++
-		})
-	}
+	disc.Subscribe(app, func(v discovery.View) { c.install(v) })
 	return c
 }
 
-// onFullSnapshot installs a delivered full snapshot in ApplyDeltas mode by
-// cloning it into the client-owned buffer (the delivered map is
-// service-owned there and must not be retained).
-func (c *Client) onFullSnapshot(m *shard.Map) {
-	if !newerMap(m, c.current) {
-		return
-	}
-	c.owned = m.CloneInto(c.owned)
-	c.current = c.owned
-	c.MapUpdates++
-}
-
-// onDelta chains one in-order delta onto the client's private map. An
-// on-demand refresh may have moved the client past the delta's base version;
-// a delta that can no longer chain falls back to a full refresh from the
-// authoritative current map.
-func (c *Client) onDelta(d *shard.Delta) {
-	cur := c.current
-	if cur == nil || cur.Version >= d.ToVersion {
-		return
-	}
-	if cur.Version == d.FromVersion {
-		if err := cur.ApplyDelta(d); err == nil {
-			c.MapUpdates++
-			return
-		}
-	}
-	c.refreshMap()
-}
-
-// newerMap reports whether m supersedes cur: by fencing generation when both
-// maps carry one (the total order shared with sessions and grants), by
-// version otherwise.
-func newerMap(m, cur *shard.Map) bool {
-	if m == nil {
+// install adopts v unless the client already routes by something as new — an
+// on-demand refresh may have run ahead of a delivery; a client never
+// regresses — and reports whether it did.
+func (c *Client) install(v discovery.View) bool {
+	if !v.After(c.view) {
 		return false
 	}
-	if cur == nil {
-		return true
-	}
-	if m.Gen > 0 && cur.Gen > 0 {
-		return m.Gen > cur.Gen
-	}
-	return m.Version > cur.Version
+	c.view = v
+	c.MapUpdates++
+	return true
 }
 
-// newerMeta is newerMap for a (version, gen) pair read without cloning.
-func newerMeta(version, gen int64, cur *shard.Map) bool {
-	if cur == nil {
-		return true
-	}
-	if gen > 0 && cur.Gen > 0 {
-		return gen > cur.Gen
-	}
-	return version > cur.Version
-}
-
-// refreshMap pulls the discovery system's current map immediately, without
+// refreshMap pulls the discovery system's latest version immediately, without
 // waiting for tree propagation. The SR library does this when a server's
 // rejection implies the client's map is generation-behind ("fenced",
 // "not-owner", "not-primary"): the map that fixes the routing already exists,
 // so fetching it now closes the staleness window instead of retrying blind.
 func (c *Client) refreshMap() {
-	if c.opts.ApplyDeltas {
-		// Peek at the version first so a no-op refresh costs no copy, then
-		// clone into the client-owned buffer instead of allocating a map.
-		v, g, ok := c.disc.CurrentMeta(c.App)
-		if !ok || !newerMeta(v, g, c.current) {
-			return
-		}
-		c.owned = c.disc.CurrentInto(c.App, c.owned)
-		c.current = c.owned
-		c.MapUpdates++
+	if c.install(c.disc.Latest(c.App)) {
 		c.loop.Metrics().Counter("routing_map_refreshes_total",
 			"app", string(c.App)).Inc()
-		return
 	}
-	m := c.disc.Current(c.App)
-	if !newerMap(m, c.current) {
-		return
-	}
-	c.current = m
-	c.MapUpdates++
-	c.loop.Metrics().Counter("routing_map_refreshes_total",
-		"app", string(c.App)).Inc()
 }
 
 // OnResult registers fn to run on every final request Result.
@@ -260,15 +173,10 @@ func (c *Client) OnResult(fn func(Result)) {
 }
 
 // HasMap reports whether the client has received any shard map yet.
-func (c *Client) HasMap() bool { return c.current != nil }
+func (c *Client) HasMap() bool { return c.view != discovery.View{} }
 
 // MapVersion returns the client's current map version (0 if none).
-func (c *Client) MapVersion() int64 {
-	if c.current == nil {
-		return 0
-	}
-	return c.current.Version
-}
+func (c *Client) MapVersion() int64 { return c.view.Version }
 
 // Do routes one request for key and invokes done with the final outcome.
 // write selects primary-routed requests.
@@ -455,10 +363,7 @@ func (c *Client) attempt(req *appserver.Request, start time.Duration, attempt in
 // the Fig 19 latency curves move). Secondary-only applications route reads
 // round-robin among the closest replicas.
 func (c *Client) pickServer(s shard.ID, write bool, tried map[shard.ServerID]bool) (shard.ServerID, bool) {
-	if c.current == nil {
-		return "", false
-	}
-	replicas := c.current.Replicas(s)
+	replicas := c.view.Replicas(s)
 	if len(replicas) == 0 {
 		return "", false
 	}

@@ -74,7 +74,7 @@ func (e *env) publish(version int64, entries map[shard.ID][]shard.Assignment) {
 	m := shard.NewMap("app")
 	m.Version = version
 	m.Entries = entries
-	e.disc.Publish(m)
+	e.disc.Publish(m.Diff(nil, nil))
 }
 
 func (e *env) client(region topology.RegionID) *Client {

@@ -16,21 +16,20 @@ type DeltaEntry struct {
 
 // Delta is a compact edit script between two consecutive shard-map
 // versions: applying it to a map at FromVersion yields the map at
-// ToVersion. Steady-state publication cost becomes O(changed entries)
-// instead of the O(shards) copy a full-map publish pays, which is what
-// makes frequent republication affordable at millions of shards
-// (ROADMAP item 2).
+// ToVersion. It is the one form a shard map is published in, so publication
+// costs O(changed entries) instead of O(shards), which is what makes
+// frequent republication affordable at millions of shards.
 //
 // A Delta is a reusable buffer: Reset rewinds it in place, and staging
 // methods (Set, SetOne, Remove) recycle the Changed backing array and each
-// entry's Assignments slice, so a publisher that ping-pongs two deltas
+// entry's Assignments slice, so a publisher that restages one delta
 // allocates nothing at steady state.
 type Delta struct {
 	App AppID
 	// FromVersion is the map version this delta applies on top of;
-	// ToVersion is the resulting version. Deltas chain: a consumer at
-	// version N applies the N->N+1 delta; anything else falls back to a
-	// full snapshot.
+	// ToVersion is the resulting version. FromVersion 0 marks a snapshot:
+	// Changed carries every entry of the target map and a consumer replaces
+	// whatever it held (the first publication, and a publisher's resync).
 	FromVersion int64
 	ToVersion   int64
 	// Gen is the coordination epoch stamped on the resulting map, with the
@@ -96,9 +95,9 @@ func (d *Delta) SetOne(s ID, server ServerID, role Role) {
 func (d *Delta) Remove(s ID) { d.Removed = append(d.Removed, s) }
 
 // ApproxBytes estimates the delta's wire size: shard/server ID bytes plus a
-// small fixed per-record overhead. The full-vs-delta bytes-per-publish
-// comparison in BENCH_controlplane.json uses the same accounting for both
-// sides, so the ratio is meaningful even though neither is a real codec.
+// small fixed per-record overhead. Map.ApproxBytes uses the same accounting,
+// so a delta-to-map size ratio is meaningful even though neither is a real
+// codec.
 func (d *Delta) ApproxBytes() int64 {
 	n := int64(32) // header: app/version bounds/gen
 	for i := range d.Changed {
@@ -143,13 +142,14 @@ func assignmentsEqual(a, b []Assignment) bool {
 }
 
 // Diff computes the delta that turns prev into m, reusing scratch's storage
-// when non-nil. Entries are emitted in sorted shard order so the result is
-// deterministic regardless of map iteration order. Cost is O(|m| + |prev|)
-// plus a sort of the changed set — publishers that already know their churn
-// set should stage a Delta directly instead and skip the scan.
+// when non-nil; a nil prev yields m's snapshot (FromVersion 0, every entry).
+// Entries are emitted in sorted shard order so the result is deterministic
+// regardless of map iteration order. Cost is O(|m| + |prev|) plus a sort of
+// the changed set — publishers that already know their churn set should
+// stage a Delta directly instead and skip the scan.
 func (m *Map) Diff(prev *Map, scratch *Delta) *Delta {
 	if prev == nil {
-		panic("shard: Diff(nil) — publish a full map instead")
+		prev = &Map{}
 	}
 	d := scratch
 	if d == nil {
@@ -177,8 +177,8 @@ func (m *Map) Diff(prev *Map, scratch *Delta) *Delta {
 // consumer-side counterpart of Diff: for any maps A, B with the same App,
 // A.Clone() + ApplyDelta(B.Diff(A)) is deep-equal to B.
 //
-// The version must match exactly: a consumer holding any other version must
-// resync from a full snapshot (the service discovery layer arranges that).
+// The version must match exactly; a snapshot (FromVersion 0) therefore
+// applies only to a map that has no version yet.
 func (m *Map) ApplyDelta(d *Delta) error {
 	if m.App != d.App {
 		return fmt.Errorf("shard: delta for app %q applied to map of %q", d.App, m.App)

@@ -59,6 +59,19 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 	if err := mapsDeepEqual(got, next); err != nil {
 		t.Fatal(err)
 	}
+
+	// A nil prev yields the snapshot: every entry, applying to a fresh map.
+	snap := next.Diff(nil, nil)
+	if snap.FromVersion != 0 || snap.ToVersion != 4 || len(snap.Changed) != len(next.Entries) || len(snap.Removed) != 0 {
+		t.Fatalf("snapshot delta %+v", snap)
+	}
+	fresh := NewMap("app")
+	if err := fresh.ApplyDelta(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapsDeepEqual(fresh, next); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestApplyDeltaVersionAndAppChecks(t *testing.T) {

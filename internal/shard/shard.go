@@ -112,32 +112,6 @@ func (m *Map) Clone() *Map {
 	return out
 }
 
-// CloneInto deep-copies m into dst, reusing dst's entry map and per-shard
-// assignment slices instead of allocating fresh ones. At steady state —
-// same shard set publish over publish — a clone into a previously used
-// buffer allocates nothing, which is what makes periodic full-map
-// republishes affordable at large shard counts. A nil dst behaves like
-// Clone. Returns dst.
-func (m *Map) CloneInto(dst *Map) *Map {
-	if dst == nil {
-		return m.Clone()
-	}
-	dst.App, dst.Version, dst.Gen = m.App, m.Version, m.Gen
-	if dst.Entries == nil {
-		dst.Entries = make(map[ID][]Assignment, len(m.Entries))
-	} else {
-		for s := range dst.Entries {
-			if _, ok := m.Entries[s]; !ok {
-				delete(dst.Entries, s)
-			}
-		}
-	}
-	for s, as := range m.Entries {
-		dst.Entries[s] = append(dst.Entries[s][:0], as...)
-	}
-	return dst
-}
-
 // Primary returns the server holding the shard's primary replica, if any.
 func (m *Map) Primary(s ID) (ServerID, bool) {
 	for _, a := range m.Entries[s] {
@@ -182,24 +156,34 @@ func (m *Map) ShardsOn(server ServerID) []ID {
 	return out
 }
 
-// Validate checks map invariants: at most one primary per shard and no
-// duplicate server within a shard's replica list.
+// Validate checks every entry with ValidateEntry.
 func (m *Map) Validate() error {
 	for s, as := range m.Entries {
-		primaries := 0
-		seen := make(map[ServerID]struct{}, len(as))
-		for _, a := range as {
-			if a.Role == RolePrimary {
-				primaries++
-			}
-			if _, dup := seen[a.Server]; dup {
-				return fmt.Errorf("shard %s: duplicate replica on server %s", s, a.Server)
-			}
-			seen[a.Server] = struct{}{}
+		if err := ValidateEntry(s, as); err != nil {
+			return err
 		}
-		if primaries > 1 {
-			return fmt.Errorf("shard %s: %d primaries", s, primaries)
+	}
+	return nil
+}
+
+// ValidateEntry checks one shard's assignment list against the map
+// invariants: at most one primary and no server listed twice. Entries are
+// independent, so a publisher that validates each entry it changes keeps the
+// whole map valid.
+func ValidateEntry(s ID, as []Assignment) error {
+	primaries := 0
+	seen := make(map[ServerID]struct{}, len(as))
+	for _, a := range as {
+		if a.Role == RolePrimary {
+			primaries++
 		}
+		if _, dup := seen[a.Server]; dup {
+			return fmt.Errorf("shard %s: duplicate replica on server %s", s, a.Server)
+		}
+		seen[a.Server] = struct{}{}
+	}
+	if primaries > 1 {
+		return fmt.Errorf("shard %s: %d primaries", s, primaries)
 	}
 	return nil
 }

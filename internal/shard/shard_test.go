@@ -240,60 +240,3 @@ func TestFormatAssignments(t *testing.T) {
 		t.Fatalf("FormatAssignments = %q", s)
 	}
 }
-
-func TestMapCloneIntoReusesStorage(t *testing.T) {
-	m := NewMap("app")
-	m.Version, m.Gen = 7, 3
-	m.Entries["s1"] = []Assignment{{Server: "a", Role: RolePrimary}}
-	m.Entries["s2"] = []Assignment{{Server: "b", Role: RolePrimary}, {Server: "c", Role: RoleSecondary}}
-
-	dst := NewMap("other")
-	dst.Entries["stale"] = []Assignment{{Server: "z"}}
-	s2buf := make([]Assignment, 1, 4)
-	s2buf[0] = Assignment{Server: "old"}
-	dst.Entries["s2"] = s2buf
-
-	got := m.CloneInto(dst)
-	if got != dst {
-		t.Fatal("CloneInto did not return dst")
-	}
-	if dst.App != "app" || dst.Version != 7 || dst.Gen != 3 {
-		t.Fatalf("header not copied: %+v", dst)
-	}
-	if _, ok := dst.Entries["stale"]; ok {
-		t.Fatal("stale key survived CloneInto")
-	}
-	if len(dst.Entries) != 2 || len(dst.Entries["s2"]) != 2 {
-		t.Fatalf("entries not copied: %+v", dst.Entries)
-	}
-	// The pre-existing slice storage must be reused, not reallocated.
-	if &dst.Entries["s2"][0] != &s2buf[:1][0] {
-		t.Fatal("CloneInto reallocated a reusable assignment slice")
-	}
-	// And the copy must be deep: mutating dst must not touch m.
-	dst.Entries["s1"][0].Server = "mut"
-	if m.Entries["s1"][0].Server != "a" {
-		t.Fatal("CloneInto shares state with the source")
-	}
-	// nil dst falls back to a fresh deep clone.
-	c := m.CloneInto(nil)
-	if c == nil || len(c.Entries) != 2 || &c.Entries["s2"][0] == &m.Entries["s2"][0] {
-		t.Fatal("CloneInto(nil) did not deep-clone")
-	}
-}
-
-func TestMapCloneIntoSteadyStateAllocationFree(t *testing.T) {
-	m := NewMap("app")
-	for i := 0; i < 500; i++ {
-		id := ID("shard-" + strings.Repeat("x", i%7) + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)))
-		m.Entries[id] = []Assignment{{Server: "a", Role: RolePrimary}}
-	}
-	dst := m.Clone()
-	allocs := testing.AllocsPerRun(50, func() {
-		m.Version++
-		m.CloneInto(dst)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state CloneInto allocated %.2f allocs/run, want 0", allocs)
-	}
-}

@@ -30,7 +30,7 @@ echo "== sim-kernel benchmark smoke (-benchtime=1x)"
 go test . -run '^$' -bench 'ProfilerOverhead|SimScale' -benchtime=1x
 echo "== kernel-bench smoke (120k-shard point vs committed BENCH_sim.json, >20% regression fails)"
 go run ./cmd/smbench -fig simscale -sim-smoke -sim-baseline BENCH_sim.json -bench-sim-out ""
-echo "== control-plane smoke (100k-shard point vs committed BENCH_controlplane.json, >20% regression fails)"
+echo "== control-plane smoke (100k-shard point vs committed BENCH_controlplane.json: seed-exact columns must match, entries/s is printed only)"
 go run ./cmd/smbench -controlscale -controlplane-baseline BENCH_controlplane.json -bench-controlplane-out ""
 echo "== code lines (scripts/loc.sh)"
 sh scripts/loc.sh
