@@ -8,9 +8,11 @@ import (
 
 	"shardmanager/internal/appserver"
 	"shardmanager/internal/discovery"
+	"shardmanager/internal/experiments"
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/sim"
+	"shardmanager/internal/solver"
 )
 
 // TestOneEntryPointPerMechanism pins the exported method sets that used to
@@ -86,6 +88,35 @@ func TestOneEntryPointPerMechanism(t *testing.T) {
 	} {
 		if _, ok := typ.FieldByName(field); ok {
 			t.Errorf("%v has field %s: it selected a second publication path", typ, field)
+		}
+	}
+}
+
+// TestNoSyntheticBenchKnobs pins what went with the three synthetic benches:
+// the knobs only they set and the experiments that were their drivers. `go
+// run ./bench` on real deployments is the one yardstick; a layer is driven on
+// its own by its package benchmark. (Names assembled from stems, as above.)
+func TestNoSyntheticBenchKnobs(t *testing.T) {
+	disc := reflect.TypeOf((*discovery.Service)(nil))
+	if _, ok := disc.MethodByName("Set" + "Fanout" + "Batch"); ok {
+		t.Errorf("%v has a fan-out batch setter: discovery has one delivery path, one event per subscriber", disc)
+	}
+	opts := reflect.TypeOf(solver.Options{})
+	if _, ok := opts.FieldByName("Para" + "llel"); ok {
+		t.Errorf("%v has a worker-count field: the solver, like the rest of the simulator, is single-threaded", opts)
+	}
+
+	var fields []string
+	cfg := reflect.TypeOf(experiments.RunConfig{})
+	for i := 0; i < cfg.NumField(); i++ {
+		fields = append(fields, cfg.Field(i).Name)
+	}
+	if want := []string{"Scale", "Tracer", "Health", "Profiler", "FaultSpec", "Torture"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("experiments.RunConfig fields = %v, want exactly %v", fields, want)
+	}
+	for _, id := range experiments.IDs() { // sim-, control- and solver-
+		if strings.HasSuffix(id, "scale") {
+			t.Errorf("experiment %q is registered: the synthetic scale drivers are retired", id)
 		}
 	}
 }

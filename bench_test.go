@@ -280,38 +280,6 @@ func BenchmarkProfilerOverhead(b *testing.B) {
 	b.Run("enabled-allocs", func(b *testing.B) { run(b, true, simprof.New(simprof.Options{Allocs: true})) })
 }
 
-// BenchmarkSimScale drives one small simscale point per iteration — the
-// kernel-throughput benchmark smbench runs at full scale for BENCH_sim.json.
-func BenchmarkSimScale(b *testing.B) {
-	benchSimScale(b, false)
-}
-
-// BenchmarkSimScaleTraced is the same point with a live tracer attached:
-// every dispatch opens and closes a span and samples two counters. The gap
-// between this and BenchmarkSimScale is the traced kernel path's overhead
-// (also recorded in BENCH_sim.json as tracer_overhead_pct).
-func BenchmarkSimScaleTraced(b *testing.B) {
-	benchSimScale(b, true)
-}
-
-func benchSimScale(b *testing.B, traced bool) {
-	b.Helper()
-	b.ReportAllocs()
-	p := experiments.DefaultSimScaleParams()
-	p.Points = []experiments.SimScalePoint{{Shards: 2000, Clients: 200, Servers: 50}}
-	p.SimTime = 2 * time.Minute
-	p.MeasureTracerOverhead = false
-	for i := 0; i < b.N; i++ {
-		if traced {
-			p.Tracer = trace.New(trace.Options{})
-		}
-		r := experiments.SimScale(p)
-		if r == nil || r.Extra == nil {
-			b.Fatal("empty simscale report")
-		}
-	}
-}
-
 // BenchmarkAllocatorEmergency measures the latency-critical path: replacing
 // a failed server's replicas.
 func BenchmarkAllocatorEmergency(b *testing.B) {

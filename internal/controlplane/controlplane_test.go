@@ -245,3 +245,124 @@ func TestKindString(t *testing.T) {
 		t.Fatal("kind names wrong")
 	}
 }
+
+// --- chunk boundary behavior ---
+
+// TestChunkPartitionsExactly pins chunk's off-by-one behavior: the parts sum
+// to the total, differ by at most one, and the larger parts come first —
+// exactly the remainder spread split() assumes.
+func TestChunkPartitionsExactly(t *testing.T) {
+	cases := []struct{ total, n int }{
+		{10, 3}, {9, 3}, {1, 1}, {0, 4}, {3, 4}, {7, 7}, {100, 1},
+		{500000, 7}, {10_000_000, 200},
+	}
+	for _, c := range cases {
+		sum, prev := 0, -1
+		for i := 0; i < c.n; i++ {
+			got := chunk(c.total, c.n, i)
+			sum += got
+			base := c.total / c.n
+			if got != base && got != base+1 {
+				t.Fatalf("chunk(%d,%d,%d) = %d, not base or base+1", c.total, c.n, i, got)
+			}
+			if prev >= 0 && got > prev {
+				t.Fatalf("chunk(%d,%d,%d) = %d grew after %d: larger parts must come first",
+					c.total, c.n, i, got, prev)
+			}
+			prev = got
+		}
+		if sum != c.total {
+			t.Fatalf("chunk(%d,%d,·) sums to %d", c.total, c.n, sum)
+		}
+	}
+}
+
+// --- Frontend.Route partition boundaries ---
+
+func TestFrontendRoutePartitionBoundaries(t *testing.T) {
+	cp := New(Limits{
+		PartitionMaxServers: 100, PartitionMaxShards: 1000,
+		MiniSMMaxServers: 100, MiniSMMaxShards: 1000,
+	})
+	// 250 servers -> 3 partitions, each on its own mini-SM (limits allow one
+	// partition per mini-SM).
+	parts, err := cp.RegisterApp(AppSpec{App: "a", Servers: 250, Shards: 300,
+		Regions: []topology.RegionID{"r1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 3 {
+		t.Fatalf("partitions = %d, want 3", len(parts))
+	}
+	f := NewFrontend(cp)
+	if _, err := f.Route("a", -1); err == nil {
+		t.Fatal("negative partition accepted")
+	}
+	seen := map[MiniSMID]bool{}
+	for p := 0; p < 3; p++ {
+		id, err := f.Route("a", p)
+		if err != nil {
+			t.Fatalf("partition %d: %v", p, err)
+		}
+		seen[id] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("3 partitions landed on %d mini-SMs, want 3 (limits force 1:1)", len(seen))
+	}
+	if _, err := f.Route("a", 3); err == nil {
+		t.Fatal("one-past-the-end partition accepted")
+	}
+}
+
+// --- Scaler.Tick edge cases ---
+
+// boundaryTarget reports loads exactly at the thresholds.
+type boundaryTarget struct {
+	ids      []shard.ID
+	loads    map[shard.ID]float64
+	replicas map[shard.ID]int
+	sets     int
+}
+
+func (f *boundaryTarget) ShardIDs() []shard.ID                                   { return f.ids }
+func (f *boundaryTarget) ShardLoadValue(s shard.ID, _ topology.Resource) float64 { return f.loads[s] }
+func (f *boundaryTarget) TotalReplicas(s shard.ID) int                           { return f.replicas[s] }
+func (f *boundaryTarget) SetReplicas(s shard.ID, n int) {
+	f.replicas[s] = n
+	f.sets++
+}
+
+func TestScalerTickThresholdBoundaries(t *testing.T) {
+	target := &boundaryTarget{
+		ids: []shard.ID{"at-up", "at-down", "zero-replicas"},
+		loads: map[shard.ID]float64{
+			"at-up":   80, // exactly ScaleUpAt: strict >, no action
+			"at-down": 10, // exactly ScaleDownAt: strict <, no action
+		},
+		replicas: map[shard.ID]int{"at-up": 2, "at-down": 2, "zero-replicas": 0},
+	}
+	s, err := NewScaler(target, ScalerPolicy{
+		Metric: topology.ResourceCPU, ScaleUpAt: 80, ScaleDownAt: 10,
+		MinReplicas: 1, MaxReplicas: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tick()
+	if target.sets != 0 {
+		t.Fatalf("threshold-boundary loads triggered %d adjustments, want 0", target.sets)
+	}
+	if s.ScaleUps != 0 || s.ScaleDowns != 0 {
+		t.Fatalf("counters = %d/%d, want 0/0", s.ScaleUps, s.ScaleDowns)
+	}
+	// Repeated ticks on a shard pinned at a bound never oscillate.
+	target.loads["at-up"] = 100
+	target.replicas["at-up"] = 5 // already at MaxReplicas
+	for i := 0; i < 3; i++ {
+		s.Tick()
+	}
+	if target.replicas["at-up"] != 5 || s.ScaleUps != 0 {
+		t.Fatalf("MaxReplicas not respected across ticks: %d replicas, %d ups",
+			target.replicas["at-up"], s.ScaleUps)
+	}
+}

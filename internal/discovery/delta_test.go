@@ -1,6 +1,8 @@
 package discovery
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -205,30 +207,6 @@ func TestPublishDeltaRNGParityWithFull(t *testing.T) {
 	}
 }
 
-func TestPublishDeltaBatchFanout(t *testing.T) {
-	loop := sim.NewLoop(7)
-	svc := NewService(loop, FixedDelay(time.Second))
-	svc.SetFanoutBatch(4)
-	const subs = 10
-	fs := make([]*follower, subs)
-	for i := range fs {
-		fs[i] = &follower{}
-		svc.Subscribe("app", fs[i].on)
-	}
-	svc.Publish(snap(mapV(1)))
-	loop.RunFor(2 * time.Second)
-	d := shard.NewDelta("app")
-	for v := int64(1); v <= 4; v++ {
-		svc.Publish(stageDelta(d, v, v+1, 0, "b"))
-		loop.RunFor(2 * time.Second)
-	}
-	for i, f := range fs {
-		if f.v.Version != 5 || f.delivered != 5 || f.primary() != "b" {
-			t.Fatalf("sub %d: v%d delivered=%d, want v5/5", i, f.v.Version, f.delivered)
-		}
-	}
-}
-
 func TestLatestViewAndMap(t *testing.T) {
 	loop := sim.NewLoop(1)
 	svc := NewService(loop, FixedDelay(time.Second))
@@ -281,4 +259,48 @@ func TestReclaimedViewPanics(t *testing.T) {
 		}
 	}()
 	held.Replicas("s1")
+}
+
+// TestOvertakenDeliveryOfReclaimedVersionIsStale: a new control-plane
+// generation may restart version numbering, so a delivery can be overtaken by
+// one that carries a lower version. When the overtaken version has been
+// reclaimed by the time it arrives, the subscriber is told nothing — handing
+// it over would take the subscriber back a generation, to a view that panics
+// on read.
+func TestOvertakenDeliveryOfReclaimedVersionIsStale(t *testing.T) {
+	loop := sim.NewLoop(1)
+	delays := []time.Duration{time.Second, 5 * time.Second, time.Second} // v1, v10 (slow), v3
+	svc := NewService(loop, func(*sim.RNG) time.Duration {
+		d := delays[0]
+		delays = delays[1:]
+		return d
+	})
+	f := &follower{}
+	svc.Subscribe("app", f.on)
+	var statuses []string
+	svc.AddObserver(func(_ shard.AppID, version int64, _ time.Duration, status string) {
+		statuses = append(statuses, fmt.Sprintf("v%d %s", version, status))
+	})
+	publish := func(version, gen int64, server shard.ServerID) {
+		m := mapV(version)
+		m.Gen = gen
+		m.Entries["s1"][0].Server = server
+		svc.Publish(snap(m))
+	}
+	publish(1, 1, "a")
+	loop.RunFor(2 * time.Second)
+	publish(10, 2, "b") // in flight for 5 s
+	publish(3, 3, "c")  // generation 3 restarts numbering; arrives first
+	loop.RunFor(2 * time.Second)
+	if f.v.Version != 3 || f.primary() != "c" {
+		t.Fatalf("follower at v%d on %s, want v3 on c", f.v.Version, f.primary())
+	}
+	svc.state("app").sweep() // the only cursor is at v3: v1 and v10 go
+	loop.RunFor(5 * time.Second)
+	if want := []string{"v1 delivered", "v3 delivered", "v10 stale"}; !slices.Equal(statuses, want) {
+		t.Fatalf("deliveries = %v, want %v", statuses, want)
+	}
+	if f.v.Version != 3 || f.primary() != "c" {
+		t.Fatalf("follower moved to v%d after the overtaken delivery", f.v.Version)
+	}
 }

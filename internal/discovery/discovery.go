@@ -140,9 +140,8 @@ type Subscription struct {
 	// subscriber's delay sequence.
 	rng *sim.RNG
 	// cursor is the last view delivered. Until the first delivery it is the
-	// zero View, which holds every revision: the pending start-up catch-up —
-	// or, in a batch, an older publication still in flight to the batch the
-	// subscriber joined — may hand over any version.
+	// zero View, which holds every revision: the pending start-up catch-up
+	// may hand over any version.
 	cursor    View
 	cancelled bool
 }
@@ -150,14 +149,6 @@ type Subscription struct {
 // Cancel stops future deliveries and releases the subscription's hold on old
 // revisions.
 func (s *Subscription) Cancel() { s.cancelled = true }
-
-// subBatch groups consecutive subscribers that share one delivery event per
-// publication. Each batch owns a forked RNG for its propagation delays, so
-// batch membership changes never perturb other batches' delay streams.
-type subBatch struct {
-	rng  *sim.RNG
-	subs []*Subscription
-}
 
 // appState is one app's versioned store: per shard, the revisions some
 // readable view can still see, oldest first, the last one being the shard's
@@ -176,8 +167,7 @@ type appState struct {
 	kept   int   // revisions beyond one per live shard that the last sweep had to keep
 	floor  int64 // views below this sequence have been reclaimed
 
-	subs    []*Subscription
-	batches []*subBatch // populated only when fanoutBatch > 1
+	subs []*Subscription
 }
 
 func (st *appState) latest() View {
@@ -252,13 +242,6 @@ type Service struct {
 	delay DelayFunc
 	apps  map[shard.AppID]*appState
 
-	// fanoutBatch is the number of subscribers sharing one delivery event
-	// (and one sampled propagation delay) per publication. The default of 1
-	// is the exact legacy behavior: every subscriber draws its own delay
-	// from its own RNG stream. Large-scale experiments raise it so a
-	// publish schedules O(subs/batch) events instead of O(subs).
-	fanoutBatch int
-
 	// freeDeliveries recycles the per-delivery records that ride the event
 	// loop's arg slot, keeping fan-out allocation-free.
 	freeDeliveries *delivery
@@ -289,28 +272,11 @@ func NewService(loop *sim.Loop, delay DelayFunc) *Service {
 		delay = DefaultDelay()
 	}
 	return &Service{
-		loop:        loop,
-		rng:         loop.RNG().Fork(),
-		delay:       delay,
-		apps:        make(map[shard.AppID]*appState),
-		fanoutBatch: 1,
+		loop:  loop,
+		rng:   loop.RNG().Fork(),
+		delay: delay,
+		apps:  make(map[shard.AppID]*appState),
 	}
-}
-
-// SetFanoutBatch sets how many subscribers share one delivery event per
-// publication (n <= 1 restores the exact per-subscriber legacy behavior).
-// Batch membership is fixed at Subscribe time, so the batch size must be
-// chosen before any subscriber registers.
-func (s *Service) SetFanoutBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	for _, st := range s.apps {
-		if len(st.subs) > 0 {
-			panic("discovery: SetFanoutBatch after Subscribe")
-		}
-	}
-	s.fanoutBatch = n
 }
 
 func (s *Service) state(app shard.AppID) *appState {
@@ -378,59 +344,33 @@ func (s *Service) Publish(d *shard.Delta) {
 		mr.Counter("discovery_publications_total", "app", string(d.App)).Inc()
 		mr.Gauge("discovery_map_version", "app", string(d.App)).Set(float64(st.version))
 	}
-	s.fanout(st.latest())
+	v := st.latest()
+	for _, sub := range st.subs {
+		s.deliver(sub, v)
+	}
 }
 
 // delivery is the pooled state of one scheduled delivery event, recycled when
-// it fires. The event hands v to one subscriber (sub) or, when sub is nil, to
-// every subscriber of batch.
+// it fires. The event hands v to sub.
 type delivery struct {
 	s     *Service
 	sub   *Subscription
-	batch *subBatch
 	v     View
 	pubAt time.Duration
 	sp    trace.SpanID
 	next  *delivery
 }
 
-// fanout schedules one publication's delivery to every subscriber of its app:
-// one event per batch when batching, one per subscriber otherwise.
-func (s *Service) fanout(v View) {
-	if s.fanoutBatch > 1 {
-		for _, b := range v.st.batches {
-			s.deliver(nil, b, v)
-		}
-		return
-	}
-	for _, sub := range v.st.subs {
-		s.deliver(sub, nil, v)
-	}
-}
-
-// deliver schedules one delivery event of v for sub or, when sub is nil, for
-// the whole batch: one sampled delay, one event, one span. The span stretches
-// from publication to the subscriber callbacks, so map-propagation lag is
-// directly visible, and staleness is measured from when the version was
-// published rather than from a later subscribe time.
-func (s *Service) deliver(sub *Subscription, batch *subBatch, v View) {
-	var rng *sim.RNG
-	if sub != nil {
-		rng = sub.rng
-	} else {
-		rng = batch.rng
-	}
-	d := s.delay(rng)
+// deliver schedules the delivery of v to sub: one sampled delay, one event,
+// one span. The span stretches from publication to the subscriber callback,
+// so map-propagation lag is directly visible, and staleness is measured from
+// when the version was published rather than from a later subscribe time.
+func (s *Service) deliver(sub *Subscription, v View) {
+	d := s.delay(sub.rng)
 	var sp trace.SpanID
 	if tr := s.loop.Tracer(); tr.Enabled() {
-		attrs := append(make([]trace.Attr, 0, 3),
-			trace.String("app", string(v.st.app)), trace.Int64("version", v.Version))
-		if sub != nil {
-			attrs = append(attrs, trace.Int("sub", sub.id))
-		} else {
-			attrs = append(attrs, trace.Int("subs", len(batch.subs)))
-		}
-		sp = tr.StartSpan("discovery", "propagate", 0, attrs...)
+		sp = tr.StartSpan("discovery", "propagate", 0, trace.String("app", string(v.st.app)),
+			trace.Int64("version", v.Version), trace.Int("sub", sub.id))
 	}
 	dv := s.freeDeliveries
 	if dv == nil {
@@ -439,37 +379,22 @@ func (s *Service) deliver(sub *Subscription, batch *subBatch, v View) {
 		s.freeDeliveries = dv.next
 		dv.next = nil
 	}
-	dv.sub, dv.batch, dv.v, dv.pubAt, dv.sp = sub, batch, v, v.st.pubAt, sp
+	dv.sub, dv.v, dv.pubAt, dv.sp = sub, v, v.st.pubAt, sp
 	s.loop.PostArgL(d, lbDeliver, fire, dv)
 }
 
 // fire runs one delivery event at its propagation instant. The propagate span
-// ends after the subscriber callbacks return, so a span a callback starts
+// ends after the subscriber callback returns, so a span the callback starts
 // nests inside it.
 func fire(a any) {
 	dv := a.(*delivery)
-	s, sub, batch, v, pubAt, sp := dv.s, dv.sub, dv.batch, dv.v, dv.pubAt, dv.sp
+	s, sub, v, pubAt, sp := dv.s, dv.sub, dv.v, dv.pubAt, dv.sp
 	*dv = delivery{s: s, next: s.freeDeliveries}
 	s.freeDeliveries = dv
 
-	lag := s.loop.Now() - pubAt
-	tr := s.loop.Tracer()
-	if sub != nil {
-		status := s.apply(sub, v, lag)
-		if tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", status))
-		}
-		return
-	}
-	delivered := 0
-	for _, sub := range batch.subs {
-		if s.apply(sub, v, lag) == "delivered" {
-			delivered++
-		}
-	}
-	if tr.Enabled() {
-		tr.EndSpan(sp, trace.String("status", "delivered"),
-			trace.Int("delivered", delivered))
+	status := s.apply(sub, v, s.loop.Now()-pubAt)
+	if tr := s.loop.Tracer(); tr.Enabled() {
+		tr.EndSpan(sp, trace.String("status", status))
 	}
 }
 
@@ -477,10 +402,9 @@ func fire(a any) {
 // it, tell the observers, move the cursor, run the subscriber's callback; it
 // returns the outcome status. A cancelled subscriber, or one already at or
 // past v's version (overtaken by a newer delivery), receives nothing; neither
-// does one that joined a batch after every older member had passed v and v
-// was reclaimed — its start-up catch-up carries something newer. A cursor may
-// jump over any number of versions: the store holds v itself, not the step
-// that led to it.
+// does one handed a v the store has reclaimed meanwhile. A cursor may jump
+// over any number of versions: the store holds v itself, not the step that
+// led to it.
 func (s *Service) apply(sub *Subscription, v View, lag time.Duration) string {
 	status := "delivered"
 	switch {
@@ -518,17 +442,8 @@ func (s *Service) Subscribe(app shard.AppID, fn func(View)) *Subscription {
 	st := s.state(app)
 	sub := &Subscription{id: len(st.subs), fn: fn, rng: s.rng.Fork()}
 	st.subs = append(st.subs, sub)
-	if s.fanoutBatch > 1 {
-		if nb := len(st.batches); nb == 0 || len(st.batches[nb-1].subs) == s.fanoutBatch {
-			st.batches = append(st.batches, &subBatch{rng: s.rng.Fork()})
-		}
-		b := st.batches[len(st.batches)-1]
-		b.subs = append(b.subs, sub)
-	}
 	if st.seq > 0 {
-		// Start-up catch-up is per-subscriber even in batch mode: the new
-		// subscriber fetches the current map on its own stream.
-		s.deliver(sub, nil, st.latest())
+		s.deliver(sub, st.latest())
 	}
 	return sub
 }

@@ -222,96 +222,3 @@ func TestCancelDoesNotPerturbOtherSubscribers(t *testing.T) {
 		}
 	}
 }
-
-func TestBatchedFanoutDeliversToAllSubscribers(t *testing.T) {
-	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Second))
-	svc.SetFanoutBatch(4)
-	const subs = 10 // 3 batches: 4 + 4 + 2
-	got := make([]int64, subs)
-	for i := 0; i < subs; i++ {
-		i := i
-		svc.Subscribe("app", func(v View) { got[i] = v.Version })
-	}
-	svc.Publish(snap(mapV(1)))
-	// One event per batch, not per subscriber.
-	if p := loop.Pending(); p != 3 {
-		t.Fatalf("Pending = %d after publish, want 3 batch events", p)
-	}
-	loop.RunFor(2 * time.Second)
-	for i, v := range got {
-		if v != 1 {
-			t.Fatalf("subscriber %d saw version %d, want 1", i, v)
-		}
-	}
-}
-
-func TestBatchedFanoutRespectsCancelAndStaleness(t *testing.T) {
-	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Second))
-	svc.SetFanoutBatch(8)
-	var live, dead int
-	svc.Subscribe("app", func(View) { live++ })
-	cancelled := svc.Subscribe("app", func(View) { dead++ })
-	cancelled.Cancel()
-	svc.Publish(snap(mapV(1)))
-	svc.Publish(snap(mapV(2)))
-	loop.RunFor(5 * time.Second)
-	if live != 2 || dead != 0 {
-		t.Fatalf("live=%d dead=%d, want 2/0", live, dead)
-	}
-}
-
-func TestBatchedFanoutCatchUpOnSubscribe(t *testing.T) {
-	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Second))
-	svc.SetFanoutBatch(4)
-	svc.Publish(snap(mapV(3)))
-	loop.RunFor(2 * time.Second)
-	var got int64
-	svc.Subscribe("app", func(v View) { got = v.Version })
-	loop.RunFor(2 * time.Second)
-	if got != 3 {
-		t.Fatalf("late subscriber saw version %d, want 3", got)
-	}
-}
-
-func TestSetFanoutBatchAfterSubscribePanics(t *testing.T) {
-	loop := sim.NewLoop(1)
-	svc := NewService(loop, FixedDelay(time.Second))
-	svc.Subscribe("app", func(View) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetFanoutBatch after Subscribe did not panic")
-		}
-	}()
-	svc.SetFanoutBatch(4)
-}
-
-func TestDefaultFanoutMatchesLegacyPerSubscriberTiming(t *testing.T) {
-	// Batch size 1 (the default) must be byte-for-byte the legacy path:
-	// same per-subscriber RNG streams, same delivery instants. Compare a
-	// default service against one with SetFanoutBatch(1) explicitly.
-	run := func(configure func(*Service)) []time.Duration {
-		loop := sim.NewLoop(42)
-		svc := NewService(loop, nil) // DefaultDelay: per-delivery RNG draws
-		configure(svc)
-		var at []time.Duration
-		for i := 0; i < 5; i++ {
-			svc.Subscribe("app", func(View) { at = append(at, loop.Now()) })
-		}
-		svc.Publish(snap(mapV(1)))
-		loop.RunFor(time.Minute)
-		return at
-	}
-	a := run(func(*Service) {})
-	b := run(func(s *Service) { s.SetFanoutBatch(1) })
-	if len(a) != len(b) || len(a) != 5 {
-		t.Fatalf("deliveries: %d vs %d, want 5", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("delivery %d at %v vs %v: batch=1 diverges from legacy", i, a[i], b[i])
-		}
-	}
-}

@@ -114,7 +114,7 @@ func (z *storeFuzz) step() {
 		z.gen++
 		return z.gen
 	}
-	switch z.next() % 9 {
+	switch z.next() % 10 {
 	case 0, 1: // a delta that chains
 		d := shard.NewDelta("app").Reset("app", version, version+1+int64(z.next()%2), stamp())
 		z.stage(d)
@@ -133,6 +133,11 @@ func (z *storeFuzz) step() {
 		case 2:
 			d.FromVersion, d.ToVersion = version+3, version+4
 		}
+		z.stage(d)
+		z.publish(d)
+	case 9: // a new generation that restarts version numbering below the current one
+		z.gen++
+		d := shard.NewDelta("app").Reset("app", 0, 1+int64(z.next()%3), z.gen)
 		z.stage(d)
 		z.publish(d)
 	case 4:
@@ -257,34 +262,39 @@ func (z *storeFuzz) check() {
 	}
 }
 
-// FuzzVersionedStore interleaves deltas, snapshots, publishes that must be
-// dropped (stale generation, stale version, a base the service is not at),
-// subscribe, cancel, deliveries in any order and reclamation. After every
+// FuzzVersionedStore interleaves deltas, snapshots, new generations that
+// restart version numbering, publishes that must be dropped (stale
+// generation, stale version, a base the service is not at), subscribe,
+// cancel, deliveries in any order and reclamation. After every
 // step each live subscriber's View reads exactly the reference map of its
 // version — entry by entry through Replicas and whole through Map — a view
 // below the reclaimed floor panics, the floor never passes a live cursor, and
 // the store holds at most two revisions per live entry plus those a live
 // cursor pins.
 func FuzzVersionedStore(f *testing.F) {
-	f.Add([]byte{0, 2, 1, 1, 0, 1, 1, 2, 4, 6, 5, 0, 1, 2, 0, 0, 1, 6, 3})
-	f.Add([]byte{1, 4, 4, 2, 1, 2, 0, 1, 1, 0, 0, 1, 1, 1, 2, 1, 0, 0, 6, 1, 0, 3, 1, 1, 1, 0, 7, 5, 0, 0, 2, 2, 1, 1, 8, 6, 5})
-	f.Add([]byte("\x03\x04\x02\x01\x00\x00\x01\x01\x01\x07\x00\x02\x00\x00\x00\x01\x00\x03\x02\x05\x00\x00\x02\x01\x00\x08\x06\x04\x08\x03\x00\x01\x01\x00\x02\x00\x00\x02\x00\x00\x00\x06\x05\x08"))
+	f.Add([]byte{2, 1, 1, 0, 1, 1, 2, 4, 6, 5, 0, 1, 2, 0, 0, 1, 6, 3})
+	f.Add([]byte{4, 4, 2, 1, 2, 0, 1, 1, 0, 0, 1, 1, 1, 2, 1, 0, 0, 6, 1, 0, 3, 1, 1, 1, 0, 7, 5, 0, 0, 2, 2, 1, 1, 8, 6, 5})
+	f.Add([]byte("\x04\x02\x01\x00\x00\x01\x01\x01\x07\x00\x02\x00\x00\x00\x01\x00\x03\x02\x05\x00\x00\x02\x01\x00\x08\x06\x04\x08\x03\x00\x01\x01\x00\x02\x00\x00\x02\x00\x00\x00\x06\x05\x08"))
 	var churn []byte // one subscriber pinned early while many versions pass
-	churn = append(churn, 1, 2, 1, 1, 0, 1, 0, 0, 0, 4, 6, 5)
+	churn = append(churn, 2, 1, 1, 0, 1, 0, 0, 0, 4, 6, 5)
 	for i := 0; i < 40; i++ {
 		churn = append(churn, 0, 1, 0, 1, byte(i), 1, byte(i), 1, 0, 1)
 	}
 	churn = append(churn, 5, 0, 8, 7)
 	f.Add(churn)
+	// A snapshot of two shards, then one that lists only the first.
+	f.Add([]byte{2, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 0, 1, 0, 0, 0, 1})
+	// A subscriber at v1; v3 published on a slow delivery, then generation 3
+	// restarts numbering at v2 and arrives first; a sweep reclaims v3 before it
+	// lands.
+	f.Add([]byte{4, 2, 1, 0, 1, 0, 0, 0, 1, 1, 6, 2, 0, 1, 1, 0, 1, 1, 0, 0, 1, 5,
+		9, 1, 0, 1, 2, 0, 0, 1, 1, 6, 2, 8, 6, 5})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		z := &storeFuzz{t: t, data: data, loop: sim.NewLoop(1)}
 		z.svc = NewService(z.loop, func(*sim.RNG) time.Duration {
 			return time.Duration(z.next()%8) * time.Millisecond
 		})
-		if z.next()%2 == 1 {
-			z.svc.SetFanoutBatch(3)
-		}
 		for len(z.data) > 0 {
 			z.step()
 			z.check()

@@ -21,14 +21,13 @@ import (
 // each subscriber callback, the propagate spans with their attributes, the
 // discovery metric families and Loop.Dispatched(). Delays come from
 // DefaultDelay, so the log also pins RNG draw order.
-func recordDeliveries(t *testing.T, batch int) []string {
+func recordDeliveries(t *testing.T) []string {
 	loop := sim.NewLoop(42)
 	tr := trace.New(trace.Options{})
 	loop.SetTracer(tr)
 	reg := metrics.NewRegistry()
 	loop.SetMetrics(reg)
 	svc := NewService(loop, nil)
-	svc.SetFanoutBatch(batch)
 
 	var log []string
 	logf := func(format string, args ...any) {
@@ -73,7 +72,7 @@ func recordDeliveries(t *testing.T, batch int) []string {
 	subs[1].Cancel()
 	delta(4, 5, 5)
 	settle()
-	subscribe() // late subscribers: per-subscriber catch-up at v5 ...
+	subscribe() // late subscribers: catch-up at v5 ...
 	subscribe()
 	full(6, 6) // ... racing the next publish
 	settle()
@@ -99,34 +98,31 @@ func recordDeliveries(t *testing.T, batch int) []string {
 	return log
 }
 
-// TestDeliveryRecording pins the delivery path against recordings taken at
+// TestDeliveryRecording pins the delivery path against a recording taken at
 // the last commit that still had whole-map publication, on its full-publish
 // side (every publish of the script a whole map, every subscriber a whole-map
 // subscriber): same observer calls, subscriber callbacks, spans, metrics and
-// event count, under fan-out batch 1 and 4. The one line that differs from
-// that run is discovery_stale_publishes_total, 3 for its 2: the script's
-// non-chaining delta, which had no whole-map form to record, is dropped and
-// counted there.
+// event count. The one line that differs from that run is
+// discovery_stale_publishes_total, 3 for its 2: the script's non-chaining
+// delta, which had no whole-map form to record, is dropped and counted there.
 func TestDeliveryRecording(t *testing.T) {
-	for batch, want := range map[int]string{1: recordingBatch1, 4: recordingBatch4} {
-		got := recordDeliveries(t, batch)
-		wantLines := strings.Split(strings.TrimSpace(want), "\n")
-		for i := 0; i < len(got) || i < len(wantLines); i++ {
-			var g, w string
-			if i < len(got) {
-				g = got[i]
-			}
-			if i < len(wantLines) {
-				w = wantLines[i]
-			}
-			if g != w {
-				t.Fatalf("batch %d, line %d:\n got  %q\n want %q", batch, i+1, g, w)
-			}
+	got := recordDeliveries(t)
+	wantLines := strings.Split(strings.TrimSpace(deliveryRecording), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("line %d:\n got  %q\n want %q", i+1, g, w)
 		}
 	}
 }
 
-const recordingBatch1 = `
+const deliveryRecording = `
 898.03121ms obs app v1 lag=898.03121ms delivered
 898.03121ms sub4 full v1
 1.051538985s obs app v1 lag=1.051538985s delivered
@@ -291,140 +287,4 @@ metric discovery_propagation_ms,histogram,app=app,count,45
 metric discovery_publications_total,counter,app=app,value,9
 metric discovery_stale_publishes_total,counter,app=app,value,3
 publications=9 dispatched=55
-`
-
-const recordingBatch4 = `
-1.266467397s obs app v1 lag=1.266467397s delivered
-1.266467397s sub0 full v1
-1.266467397s obs app v1 lag=1.266467397s delivered
-1.266467397s sub1 full v1
-1.266467397s obs app v1 lag=1.266467397s delivered
-1.266467397s sub2 full v1
-1.266467397s obs app v1 lag=1.266467397s delivered
-1.266467397s sub3 full v1
-1.577274303s obs app v1 lag=1.577274303s delivered
-1.577274303s sub4 full v1
-4.477527477s obs app v2 lag=1.477527477s delivered
-4.477527477s sub0 full v2
-4.477527477s obs app v2 lag=1.477527477s delivered
-4.477527477s sub1 full v2
-4.477527477s obs app v2 lag=1.477527477s delivered
-4.477527477s sub2 full v2
-4.477527477s obs app v2 lag=1.477527477s delivered
-4.477527477s sub3 full v2
-4.517234617s obs app v2 lag=1.517234617s delivered
-4.517234617s sub4 full v2
-6.761279178s obs app v3 lag=761.279178ms delivered
-6.761279178s sub4 full v3
-6.877056028s obs app v3 lag=877.056028ms delivered
-6.877056028s sub0 full v3
-6.877056028s obs app v3 lag=877.056028ms delivered
-6.877056028s sub1 full v3
-6.877056028s obs app v3 lag=877.056028ms delivered
-6.877056028s sub2 full v3
-6.877056028s obs app v3 lag=877.056028ms delivered
-6.877056028s sub3 full v3
-7.015345513s obs app v4 lag=1.015345513s delivered
-7.015345513s sub4 full v4
-7.076079299s obs app v4 lag=1.076079299s delivered
-7.076079299s sub0 full v4
-7.076079299s obs app v4 lag=1.076079299s delivered
-7.076079299s sub1 full v4
-7.076079299s obs app v4 lag=1.076079299s delivered
-7.076079299s sub2 full v4
-7.076079299s obs app v4 lag=1.076079299s delivered
-7.076079299s sub3 full v4
-13.349255123s obs app v5 lag=1.349255123s delivered
-13.349255123s sub0 full v5
-13.349255123s obs app v5 lag=1.349255123s cancelled
-13.349255123s obs app v5 lag=1.349255123s delivered
-13.349255123s sub2 full v5
-13.349255123s obs app v5 lag=1.349255123s delivered
-13.349255123s sub3 full v5
-13.578524407s obs app v5 lag=1.578524407s delivered
-13.578524407s sub4 full v5
-15.885484356s obs app v5 lag=3.885484356s delivered
-15.885484356s sub5 full v5
-16.023203017s obs app v5 lag=4.023203017s delivered
-16.023203017s sub6 full v5
-16.567904414s obs app v6 lag=1.567904414s delivered
-16.567904414s sub0 full v6
-16.567904414s obs app v6 lag=1.567904414s cancelled
-16.567904414s obs app v6 lag=1.567904414s delivered
-16.567904414s sub2 full v6
-16.567904414s obs app v6 lag=1.567904414s delivered
-16.567904414s sub3 full v6
-16.650029869s obs app v6 lag=1.650029869s delivered
-16.650029869s sub4 full v6
-16.650029869s obs app v6 lag=1.650029869s delivered
-16.650029869s sub5 full v6
-16.650029869s obs app v6 lag=1.650029869s delivered
-16.650029869s sub6 full v6
-18.805671173s obs app v7 lag=805.671173ms delivered
-18.805671173s sub0 full v7
-18.805671173s obs app v7 lag=805.671173ms cancelled
-18.805671173s obs app v7 lag=805.671173ms delivered
-18.805671173s sub2 full v7
-18.805671173s obs app v7 lag=805.671173ms delivered
-18.805671173s sub3 full v7
-19.344565365s obs app v7 lag=1.344565365s delivered
-19.344565365s sub4 full v7
-19.344565365s obs app v7 lag=1.344565365s delivered
-19.344565365s sub5 full v7
-19.344565365s obs app v7 lag=1.344565365s delivered
-19.344565365s sub6 full v7
-21.655085777s obs app v8 lag=655.085777ms delivered
-21.655085777s sub0 full v8
-21.655085777s obs app v8 lag=655.085777ms cancelled
-21.655085777s obs app v8 lag=655.085777ms delivered
-21.655085777s sub2 full v8
-21.655085777s obs app v8 lag=655.085777ms delivered
-21.655085777s sub3 full v8
-22.10134893s obs app v9 lag=1.10134893s delivered
-22.10134893s sub0 full v9
-22.10134893s obs app v9 lag=1.10134893s cancelled
-22.10134893s obs app v9 lag=1.10134893s delivered
-22.10134893s sub2 full v9
-22.10134893s obs app v9 lag=1.10134893s delivered
-22.10134893s sub3 full v9
-22.651724646s obs app v8 lag=1.651724646s delivered
-22.651724646s sub4 full v8
-22.651724646s obs app v8 lag=1.651724646s delivered
-22.651724646s sub5 full v8
-22.651724646s obs app v8 lag=1.651724646s delivered
-22.651724646s sub6 full v8
-22.869359855s obs app v9 lag=1.869359855s delivered
-22.869359855s sub4 full v9
-22.869359855s obs app v9 lag=1.869359855s delivered
-22.869359855s sub5 full v9
-22.869359855s obs app v9 lag=1.869359855s delivered
-22.869359855s sub6 full v9
-span 0s..1.266467397s [{app app} {version 1} {subs 4} {status delivered} {delivered 4}]
-span 0s..1.577274303s [{app app} {version 1} {subs 1} {status delivered} {delivered 1}]
-span 3s..4.477527477s [{app app} {version 2} {subs 4} {status delivered} {delivered 4}]
-span 3s..4.517234617s [{app app} {version 2} {subs 1} {status delivered} {delivered 1}]
-span 6s..6.877056028s [{app app} {version 3} {subs 4} {status delivered} {delivered 4}]
-span 6s..6.761279178s [{app app} {version 3} {subs 1} {status delivered} {delivered 1}]
-span 6s..7.076079299s [{app app} {version 4} {subs 4} {status delivered} {delivered 4}]
-span 6s..7.015345513s [{app app} {version 4} {subs 1} {status delivered} {delivered 1}]
-span 12s..13.349255123s [{app app} {version 5} {subs 4} {status delivered} {delivered 3}]
-span 12s..13.578524407s [{app app} {version 5} {subs 1} {status delivered} {delivered 1}]
-span 15s..15.885484356s [{app app} {version 5} {sub 5} {status delivered}]
-span 15s..16.023203017s [{app app} {version 5} {sub 6} {status delivered}]
-span 15s..16.567904414s [{app app} {version 6} {subs 4} {status delivered} {delivered 3}]
-span 15s..16.650029869s [{app app} {version 6} {subs 3} {status delivered} {delivered 3}]
-span 18s..18.805671173s [{app app} {version 7} {subs 4} {status delivered} {delivered 3}]
-span 18s..19.344565365s [{app app} {version 7} {subs 3} {status delivered} {delivered 3}]
-span 21s..21.655085777s [{app app} {version 8} {subs 4} {status delivered} {delivered 3}]
-span 21s..22.651724646s [{app app} {version 8} {subs 3} {status delivered} {delivered 3}]
-span 21s..22.10134893s [{app app} {version 9} {subs 4} {status delivered} {delivered 3}]
-span 21s..22.869359855s [{app app} {version 9} {subs 3} {status delivered} {delivered 3}]
-metric discovery_deliveries_total,counter,app=app;status=cancelled,value,5
-metric discovery_deliveries_total,counter,app=app;status=delivered,value,50
-metric discovery_map_version,gauge,app=app,value,9
-metric discovery_propagation_ms,histogram,app=app,sum,69131.70165100001
-metric discovery_propagation_ms,histogram,app=app,count,50
-metric discovery_publications_total,counter,app=app,value,9
-metric discovery_stale_publishes_total,counter,app=app,value,3
-publications=9 dispatched=20
 `

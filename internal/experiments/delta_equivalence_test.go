@@ -216,7 +216,7 @@ func TestDeltaPublishActuallyPublishesDeltas(t *testing.T) {
 	type pub struct{ from, to, edits int64 }
 	var pubs []pub
 	d.Orch.AddHooks(orchestrator.Hooks{MapDelta: func(dl *shard.Delta) {
-		pubs = append(pubs, pub{dl.FromVersion, dl.ToVersion, int64(dl.Len())})
+		pubs = append(pubs, pub{dl.FromVersion, dl.ToVersion, int64(len(dl.Changed) + len(dl.Removed))})
 	}})
 	if err := d.Settle(10 * time.Minute); err != nil {
 		t.Fatal(err)

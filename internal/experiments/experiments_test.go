@@ -224,21 +224,6 @@ func TestFig22OptimizedBeatsBaseline(t *testing.T) {
 	}
 }
 
-func TestSolverScaleParallelIdentical(t *testing.T) {
-	p := DefaultSolverBenchParams()
-	p.Servers, p.Shards = 400, 8000
-	r := SolverScale(p)
-	if r.Values["parallel_identical"] != 1 {
-		t.Fatalf("parallel Result diverged from serial: %v", r.Notes)
-	}
-	if r.Values["final_violations"] != 0 {
-		t.Fatalf("violations remain: %v", r.Values["final_violations"])
-	}
-	if r.Values["evaluations"] <= 0 || r.Values["moves"] <= 0 {
-		t.Fatalf("empty benchmark record: %v", r.Values)
-	}
-}
-
 func TestFig23KeepsP99Bounded(t *testing.T) {
 	p := DefaultContinuousLBParams()
 	p.Servers, p.Shards, p.Days = 40, 1200, 1

@@ -54,11 +54,9 @@ type RunConfig struct {
 	// experiment runs instead of its built-in compound timeline.
 	FaultSpec string
 
-	// Torture, SimScale and ControlScale, when non-nil, reshape that
-	// experiment's params after scale selection.
-	Torture      func(*TortureParams)
-	SimScale     func(*SimScaleParams)
-	ControlScale func(*ControlScaleParams)
+	// Torture, when non-nil, reshapes the "torture" experiment's params
+	// after scale selection.
+	Torture func(*TortureParams)
 }
 
 // build is Build with the run's instruments filled into whichever of the
@@ -170,40 +168,6 @@ var registry = []runner{
 			c.Torture(&p)
 		}
 		return Torture(c, p)
-	}},
-	{"simscale", "sim-kernel throughput benchmark -> BENCH_sim.json", func(c RunConfig) *Report {
-		p := DefaultSimScaleParams()
-		if c.Scale == ScaleQuick {
-			p.Points = []SimScalePoint{
-				{Shards: 2000, Clients: 200, Servers: 50},
-				{Shards: 5000, Clients: 500, Servers: 100},
-				{Shards: 10000, Clients: 1000, Servers: 200},
-			}
-			p.SimTime = 2 * time.Minute
-		}
-		if c.SimScale != nil {
-			c.SimScale(&p)
-		}
-		return SimScale(p)
-	}},
-	{"controlscale", "partitioned control plane: publication cost by scale -> BENCH_controlplane.json", func(c RunConfig) *Report {
-		p := DefaultControlScaleParams()
-		if c.Scale == ScaleQuick {
-			p.Points = []ControlScalePoint{
-				{Shards: 20000, PartitionMaxShards: 2000, MiniSMMaxShards: 2000, ChurnPerPartition: 50, Rounds: 3},
-			}
-		}
-		if c.ControlScale != nil {
-			c.ControlScale(&p)
-		}
-		return ControlScale(p)
-	}},
-	{"solverscale", "solver fast-path scale benchmark (serial vs parallel)", func(c RunConfig) *Report {
-		p := DefaultSolverBenchParams()
-		if c.Scale == ScaleQuick {
-			p.Servers, p.Shards = 1000, 20000
-		}
-		return SolverScale(p)
 	}},
 	{"ablations", "extra §5.3 design-choice ablations", func(c RunConfig) *Report {
 		p := DefaultSolverAblationParams()

@@ -44,8 +44,8 @@ type Report struct {
 	// (e.g. healthmon agreement tests). Not rendered.
 	Values map[string]float64
 	// Extra carries an experiment-specific structured record for
-	// machine-readable export (simscale's BENCH_sim.json payload). Not
-	// rendered.
+	// machine-readable export (the torture sweep's found-bug log, the
+	// "faults" experiment's audit report). Not rendered.
 	Extra any
 }
 

@@ -54,9 +54,6 @@ func (d *Delta) Reset(app AppID, from, to, gen int64) *Delta {
 	return d
 }
 
-// Len returns the number of edits (changed + removed entries).
-func (d *Delta) Len() int { return len(d.Changed) + len(d.Removed) }
-
 // entry appends one (possibly recycled) changed entry and returns it.
 func (d *Delta) entry(s ID) *DeltaEntry {
 	if len(d.Changed) < cap(d.Changed) {
@@ -94,33 +91,14 @@ func (d *Delta) SetOne(s ID, server ServerID, role Role) {
 // Remove stages shard s for removal from the map.
 func (d *Delta) Remove(s ID) { d.Removed = append(d.Removed, s) }
 
-// ApproxBytes estimates the delta's wire size: shard/server ID bytes plus a
-// small fixed per-record overhead. Map.ApproxBytes uses the same accounting,
-// so a delta-to-map size ratio is meaningful even though neither is a real
-// codec.
-func (d *Delta) ApproxBytes() int64 {
-	n := int64(32) // header: app/version bounds/gen
-	for i := range d.Changed {
-		e := &d.Changed[i]
-		n += int64(len(e.Shard)) + 4
-		for _, a := range e.Assignments {
-			n += int64(len(a.Server)) + 5 // server id + role + framing
-		}
-	}
-	for _, s := range d.Removed {
-		n += int64(len(s)) + 4
-	}
-	return n
-}
-
-// ApproxBytes estimates the map's wire size under the same accounting as
-// Delta.ApproxBytes.
+// ApproxBytes estimates the map's wire size: shard/server ID bytes plus a
+// small fixed per-record overhead. It is not a real codec.
 func (m *Map) ApproxBytes() int64 {
-	n := int64(32)
+	n := int64(32) // header: app/version/gen
 	for s, as := range m.Entries {
 		n += int64(len(s)) + 4
 		for _, a := range as {
-			n += int64(len(a.Server)) + 5
+			n += int64(len(a.Server)) + 5 // server id + role + framing
 		}
 	}
 	return n

@@ -190,14 +190,17 @@ func TestDeltaStagingSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestApproxBytesScalesWithEdits(t *testing.T) {
+// TestMapApproxBytes pins the accounting bench's shard.map_bytes reads: a
+// 32-byte header, 4 bytes of framing per shard id, 5 per replica.
+func TestMapApproxBytes(t *testing.T) {
 	m := NewMap("app")
+	if got := m.ApproxBytes(); got != 32 {
+		t.Fatalf("empty map = %d bytes, want 32", got)
+	}
 	for i := 0; i < 1000; i++ {
 		m.Entries[ID(fmt.Sprintf("s%05d", i))] = []Assignment{{Server: "srv-00001", Role: RolePrimary}}
 	}
-	d := NewDelta("app")
-	d.SetOne("s00000", "srv-00002", RolePrimary)
-	if fb, db := m.ApproxBytes(), d.ApproxBytes(); db*10 >= fb {
-		t.Fatalf("delta bytes %d not small vs full %d", db, fb)
+	if got, want := m.ApproxBytes(), int64(32+1000*(6+4+9+5)); got != want {
+		t.Fatalf("1000 single-replica entries = %d bytes, want %d", got, want)
 	}
 }

@@ -310,12 +310,37 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 }
 
+// BenchmarkLoopScheduleAndRun is the kernel's layer drive: file `pending`
+// events, then drain them. One shared callback rides PostArgL and the delays
+// come from delayMix, so every wheel level, its cascades and the overflow
+// heap are on the path. pending=1M is the regime no deployment reaches — a
+// seven-figure queue depth, where the wheel no longer fits in cache.
 func BenchmarkLoopScheduleAndRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		l := NewLoop(1)
-		for j := 0; j < 1000; j++ {
-			l.AfterL(time.Duration(j)*time.Millisecond, 0, func() {})
-		}
-		l.Run()
+	for _, c := range []struct {
+		name    string
+		pending int
+	}{{"pending=1k", 1_000}, {"pending=1M", 1_000_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := NewRNG(1)
+			delays := make([]time.Duration, c.pending)
+			for i := range delays {
+				delays[i] = delayMix(rng.Intn)
+			}
+			fired := 0
+			fire := func(any) { fired++ }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l := NewLoop(1)
+				for _, d := range delays {
+					l.PostArgL(d, 0, fire, nil)
+				}
+				l.Run()
+			}
+			if fired != b.N*c.pending {
+				b.Fatalf("fired %d events, want %d", fired, b.N*c.pending)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
+		})
 	}
 }

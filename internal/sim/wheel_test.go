@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -83,142 +84,194 @@ func (r *refModel) runUntil(deadline time.Duration) {
 // delayMix samples delays spanning every wheel level: sub-tick, L0 (~ms),
 // L1 (~s), L2 (~min-h), L3 (~h), L4 (~days), and the overflow heap beyond
 // ~52 days — plus exact tick-boundary values to probe off-by-one filing.
-func delayMix(rng *RNG) time.Duration {
+// intn(n) is the script's choice source, uniform in [0, n).
+func delayMix(intn func(int) int) time.Duration {
 	const tick = 1 << tickShift
-	switch rng.Intn(12) {
+	switch intn(12) {
 	case 0:
 		return 0
 	case 1:
-		return time.Duration(rng.Intn(1000)) // sub-microsecond
+		return time.Duration(intn(1000)) // sub-microsecond
 	case 2:
-		return time.Duration(rng.Intn(tick)) // within one tick
+		return time.Duration(intn(tick)) // within one tick
 	case 3:
-		return time.Duration(rng.Intn(200 * tick)) // L0
+		return time.Duration(intn(200 * tick)) // L0
 	case 4:
-		return time.Duration(rng.Intn(int(30 * time.Second))) // L0/L1
+		return time.Duration(intn(int(30 * time.Second))) // L0/L1
 	case 5:
-		return time.Duration(rng.Intn(int(4 * time.Hour))) // L1/L2
+		return time.Duration(intn(int(4 * time.Hour))) // L1/L2
 	case 6:
-		return 18*time.Hour + time.Duration(rng.Intn(int(12*time.Hour))) // L2/L3
+		return 18*time.Hour + time.Duration(intn(int(12*time.Hour))) // L2/L3
 	case 7:
-		return time.Duration(1+rng.Intn(40)) * 24 * time.Hour // L3/L4
+		return time.Duration(1+intn(40)) * 24 * time.Hour // L3/L4
 	case 8:
-		return time.Duration(55+rng.Intn(120)) * 24 * time.Hour // L4/overflow
+		return time.Duration(55+intn(120)) * 24 * time.Hour // L4/overflow
 	case 9:
 		// Exact tick multiples and their neighbors.
-		base := time.Duration(rng.Intn(1<<14)) * tick
-		return base + time.Duration(rng.Intn(3)-1)
+		base := time.Duration(intn(1<<14)) * tick
+		return base + time.Duration(intn(3)-1)
 	case 10:
 		// Level-horizon boundaries: 2^8, 2^14, 2^20 ticks, +/- 1 tick.
-		h := []time.Duration{1 << 8 * tick, 1 << 14 * tick, 1 << 20 * tick}[rng.Intn(3)]
-		return h + time.Duration(rng.Intn(3)-1)*tick
+		h := []time.Duration{1 << 8 * tick, 1 << 14 * tick, 1 << 20 * tick}[intn(3)]
+		return h + time.Duration(intn(3)-1)*tick
 	default:
-		return time.Duration(rng.Intn(int(2 * time.Minute)))
+		return time.Duration(intn(int(2 * time.Minute)))
 	}
+}
+
+// runWheelScript drives one schedule/cancel/run script into a real Loop and
+// into the reference model and requires the same Stop results, Pending and
+// Now after every op and, after a final drain, the same dispatch log. Every
+// choice the script makes is drawn from intn; more reports whether another op
+// should run. what names the script in failure messages.
+func runWheelScript(t testing.TB, what string, intn func(int) int, more func() bool) {
+	loop := NewLoop(7)
+	ref := &refModel{}
+	var log []int
+	var timers []*Timer
+	var refs []*refEvent
+	topIDs := make(map[int]bool)
+	scheduleBoth := func() {
+		d := delayMix(intn)
+		child := time.Duration(-1)
+		if intn(4) == 0 {
+			child = delayMix(intn)
+		}
+		id := ref.nextID
+		topIDs[id] = true
+		re := ref.schedule(d, child)
+		tm := loop.AfterL(d, 0, func() {
+			log = append(log, id)
+			if child >= 0 {
+				// Children consume a seq on both sides in fire order;
+				// the reference mirrors this inside runUntil. Only
+				// top-level ids are logged and compared — a child
+				// ordering bug still surfaces as a seq skew that
+				// reorders later same-instant top-level events.
+				loop.AfterL(child, 0, func() {})
+			}
+		})
+		timers = append(timers, tm)
+		refs = append(refs, re)
+	}
+	for op := 0; more(); op++ {
+		switch intn(6) {
+		case 0, 1, 2: // schedule (sometimes a same-instant burst)
+			n := 1
+			if intn(5) == 0 {
+				n = 2 + intn(4)
+			}
+			for i := 0; i < n; i++ {
+				scheduleBoth()
+			}
+		case 3: // cancel a random top-level timer
+			if len(timers) > 0 {
+				k := intn(len(timers))
+				got := timers[k].Stop()
+				want := !refs[k].fired && !refs[k].cancelled
+				refs[k].cancelled = true
+				if got != want {
+					t.Fatalf("%s: Stop(#%d) = %v, reference pending = %v", what, k, got, want)
+				}
+			}
+		case 4: // run a bounded slice of time
+			d := delayMix(intn)
+			loop.RunFor(d)
+			ref.runUntil(ref.now + d)
+		case 5: // run to a far deadline crossing many cascades
+			d := time.Duration(1+intn(3)) * 30 * time.Hour
+			loop.RunFor(d)
+			ref.runUntil(ref.now + d)
+		}
+		if got, want := loop.Pending(), ref.pending(); got != want {
+			t.Fatalf("%s op %d: Pending = %d, reference = %d", what, op, got, want)
+		}
+		if loop.Now() != ref.now {
+			t.Fatalf("%s op %d: Now = %v, reference = %v", what, op, loop.Now(), ref.now)
+		}
+	}
+	// Drain everything (children included) and compare full logs.
+	loop.RunFor(400 * 24 * time.Hour)
+	ref.runUntil(ref.now + 400*24*time.Hour)
+	want := make([]int, 0, len(ref.log))
+	for _, id := range ref.log {
+		if topIDs[id] {
+			want = append(want, id)
+		}
+	}
+	if len(log) != len(want) {
+		t.Fatalf("%s: fired %d events, reference fired %d", what, len(log), len(want))
+	}
+	for i := range log {
+		if log[i] != want[i] {
+			t.Fatalf("%s: dispatch order diverges at %d: got id %d, reference id %d",
+				what, i, log[i], want[i])
+		}
+	}
+	if loop.Pending() != 0 || ref.pending() != 0 {
+		t.Fatalf("%s: residue after drain: loop=%d ref=%d", what, loop.Pending(), ref.pending())
+	}
+}
+
+const wheelOpsPerScript = 40
+
+// upTo returns a script's more func that allows n ops.
+func upTo(n int) func() bool {
+	return func() bool { n--; return n >= 0 }
 }
 
 func TestWheelDispatchOrderMatchesReferenceHeap(t *testing.T) {
 	const (
-		seeds        = 8
-		sequences    = 150 // x8 seeds = 1200 randomized scripts
-		opsPerScript = 40
+		seeds     = 8
+		sequences = 150 // x8 seeds = 1200 randomized scripts
 	)
 	for seed := uint64(1); seed <= seeds; seed++ {
 		rng := NewRNG(seed * 0x9e3779b9)
 		for s := 0; s < sequences; s++ {
-			loop := NewLoop(7)
-			ref := &refModel{}
-			var log []int
-			var timers []*Timer
-			var refs []*refEvent
-			topIDs := make(map[int]bool)
-			scheduleBoth := func() {
-				d := delayMix(rng)
-				child := time.Duration(-1)
-				if rng.Intn(4) == 0 {
-					child = delayMix(rng)
-				}
-				id := ref.nextID
-				topIDs[id] = true
-				re := ref.schedule(d, child)
-				tm := loop.AfterL(d, 0, func() {
-					log = append(log, id)
-					if child >= 0 {
-						// Children consume a seq on both sides in fire order;
-						// the reference mirrors this inside runUntil. Only
-						// top-level ids are logged and compared — a child
-						// ordering bug still surfaces as a seq skew that
-						// reorders later same-instant top-level events.
-						loop.AfterL(child, 0, func() {})
-					}
-				})
-				timers = append(timers, tm)
-				refs = append(refs, re)
-			}
-			for op := 0; op < opsPerScript; op++ {
-				switch rng.Intn(6) {
-				case 0, 1, 2: // schedule (sometimes a same-instant burst)
-					n := 1
-					if rng.Intn(5) == 0 {
-						n = 2 + rng.Intn(4)
-					}
-					for i := 0; i < n; i++ {
-						scheduleBoth()
-					}
-				case 3: // cancel a random top-level timer
-					if len(timers) > 0 {
-						k := rng.Intn(len(timers))
-						got := timers[k].Stop()
-						want := !refs[k].fired && !refs[k].cancelled
-						refs[k].cancelled = true
-						if got != want {
-							t.Fatalf("seed %d seq %d: Stop(#%d) = %v, reference pending = %v",
-								seed, s, k, got, want)
-						}
-					}
-				case 4: // run a bounded slice of time
-					d := delayMix(rng)
-					loop.RunFor(d)
-					ref.runUntil(ref.now + d)
-				case 5: // run to a far deadline crossing many cascades
-					d := time.Duration(1+rng.Intn(3)) * 30 * time.Hour
-					loop.RunFor(d)
-					ref.runUntil(ref.now + d)
-				}
-				if got, want := loop.Pending(), ref.pending(); got != want {
-					t.Fatalf("seed %d seq %d op %d: Pending = %d, reference = %d",
-						seed, s, op, got, want)
-				}
-				if loop.Now() != ref.now {
-					t.Fatalf("seed %d seq %d op %d: Now = %v, reference = %v",
-						seed, s, op, loop.Now(), ref.now)
-				}
-			}
-			// Drain everything (children included) and compare full logs.
-			loop.RunFor(400 * 24 * time.Hour)
-			ref.runUntil(ref.now + 400*24*time.Hour)
-			want := make([]int, 0, len(ref.log))
-			for _, id := range ref.log {
-				if topIDs[id] {
-					want = append(want, id)
-				}
-			}
-			if len(log) != len(want) {
-				t.Fatalf("seed %d seq %d: fired %d events, reference fired %d",
-					seed, s, len(log), len(want))
-			}
-			for i := range log {
-				if log[i] != want[i] {
-					t.Fatalf("seed %d seq %d: dispatch order diverges at %d: got id %d, reference id %d",
-						seed, s, i, log[i], want[i])
-				}
-			}
-			if loop.Pending() != 0 || ref.pending() != 0 {
-				t.Fatalf("seed %d seq %d: residue after drain: loop=%d ref=%d",
-					seed, s, loop.Pending(), ref.pending())
-			}
+			runWheelScript(t, fmt.Sprintf("seed %d seq %d", seed, s), rng.Intn, upTo(wheelOpsPerScript))
 		}
 	}
+}
+
+// choiceWidth is how many fuzz bytes encode one intn(n) choice: enough to
+// cover [0, n).
+func choiceWidth(n int) int {
+	w := 0
+	for m := n - 1; m > 0; m >>= 8 {
+		w++
+	}
+	return w
+}
+
+// FuzzWheelMatchesReference is the property test with the fuzzer choosing the
+// script: each choice is read big-endian from the input (an exhausted input
+// reads zeros) and the script runs one op per remaining input, capped so the
+// quadratic reference stays cheap. The seed corpus is the property test's
+// first scripts, recorded choice by choice in that encoding.
+func FuzzWheelMatchesReference(f *testing.F) {
+	rng := NewRNG(1 * 0x9e3779b9)
+	for s := 0; s < 6; s++ {
+		var script []byte
+		runWheelScript(f, fmt.Sprintf("corpus script %d", s), func(n int) int {
+			v := rng.Intn(n)
+			for w := choiceWidth(n); w > 0; w-- {
+				script = append(script, byte(v>>(8*(w-1))))
+			}
+			return v
+		}, upTo(wheelOpsPerScript))
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		capped := upTo(200)
+		runWheelScript(t, "fuzz input", func(n int) int {
+			v := 0
+			for w := choiceWidth(n); w > 0 && len(data) > 0; w-- {
+				v = v<<8 | int(data[0])
+				data = data[1:]
+			}
+			return v % n
+		}, func() bool { return len(data) > 0 && capped() })
+	})
 }
 
 func TestCompactionSweepsCancelledEvents(t *testing.T) {

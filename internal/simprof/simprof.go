@@ -185,9 +185,6 @@ func (p *Profile) Events() uint64 { return p.total.fired }
 // WallNS returns the total wall-clock nanoseconds spent inside callbacks.
 func (p *Profile) WallNS() int64 { return p.total.wallNS }
 
-// MaxHeapDepth returns the largest observed post-pop event-heap length.
-func (p *Profile) MaxHeapDepth() int { return p.maxHeap }
-
 // AvgHeapDepth returns the mean post-pop event-heap length per dispatch.
 func (p *Profile) AvgHeapDepth() float64 {
 	if p.dispatches == 0 {

@@ -62,27 +62,6 @@ func BenchmarkSolveScale(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveScaleParallel runs the same workload with the deterministic
-// parallel evaluator (results are byte-identical to serial; see
-// TestParallelMatchesSerial).
-func BenchmarkSolveScaleParallel(b *testing.B) {
-	const buckets, entities = 5000, 100000
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := scaleProblem(sim.NewRNG(1), buckets, entities)
-		opt := DefaultOptions()
-		opt.Seed = 1
-		opt.Parallel = 4
-		opt.Sampler = GroupedSampler(p, 1)
-		b.StartTimer()
-		res := Solve(p, opt)
-		if res.Final.Total() != 0 {
-			b.Fatalf("solve left %d violations", res.Final.Total())
-		}
-	}
-}
-
 // BenchmarkMoveDelta measures the hot loop in isolation; the fast path's
 // contract is zero allocations per evaluation (see TestMoveDeltaAllocFree).
 func BenchmarkMoveDelta(b *testing.B) {

@@ -565,7 +565,7 @@ func (s *state) drainPenalty(b BucketID) float64 { return s.drainPen[b] }
 // source domains, and the penalty deltas of leaving them. Preparing once and
 // then calling evalTarget per sampled target avoids recomputing the source
 // side for every (entity, target) pair, and makes target evaluation a pure
-// read — the parallel mode prepares serially and fans evalTarget out.
+// read.
 type prepared struct {
 	e    EntityID
 	from BucketID
@@ -720,8 +720,8 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 
 // moveDelta returns the objective change of moving e from its current bucket
 // to target, and whether the move is feasible w.r.t. hard constraints. It is
-// allocation-free but uses state-owned scratch, so it must not be called
-// concurrently; the parallel path uses prepare/evalTarget directly.
+// allocation-free: it prepares into state-owned scratch, where the grid search
+// keeps one prepared per candidate entity and calls evalTarget directly.
 func (s *state) moveDelta(e EntityID, target BucketID) (float64, bool) {
 	s.prepare(&s.scratch, e)
 	return s.evalTarget(&s.scratch, target)

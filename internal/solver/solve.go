@@ -2,7 +2,6 @@ package solver
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"shardmanager/internal/sim"
@@ -148,12 +147,6 @@ type Options struct {
 	Sampler Sampler
 	// Seed drives the solver's deterministic RNG.
 	Seed uint64
-	// Parallel > 1 fans candidate evaluation for each sampled
-	// (entity, target) grid over that many worker goroutines. The result
-	// is byte-identical to serial mode: targets are sampled serially (the
-	// RNG stream is untouched) and workers reduce to the same argmin via
-	// a stable (delta, pair-index) tie-break.
-	Parallel int
 	// Progress, if set, is invoked after every search round with the
 	// current violation counts; experiments use it to plot
 	// violations-vs-evaluations curves (Fig 21/22).
@@ -212,8 +205,8 @@ const improveEps = 1e-9
 const maxSwapEntities = 4
 
 // solveCtx carries one Solve call's mutable machinery: budgets, per-bucket
-// candidate caches, scratch buffers, and the optional worker pool. All
-// buffers are reused across attempts so the hot loop does not allocate.
+// candidate caches and scratch buffers. All buffers are reused across
+// attempts so the hot loop does not allocate.
 type solveCtx struct {
 	p        *Problem
 	st       *state
@@ -242,8 +235,6 @@ type solveCtx struct {
 	preps      []prepared
 	pairPrep   []int32
 	pairTarget []BucketID
-
-	pool *evalPool
 }
 
 // Solve improves the problem's assignment with local search and returns the
@@ -279,10 +270,6 @@ func Solve(p *Problem, opt Options) *Result {
 	}
 	if opt.TimeLimit > 0 {
 		ctx.deadline = start.Add(opt.TimeLimit)
-	}
-	if opt.Parallel > 1 {
-		ctx.pool = newEvalPool(st, opt.Parallel)
-		defer ctx.pool.close()
 	}
 
 	ctx.phase1()
@@ -502,11 +489,9 @@ func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 	return picked
 }
 
-// bestGridMove samples targets for every candidate entity (serially, so the
-// RNG stream is identical in parallel mode), then evaluates the flattened
-// (entity, target) grid — serially or on the worker pool — and returns the
-// feasible pair with the most negative delta. Ties break toward the earliest
-// pair, which makes the parallel reduction byte-identical to the serial scan.
+// bestGridMove samples targets for every candidate entity, then evaluates the
+// flattened (entity, target) grid and returns the feasible pair with the most
+// negative delta. Ties break toward the earliest pair.
 func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, BucketID, bool) {
 	st, opt := c.st, &c.opt
 	c.pairPrep = c.pairPrep[:0]
@@ -527,15 +512,11 @@ func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, Bucke
 		return 0, Unassigned, false
 	}
 	bestIdx := -1
-	if c.pool != nil {
-		bestIdx = c.pool.run(c.preps, c.pairPrep, c.pairTarget)
-	} else {
-		bestDelta := -improveEps
-		for i := 0; i < n; i++ {
-			d, ok := st.evalTarget(&c.preps[c.pairPrep[i]], c.pairTarget[i])
-			if ok && d < bestDelta {
-				bestDelta, bestIdx = d, i
-			}
+	bestDelta := -improveEps
+	for i := 0; i < n; i++ {
+		d, ok := st.evalTarget(&c.preps[c.pairPrep[i]], c.pairTarget[i])
+		if ok && d < bestDelta {
+			bestDelta, bestIdx = d, i
 		}
 	}
 	if bestIdx < 0 {
@@ -592,97 +573,4 @@ func (c *solveCtx) trySwap(ents []EntityID, b BucketID) bool {
 		}
 	}
 	return false
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic parallel candidate evaluation.
-
-// evalPool fans evalTarget calls for one (entity, target) grid over a fixed
-// set of worker goroutines. Workers stride the flattened pair array and keep
-// a local (delta, index) argmin with a strict less-than test, so each worker
-// ends at the earliest occurrence of its minimum; the final merge prefers
-// the smaller delta and breaks ties toward the smaller index. That is
-// exactly the serial scan's "first strict improvement wins" rule, so serial
-// and parallel runs produce byte-identical Results.
-//
-// evalTarget only reads state (prepare runs serially beforehand), so the
-// workers race on nothing.
-type evalPool struct {
-	st      *state
-	workers int
-
-	// Per-batch inputs, set by run before the workers start.
-	preps      []prepared
-	pairPrep   []int32
-	pairTarget []BucketID
-
-	best  []poolBest
-	start []chan struct{}
-	wg    sync.WaitGroup
-}
-
-// poolBest is one worker's argmin slot, padded to a cache line so workers
-// do not false-share.
-type poolBest struct {
-	delta float64
-	idx   int32
-	_     [48]byte
-}
-
-func newEvalPool(st *state, workers int) *evalPool {
-	p := &evalPool{
-		st:      st,
-		workers: workers,
-		best:    make([]poolBest, workers),
-		start:   make([]chan struct{}, workers),
-	}
-	for w := 0; w < workers; w++ {
-		ch := make(chan struct{}, 1)
-		p.start[w] = ch
-		go p.worker(w, ch)
-	}
-	return p
-}
-
-func (p *evalPool) worker(w int, ch chan struct{}) {
-	for range ch {
-		best := poolBest{delta: -improveEps, idx: -1}
-		for i := w; i < len(p.pairTarget); i += p.workers {
-			d, ok := p.st.evalTarget(&p.preps[p.pairPrep[i]], p.pairTarget[i])
-			if ok && d < best.delta {
-				best.delta, best.idx = d, int32(i)
-			}
-		}
-		p.best[w] = best
-		p.wg.Done()
-	}
-}
-
-// run evaluates the grid and returns the winning pair index, or -1 when no
-// feasible pair improves.
-func (p *evalPool) run(preps []prepared, pairPrep []int32, pairTarget []BucketID) int {
-	p.preps, p.pairPrep, p.pairTarget = preps, pairPrep, pairTarget
-	p.wg.Add(p.workers)
-	for _, ch := range p.start {
-		ch <- struct{}{}
-	}
-	p.wg.Wait()
-	bestIdx := int32(-1)
-	bestDelta := -improveEps
-	for w := 0; w < p.workers; w++ {
-		b := &p.best[w]
-		if b.idx < 0 {
-			continue
-		}
-		if b.delta < bestDelta || (b.delta == bestDelta && (bestIdx < 0 || b.idx < bestIdx)) {
-			bestDelta, bestIdx = b.delta, b.idx
-		}
-	}
-	return int(bestIdx)
-}
-
-func (p *evalPool) close() {
-	for _, ch := range p.start {
-		close(ch)
-	}
 }

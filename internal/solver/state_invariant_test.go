@@ -378,45 +378,6 @@ func TestSolveIdempotentOnCleanState(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial: the deterministic parallel evaluation mode must
-// produce byte-identical results — same moves, same assignment, same
-// violation counts, same evaluation count — for any seed.
-func TestParallelMatchesSerial(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		build := func() *Problem { return randomProblem(sim.NewRNG(seed)) }
-		optS := DefaultOptions()
-		optS.Seed = seed
-		optS.Sampler = nil // per-problem default
-		serial := Solve(build(), optS)
-
-		optP := optS
-		optP.Parallel = 3
-		parallel := Solve(build(), optP)
-
-		if len(serial.Moves) != len(parallel.Moves) {
-			t.Fatalf("seed %d: move counts differ: %d vs %d", seed, len(serial.Moves), len(parallel.Moves))
-		}
-		for i := range serial.Moves {
-			if serial.Moves[i] != parallel.Moves[i] {
-				t.Fatalf("seed %d: move %d differs: %+v vs %+v", seed, i, serial.Moves[i], parallel.Moves[i])
-			}
-		}
-		for i := range serial.Assignment {
-			if serial.Assignment[i] != parallel.Assignment[i] {
-				t.Fatalf("seed %d: assignment of entity %d differs", seed, i)
-			}
-		}
-		if serial.Initial != parallel.Initial || serial.Final != parallel.Final {
-			t.Fatalf("seed %d: violations differ: %+v/%+v vs %+v/%+v",
-				seed, serial.Initial, serial.Final, parallel.Initial, parallel.Final)
-		}
-		if serial.Evaluated != parallel.Evaluated || serial.Rounds != parallel.Rounds {
-			t.Fatalf("seed %d: evaluated/rounds differ: %d/%d vs %d/%d",
-				seed, serial.Evaluated, serial.Rounds, parallel.Evaluated, parallel.Rounds)
-		}
-	}
-}
-
 // TestAdoptDomainTableSharing: a table built by one problem serves a clone
 // with identical buckets, and panics on a mismatched bucket set.
 func TestAdoptDomainTableSharing(t *testing.T) {

@@ -23,15 +23,13 @@ go test -race $(go list ./... | grep -v 'internal/experiments$')
 echo "== go test ./internal/experiments"
 go test ./internal/experiments
 echo "== audit torture smoke (12 seeds, must be violation-free)"
-go run ./cmd/smbench -fig torture -torture-seeds 12 -foundbugs-out "" -fail-on-bugs
-echo "== solver benchmark smoke (-benchtime=1x)"
+go run ./cmd/smbench -fig torture -torture-seeds 12 -fail-on-bugs
+echo "== layer-drive smokes (-benchtime=1x: compiled and run once, never timed against a committed number)"
 go test ./internal/solver -run '^$' -bench . -benchtime=1x
-echo "== sim-kernel benchmark smoke (-benchtime=1x)"
-go test . -run '^$' -bench 'ProfilerOverhead|SimScale' -benchtime=1x
-echo "== kernel-bench smoke (120k-shard point vs committed BENCH_sim.json, >20% regression fails)"
-go run ./cmd/smbench -fig simscale -sim-smoke -sim-baseline BENCH_sim.json -bench-sim-out ""
-echo "== control-plane smoke (100k-shard point vs committed BENCH_controlplane.json: seed-exact columns must match, entries/s is printed only)"
-go run ./cmd/smbench -controlscale -controlplane-baseline BENCH_controlplane.json -bench-controlplane-out ""
+go test ./internal/sim -run '^$' -bench LoopScheduleAndRun -benchtime=1x
+go test ./internal/discovery -run '^$' -bench Publish -benchtime=1x
+echo "== profiler-overhead benchmark smoke (-benchtime=1x)"
+go test . -run '^$' -bench ProfilerOverhead -benchtime=1x
 echo "== code lines (scripts/loc.sh)"
 sh scripts/loc.sh
 echo "check: OK"
