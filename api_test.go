@@ -11,6 +11,7 @@ import (
 	"shardmanager/internal/experiments"
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
+	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/sim"
 	"shardmanager/internal/solver"
 )
@@ -54,6 +55,8 @@ func TestOneEntryPointPerMechanism(t *testing.T) {
 		reflect.TypeOf((*appserver.Server)(nil)): grantsAndHooks,
 		reflect.TypeOf((*orchestrator.Orchestrator)(nil)): grantsAndHooks,
 		reflect.TypeOf((*discovery.Service)(nil)):         grantsAndHooks,
+		// The closure form of the reply leg; ReplyArg is the one reply form.
+		reflect.TypeOf((*rpcnet.Network)(nil)): {"Re" + "ply"},
 	} {
 		for _, name := range removed {
 			if _, ok := typ.MethodByName(name); ok {

@@ -261,8 +261,15 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 
 	// Entities: one per desired replica. Existing placements on live
 	// servers keep their bucket; others start unassigned. In emergency
-	// mode, placed replicas are pinned.
-	refs := make([]replicaRef, 0)
+	// mode, placed replicas are pinned. The count is known, so the entity
+	// slice is sized once: append-doubling it is megabytes of garbage per
+	// run, in bursts large enough to raise the process's peak heap.
+	replicas := 0
+	for _, spec := range in.Shards {
+		replicas += spec.Replicas
+	}
+	prob.Entities = make([]solver.Entity, 0, replicas)
+	refs := make([]replicaRef, 0, replicas)
 	exclGroups := make(map[solver.EntityID]string)
 	conflictGroups := make(map[solver.EntityID]string)
 	var affinities []solver.AffinityGoal
@@ -447,6 +454,7 @@ func rebuildProblem(src *solver.Problem, metrics []string) *solver.Problem {
 	for _, b := range src.Buckets {
 		pr.AddBucket(b)
 	}
+	pr.Entities = make([]solver.Entity, 0, len(src.Entities))
 	for _, e := range src.Entities {
 		pr.AddEntity(e)
 	}

@@ -42,7 +42,9 @@ type Application interface {
 	// secondary (demotion ahead of maintenance, promotion on failover).
 	ChangeRole(s shard.ID, from, to shard.Role)
 	// HandleRequest processes one client request for an owned shard and
-	// returns the response payload or an error.
+	// returns the response payload or an error. req is valid only for the
+	// duration of the call: the sender reuses it for its next request, so an
+	// application that needs a field later copies it.
 	HandleRequest(req *Request) (any, error)
 }
 
@@ -213,13 +215,17 @@ type Server struct {
 	Rejected  metrics.Counter
 }
 
-// requestMetric counts one request outcome in the loop's labeled registry
-// (a no-op when metrics are disabled). outcome is one of the fixed reject
-// reasons, "ok", or "app_error" — never raw application error text, which
-// would be an unbounded label.
+// requestMetric counts one request outcome in the loop's labeled registry.
+// outcome is one of the fixed reject reasons, "ok", or "app_error" — never
+// raw application error text, which would be an unbounded label. A nil
+// registry is a valid sink, but the variadic label slice escapes into it and
+// is built before the call, so this per-request site tests for nil first:
+// with metrics off a request must not allocate.
 func (s *Server) requestMetric(outcome string) {
-	s.loop.Metrics().Counter("appserver_requests_total",
-		"app", string(s.App), "outcome", outcome).Inc()
+	if mr := s.loop.Metrics(); mr != nil {
+		mr.Counter("appserver_requests_total",
+			"app", string(s.App), "outcome", outcome).Inc()
+	}
 }
 
 // opMetric counts one SM-library shard operation (add/drop/change_role/
@@ -780,7 +786,9 @@ func (s *Server) forward(req *Request, to shard.ServerID, reply func(Response)) 
 		return
 	}
 	s.ForwardTx.Inc()
-	s.loop.Metrics().Counter("appserver_forwarded_total", "app", string(s.App)).Inc()
+	if mr := s.loop.Metrics(); mr != nil { // per request: see requestMetric
+		mr.Counter("appserver_forwarded_total", "app", string(s.App)).Inc()
+	}
 	if tr := s.loop.Tracer(); tr.Enabled() {
 		tr.Event("appserver", "forward", req.TraceSpan,
 			trace.String("from", string(s.ID)),

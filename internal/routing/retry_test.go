@@ -115,31 +115,38 @@ func TestServerGoneFromDirectoryFails(t *testing.T) {
 	}
 }
 
-func benchEnv(b *testing.B) (*env, *Client) {
-	b.Helper()
+// BenchmarkClientRequestRoundTrip drives the request path alone — Do, the
+// request leg, Serve, the reply leg, done — one request at a time on an
+// otherwise idle loop. allocs/op includes the benchmark's own done closure
+// and okApp's payload; TestRequestPathAllocationFree is the gate with both
+// taken out.
+func BenchmarkClientRequestRoundTrip(b *testing.B) {
 	e := newEnv(b)
-	srv := e.addServer("srv", "near")
-	srv.AddShard("s1", shard.RolePrimary, 0)
-	srv.AddShard("s2", shard.RolePrimary, 0)
+	e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 0)
+	e.dir.Lookup("srv").AddShard("s2", shard.RolePrimary, 0)
+	e.addServer("sec1", "near").AddShard("s1", shard.RoleSecondary, 0)
+	e.addServer("sec2", "near").AddShard("s1", shard.RoleSecondary, 0)
 	e.publish(1, map[shard.ID][]shard.Assignment{
-		"s1": {{Server: "srv", Role: shard.RolePrimary}},
+		"s1": {{Server: "srv", Role: shard.RolePrimary}, {Server: "sec1", Role: shard.RoleSecondary}, {Server: "sec2", Role: shard.RoleSecondary}},
 		"s2": {{Server: "srv", Role: shard.RolePrimary}},
 	})
 	c := e.client("near")
 	e.loop.RunFor(time.Second)
-	return e, c
-}
-
-func BenchmarkClientRequestRoundTrip(b *testing.B) {
-	e, c := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok := false
-		c.Do("abc", true, "op", nil, func(r Result) { ok = r.OK })
-		e.loop.RunFor(time.Second)
-		if !ok {
-			b.Fatal("request failed")
-		}
+	for _, bc := range []struct {
+		name, key string
+		write     bool
+	}{{"write-1-replica", "xyz", true}, {"read-3-replicas", "abc", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ok := false
+				c.Do(bc.key, bc.write, "op", nil, func(r Result) { ok = r.OK })
+				e.loop.RunFor(time.Second)
+				if !ok {
+					b.Fatal("request failed")
+				}
+			}
+		})
 	}
 }
 

@@ -14,7 +14,7 @@
 package routing
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"shardmanager/internal/appserver"
@@ -105,6 +105,10 @@ type Client struct {
 	// They must not draw randomness — healthmon hangs availability tracking
 	// off this hook precisely because it cannot perturb the seeded RNG.
 	observers []func(Result)
+
+	// freeCalls is the free-list of request records; peak in-flight requests
+	// bound it.
+	freeCalls *call
 }
 
 // NewClient creates a client and subscribes it to the app's shard map.
@@ -181,65 +185,81 @@ func (c *Client) MapVersion() int64 { return c.view.Version }
 // Do routes one request for key and invokes done with the final outcome.
 // write selects primary-routed requests.
 func (c *Client) Do(key string, write bool, op string, payload any, done func(Result)) {
-	s := c.keyspace.ShardFor(key)
-	start := c.loop.Now()
-	if mr := c.loop.Metrics(); mr != nil || len(c.observers) > 0 {
-		app := string(c.App)
-		inner := done
-		done = func(res Result) {
-			if mr != nil {
-				mr.Counter("routing_requests_total", "app", app).Inc()
-				outcome := "ok"
-				if !res.OK {
-					// res.Err comes from a small fixed set of reject
-					// reasons, so it is safe as a label value.
-					outcome = res.Err
-					if outcome == "" {
-						outcome = "error"
-					}
-				}
-				mr.Counter("routing_results_total", "app", app, "outcome", outcome).Inc()
-				if res.Attempts > 1 {
-					mr.Counter("routing_retries_total", "app", app).Add(int64(res.Attempts - 1))
-				}
-				if res.OK {
-					mr.Histogram("routing_latency_ms", nil, "app", app).
-						Observe(float64(res.Latency) / float64(time.Millisecond))
-				}
-			}
-			for _, fn := range c.observers {
-				fn(res)
-			}
-			inner(res)
-		}
+	k := c.allocCall()
+	k.req = appserver.Request{
+		App:     c.App,
+		Shard:   c.keyspace.ShardFor(key),
+		Key:     key,
+		Write:   write,
+		Op:      op,
+		Payload: payload,
 	}
-	var root trace.SpanID
+	k.done = done
+	k.start = c.loop.Now()
 	if tr := c.loop.Tracer(); tr.Enabled() {
-		root = tr.StartSpan("routing", "request", 0,
+		k.req.TraceSpan = tr.StartSpan("routing", "request", 0,
 			trace.String("key", key),
-			trace.String("shard", string(s)),
+			trace.String("shard", string(k.req.Shard)),
 			trace.Bool("write", write),
 			trace.String("op", op))
-		inner := done
-		done = func(res Result) {
-			tr.EndSpan(root,
-				trace.Bool("ok", res.OK),
-				trace.String("err", res.Err),
-				trace.Int("attempts", res.Attempts),
-				trace.Int("hops", res.Hops),
-				trace.String("server", string(res.Server)))
-			inner(res)
-		}
 	}
-	c.attempt(&appserver.Request{
-		App:       c.App,
-		Shard:     s,
-		Key:       key,
-		Write:     write,
-		Op:        op,
-		Payload:   payload,
-		TraceSpan: root,
-	}, start, 1, make(map[shard.ServerID]bool), done)
+	k.try()
+}
+
+// call is the state of one request from Do to its Result, pooled on the
+// client's free-list like rpcnet's envelopes so that a request allocates
+// nothing. Do takes one, every leg of every attempt hands it to a static
+// callback as its arg, and finish returns it before done runs. That is safe
+// because each rpcnet SendArg/ReplyArg and each Server.Serve runs exactly one
+// callback exactly once, so at most one callback is ever outstanding per
+// record; live turns a second one — a bug, not a state — into a panic
+// instead of a corrupted later request.
+type call struct {
+	c    *Client
+	next *call // free-list link
+	live bool
+
+	// req is handed to servers as &k.req: valid until the reply, which is as
+	// long as Application.HandleRequest may use it.
+	req     appserver.Request
+	done    func(Result)
+	start   time.Duration
+	attempt int
+	// tried holds the servers already sent to, at most MaxAttempts of them.
+	// Its backing array stays with the record, grown on the few that retry.
+	tried []shard.ServerID
+	// lastServer is the server the current attempt was sent to, or the deeper
+	// server that rejected it after a forward.
+	lastServer shard.ServerID
+	srvRegion  topology.RegionID // where the current attempt's reply leg starts
+	resp       appserver.Response
+	asp        trace.SpanID // the current attempt's span
+	// onResponse is k.serverReplied, bound once per record so that
+	// Server.Serve gets a func(Response) without a closure per request.
+	onResponse func(appserver.Response)
+}
+
+func (c *Client) allocCall() *call {
+	k := c.freeCalls
+	if k == nil {
+		k = &call{c: c}
+		k.onResponse = k.serverReplied
+	} else {
+		c.freeCalls = k.next
+		k.next = nil
+	}
+	k.live = true
+	return k
+}
+
+// inFlight unboxes a callback's arg and asserts that its request has not
+// completed.
+func inFlight(a any) *call {
+	k := a.(*call)
+	if !k.live {
+		panic("routing: callback for a request that already completed")
+	}
+	return k
 }
 
 // retryDelay returns the wait before attempt+1: capped exponential backoff
@@ -260,117 +280,170 @@ func (c *Client) retryDelay(attempt int) time.Duration {
 	return d
 }
 
-// attempt performs one try and schedules retries.
-func (c *Client) attempt(req *appserver.Request, start time.Duration, attempt int,
-	tried map[shard.ServerID]bool, done func(Result)) {
-	tr := c.loop.Tracer()
-	var asp trace.SpanID
-	if tr.Enabled() {
+// try performs the next attempt: request leg (callDelivered | callUnreachable),
+// the server's reply (serverReplied), reply leg (callReplied | callReplyLost).
+func (k *call) try() {
+	c := k.c
+	k.attempt++
+	k.lastServer = ""
+	if tr := c.loop.Tracer(); tr.Enabled() {
 		// Map version at attempt time shows which attempts ran on a stale
 		// map — the "wrong owner" retry loop of §3.2 made visible.
-		asp = tr.StartSpan("routing", "attempt", req.TraceSpan,
-			trace.Int("attempt", attempt),
+		k.asp = tr.StartSpan("routing", "attempt", k.req.TraceSpan,
+			trace.Int("attempt", k.attempt),
 			trace.Int64("map_version", c.MapVersion()))
 	}
-	var lastServer shard.ServerID
-	fail := func(errMsg string) {
-		if tr.Enabled() {
-			tr.EndSpan(asp, trace.String("err", errMsg))
-		}
-		switch errMsg {
-		case "fenced", "not-owner", "not-primary":
-			// Ownership rejections mean the routing map is behind the
-			// server's view; refresh before the retry (and even on the
-			// final attempt, for the next request's benefit).
-			c.refreshMap()
-		}
-		if attempt >= c.opts.MaxAttempts {
-			done(Result{
-				Err:        errMsg,
-				Latency:    c.loop.Now() - start,
-				Attempts:   attempt,
-				Shard:      req.Shard,
-				Write:      req.Write,
-				RejectedBy: lastServer,
-				MapVersion: c.MapVersion(),
-			})
-			return
-		}
-		c.loop.AfterL(c.retryDelay(attempt), lbRetry, func() {
-			c.attempt(req, start, attempt+1, tried, done)
-		})
-	}
-
-	target, ok := c.pickServer(req.Shard, req.Write, tried)
+	target, ok := c.pickServer(k.req.Shard, k.req.Write, k.tried)
 	if !ok {
 		// No candidate at all (no map or no replicas known): retry
 		// with a fresh view; an updated map may have arrived by then.
-		for k := range tried {
-			delete(tried, k)
-		}
-		fail("no-replica")
+		k.tried = k.tried[:0]
+		k.fail("no-replica")
 		return
 	}
-	tried[target] = true
-	lastServer = target
+	k.tried = append(k.tried, target)
+	k.lastServer = target
+	c.net.SendArg(c.Region, rpcnet.Endpoint(target), callDelivered, k, callUnreachable, k)
+}
 
-	c.net.Send(c.Region, rpcnet.Endpoint(target), func() {
-		srv := c.dir.Lookup(target)
-		if srv == nil {
-			fail("server-gone")
-			return
+func callDelivered(a any) {
+	k := inFlight(a)
+	srv := k.c.dir.Lookup(k.lastServer)
+	if srv == nil {
+		k.fail("server-gone")
+		return
+	}
+	k.srvRegion = srv.Region
+	srv.Serve(&k.req, k.onResponse)
+}
+
+func callUnreachable(a any) { inFlight(a).fail("unreachable") }
+
+// serverReplied sends the response back to the client's region over the
+// fabric, so injected link faults can lose or delay the reply leg too.
+func (k *call) serverReplied(resp appserver.Response) {
+	inFlight(k)
+	k.resp = resp
+	k.c.net.ReplyArg(k.srvRegion, k.c.Region, callReplied, k, callReplyLost, k)
+}
+
+func callReplied(a any) {
+	k := inFlight(a)
+	c, resp := k.c, &k.resp
+	if !resp.OK {
+		if resp.Server != "" {
+			// A forwarded request may be rejected deeper in the
+			// chain; attribute the failure to the actual rejecter.
+			k.lastServer = resp.Server
 		}
-		srv.Serve(req, func(resp appserver.Response) {
-			// Response travels back to the client's region over the fabric,
-			// so injected link faults can lose or delay the reply leg too.
-			c.net.Reply(srv.Region, c.Region, func() {
-				if resp.OK {
-					if tr.Enabled() {
-						tr.EndSpan(asp,
-							trace.String("server", string(resp.Server)),
-							trace.Int("hops", resp.Hops))
-					}
-					done(Result{
-						OK:         true,
-						Payload:    resp.Payload,
-						Latency:    c.loop.Now() - start,
-						Attempts:   attempt,
-						Hops:       resp.Hops,
-						Server:     resp.Server,
-						Shard:      req.Shard,
-						Write:      req.Write,
-						MapVersion: c.MapVersion(),
-					})
-					return
-				}
-				if resp.Server != "" {
-					// A forwarded request may be rejected deeper in the
-					// chain; attribute the failure to the actual rejecter.
-					lastServer = resp.Server
-				}
-				fail(resp.Err)
-			}, func() {
-				fail("reply-lost")
-			})
-		})
-	}, func() {
-		fail("unreachable")
+		k.fail(resp.Err)
+		return
+	}
+	if tr := c.loop.Tracer(); tr.Enabled() {
+		tr.EndSpan(k.asp,
+			trace.String("server", string(resp.Server)),
+			trace.Int("hops", resp.Hops))
+	}
+	k.finish(Result{
+		OK:         true,
+		Payload:    resp.Payload,
+		Latency:    c.loop.Now() - k.start,
+		Attempts:   k.attempt,
+		Hops:       resp.Hops,
+		Server:     resp.Server,
+		Shard:      k.req.Shard,
+		Write:      k.req.Write,
+		MapVersion: c.MapVersion(),
 	})
+}
+
+func callReplyLost(a any) { inFlight(a).fail("reply-lost") }
+
+func callRetry(a any) { inFlight(a).try() }
+
+// fail ends the current attempt and schedules the next, or finishes the
+// request when the attempts are spent.
+func (k *call) fail(errMsg string) {
+	c := k.c
+	if tr := c.loop.Tracer(); tr.Enabled() {
+		tr.EndSpan(k.asp, trace.String("err", errMsg))
+	}
+	switch errMsg {
+	case "fenced", "not-owner", "not-primary":
+		// Ownership rejections mean the routing map is behind the
+		// server's view; refresh before the retry (and even on the
+		// final attempt, for the next request's benefit).
+		c.refreshMap()
+	}
+	if k.attempt >= c.opts.MaxAttempts {
+		k.finish(Result{
+			Err:        errMsg,
+			Latency:    c.loop.Now() - k.start,
+			Attempts:   k.attempt,
+			Shard:      k.req.Shard,
+			Write:      k.req.Write,
+			RejectedBy: k.lastServer,
+			MapVersion: c.MapVersion(),
+		})
+		return
+	}
+	c.loop.PostArgL(c.retryDelay(k.attempt), lbRetry, callRetry, k)
+}
+
+// finish recycles the record and then reports res — root span, metrics,
+// observers, caller, in that order. Recycling first lets a done that issues
+// the client's next request reuse the record it just finished with.
+func (k *call) finish(res Result) {
+	c, done, root := k.c, k.done, k.req.TraceSpan
+	*k = call{c: c, next: c.freeCalls, tried: k.tried[:0], onResponse: k.onResponse}
+	c.freeCalls = k
+
+	if tr := c.loop.Tracer(); tr.Enabled() {
+		tr.EndSpan(root,
+			trace.Bool("ok", res.OK),
+			trace.String("err", res.Err),
+			trace.Int("attempts", res.Attempts),
+			trace.Int("hops", res.Hops),
+			trace.String("server", string(res.Server)))
+	}
+	if mr := c.loop.Metrics(); mr != nil {
+		app := string(c.App)
+		mr.Counter("routing_requests_total", "app", app).Inc()
+		outcome := "ok"
+		if !res.OK {
+			// res.Err comes from a small fixed set of reject
+			// reasons, so it is safe as a label value.
+			outcome = res.Err
+			if outcome == "" {
+				outcome = "error"
+			}
+		}
+		mr.Counter("routing_results_total", "app", app, "outcome", outcome).Inc()
+		if res.Attempts > 1 {
+			mr.Counter("routing_retries_total", "app", app).Add(int64(res.Attempts - 1))
+		}
+		if res.OK {
+			mr.Histogram("routing_latency_ms", nil, "app", app).
+				Observe(float64(res.Latency) / float64(time.Millisecond))
+		}
+	}
+	for _, fn := range c.observers {
+		fn(res)
+	}
+	done(res)
 }
 
 // pickServer chooses a replica for the request: the primary for writes, the
 // closest untried replica for reads (locality-aware, which is what makes
-// the Fig 19 latency curves move). Secondary-only applications route reads
-// round-robin among the closest replicas.
-func (c *Client) pickServer(s shard.ID, write bool, tried map[shard.ServerID]bool) (shard.ServerID, bool) {
+// the Fig 19 latency curves move), ties broken randomly to spread load —
+// one draw per untried replica, in replica order. It is one pass that keeps
+// the minimum; on a full tie the earlier replica stays.
+func (c *Client) pickServer(s shard.ID, write bool, tried []shard.ServerID) (shard.ServerID, bool) {
 	replicas := c.view.Replicas(s)
-	if len(replicas) == 0 {
-		return "", false
-	}
 	if write {
 		for _, a := range replicas {
 			if a.Role == shard.RolePrimary {
-				if tried[a.Server] {
+				if slices.Contains(tried, a.Server) {
 					return "", false
 				}
 				return a.Server, true
@@ -378,29 +451,30 @@ func (c *Client) pickServer(s shard.ID, write bool, tried map[shard.ServerID]boo
 		}
 		return "", false
 	}
-	// Reads: sort candidates by latency from the client's region, break
-	// ties randomly to spread load.
-	type cand struct {
-		srv shard.ServerID
-		lat time.Duration
-		tie uint64
-	}
-	cands := make([]cand, 0, len(replicas))
+	var (
+		best    shard.ServerID
+		bestLat time.Duration
+		bestTie uint64
+		found   bool
+	)
 	for _, a := range replicas {
-		if tried[a.Server] {
+		if slices.Contains(tried, a.Server) {
 			continue
 		}
 		lat := c.fleet.Latency(c.Region, c.net.Region(rpcnet.Endpoint(a.Server)))
-		cands = append(cands, cand{srv: a.Server, lat: lat, tie: c.rng.Uint64()})
-	}
-	if len(cands) == 0 {
-		return "", false
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].lat != cands[j].lat {
-			return cands[i].lat < cands[j].lat
+		tie := c.rng.Uint64()
+		if !found || closer(lat, tie, bestLat, bestTie) {
+			best, bestLat, bestTie, found = a.Server, lat, tie, true
 		}
-		return cands[i].tie < cands[j].tie
-	})
-	return cands[0].srv, true
+	}
+	return best, found
+}
+
+// closer orders read candidates: by latency from the client's region, then
+// by the random tie-break.
+func closer(lat time.Duration, tie uint64, thanLat time.Duration, thanTie uint64) bool {
+	if lat != thanLat {
+		return lat < thanLat
+	}
+	return tie < thanTie
 }

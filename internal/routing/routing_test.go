@@ -59,7 +59,11 @@ func newEnv(t testing.TB) *env {
 }
 
 func (e *env) addServer(id shard.ServerID, region topology.RegionID) *appserver.Server {
-	s := appserver.NewServer(e.loop, e.net, e.dir, okApp{}, "app", id, region)
+	return e.addServerApp(id, region, okApp{})
+}
+
+func (e *env) addServerApp(id shard.ServerID, region topology.RegionID, app appserver.Application) *appserver.Server {
+	s := appserver.NewServer(e.loop, e.net, e.dir, app, "app", id, region)
 	e.dir.Register(s)
 	e.net.Register(rpcnet.Endpoint(id), region)
 	return s

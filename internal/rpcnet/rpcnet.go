@@ -298,6 +298,10 @@ func (n *Network) Send(fromRegion topology.RegionID, to Endpoint, fn func(), onF
 // SendArg is Send with arg-carrying callbacks: fn(arg) on delivery,
 // onFail(failArg) on loss. Static callbacks plus pooled envelopes keep the
 // per-message path free of closure allocations; either callback may be nil.
+// Every message ends in exactly one of the two callbacks, run exactly once
+// (a nil one is skipped, never replaced by the other): callers that recycle
+// arg when a callback runs — routing's request record, Call's callState —
+// depend on it.
 func (n *Network) SendArg(fromRegion topology.RegionID, to Endpoint, fn func(any), arg any, onFail func(any), failArg any) {
 	toRegion, known := n.regions[to]
 	var d time.Duration
@@ -379,23 +383,11 @@ func envTimeout(a any) {
 	}
 }
 
-// Reply schedules fn after the one-way latency from region from to region to
-// — the response leg of an RPC, where the receiver is not a registered
-// endpoint. It honors injected link faults: a lost reply invokes onFail at
-// send time + SendTimeout.
-func (n *Network) Reply(from, to topology.RegionID, fn func(), onFail func()) {
-	var fnA, failA func(any)
-	var fnArg, failArg any
-	if fn != nil {
-		fnA, fnArg = invoke0, fn
-	}
-	if onFail != nil {
-		failA, failArg = invoke0, onFail
-	}
-	n.ReplyArg(from, to, fnA, fnArg, failA, failArg)
-}
-
-// ReplyArg is Reply with arg-carrying callbacks, the allocation-free form.
+// ReplyArg schedules fn(arg) after the one-way latency from region from to
+// region to — the response leg of an RPC, where the receiver is not a
+// registered endpoint. It honors injected link faults: a lost reply invokes
+// onFail(failArg) at send time + SendTimeout. Like SendArg it runs exactly
+// one of its two callbacks, exactly once.
 func (n *Network) ReplyArg(from, to topology.RegionID, fn func(any), arg any, onFail func(any), failArg any) {
 	if n.lost(from, to) {
 		n.Dropped++

@@ -271,3 +271,69 @@ func TestSendArgFailArgOnUnreachable(t *testing.T) {
 		t.Fatalf("onFail got %v, want req-7", failedWith)
 	}
 }
+
+// TestExactlyOneCallbackPerMessage pins the contract pooled callers lean on:
+// whatever happens to a SendArg or ReplyArg message — delivered, dropped on
+// a partitioned or lossy link, destination down at send time, destination
+// dying while the message is in flight, delivery slower than the timeout —
+// exactly one of its two callbacks runs, exactly once.
+func TestExactlyOneCallbackPerMessage(t *testing.T) {
+	type tally struct{ delivered, failed int }
+	onDeliver := func(a any) { a.(*tally).delivered++ }
+	onFail := func(a any) { a.(*tally).failed++ }
+	for _, tc := range []struct {
+		name    string
+		arrange func(loop *sim.Loop, n *Network)
+		// A reply leg has no endpoint to be down: only the link loses it.
+		wantSend, wantReply bool
+	}{
+		{"healthy", func(*sim.Loop, *Network) {}, true, true},
+		{"partitioned", func(_ *sim.Loop, n *Network) { n.SetLinkFault("a", "b", LinkFault{DropProb: 1}) }, false, false},
+		{"down at send", func(_ *sim.Loop, n *Network) { n.Unregister("dst") }, false, true},
+		{"dies in flight", func(loop *sim.Loop, n *Network) {
+			loop.AfterL(10*time.Millisecond, 0, func() { n.Unregister("dst") })
+		}, false, true},
+		{"dies in flight, delivery slower than the timeout", func(loop *sim.Loop, n *Network) {
+			n.SetLinkFault("a", "b", LinkFault{LatencyAdd: 2 * DefaultSendTimeout})
+			loop.AfterL(10*time.Millisecond, 0, func() { n.Unregister("dst") })
+		}, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loop, n := testNet(t)
+			n.Register("dst", "b")
+			tc.arrange(loop, n)
+			var send, reply tally
+			n.SendArg("a", "dst", onDeliver, &send, onFail, &send)
+			n.ReplyArg("a", "b", onDeliver, &reply, onFail, &reply)
+			loop.Run()
+			if send.delivered+send.failed != 1 || (send.delivered == 1) != tc.wantSend {
+				t.Errorf("SendArg ran %+v, want exactly one callback (delivered: %v)", send, tc.wantSend)
+			}
+			if reply.delivered+reply.failed != 1 || (reply.delivered == 1) != tc.wantReply {
+				t.Errorf("ReplyArg ran %+v, want exactly one callback (delivered: %v)", reply, tc.wantReply)
+			}
+		})
+	}
+	// A lossy link draws per message; whichever way each draw falls, the
+	// message still ends in one callback.
+	loop, n := testNet(t)
+	n.Register("dst", "b")
+	n.SetLinkFault("a", "b", LinkFault{DropProb: 0.5})
+	tallies := make([]tally, 200)
+	for i := 0; i < len(tallies); i += 2 {
+		n.SendArg("a", "dst", onDeliver, &tallies[i], onFail, &tallies[i])
+		n.ReplyArg("a", "b", onDeliver, &tallies[i+1], onFail, &tallies[i+1])
+	}
+	loop.Run()
+	var total tally
+	for i, got := range tallies {
+		if got.delivered+got.failed != 1 {
+			t.Fatalf("message %d on a lossy link ran %+v, want exactly one callback", i, got)
+		}
+		total.delivered += got.delivered
+		total.failed += got.failed
+	}
+	if total.delivered == 0 || total.failed == 0 {
+		t.Fatalf("lossy link: %+v, want both outcomes exercised", total)
+	}
+}

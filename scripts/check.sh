@@ -28,6 +28,7 @@ echo "== layer-drive smokes (-benchtime=1x: compiled and run once, never timed a
 go test ./internal/solver -run '^$' -bench . -benchtime=1x
 go test ./internal/sim -run '^$' -bench LoopScheduleAndRun -benchtime=1x
 go test ./internal/discovery -run '^$' -bench Publish -benchtime=1x
+go test ./internal/routing -run '^$' -bench ClientRequestRoundTrip -benchmem -benchtime=1x
 echo "== profiler-overhead benchmark smoke (-benchtime=1x)"
 go test . -run '^$' -bench ProfilerOverhead -benchtime=1x
 echo "== code lines (scripts/loc.sh)"
