@@ -604,7 +604,7 @@ func (s *Server) ResumeShard(id shard.ID, gen int64) {
 // and shards the orchestrator assigns that the server lost added cold.
 //
 // protect lists shards that an in-flight migration is handing to this server:
-// the authoritative slots still name the old owner until the migration
+// the authoritative placement still names the old owner until the migration
 // commits, so such replicas are neither dropped nor cold-added here — the
 // migration's own add_shard grant settles them.
 func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.ID]bool, gen int64) {

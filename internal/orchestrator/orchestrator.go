@@ -18,8 +18,10 @@
 package orchestrator
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"shardmanager/internal/allocator"
@@ -144,22 +146,23 @@ type serverState struct {
 	deadSince time.Duration
 	// load is the latest per-shard load report.
 	load map[shard.ID]topology.Capacity
-	// shards is the server's part of the published map, which is what its
-	// assignment node in the coordination store should hold; nodeStale is
-	// set while the node does not hold it: never written, changed since the
-	// last write, or the last write failed.
+	// shards is the server's part of the placement — the shards' replica
+	// lists inverted, kept in step by the mutators (placement.go) — which is
+	// what its assignment node in the coordination store should hold;
+	// nodeStale is set while the node does not hold it: never written,
+	// changed since the last write, or the last write failed.
 	shards    map[shard.ID]shard.Role
 	nodeStale bool
 }
 
-type replicaSlot struct {
-	server shard.ServerID
-	role   shard.Role
-}
-
 type shardState struct {
-	cfg   ShardConfig
-	slots []replicaSlot
+	cfg ShardConfig
+	pos int // index in configuration order
+	// replicas is the shard's entry in the shard map, the one copy of where
+	// its replicas are: read anywhere, written only by the mutators
+	// (placement.go). changed is set while the shard is on o.changed.
+	replicas []shard.Assignment
+	changed  bool
 	// migrating marks an in-flight migration touching this shard.
 	migrating bool
 	// mig is the in-flight migration itself (nil unless migrating); rejoin
@@ -218,12 +221,17 @@ type Orchestrator struct {
 	paths appserver.CoordPaths
 
 	servers map[shard.ServerID]*serverState
+	byID    []*serverState // the same servers sorted by ID: deterministic iteration
 	shards  map[shard.ID]*shardState
 	order   []shard.ID // deterministic shard iteration
-	// pub is the authoritative shard map as last published, patched in place
-	// by publish; delta is publish's staging buffer, restaged every time.
-	pub   *shard.Map
-	delta *shard.Delta
+	// version and gen stamp the last publication, placed counts the shards
+	// with at least one replica (the map's entries), changed lists the shards
+	// whose replica list was written since, and delta is publish's staging
+	// buffer, restaged every time.
+	version, gen int64
+	placed       int
+	changed      []*shardState
+	delta        *shard.Delta
 
 	migrationQueue []migration
 	inFlight       int
@@ -246,7 +254,6 @@ type Orchestrator struct {
 
 type migration struct {
 	shard    shard.ID
-	slot     int
 	from, to shard.ServerID
 	role     shard.Role
 	graceful bool
@@ -273,7 +280,6 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		fleet:           fleet,
 		alloc:           allocator.New(cfg.Policy, seed),
 		paths:           appserver.DefaultPaths(cfg.App),
-		pub:             shard.NewMap(cfg.App),
 		delta:           shard.NewDelta(cfg.App),
 		servers:         make(map[shard.ServerID]*serverState),
 		shards:          make(map[shard.ID]*shardState),
@@ -288,7 +294,7 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		if _, dup := o.shards[sc.ID]; dup {
 			panic(fmt.Sprintf("orchestrator: duplicate shard %q", sc.ID))
 		}
-		o.shards[sc.ID] = &shardState{cfg: sc}
+		o.shards[sc.ID] = &shardState{cfg: sc, pos: len(o.order)}
 		o.order = append(o.order, sc.ID)
 	}
 	return o
@@ -344,6 +350,15 @@ func (o *Orchestrator) Stop() {
 		t.Stop()
 	}
 	o.tickers = nil
+	// A queued migration dies with the queue: release its shard, or nothing
+	// would ever plan for it again.
+	tr := o.loop.Tracer()
+	for _, m := range o.migrationQueue {
+		o.shards[m.shard].migrating = false
+		if tr.Enabled() {
+			tr.EndSpan(m.span, trace.Bool("ok", false))
+		}
+	}
 	o.migrationQueue = nil
 }
 
@@ -388,6 +403,10 @@ func (o *Orchestrator) syncMembership() {
 			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity),
 				shards: make(map[shard.ID]shard.Role), nodeStale: true}
 			o.servers[id] = st
+			i, _ := slices.BinarySearchFunc(o.byID, id, func(s *serverState, id shard.ServerID) int {
+				return cmp.Compare(s.id, id)
+			})
+			o.byID = slices.Insert(o.byID, i, st)
 		} else if !st.alive {
 			rejoined = true
 		}
@@ -464,7 +483,7 @@ func (o *Orchestrator) scheduleFailover(id shard.ServerID, at time.Duration) {
 		if st == nil || st.alive || st.deadSince != at {
 			return
 		}
-		if o.hasReplicasOn(id) {
+		if len(st.shards) > 0 {
 			o.allocate(allocator.Emergency)
 		}
 	})
@@ -476,13 +495,10 @@ func (o *Orchestrator) scheduleFailover(id shard.ServerID, at time.Duration) {
 // roles the server demoted or restored stale, drops replicas the world moved
 // away while it was gone, and confirms restored-unconfirmed primaries.
 func (o *Orchestrator) syncServer(id shard.ServerID) {
-	want := make(map[shard.ID]shard.Role)
+	want := maps.Clone(o.servers[id].shards)
 	var protect map[shard.ID]bool
 	for _, sid := range o.order {
 		ss := o.shards[sid]
-		if slot := o.findSlot(ss, id); slot != -1 {
-			want[sid] = ss.slots[slot].role
-		}
 		if ss.mig != nil && ss.mig.to == id {
 			if protect == nil {
 				protect = make(map[shard.ID]bool)
@@ -498,37 +514,14 @@ func (o *Orchestrator) syncServer(id shard.ServerID) {
 	}, nil, func() { o.failedRPC() })
 }
 
-func (o *Orchestrator) hasReplicasOn(id shard.ServerID) bool {
-	for _, ss := range o.shards {
-		for _, slot := range ss.slots {
-			if slot.server == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // --- load collection ---
 
-// sortedServerIDs returns the server table's keys in sorted order so event
-// scheduling is deterministic (map iteration order varies per process).
-func (o *Orchestrator) sortedServerIDs() []shard.ServerID {
-	ids := make([]shard.ServerID, 0, len(o.servers))
-	for id := range o.servers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 func (o *Orchestrator) collectLoads() {
-	for _, id := range o.sortedServerIDs() {
-		st := o.servers[id]
+	for _, st := range o.byID {
 		if !st.alive {
 			continue
 		}
-		id, st := id, st
+		id := st.id
 		o.net.Call(o.cfg.HomeRegion, rpcnet.Endpoint(id), func() {
 			srv := o.dir.Lookup(id)
 			if srv == nil {
@@ -546,12 +539,12 @@ func (o *Orchestrator) collectLoads() {
 	}
 }
 
-// shardLoad returns the shard's most recent measured load (max across
-// reporting servers) or its configured default.
+// shardLoad returns the shard's measured load — the report of the last
+// replica in its list whose server has one — or its configured default.
 func (o *Orchestrator) shardLoad(ss *shardState) topology.Capacity {
 	var latest topology.Capacity
-	for _, slot := range ss.slots {
-		if st := o.servers[slot.server]; st != nil {
+	for _, a := range ss.replicas {
+		if st := o.servers[a.Server]; st != nil {
 			if l, ok := st.load[ss.cfg.ID]; ok {
 				latest = l
 			}
@@ -614,8 +607,7 @@ func (o *Orchestrator) allocate(mode allocator.Mode) {
 func (o *Orchestrator) buildInput() allocator.Input {
 	in := allocator.Input{Current: make(map[shard.ID][]shard.ServerID, len(o.shards))}
 	now := o.loop.Now()
-	for _, id := range o.sortedServerIDs() {
-		st := o.servers[id]
+	for _, st := range o.byID {
 		if st.domains == nil {
 			continue
 		}
@@ -624,7 +616,7 @@ func (o *Orchestrator) buildInput() allocator.Input {
 		// would make every planned restart churn the whole placement.
 		alive := st.alive || now-st.deadSince < o.cfg.FailoverGrace
 		in.Servers = append(in.Servers, allocator.ServerInfo{
-			ID:       id,
+			ID:       st.id,
 			Domains:  st.domains,
 			Capacity: o.cfg.ServerCapacity,
 			Alive:    alive,
@@ -640,9 +632,9 @@ func (o *Orchestrator) buildInput() allocator.Input {
 			RegionPreference: ss.cfg.RegionPreference,
 			PreferenceWeight: ss.cfg.PreferenceWeight,
 		})
-		cur := make([]shard.ServerID, len(ss.slots))
-		for i, slot := range ss.slots {
-			cur[i] = slot.server
+		cur := make([]shard.ServerID, len(ss.replicas))
+		for i, a := range ss.replicas {
+			cur[i] = a.Server
 		}
 		in.Current[id] = cur
 	}
@@ -667,57 +659,53 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 		}
 		switch mv.Kind() {
 		case "add":
-			if o.findSlot(ss, mv.To) != -1 {
+			if ss.find(mv.To) != -1 {
 				// The target already holds a replica of this shard (e.g.
 				// a churn-deferred move raced a sibling add); honoring the
 				// plan would publish a duplicate-replica map.
 				o.publishRejected("duplicate_add")
 				continue
 			}
-			// Reuse an empty slot or one whose server is dead (the
-			// replica this add replaces); append only for genuine
-			// replica-count growth.
-			slot := o.findSlot(ss, "")
-			if slot == -1 {
-				slot = o.findDeadSlot(ss)
-			}
-			if slot == -1 {
-				ss.slots = append(ss.slots, replicaSlot{})
-				slot = len(ss.slots) - 1
-			}
+			// The add takes the place of a replica on a dead server (the
+			// one it replaces) if there is one; it lengthens the list only
+			// for genuine replica-count growth.
 			role := o.roleForNewReplica(ss)
-			ss.slots[slot] = replicaSlot{server: mv.To, role: role}
+			if i := o.findDeadReplica(ss); i != -1 {
+				o.rehomeReplica(ss, i, mv.To)
+				o.setRole(ss, i, role)
+			} else {
+				o.addReplica(ss, mv.To, role)
+			}
 			o.rpcAddShard(mv.To, mv.Shard, role)
 			o.ShardMoves.Inc()
 			changed = true
 		case "drop":
-			slot := o.findSlot(ss, mv.From)
-			if slot == -1 {
+			i := ss.find(mv.From)
+			if i == -1 {
 				continue
 			}
-			ss.slots = append(ss.slots[:slot], ss.slots[slot+1:]...)
+			o.removeReplica(ss, i)
 			o.rpcDropShard(mv.From, mv.Shard)
 			o.ShardMoves.Inc()
 			changed = true
 		case "move":
-			slot := o.findSlot(ss, mv.From)
-			if slot == -1 {
+			i := ss.find(mv.From)
+			if i == -1 {
 				continue
 			}
-			if o.findSlot(ss, mv.To) != -1 {
+			if ss.find(mv.To) != -1 {
 				// Destination already holds a replica; moving there would
 				// collapse two replicas onto one server.
 				o.publishRejected("duplicate_move")
 				continue
 			}
-			graceful := o.cfg.GracefulMigration && ss.slots[slot].role == shard.RolePrimary
+			role := ss.replicas[i].Role
 			o.enqueueMigration(migration{
 				shard:    mv.Shard,
-				slot:     slot,
 				from:     mv.From,
 				to:       mv.To,
-				role:     ss.slots[slot].role,
-				graceful: graceful,
+				role:     role,
+				graceful: o.cfg.GracefulMigration && role == shard.RolePrimary,
 			})
 		}
 	}
@@ -733,25 +721,11 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 	o.pumpMigrations()
 }
 
-// findSlot returns the index of the slot on server (or the first empty slot
-// if server is ""), or -1.
-func (o *Orchestrator) findSlot(ss *shardState, server shard.ServerID) int {
-	for i, slot := range ss.slots {
-		if slot.server == server {
-			return i
-		}
-	}
-	return -1
-}
-
-// findDeadSlot returns the index of the first slot held by a dead server,
-// or -1.
-func (o *Orchestrator) findDeadSlot(ss *shardState) int {
-	for i, slot := range ss.slots {
-		if slot.server == "" {
-			continue
-		}
-		if st := o.servers[slot.server]; st == nil || !st.alive {
+// findDeadReplica returns the index of the shard's first replica on a dead
+// server, or -1.
+func (o *Orchestrator) findDeadReplica(ss *shardState) int {
+	for i, a := range ss.replicas {
+		if st := o.servers[a.Server]; st == nil || !st.alive {
 			return i
 		}
 	}
@@ -767,9 +741,9 @@ func (o *Orchestrator) roleForNewReplica(ss *shardState) shard.Role {
 	case shard.SecondaryOnly:
 		return shard.RoleSecondary
 	default:
-		for _, slot := range ss.slots {
-			if slot.role == shard.RolePrimary && slot.server != "" {
-				if st := o.servers[slot.server]; st != nil && st.alive {
+		for _, a := range ss.replicas {
+			if a.Role == shard.RolePrimary {
+				if st := o.servers[a.Server]; st != nil && st.alive {
 					return shard.RoleSecondary
 				}
 			}
@@ -796,17 +770,16 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 	}
 	changed := false
 	alivePrimary := -1
-	for i := range ss.slots {
-		slot := &ss.slots[i]
-		if slot.server == "" || slot.role != shard.RolePrimary {
+	for i, a := range ss.replicas {
+		if a.Role != shard.RolePrimary {
 			continue
 		}
-		st := o.servers[slot.server]
+		st := o.servers[a.Server]
 		if st == nil || !st.alive {
 			// Demote in place (no RPC — the server is gone), and hold
 			// promotion of a successor until the possibly-false-dead old
 			// primary has had time to self-fence.
-			slot.role = shard.RoleSecondary
+			o.setRole(ss, i, shard.RoleSecondary)
 			ss.holdUntil = o.loop.Now() + o.cfg.PromoteHold
 			changed = true
 			continue
@@ -814,8 +787,8 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 		if alivePrimary == -1 {
 			alivePrimary = i
 		} else {
-			slot.role = shard.RoleSecondary
-			o.rpcChangeRole(slot.server, ss.cfg.ID, shard.RolePrimary, shard.RoleSecondary)
+			o.setRole(ss, i, shard.RoleSecondary)
+			o.rpcChangeRole(a.Server, ss.cfg.ID, shard.RolePrimary, shard.RoleSecondary)
 			changed = true
 		}
 	}
@@ -823,15 +796,14 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 	// active primary whose cleanup drop wasn't acknowledged, and promoting a
 	// secondary next to it would put two primaries up at once.
 	if alivePrimary == -1 && o.loop.Now() >= ss.holdUntil && len(ss.orphans) == 0 {
-		for i := range ss.slots {
-			slot := &ss.slots[i]
-			if slot.server == "" || slot.role != shard.RoleSecondary {
+		for i, a := range ss.replicas {
+			if a.Role != shard.RoleSecondary {
 				continue
 			}
-			st := o.servers[slot.server]
+			st := o.servers[a.Server]
 			if st != nil && st.alive {
-				slot.role = shard.RolePrimary
-				o.rpcChangeRole(slot.server, ss.cfg.ID, shard.RoleSecondary, shard.RolePrimary)
+				o.setRole(ss, i, shard.RolePrimary)
+				o.rpcChangeRole(a.Server, ss.cfg.ID, shard.RoleSecondary, shard.RolePrimary)
 				changed = true
 				break
 			}
@@ -922,8 +894,7 @@ func (o *Orchestrator) finishMigration(m migration, ok bool) {
 // ablation), which opens a visible gap.
 func (o *Orchestrator) runMigration(m migration) {
 	ss := o.shards[m.shard]
-	slot := &ss.slots[m.slot]
-	role := slot.role
+	role := ss.replicas[ss.find(m.from)].Role
 	m.role = role
 	ss.mig = &m
 	if tr := o.loop.Tracer(); tr.Enabled() {
@@ -943,7 +914,7 @@ func (o *Orchestrator) runMigration(m migration) {
 		o.finishMigration(m, false)
 	}
 	commit := func() {
-		slot.server = m.to
+		o.rehomeReplica(ss, ss.find(m.from), m.to)
 		o.publish()
 	}
 	// abort rolls back a half-added replica on the target before declaring
@@ -1061,11 +1032,11 @@ func (o *Orchestrator) gracefulStep2(m migration, commit func(), fail func()) {
 // scheduleOrphanDrop arms a retry for a cleanup drop that failed: the
 // replica on id may still exist (an RPC can execute yet report failure when
 // the reply is lost), and an orphaned active primary is invisible to the
-// slots, so nothing else would ever reclaim it. The server is registered as
-// a pending orphan of the shard — resumeSource refuses to resume an old
-// primary while any orphan is pending. then (optional) runs once the orphan
-// is resolved (drop acknowledged, server died, or a newer migration took the
-// server over).
+// replica lists, so nothing else would ever reclaim it. The server is
+// registered as a pending orphan of the shard — resumeSource refuses to resume
+// an old primary while any orphan is pending. then (optional) runs once the
+// orphan is resolved (drop acknowledged, server died, or a newer migration
+// took the server over).
 func (o *Orchestrator) scheduleOrphanDrop(s shard.ID, id shard.ServerID, then func()) {
 	if ss := o.shards[s]; ss != nil {
 		if ss.orphans == nil {
@@ -1095,7 +1066,7 @@ func (o *Orchestrator) dropOrphan(s shard.ID, id shard.ServerID, then func()) {
 		resolved() // a live migration owns this server's replica state now
 		return
 	}
-	if o.findSlot(ss, id) != -1 {
+	if ss.find(id) != -1 {
 		resolved() // the server legitimately holds the shard again
 		return
 	}
@@ -1126,7 +1097,7 @@ func (o *Orchestrator) dropOrphan(s shard.ID, id shard.ServerID, then func()) {
 // client of the shard.
 func (o *Orchestrator) resumeSource(s shard.ID, id shard.ServerID) {
 	ss := o.shards[s]
-	if ss == nil || ss.mig != nil || o.findSlot(ss, id) == -1 {
+	if ss == nil || ss.mig != nil || ss.find(id) == -1 {
 		return // superseded: a newer migration or assignment owns the shard
 	}
 	st := o.servers[id]
@@ -1218,11 +1189,11 @@ func (o *Orchestrator) rpcAddShard(id shard.ServerID, s shard.ID, role shard.Rol
 		})
 }
 
-// retryAdd re-issues an add_shard whose RPC failed while the authoritative
-// slots still name the server: the published map already promises the
-// replica there, so clients route to it — an unrepaired slot bounces them
+// retryAdd re-issues an add_shard whose RPC failed while the shard's replica
+// list still names the server: the published map already promises the
+// replica there, so clients route to it — an unrepaired replica bounces them
 // with not-owner until something else happens to move the shard. Retries
-// stop once the slot is reassigned or the server dies; an add that executed
+// stop once the replica is reassigned or the server dies; an add that executed
 // even though its reply was lost makes the retry an idempotent no-op.
 func (o *Orchestrator) retryAdd(s shard.ID, id shard.ServerID) {
 	ss := o.shards[s]
@@ -1234,15 +1205,15 @@ func (o *Orchestrator) retryAdd(s shard.ID, id shard.ServerID) {
 		o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.retryAdd(s, id) })
 		return
 	}
-	slot := o.findSlot(ss, id)
-	if slot == -1 {
-		return // slot reassigned; the map no longer promises this replica
+	i := ss.find(id)
+	if i == -1 {
+		return // replica reassigned; the map no longer promises it here
 	}
 	st := o.servers[id]
 	if st == nil || !st.alive {
 		return // death or the rejoin sync reconciles
 	}
-	o.rpcAddShard(id, s, ss.slots[slot].role)
+	o.rpcAddShard(id, s, ss.replicas[i].Role)
 }
 
 func (o *Orchestrator) rpcDropShard(id shard.ServerID, s shard.ID) {
@@ -1305,144 +1276,70 @@ func (o *Orchestrator) publishRejected(reason string) {
 		"app", string(o.cfg.App), "reason", reason).Inc()
 }
 
-// sanitizeSlots repairs a shard's slot list in place so the published map
-// always satisfies Validate: duplicate servers collapse to the first
-// occurrence (preferring the primary) and surplus primaries demote. Repairs
-// are counted via orchestrator_publish_rejected_total; they indicate a
-// planning bug upstream but must not take the control plane down.
-func (o *Orchestrator) sanitizeSlots(ss *shardState) {
-	seen := make(map[shard.ServerID]int, len(ss.slots))
-	out := ss.slots[:0]
-	for _, slot := range ss.slots {
-		if slot.server == "" {
-			out = append(out, slot)
-			continue
-		}
-		if j, dup := seen[slot.server]; dup {
-			if slot.role == shard.RolePrimary && out[j].role != shard.RolePrimary {
-				out[j].role = shard.RolePrimary
-			}
-			o.publishRejected("duplicate_replica")
-			continue
-		}
-		seen[slot.server] = len(out)
-		out = append(out, slot)
-	}
-	primaries := 0
-	for i := range out {
-		if out[i].server == "" || out[i].role != shard.RolePrimary {
-			continue
-		}
-		primaries++
-		if primaries > 1 {
-			out[i].role = shard.RoleSecondary
-			o.publishRejected("surplus_primary")
-		}
-	}
-	ss.slots = out
-}
-
-// assignmentsOf lists the occupied slots as a shard-map entry.
-func assignmentsOf(slots []replicaSlot) []shard.Assignment {
-	var as []shard.Assignment
-	for _, slot := range slots {
-		if slot.server != "" {
-			as = append(as, shard.Assignment{Server: slot.server, Role: slot.role})
-		}
-	}
-	return as
-}
-
-// slotsMatch reports whether assignmentsOf(slots) would equal as.
-func slotsMatch(slots []replicaSlot, as []shard.Assignment) bool {
-	i := 0
-	for _, slot := range slots {
-		if slot.server == "" {
-			continue
-		}
-		if i == len(as) || as[i] != (shard.Assignment{Server: slot.server, Role: slot.role}) {
-			return false
-		}
-		i++
-	}
-	return i == len(as)
-}
-
 // publish pushes a new shard-map version to service discovery and persists
 // per-server assignments to the coordination store, at a cost proportional to
-// what changed: one pass compares each shard's slots with its entry in the
-// retained map, and only the entries that differ are validated, patched into
-// the map, sent as the delta and written through to their servers'
-// assignment nodes. Every publication is stamped with a fresh coordination
+// what changed: the shards on the changed list, taken in configuration order,
+// are validated and staged as the delta, and the servers whose node is stale
+// have it rewritten. Every publication is stamped with a fresh coordination
 // epoch so consumers apply maps in generation order and drop stale ones.
 func (o *Orchestrator) publish() {
-	last := *o.pub // header only: what discovery should be holding
-	o.pub.Version, o.pub.Gen = last.Version+1, o.store.NextEpoch()
-	d := o.delta.Reset(o.cfg.App, last.Version, o.pub.Version, o.pub.Gen)
-	for _, id := range o.order {
-		ss := o.shards[id]
-		old := o.pub.Entries[id]
-		if slotsMatch(ss.slots, old) {
-			continue
-		}
+	lastVersion, lastGen := o.version, o.gen // what discovery should be holding
+	o.version, o.gen = lastVersion+1, o.store.NextEpoch()
+	d := o.delta.Reset(o.cfg.App, lastVersion, o.version, o.gen)
+	slices.SortFunc(o.changed, byPos)
+	for _, ss := range o.changed {
 		// The entries left alone were validated when they were published and
 		// Validate judges each entry on its own, so checking the changed ones
 		// keeps the whole map valid.
-		as := assignmentsOf(ss.slots)
-		if err := shard.ValidateEntry(id, as); err != nil {
+		id := ss.cfg.ID
+		if err := shard.ValidateEntry(id, ss.replicas); err != nil {
 			// Never publish (or panic on) an invariant-violating entry:
-			// repair the offending slots and count the rejection.
-			o.sanitizeSlots(ss)
-			as = assignmentsOf(ss.slots)
-			if err := shard.ValidateEntry(id, as); err != nil {
+			// repair the offending replicas and count the rejection.
+			o.sanitizeReplicas(ss)
+			if err := shard.ValidateEntry(id, ss.replicas); err != nil {
 				panic(fmt.Sprintf("orchestrator: invalid map after sanitize: %v", err))
 			}
-			if slotsMatch(ss.slots, old) {
-				continue
-			}
 		}
-		for _, a := range old {
-			if st := o.servers[a.Server]; st != nil {
-				delete(st.shards, id)
-				st.nodeStale = true
-			}
-		}
-		if len(as) == 0 {
-			delete(o.pub.Entries, id)
+		if len(ss.replicas) == 0 {
 			d.Remove(id)
 		} else {
-			o.pub.Entries[id] = as
-			d.Set(id, as)
+			d.Set(id, ss.replicas)
 		}
-		for _, a := range as {
+		// The mutators marked the servers the change touched; the shard's
+		// other servers get their (unchanged) node rewritten as well, because
+		// coord's write count is part of the seeded record (ROADMAP 1(d)).
+		for _, a := range ss.replicas {
 			if st := o.servers[a.Server]; st != nil {
-				st.shards[id] = a.Role
 				st.nodeStale = true
 			}
 		}
+		ss.changed = false // only now: a repair above must not re-list the shard
 	}
+	o.changed = o.changed[:0]
 	if tr := o.loop.Tracer(); tr.Enabled() {
 		tr.Event("orchestrator", "publish", o.curAlloc,
 			trace.String("app", string(o.cfg.App)),
-			trace.Int64("version", o.pub.Version),
-			trace.Int("entries", len(o.pub.Entries)))
+			trace.Int64("version", o.version),
+			trace.Int("entries", o.placed))
 	}
 	o.loop.Metrics().Counter("orchestrator_publishes_total",
 		"app", string(o.cfg.App)).Inc()
 	for _, h := range o.hooks {
 		if h.MapPublished != nil {
-			h.MapPublished(o.pub.Version, len(o.pub.Entries))
+			h.MapPublished(o.version, o.placed)
 		}
 		if h.MapDelta != nil {
 			h.MapDelta(d)
 		}
 	}
-	if lv := o.disc.Latest(o.cfg.App); lv.Version != last.Version || lv.Gen != last.Gen {
+	if lv := o.disc.Latest(o.cfg.App); lv.Version != lastVersion || lv.Gen != lastGen {
 		// Discovery is not where this orchestrator left it: another
 		// incarnation published in between, so the last delta was dropped or
 		// this one would land on a map it was not made against. Resend the
 		// whole map.
-		o.disc.Publish(o.pub.Diff(nil, nil))
+		m := o.AssignmentSnapshot()
+		m.Gen = o.gen
+		o.disc.Publish(m.Diff(nil, nil))
 	} else {
 		o.disc.Publish(d)
 	}
@@ -1450,12 +1347,11 @@ func (o *Orchestrator) publish() {
 	// Persist assignments for server start-up reads (§3.2); a server left
 	// with no shards gets its node cleared. A write the store refuses (a
 	// coord stall) leaves the node stale, so the next publish retries it.
-	for _, id := range o.sortedServerIDs() {
-		st := o.servers[id]
+	for _, st := range o.byID {
 		if !st.nodeStale {
 			continue
 		}
-		node := o.paths.AssignNode(id)
+		node := o.paths.AssignNode(st.id)
 		data := appserver.EncodeAssignment(st.shards)
 		var err error
 		if o.store.Exists(node) {
@@ -1468,43 +1364,42 @@ func (o *Orchestrator) publish() {
 }
 
 // Version returns the latest published map version.
-func (o *Orchestrator) Version() int64 { return o.pub.Version }
+func (o *Orchestrator) Version() int64 { return o.version }
 
 // --- TaskController-facing API ---
 
-// AssignmentSnapshot returns the current authoritative shard map (not the
-// possibly stale discovery view).
+// AssignmentSnapshot returns a copy of the current authoritative shard map
+// (not the possibly stale discovery view), stamped with the last published
+// version.
 func (o *Orchestrator) AssignmentSnapshot() *shard.Map {
 	m := shard.NewMap(o.cfg.App)
-	m.Version = o.pub.Version
-	for _, id := range o.order {
-		if as := assignmentsOf(o.shards[id].slots); len(as) > 0 {
-			m.Entries[id] = as
+	m.Version = o.version
+	for id, ss := range o.shards {
+		if len(ss.replicas) > 0 {
+			m.Entries[id] = slices.Clone(ss.replicas)
 		}
 	}
 	return m
 }
 
 // AliveReplicas returns, for each shard with a replica on server, how many
-// of its replicas are currently on alive, non-draining servers. The
-// TaskController uses this to enforce the per-shard unavailability cap.
+// of its replicas are currently on alive servers (draining or not); nil for
+// an unknown server. The TaskController uses this to enforce the per-shard
+// unavailability cap.
 func (o *Orchestrator) AliveReplicas(server shard.ServerID) map[shard.ID]int {
-	out := make(map[shard.ID]int)
-	for _, id := range o.order {
-		ss := o.shards[id]
-		onServer := false
+	st := o.servers[server]
+	if st == nil {
+		return nil
+	}
+	out := make(map[shard.ID]int, len(st.shards))
+	for id := range st.shards {
 		alive := 0
-		for _, slot := range ss.slots {
-			if slot.server == server {
-				onServer = true
-			}
-			if st := o.servers[slot.server]; st != nil && st.alive {
+		for _, a := range o.shards[id].replicas {
+			if host := o.servers[a.Server]; host != nil && host.alive {
 				alive++
 			}
 		}
-		if onServer {
-			out[id] = alive
-		}
+		out[id] = alive
 	}
 	return out
 }
@@ -1564,15 +1459,10 @@ func (o *Orchestrator) ServerAlive(id shard.ServerID) bool {
 
 // ShardsOnServer returns how many replicas the server currently holds.
 func (o *Orchestrator) ShardsOnServer(id shard.ServerID) int {
-	n := 0
-	for _, ss := range o.shards {
-		for _, slot := range ss.slots {
-			if slot.server == id {
-				n++
-			}
-		}
+	if st := o.servers[id]; st != nil {
+		return len(st.shards)
 	}
-	return n
+	return 0
 }
 
 // Drain moves every replica off the server and calls onDone when the
@@ -1609,7 +1499,7 @@ func (o *Orchestrator) checkDrainsDone() {
 	for id := range o.draining {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		req := o.draining[id]
 		if o.ShardsOnServer(id) == 0 && !o.shardsMigratingFrom(id) {
@@ -1641,56 +1531,55 @@ func (o *Orchestrator) shardsMigratingFrom(id shard.ServerID) bool {
 // secondary elsewhere — SM's preparation for short non-negotiable events
 // like rack-switch maintenance (§4.2).
 func (o *Orchestrator) DemotePrimaries(id shard.ServerID) {
+	st := o.servers[id]
+	if st == nil {
+		return
+	}
 	changed := false
-	for _, sid := range o.order {
-		ss := o.shards[sid]
-		if ss.migrating {
+	for _, ss := range o.shardsOn(st) {
+		i := ss.find(id)
+		if ss.migrating || ss.replicas[i].Role != shard.RolePrimary {
 			continue
 		}
-		for i, slot := range ss.slots {
-			if slot.server != id || slot.role != shard.RolePrimary {
+		// Find an alive secondary to promote.
+		promote := -1
+		for j, other := range ss.replicas {
+			if other.Role != shard.RoleSecondary {
 				continue
 			}
-			// Find an alive secondary to promote.
-			promote := -1
-			for j, other := range ss.slots {
-				if j == i || other.role != shard.RoleSecondary {
-					continue
-				}
-				if st := o.servers[other.server]; st != nil && st.alive && !st.draining {
-					promote = j
-					break
-				}
+			if host := o.servers[other.Server]; host != nil && host.alive && !host.draining {
+				promote = j
+				break
 			}
-			if promote == -1 {
-				continue
-			}
-			ss.slots[i].role = shard.RoleSecondary
-			ss.slots[promote].role = shard.RolePrimary
-			// Chain the RPCs: promote only after the demote is
-			// acknowledged, so the two servers never both hold the active
-			// primary role (concurrent RPCs could land promote-first).
-			promoteSrv := ss.slots[promote].server
-			o.rpcChangeRoleThen(id, sid, shard.RolePrimary, shard.RoleSecondary, func(ok bool) {
-				if !ok {
-					// The old primary never heard the demotion (it may
-					// still be serving); revert the book-keeping rather
-					// than promote a second primary next to it. Slots may
-					// have shifted while the RPC was in flight, so find
-					// the servers again instead of trusting the indices.
-					if j := o.findSlot(ss, id); j != -1 && ss.slots[j].role == shard.RoleSecondary {
-						ss.slots[j].role = shard.RolePrimary
-					}
-					if j := o.findSlot(ss, promoteSrv); j != -1 && ss.slots[j].role == shard.RolePrimary {
-						ss.slots[j].role = shard.RoleSecondary
-					}
-					o.publish()
-					return
-				}
-				o.rpcChangeRole(promoteSrv, sid, shard.RoleSecondary, shard.RolePrimary)
-			})
-			changed = true
 		}
+		if promote == -1 {
+			continue
+		}
+		o.setRole(ss, i, shard.RoleSecondary)
+		o.setRole(ss, promote, shard.RolePrimary)
+		// Chain the RPCs: promote only after the demote is acknowledged, so
+		// the two servers never both hold the active primary role (concurrent
+		// RPCs could land promote-first).
+		sid, promoteSrv := ss.cfg.ID, ss.replicas[promote].Server
+		o.rpcChangeRoleThen(id, sid, shard.RolePrimary, shard.RoleSecondary, func(ok bool) {
+			if !ok {
+				// The old primary never heard the demotion (it may still be
+				// serving); revert the book-keeping rather than promote a
+				// second primary next to it. The list may have shifted while
+				// the RPC was in flight, so find the servers again instead of
+				// trusting the indices.
+				if j := ss.find(id); j != -1 && ss.replicas[j].Role == shard.RoleSecondary {
+					o.setRole(ss, j, shard.RolePrimary)
+				}
+				if j := ss.find(promoteSrv); j != -1 && ss.replicas[j].Role == shard.RolePrimary {
+					o.setRole(ss, j, shard.RoleSecondary)
+				}
+				o.publish()
+				return
+			}
+			o.rpcChangeRole(promoteSrv, sid, shard.RoleSecondary, shard.RolePrimary)
+		})
+		changed = true
 	}
 	if changed {
 		o.publish()
@@ -1710,6 +1599,6 @@ func (o *Orchestrator) Stats() string {
 		}
 	}
 	return fmt.Sprintf("app=%s servers=%d/%d shards=%d version=%d moves=%d emergencies=%d",
-		o.cfg.App, alive, len(o.servers), len(o.shards), o.pub.Version,
+		o.cfg.App, alive, len(o.servers), len(o.shards), o.version,
 		o.ShardMoves.Value(), o.EmergencyRuns.Value())
 }

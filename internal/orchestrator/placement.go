@@ -1,0 +1,129 @@
+package orchestrator
+
+import (
+	"slices"
+
+	"shardmanager/internal/shard"
+)
+
+// The placement — which replicas sit on which server — is kept once: each
+// shard's replica list (shardState.replicas), of the type the shard map
+// publishes. Two things are derived from it and must never fall out of step:
+// every server's index of the shards it holds (serverState.shards, which is
+// also what its assignment node should contain) and the list of shards changed
+// since the last publication (Orchestrator.changed). The four mutators below
+// are the only code that writes a replica list, and each brings both up to date
+// in the same breath; every other function reads. They are also all a standby
+// needs to rebuild the placement from the coord assignment nodes.
+
+// addReplica appends a replica of ss on server.
+func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role shard.Role) {
+	ss.replicas = append(ss.replicas, shard.Assignment{Server: server, Role: role})
+	if len(ss.replicas) == 1 {
+		o.placed++
+	}
+	o.reindex(ss, server)
+}
+
+// removeReplica deletes replica i of ss.
+func (o *Orchestrator) removeReplica(ss *shardState, i int) {
+	server := ss.replicas[i].Server
+	ss.replicas = slices.Delete(ss.replicas, i, i+1)
+	if len(ss.replicas) == 0 {
+		o.placed--
+	}
+	o.reindex(ss, server)
+}
+
+// setRole changes the role of replica i of ss.
+func (o *Orchestrator) setRole(ss *shardState, i int, role shard.Role) {
+	ss.replicas[i].Role = role
+	o.reindex(ss, ss.replicas[i].Server)
+}
+
+// rehomeReplica moves replica i of ss to another server, keeping its role and
+// its place in the list.
+func (o *Orchestrator) rehomeReplica(ss *shardState, i int, to shard.ServerID) {
+	from := ss.replicas[i].Server
+	ss.replicas[i].Server = to
+	o.reindex(ss, from)
+	o.reindex(ss, to)
+}
+
+// reindex is the mutators' common tail: ss goes on the changed list (once),
+// and server's index entry for it is read back from the list just written —
+// so a list that names a server twice, which only sanitizeReplicas ever
+// sees, still leaves the index right — and its assignment node is stale.
+func (o *Orchestrator) reindex(ss *shardState, server shard.ServerID) {
+	if !ss.changed {
+		ss.changed = true
+		o.changed = append(o.changed, ss)
+	}
+	st := o.servers[server]
+	if st == nil {
+		return
+	}
+	if i := ss.find(server); i != -1 {
+		st.shards[ss.cfg.ID] = ss.replicas[i].Role
+	} else {
+		delete(st.shards, ss.cfg.ID)
+	}
+	st.nodeStale = true
+}
+
+// find returns the index of the shard's replica on server, or -1.
+func (ss *shardState) find(server shard.ServerID) int {
+	for i, a := range ss.replicas {
+		if a.Server == server {
+			return i
+		}
+	}
+	return -1
+}
+
+// byPos orders shards by configuration index.
+func byPos(a, b *shardState) int { return a.pos - b.pos }
+
+// shardsOn returns the shards with a replica on st in configuration order —
+// the order to walk them in wherever an RPC is issued, an epoch drawn or an
+// event scheduled.
+func (o *Orchestrator) shardsOn(st *serverState) []*shardState {
+	out := make([]*shardState, 0, len(st.shards))
+	for id := range st.shards {
+		out = append(out, o.shards[id])
+	}
+	slices.SortFunc(out, byPos)
+	return out
+}
+
+// sanitizeReplicas repairs a shard's replica list so the published map always
+// satisfies Validate: duplicate servers collapse to the first occurrence
+// (preferring the primary) and surplus primaries demote. Repairs are counted
+// via orchestrator_publish_rejected_total; they indicate a planning bug
+// upstream but must not take the control plane down.
+func (o *Orchestrator) sanitizeReplicas(ss *shardState) {
+	for i := 0; i < len(ss.replicas); {
+		a := ss.replicas[i]
+		first := ss.find(a.Server)
+		if first == i {
+			i++
+			continue
+		}
+		if a.Role == shard.RolePrimary {
+			o.setRole(ss, first, shard.RolePrimary)
+		}
+		o.removeReplica(ss, i)
+		o.publishRejected("duplicate_replica")
+	}
+	primaries := 0
+	for i, a := range ss.replicas {
+		if a.Role != shard.RolePrimary {
+			continue
+		}
+		primaries++
+		if primaries > 1 {
+			o.setRole(ss, i, shard.RoleSecondary)
+			o.publishRejected("surplus_primary")
+		}
+	}
+}

@@ -2,7 +2,6 @@ package orchestrator
 
 import (
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,64 +14,27 @@ import (
 	"shardmanager/internal/topology"
 )
 
-// TestPublishedDeltasMatchSnapshotDiffs scripts every kind of slot mutation —
-// initial executeDiff adds, a drain's graceful and make-before-break
-// migrations, reconcileRoles after a server dies, the emergency re-add,
-// DemotePrimaries, a sanitize repair and the removal of an entry — and
-// requires each publication's delta to be exactly the Diff of the
-// AssignmentSnapshots around it, the retained map to equal the snapshot and
-// validate as a whole, and discovery to hold that same map.
+// TestPublishedDeltasMatchSnapshotDiffs scripts every kind of placement
+// mutation — initial executeDiff adds, a drain's graceful and
+// make-before-break migrations, reconcileRoles after a server dies, the
+// emergency re-add, DemotePrimaries, a sanitize repair and the removal of an
+// entry — under auditPublications: each publication's delta must be exactly
+// the Diff of the AssignmentSnapshots around it, the snapshot must validate as
+// a whole, the per-server index must equal the scans it replaced, and discovery
+// must hold that same map.
 func TestPublishedDeltasMatchSnapshotDiffs(t *testing.T) {
 	cfg := baseConfig(shard.PrimarySecondary, 10, 2)
 	cfg.FailoverGrace = 20 * time.Second
 	w := buildWorld(t, []topology.RegionID{"r1"}, 5, cfg)
-	before := w.orch.AssignmentSnapshot()
-	publishes, removals := 0, 0
-	w.orch.AddHooks(Hooks{MapDelta: func(d *shard.Delta) {
-		publishes++
-		removals += len(d.Removed)
-		after := w.orch.AssignmentSnapshot()
-		want := after.Diff(before, nil)
-		got := &shard.Delta{App: d.App, FromVersion: d.FromVersion, ToVersion: d.ToVersion}
-		for _, e := range d.Changed {
-			got.Set(e.Shard, e.Assignments)
-		}
-		got.Removed = append(got.Removed, d.Removed...)
-		sort.Slice(got.Changed, func(i, j int) bool { return got.Changed[i].Shard < got.Changed[j].Shard })
-		sort.Slice(got.Removed, func(i, j int) bool { return got.Removed[i] < got.Removed[j] })
-		if d.Gen == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("publication %d (g%d):\n delta %+v\n diff  %+v", publishes, d.Gen, got, want)
-		}
-		if err := w.orch.pub.Validate(); err != nil {
-			t.Fatalf("publication %d: retained map: %v", publishes, err)
-		}
-		if w.orch.pub.Version != after.Version || !reflect.DeepEqual(w.orch.pub.Entries, after.Entries) {
-			t.Fatalf("publication %d: retained map %+v, slots say %+v", publishes, w.orch.pub, after)
-		}
-		before = after
-	}})
-	settle := func(d time.Duration) {
-		t.Helper()
-		w.loop.RunFor(d)
-		if got := w.disc.Latest("app").Map(); !reflect.DeepEqual(got.Entries, before.Entries) || got.Version != before.Version {
-			t.Fatalf("discovery holds v%d %+v, last publication was v%d %+v", got.Version, got.Entries, before.Version, before.Entries)
-		}
-	}
-	step := func(what string, min int, do func()) {
-		t.Helper()
-		was := publishes
-		do()
-		if publishes-was < min {
-			t.Fatalf("%s: %d publications, want at least %d", what, publishes-was, min)
-		}
-	}
+	au := auditPublications(t, w)
+	settle, step := au.settle, au.step
 
 	step("initial placement", 1, func() { settle(3 * time.Minute) })
 	assertConverged(t, w, 2)
 
 	primaryOf := func(s shard.ID) shard.ServerID {
 		t.Helper()
-		srv, ok := before.Primary(s)
+		srv, ok := au.last.Primary(s)
 		if !ok {
 			t.Fatalf("%s has no primary", s)
 		}
@@ -103,31 +65,31 @@ func TestPublishedDeltasMatchSnapshotDiffs(t *testing.T) {
 		ss := w.orch.shards["s003"]
 		spare := shard.ServerID("")
 		for id, st := range w.orch.servers {
-			if st.alive && w.orch.findSlot(ss, id) == -1 && (spare == "" || id < spare) {
+			if st.alive && ss.find(id) == -1 && (spare == "" || id < spare) {
 				spare = id
 			}
 		}
-		ss.slots[1].server = spare
-		ss.slots = append(ss.slots, ss.slots[1])
+		w.orch.rehomeReplica(ss, 1, spare)
+		w.orch.addReplica(ss, spare, ss.replicas[1].Role)
 		w.orch.publish()
-		if len(ss.slots) != 2 || before.Replicas("s003")[1].Server != spare {
-			t.Fatalf("after repair: slots %+v, published %+v", ss.slots, before.Replicas("s003"))
+		if len(ss.replicas) != 2 || au.last.Replicas("s003")[1].Server != spare {
+			t.Fatalf("after repair: replicas %+v, published %+v", ss.replicas, au.last.Replicas("s003"))
 		}
 	})
 	// Dropping every replica of a shard removes its entry; the next periodic
 	// allocation places it again.
 	step("entry removed and re-added", 2, func() {
 		var drops []allocator.ReplicaMove
-		for _, a := range before.Replicas("s004") {
+		for _, a := range au.last.Replicas("s004") {
 			drops = append(drops, allocator.ReplicaMove{Shard: "s004", From: a.Server})
 		}
 		w.orch.executeDiff(&allocator.Result{Moves: drops})
-		if removals != 1 || before.Replicas("s004") != nil {
-			t.Fatalf("removals = %d, s004 = %+v", removals, before.Replicas("s004"))
+		if au.removals != 1 || au.last.Replicas("s004") != nil {
+			t.Fatalf("removals = %d, s004 = %+v", au.removals, au.last.Replicas("s004"))
 		}
 		settle(3 * time.Minute)
-		if len(before.Replicas("s004")) != 2 {
-			t.Fatalf("s004 not placed again: %+v", before.Replicas("s004"))
+		if len(au.last.Replicas("s004")) != 2 {
+			t.Fatalf("s004 not placed again: %+v", au.last.Replicas("s004"))
 		}
 	})
 }
@@ -174,9 +136,9 @@ func TestStalledAssignmentWriteHealsOnNextPublish(t *testing.T) {
 			from = a.Server
 		}
 	}
-	for _, id := range w.orch.sortedServerIDs() {
-		if to == "" && w.orch.findSlot(w.orch.shards["s000"], id) == -1 {
-			to = id
+	for _, st := range w.orch.byID {
+		if to == "" && w.orch.shards["s000"].find(st.id) == -1 {
+			to = st.id
 		}
 	}
 	if from == "" || to == "" {

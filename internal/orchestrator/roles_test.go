@@ -10,7 +10,7 @@ import (
 )
 
 // TestDeadPrimaryDemotedInMapImmediately: when a primary's server dies, the
-// published map must never show two primaries — the dead slot is demoted in
+// published map must never show two primaries — the dead replica is demoted in
 // the same reconciliation that promotes the survivor.
 func TestDeadPrimaryDemotedInMapImmediately(t *testing.T) {
 	cfg := baseConfig(shard.PrimarySecondary, 8, 2)

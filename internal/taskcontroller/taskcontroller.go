@@ -217,22 +217,21 @@ func opImpactsShards(t cluster.OpType) bool {
 // that would be unavailable (already-dead ones, replicas on containers with
 // in-flight ops, plus this one) must stay within the cap.
 func (c *Controller) shardCapAllows(container cluster.ContainerID) bool {
-	server := shard.ServerID(container)
-	alive := c.shards.AliveReplicas(server)
+	alive := c.shards.AliveReplicas(shard.ServerID(container))
+	// Every other container with a tracked op puts its replicas at risk, in
+	// whatever state the op is: a draining container sheds replicas but holds
+	// them until empty, an approved or executing one implies downtime.
+	var atRisk []map[shard.ID]int
+	for other := range c.ops {
+		if other != container {
+			atRisk = append(atRisk, c.shards.AliveReplicas(shard.ServerID(other)))
+		}
+	}
 	for s, aliveCount := range alive {
-		total := c.shards.TotalReplicas(s)
-		unavailable := total - aliveCount
-		// Count replicas on other containers with in-flight tracked
-		// ops (draining containers shed replicas, but until empty
-		// their replicas are at risk; executing ops imply downtime).
-		for otherC, t := range c.ops {
-			if otherC == container {
-				continue
-			}
-			if t.state == opExecuting || t.state == opDraining || t.state == opReady {
-				if replicasOf(c.shards.AliveReplicas(shard.ServerID(otherC)), s) {
-					unavailable++
-				}
+		unavailable := c.shards.TotalReplicas(s) - aliveCount
+		for _, held := range atRisk {
+			if _, ok := held[s]; ok {
+				unavailable++
 			}
 		}
 		if unavailable+1 > c.policy.MaxUnavailableReplicas {
@@ -240,11 +239,6 @@ func (c *Controller) shardCapAllows(container cluster.ContainerID) bool {
 		}
 	}
 	return true
-}
-
-func replicasOf(m map[shard.ID]int, s shard.ID) bool {
-	_, ok := m[s]
-	return ok
 }
 
 // OperationComplete implements cluster.Controller.
