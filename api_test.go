@@ -123,3 +123,28 @@ func TestNoSyntheticBenchKnobs(t *testing.T) {
 		}
 	}
 }
+
+// TestResolvedNamesReplaceTheirMaps pins what the request path's handles
+// replaced, by the names and types reflect reports for unexported fields: the
+// fabric keeps one record per endpoint, not a region map and a down map side
+// by side, and a server keys its replicas and tombstones by the directory's
+// shard number, not by the shard's name.
+func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
+	net := reflect.TypeOf(rpcnet.Network{})
+	for _, gone := range []string{"regions", "down"} {
+		if f, ok := net.FieldByName(gone); ok {
+			t.Errorf("rpcnet.Network has field %s %v: an endpoint's region and state live in its one Peer record", gone, f.Type)
+		}
+	}
+	peers, ok := net.FieldByName("peers")
+	if !ok || peers.Type != reflect.TypeOf(map[rpcnet.Endpoint]*rpcnet.Peer(nil)) {
+		t.Errorf("rpcnet.Network.peers = %v (present %v), want the one map from endpoint name to *rpcnet.Peer", peers.Type, ok)
+	}
+	srv := reflect.TypeOf(appserver.Server{})
+	for _, table := range []string{"replicas", "tombstones"} {
+		f, ok := srv.FieldByName(table)
+		if !ok || f.Type.Kind() != reflect.Map || f.Type.Key() != reflect.TypeOf(appserver.ShardNum(0)) {
+			t.Errorf("appserver.Server.%s = %v (present %v), want a map keyed by appserver.ShardNum", table, f.Type, ok)
+		}
+	}
+}

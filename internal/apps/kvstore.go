@@ -31,10 +31,17 @@ type KVStore struct {
 	// backing is shared by all replicas of the application (the
 	// "durable" store); keyed by shard then key.
 	backing *KVBacking
-	// owned tracks shards this replica currently serves.
-	owned map[shard.ID]shard.Role
+	// owned tracks the shards this replica currently serves: its role and
+	// the backing's map for the shard, so that a get or put looks the shard
+	// up once.
+	owned map[shard.ID]kvShard
 	// loads optionally reports synthetic per-shard load.
 	loads map[shard.ID]topology.Capacity
+}
+
+type kvShard struct {
+	role shard.Role
+	data map[string]string // the backing's; guarded by its mutex
 }
 
 // KVBacking is the durable shard state shared by an application's replicas.
@@ -50,16 +57,26 @@ func NewKVBacking() *KVBacking {
 	return &KVBacking{data: make(map[shard.ID]map[string]string)}
 }
 
-// Put commits a write to a shard.
-func (b *KVBacking) Put(s shard.ID, key, value string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// shard returns the shard's map, making it on first use; the map, once
+// made, is the shard's for good. The caller holds b.mu.
+func (b *KVBacking) shard(s shard.ID) map[string]string {
 	m := b.data[s]
 	if m == nil {
 		m = make(map[string]string)
 		b.data[s] = m
 	}
-	m[key] = value
+	return m
+}
+
+// Put commits a write to a shard.
+func (b *KVBacking) Put(s shard.ID, key, value string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.put(b.shard(s), key, value)
+}
+
+func (b *KVBacking) put(data map[string]string, key, value string) {
+	data[key] = value
 	b.Writes++
 }
 
@@ -99,7 +116,7 @@ func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 	return &KVStore{
 		server:  server,
 		backing: backing,
-		owned:   make(map[shard.ID]shard.Role),
+		owned:   make(map[shard.ID]kvShard),
 		loads:   make(map[shard.ID]topology.Capacity),
 	}
 }
@@ -110,13 +127,17 @@ func (k *KVStore) SetShardLoad(s shard.ID, load topology.Capacity) {
 }
 
 // AddShard implements appserver.Application.
-func (k *KVStore) AddShard(s shard.ID, role shard.Role) { k.owned[s] = role }
+func (k *KVStore) AddShard(s shard.ID, role shard.Role) {
+	k.backing.mu.Lock()
+	defer k.backing.mu.Unlock()
+	k.owned[s] = kvShard{role: role, data: k.backing.shard(s)}
+}
 
 // DropShard implements appserver.Application.
 func (k *KVStore) DropShard(s shard.ID) { delete(k.owned, s) }
 
 // ChangeRole implements appserver.Application.
-func (k *KVStore) ChangeRole(s shard.ID, _, to shard.Role) { k.owned[s] = to }
+func (k *KVStore) ChangeRole(s shard.ID, _, to shard.Role) { k.AddShard(s, to) }
 
 // ShardLoad implements appserver.LoadReporter.
 func (k *KVStore) ShardLoad(s shard.ID) topology.Capacity {
@@ -144,19 +165,25 @@ type KVPut struct {
 
 // HandleRequest implements appserver.Application.
 func (k *KVStore) HandleRequest(req *appserver.Request) (any, error) {
-	if _, ok := k.owned[req.Shard]; !ok {
+	sh, ok := k.owned[req.Shard]
+	if !ok {
 		return nil, fmt.Errorf("kvstore: shard %s not owned", req.Shard)
 	}
+	b := k.backing
 	switch req.Op {
 	case KVOpPut:
 		p, ok := req.Payload.(KVPut)
 		if !ok {
 			return nil, errors.New("kvstore: bad put payload")
 		}
-		k.backing.Put(req.Shard, req.Key, p.Value)
+		b.mu.Lock()
+		b.put(sh.data, req.Key, p.Value)
+		b.mu.Unlock()
 		return "ok", nil
 	case KVOpGet:
-		v, ok := k.backing.Get(req.Shard, req.Key)
+		b.mu.Lock()
+		v, ok := sh.data[req.Key]
+		b.mu.Unlock()
 		if !ok {
 			return nil, errors.New("kvstore: not found")
 		}

@@ -67,7 +67,11 @@ type LoadReporter interface {
 type Request struct {
 	App   shard.AppID
 	Shard shard.ID
-	Key   string
+	// ShardNum is Shard's number in the serving Directory (Directory.ShardNum),
+	// which servers key their replicas by. A sender that has resolved it sets
+	// it; Serve resolves it from Shard when it is 0.
+	ShardNum ShardNum
+	Key      string
 	// Write marks primary-related requests that only the primary may
 	// handle.
 	Write bool
@@ -195,8 +199,11 @@ type Server struct {
 	// sees it healthy) but slow. Set by fault injection via SetServeDelay.
 	serveDelay time.Duration
 
-	replicas   map[shard.ID]*replica
-	tombstones map[shard.ID]shard.ServerID
+	// replicas and tombstones are keyed by the shard's number in dir, so that
+	// serving a request hashes an integer; anything that walks them sorts by
+	// the shard's name first.
+	replicas   map[ShardNum]*replica
+	tombstones map[ShardNum]shard.ServerID
 
 	// fenced marks lost-lease state: the server's coordination session
 	// expired and no newer-generation sync has arrived, so its primary
@@ -284,12 +291,37 @@ type Observer struct {
 	ServerRemoved func(server shard.ServerID)
 }
 
-// Directory resolves server IDs to live Server instances for the in-process
-// RPC layer. One Directory serves a whole simulation.
+// Directory is the in-process name service of one simulation: it resolves
+// server IDs to live Server instances for the RPC layer and numbers shard IDs
+// for the servers' replica tables. Both resolutions are stable — a server
+// ID's Slot and a shard ID's number are made on first sight and never removed
+// or changed — so a caller resolves a name once and keeps the result.
 type Directory struct {
-	servers   map[shard.ServerID]*Server
-	observers []Observer
+	slots     map[shard.ServerID]*Slot
+	live      int
+	shardNums map[shard.ID]ShardNum
+	shardIDs  []shard.ID // shardIDs[n-1] is the shard numbered n
+	// byKeyspace holds, per keyspace a client routes by, the shard number at
+	// each position: one table for all clients.
+	byKeyspace map[*shard.Keyspace][]ShardNum
+	observers  []Observer
 }
+
+// Slot is the directory's record of one server ID. The *Server in it changes
+// when the server restarts and is nil while no live server has the ID; the
+// Slot itself is what a caller keeps.
+type Slot struct {
+	srv *Server
+}
+
+// Server returns the live server in the slot, or nil.
+func (sl *Slot) Server() *Server { return sl.srv }
+
+// ShardNum is a shard ID's number in one Directory, from 1. 0 is "not
+// resolved", and also what an ID no server was ever given resolves to: no
+// table has an entry under it. Numbers follow first sight, so they carry no
+// order worth having: they only index.
+type ShardNum uint32
 
 // AddObserver registers an ownership-event observer with every server that
 // resolves through this directory (append-only; observers cannot be
@@ -325,24 +357,51 @@ func (s *Server) notifyConfirmed(id shard.ID, confirmed bool) {
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{servers: make(map[shard.ServerID]*Server)}
+	return &Directory{
+		slots:      make(map[shard.ServerID]*Slot),
+		shardNums:  make(map[shard.ID]ShardNum),
+		byKeyspace: make(map[*shard.Keyspace][]ShardNum),
+	}
+}
+
+// Slot resolves a server ID to its slot, making an empty one on first sight.
+func (d *Directory) Slot(id shard.ServerID) *Slot {
+	sl := d.slots[id]
+	if sl == nil {
+		sl = &Slot{}
+		d.slots[id] = sl
+	}
+	return sl
 }
 
 // Lookup returns the live server with the given ID, or nil.
-func (d *Directory) Lookup(id shard.ServerID) *Server { return d.servers[id] }
+func (d *Directory) Lookup(id shard.ServerID) *Server {
+	if sl := d.slots[id]; sl != nil {
+		return sl.srv
+	}
+	return nil
+}
 
 // Register adds a server to the directory (Hosts do this automatically;
 // exported for tests and hand-wired setups).
-func (d *Directory) Register(s *Server) { d.servers[s.ID] = s }
+func (d *Directory) Register(s *Server) {
+	sl := d.Slot(s.ID)
+	if sl.srv == nil {
+		d.live++
+	}
+	sl.srv = s
+}
 
 // Remove deletes a server from the directory. Observers are told the server
 // is gone: every replica it held died with the process, so ownership views
 // must not keep counting them as live.
 func (d *Directory) Remove(id shard.ServerID) {
-	if _, ok := d.servers[id]; !ok {
+	sl := d.slots[id]
+	if sl == nil || sl.srv == nil {
 		return
 	}
-	delete(d.servers, id)
+	sl.srv = nil
+	d.live--
 	for i := range d.observers {
 		if fn := d.observers[i].ServerRemoved; fn != nil {
 			fn(id)
@@ -351,7 +410,37 @@ func (d *Directory) Remove(id shard.ServerID) {
 }
 
 // Servers returns the number of live servers.
-func (d *Directory) Servers() int { return len(d.servers) }
+func (d *Directory) Servers() int { return d.live }
+
+// ShardNum resolves a shard ID to its number, giving it the next one on first
+// sight.
+func (d *Directory) ShardNum(id shard.ID) ShardNum {
+	n := d.shardNums[id]
+	if n == 0 {
+		d.shardIDs = append(d.shardIDs, id)
+		n = ShardNum(len(d.shardIDs))
+		d.shardNums[id] = n
+	}
+	return n
+}
+
+// shardID is ShardNum's inverse.
+func (d *Directory) shardID(n ShardNum) shard.ID { return d.shardIDs[n-1] }
+
+// ShardNums returns the shard number at each position of ks
+// (shard.Keyspace.Locate). The slice is made on the first call for a keyspace
+// and shared by every later one; read it, do not modify it.
+func (d *Directory) ShardNums(ks *shard.Keyspace) []ShardNum {
+	nums := d.byKeyspace[ks]
+	if nums == nil {
+		nums = make([]ShardNum, ks.Len())
+		for pos := range nums {
+			nums[pos] = d.ShardNum(ks.At(pos))
+		}
+		d.byKeyspace[ks] = nums
+	}
+	return nums
+}
 
 // NewServer constructs a server; Hosts normally do this.
 func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Application,
@@ -364,8 +453,8 @@ func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Applicat
 		net:        net,
 		dir:        dir,
 		app:        app,
-		replicas:   make(map[shard.ID]*replica),
-		tombstones: make(map[shard.ID]shard.ServerID),
+		replicas:   make(map[ShardNum]*replica),
+		tombstones: make(map[ShardNum]shard.ServerID),
 	}
 }
 
@@ -423,10 +512,11 @@ func (s *Server) AddShard(id shard.ID, role shard.Role, gen int64) {
 }
 
 func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool) {
-	r := s.replicas[id]
+	num := s.dir.ShardNum(id)
+	r := s.replicas[num]
 	if r == nil {
 		r = &replica{}
-		s.replicas[id] = r
+		s.replicas[num] = r
 		s.replicaMetric(1)
 	}
 	s.opMetric("add")
@@ -434,14 +524,14 @@ func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool) {
 	r.forwardTo = ""
 	wasUnconfirmed := r.unconfirmed
 	r.unconfirmed = !confirmed
-	delete(s.tombstones, id)
+	delete(s.tombstones, num)
 	switch r.phase {
 	case PhaseLoading:
 		r.pendingActive = true
 	case PhaseNone:
 		if s.LoadTime > 0 {
 			r.pendingActive = true
-			s.startLoad(id, r)
+			s.startLoad(id, num, r)
 		} else {
 			r.phase = PhaseActive
 		}
@@ -457,12 +547,12 @@ func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool) {
 
 // startLoad begins the replica's state load; on completion it becomes
 // active (if AddShard already arrived) or prepared.
-func (s *Server) startLoad(id shard.ID, r *replica) {
+func (s *Server) startLoad(id shard.ID, num ShardNum, r *replica) {
 	r.phase = PhaseLoading
 	r.loadGen++
 	gen := r.loadGen
 	s.loop.AfterL(s.LoadTime, lbShardLoad, func() {
-		if s.replicas[id] != r || r.loadGen != gen || r.phase != PhaseLoading {
+		if s.replicas[num] != r || r.loadGen != gen || r.phase != PhaseLoading {
 			return
 		}
 		if r.pendingActive {
@@ -478,23 +568,24 @@ func (s *Server) startLoad(id shard.ID, r *replica) {
 // DropShard releases the shard. If the replica was forwarding, a tombstone
 // keeps forwarding stragglers for tombstoneTTL (step 5 of §4.3).
 func (s *Server) DropShard(id shard.ID) {
-	r := s.replicas[id]
+	num := s.dir.shardNums[id]
+	r := s.replicas[num]
 	if r == nil {
 		return
 	}
 	if r.phase == PhaseForwarding && r.forwardTo != "" {
 		to := r.forwardTo
-		s.tombstones[id] = to
+		s.tombstones[num] = to
 		s.loop.AfterL(tombstoneTTL, lbTombstoneGC, func() {
-			if s.tombstones[id] == to {
-				delete(s.tombstones, id)
+			if s.tombstones[num] == to {
+				delete(s.tombstones, num)
 			}
 		})
 	}
-	delete(s.replicas, id)
+	delete(s.replicas, num)
 	s.replicaMetric(-1)
 	s.opMetric("drop")
-	_, tomb := s.tombstones[id]
+	_, tomb := s.tombstones[num]
 	for i := range s.dir.observers {
 		if fn := s.dir.observers[i].ReplicaDropped; fn != nil {
 			fn(s.ID, id, tomb)
@@ -510,7 +601,7 @@ func (s *Server) ChangeRole(id shard.ID, from, to shard.Role, gen int64) error {
 	if !s.applyGrantGen(gen) {
 		return fmt.Errorf("appserver: stale role grant for %s (gen %d <= fence %d)", id, gen, s.fenceGen)
 	}
-	r := s.replicas[id]
+	r := s.replicas[s.dir.shardNums[id]]
 	if r == nil {
 		return fmt.Errorf("appserver: %s does not hold shard %s", s.ID, id)
 	}
@@ -537,16 +628,17 @@ func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role 
 	if !s.applyGrantGen(gen) {
 		return
 	}
-	r := s.replicas[id]
+	num := s.dir.ShardNum(id)
+	r := s.replicas[num]
 	if r == nil {
 		r = &replica{}
-		s.replicas[id] = r
+		s.replicas[num] = r
 		s.replicaMetric(1)
 	}
 	s.opMetric("prepare_add")
 	r.role = role
 	if r.phase == PhaseNone && s.LoadTime > 0 {
-		s.startLoad(id, r)
+		s.startLoad(id, num, r)
 	} else if r.phase != PhaseLoading {
 		r.phase = PhasePreparingAdd
 	}
@@ -559,7 +651,7 @@ func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role 
 // PrepareDropShard tells this server that newOwner is taking over: from now
 // on it forwards the shard's requests to newOwner (step 2 of §4.3).
 func (s *Server) PrepareDropShard(id shard.ID, newOwner shard.ServerID, role shard.Role) {
-	r := s.replicas[id]
+	r := s.replicas[s.dir.shardNums[id]]
 	if r == nil {
 		return
 	}
@@ -582,7 +674,7 @@ func (s *Server) ResumeShard(id shard.ID, gen int64) {
 	if !s.applyGrantGen(gen) {
 		return
 	}
-	r := s.replicas[id]
+	r := s.replicas[s.dir.shardNums[id]]
 	if r == nil || r.phase != PhaseForwarding {
 		return
 	}
@@ -617,14 +709,8 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 		s.grantGen = gen
 	}
 	s.opMetric("sync")
-	ids := make([]string, 0, len(s.replicas))
-	for id := range s.replicas {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, sid := range ids {
-		id := shard.ID(sid)
-		r := s.replicas[id]
+	for _, id := range s.shardIDs() {
+		r := s.replicas[s.dir.shardNums[id]]
 		if r.phase != PhaseActive {
 			continue
 		}
@@ -652,7 +738,7 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 	}
 	missing := make([]string, 0, len(want))
 	for id := range want {
-		if s.replicas[id] == nil {
+		if s.replicas[s.dir.shardNums[id]] == nil {
 			missing = append(missing, string(id))
 		}
 	}
@@ -671,18 +757,30 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 	}
 }
 
+// shardIDs returns the IDs of the shards the server holds a replica of (all
+// phases), sorted: the order everything that walks the replicas uses, since
+// the table's own keys are first-sight numbers.
+func (s *Server) shardIDs() []shard.ID {
+	ids := make([]shard.ID, 0, len(s.replicas))
+	for num := range s.replicas {
+		ids = append(ids, s.dir.shardID(num))
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
 // Shards returns a snapshot of owned shards and their roles (all phases).
 func (s *Server) Shards() map[shard.ID]shard.Role {
 	out := make(map[shard.ID]shard.Role, len(s.replicas))
-	for id, r := range s.replicas {
-		out[id] = r.role
+	for num, r := range s.replicas {
+		out[s.dir.shardID(num)] = r.role
 	}
 	return out
 }
 
 // HoldsActive reports whether the server actively owns the shard.
 func (s *Server) HoldsActive(id shard.ID) bool {
-	r := s.replicas[id]
+	r := s.replicas[s.dir.shardNums[id]]
 	return r != nil && r.phase == PhaseActive
 }
 
@@ -691,7 +789,8 @@ func (s *Server) HoldsActive(id shard.ID) bool {
 // otherwise each shard reports shard_count=1.
 func (s *Server) LoadReport() map[shard.ID]topology.Capacity {
 	out := make(map[shard.ID]topology.Capacity, len(s.replicas))
-	for id := range s.replicas {
+	for num := range s.replicas {
+		id := s.dir.shardID(num)
 		if lr, ok := s.app.(LoadReporter); ok {
 			out[id] = lr.ShardLoad(id)
 		} else {
@@ -703,8 +802,12 @@ func (s *Server) LoadReport() map[shard.ID]topology.Capacity {
 
 // Serve processes one request, replying asynchronously (possibly after one
 // or more forwarding hops). reply is invoked exactly once and must not be
-// nil.
+// nil. A request that names its shard only by ID gets the number filled in
+// here.
 func (s *Server) Serve(req *Request, reply func(Response)) {
+	if req.ShardNum == 0 {
+		req.ShardNum = s.dir.shardNums[req.Shard]
+	}
 	if s.serveDelay > 0 {
 		s.loop.AfterL(s.serveDelay, lbServeDelay, func() { s.serve(req, reply) })
 		return
@@ -720,9 +823,9 @@ func (s *Server) SetServeDelay(d time.Duration) { s.serveDelay = d }
 func (s *Server) ServeDelay() time.Duration { return s.serveDelay }
 
 func (s *Server) serve(req *Request, reply func(Response)) {
-	r := s.replicas[req.Shard]
+	r := s.replicas[req.ShardNum]
 	if r == nil {
-		if to, ok := s.tombstones[req.Shard]; ok {
+		if to, ok := s.tombstones[req.ShardNum]; ok {
 			s.forward(req, to, reply)
 			return
 		}

@@ -63,7 +63,7 @@ func newEnv() *testEnv {
 
 func (e *testEnv) server(id shard.ServerID, region topology.RegionID, app Application) *Server {
 	s := NewServer(e.loop, e.net, e.dir, app, "app", id, region)
-	e.dir.servers[id] = s
+	e.dir.Register(s)
 	e.net.Register(rpcnet.Endpoint(id), region)
 	return s
 }

@@ -261,6 +261,57 @@ func TestReclaimedViewPanics(t *testing.T) {
 	held.Replicas("s1")
 }
 
+// TestCellOutlivesItsShardAndBelongsToOneStore: a cell resolved before the
+// first publish reads every later version — through the shard's removal, the
+// sweeps that empty the cell, and the shard's return — and is still the cell
+// Cells hands the next client; a view of another app read through it panics.
+func TestCellOutlivesItsShardAndBelongsToOneStore(t *testing.T) {
+	loop := sim.NewLoop(1)
+	svc := NewService(loop, FixedDelay(time.Second))
+	ks, err := shard.NewKeyspace([]shard.ID{"s1", "s2"}, []string{"", "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := svc.Cells("app", ks)[0]
+	if got := svc.Latest("app").At(cell); got != nil {
+		t.Fatalf("nothing published, cell reads %v", got)
+	}
+	svc.Publish(snap(mapV(1)))
+	if got := svc.Latest("app").At(cell); len(got) != 1 || got[0].Server != "srv" {
+		t.Fatalf("v1 through the cell: %v", got)
+	}
+	gone := shard.NewDelta("app").Reset("app", 1, 2, 0)
+	gone.Remove("s1")
+	svc.Publish(gone)
+	d := shard.NewDelta("app")
+	for v := int64(2); v <= 12; v++ { // no subscriber: every sweep reclaims all but the latest
+		d.Reset("app", v, v+1, 0)
+		d.Set("s2", []shard.Assignment{{Server: "other"}})
+		svc.Publish(d)
+	}
+	if st := svc.state("app"); len(cell.revs) != 0 || st.cells["s1"] != cell {
+		t.Fatalf("removed and swept: cell holds %v, store has it: %v", cell.revs, st.cells["s1"] == cell)
+	}
+	if got := svc.Latest("app").At(cell); got != nil {
+		t.Fatalf("removed shard reads %v", got)
+	}
+	svc.Publish(stageDelta(d, 13, 14, 0, "back"))
+	if got := svc.Latest("app").At(cell); len(got) != 1 || got[0].Server != "back" {
+		t.Fatalf("shard placed again, through the old cell: %v", got)
+	}
+	if again := svc.Cells("app", ks); again[0] != cell {
+		t.Fatal("Cells resolved the keyspace a second time")
+	}
+
+	svc.Publish(snap(&shard.Map{App: "other", Version: 1, Entries: map[shard.ID][]shard.Assignment{"s1": {{Server: "x"}}}}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a view of another app's store read through the cell did not panic")
+		}
+	}()
+	svc.Latest("other").At(cell)
+}
+
 // TestOvertakenDeliveryOfReclaimedVersionIsStale: a new control-plane
 // generation may restart version numbering, so a delivery can be overtaken by
 // one that carries a lower version. When the overtaken version has been

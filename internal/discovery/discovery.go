@@ -42,17 +42,40 @@ func UniformDelay(lo, hi time.Duration) DelayFunc {
 // learn a new map within a second or two.
 func DefaultDelay() DelayFunc { return UniformDelay(500*time.Millisecond, 2*time.Second) }
 
-// revision is one shard's assignment list from store sequence since on, until
+// Replica is one replica as a View reads it: the published assignment plus
+// the number this Service gave the replica's server. Server numbers are dense,
+// start at 0 and never change or get reused, so a reader can keep whatever it
+// resolves about a server (its fabric record, its directory slot) in a slice
+// indexed by Num and never look the name up again. A number only indexes:
+// replicas are listed in published order and nothing is ever ordered by Num.
+type Replica struct {
+	shard.Assignment
+	Num uint32
+}
+
+// revision is one shard's replica list from store sequence since on, until
 // the shard's next revision; a nil list means the shard has no entry. A
 // published revision is never modified, so a slice read through a View stays
 // what it was.
 type revision struct {
 	since int64
-	as    []shard.Assignment
+	as    []Replica
+}
+
+// Cell is the store's record of one shard ID: the revisions some readable view
+// can still see, oldest first, the last one being the shard's state in the
+// latest version. A store makes a cell the first time it meets the ID — in a
+// publish, or in Cells before anything was published — and never removes or
+// replaces it (a sweep empties it), so a reader that resolves a shard ID once
+// may keep the pointer and read every later View of the same app through it.
+type Cell struct {
+	st   *appState
+	id   shard.ID
+	revs []revision
 }
 
 // View is a by-value cursor on one version of an app's shard map: Version
-// and Gen name it, Replicas reads it in place and Map materialises it.
+// and Gen name it, At and Replicas read it in place and Map materialises it.
 // Nothing is copied to make one. A View stays readable while a live
 // subscription of its app is at or below it — the subscription it was
 // delivered to, or, for one taken with Latest, any subscription that has not
@@ -83,17 +106,6 @@ func (v View) After(u View) bool {
 	return v.Version > u.Version
 }
 
-// at returns the assignments revs holds for sequence seq: the newest
-// revision made at or before it.
-func at(revs []revision, seq int64) []shard.Assignment {
-	for i := len(revs) - 1; i >= 0; i-- {
-		if revs[i].since <= seq {
-			return revs[i].as
-		}
-	}
-	return nil
-}
-
 // readable panics when v lies below the reclaimed floor: the revisions it
 // would read may be gone, and the next newer ones are not what it saw.
 func (v View) readable() {
@@ -103,14 +115,41 @@ func (v View) readable() {
 	}
 }
 
-// Replicas returns the shard's assignments in this version (nil if it has
-// none). The slice is the store's own: read it, do not modify it.
-func (v View) Replicas(id shard.ID) []shard.Assignment {
+// at returns the replicas the cell holds for sequence seq: the newest revision
+// made at or before it.
+func (c *Cell) at(seq int64) []Replica {
+	for i := len(c.revs) - 1; i >= 0; i-- {
+		if c.revs[i].since <= seq {
+			return c.revs[i].as
+		}
+	}
+	return nil
+}
+
+// At returns the replicas the cell's shard has in this version (nil if it has
+// none). The slice is the store's own: read it, do not modify it. A cell of
+// another app's store is a caller's bug and panics.
+func (v View) At(c *Cell) []Replica {
+	if v.st == nil {
+		return nil
+	}
+	if c.st != v.st {
+		panic(fmt.Sprintf("discovery: view of %s read through %s's cell for %s", v.st.app, c.st.app, c.id))
+	}
+	v.readable()
+	return c.at(v.seq)
+}
+
+// Replicas is At by shard ID, for a caller that has not resolved the cell.
+func (v View) Replicas(id shard.ID) []Replica {
 	if v.st == nil {
 		return nil
 	}
 	v.readable()
-	return at(v.st.revs[id], v.seq)
+	if c := v.st.cells[id]; c != nil {
+		return c.at(v.seq)
+	}
+	return nil
 }
 
 // Map materialises this version as a caller-owned shard.Map — O(shards), for
@@ -122,9 +161,13 @@ func (v View) Map() *shard.Map {
 	v.readable()
 	m := &shard.Map{App: v.st.app, Version: v.Version, Gen: v.Gen,
 		Entries: make(map[shard.ID][]shard.Assignment, v.st.live)}
-	for id, revs := range v.st.revs {
-		if as := at(revs, v.seq); as != nil {
-			m.Entries[id] = append([]shard.Assignment(nil), as...)
+	for id, c := range v.st.cells {
+		if rs := c.at(v.seq); rs != nil {
+			as := make([]shard.Assignment, len(rs))
+			for i, r := range rs {
+				as[i] = r.Assignment
+			}
+			m.Entries[id] = as
 		}
 	}
 	return m
@@ -150,12 +193,13 @@ type Subscription struct {
 // revisions.
 func (s *Subscription) Cancel() { s.cancelled = true }
 
-// appState is one app's versioned store: per shard, the revisions some
-// readable view can still see, oldest first, the last one being the shard's
-// state in the latest version.
+// appState is one app's versioned store: one cell per shard ID it has met.
 type appState struct {
-	app  shard.AppID
-	revs map[shard.ID][]revision
+	app   shard.AppID
+	cells map[shard.ID]*Cell
+	// byKeyspace holds, per keyspace a client routes by, the cell at each
+	// position: one table for all the app's clients.
+	byKeyspace map[*shard.Keyspace][]*Cell
 
 	seq     int64 // accepted publishes so far; 0 means nothing published
 	version int64 // of the latest publish
@@ -163,7 +207,7 @@ type appState struct {
 	pubAt   time.Duration // simulated time the latest version was published
 
 	live   int   // shards with an entry in the latest version
-	stored int   // revisions held in revs
+	stored int   // revisions held in cells
 	kept   int   // revisions beyond one per live shard that the last sweep had to keep
 	floor  int64 // views below this sequence have been reclaimed
 
@@ -174,19 +218,28 @@ func (st *appState) latest() View {
 	return View{Version: st.version, Gen: st.gen, st: st, seq: st.seq}
 }
 
-// put records shard id's assignments (nil: no entry) as of the publish being
+// cell resolves a shard ID, making its (empty) cell on first sight.
+func (st *appState) cell(id shard.ID) *Cell {
+	c := st.cells[id]
+	if c == nil {
+		c = &Cell{st: st, id: id}
+		st.cells[id] = c
+	}
+	return c
+}
+
+// put records the cell's replicas (nil: no entry) as of the publish being
 // applied.
-func (st *appState) put(id shard.ID, as []shard.Assignment) {
-	revs := st.revs[id]
-	n := len(revs)
-	had := n > 0 && revs[n-1].as != nil
+func (st *appState) put(c *Cell, as []Replica) {
+	n := len(c.revs)
+	had := n > 0 && c.revs[n-1].as != nil
 	if as == nil && !had {
 		return
 	}
-	if n > 0 && revs[n-1].since == st.seq {
-		revs[n-1].as = as // staged twice in one delta: the last one wins
+	if n > 0 && c.revs[n-1].since == st.seq {
+		c.revs[n-1].as = as // staged twice in one delta: the last one wins
 	} else {
-		st.revs[id] = append(revs, revision{since: st.seq, as: as})
+		c.revs = append(c.revs, revision{since: st.seq, as: as})
 		st.stored++
 	}
 	if had && as == nil {
@@ -200,7 +253,8 @@ func (st *appState) put(id shard.ID, as []shard.Assignment) {
 // the slowest live cursor: a subscriber may be handed any version above its
 // cursor, and may have kept the one at it, so per shard the newest revision
 // at or below the floor and everything after it stay. A subscriber that has
-// been delivered nothing yet holds the floor where it stands.
+// been delivered nothing yet holds the floor where it stands. A cell left
+// with no revision stays in the store, empty: someone may hold it.
 func (st *appState) sweep() {
 	floor := st.seq
 	for _, sub := range st.subs {
@@ -212,7 +266,8 @@ func (st *appState) sweep() {
 		floor = st.floor
 	}
 	st.floor = floor
-	for id, revs := range st.revs {
+	for _, c := range st.cells {
+		revs := c.revs
 		k := 0
 		for k+1 < len(revs) && revs[k+1].since <= floor {
 			k++
@@ -225,12 +280,12 @@ func (st *appState) sweep() {
 		}
 		st.stored -= k
 		if k == len(revs) {
-			delete(st.revs, id)
+			c.revs = nil
 			continue
 		}
 		n := copy(revs, revs[k:])
 		clear(revs[n:])
-		st.revs[id] = revs[:n]
+		c.revs = revs[:n]
 	}
 	st.kept = st.stored - st.live
 }
@@ -241,6 +296,9 @@ type Service struct {
 	rng   *sim.RNG
 	delay DelayFunc
 	apps  map[shard.AppID]*appState
+	// serverNum numbers every server ID a publish has named, in the order
+	// first named: Replica.Num.
+	serverNum map[shard.ServerID]uint32
 
 	// freeDeliveries recycles the per-delivery records that ride the event
 	// loop's arg slot, keeping fan-out allocation-free.
@@ -272,20 +330,54 @@ func NewService(loop *sim.Loop, delay DelayFunc) *Service {
 		delay = DefaultDelay()
 	}
 	return &Service{
-		loop:  loop,
-		rng:   loop.RNG().Fork(),
-		delay: delay,
-		apps:  make(map[shard.AppID]*appState),
+		loop:      loop,
+		rng:       loop.RNG().Fork(),
+		delay:     delay,
+		apps:      make(map[shard.AppID]*appState),
+		serverNum: make(map[shard.ServerID]uint32),
 	}
 }
 
 func (s *Service) state(app shard.AppID) *appState {
 	st, ok := s.apps[app]
 	if !ok {
-		st = &appState{app: app, revs: make(map[shard.ID][]revision)}
+		st = &appState{app: app, cells: make(map[shard.ID]*Cell),
+			byKeyspace: make(map[*shard.Keyspace][]*Cell)}
 		s.apps[app] = st
 	}
 	return st
+}
+
+// Cells returns the app's cell at each position of ks (shard.Keyspace.Locate):
+// every shard ID a client of that keyspace can ask about, resolved once. The
+// slice is made on the first call for a keyspace and shared by every later
+// one; read it, do not modify it.
+func (s *Service) Cells(app shard.AppID, ks *shard.Keyspace) []*Cell {
+	st := s.state(app)
+	cells := st.byKeyspace[ks]
+	if cells == nil {
+		cells = make([]*Cell, ks.Len())
+		for pos := range cells {
+			cells[pos] = st.cell(ks.At(pos))
+		}
+		st.byKeyspace[ks] = cells
+	}
+	return cells
+}
+
+// replicas copies a published assignment list into the store's form, giving
+// each server its number.
+func (s *Service) replicas(as []shard.Assignment) []Replica {
+	out := make([]Replica, len(as))
+	for i, a := range as {
+		num, ok := s.serverNum[a.Server]
+		if !ok {
+			num = uint32(len(s.serverNum))
+			s.serverNum[a.Server] = num
+		}
+		out[i] = Replica{Assignment: a, Num: num}
+	}
+	return out
 }
 
 // Publish applies d to the app's store as its next version — O(entries in d),
@@ -320,15 +412,17 @@ func (s *Service) Publish(d *shard.Delta) {
 	}
 	for i := range d.Changed {
 		e := &d.Changed[i]
-		st.put(e.Shard, append(make([]shard.Assignment, 0, len(e.Assignments)), e.Assignments...))
+		st.put(st.cell(e.Shard), s.replicas(e.Assignments))
 	}
 	for _, id := range d.Removed {
-		st.put(id, nil)
+		if c := st.cells[id]; c != nil {
+			st.put(c, nil)
+		}
 	}
 	if snapshot {
-		for id, revs := range st.revs {
-			if revs[len(revs)-1].since != st.seq {
-				st.put(id, nil)
+		for _, c := range st.cells {
+			if n := len(c.revs); n > 0 && c.revs[n-1].since != st.seq {
+				st.put(c, nil)
 			}
 		}
 	}

@@ -26,6 +26,13 @@ type storeFuzz struct {
 	// loose are views nothing pins: kept after their subscription was
 	// cancelled, or taken with Latest and held on to.
 	loose []View
+
+	// cells are the handles a reader would keep, resolved once and never
+	// again: s0-s2 through Cells before anything was published, the rest the
+	// first time a view is checked. nums is the number each server was first
+	// read with.
+	cells map[shard.ID]*Cell
+	nums  map[shard.ServerID]uint32
 }
 
 type fuzzSub struct {
@@ -169,15 +176,15 @@ func (z *storeFuzz) step() {
 		st.sweep()
 		// Everything reclaimable is gone: per shard at most one revision at
 		// or below the floor, and no removal standing alone.
-		for id, revs := range st.revs {
+		for id, c := range st.cells {
 			old := 0
-			for _, r := range revs {
+			for _, r := range c.revs {
 				if r.since <= st.floor {
 					old++
 				}
 			}
-			if old > 1 || (len(revs) == 1 && revs[0].as == nil) {
-				z.t.Fatalf("after sweep at floor %d, shard %s keeps %+v", st.floor, id, revs)
+			if old > 1 || (len(c.revs) == 1 && c.revs[0].as == nil) {
+				z.t.Fatalf("after sweep at floor %d, shard %s keeps %+v", st.floor, id, c.revs)
 			}
 		}
 	}
@@ -192,6 +199,7 @@ func (z *storeFuzz) checkView(v View, what string) {
 	if v.seq < z.state().floor {
 		for name, read := range map[string]func(){
 			"Replicas": func() { v.Replicas(fuzzShards[0]) },
+			"At":       func() { v.At(z.cells[fuzzShards[0]]) },
 			"Map":      func() { v.Map() },
 		} {
 			func() {
@@ -216,8 +224,27 @@ func (z *storeFuzz) checkView(v View, what string) {
 	for _, id := range fuzzShards {
 		was, ok := want.Entries[id]
 		got := v.Replicas(id)
-		if !slices.Equal(got, was) || (got != nil) != ok {
+		if !slices.EqualFunc(got, was, func(r Replica, a shard.Assignment) bool { return r.Assignment == a }) || (got != nil) != ok {
 			z.t.Fatalf("%s: seq %d shard %s: Replicas %v, reference %v (present %v)", what, v.seq, id, got, was, ok)
+		}
+		// The same read through the handle kept since it was first resolved,
+		// whatever sweeps and snapshots the cell has been through since.
+		cell := z.cells[id]
+		if cell == nil {
+			cell = z.state().cell(id)
+			z.cells[id] = cell
+		}
+		if z.state().cells[id] != cell || cell.id != id {
+			z.t.Fatalf("%s: the store's cell for %s is no longer the one first resolved", what, id)
+		}
+		if through := v.At(cell); !slices.Equal(through, got) || (through != nil) != ok {
+			z.t.Fatalf("%s: seq %d shard %s: through its cell %v, by name %v", what, v.seq, id, through, got)
+		}
+		for _, r := range got {
+			if num, seen := z.nums[r.Server]; seen && num != r.Num {
+				z.t.Fatalf("%s: server %s read as number %d, earlier as %d", what, r.Server, r.Num, num)
+			}
+			z.nums[r.Server] = r.Num
 		}
 		mas, mok := m.Entries[id]
 		if !slices.Equal(mas, was) || mok != ok {
@@ -243,14 +270,21 @@ func (z *storeFuzz) check() {
 	z.checkView(z.svc.Latest("app"), "Latest")
 
 	stored, live := 0, 0
-	for _, revs := range st.revs {
-		stored += len(revs)
-		if revs[len(revs)-1].as != nil {
+	for _, c := range st.cells { // an emptied cell stays, holding nothing
+		stored += len(c.revs)
+		if n := len(c.revs); n > 0 && c.revs[n-1].as != nil {
 			live++
 		}
 	}
 	if stored != st.stored || live != st.live {
 		z.t.Fatalf("accounting: stored %d live %d, counted %d and %d", st.stored, st.live, stored, live)
+	}
+	byNum := map[uint32]shard.ServerID{}
+	for srv, num := range z.nums {
+		if other, dup := byNum[num]; dup {
+			z.t.Fatalf("servers %s and %s share number %d", srv, other, num)
+		}
+		byNum[num] = srv
 	}
 	if cur := z.latestRef(); cur != nil && live != len(cur.Entries) {
 		z.t.Fatalf("live %d, reference has %d entries", live, len(cur.Entries))
@@ -267,10 +301,13 @@ func (z *storeFuzz) check() {
 // generation, stale version, a base the service is not at), subscribe,
 // cancel, deliveries in any order and reclamation. After every
 // step each live subscriber's View reads exactly the reference map of its
-// version — entry by entry through Replicas and whole through Map — a view
-// below the reclaimed floor panics, the floor never passes a live cursor, and
-// the store holds at most two revisions per live entry plus those a live
-// cursor pins.
+// version — entry by entry through Replicas, the same through the cell
+// resolved for the shard once (some before the first publish) and kept across
+// every sweep that emptied it and every snapshot that removed the shard and
+// brought it back, and whole through Map — every server reads with one number
+// and no two share one, a view below the reclaimed floor panics, the floor
+// never passes a live cursor, and the store holds at most two revisions per
+// live entry plus those a live cursor pins.
 func FuzzVersionedStore(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 1, 1, 2, 4, 6, 5, 0, 1, 2, 0, 0, 1, 6, 3})
 	f.Add([]byte{4, 4, 2, 1, 2, 0, 1, 1, 0, 0, 1, 1, 1, 2, 1, 0, 0, 6, 1, 0, 3, 1, 1, 1, 0, 7, 5, 0, 0, 2, 2, 1, 1, 8, 6, 5})
@@ -291,10 +328,18 @@ func FuzzVersionedStore(f *testing.F) {
 		9, 1, 0, 1, 2, 0, 0, 1, 1, 6, 2, 8, 6, 5})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		z := &storeFuzz{t: t, data: data, loop: sim.NewLoop(1)}
+		z := &storeFuzz{t: t, data: data, loop: sim.NewLoop(1),
+			cells: map[shard.ID]*Cell{}, nums: map[shard.ServerID]uint32{}}
 		z.svc = NewService(z.loop, func(*sim.RNG) time.Duration {
 			return time.Duration(z.next()%8) * time.Millisecond
 		})
+		early, err := shard.NewKeyspace(fuzzShards[:3], []string{"", "b", "c"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos, cell := range z.svc.Cells("app", early) {
+			z.cells[early.At(pos)] = cell
+		}
 		for len(z.data) > 0 {
 			z.step()
 			z.check()

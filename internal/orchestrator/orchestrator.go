@@ -218,6 +218,7 @@ type Orchestrator struct {
 	dir   *appserver.Directory
 	fleet *topology.Fleet
 	alloc *allocator.Allocator
+	memo  solveMemo
 	paths appserver.CoordPaths
 
 	servers map[shard.ServerID]*serverState
@@ -582,7 +583,7 @@ func (o *Orchestrator) allocate(mode allocator.Mode) {
 			trace.String("app", string(o.cfg.App)),
 			trace.String("mode", mode.String()))
 	}
-	res := o.alloc.Run(in, mode)
+	res := o.solve(in, mode)
 	if mode == allocator.Emergency {
 		o.EmergencyRuns.Inc()
 	} else {

@@ -46,6 +46,14 @@ type world struct {
 // per region, one job per region, hosts, and an orchestrator.
 func buildWorld(t *testing.T, regions []topology.RegionID, serversPerRegion int, cfg Config) *world {
 	t.Helper()
+	return buildWorldOf(t, regions, serversPerRegion, cfg,
+		func(*appserver.Server) appserver.Application { return newCountApp() })
+}
+
+// buildWorldOf is buildWorld with the application each server runs.
+func buildWorldOf(t *testing.T, regions []topology.RegionID, serversPerRegion int, cfg Config,
+	factory func(*appserver.Server) appserver.Application) *world {
+	t.Helper()
 	fleet := topology.Build(topology.Spec{
 		Regions:           regions,
 		MachinesPerRegion: serversPerRegion,
@@ -65,8 +73,7 @@ func buildWorld(t *testing.T, regions []topology.RegionID, serversPerRegion int,
 		mgr := cluster.NewManager(loop, fleet, r, cluster.DefaultOptions())
 		w.managers[r] = mgr
 		job := cluster.JobID(fmt.Sprintf("%s-job-%s", cfg.App, r))
-		host := appserver.NewHost(loop, w.net, w.dir, w.store, fleet, cfg.App, job,
-			func(s *appserver.Server) appserver.Application { return newCountApp() })
+		host := appserver.NewHost(loop, w.net, w.dir, w.store, fleet, cfg.App, job, factory)
 		mgr.AddListener(host)
 		w.host = host
 		mgr.CreateJob(job, string(cfg.App), serversPerRegion)

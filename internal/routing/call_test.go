@@ -44,8 +44,11 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		attempts int
 		read     bool
 		// follow is how many further requests done issues synchronously, one
-		// per completion.
-		follow   int
+		// per completion; between runs before each of them.
+		follow  int
+		between func(e *env)
+		// early creates the client before version 1 is published.
+		early    bool
 		want     []Result
 		messages int64
 	}{
@@ -161,17 +164,87 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 			want:     []Result{ok("p", 2*time.Millisecond), ok("p", 2*time.Millisecond), ok("p", 2*time.Millisecond)},
 			messages: 3,
 		},
+		// The rows below hold what the client keeps per name across requests:
+		// their want columns were recorded from the by-name client of the
+		// commit before the handles.
+		{
+			name:     "server restarted under the same ID, in another region, between two requests",
+			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 0) },
+			replicas: primary("srv"),
+			follow:   1,
+			between: func(e *env) {
+				e.killServer("srv")
+				e.addServerApp("srv", "far", tagApp{tag: "restarted:"}).AddShard("s1", shard.RolePrimary, 0)
+			},
+			want: []Result{ok("srv", 2*time.Millisecond),
+				{OK: true, Payload: "restarted:abc", Latency: 120 * time.Millisecond, Attempts: 1, Server: "srv", Shard: "s1", Write: true, MapVersion: 1}},
+			messages: 2,
+		},
+		{
+			name:    "endpoint first seen unregistered, then registered",
+			servers: func(e *env) { e.addServer("far-srv", "far").AddShard("s1", shard.RoleSecondary, 0) },
+			replicas: []shard.Assignment{
+				{Server: "ghost", Role: shard.RoleSecondary}, {Server: "far-srv", Role: shard.RoleSecondary}},
+			read:   true,
+			follow: 1,
+			between: func(e *env) {
+				e.addServer("ghost", "near").AddShard("s1", shard.RoleSecondary, 0)
+			},
+			// Unregistered, "ghost" is a default WAN hop away (40ms, closer
+			// than far-srv's 60ms): picked, unreachable, retried on far-srv.
+			// Registered in "near" it is 1ms away and serves.
+			want: []Result{
+				{OK: true, Payload: "v:abc", Latency: 1324769456, Attempts: 2, Server: "far-srv", Shard: "s1", MapVersion: 1},
+				{OK: true, Payload: "v:abc", Latency: 2 * time.Millisecond, Attempts: 1, Server: "ghost", Shard: "s1", MapVersion: 1}},
+			messages: 3,
+		},
+		{
+			name:     "client created before the first publish",
+			servers:  func(e *env) { e.addServer("p", "near").AddShard("s1", shard.RolePrimary, 0) },
+			replicas: primary("p"),
+			early:    true,
+			want:     []Result{ok("p", 2*time.Millisecond)},
+			messages: 1,
+		},
+		{
+			name: "request record reused after a forward",
+			servers: func(e *env) {
+				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 0)
+				e.addServer("new", "far").PrepareAddShard("s1", "old", shard.RolePrimary, 0)
+				e.dir.Lookup("old").PrepareDropShard("s1", "new", shard.RolePrimary)
+			},
+			replicas: primary("old"),
+			follow:   1,
+			// The hand-off completes between the two: the second request, on
+			// the first one's record, is served where it lands.
+			between: func(e *env) {
+				e.dir.Lookup("old").DropShard("s1")
+				e.dir.Lookup("new").AddShard("s1", shard.RolePrimary, 0)
+				e.publish(2, map[shard.ID][]shard.Assignment{"s1": primary("new")})
+				e.loop.RunFor(time.Second)
+			},
+			want: []Result{
+				{OK: true, Payload: "v:abc", Latency: 122 * time.Millisecond, Attempts: 1, Hops: 1, Server: "new", Shard: "s1", Write: true, MapVersion: 1},
+				{OK: true, Payload: "v:abc", Latency: 120 * time.Millisecond, Attempts: 1, Server: "new", Shard: "s1", Write: true, MapVersion: 2}},
+			messages: 4,
+		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			e := newEnv(t)
 			row.servers(e)
-			e.publish(1, map[shard.ID][]shard.Assignment{"s1": row.replicas})
 			opts := DefaultOptions()
 			if row.attempts > 0 {
 				opts.MaxAttempts = row.attempts
 			}
-			c := NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", opts)
+			var c *Client
+			if row.early {
+				c = NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", opts)
+			}
+			e.publish(1, map[shard.ID][]shard.Assignment{"s1": row.replicas})
+			if !row.early {
+				c = NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", opts)
+			}
 			e.loop.RunFor(time.Second)
 			if row.after != nil {
 				row.after(e)
@@ -183,6 +256,9 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 				got = append(got, r)
 				if issued <= row.follow {
 					issued++
+					if row.between != nil {
+						row.between(e)
+					}
 					c.Do("abc", !row.read, "op", nil, done)
 				}
 			}
@@ -289,14 +365,23 @@ func TestPickServerMatchesSortingReference(t *testing.T) {
 				}
 			}
 			write := in.Intn(3) == 0
+			// pickServer takes what the request path has resolved: the shard's
+			// cell and the tried servers' numbers. A tried server that is not
+			// among the replicas has no bearing on either implementation.
+			var triedNums []uint32
+			for _, r := range c.view.Replicas("s1") {
+				if triedSet[r.Server] {
+					triedNums = append(triedNums, r.Num)
+				}
+			}
 			before := *c.rng
 			wantSrv, wantOK := pickServerReference(c, "s1", write, triedSet)
 			after := *c.rng
 			*c.rng = before
-			gotSrv, gotOK := c.pickServer("s1", write, tried)
-			if gotSrv != wantSrv || gotOK != wantOK || *c.rng != after {
+			got, gotOK := c.pickServer(c.cells[e.ks.Locate("abc")], write, triedNums)
+			if gotSrv := got.Server; gotSrv != wantSrv || gotOK != wantOK || *c.rng != after {
 				t.Fatalf("version %d replicas %v tried %v write %v: got (%q, %v), reference (%q, %v); same RNG state: %v",
-					version, replicas, tried, write, gotSrv, gotOK, wantSrv, wantOK, *c.rng == after)
+					version, replicas, tried, write, got.Server, gotOK, wantSrv, wantOK, *c.rng == after)
 			}
 		}
 	}
@@ -335,6 +420,15 @@ func TestCloserKeepsTheFirstOnAFullTie(t *testing.T) {
 		}
 	}
 }
+
+// tagApp answers with its tag, so that a Result says which incarnation of a
+// server produced it.
+type tagApp struct {
+	okApp
+	tag string
+}
+
+func (a tagApp) HandleRequest(req *appserver.Request) (any, error) { return a.tag + req.Key, nil }
 
 // quietApp serves without allocating, so the allocation gates below count
 // only what routing, rpcnet and appserver do.

@@ -1,10 +1,16 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"shardmanager/internal/appserver"
+	"shardmanager/internal/discovery"
+	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/shard"
+	"shardmanager/internal/sim"
+	"shardmanager/internal/topology"
 )
 
 func TestForwardedRequestCountsHops(t *testing.T) {
@@ -119,7 +125,12 @@ func TestServerGoneFromDirectoryFails(t *testing.T) {
 // request leg, Serve, the reply leg, done — one request at a time on an
 // otherwise idle loop. allocs/op includes the benchmark's own done closure
 // and okApp's payload; TestRequestPathAllocationFree is the gate with both
-// taken out.
+// taken out. The two-shard world keeps every lookup in cache; the
+// 3k-shards-120-servers world is steady_serving's shape — a range keyspace
+// like experiments.KeyspaceFor, three replicas, one per region — with the key
+// drawn at random for each request, so that what a request has to find (the
+// shard of the key, its replicas, their endpoints, servers and replica
+// records) is as cold as it is in a deployment.
 func BenchmarkClientRequestRoundTrip(b *testing.B) {
 	e := newEnv(b)
 	e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 0)
@@ -132,22 +143,75 @@ func BenchmarkClientRequestRoundTrip(b *testing.B) {
 	})
 	c := e.client("near")
 	e.loop.RunFor(time.Second)
-	for _, bc := range []struct {
-		name, key string
-		write     bool
-	}{{"write-1-replica", "xyz", true}, {"read-3-replicas", "abc", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ok := false
-				c.Do(bc.key, bc.write, "op", nil, func(r Result) { ok = r.OK })
-				e.loop.RunFor(time.Second)
-				if !ok {
-					b.Fatal("request failed")
-				}
+	roundTrip := func(b *testing.B, c *Client, loop *sim.Loop, write bool, key func() string) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ok := false
+			c.Do(key(), write, "op", nil, func(r Result) { ok = r.OK })
+			loop.RunFor(time.Second)
+			if !ok {
+				b.Fatal("request failed")
 			}
-		})
+		}
 	}
+	b.Run("write-1-replica", func(b *testing.B) { roundTrip(b, c, e.loop, true, func() string { return "xyz" }) })
+	b.Run("read-3-replicas", func(b *testing.B) { roundTrip(b, c, e.loop, false, func() string { return "abc" }) })
+
+	big, keys := newSteadyWorld(b)
+	bc := NewClient(big.loop, big.net, big.dir, big.disc, big.fleet, "app", big.ks, "prn", DefaultOptions())
+	big.loop.RunFor(time.Second)
+	in := sim.NewRNG(5)
+	randomKey := func() string { return keys[in.Intn(len(keys))] }
+	b.Run("world=3k-shards-120-servers/write", func(b *testing.B) { roundTrip(b, bc, big.loop, true, randomKey) })
+	b.Run("world=3k-shards-120-servers/read", func(b *testing.B) { roundTrip(b, bc, big.loop, false, randomKey) })
+}
+
+// newSteadyWorld builds bench's steady_serving deployment by hand: 3,000
+// range shards "sNNNNN", 40 servers in each of three regions, every shard with
+// one replica per region and its primary rotating over them. It returns one
+// key per shard.
+func newSteadyWorld(t testing.TB) (*env, []string) {
+	const shards, perRegion = 3000, 40
+	regions := []topology.RegionID{"frc", "prn", "odn"}
+	fleet := topology.Build(topology.Spec{
+		Regions: regions, MachinesPerRegion: perRegion,
+		Latency: map[[2]topology.RegionID]time.Duration{
+			{"frc", "prn"}: 35 * time.Millisecond, {"frc", "odn"}: 45 * time.Millisecond, {"prn", "odn"}: 80 * time.Millisecond,
+		},
+	})
+	loop := sim.NewLoop(7)
+	e := &env{loop: loop, fleet: fleet, net: rpcnet.NewNetwork(loop, fleet), dir: appserver.NewDirectory(),
+		disc: discovery.NewService(loop, discovery.FixedDelay(100*time.Millisecond))}
+	servers := make([][]*appserver.Server, len(regions))
+	for r, region := range regions {
+		for i := 0; i < perRegion; i++ {
+			servers[r] = append(servers[r], e.addServer(shard.ServerID(fmt.Sprintf("%s/srv%02d", region, i)), region))
+		}
+	}
+	ids, starts, keys := make([]shard.ID, shards), make([]string, shards), make([]string, shards)
+	entries := make(map[shard.ID][]shard.Assignment, shards)
+	for i := range ids {
+		ids[i] = shard.ID(fmt.Sprintf("s%05d", i))
+		if i > 0 {
+			starts[i] = string(ids[i])
+		}
+		keys[i] = string(ids[i]) + "/key"
+		for r := range regions {
+			srv, role := servers[r][(i+7*r)%perRegion], shard.RoleSecondary
+			if r == i%len(regions) {
+				role = shard.RolePrimary
+			}
+			srv.AddShard(ids[i], role, 0)
+			entries[ids[i]] = append(entries[ids[i]], shard.Assignment{Server: srv.ID, Role: role})
+		}
+	}
+	ks, err := shard.NewKeyspace(ids, starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ks = ks
+	e.publish(1, entries)
+	return e, keys
 }
 
 func TestRetryBackoffIsExponentialAndCapped(t *testing.T) {

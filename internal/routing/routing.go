@@ -94,6 +94,18 @@ type Client struct {
 	rng      *sim.RNG
 	retryRNG *sim.RNG
 
+	// Names resolved once, so that a request looks none up. region is Region's
+	// number in the fleet. cells and shards give, for each position of the
+	// keyspace, the discovery store's cell and the directory's shard number;
+	// both tables belong to their owners and are shared by every client of the
+	// app. servers is indexed by discovery's server number and filled on first
+	// sight. All of it only indexes: a replica is still chosen by latency and
+	// the RNG, in published order.
+	region  int
+	cells   []*discovery.Cell
+	shards  []appserver.ShardNum
+	servers []server
+
 	// view is the shard-map version the client routes by: a cursor into the
 	// discovery store, valid while the client's subscription is live.
 	view discovery.View
@@ -138,6 +150,9 @@ func NewClient(loop *sim.Loop, net *rpcnet.Network, dir *appserver.Directory,
 		keyspace: keyspace,
 		opts:     opts,
 		rng:      loop.RNG().Fork(),
+		region:   fleet.RegionIndex(region),
+		cells:    disc.Cells(app, keyspace),
+		shards:   dir.ShardNums(keyspace),
 	}
 	// Retry jitter has its own stream forked from the client's RNG: drawing
 	// jitter from c.rng directly would shift the read tie-break sequence
@@ -186,13 +201,15 @@ func (c *Client) MapVersion() int64 { return c.view.Version }
 // write selects primary-routed requests.
 func (c *Client) Do(key string, write bool, op string, payload any, done func(Result)) {
 	k := c.allocCall()
+	k.pos = c.keyspace.Locate(key)
 	k.req = appserver.Request{
-		App:     c.App,
-		Shard:   c.keyspace.ShardFor(key),
-		Key:     key,
-		Write:   write,
-		Op:      op,
-		Payload: payload,
+		App:      c.App,
+		Shard:    c.keyspace.At(k.pos),
+		ShardNum: c.shards[k.pos],
+		Key:      key,
+		Write:    write,
+		Op:       op,
+		Payload:  payload,
 	}
 	k.done = done
 	k.start = c.loop.Now()
@@ -222,16 +239,20 @@ type call struct {
 	// req is handed to servers as &k.req: valid until the reply, which is as
 	// long as Application.HandleRequest may use it.
 	req     appserver.Request
+	pos     int // the shard's position in the keyspace
 	done    func(Result)
 	start   time.Duration
 	attempt int
-	// tried holds the servers already sent to, at most MaxAttempts of them.
-	// Its backing array stays with the record, grown on the few that retry.
-	tried []shard.ServerID
-	// lastServer is the server the current attempt was sent to, or the deeper
-	// server that rejected it after a forward.
+	// tried holds the numbers of the servers already sent to, at most
+	// MaxAttempts of them. Its backing array stays with the record, grown on
+	// the few that retry.
+	tried []uint32
+	// target is the server the current attempt was sent to; lastServer is its
+	// ID, or that of the deeper server that rejected the attempt after a
+	// forward.
+	target     server
 	lastServer shard.ServerID
-	srvRegion  topology.RegionID // where the current attempt's reply leg starts
+	srvRegion  int // number of the region the current attempt's reply leg starts in
 	resp       appserver.Response
 	asp        trace.SpanID // the current attempt's span
 	// onResponse is k.serverReplied, bound once per record so that
@@ -293,7 +314,7 @@ func (k *call) try() {
 			trace.Int("attempt", k.attempt),
 			trace.Int64("map_version", c.MapVersion()))
 	}
-	target, ok := c.pickServer(k.req.Shard, k.req.Write, k.tried)
+	target, ok := c.pickServer(c.cells[k.pos], k.req.Write, k.tried)
 	if !ok {
 		// No candidate at all (no map or no replicas known): retry
 		// with a fresh view; an updated map may have arrived by then.
@@ -301,19 +322,23 @@ func (k *call) try() {
 		k.fail("no-replica")
 		return
 	}
-	k.tried = append(k.tried, target)
-	k.lastServer = target
-	c.net.SendArg(c.Region, rpcnet.Endpoint(target), callDelivered, k, callUnreachable, k)
+	k.tried = append(k.tried, target.Num)
+	k.lastServer = target.Server
+	k.target = c.resolve(target)
+	c.net.SendTo(c.region, k.target.peer, callDelivered, k, callUnreachable, k)
 }
 
+// callDelivered runs at the target's endpoint: whichever server is in the
+// directory slot now — the one the map meant, or its restarted successor —
+// serves, and the reply leaves from where the fabric has the endpoint.
 func callDelivered(a any) {
 	k := inFlight(a)
-	srv := k.c.dir.Lookup(k.lastServer)
+	srv := k.target.slot.Server()
 	if srv == nil {
 		k.fail("server-gone")
 		return
 	}
-	k.srvRegion = srv.Region
+	k.srvRegion = k.target.peer.RegionIndex()
 	srv.Serve(&k.req, k.onResponse)
 }
 
@@ -324,7 +349,7 @@ func callUnreachable(a any) { inFlight(a).fail("unreachable") }
 func (k *call) serverReplied(resp appserver.Response) {
 	inFlight(k)
 	k.resp = resp
-	k.c.net.ReplyArg(k.srvRegion, k.c.Region, callReplied, k, callReplyLost, k)
+	k.c.net.ReplyAt(k.srvRegion, k.c.region, callReplied, k, callReplyLost, k)
 }
 
 func callReplied(a any) {
@@ -433,38 +458,62 @@ func (k *call) finish(res Result) {
 	done(res)
 }
 
-// pickServer chooses a replica for the request: the primary for writes, the
-// closest untried replica for reads (locality-aware, which is what makes
-// the Fig 19 latency curves move), ties broken randomly to spread load —
-// one draw per untried replica, in replica order. It is one pass that keeps
-// the minimum; on a full tie the earlier replica stays.
-func (c *Client) pickServer(s shard.ID, write bool, tried []shard.ServerID) (shard.ServerID, bool) {
-	replicas := c.view.Replicas(s)
+// server is what a client keeps per server number: the fabric's record of the
+// endpoint and the directory's slot for the ID. Both outlive restarts, so an
+// entry is resolved once.
+type server struct {
+	peer *rpcnet.Peer
+	slot *appserver.Slot
+}
+
+// resolve returns the client's entry for r's server, looking the two names up
+// the first time the number is seen.
+func (c *Client) resolve(r discovery.Replica) server {
+	if int(r.Num) >= len(c.servers) {
+		c.servers = append(c.servers, make([]server, int(r.Num)+1-len(c.servers))...)
+	}
+	sv := &c.servers[r.Num]
+	if sv.peer == nil {
+		sv.peer = c.net.Peer(rpcnet.Endpoint(r.Server))
+		sv.slot = c.dir.Slot(r.Server)
+	}
+	return *sv
+}
+
+// pickServer chooses a replica of the cell's shard for the request: the
+// primary for writes, the closest untried replica for reads (locality-aware,
+// which is what makes the Fig 19 latency curves move), ties broken randomly to
+// spread load — one draw per untried replica, in replica order. It is one
+// pass that keeps the minimum; on a full tie the earlier replica stays. An
+// endpoint the fabric has not seen registered is in region "", a default WAN
+// hop from anywhere.
+func (c *Client) pickServer(cell *discovery.Cell, write bool, tried []uint32) (discovery.Replica, bool) {
+	replicas := c.view.At(cell)
 	if write {
 		for _, a := range replicas {
 			if a.Role == shard.RolePrimary {
-				if slices.Contains(tried, a.Server) {
-					return "", false
+				if slices.Contains(tried, a.Num) {
+					return discovery.Replica{}, false
 				}
-				return a.Server, true
+				return a, true
 			}
 		}
-		return "", false
+		return discovery.Replica{}, false
 	}
 	var (
-		best    shard.ServerID
+		best    discovery.Replica
 		bestLat time.Duration
 		bestTie uint64
 		found   bool
 	)
 	for _, a := range replicas {
-		if slices.Contains(tried, a.Server) {
+		if slices.Contains(tried, a.Num) {
 			continue
 		}
-		lat := c.fleet.Latency(c.Region, c.net.Region(rpcnet.Endpoint(a.Server)))
+		lat := c.fleet.LatencyAt(c.region, c.resolve(a).peer.RegionIndex())
 		tie := c.rng.Uint64()
 		if !found || closer(lat, tie, bestLat, bestTie) {
-			best, bestLat, bestTie, found = a.Server, lat, tie, true
+			best, bestLat, bestTie, found = a, lat, tie, true
 		}
 	}
 	return best, found

@@ -56,9 +56,28 @@ func (f LinkFault) active() bool {
 	return f.DropProb > 0 || f.LatencyAdd > 0 || (f.LatencyScale > 0 && f.LatencyScale != 1)
 }
 
+// linkKey names a directed region link by the fleet's region numbers.
 type linkKey struct {
-	from, to topology.RegionID
+	from, to int
 }
+
+// Peer is the fabric's record of one endpoint name: where it is registered
+// and whether it is up. The network makes one the first time a name is
+// registered or sent to and never removes or replaces it, so a sender that
+// resolves a name once (Network.Peer) may keep the pointer for good — a
+// restart re-registers the same record, possibly in another region, and the
+// holder sees that through it.
+type Peer struct {
+	name   Endpoint
+	region topology.RegionID
+	ri     int  // region's number in the fleet
+	known  bool // registered at least once, so region means something
+	down   bool
+}
+
+// RegionIndex returns the fleet's number for the region the endpoint was last
+// registered in, or for the region "" while it has never been registered.
+func (p *Peer) RegionIndex() int { return p.ri }
 
 // Network delivers messages between regions with simulated latency.
 type Network struct {
@@ -74,9 +93,9 @@ type Network struct {
 	// delivery latency.
 	SendTimeout time.Duration
 
-	regions map[Endpoint]topology.RegionID
-	down    map[Endpoint]bool
-	faults  map[linkKey]LinkFault
+	peers    map[Endpoint]*Peer
+	noRegion int // the fleet's number for region "", where an unregistered peer is
+	faults   map[linkKey]LinkFault
 
 	// inflight counts messages currently riding the fabric (scheduled but
 	// not yet delivered), exported as the rpcnet_inflight_messages gauge —
@@ -104,7 +123,7 @@ type Network struct {
 // them without allocating.
 type envelope struct {
 	n       *Network
-	to      Endpoint
+	to      *Peer
 	sp      trace.SpanID
 	sentAt  time.Duration
 	timeout time.Duration
@@ -136,8 +155,8 @@ func (n *Network) freeEnv(e *envelope) {
 // reply leg, and completion callbacks.
 type callState struct {
 	n      *Network
-	from   topology.RegionID
-	to     Endpoint
+	from   int // the caller's region number
+	to     *Peer
 	start  time.Duration
 	sp     trace.SpanID
 	handle func()
@@ -174,28 +193,51 @@ func NewNetwork(loop *sim.Loop, fleet *topology.Fleet) *Network {
 		rng:         loop.RNG().Fork(),
 		Jitter:      0.1,
 		SendTimeout: DefaultSendTimeout,
-		regions:     make(map[Endpoint]topology.RegionID),
-		down:        make(map[Endpoint]bool),
+		peers:       make(map[Endpoint]*Peer),
+		noRegion:    fleet.RegionIndex(""),
 	}
+}
+
+// Peer resolves an endpoint name to the fabric's record of it, making the
+// record (unregistered, unreachable) if the name is new.
+func (n *Network) Peer(e Endpoint) *Peer {
+	p := n.peers[e]
+	if p == nil {
+		p = &Peer{name: e, ri: n.noRegion}
+		n.peers[e] = p
+	}
+	return p
 }
 
 // Register places an endpoint in a region and marks it reachable.
 func (n *Network) Register(e Endpoint, region topology.RegionID) {
-	n.regions[e] = region
-	delete(n.down, e)
+	p := n.Peer(e)
+	p.region, p.ri = region, n.fleet.RegionIndex(region)
+	p.known, p.down = true, false
 }
 
 // Unregister makes the endpoint unreachable (process death).
-func (n *Network) Unregister(e Endpoint) { n.down[e] = true }
+func (n *Network) Unregister(e Endpoint) { n.Peer(e).down = true }
 
 // Reachable reports whether the endpoint is registered and up.
 func (n *Network) Reachable(e Endpoint) bool {
-	_, ok := n.regions[e]
-	return ok && !n.down[e]
+	p := n.peers[e]
+	return p != nil && p.reachable()
 }
 
+func (p *Peer) reachable() bool { return p.known && !p.down }
+
 // Region returns the endpoint's region ("" if unknown).
-func (n *Network) Region(e Endpoint) topology.RegionID { return n.regions[e] }
+func (n *Network) Region(e Endpoint) topology.RegionID {
+	if p := n.peers[e]; p != nil {
+		return p.region
+	}
+	return ""
+}
+
+func (n *Network) link(from, to topology.RegionID) linkKey {
+	return linkKey{n.fleet.RegionIndex(from), n.fleet.RegionIndex(to)}
+}
 
 // SetLinkFault installs a fault on the directed link from -> to, replacing
 // any previous fault on that link. A zero LinkFault clears it.
@@ -207,35 +249,42 @@ func (n *Network) SetLinkFault(from, to topology.RegionID, f LinkFault) {
 	if n.faults == nil {
 		n.faults = make(map[linkKey]LinkFault)
 	}
-	n.faults[linkKey{from, to}] = f
+	n.faults[n.link(from, to)] = f
 }
 
 // ClearLinkFault removes any fault on the directed link from -> to.
 func (n *Network) ClearLinkFault(from, to topology.RegionID) {
-	delete(n.faults, linkKey{from, to})
+	delete(n.faults, n.link(from, to))
 }
 
 // LinkFaultOn returns the fault installed on the directed link (zero value
 // when healthy).
 func (n *Network) LinkFaultOn(from, to topology.RegionID) LinkFault {
-	return n.faults[linkKey{from, to}]
+	return n.faults[n.link(from, to)]
 }
 
 // Partitioned reports whether the directed link from -> to currently drops
 // all traffic.
 func (n *Network) Partitioned(from, to topology.RegionID) bool {
-	return n.faults[linkKey{from, to}].partitioned()
+	return n.LinkFaultOn(from, to).partitioned()
 }
 
 // Delay returns one sampled one-way latency between two regions, including
 // any injected latency inflation on the link.
 func (n *Network) Delay(from, to topology.RegionID) time.Duration {
-	base := n.fleet.Latency(from, to)
-	if f, ok := n.faults[linkKey{from, to}]; ok {
-		if f.LatencyScale > 0 {
-			base = time.Duration(float64(base) * f.LatencyScale)
+	return n.delayAt(n.fleet.RegionIndex(from), n.fleet.RegionIndex(to))
+}
+
+// delayAt is Delay between the regions numbered from and to.
+func (n *Network) delayAt(from, to int) time.Duration {
+	base := n.fleet.LatencyAt(from, to)
+	if len(n.faults) != 0 {
+		if f, ok := n.faults[linkKey{from, to}]; ok {
+			if f.LatencyScale > 0 {
+				base = time.Duration(float64(base) * f.LatencyScale)
+			}
+			base += f.LatencyAdd
 		}
-		base += f.LatencyAdd
 	}
 	if n.Jitter <= 0 {
 		return base
@@ -263,10 +312,14 @@ func (n *Network) trackInflight(delta int) {
 // InFlight returns the number of messages scheduled but not yet delivered.
 func (n *Network) InFlight() int { return n.inflight }
 
-// lost decides whether a message on from -> to is lost to an injected
-// link fault. It consumes randomness only on lossy (0 < p < 1) links so that
-// installing and removing faults perturbs the RNG stream minimally.
-func (n *Network) lost(from, to topology.RegionID) bool {
+// lost decides whether a message on the link from -> to (region numbers) is
+// lost to an injected link fault. It consumes randomness only on lossy
+// (0 < p < 1) links so that installing and removing faults perturbs the RNG
+// stream minimally.
+func (n *Network) lost(from, to int) bool {
+	if len(n.faults) == 0 {
+		return false
+	}
 	f, ok := n.faults[linkKey{from, to}]
 	if !ok || f.DropProb <= 0 {
 		return false
@@ -296,30 +349,36 @@ func (n *Network) Send(fromRegion topology.RegionID, to Endpoint, fn func(), onF
 }
 
 // SendArg is Send with arg-carrying callbacks: fn(arg) on delivery,
-// onFail(failArg) on loss. Static callbacks plus pooled envelopes keep the
-// per-message path free of closure allocations; either callback may be nil.
-// Every message ends in exactly one of the two callbacks, run exactly once
-// (a nil one is skipped, never replaced by the other): callers that recycle
-// arg when a callback runs — routing's request record, Call's callState —
-// depend on it.
+// onFail(failArg) on loss. It resolves the two names and calls SendTo.
 func (n *Network) SendArg(fromRegion topology.RegionID, to Endpoint, fn func(any), arg any, onFail func(any), failArg any) {
-	toRegion, known := n.regions[to]
+	n.SendTo(n.fleet.RegionIndex(fromRegion), n.Peer(to), fn, arg, onFail, failArg)
+}
+
+// SendTo sends from the region numbered from (topology.Fleet.RegionIndex) to a
+// resolved peer. Static callbacks plus pooled envelopes keep the per-message
+// path free of closure allocations, and nothing on it looks a name up; either
+// callback may be nil. Every message ends in exactly one of the two
+// callbacks, run exactly once (a nil one is skipped, never replaced by the
+// other): callers that recycle arg when a callback runs — routing's request
+// record, Call's callState — depend on it. A peer that was never registered
+// has no region: the message takes a same-region delay and fails at delivery.
+func (n *Network) SendTo(from int, to *Peer, fn func(any), arg any, onFail func(any), failArg any) {
 	var d time.Duration
-	if known {
-		d = n.Delay(fromRegion, toRegion)
+	if to.known {
+		d = n.delayAt(from, to.ri)
 	} else {
-		d = n.Delay(fromRegion, fromRegion)
+		d = n.delayAt(from, from)
 	}
 	tr := n.loop.Tracer()
 	var sp trace.SpanID
 	if tr.Enabled() {
 		sp = tr.StartSpan("rpcnet", "send", 0,
-			trace.String("from", string(fromRegion)),
-			trace.String("to", string(to)))
+			trace.String("from", string(n.fleet.RegionName(from))),
+			trace.String("to", string(to.name)))
 		tr.Event("rpcnet", "tx", sp)
 	}
 	timeout := n.sendTimeout()
-	if known && n.lost(fromRegion, toRegion) {
+	if to.known && n.lost(from, to.ri) {
 		n.Dropped++
 		e := n.allocEnv()
 		e.to, e.sp, e.status = to, sp, "dropped"
@@ -342,7 +401,7 @@ func envDeliver(a any) {
 	n := e.n
 	n.Messages++
 	n.trackInflight(-1)
-	if !n.Reachable(e.to) {
+	if !e.to.reachable() {
 		// Failure detection is by timeout from the send instant; if
 		// the (possibly inflated) delivery delay already exceeds the
 		// timeout the sender has been waiting long enough.
@@ -373,7 +432,7 @@ func envTimeout(a any) {
 	n := e.n
 	tr := n.loop.Tracer()
 	if tr.Enabled() {
-		tr.Event("rpcnet", "timeout", e.sp, trace.String("to", string(e.to)))
+		tr.Event("rpcnet", "timeout", e.sp, trace.String("to", string(e.to.name)))
 		tr.EndSpan(e.sp, trace.String("status", e.status))
 	}
 	onFail, failArg := e.onFail, e.failArg
@@ -385,10 +444,16 @@ func envTimeout(a any) {
 
 // ReplyArg schedules fn(arg) after the one-way latency from region from to
 // region to — the response leg of an RPC, where the receiver is not a
-// registered endpoint. It honors injected link faults: a lost reply invokes
-// onFail(failArg) at send time + SendTimeout. Like SendArg it runs exactly
-// one of its two callbacks, exactly once.
+// registered endpoint. It resolves the two names and calls ReplyAt.
 func (n *Network) ReplyArg(from, to topology.RegionID, fn func(any), arg any, onFail func(any), failArg any) {
+	n.ReplyAt(n.fleet.RegionIndex(from), n.fleet.RegionIndex(to), fn, arg, onFail, failArg)
+}
+
+// ReplyAt is the reply leg between the regions numbered from and to. It
+// honors injected link faults: a lost reply invokes onFail(failArg) at send
+// time + SendTimeout. Like SendTo it runs exactly one of its two callbacks,
+// exactly once.
+func (n *Network) ReplyAt(from, to int, fn func(any), arg any, onFail func(any), failArg any) {
 	if n.lost(from, to) {
 		n.Dropped++
 		if onFail != nil {
@@ -401,7 +466,7 @@ func (n *Network) ReplyArg(from, to topology.RegionID, fn func(any), arg any, on
 	n.trackInflight(1)
 	e := n.allocEnv()
 	e.fn, e.arg = fn, arg
-	n.loop.PostArgL(n.Delay(from, to), lbReply, envReply, e)
+	n.loop.PostArgL(n.delayAt(from, to), lbReply, envReply, e)
 }
 
 // envReply runs at the delivery instant of a reply leg.
@@ -431,7 +496,7 @@ func envInvoke(a any) {
 // destination is reachable.
 func (n *Network) Call(fromRegion topology.RegionID, to Endpoint, handle func(), done func(rtt time.Duration), fail func()) {
 	c := n.allocCall()
-	c.from, c.to, c.start = fromRegion, to, n.loop.Now()
+	c.from, c.to, c.start = n.fleet.RegionIndex(fromRegion), n.Peer(to), n.loop.Now()
 	c.handle, c.done, c.fail = handle, done, fail
 	tr := n.loop.Tracer()
 	if tr.Enabled() {
@@ -439,7 +504,7 @@ func (n *Network) Call(fromRegion topology.RegionID, to Endpoint, handle func(),
 			trace.String("from", string(fromRegion)),
 			trace.String("to", string(to)))
 	}
-	n.SendArg(fromRegion, to, callDelivered, c, callSendFailed, c)
+	n.SendTo(c.from, c.to, callDelivered, c, callSendFailed, c)
 }
 
 // callDelivered runs the handler at the destination, then launches the
@@ -450,7 +515,7 @@ func callDelivered(a any) {
 		c.handle()
 	}
 	n := c.n
-	n.ReplyArg(n.regions[c.to], c.from, callReplied, c, callReplyLost, c)
+	n.ReplyAt(c.to.ri, c.from, callReplied, c, callReplyLost, c)
 }
 
 func callDone(c *callState, status string, ok bool) {

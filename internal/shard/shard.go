@@ -209,6 +209,13 @@ func (r Range) Contains(key string) bool {
 type Keyspace struct {
 	shards []ID
 	starts []string // starts[i] is the inclusive start key of shards[i]
+	// prefix[i] packs the first 8 bytes of starts[i], big-endian and
+	// zero-padded, so that Locate compares machine words side by side
+	// instead of chasing 3,000 string headers across the heap. Packed order
+	// agrees with string order wherever the packed values differ; on a tie
+	// (keys equal in their first 8 bytes, or differing only in trailing
+	// zero bytes) the strings decide.
+	prefix []uint64
 }
 
 // NewKeyspace builds a keyspace from ordered (shard, startKey) boundaries.
@@ -229,8 +236,29 @@ func NewKeyspace(shards []ID, starts []string) (*Keyspace, error) {
 	ks := &Keyspace{
 		shards: append([]ID(nil), shards...),
 		starts: append([]string(nil), starts...),
+		prefix: make([]uint64, len(starts)),
+	}
+	for i, s := range starts {
+		ks.prefix[i] = packPrefix(s)
 	}
 	return ks, nil
+}
+
+// packPrefix returns the first 8 bytes of s as a big-endian integer, padded
+// with zero bytes when s is shorter.
+func packPrefix(s string) uint64 {
+	if len(s) >= 8 { // one load and a byte swap
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+	}
+	var p uint64
+	for i := 0; i < 8; i++ {
+		p <<= 8
+		if i < len(s) {
+			p |= uint64(s[i])
+		}
+	}
+	return p
 }
 
 // UniformKeyspace builds n equal hash-style shards named "<prefix>NNNN".
@@ -248,15 +276,33 @@ func UniformKeyspace(prefix string, n int) *Keyspace {
 	return &Keyspace{shards: shards} // nil starts => hash mode
 }
 
-// ShardFor returns the shard owning key.
-func (k *Keyspace) ShardFor(key string) ID {
+// Locate returns the position, in Shards order, of the shard owning key. A
+// position is a stable handle: a keyspace never changes, so whoever needs
+// something per shard can keep it in a slice indexed by position and never
+// look the shard's name up again.
+func (k *Keyspace) Locate(key string) int {
 	if k.starts == nil {
-		return k.shards[int(fnv1a(key)%uint64(len(k.shards)))]
+		return int(fnv1a(key) % uint64(len(k.shards)))
 	}
 	// Binary search for the last start <= key.
-	idx := sort.Search(len(k.starts), func(i int) bool { return k.starts[i] > key })
-	return k.shards[idx-1] // idx >= 1 because starts[0] == ""
+	p := packPrefix(key)
+	lo, hi := 0, len(k.starts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q := k.prefix[mid]; q > p || (q == p && k.starts[mid] > key) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo - 1 // lo >= 1 because starts[0] == ""
 }
+
+// At returns the shard at position pos.
+func (k *Keyspace) At(pos int) ID { return k.shards[pos] }
+
+// ShardFor returns the shard owning key.
+func (k *Keyspace) ShardFor(key string) ID { return k.shards[k.Locate(key)] }
 
 // Shards returns the shard IDs in order.
 func (k *Keyspace) Shards() []ID {

@@ -103,20 +103,28 @@ func (m *Machine) Domain(level FaultDomainLevel) string {
 	}
 }
 
-// Fleet is an immutable snapshot of the machines in scope plus the WAN
-// latency model.
+// Fleet is the set of machines in scope plus the WAN latency model.
 type Fleet struct {
 	machines map[MachineID]*Machine
 	order    []MachineID
-	regions  []RegionID
-	latency  map[RegionID]map[RegionID]time.Duration
+	regions  []RegionID // regions that hold a machine, in first-seen order
+
+	// names numbers every region name the fleet has been asked about —
+	// machines' regions, SetLatency's, and whatever RegionIndex was handed
+	// (an unknown region still has default latencies). A number, once
+	// given, is never reused or changed.
+	names []RegionID
+	index map[RegionID]int
+	// latency is the len(names) x len(names) one-way latency matrix,
+	// row-major; unset is negative.
+	latency []time.Duration
 }
 
 // NewFleet returns an empty fleet.
 func NewFleet() *Fleet {
 	return &Fleet{
 		machines: make(map[MachineID]*Machine),
-		latency:  make(map[RegionID]map[RegionID]time.Duration),
+		index:    make(map[RegionID]int),
 	}
 }
 
@@ -140,6 +148,7 @@ func (f *Fleet) AddMachine(m *Machine) {
 	}
 	if !found {
 		f.regions = append(f.regions, m.Region)
+		f.RegionIndex(m.Region)
 	}
 }
 
@@ -190,34 +199,55 @@ func (f *Fleet) Regions() []RegionID {
 // Size returns the number of machines.
 func (f *Fleet) Size() int { return len(f.order) }
 
+// RegionIndex returns r's number in this fleet, giving it the next one if r
+// has not been named before. Resolve a region once and keep the number:
+// LatencyAt indexes the matrix with it.
+func (f *Fleet) RegionIndex(r RegionID) int {
+	if i, ok := f.index[r]; ok {
+		return i
+	}
+	n := len(f.names)
+	grown := make([]time.Duration, (n+1)*(n+1))
+	for i := range grown {
+		grown[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		copy(grown[i*(n+1):], f.latency[i*n:(i+1)*n])
+	}
+	f.latency = grown
+	f.names = append(f.names, r)
+	f.index[r] = n
+	return n
+}
+
+// RegionName returns the region numbered i.
+func (f *Fleet) RegionName(i int) RegionID { return f.names[i] }
+
 // SetLatency records the one-way network latency between two regions
 // (symmetric).
 func (f *Fleet) SetLatency(a, b RegionID, d time.Duration) {
 	if d < 0 {
 		panic("topology: negative latency")
 	}
-	set := func(x, y RegionID) {
-		m := f.latency[x]
-		if m == nil {
-			m = make(map[RegionID]time.Duration)
-			f.latency[x] = m
-		}
-		m[y] = d
-	}
-	set(a, b)
-	set(b, a)
+	i, j := f.RegionIndex(a), f.RegionIndex(b)
+	n := len(f.names)
+	f.latency[i*n+j] = d
+	f.latency[j*n+i] = d
 }
 
 // Latency returns the one-way latency between regions. Same-region latency
 // defaults to LocalLatency when unset; cross-region latency defaults to
 // DefaultWANLatency when unset.
 func (f *Fleet) Latency(a, b RegionID) time.Duration {
-	if m, ok := f.latency[a]; ok {
-		if d, ok := m[b]; ok {
-			return d
-		}
+	return f.LatencyAt(f.RegionIndex(a), f.RegionIndex(b))
+}
+
+// LatencyAt is Latency between the regions numbered i and j.
+func (f *Fleet) LatencyAt(i, j int) time.Duration {
+	if d := f.latency[i*len(f.names)+j]; d >= 0 {
+		return d
 	}
-	if a == b {
+	if i == j {
 		return LocalLatency
 	}
 	return DefaultWANLatency

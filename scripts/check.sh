@@ -11,6 +11,20 @@ if [ -n "$fmt_out" ]; then
 	echo "$fmt_out" >&2
 	exit 1
 fi
+echo "== by-name lookups off the request path"
+# From Client.Do to the reply a request resolves no name: routing holds cells,
+# shard numbers, peers and slots, and the fabric's handle forms take region
+# numbers and *Peer. A by-name call creeping back in is a hash per request.
+byname="$(grep -nE 'ShardFor\(|\.Replicas\(|\.Lookup\(|net\.Region\(|fleet\.Latency\(|\.SendArg\(|\.ReplyArg\(|\.Send\(' \
+	$(ls internal/routing/*.go | grep -v _test.go) || true)"
+fabric="$(awk '/^func \(n \*Network\) (SendTo|ReplyAt|delayAt|lost)\(|^func env(Deliver|Timeout|Reply)\(/ {body=1}
+	body && /fleet\.Latency\(|RegionIndex\(|n\.Peer\(|\.peers\[/ {print FILENAME ":" FNR ": " $0}
+	/^}/ {body=0}' internal/rpcnet/rpcnet.go)"
+if [ -n "$byname$fabric" ]; then
+	echo "by-name lookup on the request path:" >&2
+	echo "$byname$fabric" >&2
+	exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
