@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"shardmanager/internal/allocator"
 	"shardmanager/internal/appserver"
 	"shardmanager/internal/discovery"
 	"shardmanager/internal/experiments"
@@ -98,7 +99,9 @@ func TestOneEntryPointPerMechanism(t *testing.T) {
 // TestNoSyntheticBenchKnobs pins what went with the three synthetic benches:
 // the knobs only they set and the experiments that were their drivers. `go
 // run ./bench` on real deployments is the one yardstick; a layer is driven on
-// its own by its package benchmark. (Names assembled from stems, as above.)
+// its own by its package benchmark. Beside them: the two options that had one
+// value in use, and the hand-over of a domain table between per-stage copies
+// of one problem. (Names assembled from stems, as above.)
 func TestNoSyntheticBenchKnobs(t *testing.T) {
 	disc := reflect.TypeOf((*discovery.Service)(nil))
 	if _, ok := disc.MethodByName("Set" + "Fanout" + "Batch"); ok {
@@ -107,6 +110,17 @@ func TestNoSyntheticBenchKnobs(t *testing.T) {
 	opts := reflect.TypeOf(solver.Options{})
 	if _, ok := opts.FieldByName("Para" + "llel"); ok {
 		t.Errorf("%v has a worker-count field: the solver, like the rest of the simulator, is single-threaded", opts)
+	}
+	if _, ok := opts.FieldByName("BigFirst" + "Metric"); ok {
+		t.Errorf("%v names the big-first metric: it is metric 0, the caller's primary metric", opts)
+	}
+	pol := reflect.TypeOf(allocator.Policy{})
+	if _, ok := pol.FieldByName("Solve" + "Time"); ok {
+		t.Errorf("%v has a wall-clock solve limit: an allocation is a function of its input", pol)
+	}
+	prob := reflect.TypeOf((*solver.Problem)(nil))
+	if _, ok := prob.MethodByName("Adopt" + "DomainTable"); ok {
+		t.Errorf("%v adopts another problem's domain table: the allocator's goal stages share one problem", prob)
 	}
 
 	var fields []string

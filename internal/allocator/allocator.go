@@ -112,8 +112,6 @@ type Policy struct {
 	PerShardMoveCap int
 	// MaxTotalMoves bounds total moves per run; 0 means unlimited.
 	MaxTotalMoves int
-	// SolveTime bounds solver wall-clock time per batch; 0 = unlimited.
-	SolveTime time.Duration
 
 	// Optimization toggles (all default true via DefaultPolicy; the
 	// ablation benches turn them off individually).
@@ -322,45 +320,46 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 		}
 	}
 
-	// Goal batches, highest priority first (§5.3: "groups placement
-	// goals of similar priorities into batches"). Each batch adds its
-	// goals on top of the previous ones so later batches cannot undo
-	// earlier fixes for free.
-	type batch func(*solver.Problem)
-	critical := func(pr *solver.Problem) {
+	// Goal stages, highest priority first (§5.3: "groups placement goals of
+	// similar priorities into batches"). Each stage adds its goals to the
+	// problem on top of the earlier stages', so a later stage cannot undo an
+	// earlier fix for free; Solve builds its state from the problem as it
+	// then stands and leaves the assignment it reached in prob.Entities for
+	// the next stage.
+	critical := func() {
 		for _, m := range metricNames {
-			pr.AddConstraint(solver.CapacitySpec{Metric: m})
+			prob.AddConstraint(solver.CapacitySpec{Metric: m})
 		}
 		if len(conflictGroups) > 0 {
-			pr.AddConflict(solver.ExclusionSpec{
+			prob.AddConflict(solver.ExclusionSpec{
 				Scope:  solver.ScopeBucket,
 				Groups: conflictGroups,
 			})
 		}
 		if p.DrainWeight > 0 {
-			pr.AddDrainGoal(p.DrainWeight)
+			prob.AddDrainGoal(p.DrainWeight)
 		}
 	}
-	placementGoals := func(pr *solver.Problem) {
+	placementGoals := func() {
 		if p.SpreadWeight > 0 && len(exclGroups) > 0 {
-			pr.AddExclusionGoal(solver.ExclusionSpec{
+			prob.AddExclusionGoal(solver.ExclusionSpec{
 				Scope:  p.SpreadLevel.String(),
 				Groups: exclGroups,
 				Weight: p.SpreadWeight,
 			})
 		}
 		for _, g := range affinities {
-			pr.AddAffinityGoal(g)
+			prob.AddAffinityGoal(g)
 		}
 	}
-	balanceGoals := func(pr *solver.Problem) {
+	balanceGoals := func() {
 		for _, m := range p.Metrics {
 			w := 1.0
 			if p.BalanceWeight != nil && p.BalanceWeight[m] > 0 {
 				w = p.BalanceWeight[m]
 			}
 			if p.UtilCap > 0 || p.MaxDiff > 0 {
-				pr.AddBalanceGoal(solver.BalanceSpec{
+				prob.AddBalanceGoal(solver.BalanceSpec{
 					Metric:  string(m),
 					UtilCap: p.UtilCap,
 					MaxDiff: p.MaxDiff,
@@ -370,19 +369,15 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 		}
 	}
 
-	var batches [][]batch
+	var stages [][]func()
 	switch {
 	case mode == Emergency:
-		// Emergency: hard constraints + spread only, one fast batch.
-		batches = [][]batch{{critical, placementGoals}}
+		// Emergency: hard constraints + spread only, one fast stage.
+		stages = [][]func(){{critical, placementGoals}}
 	case p.GoalBatching:
-		batches = [][]batch{
-			{critical},
-			{critical, placementGoals},
-			{critical, placementGoals, balanceGoals},
-		}
+		stages = [][]func(){{critical}, {placementGoals}, {balanceGoals}}
 	default:
-		batches = [][]batch{{critical, placementGoals, balanceGoals}}
+		stages = [][]func(){{critical, placementGoals, balanceGoals}}
 	}
 
 	res := &Result{}
@@ -391,35 +386,24 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	opt.BigFirst = p.BigFirst
 	opt.UseEquivalence = p.UseEquivalence
 	opt.EnableSwap = p.EnableSwap
-	if p.SolveTime > 0 {
-		opt.TimeLimit = p.SolveTime / time.Duration(len(batches))
-	}
 	start := time.Now()
-	for bi, goals := range batches {
-		// Rebuild specs on a fresh copy of the problem structure:
-		// specs accumulate per batch but entity/bucket state carries
-		// over via prob (Solve updates Entities' Bucket in place).
-		pr := rebuildProblem(prob, metricNames)
-		for _, g := range goals {
-			g(pr)
+	for si, goals := range stages {
+		for _, add := range goals {
+			add()
 		}
+		// A sampler keeps a rotation; every stage starts a fresh one.
 		if p.GroupedSampling {
-			opt.Sampler = solver.GroupedSampler(pr, 0)
+			opt.Sampler = solver.GroupedSampler(prob, 0)
 		} else {
-			opt.Sampler = solver.RandomSampler(pr)
+			opt.Sampler = solver.RandomSampler(prob)
 		}
-		sres := solver.Solve(pr, opt)
-		if bi == 0 {
+		sres := solver.Solve(prob, opt)
+		if si == 0 {
 			res.Initial = sres.Initial
 		}
 		res.Final = sres.Final
 		res.Solves++
 		res.Evaluated += sres.Evaluated
-		// Copy the batch's final assignment back into prob for the
-		// next batch.
-		for i := range prob.Entities {
-			prob.Entities[i].Bucket = pr.Entities[i].Bucket
-		}
 	}
 	res.Elapsed = time.Since(start)
 
@@ -442,24 +426,6 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	res.Assignment, res.Moves, res.Deferred = a.capDiff(in, proposed)
 	sortMoves(res.Moves)
 	return res
-}
-
-// rebuildProblem clones buckets and entities (with current assignments)
-// into a new Problem without any specs, so each goal batch starts clean.
-// The interned domain table is shared with the source problem: the bucket
-// set is identical across batches, so re-interning every scope's domain
-// strings per batch would be pure waste.
-func rebuildProblem(src *solver.Problem, metrics []string) *solver.Problem {
-	pr := solver.NewProblem(metrics)
-	for _, b := range src.Buckets {
-		pr.AddBucket(b)
-	}
-	pr.Entities = make([]solver.Entity, 0, len(src.Entities))
-	for _, e := range src.Entities {
-		pr.AddEntity(e)
-	}
-	pr.AdoptDomainTable(src.DomainTable())
-	return pr
 }
 
 // capDiff compares the proposed placement against the current one and

@@ -42,83 +42,91 @@ func TestRunInvariantsRegressions(t *testing.T) {
 	}
 }
 
-// checkRunInvariants builds a random allocator input from seed, runs it,
-// and reports whether the hard invariants hold (logging any violation).
+// propertyWorld builds the random allocator input, policy and mode that seed
+// names: 4–11 servers over three regions (some dead, some draining), 5–34
+// shards with random partial placements, random churn caps.
+func propertyWorld(seed uint64) (Input, Policy, Mode) {
+	rng := sim.NewRNG(seed)
+	nServers := 4 + rng.Intn(8)
+	nShards := 5 + rng.Intn(30)
+	replicas := 1 + rng.Intn(3)
+	if replicas > nServers {
+		replicas = nServers
+	}
+
+	servers := make([]ServerInfo, nServers)
+	for i := range servers {
+		servers[i] = ServerInfo{
+			ID: shard.ServerID(fmt.Sprintf("srv%02d", i)),
+			Domains: map[string]string{
+				"region": fmt.Sprintf("r%d", i%3),
+				"rack":   fmt.Sprintf("rk%d", i%4),
+			},
+			Capacity: topology.Capacity{
+				topology.ResourceCPU:        100,
+				topology.ResourceShardCount: 1000,
+			},
+			Alive:    rng.Intn(6) != 0, // ~17% dead
+			Draining: rng.Intn(8) == 0,
+		}
+	}
+	anyAlive := false
+	for _, s := range servers {
+		if s.Alive {
+			anyAlive = true
+		}
+	}
+	if !anyAlive {
+		servers[0].Alive = true
+	}
+
+	shards := make([]ShardSpec, nShards)
+	current := map[shard.ID][]shard.ServerID{}
+	for i := range shards {
+		id := shard.ID(fmt.Sprintf("s%03d", i))
+		shards[i] = ShardSpec{
+			ID:       id,
+			Replicas: replicas,
+			Load: topology.Capacity{
+				topology.ResourceCPU:        0.5 + 2*rng.Float64(),
+				topology.ResourceShardCount: 1,
+			},
+		}
+		// Random (possibly partial, possibly dead) current
+		// placement with distinct servers.
+		n := rng.Intn(replicas + 1)
+		perm := rng.Perm(nServers)
+		var cur []shard.ServerID
+		for j := 0; j < n; j++ {
+			cur = append(cur, servers[perm[j]].ID)
+		}
+		current[id] = cur
+	}
+
+	pol := DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
+	pol.PerShardMoveCap = 1 + rng.Intn(2)
+	pol.MaxTotalMoves = 1 + rng.Intn(20)
+
+	mode := Periodic
+	if rng.Intn(2) == 0 {
+		mode = Emergency
+	}
+	return Input{Servers: servers, Shards: shards, Current: current}, pol, mode
+}
+
+// checkRunInvariants runs the allocator on propertyWorld(seed) and reports
+// whether the hard invariants hold (logging any violation).
 func checkRunInvariants(t *testing.T, seed uint64) bool {
 	{
-		rng := sim.NewRNG(seed)
-		nServers := 4 + rng.Intn(8)
-		nShards := 5 + rng.Intn(30)
-		replicas := 1 + rng.Intn(3)
-		if replicas > nServers {
-			replicas = nServers
-		}
-
-		servers := make([]ServerInfo, nServers)
-		for i := range servers {
-			servers[i] = ServerInfo{
-				ID: shard.ServerID(fmt.Sprintf("srv%02d", i)),
-				Domains: map[string]string{
-					"region": fmt.Sprintf("r%d", i%3),
-					"rack":   fmt.Sprintf("rk%d", i%4),
-				},
-				Capacity: topology.Capacity{
-					topology.ResourceCPU:        100,
-					topology.ResourceShardCount: 1000,
-				},
-				Alive:    rng.Intn(6) != 0, // ~17% dead
-				Draining: rng.Intn(8) == 0,
-			}
-		}
-		anyAlive := false
-		for _, s := range servers {
-			if s.Alive {
-				anyAlive = true
-			}
-		}
-		if !anyAlive {
-			servers[0].Alive = true
-		}
+		in, pol, mode := propertyWorld(seed)
+		current := in.Current
 		liveSet := map[shard.ServerID]bool{}
-		for _, s := range servers {
+		for _, s := range in.Servers {
 			if s.Alive {
 				liveSet[s.ID] = true
 			}
 		}
-
-		shards := make([]ShardSpec, nShards)
-		current := map[shard.ID][]shard.ServerID{}
-		for i := range shards {
-			id := shard.ID(fmt.Sprintf("s%03d", i))
-			shards[i] = ShardSpec{
-				ID:       id,
-				Replicas: replicas,
-				Load: topology.Capacity{
-					topology.ResourceCPU:        0.5 + 2*rng.Float64(),
-					topology.ResourceShardCount: 1,
-				},
-			}
-			// Random (possibly partial, possibly dead) current
-			// placement with distinct servers.
-			n := rng.Intn(replicas + 1)
-			perm := rng.Perm(nServers)
-			var cur []shard.ServerID
-			for j := 0; j < n; j++ {
-				cur = append(cur, servers[perm[j]].ID)
-			}
-			current[id] = cur
-		}
-
-		pol := DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-		pol.PerShardMoveCap = 1 + rng.Intn(2)
-		pol.MaxTotalMoves = 1 + rng.Intn(20)
-		a := New(pol, seed)
-
-		mode := Periodic
-		if rng.Intn(2) == 0 {
-			mode = Emergency
-		}
-		res := a.Run(Input{Servers: servers, Shards: shards, Current: current}, mode)
+		res := New(pol, seed).Run(in, mode)
 
 		// (a) placements target live servers only.
 		for id, list := range res.Assignment {

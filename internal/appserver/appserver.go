@@ -819,9 +819,6 @@ func (s *Server) Serve(req *Request, reply func(Response)) {
 // service).
 func (s *Server) SetServeDelay(d time.Duration) { s.serveDelay = d }
 
-// ServeDelay returns the current gray-failure stall.
-func (s *Server) ServeDelay() time.Duration { return s.serveDelay }
-
 func (s *Server) serve(req *Request, reply func(Response)) {
 	r := s.replicas[req.ShardNum]
 	if r == nil {

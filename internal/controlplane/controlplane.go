@@ -1,24 +1,20 @@
-// Package controlplane implements SM's scale-out global control plane
-// (§6.1): a single mini-SM cannot manage millions of servers and billions
-// of shards, so applications are divided into partitions, partitions are
-// assigned to mini-SMs, and a thin set of global components — frontend,
-// application registry, application manager, partition registry, shard
-// scaler, read service — tie the pool together.
+// Package controlplane implements the accounting half of SM's scale-out
+// global control plane (§6.1): a single mini-SM cannot manage millions of
+// servers and billions of shards, so the application manager divides each
+// registered application into partitions, the partition registry packs the
+// partitions onto a pool of mini-SMs, and the read service summarizes the
+// pool.
 //
-//	Frontend -> ApplicationRegistry -> ApplicationManager -> partitions
-//	         -> PartitionRegistry  -> mini-SMs
+//	ApplicationRegistry -> ApplicationManager -> partitions
+//	                    -> PartitionRegistry  -> mini-SMs -> ReadService
 //
-// The package is deliberately structural: a Partition is an accounting unit
-// (server/shard counts, regions) that may optionally carry a live
-// orchestrator. The Fig 15/16 experiments partition the synthetic fleet of
-// package workload through this code; the integration tests attach real
-// orchestrators to partitions.
+// A Partition is an accounting unit (server/shard counts, regions). The
+// Fig 16 experiment partitions the synthetic fleet of package workload
+// through this code.
 package controlplane
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"shardmanager/internal/shard"
 	"shardmanager/internal/topology"
@@ -76,9 +72,6 @@ type Partition struct {
 	Servers int
 	Shards  int
 	Regions []topology.RegionID
-	// Orchestrator optionally carries the live mini-SM state for this
-	// partition (nil in accounting-only uses).
-	Orchestrator any
 }
 
 // MiniSM is one control-plane instance managing some partitions.
@@ -131,14 +124,9 @@ func DefaultLimits() Limits {
 type ControlPlane struct {
 	limits Limits
 
-	apps       map[shard.AppID]*AppSpec
-	partitions map[PartitionID]*Partition
-	// appPartitions preserves creation order per app.
-	appPartitions map[shard.AppID][]PartitionID
-	assignment    map[PartitionID]MiniSMID
-	miniSMs       map[MiniSMID]*MiniSM
-	order         []MiniSMID
-	nextMiniSM    int
+	apps map[shard.AppID]bool
+	// miniSMs is the pool in creation order.
+	miniSMs []*MiniSM
 }
 
 // New creates an empty control plane.
@@ -147,14 +135,7 @@ func New(limits Limits) *ControlPlane {
 		limits.PartitionMaxShards <= 0 || limits.MiniSMMaxShards <= 0 {
 		panic("controlplane: non-positive limits")
 	}
-	return &ControlPlane{
-		limits:        limits,
-		apps:          make(map[shard.AppID]*AppSpec),
-		partitions:    make(map[PartitionID]*Partition),
-		appPartitions: make(map[shard.AppID][]PartitionID),
-		assignment:    make(map[PartitionID]MiniSMID),
-		miniSMs:       make(map[MiniSMID]*MiniSM),
-	}
+	return &ControlPlane{limits: limits, apps: make(map[shard.AppID]bool)}
 }
 
 // RegisterApp admits an application: the application manager divides it
@@ -165,16 +146,13 @@ func (cp *ControlPlane) RegisterApp(spec AppSpec) ([]*Partition, error) {
 	if spec.App == "" || spec.Servers <= 0 || spec.Shards < 0 || len(spec.Regions) == 0 {
 		return nil, fmt.Errorf("controlplane: invalid spec %+v", spec)
 	}
-	if _, dup := cp.apps[spec.App]; dup {
+	if cp.apps[spec.App] {
 		return nil, fmt.Errorf("controlplane: app %q already registered", spec.App)
 	}
-	s := spec
-	cp.apps[spec.App] = &s
+	cp.apps[spec.App] = true
 
-	parts := cp.split(&s)
+	parts := cp.split(spec)
 	for _, p := range parts {
-		cp.partitions[p.ID] = p
-		cp.appPartitions[spec.App] = append(cp.appPartitions[spec.App], p.ID)
 		cp.assign(p, spec.Kind())
 	}
 	return parts, nil
@@ -183,7 +161,7 @@ func (cp *ControlPlane) RegisterApp(spec AppSpec) ([]*Partition, error) {
 // split divides an application into partitions under the partition limits.
 // An application manager "usually maps an application to one partition, but
 // may divide a large application into multiple partitions".
-func (cp *ControlPlane) split(spec *AppSpec) []*Partition {
+func (cp *ControlPlane) split(spec AppSpec) []*Partition {
 	nByServers := (spec.Servers + cp.limits.PartitionMaxServers - 1) / cp.limits.PartitionMaxServers
 	nByShards := 1
 	if spec.Shards > 0 {
@@ -220,8 +198,7 @@ func chunk(total, n, i int) int {
 // still fits it, creating a new mini-SM when none fits.
 func (cp *ControlPlane) assign(p *Partition, kind Kind) {
 	var best *MiniSM
-	for _, id := range cp.order {
-		m := cp.miniSMs[id]
+	for _, m := range cp.miniSMs {
 		if m.Kind != kind {
 			continue
 		}
@@ -234,65 +211,18 @@ func (cp *ControlPlane) assign(p *Partition, kind Kind) {
 		}
 	}
 	if best == nil {
-		cp.nextMiniSM++
 		best = &MiniSM{
-			ID:   MiniSMID(fmt.Sprintf("minism-%03d", cp.nextMiniSM)),
+			ID:   MiniSMID(fmt.Sprintf("minism-%03d", len(cp.miniSMs)+1)),
 			Kind: kind,
 		}
-		cp.miniSMs[best.ID] = best
-		cp.order = append(cp.order, best.ID)
+		cp.miniSMs = append(cp.miniSMs, best)
 	}
 	best.Partitions = append(best.Partitions, p)
-	cp.assignment[p.ID] = best.ID
 }
 
 // MiniSMs returns the pool in creation order.
 func (cp *ControlPlane) MiniSMs() []*MiniSM {
-	out := make([]*MiniSM, 0, len(cp.order))
-	for _, id := range cp.order {
-		out = append(out, cp.miniSMs[id])
-	}
-	return out
-}
-
-// Partitions returns an app's partitions in creation order.
-func (cp *ControlPlane) Partitions(app shard.AppID) []*Partition {
-	var out []*Partition
-	for _, id := range cp.appPartitions[app] {
-		out = append(out, cp.partitions[id])
-	}
-	return out
-}
-
-// MiniSMFor returns the mini-SM managing a partition.
-func (cp *ControlPlane) MiniSMFor(p PartitionID) (*MiniSM, error) {
-	id, ok := cp.assignment[p]
-	if !ok {
-		return nil, fmt.Errorf("controlplane: unknown partition %q", p)
-	}
-	return cp.miniSMs[id], nil
-}
-
-// Frontend is the stateless global entry point (§6.1): it answers lookup
-// queries by delegating to the registries.
-type Frontend struct {
-	cp *ControlPlane
-}
-
-// NewFrontend wraps a control plane.
-func NewFrontend(cp *ControlPlane) *Frontend { return &Frontend{cp: cp} }
-
-// Route returns the mini-SM responsible for an app's partition index.
-func (f *Frontend) Route(app shard.AppID, partition int) (MiniSMID, error) {
-	parts := f.cp.Partitions(app)
-	if partition < 0 || partition >= len(parts) {
-		return "", fmt.Errorf("controlplane: app %q has no partition %d", app, partition)
-	}
-	m, err := f.cp.MiniSMFor(parts[partition].ID)
-	if err != nil {
-		return "", err
-	}
-	return m.ID, nil
+	return append([]*MiniSM(nil), cp.miniSMs...)
 }
 
 // ReadService builds query indices over the control-plane metadata (§6.1:
@@ -336,91 +266,4 @@ func (rs *ReadService) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// AppsBySize returns registered apps sorted by server count, descending —
-// the Figure 15 scatter data.
-func (rs *ReadService) AppsBySize() []AppSpec {
-	out := make([]AppSpec, 0, len(rs.cp.apps))
-	for _, a := range rs.cp.apps {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Servers != out[j].Servers {
-			return out[i].Servers > out[j].Servers
-		}
-		return out[i].App < out[j].App
-	})
-	return out
-}
-
-// --- shard scaler ---
-
-// ScalerTarget is the minimal orchestrator surface the shard scaler needs.
-type ScalerTarget interface {
-	ShardIDs() []shard.ID
-	ShardLoadValue(s shard.ID, r topology.Resource) float64
-	TotalReplicas(s shard.ID) int
-	SetReplicas(s shard.ID, n int)
-}
-
-// ScalerPolicy configures the shard scaler (§6.1: "the shard scaler
-// increases or decreases a shard's replica count in response to its load
-// changes").
-type ScalerPolicy struct {
-	Metric topology.Resource
-	// ScaleUpAt / ScaleDownAt are per-replica load thresholds.
-	ScaleUpAt   float64
-	ScaleDownAt float64
-	MinReplicas int
-	MaxReplicas int
-}
-
-// Validate checks the policy.
-func (p ScalerPolicy) Validate() error {
-	if p.ScaleUpAt <= p.ScaleDownAt {
-		return errors.New("controlplane: ScaleUpAt must exceed ScaleDownAt")
-	}
-	if p.MinReplicas <= 0 || p.MaxReplicas < p.MinReplicas {
-		return errors.New("controlplane: bad replica bounds")
-	}
-	return nil
-}
-
-// Scaler adjusts per-shard replica counts.
-type Scaler struct {
-	policy ScalerPolicy
-	target ScalerTarget
-	// ScaleUps and ScaleDowns count adjustments.
-	ScaleUps, ScaleDowns int
-}
-
-// NewScaler builds a scaler; the caller schedules Tick (e.g. on the
-// simulation loop).
-func NewScaler(target ScalerTarget, policy ScalerPolicy) (*Scaler, error) {
-	if err := policy.Validate(); err != nil {
-		return nil, err
-	}
-	return &Scaler{policy: policy, target: target}, nil
-}
-
-// Tick examines every shard and adjusts replica counts: measured
-// per-replica load above ScaleUpAt adds a replica (spreading the load over
-// one more copy); below ScaleDownAt removes one.
-func (s *Scaler) Tick() {
-	for _, id := range s.target.ShardIDs() {
-		n := s.target.TotalReplicas(id)
-		if n <= 0 {
-			continue
-		}
-		perReplica := s.target.ShardLoadValue(id, s.policy.Metric)
-		switch {
-		case perReplica > s.policy.ScaleUpAt && n < s.policy.MaxReplicas:
-			s.target.SetReplicas(id, n+1)
-			s.ScaleUps++
-		case perReplica < s.policy.ScaleDownAt && n > s.policy.MinReplicas:
-			s.target.SetReplicas(id, n-1)
-			s.ScaleDowns++
-		}
-	}
 }

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"shardmanager/internal/shard"
@@ -119,25 +120,6 @@ func TestRegisterAppErrors(t *testing.T) {
 	}
 }
 
-func TestFrontendRouting(t *testing.T) {
-	cp := New(DefaultLimits())
-	cp.RegisterApp(AppSpec{App: "a", Servers: 12000, Shards: 100, Regions: []topology.RegionID{"r1"}})
-	f := NewFrontend(cp)
-	id0, err := f.Route("a", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id0 == "" {
-		t.Fatal("empty mini-SM id")
-	}
-	if _, err := f.Route("a", 99); err == nil {
-		t.Fatal("bad partition index accepted")
-	}
-	if _, err := f.Route("ghost", 0); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-}
-
 func TestReadServiceStats(t *testing.T) {
 	cp := New(DefaultLimits())
 	cp.RegisterApp(AppSpec{App: "a", Servers: 3000, Shards: 30000, Regions: []topology.RegionID{"r1"}})
@@ -150,17 +132,6 @@ func TestReadServiceStats(t *testing.T) {
 	if st.TotalServers != 4000 || st.TotalShards != 35000 {
 		t.Fatalf("totals = %+v", st)
 	}
-	apps := rs.AppsBySize()
-	if len(apps) != 2 || apps[0].App != "a" {
-		t.Fatalf("AppsBySize = %v", apps)
-	}
-}
-
-func TestMiniSMForUnknownPartition(t *testing.T) {
-	cp := New(DefaultLimits())
-	if _, err := cp.MiniSMFor("ghost"); err == nil {
-		t.Fatal("unknown partition accepted")
-	}
 }
 
 func TestNewPanicsOnBadLimits(t *testing.T) {
@@ -170,74 +141,6 @@ func TestNewPanicsOnBadLimits(t *testing.T) {
 		}
 	}()
 	New(Limits{})
-}
-
-// fakeTarget implements ScalerTarget.
-type fakeTarget struct {
-	loads    map[shard.ID]float64
-	replicas map[shard.ID]int
-}
-
-func (f *fakeTarget) ShardIDs() []shard.ID {
-	return []shard.ID{"hot", "cold", "steady"}
-}
-func (f *fakeTarget) ShardLoadValue(s shard.ID, _ topology.Resource) float64 { return f.loads[s] }
-func (f *fakeTarget) TotalReplicas(s shard.ID) int                           { return f.replicas[s] }
-func (f *fakeTarget) SetReplicas(s shard.ID, n int)                          { f.replicas[s] = n }
-
-func TestScalerTick(t *testing.T) {
-	target := &fakeTarget{
-		loads:    map[shard.ID]float64{"hot": 95, "cold": 2, "steady": 50},
-		replicas: map[shard.ID]int{"hot": 2, "cold": 3, "steady": 2},
-	}
-	s, err := NewScaler(target, ScalerPolicy{
-		Metric: topology.ResourceCPU, ScaleUpAt: 80, ScaleDownAt: 10,
-		MinReplicas: 1, MaxReplicas: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Tick()
-	if target.replicas["hot"] != 3 {
-		t.Fatalf("hot replicas = %d, want 3", target.replicas["hot"])
-	}
-	if target.replicas["cold"] != 2 {
-		t.Fatalf("cold replicas = %d, want 2", target.replicas["cold"])
-	}
-	if target.replicas["steady"] != 2 {
-		t.Fatalf("steady replicas = %d, want unchanged", target.replicas["steady"])
-	}
-	if s.ScaleUps != 1 || s.ScaleDowns != 1 {
-		t.Fatalf("counters = %d/%d", s.ScaleUps, s.ScaleDowns)
-	}
-}
-
-func TestScalerRespectsBounds(t *testing.T) {
-	target := &fakeTarget{
-		loads:    map[shard.ID]float64{"hot": 100, "cold": 0, "steady": 50},
-		replicas: map[shard.ID]int{"hot": 5, "cold": 1, "steady": 2},
-	}
-	s, _ := NewScaler(target, ScalerPolicy{
-		Metric: topology.ResourceCPU, ScaleUpAt: 80, ScaleDownAt: 10,
-		MinReplicas: 1, MaxReplicas: 5,
-	})
-	s.Tick()
-	if target.replicas["hot"] != 5 || target.replicas["cold"] != 1 {
-		t.Fatalf("bounds violated: %+v", target.replicas)
-	}
-}
-
-func TestScalerPolicyValidation(t *testing.T) {
-	bad := []ScalerPolicy{
-		{ScaleUpAt: 1, ScaleDownAt: 2, MinReplicas: 1, MaxReplicas: 2},
-		{ScaleUpAt: 2, ScaleDownAt: 1, MinReplicas: 0, MaxReplicas: 2},
-		{ScaleUpAt: 2, ScaleDownAt: 1, MinReplicas: 3, MaxReplicas: 2},
-	}
-	for i, p := range bad {
-		if _, err := NewScaler(&fakeTarget{}, p); err == nil {
-			t.Fatalf("policy %d accepted", i)
-		}
-	}
 }
 
 func TestKindString(t *testing.T) {
@@ -277,92 +180,60 @@ func TestChunkPartitionsExactly(t *testing.T) {
 	}
 }
 
-// --- Frontend.Route partition boundaries ---
-
-func TestFrontendRoutePartitionBoundaries(t *testing.T) {
-	cp := New(Limits{
-		PartitionMaxServers: 100, PartitionMaxShards: 1000,
-		MiniSMMaxServers: 100, MiniSMMaxShards: 1000,
-	})
-	// 250 servers -> 3 partitions, each on its own mini-SM (limits allow one
-	// partition per mini-SM).
-	parts, err := cp.RegisterApp(AppSpec{App: "a", Servers: 250, Shards: 300,
-		Regions: []topology.RegionID{"r1"}})
-	if err != nil {
-		t.Fatal(err)
+// TestSplitAndPackingAtTheLimits pins what one application at each Limits
+// bound, and one past it, turns into: the partitions RegisterApp returns
+// (servers/shards each) and the mini-SMs they are packed onto. The rows were
+// recorded before the registry was trimmed to what Fig 16 executes.
+func TestSplitAndPackingAtTheLimits(t *testing.T) {
+	cases := []struct {
+		bound           string
+		servers, shards int
+		parts, pool     string
+	}{
+		{"PartitionMaxServers", 5000, 1000,
+			"5000/1000",
+			"minism-001=1x5000/1000"},
+		{"PartitionMaxServers+1", 5001, 1000,
+			"2501/500 2500/500",
+			"minism-001=2x5001/1000"},
+		{"PartitionMaxShards", 100, 500000,
+			"100/500000",
+			"minism-001=1x100/500000"},
+		{"PartitionMaxShards+1", 100, 500001,
+			"50/250001 50/250000",
+			"minism-001=2x100/500001"},
+		{"MiniSMMaxServers", 50000, 1000,
+			"5000/100 5000/100 5000/100 5000/100 5000/100 5000/100 5000/100 5000/100 5000/100 5000/100",
+			"minism-001=10x50000/1000"},
+		{"MiniSMMaxServers+1", 50001, 1000,
+			"4546/91 4546/91 4546/91 4546/91 4546/91 4546/91 4545/91 4545/91 4545/91 4545/91 4545/90",
+			"minism-001=10x45456/910 minism-002=1x4545/90"},
+		{"MiniSMMaxShards", 100, 1300000,
+			"34/433334 33/433333 33/433333",
+			"minism-001=3x100/1300000"},
+		{"MiniSMMaxShards+1", 100, 1300001,
+			"34/433334 33/433334 33/433333",
+			"minism-001=2x67/866668 minism-002=1x33/433333"},
 	}
-	if len(parts) != 3 {
-		t.Fatalf("partitions = %d, want 3", len(parts))
-	}
-	f := NewFrontend(cp)
-	if _, err := f.Route("a", -1); err == nil {
-		t.Fatal("negative partition accepted")
-	}
-	seen := map[MiniSMID]bool{}
-	for p := 0; p < 3; p++ {
-		id, err := f.Route("a", p)
+	for _, c := range cases {
+		cp := New(DefaultLimits())
+		parts, err := cp.RegisterApp(AppSpec{App: "a", Servers: c.servers, Shards: c.shards,
+			Regions: []topology.RegionID{"r1"}})
 		if err != nil {
-			t.Fatalf("partition %d: %v", p, err)
+			t.Fatalf("%s: %v", c.bound, err)
 		}
-		seen[id] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("3 partitions landed on %d mini-SMs, want 3 (limits force 1:1)", len(seen))
-	}
-	if _, err := f.Route("a", 3); err == nil {
-		t.Fatal("one-past-the-end partition accepted")
-	}
-}
-
-// --- Scaler.Tick edge cases ---
-
-// boundaryTarget reports loads exactly at the thresholds.
-type boundaryTarget struct {
-	ids      []shard.ID
-	loads    map[shard.ID]float64
-	replicas map[shard.ID]int
-	sets     int
-}
-
-func (f *boundaryTarget) ShardIDs() []shard.ID                                   { return f.ids }
-func (f *boundaryTarget) ShardLoadValue(s shard.ID, _ topology.Resource) float64 { return f.loads[s] }
-func (f *boundaryTarget) TotalReplicas(s shard.ID) int                           { return f.replicas[s] }
-func (f *boundaryTarget) SetReplicas(s shard.ID, n int) {
-	f.replicas[s] = n
-	f.sets++
-}
-
-func TestScalerTickThresholdBoundaries(t *testing.T) {
-	target := &boundaryTarget{
-		ids: []shard.ID{"at-up", "at-down", "zero-replicas"},
-		loads: map[shard.ID]float64{
-			"at-up":   80, // exactly ScaleUpAt: strict >, no action
-			"at-down": 10, // exactly ScaleDownAt: strict <, no action
-		},
-		replicas: map[shard.ID]int{"at-up": 2, "at-down": 2, "zero-replicas": 0},
-	}
-	s, err := NewScaler(target, ScalerPolicy{
-		Metric: topology.ResourceCPU, ScaleUpAt: 80, ScaleDownAt: 10,
-		MinReplicas: 1, MaxReplicas: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Tick()
-	if target.sets != 0 {
-		t.Fatalf("threshold-boundary loads triggered %d adjustments, want 0", target.sets)
-	}
-	if s.ScaleUps != 0 || s.ScaleDowns != 0 {
-		t.Fatalf("counters = %d/%d, want 0/0", s.ScaleUps, s.ScaleDowns)
-	}
-	// Repeated ticks on a shard pinned at a bound never oscillate.
-	target.loads["at-up"] = 100
-	target.replicas["at-up"] = 5 // already at MaxReplicas
-	for i := 0; i < 3; i++ {
-		s.Tick()
-	}
-	if target.replicas["at-up"] != 5 || s.ScaleUps != 0 {
-		t.Fatalf("MaxReplicas not respected across ticks: %d replicas, %d ups",
-			target.replicas["at-up"], s.ScaleUps)
+		var ps, ms []string
+		for _, p := range parts {
+			ps = append(ps, fmt.Sprintf("%d/%d", p.Servers, p.Shards))
+		}
+		for _, m := range cp.MiniSMs() {
+			ms = append(ms, fmt.Sprintf("%s=%dx%d/%d", m.ID, len(m.Partitions), m.Servers(), m.Shards()))
+		}
+		if got := strings.Join(ps, " "); got != c.parts {
+			t.Errorf("%s: partitions = %q, want %q", c.bound, got, c.parts)
+		}
+		if got := strings.Join(ms, " "); got != c.pool {
+			t.Errorf("%s: pool = %q, want %q", c.bound, got, c.pool)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"shardmanager/internal/metrics"
 	"strings"
 	"testing"
@@ -52,19 +53,20 @@ func TestDemographicTablesRender(t *testing.T) {
 
 func TestFig16PoolShape(t *testing.T) {
 	r := Fig16(DefaultDemographicsParams())
-	// Both kinds of mini-SMs exist and the regional pool is larger, as
-	// in production (139 regional vs 48 geo).
-	var regional, geo int
-	for _, row := range r.Tables[0].Rows {
-		switch row[0] {
-		case "regional mini-SMs":
-			regional = atoiOrZero(row[1])
-		case "geo-distributed mini-SMs":
-			geo = atoiOrZero(row[1])
-		}
+	// Both kinds of mini-SMs exist and the regional pool is larger, as in
+	// production (139 regional vs 48 geo). The rows are exact: the figure is
+	// the registry's split and packing of a seeded fleet, so any change to
+	// either shows here.
+	want := [][]string{
+		{"regional mini-SMs", "3"},
+		{"geo-distributed mini-SMs", "2"},
+		{"total servers managed", "71345"},
+		{"total shards managed", "5087262"},
+		{"largest mini-SM servers", "16478"},
+		{"largest mini-SM shards", "1260362"},
 	}
-	if regional == 0 || geo == 0 {
-		t.Fatalf("mini-SM pool empty: regional=%d geo=%d", regional, geo)
+	if got := r.Tables[0].Rows; !reflect.DeepEqual(got, want) {
+		t.Fatalf("mini-SM pool rows = %v, want %v", got, want)
 	}
 }
 

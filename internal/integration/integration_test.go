@@ -200,76 +200,6 @@ func TestMaintenanceDemotesPrimariesAhead(t *testing.T) {
 	}
 }
 
-// TestShardScalerGrowsHotShards wires the control-plane shard scaler to a
-// live orchestrator: shards reporting hot load gain replicas at the next
-// allocations (§6.1).
-func TestShardScalerGrowsHotShards(t *testing.T) {
-	// KV app with a load reporter we control.
-	hot := map[shard.ID]bool{"s00000": true, "s00001": true}
-	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	cfg := orchestrator.Config{
-		App:      "scaled",
-		Strategy: shard.SecondaryOnly,
-		Shards: experiments.UniformShardConfigs(20, 2, topology.Capacity{
-			topology.ResourceCPU:        1,
-			topology.ResourceShardCount: 1,
-		}),
-		Policy: pol,
-		ServerCapacity: topology.Capacity{
-			topology.ResourceCPU:        1000,
-			topology.ResourceShardCount: 100,
-		},
-		GracefulMigration: true,
-	}
-	backing := apps.NewKVBacking()
-	d := experiments.Build(experiments.DeploymentSpec{
-		Regions:          []topology.RegionID{"r1", "r2"},
-		ServersPerRegion: 4,
-		Orch:             cfg,
-		ClusterOpts:      cluster.DefaultOptions(),
-		AppFactory: func(s *appserver.Server) appserver.Application {
-			kv := apps.NewKVStore(s, backing)
-			for id := range hot {
-				kv.SetShardLoad(id, topology.Capacity{
-					topology.ResourceCPU:        95,
-					topology.ResourceShardCount: 1,
-				})
-			}
-			return kv
-		},
-		Seed: 5,
-	})
-	if err := d.Settle(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-
-	// Let a load-collection cycle land the hot readings, then tick the
-	// scaler.
-	d.Loop.RunFor(time.Minute)
-	scaler, err := newScaler(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaler.Tick()
-	d.Loop.RunFor(5 * time.Minute) // allocation adds the new replicas
-
-	m := d.Orch.AssignmentSnapshot()
-	for id := range hot {
-		if got := len(m.Replicas(id)); got != 3 {
-			t.Fatalf("hot shard %s has %d replicas, want 3", id, got)
-		}
-	}
-	if got := len(m.Replicas("s00010")); got != 2 {
-		t.Fatalf("cold shard grew to %d replicas", got)
-	}
-}
-
-// newScaler builds the control-plane shard scaler against the deployment's
-// orchestrator.
-func newScaler(d *experiments.Deployment) (interface{ Tick() }, error) {
-	return newScalerImpl(d)
-}
-
 // TestAutoscaleResizeAddsServersAndRebalances exercises the auto-scaler
 // path of §4.1: the cluster manager grows the job (negotiable start ops);
 // the orchestrator notices the new servers and rebalances shards onto them.

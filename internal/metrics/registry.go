@@ -78,11 +78,6 @@ func (h *FixedHistogram) Count() uint64 { return h.count }
 // Sum returns the sum of observed values.
 func (h *FixedHistogram) Sum() float64 { return h.sum }
 
-// Bounds returns the configured upper bounds (without the implicit +Inf).
-func (h *FixedHistogram) Bounds() []float64 {
-	return append([]float64(nil), h.bounds...)
-}
-
 // Cumulative returns the cumulative count per bound, ending with the +Inf
 // bucket (== Count()).
 func (h *FixedHistogram) Cumulative() []uint64 {

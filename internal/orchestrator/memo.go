@@ -12,11 +12,11 @@ import (
 )
 
 // solveMemo remembers the last allocation problem solved and what came of it.
-// With no solve-time limit allocator.Run is a pure function of (Input, Mode)
-// for a fixed policy and seed, and an idle control plane asks the question it
-// asked one AllocInterval ago; solve answers that from here. The problem is
-// held as an encoding rather than as the Input: a few hundred pointer-free
-// kilobytes instead of megabytes of live maps.
+// allocator.Run is a pure function of (Input, Mode) for a fixed policy and
+// seed, and an idle control plane asks the question it asked one
+// AllocInterval ago; solve answers that from here. The problem is held as an
+// encoding rather than as the Input: a few hundred pointer-free kilobytes
+// instead of megabytes of live maps.
 type solveMemo struct {
 	key   problemKey
 	res   *allocator.Result // what the allocator made of the problem key encodes; nil: nothing remembered
@@ -32,9 +32,6 @@ type solveMemo struct {
 // its Assignment map — nothing here reads it, and it is most of a Result's
 // size — and must not be modified.
 func (o *Orchestrator) solve(in allocator.Input, mode allocator.Mode) *allocator.Result {
-	if o.cfg.Policy.SolveTime > 0 {
-		return o.alloc.Run(in, mode) // cut off by the wall clock: not a function of its input
-	}
 	m := &o.memo
 	remembered := m.rekey(&in, mode) && m.res != nil
 	if !remembered {

@@ -95,21 +95,6 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	}
 }
 
-// TestNoMemoUnderASolveTimeLimit: with a wall-clock limit the solver's answer
-// is not a function of its input, so nothing is remembered.
-func TestNoMemoUnderASolveTimeLimit(t *testing.T) {
-	cfg := baseConfig(shard.PrimaryOnly, 12, 1)
-	cfg.Policy.SolveTime = time.Second
-	w := buildWorld(t, []topology.RegionID{"r1"}, 4, cfg)
-	w.orch.memo.solved = func(allocator.Input, allocator.Mode, *allocator.Result, bool) {
-		t.Fatal("solve went through the memo")
-	}
-	w.loop.RunFor(3 * time.Minute)
-	if w.orch.PeriodicRuns.Value() < 4 || w.orch.memo.res != nil {
-		t.Fatalf("%d periodic runs, memo holds %v", w.orch.PeriodicRuns.Value(), w.orch.memo.res)
-	}
-}
-
 // memoProblem is a small unsettled allocation problem — a dead server's
 // replicas to re-place, one shard a replica short, a preference unmet — so
 // that editing any one field of it changes what the allocator answers.

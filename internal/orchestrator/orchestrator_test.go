@@ -99,9 +99,7 @@ func shardConfigs(n, replicas int) []ShardConfig {
 }
 
 func basePolicy() allocator.Policy {
-	p := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	p.SolveTime = 0
-	return p
+	return allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
 }
 
 func baseConfig(strategy shard.ReplicationStrategy, shards, replicas int) Config {

@@ -309,9 +309,6 @@ func (n *Network) trackInflight(delta int) {
 	}
 }
 
-// InFlight returns the number of messages scheduled but not yet delivered.
-func (n *Network) InFlight() int { return n.inflight }
-
 // lost decides whether a message on the link from -> to (region numbers) is
 // lost to an injected link fault. It consumes randomness only on lossy
 // (0 < p < 1) links so that installing and removing faults perturbs the RNG

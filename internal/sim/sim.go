@@ -489,33 +489,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 func (r *RNG) Fork() *RNG {
 	return NewRNG(r.Uint64())
 }
-
-// ManualClock is a Clock for unit tests that component code can advance
-// directly without an event loop.
-type ManualClock struct {
-	now time.Duration
-}
-
-// NewManualClock returns a ManualClock set to start.
-func NewManualClock(start time.Duration) *ManualClock {
-	return &ManualClock{now: start}
-}
-
-// Now returns the current manual time.
-func (c *ManualClock) Now() time.Duration { return c.now }
-
-// Advance moves the clock forward by d. It panics if d is negative.
-func (c *ManualClock) Advance(d time.Duration) {
-	if d < 0 {
-		panic("sim: ManualClock.Advance negative")
-	}
-	c.now += d
-}
-
-// Set jumps the clock to t. It panics if t is before the current time.
-func (c *ManualClock) Set(t time.Duration) {
-	if t < c.now {
-		panic("sim: ManualClock.Set into the past")
-	}
-	c.now = t
-}

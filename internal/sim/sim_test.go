@@ -259,27 +259,6 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-func TestManualClock(t *testing.T) {
-	c := NewManualClock(time.Minute)
-	if c.Now() != time.Minute {
-		t.Fatalf("Now = %v", c.Now())
-	}
-	c.Advance(time.Second)
-	if c.Now() != time.Minute+time.Second {
-		t.Fatalf("Now = %v", c.Now())
-	}
-	c.Set(2 * time.Minute)
-	if c.Now() != 2*time.Minute {
-		t.Fatalf("Now = %v", c.Now())
-	}
-}
-
-func TestManualClockPanics(t *testing.T) {
-	c := NewManualClock(time.Minute)
-	mustPanic(t, func() { c.Advance(-1) })
-	mustPanic(t, func() { c.Set(0) })
-}
-
 func TestLoopPanicsOnBadArgs(t *testing.T) {
 	l := NewLoop(1)
 	mustPanic(t, func() { l.AtL(0, 0, nil) })

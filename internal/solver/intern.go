@@ -2,13 +2,12 @@ package solver
 
 import "fmt"
 
-// DomainTable interns (bucket, scope) -> domain strings into dense int IDs
+// domainTable interns (bucket, scope) -> domain strings into dense int IDs
 // so the solver's hot loop indexes flat slices instead of hashing strings.
-// Scopes are interned on demand the first time a spec references them; the
-// table can be shared across Problems with identical bucket sets (the
-// allocator reuses one table across its goal batches, see
-// Problem.AdoptDomainTable).
-type DomainTable struct {
+// Scopes are interned on demand the first time a spec references them and
+// kept with the Problem, so a problem solved again with more goals (the
+// allocator's goal stages) interns each scope once.
+type domainTable struct {
 	scopes map[string]*scopeDomains
 }
 
@@ -32,7 +31,7 @@ func (sd *scopeDomains) numDomains() int { return len(sd.names) }
 // domains returns the interned view of scope, building it on first use.
 // Buckets lacking a Props entry for the scope panic with the same message as
 // the string-keyed path did.
-func (t *DomainTable) domains(p *Problem, scope string) *scopeDomains {
+func (t *domainTable) domains(p *Problem, scope string) *scopeDomains {
 	if sd, ok := t.scopes[scope]; ok {
 		if len(sd.bucketDom) != len(p.Buckets) {
 			panic(fmt.Sprintf("solver: domain table built for %d buckets used with %d", len(sd.bucketDom), len(p.Buckets)))
@@ -60,26 +59,13 @@ func (t *DomainTable) domains(p *Problem, scope string) *scopeDomains {
 	return sd
 }
 
-// DomainTable returns the problem's interning table, creating an empty one
+// domainTable returns the problem's interning table, creating an empty one
 // on first use. Scope entries are populated lazily by newState.
-func (p *Problem) DomainTable() *DomainTable {
+func (p *Problem) domainTable() *domainTable {
 	if p.domTable == nil {
-		p.domTable = &DomainTable{scopes: make(map[string]*scopeDomains)}
+		p.domTable = &domainTable{scopes: make(map[string]*scopeDomains)}
 	}
 	return p.domTable
-}
-
-// AdoptDomainTable installs a table built by another Problem with an
-// identical bucket set (same names, props, and order). The allocator uses it
-// to intern domains once and share them across its per-batch problem
-// rebuilds. Panics if the table was populated for a different bucket count.
-func (p *Problem) AdoptDomainTable(t *DomainTable) {
-	for _, sd := range t.scopes {
-		if len(sd.bucketDom) != len(p.Buckets) {
-			panic(fmt.Sprintf("solver: adopted domain table covers %d buckets, problem has %d", len(sd.bucketDom), len(p.Buckets)))
-		}
-	}
-	p.domTable = t
 }
 
 // ekey packs a (group ID, domain ID) pair into one map key; integer keys

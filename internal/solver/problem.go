@@ -128,9 +128,9 @@ type Problem struct {
 	conflictSpecs  []ExclusionSpec
 	drainWeight    float64
 
-	// domTable interns (bucket, scope) -> domain strings; built lazily,
-	// shareable across problems with identical buckets (see intern.go).
-	domTable *DomainTable
+	// domTable interns (bucket, scope) -> domain strings; built lazily
+	// (see intern.go).
+	domTable *domainTable
 }
 
 // NewProblem creates a problem with the given load metrics.
@@ -419,7 +419,7 @@ func newState(p *Problem) *state {
 		}
 	}
 
-	table := p.DomainTable()
+	table := p.domainTable()
 
 	// Merge capacity and balance specs by (metric, scope).
 	type specKey struct {

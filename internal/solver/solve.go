@@ -133,11 +133,9 @@ type Options struct {
 	// evaluate per fix attempt (default 16).
 	MaxEntitiesPerBucket int
 	// BigFirst evaluates a hot bucket's largest entities first (§5.3:
-	// "SM guides ReBalancer to evaluate large shards earlier").
+	// "SM guides ReBalancer to evaluate large shards earlier"), largest by
+	// metric 0, the caller's primary metric.
 	BigFirst bool
-	// BigFirstMetric is the metric index used to order entities when
-	// BigFirst is set.
-	BigFirstMetric int
 	// UseEquivalence skips equivalent entities on the same bucket
 	// (§5.3: "reuses the computation for equivalent shards").
 	UseEquivalence bool
@@ -327,8 +325,8 @@ func (c *solveCtx) phase1() {
 	}
 	sort.Slice(pending, func(i, j int) bool {
 		a, b := pending[i], pending[j]
-		la := c.p.Entities[a].Load[opt.BigFirstMetric]
-		lb := c.p.Entities[b].Load[opt.BigFirstMetric]
+		la := c.p.Entities[a].Load[0]
+		lb := c.p.Entities[b].Load[0]
 		if la != lb {
 			return la > lb
 		}
@@ -436,10 +434,9 @@ func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 			}
 		}
 		if opt.BigFirst {
-			m := opt.BigFirstMetric
 			sort.Slice(cached, func(i, j int) bool {
-				li := c.p.Entities[cached[i]].Load[m]
-				lj := c.p.Entities[cached[j]].Load[m]
+				li := c.p.Entities[cached[i]].Load[0]
+				lj := c.p.Entities[cached[j]].Load[0]
 				if li != lj {
 					return li > lj
 				}

@@ -377,34 +377,3 @@ func TestSolveIdempotentOnCleanState(t *testing.T) {
 		t.Fatalf("second solve took %d rounds, want immediate convergence", second.Rounds)
 	}
 }
-
-// TestAdoptDomainTableSharing: a table built by one problem serves a clone
-// with identical buckets, and panics on a mismatched bucket set.
-func TestAdoptDomainTableSharing(t *testing.T) {
-	p1 := buildSkewed(4, 10, 5)
-	p1.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p1.AddBalanceGoal(BalanceSpec{Metric: "cpu", Scope: "region", MaxDiff: 0.1, Weight: 1})
-	newState(p1) // populates p1's table for bucket and region scopes
-
-	p2 := buildSkewed(4, 10, 5)
-	p2.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p2.AddBalanceGoal(BalanceSpec{Metric: "cpu", Scope: "region", MaxDiff: 0.1, Weight: 1})
-	p2.AdoptDomainTable(p1.DomainTable())
-	// cpu@bucket (the constraint) and cpu@region (the balance goal) stay
-	// separate merged specs; both must resolve via the adopted table.
-	st := newState(p2)
-	if len(st.specs) != 2 || st.specs[0].dom.numDomains() == 0 || st.specs[1].dom.numDomains() == 0 {
-		t.Fatalf("state built on adopted table looks wrong: %d specs", len(st.specs))
-	}
-	if p2.DomainTable() != p1.DomainTable() {
-		t.Fatal("adopted table not shared")
-	}
-
-	p3 := buildSkewed(5, 10, 5) // different bucket count
-	defer func() {
-		if recover() == nil {
-			t.Fatal("adopting a mismatched table should panic")
-		}
-	}()
-	p3.AdoptDomainTable(p1.DomainTable())
-}

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// testClock is a hand-advanced Clock; the trace package cannot use
-// sim.ManualClock in its own tests because sim imports trace.
+// testClock is a hand-advanced Clock: sim imports trace, so these tests
+// cannot take their time from a sim.Loop.
 type testClock struct{ now time.Duration }
 
 func (c *testClock) Now() time.Duration        { return c.now }

@@ -29,6 +29,18 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
+echo "== every internal package runs on a deployment"
+# A package under internal/ with non-test Go files must be in the import
+# closure of the commands and the benchmark: a model that no -fig, fault
+# scenario or bench workload composes with the rest proves nothing about it
+# (DESIGN §1). internal/integration holds only tests and lists no GoFiles.
+closure="$(go list -deps ./cmd/... ./bench)"
+unreached="$(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -vxF "$closure" || true)"
+if [ -n "$unreached" ]; then
+	echo "internal packages outside the import closure of ./cmd/... and ./bench:" >&2
+	echo "$unreached" >&2
+	exit 1
+fi
 echo "== go test -race (all packages except sim-heavy experiments)"
 # experiments is single-threaded discrete-event simulation and takes ~150s
 # under the race detector for zero extra coverage; it runs un-instrumented
