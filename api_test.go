@@ -8,6 +8,7 @@ import (
 
 	"shardmanager/internal/allocator"
 	"shardmanager/internal/appserver"
+	"shardmanager/internal/cluster"
 	"shardmanager/internal/discovery"
 	"shardmanager/internal/experiments"
 	"shardmanager/internal/orchestrator"
@@ -15,6 +16,7 @@ import (
 	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/sim"
 	"shardmanager/internal/solver"
+	"shardmanager/internal/taskcontroller"
 )
 
 // TestOneEntryPointPerMechanism pins the exported method sets that used to
@@ -56,8 +58,10 @@ func TestOneEntryPointPerMechanism(t *testing.T) {
 		reflect.TypeOf((*appserver.Server)(nil)): grantsAndHooks,
 		reflect.TypeOf((*orchestrator.Orchestrator)(nil)): grantsAndHooks,
 		reflect.TypeOf((*discovery.Service)(nil)):         grantsAndHooks,
-		// The closure form of the reply leg; ReplyArg is the one reply form.
-		reflect.TypeOf((*rpcnet.Network)(nil)): {"Re" + "ply"},
+		// The closure form of the reply leg and the by-name resolvers in front
+		// of the handle forms; ReplyAt is the one reply form, SendTo the one
+		// arg-carrying send.
+		reflect.TypeOf((*rpcnet.Network)(nil)): {"Re" + "ply", "Reply" + "Arg", "Send" + "Arg"},
 	} {
 		for _, name := range removed {
 			if _, ok := typ.MethodByName(name); ok {
@@ -134,6 +138,35 @@ func TestNoSyntheticBenchKnobs(t *testing.T) {
 	for _, id := range experiments.IDs() { // sim-, control- and solver-
 		if strings.HasSuffix(id, "scale") {
 			t.Errorf("experiment %q is registered: the synthetic scale drivers are retired", id)
+		}
+	}
+}
+
+// TestOptionStructFields pins the options of the system under study: a field
+// is a handle or deployment setting, per-application policy the paper names,
+// or set to two values by code that runs (DESIGN "Options" has the table);
+// anything else is a constant, and a field cannot drift back unnoticed.
+func TestOptionStructFields(t *testing.T) {
+	for typ, want := range map[reflect.Type][]string{
+		reflect.TypeOf(orchestrator.Config{}): {"App", "Strategy", "Shards", "Policy", "ServerCapacity", "HomeRegion",
+			"GracefulMigration", "AllocInterval", "FailoverGrace", "MaxConcurrentMigrations", "ShardLoadTime"},
+		reflect.TypeOf(appserver.Host{}): nil,
+		reflect.TypeOf(allocator.Policy{}): {"Metrics", "UtilCap", "MaxDiff", "SpreadLevel", "SpreadWeight",
+			"AffinityWeight", "PerShardMoveCap", "MaxTotalMoves"},
+		reflect.TypeOf(solver.Options{}): {"TimeLimit", "EvalBudget", "CandidateTargets", "BigFirst", "UseEquivalence",
+			"EnableSwap", "Sampler", "Seed", "Progress"},
+		reflect.TypeOf(routing.Options{}):       {"MaxAttempts"},
+		reflect.TypeOf(taskcontroller.Policy{}): {"DrainOnRestart", "MaxConcurrentOps", "MaxUnavailableReplicas"},
+		reflect.TypeOf(cluster.Options{}):       {"StartDuration", "StopDuration", "RestartDuration", "NegotiationDelay"},
+	} {
+		var have []string
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				have = append(have, f.Name)
+			}
+		}
+		if !reflect.DeepEqual(have, want) {
+			t.Errorf("%v exported fields = %v, want exactly %v", typ, have, want)
 		}
 	}
 }

@@ -82,39 +82,6 @@ func BenchmarkFig22SolverAblation(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationEquivalence(b *testing.B)  { benchAblationVariant(b, "equivalence") }
-func BenchmarkAblationBigFirst(b *testing.B)     { benchAblationVariant(b, "bigfirst") }
-func BenchmarkAblationSwapMoves(b *testing.B)    { benchAblationVariant(b, "swap") }
-func BenchmarkAblationGoalBatching(b *testing.B) { benchAblationVariant(b, "batching") }
-
-// benchAblationVariant measures one §5.3 design choice by solving the same
-// placement problem with the optimization disabled.
-func benchAblationVariant(b *testing.B, which string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rng := sim.NewRNG(1)
-		servers := makeBenchServers(rng, 200)
-		shards := makeBenchShards(rng, 6000)
-		pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-		switch which {
-		case "equivalence":
-			pol.UseEquivalence = false
-		case "bigfirst":
-			pol.BigFirst = false
-		case "swap":
-			pol.EnableSwap = false
-		case "batching":
-			pol.GoalBatching = false
-		}
-		a := allocator.New(pol, 1)
-		res := a.Run(allocator.Input{Servers: servers, Shards: shards,
-			Current: map[shard.ID][]shard.ServerID{}}, allocator.Periodic)
-		if res.Final.Unassigned != 0 {
-			b.Fatalf("unassigned: %+v", res.Final)
-		}
-	}
-}
-
 func makeBenchServers(rng *sim.RNG, n int) []allocator.ServerInfo {
 	out := make([]allocator.ServerInfo, n)
 	for i := range out {
@@ -166,7 +133,6 @@ func BenchmarkSolverMoveEvaluation(b *testing.B) {
 	}
 	for i := 0; i < 20000; i++ {
 		p.AddEntity(solver.Entity{
-			Name:    fmt.Sprintf("e%d", i),
 			Load:    []float64{0.2 + 4*rng.Float64()},
 			Bucket:  solver.BucketID(rng.Intn(500)),
 			Movable: true,
@@ -179,7 +145,7 @@ func BenchmarkSolverMoveEvaluation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := solver.DefaultOptions()
 		opt.Seed = uint64(i + 1)
-		opt.MoveBudget = 200
+		opt.EvalBudget = 50_000
 		res := solver.Solve(p, opt)
 		total += res.Evaluated
 	}

@@ -91,8 +91,6 @@ type Policy struct {
 	// Metrics to balance on; the first is the primary metric used for
 	// big-first ordering and sampler utilization bias.
 	Metrics []topology.Resource
-	// BalanceWeight per metric (default 1).
-	BalanceWeight map[topology.Resource]float64
 	// UtilCap is the per-server utilization threshold (§5.1 soft goal 4);
 	// 0 disables.
 	UtilCap float64
@@ -105,25 +103,26 @@ type Policy struct {
 	SpreadWeight float64
 	// AffinityWeight is the default region-preference weight.
 	AffinityWeight float64
-	// DrainWeight penalizes replicas on draining servers; 0 disables.
-	DrainWeight float64
 	// PerShardMoveCap bounds concurrent replica moves per shard emitted
 	// in one run (hard constraint 1 of §5.1). 0 means 1.
 	PerShardMoveCap int
 	// MaxTotalMoves bounds total moves per run; 0 means unlimited.
 	MaxTotalMoves int
-
-	// Optimization toggles (all default true via DefaultPolicy; the
-	// ablation benches turn them off individually).
-	GroupedSampling bool
-	BigFirst        bool
-	UseEquivalence  bool
-	GoalBatching    bool
-	EnableSwap      bool
 }
 
-// DefaultPolicy returns a policy balancing on the given metrics with all
-// §5.3 optimizations enabled.
+// What every application gets (§5.3's optimizations are not per-application
+// policy: Run always samples by group, orders big shards first, reuses
+// equivalent shards' evaluations, tries swaps and solves the goals in
+// priority stages; smbench -fig 22 and -fig ablations measure each choice on
+// solver.Options directly).
+const (
+	// drainWeight penalizes a replica on a draining server (§5.1 soft goal 3).
+	drainWeight = 500
+	// balanceWeight is every metric's weight in the balance goals.
+	balanceWeight = 1
+)
+
+// DefaultPolicy returns a policy balancing on the given metrics.
 func DefaultPolicy(metrics ...topology.Resource) Policy {
 	if len(metrics) == 0 {
 		metrics = []topology.Resource{topology.ResourceCPU}
@@ -135,13 +134,7 @@ func DefaultPolicy(metrics ...topology.Resource) Policy {
 		SpreadLevel:     topology.LevelRegion,
 		SpreadWeight:    100,
 		AffinityWeight:  200,
-		DrainWeight:     500,
 		PerShardMoveCap: 1,
-		GroupedSampling: true,
-		BigFirst:        true,
-		UseEquivalence:  true,
-		GoalBatching:    true,
-		EnableSwap:      true,
 	}
 }
 
@@ -291,7 +284,6 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 				movable = false
 			}
 			id := prob.AddEntity(solver.Entity{
-				Name:    fmt.Sprintf("%s#%d", spec.ID, idx),
 				Load:    load,
 				Bucket:  bucket,
 				Movable: movable,
@@ -320,90 +312,71 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 		}
 	}
 
-	// Goal stages, highest priority first (§5.3: "groups placement goals of
-	// similar priorities into batches"). Each stage adds its goals to the
-	// problem on top of the earlier stages', so a later stage cannot undo an
-	// earlier fix for free; Solve builds its state from the problem as it
-	// then stands and leaves the assignment it reached in prob.Entities for
-	// the next stage.
-	critical := func() {
-		for _, m := range metricNames {
-			prob.AddConstraint(solver.CapacitySpec{Metric: m})
-		}
-		if len(conflictGroups) > 0 {
-			prob.AddConflict(solver.ExclusionSpec{
-				Scope:  solver.ScopeBucket,
-				Groups: conflictGroups,
-			})
-		}
-		if p.DrainWeight > 0 {
-			prob.AddDrainGoal(p.DrainWeight)
-		}
-	}
-	placementGoals := func() {
-		if p.SpreadWeight > 0 && len(exclGroups) > 0 {
-			prob.AddExclusionGoal(solver.ExclusionSpec{
-				Scope:  p.SpreadLevel.String(),
-				Groups: exclGroups,
-				Weight: p.SpreadWeight,
-			})
-		}
-		for _, g := range affinities {
-			prob.AddAffinityGoal(g)
-		}
-	}
-	balanceGoals := func() {
-		for _, m := range p.Metrics {
-			w := 1.0
-			if p.BalanceWeight != nil && p.BalanceWeight[m] > 0 {
-				w = p.BalanceWeight[m]
-			}
-			if p.UtilCap > 0 || p.MaxDiff > 0 {
-				prob.AddBalanceGoal(solver.BalanceSpec{
-					Metric:  string(m),
-					UtilCap: p.UtilCap,
-					MaxDiff: p.MaxDiff,
-					Weight:  w,
-				})
-			}
-		}
-	}
-
-	var stages [][]func()
-	switch {
-	case mode == Emergency:
-		// Emergency: hard constraints + spread only, one fast stage.
-		stages = [][]func(){{critical, placementGoals}}
-	case p.GoalBatching:
-		stages = [][]func(){{critical}, {placementGoals}, {balanceGoals}}
-	default:
-		stages = [][]func(){{critical, placementGoals, balanceGoals}}
-	}
-
 	res := &Result{}
 	opt := solver.DefaultOptions()
 	opt.Seed = a.seed
-	opt.BigFirst = p.BigFirst
-	opt.UseEquivalence = p.UseEquivalence
-	opt.EnableSwap = p.EnableSwap
 	start := time.Now()
-	for si, goals := range stages {
-		for _, add := range goals {
-			add()
-		}
+	solve := func() {
 		// A sampler keeps a rotation; every stage starts a fresh one.
-		if p.GroupedSampling {
-			opt.Sampler = solver.GroupedSampler(prob, 0)
-		} else {
-			opt.Sampler = solver.RandomSampler(prob)
-		}
+		opt.Sampler = solver.GroupedSampler(prob, 0)
 		sres := solver.Solve(prob, opt)
-		if si == 0 {
+		if res.Solves == 0 {
 			res.Initial = sres.Initial
 		}
 		res.Final = sres.Final
 		res.Solves++
 		res.Evaluated += sres.Evaluated
+	}
+
+	// Goal stages, highest priority first (§5.3: "groups placement goals of
+	// similar priorities into batches"). Each stage adds its goals to the
+	// problem on top of the earlier stages', so a later stage cannot undo an
+	// earlier fix for free; Solve builds its state from the problem as it
+	// then stands and leaves the assignment it reached in prob.Entities for
+	// the next stage. Periodic solves after every stage; emergency solves
+	// once, for the hard constraints and placement only, and skips balance.
+
+	// Critical: capacity, no two replicas of a shard on one server, drains.
+	for _, m := range metricNames {
+		prob.AddConstraint(solver.CapacitySpec{Metric: m})
+	}
+	if len(conflictGroups) > 0 {
+		prob.AddConflict(solver.ExclusionSpec{
+			Scope:  solver.ScopeBucket,
+			Groups: conflictGroups,
+		})
+	}
+	prob.AddDrainGoal(drainWeight)
+	if mode != Emergency {
+		solve()
+	}
+
+	// Placement: spread and region preference.
+	if p.SpreadWeight > 0 && len(exclGroups) > 0 {
+		prob.AddExclusionGoal(solver.ExclusionSpec{
+			Scope:  p.SpreadLevel.String(),
+			Groups: exclGroups,
+			Weight: p.SpreadWeight,
+		})
+	}
+	for _, g := range affinities {
+		prob.AddAffinityGoal(g)
+	}
+	solve()
+
+	// Balance.
+	if mode != Emergency {
+		if p.UtilCap > 0 || p.MaxDiff > 0 {
+			for _, m := range metricNames {
+				prob.AddBalanceGoal(solver.BalanceSpec{
+					Metric:  m,
+					UtilCap: p.UtilCap,
+					MaxDiff: p.MaxDiff,
+					Weight:  balanceWeight,
+				})
+			}
+		}
+		solve()
 	}
 	res.Elapsed = time.Since(start)
 

@@ -25,10 +25,6 @@ func TestRunRecorded(t *testing.T) {
 		{name: "periodic", mode: Periodic,
 			moves:  "+s000@srv02 +s000@srv04 +s000@srv06 +s001@srv06 +s001@srv08 +s001@srv10 +s002@srv02 +s002@srv10 +s003@srv02 +s003@srv07 +s004@srv01 +s004@srv03 +s005@srv10 +s006@srv03 +s007@srv00 +s008@srv03 +s008@srv04 +s009@srv06 +s013@srv06 +s014@srv05 +s014@srv06 +s015@srv00 +s015@srv10 +s016@srv00 +s017@srv01 +s017@srv05 +s017@srv06 +s018@srv09 +s019@srv06 +s020@srv03 +s021@srv06 +s022@srv03 +s022@srv07 +s022@srv08 +s023@srv02 +s023@srv03 +s025@srv03 +s026@srv03 +s027@srv03 +s028@srv03 +s029@srv03 +s030@srv06 +s030@srv08 +s030@srv10 +s031@srv06 +s031@srv07 +s031@srv08 +s032@srv05 s004:srv00->srv02 s009:srv03->srv05 s010:srv04->srv03 s011:srv02->srv10 s014:srv09->srv01 s016:srv04->srv02 s019:srv00->srv04 s020:srv10->srv08 s021:srv09->srv02 s024:srv09->srv04 s025:srv04->srv05 s026:srv10->srv02 s027:srv09->srv07 s028:srv09->srv05 s033:srv00->srv08",
 			counts: "deferred=0 solves=3 evaluated=6394 initial={0 0 0 0 0 0 48} final={0 0 0 0 0 0 0}"},
-		{name: "periodic, one stage", mode: Periodic,
-			edit:   func(_ *Input, p *Policy) { p.GoalBatching = false },
-			moves:  "+s000@srv01 +s000@srv02 +s000@srv06 +s001@srv00 +s001@srv02 +s001@srv10 +s002@srv05 +s002@srv10 +s003@srv01 +s003@srv08 +s004@srv04 +s004@srv05 +s005@srv04 +s006@srv09 +s007@srv00 +s008@srv00 +s008@srv01 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv08 +s015@srv09 +s015@srv10 +s016@srv06 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv00 +s019@srv07 +s020@srv03 +s021@srv02 +s022@srv03 +s022@srv04 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv09 +s027@srv07 +s028@srv02 +s029@srv03 +s030@srv02 +s030@srv06 +s030@srv10 +s031@srv03 +s031@srv05 +s031@srv07 +s032@srv05 s010:srv04->srv06 s011:srv02->srv04 s016:srv04->srv05 s020:srv10->srv05 s024:srv06->srv04 s025:srv04->srv08 s026:srv10->srv05 s033:srv06->srv08",
-			counts: "deferred=0 solves=1 evaluated=1766 initial={0 0 0 0 8 0 48} final={0 0 0 0 0 0 0}"},
 		{name: "emergency", mode: Emergency,
 			moves:  "+s000@srv01 +s000@srv02 +s000@srv06 +s001@srv00 +s001@srv02 +s001@srv10 +s002@srv05 +s002@srv10 +s003@srv01 +s003@srv08 +s004@srv04 +s004@srv05 +s005@srv04 +s006@srv09 +s007@srv00 +s008@srv00 +s008@srv01 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv08 +s015@srv09 +s015@srv10 +s016@srv06 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv00 +s019@srv07 +s020@srv03 +s021@srv02 +s022@srv03 +s022@srv04 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv09 +s027@srv07 +s028@srv02 +s029@srv03 +s030@srv02 +s030@srv06 +s030@srv10 +s031@srv03 +s031@srv05 +s031@srv07 +s032@srv05",
 			counts: "deferred=0 solves=1 evaluated=1677 initial={0 0 0 0 8 0 48} final={0 0 0 0 8 0 0}"},

@@ -48,14 +48,6 @@ type Application interface {
 	HandleRequest(req *Request) (any, error)
 }
 
-// Preparer is optionally implemented by applications that need hooks during
-// graceful migration (e.g. to transfer state). The runtime's forwarding
-// works regardless.
-type Preparer interface {
-	PrepareAddShard(s shard.ID, currentOwner shard.ServerID, role shard.Role)
-	PrepareDropShard(s shard.ID, newOwner shard.ServerID, role shard.Role)
-}
-
 // LoadReporter is optionally implemented by applications that report
 // per-shard load for load balancing (§2.2.4). Servers without it report
 // shard count only.
@@ -169,12 +161,12 @@ var (
 	lbFence            = sim.LabelFor("appserver", "fence")
 )
 
-// DefaultFenceDelay is how long after losing its coordination session the SM
+// FenceDelay is how long after losing its coordination session the SM
 // library takes to notice and self-fence (the client-side session-timeout
-// detection). It must stay well under any orchestrator FailoverGrace /
-// PromoteHold so a false-dead server stops serving its primaries before a
-// replacement can be promoted.
-const DefaultFenceDelay = 2 * time.Second
+// detection). It is below the orchestrator's promote hold — which does not
+// compile otherwise — so a false-dead server stops serving its primaries
+// before a replacement can be promoted (§4.3 safety).
+const FenceDelay = 2 * time.Second
 
 // Server is one application server instance (the SM library + the app).
 type Server struct {
@@ -495,9 +487,6 @@ func (s *Server) Fence(gen int64) {
 // Fenced reports whether the server is currently fenced.
 func (s *Server) Fenced() bool { return s.fenced }
 
-// FenceGen returns the generation the server last fenced at (0 if never).
-func (s *Server) FenceGen() int64 { return s.fenceGen }
-
 // AddShard gives the server official ownership of the shard. A replica that
 // already prepared (or already served) activates immediately; a brand-new
 // replica first loads shard state for LoadTime and rejects requests until
@@ -643,9 +632,6 @@ func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role 
 		r.phase = PhasePreparingAdd
 	}
 	s.notifyReplica(id, r)
-	if p, ok := s.app.(Preparer); ok {
-		p.PrepareAddShard(id, currentOwner, role)
-	}
 }
 
 // PrepareDropShard tells this server that newOwner is taking over: from now
@@ -659,9 +645,6 @@ func (s *Server) PrepareDropShard(id shard.ID, newOwner shard.ServerID, role sha
 	r.phase = PhaseForwarding
 	r.forwardTo = newOwner
 	s.notifyReplica(id, r)
-	if p, ok := s.app.(Preparer); ok {
-		p.PrepareDropShard(id, newOwner, role)
-	}
 }
 
 // ResumeShard cancels a hand-off: a forwarding replica returns to active
@@ -972,12 +955,6 @@ type Host struct {
 	factory func(*Server) Application
 	paths   CoordPaths
 
-	// FenceDelay is how long after losing its coordination session a server
-	// waits before self-fencing (§4.3 safety: it must elapse before the
-	// orchestrator's failover grace so a false-dead server stops serving as
-	// primary strictly before a replacement can be promoted).
-	FenceDelay time.Duration
-
 	servers  map[shard.ServerID]*Server
 	sessions map[shard.ServerID]*coord.Session
 	machines map[shard.ServerID]topology.MachineID
@@ -992,19 +969,18 @@ func NewHost(loop *sim.Loop, net *rpcnet.Network, dir *Directory, store *coord.S
 	mustCreateAll(store, paths.ServersPath)
 	mustCreateAll(store, paths.AssignPath)
 	return &Host{
-		loop:       loop,
-		net:        net,
-		dir:        dir,
-		store:      store,
-		fleet:      fleet,
-		appID:      appID,
-		job:        job,
-		factory:    factory,
-		paths:      paths,
-		FenceDelay: DefaultFenceDelay,
-		servers:    make(map[shard.ServerID]*Server),
-		sessions:   make(map[shard.ServerID]*coord.Session),
-		machines:   make(map[shard.ServerID]topology.MachineID),
+		loop:     loop,
+		net:      net,
+		dir:      dir,
+		store:    store,
+		fleet:    fleet,
+		appID:    appID,
+		job:      job,
+		factory:  factory,
+		paths:    paths,
+		servers:  make(map[shard.ServerID]*Server),
+		sessions: make(map[shard.ServerID]*coord.Session),
+		machines: make(map[shard.ServerID]topology.MachineID),
 	}
 }
 
@@ -1027,9 +1003,6 @@ func (h *Host) ServerIDs() []shard.ServerID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// LiveServers returns the number of live servers under this host.
-func (h *Host) LiveServers() int { return len(h.servers) }
 
 // ContainerStarted implements cluster.Listener: boot a server.
 func (h *Host) ContainerStarted(c cluster.Container) {
@@ -1136,7 +1109,7 @@ func (h *Host) ExpireSession(id shard.ServerID, reconnectAfter time.Duration) bo
 func (h *Host) armFence(id shard.ServerID, sess *coord.Session) {
 	gen := sess.Generation()
 	sess.OnExpire(func() {
-		h.loop.AfterL(h.FenceDelay, lbFence, func() {
+		h.loop.AfterL(FenceDelay, lbFence, func() {
 			srv := h.servers[id]
 			if srv == nil {
 				return // container died; nothing to fence

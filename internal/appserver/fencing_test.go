@@ -33,10 +33,10 @@ func fencedHost(t *testing.T) (*testEnv, *Host, *coord.Store, *Server) {
 
 // TestFenceOnSessionExpiryBeforeFailoverGrace is the lease-expiry half of
 // the dual-primary fix: a primary whose coordination session expires must
-// self-fence within DefaultFenceDelay — well before any failover grace the
-// orchestrator uses (the torture sweep runs 10s, production defaults 30s) —
-// so by the time a successor can be promoted, the false-dead server has
-// provably stopped serving.
+// self-fence within FenceDelay — below the orchestrator's promote hold and
+// so below every failover grace, by a compile-time assertion in
+// internal/orchestrator — so by the time a successor can be promoted, the
+// false-dead server has provably stopped serving.
 func TestFenceOnSessionExpiryBeforeFailoverGrace(t *testing.T) {
 	env, host, _, srv := fencedHost(t)
 	id := srv.ID
@@ -54,18 +54,13 @@ func TestFenceOnSessionExpiryBeforeFailoverGrace(t *testing.T) {
 	if srv.Fenced() {
 		t.Fatal("server fenced instantly; the fence must wait FenceDelay")
 	}
-	env.loop.RunFor(DefaultFenceDelay + 100*time.Millisecond)
+	env.loop.RunFor(FenceDelay + 100*time.Millisecond)
 	if !srv.Fenced() {
-		t.Fatalf("server not fenced %v after session expiry", DefaultFenceDelay)
+		t.Fatalf("server not fenced %v after session expiry", FenceDelay)
 	}
 	resp = serve(t, env, srv, &Request{Shard: "sh1", Key: "k", Write: true})
 	if resp.OK || resp.Err != "fenced" {
 		t.Fatalf("write on fenced primary = %+v, want fenced rejection", resp)
-	}
-	// The fence must land before any plausible failover grace: total elapsed
-	// since expiry is ~2s against the 10s the torture worlds use.
-	if DefaultFenceDelay >= 10*time.Second {
-		t.Fatalf("DefaultFenceDelay = %v; must be far below failover grace", DefaultFenceDelay)
 	}
 }
 
@@ -75,14 +70,14 @@ func TestFenceOnSessionExpiryBeforeFailoverGrace(t *testing.T) {
 func TestSyncAssignmentLiftsFence(t *testing.T) {
 	env, host, store, srv := fencedHost(t)
 	host.ExpireSession(srv.ID, time.Minute)
-	env.loop.RunFor(DefaultFenceDelay + 100*time.Millisecond)
+	env.loop.RunFor(FenceDelay + 100*time.Millisecond)
 	if !srv.Fenced() {
 		t.Fatal("server not fenced after expiry")
 	}
 
 	// A grant from before the fence (stale generation) must not unfence or
 	// apply: the lease it rode on is already lost.
-	if err := srv.ChangeRole("sh1", shard.RolePrimary, shard.RoleSecondary, srv.FenceGen()); err == nil {
+	if err := srv.ChangeRole("sh1", shard.RolePrimary, shard.RoleSecondary, srv.fenceGen); err == nil {
 		t.Fatal("stale role grant accepted on fenced server")
 	}
 
@@ -105,7 +100,7 @@ func TestReconnectedSessionDisarmsStaleFence(t *testing.T) {
 	env, host, _, srv := fencedHost(t)
 	// Reconnect after 1s, well inside the 2s fence delay.
 	host.ExpireSession(srv.ID, time.Second)
-	env.loop.RunFor(DefaultFenceDelay + time.Second)
+	env.loop.RunFor(FenceDelay + time.Second)
 	if srv.Fenced() {
 		t.Fatal("fence fired for a session that already reconnected")
 	}

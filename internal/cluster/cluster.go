@@ -115,13 +115,6 @@ type Job struct {
 	containers []ContainerID
 }
 
-// Containers returns the job's container IDs in creation order.
-func (j *Job) Containers() []ContainerID {
-	out := make([]ContainerID, len(j.containers))
-	copy(out, j.containers)
-	return out
-}
-
 // Controller is the TaskControl protocol seen from the cluster manager's
 // side: the manager offers pending operations and the controller returns the
 // subset that is safe to execute now; the manager reports each completion so
@@ -439,18 +432,6 @@ func (m *Manager) Submit(op Operation) OperationID {
 	return op.ID
 }
 
-// PendingOps returns a snapshot of pending (unapproved) operations.
-func (m *Manager) PendingOps() []Operation {
-	out := make([]Operation, 0, len(m.pending))
-	for _, op := range m.pending {
-		out = append(out, *op)
-	}
-	return out
-}
-
-// ExecutingOps returns the number of approved operations still in flight.
-func (m *Manager) ExecutingOps() int { return len(m.executing) }
-
 // scheduleNegotiation coalesces negotiation rounds.
 func (m *Manager) scheduleNegotiation() {
 	if m.negotiating {
@@ -759,9 +740,6 @@ func (m *Manager) RecoverRegion() {
 		m.RestoreMachine(mach.ID)
 	}
 }
-
-// MachineAlive reports whether the machine is currently healthy.
-func (m *Manager) MachineAlive(id topology.MachineID) bool { return !m.deadMachine[id] }
 
 // ContainersOnMachine returns the IDs of containers currently placed on the
 // machine (any state), sorted for determinism.

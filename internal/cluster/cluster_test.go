@@ -40,8 +40,8 @@ func newTestManager(t *testing.T) (*sim.Loop, *Manager, *recordingListener) {
 func TestCreateJobStartsContainers(t *testing.T) {
 	loop, m, rl := newTestManager(t)
 	j := m.CreateJob("app", "app", 5)
-	if len(j.Containers()) != 5 {
-		t.Fatalf("containers = %d", len(j.Containers()))
+	if len(j.containers) != 5 {
+		t.Fatalf("containers = %d", len(j.containers))
 	}
 	loop.RunFor(time.Minute)
 	if len(rl.started) != 5 {
@@ -126,8 +126,8 @@ func TestControllerGatesNegotiableOps(t *testing.T) {
 	if g.offered == 0 {
 		t.Fatal("controller never consulted")
 	}
-	if len(m.PendingOps()) != 1 {
-		t.Fatalf("pending = %d, want 1", len(m.PendingOps()))
+	if len(m.pending) != 1 {
+		t.Fatalf("pending = %d, want 1", len(m.pending))
 	}
 	g.open = true
 	loop.RunFor(5 * time.Minute)
@@ -204,7 +204,7 @@ func TestKillAndRestoreMachine(t *testing.T) {
 	loop.RunFor(time.Minute)
 	c0, _ := m.Container(m.RunningContainers("app")[0])
 	m.KillMachine(c0.Machine)
-	if m.MachineAlive(c0.Machine) {
+	if !m.deadMachine[c0.Machine] {
 		t.Fatal("machine still alive")
 	}
 	if got := len(m.RunningContainers("app")); got != 9 {
@@ -256,12 +256,12 @@ func TestMaintenanceAdvanceNoticeAndImpact(t *testing.T) {
 	}
 	// Before start: machine is fine.
 	loop.RunFor(5 * time.Minute)
-	if !m.MachineAlive(c0.Machine) {
+	if m.deadMachine[c0.Machine] {
 		t.Fatal("machine down before maintenance start")
 	}
 	// During: machine unavailable.
 	loop.RunFor(6 * time.Minute)
-	if m.MachineAlive(c0.Machine) {
+	if !m.deadMachine[c0.Machine] {
 		t.Fatal("machine up during maintenance")
 	}
 	// Stops from maintenance are planned.
@@ -270,7 +270,7 @@ func TestMaintenanceAdvanceNoticeAndImpact(t *testing.T) {
 	}
 	// After end: restored.
 	loop.RunFor(15 * time.Minute)
-	if !m.MachineAlive(c0.Machine) {
+	if m.deadMachine[c0.Machine] {
 		t.Fatal("machine not restored after maintenance")
 	}
 	if got := len(m.RunningContainers("app")); got != 10 {

@@ -64,7 +64,7 @@ func BenchmarkPublishDelta(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.Reset("app", version, version+1, 0)
-				d.SetOne("s0000000", shard.ServerID(fmt.Sprintf("srv%05d", i%512)), shard.RolePrimary)
+				d.Set("s0000000", []shard.Assignment{{Server: shard.ServerID(fmt.Sprintf("srv%05d", i%512)), Role: shard.RolePrimary}})
 				version++
 				svc.Publish(d)
 				loop.RunFor(10 * time.Millisecond)
@@ -94,7 +94,7 @@ func TestPublishDeltaSteadyStateAllocs(t *testing.T) {
 	d := shard.NewDelta("app")
 	publish := func(server shard.ServerID) {
 		d.Reset("app", version, version+1, 0)
-		d.SetOne("s0000100", server, shard.RolePrimary)
+		d.Set("s0000100", []shard.Assignment{{Server: server, Role: shard.RolePrimary}})
 		version++
 		svc.Publish(d)
 		loop.RunFor(10 * time.Millisecond)

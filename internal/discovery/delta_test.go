@@ -30,7 +30,7 @@ func stageDelta(d *shard.Delta, from, to, gen int64, server shard.ServerID) *sha
 		d = shard.NewDelta("app")
 	}
 	d.Reset("app", from, to, gen)
-	d.SetOne("s1", server, shard.RolePrimary)
+	d.Set("s1", []shard.Assignment{{Server: server, Role: shard.RolePrimary}})
 	return d
 }
 

@@ -73,7 +73,7 @@ func TestTortureCleanSeed(t *testing.T) {
 // believed dead kept serving as primary while failover promoted a
 // replacement, producing dual active primaries and a write during the
 // overlap. Epoch-fenced ownership (self-fencing on session expiry, the
-// PromoteHold gate, and generation-ordered grants) eliminates the overlap;
+// promote-hold gate, and generation-ordered grants) eliminates the overlap;
 // this test asserts the finding stays gone and that fencing actually
 // engaged during the run rather than the fault timeline going soft.
 func TestTortureRegressionSeed5(t *testing.T) {

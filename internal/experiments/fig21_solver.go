@@ -78,7 +78,6 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 	for i := 0; i < shards; i++ {
 		skew := 0.1 + 1.9*rng.Float64() // 20x spread around the mean
 		id := p.AddEntity(solver.Entity{
-			Name:    fmt.Sprintf("sh%06d", i),
 			Load:    []float64{baseStorage * skew, baseCPU * skew, 1},
 			Bucket:  solver.BucketID(rng.Intn(servers)),
 			Movable: true,

@@ -6,7 +6,6 @@ package healthmon
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // pct renders an availability fraction as a percentage with enough digits
@@ -84,22 +83,4 @@ func (a *AppStatus) DomainsAt(level string) []DomainAvail {
 		}
 	}
 	return out
-}
-
-// RenderCompact returns a one-line-per-app summary (for periodic printing
-// during a run).
-func (st *Status) RenderCompact() string {
-	var b strings.Builder
-	for i, app := range st.Apps {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		fmt.Fprintf(&b, "%s %s (%d/%d, %d migs active, map v%d)",
-			app.App, pct(app.Availability), app.OK, app.Total,
-			len(app.ActiveMigrations), app.MapVersion)
-	}
-	if b.Len() == 0 {
-		return fmt.Sprintf("health @ %s: no data", st.At)
-	}
-	return fmt.Sprintf("health @ %s: %s", time.Duration(st.At), b.String())
 }

@@ -121,9 +121,6 @@ func TestRenderDashboard(t *testing.T) {
 	if out != st.Render() {
 		t.Fatal("Render not deterministic")
 	}
-	if !strings.Contains(st.RenderCompact(), "kv 50%") {
-		t.Fatalf("compact = %q", st.RenderCompact())
-	}
 }
 
 func TestRenderEmpty(t *testing.T) {

@@ -2,6 +2,7 @@ package integration
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func runChaos(t *testing.T, seed uint64) {
 			mgr := managers[rng.Intn(len(managers))]
 			machines := d.Fleet.MachinesInRegion(mgr.Region)
 			m := machines[rng.Intn(len(machines))]
-			if !mgr.MachineAlive(m.ID) {
+			if slices.ContainsFunc(dead, func(dm deadMachine) bool { return dm.id == m.ID }) {
 				continue
 			}
 			mgr.KillMachine(m.ID)

@@ -71,14 +71,6 @@ func (s *Series) Points() []Point { return s.points }
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.points) }
 
-// Last returns the most recent sample, or a zero Point if empty.
-func (s *Series) Last() Point {
-	if len(s.points) == 0 {
-		return Point{}
-	}
-	return s.points[len(s.points)-1]
-}
-
 // Max returns the maximum sample value. ok is false for an empty series —
 // a plain 0 would be indistinguishable from a real zero sample.
 func (s *Series) Max() (v float64, ok bool) {
@@ -92,32 +84,6 @@ func (s *Series) Max() (v float64, ok bool) {
 		}
 	}
 	return m, true
-}
-
-// Min returns the minimum sample value. ok is false for an empty series.
-func (s *Series) Min() (v float64, ok bool) {
-	if len(s.points) == 0 {
-		return 0, false
-	}
-	m := math.Inf(1)
-	for _, p := range s.points {
-		if p.V < m {
-			m = p.V
-		}
-	}
-	return m, true
-}
-
-// Mean returns the average sample value, or 0 if empty.
-func (s *Series) Mean() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.points {
-		sum += p.V
-	}
-	return sum / float64(len(s.points))
 }
 
 // Between returns the samples with T in [from, to].

@@ -75,25 +75,12 @@ type Config struct {
 	// GracefulMigration enables the §4.3 protocol for primary moves;
 	// disabling it is the "no graceful migration" ablation of Fig 17.
 	GracefulMigration bool
-	// LoadInterval is the load-collection period (default 10s).
-	LoadInterval time.Duration
 	// AllocInterval is the periodic-allocation period (default 30s).
 	AllocInterval time.Duration
 	// FailoverGrace is how long a server must stay dead before its
 	// shards are reassigned (default 30s). Quick in-place restarts stay
-	// under it.
+	// under it. It must exceed promoteHold; New panics otherwise.
 	FailoverGrace time.Duration
-	// PublishMargin is the wait between publishing a new map and
-	// dropping the old primary, covering map propagation (default 3s).
-	PublishMargin time.Duration
-	// PromoteHold is how long after a primary's server dies (liveness
-	// node lost) the orchestrator waits before promoting a replacement
-	// primary (default 5s). It must exceed the SM library's self-fence
-	// delay (appserver.DefaultFenceDelay) so a false-dead server — healthy
-	// process, expired session — has provably stopped serving as primary
-	// before a second primary can appear anywhere (the MIT 6.824 "two
-	// servers both believe they own a shard" race).
-	PromoteHold time.Duration
 	// MaxConcurrentMigrations caps in-flight replica migrations (§5.1
 	// hard constraint "system stability"; default 20).
 	MaxConcurrentMigrations int
@@ -102,36 +89,46 @@ type Config struct {
 	// before telling the old one to forward. Should be >= the servers'
 	// LoadTime; the old primary serves clients throughout.
 	ShardLoadTime time.Duration
-	// OrphanRetry is the retry interval for cleanup RPCs that failed —
-	// dropping a replica a migration left behind, or resuming a forwarding
-	// primary whose migration aborted (default 5s). An RPC can execute on
-	// the server yet report failure (reply lost), so cleanup must be
-	// retried until acknowledged: an unacknowledged orphan is a live
-	// primary the control plane no longer knows about.
-	OrphanRetry time.Duration
 }
 
+// Protocol timings. They are the same for every application, and the order
+// among them is what the fencing argument rests on:
+// appserver.FenceDelay < promoteHold < Config.FailoverGrace.
+const (
+	// loadInterval is the load-collection period.
+	loadInterval = 10 * time.Second
+	// publishMargin is the wait between publishing a new map and dropping
+	// the old primary, covering map propagation.
+	publishMargin = 3 * time.Second
+	// promoteHold is how long after a primary's server dies (liveness node
+	// lost) the orchestrator waits before promoting a replacement primary.
+	// It exceeds the SM library's self-fence delay so a false-dead server —
+	// healthy process, expired session — has provably stopped serving as
+	// primary before a second primary can appear anywhere (the MIT 6.824
+	// "two servers both believe they own a shard" race).
+	promoteHold = 5 * time.Second
+	// orphanRetry is the retry interval for cleanup RPCs that failed —
+	// dropping a replica a migration left behind, or resuming a forwarding
+	// primary whose migration aborted. An RPC can execute on the server yet
+	// report failure (reply lost), so cleanup must be retried until
+	// acknowledged: an unacknowledged orphan is a live primary the control
+	// plane no longer knows about.
+	orphanRetry = 5 * time.Second
+)
+
+// The fence must come down before the hold lifts: a negative constant does
+// not fit a uint, so reordering the two stops the build.
+const _ = uint(promoteHold - appserver.FenceDelay - 1)
+
 func (c *Config) fillDefaults() {
-	if c.LoadInterval <= 0 {
-		c.LoadInterval = 10 * time.Second
-	}
 	if c.AllocInterval <= 0 {
 		c.AllocInterval = 30 * time.Second
 	}
 	if c.FailoverGrace <= 0 {
 		c.FailoverGrace = 30 * time.Second
 	}
-	if c.PublishMargin <= 0 {
-		c.PublishMargin = 3 * time.Second
-	}
-	if c.PromoteHold <= 0 {
-		c.PromoteHold = 5 * time.Second
-	}
 	if c.MaxConcurrentMigrations <= 0 {
 		c.MaxConcurrentMigrations = 20
-	}
-	if c.OrphanRetry <= 0 {
-		c.OrphanRetry = 5 * time.Second
 	}
 }
 
@@ -268,6 +265,9 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 	net *rpcnet.Network, dir *appserver.Directory, fleet *topology.Fleet,
 	cfg Config, seed uint64) *Orchestrator {
 	cfg.fillDefaults()
+	if cfg.FailoverGrace <= promoteHold {
+		panic(fmt.Sprintf("orchestrator: FailoverGrace %v must exceed the promote hold %v", cfg.FailoverGrace, promoteHold))
+	}
 	if cfg.HomeRegion == "" {
 		cfg.HomeRegion = fleet.Regions()[0]
 	}
@@ -331,7 +331,7 @@ func (o *Orchestrator) Start() {
 	o.watchMembership()
 	o.syncMembership()
 	o.tickers = append(o.tickers,
-		o.loop.EveryL(o.cfg.LoadInterval, lbLoadCollect, o.collectLoads),
+		o.loop.EveryL(loadInterval, lbLoadCollect, o.collectLoads),
 		o.loop.EveryL(o.cfg.AllocInterval, lbAllocate, func() { o.allocate(allocator.Periodic) }))
 	// Initial placement as soon as servers appear.
 	o.loop.AfterL(time.Second, lbAllocate, func() { o.allocate(allocator.Periodic) })
@@ -435,11 +435,11 @@ func (o *Orchestrator) syncMembership() {
 	}
 	if anyDied && o.started {
 		// Demote the dead servers' primaries immediately, but promotion of
-		// replacements waits out PromoteHold (reconcileRoles gates on
+		// replacements waits out promoteHold (reconcileRoles gates on
 		// holdUntil); re-reconcile once the hold has elapsed so failover
 		// does not wait for the next periodic allocation.
 		o.reconcileAllRoles()
-		o.loop.AfterL(o.cfg.PromoteHold, lbPromoteHold, o.reconcileAllRoles)
+		o.loop.AfterL(promoteHold, lbPromoteHold, o.reconcileAllRoles)
 	}
 }
 
@@ -781,7 +781,7 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 			// promotion of a successor until the possibly-false-dead old
 			// primary has had time to self-fence.
 			o.setRole(ss, i, shard.RoleSecondary)
-			ss.holdUntil = o.loop.Now() + o.cfg.PromoteHold
+			ss.holdUntil = o.loop.Now() + promoteHold
 			changed = true
 			continue
 		}
@@ -957,7 +957,7 @@ func (o *Orchestrator) runMigration(m migration) {
 			srv.AddShard(m.shard, shard.RoleSecondary, gen)
 		}, func() {
 			commit()
-			o.loop.AfterL(o.cfg.PublishMargin, lbPublishMargin, func() {
+			o.loop.AfterL(publishMargin, lbPublishMargin, func() {
 				o.callStep(m.span, "drop_shard", m.shard, m.from, func(srv *appserver.Server) {
 					srv.DropShard(m.shard)
 				}, func() { o.finishMigration(m, true) },
@@ -1012,7 +1012,7 @@ func (o *Orchestrator) gracefulStep2(m migration, commit func(), fail func()) {
 			commit()
 			// Step 5: drop the old replica once clients have
 			// learned the new map.
-			o.loop.AfterL(o.cfg.PublishMargin, lbPublishMargin, func() {
+			o.loop.AfterL(publishMargin, lbPublishMargin, func() {
 				o.callStep(m.span, "drop_shard", m.shard, m.from, func(srv *appserver.Server) {
 					srv.DropShard(m.shard)
 				}, func() {
@@ -1045,7 +1045,7 @@ func (o *Orchestrator) scheduleOrphanDrop(s shard.ID, id shard.ServerID, then fu
 		}
 		ss.orphans[id] = true
 	}
-	o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.dropOrphan(s, id, then) })
+	o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.dropOrphan(s, id, then) })
 }
 
 // dropOrphan retries a drop_shard until the server acknowledges it, dies
@@ -1084,7 +1084,7 @@ func (o *Orchestrator) dropOrphan(s shard.ID, id shard.ServerID, then func()) {
 		resolved()
 	}, func() {
 		o.failedRPC()
-		o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.dropOrphan(s, id, then) })
+		o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.dropOrphan(s, id, then) })
 	})
 }
 
@@ -1106,7 +1106,7 @@ func (o *Orchestrator) resumeSource(s shard.ID, id shard.ServerID) {
 		return
 	}
 	if len(ss.orphans) > 0 {
-		o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.resumeSource(s, id) })
+		o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.resumeSource(s, id) })
 		return
 	}
 	gen := o.store.NextEpoch()
@@ -1114,7 +1114,7 @@ func (o *Orchestrator) resumeSource(s shard.ID, id shard.ServerID) {
 		srv.ResumeShard(s, gen)
 	}, nil, func() {
 		o.failedRPC()
-		o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.resumeSource(s, id) })
+		o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.resumeSource(s, id) })
 	})
 }
 
@@ -1186,7 +1186,7 @@ func (o *Orchestrator) rpcAddShard(id shard.ServerID, s shard.ID, role shard.Rol
 	o.callStep(o.curAlloc, "add_shard", s, id,
 		func(srv *appserver.Server) { srv.AddShard(s, role, gen) }, nil, func() {
 			o.failedRPC()
-			o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.retryAdd(s, id) })
+			o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.retryAdd(s, id) })
 		})
 }
 
@@ -1203,7 +1203,7 @@ func (o *Orchestrator) retryAdd(s shard.ID, id shard.ServerID) {
 	}
 	if ss.migrating {
 		// A migration owns this shard's transitions; re-check after it.
-		o.loop.AfterL(o.cfg.OrphanRetry, lbOrphanGC, func() { o.retryAdd(s, id) })
+		o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.retryAdd(s, id) })
 		return
 	}
 	i := ss.find(id)

@@ -378,16 +378,41 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func TestDuplicateShardConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	cfg := baseConfig(shard.PrimaryOnly, 1, 1)
-	cfg.Shards = append(cfg.Shards, cfg.Shards[0])
+// newPanics reports whether New refuses cfg.
+func newPanics(cfg Config) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
 	fleet := topology.Build(topology.Spec{Regions: []topology.RegionID{"r"}, MachinesPerRegion: 1})
 	loop := sim.NewLoop(1)
 	New(loop, coord.NewStore(), discovery.NewService(loop, nil),
 		rpcnet.NewNetwork(loop, fleet), appserver.NewDirectory(), fleet, cfg, 1)
+	return false
+}
+
+func TestDuplicateShardConfigPanics(t *testing.T) {
+	cfg := baseConfig(shard.PrimaryOnly, 1, 1)
+	cfg.Shards = append(cfg.Shards, cfg.Shards[0])
+	if !newPanics(cfg) {
+		t.Fatal("expected panic")
+	}
+}
+
+// A server declared dead must have been held (promoteHold) before its shards
+// are reassigned (FailoverGrace), or a replacement primary is placed while
+// the old one may still be unfenced.
+func TestFailoverGraceAtOrBelowPromoteHoldPanics(t *testing.T) {
+	for _, c := range []struct {
+		grace time.Duration
+		want  bool
+	}{
+		{promoteHold - time.Second, true},
+		{promoteHold, true},
+		{promoteHold + time.Second, false},
+		{0, false}, // the default, 30 s
+	} {
+		cfg := baseConfig(shard.PrimaryOnly, 1, 1)
+		cfg.FailoverGrace = c.grace
+		if got := newPanics(cfg); got != c.want {
+			t.Errorf("FailoverGrace %v: New panicked = %v, want %v", c.grace, got, c.want)
+		}
+	}
 }

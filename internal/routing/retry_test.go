@@ -38,7 +38,7 @@ func TestForwardedRequestCountsHops(t *testing.T) {
 
 func TestMaxAttemptsOptionRespected(t *testing.T) {
 	e := newEnv(t)
-	opts := Options{MaxAttempts: 2, RetryDelay: 50 * time.Millisecond}
+	opts := Options{MaxAttempts: 2}
 	c := NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", opts)
 	res := do(t, e, c, "abc", false)
 	if res.Attempts != 2 {
@@ -214,44 +214,47 @@ func newSteadyWorld(t testing.TB) (*env, []string) {
 	return e, keys
 }
 
+// backoff is the un-jittered wait before retry k (k = 1 is the first retry).
+func backoff(k int) time.Duration {
+	return min(retryBase<<(k-1), retryCap)
+}
+
 func TestRetryBackoffIsExponentialAndCapped(t *testing.T) {
 	e := newEnv(t)
 	// No map ever arrives, so every attempt fails instantly with no-replica
 	// and the request's total latency is exactly the sum of retry waits.
-	opts := Options{
-		MaxAttempts:   5,
-		RetryDelay:    100 * time.Millisecond,
-		MaxRetryDelay: 250 * time.Millisecond,
-		RetryJitter:   -1, // disable jitter for an exact schedule
+	const attempts = 8 // 200ms, 400ms, ... 3.2s, then capped at 5s twice
+	c := NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", Options{MaxAttempts: attempts})
+	var sum time.Duration
+	for k := 1; k < attempts; k++ {
+		d, got := backoff(k), c.retryDelay(k)
+		if got < d || got > d+d/5 {
+			t.Errorf("wait before retry %d = %v, want within [%v, %v]", k, got, d, d+d/5)
+		}
+		sum += d
 	}
-	c := NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", opts)
+	if backoff(attempts-2) != retryCap || backoff(attempts-3) >= retryCap {
+		t.Fatalf("%d attempts do not reach the cap twice", attempts)
+	}
 	res := do(t, e, c, "abc", false)
-	if res.OK || res.Attempts != 5 {
+	if res.OK || res.Attempts != attempts {
 		t.Fatalf("res = %+v", res)
 	}
-	// Waits: 100ms, 200ms, then capped at 250ms twice.
-	want := 100*time.Millisecond + 200*time.Millisecond + 250*time.Millisecond + 250*time.Millisecond
-	if res.Latency != want {
-		t.Fatalf("total retry latency = %v, want %v", res.Latency, want)
+	if res.Latency < sum || res.Latency > sum+sum/5 {
+		t.Fatalf("total retry latency = %v, want within [%v, %v]", res.Latency, sum, sum+sum/5)
 	}
 }
 
 func TestRetryJitterBoundedAndDeterministic(t *testing.T) {
 	run := func() time.Duration {
 		e := newEnv(t)
-		opts := Options{
-			MaxAttempts:   4,
-			RetryDelay:    100 * time.Millisecond,
-			MaxRetryDelay: 400 * time.Millisecond,
-			RetryJitter:   0.5,
-		}
-		c := NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", opts)
+		c := NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", DefaultOptions())
 		return do(t, e, c, "abc", false).Latency
 	}
 	lat := run()
-	base := 100*time.Millisecond + 200*time.Millisecond + 400*time.Millisecond
-	if lat < base || lat > base+base/2 {
-		t.Fatalf("jittered retry latency %v outside [%v, %v]", lat, base, base+base/2)
+	base := backoff(1) + backoff(2) + backoff(3)
+	if lat <= base || lat > base+base/5 {
+		t.Fatalf("jittered retry latency %v outside (%v, %v]", lat, base, base+base/5)
 	}
 	if again := run(); again != lat {
 		t.Fatalf("same seed gave different retry schedules: %v vs %v", lat, again)

@@ -33,26 +33,19 @@ var lbRetry = sim.LabelFor("routing", "retry")
 type Options struct {
 	// MaxAttempts bounds total tries per request (default 4).
 	MaxAttempts int
-	// RetryDelay is the base delay before the first retry (default 200ms).
-	// Subsequent retries back off exponentially from it.
-	RetryDelay time.Duration
-	// MaxRetryDelay caps the exponential backoff (default 5s).
-	MaxRetryDelay time.Duration
-	// RetryJitter adds up to this fraction of extra random delay per retry
-	// (default 0.2), drawn from the client's own forked RNG so retries from
-	// many clients decorrelate instead of stampeding in lockstep after a
-	// partition heals. Set negative to disable jitter entirely.
-	RetryJitter float64
 }
+
+// The retry schedule: the wait before the first retry, doubling up to the
+// cap, each wait stretched by up to retryJitter of itself.
+const (
+	retryBase   = 200 * time.Millisecond
+	retryCap    = 5 * time.Second
+	retryJitter = 0.2
+)
 
 // DefaultOptions returns sensible client settings.
 func DefaultOptions() Options {
-	return Options{
-		MaxAttempts:   4,
-		RetryDelay:    200 * time.Millisecond,
-		MaxRetryDelay: 5 * time.Second,
-		RetryJitter:   0.2,
-	}
+	return Options{MaxAttempts: 4}
 }
 
 // Result is the final outcome of one request as seen by the client.
@@ -130,15 +123,6 @@ func NewClient(loop *sim.Loop, net *rpcnet.Network, dir *appserver.Directory,
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 4
 	}
-	if opts.RetryDelay <= 0 {
-		opts.RetryDelay = 200 * time.Millisecond
-	}
-	if opts.MaxRetryDelay <= 0 {
-		opts.MaxRetryDelay = 5 * time.Second
-	}
-	if opts.RetryJitter == 0 {
-		opts.RetryJitter = 0.2
-	}
 	c := &Client{
 		App:      app,
 		Region:   region,
@@ -191,9 +175,6 @@ func (c *Client) OnResult(fn func(Result)) {
 	c.observers = append(c.observers, fn)
 }
 
-// HasMap reports whether the client has received any shard map yet.
-func (c *Client) HasMap() bool { return c.view != discovery.View{} }
-
 // MapVersion returns the client's current map version (0 if none).
 func (c *Client) MapVersion() int64 { return c.view.Version }
 
@@ -227,7 +208,7 @@ func (c *Client) Do(key string, write bool, op string, payload any, done func(Re
 // client's free-list like rpcnet's envelopes so that a request allocates
 // nothing. Do takes one, every leg of every attempt hands it to a static
 // callback as its arg, and finish returns it before done runs. That is safe
-// because each rpcnet SendArg/ReplyArg and each Server.Serve runs exactly one
+// because each rpcnet SendTo/ReplyAt and each Server.Serve runs exactly one
 // callback exactly once, so at most one callback is ever outstanding per
 // record; live turns a second one — a bug, not a state — into a panic
 // instead of a corrupted later request.
@@ -284,21 +265,18 @@ func inFlight(a any) *call {
 }
 
 // retryDelay returns the wait before attempt+1: capped exponential backoff
-// from RetryDelay, plus deterministic jitter from the client's retry RNG.
+// from retryBase, plus deterministic jitter from the client's own forked RNG.
 // A fixed delay synchronizes every client blocked by the same partition into
 // one retry storm the instant it heals; the jitter spreads them out.
 func (c *Client) retryDelay(attempt int) time.Duration {
-	d := c.opts.RetryDelay
-	for i := 1; i < attempt && d < c.opts.MaxRetryDelay; i++ {
+	d := retryBase
+	for i := 1; i < attempt && d < retryCap; i++ {
 		d *= 2
 	}
-	if d > c.opts.MaxRetryDelay {
-		d = c.opts.MaxRetryDelay
+	if d > retryCap {
+		d = retryCap
 	}
-	if c.opts.RetryJitter > 0 {
-		d += time.Duration(c.retryRNG.Float64() * c.opts.RetryJitter * float64(d))
-	}
-	return d
+	return d + time.Duration(c.retryRNG.Float64()*retryJitter*float64(d))
 }
 
 // try performs the next attempt: request leg (callDelivered | callUnreachable),

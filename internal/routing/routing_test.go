@@ -219,13 +219,13 @@ func TestWriteToSecondaryOnlyMapFails(t *testing.T) {
 func TestHasMapAndUpdates(t *testing.T) {
 	e := newEnv(t)
 	c := e.client("near")
-	if c.HasMap() || c.MapVersion() != 0 {
+	if c.MapVersion() != 0 {
 		t.Fatal("client should start without a map")
 	}
 	e.publish(3, map[shard.ID][]shard.Assignment{})
 	e.loop.RunFor(time.Second)
-	if !c.HasMap() || c.MapVersion() != 3 || c.MapUpdates != 1 {
-		t.Fatalf("map state: has=%v v=%d updates=%d", c.HasMap(), c.MapVersion(), c.MapUpdates)
+	if c.MapVersion() != 3 || c.MapUpdates != 1 {
+		t.Fatalf("map state: v=%d updates=%d", c.MapVersion(), c.MapUpdates)
 	}
 }
 

@@ -342,19 +342,14 @@ func (n *Network) Send(fromRegion topology.RegionID, to Endpoint, fn func(), onF
 	if onFail != nil {
 		failA, failArg = invoke0, onFail
 	}
-	n.SendArg(fromRegion, to, fnA, fnArg, failA, failArg)
-}
-
-// SendArg is Send with arg-carrying callbacks: fn(arg) on delivery,
-// onFail(failArg) on loss. It resolves the two names and calls SendTo.
-func (n *Network) SendArg(fromRegion topology.RegionID, to Endpoint, fn func(any), arg any, onFail func(any), failArg any) {
-	n.SendTo(n.fleet.RegionIndex(fromRegion), n.Peer(to), fn, arg, onFail, failArg)
+	n.SendTo(n.fleet.RegionIndex(fromRegion), n.Peer(to), fnA, fnArg, failA, failArg)
 }
 
 // SendTo sends from the region numbered from (topology.Fleet.RegionIndex) to a
-// resolved peer. Static callbacks plus pooled envelopes keep the per-message
-// path free of closure allocations, and nothing on it looks a name up; either
-// callback may be nil. Every message ends in exactly one of the two
+// resolved peer: fn(arg) on delivery, onFail(failArg) on loss. Static
+// callbacks plus pooled envelopes keep the per-message path free of closure
+// allocations, and nothing on it looks a name up; either callback may be
+// nil. Every message ends in exactly one of the two
 // callbacks, run exactly once (a nil one is skipped, never replaced by the
 // other): callers that recycle arg when a callback runs — routing's request
 // record, Call's callState — depend on it. A peer that was never registered
@@ -439,17 +434,11 @@ func envTimeout(a any) {
 	}
 }
 
-// ReplyArg schedules fn(arg) after the one-way latency from region from to
-// region to — the response leg of an RPC, where the receiver is not a
-// registered endpoint. It resolves the two names and calls ReplyAt.
-func (n *Network) ReplyArg(from, to topology.RegionID, fn func(any), arg any, onFail func(any), failArg any) {
-	n.ReplyAt(n.fleet.RegionIndex(from), n.fleet.RegionIndex(to), fn, arg, onFail, failArg)
-}
-
-// ReplyAt is the reply leg between the regions numbered from and to. It
-// honors injected link faults: a lost reply invokes onFail(failArg) at send
-// time + SendTimeout. Like SendTo it runs exactly one of its two callbacks,
-// exactly once.
+// ReplyAt schedules fn(arg) after the one-way latency between the regions
+// numbered from and to — the response leg of an RPC, where the receiver is
+// not a registered endpoint. It honors injected link faults: a lost reply
+// invokes onFail(failArg) at send time + SendTimeout. Like SendTo it runs
+// exactly one of its two callbacks, exactly once.
 func (n *Network) ReplyAt(from, to int, fn func(any), arg any, onFail func(any), failArg any) {
 	if n.lost(from, to) {
 		n.Dropped++

@@ -245,35 +245,8 @@ func TestSendDeliverReplyAllocationFree(t *testing.T) {
 	}
 }
 
-func TestSendArgDeliversArg(t *testing.T) {
-	loop, n := testNet(t)
-	n.Register("dst", "b")
-	type msg struct{ payload int }
-	var got *msg
-	m := &msg{payload: 42}
-	n.SendArg("a", "dst", func(a any) { got = a.(*msg) }, m, nil, nil)
-	loop.Run()
-	if got != m {
-		t.Fatalf("SendArg delivered %v, want the original message pointer", got)
-	}
-}
-
-func TestSendArgFailArgOnUnreachable(t *testing.T) {
-	loop, n := testNet(t)
-	n.Register("dst", "b")
-	n.Unregister("dst")
-	var failedWith any
-	n.SendArg("a", "dst",
-		func(any) { t.Error("delivered to a down endpoint") }, nil,
-		func(a any) { failedWith = a }, "req-7")
-	loop.Run()
-	if failedWith != "req-7" {
-		t.Fatalf("onFail got %v, want req-7", failedWith)
-	}
-}
-
 // TestExactlyOneCallbackPerMessage pins the contract pooled callers lean on:
-// whatever happens to a SendArg or ReplyArg message — delivered, dropped on
+// whatever happens to a SendTo or ReplyAt message — delivered, dropped on
 // a partitioned or lossy link, destination down at send time, destination
 // dying while the message is in flight, delivery slower than the timeout —
 // exactly one of its two callbacks runs, exactly once.
@@ -303,14 +276,15 @@ func TestExactlyOneCallbackPerMessage(t *testing.T) {
 			n.Register("dst", "b")
 			tc.arrange(loop, n)
 			var send, reply tally
-			n.SendArg("a", "dst", onDeliver, &send, onFail, &send)
-			n.ReplyArg("a", "b", onDeliver, &reply, onFail, &reply)
+			a, b := n.fleet.RegionIndex("a"), n.fleet.RegionIndex("b")
+			n.SendTo(a, n.Peer("dst"), onDeliver, &send, onFail, &send)
+			n.ReplyAt(a, b, onDeliver, &reply, onFail, &reply)
 			loop.Run()
 			if send.delivered+send.failed != 1 || (send.delivered == 1) != tc.wantSend {
-				t.Errorf("SendArg ran %+v, want exactly one callback (delivered: %v)", send, tc.wantSend)
+				t.Errorf("SendTo ran %+v, want exactly one callback (delivered: %v)", send, tc.wantSend)
 			}
 			if reply.delivered+reply.failed != 1 || (reply.delivered == 1) != tc.wantReply {
-				t.Errorf("ReplyArg ran %+v, want exactly one callback (delivered: %v)", reply, tc.wantReply)
+				t.Errorf("ReplyAt ran %+v, want exactly one callback (delivered: %v)", reply, tc.wantReply)
 			}
 		})
 	}
@@ -320,9 +294,10 @@ func TestExactlyOneCallbackPerMessage(t *testing.T) {
 	n.Register("dst", "b")
 	n.SetLinkFault("a", "b", LinkFault{DropProb: 0.5})
 	tallies := make([]tally, 200)
+	a, b := n.fleet.RegionIndex("a"), n.fleet.RegionIndex("b")
 	for i := 0; i < len(tallies); i += 2 {
-		n.SendArg("a", "dst", onDeliver, &tallies[i], onFail, &tallies[i])
-		n.ReplyArg("a", "b", onDeliver, &tallies[i+1], onFail, &tallies[i+1])
+		n.SendTo(a, n.Peer("dst"), onDeliver, &tallies[i], onFail, &tallies[i])
+		n.ReplyAt(a, b, onDeliver, &tallies[i+1], onFail, &tallies[i+1])
 	}
 	loop.Run()
 	var total tally

@@ -21,7 +21,7 @@ type DeltaEntry struct {
 // frequent republication affordable at millions of shards.
 //
 // A Delta is a reusable buffer: Reset rewinds it in place, and staging
-// methods (Set, SetOne, Remove) recycle the Changed backing array and each
+// methods (Set, Remove) recycle the Changed backing array and each
 // entry's Assignments slice, so a publisher that restages one delta
 // allocates nothing at steady state.
 type Delta struct {
@@ -74,18 +74,6 @@ func (d *Delta) entry(s ID) *DeltaEntry {
 func (d *Delta) Set(s ID, as []Assignment) {
 	e := d.entry(s)
 	e.Assignments = append(e.Assignments[:0], as...)
-}
-
-// SetOne stages shard s as a single-replica assignment — the hot path for
-// primary-only churn, with no intermediate slice.
-func (d *Delta) SetOne(s ID, server ServerID, role Role) {
-	e := d.entry(s)
-	if cap(e.Assignments) < 1 {
-		e.Assignments = make([]Assignment, 1, 4)
-	} else {
-		e.Assignments = e.Assignments[:1]
-	}
-	e.Assignments[0] = Assignment{Server: server, Role: role}
 }
 
 // Remove stages shard s for removal from the map.

@@ -169,7 +169,7 @@ func TestDeltaStagingSteadyStateAllocs(t *testing.T) {
 	// Warm up both buffers once.
 	d.Reset("app", 1, 2, 0)
 	for _, s := range ids {
-		d.SetOne(s, "b", RolePrimary)
+		d.Set(s, []Assignment{{Server: "b", Role: RolePrimary}})
 	}
 	if err := m.ApplyDelta(d); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestDeltaStagingSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		d.Reset("app", version, version+1, 0)
 		for _, s := range ids {
-			d.SetOne(s, "c", RolePrimary)
+			d.Set(s, []Assignment{{Server: "c", Role: RolePrimary}})
 		}
 		if err := m.ApplyDelta(d); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// locateReference is Locate as ShardFor computed it before start keys were
+// locateReference is Locate as it was computed before start keys were
 // packed: sort.Search over the start strings, FNV bucketing in hash mode.
 func locateReference(k *Keyspace, key string) int {
 	if k.starts == nil {
@@ -43,9 +43,6 @@ func checkLocate(t *testing.T, ks *Keyspace, key string) {
 	want := locateReference(ks, key)
 	if got := ks.Locate(key); got != want {
 		t.Fatalf("Locate(%q) = %d, sort.Search reference %d (starts %q)", key, got, want, ks.starts)
-	}
-	if got := ks.ShardFor(key); got != ks.shards[want] || got != ks.At(want) {
-		t.Fatalf("ShardFor(%q) = %s, reference %s", key, got, ks.shards[want])
 	}
 }
 

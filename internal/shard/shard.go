@@ -141,21 +141,6 @@ func (m *Map) Servers() []ServerID {
 	return out
 }
 
-// ShardsOn returns the sorted shards that have a replica on server.
-func (m *Map) ShardsOn(server ServerID) []ID {
-	var out []ID
-	for s, as := range m.Entries {
-		for _, a := range as {
-			if a.Server == server {
-				out = append(out, s)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Validate checks every entry with ValidateEntry.
 func (m *Map) Validate() error {
 	for s, as := range m.Entries {
@@ -186,20 +171,6 @@ func ValidateEntry(s ID, as []Assignment) error {
 		return fmt.Errorf("shard %s: %d primaries", s, primaries)
 	}
 	return nil
-}
-
-// Range is a half-open key range [Start, End); End == "" means unbounded.
-type Range struct {
-	Start string
-	End   string
-}
-
-// Contains reports whether key falls in the range.
-func (r Range) Contains(key string) bool {
-	if key < r.Start {
-		return false
-	}
-	return r.End == "" || key < r.End
 }
 
 // Keyspace is the application-owned mapping from keys to shards: an ordered
@@ -301,9 +272,6 @@ func (k *Keyspace) Locate(key string) int {
 // At returns the shard at position pos.
 func (k *Keyspace) At(pos int) ID { return k.shards[pos] }
 
-// ShardFor returns the shard owning key.
-func (k *Keyspace) ShardFor(key string) ID { return k.shards[k.Locate(key)] }
-
 // Shards returns the shard IDs in order.
 func (k *Keyspace) Shards() []ID {
 	out := make([]ID, len(k.shards))
@@ -313,66 +281,6 @@ func (k *Keyspace) Shards() []ID {
 
 // Len returns the number of shards.
 func (k *Keyspace) Len() int { return len(k.shards) }
-
-// RangeOf returns the key range of shard s, or false for hash-mode
-// keyspaces or unknown shards. Supporting range queries (e.g. the prefix
-// scans that Laser relies on, §3.1) requires this key locality.
-func (k *Keyspace) RangeOf(s ID) (Range, bool) {
-	if k.starts == nil {
-		return Range{}, false
-	}
-	for i, id := range k.shards {
-		if id == s {
-			r := Range{Start: k.starts[i]}
-			if i+1 < len(k.starts) {
-				r.End = k.starts[i+1]
-			}
-			return r, true
-		}
-	}
-	return Range{}, false
-}
-
-// ShardsForPrefix returns the shards whose ranges may contain keys with the
-// given prefix, in keyspace order. For hash-mode keyspaces every shard may
-// contain such keys (locality is destroyed — the Slicer UUID-key downside
-// discussed in §3.1), so all shards are returned.
-func (k *Keyspace) ShardsForPrefix(prefix string) []ID {
-	if k.starts == nil || prefix == "" {
-		return k.Shards()
-	}
-	var out []ID
-	hi := prefixUpperBound(prefix)
-	for i, id := range k.shards {
-		start := k.starts[i]
-		end := ""
-		if i+1 < len(k.starts) {
-			end = k.starts[i+1]
-		}
-		// Overlaps [prefix, hi)?
-		if end != "" && end <= prefix {
-			continue
-		}
-		if hi != "" && start >= hi {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-// prefixUpperBound returns the smallest string greater than every string
-// with the given prefix, or "" if none exists.
-func prefixUpperBound(prefix string) string {
-	b := []byte(prefix)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] < 0xff {
-			b[i]++
-			return string(b[:i+1])
-		}
-	}
-	return ""
-}
 
 func fnv1a(s string) uint64 {
 	const (

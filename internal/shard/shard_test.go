@@ -47,17 +47,13 @@ func TestMapCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestMapServersAndShardsOn(t *testing.T) {
+func TestMapServers(t *testing.T) {
 	m := NewMap("app")
 	m.Entries["s1"] = []Assignment{{Server: "b", Role: RolePrimary}, {Server: "a", Role: RoleSecondary}}
 	m.Entries["s2"] = []Assignment{{Server: "a", Role: RolePrimary}}
 	servers := m.Servers()
 	if len(servers) != 2 || servers[0] != "a" || servers[1] != "b" {
 		t.Fatalf("Servers = %v", servers)
-	}
-	on := m.ShardsOn("a")
-	if len(on) != 2 || on[0] != "s1" || on[1] != "s2" {
-		t.Fatalf("ShardsOn = %v", on)
 	}
 }
 
@@ -95,8 +91,8 @@ func TestNewKeyspaceUnevenRanges(t *testing.T) {
 		"zzz":  "S2",
 	}
 	for key, want := range cases {
-		if got := ks.ShardFor(key); got != want {
-			t.Errorf("ShardFor(%q) = %s, want %s", key, got, want)
+		if got := ks.At(ks.Locate(key)); got != want {
+			t.Errorf("At(Locate(%q)) = %s, want %s", key, got, want)
 		}
 	}
 }
@@ -123,8 +119,8 @@ func TestUniformKeyspaceCoversAllKeys(t *testing.T) {
 	}
 	seen := make(map[ID]bool)
 	for i := 0; i < 10000; i++ {
-		s := ks.ShardFor(string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune(i)))
-		seen[s] = true
+		key := string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune(i))
+		seen[ks.At(ks.Locate(key))] = true
 	}
 	if len(seen) < 12 {
 		t.Fatalf("hash keyspace used only %d/16 shards", len(seen))
@@ -143,91 +139,9 @@ func TestUniformKeyspacePanicsOnZero(t *testing.T) {
 func TestKeyspaceDeterministicProperty(t *testing.T) {
 	ks := UniformKeyspace("sh", 64)
 	if err := quick.Check(func(key string) bool {
-		return ks.ShardFor(key) == ks.ShardFor(key)
+		return ks.At(ks.Locate(key)) == ks.At(ks.Locate(key))
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRangeKeyspaceShardForMatchesRangeOf(t *testing.T) {
-	ks, _ := NewKeyspace([]ID{"a", "b", "c"}, []string{"", "m", "t"})
-	if err := quick.Check(func(key string) bool {
-		s := ks.ShardFor(key)
-		r, ok := ks.RangeOf(s)
-		return ok && r.Contains(key)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRangeOf(t *testing.T) {
-	ks, _ := NewKeyspace([]ID{"a", "b"}, []string{"", "m"})
-	ra, ok := ks.RangeOf("a")
-	if !ok || ra.Start != "" || ra.End != "m" {
-		t.Fatalf("RangeOf(a) = %+v ok=%v", ra, ok)
-	}
-	rb, _ := ks.RangeOf("b")
-	if rb.End != "" {
-		t.Fatalf("RangeOf(b).End = %q, want unbounded", rb.End)
-	}
-	if _, ok := ks.RangeOf("zzz"); ok {
-		t.Fatal("RangeOf unknown shard")
-	}
-	if _, ok := UniformKeyspace("x", 4).RangeOf("x0000"); ok {
-		t.Fatal("hash keyspace has no ranges")
-	}
-}
-
-func TestShardsForPrefix(t *testing.T) {
-	ks, _ := NewKeyspace([]ID{"a", "b", "c"}, []string{"", "m", "t"})
-	got := ks.ShardsForPrefix("mo")
-	if len(got) != 1 || got[0] != "b" {
-		t.Fatalf("ShardsForPrefix(mo) = %v", got)
-	}
-	got = ks.ShardsForPrefix("l")
-	if len(got) != 1 || got[0] != "a" {
-		t.Fatalf("ShardsForPrefix(l) = %v", got)
-	}
-	// Prefix spanning boundary: keys "m".."zzz" overlap b and c... use
-	// empty prefix to mean everything.
-	got = ks.ShardsForPrefix("")
-	if len(got) != 3 {
-		t.Fatalf("ShardsForPrefix('') = %v", got)
-	}
-	// Hash keyspaces lose locality: all shards returned.
-	h := UniformKeyspace("x", 4)
-	if len(h.ShardsForPrefix("abc")) != 4 {
-		t.Fatal("hash keyspace should return all shards for a prefix")
-	}
-}
-
-func TestShardsForPrefixConsistentWithShardFor(t *testing.T) {
-	ks, _ := NewKeyspace([]ID{"a", "b", "c", "d"}, []string{"", "g", "p", "w"})
-	if err := quick.Check(func(key string) bool {
-		if key == "" {
-			return true
-		}
-		owner := ks.ShardFor(key)
-		for _, s := range ks.ShardsForPrefix(key) {
-			if s == owner {
-				return true
-			}
-		}
-		return false
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPrefixUpperBound(t *testing.T) {
-	if got := prefixUpperBound("abc"); got != "abd" {
-		t.Fatalf("prefixUpperBound(abc) = %q", got)
-	}
-	if got := prefixUpperBound("a\xff"); got != "b" {
-		t.Fatalf("prefixUpperBound(a\\xff) = %q", got)
-	}
-	if got := prefixUpperBound("\xff\xff"); got != "" {
-		t.Fatalf("prefixUpperBound(all-ff) = %q", got)
 	}
 }
 

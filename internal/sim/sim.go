@@ -454,17 +454,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed value with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u)
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

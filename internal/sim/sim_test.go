@@ -237,19 +237,6 @@ func TestRNGNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestRNGExpFloat64Mean(t *testing.T) {
-	r := NewRNG(123)
-	n := 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / float64(n)
-	if mean < 0.97 || mean > 1.03 {
-		t.Fatalf("mean = %v, want ~1", mean)
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	r := NewRNG(5)
 	f1 := r.Fork()
@@ -291,14 +278,14 @@ func TestShuffleKeepsElements(t *testing.T) {
 
 // BenchmarkLoopScheduleAndRun is the kernel's layer drive: file `pending`
 // events, then drain them. One shared callback rides PostArgL and the delays
-// come from delayMix, so every wheel level, its cascades and the overflow
-// heap are on the path. pending=1M is the regime no deployment reaches — a
-// seven-figure queue depth, where the wheel no longer fits in cache.
+// come from delayMix, so near, the slot level, the block-boundary drains and
+// the far heap are all on the path. pending=10k brackets the deepest queue a
+// bench workload reaches (sim.queue_depth_max 470-6,273, traced pass, seed 1).
 func BenchmarkLoopScheduleAndRun(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		pending int
-	}{{"pending=1k", 1_000}, {"pending=1M", 1_000_000}} {
+	}{{"pending=1k", 1_000}, {"pending=10k", 10_000}} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := NewRNG(1)
 			delays := make([]time.Duration, c.pending)

@@ -5,37 +5,33 @@ import (
 	"math/bits"
 )
 
-// The loop's pending-event store is a hierarchical timing wheel. The old
-// implementation kept every scheduled event in one global binary heap, so
-// each schedule and dispatch paid O(log n) pointer-chasing sift operations
-// against an arbitrarily deep heap (~142k entries at 120k shards). The wheel
-// replaces that with O(1) slot filing for the dominant short-delay events
-// (RPC deliveries, retries, liveness timers) and defers ordering work until
-// a tick actually becomes due.
+// The loop's pending-event store is a one-level timing wheel in front of a
+// heap. A single global binary heap pays O(log n) pointer-chasing sifts on
+// every schedule and dispatch; the wheel gives the dominant short-delay events
+// (RPC legs of 1-70 ms, retries, liveness timers) O(1) slot filing and defers
+// ordering work until a tick actually becomes due.
 //
-// Geometry. Simulated time is divided into ticks of 2^20 ns (~1.05 ms).
-// An event whose tick is delta ticks in the future is filed by delta:
+// Geometry. Simulated time is divided into ticks of 2^20 ns (~1.05 ms). An
+// event whose tick is delta ticks past the cursor is filed by delta:
 //
-//	delta <= 2^8      L0: 256 slots of one tick each, slot = tick & 255
-//	delta <= 2^14     L1: 64 slots of 2^8 ticks,  slot = (tick >> 8) & 63
-//	delta <= 2^20     L2: 64 slots of 2^14 ticks, slot = (tick >> 14) & 63
-//	delta <= 2^26     L3: 64 slots of 2^20 ticks, slot = (tick >> 20) & 63
-//	delta <= 2^32     L4: 64 slots of 2^26 ticks, slot = (tick >> 26) & 63
-//	beyond            overflow: a small binary min-heap (~52+ days out)
+//	delta <= 0      near: due now, a binary min-heap on (at, seq)
+//	delta <= 2^8    L0: 256 slots of one tick each (~268 ms), slot = tick & 255
+//	beyond          far: a binary min-heap on (at, seq)
 //
 // Slots are intrusive singly-linked lists (event.next), so filing is
-// pointer-swap cheap and allocation-free. Occupancy bitmaps (four words for
-// L0, one word per upper level) let the cursor skip empty slots with
-// TrailingZeros64 instead of walking them.
+// pointer-swap cheap and allocation-free. A four-word occupancy bitmap lets
+// the cursor skip empty slots with TrailingZeros64 instead of walking them.
+// One level is what the deployments reach: the bench workloads hold a few
+// hundred to a few thousand pending events, nearly all within L0's span, and
+// the periodic timers beyond it (load collection, allocation, discovery
+// propagation) are few enough that a heap holds them cheaply.
 //
-// Ordering / determinism. Events due at or before the cursor live in
-// "near", a binary min-heap keyed (at, seq) exactly like the old global
-// heap. The loop dispatches only from near, and the cursor advances only
-// when near is empty, so the event popped from near is always the globally
-// minimal live (at, seq) — byte-for-byte the old dispatch order, including
-// FIFO ties by seq. When the cursor crosses a slot boundary the covering
-// upper-level slot cascades: its events re-file by their new delta, landing
-// in L0 (or near) before their tick can become due.
+// Ordering / determinism. The loop dispatches only from near, and the cursor
+// advances only when near is empty, so the event popped from near is always
+// the globally minimal live (at, seq) — the dispatch order of one global
+// heap, including FIFO ties by seq. When the cursor crosses into a 256-tick
+// block, every far event of that block moves into L0 (or near) before its
+// tick can become due.
 type wheel struct {
 	curTick uint64 // all events at ticks <= curTick are in near (or gone)
 
@@ -44,10 +40,7 @@ type wheel struct {
 	l0    [l0Slots]*event
 	l0occ [l0Slots / 64]uint64
 
-	lv    [numLevels][lvlSlots]*event
-	lvocc [numLevels]uint64
-
-	overflow []*event // far-future events, min-heap on (at, seq)
+	far []*event // events past L0's span, min-heap on (at, seq)
 
 	stored    int // events held anywhere in the structure (incl. cancelled)
 	cancelled int // cancelled-but-undrained events among stored
@@ -59,20 +52,10 @@ const (
 	l0Slots = 256
 	l0Mask  = l0Slots - 1
 
-	numLevels = 4
-	lvlSlots  = 64
-	lvlMask   = lvlSlots - 1
-
 	// compactFloor is the minimum number of cancelled-but-undrained events
 	// before compaction is considered; below it the dead weight is too small
 	// to matter and tiny unit-test workloads keep exact legacy occupancy.
 	compactFloor = 256
-)
-
-// lvlShift[k] is the slot-index shift for level k; maxDelta[k] its horizon.
-var (
-	lvlShift = [numLevels]uint{8, 14, 20, 26}
-	maxDelta = [numLevels]uint64{1 << 14, 1 << 20, 1 << 26, 1 << 32}
 )
 
 func tickOf(at int64) uint64 { return uint64(at) >> tickShift }
@@ -84,39 +67,28 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// file places ev into near, a wheel slot, or overflow by its delta from the
-// cursor. It does not touch stored: callers account for entering/leaving the
-// structure; re-filing during a cascade is not a new entry.
+// file places ev into near, an L0 slot, or far by its delta from the cursor.
+// It does not touch stored: callers account for entering/leaving the
+// structure; moving from far into L0 is not a new entry.
 func (w *wheel) file(ev *event) {
 	t := tickOf(int64(ev.at))
-	if t <= w.curTick {
+	switch {
+	case t <= w.curTick:
 		heapPush(&w.near, ev)
-		return
-	}
-	delta := t - w.curTick
-	if delta <= l0Slots {
+	case t-w.curTick <= l0Slots:
 		s := t & l0Mask
 		ev.next = w.l0[s]
 		w.l0[s] = ev
 		w.l0occ[s>>6] |= 1 << (s & 63)
-		return
+	default:
+		heapPush(&w.far, ev)
 	}
-	for k := 0; k < numLevels; k++ {
-		if delta <= maxDelta[k] {
-			s := (t >> lvlShift[k]) & lvlMask
-			ev.next = w.lv[k][s]
-			w.lv[k][s] = ev
-			w.lvocc[k] |= 1 << s
-			return
-		}
-	}
-	heapPush(&w.overflow, ev)
 }
 
 // advance moves the cursor forward until near is non-empty or the next
 // occupied tick would exceed limit (then the cursor stops at limit). The
 // caller must ensure near is empty. Work is bounded by occupancy: empty
-// stretches are skipped via nextBoundary rather than walked tick by tick.
+// stretches are skipped block by block rather than walked tick by tick.
 func (w *wheel) advance(limit uint64) {
 	for {
 		t := w.curTick + 1
@@ -124,7 +96,7 @@ func (w *wheel) advance(limit uint64) {
 			return
 		}
 		if t&l0Mask == 0 {
-			w.cascadeAt(t)
+			w.drainFar(t + l0Slots)
 		}
 		if s := w.scanL0(int(t & l0Mask)); s >= 0 {
 			tick := (t &^ uint64(l0Mask)) | uint64(s)
@@ -136,15 +108,18 @@ func (w *wheel) advance(limit uint64) {
 			w.loadL0(s)
 			return
 		}
-		// Rest of this 256-tick block is empty: jump to the next boundary
-		// whose cascade can produce events (or to limit, whichever first).
-		// L0 slots below the cursor's block offset wrap into the next block
-		// (delta <= 256 spans the boundary), so any remaining L0 occupancy
-		// after a failed tail scan pins the jump to the very next block.
-		blockEnd := (t &^ uint64(l0Mask)) + l0Slots
-		nb := blockEnd
+		// Rest of this 256-tick block is empty: jump to the next block that
+		// holds anything (or to limit, whichever first). L0 slots below the
+		// cursor's block offset wrap into the next block (delta <= 256 spans
+		// the boundary), so any remaining L0 occupancy after a failed tail
+		// scan pins the jump to the very next block; otherwise the next
+		// events are the far head's, a whole number of blocks ahead.
+		nb := (t &^ uint64(l0Mask)) + l0Slots
 		if w.l0occ[0]|w.l0occ[1]|w.l0occ[2]|w.l0occ[3] == 0 {
-			nb = w.nextBoundary(blockEnd)
+			nb = math.MaxUint64
+			if len(w.far) > 0 {
+				nb = tickOf(int64(w.far[0].at)) &^ uint64(l0Mask)
+			}
 		}
 		if nb-1 >= limit {
 			w.curTick = limit
@@ -154,43 +129,13 @@ func (w *wheel) advance(limit uint64) {
 	}
 }
 
-// cascadeAt re-files the upper-level slots that become current when the
-// cursor reaches boundary b (a multiple of 256 ticks; curTick == b-1).
-// Higher levels first, so events trickle down one filing per level at most.
-// At L3 horizons the overflow heap is drained of everything newly within
-// the wheel's reach.
-func (w *wheel) cascadeAt(b uint64) {
-	if b&(1<<26-1) == 0 {
-		w.drainOverflow(b + (1 << 32))
-		w.cascadeSlot(3, (b>>26)&lvlMask)
-	}
-	if b&(1<<20-1) == 0 {
-		w.cascadeSlot(2, (b>>20)&lvlMask)
-	}
-	if b&(1<<14-1) == 0 {
-		w.cascadeSlot(1, (b>>14)&lvlMask)
-	}
-	w.cascadeSlot(0, (b>>8)&lvlMask)
-}
-
-func (w *wheel) cascadeSlot(k int, s uint64) {
-	ev := w.lv[k][s]
-	if ev == nil {
-		return
-	}
-	w.lv[k][s] = nil
-	w.lvocc[k] &^= 1 << s
-	for ev != nil {
-		next := ev.next
-		ev.next = nil
-		w.file(ev)
-		ev = next
-	}
-}
-
-func (w *wheel) drainOverflow(horizon uint64) {
-	for len(w.overflow) > 0 && tickOf(int64(w.overflow[0].at)) < horizon {
-		w.file(heapPop(&w.overflow))
+// drainFar files every far event due before tick horizon. advance calls it
+// with the end of the block the cursor is entering: a far event is filed more
+// than 256 ticks ahead, so it is still in far when the cursor reaches the
+// start of its block, and leaves at that boundary with a delta L0 can hold.
+func (w *wheel) drainFar(horizon uint64) {
+	for len(w.far) > 0 && tickOf(int64(w.far[0].at)) < horizon {
+		w.file(heapPop(&w.far))
 	}
 }
 
@@ -225,51 +170,10 @@ func (w *wheel) loadL0(s int) {
 	}
 }
 
-// nextBoundary returns the earliest cascade boundary >= blockEnd at which
-// events can (re-)enter lower levels: the first occupied slot per upper
-// level, and the first L3 horizon that reaches the overflow head. Returns
-// MaxUint64 when the upper levels and overflow are all empty.
-func (w *wheel) nextBoundary(blockEnd uint64) uint64 {
-	best := uint64(math.MaxUint64)
-	for k := 0; k < numLevels; k++ {
-		occ := w.lvocc[k]
-		if occ == 0 {
-			continue
-		}
-		shift := lvlShift[k]
-		curU := w.curTick >> shift
-		s0 := (curU + 1) & lvlMask
-		// Rotate so bit j corresponds to slot (s0+j)&63: slots map to
-		// units curU+1 .. curU+64 in circular order.
-		rot := bits.RotateLeft64(occ, -int(s0))
-		u := curU + 1 + uint64(bits.TrailingZeros64(rot))
-		if b := u << shift; b < best {
-			best = b
-		}
-	}
-	if len(w.overflow) > 0 {
-		// First multiple of 2^26 whose drain horizon (+2^32) covers the
-		// overflow head. Overflow deltas exceed 2^32, so c never underflows
-		// and the boundary lands strictly before the head's own tick.
-		c := tickOf(int64(w.overflow[0].at)) - (1 << 32)
-		b := (c>>26 + 1) << 26
-		if b < blockEnd {
-			b = blockEnd
-		}
-		if b < best {
-			best = b
-		}
-	}
-	if best < blockEnd {
-		best = blockEnd
-	}
-	return best
-}
-
 // compact sweeps cancelled-but-undrained events out of every structure,
 // recycling them onto the loop's freelist. Survivor order is irrelevant to
-// correctness: near and overflow re-heapify on the (at, seq) total order,
-// and slot lists are unordered by design.
+// correctness: near and far re-heapify on the (at, seq) total order, and slot
+// lists are unordered by design.
 func (w *wheel) compact(l *Loop) {
 	w.near = compactHeap(w.near, l)
 	for s := range w.l0 {
@@ -281,18 +185,7 @@ func (w *wheel) compact(l *Loop) {
 			w.l0occ[s>>6] &^= 1 << uint(s&63)
 		}
 	}
-	for k := range w.lv {
-		for s := range w.lv[k] {
-			if w.lv[k][s] == nil {
-				continue
-			}
-			w.lv[k][s] = compactList(w.lv[k][s], l)
-			if w.lv[k][s] == nil {
-				w.lvocc[k] &^= 1 << uint(s)
-			}
-		}
-	}
-	w.overflow = compactHeap(w.overflow, l)
+	w.far = compactHeap(w.far, l)
 	w.cancelled = 0
 }
 
@@ -331,7 +224,7 @@ func compactList(head *event, l *Loop) *event {
 	return out
 }
 
-// Binary min-heap helpers over (at, seq) — shared by near and overflow.
+// Binary min-heap helpers over (at, seq) — shared by near and far.
 
 func heapPush(h *[]*event, ev *event) {
 	s := append(*h, ev)

@@ -27,7 +27,6 @@ func scaleProblem(rng *sim.RNG, buckets, entities int) *Problem {
 	for i := 0; i < entities; i++ {
 		skew := 0.1 + 1.9*rng.Float64()
 		p.AddEntity(Entity{
-			Name:    fmt.Sprintf("sh%06d", i),
 			Load:    []float64{baseStorage * skew, baseCPU * skew, 1},
 			Bucket:  BucketID(rng.Intn(buckets)),
 			Movable: true,

@@ -43,7 +43,6 @@ const unassignedPenalty = 1e12
 
 // Entity is one assignable unit (a shard replica).
 type Entity struct {
-	Name string
 	// Load per metric, indexed like Problem.Metrics.
 	Load []float64
 	// Bucket is the current assignment (Unassigned if none).
@@ -173,10 +172,10 @@ func (p *Problem) AddBucket(b Bucket) BucketID {
 // AddEntity registers an entity and returns its ID.
 func (p *Problem) AddEntity(e Entity) EntityID {
 	if len(e.Load) != len(p.Metrics) {
-		panic(fmt.Sprintf("solver: entity %q load has %d metrics, want %d", e.Name, len(e.Load), len(p.Metrics)))
+		panic(fmt.Sprintf("solver: entity %d load has %d metrics, want %d", len(p.Entities), len(e.Load), len(p.Metrics)))
 	}
 	if e.Bucket != Unassigned && (e.Bucket < 0 || int(e.Bucket) >= len(p.Buckets)) {
-		panic(fmt.Sprintf("solver: entity %q assigned to unknown bucket %d", e.Name, e.Bucket))
+		panic(fmt.Sprintf("solver: entity %d assigned to unknown bucket %d", len(p.Entities), e.Bucket))
 	}
 	p.Entities = append(p.Entities, e)
 	return EntityID(len(p.Entities) - 1)

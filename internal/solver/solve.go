@@ -119,8 +119,6 @@ func GroupedSampler(p *Problem, utilMetric int) Sampler {
 type Options struct {
 	// TimeLimit bounds wall-clock solving time; <= 0 means no limit.
 	TimeLimit time.Duration
-	// MoveBudget bounds the number of applied moves; <= 0 means no limit.
-	MoveBudget int
 	// EvalBudget bounds the number of candidate-move evaluations; <= 0
 	// means no limit. Unlike TimeLimit, an evaluation budget is
 	// deterministic: two runs with the same seed stop at the same point,
@@ -129,9 +127,6 @@ type Options struct {
 	// CandidateTargets is how many target buckets to sample per entity
 	// (default 16).
 	CandidateTargets int
-	// MaxEntitiesPerBucket is how many entities of a hot bucket to
-	// evaluate per fix attempt (default 16).
-	MaxEntitiesPerBucket int
 	// BigFirst evaluates a hot bucket's largest entities first (§5.3:
 	// "SM guides ReBalancer to evaluate large shards earlier"), largest by
 	// metric 0, the caller's primary metric.
@@ -154,12 +149,11 @@ type Options struct {
 // DefaultOptions returns the fully optimized configuration.
 func DefaultOptions() Options {
 	return Options{
-		CandidateTargets:     16,
-		MaxEntitiesPerBucket: 16,
-		BigFirst:             true,
-		UseEquivalence:       true,
-		EnableSwap:           true,
-		Seed:                 1,
+		CandidateTargets: 16,
+		BigFirst:         true,
+		UseEquivalence:   true,
+		EnableSwap:       true,
+		Seed:             1,
 	}
 }
 
@@ -198,9 +192,14 @@ type Result struct {
 
 const improveEps = 1e-9
 
-// maxSwapEntities bounds how many of a hot bucket's candidate entities a
-// swap attempt considers before giving up.
-const maxSwapEntities = 4
+const (
+	// maxEntitiesPerBucket is how many entities of a hot bucket one fix
+	// attempt evaluates.
+	maxEntitiesPerBucket = 16
+	// maxSwapEntities bounds how many of a hot bucket's candidate entities a
+	// swap attempt considers before giving up.
+	maxSwapEntities = 4
+)
 
 // solveCtx carries one Solve call's mutable machinery: budgets, per-bucket
 // candidate caches and scratch buffers. All buffers are reused across
@@ -242,9 +241,6 @@ func Solve(p *Problem, opt Options) *Result {
 	if opt.CandidateTargets <= 0 {
 		opt.CandidateTargets = 16
 	}
-	if opt.MaxEntitiesPerBucket <= 0 {
-		opt.MaxEntitiesPerBucket = 16
-	}
 	if opt.Sampler == nil {
 		opt.Sampler = RandomSampler(p)
 	}
@@ -261,7 +257,7 @@ func Solve(p *Problem, opt Options) *Result {
 		start:         start,
 		entCache:      make([][]EntityID, len(p.Buckets)),
 		entCacheValid: make([]bool, len(p.Buckets)),
-		preps:         make([]prepared, opt.MaxEntitiesPerBucket),
+		preps:         make([]prepared, maxEntitiesPerBucket),
 	}
 	for i := range ctx.preps {
 		ctx.preps[i] = newPrepared(st)
@@ -283,9 +279,6 @@ func Solve(p *Problem, opt Options) *Result {
 }
 
 func (c *solveCtx) budgetLeft() bool {
-	if c.opt.MoveBudget > 0 && len(c.res.Moves) >= c.opt.MoveBudget {
-		return false
-	}
 	if c.opt.EvalBudget > 0 && c.res.Evaluated >= c.opt.EvalBudget {
 		return false
 	}
@@ -421,7 +414,7 @@ func (c *solveCtx) fireProgress() {
 // candidateEntities picks the entities of bucket b to evaluate this attempt:
 // the bucket's cached movable list (sorted once per invalidation, not per
 // attempt), deduplicated by equivalence class, truncated to
-// MaxEntitiesPerBucket. The returned slice is scratch, valid until the next
+// maxEntitiesPerBucket. The returned slice is scratch, valid until the next
 // call.
 func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 	st, opt := c.st, &c.opt
@@ -470,14 +463,14 @@ func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 			}
 			c.seenGen[sid] = c.gen
 			picked = append(picked, e)
-			if len(picked) == opt.MaxEntitiesPerBucket {
+			if len(picked) == maxEntitiesPerBucket {
 				break
 			}
 		}
 	} else {
 		for _, e := range ents {
 			picked = append(picked, e)
-			if len(picked) == opt.MaxEntitiesPerBucket {
+			if len(picked) == maxEntitiesPerBucket {
 				break
 			}
 		}

@@ -34,7 +34,6 @@ func randomProblem(rng *sim.RNG) *Problem {
 			b = Unassigned
 		}
 		id := p.AddEntity(Entity{
-			Name:    fmt.Sprintf("e%d", i),
 			Load:    []float64{1 + 9*rng.Float64(), 1 + 4*rng.Float64()},
 			Bucket:  b,
 			Movable: true,
@@ -326,10 +325,7 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 		}
 		groups := make(map[EntityID]string)
 		for i := 0; i < 12; i++ {
-			id := p.AddEntity(Entity{
-				Name: fmt.Sprintf("e%d", i), Load: []float64{1},
-				Bucket: Unassigned, Movable: true,
-			})
+			id := p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true})
 			groups[id] = fmt.Sprintf("g%d", i%4)
 		}
 		p.AddConstraint(CapacitySpec{Metric: "cpu"})

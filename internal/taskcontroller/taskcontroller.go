@@ -62,10 +62,11 @@ type Policy struct {
 	// MaxUnavailableReplicas is the per-shard cap on replicas that may
 	// be temporarily unavailable at once (default 1).
 	MaxUnavailableReplicas int
-	// MaintenanceLead is how far before a non-negotiable event's start
-	// the controller begins preparing (default 2 minutes).
-	MaintenanceLead time.Duration
 }
+
+// maintenanceLead is how far before a non-negotiable event's start the
+// controller begins preparing.
+const maintenanceLead = 2 * time.Minute
 
 // DefaultPolicy drains before restarts with a global cap of maxOps.
 func DefaultPolicy(maxOps int) Policy {
@@ -73,7 +74,6 @@ func DefaultPolicy(maxOps int) Policy {
 		DrainOnRestart:         true,
 		MaxConcurrentOps:       maxOps,
 		MaxUnavailableReplicas: 1,
-		MaintenanceLead:        2 * time.Minute,
 	}
 }
 
@@ -124,9 +124,6 @@ func New(loop *sim.Loop, shards ShardStateProvider, policy Policy) *Controller {
 	}
 	if policy.MaxUnavailableReplicas <= 0 {
 		policy.MaxUnavailableReplicas = 1
-	}
-	if policy.MaintenanceLead <= 0 {
-		policy.MaintenanceLead = 2 * time.Minute
 	}
 	return &Controller{
 		loop:     loop,
@@ -259,7 +256,7 @@ func (c *Controller) MaintenanceScheduled(region topology.RegionID, ev cluster.M
 	if mgr == nil {
 		return
 	}
-	prepareAt := ev.Start - c.policy.MaintenanceLead
+	prepareAt := ev.Start - maintenanceLead
 	c.loop.AtL(prepareAt, lbMaintPrepare, func() {
 		for _, machine := range ev.Machines {
 			for _, container := range mgr.ContainersOnMachine(machine) {

@@ -7,7 +7,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -196,9 +195,6 @@ func (f *Fleet) Regions() []RegionID {
 	return out
 }
 
-// Size returns the number of machines.
-func (f *Fleet) Size() int { return len(f.order) }
-
 // RegionIndex returns r's number in this fleet, giving it the next one if r
 // has not been named before. Resolve a region once and keep the number:
 // LatencyAt indexes the matrix with it.
@@ -321,32 +317,4 @@ func Build(spec Spec) *Fleet {
 		f.SetLatency(pair[0], pair[1], d)
 	}
 	return f
-}
-
-// CountByDomain returns, for each distinct domain name at the given level,
-// how many of the provided machine IDs fall into it. Unknown machines are
-// ignored. Used to verify replica-spread goals in tests and experiments.
-func (f *Fleet) CountByDomain(level FaultDomainLevel, ids []MachineID) map[string]int {
-	out := make(map[string]int)
-	for _, id := range ids {
-		if m := f.machines[id]; m != nil {
-			out[m.Domain(level)]++
-		}
-	}
-	return out
-}
-
-// DistinctDomains returns the sorted distinct domain names at a level across
-// the whole fleet.
-func (f *Fleet) DistinctDomains(level FaultDomainLevel) []string {
-	set := make(map[string]struct{})
-	for _, id := range f.order {
-		set[f.machines[id].Domain(level)] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -18,8 +18,8 @@ func testFleet() *Fleet {
 
 func TestBuildCounts(t *testing.T) {
 	f := testFleet()
-	if f.Size() != 16 {
-		t.Fatalf("Size = %d, want 16", f.Size())
+	if got := len(f.Machines()); got != 16 {
+		t.Fatalf("machines = %d, want 16", got)
 	}
 	if got := len(f.MachinesInRegion("frc")); got != 8 {
 		t.Fatalf("frc machines = %d, want 8", got)
@@ -50,7 +50,10 @@ func TestMachineDomains(t *testing.T) {
 func TestDomainNamesAreGloballyUnique(t *testing.T) {
 	f := testFleet()
 	// rack00 exists in both regions but the qualified names must differ.
-	domains := f.DistinctDomains(LevelRack)
+	domains := make(map[string]bool)
+	for _, m := range f.Machines() {
+		domains[m.Domain(LevelRack)] = true
+	}
 	if len(domains) != 8 {
 		t.Fatalf("distinct racks = %d, want 8 (4 per region)", len(domains))
 	}
@@ -99,25 +102,12 @@ func TestAddMachineRejectsDuplicates(t *testing.T) {
 	f.AddMachine(&Machine{ID: "m1", Region: "r"})
 }
 
-func TestCountByDomain(t *testing.T) {
-	f := testFleet()
-	ids := []MachineID{"frc-m0000", "frc-m0001", "prn-m0000", "bogus"}
-	counts := f.CountByDomain(LevelRegion, ids)
-	if counts["frc"] != 2 || counts["prn"] != 1 {
-		t.Fatalf("CountByDomain = %v", counts)
-	}
-	if len(counts) != 2 {
-		t.Fatalf("unknown machine counted: %v", counts)
-	}
-}
-
 func TestBuildSpreadsRacksRoundRobin(t *testing.T) {
 	f := testFleet()
-	var ids []MachineID
+	counts := make(map[string]int)
 	for _, m := range f.MachinesInRegion("frc") {
-		ids = append(ids, m.ID)
+		counts[m.Domain(LevelRack)]++
 	}
-	counts := f.CountByDomain(LevelRack, ids)
 	for rack, n := range counts {
 		if n != 2 {
 			t.Fatalf("rack %s has %d machines, want 2", rack, n)

@@ -58,11 +58,6 @@ func Bool(k string, v bool) Attr { return Attr{Key: k, Val: strconv.FormatBool(v
 // Dur builds a duration attribute.
 func Dur(k string, d time.Duration) Attr { return Attr{Key: k, Val: d.String()} }
 
-// Float builds a float attribute with deterministic formatting.
-func Float(k string, v float64) Attr {
-	return Attr{Key: k, Val: strconv.FormatFloat(v, 'g', -1, 64)}
-}
-
 // Span is one hierarchical interval: a migration, an RPC round trip, a
 // client request including its retries.
 type Span struct {
@@ -411,18 +406,6 @@ func (t *Tracer) Samples() []Sample {
 	for _, c := range t.comps {
 		out = append(out, t.perComp[c].samples.items()...)
 	}
-	return out
-}
-
-// Components returns the component names in first-use order.
-func (t *Tracer) Components() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.comps))
-	copy(out, t.comps)
 	return out
 }
 

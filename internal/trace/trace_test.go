@@ -28,7 +28,7 @@ func TestNilTracerIsSafeAndDisabled(t *testing.T) {
 	tr.Event("c", "n", 0)
 	tr.Counter("c", "n", 1)
 	tr.SetClock(newTestClock(0))
-	if tr.Spans() != nil || tr.Events() != nil || tr.Samples() != nil || tr.Components() != nil {
+	if tr.Spans() != nil || tr.Events() != nil || tr.Samples() != nil {
 		t.Fatal("nil tracer returned records")
 	}
 	if s, e := tr.Dropped(); s != 0 || e != 0 {
@@ -147,29 +147,10 @@ func TestAttrConstructors(t *testing.T) {
 		{Int64("i64", 1<<40), "i64", "1099511627776"},
 		{Bool("b", true), "b", "true"},
 		{Dur("d", 1500*time.Millisecond), "d", "1.5s"},
-		{Float("f", 0.25), "f", "0.25"},
 	}
 	for _, c := range cases {
 		if c.a.Key != c.k || c.a.Val != c.v {
 			t.Fatalf("attr %q = %q, want %q", c.k, c.a.Val, c.v)
-		}
-	}
-}
-
-func TestComponentsFirstUseOrder(t *testing.T) {
-	tr := New(Options{})
-	tr.Event("zeta", "e", 0)
-	tr.StartSpan("alpha", "s", 0)
-	tr.Counter("mid", "g", 1)
-	tr.Event("zeta", "e2", 0)
-	got := tr.Components()
-	want := []string{"zeta", "alpha", "mid"}
-	if len(got) != len(want) {
-		t.Fatalf("components = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("components = %v, want %v", got, want)
 		}
 	}
 }

@@ -15,7 +15,7 @@ echo "== by-name lookups off the request path"
 # From Client.Do to the reply a request resolves no name: routing holds cells,
 # shard numbers, peers and slots, and the fabric's handle forms take region
 # numbers and *Peer. A by-name call creeping back in is a hash per request.
-byname="$(grep -nE 'ShardFor\(|\.Replicas\(|\.Lookup\(|net\.Region\(|fleet\.Latency\(|\.SendArg\(|\.ReplyArg\(|\.Send\(' \
+byname="$(grep -nE '\.Replicas\(|\.Lookup\(|net\.Region\(|fleet\.Latency\(|\.Send\(' \
 	$(ls internal/routing/*.go | grep -v _test.go) || true)"
 fabric="$(awk '/^func \(n \*Network\) (SendTo|ReplyAt|delayAt|lost)\(|^func env(Deliver|Timeout|Reply)\(/ {body=1}
 	body && /fleet\.Latency\(|RegionIndex\(|n\.Peer\(|\.peers\[/ {print FILENAME ":" FNR ": " $0}
@@ -39,6 +39,43 @@ unreached="$(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... |
 if [ -n "$unreached" ]; then
 	echo "internal packages outside the import closure of ./cmd/... and ./bench:" >&2
 	echo "$unreached" >&2
+	exit 1
+fi
+echo "== exported entry points have a caller"
+# An exported func or method declared in a non-test file under internal/ must
+# be named by some other line of non-test code (internal/, cmd/, examples/,
+# bench/; comment lines and its own declaration do not count). What is left is
+# reached only from tests: it stays only as a driver or probe of behaviour
+# other than its own, listed here with the reason; anything else goes with the
+# tests that checked it.
+keep="$(sed 's/ *#.*//' <<'KEEP' | sort
+allocator.FormatMoves       # what recorded_test.go compares, row by row
+coord.WatchData             # ROADMAP item 5's standby watches the leader node with it
+discovery.Cancel            # drives the store's reclamation behind the slowest cursor
+discovery.FixedDelay        # pins propagation delay so tests can count events
+orchestrator.ForceAllocate  # drives an allocation without waiting out AllocInterval
+rpcnet.Delay                # probe of the latency model and injected link faults
+rpcnet.Partitioned          # probe of the fault injector's link state
+rpcnet.Reachable            # probe of endpoint registration and revert
+sim.Pending                 # probe of timer cancellation and drain
+sim.Perm                    # draws propertyWorld's inputs: recorded_test.go's rows are a function of its draw order
+trace.FindSpans             # probe of span parentage in the experiment trace tests
+KEEP
+)"
+nonTest="$(find internal cmd examples bench -name '*.go' ! -name '*_test.go' | sort)"
+uncalled="$(for f in $(find internal -name '*.go' ! -name '*_test.go' | sort); do
+	pkg="$(basename "$(dirname "$f")")"
+	sed -nE 's/^func (\([^)]*\) )?([A-Z][A-Za-z0-9_]*)[(\[].*/\2/p' "$f" | sort -u | while read -r name; do
+		grep -hw -- "$name" $nonTest |
+			grep -vE "^func (\([^)]*\) )?$name[(\[]|^[[:space:]]*//" |
+			grep -qw -- "$name" || echo "$pkg.$name"
+	done
+done | sort)"
+extra="$(echo "$uncalled" | grep -vxF "$keep" || true)"
+stale="$(echo "$keep" | grep -vxF "$uncalled" || true)"
+if [ -n "$extra$stale" ]; then
+	echo "exported entry points no non-test code calls, not on the keep-list: $(echo $extra)" >&2
+	echo "keep-list entries that have a caller now, or are gone: $(echo $stale)" >&2
 	exit 1
 fi
 echo "== go test -race (all packages except sim-heavy experiments)"
