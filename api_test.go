@@ -175,7 +175,9 @@ func TestOptionStructFields(t *testing.T) {
 // replaced, by the names and types reflect reports for unexported fields: the
 // fabric keeps one record per endpoint, not a region map and a down map side
 // by side, and a server keys its replicas and tombstones by the directory's
-// shard number, not by the shard's name.
+// shard number, not by the shard's name. Off the request path the same rule:
+// the solver is told an entity's group one way, as a number, not as a string
+// in a map it must intern.
 func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 	net := reflect.TypeOf(rpcnet.Network{})
 	for _, gone := range []string{"regions", "down"} {
@@ -193,5 +195,13 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 		if !ok || f.Type.Kind() != reflect.Map || f.Type.Key() != reflect.TypeOf(appserver.ShardNum(0)) {
 			t.Errorf("appserver.Server.%s = %v (present %v), want a map keyed by appserver.ShardNum", table, f.Type, ok)
 		}
+	}
+	spec := reflect.TypeOf(solver.ExclusionSpec{})
+	var fields []string
+	for i := 0; i < spec.NumField(); i++ {
+		fields = append(fields, spec.Field(i).Name)
+	}
+	if want := []string{"Scope", "Group", "NumGroups", "Weight"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("solver.ExclusionSpec fields = %v, want exactly %v (no Groups map beside the dense slice)", fields, want)
 	}
 }

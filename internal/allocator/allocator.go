@@ -199,12 +199,6 @@ func New(policy Policy, seed uint64) *Allocator {
 // Policy returns the allocator's policy.
 func (a *Allocator) Policy() Policy { return a.policy }
 
-// replicaRef identifies one replica slot of a shard.
-type replicaRef struct {
-	shard shard.ID
-	idx   int
-}
-
 // Run performs one allocation and returns the bounded diff. The input is
 // not mutated.
 func (a *Allocator) Run(in Input, mode Mode) *Result {
@@ -219,7 +213,7 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	// Buckets: live servers only. Dead servers' replicas become
 	// unassigned entities.
 	bucketOf := make(map[shard.ServerID]solver.BucketID)
-	serverOf := make(map[solver.BucketID]shard.ServerID)
+	var serverOf []shard.ServerID // indexed by BucketID
 	for _, s := range in.Servers {
 		if !s.Alive {
 			continue
@@ -228,46 +222,51 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 		for i, m := range p.Metrics {
 			cap[i] = s.Capacity.Get(m)
 		}
-		props := make(map[string]string, len(s.Domains))
-		for k, v := range s.Domains {
-			props[k] = v
-		}
-		group := props[topology.LevelRegion.String()]
+		group := s.Domains[topology.LevelRegion.String()]
 		if group == "" {
 			group = "all"
 		}
-		id := prob.AddBucket(solver.Bucket{
+		bucketOf[s.ID] = prob.AddBucket(solver.Bucket{
 			Name:     string(s.ID),
 			Capacity: cap,
-			Props:    props,
+			Props:    s.Domains,
 			Group:    group,
 			Draining: s.Draining,
 		})
-		bucketOf[s.ID] = id
-		serverOf[id] = s.ID
+		serverOf = append(serverOf, s.ID)
 	}
 	if len(bucketOf) == 0 {
 		return &Result{Assignment: cloneAssignment(in.Current)}
 	}
 
-	// Entities: one per desired replica. Existing placements on live
-	// servers keep their bucket; others start unassigned. In emergency
-	// mode, placed replicas are pinned. The count is known, so the entity
-	// slice is sized once: append-doubling it is megabytes of garbage per
-	// run, in bursts large enough to raise the process's peak heap.
+	// Entities: one per desired replica, shard by shard in in.Shards' order.
+	// Existing placements on live servers keep their bucket; others start
+	// unassigned. In emergency mode, placed replicas are pinned. The count is
+	// known, so the entity slice, their loads and their groups are each sized
+	// once: growing them per replica is megabytes of garbage per run, in
+	// bursts large enough to raise the process's peak heap.
 	replicas := 0
 	for _, spec := range in.Shards {
 		replicas += spec.Replicas
 	}
 	prob.Entities = make([]solver.Entity, 0, replicas)
-	refs := make([]replicaRef, 0, replicas)
-	exclGroups := make(map[solver.EntityID]string)
-	conflictGroups := make(map[solver.EntityID]string)
+	loads := make([]float64, replicas*len(p.Metrics))
+	// shardOf[e] is the index in in.Shards of entity e's shard when that shard
+	// has replicas to keep apart, else -1: the group of both the server-scope
+	// conflict and the spread goal.
+	shardOf := make([]int32, 0, replicas)
+	grouped := false
 	var affinities []solver.AffinityGoal
-	for _, spec := range in.Shards {
+	for si, spec := range in.Shards {
 		cur := in.Current[spec.ID]
+		group := int32(-1)
+		if spec.Replicas > 1 {
+			group = int32(si)
+			grouped = true
+		}
 		for idx := 0; idx < spec.Replicas; idx++ {
-			load := make([]float64, len(p.Metrics))
+			load := loads[:len(p.Metrics):len(p.Metrics)]
+			loads = loads[len(p.Metrics):]
 			for i, m := range p.Metrics {
 				load[i] = spec.Load.Get(m)
 			}
@@ -288,15 +287,7 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 				Bucket:  bucket,
 				Movable: movable,
 			})
-			refs = append(refs, replicaRef{shard: spec.ID, idx: idx})
-			if spec.Replicas > 1 {
-				// Invariant: a shard's replicas never share a
-				// server (hard).
-				conflictGroups[id] = string(spec.ID)
-				if p.SpreadWeight > 0 {
-					exclGroups[id] = string(spec.ID)
-				}
-			}
+			shardOf = append(shardOf, group)
 			if spec.RegionPreference != "" && movable {
 				w := spec.PreferenceWeight
 				if w == 0 {
@@ -340,10 +331,12 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	for _, m := range metricNames {
 		prob.AddConstraint(solver.CapacitySpec{Metric: m})
 	}
-	if len(conflictGroups) > 0 {
+	if grouped {
+		// Invariant: a shard's replicas never share a server (hard).
 		prob.AddConflict(solver.ExclusionSpec{
-			Scope:  solver.ScopeBucket,
-			Groups: conflictGroups,
+			Scope:     solver.ScopeBucket,
+			Group:     shardOf,
+			NumGroups: len(in.Shards),
 		})
 	}
 	prob.AddDrainGoal(drainWeight)
@@ -352,11 +345,12 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	}
 
 	// Placement: spread and region preference.
-	if p.SpreadWeight > 0 && len(exclGroups) > 0 {
+	if p.SpreadWeight > 0 && grouped {
 		prob.AddExclusionGoal(solver.ExclusionSpec{
-			Scope:  p.SpreadLevel.String(),
-			Groups: exclGroups,
-			Weight: p.SpreadWeight,
+			Scope:     p.SpreadLevel.String(),
+			Group:     shardOf,
+			NumGroups: len(in.Shards),
+			Weight:    p.SpreadWeight,
 		})
 	}
 	for _, g := range affinities {
@@ -380,20 +374,23 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	}
 	res.Elapsed = time.Since(start)
 
-	// Convert the solver assignment into per-shard server lists.
+	// Convert the solver assignment into per-shard server lists, carved from
+	// one slab in the order the entities were added.
 	proposed := make(map[shard.ID][]shard.ServerID, len(in.Shards))
-	for i, ref := range refs {
-		b := prob.Entities[i].Bucket
-		var srv shard.ServerID
-		if b != solver.Unassigned {
-			srv = serverOf[b]
+	slab := make([]shard.ServerID, replicas)
+	e := 0 // the shard's first entity
+	for _, spec := range in.Shards {
+		if spec.Replicas == 0 {
+			continue
 		}
-		lst := proposed[ref.shard]
-		for len(lst) <= ref.idx {
-			lst = append(lst, "")
+		lst := slab[e : e+spec.Replicas : e+spec.Replicas]
+		for idx := range lst {
+			if b := prob.Entities[e+idx].Bucket; b != solver.Unassigned {
+				lst[idx] = serverOf[b]
+			}
 		}
-		lst[ref.idx] = srv
-		proposed[ref.shard] = lst
+		e += spec.Replicas
+		proposed[spec.ID] = lst
 	}
 
 	res.Assignment, res.Moves, res.Deferred = a.capDiff(in, proposed)

@@ -61,6 +61,74 @@ func BenchmarkSolveScale(b *testing.B) {
 	}
 }
 
+// replicatedProblem builds the problem the allocator states for the bench's
+// lb_churn workload at its balance stage, which scaleProblem lacks every
+// group-keyed part of: 300 buckets in 3 regions, 6,000 groups of 2 entities
+// under a bucket-scope conflict and a region-scope exclusion, a region
+// preference on a third of the groups, 20x load spread, and a random
+// conflict-free initial assignment.
+func replicatedProblem(rng *sim.RNG) *Problem {
+	const buckets, groups, replicas, regions = 300, 6000, 2, 3
+	p := NewProblem([]string{"cpu", "shard_count"})
+	for i := 0; i < buckets; i++ {
+		region := fmt.Sprintf("r%d", i%regions)
+		p.AddBucket(Bucket{
+			Name:     fmt.Sprintf("srv%03d", i),
+			Capacity: []float64{100, 80},
+			Props:    map[string]string{"region": region},
+			Group:    region,
+		})
+	}
+	baseCPU := buckets * 100 * 0.55 / (groups * replicas)
+	group := make([]int32, 0, groups*replicas)
+	for g := 0; g < groups; g++ {
+		load := []float64{baseCPU * (0.1 + 1.9*rng.Float64()), 1}
+		first := rng.Intn(buckets)
+		for r := 0; r < replicas; r++ {
+			id := p.AddEntity(Entity{
+				Load:    load,
+				Bucket:  BucketID((first + r*(1+rng.Intn(buckets-1))) % buckets),
+				Movable: true,
+			})
+			group = append(group, int32(g))
+			if g%3 == 0 {
+				p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: id, Domain: fmt.Sprintf("r%d", g%regions), Weight: 200})
+			}
+		}
+	}
+	for _, m := range p.Metrics {
+		p.AddConstraint(CapacitySpec{Metric: m})
+		p.AddBalanceGoal(BalanceSpec{Metric: m, UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
+	}
+	p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Group: group, NumGroups: groups})
+	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: group, NumGroups: groups, Weight: 100})
+	p.AddDrainGoal(500)
+	return p
+}
+
+// BenchmarkSolveReplicated drives the code an allocation of replicated shards
+// spends its time in — building the state with both group specs, then
+// conflict and spread checks on every candidate — and reports the cost per
+// candidate evaluation, state build included.
+func BenchmarkSolveReplicated(b *testing.B) {
+	b.ReportAllocs()
+	evals := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := replicatedProblem(sim.NewRNG(1))
+		opt := DefaultOptions()
+		opt.Seed = 1
+		opt.Sampler = GroupedSampler(p, 0)
+		b.StartTimer()
+		res := Solve(p, opt)
+		if res.Final.Conflict != 0 || res.Final.Unassigned != 0 {
+			b.Fatalf("solve left %+v", res.Final)
+		}
+		evals += res.Evaluated
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
+}
+
 // BenchmarkMoveDelta measures the hot loop in isolation; the fast path's
 // contract is zero allocations per evaluation (see TestMoveDeltaAllocFree).
 func BenchmarkMoveDelta(b *testing.B) {

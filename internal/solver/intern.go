@@ -67,31 +67,3 @@ func (p *Problem) domainTable() *domainTable {
 	}
 	return p.domTable
 }
-
-// ekey packs a (group ID, domain ID) pair into one map key; integer keys
-// keep exclusion/conflict count lookups allocation-free in the hot loop.
-func ekey(group, dom int32) uint64 {
-	return uint64(uint32(group))<<32 | uint64(uint32(dom))
-}
-
-// internGroups converts a spec's Groups map into a dense per-entity group ID
-// slice (-1 = entity not in the spec). IDs are assigned in entity order so
-// they are deterministic.
-func internGroups(n int, groups map[EntityID]string) (entGroup []int32, numGroups int) {
-	entGroup = make([]int32, n)
-	idx := make(map[string]int32, len(groups))
-	for e := 0; e < n; e++ {
-		g, ok := groups[EntityID(e)]
-		if !ok {
-			entGroup[e] = -1
-			continue
-		}
-		id, ok := idx[g]
-		if !ok {
-			id = int32(len(idx))
-			idx[g] = id
-		}
-		entGroup[e] = id
-	}
-	return entGroup, len(idx)
-}

@@ -14,8 +14,9 @@
 // Incremental evaluation: the paper describes representing the objective as
 // a tree of variables so that evaluating a move touches only O(log n)
 // nodes. We achieve the same asymptotics with per-spec aggregate state
-// (per-bucket/per-domain load sums and per-group domain counts) updated in
-// O(1) per move; evaluating a candidate move never rescans entities.
+// (per-bucket/per-domain load sums) updated in O(1) per move; a group's
+// occupancy of a domain is read off the assignment in O(group size), and
+// evaluating a candidate move never rescans entities.
 package solver
 
 import (
@@ -58,7 +59,8 @@ type Bucket struct {
 	// Capacity per metric, indexed like Problem.Metrics.
 	Capacity []float64
 	// Props maps a scope name to this bucket's domain at that scope,
-	// e.g. {"region": "frc", "rack": "frc/dc0/rack01"}.
+	// e.g. {"region": "frc", "rack": "frc/dc0/rack01"}. The solver only
+	// reads it, so buckets (and the caller's own records) may share one map.
 	Props map[string]string
 	// Group tags the bucket for grouped candidate sampling (set by the
 	// caller; typically the region or hardware class).
@@ -102,13 +104,17 @@ type AffinityGoal struct {
 	Weight float64
 }
 
-// ExclusionSpec is a soft goal: entities sharing a group key should occupy
-// distinct domains at Scope (spread of replicas, §5.1 soft goal 2; Fig 13
-// statements 7-8). Each colocated extra entity costs Weight.
+// ExclusionSpec is a soft goal: entities of one group should occupy distinct
+// domains at Scope (spread of replicas, §5.1 soft goal 2; Fig 13 statements
+// 7-8). Each colocated extra entity costs Weight.
 type ExclusionSpec struct {
-	Scope  string
-	Groups map[EntityID]string
-	Weight float64
+	Scope string
+	// Group[e] is entity e's group number in [0, NumGroups), or -1 for an
+	// entity outside the spec; it has one element per entity of the problem
+	// at Solve time. The solver only reads it, so specs may share one slice.
+	Group     []int32
+	NumGroups int
+	Weight    float64
 }
 
 // Problem is a mutable assignment problem under construction. Build it with
@@ -251,8 +257,8 @@ func (p *Problem) domainOf(b BucketID, scope string) string {
 // Incremental evaluation state.
 //
 // All (bucket, scope) -> domain strings are interned into dense int IDs at
-// newState time (see intern.go): the hot path indexes flat slices and
-// integer-keyed maps instead of concatenating and hashing strings. Capacity
+// newState time (see intern.go): the hot path indexes flat slices instead of
+// concatenating and hashing strings. Capacity
 // and balance specs sharing a (metric, scope) pair are merged into one
 // specState so their shared load/capacity aggregates are maintained once.
 
@@ -329,22 +335,90 @@ func (sp *specState) domPenalty(d int32, load float64) float64 {
 	return sp.capPenalty(d, load) + sp.balPenalty(d, load)
 }
 
-// exclState is one soft exclusion spec with interned groups and domains.
-type exclState struct {
-	dom      *scopeDomains
-	entGroup []int32 // entity -> group ID, -1 if not in the spec
-	weight   float64
-	// members[ekey(g, d)] lists the spec's entities of group g currently
-	// in domain d; the member list (not just a count) lets apply credit
-	// the exact buckets whose penalty changes on a boundary crossing.
-	members map[uint64][]EntityID
-}
-
-// confState is one hard conflict spec with interned groups and domains.
+// confState is one hard conflict spec: each entity's group, and each group's
+// entities listed once (CSR). How many of a group sit in a domain is not
+// stored: others reads it off state.assignment, which costs O(group size) — a
+// group is one shard's replicas, one to three on every deployment — where a
+// stored count costs a hash per question and a write per move.
 type confState struct {
 	dom      *scopeDomains
-	entGroup []int32
-	counts   map[uint64]int32
+	entGroup []int32 // entity -> group, -1 if not in the spec (the spec's own slice)
+	// ents[start[g]:start[g+1]] are group g's entities, in entity order.
+	start []int32
+	ents  []EntityID
+}
+
+// exclState is one soft exclusion spec: the same membership, and what each
+// colocated extra entity costs.
+type exclState struct {
+	confState
+	weight float64
+}
+
+// newConfState indexes spec's groups over n entities.
+func newConfState(spec *ExclusionSpec, dom *scopeDomains, n int) confState {
+	if len(spec.Group) != n {
+		panic(fmt.Sprintf("solver: exclusion spec at scope %q states groups for %d entities, problem has %d", spec.Scope, len(spec.Group), n))
+	}
+	start := make([]int32, spec.NumGroups+1)
+	for e, g := range spec.Group {
+		if g < -1 || int(g) >= spec.NumGroups {
+			panic(fmt.Sprintf("solver: entity %d in group %d, spec has %d groups", e, g, spec.NumGroups))
+		}
+		if g >= 0 {
+			start[g+1]++
+		}
+	}
+	for g := 0; g < spec.NumGroups; g++ {
+		start[g+1] += start[g]
+	}
+	ents := make([]EntityID, start[spec.NumGroups])
+	fill := append([]int32(nil), start[:spec.NumGroups]...)
+	for e, g := range spec.Group {
+		if g >= 0 {
+			ents[fill[g]] = EntityID(e)
+			fill[g]++
+		}
+	}
+	return confState{dom: dom, entGroup: spec.Group, start: start, ents: ents}
+}
+
+// others counts the entities of group g other than e that sit in domain d,
+// and names the one when it is alone there. Unassigned entities sit nowhere.
+func (cs *confState) others(assignment []BucketID, g, d int32, e EntityID) (n int, sole EntityID) {
+	for _, m := range cs.ents[cs.start[g]:cs.start[g+1]] {
+		if m == e {
+			continue
+		}
+		if b := assignment[m]; b != Unassigned && cs.dom.bucketDom[b] == d {
+			n++
+			sole = m
+		}
+	}
+	return n, sole
+}
+
+// colocated counts, over every (group, domain), the entities beyond the first.
+func (cs *confState) colocated(assignment []BucketID) int {
+	var n int
+	for g := 0; g+1 < len(cs.start); g++ {
+		grp := cs.ents[cs.start[g]:cs.start[g+1]]
+		for i, m := range grp {
+			b := assignment[m]
+			if b == Unassigned {
+				continue
+			}
+			// m is an extra if an earlier member shares its domain.
+			d := cs.dom.bucketDom[b]
+			for _, o := range grp[:i] {
+				if ob := assignment[o]; ob != Unassigned && cs.dom.bucketDom[ob] == d {
+					n++
+					break
+				}
+			}
+		}
+	}
+	return n
 }
 
 // affTerm is one interned affinity goal of an entity: penalty weight applies
@@ -378,7 +452,8 @@ type state struct {
 	// regardless of spec scopes; samplers use it to prefer cold targets.
 	bucketLoad [][]float64
 
-	unassigned map[EntityID]struct{}
+	// unassigned counts entities without a bucket.
+	unassigned int
 
 	// hot tracks every bucket's penalty incrementally (see hotset.go);
 	// apply keeps it in sync with the aggregates above.
@@ -400,7 +475,6 @@ func newState(p *Problem) *state {
 		p:          p,
 		assignment: make([]BucketID, len(p.Entities)),
 		byBucket:   make([][]EntityID, len(p.Buckets)),
-		unassigned: make(map[EntityID]struct{}),
 	}
 	s.bucketLoad = make([][]float64, len(p.Buckets))
 	for b := range s.bucketLoad {
@@ -409,7 +483,7 @@ func newState(p *Problem) *state {
 	for i := range p.Entities {
 		s.assignment[i] = p.Entities[i].Bucket
 		if p.Entities[i].Bucket == Unassigned {
-			s.unassigned[EntityID(i)] = struct{}{}
+			s.unassigned++
 		} else {
 			s.byBucket[p.Entities[i].Bucket] = append(s.byBucket[p.Entities[i].Bucket], EntityID(i))
 			for m, l := range p.Entities[i].Load {
@@ -454,8 +528,13 @@ func newState(p *Problem) *state {
 				totCap += sp.cap[d]
 				totLoad += sp.load[d]
 			}
-			for e := range s.unassigned {
-				totLoad += p.Entities[e].Load[sp.midx]
+			// Unplaced load joins in entity order: float addition is not
+			// associative, and the balance target must be the same bits on
+			// every run of one input.
+			for e := range p.Entities {
+				if s.assignment[e] == Unassigned {
+					totLoad += p.Entities[e].Load[sp.midx]
+				}
 			}
 			if totCap > 0 {
 				sp.meanUtil = totLoad / totCap
@@ -472,41 +551,16 @@ func newState(p *Problem) *state {
 		sp.bals = append(sp.bals, balParams{utilCap: b.UtilCap, maxDiff: b.MaxDiff, weight: b.Weight})
 	}
 
-	for _, ex := range p.exclusionSpecs {
-		dom := table.domains(p, ex.Scope)
-		entGroup, _ := internGroups(len(p.Entities), ex.Groups)
-		xs := exclState{
-			dom:      dom,
-			entGroup: entGroup,
-			weight:   ex.Weight,
-			members:  make(map[uint64][]EntityID, len(ex.Groups)),
-		}
-		for e := range p.Entities {
-			g := entGroup[e]
-			if g < 0 || s.assignment[e] == Unassigned {
-				continue
-			}
-			k := ekey(g, dom.bucketDom[s.assignment[e]])
-			xs.members[k] = append(xs.members[k], EntityID(e))
-		}
-		s.excls = append(s.excls, xs)
+	for i := range p.exclusionSpecs {
+		ex := &p.exclusionSpecs[i]
+		s.excls = append(s.excls, exclState{
+			confState: newConfState(ex, table.domains(p, ex.Scope), len(p.Entities)),
+			weight:    ex.Weight,
+		})
 	}
-	for _, cf := range p.conflictSpecs {
-		dom := table.domains(p, cf.Scope)
-		entGroup, _ := internGroups(len(p.Entities), cf.Groups)
-		cs := confState{
-			dom:      dom,
-			entGroup: entGroup,
-			counts:   make(map[uint64]int32, len(cf.Groups)),
-		}
-		for e := range p.Entities {
-			g := entGroup[e]
-			if g < 0 || s.assignment[e] == Unassigned {
-				continue
-			}
-			cs.counts[ekey(g, dom.bucketDom[s.assignment[e]])]++
-		}
-		s.confs = append(s.confs, cs)
+	for i := range p.conflictSpecs {
+		cf := &p.conflictSpecs[i]
+		s.confs = append(s.confs, newConfState(cf, table.domains(p, cf.Scope), len(p.Entities)))
 	}
 
 	s.aff = make([][]affTerm, len(p.Entities))
@@ -636,8 +690,8 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 		if g >= 0 && from != Unassigned {
 			fd := ex.dom.bucketDom[from]
 			pr.exFromDom[xi] = fd
-			// Leaving a domain with >= 2 group members saves Weight.
-			if len(ex.members[ekey(g, fd)]) >= 2 {
+			// Leaving a domain shared with another group member saves Weight.
+			if n, _ := ex.others(s.assignment, g, fd, e); n >= 1 {
 				pr.exFromDelta[xi] = -ex.weight
 			}
 		}
@@ -671,7 +725,7 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 		if td == pr.confFromDom[ci] {
 			continue
 		}
-		if cs.counts[ekey(g, td)] >= 1 {
+		if n, _ := cs.others(s.assignment, g, td, pr.e); n >= 1 {
 			return 0, false
 		}
 	}
@@ -709,7 +763,7 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 		if td == pr.exFromDom[xi] {
 			continue
 		}
-		if len(ex.members[ekey(g, td)]) >= 1 {
+		if n, _ := ex.others(s.assignment, g, td, pr.e); n >= 1 {
 			delta += ex.weight
 		}
 		delta += pr.exFromDelta[xi]
@@ -767,10 +821,10 @@ func (s *state) apply(e EntityID, target BucketID) {
 		}
 	}
 
-	// Exclusion member lists. bucketPenalty charges Weight to each entity
-	// sharing its domain with another group member, so crossing the 1<->2
-	// member boundary also changes the penalty of the other member's
-	// bucket. Member buckets are read before s.assignment[e] updates.
+	// Exclusion crowding. bucketPenalty charges Weight to each entity sharing
+	// its domain with another group member, so crossing the 1<->2 member
+	// boundary also changes the penalty of the other member's bucket. e's
+	// peers are read off the assignment, where e itself is never counted.
 	for xi := range s.excls {
 		ex := &s.excls[xi]
 		g := ex.entGroup[e]
@@ -779,73 +833,32 @@ func (s *state) apply(e EntityID, target BucketID) {
 		}
 		w := ex.weight
 		td := ex.dom.bucketDom[target]
+		tn, tsole := ex.others(s.assignment, g, td, e)
 		if from != Unassigned {
 			fd := ex.dom.bucketDom[from]
 			if fd == td {
 				// Same domain: counts unchanged, but e's own crowding
 				// term moves with it.
-				if len(ex.members[ekey(g, td)]) >= 2 {
+				if tn >= 1 {
 					hot.add(from, -w)
 					hot.add(target, w)
 				}
 				continue
 			}
-			fk := ekey(g, fd)
-			mem := ex.members[fk]
-			for i, id := range mem {
-				if id == e {
-					mem[i] = mem[len(mem)-1]
-					mem = mem[:len(mem)-1]
-					break
-				}
-			}
-			if len(mem) == 0 {
-				delete(ex.members, fk)
-			} else {
-				ex.members[fk] = mem
-			}
-			if len(mem)+1 >= 2 {
+			fn, fsole := ex.others(s.assignment, g, fd, e)
+			if fn >= 1 {
 				hot.add(from, -w) // e was crowded at the source
 			}
-			if len(mem) == 1 {
-				hot.add(s.assignment[mem[0]], -w) // last peer no longer crowded
-			}
-			tk := ekey(g, td)
-			tmem := ex.members[tk]
-			if len(tmem) >= 1 {
-				hot.add(target, w) // e becomes crowded at the target
-			}
-			if len(tmem) == 1 {
-				hot.add(s.assignment[tmem[0]], w) // sole occupant now crowded
-			}
-			ex.members[tk] = append(tmem, e)
-		} else {
-			tk := ekey(g, td)
-			tmem := ex.members[tk]
-			if len(tmem) >= 1 {
-				hot.add(target, w)
-			}
-			if len(tmem) == 1 {
-				hot.add(s.assignment[tmem[0]], w)
-			}
-			ex.members[tk] = append(tmem, e)
-		}
-	}
-
-	// Conflict counts (hard; no penalty term to maintain).
-	for ci := range s.confs {
-		cs := &s.confs[ci]
-		g := cs.entGroup[e]
-		if g < 0 {
-			continue
-		}
-		if from != Unassigned {
-			fk := ekey(g, cs.dom.bucketDom[from])
-			if cs.counts[fk]--; cs.counts[fk] == 0 {
-				delete(cs.counts, fk)
+			if fn == 1 {
+				hot.add(s.assignment[fsole], -w) // last peer no longer crowded
 			}
 		}
-		cs.counts[ekey(g, cs.dom.bucketDom[target])]++
+		if tn >= 1 {
+			hot.add(target, w) // e becomes crowded at the target
+		}
+		if tn == 1 {
+			hot.add(s.assignment[tsole], w) // sole occupant now crowded
+		}
 	}
 
 	// Affinity and drain are per-entity terms that travel with e.
@@ -871,7 +884,7 @@ func (s *state) apply(e EntityID, target BucketID) {
 			s.bucketLoad[from][m] -= l
 		}
 	} else {
-		delete(s.unassigned, e)
+		s.unassigned--
 	}
 	s.byBucket[target] = append(s.byBucket[target], e)
 	for m, l := range ent.Load {
@@ -946,20 +959,12 @@ func (s *state) violations() ViolationCounts {
 		}
 	}
 	for xi := range s.excls {
-		for _, mem := range s.excls[xi].members {
-			if len(mem) > 1 {
-				v.Exclusion += len(mem) - 1
-			}
-		}
+		v.Exclusion += s.excls[xi].colocated(s.assignment)
 	}
 	for ci := range s.confs {
-		for _, n := range s.confs[ci].counts {
-			if n > 1 {
-				v.Conflict += int(n) - 1
-			}
-		}
+		v.Conflict += s.confs[ci].colocated(s.assignment)
 	}
-	v.Unassigned = len(s.unassigned)
+	v.Unassigned = s.unassigned
 	return v
 }
 
@@ -978,7 +983,7 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 		for xi := range s.excls {
 			ex := &s.excls[xi]
 			if g := ex.entGroup[e]; g >= 0 {
-				if len(ex.members[ekey(g, ex.dom.bucketDom[b])]) > 1 {
+				if n, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); n >= 1 {
 					pen += ex.weight
 				}
 			}
@@ -1025,11 +1030,11 @@ func (p *Problem) equivalenceSignature(e EntityID) string {
 		sig = append(sig, g.Domain...)
 		sig = appendFloat(sig, g.Weight)
 	}
+	// One fixed-width group number per spec (-1 included), so the tail
+	// reads one way whatever the groups are.
 	for i := range p.exclusionSpecs {
-		if g, ok := p.exclusionSpecs[i].Groups[e]; ok {
-			sig = append(sig, byte('0'+i%10))
-			sig = append(sig, g...)
-		}
+		g := uint32(p.exclusionSpecs[i].Group[e])
+		sig = append(sig, byte(g), byte(g>>8), byte(g>>16), byte(g>>24))
 	}
 	return string(sig)
 }

@@ -309,12 +309,14 @@ func (c *solveCtx) applyMove(e EntityID, to BucketID) {
 // first — restore availability, then polish.
 func (c *solveCtx) phase1() {
 	st, opt := c.st, &c.opt
-	if len(st.unassigned) == 0 {
+	if st.unassigned == 0 {
 		return
 	}
-	pending := make([]EntityID, 0, len(st.unassigned))
-	for e := range st.unassigned {
-		pending = append(pending, e)
+	pending := make([]EntityID, 0, st.unassigned)
+	for e, b := range st.assignment {
+		if b == Unassigned {
+			pending = append(pending, EntityID(e))
+		}
 	}
 	sort.Slice(pending, func(i, j int) bool {
 		a, b := pending[i], pending[j]

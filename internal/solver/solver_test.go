@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -130,25 +131,25 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 			Props:    map[string]string{"region": fmt.Sprintf("r%d", i%3)},
 		})
 	}
-	groups := make(map[EntityID]string)
+	var groups []int32
 	for g := 0; g < 5; g++ {
 		for r := 0; r < 3; r++ {
-			id := p.AddEntity(Entity{
+			p.AddEntity(Entity{
 				Load:    []float64{1},
 				Bucket:  0, // all colocated initially
 				Movable: true,
 			})
-			groups[id] = fmt.Sprintf("g%d", g)
+			groups = append(groups, int32(g))
 		}
 	}
 	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Groups: groups, Weight: 10})
+	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: groups, NumGroups: 5, Weight: 10})
 	res := Solve(p, DefaultOptions())
 	if res.Final.Exclusion != 0 {
 		t.Fatalf("exclusion violations = %d (initial %d)", res.Final.Exclusion, res.Initial.Exclusion)
 	}
 	// Verify each group touches 3 distinct regions.
-	perGroup := make(map[string]map[string]bool)
+	perGroup := make(map[int32]map[string]bool)
 	for id, g := range groups {
 		b := p.Entities[id].Bucket
 		if perGroup[g] == nil {
@@ -158,7 +159,7 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 	}
 	for g, regions := range perGroup {
 		if len(regions) != 3 {
-			t.Fatalf("group %s spans %d regions", g, len(regions))
+			t.Fatalf("group %d spans %d regions", g, len(regions))
 		}
 	}
 }
@@ -258,6 +259,40 @@ func TestEquivalenceSignatureGroupsIdenticalEntities(t *testing.T) {
 	}
 	if sig1 != sig2 {
 		t.Fatal("identical entities should share a signature")
+	}
+
+	// Two exclusion specs: entity 0 is in group 112 of the first alone,
+	// entity 1 in group 1 of the first and group 2 of the second. A spec
+	// digit followed by an unterminated group reads "0112" for both (with
+	// string groups: {0:"a1b"} against {0:"a", 1:"b"}); fixed-width numbers
+	// read one way.
+	p = buildSkewed(2, 4, 10)
+	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: []int32{112, 1, -1, -1}, NumGroups: 113, Weight: 1})
+	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: []int32{-1, 2, -1, -1}, NumGroups: 3, Weight: 1})
+	if p.equivalenceSignature(0) == p.equivalenceSignature(1) {
+		t.Fatal("entities in different groups of two specs share a signature")
+	}
+	if p.equivalenceSignature(2) != p.equivalenceSignature(3) {
+		t.Fatal("identical entities outside both specs should share a signature")
+	}
+}
+
+// TestMeanUtilSummedInEntityOrder: the balance target includes unplaced load,
+// and float addition is not associative — (1e16 + 1) + 1 is 1e16, 1e16 +
+// (1 + 1) is not — so the sum must take the entities in one order on every
+// build of one input.
+func TestMeanUtilSummedInEntityOrder(t *testing.T) {
+	p := NewProblem([]string{"cpu"})
+	p.AddBucket(Bucket{Name: "b0", Capacity: []float64{1}})
+	for _, l := range []float64{1e16, 1, 1} {
+		p.AddEntity(Entity{Load: []float64{l}, Bucket: Unassigned, Movable: true})
+	}
+	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
+	want := math.Float64bits(newState(p).specs[0].meanUtil)
+	for i := 1; i < 64; i++ {
+		if got := math.Float64bits(newState(p).specs[0].meanUtil); got != want {
+			t.Fatalf("build %d: meanUtil bits %x, build 0 had %x", i, got, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -26,8 +27,10 @@ func randomProblem(rng *sim.RNG) *Problem {
 			Draining: rng.Intn(5) == 0,
 		})
 	}
-	excl := make(map[EntityID]string)
-	conf := make(map[EntityID]string)
+	const nExcl, nConf = 5, 7
+	excl := make([]int32, nE)
+	conf := make([]int32, nE)
+	hasExcl, hasConf := false, false
 	for i := 0; i < nE; i++ {
 		b := BucketID(rng.Intn(nB))
 		if rng.Intn(8) == 0 {
@@ -38,11 +41,12 @@ func randomProblem(rng *sim.RNG) *Problem {
 			Bucket:  b,
 			Movable: true,
 		})
+		excl[id], conf[id] = -1, -1
 		if rng.Intn(2) == 0 {
-			excl[id] = fmt.Sprintf("g%d", i%5)
+			excl[id], hasExcl = int32(i%nExcl), true
 		}
 		if rng.Intn(3) == 0 {
-			conf[id] = fmt.Sprintf("c%d", i%7)
+			conf[id], hasConf = int32(i%nConf), true
 		}
 		if rng.Intn(3) == 0 {
 			p.AddAffinityGoal(AffinityGoal{
@@ -55,18 +59,127 @@ func randomProblem(rng *sim.RNG) *Problem {
 	p.AddConstraint(CapacitySpec{Metric: "mem", Scope: "rack"})
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
 	p.AddBalanceGoal(BalanceSpec{Metric: "mem", Scope: "region", MaxDiff: 0.2, Weight: 0.5})
-	if len(excl) > 0 {
-		p.AddExclusionGoal(ExclusionSpec{Scope: "region", Groups: excl, Weight: 3})
+	if hasExcl {
+		p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: excl, NumGroups: nExcl, Weight: 3})
 	}
-	if len(conf) > 0 {
-		p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Groups: conf})
+	if hasConf {
+		p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Group: conf, NumGroups: nConf})
 	}
 	p.AddDrainGoal(2)
 	return p
 }
 
-// statesEqual compares incremental aggregate state against a from-scratch
-// rebuild.
+// occupancyRef is the test's own copy of what the solver derives from the
+// assignment: for one exclusion or conflict spec, the entities of each
+// (group, domain), kept as the map the solver used to keep. The walks update it
+// beside every apply and compare the scan's answers with it after every step.
+type occupancyRef map[uint64][]EntityID
+
+func refKey(group, dom int32) uint64 { return uint64(uint32(group))<<32 | uint64(uint32(dom)) }
+
+func newOccupancyRef(cs *confState, assignment []BucketID) occupancyRef {
+	ref := occupancyRef{}
+	for e, g := range cs.entGroup {
+		if b := assignment[e]; g >= 0 && b != Unassigned {
+			k := refKey(g, cs.dom.bucketDom[b])
+			ref[k] = append(ref[k], EntityID(e))
+		}
+	}
+	return ref
+}
+
+// move records e going from one bucket (or none) to another.
+func (ref occupancyRef) move(cs *confState, e EntityID, from, to BucketID) {
+	g := cs.entGroup[e]
+	if g < 0 {
+		return
+	}
+	if from != Unassigned {
+		k := refKey(g, cs.dom.bucketDom[from])
+		for i, m := range ref[k] {
+			if m == e {
+				ref[k] = append(ref[k][:i:i], ref[k][i+1:]...)
+				break
+			}
+		}
+	}
+	k := refKey(g, cs.dom.bucketDom[to])
+	ref[k] = append(ref[k], e)
+}
+
+// check compares the scan with the reference for every (group, domain) and
+// every entity the solver can ask on behalf of: none, and each member of the
+// group (which the scan must not count, wherever it sits).
+func (ref occupancyRef) check(t *testing.T, cs *confState, assignment []BucketID) bool {
+	t.Helper()
+	extras := 0
+	for g := int32(0); int(g)+1 < len(cs.start); g++ {
+		askers := append([]EntityID{-1}, cs.ents[cs.start[g]:cs.start[g+1]]...)
+		for d := int32(0); int(d) < cs.dom.numDomains(); d++ {
+			all := ref[refKey(g, d)]
+			if len(all) > 1 {
+				extras += len(all) - 1
+			}
+			for _, e := range askers {
+				var want []EntityID
+				for _, m := range all {
+					if m != e {
+						want = append(want, m)
+					}
+				}
+				n, sole := cs.others(assignment, g, d, e)
+				if n != len(want) || (n == 1 && sole != want[0]) {
+					t.Logf("group %d domain %d asked by %d: scan says %d (sole %d), reference holds %v", g, d, e, n, sole, want)
+					return false
+				}
+			}
+		}
+	}
+	if got := cs.colocated(assignment); got != extras {
+		t.Logf("colocated = %d, reference holds %d extras", got, extras)
+		return false
+	}
+	return true
+}
+
+// occupancyRefs is one reference per spec of a state, exclusions first.
+type occupancyRefs struct {
+	st    *state
+	specs []*confState
+	refs  []occupancyRef
+}
+
+func newOccupancyRefs(st *state) *occupancyRefs {
+	o := &occupancyRefs{st: st}
+	for xi := range st.excls {
+		o.specs = append(o.specs, &st.excls[xi].confState)
+	}
+	for ci := range st.confs {
+		o.specs = append(o.specs, &st.confs[ci])
+	}
+	for _, cs := range o.specs {
+		o.refs = append(o.refs, newOccupancyRef(cs, st.assignment))
+	}
+	return o
+}
+
+// apply moves e on the state and on every reference, then checks them.
+func (o *occupancyRefs) apply(t *testing.T, e EntityID, to BucketID) bool {
+	t.Helper()
+	from := o.st.assignment[e]
+	o.st.apply(e, to)
+	for i, cs := range o.specs {
+		o.refs[i].move(cs, e, from, to)
+		if !o.refs[i].check(t, cs, o.st.assignment) {
+			t.Logf("spec %d after moving %d from %d to %d", i, e, from, to)
+			return false
+		}
+	}
+	return true
+}
+
+// statesEqual compares the incrementally maintained aggregates against a
+// from-scratch rebuild.
 func statesEqual(t *testing.T, got, want *state) bool {
 	t.Helper()
 	for si := range want.specs {
@@ -74,36 +187,6 @@ func statesEqual(t *testing.T, got, want *state) bool {
 		for d := range w.load {
 			if math.Abs(g.load[d]-w.load[d]) > 1e-6 {
 				t.Logf("spec %d domain %d load diverged: %v vs %v", si, d, g.load[d], w.load[d])
-				return false
-			}
-		}
-	}
-	for xi := range want.excls {
-		g, w := &got.excls[xi], &want.excls[xi]
-		for k, mem := range w.members {
-			if len(g.members[k]) != len(mem) {
-				t.Logf("excl %d key %d member count diverged", xi, k)
-				return false
-			}
-		}
-		for k, mem := range g.members {
-			if len(mem) != 0 && len(w.members[k]) != len(mem) {
-				t.Logf("excl %d key %d member count diverged", xi, k)
-				return false
-			}
-		}
-	}
-	for ci := range want.confs {
-		g, w := &got.confs[ci], &want.confs[ci]
-		for k, n := range w.counts {
-			if g.counts[k] != n {
-				t.Logf("conf %d key %d count diverged", ci, k)
-				return false
-			}
-		}
-		for k, n := range g.counts {
-			if n != 0 && w.counts[k] != n {
-				t.Logf("conf %d key %d count diverged", ci, k)
 				return false
 			}
 		}
@@ -116,18 +199,25 @@ func statesEqual(t *testing.T, got, want *state) bool {
 			}
 		}
 	}
+	if got.unassigned != want.unassigned {
+		t.Logf("unassigned = %d, rebuild counts %d", got.unassigned, want.unassigned)
+		return false
+	}
 	return true
 }
 
 // TestIncrementalStateMatchesRebuild is the solver's core invariant: after
 // any sequence of applied moves, the incrementally maintained aggregates
 // equal a from-scratch rebuild — the property that makes O(1) move deltas
-// trustworthy (the paper's objective-tree optimization).
+// trustworthy (the paper's objective-tree optimization) — and after every
+// single move, unassigned -> placed and within one domain included, the
+// occupancy the solver reads off the assignment equals the reference map.
 func TestIncrementalStateMatchesRebuild(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		p := randomProblem(rng)
 		st := newState(p)
+		refs := newOccupancyRefs(st)
 		nB := len(p.Buckets)
 		for step := 0; step < 100; step++ {
 			e := EntityID(rng.Intn(len(p.Entities)))
@@ -135,7 +225,9 @@ func TestIncrementalStateMatchesRebuild(t *testing.T) {
 			if st.assignment[e] == target {
 				continue
 			}
-			st.apply(e, target)
+			if !refs.apply(t, e, target) {
+				return false
+			}
 			// Keep Problem's view in sync for the rebuild.
 			p.Entities[e].Bucket = target
 		}
@@ -164,6 +256,7 @@ func TestHotSetMatchesRecompute(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		p := randomProblem(rng)
 		st := newState(p)
+		refs := newOccupancyRefs(st)
 		nB := len(p.Buckets)
 		for step := 0; step < 1000; step++ {
 			e := EntityID(rng.Intn(len(p.Entities)))
@@ -171,7 +264,9 @@ func TestHotSetMatchesRecompute(t *testing.T) {
 			if st.assignment[e] == target {
 				continue
 			}
-			st.apply(e, target)
+			if !refs.apply(t, e, target) {
+				t.Fatalf("seed %d step %d: occupancy diverged from the reference", seed, step)
+			}
 			p.Entities[e].Bucket = target
 		}
 		fresh := newStateFresh(p)
@@ -257,11 +352,7 @@ func TestMoveDeltaMatchesAppliedObjective(t *testing.T) {
 		}
 		for xi := range st.excls {
 			ex := &st.excls[xi]
-			for _, mem := range ex.members {
-				if len(mem) > 1 {
-					total += ex.weight * float64(len(mem)-1)
-				}
-			}
+			total += ex.weight * float64(ex.colocated(st.assignment))
 		}
 		return total
 	}
@@ -295,12 +386,16 @@ func TestMoveDeltaMatchesAppliedObjective(t *testing.T) {
 }
 
 // TestMoveDeltaAllocFree: the hot loop's contract is zero allocations per
-// candidate evaluation.
+// candidate evaluation, and — groups present — per swap probe: an apply and
+// the apply that rolls it back.
 func TestMoveDeltaAllocFree(t *testing.T) {
 	rng := sim.NewRNG(7)
 	p := randomProblem(rng)
 	st := newState(p)
 	nE, nB := len(p.Entities), len(p.Buckets)
+	if len(st.excls) == 0 || len(st.confs) == 0 {
+		t.Fatal("seed 7 no longer draws a problem with both group specs")
+	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		e := EntityID(i % nE)
@@ -310,6 +405,26 @@ func TestMoveDeltaAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("moveDelta allocates %.1f times per call, want 0", allocs)
+	}
+
+	for e := range p.Entities {
+		if st.assignment[e] == Unassigned {
+			st.apply(EntityID(e), 0) // a probe cannot roll back to nowhere
+		}
+	}
+	// One run probes every entity onto every bucket, so the first (warm-up)
+	// run grows each bucket's entity list to the most it will hold.
+	probeAll := func() {
+		for e := range p.Entities {
+			from := st.assignment[e]
+			for b := 0; b < nB; b++ {
+				st.apply(EntityID(e), BucketID(b))
+				st.apply(EntityID(e), from)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, probeAll); allocs > 0 {
+		t.Fatalf("apply + roll-back over every (entity, bucket) allocates %.0f times, want 0", allocs)
 	}
 }
 
@@ -323,13 +438,13 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 		for i := 0; i < nB; i++ {
 			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{1000}})
 		}
-		groups := make(map[EntityID]string)
-		for i := 0; i < 12; i++ {
-			id := p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true})
-			groups[id] = fmt.Sprintf("g%d", i%4)
+		groups := make([]int32, 12)
+		for i := range groups {
+			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true})
+			groups[i] = int32(i % 4)
 		}
 		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Groups: groups})
+		p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Group: groups, NumGroups: 4})
 		st := newState(p)
 		for step := 0; step < 200; step++ {
 			e := EntityID(rng.Intn(len(p.Entities)))
@@ -340,7 +455,7 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 		}
 		// No bucket may hold two members of the same group.
 		for b := range p.Buckets {
-			seen := map[string]bool{}
+			seen := map[int32]bool{}
 			for _, e := range st.byBucket[b] {
 				g := groups[e]
 				if seen[g] {
@@ -371,5 +486,43 @@ func TestSolveIdempotentOnCleanState(t *testing.T) {
 	}
 	if second.Rounds > 1 {
 		t.Fatalf("second solve took %d rounds, want immediate convergence", second.Rounds)
+	}
+}
+
+// TestSearchStateHasNoMaps: what the search reads and writes per candidate is
+// flat arrays indexed by small integers (§5.3's incremental evaluation; DESIGN
+// §5). The walk follows every field reachable from the search's types and
+// fails on a map, so a hashed lookup cannot drift back onto that path.
+func TestSearchStateHasNoMaps(t *testing.T) {
+	// Where the walk stops, and why.
+	stop := map[string]string{
+		"*solver.Problem":    "the caller's input, read while the state is built",
+		"scopeDomains.index": "build-time lookup of an affinity goal's domain name",
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		if stop[typ.String()] != "" {
+			return
+		}
+		switch typ.Kind() {
+		case reflect.Map:
+			t.Errorf("%s is a %v", path, typ)
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(path, typ.Elem())
+		case reflect.Struct:
+			if seen[typ] {
+				return
+			}
+			seen[typ] = true
+			for i := 0; i < typ.NumField(); i++ {
+				if name := typ.Name() + "." + typ.Field(i).Name; stop[name] == "" {
+					walk(name, typ.Field(i).Type)
+				}
+			}
+		}
+	}
+	for _, root := range []any{state{}, specState{}, exclState{}, confState{}, prepared{}, hotSet{}, solveCtx{}} {
+		walk(reflect.TypeOf(root).Name(), reflect.TypeOf(root))
 	}
 }
