@@ -17,7 +17,7 @@ test:
 vet:
 	$(GO) vet ./...
 
-loc: ## non-blank, non-comment lines of non-test Go code (the ROADMAP item 4 measure)
+loc: ## non-blank, non-comment lines of non-test Go code, per package directory and repo-wide
 	sh scripts/loc.sh
 
 bench:

@@ -158,6 +158,9 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(routing.Options{}):       {"MaxAttempts"},
 		reflect.TypeOf(taskcontroller.Policy{}): {"DrainOnRestart", "MaxConcurrentOps", "MaxUnavailableReplicas"},
 		reflect.TypeOf(cluster.Options{}):       {"StartDuration", "StopDuration", "RestartDuration", "NegotiationDelay"},
+		reflect.TypeOf(rpcnet.Network{}):        {"Messages", "Dropped"},
+		reflect.TypeOf(experiments.DeploymentSpec{}): {"Regions", "ServersPerRegion", "Latency", "Orch", "TaskPolicy",
+			"AppFactory", "ClusterOpts", "Tracer", "Health", "Profiler", "Audit", "Seed"},
 	} {
 		var have []string
 		for i := 0; i < typ.NumField(); i++ {

@@ -66,42 +66,9 @@ func main() {
 		tracer = trace.New(trace.Options{})
 	}
 
-	regions := []topology.RegionID{"frc", "prn", "odn"}
-	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	strategy := shard.PrimarySecondary
-	if *replicas == 1 {
-		strategy = shard.PrimaryOnly
-		pol.SpreadWeight = 0
-	}
-	cfg := orchestrator.Config{
-		App:      "demo",
-		Strategy: strategy,
-		Shards: experiments.UniformShardConfigs(*shards, *replicas, topology.Capacity{
-			topology.ResourceCPU:        1,
-			topology.ResourceShardCount: 1,
-		}),
-		Policy: pol,
-		ServerCapacity: topology.Capacity{
-			topology.ResourceCPU:        100,
-			topology.ResourceShardCount: float64(*shards),
-		},
-		GracefulMigration: true,
-		FailoverGrace:     20 * time.Second,
-	}
-	tp := taskcontroller.DefaultPolicy(3)
-	backing := apps.NewKVBacking()
-	d := experiments.Build(experiments.DeploymentSpec{
-		Regions:          regions,
-		ServersPerRegion: *servers,
-		Orch:             cfg,
-		TaskPolicy:       &tp,
-		ClusterOpts:      cluster.DefaultOptions(),
-		AppFactory: func(s *appserver.Server) appserver.Application {
-			return apps.NewKVStore(s, backing)
-		},
-		Tracer: tracer,
-		Seed:   *seed,
-	})
+	spec := demoSpec(*servers, *shards, *replicas, *seed)
+	spec.Tracer = tracer
+	d := experiments.Build(spec)
 
 	step := func(title string) {
 		fmt.Printf("\n--- %s (t=%v) ---\n", title, d.Loop.Now().Truncate(time.Second))
@@ -163,6 +130,47 @@ func main() {
 		}
 	}
 	fmt.Println("\ndone.")
+}
+
+// demoSpec is the world plain smctl and `smctl status` run: a KV store on
+// servers in each of frc, prn and odn, its shards primary-secondary (primary-
+// only with one replica) under the default policy and a 20 s failover grace, a
+// TaskController allowing three concurrent operations, and the cluster's
+// default lifecycle timings.
+func demoSpec(servers, shards, replicas int, seed uint64) experiments.DeploymentSpec {
+	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
+	strategy := shard.PrimarySecondary
+	if replicas == 1 {
+		strategy = shard.PrimaryOnly
+		pol.SpreadWeight = 0
+	}
+	tp := taskcontroller.DefaultPolicy(3)
+	backing := apps.NewKVBacking()
+	return experiments.DeploymentSpec{
+		Regions:          []topology.RegionID{"frc", "prn", "odn"},
+		ServersPerRegion: servers,
+		Orch: orchestrator.Config{
+			App:      "demo",
+			Strategy: strategy,
+			Shards: experiments.UniformShardConfigs(shards, replicas, topology.Capacity{
+				topology.ResourceCPU:        1,
+				topology.ResourceShardCount: 1,
+			}),
+			Policy: pol,
+			ServerCapacity: topology.Capacity{
+				topology.ResourceCPU:        100,
+				topology.ResourceShardCount: float64(shards),
+			},
+			GracefulMigration: true,
+			FailoverGrace:     20 * time.Second,
+		},
+		TaskPolicy:  &tp,
+		ClusterOpts: cluster.DefaultOptions(),
+		AppFactory: func(s *appserver.Server) appserver.Application {
+			return apps.NewKVStore(s, backing)
+		},
+		Seed: seed,
+	}
 }
 
 // writeFile creates path and streams one tracer export into it.
@@ -330,41 +338,9 @@ func startTraffic(d *experiments.Deployment, shards int) {
 // under the health monitor: settle, unplanned machine failure, then a
 // negotiated rolling upgrade.
 func statusDemo(mon *healthmon.Monitor, prof *simprof.Profile, servers, shards, replicas int, seed uint64) {
-	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	strategy := shard.PrimarySecondary
-	if replicas == 1 {
-		strategy = shard.PrimaryOnly
-		pol.SpreadWeight = 0
-	}
-	cfg := orchestrator.Config{
-		App:      "demo",
-		Strategy: strategy,
-		Shards: experiments.UniformShardConfigs(shards, replicas, topology.Capacity{
-			topology.ResourceCPU:        1,
-			topology.ResourceShardCount: 1,
-		}),
-		Policy: pol,
-		ServerCapacity: topology.Capacity{
-			topology.ResourceCPU:        100,
-			topology.ResourceShardCount: float64(shards),
-		},
-		GracefulMigration: true,
-		FailoverGrace:     20 * time.Second,
-	}
-	tp := taskcontroller.DefaultPolicy(3)
-	backing := apps.NewKVBacking()
-	d := buildProfiled(experiments.DeploymentSpec{
-		Regions:          []topology.RegionID{"frc", "prn", "odn"},
-		ServersPerRegion: servers,
-		Orch:             cfg,
-		TaskPolicy:       &tp,
-		ClusterOpts:      cluster.DefaultOptions(),
-		AppFactory: func(s *appserver.Server) appserver.Application {
-			return apps.NewKVStore(s, backing)
-		},
-		Health: mon,
-		Seed:   seed,
-	}, prof)
+	spec := demoSpec(servers, shards, replicas, seed)
+	spec.Health = mon
+	d := buildProfiled(spec, prof)
 	if err := d.Settle(10 * time.Minute); err != nil {
 		fmt.Fprintf(os.Stderr, "smctl status: %v\n", err)
 		os.Exit(1)

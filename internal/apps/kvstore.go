@@ -10,6 +10,7 @@ package apps
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -121,9 +122,10 @@ func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 	}
 }
 
-// SetShardLoad sets the synthetic load reported for a shard.
+// SetShardLoad sets the synthetic load reported for a shard. The store keeps
+// a copy: what ShardLoad reports must not change under the caller's edits.
 func (k *KVStore) SetShardLoad(s shard.ID, load topology.Capacity) {
-	k.loads[s] = load
+	k.loads[s] = maps.Clone(load)
 }
 
 // AddShard implements appserver.Application.

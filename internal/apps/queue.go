@@ -20,7 +20,6 @@ type Queue struct {
 	server  *appserver.Server
 	backing *QueueBacking
 	owned   map[shard.ID]bool
-	loads   map[shard.ID]topology.Capacity
 }
 
 // QueueBacking is the durable queue state shared by an application's
@@ -72,13 +71,8 @@ func NewQueue(server *appserver.Server, backing *QueueBacking) *Queue {
 		server:  server,
 		backing: backing,
 		owned:   make(map[shard.ID]bool),
-		loads:   make(map[shard.ID]topology.Capacity),
 	}
 }
-
-// SetShardLoad sets the synthetic load reported for a shard ("single
-// synthetic" LB on queue depth, §2.2.4).
-func (q *Queue) SetShardLoad(s shard.ID, load topology.Capacity) { q.loads[s] = load }
 
 // AddShard implements appserver.Application.
 func (q *Queue) AddShard(s shard.ID, _ shard.Role) { q.owned[s] = true }
@@ -90,11 +84,8 @@ func (q *Queue) DropShard(s shard.ID) { delete(q.owned, s) }
 func (q *Queue) ChangeRole(shard.ID, shard.Role, shard.Role) {}
 
 // ShardLoad implements appserver.LoadReporter: queue depth as the synthetic
-// metric.
+// metric ("single synthetic" LB, §2.2.4).
 func (q *Queue) ShardLoad(s shard.ID) topology.Capacity {
-	if l, ok := q.loads[s]; ok {
-		return l
-	}
 	return topology.Capacity{
 		topology.ResourceShardCount: 1,
 		"queue_depth":               float64(q.backing.Len(s)),

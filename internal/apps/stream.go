@@ -24,7 +24,6 @@ type StreamProcessor struct {
 	// cursor is the bus offset each owned shard has consumed through.
 	cursor map[shard.ID]int
 	owned  map[shard.ID]bool
-	loads  map[shard.ID]topology.Capacity
 
 	// Rebuilds counts state rebuilds from the bus (shard adds).
 	Rebuilds int64
@@ -85,12 +84,8 @@ func NewStreamProcessor(server *appserver.Server, bus *DataBus) *StreamProcessor
 		state:  make(map[shard.ID]map[string]int64),
 		cursor: make(map[shard.ID]int),
 		owned:  make(map[shard.ID]bool),
-		loads:  make(map[shard.ID]topology.Capacity),
 	}
 }
-
-// SetShardLoad sets the synthetic load reported for a shard.
-func (p *StreamProcessor) SetShardLoad(s shard.ID, load topology.Capacity) { p.loads[s] = load }
 
 // AddShard implements appserver.Application: taking ownership rebuilds the
 // shard's materialized state by replaying the bus (option 3's recovery
@@ -119,10 +114,7 @@ func (p *StreamProcessor) DropShard(s shard.ID) {
 func (p *StreamProcessor) ChangeRole(shard.ID, shard.Role, shard.Role) {}
 
 // ShardLoad implements appserver.LoadReporter.
-func (p *StreamProcessor) ShardLoad(s shard.ID) topology.Capacity {
-	if l, ok := p.loads[s]; ok {
-		return l
-	}
+func (p *StreamProcessor) ShardLoad(shard.ID) topology.Capacity {
 	return topology.Capacity{topology.ResourceShardCount: 1, topology.ResourceCPU: 1}
 }
 

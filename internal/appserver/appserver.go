@@ -50,7 +50,9 @@ type Application interface {
 
 // LoadReporter is optionally implemented by applications that report
 // per-shard load for load balancing (§2.2.4). Servers without it report
-// shard count only.
+// shard count only. A report is a value, as if it had crossed the network:
+// the orchestrator keeps the map ShardLoad returns, so the application must
+// not modify it afterwards — a new load is a new map.
 type LoadReporter interface {
 	ShardLoad(s shard.ID) topology.Capacity
 }

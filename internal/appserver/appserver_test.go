@@ -53,7 +53,6 @@ func newEnv() *testEnv {
 	})
 	loop := sim.NewLoop(1)
 	net := rpcnet.NewNetwork(loop, fleet)
-	net.Jitter = 0
 	return &testEnv{loop: loop, fleet: fleet, net: net, dir: NewDirectory()}
 }
 

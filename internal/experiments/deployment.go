@@ -30,8 +30,6 @@ type DeploymentSpec struct {
 	// Latency configures pairwise one-way region latency; unset pairs
 	// use topology defaults.
 	Latency map[[2]topology.RegionID]time.Duration
-	// LocalLatency is the intra-region hop (default 1ms).
-	LocalLatency time.Duration
 
 	// Orchestrator configuration; App, Shards, Strategy, Policy must be
 	// set. HomeRegion defaults to the last region (survives failures of
@@ -47,9 +45,6 @@ type DeploymentSpec struct {
 
 	// ClusterOpts configure container lifecycle timing.
 	ClusterOpts cluster.Options
-
-	// PropagationDelay bounds shard-map dissemination (default 0.5-2s).
-	PropagationDelay discovery.DelayFunc
 
 	// Tracer, if non-nil, records the whole deployment's control-plane
 	// activity.
@@ -116,12 +111,6 @@ func Build(spec DeploymentSpec) *Deployment {
 		Capacity:          topology.Capacity{topology.ResourceCPU: 100},
 		Latency:           spec.Latency,
 	})
-	if spec.LocalLatency <= 0 {
-		spec.LocalLatency = time.Millisecond
-	}
-	for _, r := range spec.Regions {
-		fleet.SetLatency(r, r, spec.LocalLatency)
-	}
 	d := &Deployment{
 		Loop:     loop,
 		Fleet:    fleet,
@@ -135,7 +124,7 @@ func Build(spec DeploymentSpec) *Deployment {
 		App:      spec.Orch.App,
 	}
 	d.Store.SetTracer(tr)
-	d.Disc = discovery.NewService(loop, spec.PropagationDelay)
+	d.Disc = discovery.NewService(loop, nil) // DefaultDelay: a map arrives 0.5-2 s after its publish
 
 	for _, r := range spec.Regions {
 		mgr := cluster.NewManager(loop, fleet, r, spec.ClusterOpts)

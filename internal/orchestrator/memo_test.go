@@ -1,16 +1,21 @@
 package orchestrator
 
 import (
-	"bytes"
-	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"shardmanager/internal/allocator"
+	"shardmanager/internal/apps"
 	"shardmanager/internal/appserver"
+	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/shard"
 	"shardmanager/internal/topology"
 )
@@ -26,18 +31,66 @@ func (a loadApp) ShardLoad(shard.ID) topology.Capacity {
 	return topology.Capacity{topology.ResourceCPU: *a.cpu, topology.ResourceShardCount: 1}
 }
 
+// TestLoadReportDoesNotAliasTheApplication: what the orchestrator holds of a
+// load report is what the report said when it was collected. A caller editing
+// the map it gave KVStore.SetShardLoad — the map the store then reported, as
+// the bench injects loads — changes nothing the next collection brings in;
+// only a new SetShardLoad does.
+func TestLoadReportDoesNotAliasTheApplication(t *testing.T) {
+	backing := apps.NewKVBacking()
+	var stores []*apps.KVStore
+	w := buildWorldOf(t, []topology.RegionID{"r1"}, 2, baseConfig(shard.PrimaryOnly, 4, 1),
+		func(s *appserver.Server) appserver.Application {
+			kv := apps.NewKVStore(s, backing)
+			stores = append(stores, kv)
+			return kv
+		})
+	w.loop.RunFor(2 * time.Minute)
+	load := topology.Capacity{topology.ResourceCPU: 2, topology.ResourceShardCount: 1}
+	setLoad := func() {
+		for _, kv := range stores {
+			kv.SetShardLoad("s000", load)
+		}
+	}
+	cpu := func() float64 { return w.orch.ShardLoadValue("s000", topology.ResourceCPU) }
+	setLoad()
+	w.loop.RunFor(loadInterval)
+	if got := cpu(); got != 2 {
+		t.Fatalf("collected load %v, want 2", got)
+	}
+	load[topology.ResourceCPU] = 9
+	w.loop.RunFor(loadInterval)
+	if got := cpu(); got != 2 {
+		t.Fatalf("load %v after the caller edited its map: the orchestrator holds the caller's map", got)
+	}
+	setLoad()
+	w.loop.RunFor(loadInterval)
+	if got := cpu(); got != 9 {
+		t.Fatalf("load %v after SetShardLoad and a collection, want 9", got)
+	}
+}
+
 // sameVerdict reports whether two results agree in everything allocate uses:
 // the moves, in order, and the violation counts.
 func sameVerdict(a, b *allocator.Result) bool {
 	return reflect.DeepEqual(a.Moves, b.Moves) && a.Initial == b.Initial && a.Final == b.Final
 }
 
-// TestMemoReplaysWhatAFreshSolveGives runs the allocator fresh beside every
-// allocation of an orchestrator that is drained, loses a machine, has a
-// replica count, the loads, a region preference and its capacity edited, and
-// idles in between: whatever solve returned, remembered or not, a fresh run
-// on the same input must give the same moves and counts. Idle stretches must
-// be answered from the memo and every disturbance must miss it.
+// allocation is one call of solve as the test saw it.
+type allocation struct {
+	at         time.Duration
+	mode       allocator.Mode
+	remembered bool
+}
+
+// TestMemoReplaysWhatAFreshSolveGives builds the allocator's input beside
+// every allocation of an orchestrator that is drained, loses a machine, has
+// sessions expire inside and past the grace, has replica counts, the loads and
+// a region preference edited, sees migrations abort, and idles in between.
+// Whatever solve returned, a fresh run on that input must give the same moves
+// and counts; a remembered result must be for the very input the last fresh
+// solve was given; and a fresh solve must not be for that input in the same
+// mode — a hit the memo could have made and did not.
 func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	cfg := baseConfig(shard.PrimarySecondary, 24, 2)
 	cfg.FailoverGrace = 20 * time.Second
@@ -48,214 +101,267 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 		func(*appserver.Server) appserver.Application { return loadApp{newCountApp(), &cpu} })
 	o := w.orch
 	fresh := allocator.New(o.cfg.Policy, 1) // buildWorld's seed
-	hits, misses := 0, 0
-	o.memo.solved = func(in allocator.Input, mode allocator.Mode, res *allocator.Result, remembered bool) {
+	var log []allocation
+	var last allocator.Input // the problem of the last fresh solve
+	var lastMode allocator.Mode
+	o.memo.solved = func(mode allocator.Mode, res *allocator.Result, remembered bool) {
+		now := w.loop.Now()
+		in := o.buildInput()
 		if want := fresh.Run(in, mode); !sameVerdict(res, want) {
 			t.Fatalf("%v at %v (remembered: %v): solve returned %d moves %+v -> %+v, a fresh run %d moves %+v -> %+v",
-				mode, w.loop.Now(), remembered, len(res.Moves), res.Initial, res.Final, len(want.Moves), want.Initial, want.Final)
+				mode, now, remembered, len(res.Moves), res.Initial, res.Final, len(want.Moves), want.Initial, want.Final)
 		}
-		if remembered {
-			hits++
-		} else {
-			misses++
+		same := last.Servers != nil && mode == lastMode && reflect.DeepEqual(in, last)
+		if remembered && !same {
+			t.Fatalf("%v at %v: a remembered result replayed for a problem that changed since it was solved", mode, now)
 		}
+		if !remembered && same {
+			t.Fatalf("%v at %v: solved afresh the problem the last solve had: a hit lost", mode, now)
+		}
+		if !remembered {
+			last, lastMode = in, mode
+		}
+		log = append(log, allocation{now, mode, remembered})
 	}
-	// step runs do, then the world for d, and requires at least the given
-	// number of hits and misses in that time.
-	step := func(what string, d time.Duration, minHits, minMisses int, do func()) {
+	// step runs do, then the world for d, and requires at least minHits
+	// remembered and between minMisses and maxMisses fresh allocations in that
+	// time. It returns the allocations made.
+	step := func(what string, d time.Duration, minHits, minMisses, maxMisses int, do func()) []allocation {
 		t.Helper()
-		h, m := hits, misses
+		from := len(log)
 		do()
 		w.loop.RunFor(d)
-		if hits-h < minHits || misses-m < minMisses {
-			t.Fatalf("%s: %d remembered and %d fresh allocations, want at least %d and %d", what, hits-h, misses-m, minHits, minMisses)
+		hits := 0
+		for _, a := range log[from:] {
+			if a.remembered {
+				hits++
+			}
 		}
+		if misses := len(log) - from - hits; hits < minHits || misses < minMisses || misses > maxMisses {
+			t.Fatalf("%s: %d remembered and %d fresh allocations, want at least %d and %d..%d",
+				what, hits, misses, minHits, minMisses, maxMisses)
+		}
+		return log[from:]
 	}
-	step("initial placement", 3*time.Minute, 4, 2, func() {})
+	const many = 1 << 30
+	step("initial placement", 3*time.Minute, 8, 2, many, func() {})
 	assertConverged(t, w, 2)
 
-	drained, killed := o.byID[0], o.byID[5]
-	step("drain", 2*time.Minute, 2, 1, func() { o.Drain(drained.id, nil) })
-	step("machine kill inside the grace, then past it", 2*time.Minute, 2, 2, func() {
-		w.managers[killed.region].KillMachine(killed.machine)
+	// The test drives session expiries through w.host, r2's.
+	var r1, r2 []*serverState
+	for _, st := range o.byID {
+		if st.domains[topology.LevelRegion.String()] == "r1" {
+			r1 = append(r1, st)
+		} else {
+			r2 = append(r2, st)
+		}
+	}
+	drained, expired, abortFrom := r2[0], r2[1], r2[2]
+	killed := w.machineOf(t, r1[1].id)
+	step("drain", 2*time.Minute, 5, 2, many, func() { o.Drain(drained.id, nil) })
+	step("machine kill inside the grace, then past it", 2*time.Minute, 6, 2, many, func() {
+		w.managers["r1"].KillMachine(killed)
 	})
-	step("replica-count edit", time.Minute, 1, 1, func() { o.SetReplicas("s003", 3) })
-	step("load change", 2*time.Minute, 2, 1, func() { cpu = 3 })
-	step("idle", 2*time.Minute, 7, 0, func() {})
-	step("region preference", 2*time.Minute, 2, 1, func() { o.SetRegionPreference("s007", "r2", 0) })
-	step("capacity edit", time.Minute, 1, 1, func() {
-		o.cfg.ServerCapacity = topology.Capacity{topology.ResourceCPU: 60, topology.ResourceShardCount: 1000}
+	// A false-dead server that reconnects inside the grace never left the
+	// problem: its primaries fail over, its rejoin sync runs, and not one
+	// allocation is fresh.
+	step("session expiry inside the grace", time.Minute, 4, 0, 0, func() {
+		if !w.host.ExpireSession(expired.id, 5*time.Second) {
+			t.Fatal("ExpireSession found no session")
+		}
 	})
-	step("machine back, drain cancelled", 3*time.Minute, 4, 2, func() {
-		w.managers[killed.region].RestoreMachine(killed.machine)
-		o.CancelDrain(drained.id)
+	step("replica count up", time.Minute, 2, 1, many, func() { o.SetReplicas("s003", 3) })
+	step("replica count down", time.Minute, 2, 1, many, func() { o.SetReplicas("s003", 2) })
+	step("load change", 2*time.Minute, 6, 1, many, func() { cpu = 3 })
+	step("idle", 2*time.Minute, 7, 0, 0, func() {})
+	step("region preference", 2*time.Minute, 5, 1, many, func() { o.SetRegionPreference("s007", "r2", 0) })
+	step("edits that write the values held", time.Minute, 4, 0, 0, func() {
+		o.SetReplicas("s003", 2)
+		o.SetRegionPreference("s007", "r2", 0)
 	})
-	if hits < 25 || misses < 12 {
-		t.Fatalf("%d remembered and %d fresh allocations over the scenario", hits, misses)
+	// Every migration off a server in r2 fails while r1 — the orchestrator's
+	// home — cannot reach r2; each abort asks for an emergency allocation of
+	// the unchanged problem.
+	aborted := step("migrations abort", time.Minute, 5, 5, many, func() {
+		w.net.SetLinkFault("r1", "r2", rpcnet.LinkFault{DropProb: 1})
+		o.Drain(abortFrom.id, nil)
+	})
+	if !slices.ContainsFunc(aborted, func(a allocation) bool { return a.mode == allocator.Emergency && a.remembered }) {
+		t.Fatalf("migrations abort: no remembered emergency allocation in %+v", aborted)
+	}
+	step("partition healed, drain cancelled", 3*time.Minute, 8, 1, many, func() {
+		w.net.ClearLinkFault("r1", "r2")
+		o.CancelDrain(abortFrom.id)
+	})
+	// The drained server holds nothing, so its grace running out schedules no
+	// emergency allocation: the periodic tick at that very instant is the
+	// first allocation to see it gone, and must not replay. Its rejoin after
+	// the grace puts it back.
+	if o.ShardsOnServer(drained.id) != 0 {
+		t.Fatalf("the drained server holds %d replicas", o.ShardsOnServer(drained.id))
+	}
+	tick := cfg.AllocInterval
+	expire := (w.loop.Now()/tick+2)*tick - cfg.FailoverGrace%tick // a death whose grace ends on a tick
+	w.loop.RunUntil(expire)
+	allocs := step("grace expiry on a periodic tick, rejoin after it", time.Minute, 2, 2, many, func() {
+		if !w.host.ExpireSession(drained.id, cfg.FailoverGrace+10*time.Second) {
+			t.Fatal("ExpireSession found no session")
+		}
+	})
+	for _, a := range allocs {
+		if a.at == expire+cfg.FailoverGrace && a.mode == allocator.Periodic && a.remembered {
+			t.Fatalf("the periodic tick at the grace's end (%v) replayed a result", a.at)
+		}
+	}
+	if !slices.ContainsFunc(allocs, func(a allocation) bool { return a.at == expire+cfg.FailoverGrace && !a.remembered }) {
+		t.Fatalf("no allocation at the grace's end %v: %+v", expire+cfg.FailoverGrace, allocs)
+	}
+	step("drain cancelled", 2*time.Minute, 6, 1, many, func() { o.CancelDrain(drained.id) })
+	step("machine back", 3*time.Minute, 8, 2, many, func() { w.managers["r1"].RestoreMachine(killed) })
+}
+
+// inputSources pins, for every field of the allocator's input structs, the
+// orchestrator state buildInput reads it from — named by the field or
+// variable an assignment writes — and the functions allowed to write that
+// state. Each writer other than New (which runs before any solve) must call
+// touch: an input value that changes without a bump would be replayed stale.
+// Alive is the one value the clock also changes; graceEnd covers it.
+var inputSources = []struct {
+	field   string
+	sources []string
+	writers []string
+}{
+	{"Input.Servers", []string{"byID"}, []string{"syncMembership"}},
+	{"Input.Shards", []string{"order"}, []string{"New"}},
+	{"Input.Current", []string{"replicas", "Server"}, []string{"addReplica", "removeReplica", "rehomeReplica"}},
+	{"ServerInfo.ID", []string{"byID"}, []string{"syncMembership"}},
+	{"ServerInfo.Domains", []string{"domains"}, []string{"resolveMachine"}},
+	{"ServerInfo.Capacity", []string{"ServerCapacity"}, nil},
+	{"ServerInfo.Alive", []string{"alive", "deadSince"}, []string{"syncMembership"}},
+	{"ServerInfo.Draining", []string{"draining"}, []string{"Drain", "CancelDrain"}},
+	{"ShardSpec.ID", []string{"order"}, []string{"New"}},
+	{"ShardSpec.Replicas", []string{"Replicas"}, []string{"New", "SetReplicas"}},
+	{"ShardSpec.Load", []string{"load", "DefaultLoad", "replicas", "Server"},
+		[]string{"collectLoads", "addReplica", "removeReplica", "rehomeReplica"}},
+	{"ShardSpec.RegionPreference", []string{"RegionPreference"}, []string{"SetRegionPreference"}},
+	{"ShardSpec.PreferenceWeight", []string{"PreferenceWeight"}, []string{"SetRegionPreference"}},
+}
+
+// written returns the name an assignment target writes: the last field
+// selected, past any indexing (ss.replicas[i].Server writes Server), or nil
+// for a plain local variable.
+func written(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			return x.Sel
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
 	}
 }
 
-// memoProblem is a small unsettled allocation problem — a dead server's
-// replicas to re-place, one shard a replica short, a preference unmet — so
-// that editing any one field of it changes what the allocator answers.
-func memoProblem() allocator.Input {
-	in := allocator.Input{Current: map[shard.ID][]shard.ServerID{}}
-	for r, region := range []string{"r1", "r2"} {
-		for i := 0; i < 3; i++ {
-			in.Servers = append(in.Servers, allocator.ServerInfo{
-				ID:       shard.ServerID(fmt.Sprintf("%s/srv%d", region, i)),
-				Domains:  map[string]string{"region": region, "datacenter": region + "/dc0", "rack": fmt.Sprintf("%s/dc0/rack%d", region, i)},
-				Capacity: topology.Capacity{topology.ResourceCPU: 100, topology.ResourceShardCount: 1000},
-				Alive:    !(r == 1 && i == 2),
-			})
-		}
-	}
-	for i := 0; i < 12; i++ {
-		id := shard.ID(fmt.Sprintf("s%03d", i))
-		sp := allocator.ShardSpec{ID: id, Replicas: 2,
-			Load: topology.Capacity{topology.ResourceCPU: float64(1 + i%3), topology.ResourceShardCount: 1}}
-		if i == 4 {
-			sp.RegionPreference, sp.PreferenceWeight = "r2", 150
-		}
-		in.Shards = append(in.Shards, sp)
-		in.Current[id] = []shard.ServerID{in.Servers[i%3].ID, in.Servers[3+(i+1)%3].ID}
-	}
-	in.Current["s011"] = in.Current["s011"][:1]
-	return in
-}
-
-// memoMutations edits exactly one field of memoProblem each, in a way that
-// changes the allocator's answer. The keys are "<struct>.<field>" for every
-// field of allocator.Input, ServerInfo and ShardSpec, which
-// TestMemoComparesEveryField checks by reflection.
-var memoMutations = map[string]func(in *allocator.Input){
-	"Input.Servers":      func(in *allocator.Input) { in.Servers = in.Servers[:4] },
-	"Input.Shards":       func(in *allocator.Input) { in.Shards = in.Shards[:11] },
-	"Input.Current":      func(in *allocator.Input) { in.Current["s002"] = in.Current["s002"][:1] },
-	"ServerInfo.ID":      func(in *allocator.Input) { in.Servers[0].ID = "r1/renamed" },
-	"ServerInfo.Domains": func(in *allocator.Input) { in.Servers[1].Domains = in.Servers[4].Domains },
-	"ServerInfo.Capacity": func(in *allocator.Input) {
-		in.Servers[0].Capacity = topology.Capacity{topology.ResourceCPU: 2, topology.ResourceShardCount: 1000}
-	},
-	"ServerInfo.Alive":    func(in *allocator.Input) { in.Servers[0].Alive = false },
-	"ServerInfo.Draining": func(in *allocator.Input) { in.Servers[0].Draining = true },
-	"ShardSpec.ID":        func(in *allocator.Input) { in.Shards[0].ID = "renamed" },
-	"ShardSpec.Replicas":  func(in *allocator.Input) { in.Shards[0].Replicas = 3 },
-	"ShardSpec.Load": func(in *allocator.Input) {
-		in.Shards[0].Load = topology.Capacity{topology.ResourceCPU: 90, topology.ResourceShardCount: 1}
-	},
-	"ShardSpec.RegionPreference": func(in *allocator.Input) { in.Shards[0].RegionPreference = "r1" },
-	"ShardSpec.PreferenceWeight": func(in *allocator.Input) { in.Shards[4].PreferenceWeight = 1e-6 },
-}
-
-// blank returns a copy of in with the named field zeroed in every element it
-// occurs in: what a comparison that left the field out would see.
-func blank(in allocator.Input, field string) allocator.Input {
-	out := allocator.Input{
-		Servers: append([]allocator.ServerInfo(nil), in.Servers...),
-		Shards:  append([]allocator.ShardSpec(nil), in.Shards...),
-		Current: in.Current,
-	}
-	zero := func(v reflect.Value, name string) { f := v.FieldByName(name); f.Set(reflect.Zero(f.Type())) }
-	owner, name, _ := strings.Cut(field, ".")
-	switch owner {
-	case "Input":
-		zero(reflect.ValueOf(&out).Elem(), name)
-	case "ServerInfo":
-		for i := range out.Servers {
-			zero(reflect.ValueOf(&out.Servers[i]).Elem(), name)
-		}
-	case "ShardSpec":
-		for i := range out.Shards {
-			zero(reflect.ValueOf(&out.Shards[i]).Elem(), name)
-		}
-	}
-	return out
-}
-
-// TestMemoComparesEveryField: for each field of the allocator's input structs
-// — found by reflection, so a field added later fails here until it is both
-// compared and given a mutation — the memo's key tells the mutated problem
-// from the original, the field is the only thing that tells them apart, and a
-// fresh run answers the two differently: a memo that left the field out of
-// its comparison would have replayed the wrong verdict. The mode is compared
-// the same way.
+// TestMemoComparesEveryField: every field of allocator.Input, ServerInfo and
+// ShardSpec — found by reflection, so a field added later fails here until it
+// has a row — has its sources and writers in inputSources; the package's
+// non-test code writes a source nowhere but in a listed writer; every listed
+// writer but New bumps the epoch; and nothing else does.
 func TestMemoComparesEveryField(t *testing.T) {
-	key := func(in allocator.Input, mode allocator.Mode) []byte {
-		var m solveMemo
-		m.rekey(&in, mode)
-		return m.key.buf
+	rows := map[string]bool{}
+	writersOf := map[string][]string{} // source -> functions allowed to write it
+	mustTouch := map[string]bool{}
+	for _, r := range inputSources {
+		if rows[r.field] {
+			t.Errorf("%s has two rows", r.field)
+		}
+		rows[r.field] = true
+		for _, s := range r.sources {
+			writersOf[s] = append(writersOf[s], r.writers...)
+		}
+		for _, f := range r.writers {
+			mustTouch[f] = f != "New"
+		}
 	}
-	alloc := allocator.New(basePolicy(), 1)
-	base := memoProblem()
-	baseRes := alloc.Run(base, allocator.Periodic)
-	if !bytes.Equal(key(base, allocator.Periodic), key(memoProblem(), allocator.Periodic)) {
-		t.Fatal("two builds of one problem have different keys")
-	}
-
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(allocator.Input{}), reflect.TypeOf(allocator.ServerInfo{}), reflect.TypeOf(allocator.ShardSpec{}),
 	} {
 		for i := 0; i < typ.NumField(); i++ {
 			field := typ.Name() + "." + typ.Field(i).Name
-			mutate := memoMutations[field]
-			if mutate == nil {
-				t.Errorf("%s: no mutation — is the field compared by solveMemo.rekey?", field)
+			if !rows[field] {
+				t.Errorf("%s: no row in inputSources — what writes it, and does that bump the epoch?", field)
+			}
+			delete(rows, field)
+		}
+	}
+	for field := range rows {
+		t.Errorf("inputSources row %s names no field of the input structs", field)
+	}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	touches := map[string]bool{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
 				continue
 			}
-			mutant := memoProblem()
-			mutate(&mutant)
-			if bytes.Equal(key(base, allocator.Periodic), key(mutant, allocator.Periodic)) {
-				t.Errorf("%s: the key does not see the edit", field)
+			fname := fn.Name.Name
+			check := func(target ast.Expr) {
+				if id := written(target); id != nil {
+					if allowed, isSource := writersOf[id.Name]; isSource && !slices.Contains(allowed, fname) {
+						t.Errorf("%s: %s writes %s, a source of the allocator's input, and is no writer in inputSources",
+							fset.Position(id.Pos()), fname, id.Name)
+					}
+				}
 			}
-			if !bytes.Equal(key(blank(base, field), allocator.Periodic), key(blank(mutant, field), allocator.Periodic)) {
-				t.Errorf("%s: the mutation edits more than the field", field)
-			}
-			if res := alloc.Run(mutant, allocator.Periodic); sameVerdict(res, baseRes) {
-				t.Errorf("%s: the allocator answers the mutated problem as the original (%d moves, %+v -> %+v): the mutation proves nothing",
-					field, len(res.Moves), res.Initial, res.Final)
-			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch s := n.(type) {
+				case *ast.AssignStmt:
+					if s.Tok != token.DEFINE {
+						for _, lhs := range s.Lhs {
+							check(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					check(s.X)
+				case *ast.CallExpr:
+					if sel, ok := s.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "touch" {
+						touches[fname] = true
+					}
+				}
+				return true
+			})
 		}
 	}
-	if len(memoMutations) != 13 {
-		t.Errorf("%d mutations for 13 fields", len(memoMutations))
-	}
-
-	// One memo re-keyed over its own buffer, problem after problem — shorter,
-	// longer, equal, differing early and late — says "same" exactly when the
-	// fresh encodings are equal and always ends up holding the fresh one.
-	var m solveMemo
-	var prev []byte
-	fields := make([]string, 0, 2*len(memoMutations))
-	for field := range memoMutations {
-		fields = append(fields, field, field) // each problem twice: a miss, then a hit
-	}
-	sort.Strings(fields)
-	for i, field := range append(fields, "", "") {
-		problem := memoProblem()
-		if field != "" {
-			memoMutations[field](&problem)
+	for f, must := range mustTouch {
+		if must && !touches[f] {
+			t.Errorf("%s writes a source of the allocator's input and never bumps the epoch", f)
 		}
-		want := key(problem, allocator.Periodic)
-		if same := m.rekey(&problem, allocator.Periodic); same != bytes.Equal(prev, want) || !bytes.Equal(m.key.buf, want) {
-			t.Fatalf("problem %d (%q): rekey said same=%v, fresh keys equal: %v; buffer holds the fresh key: %v",
-				i, field, same, bytes.Equal(prev, want), bytes.Equal(m.key.buf, want))
+	}
+	for f := range touches {
+		if !mustTouch[f] {
+			t.Errorf("%s bumps the epoch and is no writer in inputSources", f)
 		}
-		prev = want
-	}
-
-	// Current is compared whole, not only where a spec points into it.
-	unlisted, other := memoProblem(), memoProblem()
-	unlisted.Current["unlisted"] = []shard.ServerID{"r1/srv0"}
-	other.Current["unlisted"] = []shard.ServerID{"r1/srv1"}
-	if k := key(unlisted, allocator.Periodic); bytes.Equal(k, key(base, allocator.Periodic)) || bytes.Equal(k, key(other, allocator.Periodic)) {
-		t.Error("the key does not see a Current entry no spec lists")
-	}
-
-	if bytes.Equal(key(base, allocator.Periodic), key(base, allocator.Emergency)) {
-		t.Error("the key does not see the mode")
-	}
-	if res := alloc.Run(base, allocator.Emergency); sameVerdict(res, baseRes) {
-		t.Error("the allocator answers the problem alike in both modes: the mode check proves nothing")
 	}
 }

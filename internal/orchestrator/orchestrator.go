@@ -134,8 +134,6 @@ func (c *Config) fillDefaults() {
 
 type serverState struct {
 	id       shard.ServerID
-	machine  topology.MachineID
-	region   topology.RegionID
 	domains  map[string]string
 	alive    bool
 	draining bool
@@ -399,7 +397,7 @@ func (o *Orchestrator) syncMembership() {
 		id := unescapeID(kid)
 		seen[id] = true
 		st := o.servers[id]
-		rejoined := false
+		rejoined := st != nil && !st.alive
 		if st == nil {
 			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity),
 				shards: make(map[shard.ID]shard.Role), nodeStale: true}
@@ -408,10 +406,11 @@ func (o *Orchestrator) syncMembership() {
 				return cmp.Compare(s.id, id)
 			})
 			o.byID = slices.Insert(o.byID, i, st)
-		} else if !st.alive {
-			rejoined = true
 		}
 		if !st.alive {
+			if st.deadSince+o.cfg.FailoverGrace <= o.memo.at {
+				o.touch() // it had dropped out of the remembered problem
+			}
 			st.alive = true
 			o.resolveMachine(st, string(data))
 		}
@@ -433,6 +432,7 @@ func (o *Orchestrator) syncMembership() {
 			o.scheduleFailover(id, st.deadSince)
 		}
 	}
+	o.memo.until = o.graceEnd()
 	if anyDied && o.started {
 		// Demote the dead servers' primaries immediately, but promotion of
 		// replacements waits out promoteHold (reconcileRoles gates on
@@ -458,21 +458,16 @@ func unescapeID(kid string) shard.ServerID {
 func (o *Orchestrator) resolveMachine(st *serverState, payload string) {
 	m := o.fleet.Machine(topology.MachineID(payload))
 	if m == nil {
-		// Fall back: payload may be a region name (older hosts).
-		st.region = topology.RegionID(payload)
-		st.domains = map[string]string{
-			topology.LevelRegion.String():     payload,
-			topology.LevelDatacenter.String(): payload + "/dc?",
-			topology.LevelRack.String():       payload + "/dc?/rack?",
-		}
-		return
+		panic(fmt.Sprintf("orchestrator: server %s on unknown machine %q", st.id, payload))
 	}
-	st.machine = m.ID
-	st.region = m.Region
-	st.domains = map[string]string{
+	domains := map[string]string{
 		topology.LevelRegion.String():     m.Domain(topology.LevelRegion),
 		topology.LevelDatacenter.String(): m.Domain(topology.LevelDatacenter),
 		topology.LevelRack.String():       m.Domain(topology.LevelRack),
+	}
+	if !maps.Equal(st.domains, domains) {
+		st.domains = domains
+		o.touch()
 	}
 }
 
@@ -530,7 +525,23 @@ func (o *Orchestrator) collectLoads() {
 			}
 			report := srv.LoadReport()
 			o.loop.AfterL(0, lbLoadApply, func() {
+				// A report is a value (appserver.LoadReporter), held as it
+				// came. While a remembered result could still be replayed, a
+				// report that changes what shardLoad reads bumps the epoch;
+				// an equal value, or one shardLoad does not read, bumps
+				// nothing. Once the epoch has moved there is nothing to check.
 				for sid, load := range report {
+					held, ok := st.load[sid]
+					if o.memo.replayable() && !(ok && maps.Equal(held, load)) {
+						if ss := o.shards[sid]; ss != nil {
+							was := o.shardLoad(ss)
+							st.load[sid] = load
+							if !maps.Equal(was, o.shardLoad(ss)) {
+								o.touch()
+							}
+							continue
+						}
+					}
 					st.load[sid] = load
 				}
 			})
@@ -573,8 +584,8 @@ func (o *Orchestrator) allocate(mode allocator.Mode) {
 	if mode == allocator.Periodic && len(o.migrationQueue) > 0 {
 		return
 	}
-	in := o.buildInput()
-	if len(in.Servers) == 0 {
+	res := o.solve(mode)
+	if res == nil {
 		return
 	}
 	tr := o.loop.Tracer()
@@ -583,7 +594,6 @@ func (o *Orchestrator) allocate(mode allocator.Mode) {
 			trace.String("app", string(o.cfg.App)),
 			trace.String("mode", mode.String()))
 	}
-	res := o.solve(in, mode)
 	if mode == allocator.Emergency {
 		o.EmergencyRuns.Inc()
 	} else {
@@ -609,9 +619,6 @@ func (o *Orchestrator) buildInput() allocator.Input {
 	in := allocator.Input{Current: make(map[shard.ID][]shard.ServerID, len(o.shards))}
 	now := o.loop.Now()
 	for _, st := range o.byID {
-		if st.domains == nil {
-			continue
-		}
 		// A server dead for less than the failover grace (e.g. a quick
 		// in-place restart) keeps its replicas: treating it as dead
 		// would make every planned restart churn the whole placement.
@@ -789,7 +796,7 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 			alivePrimary = i
 		} else {
 			o.setRole(ss, i, shard.RoleSecondary)
-			o.rpcChangeRole(a.Server, ss.cfg.ID, shard.RolePrimary, shard.RoleSecondary)
+			o.rpcChangeRole(a.Server, ss.cfg.ID, shard.RolePrimary, shard.RoleSecondary, nil)
 			changed = true
 		}
 	}
@@ -804,7 +811,7 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 			st := o.servers[a.Server]
 			if st != nil && st.alive {
 				o.setRole(ss, i, shard.RolePrimary)
-				o.rpcChangeRole(a.Server, ss.cfg.ID, shard.RoleSecondary, shard.RolePrimary)
+				o.rpcChangeRole(a.Server, ss.cfg.ID, shard.RoleSecondary, shard.RolePrimary, nil)
 				changed = true
 				break
 			}
@@ -1225,15 +1232,11 @@ func (o *Orchestrator) rpcDropShard(id shard.ServerID, s shard.ID) {
 		})
 }
 
-func (o *Orchestrator) rpcChangeRole(id shard.ServerID, s shard.ID, from, to shard.Role) {
-	o.rpcChangeRoleThen(id, s, from, to, nil)
-}
-
-// rpcChangeRoleThen is rpcChangeRole with a completion callback: done(true)
-// after the server acknowledged the role change, done(false) if it was
+// rpcChangeRole issues a change_role RPC; done, if not nil, runs with true
+// after the server acknowledged the role change and with false if it was
 // unreachable. DemotePrimaries chains demote→promote through it so the two
 // primaries can never be active simultaneously server-side.
-func (o *Orchestrator) rpcChangeRoleThen(id shard.ServerID, s shard.ID, from, to shard.Role, done func(ok bool)) {
+func (o *Orchestrator) rpcChangeRole(id shard.ServerID, s shard.ID, from, to shard.Role, done func(ok bool)) {
 	tr := o.loop.Tracer()
 	var sp trace.SpanID
 	if tr.Enabled() {
@@ -1411,8 +1414,9 @@ func (o *Orchestrator) SetReplicas(s shard.ID, n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("orchestrator: SetReplicas(%s, %d)", s, n))
 	}
-	if ss := o.shards[s]; ss != nil {
+	if ss := o.shards[s]; ss != nil && ss.cfg.Replicas != n {
 		ss.cfg.Replicas = n
+		o.touch()
 	}
 }
 
@@ -1420,9 +1424,10 @@ func (o *Orchestrator) SetReplicas(s shard.ID, n int) {
 // next periodic allocation migrates replicas toward it (the Fig 20
 // AppShard-follows-DBShard workflow).
 func (o *Orchestrator) SetRegionPreference(s shard.ID, region topology.RegionID, weight float64) {
-	if ss := o.shards[s]; ss != nil {
+	if ss := o.shards[s]; ss != nil && (ss.cfg.RegionPreference != region || ss.cfg.PreferenceWeight != weight) {
 		ss.cfg.RegionPreference = region
 		ss.cfg.PreferenceWeight = weight
+		o.touch()
 	}
 }
 
@@ -1477,7 +1482,10 @@ func (o *Orchestrator) Drain(id shard.ServerID, onDone func()) {
 		}
 		return
 	}
-	st.draining = true
+	if !st.draining {
+		st.draining = true
+		o.touch()
+	}
 	o.draining[id] = &drainRequest{server: id, onDone: onDone}
 	o.allocate(allocator.Periodic)
 	o.checkDrainsDone() // arms the periodic re-check
@@ -1485,8 +1493,9 @@ func (o *Orchestrator) Drain(id shard.ServerID, onDone func()) {
 
 // CancelDrain clears the draining mark (e.g. operation aborted).
 func (o *Orchestrator) CancelDrain(id shard.ServerID) {
-	if st := o.servers[id]; st != nil {
+	if st := o.servers[id]; st != nil && st.draining {
 		st.draining = false
+		o.touch()
 	}
 	delete(o.draining, id)
 }
@@ -1562,7 +1571,7 @@ func (o *Orchestrator) DemotePrimaries(id shard.ServerID) {
 		// the two servers never both hold the active primary role (concurrent
 		// RPCs could land promote-first).
 		sid, promoteSrv := ss.cfg.ID, ss.replicas[promote].Server
-		o.rpcChangeRoleThen(id, sid, shard.RolePrimary, shard.RoleSecondary, func(ok bool) {
+		o.rpcChangeRole(id, sid, shard.RolePrimary, shard.RoleSecondary, func(ok bool) {
 			if !ok {
 				// The old primary never heard the demotion (it may still be
 				// serving); revert the book-keeping rather than promote a
@@ -1578,7 +1587,7 @@ func (o *Orchestrator) DemotePrimaries(id shard.ServerID) {
 				o.publish()
 				return
 			}
-			o.rpcChangeRole(promoteSrv, sid, shard.RoleSecondary, shard.RolePrimary)
+			o.rpcChangeRole(promoteSrv, sid, shard.RoleSecondary, shard.RolePrimary, nil)
 		})
 		changed = true
 	}

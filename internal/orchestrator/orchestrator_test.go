@@ -83,6 +83,18 @@ func buildWorldOf(t *testing.T, regions []topology.RegionID, serversPerRegion in
 	return w
 }
 
+// machineOf returns the machine the server's container runs on.
+func (w *world) machineOf(t *testing.T, id shard.ServerID) topology.MachineID {
+	t.Helper()
+	for _, mgr := range w.managers {
+		if c, ok := mgr.Container(cluster.ContainerID(id)); ok {
+			return c.Machine
+		}
+	}
+	t.Fatalf("no container %s", id)
+	return ""
+}
+
 func shardConfigs(n, replicas int) []ShardConfig {
 	out := make([]ShardConfig, n)
 	for i := range out {

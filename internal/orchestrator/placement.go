@@ -14,7 +14,9 @@ import (
 // since the last publication (Orchestrator.changed). The four mutators below
 // are the only code that writes a replica list, and each brings both up to date
 // in the same breath; every other function reads. They are also all a standby
-// needs to rebuild the placement from the coord assignment nodes.
+// needs to rebuild the placement from the coord assignment nodes. The three
+// that change which server holds a replica bump the allocation problem's epoch
+// (memo.go); setRole does not, since the allocator is told servers, not roles.
 
 // addReplica appends a replica of ss on server.
 func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role shard.Role) {
@@ -22,6 +24,7 @@ func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role sh
 	if len(ss.replicas) == 1 {
 		o.placed++
 	}
+	o.touch()
 	o.reindex(ss, server)
 }
 
@@ -32,6 +35,7 @@ func (o *Orchestrator) removeReplica(ss *shardState, i int) {
 	if len(ss.replicas) == 0 {
 		o.placed--
 	}
+	o.touch()
 	o.reindex(ss, server)
 }
 
@@ -46,6 +50,7 @@ func (o *Orchestrator) setRole(ss *shardState, i int, role shard.Role) {
 func (o *Orchestrator) rehomeReplica(ss *shardState, i int, to shard.ServerID) {
 	from := ss.replicas[i].Server
 	ss.replicas[i].Server = to
+	o.touch()
 	o.reindex(ss, from)
 	o.reindex(ss, to)
 }

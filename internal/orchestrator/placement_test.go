@@ -178,11 +178,12 @@ func TestIndexTracksPlacementThroughOverlappingFaults(t *testing.T) {
 	assertConverged(t, w, 2)
 
 	drained, killed, expired := w.orch.byID[0], w.orch.byID[1], w.orch.byID[2]
+	killedMachine := w.machineOf(t, killed.id)
 	au.step("overlapping faults", 5, func() {
 		w.orch.SetReplicas("s015", 1) // the drain's allocation drops one
 		w.orch.Drain(drained.id, nil)
 		w.loop.RunFor(2 * time.Second)
-		w.managers["r1"].KillMachine(killed.machine)
+		w.managers["r1"].KillMachine(killedMachine)
 		w.store.SetWriteGate(func(op, path string) error { return coord.ErrUnavailable })
 		if !w.host.ExpireSession(expired.id, 10*time.Second) {
 			t.Fatal("ExpireSession found no session")
@@ -199,7 +200,7 @@ func TestIndexTracksPlacementThroughOverlappingFaults(t *testing.T) {
 		}
 		checkIndex(t, w, "stalled")
 		w.store.SetWriteGate(nil)
-		w.managers["r1"].RestoreMachine(killed.machine)
+		w.managers["r1"].RestoreMachine(killedMachine)
 		au.settle(5 * time.Minute)
 		w.orch.CancelDrain(drained.id)
 	})
@@ -267,15 +268,16 @@ func BenchmarkMoveAndPublish(b *testing.B) {
 	}{{"shards=3k", 3000, 120}, {"shards=30k", 30000, 1200}} {
 		b.Run(size.name, func(b *testing.B) {
 			cfg := baseConfig(shard.SecondaryOnly, size.shards, 2)
-			fleet := topology.Build(topology.Spec{Regions: []topology.RegionID{"r1"}, MachinesPerRegion: 1})
+			fleet := topology.Build(topology.Spec{Regions: []topology.RegionID{"r1"}, MachinesPerRegion: size.servers})
 			loop := sim.NewLoop(1)
 			store := coord.NewStore()
 			o := New(loop, store, discovery.NewService(loop, nil), rpcnet.NewNetwork(loop, fleet),
 				appserver.NewDirectory(), fleet, cfg, 1)
 			sess := store.NewSession()
+			machines := fleet.Machines()
 			for i := 0; i < size.servers; i++ {
 				id := shard.ServerID(fmt.Sprintf("srv%04d", i))
-				if err := store.CreateAll(o.paths.ServerNode(id), []byte("r1"), sess); err != nil {
+				if err := store.CreateAll(o.paths.ServerNode(id), []byte(machines[i].ID), sess); err != nil {
 					b.Fatal(err)
 				}
 			}

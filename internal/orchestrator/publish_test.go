@@ -52,7 +52,7 @@ func TestPublishedDeltasMatchSnapshotDiffs(t *testing.T) {
 	// re-adds the lost replicas.
 	victim := primaryOf("s001")
 	step("server death", 3, func() {
-		w.managers["r1"].KillMachine(w.fleet.Machine(topology.MachineID(w.orch.servers[victim].machine)).ID)
+		w.managers["r1"].KillMachine(w.machineOf(t, victim))
 		settle(3 * time.Minute)
 	})
 	step("demote primaries", 1, func() {

@@ -267,9 +267,14 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 			if len(got) != len(row.want) {
 				t.Fatalf("done ran %d times for %d requests: %+v", len(got), len(row.want), got)
 			}
+			// The want latencies were recorded on a network without jitter;
+			// the fabric's stretches each hop by up to 10%.
 			for i := range got {
-				if got[i] != row.want[i] {
-					t.Errorf("request %d:\n got %+v\nwant %+v", i, got[i], row.want[i])
+				g, w := got[i], row.want[i]
+				stretched := g.Latency >= w.Latency && g.Latency <= w.Latency+w.Latency/10
+				g.Latency = w.Latency
+				if g != w || !stretched {
+					t.Errorf("request %d:\n got %+v\nwant %+v (latency up to 10%% more)", i, got[i], row.want[i])
 				}
 			}
 			if e.net.Messages != row.messages {

@@ -43,7 +43,6 @@ func newEnv(t testing.TB) *env {
 	fleet.SetLatency("far", "far", time.Millisecond)
 	loop := sim.NewLoop(7)
 	net := rpcnet.NewNetwork(loop, fleet)
-	net.Jitter = 0
 	ks, err := shard.NewKeyspace([]shard.ID{"s1", "s2"}, []string{"", "m"})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@
 // The fabric is also the injection point for network faults: per-directed-link
 // latency inflation, packet loss, and full partitions (symmetric or
 // asymmetric) installed via SetLinkFault. Failure detection is modeled
-// explicitly: a sender learns that a message was lost only after SendTimeout,
+// explicitly: a sender learns that a message was lost only after sendTimeout,
 // never "for free" at the would-be delivery instant — so injected latency can
 // never make a timeout arrive faster than a slow success.
 package rpcnet
@@ -24,9 +24,16 @@ import (
 // Endpoint is anything reachable on the network.
 type Endpoint string
 
-// DefaultSendTimeout is how long a sender waits before concluding a message
-// was lost (down endpoint, partition, or packet loss).
-const DefaultSendTimeout = 1 * time.Second
+const (
+	// sendTimeout is how long a sender waits before concluding a message was
+	// lost (down endpoint, partition, or packet loss). Failure callbacks fire
+	// at send time + sendTimeout, decoupled from the (possibly inflated)
+	// delivery latency.
+	sendTimeout = 1 * time.Second
+	// jitter is the largest extra random latency per hop, as a fraction of
+	// the hop's latency.
+	jitter = 0.1
+)
 
 // Kernel-profiler attribution labels, interned once so the per-message path
 // never touches the label table.
@@ -84,14 +91,6 @@ type Network struct {
 	loop  *sim.Loop
 	fleet *topology.Fleet
 	rng   *sim.RNG
-	// Jitter adds up to this fraction of extra random latency per hop
-	// (default 0.1).
-	Jitter float64
-	// SendTimeout is how long a sender waits before detecting a lost
-	// message (default DefaultSendTimeout). Failure callbacks fire at
-	// send time + SendTimeout, decoupled from the (possibly inflated)
-	// delivery latency.
-	SendTimeout time.Duration
 
 	peers    map[Endpoint]*Peer
 	noRegion int // the fleet's number for region "", where an unregistered peer is
@@ -126,7 +125,6 @@ type envelope struct {
 	to      *Peer
 	sp      trace.SpanID
 	sentAt  time.Duration
-	timeout time.Duration
 	status  string
 	fn      func(any)
 	arg     any
@@ -188,13 +186,11 @@ func invoke0(a any) { a.(func())() }
 // NewNetwork returns a network over the fleet's latency model.
 func NewNetwork(loop *sim.Loop, fleet *topology.Fleet) *Network {
 	return &Network{
-		loop:        loop,
-		fleet:       fleet,
-		rng:         loop.RNG().Fork(),
-		Jitter:      0.1,
-		SendTimeout: DefaultSendTimeout,
-		peers:       make(map[Endpoint]*Peer),
-		noRegion:    fleet.RegionIndex(""),
+		loop:     loop,
+		fleet:    fleet,
+		rng:      loop.RNG().Fork(),
+		peers:    make(map[Endpoint]*Peer),
+		noRegion: fleet.RegionIndex(""),
 	}
 }
 
@@ -286,18 +282,7 @@ func (n *Network) delayAt(from, to int) time.Duration {
 			base += f.LatencyAdd
 		}
 	}
-	if n.Jitter <= 0 {
-		return base
-	}
-	return base + time.Duration(n.rng.Float64()*n.Jitter*float64(base))
-}
-
-// sendTimeout returns the failure-detection delay for one message.
-func (n *Network) sendTimeout() time.Duration {
-	if n.SendTimeout > 0 {
-		return n.SendTimeout
-	}
-	return DefaultSendTimeout
+	return base + time.Duration(n.rng.Float64()*jitter*float64(base))
 }
 
 // trackInflight adjusts the fabric's in-flight message count and mirrors it
@@ -330,7 +315,7 @@ func (n *Network) lost(from, to int) bool {
 // Send schedules fn to run after the one-way latency from the sender's
 // region to the destination endpoint's region. If the message is lost — the
 // destination is unreachable at delivery time, or an injected link fault
-// drops it — onFail runs at send time + SendTimeout instead: the sender
+// drops it — onFail runs at send time + sendTimeout instead: the sender
 // learns of the failure only by timeout, never faster than a slow success
 // could arrive. Either callback may be nil.
 func (n *Network) Send(fromRegion topology.RegionID, to Endpoint, fn func(), onFail func()) {
@@ -369,18 +354,17 @@ func (n *Network) SendTo(from int, to *Peer, fn func(any), arg any, onFail func(
 			trace.String("to", string(to.name)))
 		tr.Event("rpcnet", "tx", sp)
 	}
-	timeout := n.sendTimeout()
 	if to.known && n.lost(from, to.ri) {
 		n.Dropped++
 		e := n.allocEnv()
 		e.to, e.sp, e.status = to, sp, "dropped"
 		e.onFail, e.failArg = onFail, failArg
-		n.loop.PostArgL(timeout, lbTimeout, envTimeout, e)
+		n.loop.PostArgL(sendTimeout, lbTimeout, envTimeout, e)
 		return
 	}
 	e := n.allocEnv()
 	e.to, e.sp = to, sp
-	e.sentAt, e.timeout = n.loop.Now(), timeout
+	e.sentAt = n.loop.Now()
 	e.fn, e.arg = fn, arg
 	e.onFail, e.failArg = onFail, failArg
 	n.trackInflight(1)
@@ -398,7 +382,7 @@ func envDeliver(a any) {
 		// the (possibly inflated) delivery delay already exceeds the
 		// timeout the sender has been waiting long enough.
 		e.status = "unreachable"
-		wait := e.sentAt + e.timeout - n.loop.Now()
+		wait := e.sentAt + sendTimeout - n.loop.Now()
 		if wait > 0 {
 			n.loop.PostArgL(wait, lbTimeout, envTimeout, e)
 			return
@@ -437,7 +421,7 @@ func envTimeout(a any) {
 // ReplyAt schedules fn(arg) after the one-way latency between the regions
 // numbered from and to — the response leg of an RPC, where the receiver is
 // not a registered endpoint. It honors injected link faults: a lost reply
-// invokes onFail(failArg) at send time + SendTimeout. Like SendTo it runs
+// invokes onFail(failArg) at send time + sendTimeout. Like SendTo it runs
 // exactly one of its two callbacks, exactly once.
 func (n *Network) ReplyAt(from, to int, fn func(any), arg any, onFail func(any), failArg any) {
 	if n.lost(from, to) {
@@ -445,7 +429,7 @@ func (n *Network) ReplyAt(from, to int, fn func(any), arg any, onFail func(any),
 		if onFail != nil {
 			e := n.allocEnv()
 			e.fn, e.arg = onFail, failArg
-			n.loop.PostArgL(n.sendTimeout(), lbTimeout, envInvoke, e)
+			n.loop.PostArgL(sendTimeout, lbTimeout, envInvoke, e)
 		}
 		return
 	}

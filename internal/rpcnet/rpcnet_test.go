@@ -16,9 +16,13 @@ func testNet(t *testing.T) (*sim.Loop, *Network) {
 		Latency:           map[[2]topology.RegionID]time.Duration{{"a", "b"}: 50 * time.Millisecond},
 	})
 	loop := sim.NewLoop(1)
-	n := NewNetwork(loop, fleet)
-	n.Jitter = 0
-	return loop, n
+	return loop, NewNetwork(loop, fleet)
+}
+
+// jittered reports whether d is base stretched by the fabric's jitter: in
+// [base, (1+jitter)·base].
+func jittered(d, base time.Duration) bool {
+	return d >= base && d <= base+time.Duration(jitter*float64(base))
 }
 
 func TestSendDeliversWithLatency(t *testing.T) {
@@ -27,8 +31,8 @@ func TestSendDeliversWithLatency(t *testing.T) {
 	var deliveredAt time.Duration
 	n.Send("a", "dst", func() { deliveredAt = loop.Now() }, nil)
 	loop.Run()
-	if deliveredAt != 50*time.Millisecond {
-		t.Fatalf("delivered at %v, want 50ms", deliveredAt)
+	if !jittered(deliveredAt, 50*time.Millisecond) {
+		t.Fatalf("delivered at %v, want 50ms plus jitter", deliveredAt)
 	}
 	if n.Messages != 1 {
 		t.Fatalf("Messages = %d", n.Messages)
@@ -86,8 +90,8 @@ func TestCallRoundTrip(t *testing.T) {
 	if !handled {
 		t.Fatal("handler not invoked")
 	}
-	if rtt != 100*time.Millisecond {
-		t.Fatalf("rtt = %v, want 100ms", rtt)
+	if !jittered(rtt, 100*time.Millisecond) {
+		t.Fatalf("rtt = %v, want 100ms plus jitter", rtt)
 	}
 }
 
@@ -102,16 +106,19 @@ func TestCallFailure(t *testing.T) {
 }
 
 func TestJitterBounds(t *testing.T) {
-	loop, n := testNet(t)
-	n.Jitter = 0.5
+	_, n := testNet(t)
 	n.Register("dst", "b")
+	varied := false
 	for i := 0; i < 100; i++ {
 		d := n.Delay("a", "b")
-		if d < 50*time.Millisecond || d > 75*time.Millisecond {
-			t.Fatalf("delay %v outside [50ms, 75ms]", d)
+		if !jittered(d, 50*time.Millisecond) {
+			t.Fatalf("delay %v outside [50ms, 55ms]", d)
 		}
+		varied = varied || d != 50*time.Millisecond
 	}
-	_ = loop
+	if !varied {
+		t.Fatal("100 delays without jitter")
+	}
 }
 
 func TestRegionLookup(t *testing.T) {
@@ -129,8 +136,8 @@ func TestFailureDetectedAtSendTimeout(t *testing.T) {
 	var failedAt time.Duration
 	n.Send("a", "dst", nil, func() { failedAt = loop.Now() })
 	loop.Run()
-	if failedAt != n.SendTimeout {
-		t.Fatalf("failure detected at %v, want SendTimeout %v", failedAt, n.SendTimeout)
+	if failedAt != sendTimeout {
+		t.Fatalf("failure detected at %v, want sendTimeout %v", failedAt, sendTimeout)
 	}
 }
 
@@ -145,8 +152,8 @@ func TestTimeoutNeverBeatsSlowSuccess(t *testing.T) {
 	var failedAt time.Duration
 	n.Send("a", "dst", nil, func() { failedAt = loop.Now() })
 	loop.Run()
-	if failedAt != 2*time.Second {
-		t.Fatalf("failure detected at %v, want the 2s inflated delay", failedAt)
+	if !jittered(failedAt, 2*time.Second) {
+		t.Fatalf("failure detected at %v, want the 2s inflated delay plus jitter", failedAt)
 	}
 }
 
@@ -161,8 +168,8 @@ func TestPartitionDropsAndFailsAtTimeout(t *testing.T) {
 	if ok {
 		t.Fatal("message crossed a full partition")
 	}
-	if failedAt != n.SendTimeout {
-		t.Fatalf("failure detected at %v, want SendTimeout %v", failedAt, n.SendTimeout)
+	if failedAt != sendTimeout {
+		t.Fatalf("failure detected at %v, want sendTimeout %v", failedAt, sendTimeout)
 	}
 	if n.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1", n.Dropped)
@@ -186,12 +193,12 @@ func TestOneWayPartitionLeavesReverseOpen(t *testing.T) {
 func TestLatencyAddInflatesDelay(t *testing.T) {
 	_, n := testNet(t)
 	n.SetLinkFault("a", "b", LinkFault{LatencyAdd: 30 * time.Millisecond})
-	if d := n.Delay("a", "b"); d != 80*time.Millisecond {
-		t.Fatalf("Delay = %v, want 80ms", d)
+	if d := n.Delay("a", "b"); !jittered(d, 80*time.Millisecond) {
+		t.Fatalf("Delay = %v, want 80ms plus jitter", d)
 	}
 	n.ClearLinkFault("a", "b")
-	if d := n.Delay("a", "b"); d != 50*time.Millisecond {
-		t.Fatalf("Delay after clear = %v, want 50ms", d)
+	if d := n.Delay("a", "b"); !jittered(d, 50*time.Millisecond) {
+		t.Fatalf("Delay after clear = %v, want 50ms plus jitter", d)
 	}
 }
 
@@ -267,7 +274,7 @@ func TestExactlyOneCallbackPerMessage(t *testing.T) {
 			loop.AfterL(10*time.Millisecond, 0, func() { n.Unregister("dst") })
 		}, false, true},
 		{"dies in flight, delivery slower than the timeout", func(loop *sim.Loop, n *Network) {
-			n.SetLinkFault("a", "b", LinkFault{LatencyAdd: 2 * DefaultSendTimeout})
+			n.SetLinkFault("a", "b", LinkFault{LatencyAdd: 2 * sendTimeout})
 			loop.AfterL(10*time.Millisecond, 0, func() { n.Unregister("dst") })
 		}, false, true},
 	} {

@@ -7,8 +7,9 @@
 // timestamp order, ties broken by scheduling order, which makes every
 // experiment reproducible from its seed.
 //
-// Pending events live in a hierarchical timing wheel (see wheel.go) rather
-// than one global binary heap, and event objects are recycled through a
+// Pending events live in one timing-wheel level of 256 ~1 ms slots in front
+// of a heap for everything farther out (see wheel.go) rather than in one
+// global binary heap, and event objects are recycled through a
 // per-loop freelist, so the schedule/dispatch hot path is allocation-free
 // and O(1) for the short delays that dominate cluster simulations.
 package sim
