@@ -162,16 +162,36 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(experiments.DeploymentSpec{}): {"Regions", "ServersPerRegion", "Latency", "Orch", "TaskPolicy",
 			"AppFactory", "ClusterOpts", "Tracer", "Health", "Profiler", "Audit", "Seed"},
 	} {
-		var have []string
-		for i := 0; i < typ.NumField(); i++ {
-			if f := typ.Field(i); f.IsExported() {
-				have = append(have, f.Name)
-			}
-		}
-		if !reflect.DeepEqual(have, want) {
+		if have := exportedFields(typ); !reflect.DeepEqual(have, want) {
 			t.Errorf("%v exported fields = %v, want exactly %v", typ, have, want)
 		}
 	}
+}
+
+// TestAllocationAnswersWithMoves pins what an allocation answers: the bounded
+// diff and the solver's counts, not a copy of the placement beside them. The
+// orchestrator executes the moves and nothing else; the solver leaves its
+// final buckets in the problem's entities, where the allocator reads them.
+func TestAllocationAnswersWithMoves(t *testing.T) {
+	for typ, want := range map[reflect.Type][]string{
+		reflect.TypeOf(allocator.Result{}): {"Moves", "Deferred", "Initial", "Final", "Solves", "Elapsed", "Evaluated"},
+		reflect.TypeOf(solver.Result{}):    {"Moves", "Initial", "Final", "Rounds", "Evaluated", "Elapsed"},
+	} {
+		if have := exportedFields(typ); !reflect.DeepEqual(have, want) {
+			t.Errorf("%v exported fields = %v, want exactly %v", typ, have, want)
+		}
+	}
+}
+
+// exportedFields lists a struct type's exported field names in order.
+func exportedFields(typ reflect.Type) []string {
+	var have []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			have = append(have, f.Name)
+		}
+	}
+	return have
 }
 
 // TestResolvedNamesReplaceTheirMaps pins what the request path's handles

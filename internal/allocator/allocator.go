@@ -160,12 +160,9 @@ func (m ReplicaMove) Kind() string {
 
 // Result is the outcome of one allocation run.
 type Result struct {
-	// Assignment is the new shard-to-servers placement after applying
-	// the (cap-limited) moves.
-	Assignment map[shard.ID][]shard.ServerID
 	// Moves is the emitted diff, adds first.
 	Moves []ReplicaMove
-	// Deferred counts solver-proposed moves suppressed by churn caps;
+	// Deferred counts moves the solver found that churn caps suppressed;
 	// the next periodic run will retry them.
 	Deferred int
 	// Initial and Final are the solver's violation counts (final is
@@ -236,7 +233,7 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 		serverOf = append(serverOf, s.ID)
 	}
 	if len(bucketOf) == 0 {
-		return &Result{Assignment: cloneAssignment(in.Current)}
+		return &Result{}
 	}
 
 	// Entities: one per desired replica, shard by shard in in.Shards' order.
@@ -255,6 +252,12 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	// has replicas to keep apart, else -1: the group of both the server-scope
 	// conflict and the spread goal.
 	shardOf := make([]int32, 0, replicas)
+	// held[e] is the bucket entity e started in: what capDiff compares the
+	// solver's answer with.
+	held := make([]solver.BucketID, 0, replicas)
+	// drops are the surplus current replicas on live servers, shard by shard
+	// (a shard scaled to zero replicas is left out of the diff).
+	var drops []ReplicaMove
 	grouped := false
 	var affinities []solver.AffinityGoal
 	for si, spec := range in.Shards {
@@ -271,23 +274,19 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 				load[i] = spec.Load.Get(m)
 			}
 			bucket := solver.Unassigned
-			placed := false
 			if idx < len(cur) {
 				if b, ok := bucketOf[cur[idx]]; ok {
 					bucket = b
-					placed = true
 				}
 			}
-			movable := true
-			if mode == Emergency && placed {
-				movable = false
-			}
+			movable := mode != Emergency || bucket == solver.Unassigned
 			id := prob.AddEntity(solver.Entity{
 				Load:    load,
 				Bucket:  bucket,
 				Movable: movable,
 			})
 			shardOf = append(shardOf, group)
+			held = append(held, bucket)
 			if spec.RegionPreference != "" && movable {
 				w := spec.PreferenceWeight
 				if w == 0 {
@@ -299,6 +298,11 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 					Domain: string(spec.RegionPreference),
 					Weight: w,
 				})
+			}
+		}
+		for idx := spec.Replicas; idx < len(cur) && spec.Replicas > 0; idx++ {
+			if _, ok := bucketOf[cur[idx]]; ok {
+				drops = append(drops, ReplicaMove{Shard: spec.ID, From: cur[idx]})
 			}
 		}
 	}
@@ -374,103 +378,58 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	}
 	res.Elapsed = time.Since(start)
 
-	// Convert the solver assignment into per-shard server lists, carved from
-	// one slab in the order the entities were added.
-	proposed := make(map[shard.ID][]shard.ServerID, len(in.Shards))
-	slab := make([]shard.ServerID, replicas)
-	e := 0 // the shard's first entity
-	for _, spec := range in.Shards {
-		if spec.Replicas == 0 {
-			continue
-		}
-		lst := slab[e : e+spec.Replicas : e+spec.Replicas]
-		for idx := range lst {
-			if b := prob.Entities[e+idx].Bucket; b != solver.Unassigned {
-				lst[idx] = serverOf[b]
-			}
-		}
-		e += spec.Replicas
-		proposed[spec.ID] = lst
-	}
-
-	res.Assignment, res.Moves, res.Deferred = a.capDiff(in, proposed)
+	res.Moves, res.Deferred = a.capDiff(in, prob.Entities, held, serverOf, drops)
 	sortMoves(res.Moves)
 	return res
 }
 
-// capDiff compares the proposed placement against the current one and
-// emits a diff bounded by the churn caps. Adds (restoring availability)
-// are never capped; migrations of already-placed replicas are.
-func (a *Allocator) capDiff(in Input, proposed map[shard.ID][]shard.ServerID) (map[shard.ID][]shard.ServerID, []ReplicaMove, int) {
+// capDiff compares where the solver left each replica (ents) with where it
+// started (held) and emits a diff bounded by the churn caps, followed by the
+// drops. Adds (restoring availability) are never capped; migrations of
+// already-placed replicas are. Every decision is made on bucket numbers — only
+// live servers are buckets, so a replica on a dead server was held nowhere —
+// and is written over the entity's bucket: a replica ends where it was held
+// (kept), somewhere when held nowhere (added), or elsewhere (migrated). A
+// bucket is named only when its move is emitted.
+func (a *Allocator) capDiff(in Input, ents []solver.Entity, held []solver.BucketID, serverOf []shard.ServerID, drops []ReplicaMove) ([]ReplicaMove, int) {
 	p := a.policy
-	final := make(map[shard.ID][]shard.ServerID, len(proposed))
 	var adds, migrations []ReplicaMove
 	deferred := 0
 	totalMigrations := 0
 
-	// Deterministic iteration order.
-	ids := make([]shard.ID, 0, len(proposed))
-	for id := range proposed {
-		ids = append(ids, id)
+	// The shards in ID order, each with its first entity: the global cap is
+	// spent in this order.
+	type span struct{ shard, first int }
+	spans := make([]span, len(in.Shards))
+	next := 0
+	for si, spec := range in.Shards {
+		spans[si] = span{si, next}
+		next += spec.Replicas
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sort.Slice(spans, func(i, j int) bool { return in.Shards[spans[i].shard].ID < in.Shards[spans[j].shard].ID })
 
-	liveServers := make(map[shard.ServerID]bool)
-	for _, s := range in.Servers {
-		if s.Alive {
-			liveServers[s.ID] = true
-		}
-	}
-
-	// Per-replica decision; kind is keep (including unplaced), add, or
-	// migrate. Decisions are made first, then de-duplicated, and only then
-	// turned into moves — a capped migration falls back to keeping the
-	// replica in place, which can collide with a sibling replica that just
-	// migrated onto that very server.
-	const (
-		kindKeep = iota
-		kindAdd
-		kindMigrate
-	)
-	type decision struct {
-		srv, from shard.ServerID
-		kind      int
-	}
-
-	for _, id := range ids {
-		want := proposed[id]
-		cur := in.Current[id]
+	for _, sp := range spans {
+		id := in.Shards[sp.shard].ID
+		lo, hi := sp.first, sp.first+in.Shards[sp.shard].Replicas
 		shardMoves := 0
-		dec := make([]decision, len(want))
-		for idx, target := range want {
-			var curSrv shard.ServerID
-			if idx < len(cur) && liveServers[cur[idx]] {
-				curSrv = cur[idx]
-			}
+		for e := lo; e < hi; e++ {
+			to := &ents[e].Bucket
 			switch {
-			case target == "" && curSrv == "":
-				// Still unplaceable (no feasible server).
-				dec[idx] = decision{kind: kindKeep}
-			case target == curSrv:
-				dec[idx] = decision{srv: curSrv, kind: kindKeep}
-			case curSrv == "":
-				// Add: restores availability, never capped.
-				dec[idx] = decision{srv: target, kind: kindAdd}
-			case target == "":
-				// Solver failed to place an existing replica;
-				// keep it where it is.
-				dec[idx] = decision{srv: curSrv, kind: kindKeep}
+			case *to == held[e] || held[e] == solver.Unassigned:
+				// Kept, or still unplaceable (no feasible server); or an
+				// add, which restores availability and is never capped.
+			case *to == solver.Unassigned:
+				// Solver failed to place an existing replica; keep it
+				// where it is.
+				*to = held[e]
+			case shardMoves >= p.PerShardMoveCap ||
+				(p.MaxTotalMoves > 0 && totalMigrations >= p.MaxTotalMoves):
+				// A migration over the per-shard or global cap.
+				deferred++
+				*to = held[e]
 			default:
-				// Migration: subject to per-shard and global caps.
-				if shardMoves >= p.PerShardMoveCap ||
-					(p.MaxTotalMoves > 0 && totalMigrations >= p.MaxTotalMoves) {
-					deferred++
-					dec[idx] = decision{srv: curSrv, kind: kindKeep}
-					continue
-				}
 				shardMoves++
 				totalMigrations++
-				dec[idx] = decision{srv: target, from: curSrv, kind: kindMigrate}
 			}
 		}
 		// Invariant: a shard never ends with two replicas on one server.
@@ -481,66 +440,44 @@ func (a *Allocator) capDiff(in Input, proposed map[shard.ID][]shard.ServerID) (m
 		// iterate to a fixpoint (bounded by the replica count).
 		for changed := true; changed; {
 			changed = false
-			used := make(map[shard.ServerID]int, len(dec))
-			for idx := range dec {
-				srv := dec[idx].srv
-				if srv == "" {
+			for e := lo; e < hi; e++ {
+				to := ents[e].Bucket
+				first := lo // the first replica of the shard that ends on to
+				for ents[first].Bucket != to {
+					first++
+				}
+				if first == e || to == solver.Unassigned {
 					continue
 				}
-				first, dup := used[srv]
-				if !dup {
-					used[srv] = idx
-					continue
-				}
-				cancel := idx
-				if dec[cancel].kind == kindKeep {
+				cancel := e
+				if to == held[e] {
 					cancel = first
 				}
-				if dec[cancel].kind == kindKeep {
+				if ents[cancel].Bucket == held[cancel] {
 					continue // two keeps: current placement was malformed
 				}
-				d := &dec[cancel]
-				if d.kind == kindMigrate {
-					shardMoves--
+				if held[cancel] != solver.Unassigned {
 					totalMigrations--
-					d.srv = d.from
-				} else {
-					d.srv = "" // add retried next round
 				}
-				d.kind = kindKeep
-				d.from = ""
+				// A migration reverts to its current server; an add is
+				// retried next round.
+				ents[cancel].Bucket = held[cancel]
 				deferred++
 				changed = true
 				break
 			}
 		}
-		out := make([]shard.ServerID, len(dec))
-		for idx, d := range dec {
-			out[idx] = d.srv
-			switch d.kind {
-			case kindAdd:
-				adds = append(adds, ReplicaMove{Shard: id, From: "", To: d.srv})
-			case kindMigrate:
-				migrations = append(migrations, ReplicaMove{Shard: id, From: d.from, To: d.srv})
+		for e := lo; e < hi; e++ {
+			switch to, from := ents[e].Bucket, held[e]; {
+			case to == from:
+			case from == solver.Unassigned:
+				adds = append(adds, ReplicaMove{Shard: id, To: serverOf[to]})
+			default:
+				migrations = append(migrations, ReplicaMove{Shard: id, From: serverOf[from], To: serverOf[to]})
 			}
 		}
-		// Surplus current replicas beyond the spec become drops.
-		for idx := len(want); idx < len(cur); idx++ {
-			if liveServers[cur[idx]] {
-				migrations = append(migrations, ReplicaMove{Shard: id, From: cur[idx], To: ""})
-			}
-		}
-		final[id] = out
 	}
-	return final, append(adds, migrations...), deferred
-}
-
-func cloneAssignment(cur map[shard.ID][]shard.ServerID) map[shard.ID][]shard.ServerID {
-	out := make(map[shard.ID][]shard.ServerID, len(cur))
-	for k, v := range cur {
-		out[k] = append([]shard.ServerID(nil), v...)
-	}
-	return out
+	return append(append(adds, migrations...), drops...), deferred
 }
 
 func sortMoves(moves []ReplicaMove) {

@@ -2,6 +2,8 @@ package allocator
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"shardmanager/internal/shard"
@@ -40,7 +42,38 @@ func makeShards(n, replicas int, cpu float64) []ShardSpec {
 	return out
 }
 
-func assignmentOf(res *Result) map[shard.ID][]shard.ServerID { return res.Assignment }
+// applyMoves returns in.Current after moves, applied as the orchestrator
+// applies a diff: a move re-homes its From replica in place, an add fills the
+// first replica that is empty or on a server not alive in in (else it
+// appends), and a drop removes its From replica. It is the placement Run's
+// answer is checked by.
+func applyMoves(in Input, moves []ReplicaMove) map[shard.ID][]shard.ServerID {
+	alive := map[shard.ServerID]bool{}
+	for _, s := range in.Servers {
+		alive[s.ID] = s.Alive
+	}
+	out := make(map[shard.ID][]shard.ServerID, len(in.Current))
+	for id, cur := range in.Current {
+		out[id] = slices.Clone(cur)
+	}
+	for _, m := range moves {
+		list := out[m.Shard]
+		switch m.Kind() {
+		case "add":
+			if i := slices.IndexFunc(list, func(s shard.ServerID) bool { return s == "" || !alive[s] }); i != -1 {
+				list[i] = m.To
+			} else {
+				out[m.Shard] = append(list, m.To)
+			}
+		case "move":
+			list[slices.Index(list, m.From)] = m.To
+		case "drop":
+			i := slices.Index(list, m.From)
+			out[m.Shard] = slices.Delete(list, i, i+1)
+		}
+	}
+	return out
+}
 
 func TestInitialPlacementAssignsEverything(t *testing.T) {
 	a := New(DefaultPolicy(topology.ResourceCPU), 1)
@@ -53,8 +86,9 @@ func TestInitialPlacementAssignsEverything(t *testing.T) {
 	if res.Final.Unassigned != 0 {
 		t.Fatalf("unassigned after initial placement: %+v", res.Final)
 	}
+	placed := applyMoves(in, res.Moves)
 	for _, sp := range in.Shards {
-		servers := res.Assignment[sp.ID]
+		servers := placed[sp.ID]
 		if len(servers) != 2 || servers[0] == "" || servers[1] == "" {
 			t.Fatalf("shard %s assignment = %v", sp.ID, servers)
 		}
@@ -77,14 +111,14 @@ func TestSpreadAcrossRegions(t *testing.T) {
 		Shards:  makeShards(30, 3, 1),
 		Current: map[shard.ID][]shard.ServerID{},
 	}
-	res := a.Run(in, Periodic)
+	placed := applyMoves(in, a.Run(in, Periodic).Moves)
 	regionOf := map[shard.ServerID]string{}
 	for _, s := range in.Servers {
 		regionOf[s.ID] = s.Domains["region"]
 	}
 	for _, sp := range in.Shards {
 		regions := map[string]bool{}
-		for _, srv := range res.Assignment[sp.ID] {
+		for _, srv := range placed[sp.ID] {
 			regions[regionOf[srv]] = true
 		}
 		if len(regions) != 3 {
@@ -104,13 +138,13 @@ func TestRegionPreferenceHonored(t *testing.T) {
 		Shards:  shards,
 		Current: map[shard.ID][]shard.ServerID{},
 	}
-	res := a.Run(in, Periodic)
+	placed := applyMoves(in, a.Run(in, Periodic).Moves)
 	regionOf := map[shard.ServerID]string{}
 	for _, s := range in.Servers {
 		regionOf[s.ID] = s.Domains["region"]
 	}
 	for _, sp := range shards {
-		srv := res.Assignment[sp.ID][0]
+		srv := placed[sp.ID][0]
 		if regionOf[srv] != "r2" {
 			t.Fatalf("shard %s placed in %s, want r2", sp.ID, regionOf[srv])
 		}
@@ -122,15 +156,16 @@ func TestEmergencyPinsHealthyReplicas(t *testing.T) {
 	servers := makeServers(6, []string{"r1", "r2"}, 100)
 	shards := makeShards(12, 2, 1)
 	in := Input{Servers: servers, Shards: shards, Current: map[shard.ID][]shard.ServerID{}}
-	first := a.Run(in, Periodic)
+	first := applyMoves(in, a.Run(in, Periodic).Moves)
 
 	// Kill server 0; its replicas must move, everything else must stay.
 	servers[0].Alive = false
-	in2 := Input{Servers: servers, Shards: shards, Current: first.Assignment}
+	in2 := Input{Servers: servers, Shards: shards, Current: first}
 	res := a.Run(in2, Emergency)
+	placed := applyMoves(in2, res.Moves)
 	for _, sp := range shards {
-		oldList := first.Assignment[sp.ID]
-		newList := res.Assignment[sp.ID]
+		oldList := first[sp.ID]
+		newList := placed[sp.ID]
 		for i := range oldList {
 			if oldList[i] == "srv000" {
 				if newList[i] == "srv000" || newList[i] == "" {
@@ -225,13 +260,13 @@ func TestDrainingServerSheds(t *testing.T) {
 	servers := makeServers(4, []string{"r1"}, 100)
 	shards := makeShards(8, 1, 1)
 	in := Input{Servers: servers, Shards: shards, Current: map[shard.ID][]shard.ServerID{}}
-	first := a.Run(in, Periodic)
+	first := applyMoves(in, a.Run(in, Periodic).Moves)
 
 	servers[1].Draining = true
-	in2 := Input{Servers: servers, Shards: shards, Current: first.Assignment}
-	res := a.Run(in2, Periodic)
+	in2 := Input{Servers: servers, Shards: shards, Current: first}
+	placed := applyMoves(in2, a.Run(in2, Periodic).Moves)
 	for _, sp := range shards {
-		for _, srv := range res.Assignment[sp.ID] {
+		for _, srv := range placed[sp.ID] {
 			if srv == servers[1].ID {
 				t.Fatalf("shard %s still on draining server", sp.ID)
 			}
@@ -244,12 +279,12 @@ func TestShrinkReplicasEmitsDrops(t *testing.T) {
 	servers := makeServers(6, []string{"r1", "r2"}, 100)
 	shards := makeShards(4, 3, 1)
 	in := Input{Servers: servers, Shards: shards, Current: map[shard.ID][]shard.ServerID{}}
-	first := a.Run(in, Periodic)
+	first := applyMoves(in, a.Run(in, Periodic).Moves)
 
 	for i := range shards {
 		shards[i].Replicas = 2
 	}
-	in2 := Input{Servers: servers, Shards: shards, Current: first.Assignment}
+	in2 := Input{Servers: servers, Shards: shards, Current: first}
 	res := a.Run(in2, Periodic)
 	drops := 0
 	for _, m := range res.Moves {
@@ -260,9 +295,10 @@ func TestShrinkReplicasEmitsDrops(t *testing.T) {
 	if drops != 4 {
 		t.Fatalf("drops = %d, want 4 (one per shard)", drops)
 	}
+	placed := applyMoves(in2, res.Moves)
 	for _, sp := range shards {
-		if len(res.Assignment[sp.ID]) != 2 {
-			t.Fatalf("shard %s has %d replicas, want 2", sp.ID, len(res.Assignment[sp.ID]))
+		if len(placed[sp.ID]) != 2 {
+			t.Fatalf("shard %s has %d replicas, want 2", sp.ID, len(placed[sp.ID]))
 		}
 	}
 }
@@ -283,9 +319,10 @@ func TestLoadBalancingReducesHotServer(t *testing.T) {
 	a = New(pol, 1)
 	in := Input{Servers: servers, Shards: shards, Current: current}
 	res := a.Run(in, Periodic)
+	placed := applyMoves(in, res.Moves)
 	load := map[shard.ServerID]float64{}
 	for _, sp := range shards {
-		load[res.Assignment[sp.ID][0]] += 2
+		load[placed[sp.ID][0]] += 2
 	}
 	if load[servers[0].ID] > 30+1e-9 { // mean 20, +10% of 100 => 30
 		t.Fatalf("server 0 still hot: %v", load)
@@ -302,11 +339,8 @@ func TestNoLiveServers(t *testing.T) {
 	servers[1].Alive = false
 	cur := map[shard.ID][]shard.ServerID{"s0001": {"srv000"}}
 	res := a.Run(Input{Servers: servers, Shards: makeShards(2, 1, 1), Current: cur}, Emergency)
-	if len(res.Moves) != 0 {
-		t.Fatalf("moves with no live servers: %v", res.Moves)
-	}
-	if got := res.Assignment["s0001"][0]; got != "srv000" {
-		t.Fatalf("assignment rewritten: %v", got)
+	if !reflect.DeepEqual(res, &Result{}) {
+		t.Fatalf("no live servers, yet Run answered %+v", res)
 	}
 }
 
@@ -315,8 +349,8 @@ func TestStablePlacementProducesNoMoves(t *testing.T) {
 	servers := makeServers(8, []string{"r1", "r2"}, 100)
 	shards := makeShards(24, 2, 1)
 	in := Input{Servers: servers, Shards: shards, Current: map[shard.ID][]shard.ServerID{}}
-	first := a.Run(in, Periodic)
-	in2 := Input{Servers: servers, Shards: shards, Current: first.Assignment}
+	first := applyMoves(in, a.Run(in, Periodic).Moves)
+	in2 := Input{Servers: servers, Shards: shards, Current: first}
 	res := a.Run(in2, Periodic)
 	if len(res.Moves) != 0 {
 		t.Fatalf("stable placement produced %d moves: %s", len(res.Moves), FormatMoves(res.Moves))

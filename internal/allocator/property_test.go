@@ -3,6 +3,7 @@ package allocator
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -115,73 +116,93 @@ func propertyWorld(seed uint64) (Input, Policy, Mode) {
 }
 
 // checkRunInvariants runs the allocator on propertyWorld(seed) and reports
-// whether the hard invariants hold (logging any violation).
+// whether the hard invariants hold (logging any violation). propertyWorld
+// never gives a shard more current replicas than its spec, so for one seed in
+// three every third shard is scaled down by one replica first: its surplus
+// replicas are dropped (or, scaled to zero, left out of the diff).
 func checkRunInvariants(t *testing.T, seed uint64) bool {
-	{
-		in, pol, mode := propertyWorld(seed)
-		current := in.Current
-		liveSet := map[shard.ServerID]bool{}
-		for _, s := range in.Servers {
-			if s.Alive {
-				liveSet[s.ID] = true
-			}
+	in, pol, mode := propertyWorld(seed)
+	if seed%3 == 0 {
+		for i := 0; i < len(in.Shards); i += 3 {
+			in.Shards[i].Replicas--
 		}
-		res := New(pol, seed).Run(in, mode)
+	}
+	current := in.Current
+	liveSet := map[shard.ServerID]bool{}
+	for _, s := range in.Servers {
+		if s.Alive {
+			liveSet[s.ID] = true
+		}
+	}
+	replicasOf := map[shard.ID]int{}
+	for _, sp := range in.Shards {
+		replicasOf[sp.ID] = sp.Replicas
+	}
+	res := New(pol, seed).Run(in, mode)
 
-		// (a) placements target live servers only.
-		for id, list := range res.Assignment {
-			seen := map[shard.ServerID]bool{}
-			for _, srv := range list {
-				if srv == "" {
-					continue
-				}
-				if !liveSet[srv] {
-					// A replica may legitimately remain on a
-					// dead server only if it was already there
-					// (kept, not placed).
-					was := false
-					for _, old := range current[id] {
-						if old == srv {
-							was = true
-						}
-					}
-					if !was {
-						t.Logf("seed %d: shard %s placed on dead %s", seed, id, srv)
-						return false
-					}
-					continue
-				}
-				// (b) no duplicate servers within a shard.
-				if seen[srv] {
-					t.Logf("seed %d: shard %s duplicated on %s", seed, id, srv)
-					return false
-				}
-				seen[srv] = true
-			}
+	// Every move starts from a live current replica of its shard, and a drop
+	// from a surplus one (past the spec's replica count) only.
+	for _, m := range res.Moves {
+		if m.Kind() == "add" {
+			continue
 		}
-		// (c) churn caps.
-		perShard := map[shard.ID]int{}
-		totalMigrations := 0
-		for _, m := range res.Moves {
-			if m.Kind() == "move" {
-				perShard[m.Shard]++
-				totalMigrations++
-			}
-			if m.Kind() != "drop" && !liveSet[m.To] {
-				t.Logf("seed %d: move targets dead server %s", seed, m.To)
-				return false
-			}
-		}
-		for id, n := range perShard {
-			if n > pol.PerShardMoveCap {
-				t.Logf("seed %d: shard %s has %d moves > cap %d", seed, id, n, pol.PerShardMoveCap)
-				return false
-			}
-		}
-		if totalMigrations > pol.MaxTotalMoves {
-			t.Logf("seed %d: %d migrations > cap %d", seed, totalMigrations, pol.MaxTotalMoves)
+		i := slices.Index(current[m.Shard], m.From)
+		if i == -1 || !liveSet[m.From] {
+			t.Logf("seed %d: %s of %s from %s, which holds no live replica of it", seed, m.Kind(), m.Shard, m.From)
 			return false
 		}
-		return true
+		if surplus := i >= replicasOf[m.Shard]; surplus != (m.Kind() == "drop") {
+			t.Logf("seed %d: %s of %s from replica %d of %d wanted", seed, m.Kind(), m.Shard, i, replicasOf[m.Shard])
+			return false
+		}
 	}
+
+	// (a) placements target live servers only.
+	for id, list := range applyMoves(in, res.Moves) {
+		seen := map[shard.ServerID]bool{}
+		for _, srv := range list {
+			if srv == "" {
+				continue
+			}
+			if !liveSet[srv] {
+				// A replica may legitimately remain on a dead server
+				// only if it was already there (kept, not placed).
+				if !slices.Contains(current[id], srv) {
+					t.Logf("seed %d: shard %s placed on dead %s", seed, id, srv)
+					return false
+				}
+				continue
+			}
+			// (b) no duplicate servers within a shard.
+			if seen[srv] {
+				t.Logf("seed %d: shard %s duplicated on %s", seed, id, srv)
+				return false
+			}
+			seen[srv] = true
+		}
+	}
+	// (c) churn caps.
+	perShard := map[shard.ID]int{}
+	totalMigrations := 0
+	for _, m := range res.Moves {
+		if m.Kind() == "move" {
+			perShard[m.Shard]++
+			totalMigrations++
+		}
+		if m.Kind() != "drop" && !liveSet[m.To] {
+			t.Logf("seed %d: move targets dead server %s", seed, m.To)
+			return false
+		}
+	}
+	for id, n := range perShard {
+		if n > pol.PerShardMoveCap {
+			t.Logf("seed %d: shard %s has %d moves > cap %d", seed, id, n, pol.PerShardMoveCap)
+			return false
+		}
+	}
+	if totalMigrations > pol.MaxTotalMoves {
+		t.Logf("seed %d: %d migrations > cap %d", seed, totalMigrations, pol.MaxTotalMoves)
+		return false
+	}
+	return true
 }

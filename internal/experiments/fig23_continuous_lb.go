@@ -143,7 +143,11 @@ func Fig23(p ContinuousLBParams) *Report {
 			}
 		}
 		res := alloc.Run(allocator.Input{Servers: servers, Shards: specs, Current: current}, allocator.Periodic)
-		current = res.Assignment
+		for _, m := range res.Moves {
+			// One replica per shard and no server ever fails: an add or a
+			// move sets the shard's server.
+			current[m.Shard] = []shard.ServerID{m.To}
+		}
 
 		utils := utilOf(current, loads)
 		avgCurve.Points = append(avgCurve.Points, point(t, mean(utils)))

@@ -40,9 +40,7 @@ func (m *solveMemo) replayable() bool { return m.res != nil && m.seen == m.epoch
 // solve is alloc.Run on buildInput's problem behind the memo: when no input
 // value was written since the last fresh solve, the mode is the same and no
 // grace has run out, neither is called and that solve's result comes back. It
-// returns nil while no server is known. A result comes back without its
-// Assignment map — nothing here reads it, and it is most of a Result's size —
-// and must not be modified.
+// returns nil while no server is known. A result must not be modified.
 func (o *Orchestrator) solve(mode allocator.Mode) *allocator.Result {
 	m := &o.memo
 	now := o.loop.Now()
@@ -53,7 +51,6 @@ func (o *Orchestrator) solve(mode allocator.Mode) *allocator.Result {
 			return nil
 		}
 		m.res = o.alloc.Run(in, mode)
-		m.res.Assignment = nil
 		m.seen, m.mode, m.at = m.epoch, mode, now
 		m.until = o.graceEnd()
 	}

@@ -424,12 +424,12 @@ func (o *Orchestrator) syncMembership() {
 		}
 	}
 	anyDied := false
-	for id, st := range o.servers {
-		if !seen[id] && st.alive {
+	for _, st := range o.byID {
+		if !seen[st.id] && st.alive {
 			st.alive = false
 			st.deadSince = o.loop.Now()
 			anyDied = true
-			o.scheduleFailover(id, st.deadSince)
+			o.scheduleFailover(st.id, st.deadSince)
 		}
 	}
 	o.memo.until = o.graceEnd()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"shardmanager/internal/allocator"
 	"shardmanager/internal/appserver"
 	"shardmanager/internal/coord"
 	"shardmanager/internal/discovery"
@@ -255,43 +256,55 @@ func TestStopReleasesQueuedMigrations(t *testing.T) {
 	}
 }
 
-// BenchmarkMoveAndPublish drives the orchestrator's move path alone: two
-// replicas per shard placed round-robin through the mutators, no allocator
-// run, and the same number of replicas per server at both sizes, so an
-// assignment node costs the same to rewrite. One op re-homes one replica,
-// publishes, and asks the two per-server questions of both servers; its cost
-// must not depend on the shard count.
+// benchPlacement builds an orchestrator with the given numbers of live
+// servers (one region) and two-replica shards, places the replicas
+// round-robin through the mutators, without an allocator run, and publishes. Replica 0 of shard i
+// sits on the even-numbered server home[i], replica 1 on the odd one after it;
+// moving replica 0 two servers along never lands it on its sibling. The number
+// of replicas per server is the same at every size the benchmarks use, so an
+// assignment node costs the same to rewrite.
+func benchPlacement(b *testing.B, shards, servers int) (*Orchestrator, []int) {
+	cfg := baseConfig(shard.SecondaryOnly, shards, 2)
+	fleet := topology.Build(topology.Spec{Regions: []topology.RegionID{"r1"}, MachinesPerRegion: servers})
+	loop := sim.NewLoop(1)
+	store := coord.NewStore()
+	o := New(loop, store, discovery.NewService(loop, nil), rpcnet.NewNetwork(loop, fleet),
+		appserver.NewDirectory(), fleet, cfg, 1)
+	sess := store.NewSession()
+	machines := fleet.Machines()
+	for i := 0; i < servers; i++ {
+		id := shard.ServerID(fmt.Sprintf("srv%04d", i))
+		if err := store.CreateAll(o.paths.ServerNode(id), []byte(machines[i].ID), sess); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mustEnsure(store, o.paths.AssignPath)
+	o.syncMembership()
+	home := make([]int, shards)
+	for i, id := range o.order {
+		home[i] = 2 * i % servers
+		o.addReplica(o.shards[id], o.byID[home[i]].id, shard.RoleSecondary)
+		o.addReplica(o.shards[id], o.byID[home[i]+1].id, shard.RoleSecondary)
+	}
+	o.publish()
+	return o, home
+}
+
+// benchSizes are the two worlds the placement benchmarks compare: ten times
+// the shards on ten times the servers.
+var benchSizes = []struct {
+	name            string
+	shards, servers int
+}{{"shards=3k", 3000, 120}, {"shards=30k", 30000, 1200}}
+
+// BenchmarkMoveAndPublish drives the orchestrator's move path alone on
+// benchPlacement's world. One op re-homes one replica, publishes, and asks the
+// two per-server questions of both servers; its cost must not depend on the
+// shard count.
 func BenchmarkMoveAndPublish(b *testing.B) {
-	for _, size := range []struct {
-		name            string
-		shards, servers int
-	}{{"shards=3k", 3000, 120}, {"shards=30k", 30000, 1200}} {
+	for _, size := range benchSizes {
 		b.Run(size.name, func(b *testing.B) {
-			cfg := baseConfig(shard.SecondaryOnly, size.shards, 2)
-			fleet := topology.Build(topology.Spec{Regions: []topology.RegionID{"r1"}, MachinesPerRegion: size.servers})
-			loop := sim.NewLoop(1)
-			store := coord.NewStore()
-			o := New(loop, store, discovery.NewService(loop, nil), rpcnet.NewNetwork(loop, fleet),
-				appserver.NewDirectory(), fleet, cfg, 1)
-			sess := store.NewSession()
-			machines := fleet.Machines()
-			for i := 0; i < size.servers; i++ {
-				id := shard.ServerID(fmt.Sprintf("srv%04d", i))
-				if err := store.CreateAll(o.paths.ServerNode(id), []byte(machines[i].ID), sess); err != nil {
-					b.Fatal(err)
-				}
-			}
-			mustEnsure(store, o.paths.AssignPath)
-			o.syncMembership()
-			// Replica 0 lives on even-numbered servers and moves two along per
-			// op, replica 1 on odd ones, so no move lands on the sibling.
-			home := make([]int, size.shards)
-			for i, id := range o.order {
-				home[i] = 2 * i % size.servers
-				o.addReplica(o.shards[id], o.byID[home[i]].id, shard.RoleSecondary)
-				o.addReplica(o.shards[id], o.byID[home[i]+1].id, shard.RoleSecondary)
-			}
-			o.publish()
+			o, home := benchPlacement(b, size.shards, size.servers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			asked := 0
@@ -306,6 +319,29 @@ func BenchmarkMoveAndPublish(b *testing.B) {
 			}
 			if asked == 0 {
 				b.Fatal("the servers hold nothing")
+			}
+		})
+	}
+}
+
+// BenchmarkAllocateIncremental drives the allocation path alone on the same
+// worlds: one op re-homes one replica, which bumps the input epoch, so solve
+// runs buildInput and allocator.Run afresh on a problem one move away from the
+// last. Today its cost grows with the shard count; an incremental allocation
+// is what would make the two sizes read alike.
+func BenchmarkAllocateIncremental(b *testing.B) {
+	for _, size := range benchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			o, home := benchPlacement(b, size.shards, size.servers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				i := n % size.shards
+				home[i] = (home[i] + 2) % size.servers
+				o.rehomeReplica(o.shards[o.order[i]], 0, o.byID[home[i]].id)
+				if o.solve(allocator.Periodic) == nil {
+					b.Fatal("no allocation")
+				}
 			}
 		})
 	}

@@ -178,8 +178,6 @@ type Move struct {
 type Result struct {
 	// Moves in application order. An entity moved twice appears twice.
 	Moves []Move
-	// Assignment is the final bucket of every entity.
-	Assignment []BucketID
 	// Initial and Final violation counts.
 	Initial, Final ViolationCounts
 	// Rounds of hot-bucket repair epochs performed.
@@ -271,7 +269,6 @@ func Solve(p *Problem, opt Options) *Result {
 
 	res.Final = st.violations()
 	res.Elapsed = time.Since(start)
-	res.Assignment = append([]BucketID(nil), st.assignment...)
 	for i := range p.Entities {
 		p.Entities[i].Bucket = st.assignment[i]
 	}
