@@ -153,8 +153,8 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(appserver.Host{}): nil,
 		reflect.TypeOf(allocator.Policy{}): {"Metrics", "UtilCap", "MaxDiff", "SpreadLevel", "SpreadWeight",
 			"AffinityWeight", "PerShardMoveCap", "MaxTotalMoves"},
-		reflect.TypeOf(solver.Options{}): {"TimeLimit", "EvalBudget", "CandidateTargets", "BigFirst", "UseEquivalence",
-			"EnableSwap", "Sampler", "Seed", "Progress"},
+		reflect.TypeOf(solver.Options{}): {"TimeLimit", "EvalBudget", "MoveBudget", "CandidateTargets", "BigFirst",
+			"UseEquivalence", "EnableSwap", "Sampler", "Seed", "Progress"},
 		reflect.TypeOf(routing.Options{}):       {"MaxAttempts"},
 		reflect.TypeOf(taskcontroller.Policy{}): {"DrainOnRestart", "MaxConcurrentOps", "MaxUnavailableReplicas"},
 		reflect.TypeOf(cluster.Options{}):       {"StartDuration", "StopDuration", "RestartDuration", "NegotiationDelay"},

@@ -7,8 +7,9 @@
 //
 // The allocator is where SM's domain knowledge lives (§5.3): it groups
 // servers for sampling, orders big shards first, batches goals by priority,
-// and enforces the churn hard constraints (per-shard and global move caps)
-// on the emitted diff.
+// and enforces the churn hard constraints: the global move cap is the
+// solver's move budget, spent by the search, and the per-shard cap is
+// applied to the emitted diff.
 package allocator
 
 import (
@@ -106,7 +107,8 @@ type Policy struct {
 	// PerShardMoveCap bounds concurrent replica moves per shard emitted
 	// in one run (hard constraint 1 of §5.1). 0 means 1.
 	PerShardMoveCap int
-	// MaxTotalMoves bounds total moves per run; 0 means unlimited.
+	// MaxTotalMoves bounds the migrations of one run — the solver's move
+	// budget, so the search stops spending moves there; 0 means unlimited.
 	MaxTotalMoves int
 }
 
@@ -162,11 +164,13 @@ func (m ReplicaMove) Kind() string {
 type Result struct {
 	// Moves is the emitted diff, adds first.
 	Moves []ReplicaMove
-	// Deferred counts moves the solver found that churn caps suppressed;
-	// the next periodic run will retry them.
+	// Deferred counts moves the solver made that the per-shard cap or a
+	// replica collision kept out of the diff; the next periodic run will
+	// retry them.
 	Deferred int
-	// Initial and Final are the solver's violation counts (final is
-	// before churn capping).
+	// Initial and Final are the solver's violation counts. Final is counted
+	// on the placement the search reached within MaxTotalMoves, before the
+	// Deferred moves were taken back out.
 	Initial, Final solver.ViolationCounts
 	// Solves is the number of solver batches run.
 	Solves int
@@ -252,9 +256,6 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	// has replicas to keep apart, else -1: the group of both the server-scope
 	// conflict and the spread goal.
 	shardOf := make([]int32, 0, replicas)
-	// held[e] is the bucket entity e started in: what capDiff compares the
-	// solver's answer with.
-	held := make([]solver.BucketID, 0, replicas)
 	// drops are the surplus current replicas on live servers, shard by shard
 	// (a shard scaled to zero replicas is left out of the diff).
 	var drops []ReplicaMove
@@ -286,7 +287,6 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 				Movable: movable,
 			})
 			shardOf = append(shardOf, group)
-			held = append(held, bucket)
 			if spec.RegionPreference != "" && movable {
 				w := spec.PreferenceWeight
 				if w == 0 {
@@ -310,6 +310,9 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	res := &Result{}
 	opt := solver.DefaultOptions()
 	opt.Seed = a.seed
+	// Every stage spends one budget: an entity's Home is where this run
+	// found it.
+	opt.MoveBudget = p.MaxTotalMoves
 	start := time.Now()
 	solve := func() {
 		// A sampler keeps a rotation; every stage starts a fresh one.
@@ -378,64 +381,51 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	}
 	res.Elapsed = time.Since(start)
 
-	res.Moves, res.Deferred = a.capDiff(in, prob.Entities, held, serverOf, drops)
+	res.Moves, res.Deferred = a.capDiff(in, prob.Entities, serverOf, drops)
 	sortMoves(res.Moves)
 	return res
 }
 
-// capDiff compares where the solver left each replica (ents) with where it
-// started (held) and emits a diff bounded by the churn caps, followed by the
-// drops. Adds (restoring availability) are never capped; migrations of
-// already-placed replicas are. Every decision is made on bucket numbers — only
-// live servers are buckets, so a replica on a dead server was held nowhere —
-// and is written over the entity's bucket: a replica ends where it was held
-// (kept), somewhere when held nowhere (added), or elsewhere (migrated). A
+// capDiff compares where the solver left each replica (its Bucket) with where
+// it started (its Home) and emits a diff bounded by the per-shard churn cap,
+// followed by the drops. The global cap needs nothing here: the solver spent
+// it as its move budget. Adds (restoring availability) are never capped;
+// migrations of already-placed replicas are. Every decision is made on bucket
+// numbers — only live servers are buckets, so a replica on a dead server had
+// no home — and is written over the entity's bucket: a replica ends at home
+// (kept), somewhere when it had none (added), or elsewhere (migrated). A
 // bucket is named only when its move is emitted.
-func (a *Allocator) capDiff(in Input, ents []solver.Entity, held []solver.BucketID, serverOf []shard.ServerID, drops []ReplicaMove) ([]ReplicaMove, int) {
+func (a *Allocator) capDiff(in Input, ents []solver.Entity, serverOf []shard.ServerID, drops []ReplicaMove) ([]ReplicaMove, int) {
 	p := a.policy
 	var adds, migrations []ReplicaMove
 	deferred := 0
-	totalMigrations := 0
-
-	// The shards in ID order, each with its first entity: the global cap is
-	// spent in this order.
-	type span struct{ shard, first int }
-	spans := make([]span, len(in.Shards))
-	next := 0
-	for si, spec := range in.Shards {
-		spans[si] = span{si, next}
-		next += spec.Replicas
-	}
-	sort.Slice(spans, func(i, j int) bool { return in.Shards[spans[i].shard].ID < in.Shards[spans[j].shard].ID })
-
-	for _, sp := range spans {
-		id := in.Shards[sp.shard].ID
-		lo, hi := sp.first, sp.first+in.Shards[sp.shard].Replicas
+	hi := 0
+	for _, spec := range in.Shards {
+		lo := hi
+		hi += spec.Replicas
 		shardMoves := 0
 		for e := lo; e < hi; e++ {
-			to := &ents[e].Bucket
+			ent := &ents[e]
 			switch {
-			case *to == held[e] || held[e] == solver.Unassigned:
+			case ent.Bucket == ent.Home || ent.Home == solver.Unassigned:
 				// Kept, or still unplaceable (no feasible server); or an
 				// add, which restores availability and is never capped.
-			case *to == solver.Unassigned:
+			case ent.Bucket == solver.Unassigned:
 				// Solver failed to place an existing replica; keep it
 				// where it is.
-				*to = held[e]
-			case shardMoves >= p.PerShardMoveCap ||
-				(p.MaxTotalMoves > 0 && totalMigrations >= p.MaxTotalMoves):
-				// A migration over the per-shard or global cap.
+				ent.Bucket = ent.Home
+			case shardMoves >= p.PerShardMoveCap:
+				// A migration over the per-shard cap.
 				deferred++
-				*to = held[e]
+				ent.Bucket = ent.Home
 			default:
 				shardMoves++
-				totalMigrations++
 			}
 		}
 		// Invariant: a shard never ends with two replicas on one server.
 		// Cancel any add/migration whose target collides with another
 		// replica of the same shard (typically one kept in place by the
-		// churn caps). A cancelled migration reverts to its current
+		// per-shard cap). A cancelled migration reverts to its current
 		// server, which may collide with yet another pending move, so
 		// iterate to a fixpoint (bounded by the replica count).
 		for changed := true; changed; {
@@ -449,31 +439,28 @@ func (a *Allocator) capDiff(in Input, ents []solver.Entity, held []solver.Bucket
 				if first == e || to == solver.Unassigned {
 					continue
 				}
-				cancel := e
-				if to == held[e] {
-					cancel = first
+				cancel := &ents[e]
+				if to == cancel.Home {
+					cancel = &ents[first]
 				}
-				if ents[cancel].Bucket == held[cancel] {
+				if cancel.Bucket == cancel.Home {
 					continue // two keeps: current placement was malformed
-				}
-				if held[cancel] != solver.Unassigned {
-					totalMigrations--
 				}
 				// A migration reverts to its current server; an add is
 				// retried next round.
-				ents[cancel].Bucket = held[cancel]
+				cancel.Bucket = cancel.Home
 				deferred++
 				changed = true
 				break
 			}
 		}
 		for e := lo; e < hi; e++ {
-			switch to, from := ents[e].Bucket, held[e]; {
+			switch to, from := ents[e].Bucket, ents[e].Home; {
 			case to == from:
 			case from == solver.Unassigned:
-				adds = append(adds, ReplicaMove{Shard: id, To: serverOf[to]})
+				adds = append(adds, ReplicaMove{Shard: spec.ID, To: serverOf[to]})
 			default:
-				migrations = append(migrations, ReplicaMove{Shard: id, From: serverOf[from], To: serverOf[to]})
+				migrations = append(migrations, ReplicaMove{Shard: spec.ID, From: serverOf[from], To: serverOf[to]})
 			}
 		}
 	}

@@ -108,25 +108,33 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 
 // BenchmarkSolveReplicated drives the code an allocation of replicated shards
 // spends its time in — building the state with both group specs, then
-// conflict and spread checks on every candidate — and reports the cost per
-// candidate evaluation, state build included.
+// conflict and spread checks on every candidate — and reports the
+// evaluations per solve and the cost of each, state build included. The
+// budget=30 case spends lb_churn's move cap (the allocator's MaxTotalMoves)
+// as the search's move budget.
 func BenchmarkSolveReplicated(b *testing.B) {
-	b.ReportAllocs()
-	evals := 0
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		p := replicatedProblem(sim.NewRNG(1))
-		opt := DefaultOptions()
-		opt.Seed = 1
-		opt.Sampler = GroupedSampler(p, 0)
-		b.StartTimer()
-		res := Solve(p, opt)
-		if res.Final.Conflict != 0 || res.Final.Unassigned != 0 {
-			b.Fatalf("solve left %+v", res.Final)
-		}
-		evals += res.Evaluated
+	for _, budget := range []int{0, 30} {
+		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
+			b.ReportAllocs()
+			evals := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := replicatedProblem(sim.NewRNG(1))
+				opt := DefaultOptions()
+				opt.Seed = 1
+				opt.Sampler = GroupedSampler(p, 0)
+				opt.MoveBudget = budget
+				b.StartTimer()
+				res := Solve(p, opt)
+				if res.Final.Conflict != 0 || res.Final.Unassigned != 0 {
+					b.Fatalf("solve left %+v", res.Final)
+				}
+				evals += res.Evaluated
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
 }
 
 // BenchmarkMoveDelta measures the hot loop in isolation; the fast path's

@@ -1,0 +1,177 @@
+package solver
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"shardmanager/internal/sim"
+)
+
+// awayFromHome counts the entities with a home that sit elsewhere: what
+// Options.MoveBudget bounds.
+func awayFromHome(p *Problem) int {
+	n := 0
+	for i := range p.Entities {
+		if e := &p.Entities[i]; e.Home != Unassigned && e.Bucket != e.Home {
+			n++
+		}
+	}
+	return n
+}
+
+// swaps counts the committed two-way swaps in a move list: trySwap appends
+// its pair back to back, each entity taking the other's bucket.
+func swaps(moves []Move) int {
+	n := 0
+	for i := 1; i < len(moves); i++ {
+		a, b := moves[i-1], moves[i]
+		if a.Entity != b.Entity && a.From == b.To && a.To == b.From {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMoveBudgetAboveEntityCountChangesNothing: a budget no search can spend
+// leaves the search exactly as it is without one — the same moves, the same
+// evaluations, the same final assignment — on the replicated shape the
+// allocator solves for lb_churn. Each solve stops at an lb_churn allocation's
+// worth of evaluations, which keeps 20 seeds inside a race-enabled test run.
+func TestMoveBudgetAboveEntityCountChangesNothing(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		solve := func(budget int) (*Problem, *Result) {
+			p := replicatedProblem(sim.NewRNG(seed))
+			opt := DefaultOptions()
+			opt.Seed = seed
+			opt.Sampler = GroupedSampler(p, 0)
+			opt.EvalBudget = 60_000
+			opt.MoveBudget = budget
+			return p, Solve(p, opt)
+		}
+		p0, r0 := solve(0)
+		pb, rb := solve(len(p0.Entities))
+		if !slices.Equal(r0.Moves, rb.Moves) || r0.Evaluated != rb.Evaluated {
+			t.Fatalf("seed %d: budget %d gave %d moves / %d evaluations, no budget %d / %d",
+				seed, len(p0.Entities), len(rb.Moves), rb.Evaluated, len(r0.Moves), r0.Evaluated)
+		}
+		for e := range p0.Entities {
+			if p0.Entities[e].Bucket != pb.Entities[e].Bucket {
+				t.Fatalf("seed %d: entity %d ends on %d with the budget, %d without", seed, e, pb.Entities[e].Bucket, p0.Entities[e].Bucket)
+			}
+		}
+	}
+}
+
+// TestMoveBudgetBoundsEntitiesAwayFromHome walks random problems of every
+// spec type through two solves each — the second starting where the first
+// left off, as the allocator's goal stages do — and checks after each that no
+// more than the budget of homed entities are away. Swaps must be among the
+// steps taken, or the pair check went untested.
+func TestMoveBudgetBoundsEntitiesAwayFromHome(t *testing.T) {
+	swapped, bound := 0, 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := sim.NewRNG(seed)
+		p := randomProblem(rng)
+		budget := 1 + rng.Intn(4)
+		for stage := uint64(0); stage < 2; stage++ {
+			opt := DefaultOptions()
+			opt.Seed = seed*2 + stage
+			opt.Sampler = GroupedSampler(p, 0)
+			opt.MoveBudget = budget
+			res := Solve(p, opt)
+			swapped += swaps(res.Moves)
+			if n := awayFromHome(p); n > budget {
+				t.Fatalf("seed %d stage %d: %d entities away from home, budget %d", seed, stage, n, budget)
+			} else if n == budget {
+				bound++
+			}
+		}
+	}
+	if swapped == 0 || bound == 0 {
+		t.Fatalf("%d swaps committed, %d solves ended at the budget: the walk no longer reaches the pair check", swapped, bound)
+	}
+}
+
+// TestMoveBudgetRefusesAnOverdrawingSwap: the problem of
+// TestSwapConsidersMultipleEntities is fixed only by swapping two entities at
+// home, which spends two units. A budget of one refuses the pair; two allow it.
+func TestMoveBudgetRefusesAnOverdrawingSwap(t *testing.T) {
+	build := func() *Problem {
+		p := NewProblem([]string{"cpu"})
+		p.AddBucket(Bucket{Name: "A", Capacity: []float64{30}, Props: map[string]string{"region": "rA"}})
+		p.AddBucket(Bucket{Name: "B", Capacity: []float64{30}, Props: map[string]string{"region": "rB"}})
+		for _, b := range []BucketID{0, 0, 1, 1} {
+			p.AddEntity(Entity{Load: []float64{10}, Bucket: b, Movable: true})
+		}
+		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 0, Domain: "rA", Weight: 50})
+		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 1, Domain: "rB", Weight: 10})
+		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 3, Domain: "rA", Weight: 10})
+		p.AddConstraint(CapacitySpec{Metric: "cpu"})
+		p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 2})
+		return p
+	}
+	for budget, wantFixed := range map[int]bool{1: false, 2: true} {
+		opt := DefaultOptions()
+		opt.MoveBudget = budget
+		p := build()
+		res := Solve(p, opt)
+		if fixed := res.Final.Affinity == 0; fixed != wantFixed {
+			t.Errorf("budget %d: affinity fixed = %v, want %v (%d moves)", budget, fixed, wantFixed, len(res.Moves))
+		}
+		if n := awayFromHome(p); n > budget {
+			t.Errorf("budget %d: %d entities away from home", budget, n)
+		}
+	}
+}
+
+// TestMoveBudgetSpentOnlyByLeavingHome: placing an entity that had no bucket
+// spends nothing, and neither does moving one already away from home; the
+// entities still at home are the ones a spent budget pins.
+func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
+	t.Run("placements", func(t *testing.T) {
+		// Twenty unplaced entities and one at home on a draining bucket,
+		// budget one: every placement is free, so the drain move still fits.
+		p := NewProblem([]string{"cpu"})
+		drain := p.AddBucket(Bucket{Name: "drain", Capacity: []float64{100}, Draining: true})
+		for i := 0; i < 3; i++ {
+			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{100}})
+		}
+		homed := p.AddEntity(Entity{Load: []float64{1}, Bucket: drain, Movable: true})
+		for i := 0; i < 20; i++ {
+			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true})
+		}
+		p.AddConstraint(CapacitySpec{Metric: "cpu"})
+		p.AddDrainGoal(10)
+		opt := DefaultOptions()
+		opt.MoveBudget = 1
+		res := Solve(p, opt)
+		if res.Final.Unassigned != 0 || p.Entities[homed].Bucket == drain {
+			t.Fatalf("final %+v, homed entity on %d: placements spent the budget", res.Final, p.Entities[homed].Bucket)
+		}
+	})
+	t.Run("already away", func(t *testing.T) {
+		// x's home is A, an earlier solve left it on B; y is at home on D.
+		// A, B and D drain. The budget of one is spent on x before the
+		// search begins: x may still leave B for C, y may not leave D.
+		p := NewProblem([]string{"cpu"})
+		a := p.AddBucket(Bucket{Name: "A", Capacity: []float64{100}, Draining: true})
+		b := p.AddBucket(Bucket{Name: "B", Capacity: []float64{100}, Draining: true})
+		c := p.AddBucket(Bucket{Name: "C", Capacity: []float64{100}})
+		d := p.AddBucket(Bucket{Name: "D", Capacity: []float64{100}, Draining: true})
+		x := p.AddEntity(Entity{Load: []float64{1}, Bucket: a, Movable: true})
+		y := p.AddEntity(Entity{Load: []float64{1}, Bucket: d, Movable: true})
+		p.Entities[x].Bucket = b
+		p.AddConstraint(CapacitySpec{Metric: "cpu"})
+		p.AddDrainGoal(10)
+		opt := DefaultOptions()
+		opt.MoveBudget = 1
+		Solve(p, opt)
+		if got := p.Entities[x].Bucket; got != c {
+			t.Errorf("x ends on %d, want C (%d): an entity away from home stays movable", got, c)
+		}
+		if got := p.Entities[y].Bucket; got != d {
+			t.Errorf("y ends on %d, want D (%d): the spent budget pins it at home", got, d)
+		}
+	})
+}

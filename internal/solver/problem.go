@@ -48,6 +48,10 @@ type Entity struct {
 	Load []float64
 	// Bucket is the current assignment (Unassigned if none).
 	Bucket BucketID
+	// Home is the bucket the entity was added in: AddEntity sets it from
+	// Bucket, and Solve never changes it, so every Solve of one problem
+	// counts Options.MoveBudget against the same starting placement.
+	Home BucketID
 	// Movable entities may be reassigned; pinned ones contribute load
 	// but never move.
 	Movable bool
@@ -183,6 +187,7 @@ func (p *Problem) AddEntity(e Entity) EntityID {
 	if e.Bucket != Unassigned && (e.Bucket < 0 || int(e.Bucket) >= len(p.Buckets)) {
 		panic(fmt.Sprintf("solver: entity %d assigned to unknown bucket %d", len(p.Entities), e.Bucket))
 	}
+	e.Home = e.Bucket
 	p.Entities = append(p.Entities, e)
 	return EntityID(len(p.Entities) - 1)
 }

@@ -124,6 +124,12 @@ type Options struct {
 	// deterministic: two runs with the same seed stop at the same point,
 	// so experiment curves are reproducible (Fig 21/22).
 	EvalBudget int
+	// MoveBudget bounds how many entities end the solve away from their
+	// Home (§5.1's churn cap, spent by the search); <= 0 means no limit.
+	// Placing an unassigned entity never spends, and an entity moved back
+	// home returns its unit. Once the budget is spent, entities at home are
+	// pinned and the search goes on with the ones already away.
+	MoveBudget int
 	// CandidateTargets is how many target buckets to sample per entity
 	// (default 16).
 	CandidateTargets int
@@ -230,6 +236,12 @@ type solveCtx struct {
 	preps      []prepared
 	pairPrep   []int32
 	pairTarget []BucketID
+
+	// spent counts the entities away from home (kept only under a
+	// MoveBudget); cachePinned is whether the entCache lists were built
+	// with the budget spent, and so leave out the entities at home.
+	spent       int
+	cachePinned bool
 }
 
 // Solve improves the problem's assignment with local search and returns the
@@ -263,6 +275,11 @@ func Solve(p *Problem, opt Options) *Result {
 	if opt.TimeLimit > 0 {
 		ctx.deadline = start.Add(opt.TimeLimit)
 	}
+	if opt.MoveBudget > 0 {
+		for e, b := range st.assignment {
+			ctx.spent += ctx.away(EntityID(e), b)
+		}
+	}
 
 	ctx.phase1()
 	ctx.phase2()
@@ -285,10 +302,39 @@ func (c *solveCtx) budgetLeft() bool {
 	return true
 }
 
-// applyRaw commits a move and invalidates the touched buckets' candidate
-// caches (the state's own aggregates update incrementally inside apply).
+// away is 1 when entity e on bucket b counts against the move budget: it has
+// a home and b is not it.
+func (c *solveCtx) away(e EntityID, b BucketID) int {
+	if h := c.p.Entities[e].Home; h != Unassigned && b != h {
+		return 1
+	}
+	return 0
+}
+
+// movesSpent reports whether the move budget is spent, pinning every entity
+// still at home.
+func (c *solveCtx) movesSpent() bool {
+	return c.opt.MoveBudget > 0 && c.spent >= c.opt.MoveBudget
+}
+
+// overdraws reports whether swapping e (on b, to t) with e2 (on t, to b)
+// would leave more entities away from home than the move budget allows.
+func (c *solveCtx) overdraws(e EntityID, b, t BucketID, e2 EntityID) bool {
+	if c.opt.MoveBudget <= 0 {
+		return false
+	}
+	after := c.spent + c.away(e, t) - c.away(e, b) + c.away(e2, b) - c.away(e2, t)
+	return after > c.opt.MoveBudget
+}
+
+// applyRaw commits a move, keeps the move budget's count, and invalidates the
+// touched buckets' candidate caches (the state's own aggregates update
+// incrementally inside apply).
 func (c *solveCtx) applyRaw(e EntityID, to BucketID) {
 	from := c.st.assignment[e]
+	if c.opt.MoveBudget > 0 {
+		c.spent += c.away(e, to) - c.away(e, from)
+	}
 	c.st.apply(e, to)
 	if from != Unassigned {
 		c.entCacheValid[from] = false
@@ -412,16 +458,23 @@ func (c *solveCtx) fireProgress() {
 
 // candidateEntities picks the entities of bucket b to evaluate this attempt:
 // the bucket's cached movable list (sorted once per invalidation, not per
-// attempt), deduplicated by equivalence class, truncated to
-// maxEntitiesPerBucket. The returned slice is scratch, valid until the next
-// call.
+// attempt; without the entities at home while the move budget is spent),
+// deduplicated by equivalence class, truncated to maxEntitiesPerBucket. The
+// returned slice is scratch, valid until the next call.
 func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 	st, opt := c.st, &c.opt
+	if spent := c.movesSpent(); spent != c.cachePinned {
+		// The budget ran out, or a move home gave a unit back: every
+		// list gains or loses its entities at home.
+		c.cachePinned = spent
+		clear(c.entCacheValid)
+	}
 	if !c.entCacheValid[b] {
 		all := st.byBucket[b]
 		cached := c.entCache[b][:0]
 		for _, e := range all {
-			if c.p.Entities[e].Movable {
+			ent := &c.p.Entities[e]
+			if ent.Movable && !(c.cachePinned && ent.Home == b) {
 				cached = append(cached, e)
 			}
 		}
@@ -519,8 +572,9 @@ func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, Bucke
 // the combined delta improves the objective (§5.3: "it may consider two-way
 // swapping of shards"). Up to maxSwapEntities candidates are tried — the
 // first (largest) entity is often unmovable precisely because it is large.
-// Every moveDelta call counts toward Result.Evaluated, including the ones
-// whose tentative move is rolled back.
+// A pair that would overdraw the move budget is not tried. Every moveDelta
+// call counts toward Result.Evaluated, including the ones whose tentative
+// move is rolled back.
 func (c *solveCtx) trySwap(ents []EntityID, b BucketID) bool {
 	st, opt := c.st, &c.opt
 	n := len(ents)
@@ -534,7 +588,7 @@ func (c *solveCtx) trySwap(ents []EntityID, b BucketID) bool {
 			}
 			peers := st.byBucket[t]
 			e2 := peers[c.rng.Intn(len(peers))]
-			if !c.p.Entities[e2].Movable || !c.p.Entities[e].Movable {
+			if !c.p.Entities[e2].Movable || !c.p.Entities[e].Movable || c.overdraws(e, b, t, e2) {
 				continue
 			}
 			// Evaluate sequentially: move e off b first so e2 can take
