@@ -176,7 +176,8 @@ type Result struct {
 	Solves int
 	// Elapsed is total solver wall-clock time.
 	Elapsed time.Duration
-	// Evaluated counts solver candidate evaluations.
+	// Evaluated counts the solver's candidate moves over all stages: pairs
+	// considered, scored or pruned.
 	Evaluated int
 }
 

@@ -25,6 +25,13 @@ import (
 // shard over any server's capacity", and the last row, which pinned the
 // shard-ID order); the others were bit-identical. That migrations never
 // exceed the cap is now guarded by TestRunInvariantsProperty's invariant (c).
+//
+// The evaluation counts were re-recorded once more when the solver stopped
+// probing swaps of two entities that free no penalty by leaving: a probe that
+// is not run leaves no float residue in the loads and no permuted bucket
+// list, so later draws pick other peers and four rows count 1–5 more
+// evaluations. Every row's moves are unchanged; a changed moves string is a
+// bug.
 func TestRunRecorded(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -46,7 +53,7 @@ func TestRunRecorded(t *testing.T) {
 		{name: "one draining server", mode: Periodic,
 			edit:   func(in *Input, _ *Policy) { in.Servers[2].Draining = true },
 			moves:  "+s000@srv00 +s000@srv08 +s000@srv10 +s001@srv00 +s001@srv04 +s001@srv05 +s002@srv03 +s002@srv05 +s003@srv03 +s003@srv05 +s004@srv03 +s004@srv04 +s005@srv05 +s006@srv03 +s007@srv00 +s008@srv03 +s008@srv10 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv03 +s015@srv00 +s015@srv05 +s016@srv00 +s017@srv01 +s017@srv03 +s017@srv08 +s018@srv09 +s019@srv07 +s020@srv06 +s021@srv08 +s022@srv01 +s022@srv03 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv03 +s027@srv03 +s028@srv03 +s029@srv03 +s030@srv00 +s030@srv07 +s030@srv08 +s031@srv03 +s031@srv05 +s031@srv10 +s032@srv05 s002:srv06->srv04 s003:srv06->srv07 s004:srv00->srv05 s005:srv02->srv03 s010:srv04->srv00 s011:srv02->srv01 s014:srv09->srv05 s015:srv02->srv10 s016:srv04->srv08 s024:srv09->srv08 s025:srv04->srv08 s026:srv10->srv08 s027:srv09->srv07 s028:srv09->srv08 s033:srv06->srv05",
-			counts: "deferred=3 solves=3 evaluated=10868 initial={0 0 0 0 0 4 48} final={0 0 2 0 1 0 0}"},
+			counts: "deferred=3 solves=3 evaluated=10873 initial={0 0 0 0 0 4 48} final={0 0 2 0 1 0 0}"},
 		{name: "region preference", mode: Periodic,
 			edit: func(in *Input, _ *Policy) {
 				for i := 0; i < 6; i++ {
@@ -54,11 +61,11 @@ func TestRunRecorded(t *testing.T) {
 				}
 			},
 			moves:  "+s000@srv01 +s000@srv07 +s000@srv10 +s001@srv01 +s001@srv07 +s001@srv10 +s002@srv04 +s002@srv07 +s003@srv01 +s003@srv04 +s004@srv07 +s004@srv10 +s005@srv01 +s006@srv03 +s007@srv00 +s008@srv01 +s008@srv03 +s009@srv05 +s013@srv06 +s014@srv03 +s014@srv10 +s015@srv04 +s015@srv09 +s016@srv00 +s017@srv03 +s017@srv07 +s017@srv08 +s018@srv09 +s019@srv10 +s020@srv03 +s021@srv02 +s022@srv03 +s022@srv04 +s022@srv05 +s023@srv02 +s023@srv03 +s025@srv03 +s026@srv03 +s027@srv03 +s028@srv03 +s029@srv03 +s030@srv04 +s030@srv08 +s030@srv09 +s031@srv03 +s031@srv05 +s031@srv07 +s032@srv09 s002:srv06->srv01 s003:srv06->srv10 s004:srv00->srv01 s005:srv02->srv10 s010:srv07->srv06 s011:srv02->srv01 s014:srv09->srv08 s016:srv01->srv05 s020:srv07->srv02 s024:srv06->srv01 s025:srv10->srv05 s026:srv01->srv02 s027:srv09->srv01 s028:srv09->srv08 s032:srv00->srv08 s033:srv06->srv02",
-			counts: "deferred=1 solves=3 evaluated=11364 initial={0 0 0 0 0 0 48} final={0 0 0 0 12 0 0}"},
+			counts: "deferred=1 solves=3 evaluated=11366 initial={0 0 0 0 0 0 48} final={0 0 0 0 12 0 0}"},
 		{name: "a shard over any server's capacity", mode: Periodic,
 			edit:   func(in *Input, _ *Policy) { in.Shards[10].Load[topology.ResourceCPU] = 150 },
 			moves:  "+s000@srv00 +s000@srv01 +s000@srv08 +s001@srv00 +s001@srv08 +s001@srv10 +s002@srv02 +s002@srv10 +s003@srv02 +s003@srv10 +s004@srv01 +s004@srv02 +s005@srv01 +s006@srv02 +s007@srv00 +s008@srv00 +s008@srv02 +s009@srv08 +s013@srv10 +s014@srv02 +s014@srv06 +s015@srv00 +s015@srv10 +s016@srv00 +s017@srv02 +s017@srv06 +s017@srv10 +s018@srv09 +s019@srv01 +s020@srv08 +s021@srv02 +s022@srv00 +s022@srv01 +s022@srv02 +s023@srv08 +s023@srv10 +s025@srv08 +s026@srv03 +s027@srv10 +s028@srv02 +s029@srv08 +s030@srv00 +s030@srv01 +s030@srv08 +s031@srv00 +s031@srv02 +s031@srv10 +s032@srv08 s006:srv05->srv00 s008:srv05->srv10 s009:srv07->srv10 s011:srv05->srv10 s012:srv07->srv02 s013:srv04->srv00 s014:srv09->srv10 s016:srv04->srv08 s020:srv07->srv06 s021:srv09->srv01 s023:srv04->srv00 s024:srv09->srv10 s025:srv04->srv06 s029:srv07->srv01 s033:srv04->srv10",
-			counts: "deferred=3 solves=3 evaluated=11379 initial={3 0 0 0 0 0 48} final={3 0 6 0 3 0 0}"},
+			counts: "deferred=3 solves=3 evaluated=11380 initial={3 0 0 0 0 0 48} final={3 0 6 0 3 0 0}"},
 		// Every third shard is scaled down to one replica, so its surplus
 		// current replicas are dropped beside the adds and migrations.
 		{name: "replica count down", mode: Periodic,
@@ -78,7 +85,7 @@ func TestRunRecorded(t *testing.T) {
 				pol.MaxTotalMoves = 3
 			},
 			moves:  "+s000@srv02 +s000@srv04 +s000@srv06 +s001@srv06 +s001@srv08 +s001@srv10 +s002@srv05 +s002@srv07 +s003@srv04 +s003@srv05 +s004@srv05 +s004@srv10 +s005@srv01 +s006@srv03 +s007@srv00 +s008@srv01 +s008@srv03 +s009@srv02 +s013@srv06 +s014@srv06 +s014@srv08 +s015@srv00 +s015@srv01 +s016@srv00 +s017@srv05 +s017@srv06 +s017@srv07 +s018@srv09 +s019@srv04 +s020@srv03 +s021@srv06 +s022@srv02 +s022@srv03 +s022@srv07 +s023@srv03 +s023@srv05 +s025@srv03 +s026@srv03 +s027@srv01 +s028@srv05 +s029@srv03 +s030@srv06 +s030@srv08 +s030@srv10 +s031@srv02 +s031@srv06 +s031@srv10 +s032@srv05 s014:srv09->srv01 s021:srv09->srv02 s024:srv09->srv04",
-			counts: "deferred=0 solves=3 evaluated=8129 initial={0 0 0 0 0 0 48} final={0 0 0 0 7 0 0}"},
+			counts: "deferred=0 solves=3 evaluated=8131 initial={0 0 0 0 0 0 48} final={0 0 0 0 7 0 0}"},
 	}
 	for _, c := range cases {
 		in, pol, _ := propertyWorld(21)

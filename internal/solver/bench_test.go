@@ -111,27 +111,51 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 // conflict and spread checks on every candidate — and reports the
 // evaluations per solve and the cost of each, state build included. The
 // budget=30 case spends lb_churn's move cap (the allocator's MaxTotalMoves)
-// as the search's move budget.
+// as the search's move budget. The settled case solves the world to
+// convergence once, then times a Solve of the converged placement: what a
+// periodic stage that finds nothing to move costs.
 func BenchmarkSolveReplicated(b *testing.B) {
-	for _, budget := range []int{0, 30} {
-		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
+	solve := func(p *Problem, budget int) *Result {
+		opt := DefaultOptions()
+		opt.Seed = 1
+		opt.Sampler = GroupedSampler(p, 0)
+		opt.MoveBudget = budget
+		return Solve(p, opt)
+	}
+	var settled []BucketID
+	for _, tc := range []struct {
+		name    string
+		budget  int
+		settled bool
+	}{{"budget=0", 0, false}, {"budget=30", 30, false}, {"settled", 0, true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if tc.settled && settled == nil {
+				p := replicatedProblem(sim.NewRNG(1))
+				solve(p, 0)
+				for _, e := range p.Entities {
+					settled = append(settled, e.Bucket)
+				}
+			}
 			b.ReportAllocs()
-			evals := 0
+			evals, moves := 0, 0
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				p := replicatedProblem(sim.NewRNG(1))
-				opt := DefaultOptions()
-				opt.Seed = 1
-				opt.Sampler = GroupedSampler(p, 0)
-				opt.MoveBudget = budget
+				if tc.settled {
+					for e, bk := range settled {
+						p.Entities[e].Bucket, p.Entities[e].Home = bk, bk
+					}
+				}
 				b.StartTimer()
-				res := Solve(p, opt)
+				res := solve(p, tc.budget)
 				if res.Final.Conflict != 0 || res.Final.Unassigned != 0 {
 					b.Fatalf("solve left %+v", res.Final)
 				}
 				evals += res.Evaluated
+				moves += len(res.Moves)
 			}
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+			b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
 		})
 	}

@@ -708,6 +708,31 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 	}
 }
 
+// inert reports whether leaving the prepared entity's bucket frees no penalty:
+// every leave term of evalTarget's delta (base, fromDelta, exFromDelta) is
+// exactly 0. Every join term is >= 0 — affinity and drain at the target, a
+// domain's penalty at a higher load less at the lower one (capPenalty and
+// balPenalty are non-decreasing in load, in floating point too), Weight on
+// joining a crowded domain — so an inert entity's delta is >= 0 at every
+// target and no move of it alone can improve the objective. A negative load
+// would make a join term negative, so an entity carrying one is never inert.
+func (pr *prepared) inert() bool {
+	if pr.base != 0 {
+		return false
+	}
+	for si, d := range pr.fromDelta {
+		if d != 0 || pr.load[si] < 0 {
+			return false
+		}
+	}
+	for _, d := range pr.exFromDelta {
+		if d != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // evalTarget returns the objective change of moving the prepared entity to
 // target, and whether the move is feasible (hard conflicts and capacity).
 // Only strictly safe targets are feasible: every capacity domain the move

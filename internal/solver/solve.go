@@ -188,7 +188,7 @@ type Result struct {
 	Initial, Final ViolationCounts
 	// Rounds of hot-bucket repair epochs performed.
 	Rounds int
-	// Evaluated counts candidate move evaluations.
+	// Evaluated counts candidate moves: pairs considered, scored or pruned.
 	Evaluated int
 	// Elapsed wall-clock time.
 	Elapsed time.Duration
@@ -420,7 +420,6 @@ func (c *solveCtx) phase2() {
 			c.res.Rounds++
 			improved = false
 		}
-		_ = pen
 		// Repeatedly chip away at this bucket until it stops improving.
 		for attempt := 0; attempt < 64; attempt++ {
 			if !c.budgetLeft() || st.hot.pen[b] <= improveEps {
@@ -533,15 +532,25 @@ func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 
 // bestGridMove samples targets for every candidate entity, then evaluates the
 // flattened (entity, target) grid and returns the feasible pair with the most
-// negative delta. Ties break toward the earliest pair.
+// negative delta. Ties break toward the earliest pair. An inert entity's pairs
+// cannot beat -improveEps, so they are pruned, not queued; its targets are
+// still sampled (the RNG draws and the sampler's rotation do not depend on
+// which entities are inert) and still counted in Result.Evaluated.
 func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, BucketID, bool) {
 	st, opt := c.st, &c.opt
 	c.pairPrep = c.pairPrep[:0]
 	c.pairTarget = c.pairTarget[:0]
+	pruned := 0
 	for pi, e := range ents {
-		st.prepare(&c.preps[pi], e)
+		pr := &c.preps[pi]
+		st.prepare(pr, e)
+		inert := pr.inert()
 		for _, t := range opt.Sampler(c.rng, e, opt.CandidateTargets, c.view) {
 			if t == hotB {
+				continue
+			}
+			if inert {
+				pruned++
 				continue
 			}
 			c.pairPrep = append(c.pairPrep, int32(pi))
@@ -549,7 +558,7 @@ func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, Bucke
 		}
 	}
 	n := len(c.pairTarget)
-	c.res.Evaluated += n
+	c.res.Evaluated += n + pruned
 	if n == 0 {
 		return 0, Unassigned, false
 	}
@@ -572,34 +581,51 @@ func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, Bucke
 // the combined delta improves the objective (§5.3: "it may consider two-way
 // swapping of shards"). Up to maxSwapEntities candidates are tried — the
 // first (largest) entity is often unmovable precisely because it is large.
-// A pair that would overdraw the move budget is not tried. Every moveDelta
-// call counts toward Result.Evaluated, including the ones whose tentative
-// move is rolled back.
+// A pair that would overdraw the move budget is not tried. Every half of a
+// pair counts toward Result.Evaluated, including the ones whose tentative
+// move is rolled back and the ones pruned unprobed.
+//
+// A pair of inert entities is not probed: neither leaves a penalty behind, so
+// capacity and balance on b and t are flat over the loads the two free,
+// neither leaves a crowded domain, and the swap cannot improve. ents are the
+// grid's candidates, so c.preps holds their leave side; a roll-back may leave
+// a float residue in b's loads, so after one they are prepared again.
 func (c *solveCtx) trySwap(ents []EntityID, b BucketID) bool {
 	st, opt := c.st, &c.opt
-	n := len(ents)
-	if n > maxSwapEntities {
-		n = maxSwapEntities
-	}
-	for _, e := range ents[:n] {
+	n := min(len(ents), maxSwapEntities)
+	rolledBack := false
+	for pi, e := range ents[:n] {
+		pr := &c.preps[pi]
+		stale := rolledBack
 		for _, t := range opt.Sampler(c.rng, e, opt.CandidateTargets, c.view) {
 			if t == b || len(st.byBucket[t]) == 0 {
 				continue
 			}
 			peers := st.byBucket[t]
 			e2 := peers[c.rng.Intn(len(peers))]
-			if !c.p.Entities[e2].Movable || !c.p.Entities[e].Movable || c.overdraws(e, b, t, e2) {
+			if !c.p.Entities[e2].Movable || c.overdraws(e, b, t, e2) {
 				continue
+			}
+			if stale {
+				st.prepare(pr, e)
+				stale = false
+			}
+			d1, ok := st.evalTarget(pr, t)
+			c.res.Evaluated++
+			if !ok {
+				continue
+			}
+			if pr.inert() {
+				st.prepare(&st.scratch, e2)
+				if st.scratch.inert() {
+					c.res.Evaluated++
+					continue
+				}
 			}
 			// Evaluate sequentially: move e off b first so e2 can take
 			// its place; roll back if the pair does not improve. The
 			// tentative window keeps frozen buckets frozen across
 			// probe/rollback pairs (they net to zero change).
-			d1, ok := st.moveDelta(e, t)
-			c.res.Evaluated++
-			if !ok {
-				continue
-			}
 			st.hot.beginTentative()
 			c.applyRaw(e, t)
 			d2, ok2 := st.moveDelta(e2, b)
@@ -613,6 +639,7 @@ func (c *solveCtx) trySwap(ents []EntityID, b BucketID) bool {
 			}
 			c.applyRaw(e, b) // roll back
 			st.hot.abortTentative()
+			rolledBack, stale = true, true
 		}
 	}
 	return false

@@ -385,6 +385,81 @@ func TestMoveDeltaMatchesAppliedObjective(t *testing.T) {
 	}
 }
 
+// TestInertEntitiesCannotImprove checks the bound the search prunes by, on
+// random worlds walked through random moves: (a) an inert entity's move to
+// any bucket is infeasible or >= 0, so the grid may drop its pairs; (b) a swap
+// of two inert entities, run the way trySwap probes — apply, moveDelta, roll
+// back — never beats -improveEps, so trySwap may skip it. Every leave term
+// counts: inert() ignoring base, fromDelta or exFromDelta fails here.
+func TestInertEntitiesCannotImprove(t *testing.T) {
+	var singles, swaps int
+	var peers []EntityID
+	for seed := uint64(1); seed <= 150; seed++ {
+		rng := sim.NewRNG(seed)
+		p := randomProblem(rng)
+		st := newState(p)
+		pr, pr2 := newPrepared(st), newPrepared(st)
+		nB := len(p.Buckets)
+		for step := 0; step < 8; step++ {
+			for e := range p.Entities {
+				e := EntityID(e)
+				b := st.assignment[e]
+				if b == Unassigned {
+					continue
+				}
+				st.prepare(&pr, e)
+				if !pr.inert() {
+					continue
+				}
+				for t2 := BucketID(0); int(t2) < nB; t2++ {
+					if d, ok := st.evalTarget(&pr, t2); ok {
+						singles++
+						if d < 0 {
+							t.Fatalf("seed %d step %d: inert entity %d on %d moves to %d for %v", seed, step, e, b, t2, d)
+						}
+					}
+				}
+				for t2 := BucketID(0); int(t2) < nB; t2++ {
+					if t2 == b {
+						continue
+					}
+					peers = append(peers[:0], st.byBucket[t2]...)
+					for _, e2 := range peers {
+						// A roll-back may leave a residue in the loads:
+						// both sides are judged in the state as it is.
+						st.prepare(&pr, e)
+						st.prepare(&pr2, e2)
+						if !pr.inert() || !pr2.inert() {
+							continue
+						}
+						d1, ok := st.moveDelta(e, t2)
+						if !ok {
+							continue
+						}
+						st.apply(e, t2)
+						d2, ok2 := st.moveDelta(e2, b)
+						st.apply(e, b)
+						if !ok2 {
+							continue
+						}
+						swaps++
+						if d1+d2 < -improveEps {
+							t.Fatalf("seed %d step %d: inert %d on %d and %d on %d swap for %v", seed, step, e, b, e2, t2, d1+d2)
+						}
+					}
+				}
+			}
+			e := EntityID(rng.Intn(len(p.Entities)))
+			if to := BucketID(rng.Intn(nB)); st.assignment[e] != to {
+				st.apply(e, to)
+			}
+		}
+	}
+	if singles == 0 || swaps == 0 {
+		t.Fatalf("the worlds checked %d inert moves and %d inert swaps, want both > 0", singles, swaps)
+	}
+}
+
 // TestMoveDeltaAllocFree: the hot loop's contract is zero allocations per
 // candidate evaluation, and — groups present — per swap probe: an apply and
 // the apply that rolls it back.
@@ -401,10 +476,11 @@ func TestMoveDeltaAllocFree(t *testing.T) {
 		e := EntityID(i % nE)
 		b := BucketID((i * 7) % nB)
 		st.moveDelta(e, b)
+		st.scratch.inert()
 		i++
 	})
 	if allocs > 0 {
-		t.Fatalf("moveDelta allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("moveDelta and inert allocate %.1f times per call, want 0", allocs)
 	}
 
 	for e := range p.Entities {
