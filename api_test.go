@@ -8,15 +8,19 @@ import (
 
 	"shardmanager/internal/allocator"
 	"shardmanager/internal/appserver"
+	"shardmanager/internal/audit"
 	"shardmanager/internal/cluster"
 	"shardmanager/internal/discovery"
 	"shardmanager/internal/experiments"
+	"shardmanager/internal/healthmon"
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/sim"
+	"shardmanager/internal/simprof"
 	"shardmanager/internal/solver"
 	"shardmanager/internal/taskcontroller"
+	"shardmanager/internal/trace"
 )
 
 // TestOneEntryPointPerMechanism pins the exported method sets that used to
@@ -161,6 +165,29 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(rpcnet.Network{}):        {"Messages", "Dropped"},
 		reflect.TypeOf(experiments.DeploymentSpec{}): {"Regions", "ServersPerRegion", "Latency", "Orch", "TaskPolicy",
 			"AppFactory", "ClusterOpts", "Tracer", "Health", "Profiler", "Audit", "Seed"},
+		// The instruments run at their defaults: ring sizes, the stale bound
+		// and the SLO are constants.
+		reflect.TypeOf(audit.Options{}):     {"App"},
+		reflect.TypeOf(healthmon.Options{}): {"Registry"},
+		reflect.TypeOf(simprof.Options{}):   {"Allocs", "Registry"},
+	} {
+		if have := exportedFields(typ); !reflect.DeepEqual(have, want) {
+			t.Errorf("%v exported fields = %v, want exactly %v", typ, have, want)
+		}
+	}
+	if n := reflect.TypeOf(trace.New).NumIn(); n != 0 {
+		t.Errorf("trace.New takes %d parameters, want none: the tracer has no options", n)
+	}
+}
+
+// TestExportedStateFields pins the exported state of the two components the
+// benchmark and the examples hold: the orchestrator's counters are the ones
+// bench/ reads (their requests-side twins on appserver.Server went, the
+// registry carries those), and a server exports its identity and load time.
+func TestExportedStateFields(t *testing.T) {
+	for typ, want := range map[reflect.Type][]string{
+		reflect.TypeOf(orchestrator.Orchestrator{}): {"ShardMoves", "EmergencyRuns", "PeriodicRuns", "FailedRPCs"},
+		reflect.TypeOf(appserver.Server{}):          {"ID", "App", "Region", "LoadTime"},
 	} {
 		if have := exportedFields(typ); !reflect.DeepEqual(have, want) {
 			t.Errorf("%v exported fields = %v, want exactly %v", typ, have, want)

@@ -212,7 +212,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		}
 	}
 	b.Run("disabled", func(b *testing.B) { run(b, nil) })
-	b.Run("enabled", func(b *testing.B) { run(b, trace.New(trace.Options{})) })
+	b.Run("enabled", func(b *testing.B) { run(b, trace.New()) })
 }
 
 // BenchmarkProfilerOverhead measures what the kernel profiler adds to one

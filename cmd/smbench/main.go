@@ -96,7 +96,7 @@ func run() int {
 
 	var tracer *trace.Tracer
 	if *traceOut != "" || *traceText != "" {
-		tracer = trace.New(trace.Options{})
+		tracer = trace.New()
 		cfg.Tracer = tracer
 	}
 	var reg *metrics.Registry

@@ -63,7 +63,7 @@ func main() {
 
 	var tracer *trace.Tracer
 	if *traceOut != "" || *traceText != "" {
-		tracer = trace.New(trace.Options{})
+		tracer = trace.New()
 	}
 
 	spec := demoSpec(*servers, *shards, *replicas, *seed)

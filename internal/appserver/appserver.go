@@ -21,7 +21,6 @@ import (
 
 	"shardmanager/internal/cluster"
 	"shardmanager/internal/coord"
-	"shardmanager/internal/metrics"
 	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/shard"
 	"shardmanager/internal/sim"
@@ -206,14 +205,6 @@ type Server struct {
 	// SyncAssignment with a strictly greater generation lifts the fence.
 	fenced   bool
 	fenceGen int64
-	// grantGen is the highest generation seen in any grant or sync, kept
-	// for observability and stale-grant rejection.
-	grantGen int64
-
-	// Stats.
-	Handled   metrics.Counter
-	ForwardTx metrics.Counter // requests this server forwarded away
-	Rejected  metrics.Counter
 }
 
 // requestMetric counts one request outcome in the loop's labeled registry.
@@ -244,7 +235,6 @@ func (s *Server) replicaMetric(delta float64) {
 
 // reject counts and replies with one of the fixed rejection reasons.
 func (s *Server) reject(sid shard.ID, reply func(Response), errMsg string) {
-	s.Rejected.Inc()
 	s.requestMetric(errMsg)
 	for i := range s.dir.observers {
 		if fn := s.dir.observers[i].Rejected; fn != nil {
@@ -454,15 +444,12 @@ func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Applicat
 
 // --- SM library API, invoked by the orchestrator (Fig 11) ---
 
-// applyGrantGen screens one grant's fencing token. Generation 0 grants (the
-// pre-epoch form, used directly by tests and hand-wired setups) always apply.
-// A positive generation at or below the fence generation belongs to a lease
-// the server already lost — the grant is stale and must be dropped.
-func (s *Server) applyGrantGen(gen int64) bool {
-	if gen > s.grantGen {
-		s.grantGen = gen
-	}
-	if gen > 0 && gen <= s.fenceGen {
+// acceptGrant screens one grant's fencing token. A generation at or below the
+// fence generation belongs to a lease the server already lost, and generation
+// 0 to none at all (coord's epochs start at 1): the grant is stale, so it is
+// counted and dropped.
+func (s *Server) acceptGrant(gen int64) bool {
+	if gen <= s.fenceGen {
 		s.loop.Metrics().Counter("appserver_stale_grants_total",
 			"app", string(s.App)).Inc()
 		return false
@@ -496,7 +483,7 @@ func (s *Server) Fenced() bool { return s.fenced }
 // otherwise). gen is the grant's fencing generation; stale grants (gen at or
 // below the fence generation) are dropped.
 func (s *Server) AddShard(id shard.ID, role shard.Role, gen int64) {
-	if !s.applyGrantGen(gen) {
+	if !s.acceptGrant(gen) {
 		return
 	}
 	s.addShard(id, role, true)
@@ -589,7 +576,7 @@ func (s *Server) DropShard(id shard.ID) {
 // demote primaries ahead of non-negotiable maintenance, §4.2). gen is the
 // grant's fencing generation; stale grants are dropped with an error.
 func (s *Server) ChangeRole(id shard.ID, from, to shard.Role, gen int64) error {
-	if !s.applyGrantGen(gen) {
+	if !s.acceptGrant(gen) {
 		return fmt.Errorf("appserver: stale role grant for %s (gen %d <= fence %d)", id, gen, s.fenceGen)
 	}
 	r := s.replicas[s.dir.shardNums[id]]
@@ -600,7 +587,7 @@ func (s *Server) ChangeRole(id shard.ID, from, to shard.Role, gen int64) error {
 		return fmt.Errorf("appserver: shard %s role is %v, not %v", id, r.role, from)
 	}
 	r.role = to
-	if r.unconfirmed && gen > 0 {
+	if r.unconfirmed {
 		r.unconfirmed = false
 		s.notifyConfirmed(id, true)
 	}
@@ -616,7 +603,7 @@ func (s *Server) ChangeRole(id shard.ID, from, to shard.Role, gen int64) error {
 // throughout, which is why the load is invisible to them. gen is the grant's
 // fencing generation; stale grants are dropped.
 func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role shard.Role, gen int64) {
-	if !s.applyGrantGen(gen) {
+	if !s.acceptGrant(gen) {
 		return
 	}
 	num := s.dir.ShardNum(id)
@@ -656,7 +643,7 @@ func (s *Server) PrepareDropShard(id shard.ID, newOwner shard.ServerID, role sha
 // unless the replica is forwarding. gen is the grant's fencing generation;
 // stale grants are dropped.
 func (s *Server) ResumeShard(id shard.ID, gen int64) {
-	if !s.applyGrantGen(gen) {
+	if !s.acceptGrant(gen) {
 		return
 	}
 	r := s.replicas[s.dir.shardNums[id]]
@@ -685,13 +672,8 @@ func (s *Server) ResumeShard(id shard.ID, gen int64) {
 // commits, so such replicas are neither dropped nor cold-added here — the
 // migration's own add_shard grant settles them.
 func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.ID]bool, gen int64) {
-	if gen > 0 && gen <= s.fenceGen {
-		s.loop.Metrics().Counter("appserver_stale_grants_total",
-			"app", string(s.App)).Inc()
+	if !s.acceptGrant(gen) {
 		return
-	}
-	if gen > s.grantGen {
-		s.grantGen = gen
 	}
 	s.opMetric("sync")
 	for _, id := range s.shardIDs() {
@@ -853,12 +835,10 @@ func (s *Server) handle(req *Request, phase Phase, reply func(Response)) {
 	}
 	payload, err := s.app.HandleRequest(req)
 	if err != nil {
-		s.Rejected.Inc()
 		s.requestMetric("app_error")
 		reply(Response{Err: err.Error(), Server: s.ID})
 		return
 	}
-	s.Handled.Inc()
 	s.requestMetric("ok")
 	reply(Response{OK: true, Payload: payload, Server: s.ID})
 }
@@ -870,7 +850,6 @@ func (s *Server) forward(req *Request, to shard.ServerID, reply func(Response)) 
 		s.reject(req.Shard, reply, "forward-loop")
 		return
 	}
-	s.ForwardTx.Inc()
 	if mr := s.loop.Metrics(); mr != nil { // per request: see requestMetric
 		mr.Counter("appserver_forwarded_total", "app", string(s.App)).Inc()
 	}

@@ -7,6 +7,7 @@ import (
 
 	"shardmanager/internal/cluster"
 	"shardmanager/internal/coord"
+	"shardmanager/internal/metrics"
 	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/shard"
 	"shardmanager/internal/sim"
@@ -67,7 +68,7 @@ func TestAddDropShardLifecycle(t *testing.T) {
 	env := newEnv()
 	app := newEchoApp()
 	s := env.server("s1", "a", app)
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 	if !s.HoldsActive("sh1") {
 		t.Fatal("shard not active after AddShard")
 	}
@@ -86,17 +87,17 @@ func TestChangeRole(t *testing.T) {
 	env := newEnv()
 	app := newEchoApp()
 	s := env.server("s1", "a", app)
-	s.AddShard("sh1", shard.RoleSecondary, 0)
-	if err := s.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary, 0); err != nil {
+	s.AddShard("sh1", shard.RoleSecondary, 1)
+	if err := s.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary, 1); err != nil {
 		t.Fatal(err)
 	}
 	if app.roles["sh1"] != shard.RolePrimary {
 		t.Fatal("app not notified of role change")
 	}
-	if err := s.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary, 0); err == nil {
+	if err := s.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary, 1); err == nil {
 		t.Fatal("stale role change accepted")
 	}
-	if err := s.ChangeRole("ghost", shard.RolePrimary, shard.RoleSecondary, 0); err == nil {
+	if err := s.ChangeRole("ghost", shard.RolePrimary, shard.RoleSecondary, 1); err == nil {
 		t.Fatal("role change on unowned shard accepted")
 	}
 }
@@ -116,7 +117,7 @@ func serve(t *testing.T, env *testEnv, s *Server, req *Request) Response {
 func TestServeActivePrimary(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 	resp := serve(t, env, s, &Request{Shard: "sh1", Key: "k", Write: true})
 	if !resp.OK || resp.Payload != "echo:k" || resp.Server != "s1" {
 		t.Fatalf("resp = %+v", resp)
@@ -126,7 +127,7 @@ func TestServeActivePrimary(t *testing.T) {
 func TestServeWriteOnSecondaryRejected(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RoleSecondary, 0)
+	s.AddShard("sh1", shard.RoleSecondary, 1)
 	resp := serve(t, env, s, &Request{Shard: "sh1", Write: true})
 	if resp.OK || resp.Err != "not-primary" {
 		t.Fatalf("resp = %+v", resp)
@@ -140,13 +141,36 @@ func TestServeWriteOnSecondaryRejected(t *testing.T) {
 
 func TestServeUnownedShardRejected(t *testing.T) {
 	env := newEnv()
+	reg := metrics.NewRegistry()
+	env.loop.SetMetrics(reg)
 	s := env.server("s1", "a", newEchoApp())
 	resp := serve(t, env, s, &Request{Shard: "ghost"})
 	if resp.OK || resp.Err != "not-owner" {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if s.Rejected.Value() != 1 {
-		t.Fatalf("Rejected = %d", s.Rejected.Value())
+	if n := reg.Counter("appserver_requests_total", "app", "app", "outcome", "not-owner").Value(); n != 1 {
+		t.Fatalf("not-owner rejections = %d, want 1", n)
+	}
+}
+
+// TestGenerationZeroGrantIsStale: coord's epochs start at 1, so a grant
+// stamped 0 is older than every session. It is dropped and counted like any
+// other stale grant.
+func TestGenerationZeroGrantIsStale(t *testing.T) {
+	env := newEnv()
+	reg := metrics.NewRegistry()
+	env.loop.SetMetrics(reg)
+	s := env.server("s1", "a", newEchoApp())
+	s.AddShard("sh1", shard.RolePrimary, 0)
+	if len(s.Shards()) != 0 {
+		t.Fatalf("generation-0 grant applied: %v", s.Shards())
+	}
+	if n := reg.Counter("appserver_stale_grants_total", "app", "app").Value(); n != 1 {
+		t.Fatalf("stale grants = %d, want 1", n)
+	}
+	s.AddShard("sh1", shard.RolePrimary, 1)
+	if !s.HoldsActive("sh1") {
+		t.Fatal("generation-1 grant not applied")
 	}
 }
 
@@ -155,7 +179,7 @@ func TestServeAppError(t *testing.T) {
 	app := newEchoApp()
 	app.failAll = true
 	s := env.server("s1", "a", app)
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 	resp := serve(t, env, s, &Request{Shard: "sh1", Write: true})
 	if resp.OK || resp.Err != "app-error" {
 		t.Fatalf("resp = %+v", resp)
@@ -167,11 +191,11 @@ func TestGracefulMigrationProtocol(t *testing.T) {
 	appOld, appNew := newEchoApp(), newEchoApp()
 	old := env.server("old", "a", appOld)
 	newer := env.server("new", "b", appNew)
-	old.AddShard("sh1", shard.RolePrimary, 0)
+	old.AddShard("sh1", shard.RolePrimary, 1)
 
 	// Step 1: prepare_add on the new primary. Direct client requests are
 	// rejected; only forwarded ones are served.
-	newer.PrepareAddShard("sh1", "old", shard.RolePrimary, 0)
+	newer.PrepareAddShard("sh1", "old", shard.RolePrimary, 1)
 	resp := serve(t, env, newer, &Request{Shard: "sh1", Write: true})
 	if resp.OK || resp.Err != "preparing" {
 		t.Fatalf("direct request during prepare = %+v", resp)
@@ -185,7 +209,7 @@ func TestGracefulMigrationProtocol(t *testing.T) {
 	}
 
 	// Step 3: add_shard on the new primary: it serves directly.
-	newer.AddShard("sh1", shard.RolePrimary, 0)
+	newer.AddShard("sh1", shard.RolePrimary, 1)
 	resp = serve(t, env, newer, &Request{Shard: "sh1", Write: true})
 	if !resp.OK || resp.Hops != 0 {
 		t.Fatalf("direct resp after add = %+v", resp)
@@ -210,7 +234,7 @@ func TestForwardToDeadServerFails(t *testing.T) {
 	env := newEnv()
 	old := env.server("old", "a", newEchoApp())
 	env.server("new", "b", newEchoApp())
-	old.AddShard("sh1", shard.RolePrimary, 0)
+	old.AddShard("sh1", shard.RolePrimary, 1)
 	old.PrepareDropShard("sh1", "new", shard.RolePrimary)
 	env.net.Unregister("new")
 	resp := serve(t, env, old, &Request{Shard: "sh1", Write: true})
@@ -222,7 +246,7 @@ func TestForwardToDeadServerFails(t *testing.T) {
 func TestForwardLoopRejected(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 	s.PrepareDropShard("sh1", "s1", shard.RolePrimary)
 	resp := serve(t, env, s, &Request{Shard: "sh1", Write: true})
 	if resp.OK || resp.Err != "forward-loop" {
@@ -233,8 +257,8 @@ func TestForwardLoopRejected(t *testing.T) {
 func TestLoadReportDefaultsToShardCount(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("a", shard.RolePrimary, 0)
-	s.AddShard("b", shard.RoleSecondary, 0)
+	s.AddShard("a", shard.RolePrimary, 1)
+	s.AddShard("b", shard.RoleSecondary, 1)
 	rep := s.LoadReport()
 	if len(rep) != 2 || rep["a"].Get(topology.ResourceShardCount) != 1 {
 		t.Fatalf("LoadReport = %v", rep)
@@ -252,7 +276,7 @@ func (l loadApp) ShardLoad(s shard.ID) topology.Capacity {
 func TestLoadReporterOverride(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", loadApp{newEchoApp()})
-	s.AddShard("a", shard.RolePrimary, 0)
+	s.AddShard("a", shard.RolePrimary, 1)
 	if got := s.LoadReport()["a"].Get(topology.ResourceCPU); got != 7 {
 		t.Fatalf("load = %v", got)
 	}
@@ -417,7 +441,7 @@ func TestHostLivenessRetriesThroughCoordWriteStall(t *testing.T) {
 func TestServeDelayGrayFailure(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 
 	timed := func() time.Duration {
 		start := env.loop.Now()

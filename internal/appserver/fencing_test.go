@@ -27,7 +27,7 @@ func fencedHost(t *testing.T) (*testEnv, *Host, *coord.Store, *Server) {
 	if srv == nil {
 		t.Fatal("server not started")
 	}
-	srv.AddShard("sh1", shard.RolePrimary, 0)
+	srv.AddShard("sh1", shard.RolePrimary, 1)
 	return env, host, store, srv
 }
 

@@ -15,7 +15,7 @@ func TestColdAddRejectsUntilLoaded(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
 	s.LoadTime = 5 * time.Second
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 
 	if s.HoldsActive("sh1") {
 		t.Fatal("active immediately despite LoadTime")
@@ -38,10 +38,10 @@ func TestPrepareThenAddActivatesInstantly(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
 	s.LoadTime = 5 * time.Second
-	s.PrepareAddShard("sh1", "old", shard.RolePrimary, 0)
+	s.PrepareAddShard("sh1", "old", shard.RolePrimary, 1)
 	env.loop.RunFor(6 * time.Second) // load completes during prepare
 	// add_shard after a completed prepare is instant (§4.3 step 3).
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 	if !s.HoldsActive("sh1") {
 		t.Fatal("prepared replica not active immediately after AddShard")
 	}
@@ -51,9 +51,9 @@ func TestAddDuringPrepareLoadActivatesWhenLoaded(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
 	s.LoadTime = 5 * time.Second
-	s.PrepareAddShard("sh1", "old", shard.RolePrimary, 0)
+	s.PrepareAddShard("sh1", "old", shard.RolePrimary, 1)
 	env.loop.RunFor(time.Second)
-	s.AddShard("sh1", shard.RolePrimary, 0) // arrives mid-load
+	s.AddShard("sh1", shard.RolePrimary, 1) // arrives mid-load
 	if s.HoldsActive("sh1") {
 		t.Fatal("active before load completed")
 	}
@@ -67,7 +67,7 @@ func TestPreparedReplicaServesForwardedAfterLoad(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
 	s.LoadTime = 2 * time.Second
-	s.PrepareAddShard("sh1", "old", shard.RolePrimary, 0)
+	s.PrepareAddShard("sh1", "old", shard.RolePrimary, 1)
 	// During the load even forwarded requests are rejected...
 	resp := serve(t, env, s, &Request{Shard: "sh1", Write: true, Forwarded: true})
 	if resp.OK {
@@ -90,7 +90,7 @@ func TestDropDuringLoadCancelsActivation(t *testing.T) {
 	app := newEchoApp()
 	s := env.server("s1", "a", app)
 	s.LoadTime = 5 * time.Second
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 	env.loop.RunFor(time.Second)
 	s.DropShard("sh1")
 	env.loop.RunFor(10 * time.Second)
@@ -107,10 +107,10 @@ func TestReAddDuringLoadUsesFreshGeneration(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
 	s.LoadTime = 5 * time.Second
-	s.AddShard("sh1", shard.RolePrimary, 0)
+	s.AddShard("sh1", shard.RolePrimary, 1)
 	env.loop.RunFor(time.Second)
 	s.DropShard("sh1")
-	s.AddShard("sh1", shard.RolePrimary, 0) // second incarnation
+	s.AddShard("sh1", shard.RolePrimary, 1) // second incarnation
 	// The first load timer (t=5s) must not activate the second
 	// incarnation early; only the second timer (t=6s) may.
 	env.loop.RunFor(4*time.Second + 500*time.Millisecond) // t=5.5s
@@ -126,7 +126,7 @@ func TestReAddDuringLoadUsesFreshGeneration(t *testing.T) {
 func TestZeroLoadTimeIsInstant(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", newEchoApp())
-	s.AddShard("sh1", shard.RoleSecondary, 0)
+	s.AddShard("sh1", shard.RoleSecondary, 1)
 	if !s.HoldsActive("sh1") {
 		t.Fatal("zero LoadTime should activate immediately")
 	}

@@ -23,9 +23,9 @@
 //	                           forward, not serve)
 //	stale-routing              no request outcome proves routing state is
 //	                           permanently stale: success on a server
-//	                           removed from the map more than StaleBound
+//	                           removed from the map more than staleBound
 //	                           ago, or a final not-owner rejection more
-//	                           than StaleBound after the last publication
+//	                           than staleBound after the last publication
 package audit
 
 import (
@@ -60,33 +60,21 @@ var Invariants = []string{InvOnePrimary, InvServePrepare, InvStaleRouting, InvWr
 type Options struct {
 	// App is the application under audit.
 	App shard.AppID
-	// StaleBound is how long routing state may lag reality before the
-	// auditor calls it permanently stale. It must exceed the forwarding
-	// tombstone TTL (30s) plus map-propagation delay plus client retry
-	// backoff; the default is 45s.
-	StaleBound time.Duration
-	// MaxTimeline bounds the per-shard ownership timeline ring (default 64
-	// events). Older events fall off the front.
-	MaxTimeline int
-	// MaxViolations bounds recorded violations with full timeline
-	// snapshots (default 256). Beyond the cap violations are still
-	// counted, just not stored.
-	MaxViolations int
 }
 
-// withDefaults fills unset options.
-func (o Options) withDefaults() Options {
-	if o.StaleBound <= 0 {
-		o.StaleBound = 45 * time.Second
-	}
-	if o.MaxTimeline <= 0 {
-		o.MaxTimeline = 64
-	}
-	if o.MaxViolations <= 0 {
-		o.MaxViolations = 256
-	}
-	return o
-}
+const (
+	// staleBound is how long routing state may lag reality before the
+	// auditor calls it permanently stale. It must exceed the forwarding
+	// tombstone TTL (30s) plus map-propagation delay plus client retry
+	// backoff.
+	staleBound = 45 * time.Second
+	// maxTimeline bounds the per-shard ownership timeline ring. Older events
+	// fall off the front.
+	maxTimeline = 64
+	// maxViolations bounds recorded violations with full timeline snapshots.
+	// Beyond the cap violations are still counted, just not stored.
+	maxViolations = 256
+)
 
 // Event is one entry in a shard's ownership timeline.
 type Event struct {
@@ -151,7 +139,9 @@ type shardState struct {
 // Violations / WriteText / WriteJSON after (or during) the run.
 type Auditor struct {
 	loop *sim.Loop
-	opts Options
+	app  shard.AppID
+	// timelineCap bounds each shard's timeline: maxTimeline.
+	timelineCap int
 
 	shards map[shard.ID]*shardState
 	// fencedSrv tracks servers currently in the self-fenced (lost-lease)
@@ -183,17 +173,18 @@ type Auditor struct {
 // for every invariant so the exposition is stable from the first scrape.
 func New(loop *sim.Loop, opts Options) *Auditor {
 	a := &Auditor{
-		loop:       loop,
-		opts:       opts.withDefaults(),
-		shards:     make(map[shard.ID]*shardState),
-		fencedSrv:  make(map[shard.ServerID]bool),
-		checks:     make(map[string]int64),
-		violCounts: make(map[string]int64),
-		checkCtr:   make(map[string]*metrics.Counter),
-		violCtr:    make(map[string]*metrics.Counter),
-		coordOps:   make(map[string]int64),
-		deliveries: make(map[string]int64),
-		rejects:    make(map[string]int64),
+		loop:        loop,
+		app:         opts.App,
+		timelineCap: maxTimeline,
+		shards:      make(map[shard.ID]*shardState),
+		fencedSrv:   make(map[shard.ServerID]bool),
+		checks:      make(map[string]int64),
+		violCounts:  make(map[string]int64),
+		checkCtr:    make(map[string]*metrics.Counter),
+		violCtr:     make(map[string]*metrics.Counter),
+		coordOps:    make(map[string]int64),
+		deliveries:  make(map[string]int64),
+		rejects:     make(map[string]int64),
 	}
 	if mr := loop.Metrics(); mr != nil {
 		mr.Describe("audit_checks_total", "Invariant evaluations performed by the runtime auditor.")
@@ -207,7 +198,7 @@ func New(loop *sim.Loop, opts Options) *Auditor {
 }
 
 // App returns the audited application.
-func (a *Auditor) App() shard.AppID { return a.opts.App }
+func (a *Auditor) App() shard.AppID { return a.app }
 
 func (a *Auditor) shard(s shard.ID) *shardState {
 	st := a.shards[s]
@@ -224,10 +215,10 @@ func (a *Auditor) shard(s shard.ID) *shardState {
 	return st
 }
 
-// event appends one timeline entry, evicting the oldest past MaxTimeline.
+// event appends one timeline entry, evicting the oldest past timelineCap.
 func (a *Auditor) event(st *shardState, kind, detail string) {
 	e := Event{At: a.loop.Now(), Kind: kind, Detail: detail}
-	if len(st.timeline) >= a.opts.MaxTimeline {
+	if len(st.timeline) >= a.timelineCap {
 		copy(st.timeline, st.timeline[1:])
 		st.timeline[len(st.timeline)-1] = e
 		return
@@ -244,7 +235,7 @@ func (a *Auditor) check(inv string) {
 }
 
 // violate records one invariant breach against shard s: a timeline marker,
-// a stored Violation with the timeline snapshot (up to MaxViolations), and
+// a stored Violation with the timeline snapshot (up to maxViolations), and
 // the labeled metric.
 func (a *Auditor) violate(inv string, s shard.ID, st *shardState, servers []shard.ServerID, detail string) {
 	a.violCounts[inv]++
@@ -252,7 +243,7 @@ func (a *Auditor) violate(inv string, s shard.ID, st *shardState, servers []shar
 		c.Inc()
 	}
 	a.event(st, "violation", inv+": "+detail)
-	if len(a.violations) >= a.opts.MaxViolations {
+	if len(a.violations) >= maxViolations {
 		a.dropped++
 		return
 	}
@@ -522,7 +513,7 @@ func (a *Auditor) directoryObserver() appserver.Observer {
 // WatchDiscovery tallies map-delivery outcomes for the audited app.
 func (a *Auditor) WatchDiscovery(s *discovery.Service) {
 	s.AddObserver(func(app shard.AppID, version int64, lag time.Duration, status string) {
-		if app != a.opts.App {
+		if app != a.app {
 			return
 		}
 		a.deliveries[status]++
@@ -562,7 +553,7 @@ func (a *Auditor) clientObserver() func(routing.Result) {
 		now := a.loop.Now()
 		if res.OK {
 			t, removed := st.removedAt[res.Server]
-			if removed && now-t > a.opts.StaleBound && !st.staleSrv[res.Server] {
+			if removed && now-t > staleBound && !st.staleSrv[res.Server] {
 				st.staleSrv[res.Server] = true
 				a.violate(InvStaleRouting, res.Shard, st, []shard.ServerID{res.Server},
 					fmt.Sprintf("request served by %s, removed from the map %s ago (client map v%d)",
@@ -570,7 +561,7 @@ func (a *Auditor) clientObserver() func(routing.Result) {
 			}
 			return
 		}
-		if res.Err == "not-owner" && a.havePublish && now-a.lastPublishAt > a.opts.StaleBound && !st.staleMap {
+		if res.Err == "not-owner" && a.havePublish && now-a.lastPublishAt > staleBound && !st.staleMap {
 			st.staleMap = true
 			a.violate(InvStaleRouting, res.Shard, st, []shard.ServerID{res.RejectedBy},
 				fmt.Sprintf("final not-owner from %s, %s after last publication (client map v%d, published v%d)",
@@ -587,7 +578,7 @@ func (a *Auditor) Violations() []Violation {
 }
 
 // ViolationCount returns the total number of violations detected
-// (including any dropped past MaxViolations).
+// (including any dropped past maxViolations).
 func (a *Auditor) ViolationCount() int64 {
 	var n int64
 	for _, c := range a.violCounts {

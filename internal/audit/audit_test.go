@@ -55,11 +55,11 @@ func newRig(t *testing.T, opts Options) *rig {
 
 func TestOnePrimaryViolation(t *testing.T) {
 	r := newRig(t, Options{})
-	r.srvA.AddShard("s1", shard.RolePrimary, 0)
+	r.srvA.AddShard("s1", shard.RolePrimary, 1)
 	if n := r.a.ViolationCount(); n != 0 {
 		t.Fatalf("single primary flagged: %d violations", n)
 	}
-	r.srvB.AddShard("s1", shard.RolePrimary, 0)
+	r.srvB.AddShard("s1", shard.RolePrimary, 1)
 	vs := r.a.Violations()
 	if len(vs) != 1 || vs[0].Invariant != InvOnePrimary {
 		t.Fatalf("want one one-primary violation, got %+v", vs)
@@ -68,15 +68,15 @@ func TestOnePrimaryViolation(t *testing.T) {
 		t.Fatalf("violation servers = %q", got)
 	}
 	// Still inside the same episode: no second violation.
-	r.srvB.AddShard("s1", shard.RolePrimary, 0)
+	r.srvB.AddShard("s1", shard.RolePrimary, 1)
 	if n := len(r.a.Violations()); n != 1 {
 		t.Fatalf("dedup failed: %d violations", n)
 	}
 	// End the episode, then re-enter it: a fresh violation fires.
-	if err := r.srvA.ChangeRole("s1", shard.RolePrimary, shard.RoleSecondary, 0); err != nil {
+	if err := r.srvA.ChangeRole("s1", shard.RolePrimary, shard.RoleSecondary, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.srvA.ChangeRole("s1", shard.RoleSecondary, shard.RolePrimary, 0); err != nil {
+	if err := r.srvA.ChangeRole("s1", shard.RoleSecondary, shard.RolePrimary, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(r.a.Violations()); n != 2 {
@@ -86,8 +86,8 @@ func TestOnePrimaryViolation(t *testing.T) {
 
 func TestWriteOwnerViolation(t *testing.T) {
 	r := newRig(t, Options{})
-	r.srvA.AddShard("s1", shard.RolePrimary, 0)
-	r.srvB.AddShard("s1", shard.RolePrimary, 0) // fires one-primary
+	r.srvA.AddShard("s1", shard.RolePrimary, 1)
+	r.srvB.AddShard("s1", shard.RolePrimary, 1) // fires one-primary
 	var resp appserver.Response
 	r.srvA.Serve(&appserver.Request{App: "kv", Shard: "s1", Write: true, Op: "set"},
 		func(rs appserver.Response) { resp = rs })
@@ -149,7 +149,7 @@ func mapV(v int64, s shard.ID, as ...shard.Assignment) *shard.Delta {
 
 func TestStaleRoutingRemovedServer(t *testing.T) {
 	loop := sim.NewLoop(1)
-	a := New(loop, Options{App: "kv", StaleBound: 45 * time.Second})
+	a := New(loop, Options{App: "kv"})
 	obs := a.clientObserver()
 	a.onMap(mapV(1, "s1", shard.Assignment{Server: "srv-a", Role: shard.RolePrimary}))
 	a.onMap(mapV(2, "s1", shard.Assignment{Server: "srv-b", Role: shard.RolePrimary}))
@@ -176,7 +176,7 @@ func TestStaleRoutingRemovedServer(t *testing.T) {
 
 func TestStaleRoutingNotOwner(t *testing.T) {
 	loop := sim.NewLoop(1)
-	a := New(loop, Options{App: "kv", StaleBound: 45 * time.Second})
+	a := New(loop, Options{App: "kv"})
 	obs := a.clientObserver()
 	a.onMap(mapV(1, "s1", shard.Assignment{Server: "srv-a", Role: shard.RolePrimary}))
 	// Shortly after publication a not-owner is ordinary propagation lag.
@@ -225,7 +225,8 @@ func TestMetricsCounters(t *testing.T) {
 // and golden tests.
 func scenario() *Auditor {
 	loop := sim.NewLoop(7)
-	a := New(loop, Options{App: "kv", StaleBound: 45 * time.Second, MaxTimeline: 16})
+	a := New(loop, Options{App: "kv"})
+	a.timelineCap = 16
 	dobs := a.directoryObserver()
 	cobs := a.clientObserver()
 	a.onMap(mapV(1, "s1",
@@ -292,7 +293,8 @@ func TestReportGolden(t *testing.T) {
 
 func TestTimelineBounded(t *testing.T) {
 	loop := sim.NewLoop(1)
-	a := New(loop, Options{App: "kv", MaxTimeline: 8})
+	a := New(loop, Options{App: "kv"})
+	a.timelineCap = 8
 	obs := a.directoryObserver()
 	for i := 0; i < 50; i++ {
 		role := shard.RoleSecondary

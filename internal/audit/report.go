@@ -30,7 +30,7 @@ type Report struct {
 // Report assembles the current audit state into its JSON shape.
 func (a *Auditor) Report() Report {
 	r := Report{
-		App:             string(a.opts.App),
+		App:             string(a.app),
 		At:              a.loop.Now(),
 		Checks:          make(map[string]int64, len(Invariants)),
 		ViolationCounts: make(map[string]int64, len(Invariants)),
@@ -74,7 +74,7 @@ func (a *Auditor) WriteJSON(w io.Writer) error {
 // violation tallies, observed reject / delivery / coord-write counts, and
 // every recorded violation with its ownership-timeline snapshot.
 func (a *Auditor) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "audit report app=%s at=%s\n", a.opts.App, a.loop.Now())
+	fmt.Fprintf(w, "audit report app=%s at=%s\n", a.app, a.loop.Now())
 	fmt.Fprintf(w, "%-28s %10s %10s\n", "invariant", "checks", "violations")
 	for _, inv := range Invariants {
 		fmt.Fprintf(w, "%-28s %10d %10d\n", inv, a.checks[inv], a.violCounts[inv])
@@ -126,6 +126,6 @@ func writeTimeline(w io.Writer, indent string, tl []Event) {
 // prints around a violation).
 func (a *Auditor) TimelineText(s shard.ID, w io.Writer) {
 	tl := a.Timeline(s)
-	fmt.Fprintf(w, "ownership timeline shard=%s app=%s events=%d\n", s, a.opts.App, len(tl))
+	fmt.Fprintf(w, "ownership timeline shard=%s app=%s events=%d\n", s, a.app, len(tl))
 	writeTimeline(w, "  ", tl)
 }

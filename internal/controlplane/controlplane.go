@@ -2,11 +2,11 @@
 // global control plane (§6.1): a single mini-SM cannot manage millions of
 // servers and billions of shards, so the application manager divides each
 // registered application into partitions, the partition registry packs the
-// partitions onto a pool of mini-SMs, and the read service summarizes the
-// pool.
+// partitions onto a pool of mini-SMs, and Stats summarizes the pool (the read
+// service's query).
 //
 //	ApplicationRegistry -> ApplicationManager -> partitions
-//	                    -> PartitionRegistry  -> mini-SMs -> ReadService
+//	                    -> PartitionRegistry  -> mini-SMs -> Stats
 //
 // A Partition is an accounting unit (server/shard counts, regions). The
 // Fig 16 experiment partitions the synthetic fleet of package workload
@@ -220,21 +220,6 @@ func (cp *ControlPlane) assign(p *Partition, kind Kind) {
 	best.Partitions = append(best.Partitions, p)
 }
 
-// MiniSMs returns the pool in creation order.
-func (cp *ControlPlane) MiniSMs() []*MiniSM {
-	return append([]*MiniSM(nil), cp.miniSMs...)
-}
-
-// ReadService builds query indices over the control-plane metadata (§6.1:
-// "the read service builds indices on mini-SM's metadata to serve
-// queries").
-type ReadService struct {
-	cp *ControlPlane
-}
-
-// NewReadService wraps a control plane.
-func NewReadService(cp *ControlPlane) *ReadService { return &ReadService{cp: cp} }
-
 // Stats summarizes the pool: counts and largest mini-SM, the numbers
 // Figure 16 plots.
 type Stats struct {
@@ -246,10 +231,11 @@ type Stats struct {
 	MaxShards       int
 }
 
-// Stats computes pool statistics.
-func (rs *ReadService) Stats() Stats {
+// Stats computes pool statistics: the query §6.1's read service answers
+// from its indices on the mini-SMs' metadata.
+func (cp *ControlPlane) Stats() Stats {
 	var st Stats
-	for _, m := range rs.cp.MiniSMs() {
+	for _, m := range cp.miniSMs {
 		if m.Kind == Geo {
 			st.GeoMiniSMs++
 		} else {

@@ -59,7 +59,7 @@ func TestKindSeparation(t *testing.T) {
 	cp.RegisterApp(AppSpec{App: "reg", Servers: 100, Shards: 100, Regions: []topology.RegionID{"r1"}})
 	cp.RegisterApp(AppSpec{App: "geo", Servers: 100, Shards: 100, Regions: []topology.RegionID{"r1", "r2"}})
 	regional, geo := 0, 0
-	for _, m := range cp.MiniSMs() {
+	for _, m := range cp.miniSMs {
 		switch m.Kind {
 		case Regional:
 			regional++
@@ -99,10 +99,10 @@ func TestMiniSMPoolGrowsUnderLoad(t *testing.T) {
 		}
 	}
 	// 10 x 1000 servers with 2000/miniSM => 5 mini-SMs.
-	if got := len(cp.MiniSMs()); got != 5 {
+	if got := len(cp.miniSMs); got != 5 {
 		t.Fatalf("mini-SMs = %d, want 5", got)
 	}
-	for _, m := range cp.MiniSMs() {
+	for _, m := range cp.miniSMs {
 		if m.Servers() > limits.MiniSMMaxServers {
 			t.Fatalf("mini-SM %s over capacity: %d", m.ID, m.Servers())
 		}
@@ -120,12 +120,11 @@ func TestRegisterAppErrors(t *testing.T) {
 	}
 }
 
-func TestReadServiceStats(t *testing.T) {
+func TestStats(t *testing.T) {
 	cp := New(DefaultLimits())
 	cp.RegisterApp(AppSpec{App: "a", Servers: 3000, Shards: 30000, Regions: []topology.RegionID{"r1"}})
 	cp.RegisterApp(AppSpec{App: "b", Servers: 1000, Shards: 5000, Regions: []topology.RegionID{"r1", "r2"}})
-	rs := NewReadService(cp)
-	st := rs.Stats()
+	st := cp.Stats()
 	if st.RegionalMiniSMs != 1 || st.GeoMiniSMs != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -226,7 +225,7 @@ func TestSplitAndPackingAtTheLimits(t *testing.T) {
 		for _, p := range parts {
 			ps = append(ps, fmt.Sprintf("%d/%d", p.Servers, p.Shards))
 		}
-		for _, m := range cp.MiniSMs() {
+		for _, m := range cp.miniSMs {
 			ms = append(ms, fmt.Sprintf("%s=%dx%d/%d", m.ID, len(m.Partitions), m.Servers(), m.Shards()))
 		}
 		if got := strings.Join(ps, " "); got != c.parts {

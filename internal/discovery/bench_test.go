@@ -26,7 +26,7 @@ func BenchmarkPublishFanout(b *testing.B) {
 	d := snap(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.ToVersion = int64(i + 1)
+		d.ToVersion, d.Gen = int64(i+1), int64(i+1)
 		svc.Publish(d)
 		loop.RunFor(10 * time.Millisecond)
 	}
@@ -38,7 +38,7 @@ func BenchmarkPublishFanout(b *testing.B) {
 // benchMap builds an n-shard single-primary map.
 func benchMap(n int) *shard.Map {
 	m := shard.NewMap("app")
-	m.Version = 1
+	m.Version, m.Gen = 1, 1
 	for i := 0; i < n; i++ {
 		id := shard.ID(fmt.Sprintf("s%07d", i))
 		m.Entries[id] = []shard.Assignment{{Server: shard.ServerID(fmt.Sprintf("srv%05d", i%512)), Role: shard.RolePrimary}}
@@ -63,7 +63,7 @@ func BenchmarkPublishDelta(b *testing.B) {
 			version := m.Version
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.Reset("app", version, version+1, 0)
+				d.Reset("app", version, version+1, version+1)
 				d.Set("s0000000", []shard.Assignment{{Server: shard.ServerID(fmt.Sprintf("srv%05d", i%512)), Role: shard.RolePrimary}})
 				version++
 				svc.Publish(d)
@@ -93,7 +93,7 @@ func TestPublishDeltaSteadyStateAllocs(t *testing.T) {
 	version := m.Version
 	d := shard.NewDelta("app")
 	publish := func(server shard.ServerID) {
-		d.Reset("app", version, version+1, 0)
+		d.Reset("app", version, version+1, version+1)
 		d.Set("s0000100", []shard.Assignment{{Server: server, Role: shard.RolePrimary}})
 		version++
 		svc.Publish(d)

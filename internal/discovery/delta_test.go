@@ -49,7 +49,7 @@ func TestPublishDeltaInOrderChaining(t *testing.T) {
 	d := shard.NewDelta("app")
 	servers := []shard.ServerID{"a", "b", "c", "srv2"}
 	for v := int64(1); v < 5; v++ {
-		svc.Publish(stageDelta(d, v, v+1, 0, servers[v-1]))
+		svc.Publish(stageDelta(d, v, v+1, v+1, servers[v-1]))
 		loop.RunFor(2 * time.Second)
 		if f.v.Version != v+1 || f.primary() != servers[v-1] {
 			t.Fatalf("after %d->%d: follower at v%d on %s", v, v+1, f.v.Version, f.primary())
@@ -86,10 +86,10 @@ func TestPublishDeltaGapTriggersResync(t *testing.T) {
 	svc.Subscribe("app", f.on)
 	svc.Publish(snap(mapV(1)))
 	loop.RunFor(2 * time.Second)
-	svc.Publish(stageDelta(nil, 1, 2, 0, "a"))
+	svc.Publish(stageDelta(nil, 1, 2, 2, "a"))
 
 	// The publisher believes the service is at v3; the service is at v2.
-	svc.Publish(stageDelta(nil, 3, 4, 0, "b"))
+	svc.Publish(stageDelta(nil, 3, 4, 4, "b"))
 	if got := svc.Latest("app"); got.Version != 2 || svc.Publications != 2 {
 		t.Fatalf("gap delta applied: latest v%d, %d publications", got.Version, svc.Publications)
 	}
@@ -121,16 +121,16 @@ func TestPublishDeltaStaleAndGapDrops(t *testing.T) {
 	svc := NewService(loop, FixedDelay(time.Second))
 
 	// Gap: a delta onto a map the service never had.
-	svc.Publish(stageDelta(nil, 4, 5, 0, "x"))
+	svc.Publish(stageDelta(nil, 4, 5, 5, "x"))
 	if svc.Latest("app") != (View{}) || svc.Publications != 0 {
 		t.Fatal("delta onto nothing accepted")
 	}
 	svc.Publish(snap(mapV(5)))
 
 	// Stale: target version behind current.
-	svc.Publish(stageDelta(nil, 4, 5, 0, "x"))
+	svc.Publish(stageDelta(nil, 4, 5, 5, "x"))
 	// Gap: FromVersion doesn't match the latest version.
-	svc.Publish(stageDelta(nil, 6, 7, 0, "x"))
+	svc.Publish(stageDelta(nil, 6, 7, 7, "x"))
 	if cur := svc.Latest("app"); cur.Version != 5 || svc.Publications != 1 || cur.Replicas("s1")[0].Server != "srv" {
 		t.Fatalf("dropped deltas changed the store: v%d pubs=%d", cur.Version, svc.Publications)
 	}
@@ -157,7 +157,7 @@ func TestPublishDeltaLegacySubscriberGetsFullMaps(t *testing.T) {
 	m.Entries["s2"] = []shard.Assignment{{Server: "other", Role: shard.RolePrimary}}
 	svc.Publish(snap(m))
 	loop.RunFor(2 * time.Second)
-	svc.Publish(stageDelta(nil, 1, 2, 0, "y"))
+	svc.Publish(stageDelta(nil, 1, 2, 2, "y"))
 	loop.RunFor(2 * time.Second)
 	if len(got) != 2 || got[1].Version != 2 {
 		t.Fatalf("deliveries = %v, want versions [1 2]", got)
@@ -186,7 +186,7 @@ func TestPublishDeltaRNGParityWithFull(t *testing.T) {
 		loop.RunFor(5 * time.Second)
 		for v := int64(1); v <= 3; v++ {
 			if useDelta {
-				svc.Publish(stageDelta(nil, v, v+1, 0, "z"))
+				svc.Publish(stageDelta(nil, v, v+1, v+1, "z"))
 			} else {
 				m := mapV(v + 1)
 				m.Entries["s1"][0].Server = "z"
@@ -244,14 +244,14 @@ func TestReclaimedViewPanics(t *testing.T) {
 	held := f.v // v1, pinned by sub's cursor
 	d := shard.NewDelta("app")
 	for v := int64(1); v <= 8; v++ {
-		svc.Publish(stageDelta(d, v, v+1, 0, "later"))
+		svc.Publish(stageDelta(d, v, v+1, v+1, "later"))
 	}
 	if held.Replicas("s1")[0].Server != "srv" {
 		t.Fatal("a view its subscription still holds was reclaimed")
 	}
 	sub.Cancel()
 	for v := int64(9); v <= 16; v++ {
-		svc.Publish(stageDelta(d, v, v+1, 0, "later"))
+		svc.Publish(stageDelta(d, v, v+1, v+1, "later"))
 	}
 	defer func() {
 		if recover() == nil {
@@ -280,12 +280,12 @@ func TestCellOutlivesItsShardAndBelongsToOneStore(t *testing.T) {
 	if got := svc.Latest("app").At(cell); len(got) != 1 || got[0].Server != "srv" {
 		t.Fatalf("v1 through the cell: %v", got)
 	}
-	gone := shard.NewDelta("app").Reset("app", 1, 2, 0)
+	gone := shard.NewDelta("app").Reset("app", 1, 2, 2)
 	gone.Remove("s1")
 	svc.Publish(gone)
 	d := shard.NewDelta("app")
 	for v := int64(2); v <= 12; v++ { // no subscriber: every sweep reclaims all but the latest
-		d.Reset("app", v, v+1, 0)
+		d.Reset("app", v, v+1, v+1)
 		d.Set("s2", []shard.Assignment{{Server: "other"}})
 		svc.Publish(d)
 	}
@@ -295,7 +295,7 @@ func TestCellOutlivesItsShardAndBelongsToOneStore(t *testing.T) {
 	if got := svc.Latest("app").At(cell); got != nil {
 		t.Fatalf("removed shard reads %v", got)
 	}
-	svc.Publish(stageDelta(d, 13, 14, 0, "back"))
+	svc.Publish(stageDelta(d, 13, 14, 14, "back"))
 	if got := svc.Latest("app").At(cell); len(got) != 1 || got[0].Server != "back" {
 		t.Fatalf("shard placed again, through the old cell: %v", got)
 	}
@@ -303,7 +303,7 @@ func TestCellOutlivesItsShardAndBelongsToOneStore(t *testing.T) {
 		t.Fatal("Cells resolved the keyspace a second time")
 	}
 
-	svc.Publish(snap(&shard.Map{App: "other", Version: 1, Entries: map[shard.ID][]shard.Assignment{"s1": {{Server: "x"}}}}))
+	svc.Publish(snap(&shard.Map{App: "other", Version: 1, Gen: 1, Entries: map[shard.ID][]shard.Assignment{"s1": {{Server: "x"}}}}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a view of another app's store read through the cell did not panic")

@@ -90,20 +90,14 @@ type View struct {
 	seq int64 // position in the app's publish sequence; revisions are keyed by it
 }
 
-// After reports whether v supersedes u: by fencing generation when both carry
-// one (the total order shared with sessions and grants), by version
-// otherwise. Every view supersedes the zero View, which supersedes nothing.
+// After reports whether v supersedes u: by fencing generation, the total
+// order shared with sessions and grants. Every view supersedes the zero View,
+// which supersedes nothing.
 func (v View) After(u View) bool {
 	if v.st == nil {
 		return false
 	}
-	if u.st == nil {
-		return true
-	}
-	if v.Gen > 0 && u.Gen > 0 {
-		return v.Gen > u.Gen
-	}
-	return v.Version > u.Version
+	return u.st == nil || v.Gen > u.Gen
 }
 
 // readable panics when v lies below the reclaimed floor: the revisions it
@@ -386,30 +380,30 @@ func (s *Service) replicas(as []shard.Assignment) []Replica {
 // FromVersion 0 is a snapshot: the shards it does not list are removed. d is
 // copied from; the caller may restage it at once.
 //
-// Versions are applied in generation order when stamped (Gen > 0) and in
-// version order otherwise. A delta that is behind the latest version (e.g.
-// reordered in flight from a superseded control-plane incarnation), or that
-// was made against a version other than the latest and is not a snapshot, is
-// dropped and counted in discovery_stale_publishes_total; its publisher finds
-// Latest is not where it left it and resends a snapshot.
+// Versions are applied in generation order; d must be stamped with a
+// generation > 0, as coord's epochs are. A delta that is behind the latest
+// generation (e.g. reordered in flight from a superseded control-plane
+// incarnation), or that was made against a version other than the latest and
+// is not a snapshot, is dropped and counted in
+// discovery_stale_publishes_total; its publisher finds Latest is not where it
+// left it and resends a snapshot.
 func (s *Service) Publish(d *shard.Delta) {
 	if d == nil {
 		panic("discovery: Publish(nil)")
 	}
+	if d.Gen <= 0 {
+		panic(fmt.Sprintf("discovery: Publish of %s v%d without a generation", d.App, d.ToVersion))
+	}
 	st := s.state(d.App)
 	snapshot := d.FromVersion == 0
-	behind := st.seq > 0 && !View{Version: d.ToVersion, Gen: d.Gen, st: st}.After(st.latest())
-	if behind || (!snapshot && (st.seq == 0 || d.FromVersion != st.version)) {
+	if d.Gen <= st.gen || (!snapshot && (st.seq == 0 || d.FromVersion != st.version)) {
 		if mr := s.loop.Metrics(); mr != nil {
 			mr.Counter("discovery_stale_publishes_total", "app", string(d.App)).Inc()
 		}
 		return
 	}
 	st.seq++
-	st.version, st.pubAt = d.ToVersion, s.loop.Now()
-	if snapshot || d.Gen > 0 {
-		st.gen = d.Gen
-	}
+	st.version, st.gen, st.pubAt = d.ToVersion, d.Gen, s.loop.Now()
 	for i := range d.Changed {
 		e := &d.Changed[i]
 		st.put(st.cell(e.Shard), s.replicas(e.Assignments))
@@ -494,9 +488,10 @@ func fire(a any) {
 
 // apply hands v to sub at its delivery instant: classify the outcome, count
 // it, tell the observers, move the cursor, run the subscriber's callback; it
-// returns the outcome status. A cancelled subscriber, or one already at or
-// past v's version (overtaken by a newer delivery), receives nothing; neither
-// does one handed a v the store has reclaimed meanwhile. A cursor may jump
+// returns the outcome status. A cancelled subscriber, or one v does not
+// supersede (overtaken by a newer delivery), receives nothing. That covers a
+// v the store has reclaimed meanwhile: accepted publishes rise in generation,
+// so v lies below the cursor that held the floor above it. A cursor may jump
 // over any number of versions: the store holds v itself, not the step that
 // led to it.
 func (s *Service) apply(sub *Subscription, v View, lag time.Duration) string {
@@ -504,7 +499,7 @@ func (s *Service) apply(sub *Subscription, v View, lag time.Duration) string {
 	switch {
 	case sub.cancelled:
 		status = "cancelled"
-	case v.Version <= sub.cursor.Version || v.seq < v.st.floor:
+	case !v.After(sub.cursor):
 		status = "stale"
 	}
 	app := string(v.st.app)

@@ -10,7 +10,7 @@ import (
 
 func mapV(v int64) *shard.Map {
 	m := shard.NewMap("app")
-	m.Version = v
+	m.Version, m.Gen = v, v
 	m.Entries["s1"] = []shard.Assignment{{Server: shard.ServerID("srv"), Role: shard.RolePrimary}}
 	return m
 }
@@ -162,6 +162,20 @@ func TestPanicsOnNilArgs(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestPublishWithoutGenerationPanics: maps are ordered by generation alone,
+// so a delta with none has no place in the order.
+func TestPublishWithoutGenerationPanics(t *testing.T) {
+	svc := NewService(sim.NewLoop(1), nil)
+	m := mapV(1)
+	m.Gen = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Publish of a generation-0 delta did not panic")
+		}
+	}()
+	svc.Publish(snap(m))
 }
 
 // TestSubscriberDeliveryTimingUnaffectedByOtherSubscribers is the regression

@@ -85,11 +85,7 @@ func (z *storeFuzz) publish(d *shard.Delta) {
 	cur := z.latestRef()
 	accept := d.FromVersion == 0 || (cur != nil && d.FromVersion == cur.Version)
 	if cur != nil {
-		newer := d.ToVersion > cur.Version
-		if d.Gen > 0 && cur.Gen > 0 {
-			newer = d.Gen > cur.Gen
-		}
-		accept = accept && newer
+		accept = accept && d.Gen > cur.Gen
 	}
 	before := z.svc.Publications
 	z.svc.Publish(d)
@@ -114,9 +110,9 @@ func (z *storeFuzz) step() {
 	if cur := z.latestRef(); cur != nil {
 		version = cur.Version
 	}
-	stamp := func() int64 { // most publishes are generation-stamped, in order
-		if z.next()%4 == 0 {
-			return 0
+	stamp := func() int64 { // most publishes take a new generation; some repeat the last one
+		if z.next()%4 == 0 && z.gen > 0 {
+			return z.gen
 		}
 		z.gen++
 		return z.gen

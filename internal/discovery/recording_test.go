@@ -23,7 +23,7 @@ import (
 // DefaultDelay, so the log also pins RNG draw order.
 func recordDeliveries(t *testing.T) []string {
 	loop := sim.NewLoop(42)
-	tr := trace.New(trace.Options{})
+	tr := trace.New()
 	loop.SetTracer(tr)
 	reg := metrics.NewRegistry()
 	loop.SetMetrics(reg)

@@ -98,7 +98,7 @@ func TestTortureRegressionSeed5(t *testing.T) {
 // class: under seed 70's timeline a client kept getting requests served by a
 // server long after the published map moved the shard away. Generation-
 // ordered map application plus rejection-triggered map refresh keeps client
-// routing inside StaleBound; the seed must stay clean.
+// routing inside the auditor's 45 s stale bound; the seed must stay clean.
 func TestTortureRegressionSeed70(t *testing.T) {
 	run := RunTortureSeed(RunConfig{}, quickTortureParams(), 70)
 	for _, b := range run.Bugs {

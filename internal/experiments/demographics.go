@@ -196,8 +196,7 @@ func Fig16(p DemographicsParams) *Report {
 			panic(err)
 		}
 	}
-	rs := controlplane.NewReadService(cp)
-	st := rs.Stats()
+	st := cp.Stats()
 	r := &Report{ID: "fig16", Title: "Scale of mini-SMs (regional + geo-distributed)",
 		Params: map[string]string{"sm_apps": fmt.Sprint(len(f))}}
 	t := Table{Title: "mini-SM pool", Columns: []string{"metric", "value"}}

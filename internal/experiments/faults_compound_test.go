@@ -59,7 +59,7 @@ func TestCompoundFaultsBreachSLOAndRecover(t *testing.T) {
 // acceptance bar for the fault subsystem riding on the deterministic sim.
 func TestCompoundFaultsIsDeterministic(t *testing.T) {
 	run := func() (traceOut, metricsOut []byte) {
-		tr := trace.New(trace.Options{})
+		tr := trace.New()
 		var mon *healthmon.Monitor
 		CompoundFaults(RunConfig{Tracer: tr, Health: func() *healthmon.Monitor {
 			mon = healthmon.New(healthmon.Options{})

@@ -23,7 +23,7 @@ import (
 // recorded.
 func runTracedFailover(t *testing.T, seed uint64) *trace.Tracer {
 	t.Helper()
-	tr := trace.New(trace.Options{})
+	tr := trace.New()
 	cfg := orchestrator.Config{
 		App:      "tracedkv",
 		Strategy: shard.PrimarySecondary,

@@ -53,13 +53,13 @@ func newWorld(t testing.TB) *world {
 	srv := appserver.NewServer(loop, net, dir, okApp{}, "app", "far-srv", "far")
 	dir.Register(srv)
 	net.Register("far-srv", "far")
-	srv.AddShard("s1", shard.RoleSecondary, 0)
+	srv.AddShard("s1", shard.RoleSecondary, 1)
 	ks, err := shard.NewKeyspace([]shard.ID{"s1"}, []string{""})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := shard.NewMap("app")
-	m.Version = 1
+	m.Version, m.Gen = 1, 1
 	m.Entries = map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "far-srv", Role: shard.RoleSecondary}},
 	}

@@ -30,19 +30,21 @@ import (
 
 // Options configure a Monitor.
 type Options struct {
-	// SLOTarget is the availability objective (default 0.9999 — the
-	// paper's 99.99% shard availability SLO, §8.1).
-	SLOTarget float64
-	// Bucket is the success-ratio bucket width (default 30s, matching the
-	// experiment trackers so cross-checks are bit-identical).
-	Bucket time.Duration
 	// Registry receives the monitor's live gauges and is returned by
 	// Registry() for exposition. nil creates a private registry.
 	Registry *metrics.Registry
-	// WorstShards bounds the per-app worst-shard list in snapshots
-	// (default 5).
-	WorstShards int
 }
+
+const (
+	// sloTarget is the availability objective: the paper's 99.99% shard
+	// availability SLO (§8.1).
+	sloTarget = 0.9999
+	// bucket is the success-ratio bucket width, matching the experiment
+	// trackers so cross-checks are bit-identical.
+	bucket = 30 * time.Second
+	// worstShards bounds the per-app worst-shard list in snapshots.
+	worstShards = 5
+)
 
 // counts is an ok/total pair.
 type counts struct {
@@ -92,7 +94,6 @@ type regionHealth struct {
 // Monitor aggregates health signals. Create with New, attach with the
 // Watch* methods, then Snapshot at any simulated time.
 type Monitor struct {
-	opts  Options
 	clk   sim.Clock
 	reg   *metrics.Registry
 	start time.Duration
@@ -106,21 +107,11 @@ type Monitor struct {
 // New returns a Monitor. Call Bind before the simulation starts so
 // observations are timestamped on the right clock.
 func New(opts Options) *Monitor {
-	if opts.SLOTarget <= 0 || opts.SLOTarget >= 1 {
-		opts.SLOTarget = 0.9999
-	}
-	if opts.Bucket <= 0 {
-		opts.Bucket = 30 * time.Second
-	}
-	if opts.WorstShards <= 0 {
-		opts.WorstShards = 5
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	return &Monitor{
-		opts:    opts,
 		reg:     reg,
 		apps:    make(map[shard.AppID]*appHealth),
 		regions: make(map[topology.RegionID]*regionHealth),
@@ -138,9 +129,6 @@ func (m *Monitor) Bind(clk sim.Clock) {
 // Registry returns the monitor's labeled-metrics registry (never nil).
 func (m *Monitor) Registry() *metrics.Registry { return m.reg }
 
-// SLOTarget returns the configured availability objective.
-func (m *Monitor) SLOTarget() float64 { return m.opts.SLOTarget }
-
 func (m *Monitor) now() time.Duration {
 	if m.clk == nil {
 		return 0
@@ -152,7 +140,7 @@ func (m *Monitor) app(id shard.AppID) *appHealth {
 	a, ok := m.apps[id]
 	if !ok {
 		a = &appHealth{
-			ratio:     metrics.NewSuccessRatio(m.opts.Bucket),
+			ratio:     metrics.NewSuccessRatio(bucket),
 			perShard:  make(map[shard.ID]*counts),
 			perDomain: make(map[string]map[string]*counts),
 			active:    make(map[shard.ID]migrationInfo),
@@ -192,10 +180,6 @@ func (m *Monitor) WatchClient(c *routing.Client) {
 	app := c.App
 	c.OnResult(func(res routing.Result) { m.observe(app, res) })
 }
-
-// Observe records one request outcome directly (exported for tests and
-// hand-wired setups; WatchClient is the normal path).
-func (m *Monitor) Observe(app shard.AppID, res routing.Result) { m.observe(app, res) }
 
 func (m *Monitor) observe(app shard.AppID, res routing.Result) {
 	a := m.app(app)
@@ -410,7 +394,7 @@ type Status struct {
 // snapshot of the same state always renders identically.
 func (m *Monitor) Snapshot() *Status {
 	now := m.now()
-	st := &Status{At: now, SLOTarget: m.opts.SLOTarget}
+	st := &Status{At: now, SLOTarget: sloTarget}
 
 	appIDs := make([]string, 0, len(m.apps))
 	for id := range m.apps {
@@ -439,7 +423,6 @@ func (m *Monitor) Snapshot() *Status {
 
 func (m *Monitor) appStatus(id shard.AppID, now time.Duration) AppStatus {
 	a := m.apps[id]
-	slo := m.opts.SLOTarget
 	out := AppStatus{
 		App:              id,
 		OK:               a.totals.ok,
@@ -456,10 +439,10 @@ func (m *Monitor) appStatus(id shard.AppID, now time.Duration) AppStatus {
 		StaleDeliveries:  a.lost,
 		MaxPropagation:   a.maxLag,
 	}
-	out.Burn5m = (1 - out.Window5m) / (1 - slo)
-	out.Burn1h = (1 - out.Window1h) / (1 - slo)
+	out.Burn5m = (1 - out.Window5m) / (1 - sloTarget)
+	out.Burn1h = (1 - out.Window1h) / (1 - sloTarget)
 	out.BudgetRemaining = 1.0
-	if allowed := (1 - slo) * float64(a.totals.total); allowed > 0 {
+	if allowed := (1 - sloTarget) * float64(a.totals.total); allowed > 0 {
 		out.BudgetRemaining = 1 - float64(a.totals.total-a.totals.ok)/allowed
 	}
 
@@ -479,8 +462,8 @@ func (m *Monitor) appStatus(id shard.AppID, now time.Duration) AppStatus {
 		}
 		return shards[i].Shard < shards[j].Shard
 	})
-	if len(shards) > m.opts.WorstShards {
-		shards = shards[:m.opts.WorstShards]
+	if len(shards) > worstShards {
+		shards = shards[:worstShards]
 	}
 	out.WorstShards = shards
 
@@ -509,10 +492,10 @@ func (m *Monitor) appStatus(id shard.AppID, now time.Duration) AppStatus {
 	// buckets merged.
 	curve := a.ratio.Curve()
 	for _, p := range curve {
-		if p.V >= slo {
+		if p.V >= sloTarget {
 			continue
 		}
-		from, to := p.T, p.T+m.opts.Bucket
+		from, to := p.T, p.T+bucket
 		if n := len(out.Violations); n > 0 && out.Violations[n-1].To == from {
 			out.Violations[n-1].To = to
 		} else {

@@ -24,11 +24,11 @@ func TestMonitorAvailabilityAndWindows(t *testing.T) {
 	// Minute 0-9: all ok. Minute 10: a burst of failures.
 	for i := 0; i < 100; i++ {
 		clk.t = time.Duration(i) * 6 * time.Second
-		m.Observe(app, routing.Result{OK: true, Shard: "s0", Server: "srv/0"})
+		m.observe(app, routing.Result{OK: true, Shard: "s0", Server: "srv/0"})
 	}
 	clk.t = 10 * time.Minute
 	for i := 0; i < 10; i++ {
-		m.Observe(app, routing.Result{OK: false, Err: "no-replica", Shard: "s1"})
+		m.observe(app, routing.Result{OK: false, Err: "no-replica", Shard: "s1"})
 	}
 
 	st := m.Snapshot()
@@ -47,7 +47,7 @@ func TestMonitorAvailabilityAndWindows(t *testing.T) {
 	if want := 50.0 / 60.0; a.Window5m != want {
 		t.Fatalf("Window5m = %v, want %v", a.Window5m, want)
 	}
-	if want := (1 - a.Window5m) / (1 - m.SLOTarget()); a.Burn5m != want {
+	if want := (1 - a.Window5m) / (1 - sloTarget); a.Burn5m != want {
 		t.Fatalf("Burn5m = %v, want %v", a.Burn5m, want)
 	}
 	// Violations must cover the failure bucket.
@@ -70,13 +70,13 @@ func TestMonitorAvailabilityAndWindows(t *testing.T) {
 
 func TestMonitorViolationMerging(t *testing.T) {
 	clk := &fakeClock{}
-	m := New(Options{Bucket: 30 * time.Second})
+	m := New(Options{})
 	m.Bind(clk)
 	app := shard.AppID("a")
 	// Failures in buckets 0 and 1 (adjacent — one interval), and bucket 4.
 	for _, at := range []time.Duration{10 * time.Second, 40 * time.Second, 130 * time.Second} {
 		clk.t = at
-		m.Observe(app, routing.Result{OK: false, Shard: "s"})
+		m.observe(app, routing.Result{OK: false, Shard: "s"})
 	}
 	v := m.Snapshot().Apps[0].Violations
 	if len(v) != 2 {
@@ -94,8 +94,8 @@ func TestMonitorRegistryGauge(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := New(Options{Registry: reg})
 	m.Bind(&fakeClock{})
-	m.Observe("kv", routing.Result{OK: true, Shard: "s"})
-	m.Observe("kv", routing.Result{OK: false, Shard: "s"})
+	m.observe("kv", routing.Result{OK: true, Shard: "s"})
+	m.observe("kv", routing.Result{OK: false, Shard: "s"})
 	if got := reg.Gauge("health_availability", "app", "kv").Value(); got != 0.5 {
 		t.Fatalf("health_availability = %v, want 0.5", got)
 	}
@@ -108,8 +108,8 @@ func TestRenderDashboard(t *testing.T) {
 	clk := &fakeClock{t: 90 * time.Second}
 	m := New(Options{})
 	m.Bind(clk)
-	m.Observe("kv", routing.Result{OK: true, Shard: "s0", Server: "srv/0"})
-	m.Observe("kv", routing.Result{OK: false, Err: "not-owner", Shard: "s1"})
+	m.observe("kv", routing.Result{OK: true, Shard: "s0", Server: "srv/0"})
+	m.observe("kv", routing.Result{OK: false, Err: "not-owner", Shard: "s1"})
 	st := m.Snapshot()
 	out := st.Render()
 	for _, want := range []string{"app kv", "availability", "worst shards", "slo violations", "error budget"} {

@@ -240,12 +240,10 @@ type Orchestrator struct {
 	hooks           []Hooks
 
 	// Stats.
-	ShardMoves      metrics.Counter
-	EmergencyRuns   metrics.Counter
-	PeriodicRuns    metrics.Counter
-	FailedRPCs      metrics.Counter
-	MovesSeries     *metrics.Series // shard moves applied, per allocation
-	ViolationSeries *metrics.Series
+	ShardMoves    metrics.Counter
+	EmergencyRuns metrics.Counter
+	PeriodicRuns  metrics.Counter
+	FailedRPCs    metrics.Counter
 }
 
 type migration struct {
@@ -270,21 +268,19 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		cfg.HomeRegion = fleet.Regions()[0]
 	}
 	o := &Orchestrator{
-		cfg:             cfg,
-		loop:            loop,
-		store:           store,
-		disc:            disc,
-		net:             net,
-		dir:             dir,
-		fleet:           fleet,
-		alloc:           allocator.New(cfg.Policy, seed),
-		paths:           appserver.DefaultPaths(cfg.App),
-		delta:           shard.NewDelta(cfg.App),
-		servers:         make(map[shard.ServerID]*serverState),
-		shards:          make(map[shard.ID]*shardState),
-		draining:        make(map[shard.ServerID]*drainRequest),
-		MovesSeries:     metrics.NewSeries("shard_moves"),
-		ViolationSeries: metrics.NewSeries("violations"),
+		cfg:      cfg,
+		loop:     loop,
+		store:    store,
+		disc:     disc,
+		net:      net,
+		dir:      dir,
+		fleet:    fleet,
+		alloc:    allocator.New(cfg.Policy, seed),
+		paths:    appserver.DefaultPaths(cfg.App),
+		delta:    shard.NewDelta(cfg.App),
+		servers:  make(map[shard.ServerID]*serverState),
+		shards:   make(map[shard.ID]*shardState),
+		draining: make(map[shard.ServerID]*drainRequest),
 	}
 	for _, sc := range cfg.Shards {
 		if sc.Replicas <= 0 {
@@ -599,7 +595,6 @@ func (o *Orchestrator) allocate(mode allocator.Mode) {
 	} else {
 		o.PeriodicRuns.Inc()
 	}
-	o.ViolationSeries.Record(o.loop.Now(), float64(res.Final.Total()))
 	if mr := o.loop.Metrics(); mr != nil {
 		app := string(o.cfg.App)
 		mr.Counter("orchestrator_allocations_total", "app", app, "mode", mode.String()).Inc()
@@ -725,7 +720,6 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 	if changed {
 		o.publish()
 	}
-	o.MovesSeries.Record(o.loop.Now(), float64(len(res.Moves)))
 	o.pumpMigrations()
 }
 

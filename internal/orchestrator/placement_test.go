@@ -225,7 +225,7 @@ func TestStopReleasesQueuedMigrations(t *testing.T) {
 	cfg.MaxConcurrentMigrations = 1
 	cfg.ShardLoadTime = 2 * time.Second
 	w := buildWorld(t, []topology.RegionID{"r1"}, 3, cfg)
-	tr := trace.New(trace.Options{})
+	tr := trace.New()
 	w.loop.SetTracer(tr)
 	w.loop.RunFor(3 * time.Minute)
 	assertConverged(t, w, 1)

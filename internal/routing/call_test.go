@@ -54,7 +54,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 	}{
 		{
 			name:     "success",
-			servers:  func(e *env) { e.addServer("p", "near").AddShard("s1", shard.RolePrimary, 0) },
+			servers:  func(e *env) { e.addServer("p", "near").AddShard("s1", shard.RolePrimary, 1) },
 			replicas: primary("p"),
 			want:     []Result{ok("p", 2*time.Millisecond)},
 			messages: 1,
@@ -62,13 +62,13 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		{
 			name: "not-owner, refresh, retry, success",
 			servers: func(e *env) {
-				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 0)
+				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 1)
 				e.addServer("new", "near")
 			},
 			replicas: primary("old"),
 			after: func(e *env) {
 				e.dir.Lookup("old").DropShard("s1")
-				e.dir.Lookup("new").AddShard("s1", shard.RolePrimary, 0)
+				e.dir.Lookup("new").AddShard("s1", shard.RolePrimary, 1)
 				e.publish(2, map[shard.ID][]shard.Assignment{"s1": primary("new")})
 			},
 			want:     []Result{{OK: true, Payload: "v:abc", Latency: 208769456, Attempts: 2, Server: "new", Shard: "s1", Write: true, MapVersion: 2}},
@@ -76,7 +76,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		},
 		{
 			name:     "server killed after the map arrived, default attempts",
-			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 0) },
+			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 1) },
 			replicas: primary("srv"),
 			after:    func(e *env) { e.killServer("srv") },
 			want:     []Result{failed("no-replica", "", 4, 3566166290)},
@@ -84,7 +84,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		},
 		{
 			name:     "server killed after the map arrived",
-			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 0) },
+			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 1) },
 			replicas: primary("srv"),
 			after:    func(e *env) { e.killServer("srv") },
 			attempts: 3,
@@ -93,7 +93,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		},
 		{
 			name:     "reply leg lost on a faulted link",
-			servers:  func(e *env) { e.addServer("srv", "far").AddShard("s1", shard.RolePrimary, 0) },
+			servers:  func(e *env) { e.addServer("srv", "far").AddShard("s1", shard.RolePrimary, 1) },
 			replicas: primary("srv"),
 			after:    func(e *env) { e.net.SetLinkFault("far", "near", rpcnet.LinkFault{DropProb: 1}) },
 			attempts: 3,
@@ -103,8 +103,8 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		{
 			name: "forwarding hop",
 			servers: func(e *env) {
-				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 0)
-				e.addServer("new", "far").PrepareAddShard("s1", "old", shard.RolePrimary, 0)
+				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 1)
+				e.addServer("new", "far").PrepareAddShard("s1", "old", shard.RolePrimary, 1)
 				e.dir.Lookup("old").PrepareDropShard("s1", "new", shard.RolePrimary)
 			},
 			replicas: primary("old"),
@@ -114,7 +114,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		{
 			name: "forwarded, then rejected by the deeper server",
 			servers: func(e *env) {
-				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 0)
+				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 1)
 				e.addServer("new", "far")
 				e.dir.Lookup("old").PrepareDropShard("s1", "new", shard.RolePrimary)
 			},
@@ -125,7 +125,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		},
 		{
 			name:     "server gone from the directory",
-			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 0) },
+			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 1) },
 			replicas: primary("srv"),
 			after:    func(e *env) { e.dir.Remove("srv") },
 			attempts: 3,
@@ -136,7 +136,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 			name: "gray failure: serve delay",
 			servers: func(e *env) {
 				srv := e.addServer("srv", "near")
-				srv.AddShard("s1", shard.RolePrimary, 0)
+				srv.AddShard("s1", shard.RolePrimary, 1)
 				srv.SetServeDelay(300 * time.Millisecond)
 			},
 			replicas: primary("srv"),
@@ -146,8 +146,8 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		{
 			name: "read fails over to the far replica",
 			servers: func(e *env) {
-				e.addServer("near-srv", "near").AddShard("s1", shard.RoleSecondary, 0)
-				e.addServer("far-srv", "far").AddShard("s1", shard.RoleSecondary, 0)
+				e.addServer("near-srv", "near").AddShard("s1", shard.RoleSecondary, 1)
+				e.addServer("far-srv", "far").AddShard("s1", shard.RoleSecondary, 1)
 			},
 			replicas: []shard.Assignment{
 				{Server: "near-srv", Role: shard.RoleSecondary}, {Server: "far-srv", Role: shard.RoleSecondary}},
@@ -158,7 +158,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		},
 		{
 			name:     "done issues the next request synchronously",
-			servers:  func(e *env) { e.addServer("p", "near").AddShard("s1", shard.RolePrimary, 0) },
+			servers:  func(e *env) { e.addServer("p", "near").AddShard("s1", shard.RolePrimary, 1) },
 			replicas: primary("p"),
 			follow:   2,
 			want:     []Result{ok("p", 2*time.Millisecond), ok("p", 2*time.Millisecond), ok("p", 2*time.Millisecond)},
@@ -169,12 +169,12 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		// commit before the handles.
 		{
 			name:     "server restarted under the same ID, in another region, between two requests",
-			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 0) },
+			servers:  func(e *env) { e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 1) },
 			replicas: primary("srv"),
 			follow:   1,
 			between: func(e *env) {
 				e.killServer("srv")
-				e.addServerApp("srv", "far", tagApp{tag: "restarted:"}).AddShard("s1", shard.RolePrimary, 0)
+				e.addServerApp("srv", "far", tagApp{tag: "restarted:"}).AddShard("s1", shard.RolePrimary, 1)
 			},
 			want: []Result{ok("srv", 2*time.Millisecond),
 				{OK: true, Payload: "restarted:abc", Latency: 120 * time.Millisecond, Attempts: 1, Server: "srv", Shard: "s1", Write: true, MapVersion: 1}},
@@ -182,13 +182,13 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		},
 		{
 			name:    "endpoint first seen unregistered, then registered",
-			servers: func(e *env) { e.addServer("far-srv", "far").AddShard("s1", shard.RoleSecondary, 0) },
+			servers: func(e *env) { e.addServer("far-srv", "far").AddShard("s1", shard.RoleSecondary, 1) },
 			replicas: []shard.Assignment{
 				{Server: "ghost", Role: shard.RoleSecondary}, {Server: "far-srv", Role: shard.RoleSecondary}},
 			read:   true,
 			follow: 1,
 			between: func(e *env) {
-				e.addServer("ghost", "near").AddShard("s1", shard.RoleSecondary, 0)
+				e.addServer("ghost", "near").AddShard("s1", shard.RoleSecondary, 1)
 			},
 			// Unregistered, "ghost" is a default WAN hop away (40ms, closer
 			// than far-srv's 60ms): picked, unreachable, retried on far-srv.
@@ -200,7 +200,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		},
 		{
 			name:     "client created before the first publish",
-			servers:  func(e *env) { e.addServer("p", "near").AddShard("s1", shard.RolePrimary, 0) },
+			servers:  func(e *env) { e.addServer("p", "near").AddShard("s1", shard.RolePrimary, 1) },
 			replicas: primary("p"),
 			early:    true,
 			want:     []Result{ok("p", 2*time.Millisecond)},
@@ -209,8 +209,8 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 		{
 			name: "request record reused after a forward",
 			servers: func(e *env) {
-				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 0)
-				e.addServer("new", "far").PrepareAddShard("s1", "old", shard.RolePrimary, 0)
+				e.addServer("old", "near").AddShard("s1", shard.RolePrimary, 1)
+				e.addServer("new", "far").PrepareAddShard("s1", "old", shard.RolePrimary, 1)
 				e.dir.Lookup("old").PrepareDropShard("s1", "new", shard.RolePrimary)
 			},
 			replicas: primary("old"),
@@ -219,7 +219,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 			// the first one's record, is served where it lands.
 			between: func(e *env) {
 				e.dir.Lookup("old").DropShard("s1")
-				e.dir.Lookup("new").AddShard("s1", shard.RolePrimary, 0)
+				e.dir.Lookup("new").AddShard("s1", shard.RolePrimary, 1)
 				e.publish(2, map[shard.ID][]shard.Assignment{"s1": primary("new")})
 				e.loop.RunFor(time.Second)
 			},
@@ -453,12 +453,12 @@ func TestRequestPathAllocationFree(t *testing.T) {
 	}{{"a", "near"}, {"b", "near"}, {"c", "far"}, {"stale", "near"}} {
 		e.addServerApp(s.id, s.region, quietApp{})
 	}
-	e.dir.Lookup("a").AddShard("s1", shard.RolePrimary, 0)
-	e.dir.Lookup("b").AddShard("s1", shard.RoleSecondary, 0)
-	e.dir.Lookup("c").AddShard("s1", shard.RoleSecondary, 0)
+	e.dir.Lookup("a").AddShard("s1", shard.RolePrimary, 1)
+	e.dir.Lookup("b").AddShard("s1", shard.RoleSecondary, 1)
+	e.dir.Lookup("c").AddShard("s1", shard.RoleSecondary, 1)
 	// s2's map lists "stale", the closest replica, which never got the shard:
 	// every read of s2 is rejected once ("not-owner") and retried on "c".
-	e.dir.Lookup("c").AddShard("s2", shard.RoleSecondary, 0)
+	e.dir.Lookup("c").AddShard("s2", shard.RoleSecondary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "a", Role: shard.RolePrimary}, {Server: "b", Role: shard.RoleSecondary}, {Server: "c", Role: shard.RoleSecondary}},
 		"s2": {{Server: "stale", Role: shard.RoleSecondary}, {Server: "c", Role: shard.RoleSecondary}},

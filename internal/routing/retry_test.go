@@ -17,8 +17,8 @@ func TestForwardedRequestCountsHops(t *testing.T) {
 	e := newEnv(t)
 	old := e.addServer("old", "near")
 	newer := e.addServer("new", "far")
-	old.AddShard("s1", shard.RolePrimary, 0)
-	newer.PrepareAddShard("s1", "old", shard.RolePrimary, 0)
+	old.AddShard("s1", shard.RolePrimary, 1)
+	newer.PrepareAddShard("s1", "old", shard.RolePrimary, 1)
 	old.PrepareDropShard("s1", "new", shard.RolePrimary)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "old", Role: shard.RolePrimary}},
@@ -58,7 +58,7 @@ func TestDefaultsAppliedForZeroOptions(t *testing.T) {
 func TestRetrySucceedsWhenServerRecovers(t *testing.T) {
 	e := newEnv(t)
 	srv := e.addServer("srv", "near")
-	srv.AddShard("s1", shard.RolePrimary, 0)
+	srv.AddShard("s1", shard.RolePrimary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "srv", Role: shard.RolePrimary}},
 	})
@@ -86,8 +86,8 @@ func TestReadSpreadsAcrossEquidistantReplicas(t *testing.T) {
 	e := newEnv(t)
 	a := e.addServer("a", "near")
 	b := e.addServer("b", "near")
-	a.AddShard("s1", shard.RoleSecondary, 0)
-	b.AddShard("s1", shard.RoleSecondary, 0)
+	a.AddShard("s1", shard.RoleSecondary, 1)
+	b.AddShard("s1", shard.RoleSecondary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "a", Role: shard.RoleSecondary}, {Server: "b", Role: shard.RoleSecondary}},
 	})
@@ -106,7 +106,7 @@ func TestReadSpreadsAcrossEquidistantReplicas(t *testing.T) {
 func TestServerGoneFromDirectoryFails(t *testing.T) {
 	e := newEnv(t)
 	srv := e.addServer("srv", "near")
-	srv.AddShard("s1", shard.RolePrimary, 0)
+	srv.AddShard("s1", shard.RolePrimary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "srv", Role: shard.RolePrimary}},
 	})
@@ -133,10 +133,10 @@ func TestServerGoneFromDirectoryFails(t *testing.T) {
 // records) is as cold as it is in a deployment.
 func BenchmarkClientRequestRoundTrip(b *testing.B) {
 	e := newEnv(b)
-	e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 0)
-	e.dir.Lookup("srv").AddShard("s2", shard.RolePrimary, 0)
-	e.addServer("sec1", "near").AddShard("s1", shard.RoleSecondary, 0)
-	e.addServer("sec2", "near").AddShard("s1", shard.RoleSecondary, 0)
+	e.addServer("srv", "near").AddShard("s1", shard.RolePrimary, 1)
+	e.dir.Lookup("srv").AddShard("s2", shard.RolePrimary, 1)
+	e.addServer("sec1", "near").AddShard("s1", shard.RoleSecondary, 1)
+	e.addServer("sec2", "near").AddShard("s1", shard.RoleSecondary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "srv", Role: shard.RolePrimary}, {Server: "sec1", Role: shard.RoleSecondary}, {Server: "sec2", Role: shard.RoleSecondary}},
 		"s2": {{Server: "srv", Role: shard.RolePrimary}},
@@ -201,7 +201,7 @@ func newSteadyWorld(t testing.TB) (*env, []string) {
 			if r == i%len(regions) {
 				role = shard.RolePrimary
 			}
-			srv.AddShard(ids[i], role, 0)
+			srv.AddShard(ids[i], role, 1)
 			entries[ids[i]] = append(entries[ids[i]], shard.Assignment{Server: srv.ID, Role: role})
 		}
 	}

@@ -75,7 +75,7 @@ func (e *env) killServer(id shard.ServerID) {
 
 func (e *env) publish(version int64, entries map[shard.ID][]shard.Assignment) {
 	m := shard.NewMap("app")
-	m.Version = version
+	m.Version, m.Gen = version, version
 	m.Entries = entries
 	e.disc.Publish(m.Diff(nil, nil))
 }
@@ -100,8 +100,8 @@ func TestRouteWriteToPrimary(t *testing.T) {
 	e := newEnv(t)
 	p := e.addServer("p", "near")
 	sec := e.addServer("sec", "near")
-	p.AddShard("s1", shard.RolePrimary, 0)
-	sec.AddShard("s1", shard.RoleSecondary, 0)
+	p.AddShard("s1", shard.RolePrimary, 1)
+	sec.AddShard("s1", shard.RoleSecondary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "sec", Role: shard.RoleSecondary}, {Server: "p", Role: shard.RolePrimary}},
 	})
@@ -120,8 +120,8 @@ func TestRouteReadPrefersLocalReplica(t *testing.T) {
 	e := newEnv(t)
 	nearSrv := e.addServer("near-srv", "near")
 	farSrv := e.addServer("far-srv", "far")
-	nearSrv.AddShard("s1", shard.RoleSecondary, 0)
-	farSrv.AddShard("s1", shard.RoleSecondary, 0)
+	nearSrv.AddShard("s1", shard.RoleSecondary, 1)
+	farSrv.AddShard("s1", shard.RoleSecondary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "far-srv", Role: shard.RoleSecondary}, {Server: "near-srv", Role: shard.RoleSecondary}},
 	})
@@ -142,8 +142,8 @@ func TestReadFailsOverToRemoteReplica(t *testing.T) {
 	e := newEnv(t)
 	nearSrv := e.addServer("near-srv", "near")
 	farSrv := e.addServer("far-srv", "far")
-	nearSrv.AddShard("s1", shard.RoleSecondary, 0)
-	farSrv.AddShard("s1", shard.RoleSecondary, 0)
+	nearSrv.AddShard("s1", shard.RoleSecondary, 1)
+	farSrv.AddShard("s1", shard.RoleSecondary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "near-srv", Role: shard.RoleSecondary}, {Server: "far-srv", Role: shard.RoleSecondary}},
 	})
@@ -178,7 +178,7 @@ func TestStaleMapRetriesAndRecovers(t *testing.T) {
 	e := newEnv(t)
 	old := e.addServer("old", "near")
 	newer := e.addServer("new", "near")
-	old.AddShard("s1", shard.RolePrimary, 0)
+	old.AddShard("s1", shard.RolePrimary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "old", Role: shard.RolePrimary}},
 	})
@@ -187,7 +187,7 @@ func TestStaleMapRetriesAndRecovers(t *testing.T) {
 	// Non-graceful move: old drops, new adds, map updated. The client
 	// still has v1 when it first sends; retry after map refresh works.
 	old.DropShard("s1")
-	newer.AddShard("s1", shard.RolePrimary, 0)
+	newer.AddShard("s1", shard.RolePrimary, 1)
 	e.publish(2, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "new", Role: shard.RolePrimary}},
 	})
@@ -203,7 +203,7 @@ func TestStaleMapRetriesAndRecovers(t *testing.T) {
 func TestWriteToSecondaryOnlyMapFails(t *testing.T) {
 	e := newEnv(t)
 	srv := e.addServer("srv", "near")
-	srv.AddShard("s1", shard.RoleSecondary, 0)
+	srv.AddShard("s1", shard.RoleSecondary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "srv", Role: shard.RoleSecondary}},
 	})
@@ -232,8 +232,8 @@ func TestKeyRoutesToCorrectShard(t *testing.T) {
 	e := newEnv(t)
 	a := e.addServer("a", "near")
 	b := e.addServer("b", "near")
-	a.AddShard("s1", shard.RolePrimary, 0)
-	b.AddShard("s2", shard.RolePrimary, 0)
+	a.AddShard("s1", shard.RolePrimary, 1)
+	b.AddShard("s2", shard.RolePrimary, 1)
 	e.publish(1, map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "a", Role: shard.RolePrimary}},
 		"s2": {{Server: "b", Role: shard.RolePrimary}},

@@ -12,7 +12,7 @@ import (
 // than in internal/trace because sim imports trace.
 func TestTracerOnLoop(t *testing.T) {
 	l := NewLoop(1)
-	tr := trace.New(trace.Options{})
+	tr := trace.New()
 	l.SetTracer(tr)
 	if l.Tracer() != tr {
 		t.Fatal("Tracer() did not return the attached tracer")

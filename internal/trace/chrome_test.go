@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // values needing JSON escaping.
 func buildFixedTrace() *Tracer {
 	clk := newTestClock(0)
-	tr := New(Options{})
+	tr := New()
 	tr.SetClock(clk)
 
 	root := tr.StartSpan("orchestrator", "migration", 0,

@@ -116,30 +116,12 @@ type Sample struct {
 	seq uint64
 }
 
-// Options bound the tracer's memory.
-type Options struct {
-	// MaxSpans caps retained spans; the oldest are dropped first
-	// (default 131072).
-	MaxSpans int
-	// MaxEventsPerComponent caps each component's event ring
-	// (default 32768).
-	MaxEventsPerComponent int
-	// MaxSamplesPerComponent caps each component's counter ring
-	// (default 32768).
-	MaxSamplesPerComponent int
-}
-
-func (o *Options) fillDefaults() {
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = 1 << 17
-	}
-	if o.MaxEventsPerComponent <= 0 {
-		o.MaxEventsPerComponent = 1 << 15
-	}
-	if o.MaxSamplesPerComponent <= 0 {
-		o.MaxSamplesPerComponent = 1 << 15
-	}
-}
+// The tracer's memory bounds: each ring drops its oldest records first.
+const (
+	maxSpans   = 1 << 17 // retained spans
+	maxEvents  = 1 << 15 // retained events per component
+	maxSamples = 1 << 15 // retained counter samples per component
+)
 
 // ring is a bounded FIFO: pushing past capacity drops the oldest element.
 type ring[T any] struct {
@@ -194,7 +176,9 @@ type componentEvents struct {
 type Tracer struct {
 	mu    sync.Mutex
 	clock Clock
-	opts  Options
+	// eventCap and sampleCap size each component's rings: maxEvents and
+	// maxSamples.
+	eventCap, sampleCap int
 
 	seq      uint64
 	nextSpan SpanID
@@ -216,13 +200,13 @@ type Tracer struct {
 // New returns an enabled tracer. Bind a time source with SetClock (sim.Loop
 // does this automatically in SetTracer); until then records are stamped at
 // t=0.
-func New(opts Options) *Tracer {
-	opts.fillDefaults()
+func New() *Tracer {
 	return &Tracer{
-		opts:    opts,
-		spans:   newRing[*Span](opts.MaxSpans),
-		open:    make(map[SpanID]*Span),
-		perComp: make(map[string]*componentEvents),
+		eventCap:  maxEvents,
+		sampleCap: maxSamples,
+		spans:     newRing[*Span](maxSpans),
+		open:      make(map[SpanID]*Span),
+		perComp:   make(map[string]*componentEvents),
 	}
 }
 
@@ -252,8 +236,8 @@ func (t *Tracer) component(name string) *componentEvents {
 	ce, ok := t.perComp[name]
 	if !ok {
 		ce = &componentEvents{
-			events:  newRing[Event](t.opts.MaxEventsPerComponent),
-			samples: newRing[Sample](t.opts.MaxSamplesPerComponent),
+			events:  newRing[Event](t.eventCap),
+			samples: newRing[Sample](t.sampleCap),
 		}
 		t.perComp[name] = ce
 		t.comps = append(t.comps, name)

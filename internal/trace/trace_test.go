@@ -52,7 +52,7 @@ func TestNilTracerIsSafeAndDisabled(t *testing.T) {
 
 func TestSpanLifecycle(t *testing.T) {
 	clk := newTestClock(0)
-	tr := New(Options{})
+	tr := New()
 	tr.SetClock(clk)
 
 	root := tr.StartSpan("orch", "migration", 0, String("shard", "s1"))
@@ -90,7 +90,7 @@ func TestSpanLifecycle(t *testing.T) {
 }
 
 func TestEndSpanEdgeCases(t *testing.T) {
-	tr := New(Options{})
+	tr := New()
 	tr.EndSpan(0)    // zero span: no-op
 	tr.EndSpan(9999) // unknown span: no-op
 	sp := tr.StartSpan("c", "n", 0)
@@ -106,7 +106,9 @@ func TestEndSpanEdgeCases(t *testing.T) {
 }
 
 func TestRingDropsOldestAndCounts(t *testing.T) {
-	tr := New(Options{MaxSpans: 4, MaxEventsPerComponent: 3, MaxSamplesPerComponent: 2})
+	tr := New()
+	tr.spans = newRing[*Span](4)
+	tr.eventCap, tr.sampleCap = 3, 2
 	for i := 0; i < 6; i++ {
 		id := tr.StartSpan("c", "s", 0, Int("i", i))
 		tr.EndSpan(id)
@@ -157,7 +159,7 @@ func TestAttrConstructors(t *testing.T) {
 
 func TestWriteTextTimeline(t *testing.T) {
 	clk := newTestClock(0)
-	tr := New(Options{})
+	tr := New()
 	tr.SetClock(clk)
 	root := tr.StartSpan("orch", "migration", 0, String("shard", "s1"))
 	clk.Advance(time.Second)
