@@ -104,6 +104,34 @@ func TestOneEntryPointPerMechanism(t *testing.T) {
 	}
 }
 
+// TestEventsHaveOneLifecycle pins the kernel's event lifecycle: scheduled,
+// then fired. No scheduling method hands back a handle that could unschedule
+// its event (a ticker's Stop only ends its ticks), and a profiler sees the two
+// steps and nothing else.
+func TestEventsHaveOneLifecycle(t *testing.T) {
+	loop := reflect.TypeOf((*sim.Loop)(nil))
+	for _, name := range []string{"AfterL", "AtL", "PostArgL"} {
+		m, ok := loop.MethodByName(name)
+		if !ok {
+			t.Errorf("*sim.Loop has no method %s", name)
+		} else if n := m.Type.NumOut(); n != 0 {
+			t.Errorf("(*sim.Loop).%s returns %d values, want none", name, n)
+		}
+	}
+	every, ok := loop.MethodByName("EveryL")
+	if !ok || every.Type.NumOut() != 1 || every.Type.Out(0) != reflect.TypeOf((*sim.Ticker)(nil)) {
+		t.Errorf("(*sim.Loop).EveryL = %v (present %v), want it to return only *sim.Ticker", every.Type, ok)
+	}
+	var hooks []string
+	prof := reflect.TypeOf((*sim.Profiler)(nil)).Elem()
+	for i := 0; i < prof.NumMethod(); i++ {
+		hooks = append(hooks, prof.Method(i).Name)
+	}
+	if want := []string{"Dispatch", "OnSchedule"}; !reflect.DeepEqual(hooks, want) {
+		t.Errorf("sim.Profiler methods = %v, want exactly %v", hooks, want)
+	}
+}
+
 // TestNoSyntheticBenchKnobs pins what went with the three synthetic benches:
 // the knobs only they set and the experiments that were their drivers. `go
 // run ./bench` on real deployments is the one yardstick; a layer is driven on

@@ -420,10 +420,9 @@ func (s *Service) Publish(d *shard.Delta) {
 			}
 		}
 	}
-	// The kernel's lazy-cancel rule: sweep once the revisions added since the
-	// last sweep outnumber the live entries, so reclamation (one pass over
-	// subscribers and shards) is paid for by the publishes that made the
-	// garbage, not by every publish.
+	// Sweep once the revisions added since the last sweep outnumber the live
+	// entries: reclamation (one pass over subscribers and shards) is then paid
+	// for by the publishes that made the garbage, not by every publish.
 	if st.stored-st.live-st.kept > st.live {
 		st.sweep()
 	}

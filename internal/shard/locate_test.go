@@ -7,11 +7,8 @@ import (
 )
 
 // locateReference is Locate as it was computed before start keys were
-// packed: sort.Search over the start strings, FNV bucketing in hash mode.
+// packed: sort.Search over the start strings.
 func locateReference(k *Keyspace, key string) int {
-	if k.starts == nil {
-		return int(fnv1a(key) % uint64(len(k.shards)))
-	}
 	return sort.Search(len(k.starts), func(i int) bool { return k.starts[i] > key }) - 1
 }
 
@@ -90,7 +87,7 @@ func TestLocateMatchesSortSearchAdversarial(t *testing.T) {
 
 // TestLocateMatchesSortSearchRandom: random keyspaces over a three-letter
 // alphabet (so that long common prefixes and exact hits are the rule) and
-// over raw bytes, range and hash mode.
+// over raw bytes.
 func TestLocateMatchesSortSearchRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	word := func(alphabet string, maxLen int) string {
@@ -118,9 +115,5 @@ func TestLocateMatchesSortSearchRandom(t *testing.T) {
 				checkLocate(t, ks, s)
 			}
 		}
-	}
-	hash := UniformKeyspace("h", 37)
-	for probe := 0; probe < 2000; probe++ {
-		checkLocate(t, hash, word(string(raw), 20))
 	}
 }

@@ -232,29 +232,11 @@ func packPrefix(s string) uint64 {
 	return p
 }
 
-// UniformKeyspace builds n equal hash-style shards named "<prefix>NNNN".
-// Keys are mapped by FNV-1a hash bucketing, which emulates the common
-// pattern of apps hashing keys into uniformly named shards while remaining
-// an app-owned (not framework-owned) decision.
-func UniformKeyspace(prefix string, n int) *Keyspace {
-	if n <= 0 {
-		panic(fmt.Sprintf("shard: UniformKeyspace(%d)", n))
-	}
-	shards := make([]ID, n)
-	for i := range shards {
-		shards[i] = ID(fmt.Sprintf("%s%04d", prefix, i))
-	}
-	return &Keyspace{shards: shards} // nil starts => hash mode
-}
-
 // Locate returns the position, in Shards order, of the shard owning key. A
 // position is a stable handle: a keyspace never changes, so whoever needs
 // something per shard can keep it in a slice indexed by position and never
 // look the shard's name up again.
 func (k *Keyspace) Locate(key string) int {
-	if k.starts == nil {
-		return int(fnv1a(key) % uint64(len(k.shards)))
-	}
 	// Binary search for the last start <= key.
 	p := packPrefix(key)
 	lo, hi := 0, len(k.starts)
@@ -281,19 +263,6 @@ func (k *Keyspace) Shards() []ID {
 
 // Len returns the number of shards.
 func (k *Keyspace) Len() int { return len(k.shards) }
-
-func fnv1a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
 
 // FormatAssignments renders assignments compactly for logs and smctl.
 func FormatAssignments(as []Assignment) string {

@@ -112,32 +112,11 @@ func TestNewKeyspaceValidation(t *testing.T) {
 	}
 }
 
-func TestUniformKeyspaceCoversAllKeys(t *testing.T) {
-	ks := UniformKeyspace("sh", 16)
-	if ks.Len() != 16 {
-		t.Fatalf("Len = %d", ks.Len())
-	}
-	seen := make(map[ID]bool)
-	for i := 0; i < 10000; i++ {
-		key := string(rune('a'+i%26)) + string(rune('0'+i%10)) + string(rune(i))
-		seen[ks.At(ks.Locate(key))] = true
-	}
-	if len(seen) < 12 {
-		t.Fatalf("hash keyspace used only %d/16 shards", len(seen))
-	}
-}
-
-func TestUniformKeyspacePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	UniformKeyspace("x", 0)
-}
-
 func TestKeyspaceDeterministicProperty(t *testing.T) {
-	ks := UniformKeyspace("sh", 64)
+	ks, err := NewKeyspace([]ID{"s0", "s1", "s2", "s3"}, []string{"", "g", "n", "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := quick.Check(func(key string) bool {
 		return ks.At(ks.Locate(key)) == ks.At(ks.Locate(key))
 	}, nil); err != nil {

@@ -75,17 +75,15 @@ func NumLabels() int {
 	return len(labelTable.names)
 }
 
-// Profiler observes the loop's event lifecycle. internal/simprof provides
-// the real implementation; the loop only knows this interface so sim stays
-// dependency-free. All methods are invoked on the loop goroutine.
+// Profiler observes the loop's event lifecycle: an event is scheduled, then
+// dispatched. internal/simprof provides the real implementation; the loop
+// only knows this interface so sim stays dependency-free. All methods are
+// invoked on the loop goroutine.
 type Profiler interface {
-	// OnSchedule is called when an event is pushed onto the heap.
+	// OnSchedule is called when an event is scheduled.
 	OnSchedule(lb Label)
-	// OnCancel is called when a still-pending timer is stopped.
-	OnCancel(lb Label)
 	// Dispatch runs fn, attributing its cost to lb. now is the simulated
-	// time of the event; heapLen and live are the post-pop event-heap
-	// length and live (non-cancelled) pending-event count, for queue-depth
-	// gauges.
+	// time of the event; heapLen and live both carry the post-pop count of
+	// pending events, for queue-depth gauges.
 	Dispatch(lb Label, now time.Duration, heapLen, live int, fn func())
 }

@@ -30,7 +30,6 @@ func TestLabelInterning(t *testing.T) {
 // recordingProfiler captures the hook sequence the loop feeds a profiler.
 type recordingProfiler struct {
 	scheduled []Label
-	cancelled []Label
 	dispatch  []Label
 	heapLens  []int
 	lives     []int
@@ -38,7 +37,6 @@ type recordingProfiler struct {
 }
 
 func (r *recordingProfiler) OnSchedule(lb Label) { r.scheduled = append(r.scheduled, lb) }
-func (r *recordingProfiler) OnCancel(lb Label)   { r.cancelled = append(r.cancelled, lb) }
 func (r *recordingProfiler) Dispatch(lb Label, now time.Duration, heapLen, live int, fn func()) {
 	r.dispatch = append(r.dispatch, lb)
 	r.heapLens = append(r.heapLens, heapLen)
@@ -47,7 +45,7 @@ func (r *recordingProfiler) Dispatch(lb Label, now time.Duration, heapLen, live 
 	fn()
 }
 
-func TestProfilerHooksSeeScheduleCancelDispatch(t *testing.T) {
+func TestProfilerHooksSeeScheduleDispatch(t *testing.T) {
 	l := NewLoop(1)
 	rec := &recordingProfiler{}
 	l.SetProfiler(rec)
@@ -56,10 +54,9 @@ func TestProfilerHooksSeeScheduleCancelDispatch(t *testing.T) {
 
 	ran := 0
 	l.AfterL(time.Second, lbA, func() { ran++ })
-	tm := l.AfterL(2*time.Second, lbB, func() { t.Error("cancelled event ran") })
+	l.AtL(2*time.Second, lbB, func() { ran++ })
 	l.PostArgL(3*time.Second, lbA, func(any) { ran++ }, nil)
 	l.AfterL(4*time.Second, 0, func() { ran++ }) // unlabeled
-	tm.Stop()
 	l.Run()
 
 	wantSched := []Label{lbA, lbB, lbA, 0}
@@ -71,11 +68,8 @@ func TestProfilerHooksSeeScheduleCancelDispatch(t *testing.T) {
 			t.Fatalf("scheduled hooks = %v, want %v", rec.scheduled, wantSched)
 		}
 	}
-	if len(rec.cancelled) != 1 || rec.cancelled[0] != lbB {
-		t.Fatalf("cancel hooks = %v, want [%d]", rec.cancelled, lbB)
-	}
-	wantDispatch := []Label{lbA, lbA, 0}
-	if len(rec.dispatch) != 3 {
+	wantDispatch := []Label{lbA, lbB, lbA, 0}
+	if len(rec.dispatch) != 4 {
 		t.Fatalf("dispatch hooks = %v, want %v", rec.dispatch, wantDispatch)
 	}
 	for i, lb := range wantDispatch {
@@ -83,18 +77,19 @@ func TestProfilerHooksSeeScheduleCancelDispatch(t *testing.T) {
 			t.Fatalf("dispatch hooks = %v, want %v", rec.dispatch, wantDispatch)
 		}
 	}
-	if ran != 3 {
-		t.Fatalf("callbacks ran = %d, want 3", ran)
+	if ran != 4 {
+		t.Fatalf("callbacks ran = %d, want 4", ran)
 	}
-	// Sim times are the event timestamps; heap/live counts shrink to zero.
-	wantTimes := []time.Duration{time.Second, 3 * time.Second, 4 * time.Second}
+	// Sim times are the event timestamps; both pending counts carry the
+	// post-pop queue, which shrinks to zero.
+	wantTimes := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second}
 	for i, d := range wantTimes {
 		if rec.simTimes[i] != d {
 			t.Fatalf("dispatch sim times = %v, want %v", rec.simTimes, wantTimes)
 		}
-	}
-	if last := rec.lives[len(rec.lives)-1]; last != 0 {
-		t.Fatalf("live count at final dispatch = %d, want 0", last)
+		if want := len(wantTimes) - 1 - i; rec.heapLens[i] != want || rec.lives[i] != want {
+			t.Fatalf("pending counts at dispatch %d = (%d, %d), want (%d, %d)", i, rec.heapLens[i], rec.lives[i], want, want)
+		}
 	}
 }
 
@@ -120,13 +115,10 @@ func TestEveryLAttributesTicks(t *testing.T) {
 			t.Fatalf("tick dispatched under label %d, want %d", got, lb)
 		}
 	}
+	// Stopping the ticker from inside its own callback suppresses the
+	// reschedule, so no no-op tick is dispatched.
 	if len(rec.dispatch) != 3 {
 		t.Fatalf("dispatches = %d, want 3", len(rec.dispatch))
-	}
-	// Stopping the ticker from inside its own callback suppresses the
-	// reschedule entirely, so no cancellation is recorded.
-	if len(rec.cancelled) != 0 {
-		t.Fatalf("cancel hooks = %v, want none", rec.cancelled)
 	}
 }
 

@@ -7,6 +7,11 @@
 // timestamp order, ties broken by scheduling order, which makes every
 // experiment reproducible from its seed.
 //
+// An event has one lifecycle: scheduled, then fired; the loop withdraws
+// nothing. A deferred action that may no longer apply checks that when it
+// fires, the way §4.3's fencing checks a late grant where it lands, and a
+// stopped Ticker's already-scheduled tick fires as a no-op.
+//
 // Pending events live in one timing-wheel level of 256 ~1 ms slots in front
 // of a heap for everything farther out (see wheel.go) rather than in one
 // global binary heap, and event objects are recycled through a
@@ -30,40 +35,10 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// Timer is a handle to a scheduled callback. Event objects are recycled, so
-// the handle pins the generation it was issued for: once the event fires or
-// is compacted away and the object is reused, the stale handle goes inert.
-type Timer struct {
-	ev   *event
-	gen  uint32
-	loop *Loop
-}
-
-// Stop cancels the timer. It reports whether the callback was still pending.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.gen != t.gen || t.ev.cancelled() {
-		return false
-	}
-	ev := t.ev
-	lb := ev.label
-	ev.fn, ev.fnA, ev.arg = nil, nil, nil
-	l := t.loop
-	// The event stays filed in the wheel until drained, but it no longer
-	// counts as pending work.
-	l.live--
-	l.w.cancelled++
-	if p := l.prof; p != nil {
-		p.OnCancel(lb)
-	}
-	l.maybeCompact()
-	return true
-}
-
 // event is a pooled scheduled callback. Exactly one of fn / fnA is set while
-// live; both nil means cancelled. fnA carries its argument in arg, which
-// avoids a closure allocation per schedule on arg-shaped hot paths (RPC
-// envelopes, map deliveries). next links freelist entries and wheel slot
-// lists; gen increments on every recycle to invalidate stale Timer handles.
+// it is pending. fnA carries its argument in arg, which avoids a closure
+// allocation per schedule on arg-shaped hot paths (RPC envelopes, map
+// deliveries). next links freelist entries and wheel slot lists.
 type event struct {
 	at    time.Duration
 	seq   uint64
@@ -71,11 +46,8 @@ type event struct {
 	fnA   func(any)
 	arg   any
 	label Label
-	gen   uint32
 	next  *event
 }
-
-func (ev *event) cancelled() bool { return ev.fn == nil && ev.fnA == nil }
 
 // Loop is a single-threaded discrete-event loop. The zero value is not
 // usable; create one with NewLoop.
@@ -83,7 +55,6 @@ type Loop struct {
 	now        time.Duration
 	seq        uint64
 	w          wheel
-	live       int    // scheduled events not yet fired or cancelled
 	dispatched uint64 // total events fired over the loop's lifetime
 	rng        *RNG
 	tracer     *trace.Tracer
@@ -150,16 +121,13 @@ func (l *Loop) Metrics() *metrics.Registry { return l.metrics }
 // concurrently running loops.
 func (l *Loop) SetProfiler(p Profiler) { l.prof = p }
 
-// Profiler returns the loop's profiler, or nil when profiling is disabled.
-func (l *Loop) Profiler() Profiler { return l.prof }
-
 // Dispatched returns the total number of events the loop has fired. It is
 // maintained unconditionally (the counter is one increment per event), so
 // throughput benchmarks need no profiler.
 func (l *Loop) Dispatched() uint64 { return l.dispatched }
 
 // allocEvent takes an event object off the freelist, growing it by a batch
-// when empty. Objects are never returned to the runtime: peak live events
+// when empty. Objects are never returned to the runtime: peak pending events
 // bound the arena, which keeps long sims allocation-free at steady state.
 func (l *Loop) allocEvent() *event {
 	ev := l.free
@@ -177,10 +145,8 @@ func (l *Loop) allocEvent() *event {
 	return ev
 }
 
-// recycle returns a drained event to the freelist, bumping its generation so
-// outstanding Timer handles go inert.
+// recycle returns a dispatched event to the freelist.
 func (l *Loop) recycle(ev *event) {
-	ev.gen++
 	ev.fn, ev.fnA, ev.arg = nil, nil, nil
 	ev.label = 0
 	ev.next = l.free
@@ -188,48 +154,43 @@ func (l *Loop) recycle(ev *event) {
 }
 
 // schedule files a new event; the common core of every scheduling method.
-func (l *Loop) schedule(t time.Duration, lb Label, fn func(), fnA func(any), arg any) *event {
+func (l *Loop) schedule(t time.Duration, lb Label, fn func(), fnA func(any), arg any) {
 	if t < l.now {
 		t = l.now
 	}
 	ev := l.allocEvent()
 	ev.at, ev.seq, ev.fn, ev.fnA, ev.arg, ev.label = t, l.seq, fn, fnA, arg, lb
 	l.seq++
-	l.live++
 	l.w.stored++
 	l.w.file(ev)
 	if p := l.prof; p != nil {
 		p.OnSchedule(lb)
 	}
-	return ev
 }
 
 // AfterL schedules fn to run d after the current time, attributing its
 // dispatch cost to lb when a profiler is attached.
-func (l *Loop) AfterL(d time.Duration, lb Label, fn func()) *Timer {
+func (l *Loop) AfterL(d time.Duration, lb Label, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return l.AtL(l.now+d, lb, fn)
+	l.AtL(l.now+d, lb, fn)
 }
 
 // AtL schedules fn at absolute time t (clamped to the present) under an
-// attribution label. The body stays small enough to inline so that callers
-// which discard the returned handle keep it on the stack.
-func (l *Loop) AtL(t time.Duration, lb Label, fn func()) *Timer {
+// attribution label.
+func (l *Loop) AtL(t time.Duration, lb Label, fn func()) {
 	if fn == nil {
 		panic("sim: AtL with nil callback")
 	}
-	ev := l.schedule(t, lb, fn, nil, nil)
-	return &Timer{ev: ev, gen: ev.gen, loop: l}
+	l.schedule(t, lb, fn, nil, nil)
 }
 
-// PostArgL schedules fn(arg) to run d after the current time with no
-// cancellation handle at all. It is the allocation-free form for
-// fire-and-forget hot paths (message deliveries, replies) that never stop
-// their timers: no Timer is constructed, no closure is captured, and the
-// pooled event is the only storage the callback occupies. arg should be a
-// pointer type so boxing it into the event is allocation-free.
+// PostArgL schedules fn(arg) to run d after the current time. It is the
+// allocation-free form for hot paths (message deliveries, replies): no closure
+// is captured, and the pooled event is the only storage the callback
+// occupies. arg should be a pointer type so boxing it into the event is
+// allocation-free.
 func (l *Loop) PostArgL(d time.Duration, lb Label, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: PostArgL with nil callback")
@@ -259,8 +220,6 @@ type Ticker struct {
 	interval time.Duration
 	label    Label
 	fn       func()
-	ev       *event
-	gen      uint32
 	stopped  bool
 }
 
@@ -276,33 +235,12 @@ func tickerFire(a any) {
 }
 
 func (t *Ticker) schedule() {
-	ev := t.loop.schedule(t.loop.now+t.interval, t.label, nil, tickerFire, t)
-	t.ev, t.gen = ev, ev.gen
+	t.loop.schedule(t.loop.now+t.interval, t.label, nil, tickerFire, t)
 }
 
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	if t.ev != nil {
-		tm := Timer{ev: t.ev, gen: t.gen, loop: t.loop}
-		tm.Stop()
-	}
-}
-
-// maybeCompact sweeps cancelled-but-undrained events out of the wheel once
-// they are both numerous (past a floor) and the majority of stored entries.
-// Cancel-heavy sims (routing retries, fencing timers) otherwise carry dead
-// weight for the full flight time of their longest cancelled timer.
-func (l *Loop) maybeCompact() {
-	if l.w.cancelled >= compactFloor && l.w.cancelled*2 > l.w.stored {
-		l.w.compact(l)
-	}
-}
-
-// queueLen reports events held in the pending structure, including
-// cancelled-but-undrained ones — the wheel's equivalent of the old global
-// heap length, used by drain tests and reported to tracer/profiler gauges.
-func (l *Loop) queueLen() int { return l.w.stored }
+// Stop ends the ticks: fn does not run again. Stopped from outside fn, the
+// tick already scheduled still fires, once, as a no-op.
+func (t *Ticker) Stop() { t.stopped = true }
 
 // Step runs the next pending event. It reports whether an event ran.
 func (l *Loop) Step() bool {
@@ -310,58 +248,46 @@ func (l *Loop) Step() bool {
 }
 
 // stepBounded runs the next pending event whose timestamp is <= deadline
-// (any timestamp when limited is false). Cancelled events reaching the front
-// of the near heap are drained regardless of deadline, matching the old
-// heap's lazy-removal behavior.
+// (any timestamp when limited is false).
 func (l *Loop) stepBounded(deadline time.Duration, limited bool) bool {
 	w := &l.w
-	for {
-		for len(w.near) > 0 && w.near[0].cancelled() {
-			ev := heapPop(&w.near)
-			w.stored--
-			w.cancelled--
-			l.recycle(ev)
-		}
-		if len(w.near) == 0 {
-			if w.stored == 0 {
-				return false
-			}
-			limitTick := uint64(math.MaxUint64)
-			if limited {
-				limitTick = tickOf(int64(deadline))
-				if limitTick <= w.curTick {
-					return false
-				}
-			}
-			w.advance(limitTick)
-			if len(w.near) == 0 {
-				return false
-			}
-			continue
-		}
-		ev := w.near[0]
-		if limited && ev.at > deadline {
+	if len(w.near) == 0 {
+		if w.stored == 0 {
 			return false
 		}
-		heapPop(&w.near)
-		w.stored--
-		lag := ev.at - l.now
-		l.now = ev.at
-		lb, fn, fnA, arg := ev.label, ev.fn, ev.fnA, ev.arg
-		l.recycle(ev)
-		l.live--
-		l.dispatched++
-		if tr := l.tracer; tr != nil {
-			sp := tr.StartSpan("sim.loop", "dispatch", 0)
-			l.invoke(lb, fn, fnA, arg)
-			tr.EndSpan(sp)
-			tr.Counter("sim.loop", "queue_depth", float64(w.stored))
-			tr.Counter("sim.loop", "loop_lag_ms", float64(lag)/float64(time.Millisecond))
-		} else {
-			l.invoke(lb, fn, fnA, arg)
+		limitTick := uint64(math.MaxUint64)
+		if limited {
+			limitTick = tickOf(int64(deadline))
+			if limitTick <= w.curTick {
+				return false
+			}
 		}
-		return true
+		w.advance(limitTick)
+		if len(w.near) == 0 {
+			return false
+		}
 	}
+	ev := w.near[0]
+	if limited && ev.at > deadline {
+		return false
+	}
+	heapPop(&w.near)
+	w.stored--
+	lag := ev.at - l.now
+	l.now = ev.at
+	lb, fn, fnA, arg := ev.label, ev.fn, ev.fnA, ev.arg
+	l.recycle(ev)
+	l.dispatched++
+	if tr := l.tracer; tr != nil {
+		sp := tr.StartSpan("sim.loop", "dispatch", 0)
+		l.invoke(lb, fn, fnA, arg)
+		tr.EndSpan(sp)
+		tr.Counter("sim.loop", "queue_depth", float64(w.stored))
+		tr.Counter("sim.loop", "loop_lag_ms", float64(lag)/float64(time.Millisecond))
+	} else {
+		l.invoke(lb, fn, fnA, arg)
+	}
+	return true
 }
 
 // invoke runs one event callback, routing it through the profiler when one
@@ -374,7 +300,7 @@ func (l *Loop) invoke(lb Label, fn func(), fnA func(any), arg any) {
 			l.pfnA, l.parg = fnA, arg
 			fn = l.tramp
 		}
-		p.Dispatch(lb, l.now, l.w.stored, l.live, fn)
+		p.Dispatch(lb, l.now, l.w.stored, l.w.stored, fn)
 		return
 	}
 	if fn != nil {
@@ -403,10 +329,8 @@ func (l *Loop) RunUntil(deadline time.Duration) {
 // RunFor executes events for d of simulated time from the current instant.
 func (l *Loop) RunFor(d time.Duration) { l.RunUntil(l.now + d) }
 
-// Pending returns the number of live scheduled events: callbacks that will
-// still fire. Cancelled timers stop counting immediately, even while their
-// wheel entries await lazy removal.
-func (l *Loop) Pending() int { return l.live }
+// pending returns the number of scheduled events not yet fired.
+func (l *Loop) pending() int { return l.w.stored }
 
 // RNG is a splitmix64 pseudo-random generator. It is deliberately simple and
 // fully deterministic across platforms, unlike math/rand's global source.

@@ -39,31 +39,6 @@ func TestLoopTieBreakIsFIFO(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	l := NewLoop(1)
-	fired := false
-	tm := l.AfterL(time.Second, 0, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop on pending timer returned false")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
-	}
-	l.Run()
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	l := NewLoop(1)
-	tm := l.AfterL(time.Second, 0, func() {})
-	l.Run()
-	if tm.Stop() {
-		t.Fatal("Stop after firing returned true")
-	}
-}
-
 func TestAtInThePastRunsNow(t *testing.T) {
 	l := NewLoop(1)
 	l.AfterL(5*time.Second, 0, func() {

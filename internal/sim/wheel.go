@@ -28,7 +28,7 @@ import (
 //
 // Ordering / determinism. The loop dispatches only from near, and the cursor
 // advances only when near is empty, so the event popped from near is always
-// the globally minimal live (at, seq) — the dispatch order of one global
+// the globally minimal pending (at, seq) — the dispatch order of one global
 // heap, including FIFO ties by seq. When the cursor crosses into a 256-tick
 // block, every far event of that block moves into L0 (or near) before its
 // tick can become due.
@@ -42,8 +42,7 @@ type wheel struct {
 
 	far []*event // events past L0's span, min-heap on (at, seq)
 
-	stored    int // events held anywhere in the structure (incl. cancelled)
-	cancelled int // cancelled-but-undrained events among stored
+	stored int // events held anywhere in the structure
 }
 
 const (
@@ -51,11 +50,6 @@ const (
 
 	l0Slots = 256
 	l0Mask  = l0Slots - 1
-
-	// compactFloor is the minimum number of cancelled-but-undrained events
-	// before compaction is considered; below it the dead weight is too small
-	// to matter and tiny unit-test workloads keep exact legacy occupancy.
-	compactFloor = 256
 )
 
 func tickOf(at int64) uint64 { return uint64(at) >> tickShift }
@@ -170,60 +164,6 @@ func (w *wheel) loadL0(s int) {
 	}
 }
 
-// compact sweeps cancelled-but-undrained events out of every structure,
-// recycling them onto the loop's freelist. Survivor order is irrelevant to
-// correctness: near and far re-heapify on the (at, seq) total order, and slot
-// lists are unordered by design.
-func (w *wheel) compact(l *Loop) {
-	w.near = compactHeap(w.near, l)
-	for s := range w.l0 {
-		if w.l0[s] == nil {
-			continue
-		}
-		w.l0[s] = compactList(w.l0[s], l)
-		if w.l0[s] == nil {
-			w.l0occ[s>>6] &^= 1 << uint(s&63)
-		}
-	}
-	w.far = compactHeap(w.far, l)
-	w.cancelled = 0
-}
-
-func compactHeap(h []*event, l *Loop) []*event {
-	keep := h[:0]
-	for _, ev := range h {
-		if ev.cancelled() {
-			l.w.stored--
-			l.recycle(ev)
-		} else {
-			keep = append(keep, ev)
-		}
-	}
-	// Zero the tail so dropped entries do not pin recycled events.
-	for i := len(keep); i < len(h); i++ {
-		h[i] = nil
-	}
-	heapify(keep)
-	return keep
-}
-
-func compactList(head *event, l *Loop) *event {
-	var out *event
-	for ev := head; ev != nil; {
-		next := ev.next
-		ev.next = nil
-		if ev.cancelled() {
-			l.w.stored--
-			l.recycle(ev)
-		} else {
-			ev.next = out
-			out = ev
-		}
-		ev = next
-	}
-	return out
-}
-
 // Binary min-heap helpers over (at, seq) — shared by near and far.
 
 func heapPush(h *[]*event, ev *event) {
@@ -267,11 +207,5 @@ func siftDown(s []*event, i int) {
 		}
 		s[i], s[c] = s[c], s[i]
 		i = c
-	}
-}
-
-func heapify(s []*event) {
-	for i := len(s)/2 - 1; i >= 0; i-- {
-		siftDown(s, i)
 	}
 }

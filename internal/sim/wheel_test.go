@@ -7,20 +7,18 @@ import (
 )
 
 // The timing wheel must dispatch in exactly the order the old global binary
-// heap did: ascending (at, seq), FIFO among ties, cancelled events silently
-// skipped, RunUntil deadlines inclusive. The property test below drives
-// randomized schedule/cancel/run scripts into a real Loop and into a naive
-// reference model (linear scan for the minimum — trivially correct), and
-// requires identical dispatch logs.
+// heap did: ascending (at, seq), FIFO among ties, RunUntil deadlines
+// inclusive. The property test below drives randomized schedule/run scripts
+// into a real Loop and into a naive reference model (linear scan for the
+// minimum — trivially correct), and requires identical dispatch logs.
 
 // refEvent is one event in the reference model.
 type refEvent struct {
-	at        time.Duration
-	seq       uint64
-	id        int
-	child     time.Duration // >= 0: schedule a child this far ahead on fire
-	fired     bool
-	cancelled bool
+	at    time.Duration
+	seq   uint64
+	id    int
+	child time.Duration // >= 0: schedule a child this far ahead on fire
+	fired bool
 }
 
 // refModel is the obviously-correct pending-event store: an unordered slice
@@ -33,7 +31,7 @@ type refModel struct {
 	log    []int
 }
 
-func (r *refModel) schedule(d, child time.Duration) *refEvent {
+func (r *refModel) schedule(d, child time.Duration) {
 	at := r.now + d
 	if at < r.now {
 		at = r.now
@@ -42,13 +40,12 @@ func (r *refModel) schedule(d, child time.Duration) *refEvent {
 	r.seq++
 	r.nextID++
 	r.events = append(r.events, ev)
-	return ev
 }
 
 func (r *refModel) pending() int {
 	n := 0
 	for _, ev := range r.events {
-		if !ev.fired && !ev.cancelled {
+		if !ev.fired {
 			n++
 		}
 	}
@@ -59,7 +56,7 @@ func (r *refModel) runUntil(deadline time.Duration) {
 	for {
 		var min *refEvent
 		for _, ev := range r.events {
-			if ev.fired || ev.cancelled {
+			if ev.fired {
 				continue
 			}
 			if min == nil || ev.at < min.at || (ev.at == min.at && ev.seq < min.seq) {
@@ -119,17 +116,15 @@ func delayMix(intn func(int) int) time.Duration {
 	}
 }
 
-// runWheelScript drives one schedule/cancel/run script into a real Loop and
-// into the reference model and requires the same Stop results, Pending and
-// Now after every op and, after a final drain, the same dispatch log. Every
+// runWheelScript drives one schedule/run script into a real Loop and into the
+// reference model and requires the same pending count and Now after every op
+// and, after a final drain, the same dispatch log. Every
 // choice the script makes is drawn from intn; more reports whether another op
 // should run. what names the script in failure messages.
 func runWheelScript(t testing.TB, what string, intn func(int) int, more func() bool) {
 	loop := NewLoop(7)
 	ref := &refModel{}
 	var log []int
-	var timers []*Timer
-	var refs []*refEvent
 	topIDs := make(map[int]bool)
 	scheduleBoth := func() {
 		d := delayMix(intn)
@@ -139,8 +134,8 @@ func runWheelScript(t testing.TB, what string, intn func(int) int, more func() b
 		}
 		id := ref.nextID
 		topIDs[id] = true
-		re := ref.schedule(d, child)
-		tm := loop.AfterL(d, 0, func() {
+		ref.schedule(d, child)
+		loop.AfterL(d, 0, func() {
 			log = append(log, id)
 			if child >= 0 {
 				// Children consume a seq on both sides in fire order;
@@ -151,11 +146,9 @@ func runWheelScript(t testing.TB, what string, intn func(int) int, more func() b
 				loop.AfterL(child, 0, func() {})
 			}
 		})
-		timers = append(timers, tm)
-		refs = append(refs, re)
 	}
 	for op := 0; more(); op++ {
-		switch intn(6) {
+		switch intn(5) {
 		case 0, 1, 2: // schedule (sometimes a same-instant burst)
 			n := 1
 			if intn(5) == 0 {
@@ -164,27 +157,17 @@ func runWheelScript(t testing.TB, what string, intn func(int) int, more func() b
 			for i := 0; i < n; i++ {
 				scheduleBoth()
 			}
-		case 3: // cancel a random top-level timer
-			if len(timers) > 0 {
-				k := intn(len(timers))
-				got := timers[k].Stop()
-				want := !refs[k].fired && !refs[k].cancelled
-				refs[k].cancelled = true
-				if got != want {
-					t.Fatalf("%s: Stop(#%d) = %v, reference pending = %v", what, k, got, want)
-				}
-			}
-		case 4: // run a bounded slice of time
+		case 3: // run a bounded slice of time
 			d := delayMix(intn)
 			loop.RunFor(d)
 			ref.runUntil(ref.now + d)
-		case 5: // run to a far deadline crossing many cascades
+		case 4: // run to a far deadline crossing many cascades
 			d := time.Duration(1+intn(3)) * 30 * time.Hour
 			loop.RunFor(d)
 			ref.runUntil(ref.now + d)
 		}
-		if got, want := loop.Pending(), ref.pending(); got != want {
-			t.Fatalf("%s op %d: Pending = %d, reference = %d", what, op, got, want)
+		if got, want := loop.pending(), ref.pending(); got != want {
+			t.Fatalf("%s op %d: pending = %d, reference = %d", what, op, got, want)
 		}
 		if loop.Now() != ref.now {
 			t.Fatalf("%s op %d: Now = %v, reference = %v", what, op, loop.Now(), ref.now)
@@ -208,8 +191,8 @@ func runWheelScript(t testing.TB, what string, intn func(int) int, more func() b
 				what, i, log[i], want[i])
 		}
 	}
-	if loop.Pending() != 0 || ref.pending() != 0 {
-		t.Fatalf("%s: residue after drain: loop=%d ref=%d", what, loop.Pending(), ref.pending())
+	if loop.pending() != 0 || ref.pending() != 0 {
+		t.Fatalf("%s: residue after drain: loop=%d ref=%d", what, loop.pending(), ref.pending())
 	}
 }
 
@@ -272,63 +255,6 @@ func FuzzWheelMatchesReference(f *testing.F) {
 			return v % n
 		}, func() bool { return len(data) > 0 && capped() })
 	})
-}
-
-func TestCompactionSweepsCancelledEvents(t *testing.T) {
-	l := NewLoop(1)
-	timers := make([]*Timer, 0, 1000)
-	fired := 0
-	for i := 0; i < 1000; i++ {
-		// Spread across levels so the sweep touches near, L0, upper levels.
-		d := time.Duration(i) * 37 * time.Millisecond
-		timers = append(timers, l.AfterL(d, 0, func() { fired++ }))
-	}
-	// Cancel 600. The sweep triggers at the 501st cancel (cancelled*2 >
-	// stored once 501*2 > 1000), reclaiming all 501 dead entries; the
-	// remaining 99 cancels sit below the 256-entry floor and await lazy
-	// drain. So the structure holds 400 live + 99 cancelled entries.
-	for i := 0; i < 600; i++ {
-		timers[i].Stop()
-	}
-	if got := l.queueLen(); got != 499 {
-		t.Fatalf("queueLen = %d after compaction, want 499 (400 live + 99 lazy)", got)
-	}
-	if got := l.Pending(); got != 400 {
-		t.Fatalf("Pending = %d, want 400", got)
-	}
-	// Double-stop of compacted (recycled) timers must be inert.
-	for i := 0; i < 600; i++ {
-		if timers[i].Stop() {
-			t.Fatalf("Stop(#%d) on compacted timer returned true", i)
-		}
-	}
-	l.Run()
-	if fired != 400 {
-		t.Fatalf("fired = %d, want 400 survivors", fired)
-	}
-	if got := l.queueLen(); got != 0 {
-		t.Fatalf("queueLen = %d after drain, want 0", got)
-	}
-}
-
-func TestCompactionBelowFloorKeepsLazyEntries(t *testing.T) {
-	l := NewLoop(1)
-	var timers []*Timer
-	for i := 0; i < 100; i++ {
-		timers = append(timers, l.AfterL(time.Duration(i+1)*time.Second, 0, func() {}))
-	}
-	for _, tm := range timers {
-		tm.Stop()
-	}
-	// 100 cancelled is under the 256 floor: entries stay for lazy drain,
-	// exactly as the old heap behaved (drain_test pins this at small scale).
-	if got := l.queueLen(); got != 100 {
-		t.Fatalf("queueLen = %d, want 100 (no compaction below floor)", got)
-	}
-	l.RunUntil(2 * time.Minute)
-	if got := l.queueLen(); got != 0 {
-		t.Fatalf("queueLen = %d after drain, want 0", got)
-	}
 }
 
 func TestScheduleDispatchAllocationFree(t *testing.T) {

@@ -53,17 +53,17 @@ func (p *Profile) WriteText(w io.Writer, o ReportOptions) error {
 		sortRowsByWall(rows)
 	}
 	if _, err := fmt.Fprintf(w,
-		"simprof: %d events dispatched (%d scheduled, %d cancelled), sim time %s..%s\n",
-		p.total.fired, p.total.scheduled, p.total.cancelled,
+		"simprof: %d events dispatched (%d scheduled), sim time %s..%s\n",
+		p.total.fired, p.total.scheduled,
 		fmtSim(p.total.firstSim), fmtSim(p.total.lastSim)); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "event heap: max depth %d, avg depth %.1f; live timers max %d\n",
-		p.maxHeap, p.AvgHeapDepth(), p.maxLive); err != nil {
+	if _, err := fmt.Fprintf(w, "event heap: max depth %d, avg depth %.1f\n",
+		p.maxHeap, p.AvgHeapDepth()); err != nil {
 		return err
 	}
-	header := fmt.Sprintf("%-14s %-18s %12s %12s %9s %8s %11s %11s",
-		"component", "kind", "scheduled", "fired", "cancelled", "share", "first", "last")
+	header := fmt.Sprintf("%-14s %-18s %12s %12s %8s %11s %11s",
+		"component", "kind", "scheduled", "fired", "share", "first", "last")
 	if o.Wall {
 		header += fmt.Sprintf(" %10s %8s %12s", "wall ms", "ns/ev", "allocs")
 	}
@@ -72,8 +72,8 @@ func (p *Profile) WriteText(w io.Writer, o ReportOptions) error {
 	}
 	for _, r := range rows {
 		comp, kind := r.name()
-		line := fmt.Sprintf("%-14s %-18s %12d %12d %9d %7.2f%% %11s %11s",
-			comp, kind, r.Scheduled, r.Fired, r.Cancelled,
+		line := fmt.Sprintf("%-14s %-18s %12d %12d %7.2f%% %11s %11s",
+			comp, kind, r.Scheduled, r.Fired,
 			100*r.share(p.total.fired), fmtSim(r.FirstSim), fmtSim(r.LastSim))
 		if o.Wall {
 			nsPerEv := float64(0)
@@ -98,12 +98,10 @@ func fmtSim(d time.Duration) string { return d.String() }
 type jsonReport struct {
 	Events    uint64  `json:"events"`
 	Scheduled uint64  `json:"scheduled"`
-	Cancelled uint64  `json:"cancelled"`
 	FirstSim  int64   `json:"first_sim_ns"`
 	LastSim   int64   `json:"last_sim_ns"`
 	HeapMax   int     `json:"heap_depth_max"`
 	HeapAvg   float64 `json:"heap_depth_avg"`
-	LiveMax   int     `json:"pending_timers_max"`
 	WallNS    int64   `json:"wall_ns,omitempty"`
 	Rows      []Row   `json:"rows"`
 }
@@ -123,12 +121,10 @@ func (p *Profile) WriteJSON(w io.Writer, o ReportOptions) error {
 	rep := jsonReport{
 		Events:    p.total.fired,
 		Scheduled: p.total.scheduled,
-		Cancelled: p.total.cancelled,
 		FirstSim:  int64(p.total.firstSim),
 		LastSim:   int64(p.total.lastSim),
 		HeapMax:   p.maxHeap,
 		HeapAvg:   p.AvgHeapDepth(),
-		LiveMax:   p.maxLive,
 		Rows:      rows,
 	}
 	if o.Wall {

@@ -2,12 +2,11 @@
 // It implements sim.Profiler: the event loop routes every dispatch through
 // Profile.Dispatch, which attributes wall-clock time, event counts, and
 // (optionally) heap allocations to the event's (component, kind) label, and
-// samples event-heap depth and live-timer gauges into the labeled metrics
-// registry.
+// samples event-heap depth into the labeled metrics registry.
 //
 // The profiler draws a hard line between two classes of measurement:
 //
-//   - Deterministic: schedule/fire/cancel counts, event shares, first/last
+//   - Deterministic: schedule/fire counts, event shares, first/last
 //     simulated-time activity, and queue-depth statistics are all derived
 //     from the simulation itself, so for a fixed seed they are identical
 //     across runs. The default text/JSON/folded reports contain only these
@@ -41,9 +40,8 @@ type Options struct {
 	// microsecond per event, so keep it off when measuring throughput;
 	// whole-run allocs/event is cheap to compute without it.
 	Allocs bool
-	// Registry, when non-nil, receives kernel queue gauges on every
-	// dispatch: sim_event_heap_depth / sim_pending_timers gauges and a
-	// sim_event_heap_depth histogram.
+	// Registry, when non-nil, receives the kernel queue depth on every
+	// dispatch: a sim_event_heap_depth gauge and histogram.
 	Registry *metrics.Registry
 }
 
@@ -51,7 +49,6 @@ type Options struct {
 type stat struct {
 	scheduled uint64
 	fired     uint64
-	cancelled uint64
 	wallNS    int64
 	allocs    uint64
 	firstSim  time.Duration
@@ -60,7 +57,7 @@ type stat struct {
 }
 
 // touched reports whether the label ever appeared.
-func (s *stat) touched() bool { return s.scheduled+s.fired+s.cancelled > 0 }
+func (s *stat) touched() bool { return s.scheduled+s.fired > 0 }
 
 // Profile implements sim.Profiler. Create one with New, attach it with
 // Loop.SetProfiler before scheduling the work to attribute, and render it
@@ -72,7 +69,6 @@ type Profile struct {
 
 	dispatches uint64
 	maxHeap    int
-	maxLive    int
 	sumHeap    uint64
 
 	sample []rtm.Sample
@@ -80,7 +76,6 @@ type Profile struct {
 	// cached registry cells, resolved once so dispatch never hits the
 	// family map.
 	gaugeHeap *metrics.Gauge
-	gaugeLive *metrics.Gauge
 	histHeap  *metrics.FixedHistogram
 }
 
@@ -96,7 +91,6 @@ func New(opts Options) *Profile {
 	}
 	if r := opts.Registry; r != nil {
 		p.gaugeHeap = r.Gauge("sim_event_heap_depth")
-		p.gaugeLive = r.Gauge("sim_pending_timers")
 		p.histHeap = r.Histogram("sim_event_heap_depth_hist", DepthBuckets)
 	}
 	return p
@@ -121,12 +115,6 @@ func (p *Profile) OnSchedule(lb sim.Label) {
 	p.total.scheduled++
 }
 
-// OnCancel implements sim.Profiler.
-func (p *Profile) OnCancel(lb sim.Label) {
-	p.stat(lb).cancelled++
-	p.total.cancelled++
-}
-
 // readAllocs returns the cumulative heap-object allocation count.
 func (p *Profile) readAllocs() uint64 {
 	rtm.Read(p.sample)
@@ -134,7 +122,8 @@ func (p *Profile) readAllocs() uint64 {
 }
 
 // Dispatch implements sim.Profiler: it runs fn, attributing its cost to lb.
-func (p *Profile) Dispatch(lb sim.Label, now time.Duration, heapLen, live int, fn func()) {
+// The loop passes the pending count twice; heapLen is the one read.
+func (p *Profile) Dispatch(lb sim.Label, now time.Duration, heapLen, _ int, fn func()) {
 	var a0 uint64
 	if p.opts.Allocs {
 		a0 = p.readAllocs()
@@ -168,13 +157,9 @@ func (p *Profile) Dispatch(lb sim.Label, now time.Duration, heapLen, live int, f
 	if heapLen > p.maxHeap {
 		p.maxHeap = heapLen
 	}
-	if live > p.maxLive {
-		p.maxLive = live
-	}
 	p.sumHeap += uint64(heapLen)
 	if p.gaugeHeap != nil {
 		p.gaugeHeap.Set(float64(heapLen))
-		p.gaugeLive.Set(float64(live))
 		p.histHeap.Observe(float64(heapLen))
 	}
 }
@@ -199,7 +184,6 @@ type Row struct {
 	Kind      string        `json:"kind"`
 	Scheduled uint64        `json:"scheduled"`
 	Fired     uint64        `json:"fired"`
-	Cancelled uint64        `json:"cancelled"`
 	FirstSim  time.Duration `json:"first_sim_ns"`
 	LastSim   time.Duration `json:"last_sim_ns"`
 	// Wall-clock attribution; populated in the struct but only rendered
@@ -237,7 +221,7 @@ func (p *Profile) Rows() []Row {
 		comp, kind := sim.LabelName(sim.Label(lb))
 		rows = append(rows, Row{
 			Component: comp, Kind: kind,
-			Scheduled: st.scheduled, Fired: st.fired, Cancelled: st.cancelled,
+			Scheduled: st.scheduled, Fired: st.fired,
 			FirstSim: st.firstSim, LastSim: st.lastSim,
 			WallNS: st.wallNS, Allocs: st.allocs,
 		})

@@ -16,14 +16,12 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // runFixedWorkload drives a small fully deterministic event mix through a
-// profiled loop: periodic ticks, a fan-out burst, a cancelled timer, and an
-// unlabeled event.
+// profiled loop: periodic ticks, a fan-out burst, and an unlabeled event.
 func runFixedWorkload(p *Profile) {
 	l := sim.NewLoop(7)
 	l.SetProfiler(p)
 	lbTick := sim.LabelFor("golden", "tick")
 	lbFan := sim.LabelFor("golden", "fanout")
-	lbDead := sim.LabelFor("golden", "dead")
 
 	tk := l.EveryL(time.Second, lbTick, func() {})
 	for i := 0; i < 5; i++ {
@@ -34,7 +32,6 @@ func runFixedWorkload(p *Profile) {
 			}
 		})
 	}
-	l.AfterL(4*time.Second, lbDead, func() {}).Stop()
 	l.AfterL(2*time.Second, 0, func() {}) // unlabeled
 	l.RunUntil(10 * time.Second)
 	tk.Stop()
@@ -71,17 +68,13 @@ func TestAttributionCounts(t *testing.T) {
 		byName[r.Component+"/"+r.Kind] = r
 	}
 	// 5 fanout roots + 15 children.
-	if r := byName["golden/fanout"]; r.Scheduled != 20 || r.Fired != 20 || r.Cancelled != 0 {
+	if r := byName["golden/fanout"]; r.Scheduled != 20 || r.Fired != 20 {
 		t.Fatalf("fanout row = %+v", r)
 	}
 	// 10 ticks fire within the 10s horizon (the tick at 10s is inclusive);
-	// each tick schedules the next, and RunUntil leaves the 11th pending
-	// until tk.Stop cancels it.
-	if r := byName["golden/tick"]; r.Fired != 10 || r.Cancelled != 1 {
+	// each tick schedules the next, and RunUntil leaves the 11th pending.
+	if r := byName["golden/tick"]; r.Scheduled != 11 || r.Fired != 10 {
 		t.Fatalf("tick row = %+v", r)
-	}
-	if r := byName["golden/dead"]; r.Scheduled != 1 || r.Fired != 0 || r.Cancelled != 1 {
-		t.Fatalf("dead row = %+v", r)
 	}
 	if r := byName["/"]; r.Fired != 1 {
 		t.Fatalf("unlabeled row = %+v", r)
@@ -210,11 +203,8 @@ func TestRegistryGaugeSampling(t *testing.T) {
 	if h := reg.Histogram("sim_event_heap_depth_hist", nil); h.Count() != 10 {
 		t.Fatalf("heap-depth histogram observed %d dispatches, want 10", h.Count())
 	}
-	// The last dispatch sees an empty heap and no live timers.
+	// The last dispatch sees an empty heap.
 	if v := reg.Gauge("sim_event_heap_depth").Value(); v != 0 {
 		t.Fatalf("final heap-depth gauge = %v, want 0", v)
-	}
-	if v := reg.Gauge("sim_pending_timers").Value(); v != 0 {
-		t.Fatalf("final pending-timers gauge = %v, want 0", v)
 	}
 }

@@ -9,8 +9,7 @@
 //     scatter plots (Figures 15-16).
 //   - The planned-vs-unplanned container-stop event stream (Figure 1).
 //   - The SM adoption growth curve (Figure 2).
-//   - Load shapes: the diurnal pattern driving Figures 18 and 23 and a
-//     Zipf key-popularity sampler for request generators.
+//   - The diurnal load shape driving Figures 18 and 23.
 package workload
 
 import (
@@ -419,44 +418,4 @@ func Diurnal(t time.Duration, amplitude float64) float64 {
 	day := float64(24 * time.Hour)
 	phase := 2 * math.Pi * (float64(t)/day - 0.25) // trough at t=0... peak at 6h? standard shape
 	return 1 + amplitude*math.Sin(phase)
-}
-
-// Zipf samples key indices in [0, n) with Zipf(s) popularity. It uses
-// rejection-free inverse-CDF over precomputed cumulative weights, suitable
-// for the modest n the experiments use.
-type Zipf struct {
-	cum []float64
-}
-
-// NewZipf builds a sampler over n keys with exponent s (s > 0; larger is
-// more skewed).
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("workload: NewZipf with n <= 0")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &Zipf{cum: cum}
-}
-
-// Sample returns a key index.
-func (z *Zipf) Sample(rng *sim.RNG) int {
-	u := rng.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -209,31 +209,6 @@ func TestDiurnalBoundsAndPeriod(t *testing.T) {
 	}
 }
 
-func TestZipfSkewAndBounds(t *testing.T) {
-	z := NewZipf(1000, 1.1)
-	rng := sim.NewRNG(5)
-	counts := make([]int, 1000)
-	for i := 0; i < 100000; i++ {
-		k := z.Sample(rng)
-		if k < 0 || k >= 1000 {
-			t.Fatalf("sample %d out of range", k)
-		}
-		counts[k]++
-	}
-	if counts[0] < counts[500]*10 {
-		t.Fatalf("zipf not skewed: head=%d mid=%d", counts[0], counts[500])
-	}
-}
-
-func TestZipfPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewZipf(0, 1)
-}
-
 func TestEnumStrings(t *testing.T) {
 	if SchemeSM.String() != "using SM" || DeploymentGeo.String() != "geo-distributed" ||
 		LBMultiMetric.String() != "multiple metrics" {

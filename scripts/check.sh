@@ -44,7 +44,8 @@ fi
 echo "== exported entry points have a caller"
 # An exported func or method declared in a non-test file under internal/ must
 # be named by some other line of non-test code (internal/, cmd/, examples/,
-# bench/; comment lines and its own declaration do not count). What is left is
+# bench/; comment lines, string literals — a panic message naming its own
+# function — and its own declaration do not count). What is left is
 # reached only from tests: it stays only as a driver or probe of behaviour
 # other than its own, listed here with the reason; anything else goes with the
 # tests that checked it. The match is by name only: a method that shares its
@@ -53,14 +54,15 @@ echo "== exported entry points have a caller"
 # hand.
 keep="$(sed 's/ *#.*//' <<'KEEP' | sort
 allocator.FormatMoves       # what recorded_test.go compares, row by row
+cluster.Resize              # drives servers joining a running job (TestAutoscaleResizeAddsServersAndRebalances)
 coord.WatchData             # ROADMAP item 5's standby watches the leader node with it
 discovery.Cancel            # drives the store's reclamation behind the slowest cursor
 discovery.FixedDelay        # pins propagation delay so tests can count events
 orchestrator.ForceAllocate  # drives an allocation without waiting out AllocInterval
+orchestrator.SetReplicas    # drives replica-count changes through the allocator's surplus drops (TestRunRecorded's "replica count down" row, TestSetReplicasGrowAndShrinkLive)
 rpcnet.Delay                # probe of the latency model and injected link faults
 rpcnet.Partitioned          # probe of the fault injector's link state
 rpcnet.Reachable            # probe of endpoint registration and revert
-sim.Pending                 # probe of timer cancellation and drain
 sim.Perm                    # draws propertyWorld's inputs: recorded_test.go's rows are a function of its draw order
 trace.FindSpans             # probe of span parentage in the experiment trace tests
 KEEP
@@ -71,6 +73,7 @@ uncalled="$(for f in $(find internal -name '*.go' ! -name '*_test.go' | sort); d
 	sed -nE 's/^func (\([^)]*\) )?([A-Z][A-Za-z0-9_]*)[(\[].*/\2/p' "$f" | sort -u | while read -r name; do
 		grep -hw -- "$name" $nonTest |
 			grep -vE "^func (\([^)]*\) )?$name[(\[]|^[[:space:]]*//" |
+			sed -E 's/"([^"\\]|\\.)*"//g; s/`[^`]*`//g' |
 			grep -qw -- "$name" || echo "$pkg.$name"
 	done
 done | sort)"
