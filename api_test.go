@@ -16,6 +16,7 @@ import (
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/rpcnet"
+	"shardmanager/internal/shard"
 	"shardmanager/internal/sim"
 	"shardmanager/internal/simprof"
 	"shardmanager/internal/solver"
@@ -235,6 +236,33 @@ func TestAllocationAnswersWithMoves(t *testing.T) {
 		if have := exportedFields(typ); !reflect.DeepEqual(have, want) {
 			t.Errorf("%v exported fields = %v, want exactly %v", typ, have, want)
 		}
+	}
+}
+
+// TestLoadReportsCarryWhatChanged pins the load-report contract: an
+// application reports through ShardLoad alone and marks a load that may have
+// changed through one Server call, and LoadReport answers with the entries
+// that changed, not a map of every replica.
+func TestLoadReportsCarryWhatChanged(t *testing.T) {
+	var methods []string
+	lr := reflect.TypeOf((*appserver.LoadReporter)(nil)).Elem()
+	for i := 0; i < lr.NumMethod(); i++ {
+		methods = append(methods, lr.Method(i).Name)
+	}
+	if want := []string{"ShardLoad"}; !reflect.DeepEqual(methods, want) {
+		t.Errorf("appserver.LoadReporter methods = %v, want exactly %v", methods, want)
+	}
+	srv := reflect.TypeOf((*appserver.Server)(nil))
+	for name, want := range map[string]reflect.Type{
+		"LoadChanged": reflect.TypeOf(func(*appserver.Server, shard.ID) {}),
+		"LoadReport":  reflect.TypeOf(func(*appserver.Server) []appserver.LoadEntry { return nil }),
+	} {
+		if m, ok := srv.MethodByName(name); !ok || m.Type != want {
+			t.Errorf("(*appserver.Server).%s = %v (present %v), want %v", name, m.Type, ok, want)
+		}
+	}
+	if have, want := exportedFields(reflect.TypeOf(appserver.LoadEntry{})), []string{"Shard", "Load"}; !reflect.DeepEqual(have, want) {
+		t.Errorf("appserver.LoadEntry fields = %v, want exactly %v", have, want)
 	}
 }
 

@@ -49,6 +49,10 @@ type kvShard struct {
 type KVBacking struct {
 	mu   sync.Mutex
 	data map[shard.ID]map[string]string
+	// server is the first server a store was built for on the backing: a write
+	// that adds a key marks the shard's load through it, and the mark reaches
+	// every server of its directory, which holds all of the application's.
+	server *appserver.Server
 	// Writes counts committed writes, for tests.
 	Writes int64
 }
@@ -73,12 +77,17 @@ func (b *KVBacking) shard(s shard.ID) map[string]string {
 func (b *KVBacking) Put(s shard.ID, key, value string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.put(b.shard(s), key, value)
+	b.put(s, b.shard(s), key, value)
 }
 
-func (b *KVBacking) put(data map[string]string, key, value string) {
+// put writes to data, shard s's map. A new key grows the shard's storage load.
+func (b *KVBacking) put(s shard.ID, data map[string]string, key, value string) {
+	keys := len(data)
 	data[key] = value
 	b.Writes++
+	if len(data) != keys {
+		b.server.LoadChanged(s)
+	}
 }
 
 // Get reads a key from a shard.
@@ -114,6 +123,9 @@ func (b *KVBacking) Keys(s shard.ID) int {
 
 // NewKVStore builds the application instance for one server.
 func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
+	if backing.server == nil {
+		backing.server = server
+	}
 	return &KVStore{
 		server:  server,
 		backing: backing,
@@ -126,6 +138,7 @@ func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 // a copy: what ShardLoad reports must not change under the caller's edits.
 func (k *KVStore) SetShardLoad(s shard.ID, load topology.Capacity) {
 	k.loads[s] = maps.Clone(load)
+	k.server.LoadChanged(s)
 }
 
 // AddShard implements appserver.Application.
@@ -141,7 +154,8 @@ func (k *KVStore) DropShard(s shard.ID) { delete(k.owned, s) }
 // ChangeRole implements appserver.Application.
 func (k *KVStore) ChangeRole(s shard.ID, _, to shard.Role) { k.AddShard(s, to) }
 
-// ShardLoad implements appserver.LoadReporter.
+// ShardLoad implements appserver.LoadReporter. SetShardLoad and a write that
+// adds a key mark it.
 func (k *KVStore) ShardLoad(s shard.ID) topology.Capacity {
 	if l, ok := k.loads[s]; ok {
 		return l
@@ -179,7 +193,7 @@ func (k *KVStore) HandleRequest(req *appserver.Request) (any, error) {
 			return nil, errors.New("kvstore: bad put payload")
 		}
 		b.mu.Lock()
-		b.put(sh.data, req.Key, p.Value)
+		b.put(req.Shard, sh.data, req.Key, p.Value)
 		b.mu.Unlock()
 		return "ok", nil
 	case KVOpGet:

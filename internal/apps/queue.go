@@ -84,7 +84,7 @@ func (q *Queue) DropShard(s shard.ID) { delete(q.owned, s) }
 func (q *Queue) ChangeRole(shard.ID, shard.Role, shard.Role) {}
 
 // ShardLoad implements appserver.LoadReporter: queue depth as the synthetic
-// metric ("single synthetic" LB, §2.2.4).
+// metric ("single synthetic" LB, §2.2.4). Every enqueue and dequeue marks it.
 func (q *Queue) ShardLoad(s shard.ID) topology.Capacity {
 	return topology.Capacity{
 		topology.ResourceShardCount: 1,
@@ -111,12 +111,14 @@ func (q *Queue) HandleRequest(req *appserver.Request) (any, error) {
 			return nil, errors.New("queue: bad enqueue payload")
 		}
 		q.backing.push(req.Shard, item)
+		q.server.LoadChanged(req.Shard)
 		return "ok", nil
 	case QueueOpDequeue:
 		item, ok := q.backing.pop(req.Shard)
 		if !ok {
 			return "", nil // empty queue is not an error
 		}
+		q.server.LoadChanged(req.Shard)
 		return item, nil
 	case QueueOpDepth:
 		return q.backing.Len(req.Shard), nil

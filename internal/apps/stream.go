@@ -113,7 +113,8 @@ func (p *StreamProcessor) DropShard(s shard.ID) {
 // ChangeRole implements appserver.Application (primary-only: no-op).
 func (p *StreamProcessor) ChangeRole(shard.ID, shard.Role, shard.Role) {}
 
-// ShardLoad implements appserver.LoadReporter.
+// ShardLoad implements appserver.LoadReporter with a constant, which needs no
+// mark.
 func (p *StreamProcessor) ShardLoad(shard.ID) topology.Capacity {
 	return topology.Capacity{topology.ResourceShardCount: 1, topology.ResourceCPU: 1}
 }

@@ -14,8 +14,10 @@
 package appserver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -51,7 +53,11 @@ type Application interface {
 // per-shard load for load balancing (§2.2.4). Servers without it report
 // shard count only. A report is a value, as if it had crossed the network:
 // the orchestrator keeps the map ShardLoad returns, so the application must
-// not modify it afterwards — a new load is a new map.
+// not modify it afterwards — a new load is a new map. A server asks for a
+// replica's load when the replica is new and after that only once its shard
+// is marked (Server.LoadChanged): an application whose ShardLoad can change
+// must mark the shard whenever it may have, or the orchestrator keeps the old
+// value. A constant load needs no mark.
 type LoadReporter interface {
 	ShardLoad(s shard.ID) topology.Capacity
 }
@@ -145,6 +151,9 @@ type replica struct {
 	// confirms the role. Reads still serve — the data is no worse than a
 	// secondary's.
 	unconfirmed bool
+	// reported is the shard's load generation (Directory.loadGens) at this
+	// replica's last load report; 0 until the first.
+	reported uint64
 }
 
 // tombstoneTTL is how long a server keeps forwarding requests for a shard
@@ -285,6 +294,9 @@ type Directory struct {
 	live      int
 	shardNums map[shard.ID]ShardNum
 	shardIDs  []shard.ID // shardIDs[n-1] is the shard numbered n
+	// loadGens[n-1] counts, from 1, the marks of shard n's load
+	// (Server.LoadChanged).
+	loadGens []uint64
 	// byKeyspace holds, per keyspace a client routes by, the shard number at
 	// each position: one table for all clients.
 	byKeyspace map[*shard.Keyspace][]ShardNum
@@ -402,6 +414,7 @@ func (d *Directory) ShardNum(id shard.ID) ShardNum {
 	n := d.shardNums[id]
 	if n == 0 {
 		d.shardIDs = append(d.shardIDs, id)
+		d.loadGens = append(d.loadGens, 1)
 		n = ShardNum(len(d.shardIDs))
 		d.shardNums[id] = n
 	}
@@ -751,20 +764,48 @@ func (s *Server) HoldsActive(id shard.ID) bool {
 	return r != nil && r.phase == PhaseActive
 }
 
-// LoadReport returns per-shard load for the orchestrator's collection
-// cycle. Applications implementing LoadReporter control the numbers;
-// otherwise each shard reports shard_count=1.
-func (s *Server) LoadReport() map[shard.ID]topology.Capacity {
-	out := make(map[shard.ID]topology.Capacity, len(s.replicas))
-	for num := range s.replicas {
-		id := s.dir.shardID(num)
-		if lr, ok := s.app.(LoadReporter); ok {
-			out[id] = lr.ShardLoad(id)
-		} else {
-			out[id] = topology.Capacity{topology.ResourceShardCount: 1}
+// LoadEntry is one shard's load in a load report.
+type LoadEntry struct {
+	Shard shard.ID
+	Load  topology.Capacity
+}
+
+// LoadReport returns, for the orchestrator's collection cycle, the load of
+// every replica that is new or whose shard was marked (LoadChanged) since its
+// last report, in no particular order; a replica left out reports what it
+// reported last. Applications implementing LoadReporter control the numbers;
+// otherwise each shard reports shard_count=1. A round in which nothing changed
+// asks the application nothing and returns nil.
+func (s *Server) LoadReport() []LoadEntry {
+	lr, _ := s.app.(LoadReporter)
+	var out []LoadEntry
+	for num, r := range s.replicas {
+		gen := s.dir.loadGens[num-1]
+		if r.reported == gen {
+			continue
 		}
+		r.reported = gen
+		e := LoadEntry{Shard: s.dir.shardID(num)}
+		if lr != nil {
+			e.Load = lr.ShardLoad(e.Shard)
+		} else {
+			e.Load = topology.Capacity{topology.ResourceShardCount: 1}
+		}
+		out = append(out, e)
 	}
 	return out
+}
+
+// LoadChanged marks the shard's load as possibly changed: at the next
+// collection every server of the directory that holds a replica of it reports
+// it again. A nil server (an application driven on its own) marks nothing.
+func (s *Server) LoadChanged(id shard.ID) {
+	if s == nil {
+		return
+	}
+	if n := s.dir.shardNums[id]; n != 0 {
+		s.dir.loadGens[n-1]++
+	}
 }
 
 // Serve processes one request, replying asynchronously (possibly after one
@@ -1112,8 +1153,8 @@ func (h *Host) restoreAssignment(srv *Server) {
 	if err != nil {
 		return
 	}
-	for _, entry := range splitAssign(string(data)) {
-		srv.addShard(entry.id, entry.role, entry.role != shard.RolePrimary)
+	for _, e := range splitAssign(string(data)) {
+		srv.addShard(e.Shard, e.Role, e.Role != shard.RolePrimary)
 	}
 }
 
@@ -1142,24 +1183,30 @@ func (h *Host) ContainerStopped(cluster.Container) {}
 
 // --- persisted assignment encoding (tiny, line-based) ---
 
-type assignEntry struct {
-	id   shard.ID
-	role shard.Role
+// AssignEntry is one shard of a server's persisted assignment.
+type AssignEntry struct {
+	Shard shard.ID
+	Role  shard.Role
 }
 
 // EncodeAssignment renders a server's shard set for persistence.
 func EncodeAssignment(shards map[shard.ID]shard.Role) []byte {
-	out := make([]byte, 0, len(shards)*16)
-	// Deterministic order for stable store contents.
-	ids := make([]string, 0, len(shards))
-	for id := range shards {
-		ids = append(ids, string(id))
+	entries := make([]AssignEntry, 0, len(shards))
+	for id, role := range shards {
+		entries = append(entries, AssignEntry{Shard: id, Role: role})
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		out = append(out, id...)
+	slices.SortFunc(entries, func(a, b AssignEntry) int { return cmp.Compare(a.Shard, b.Shard) })
+	return EncodeEntries(entries)
+}
+
+// EncodeEntries renders a server's assignment from its entries sorted by
+// shard: a deterministic order, so that the store's contents are stable.
+func EncodeEntries(entries []AssignEntry) []byte {
+	out := make([]byte, 0, len(entries)*16)
+	for _, e := range entries {
+		out = append(out, e.Shard...)
 		out = append(out, ' ')
-		if shards[shard.ID(id)] == shard.RolePrimary {
+		if e.Role == shard.RolePrimary {
 			out = append(out, 'p')
 		} else {
 			out = append(out, 's')
@@ -1169,8 +1216,8 @@ func EncodeAssignment(shards map[shard.ID]shard.Role) []byte {
 	return out
 }
 
-func splitAssign(s string) []assignEntry {
-	var out []assignEntry
+func splitAssign(s string) []AssignEntry {
+	var out []AssignEntry
 	for len(s) > 0 {
 		nl := -1
 		for i := 0; i < len(s); i++ {
@@ -1192,7 +1239,7 @@ func splitAssign(s string) []assignEntry {
 		if line[len(line)-1] == 'p' {
 			role = shard.RolePrimary
 		}
-		out = append(out, assignEntry{id: shard.ID(line[:len(line)-2]), role: role})
+		out = append(out, AssignEntry{Shard: shard.ID(line[:len(line)-2]), Role: role})
 	}
 	return out
 }

@@ -260,25 +260,69 @@ func TestLoadReportDefaultsToShardCount(t *testing.T) {
 	s.AddShard("a", shard.RolePrimary, 1)
 	s.AddShard("b", shard.RoleSecondary, 1)
 	rep := s.LoadReport()
-	if len(rep) != 2 || rep["a"].Get(topology.ResourceShardCount) != 1 {
+	if len(rep) != 2 || rep[0].Load.Get(topology.ResourceShardCount) != 1 || rep[1].Load.Get(topology.ResourceShardCount) != 1 {
 		t.Fatalf("LoadReport = %v", rep)
 	}
 }
 
 type loadApp struct {
 	*echoApp
+	cpu   float64
+	asked int
 }
 
-func (l loadApp) ShardLoad(s shard.ID) topology.Capacity {
-	return topology.Capacity{topology.ResourceCPU: 7}
+func (l *loadApp) ShardLoad(s shard.ID) topology.Capacity {
+	l.asked++
+	return topology.Capacity{topology.ResourceCPU: l.cpu}
 }
 
 func TestLoadReporterOverride(t *testing.T) {
 	env := newEnv()
-	s := env.server("s1", "a", loadApp{newEchoApp()})
+	s := env.server("s1", "a", &loadApp{echoApp: newEchoApp(), cpu: 7})
 	s.AddShard("a", shard.RolePrimary, 1)
-	if got := s.LoadReport()["a"].Get(topology.ResourceCPU); got != 7 {
-		t.Fatalf("load = %v", got)
+	if rep := s.LoadReport(); len(rep) != 1 || rep[0].Load.Get(topology.ResourceCPU) != 7 {
+		t.Fatalf("LoadReport = %v", rep)
+	}
+}
+
+// TestLoadReportCarriesWhatChanged: a replica reports when it is new and then
+// only after its shard is marked — on whichever server of the directory the
+// mark was made — and a round in which nothing changed asks the application
+// nothing and allocates nothing.
+func TestLoadReportCarriesWhatChanged(t *testing.T) {
+	env := newEnv()
+	app := &loadApp{echoApp: newEchoApp(), cpu: 1}
+	s := env.server("s1", "a", app)
+	other := env.server("s2", "a", newEchoApp())
+	for _, id := range []shard.ID{"a", "b", "c"} {
+		s.AddShard(id, shard.RolePrimary, 1)
+	}
+	other.AddShard("b", shard.RolePrimary, 1)
+	if rep := s.LoadReport(); len(rep) != 3 || app.asked != 3 {
+		t.Fatalf("first report %v asked %d loads, want all three", rep, app.asked)
+	}
+	app.asked = 0
+	if allocs := testing.AllocsPerRun(10, func() {
+		if rep := s.LoadReport(); rep != nil {
+			t.Fatalf("unchanged report = %v", rep)
+		}
+	}); allocs != 0 || app.asked != 0 {
+		t.Fatalf("an unchanged report allocated %v times and asked %d loads", allocs, app.asked)
+	}
+	app.cpu = 2
+	other.LoadChanged("b")
+	other.LoadChanged("unknown") // a shard no server was given: nothing to mark
+	rep := s.LoadReport()
+	if len(rep) != 1 || rep[0].Shard != "b" || rep[0].Load.Get(topology.ResourceCPU) != 2 {
+		t.Fatalf("report after marking b = %v", rep)
+	}
+	s.DropShard("c")
+	s.AddShard("c", shard.RoleSecondary, 1)
+	if rep := s.LoadReport(); len(rep) != 1 || rep[0].Shard != "c" {
+		t.Fatalf("report after re-adding c = %v, want c alone (a new replica)", rep)
+	}
+	if rep := other.LoadReport(); len(rep) != 1 || rep[0].Shard != "b" {
+		t.Fatalf("the other server's first report = %v", rep)
 	}
 }
 
@@ -292,9 +336,12 @@ func TestEncodeDecodeAssignment(t *testing.T) {
 		t.Fatalf("encoded = %q", data)
 	}
 	entries := splitAssign(string(data))
-	if len(entries) != 2 || entries[0].id != "alpha" || entries[0].role != shard.RolePrimary ||
-		entries[1].id != "beta" || entries[1].role != shard.RoleSecondary {
+	if len(entries) != 2 || entries[0].Shard != "alpha" || entries[0].Role != shard.RolePrimary ||
+		entries[1].Shard != "beta" || entries[1].Role != shard.RoleSecondary {
 		t.Fatalf("decoded = %+v", entries)
+	}
+	if again := EncodeEntries(entries); string(again) != string(data) {
+		t.Fatalf("the decoded entries encode to %q, want %q", again, data)
 	}
 }
 

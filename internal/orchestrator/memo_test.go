@@ -21,7 +21,8 @@ import (
 )
 
 // loadApp is countApp reporting, for every shard, the CPU load the test last
-// set: the way a load change reaches the allocator's input.
+// set: the way a load change reaches the allocator's input. A test that sets it
+// marks the shards (appserver.Server.LoadChanged).
 type loadApp struct {
 	*countApp
 	cpu *float64
@@ -172,7 +173,13 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	})
 	step("replica count up", time.Minute, 2, 1, many, func() { o.SetReplicas("s003", 3) })
 	step("replica count down", time.Minute, 2, 1, many, func() { o.SetReplicas("s003", 2) })
-	step("load change", 2*time.Minute, 6, 1, many, func() { cpu = 3 })
+	step("load change", 2*time.Minute, 6, 1, many, func() {
+		cpu = 3
+		// Every shard's load changed; one live server's marks reach them all.
+		for _, id := range o.order {
+			w.dir.Lookup(drained.id).LoadChanged(id)
+		}
+	})
 	step("idle", 2*time.Minute, 7, 0, 0, func() {})
 	step("region preference", 2*time.Minute, 5, 1, many, func() { o.SetRegionPreference("s007", "r2", 0) })
 	step("edits that write the values held", time.Minute, 4, 0, 0, func() {

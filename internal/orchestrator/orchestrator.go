@@ -142,11 +142,11 @@ type serverState struct {
 	// load is the latest per-shard load report.
 	load map[shard.ID]topology.Capacity
 	// shards is the server's part of the placement — the shards' replica
-	// lists inverted, kept in step by the mutators (placement.go) — which is
-	// what its assignment node in the coordination store should hold;
-	// nodeStale is set while the node does not hold it: never written,
-	// changed since the last write, or the last write failed.
-	shards    map[shard.ID]shard.Role
+	// lists inverted, sorted by shard, kept in step by the mutators
+	// (placement.go) — which is what its assignment node in the coordination
+	// store should hold; nodeStale is set while the node does not hold it:
+	// never written, changed since the last write, or the last write failed.
+	shards    []appserver.AssignEntry
 	nodeStale bool
 }
 
@@ -395,8 +395,7 @@ func (o *Orchestrator) syncMembership() {
 		st := o.servers[id]
 		rejoined := st != nil && !st.alive
 		if st == nil {
-			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity),
-				shards: make(map[shard.ID]shard.Role), nodeStale: true}
+			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity), nodeStale: true}
 			o.servers[id] = st
 			i, _ := slices.BinarySearchFunc(o.byID, id, func(s *serverState, id shard.ServerID) int {
 				return cmp.Compare(s.id, id)
@@ -487,7 +486,10 @@ func (o *Orchestrator) scheduleFailover(id shard.ServerID, at time.Duration) {
 // roles the server demoted or restored stale, drops replicas the world moved
 // away while it was gone, and confirms restored-unconfirmed primaries.
 func (o *Orchestrator) syncServer(id shard.ServerID) {
-	want := maps.Clone(o.servers[id].shards)
+	want := make(map[shard.ID]shard.Role, len(o.servers[id].shards))
+	for _, e := range o.servers[id].shards {
+		want[e.Shard] = e.Role
+	}
 	var protect map[shard.ID]bool
 	for _, sid := range o.order {
 		ss := o.shards[sid]
@@ -522,23 +524,24 @@ func (o *Orchestrator) collectLoads() {
 			report := srv.LoadReport()
 			o.loop.AfterL(0, lbLoadApply, func() {
 				// A report is a value (appserver.LoadReporter), held as it
-				// came. While a remembered result could still be replayed, a
-				// report that changes what shardLoad reads bumps the epoch;
-				// an equal value, or one shardLoad does not read, bumps
-				// nothing. Once the epoch has moved there is nothing to check.
-				for sid, load := range report {
-					held, ok := st.load[sid]
-					if o.memo.replayable() && !(ok && maps.Equal(held, load)) {
-						if ss := o.shards[sid]; ss != nil {
+				// came; a replica it leaves out reports what is held. While a
+				// remembered result could still be replayed, an entry that
+				// changes what shardLoad reads bumps the epoch; an equal
+				// value, or one shardLoad does not read, bumps nothing. Once
+				// the epoch has moved there is nothing to check.
+				for _, e := range report {
+					held, ok := st.load[e.Shard]
+					if o.memo.replayable() && !(ok && maps.Equal(held, e.Load)) {
+						if ss := o.shards[e.Shard]; ss != nil {
 							was := o.shardLoad(ss)
-							st.load[sid] = load
+							st.load[e.Shard] = e.Load
 							if !maps.Equal(was, o.shardLoad(ss)) {
 								o.touch()
 							}
 							continue
 						}
 					}
-					st.load[sid] = load
+					st.load[e.Shard] = e.Load
 				}
 			})
 		}, nil, func() {
@@ -1350,7 +1353,7 @@ func (o *Orchestrator) publish() {
 			continue
 		}
 		node := o.paths.AssignNode(st.id)
-		data := appserver.EncodeAssignment(st.shards)
+		data := appserver.EncodeEntries(st.shards)
 		var err error
 		if o.store.Exists(node) {
 			_, err = o.store.Set(node, data, -1)
@@ -1390,14 +1393,14 @@ func (o *Orchestrator) AliveReplicas(server shard.ServerID) map[shard.ID]int {
 		return nil
 	}
 	out := make(map[shard.ID]int, len(st.shards))
-	for id := range st.shards {
+	for _, e := range st.shards {
 		alive := 0
-		for _, a := range o.shards[id].replicas {
+		for _, a := range o.shards[e.Shard].replicas {
 			if host := o.servers[a.Server]; host != nil && host.alive {
 				alive++
 			}
 		}
-		out[id] = alive
+		out[e.Shard] = alive
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package orchestrator
 
 import (
+	"cmp"
 	"slices"
 
+	"shardmanager/internal/appserver"
 	"shardmanager/internal/shard"
 )
 
@@ -10,8 +12,9 @@ import (
 // shard's replica list (shardState.replicas), of the type the shard map
 // publishes. Two things are derived from it and must never fall out of step:
 // every server's index of the shards it holds (serverState.shards, which is
-// also what its assignment node should contain) and the list of shards changed
-// since the last publication (Orchestrator.changed). The four mutators below
+// also what its assignment node should contain, in the node's order: by shard
+// name) and the list of shards changed since the last publication
+// (Orchestrator.changed). The four mutators below
 // are the only code that writes a replica list, and each brings both up to date
 // in the same breath; every other function reads. They are also all a standby
 // needs to rebuild the placement from the coord assignment nodes. The three
@@ -68,10 +71,16 @@ func (o *Orchestrator) reindex(ss *shardState, server shard.ServerID) {
 	if st == nil {
 		return
 	}
-	if i := ss.find(server); i != -1 {
-		st.shards[ss.cfg.ID] = ss.replicas[i].Role
-	} else {
-		delete(st.shards, ss.cfg.ID)
+	at, held := slices.BinarySearchFunc(st.shards, ss.cfg.ID, func(e appserver.AssignEntry, id shard.ID) int {
+		return cmp.Compare(e.Shard, id)
+	})
+	switch i := ss.find(server); {
+	case i != -1 && held:
+		st.shards[at].Role = ss.replicas[i].Role
+	case i != -1:
+		st.shards = slices.Insert(st.shards, at, appserver.AssignEntry{Shard: ss.cfg.ID, Role: ss.replicas[i].Role})
+	case held:
+		st.shards = slices.Delete(st.shards, at, at+1)
 	}
 	st.nodeStale = true
 }
@@ -94,8 +103,8 @@ func byPos(a, b *shardState) int { return a.pos - b.pos }
 // event scheduled.
 func (o *Orchestrator) shardsOn(st *serverState) []*shardState {
 	out := make([]*shardState, 0, len(st.shards))
-	for id := range st.shards {
-		out = append(out, o.shards[id])
+	for _, e := range st.shards {
+		out = append(out, o.shards[e.Shard])
 	}
 	slices.SortFunc(out, byPos)
 	return out

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -56,6 +57,21 @@ func refAliveReplicas(o *Orchestrator, m *shard.Map, server shard.ServerID) map[
 	return out
 }
 
+// refShardsOn is the scan shardsOn was: the shards with a replica on the
+// server, in configuration order.
+func refShardsOn(o *Orchestrator, m *shard.Map, server shard.ServerID) []shard.ID {
+	var out []shard.ID
+	for _, id := range o.order {
+		for _, a := range m.Entries[id] {
+			if a.Server == server {
+				out = append(out, id)
+				break
+			}
+		}
+	}
+	return out
+}
+
 // refSyncWant is the scan that built syncServer's want — the snapshot
 // inverted for one server, which is also what its assignment node must hold.
 func refSyncWant(m *shard.Map, id shard.ServerID) map[shard.ID]shard.Role {
@@ -71,10 +87,30 @@ func refSyncWant(m *shard.Map, id shard.ServerID) map[shard.ID]shard.Role {
 	return want
 }
 
+// refIndex is a by-name scan of the snapshot for one server: its entries in
+// the order of the shards' names, which is what its index must hold.
+func refIndex(m *shard.Map, id shard.ServerID) []appserver.AssignEntry {
+	ids := make([]shard.ID, 0, len(m.Entries))
+	for sid := range m.Entries {
+		ids = append(ids, sid)
+	}
+	slices.Sort(ids)
+	var out []appserver.AssignEntry
+	for _, sid := range ids {
+		for _, a := range m.Entries[sid] {
+			if a.Server == id {
+				out = append(out, appserver.AssignEntry{Shard: sid, Role: a.Role})
+				break
+			}
+		}
+	}
+	return out
+}
+
 // checkIndex requires, for every server the orchestrator knows, that its
-// index is the snapshot inverted, that the two per-server questions answer as
-// their reference scans do, and — unless the node is marked stale — that its
-// coord assignment node holds exactly that inversion.
+// index is the snapshot inverted and sorted by name, that the per-server
+// questions answer as their reference scans do, and — unless the node is
+// marked stale — that its coord assignment node holds exactly that inversion.
 func checkIndex(t *testing.T, w *world, when string) {
 	t.Helper()
 	m := w.orch.AssignmentSnapshot()
@@ -83,8 +119,15 @@ func checkIndex(t *testing.T, w *world, when string) {
 	}
 	for id, st := range w.orch.servers {
 		want := refSyncWant(m, id)
-		if !reflect.DeepEqual(st.shards, want) {
-			t.Fatalf("%s: %s index %v, replica lists say %v", when, id, st.shards, want)
+		if ref := refIndex(m, id); !slices.Equal(st.shards, ref) {
+			t.Fatalf("%s: %s index %v, a by-name scan of the replica lists says %v", when, id, st.shards, ref)
+		}
+		var on []shard.ID
+		for _, ss := range w.orch.shardsOn(st) {
+			on = append(on, ss.cfg.ID)
+		}
+		if ref := refShardsOn(w.orch, m, id); !slices.Equal(on, ref) {
+			t.Fatalf("%s: shardsOn(%s) = %v, scan says %v", when, id, on, ref)
 		}
 		if got, ref := w.orch.ShardsOnServer(id), refShardsOnServer(m, id); got != ref {
 			t.Fatalf("%s: ShardsOnServer(%s) = %d, scan says %d", when, id, got, ref)

@@ -98,7 +98,7 @@ go test ./internal/solver -run '^$' -bench . -benchtime=1x
 go test ./internal/sim -run '^$' -bench LoopScheduleAndRun -benchtime=1x
 go test ./internal/discovery -run '^$' -bench Publish -benchtime=1x
 go test ./internal/routing -run '^$' -bench ClientRequestRoundTrip -benchmem -benchtime=1x
-go test ./internal/orchestrator -run '^$' -bench 'MoveAndPublish|AllocateIncremental' -benchtime=1x
+go test ./internal/orchestrator -run '^$' -bench 'MoveAndPublish|AllocateIncremental|CollectLoads' -benchtime=1x
 echo "== profiler-overhead benchmark smoke (-benchtime=1x)"
 go test . -run '^$' -bench ProfilerOverhead -benchtime=1x
 echo "== code lines (scripts/loc.sh)"
