@@ -187,7 +187,7 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(allocator.Policy{}): {"Metrics", "UtilCap", "MaxDiff", "SpreadLevel", "SpreadWeight",
 			"AffinityWeight", "PerShardMoveCap", "MaxTotalMoves"},
 		reflect.TypeOf(solver.Options{}): {"TimeLimit", "EvalBudget", "MoveBudget", "CandidateTargets", "BigFirst",
-			"UseEquivalence", "EnableSwap", "Sampler", "Seed", "Progress"},
+			"EnableSwap", "Sampler", "Seed", "Progress"},
 		reflect.TypeOf(routing.Options{}):       {"MaxAttempts"},
 		reflect.TypeOf(taskcontroller.Policy{}): {"DrainOnRestart", "MaxConcurrentOps", "MaxUnavailableReplicas"},
 		reflect.TypeOf(cluster.Options{}):       {"StartDuration", "StopDuration", "RestartDuration", "NegotiationDelay"},

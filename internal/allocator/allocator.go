@@ -113,10 +113,10 @@ type Policy struct {
 }
 
 // What every application gets (§5.3's optimizations are not per-application
-// policy: Run always samples by group, orders big shards first, reuses
-// equivalent shards' evaluations, tries swaps and solves the goals in
-// priority stages; smbench -fig 22 and -fig ablations measure each choice on
-// solver.Options directly).
+// policy: Run always samples by group, orders big shards first, tries swaps
+// and solves the goals in priority stages; smbench -fig fig22 measures the
+// sampling and -fig ablations big-shards-first and swaps on solver.Options
+// directly, and no run measures the stages).
 const (
 	// drainWeight penalizes a replica on a draining server (§5.1 soft goal 3).
 	drainWeight = 500

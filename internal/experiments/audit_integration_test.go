@@ -111,6 +111,27 @@ func TestTortureRegressionSeed70(t *testing.T) {
 	}
 }
 
+// TestTortureRegressionSeed69 pins the sweep's aborted-handoff dual primary:
+// under seed 69's timeline a graceful move of s00003 lost add_shard's reply
+// on the target (which did become primary), then lost the rollback drop's
+// too. The migration was declared failed before the target was registered as
+// a pending orphan, so the emergency plan that runs on failure re-added the
+// target as a secondary. Five seconds later the orphan retry took the target
+// as re-engaged and resumed the old primary beside it: one-primary, then
+// write-owner. The orphan is now registered first, so the plan is refused.
+func TestTortureRegressionSeed69(t *testing.T) {
+	run := RunTortureSeed(RunConfig{}, quickTortureParams(), 69)
+	if n := run.Auditor.ViolationCount(); n != 0 {
+		t.Fatalf("seed 69: %d violations, want 0 — the aborted-migration dual primary regressed (bugs: %+v)",
+			n, run.Bugs)
+	}
+	refused := run.Deployment.Loop.Metrics().Counter("orchestrator_publish_rejected_total",
+		"app", "torture", "reason", "orphan_pending").Value()
+	if refused == 0 {
+		t.Error("seed 69: no plan was refused for a pending orphan; the timeline no longer reaches the abort path")
+	}
+}
+
 // TestTortureRegressionSeed321 pins what used to be the sweep's crash class:
 // under seed 321's timeline the orchestrator assembled a map with a
 // duplicate replica of one shard and tripped its own publish-time sanity

@@ -186,7 +186,11 @@ func runPublishBurstWorld(t *testing.T, seed uint64) []string {
 // its full-publish side. (That commit's delta side reproduced the first two
 // and diverged on the burst — digest 39f99d75ee57888a — because a client that
 // could not chain a delta was resynced to the current map, not handed the
-// version the delivery was for.)
+// version the delivery was for.) The "drain seed 3" and "burst seed 5" rows
+// were re-recorded once since, when the solver's equivalence classes were
+// deleted (32bdceeb22a22ebc and e5dc3397c13b43aa before): a hot bucket's
+// candidates changed, so the allocations chose other moves and the requests
+// took other routes.
 func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -194,9 +198,9 @@ func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 		count  int
 		digest string
 	}{
-		{"drain seed 3", func() []string { return runDeltaEquivalenceWorld(t, 3) }, 992, "32bdceeb22a22ebc"},
+		{"drain seed 3", func() []string { return runDeltaEquivalenceWorld(t, 3) }, 992, "07e8ab9d54ea6025"},
 		{"drain seed 11", func() []string { return runDeltaEquivalenceWorld(t, 11) }, 992, "f636326fad66feaf"},
-		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3798, "e5dc3397c13b43aa"},
+		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3798, "32be6617a5db34e8"},
 	} {
 		results := c.run()
 		sum := sha256.Sum256([]byte(strings.Join(results, "\n")))

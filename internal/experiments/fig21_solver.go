@@ -19,11 +19,6 @@ type SolverScaleParams struct {
 	// Scales lists (servers, shards) problem sizes.
 	Scales [][2]int
 	Seed   uint64
-	// TimeLimit bounds each solve (0 = none).
-	TimeLimit time.Duration
-	// EvalBudget bounds each solve by candidate evaluations (0 = none).
-	// Unlike TimeLimit it is deterministic, so curves reproduce exactly.
-	EvalBudget int
 }
 
 // evalTime maps a candidate-evaluation count onto the curve time axis
@@ -128,8 +123,6 @@ func Fig21(params SolverScaleParams) *Report {
 		curve := Curve{Name: fmt.Sprintf("%dK shards on %dK servers", shards/1000, servers/1000), Unit: "violations"}
 		opt := solver.DefaultOptions()
 		opt.Seed = params.Seed
-		opt.TimeLimit = params.TimeLimit
-		opt.EvalBudget = params.EvalBudget
 		opt.Sampler = solver.GroupedSampler(p, 1) // utilization bias on CPU
 		opt.Progress = func(pi solver.ProgressInfo) {
 			curve.Points = append(curve.Points, point(evalTime(pi.Evaluated), float64(pi.Violations.Total())))
@@ -163,9 +156,6 @@ type SolverAblationParams struct {
 	// TimeLimit bounds each solve; the paper's baseline fails to finish
 	// within 300s.
 	TimeLimit time.Duration
-	// EvalBudget bounds each solve by candidate evaluations (0 = none);
-	// deterministic, so ablation curves reproduce exactly per seed.
-	EvalBudget int
 }
 
 // DefaultSolverAblationParams scale the paper's 75K-shard comparison to a
@@ -203,7 +193,6 @@ func runAblation(params SolverAblationParams, variants []ablationVariant) (*Repo
 		opt := solver.DefaultOptions()
 		opt.Seed = params.Seed
 		opt.TimeLimit = params.TimeLimit
-		opt.EvalBudget = params.EvalBudget
 		// Both variants get the same candidate budget (one per region)
 		// so the comparison isolates *where* candidates come from, not
 		// how many there are.
@@ -273,11 +262,10 @@ func Fig22(params SolverAblationParams) *Report {
 }
 
 // Ablations runs the remaining §5.3 design-choice ablations called out in
-// DESIGN.md: equivalence classes, big-shards-first, and swap moves.
+// DESIGN.md: big-shards-first and swap moves.
 func Ablations(params SolverAblationParams) *Report {
 	r, _ := runAblation(params, []ablationVariant{
 		{"all optimizations", func(*solver.Options, *solver.Problem) {}},
-		{"no equivalence classes", func(o *solver.Options, _ *solver.Problem) { o.UseEquivalence = false }},
 		{"no big-shards-first", func(o *solver.Options, _ *solver.Problem) { o.BigFirst = false }},
 		{"no swap moves", func(o *solver.Options, _ *solver.Problem) { o.EnableSwap = false }},
 	})

@@ -930,7 +930,9 @@ func (o *Orchestrator) runMigration(m migration) {
 	// drop retries until acknowledged (an unacknowledged "failed" add may
 	// be a live orphan primary), and only once the target is provably gone
 	// does the old primary resume serving — resuming earlier could put two
-	// active primaries up at once.
+	// active primaries up at once. As on the other failure paths, the
+	// orphan is registered before fail(): fail runs an emergency
+	// allocation, whose plan must see the orphan and leave the shard alone.
 	abort := func() {
 		o.callStep(m.span, "drop_shard", m.shard, m.to, func(srv *appserver.Server) {
 			srv.DropShard(m.shard)
@@ -938,8 +940,8 @@ func (o *Orchestrator) runMigration(m migration) {
 			fail()
 			o.resumeSource(m.shard, m.from)
 		}, func() {
-			fail()
 			o.scheduleOrphanDrop(m.shard, m.to, func() { o.resumeSource(m.shard, m.from) })
+			fail()
 		})
 	}
 	switch {
@@ -1056,6 +1058,13 @@ func (o *Orchestrator) scheduleOrphanDrop(s shard.ID, id shard.ServerID, then fu
 // (its replicas die with the process; a rejoin runs SyncAssignment), or
 // legitimately re-engages with the shard. Every exit path clears the
 // shard's pending-orphan mark and fires then.
+//
+// Re-engaging is narrow. executeDiff starts no add or move on a shard with a
+// pending orphan, and every failure path registers its orphan before fail()
+// runs the emergency plan. So the one writer that can still put a pending
+// orphan's server back into the replica list is runMigration's commit
+// (rehomeReplica) of a migration enqueued before the orphan was registered.
+// That migration added the shard on the server under a newer generation.
 func (o *Orchestrator) dropOrphan(s shard.ID, id shard.ServerID, then func()) {
 	ss := o.shards[s]
 	if ss == nil {

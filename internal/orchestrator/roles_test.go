@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"shardmanager/internal/cluster"
+	"shardmanager/internal/metrics"
+	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/shard"
 	"shardmanager/internal/topology"
 )
@@ -204,6 +206,80 @@ func TestMigrationTargetDiesMidFlight(t *testing.T) {
 	// (failed migration RPCs) and/or emergency reallocation.
 	if w.orch.FailedRPCs.Value() == 0 && w.orch.EmergencyRuns.Value() == 0 {
 		t.Fatal("neither failed RPCs nor emergency runs after mid-flight region loss")
+	}
+}
+
+// TestFailedRollbackRegistersOrphanBeforeEmergencyPlan: a graceful
+// migration's add_shard on the target may execute though its reply is lost,
+// and the rollback drop may fail the same way, leaving the target an active
+// primary nobody knows about. The target must be a pending orphan by the time
+// the migration is declared failed. That declaration runs an emergency
+// allocation, and here that plan wants the shard (its secondary died mid-move).
+// The plan must leave the shard alone. If it may place the lost secondary, it
+// may place it on the orphan. The orphan's drop retry then takes the server as
+// re-engaged and resumes the old primary beside it.
+func TestFailedRollbackRegistersOrphanBeforeEmergencyPlan(t *testing.T) {
+	cfg := baseConfig(shard.PrimarySecondary, 1, 2)
+	cfg.FailoverGrace = 10 * time.Second
+	cfg.ShardLoadTime = time.Minute // the secondary's grace runs out mid-move
+	w := buildWorld(t, []topology.RegionID{"r1", "r2"}, 3, cfg)
+	reg := metrics.NewRegistry()
+	w.loop.SetMetrics(reg)
+	w.loop.RunFor(5 * time.Minute)
+	assertConverged(t, w, 2)
+
+	const s = shard.ID("s000")
+	m := w.orch.AssignmentSnapshot()
+	prim, _ := m.Primary(s)
+	var sec shard.ServerID
+	for _, a := range m.Replicas(s) {
+		if a.Server != prim {
+			sec = a.Server
+		}
+	}
+	rejected := reg.Counter("orchestrator_publish_rejected_total", "app", "app", "reason", "orphan_pending")
+
+	var target shard.ServerID
+	finished, orphanAtFinish, targetHeldAfter := false, false, false
+	w.orch.AddHooks(Hooks{
+		MigrationStarted: func(_ shard.ID, _, to shard.ServerID, _ bool) { target = to },
+		MigrationStep: func(_ shard.ID, step string, _ shard.ServerID, status string) {
+			switch {
+			case step == "prepare_add_shard" && status == "ok":
+				w.managers[w.net.Region(rpcnet.Endpoint(sec))].KillMachine(w.machineOf(t, sec))
+			case step == "prepare_drop_shard" && status == "ok":
+				// Every reply from the target's region is lost from now on:
+				// add_shard and the rollback drop both run there, and both
+				// report failure.
+				w.net.SetLinkFault(w.net.Region(rpcnet.Endpoint(target)), w.orch.cfg.HomeRegion,
+					rpcnet.LinkFault{DropProb: 1})
+			}
+		},
+		MigrationFinished: func(_ shard.ID, ok bool) {
+			if ok || finished {
+				return
+			}
+			finished = true
+			orphanAtFinish = w.orch.shards[s].orphans[target]
+			// The emergency plan runs right after this hook, in the same
+			// event; look at the replica list once it is done.
+			w.loop.AfterL(0, 0, func() { targetHeldAfter = w.orch.shards[s].find(target) != -1 })
+		},
+	})
+	w.orch.Drain(prim, nil)
+	w.loop.RunFor(3 * time.Minute)
+
+	if !finished {
+		t.Fatal("the migration never failed; the fault did not engage")
+	}
+	if !orphanAtFinish {
+		t.Fatalf("target %s was not a pending orphan when the migration was declared failed", target)
+	}
+	if rejected.Value() == 0 {
+		t.Fatal("the emergency plan after the abort was not refused for the pending orphan")
+	}
+	if targetHeldAfter {
+		t.Fatalf("the emergency plan put the orphan %s back into the replica list", target)
 	}
 }
 

@@ -19,10 +19,7 @@
 // evaluating a candidate move never rescans entities.
 package solver
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // EntityID indexes an entity within a Problem.
 type EntityID int
@@ -463,11 +460,6 @@ type state struct {
 	// hot tracks every bucket's penalty incrementally (see hotset.go);
 	// apply keeps it in sync with the aggregates above.
 	hot *hotSet
-
-	// sigID[e] interns Problem.equivalenceSignature; built lazily by
-	// ensureSigs (loads and goals are immutable, so never invalidated).
-	sigID  []int32
-	numSig int
 
 	// scratch backs the allocation-free public moveDelta.
 	scratch prepared
@@ -1020,59 +1012,4 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 		}
 	}
 	return pen
-}
-
-// ensureSigs interns every entity's equivalence signature into a dense
-// class ID, once per state. Loads and goals are immutable, so the IDs are
-// never invalidated; candidate filtering then dedups by int comparison
-// instead of rebuilding a string-keyed set per attempt.
-func (s *state) ensureSigs() {
-	if s.sigID != nil {
-		return
-	}
-	s.sigID = make([]int32, len(s.p.Entities))
-	idx := make(map[string]int32, len(s.p.Entities))
-	for e := range s.p.Entities {
-		sig := s.p.equivalenceSignature(EntityID(e))
-		id, ok := idx[sig]
-		if !ok {
-			id = int32(len(idx))
-			idx[sig] = id
-		}
-		s.sigID[e] = id
-	}
-	s.numSig = len(idx)
-}
-
-// equivalenceSignature groups interchangeable entities: same load vector,
-// same affinity goals, and same exclusion groups. Evaluating one entity per
-// class per bucket is the paper's "reuses the computation for equivalent
-// shards" optimization.
-func (p *Problem) equivalenceSignature(e EntityID) string {
-	ent := &p.Entities[e]
-	sig := make([]byte, 0, 64)
-	for _, l := range ent.Load {
-		sig = appendFloat(sig, l)
-	}
-	for _, g := range p.affinityGoals[e] {
-		sig = append(sig, g.Scope...)
-		sig = append(sig, '=')
-		sig = append(sig, g.Domain...)
-		sig = appendFloat(sig, g.Weight)
-	}
-	// One fixed-width group number per spec (-1 included), so the tail
-	// reads one way whatever the groups are.
-	for i := range p.exclusionSpecs {
-		g := uint32(p.exclusionSpecs[i].Group[e])
-		sig = append(sig, byte(g), byte(g>>8), byte(g>>16), byte(g>>24))
-	}
-	return string(sig)
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	u := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(u>>(8*i)))
-	}
-	return b
 }

@@ -121,8 +121,8 @@ type Options struct {
 	TimeLimit time.Duration
 	// EvalBudget bounds the number of candidate-move evaluations; <= 0
 	// means no limit. Unlike TimeLimit, an evaluation budget is
-	// deterministic: two runs with the same seed stop at the same point,
-	// so experiment curves are reproducible (Fig 21/22).
+	// deterministic: two runs with the same seed stop at the same point.
+	// Only tests and benchmarks set it.
 	EvalBudget int
 	// MoveBudget bounds how many entities end the solve away from their
 	// Home (§5.1's churn cap, spent by the search); <= 0 means no limit.
@@ -137,9 +137,6 @@ type Options struct {
 	// "SM guides ReBalancer to evaluate large shards earlier"), largest by
 	// metric 0, the caller's primary metric.
 	BigFirst bool
-	// UseEquivalence skips equivalent entities on the same bucket
-	// (§5.3: "reuses the computation for equivalent shards").
-	UseEquivalence bool
 	// EnableSwap tries two-way swaps when no single move improves.
 	EnableSwap bool
 	// Sampler picks candidate targets (default RandomSampler).
@@ -157,7 +154,6 @@ func DefaultOptions() Options {
 	return Options{
 		CandidateTargets: 16,
 		BigFirst:         true,
-		UseEquivalence:   true,
 		EnableSwap:       true,
 		Seed:             1,
 	}
@@ -224,13 +220,6 @@ type solveCtx struct {
 	entCacheValid []bool
 	// shuffleScratch holds the shuffled copy when BigFirst is off.
 	shuffleScratch []EntityID
-	// pickScratch holds the equivalence-filtered, truncated pick.
-	pickScratch []EntityID
-	// seenGen[sigID] == gen marks equivalence classes already picked in
-	// the current candidateEntities call (generation counter beats
-	// clearing a map or slice each time).
-	seenGen []int32
-	gen     int32
 
 	// The sampled (entity, target) grid of one fix attempt, flattened.
 	preps      []prepared
@@ -248,6 +237,22 @@ type solveCtx struct {
 // result. The Problem's Entities' Bucket fields are updated in place to the
 // final assignment.
 func Solve(p *Problem, opt Options) *Result {
+	ctx := newSolveCtx(p, opt)
+	ctx.phase1()
+	ctx.phase2()
+
+	st, res := ctx.st, ctx.res
+	res.Final = st.violations()
+	res.Elapsed = time.Since(ctx.start)
+	for i := range p.Entities {
+		p.Entities[i].Bucket = st.assignment[i]
+	}
+	return res
+}
+
+// newSolveCtx builds the incremental state of p's assignment and the search
+// machinery around it, with opt's defaults filled in.
+func newSolveCtx(p *Problem, opt Options) *solveCtx {
 	if opt.CandidateTargets <= 0 {
 		opt.CandidateTargets = 16
 	}
@@ -280,16 +285,7 @@ func Solve(p *Problem, opt Options) *Result {
 			ctx.spent += ctx.away(EntityID(e), b)
 		}
 	}
-
-	ctx.phase1()
-	ctx.phase2()
-
-	res.Final = st.violations()
-	res.Elapsed = time.Since(start)
-	for i := range p.Entities {
-		p.Entities[i].Bucket = st.assignment[i]
-	}
-	return res
+	return ctx
 }
 
 func (c *solveCtx) budgetLeft() bool {
@@ -458,8 +454,13 @@ func (c *solveCtx) fireProgress() {
 // candidateEntities picks the entities of bucket b to evaluate this attempt:
 // the bucket's cached movable list (sorted once per invalidation, not per
 // attempt; without the entities at home while the move budget is spent),
-// deduplicated by equivalence class, truncated to maxEntitiesPerBucket. The
-// returned slice is scratch, valid until the next call.
+// truncated to maxEntitiesPerBucket. The returned slice is scratch, valid
+// until the next call.
+//
+// §5.3's "reuses the computation for equivalent shards" is not reproduced
+// (DESIGN §2): a shard's replicas never share a bucket and each carries its
+// own exclusion group, so on replicated worlds no two candidates of a bucket
+// are interchangeable.
 func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 	st, opt := c.st, &c.opt
 	if spent := c.movesSpent(); spent != c.cachePinned {
@@ -500,34 +501,7 @@ func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 		})
 		ents = c.shuffleScratch
 	}
-	picked := c.pickScratch[:0]
-	if opt.UseEquivalence {
-		st.ensureSigs()
-		if c.seenGen == nil {
-			c.seenGen = make([]int32, st.numSig)
-		}
-		c.gen++
-		for _, e := range ents {
-			sid := st.sigID[e]
-			if c.seenGen[sid] == c.gen {
-				continue
-			}
-			c.seenGen[sid] = c.gen
-			picked = append(picked, e)
-			if len(picked) == maxEntitiesPerBucket {
-				break
-			}
-		}
-	} else {
-		for _, e := range ents {
-			picked = append(picked, e)
-			if len(picked) == maxEntitiesPerBucket {
-				break
-			}
-		}
-	}
-	c.pickScratch = picked
-	return picked
+	return ents[:min(len(ents), maxEntitiesPerBucket)]
 }
 
 // bestGridMove samples targets for every candidate entity, then evaluates the

@@ -1,8 +1,10 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -248,32 +250,75 @@ func TestDomainScopedCapacity(t *testing.T) {
 	}
 }
 
-func TestEquivalenceSignatureGroupsIdenticalEntities(t *testing.T) {
-	p := buildSkewed(2, 4, 10)
-	p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 0, Domain: "r1", Weight: 1})
-	sig0 := p.equivalenceSignature(0)
-	sig1 := p.equivalenceSignature(1)
-	sig2 := p.equivalenceSignature(2)
-	if sig0 == sig1 {
-		t.Fatal("entity with affinity should differ from plain entity")
+// TestCandidateEntitiesAreLargestMovable pins what a hot bucket offers the
+// search: its movable entities, largest Load[0] first with ties broken by ID,
+// at most maxEntitiesPerBucket of them. Once the move budget is spent the
+// entities at home drop out; a move home returns a unit and brings them back,
+// and a move away spends it again.
+func TestCandidateEntitiesAreLargestMovable(t *testing.T) {
+	p := NewProblem([]string{"cpu"})
+	p.AddBucket(Bucket{Name: "b0", Capacity: []float64{1000}})
+	p.AddBucket(Bucket{Name: "b1", Capacity: []float64{1000}})
+	// 24 entities on b0 with loads 1–5 (so ties), every sixth pinned; the
+	// six with i%4 == 1 belong on b1, so they are away and spend the budget.
+	for i := 0; i < 24; i++ {
+		e := p.AddEntity(Entity{Load: []float64{float64(1 + i%5)}, Bucket: 0, Movable: i%6 != 0})
+		if i%4 == 1 {
+			p.Entities[e].Home = 1
+		}
 	}
-	if sig1 != sig2 {
-		t.Fatal("identical entities should share a signature")
+	// largest lists b0's movable entities the contract's way.
+	largest := func(c *solveCtx, skipHome bool) []EntityID {
+		var out []EntityID
+		for _, e := range c.st.byBucket[0] {
+			if ent := &p.Entities[e]; ent.Movable && !(skipHome && ent.Home == 0) {
+				out = append(out, e)
+			}
+		}
+		slices.SortFunc(out, func(a, b EntityID) int {
+			if c := cmp.Compare(p.Entities[b].Load[0], p.Entities[a].Load[0]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return out[:min(len(out), maxEntitiesPerBucket)]
+	}
+	check := func(c *solveCtx, step string, want []EntityID) {
+		t.Helper()
+		if got := c.candidateEntities(0); !slices.Equal(got, want) {
+			t.Fatalf("%s: candidates %v, want %v", step, got, want)
+		}
 	}
 
-	// Two exclusion specs: entity 0 is in group 112 of the first alone,
-	// entity 1 in group 1 of the first and group 2 of the second. A spec
-	// digit followed by an unterminated group reads "0112" for both (with
-	// string groups: {0:"a1b"} against {0:"a", 1:"b"}); fixed-width numbers
-	// read one way.
-	p = buildSkewed(2, 4, 10)
-	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: []int32{112, 1, -1, -1}, NumGroups: 113, Weight: 1})
-	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: []int32{-1, 2, -1, -1}, NumGroups: 3, Weight: 1})
-	if p.equivalenceSignature(0) == p.equivalenceSignature(1) {
-		t.Fatal("entities in different groups of two specs share a signature")
+	opt := DefaultOptions()
+	c := newSolveCtx(p, opt)
+	if want := largest(c, false); len(want) != maxEntitiesPerBucket {
+		t.Fatalf("world offers %d candidates; it must overflow the cap", len(want))
+	} else {
+		check(c, "no budget", want)
 	}
-	if p.equivalenceSignature(2) != p.equivalenceSignature(3) {
-		t.Fatal("identical entities outside both specs should share a signature")
+
+	opt.MoveBudget = 6
+	c = newSolveCtx(p, opt)
+	check(c, "budget spent", []EntityID{9, 13, 17, 1, 21, 5})
+	c.applyRaw(9, 1) // home: a unit returns
+	check(c, "unit returned", largest(c, false))
+	c.applyRaw(2, 1) // away from home: spent again
+	check(c, "spent again", []EntityID{13, 17, 1, 21, 5})
+
+	// Without BigFirst the cap holds over a shuffled copy of the same list.
+	opt = DefaultOptions()
+	opt.BigFirst = false
+	c = newSolveCtx(p, opt)
+	got := slices.Clone(c.candidateEntities(0))
+	slices.Sort(got)
+	if len(got) != maxEntitiesPerBucket || len(slices.Compact(got)) != len(got) {
+		t.Fatalf("shuffled candidates %v: want %d distinct entities", got, maxEntitiesPerBucket)
+	}
+	for _, e := range got {
+		if !p.Entities[e].Movable || c.st.assignment[e] != 0 {
+			t.Fatalf("shuffled candidate %d is not a movable entity of b0", e)
+		}
 	}
 }
 
