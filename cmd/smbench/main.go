@@ -172,20 +172,12 @@ func run() int {
 	if err := writeProf(prof, *profOut, *profJSON, *profFolded, *profWall); err != nil {
 		return fail(err)
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return fail(err)
-		}
+	heap := func(w io.Writer) error {
 		runtime.GC() // settle live-heap numbers before the snapshot
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("heap profile written to %s\n", *memProfile)
+		return pprof.WriteHeapProfile(w)
+	}
+	if err := writeFile(*memProfile, heap, "heap profile written to "+*memProfile); err != nil {
+		return fail(err)
 	}
 	if bugsFound {
 		return 1
@@ -220,22 +212,7 @@ func writeProf(prof *simprof.Profile, textPath, jsonPath, foldedPath string, wal
 	}
 	opts := simprof.ReportOptions{Wall: wall}
 	write := func(path string, render func(io.Writer, simprof.ReportOptions) error, what string) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f, opts); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("%s written to %s\n", what, path)
-		return nil
+		return writeFile(path, func(w io.Writer) error { return render(w, opts) }, what+" written to "+path)
 	}
 	if err := write(textPath, prof.WriteText, "kernel profile"); err != nil {
 		return err
@@ -263,6 +240,27 @@ func writeMetrics(reg *metrics.Registry, path, format string) error {
 	default:
 		return fmt.Errorf("unknown exposition format %q (want prom, json, or csv)", format)
 	}
+	return writeFile(path, write, fmt.Sprintf("metrics written to %s (%s)", path, format))
+}
+
+// writeTrace exports the tracer to the requested files (no-ops when tracing
+// is off).
+func writeTrace(tracer *trace.Tracer, chromePath, textPath string) error {
+	if tracer == nil {
+		return nil
+	}
+	if err := writeFile(chromePath, tracer.WriteChrome, "trace written to "+chromePath); err != nil {
+		return err
+	}
+	return writeFile(textPath, tracer.WriteText, "trace timeline written to "+textPath)
+}
+
+// writeFile creates path, fills it with write and prints done once the file
+// is closed. An empty path writes nothing.
+func writeFile(path string, write func(io.Writer) error, done string) error {
+	if path == "" {
+		return nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -274,43 +272,6 @@ func writeMetrics(reg *metrics.Registry, path, format string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("metrics written to %s (%s)\n", path, format)
-	return nil
-}
-
-// writeTrace exports the tracer to the requested files (no-ops when tracing
-// is off).
-func writeTrace(tracer *trace.Tracer, chromePath, textPath string) error {
-	if tracer == nil {
-		return nil
-	}
-	if chromePath != "" {
-		f, err := os.Create(chromePath)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s\n", chromePath)
-	}
-	if textPath != "" {
-		f, err := os.Create(textPath)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteText(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace timeline written to %s\n", textPath)
-	}
+	fmt.Println(done)
 	return nil
 }

@@ -370,49 +370,14 @@ func statusDemo(mon *healthmon.Monitor, prof *simprof.Profile, servers, shards, 
 // store losing and recovering a whole region — and shows what an operator
 // would see at each stage.
 func statusGeoFailover(mon *healthmon.Monitor, prof *simprof.Profile, servers, shards int, seed uint64) {
-	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	pol.SpreadLevel = topology.LevelRegion
-	pol.SpreadWeight = 100
-	pol.AffinityWeight = 300
-	shardCfgs := experiments.UniformShardConfigs(shards, 2, topology.Capacity{
-		topology.ResourceCPU:        0.5,
-		topology.ResourceShardCount: 1,
-	})
-	ec := shards * 2 / 5 // 40% "east-coast" shards prefer FRC, as in fig19
-	for i := 0; i < ec; i++ {
-		shardCfgs[i].RegionPreference = "frc"
+	spec := experiments.GeoKVSpec("geostore", [3]topology.RegionID{"frc", "prn", "odn"}, "prn",
+		shards, 2, servers, seed)
+	spec.Orch.Policy.AffinityWeight = 300
+	for i := 0; i < shards*2/5; i++ { // 40% "east-coast" shards prefer FRC, as in fig19
+		spec.Orch.Shards[i].RegionPreference = "frc"
 	}
-	cfg := orchestrator.Config{
-		App:      "geostore",
-		Strategy: shard.SecondaryOnly,
-		Shards:   shardCfgs,
-		Policy:   pol,
-		ServerCapacity: topology.Capacity{
-			topology.ResourceCPU:        100,
-			topology.ResourceShardCount: float64(shards),
-		},
-		HomeRegion:              "prn",
-		GracefulMigration:       true,
-		FailoverGrace:           20 * time.Second,
-		AllocInterval:           15 * time.Second,
-		MaxConcurrentMigrations: 200,
-	}
-	backing := apps.NewKVBacking()
-	d := buildProfiled(experiments.DeploymentSpec{
-		Regions:          []topology.RegionID{"frc", "prn", "odn"},
-		ServersPerRegion: servers,
-		Latency: map[[2]topology.RegionID]time.Duration{
-			{"frc", "prn"}: 35 * time.Millisecond,
-			{"frc", "odn"}: 45 * time.Millisecond,
-			{"prn", "odn"}: 80 * time.Millisecond,
-		},
-		Orch: cfg,
-		AppFactory: func(s *appserver.Server) appserver.Application {
-			return apps.NewKVStore(s, backing)
-		},
-		Health: mon,
-		Seed:   seed,
-	}, prof)
+	spec.Health = mon
+	d := buildProfiled(spec, prof)
 	if err := d.Settle(10 * time.Minute); err != nil {
 		fmt.Fprintf(os.Stderr, "smctl status: %v\n", err)
 		os.Exit(1)

@@ -198,9 +198,6 @@ func New(policy Policy, seed uint64) *Allocator {
 	return &Allocator{policy: policy, seed: seed}
 }
 
-// Policy returns the allocator's policy.
-func (a *Allocator) Policy() Policy { return a.policy }
-
 // Run performs one allocation and returns the bounded diff. The input is
 // not mutated.
 func (a *Allocator) Run(in Input, mode Mode) *Result {

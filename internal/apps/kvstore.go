@@ -32,17 +32,12 @@ type KVStore struct {
 	// backing is shared by all replicas of the application (the
 	// "durable" store); keyed by shard then key.
 	backing *KVBacking
-	// owned tracks the shards this replica currently serves: its role and
-	// the backing's map for the shard, so that a get or put looks the shard
-	// up once.
-	owned map[shard.ID]kvShard
+	// owned tracks the shards this replica currently serves, each with the
+	// backing's map for the shard (guarded by the backing's mutex), so that a
+	// get or put looks the shard up once.
+	owned map[shard.ID]map[string]string
 	// loads optionally reports synthetic per-shard load.
 	loads map[shard.ID]topology.Capacity
-}
-
-type kvShard struct {
-	role shard.Role
-	data map[string]string // the backing's; guarded by its mutex
 }
 
 // KVBacking is the durable shard state shared by an application's replicas.
@@ -53,8 +48,6 @@ type KVBacking struct {
 	// that adds a key marks the shard's load through it, and the mark reaches
 	// every server of its directory, which holds all of the application's.
 	server *appserver.Server
-	// Writes counts committed writes, for tests.
-	Writes int64
 }
 
 // NewKVBacking returns an empty backing store.
@@ -84,18 +77,9 @@ func (b *KVBacking) Put(s shard.ID, key, value string) {
 func (b *KVBacking) put(s shard.ID, data map[string]string, key, value string) {
 	keys := len(data)
 	data[key] = value
-	b.Writes++
 	if len(data) != keys {
 		b.server.LoadChanged(s)
 	}
-}
-
-// Get reads a key from a shard.
-func (b *KVBacking) Get(s shard.ID, key string) (string, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.data[s][key]
-	return v, ok
 }
 
 // Scan returns the sorted keys in a shard with the given prefix — the
@@ -129,7 +113,7 @@ func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 	return &KVStore{
 		server:  server,
 		backing: backing,
-		owned:   make(map[shard.ID]kvShard),
+		owned:   make(map[shard.ID]map[string]string),
 		loads:   make(map[shard.ID]topology.Capacity),
 	}
 }
@@ -142,10 +126,10 @@ func (k *KVStore) SetShardLoad(s shard.ID, load topology.Capacity) {
 }
 
 // AddShard implements appserver.Application.
-func (k *KVStore) AddShard(s shard.ID, role shard.Role) {
+func (k *KVStore) AddShard(s shard.ID, _ shard.Role) {
 	k.backing.mu.Lock()
 	defer k.backing.mu.Unlock()
-	k.owned[s] = kvShard{role: role, data: k.backing.shard(s)}
+	k.owned[s] = k.backing.shard(s)
 }
 
 // DropShard implements appserver.Application.
@@ -181,7 +165,7 @@ type KVPut struct {
 
 // HandleRequest implements appserver.Application.
 func (k *KVStore) HandleRequest(req *appserver.Request) (any, error) {
-	sh, ok := k.owned[req.Shard]
+	data, ok := k.owned[req.Shard]
 	if !ok {
 		return nil, fmt.Errorf("kvstore: shard %s not owned", req.Shard)
 	}
@@ -193,12 +177,12 @@ func (k *KVStore) HandleRequest(req *appserver.Request) (any, error) {
 			return nil, errors.New("kvstore: bad put payload")
 		}
 		b.mu.Lock()
-		b.put(req.Shard, sh.data, req.Key, p.Value)
+		b.put(req.Shard, data, req.Key, p.Value)
 		b.mu.Unlock()
 		return "ok", nil
 	case KVOpGet:
 		b.mu.Lock()
-		v, ok := sh.data[req.Key]
+		v, ok := data[req.Key]
 		b.mu.Unlock()
 		if !ok {
 			return nil, errors.New("kvstore: not found")

@@ -27,8 +27,8 @@ type Queue struct {
 type QueueBacking struct {
 	mu     sync.Mutex
 	queues map[shard.ID][]string
-	// Enqueued and Dequeued count operations, for tests.
-	Enqueued, Dequeued int64
+	// Enqueued counts enqueues.
+	Enqueued int64
 }
 
 // NewQueueBacking returns an empty backing store.
@@ -54,7 +54,6 @@ func (b *QueueBacking) pop(s shard.ID) (string, bool) {
 	}
 	item := q[0]
 	b.queues[s] = q[1:]
-	b.Dequeued++
 	return item, true
 }
 

@@ -16,17 +16,13 @@ import (
 // total state loss rebuilds by replaying the bus from the shard's last
 // checkpoint.
 type StreamProcessor struct {
-	server *appserver.Server
-	bus    *DataBus
-	mu     sync.Mutex
+	bus *DataBus
+	mu  sync.Mutex
 	// state is this replica's materialized view: shard -> key -> count.
 	state map[shard.ID]map[string]int64
 	// cursor is the bus offset each owned shard has consumed through.
 	cursor map[shard.ID]int
 	owned  map[shard.ID]bool
-
-	// Rebuilds counts state rebuilds from the bus (shard adds).
-	Rebuilds int64
 }
 
 // BusEvent is one record on the data bus.
@@ -69,17 +65,9 @@ func (b *DataBus) ReadFrom(s shard.ID, offset int) []BusEvent {
 	return out
 }
 
-// Len returns the length of a shard's log.
-func (b *DataBus) Len(s shard.ID) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.logs[s])
-}
-
 // NewStreamProcessor builds the application instance for one server.
-func NewStreamProcessor(server *appserver.Server, bus *DataBus) *StreamProcessor {
+func NewStreamProcessor(bus *DataBus) *StreamProcessor {
 	return &StreamProcessor{
-		server: server,
 		bus:    bus,
 		state:  make(map[shard.ID]map[string]int64),
 		cursor: make(map[shard.ID]int),
@@ -96,7 +84,6 @@ func (p *StreamProcessor) AddShard(s shard.ID, _ shard.Role) {
 	p.owned[s] = true
 	p.state[s] = make(map[string]int64)
 	p.cursor[s] = 0
-	p.Rebuilds++
 	p.consumeLocked(s)
 }
 

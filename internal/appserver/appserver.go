@@ -64,7 +64,6 @@ type LoadReporter interface {
 
 // Request is one client request routed to a server.
 type Request struct {
-	App   shard.AppID
 	Shard shard.ID
 	// ShardNum is Shard's number in the serving Directory (Directory.ShardNum),
 	// which servers key their replicas by. A sender that has resolved it sets
@@ -291,7 +290,6 @@ type Observer struct {
 // or changed — so a caller resolves a name once and keeps the result.
 type Directory struct {
 	slots     map[shard.ServerID]*Slot
-	live      int
 	shardNums map[shard.ID]ShardNum
 	shardIDs  []shard.ID // shardIDs[n-1] is the shard numbered n
 	// loadGens[n-1] counts, from 1, the marks of shard n's load
@@ -381,11 +379,7 @@ func (d *Directory) Lookup(id shard.ServerID) *Server {
 // Register adds a server to the directory (Hosts do this automatically;
 // exported for tests and hand-wired setups).
 func (d *Directory) Register(s *Server) {
-	sl := d.Slot(s.ID)
-	if sl.srv == nil {
-		d.live++
-	}
-	sl.srv = s
+	d.Slot(s.ID).srv = s
 }
 
 // Remove deletes a server from the directory. Observers are told the server
@@ -397,16 +391,12 @@ func (d *Directory) Remove(id shard.ServerID) {
 		return
 	}
 	sl.srv = nil
-	d.live--
 	for i := range d.observers {
 		if fn := d.observers[i].ServerRemoved; fn != nil {
 			fn(id)
 		}
 	}
 }
-
-// Servers returns the number of live servers.
-func (d *Directory) Servers() int { return d.live }
 
 // ShardNum resolves a shard ID to its number, giving it the next one on first
 // sight.
@@ -485,9 +475,6 @@ func (s *Server) Fence(gen int64) {
 	s.opMetric("fence")
 	s.notifyFenced()
 }
-
-// Fenced reports whether the server is currently fenced.
-func (s *Server) Fenced() bool { return s.fenced }
 
 // AddShard gives the server official ownership of the shard. A replica that
 // already prepared (or already served) activates immediately; a brand-new
@@ -1176,10 +1163,6 @@ func (h *Host) ContainerStopping(c cluster.Container, reason string) {
 		delete(h.sessions, id)
 	}
 }
-
-// ContainerStopped implements cluster.Listener (no-op; work happens at
-// stopping time).
-func (h *Host) ContainerStopped(cluster.Container) {}
 
 // --- persisted assignment encoding (tiny, line-based) ---
 

@@ -353,7 +353,7 @@ func TestHostLifecycle(t *testing.T) {
 		return newEchoApp()
 	})
 	mgr.AddListener(host)
-	mgr.CreateJob("job", "app", 3)
+	mgr.CreateJob("job", 3)
 	env.loop.RunFor(time.Minute)
 	if len(host.ServerIDs()) != 3 {
 		t.Fatalf("live servers = %d", len(host.ServerIDs()))
@@ -392,7 +392,7 @@ func TestHostRestoresPersistedAssignment(t *testing.T) {
 		EncodeAssignment(map[shard.ID]shard.Role{"sh9": shard.RolePrimary}), nil); err != nil {
 		t.Fatal(err)
 	}
-	mgr.CreateJob("job", "app", 1)
+	mgr.CreateJob("job", 1)
 	env.loop.RunFor(time.Minute)
 	srv := host.Server("job/0")
 	if srv == nil {
@@ -411,7 +411,7 @@ func TestHostIgnoresOtherJobs(t *testing.T) {
 		return newEchoApp()
 	})
 	mgr.AddListener(host)
-	mgr.CreateJob("otherjob", "other", 2)
+	mgr.CreateJob("otherjob", 2)
 	env.loop.RunFor(time.Minute)
 	if len(host.ServerIDs()) != 0 {
 		t.Fatal("host adopted containers of a different job")
@@ -426,7 +426,7 @@ func TestHostExpireSessionFalseDeadThenReconnect(t *testing.T) {
 		return newEchoApp()
 	})
 	mgr.AddListener(host)
-	mgr.CreateJob("job", "app", 3)
+	mgr.CreateJob("job", 3)
 	env.loop.RunFor(time.Minute)
 	if len(host.ServerIDs()) != 3 {
 		t.Fatalf("live servers = %d", len(host.ServerIDs()))
@@ -468,7 +468,7 @@ func TestHostLivenessRetriesThroughCoordWriteStall(t *testing.T) {
 	// Stall all coordination writes, then start containers: liveness
 	// publication must keep retrying instead of crashing.
 	store.SetWriteGate(func(op, path string) error { return coord.ErrUnavailable })
-	mgr.CreateJob("job", "app", 3)
+	mgr.CreateJob("job", 3)
 	env.loop.RunFor(time.Minute)
 	if len(host.ServerIDs()) != 3 {
 		t.Fatalf("live servers during stall = %d", len(host.ServerIDs()))

@@ -20,7 +20,7 @@ func fencedHost(t *testing.T) (*testEnv, *Host, *coord.Store, *Server) {
 		return newEchoApp()
 	})
 	mgr.AddListener(host)
-	mgr.CreateJob("job", "app", 1)
+	mgr.CreateJob("job", 1)
 	env.loop.RunFor(time.Minute)
 	id := host.ServerIDs()[0]
 	srv := host.Server(id)
@@ -51,11 +51,11 @@ func TestFenceOnSessionExpiryBeforeFailoverGrace(t *testing.T) {
 	if !host.ExpireSession(id, time.Minute) {
 		t.Fatal("ExpireSession returned false")
 	}
-	if srv.Fenced() {
+	if srv.fenced {
 		t.Fatal("server fenced instantly; the fence must wait FenceDelay")
 	}
 	env.loop.RunFor(FenceDelay + 100*time.Millisecond)
-	if !srv.Fenced() {
+	if !srv.fenced {
 		t.Fatalf("server not fenced %v after session expiry", FenceDelay)
 	}
 	resp = serve(t, env, srv, &Request{Shard: "sh1", Key: "k", Write: true})
@@ -71,7 +71,7 @@ func TestSyncAssignmentLiftsFence(t *testing.T) {
 	env, host, store, srv := fencedHost(t)
 	host.ExpireSession(srv.ID, time.Minute)
 	env.loop.RunFor(FenceDelay + 100*time.Millisecond)
-	if !srv.Fenced() {
+	if !srv.fenced {
 		t.Fatal("server not fenced after expiry")
 	}
 
@@ -83,7 +83,7 @@ func TestSyncAssignmentLiftsFence(t *testing.T) {
 
 	gen := store.NextEpoch()
 	srv.SyncAssignment(map[shard.ID]shard.Role{"sh1": shard.RolePrimary}, nil, gen)
-	if srv.Fenced() {
+	if srv.fenced {
 		t.Fatal("authoritative sync did not lift the fence")
 	}
 	resp := serve(t, env, srv, &Request{Shard: "sh1", Key: "k", Write: true})
@@ -101,7 +101,7 @@ func TestReconnectedSessionDisarmsStaleFence(t *testing.T) {
 	// Reconnect after 1s, well inside the 2s fence delay.
 	host.ExpireSession(srv.ID, time.Second)
 	env.loop.RunFor(FenceDelay + time.Second)
-	if srv.Fenced() {
+	if srv.fenced {
 		t.Fatal("fence fired for a session that already reconnected")
 	}
 	resp := serve(t, env, srv, &Request{Shard: "sh1", Key: "k", Write: true})

@@ -109,7 +109,6 @@ const maxCoordWrites = 32
 type replicaView struct {
 	role  shard.Role
 	phase appserver.Phase
-	peer  shard.ServerID
 	// unconfirmed mirrors the server's restored-from-store flag: the replica
 	// claims the primary role but rejects writes until an authoritative
 	// grant confirms it, so it cannot conflict with the real owner.
@@ -136,7 +135,7 @@ type shardState struct {
 
 // Auditor observes one application's ownership events and checks the §4.3
 // invariants. Create with New, attach with the Watch* methods, then read
-// Violations / WriteText / WriteJSON after (or during) the run.
+// Violations / WriteText / Report after (or during) the run.
 type Auditor struct {
 	loop *sim.Loop
 	app  shard.AppID
@@ -196,9 +195,6 @@ func New(loop *sim.Loop, opts Options) *Auditor {
 	}
 	return a
 }
-
-// App returns the audited application.
-func (a *Auditor) App() shard.AppID { return a.app }
 
 func (a *Auditor) shard(s shard.ID) *shardState {
 	st := a.shards[s]
@@ -394,7 +390,7 @@ func (a *Auditor) directoryObserver() appserver.Observer {
 				v = &replicaView{}
 				st.replicas[server] = v
 			}
-			v.role, v.phase, v.peer = role, phase, peer
+			v.role, v.phase = role, phase
 			delete(st.servedFwd, server)
 			// A replica transition is the server acting on a control-plane
 			// grant: §4.3 re-engages a server (prepare_add, add_shard) before

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -89,7 +90,7 @@ func TestWriteOwnerViolation(t *testing.T) {
 	r.srvA.AddShard("s1", shard.RolePrimary, 1)
 	r.srvB.AddShard("s1", shard.RolePrimary, 1) // fires one-primary
 	var resp appserver.Response
-	r.srvA.Serve(&appserver.Request{App: "kv", Shard: "s1", Write: true, Op: "set"},
+	r.srvA.Serve(&appserver.Request{Shard: "s1", Write: true, Op: "set"},
 		func(rs appserver.Response) { resp = rs })
 	if !resp.OK {
 		t.Fatalf("write rejected: %+v", resp)
@@ -107,7 +108,7 @@ func TestWriteOwnerViolation(t *testing.T) {
 		t.Fatalf("want 1 write-owner violation, got %d", wo)
 	}
 	// Second write in the same episode is deduped but still checked.
-	r.srvA.Serve(&appserver.Request{App: "kv", Shard: "s1", Write: true, Op: "set"},
+	r.srvA.Serve(&appserver.Request{Shard: "s1", Write: true, Op: "set"},
 		func(appserver.Response) {})
 	if got := r.a.Checks()[InvWriteOwner]; got != 2 {
 		t.Fatalf("write-owner checks = %d, want 2", got)
@@ -255,7 +256,7 @@ func TestReportDeterminism(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		a := scenario()
 		a.WriteText(&texts[i])
-		if err := a.WriteJSON(&jsons[i]); err != nil {
+		if err := json.NewEncoder(&jsons[i]).Encode(a.Report()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@
 package audit
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -60,14 +59,6 @@ func copyCounts(m map[string]int64) map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// WriteJSON writes the indented JSON report. encoding/json sorts map keys,
-// so the output is deterministic.
-func (a *Auditor) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(a.Report())
 }
 
 // WriteText writes the human-readable report: the per-invariant check and

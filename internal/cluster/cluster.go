@@ -85,7 +85,6 @@ type Operation struct {
 	Type      OpType
 	Container ContainerID
 	Job       JobID
-	Region    topology.RegionID
 	// Target is the destination machine for OpMove and the placement
 	// machine for OpStart (empty = manager chooses).
 	Target topology.MachineID
@@ -103,15 +102,10 @@ type Container struct {
 	Job     JobID
 	Machine topology.MachineID
 	State   ContainerState
-	// Generation increments on every (re)start; lets observers detect
-	// restarts in place.
-	Generation int
 }
 
 // Job is a named group of containers for one application.
 type Job struct {
-	ID         JobID
-	App        string
 	containers []ContainerID
 }
 
@@ -163,7 +157,6 @@ func (i MaintenanceImpact) String() string {
 // MaintenanceEvent is an unavoidable infrastructure event with advance
 // notice.
 type MaintenanceEvent struct {
-	ID       int64
 	Machines []topology.MachineID
 	Start    time.Duration
 	End      time.Duration
@@ -185,8 +178,6 @@ type Listener interface {
 	// reason (op execution, failure, maintenance). The process is about
 	// to die; requests routed to it will fail.
 	ContainerStopping(c Container, reason string)
-	// ContainerStopped fires when the container is fully down.
-	ContainerStopped(c Container)
 }
 
 // Options configure a Manager's timing.
@@ -229,15 +220,9 @@ type Manager struct {
 	deadMachine map[topology.MachineID]bool
 
 	nextOp      OperationID
-	nextMaint   int64
 	pending     []*Operation
-	executing   map[OperationID]*Operation
 	tracked     map[OperationID]func()
 	negotiating bool
-
-	// Stats for Fig 1.
-	PlannedStops   int64
-	UnplannedStops int64
 }
 
 // NewManager returns a manager for the machines of one region of the fleet.
@@ -254,7 +239,6 @@ func NewManager(loop *sim.Loop, fleet *topology.Fleet, region topology.RegionID,
 		containers:  make(map[ContainerID]*Container),
 		perMachine:  make(map[topology.MachineID]int),
 		deadMachine: make(map[topology.MachineID]bool),
-		executing:   make(map[OperationID]*Operation),
 	}
 }
 
@@ -269,9 +253,6 @@ func (m *Manager) AddListener(l Listener) { m.listeners = append(m.listeners, l)
 func (m *Manager) AddMaintenanceListener(l MaintenanceListener) {
 	m.maintaince = append(m.maintaince, l)
 }
-
-// Job returns a job by ID, or nil.
-func (m *Manager) Job(id JobID) *Job { return m.jobs[id] }
 
 // Container returns a copy of the container's current state.
 func (m *Manager) Container(id ContainerID) (Container, bool) {
@@ -301,14 +282,14 @@ func (m *Manager) RunningContainers(job JobID) []ContainerID {
 // machines (fewest-containers-first placement) and starts them immediately
 // (initial placement is not negotiable — there are no shards yet). Container
 // IDs are "<job>/<index>".
-func (m *Manager) CreateJob(id JobID, app string, n int) *Job {
+func (m *Manager) CreateJob(id JobID, n int) *Job {
 	if _, dup := m.jobs[id]; dup {
 		panic(fmt.Sprintf("cluster: duplicate job %q", id))
 	}
 	if n <= 0 {
 		panic("cluster: CreateJob with no containers")
 	}
-	j := &Job{ID: id, App: app}
+	j := &Job{}
 	m.jobs[id] = j
 	for i := 0; i < n; i++ {
 		cid := ContainerID(fmt.Sprintf("%s/%d", id, i))
@@ -359,7 +340,6 @@ func (m *Manager) startContainer(c *Container, reason string) {
 // consistent.
 func (m *Manager) containerUp(c *Container) {
 	c.State = StateRunning
-	c.Generation++
 	if mr := m.loop.Metrics(); mr != nil {
 		mr.Counter("cluster_container_starts_total",
 			"region", string(m.Region), "job", string(c.Job)).Inc()
@@ -371,16 +351,11 @@ func (m *Manager) containerUp(c *Container) {
 	}
 }
 
-// stopContainer takes the container down now. planned marks the stop as a
-// planned event for Fig 1 accounting.
+// stopContainer takes the container down now. planned labels the stop as a
+// planned event (Fig 1 accounting) in cluster_container_stops_total.
 func (m *Manager) stopContainer(c *Container, reason string, planned bool) {
 	if c.State == StateDown {
 		return
-	}
-	if planned {
-		m.PlannedStops++
-	} else {
-		m.UnplannedStops++
 	}
 	if mr := m.loop.Metrics(); mr != nil {
 		mr.Counter("cluster_container_stops_total",
@@ -393,9 +368,6 @@ func (m *Manager) stopContainer(c *Container, reason string, planned bool) {
 		l.ContainerStopping(*c, reason)
 	}
 	c.State = StateDown
-	for _, l := range m.listeners {
-		l.ContainerStopped(*c)
-	}
 }
 
 // removeContainer permanently decommissions a stopped container.
@@ -422,7 +394,6 @@ func (m *Manager) Submit(op Operation) OperationID {
 	}
 	m.nextOp++
 	op.ID = m.nextOp
-	op.Region = m.Region
 	if c != nil {
 		op.Job = c.Job
 	}
@@ -487,9 +458,7 @@ func (m *Manager) negotiate() {
 
 // execute runs one approved operation to completion.
 func (m *Manager) execute(op *Operation) {
-	m.executing[op.ID] = op
 	done := func() {
-		delete(m.executing, op.ID)
 		if op.Negotiable && m.controller != nil {
 			m.controller.OperationComplete(m.Region, *op)
 		}
@@ -650,9 +619,7 @@ func (m *Manager) ScheduleMaintenance(machines []topology.MachineID, start, end 
 	if end <= start {
 		panic("cluster: maintenance end before start")
 	}
-	m.nextMaint++
 	ev := MaintenanceEvent{
-		ID:       m.nextMaint,
 		Machines: append([]topology.MachineID(nil), machines...),
 		Start:    start,
 		End:      end,
@@ -680,9 +647,8 @@ func (m *Manager) beginMaintenance(ev MaintenanceEvent) {
 		})
 	case ImpactRestart:
 		for _, mach := range ev.Machines {
-			for _, c := range m.containers {
-				if c.Machine == mach && c.State == StateRunning {
-					c := c
+			for _, id := range m.ContainersOnMachine(mach) {
+				if c := m.containers[id]; c.State == StateRunning {
 					m.stopContainer(c, "maintenance", true)
 					m.loop.AfterL(m.opts.RestartDuration, lbMaintenance, func() {
 						if !m.deadMachine[c.Machine] && c.State == StateDown {
@@ -706,10 +672,8 @@ func (m *Manager) killMachineInternal(id topology.MachineID, reason string, plan
 		return
 	}
 	m.deadMachine[id] = true
-	for _, c := range m.containers {
-		if c.Machine == id {
-			m.stopContainer(c, reason, planned)
-		}
+	for _, cid := range m.ContainersOnMachine(id) {
+		m.stopContainer(m.containers[cid], reason, planned)
 	}
 }
 
@@ -720,8 +684,8 @@ func (m *Manager) RestoreMachine(id topology.MachineID) {
 		return
 	}
 	delete(m.deadMachine, id)
-	for _, c := range m.containers {
-		if c.Machine == id && c.State == StateDown {
+	for _, cid := range m.ContainersOnMachine(id) {
+		if c := m.containers[cid]; c.State == StateDown {
 			m.startContainer(c, "machine-restore")
 		}
 	}

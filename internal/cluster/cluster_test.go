@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"shardmanager/internal/metrics"
 	"shardmanager/internal/sim"
 	"shardmanager/internal/topology"
 )
@@ -12,25 +15,40 @@ func testFleet() *topology.Fleet {
 	return topology.Build(topology.Spec{
 		Regions:           []topology.RegionID{"r1", "r2"},
 		MachinesPerRegion: 10,
-		Capacity:          topology.Capacity{topology.ResourceCPU: 100},
 	})
 }
 
 type recordingListener struct {
 	started  []ContainerID
 	stopping []ContainerID
-	stopped  []ContainerID
 }
 
 func (r *recordingListener) ContainerStarted(c Container) { r.started = append(r.started, c.ID) }
 func (r *recordingListener) ContainerStopping(c Container, reason string) {
 	r.stopping = append(r.stopping, c.ID)
 }
-func (r *recordingListener) ContainerStopped(c Container) { r.stopped = append(r.stopped, c.ID) }
+
+// starts counts the times container id came up.
+func (r *recordingListener) starts(id ContainerID) int {
+	n := 0
+	for _, s := range r.started {
+		if s == id {
+			n++
+		}
+	}
+	return n
+}
+
+// stops reads cluster_container_stops_total for job "app", planned or not.
+func stops(m *Manager, planned bool) int64 {
+	return m.loop.Metrics().Counter("cluster_container_stops_total",
+		"region", string(m.Region), "job", "app", "planned", fmt.Sprintf("%t", planned)).Value()
+}
 
 func newTestManager(t *testing.T) (*sim.Loop, *Manager, *recordingListener) {
 	t.Helper()
 	loop := sim.NewLoop(1)
+	loop.SetMetrics(metrics.NewRegistry())
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
 	rl := &recordingListener{}
 	m.AddListener(rl)
@@ -39,7 +57,7 @@ func newTestManager(t *testing.T) (*sim.Loop, *Manager, *recordingListener) {
 
 func TestCreateJobStartsContainers(t *testing.T) {
 	loop, m, rl := newTestManager(t)
-	j := m.CreateJob("app", "app", 5)
+	j := m.CreateJob("app", 5)
 	if len(j.containers) != 5 {
 		t.Fatalf("containers = %d", len(j.containers))
 	}
@@ -54,7 +72,7 @@ func TestCreateJobStartsContainers(t *testing.T) {
 
 func TestContainersSpreadAcrossMachines(t *testing.T) {
 	loop, m, _ := newTestManager(t)
-	m.CreateJob("app", "app", 10)
+	m.CreateJob("app", 10)
 	loop.RunFor(time.Minute)
 	perMachine := map[topology.MachineID]int{}
 	for _, cid := range m.RunningContainers("app") {
@@ -68,24 +86,20 @@ func TestContainersSpreadAcrossMachines(t *testing.T) {
 
 func TestRestartWithoutControllerExecutes(t *testing.T) {
 	loop, m, rl := newTestManager(t)
-	m.CreateJob("app", "app", 1)
+	m.CreateJob("app", 1)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
-	before, _ := m.Container(cid)
 	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true, Reason: "upgrade"})
 	loop.RunFor(5 * time.Minute)
 	after, _ := m.Container(cid)
-	if after.Generation != before.Generation+1 {
-		t.Fatalf("generation = %d, want %d", after.Generation, before.Generation+1)
-	}
 	if after.State != StateRunning {
 		t.Fatal("container not running after restart")
 	}
 	if len(rl.stopping) != 1 || len(rl.started) != 2 {
 		t.Fatalf("events: stopping=%d started=%d", len(rl.stopping), len(rl.started))
 	}
-	if m.PlannedStops != 1 || m.UnplannedStops != 0 {
-		t.Fatalf("stops: planned=%d unplanned=%d", m.PlannedStops, m.UnplannedStops)
+	if p, u := stops(m, true), stops(m, false); p != 1 || u != 0 {
+		t.Fatalf("stops: planned=%d unplanned=%d", p, u)
 	}
 }
 
@@ -111,16 +125,15 @@ func (g *gateController) OfferOperations(_ topology.RegionID, pending []Operatio
 func (g *gateController) OperationComplete(topology.RegionID, Operation) { g.completed++ }
 
 func TestControllerGatesNegotiableOps(t *testing.T) {
-	loop, m, _ := newTestManager(t)
+	loop, m, rl := newTestManager(t)
 	g := &gateController{}
 	m.SetController(g)
-	m.CreateJob("app", "app", 2)
+	m.CreateJob("app", 2)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
 	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})
 	loop.RunFor(time.Minute)
-	c, _ := m.Container(cid)
-	if c.Generation != 1 {
+	if rl.starts(cid) != 1 {
 		t.Fatal("unapproved op executed")
 	}
 	if g.offered == 0 {
@@ -131,8 +144,7 @@ func TestControllerGatesNegotiableOps(t *testing.T) {
 	}
 	g.open = true
 	loop.RunFor(5 * time.Minute)
-	c, _ = m.Container(cid)
-	if c.Generation != 2 {
+	if rl.starts(cid) != 2 {
 		t.Fatal("approved op did not execute")
 	}
 	if g.completed != 1 {
@@ -141,16 +153,15 @@ func TestControllerGatesNegotiableOps(t *testing.T) {
 }
 
 func TestNonNegotiableSkipsController(t *testing.T) {
-	loop, m, _ := newTestManager(t)
+	loop, m, rl := newTestManager(t)
 	g := &gateController{} // closed gate
 	m.SetController(g)
-	m.CreateJob("app", "app", 1)
+	m.CreateJob("app", 1)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
 	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: false})
 	loop.RunFor(5 * time.Minute)
-	c, _ := m.Container(cid)
-	if c.Generation != 2 {
+	if rl.starts(cid) != 2 {
 		t.Fatal("non-negotiable op blocked by controller")
 	}
 }
@@ -158,7 +169,7 @@ func TestNonNegotiableSkipsController(t *testing.T) {
 func TestRollingUpgradeBoundedConcurrency(t *testing.T) {
 	loop := sim.NewLoop(1)
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
-	m.CreateJob("app", "app", 10)
+	m.CreateJob("app", 10)
 	loop.RunFor(time.Minute)
 
 	maxDown := 0
@@ -184,7 +195,7 @@ func TestRollingUpgradeBoundedConcurrency(t *testing.T) {
 
 func TestResizeGrowAndShrink(t *testing.T) {
 	loop, m, _ := newTestManager(t)
-	m.CreateJob("app", "app", 3)
+	m.CreateJob("app", 3)
 	loop.RunFor(time.Minute)
 	m.Resize("app", 6)
 	loop.RunFor(5 * time.Minute)
@@ -200,7 +211,7 @@ func TestResizeGrowAndShrink(t *testing.T) {
 
 func TestKillAndRestoreMachine(t *testing.T) {
 	loop, m, _ := newTestManager(t)
-	m.CreateJob("app", "app", 10)
+	m.CreateJob("app", 10)
 	loop.RunFor(time.Minute)
 	c0, _ := m.Container(m.RunningContainers("app")[0])
 	m.KillMachine(c0.Machine)
@@ -210,8 +221,8 @@ func TestKillAndRestoreMachine(t *testing.T) {
 	if got := len(m.RunningContainers("app")); got != 9 {
 		t.Fatalf("running after kill = %d, want 9", got)
 	}
-	if m.UnplannedStops != 1 {
-		t.Fatalf("unplanned stops = %d", m.UnplannedStops)
+	if u := stops(m, false); u != 1 {
+		t.Fatalf("unplanned stops = %d", u)
 	}
 	m.RestoreMachine(c0.Machine)
 	loop.RunFor(time.Minute)
@@ -222,7 +233,7 @@ func TestKillAndRestoreMachine(t *testing.T) {
 
 func TestFailAndRecoverRegion(t *testing.T) {
 	loop, m, _ := newTestManager(t)
-	m.CreateJob("app", "app", 8)
+	m.CreateJob("app", 8)
 	loop.RunFor(time.Minute)
 	m.FailRegion()
 	if got := len(m.RunningContainers("app")); got != 0 {
@@ -247,7 +258,7 @@ func TestMaintenanceAdvanceNoticeAndImpact(t *testing.T) {
 	loop, m, _ := newTestManager(t)
 	mr := &maintRecorder{}
 	m.AddMaintenanceListener(mr)
-	m.CreateJob("app", "app", 10)
+	m.CreateJob("app", 10)
 	loop.RunFor(time.Minute)
 	c0, _ := m.Container(m.RunningContainers("app")[0])
 	m.ScheduleMaintenance([]topology.MachineID{c0.Machine}, loop.Now()+10*time.Minute, loop.Now()+20*time.Minute, ImpactNetworkLoss)
@@ -265,8 +276,8 @@ func TestMaintenanceAdvanceNoticeAndImpact(t *testing.T) {
 		t.Fatal("machine up during maintenance")
 	}
 	// Stops from maintenance are planned.
-	if m.PlannedStops == 0 || m.UnplannedStops != 0 {
-		t.Fatalf("stops: planned=%d unplanned=%d", m.PlannedStops, m.UnplannedStops)
+	if p, u := stops(m, true), stops(m, false); p == 0 || u != 0 {
+		t.Fatalf("stops: planned=%d unplanned=%d", p, u)
 	}
 	// After end: restored.
 	loop.RunFor(15 * time.Minute)
@@ -279,29 +290,63 @@ func TestMaintenanceAdvanceNoticeAndImpact(t *testing.T) {
 }
 
 func TestMaintenanceRestartImpact(t *testing.T) {
-	loop, m, _ := newTestManager(t)
-	m.CreateJob("app", "app", 10)
+	loop, m, rl := newTestManager(t)
+	m.CreateJob("app", 10)
 	loop.RunFor(time.Minute)
 	c0, _ := m.Container(m.RunningContainers("app")[0])
-	gen := c0.Generation
+	before := rl.starts(c0.ID)
 	m.ScheduleMaintenance([]topology.MachineID{c0.Machine}, loop.Now()+time.Minute, loop.Now()+10*time.Minute, ImpactRestart)
 	loop.RunFor(10 * time.Minute)
 	after, _ := m.Container(c0.ID)
-	if after.Generation != gen+1 {
-		t.Fatalf("generation = %d, want %d", after.Generation, gen+1)
+	if got := rl.starts(c0.ID); got != before+1 {
+		t.Fatalf("starts = %d, want %d", got, before+1)
 	}
 	if after.State != StateRunning {
 		t.Fatal("container not running after restart maintenance")
 	}
 }
 
+// TestMachineContainersStopAndStartInIDOrder kills and restores a machine
+// that holds two containers, ten times, then restarts it for maintenance:
+// listeners must hear the stops and the starts in container-ID order every
+// time, or a crash or restore is not reproducible from the seed.
+func TestMachineContainersStopAndStartInIDOrder(t *testing.T) {
+	loop, m, rl := newTestManager(t)
+	m.CreateJob("app", 20) // two per machine of r1
+	loop.RunFor(time.Minute)
+	c0, _ := m.Container("app/0")
+	on := m.ContainersOnMachine(c0.Machine)
+	if len(on) != 2 {
+		t.Fatalf("machine %s holds %v, want two containers", c0.Machine, on)
+	}
+	check := func(what string, got []ContainerID) {
+		t.Helper()
+		if !slices.Equal(got, on) {
+			t.Fatalf("%s order = %v, want %v", what, got, on)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		rl.stopping, rl.started = nil, nil
+		m.KillMachine(c0.Machine)
+		check("stopping", rl.stopping)
+		m.RestoreMachine(c0.Machine)
+		loop.RunFor(time.Minute)
+		check("started", rl.started)
+	}
+	rl.stopping, rl.started = nil, nil
+	m.ScheduleMaintenance([]topology.MachineID{c0.Machine}, loop.Now()+time.Minute, loop.Now()+2*time.Minute, ImpactRestart)
+	loop.RunFor(5 * time.Minute)
+	check("maintenance stopping", rl.stopping)
+	check("maintenance started", rl.started)
+}
+
 func TestPanicsOnMisuse(t *testing.T) {
 	loop, m, _ := newTestManager(t)
-	m.CreateJob("app", "app", 1)
+	m.CreateJob("app", 1)
 	loop.RunFor(time.Minute)
 	for name, fn := range map[string]func(){
-		"dup job":        func() { m.CreateJob("app", "app", 1) },
-		"empty job":      func() { m.CreateJob("other", "other", 0) },
+		"dup job":        func() { m.CreateJob("app", 1) },
+		"empty job":      func() { m.CreateJob("other", 0) },
 		"unknown target": func() { m.Submit(Operation{Type: OpRestart, Container: "nope"}) },
 		"bad maint":      func() { m.ScheduleMaintenance(nil, 10, 5, ImpactRestart) },
 		"unknown resize": func() { m.Resize("nope", 3) },

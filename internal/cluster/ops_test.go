@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"shardmanager/internal/metrics"
 	"shardmanager/internal/sim"
 	"shardmanager/internal/topology"
 )
@@ -29,7 +30,9 @@ func TestMoveOperationRelocatesContainer(t *testing.T) {
 	loop := sim.NewLoop(1)
 	fleet := testFleet()
 	m := NewManager(loop, fleet, "r1", DefaultOptions())
-	m.CreateJob("app", "app", 2)
+	rl := &recordingListener{}
+	m.AddListener(rl)
+	m.CreateJob("app", 2)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
 	before, _ := m.Container(cid)
@@ -58,15 +61,15 @@ func TestMoveOperationRelocatesContainer(t *testing.T) {
 	if after.State != StateRunning {
 		t.Fatal("container not running after move")
 	}
-	if after.Generation != before.Generation+1 {
-		t.Fatalf("generation = %d, want %d", after.Generation, before.Generation+1)
+	if got := rl.starts(cid); got != 2 {
+		t.Fatalf("starts = %d, want 2 (deploy and move)", got)
 	}
 }
 
 func TestMoveToDefaultTargetPicksColdMachine(t *testing.T) {
 	loop := sim.NewLoop(1)
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
-	m.CreateJob("app", "app", 2)
+	m.CreateJob("app", 2)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
 	before, _ := m.Container(cid)
@@ -83,7 +86,7 @@ func TestNegotiationReoffersWhilePending(t *testing.T) {
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
 	gate := &gateController{} // approves nothing
 	m.SetController(gate)
-	m.CreateJob("app", "app", 1)
+	m.CreateJob("app", 1)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
 	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})
@@ -100,7 +103,7 @@ func TestOperationCompleteNotifiesController(t *testing.T) {
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
 	ctrl := &countingController{}
 	m.SetController(ctrl)
-	m.CreateJob("app", "app", 3)
+	m.CreateJob("app", 3)
 	loop.RunFor(time.Minute)
 	for _, cid := range m.RunningContainers("app") {
 		m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})
@@ -114,7 +117,7 @@ func TestOperationCompleteNotifiesController(t *testing.T) {
 func TestContainersOnMachine(t *testing.T) {
 	loop := sim.NewLoop(1)
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
-	m.CreateJob("app", "app", 10)
+	m.CreateJob("app", 10)
 	loop.RunFor(time.Minute)
 	total := 0
 	for _, mach := range testFleet().MachinesInRegion("r1") {
@@ -139,7 +142,7 @@ func TestRestartOfDownContainerCompletesImmediately(t *testing.T) {
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
 	ctrl := &countingController{}
 	m.SetController(ctrl)
-	m.CreateJob("app", "app", 2)
+	m.CreateJob("app", 2)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
 	c, _ := m.Container(cid)
@@ -157,16 +160,17 @@ func TestRestartOfDownContainerCompletesImmediately(t *testing.T) {
 
 func TestStopStatsCountPlannedAndUnplanned(t *testing.T) {
 	loop := sim.NewLoop(1)
+	loop.SetMetrics(metrics.NewRegistry())
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
-	m.CreateJob("app", "app", 4)
+	m.CreateJob("app", 4)
 	loop.RunFor(time.Minute)
 	ids := m.RunningContainers("app")
 	m.Submit(Operation{Type: OpRestart, Container: ids[0], Negotiable: false, Reason: "upgrade"})
 	loop.RunFor(5 * time.Minute)
 	c, _ := m.Container(ids[1])
 	m.KillMachine(c.Machine)
-	if m.PlannedStops != 1 || m.UnplannedStops != 1 {
-		t.Fatalf("stops: planned=%d unplanned=%d, want 1/1", m.PlannedStops, m.UnplannedStops)
+	if p, u := stops(m, true), stops(m, false); p != 1 || u != 1 {
+		t.Fatalf("stops: planned=%d unplanned=%d, want 1/1", p, u)
 	}
 }
 
@@ -179,7 +183,7 @@ func BenchmarkNegotiationRound(b *testing.B) {
 	m := NewManager(loop, fleet, "r1", DefaultOptions())
 	gate := &gateController{}
 	m.SetController(gate)
-	m.CreateJob("app", "app", 100)
+	m.CreateJob("app", 100)
 	loop.RunFor(time.Minute)
 	for _, cid := range m.RunningContainers("app") {
 		m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})

@@ -8,7 +8,7 @@
 //	ApplicationRegistry -> ApplicationManager -> partitions
 //	                    -> PartitionRegistry  -> mini-SMs -> Stats
 //
-// A Partition is an accounting unit (server/shard counts, regions). The
+// A Partition is an accounting unit (server and shard counts). The
 // Fig 16 experiment partitions the synthetic fleet of package workload
 // through this code.
 package controlplane
@@ -19,12 +19,6 @@ import (
 	"shardmanager/internal/shard"
 	"shardmanager/internal/topology"
 )
-
-// PartitionID names one partition of an application.
-type PartitionID string
-
-// MiniSMID names one mini-SM control-plane instance.
-type MiniSMID string
 
 // Kind distinguishes regional from geo-distributed mini-SMs; a mini-SM
 // manages deployments of one kind (§8.1 reports 139 regional and 48 geo
@@ -66,17 +60,12 @@ func (a AppSpec) Kind() Kind {
 // may come from different regions, and a shard's replicas always stay
 // within one partition (§6.1).
 type Partition struct {
-	ID      PartitionID
-	App     shard.AppID
-	Index   int
 	Servers int
 	Shards  int
-	Regions []topology.RegionID
 }
 
 // MiniSM is one control-plane instance managing some partitions.
 type MiniSM struct {
-	ID         MiniSMID
 	Kind       Kind
 	Partitions []*Partition
 }
@@ -174,12 +163,8 @@ func (cp *ControlPlane) split(spec AppSpec) []*Partition {
 	parts := make([]*Partition, 0, n)
 	for i := 0; i < n; i++ {
 		parts = append(parts, &Partition{
-			ID:      PartitionID(fmt.Sprintf("%s/p%03d", spec.App, i)),
-			App:     spec.App,
-			Index:   i,
 			Servers: chunk(spec.Servers, n, i),
 			Shards:  chunk(spec.Shards, n, i),
-			Regions: append([]topology.RegionID(nil), spec.Regions...),
 		})
 	}
 	return parts
@@ -211,10 +196,7 @@ func (cp *ControlPlane) assign(p *Partition, kind Kind) {
 		}
 	}
 	if best == nil {
-		best = &MiniSM{
-			ID:   MiniSMID(fmt.Sprintf("minism-%03d", len(cp.miniSMs)+1)),
-			Kind: kind,
-		}
+		best = &MiniSM{Kind: kind}
 		cp.miniSMs = append(cp.miniSMs, best)
 	}
 	best.Partitions = append(best.Partitions, p)

@@ -56,10 +56,21 @@ func TestLargeAppSplitsIntoPartitions(t *testing.T) {
 
 func TestKindSeparation(t *testing.T) {
 	cp := New(DefaultLimits())
-	cp.RegisterApp(AppSpec{App: "reg", Servers: 100, Shards: 100, Regions: []topology.RegionID{"r1"}})
-	cp.RegisterApp(AppSpec{App: "geo", Servers: 100, Shards: 100, Regions: []topology.RegionID{"r1", "r2"}})
+	kindOf := map[*Partition]Kind{}
+	for _, spec := range []AppSpec{
+		{App: "reg", Servers: 100, Shards: 100, Regions: []topology.RegionID{"r1"}},
+		{App: "geo", Servers: 100, Shards: 100, Regions: []topology.RegionID{"r1", "r2"}},
+	} {
+		parts, err := cp.RegisterApp(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts {
+			kindOf[p] = spec.Kind()
+		}
+	}
 	regional, geo := 0, 0
-	for _, m := range cp.miniSMs {
+	for i, m := range cp.miniSMs {
 		switch m.Kind {
 		case Regional:
 			regional++
@@ -67,12 +78,8 @@ func TestKindSeparation(t *testing.T) {
 			geo++
 		}
 		for _, p := range m.Partitions {
-			want := Regional
-			if len(p.Regions) > 1 {
-				want = Geo
-			}
-			if m.Kind != want {
-				t.Fatalf("partition %s on wrong mini-SM kind", p.ID)
+			if m.Kind != kindOf[p] {
+				t.Fatalf("a %v partition on mini-SM %d of kind %v", kindOf[p], i, m.Kind)
 			}
 		}
 	}
@@ -102,9 +109,9 @@ func TestMiniSMPoolGrowsUnderLoad(t *testing.T) {
 	if got := len(cp.miniSMs); got != 5 {
 		t.Fatalf("mini-SMs = %d, want 5", got)
 	}
-	for _, m := range cp.miniSMs {
+	for i, m := range cp.miniSMs {
 		if m.Servers() > limits.MiniSMMaxServers {
-			t.Fatalf("mini-SM %s over capacity: %d", m.ID, m.Servers())
+			t.Fatalf("mini-SM %d over capacity: %d", i, m.Servers())
 		}
 	}
 }
@@ -225,8 +232,8 @@ func TestSplitAndPackingAtTheLimits(t *testing.T) {
 		for _, p := range parts {
 			ps = append(ps, fmt.Sprintf("%d/%d", p.Servers, p.Shards))
 		}
-		for _, m := range cp.miniSMs {
-			ms = append(ms, fmt.Sprintf("%s=%dx%d/%d", m.ID, len(m.Partitions), m.Servers(), m.Shards()))
+		for i, m := range cp.miniSMs {
+			ms = append(ms, fmt.Sprintf("minism-%03d=%dx%d/%d", i+1, len(m.Partitions), m.Servers(), m.Shards()))
 		}
 		if got := strings.Join(ps, " "); got != c.parts {
 			t.Errorf("%s: partitions = %q, want %q", c.bound, got, c.parts)

@@ -6,7 +6,7 @@
 // application-server failures by watching ephemeral nodes created by the SM
 // library. This package provides the needed primitives: a hierarchical
 // namespace of versioned znodes, sessions with session-bound ephemeral
-// nodes, and watches on node data and children.
+// nodes, and watches on a node's children.
 //
 // The store is an in-process substitute for a real ZooKeeper ensemble. It is
 // safe for concurrent use; watch callbacks are invoked outside the store's
@@ -40,7 +40,6 @@ type EventType int
 // Watch event types.
 const (
 	EventCreated EventType = iota
-	EventDataChanged
 	EventDeleted
 	EventChildrenChanged
 )
@@ -50,8 +49,6 @@ func (e EventType) String() string {
 	switch e {
 	case EventCreated:
 		return "created"
-	case EventDataChanged:
-		return "data-changed"
 	case EventDeleted:
 		return "deleted"
 	case EventChildrenChanged:
@@ -76,7 +73,6 @@ type Watcher func(Event)
 type Stat struct {
 	Version   int
 	Ephemeral bool
-	NumChild  int
 }
 
 type node struct {
@@ -85,8 +81,7 @@ type node struct {
 	ephem    bool
 	owner    *Session // non-nil for ephemeral nodes
 	children map[string]*node
-	// one-shot watches
-	dataWatch  []Watcher
+	// one-shot child watches
 	childWatch []Watcher
 }
 
@@ -96,10 +91,8 @@ func newNode() *node {
 
 // Store is the coordination service. Create one with NewStore.
 type Store struct {
-	mu       sync.Mutex
-	root     *node
-	sessions map[int64]*Session
-	nextSess int64
+	mu   sync.Mutex
+	root *node
 	// epoch is the store-wide fencing counter. Every session and every
 	// orchestrator publish draws a fresh value, so "newer" is totally
 	// ordered across sessions, role grants, and shard-map generations —
@@ -171,7 +164,7 @@ func (s *Store) SetTracer(tr *trace.Tracer) {
 
 // NewStore returns an empty store containing only the root node "/".
 func NewStore() *Store {
-	return &Store{root: newNode(), sessions: make(map[int64]*Session)}
+	return &Store{root: newNode()}
 }
 
 // NextEpoch atomically increments and returns the store's fencing epoch.
@@ -194,7 +187,6 @@ func (s *Store) Epoch() int64 {
 // them, which is how the orchestrator detects server failures.
 type Session struct {
 	store    *Store
-	id       int64
 	gen      int64
 	closed   bool
 	ephem    map[string]struct{}
@@ -205,15 +197,9 @@ type Session struct {
 func (s *Store) NewSession() *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextSess++
 	s.epoch++
-	sess := &Session{store: s, id: s.nextSess, gen: s.epoch, ephem: make(map[string]struct{})}
-	s.sessions[sess.id] = sess
-	return sess
+	return &Session{store: s, gen: s.epoch, ephem: make(map[string]struct{})}
 }
-
-// ID returns the session's unique id.
-func (sess *Session) ID() int64 { return sess.id }
 
 // Generation returns the fencing epoch assigned when the session was
 // created. Any epoch drawn after this session opened — in particular the
@@ -247,13 +233,8 @@ func (sess *Session) Closed() bool {
 	return sess.closed
 }
 
-// Close ends the session, deleting its ephemeral nodes and firing their
-// watches. Closing twice is a no-op.
-func (sess *Session) Close() {
-	sess.store.expire(sess)
-}
-
-// Expire is an alias for Close that reads better at failure-injection sites.
+// Expire ends the session, deleting its ephemeral nodes and firing their
+// watches. Expiring twice is a no-op.
 func (sess *Session) Expire() { sess.store.expire(sess) }
 
 func (s *Store) expire(sess *Session) {
@@ -263,7 +244,6 @@ func (s *Store) expire(sess *Session) {
 		return
 	}
 	sess.closed = true
-	delete(s.sessions, sess.id)
 	paths := make([]string, 0, len(sess.ephem))
 	for p := range sess.ephem {
 		paths = append(paths, p)
@@ -433,7 +413,7 @@ func (s *Store) Get(path string) ([]byte, Stat, error) {
 }
 
 func statOf(n *node) Stat {
-	return Stat{Version: n.version, Ephemeral: n.ephem, NumChild: len(n.children)}
+	return Stat{Version: n.version, Ephemeral: n.ephem}
 }
 
 // Set replaces the data at path. If version >= 0 it must match the node's
@@ -455,13 +435,7 @@ func (s *Store) Set(path string, data []byte, version int) (Stat, error) {
 	n.data = append([]byte(nil), data...)
 	n.version++
 	st := statOf(n)
-	var fire []pendingEvent
-	if len(n.dataWatch) > 0 {
-		fire = append(fire, pendingEvent{n.dataWatch, Event{EventDataChanged, path}})
-		n.dataWatch = nil
-	}
 	s.mu.Unlock()
-	s.dispatch(fire)
 	s.notifyWrite("set", path)
 	return st, nil
 }
@@ -518,9 +492,6 @@ func (s *Store) deleteLocked(path string) []pendingEvent {
 		delete(n.owner.ephem, path)
 	}
 	var fire []pendingEvent
-	if len(n.dataWatch) > 0 {
-		fire = append(fire, pendingEvent{n.dataWatch, Event{EventDeleted, path}})
-	}
 	if len(n.childWatch) > 0 {
 		fire = append(fire, pendingEvent{n.childWatch, Event{EventDeleted, path}})
 	}
@@ -553,22 +524,6 @@ func (s *Store) Children(path string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// WatchData registers a one-shot watcher for data changes or deletion of the
-// node at path. The node must exist.
-func (s *Store) WatchData(path string, w Watcher) error {
-	if w == nil {
-		return errors.New("coord: nil watcher")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, err := s.lookup(path)
-	if err != nil {
-		return err
-	}
-	n.dataWatch = append(n.dataWatch, w)
-	return nil
 }
 
 // WatchChildren registers a one-shot watcher for child creation/deletion

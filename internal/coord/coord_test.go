@@ -112,7 +112,7 @@ func TestEphemeralDeletedOnSessionClose(t *testing.T) {
 	if !st.Ephemeral {
 		t.Fatal("node not marked ephemeral")
 	}
-	sess.Close()
+	sess.Expire()
 	if s.Exists("/servers/s1") {
 		t.Fatal("ephemeral survived session close")
 	}
@@ -120,7 +120,7 @@ func TestEphemeralDeletedOnSessionClose(t *testing.T) {
 		t.Fatal("session not marked closed")
 	}
 	// Double close is a no-op.
-	sess.Close()
+	sess.Expire()
 }
 
 func TestEphemeralCreateOnClosedSession(t *testing.T) {
@@ -138,32 +138,9 @@ func TestExplicitDeleteDetachesFromSession(t *testing.T) {
 	s.Create("/e", nil, sess)
 	s.Delete("/e", -1)
 	s.Create("/e", nil, nil) // recreate persistent
-	sess.Close()
+	sess.Expire()
 	if !s.Exists("/e") {
 		t.Fatal("session close deleted a node it no longer owns")
-	}
-}
-
-func TestDataWatchFiresOnceOnSet(t *testing.T) {
-	s := NewStore()
-	s.Create("/w", nil, nil)
-	var events []Event
-	s.WatchData("/w", func(e Event) { events = append(events, e) })
-	s.Set("/w", []byte("1"), -1)
-	s.Set("/w", []byte("2"), -1)
-	if len(events) != 1 || events[0].Type != EventDataChanged || events[0].Path != "/w" {
-		t.Fatalf("events = %v", events)
-	}
-}
-
-func TestDataWatchFiresOnDelete(t *testing.T) {
-	s := NewStore()
-	s.Create("/w", nil, nil)
-	var got Event
-	s.WatchData("/w", func(e Event) { got = e })
-	s.Delete("/w", -1)
-	if got.Type != EventDeleted || got.Path != "/w" {
-		t.Fatalf("event = %v", got)
 	}
 }
 
@@ -203,11 +180,11 @@ func TestWatchCallbackCanReenterStore(t *testing.T) {
 	s := NewStore()
 	s.Create("/w", nil, nil)
 	reread := ""
-	s.WatchData("/w", func(Event) {
-		data, _, _ := s.Get("/w")
+	s.WatchChildren("/w", func(Event) {
+		data, _, _ := s.Get("/w/c")
 		reread = string(data)
 	})
-	s.Set("/w", []byte("new"), -1)
+	s.Create("/w/c", []byte("new"), nil)
 	if reread != "new" {
 		t.Fatalf("re-entrant read = %q", reread)
 	}
@@ -215,13 +192,10 @@ func TestWatchCallbackCanReenterStore(t *testing.T) {
 
 func TestWatchErrors(t *testing.T) {
 	s := NewStore()
-	if err := s.WatchData("/missing", func(Event) {}); !errors.Is(err, ErrNoNode) {
-		t.Fatalf("WatchData missing = %v", err)
+	if err := s.WatchChildren("/missing", func(Event) {}); !errors.Is(err, ErrNoNode) {
+		t.Fatalf("WatchChildren missing = %v", err)
 	}
 	s.Create("/x", nil, nil)
-	if err := s.WatchData("/x", nil); err == nil {
-		t.Fatal("nil watcher accepted")
-	}
 	if err := s.WatchChildren("/x", nil); err == nil {
 		t.Fatal("nil child watcher accepted")
 	}
@@ -254,11 +228,13 @@ func TestMultipleEphemeralsOneSession(t *testing.T) {
 	}
 }
 
+// TestSessionIDsUnique: a session is known by its fencing generation, which
+// no other session shares and which rises in opening order.
 func TestSessionIDsUnique(t *testing.T) {
 	s := NewStore()
 	a, b := s.NewSession(), s.NewSession()
-	if a.ID() == b.ID() {
-		t.Fatal("duplicate session ids")
+	if a.Generation() >= b.Generation() {
+		t.Fatalf("session generations %d then %d, want rising", a.Generation(), b.Generation())
 	}
 }
 

@@ -108,7 +108,6 @@ func Build(spec DeploymentSpec) *Deployment {
 	fleet := topology.Build(topology.Spec{
 		Regions:           spec.Regions,
 		MachinesPerRegion: spec.ServersPerRegion,
-		Capacity:          topology.Capacity{topology.ResourceCPU: 100},
 		Latency:           spec.Latency,
 	})
 	d := &Deployment{
@@ -137,7 +136,7 @@ func Build(spec DeploymentSpec) *Deployment {
 		host := appserver.NewHost(loop, d.Net, d.Dir, d.Store, fleet, spec.Orch.App, job, spec.AppFactory)
 		d.Hosts[r] = host
 		mgr.AddListener(host)
-		mgr.CreateJob(job, string(spec.Orch.App), spec.ServersPerRegion)
+		mgr.CreateJob(job, spec.ServersPerRegion)
 	}
 
 	cfg := spec.Orch

@@ -91,7 +91,7 @@ func CompoundFaults(c RunConfig, p CompoundFaultParams) *Report {
 	if mon == nil {
 		mon = healthmon.New(healthmon.Options{})
 	}
-	spec := geoKVSpec("faultstore", [3]topology.RegionID{"region-a", "region-b", "region-c"}, "region-c",
+	spec := GeoKVSpec("faultstore", [3]topology.RegionID{"region-a", "region-b", "region-c"}, "region-c",
 		p.Shards, p.Replicas, p.ServersPerRegion, p.Seed)
 	spec.Health = mon
 	spec.Audit = &audit.Options{}

@@ -62,7 +62,6 @@ type availabilityVariant struct {
 
 // availabilityOutcome is one variant's measured result.
 type availabilityOutcome struct {
-	variant       availabilityVariant
 	curve         []metrics.Point
 	rate          float64
 	worstBucket   float64
@@ -194,7 +193,6 @@ func runAvailabilityVariant(c RunConfig, p AvailabilityParams, v availabilityVar
 
 	// Measure over the upgrade window only, as the paper's figure does.
 	return availabilityOutcome{
-		variant:       v,
 		curve:         ratio.Curve(),
 		rate:          ratio.RateBetween(start, finished),
 		worstBucket:   ratio.MinBucketBetween(start, finished),

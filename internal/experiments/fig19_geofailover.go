@@ -57,7 +57,7 @@ func Fig19(c RunConfig, p GeoFailoverParams) *Report {
 		},
 	}
 
-	spec := geoKVSpec("geostore", [3]topology.RegionID{"frc", "prn", "odn"}, "prn",
+	spec := GeoKVSpec("geostore", [3]topology.RegionID{"frc", "prn", "odn"}, "prn",
 		p.Shards, p.Replicas, p.ServersPerRegion, p.Seed)
 	spec.Orch.Policy.AffinityWeight = 300
 	shards := spec.Orch.Shards

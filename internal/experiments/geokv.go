@@ -13,12 +13,13 @@ import (
 	"shardmanager/internal/topology"
 )
 
-// geoKVSpec returns the three-region, secondary-only KV world that Fig 19 and
-// the compound-fault experiment share, for the caller to adjust and build:
+// GeoKVSpec returns the three-region, secondary-only KV world that Fig 19, the
+// compound-fault experiment and `smctl status -scenario geofailover` share,
+// for the caller to adjust and build:
 // region-spread placement under graceful migration, with regions[0] (where
 // the experiment's client sits) 35 ms from regions[1] and 45 ms from
 // regions[2], which are 80 ms apart.
-func geoKVSpec(app shard.AppID, regions [3]topology.RegionID, home topology.RegionID,
+func GeoKVSpec(app shard.AppID, regions [3]topology.RegionID, home topology.RegionID,
 	shards, replicas, serversPerRegion int, seed uint64) DeploymentSpec {
 	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
 	pol.SpreadLevel = topology.LevelRegion
@@ -71,8 +72,8 @@ func startKVReads(d *Deployment, client *routing.Client, rate, shards int) *kvRe
 	rng := d.Loop.RNG().Fork()
 	w := &kvReads{
 		T0:       d.Loop.Now(),
-		Latency:  metrics.NewSeries("latency"),
-		Failures: metrics.NewSeries("failures"),
+		Latency:  &metrics.Series{},
+		Failures: &metrics.Series{},
 	}
 	d.Loop.EveryL(time.Second/time.Duration(rate), lbExpClient, func() {
 		key := KeyForShard(rng.Intn(shards))

@@ -70,7 +70,11 @@ func TestHealthMonitorMatchesFig18(t *testing.T) {
 	if !ok {
 		t.Fatal("report has no overall_success_rate value")
 	}
-	got := (*mons)[0].Rate("msgqueue")
+	st := (*mons)[0].Snapshot()
+	if len(st.Apps) != 1 || st.Apps[0].App != "msgqueue" {
+		t.Fatalf("monitor saw apps %+v, want msgqueue alone", st.Apps)
+	}
+	got := st.Apps[0].Availability
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("healthmon rate %v, figure rate %v", got, want)
 	}

@@ -111,7 +111,6 @@ type TortureArtifacts struct {
 // TortureRun is one completed torture seed, kept whole so callers (smctl
 // audit) can print ownership timelines around any violation.
 type TortureRun struct {
-	Seed       uint64
 	Deployment *Deployment
 	Auditor    *audit.Auditor
 	Scenario   *faults.Scenario
@@ -220,7 +219,7 @@ func RunTortureSeed(c RunConfig, p TortureParams, seed uint64) *TortureRun {
 		Audit: &audit.Options{},
 		Seed:  seed,
 	})
-	run := &TortureRun{Seed: seed, Deployment: d, Auditor: d.Auditor}
+	run := &TortureRun{Deployment: d, Auditor: d.Auditor}
 	// The whole scripted run executes under a recover so a world that
 	// crashes outright (an orchestrator sanity panic, say) becomes a pinned
 	// finding instead of killing the sweep. The sim is single-threaded, so

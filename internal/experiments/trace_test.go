@@ -104,8 +104,10 @@ func TestFailoverTraceCapturesMigrationLifecycle(t *testing.T) {
 			continue
 		}
 		have := map[string]bool{}
-		for _, c := range tr.Children(sp.ID) {
-			have[c.Name] = true
+		for _, c := range tr.Spans() {
+			if c.Parent == sp.ID {
+				have[c.Name] = true
+			}
 		}
 		all := true
 		for _, s := range steps {

@@ -94,9 +94,8 @@ type regionHealth struct {
 // Monitor aggregates health signals. Create with New, attach with the
 // Watch* methods, then Snapshot at any simulated time.
 type Monitor struct {
-	clk   sim.Clock
-	reg   *metrics.Registry
-	start time.Duration
+	clk sim.Clock
+	reg *metrics.Registry
 
 	apps        map[shard.AppID]*appHealth
 	regions     map[topology.RegionID]*regionHealth
@@ -118,13 +117,8 @@ func New(opts Options) *Monitor {
 	}
 }
 
-// Bind attaches the simulated clock; the monitoring window starts now.
-func (m *Monitor) Bind(clk sim.Clock) {
-	m.clk = clk
-	if clk != nil {
-		m.start = clk.Now()
-	}
-}
+// Bind attaches the simulated clock.
+func (m *Monitor) Bind(clk sim.Clock) { m.clk = clk }
 
 // Registry returns the monitor's labeled-metrics registry (never nil).
 func (m *Monitor) Registry() *metrics.Registry { return m.reg }
@@ -297,16 +291,11 @@ func (w *clusterWatch) ContainerStopping(c cluster.Container, reason string) {
 	}
 }
 
-func (w *clusterWatch) ContainerStopped(cluster.Container) {}
-
 func (w *clusterWatch) MaintenanceScheduled(region topology.RegionID, ev cluster.MaintenanceEvent) {
 	w.m.region(region).maintenance++
 }
 
 // --- cross-check accessors ---
-
-// Rate returns the app's overall success fraction (1 if nothing observed).
-func (m *Monitor) Rate(app shard.AppID) float64 { return m.app(app).ratio.Rate() }
 
 // RateBetween returns the app's success fraction over ratio buckets
 // starting in [from, to]. This delegates to the same metrics.SuccessRatio
@@ -314,12 +303,6 @@ func (m *Monitor) Rate(app shard.AppID) float64 { return m.app(app).ratio.Rate()
 // tests can demand bit-identical agreement.
 func (m *Monitor) RateBetween(app shard.AppID, from, to time.Duration) float64 {
 	return m.app(app).ratio.RateBetween(from, to)
-}
-
-// MinBucketBetween returns the app's worst per-bucket success fraction in
-// [from, to].
-func (m *Monitor) MinBucketBetween(app shard.AppID, from, to time.Duration) float64 {
-	return m.app(app).ratio.MinBucketBetween(from, to)
 }
 
 // --- snapshots ---

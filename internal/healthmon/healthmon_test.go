@@ -62,10 +62,6 @@ func TestMonitorAvailabilityAndWindows(t *testing.T) {
 	if a.BudgetRemaining >= 0 {
 		t.Fatalf("BudgetRemaining = %v, want deeply negative", a.BudgetRemaining)
 	}
-	// Cross-check accessor agrees with the snapshot.
-	if got := m.Rate(app); got != a.Availability {
-		t.Fatalf("Rate = %v, snapshot = %v", got, a.Availability)
-	}
 }
 
 func TestMonitorViolationMerging(t *testing.T) {

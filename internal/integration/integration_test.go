@@ -270,8 +270,8 @@ func TestStreamProcessorSurvivesDrainEndToEnd(t *testing.T) {
 		ServersPerRegion: 4,
 		Orch:             cfg,
 		ClusterOpts:      cluster.DefaultOptions(),
-		AppFactory: func(s *appserver.Server) appserver.Application {
-			return apps.NewStreamProcessor(s, bus)
+		AppFactory: func(*appserver.Server) appserver.Application {
+			return apps.NewStreamProcessor(bus)
 		},
 		Seed: 3,
 	})
@@ -346,7 +346,7 @@ func TestTwoAppsShareFleetIndependently(t *testing.T) {
 	host2 := appserver.NewHost(d1.Loop, d1.Net, d1.Dir, d1.Store, d1.Fleet, "second", "second-job",
 		func(s *appserver.Server) appserver.Application { return apps.NewQueue(s, qBacking) })
 	d1.Managers["r1"].AddListener(host2)
-	d1.Managers["r1"].CreateJob("second-job", "second", 3)
+	d1.Managers["r1"].CreateJob("second-job", 3)
 	orch2 := orchestrator.New(d1.Loop, d1.Store, d1.Disc, d1.Net, d1.Dir, d1.Fleet, cfg2, 9)
 	orch2.Start()
 	d1.Loop.RunFor(5 * time.Minute)

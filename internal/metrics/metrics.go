@@ -51,40 +51,18 @@ type Point struct {
 	V float64
 }
 
-// Series is an append-only time series.
+// Series is an append-only time series. The zero value is empty.
 type Series struct {
-	Name   string
 	points []Point
 }
-
-// NewSeries returns a named, empty series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
 
 // Record appends a sample at time t.
 func (s *Series) Record(t time.Duration, v float64) {
 	s.points = append(s.points, Point{T: t, V: v})
 }
 
-// Points returns the recorded samples in insertion order.
-func (s *Series) Points() []Point { return s.points }
-
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.points) }
-
-// Max returns the maximum sample value. ok is false for an empty series —
-// a plain 0 would be indistinguishable from a real zero sample.
-func (s *Series) Max() (v float64, ok bool) {
-	if len(s.points) == 0 {
-		return 0, false
-	}
-	m := math.Inf(-1)
-	for _, p := range s.points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m, true
-}
 
 // Between returns the samples with T in [from, to].
 func (s *Series) Between(from, to time.Duration) []Point {
@@ -108,19 +86,6 @@ func (s *Series) MeanBetween(from, to time.Duration) float64 {
 		sum += p.V
 	}
 	return sum / float64(len(pts))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of all sample values using
-// nearest-rank on a sorted copy. It returns 0 for an empty series.
-func (s *Series) Quantile(q float64) float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(s.points))
-	for i, p := range s.points {
-		vals[i] = p.V
-	}
-	return Quantile(vals, q)
 }
 
 // Quantile returns the q-quantile of vals by nearest rank. vals is not

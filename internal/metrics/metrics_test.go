@@ -37,28 +37,25 @@ func TestGauge(t *testing.T) {
 }
 
 func TestSeriesStats(t *testing.T) {
-	s := NewSeries("x")
+	var s Series
 	for i, v := range []float64{5, 1, 3} {
 		s.Record(time.Duration(i)*time.Second, v)
 	}
-	max, okMax := s.Max()
-	if s.Len() != 3 || !okMax || max != 5 {
-		t.Fatalf("stats: len=%d max=%v", s.Len(), max)
+	if s.Len() != 3 {
+		t.Fatalf("len = %d, want 3", s.Len())
 	}
 }
 
 func TestSeriesEmpty(t *testing.T) {
-	s := NewSeries("e")
-	if v, ok := s.Max(); ok || v != 0 {
-		t.Fatalf("empty Max = %v, %v; want 0, false", v, ok)
-	}
-	if s.Quantile(0.5) != 0 {
-		t.Fatal("empty series stats should be zero")
+	var s Series
+	if s.Len() != 0 || s.Between(0, time.Hour) != nil || s.MeanBetween(0, time.Hour) != 0 {
+		t.Fatalf("empty series: len %d, between %v, mean %v; want 0, nil, 0",
+			s.Len(), s.Between(0, time.Hour), s.MeanBetween(0, time.Hour))
 	}
 }
 
 func TestSeriesBetween(t *testing.T) {
-	s := NewSeries("b")
+	var s Series
 	for i := 0; i < 10; i++ {
 		s.Record(time.Duration(i)*time.Second, float64(i))
 	}

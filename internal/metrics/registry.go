@@ -259,17 +259,3 @@ func (f *family) sortedCells() []*cell {
 	}
 	return out
 }
-
-// Len returns the number of sampled families (for tests).
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	n := 0
-	for _, f := range r.families {
-		if f.kind != -1 {
-			n++
-		}
-	}
-	return n
-}

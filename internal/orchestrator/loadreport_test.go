@@ -292,7 +292,7 @@ func benchCollection(b *testing.B, shards int) (*Orchestrator, *appserver.Server
 	sess := store.NewSession()
 	backing := apps.NewKVBacking()
 	var srvs []*appserver.Server
-	for i, m := range fleet.Machines() {
+	for i, m := range fleet.MachinesInRegion("r1") {
 		id := shard.ServerID(fmt.Sprintf("srv%04d", i))
 		if err := store.CreateAll(o.paths.ServerNode(id), []byte(m.ID), sess); err != nil {
 			b.Fatal(err)

@@ -175,11 +175,6 @@ type shardState struct {
 	orphans map[shard.ServerID]bool
 }
 
-type drainRequest struct {
-	server shard.ServerID
-	onDone func()
-}
-
 // Hooks let an external monitor observe control-plane transitions. Unlike a
 // discovery subscription, hooks fire synchronously and draw no randomness,
 // so attaching them (healthmon does) cannot perturb a seeded run. Any field
@@ -233,7 +228,7 @@ type Orchestrator struct {
 	inFlight       int
 	curAlloc       trace.SpanID // open "allocate" span, parent of spawned work
 
-	draining        map[shard.ServerID]*drainRequest
+	draining        map[shard.ServerID]func() // a drain's completion callback, nil for none
 	drainCheckArmed bool
 	started         bool
 	tickers         []*sim.Ticker
@@ -249,7 +244,6 @@ type Orchestrator struct {
 type migration struct {
 	shard    shard.ID
 	from, to shard.ServerID
-	role     shard.Role
 	graceful bool
 	// span covers the whole migration from enqueue to finish; the per-step
 	// RPCs (prepare_add_shard, add_shard, drop_shard, ...) are its children.
@@ -280,7 +274,7 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		delta:    shard.NewDelta(cfg.App),
 		servers:  make(map[shard.ServerID]*serverState),
 		shards:   make(map[shard.ID]*shardState),
-		draining: make(map[shard.ServerID]*drainRequest),
+		draining: make(map[shard.ServerID]func()),
 	}
 	for _, sc := range cfg.Shards {
 		if sc.Replicas <= 0 {
@@ -710,7 +704,6 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 				shard:    mv.Shard,
 				from:     mv.From,
 				to:       mv.To,
-				role:     role,
 				graceful: o.cfg.GracefulMigration && role == shard.RolePrimary,
 			})
 		}
@@ -900,7 +893,6 @@ func (o *Orchestrator) finishMigration(m migration, ok bool) {
 func (o *Orchestrator) runMigration(m migration) {
 	ss := o.shards[m.shard]
 	role := ss.replicas[ss.find(m.from)].Role
-	m.role = role
 	ss.mig = &m
 	if tr := o.loop.Tracer(); tr.Enabled() {
 		tr.Event("orchestrator", "migration_start", m.span,
@@ -1373,9 +1365,6 @@ func (o *Orchestrator) publish() {
 	}
 }
 
-// Version returns the latest published map version.
-func (o *Orchestrator) Version() int64 { return o.version }
-
 // --- TaskController-facing API ---
 
 // AssignmentSnapshot returns a copy of the current authoritative shard map
@@ -1492,7 +1481,7 @@ func (o *Orchestrator) Drain(id shard.ServerID, onDone func()) {
 		st.draining = true
 		o.touch()
 	}
-	o.draining[id] = &drainRequest{server: id, onDone: onDone}
+	o.draining[id] = onDone
 	o.allocate(allocator.Periodic)
 	o.checkDrainsDone() // arms the periodic re-check
 }
@@ -1517,11 +1506,13 @@ func (o *Orchestrator) checkDrainsDone() {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		req := o.draining[id]
-		if o.ShardsOnServer(id) == 0 && !o.shardsMigratingFrom(id) {
+		// A queued migration's source still holds its shard (the move
+		// commits only after the migration leaves the queue), so an empty
+		// server has none queued.
+		if onDone := o.draining[id]; o.ShardsOnServer(id) == 0 {
 			delete(o.draining, id)
-			if req.onDone != nil {
-				req.onDone()
+			if onDone != nil {
+				onDone()
 			}
 		}
 	}
@@ -1532,15 +1523,6 @@ func (o *Orchestrator) checkDrainsDone() {
 			o.checkDrainsDone()
 		})
 	}
-}
-
-func (o *Orchestrator) shardsMigratingFrom(id shard.ServerID) bool {
-	for _, m := range o.migrationQueue {
-		if m.from == id {
-			return true
-		}
-	}
-	return false
 }
 
 // DemotePrimaries demotes every primary replica on the server, promoting a

@@ -57,7 +57,6 @@ func buildWorldOf(t *testing.T, regions []topology.RegionID, serversPerRegion in
 	fleet := topology.Build(topology.Spec{
 		Regions:           regions,
 		MachinesPerRegion: serversPerRegion,
-		Capacity:          topology.Capacity{topology.ResourceCPU: 100},
 	})
 	loop := sim.NewLoop(11)
 	w := &world{
@@ -76,7 +75,7 @@ func buildWorldOf(t *testing.T, regions []topology.RegionID, serversPerRegion in
 		host := appserver.NewHost(loop, w.net, w.dir, w.store, fleet, cfg.App, job, factory)
 		mgr.AddListener(host)
 		w.host = host
-		mgr.CreateJob(job, string(cfg.App), serversPerRegion)
+		mgr.CreateJob(job, serversPerRegion)
 	}
 	w.orch = New(loop, w.store, w.disc, w.net, w.dir, fleet, cfg, 1)
 	w.orch.Start()
@@ -164,8 +163,8 @@ func TestInitialPlacementPrimaryOnly(t *testing.T) {
 		}
 	}
 	// Discovery received the map: its latest version is the orchestrator's.
-	if got := w.disc.Latest("app").Map(); got == nil || got.Version != w.orch.Version() || len(got.Entries) != len(m.Entries) {
-		t.Fatalf("discovery holds %+v, orchestrator published v%d with %d entries", got, w.orch.Version(), len(m.Entries))
+	if got := w.disc.Latest("app").Map(); got == nil || got.Version != w.orch.version || len(got.Entries) != len(m.Entries) {
+		t.Fatalf("discovery holds %+v, orchestrator published v%d with %d entries", got, w.orch.version, len(m.Entries))
 	}
 }
 

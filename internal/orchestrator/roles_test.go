@@ -305,7 +305,7 @@ func TestAccessorsAndStop(t *testing.T) {
 	w := buildWorld(t, []topology.RegionID{"r1"}, 3, cfg)
 	w.loop.RunFor(3 * time.Minute)
 
-	if w.orch.Version() == 0 {
+	if w.orch.version == 0 {
 		t.Fatal("no map published")
 	}
 	if w.orch.TotalReplicas("s000") != 1 || w.orch.TotalReplicas("ghost") != 0 {
@@ -327,12 +327,12 @@ func TestAccessorsAndStop(t *testing.T) {
 	}
 
 	// Stop freezes the version; Start resumes; double calls are no-ops.
-	v := w.orch.Version()
+	v := w.orch.version
 	w.orch.Stop()
 	w.orch.Stop()
 	w.orch.SetReplicas("s000", 1)
 	w.loop.RunFor(5 * time.Minute)
-	if w.orch.Version() != v {
+	if w.orch.version != v {
 		t.Fatal("version moved while stopped")
 	}
 	w.orch.Start()

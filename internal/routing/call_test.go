@@ -24,11 +24,11 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 	}
 	ok := func(server shard.ServerID, latency time.Duration) Result {
 		return Result{OK: true, Payload: "v:abc", Latency: latency, Attempts: 1,
-			Server: server, Shard: "s1", Write: true, MapVersion: 1}
+			Server: server, Shard: "s1", MapVersion: 1}
 	}
 	failed := func(err string, by shard.ServerID, attempts int, latency time.Duration) Result {
 		return Result{Err: err, Latency: latency, Attempts: attempts,
-			Shard: "s1", Write: true, RejectedBy: by, MapVersion: 1}
+			Shard: "s1", RejectedBy: by, MapVersion: 1}
 	}
 	rows := []struct {
 		name string
@@ -71,7 +71,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 				e.dir.Lookup("new").AddShard("s1", shard.RolePrimary, 1)
 				e.publish(2, map[shard.ID][]shard.Assignment{"s1": primary("new")})
 			},
-			want:     []Result{{OK: true, Payload: "v:abc", Latency: 208769456, Attempts: 2, Server: "new", Shard: "s1", Write: true, MapVersion: 2}},
+			want:     []Result{{OK: true, Payload: "v:abc", Latency: 208769456, Attempts: 2, Server: "new", Shard: "s1", MapVersion: 2}},
 			messages: 2,
 		},
 		{
@@ -108,7 +108,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 				e.dir.Lookup("old").PrepareDropShard("s1", "new", shard.RolePrimary)
 			},
 			replicas: primary("old"),
-			want:     []Result{{OK: true, Payload: "v:abc", Latency: 122 * time.Millisecond, Attempts: 1, Hops: 1, Server: "new", Shard: "s1", Write: true, MapVersion: 1}},
+			want:     []Result{{OK: true, Payload: "v:abc", Latency: 122 * time.Millisecond, Attempts: 1, Hops: 1, Server: "new", Shard: "s1", MapVersion: 1}},
 			messages: 3,
 		},
 		{
@@ -177,7 +177,7 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 				e.addServerApp("srv", "far", tagApp{tag: "restarted:"}).AddShard("s1", shard.RolePrimary, 1)
 			},
 			want: []Result{ok("srv", 2*time.Millisecond),
-				{OK: true, Payload: "restarted:abc", Latency: 120 * time.Millisecond, Attempts: 1, Server: "srv", Shard: "s1", Write: true, MapVersion: 1}},
+				{OK: true, Payload: "restarted:abc", Latency: 120 * time.Millisecond, Attempts: 1, Server: "srv", Shard: "s1", MapVersion: 1}},
 			messages: 2,
 		},
 		{
@@ -224,8 +224,8 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 				e.loop.RunFor(time.Second)
 			},
 			want: []Result{
-				{OK: true, Payload: "v:abc", Latency: 122 * time.Millisecond, Attempts: 1, Hops: 1, Server: "new", Shard: "s1", Write: true, MapVersion: 1},
-				{OK: true, Payload: "v:abc", Latency: 120 * time.Millisecond, Attempts: 1, Server: "new", Shard: "s1", Write: true, MapVersion: 2}},
+				{OK: true, Payload: "v:abc", Latency: 122 * time.Millisecond, Attempts: 1, Hops: 1, Server: "new", Shard: "s1", MapVersion: 1},
+				{OK: true, Payload: "v:abc", Latency: 120 * time.Millisecond, Attempts: 1, Server: "new", Shard: "s1", MapVersion: 2}},
 			messages: 4,
 		},
 	}
@@ -318,7 +318,7 @@ func pickServerReference(c *Client, s shard.ID, write bool, tried map[shard.Serv
 		if tried[a.Server] {
 			continue
 		}
-		lat := c.fleet.Latency(c.Region, c.net.Region(rpcnet.Endpoint(a.Server)))
+		lat := c.fleet.Latency(c.fleet.RegionName(c.region), c.net.Region(rpcnet.Endpoint(a.Server)))
 		cands = append(cands, cand{srv: a.Server, lat: lat, tie: c.rng.Uint64()})
 	}
 	if len(cands) == 0 {

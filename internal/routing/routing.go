@@ -60,8 +60,6 @@ type Result struct {
 	// Server that handled the final attempt.
 	Server shard.ServerID
 	Shard  shard.ID
-	// Write reports whether the request was primary-routed.
-	Write bool
 	// RejectedBy is the server the final failed attempt was sent to (the
 	// rejecting server when the failure was a rejection; "" when no
 	// candidate existed at all). Success results leave it empty.
@@ -74,8 +72,7 @@ type Result struct {
 
 // Client is one application client instance located in a region.
 type Client struct {
-	App    shard.AppID
-	Region topology.RegionID
+	App shard.AppID
 
 	loop     *sim.Loop
 	net      *rpcnet.Network
@@ -125,7 +122,6 @@ func NewClient(loop *sim.Loop, net *rpcnet.Network, dir *appserver.Directory,
 	}
 	c := &Client{
 		App:      app,
-		Region:   region,
 		loop:     loop,
 		net:      net,
 		dir:      dir,
@@ -184,7 +180,6 @@ func (c *Client) Do(key string, write bool, op string, payload any, done func(Re
 	k := c.allocCall()
 	k.pos = c.keyspace.Locate(key)
 	k.req = appserver.Request{
-		App:      c.App,
 		Shard:    c.keyspace.At(k.pos),
 		ShardNum: c.shards[k.pos],
 		Key:      key,
@@ -355,7 +350,6 @@ func callReplied(a any) {
 		Hops:       resp.Hops,
 		Server:     resp.Server,
 		Shard:      k.req.Shard,
-		Write:      k.req.Write,
 		MapVersion: c.MapVersion(),
 	})
 }
@@ -384,7 +378,6 @@ func (k *call) fail(errMsg string) {
 			Latency:    c.loop.Now() - k.start,
 			Attempts:   k.attempt,
 			Shard:      k.req.Shard,
-			Write:      k.req.Write,
 			RejectedBy: k.lastServer,
 			MapVersion: c.MapVersion(),
 		})

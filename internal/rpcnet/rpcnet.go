@@ -103,7 +103,7 @@ type Network struct {
 	inflight int
 
 	// Messages counts deliveries, Dropped counts messages lost to link
-	// faults, for tests and smctl.
+	// faults, for tests.
 	Messages int64
 	Dropped  int64
 

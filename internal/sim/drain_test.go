@@ -10,6 +10,9 @@ import (
 // deadline itself as inclusive even for events that are scheduled *at* the
 // deadline by another deadline event.
 
+// pending returns the number of scheduled events not yet fired.
+func (l *Loop) pending() int { return l.w.stored }
+
 // TestStoppedTickerTickFiresOnceAsNoOp: a stopped ticker never runs fn again.
 // Stopped from outside fn, the tick it had already scheduled is still
 // dispatched, once, as a no-op; stopped inside fn, it schedules no further

@@ -329,9 +329,6 @@ func (l *Loop) RunUntil(deadline time.Duration) {
 // RunFor executes events for d of simulated time from the current instant.
 func (l *Loop) RunFor(d time.Duration) { l.RunUntil(l.now + d) }
 
-// pending returns the number of scheduled events not yet fired.
-func (l *Loop) pending() int { return l.w.stored }
-
 // RNG is a splitmix64 pseudo-random generator. It is deliberately simple and
 // fully deterministic across platforms, unlike math/rand's global source.
 type RNG struct {

@@ -14,7 +14,6 @@ type domainTable struct {
 // scopeDomains is the interned view of one scope: every bucket's domain ID,
 // the reverse ID -> name mapping, and the member buckets of each domain.
 type scopeDomains struct {
-	scope string
 	// bucketDom[b] is the dense domain ID of bucket b at this scope.
 	bucketDom []int32
 	// names[d] is the domain string of ID d.
@@ -39,7 +38,6 @@ func (t *domainTable) domains(p *Problem, scope string) *scopeDomains {
 		return sd
 	}
 	sd := &scopeDomains{
-		scope:     scope,
 		bucketDom: make([]int32, len(p.Buckets)),
 		index:     make(map[string]int32),
 	}

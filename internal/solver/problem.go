@@ -274,9 +274,8 @@ type balParams struct {
 // specState holds the per-domain load/capacity aggregates for one
 // (metric, scope) pair, serving every capacity and balance spec on it.
 type specState struct {
-	scope string
-	midx  int
-	dom   *scopeDomains
+	midx int
+	dom  *scopeDomains
 	// nHard counts merged hard capacity specs on this (metric, scope);
 	// >0 gates move feasibility, and multiplies the overflow penalty so
 	// duplicate AddConstraint calls keep their historical weight.
@@ -505,11 +504,10 @@ func newState(p *Problem) *state {
 			specIdx[k] = si
 			dom := table.domains(p, scope)
 			sp := specState{
-				scope: scope,
-				midx:  k.midx,
-				dom:   dom,
-				load:  make([]float64, dom.numDomains()),
-				cap:   make([]float64, dom.numDomains()),
+				midx: k.midx,
+				dom:  dom,
+				load: make([]float64, dom.numDomains()),
+				cap:  make([]float64, dom.numDomains()),
 			}
 			for b := range p.Buckets {
 				sp.cap[dom.bucketDom[b]] += p.Buckets[b].Capacity[sp.midx]

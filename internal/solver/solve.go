@@ -27,12 +27,6 @@ func (v *View) Utilization(b BucketID, m int) float64 {
 	return l / c
 }
 
-// Load returns bucket b's current total load for metric index m.
-func (v *View) Load(b BucketID, m int) float64 { return v.st.bucketLoad[b][m] }
-
-// Entities returns the number of entities currently on bucket b.
-func (v *View) Entities(b BucketID) int { return len(v.st.byBucket[b]) }
-
 // Sampler picks candidate target buckets for an entity. It may return fewer
 // than k buckets; duplicates are tolerated. The returned slice is only valid
 // until the next call — samplers may reuse its backing array, and the solver
@@ -161,8 +155,6 @@ func DefaultOptions() Options {
 
 // ProgressInfo is a snapshot of solver progress.
 type ProgressInfo struct {
-	Elapsed time.Duration
-	Moves   int
 	// Evaluated counts candidate evaluations so far; it is the
 	// deterministic progress axis (same seed -> same snapshots).
 	Evaluated  int
@@ -182,8 +174,6 @@ type Result struct {
 	Moves []Move
 	// Initial and Final violation counts.
 	Initial, Final ViolationCounts
-	// Rounds of hot-bucket repair epochs performed.
-	Rounds int
 	// Evaluated counts candidate moves: pairs considered, scored or pruned.
 	Evaluated int
 	// Elapsed wall-clock time.
@@ -397,9 +387,6 @@ func (c *solveCtx) phase1() {
 func (c *solveCtx) phase2() {
 	st, opt := c.st, &c.opt
 	improved := false
-	if c.budgetLeft() {
-		c.res.Rounds++
-	}
 	for c.budgetLeft() {
 		b, pen := st.hot.top()
 		if b < 0 || pen <= improveEps {
@@ -413,7 +400,6 @@ func (c *solveCtx) phase2() {
 			if b < 0 || pen <= improveEps {
 				break
 			}
-			c.res.Rounds++
 			improved = false
 		}
 		// Repeatedly chip away at this bucket until it stops improving.
@@ -444,8 +430,6 @@ func (c *solveCtx) fireProgress() {
 		return
 	}
 	c.opt.Progress(ProgressInfo{
-		Elapsed:    time.Since(c.start),
-		Moves:      len(c.res.Moves),
 		Evaluated:  c.res.Evaluated,
 		Violations: c.st.violations(),
 	})

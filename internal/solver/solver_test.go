@@ -353,12 +353,13 @@ func TestProgressCallbackInvoked(t *testing.T) {
 	p.AddConstraint(CapacitySpec{Metric: "cpu"})
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
 	opt := DefaultOptions()
-	n := 0
+	n, last := 0, 0
 	opt.Progress = func(pi ProgressInfo) {
 		n++
-		if pi.Moves < 0 {
-			t.Error("negative moves")
+		if pi.Evaluated < last {
+			t.Errorf("evaluations went from %d down to %d", last, pi.Evaluated)
 		}
+		last = pi.Evaluated
 	}
 	Solve(p, opt)
 	if n == 0 {

@@ -86,9 +86,8 @@ const (
 )
 
 type trackedOp struct {
-	op     cluster.Operation
-	region topology.RegionID
-	state  opState
+	op    cluster.Operation
+	state opState
 }
 
 // Scheduling labels for the kernel profiler (simprof).
@@ -179,7 +178,7 @@ func (c *Controller) OfferOperations(region topology.RegionID, pending []cluster
 		}
 		needsDrain := c.policy.DrainOnRestart && opImpactsShards(op.Type) &&
 			c.shards.ShardsOnServer(shard.ServerID(op.Container)) > 0
-		t := &trackedOp{op: op, region: region}
+		t := &trackedOp{op: op}
 		c.ops[op.Container] = t
 		if !needsDrain {
 			t.state = opExecuting

@@ -229,7 +229,7 @@ func TestMaintenanceNetworkLossDemotes(t *testing.T) {
 		MachinesPerRegion: 2,
 	})
 	mgr := cluster.NewManager(loop, fleet, "r1", cluster.DefaultOptions())
-	mgr.CreateJob("job", "app", 2)
+	mgr.CreateJob("job", 2)
 	loop.RunFor(time.Minute)
 
 	fs := newFakeShards()
@@ -267,7 +267,7 @@ func TestMaintenanceMachineLossDrains(t *testing.T) {
 		MachinesPerRegion: 2,
 	})
 	mgr := cluster.NewManager(loop, fleet, "r1", cluster.DefaultOptions())
-	mgr.CreateJob("job", "app", 2)
+	mgr.CreateJob("job", 2)
 	loop.RunFor(time.Minute)
 
 	fs := newFakeShards()
@@ -296,7 +296,7 @@ func TestEndToEndRollingUpgradeWithController(t *testing.T) {
 		MachinesPerRegion: 10,
 	})
 	mgr := cluster.NewManager(loop, fleet, "r1", cluster.DefaultOptions())
-	mgr.CreateJob("job", "app", 10)
+	mgr.CreateJob("job", 10)
 	loop.RunFor(time.Minute)
 
 	fs := newFakeShards()

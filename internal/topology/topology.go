@@ -50,9 +50,7 @@ type Resource string
 // arbitrary synthetic metrics as well (§2.2.4); those are also Resources.
 const (
 	ResourceCPU     Resource = "cpu"
-	ResourceMemory  Resource = "memory"
 	ResourceStorage Resource = "storage"
-	ResourceNetwork Resource = "network"
 	// ResourceShardCount is the synthetic "number of shards" metric used
 	// by shard-count-based load balancing.
 	ResourceShardCount Resource = "shard_count"
@@ -60,15 +58,6 @@ const (
 
 // Capacity is a multi-dimensional resource vector.
 type Capacity map[Resource]float64
-
-// Clone returns a deep copy.
-func (c Capacity) Clone() Capacity {
-	out := make(Capacity, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
 
 // Get returns the value for r (0 if absent).
 func (c Capacity) Get(r Resource) float64 { return c[r] }
@@ -79,10 +68,6 @@ type Machine struct {
 	Region     RegionID
 	Datacenter string
 	Rack       string
-	Capacity   Capacity
-	// HasStorage marks SSD/HDD machines (Fig 9 distinguishes storage vs
-	// non-storage machines).
-	HasStorage bool
 }
 
 // Domain returns the machine's fault-domain name at the given level. Names
@@ -153,15 +138,6 @@ func (f *Fleet) AddMachine(m *Machine) {
 
 // Machine returns the machine with the given ID, or nil.
 func (f *Fleet) Machine(id MachineID) *Machine { return f.machines[id] }
-
-// Machines returns all machines in registration order.
-func (f *Fleet) Machines() []*Machine {
-	out := make([]*Machine, 0, len(f.order))
-	for _, id := range f.order {
-		out = append(out, f.machines[id])
-	}
-	return out
-}
 
 // MachinesInRegion returns the machines located in region r, in registration
 // order.
@@ -269,10 +245,6 @@ type Spec struct {
 	RacksPerRegion int
 	// DatacentersPerRegion defaults to 1.
 	DatacentersPerRegion int
-	// Capacity for every machine; cloned per machine.
-	Capacity Capacity
-	// HasStorage marks all machines as storage machines.
-	HasStorage bool
 	// Latency maps region pairs to one-way latency. Optional.
 	Latency map[[2]RegionID]time.Duration
 }
@@ -299,17 +271,11 @@ func Build(spec Spec) *Fleet {
 	f := NewFleet()
 	for _, region := range spec.Regions {
 		for i := 0; i < spec.MachinesPerRegion; i++ {
-			cap := spec.Capacity.Clone()
-			if cap == nil {
-				cap = Capacity{}
-			}
 			f.AddMachine(&Machine{
 				ID:         MachineID(fmt.Sprintf("%s-m%04d", region, i)),
 				Region:     region,
 				Datacenter: fmt.Sprintf("dc%d", i%dcs),
 				Rack:       fmt.Sprintf("rack%02d", i%racks),
-				Capacity:   cap,
-				HasStorage: spec.HasStorage,
 			})
 		}
 	}

@@ -11,14 +11,12 @@ func testFleet() *Fleet {
 		MachinesPerRegion:    8,
 		RacksPerRegion:       4,
 		DatacentersPerRegion: 2,
-		Capacity:             Capacity{ResourceCPU: 100},
-		HasStorage:           true,
 	})
 }
 
 func TestBuildCounts(t *testing.T) {
 	f := testFleet()
-	if got := len(f.Machines()); got != 16 {
+	if got := len(f.machines); got != 16 {
 		t.Fatalf("machines = %d, want 16", got)
 	}
 	if got := len(f.MachinesInRegion("frc")); got != 8 {
@@ -32,7 +30,7 @@ func TestBuildCounts(t *testing.T) {
 
 func TestMachineDomains(t *testing.T) {
 	f := testFleet()
-	m := f.Machines()[0]
+	m := f.MachinesInRegion("frc")[0]
 	if m.Domain(LevelRegion) != "frc" {
 		t.Fatalf("region domain = %q", m.Domain(LevelRegion))
 	}
@@ -51,20 +49,13 @@ func TestDomainNamesAreGloballyUnique(t *testing.T) {
 	f := testFleet()
 	// rack00 exists in both regions but the qualified names must differ.
 	domains := make(map[string]bool)
-	for _, m := range f.Machines() {
-		domains[m.Domain(LevelRack)] = true
+	for _, r := range f.Regions() {
+		for _, m := range f.MachinesInRegion(r) {
+			domains[m.Domain(LevelRack)] = true
+		}
 	}
 	if len(domains) != 8 {
 		t.Fatalf("distinct racks = %d, want 8 (4 per region)", len(domains))
-	}
-}
-
-func TestCapacityClonedPerMachine(t *testing.T) {
-	f := testFleet()
-	ms := f.Machines()
-	ms[0].Capacity[ResourceCPU] = 1
-	if ms[1].Capacity[ResourceCPU] != 100 {
-		t.Fatal("capacity map shared between machines")
 	}
 }
 

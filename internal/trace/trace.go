@@ -127,7 +127,6 @@ const (
 type ring[T any] struct {
 	buf  []T
 	head int
-	n    int
 }
 
 func newRing[T any](capacity int) *ring[T] { return &ring[T]{buf: make([]T, 0, capacity)} }
@@ -143,7 +142,6 @@ func (r *ring[T]) push(v T) bool {
 func (r *ring[T]) pushEvict(v T) (old T, dropped bool) {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, v)
-		r.n++
 		return old, false
 	}
 	old = r.buf[r.head]
@@ -411,17 +409,6 @@ func (t *Tracer) FindSpans(component, name string) []*Span {
 	var out []*Span
 	for _, sp := range t.Spans() {
 		if (component == "" || sp.Component == component) && (name == "" || sp.Name == name) {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// Children returns the retained spans whose parent is id, oldest-first.
-func (t *Tracer) Children(id SpanID) []*Span {
-	var out []*Span
-	for _, sp := range t.Spans() {
-		if sp.Parent == id {
 			out = append(out, sp)
 		}
 	}

@@ -80,10 +80,6 @@ func TestSpanLifecycle(t *testing.T) {
 	if rs.Attr("shard") != "s1" || rs.Attr("ok") != "true" || rs.Attr("absent") != "" {
 		t.Fatalf("attrs wrong: %+v", rs.Attrs)
 	}
-	kids := tr.Children(rs.ID)
-	if len(kids) != 1 || kids[0].ID != cs.ID {
-		t.Fatalf("Children = %v", kids)
-	}
 	if got := tr.FindSpans("orch", "add_shard"); len(got) != 1 || got[0].ID != cs.ID {
 		t.Fatalf("FindSpans = %v", got)
 	}

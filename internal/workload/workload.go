@@ -350,15 +350,6 @@ func (f Fleet) SMApps() Fleet {
 	return out
 }
 
-// TotalServers sums server counts.
-func (f Fleet) TotalServers() int {
-	n := 0
-	for _, a := range f {
-		n += a.Servers
-	}
-	return n
-}
-
 // --- Figure 1: planned vs unplanned container stops ---
 
 // StopSample is one time bucket of container-stop counts.

@@ -29,6 +29,11 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
+echo "== nothing only tests reach"
+# The caller gate (DESIGN §4 "Entry points"): a declaration under internal/
+# that no non-test code uses, or a field it only writes, goes or is listed with
+# its reason in callers_test.go. Names resolve by type, not by grep.
+go test -count=1 -run '^TestNothingOnlyTestsReach$' .
 echo "== every internal package runs on a deployment"
 # A package under internal/ with non-test Go files must be in the import
 # closure of the commands and the benchmark: a model that no -fig, fault
@@ -39,49 +44,6 @@ unreached="$(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... |
 if [ -n "$unreached" ]; then
 	echo "internal packages outside the import closure of ./cmd/... and ./bench:" >&2
 	echo "$unreached" >&2
-	exit 1
-fi
-echo "== exported entry points have a caller"
-# An exported func or method declared in a non-test file under internal/ must
-# be named by some other line of non-test code (internal/, cmd/, examples/,
-# bench/; comment lines, string literals — a panic message naming its own
-# function — and its own declaration do not count). What is left is
-# reached only from tests: it stays only as a driver or probe of behaviour
-# other than its own, listed here with the reason; anything else goes with the
-# tests that checked it. The match is by name only: a method that shares its
-# name with another that has a caller passes unseen (healthmon's Observe did,
-# beside Histogram.Observe and SuccessRatio.Observe), so check such names by
-# hand.
-keep="$(sed 's/ *#.*//' <<'KEEP' | sort
-allocator.FormatMoves       # what recorded_test.go compares, row by row
-cluster.Resize              # drives servers joining a running job (TestAutoscaleResizeAddsServersAndRebalances)
-coord.WatchData             # ROADMAP item 5's standby watches the leader node with it
-discovery.Cancel            # drives the store's reclamation behind the slowest cursor
-discovery.FixedDelay        # pins propagation delay so tests can count events
-orchestrator.ForceAllocate  # drives an allocation without waiting out AllocInterval
-orchestrator.SetReplicas    # drives replica-count changes through the allocator's surplus drops (TestRunRecorded's "replica count down" row, TestSetReplicasGrowAndShrinkLive)
-rpcnet.Delay                # probe of the latency model and injected link faults
-rpcnet.Partitioned          # probe of the fault injector's link state
-rpcnet.Reachable            # probe of endpoint registration and revert
-sim.Perm                    # draws propertyWorld's inputs: recorded_test.go's rows are a function of its draw order
-trace.FindSpans             # probe of span parentage in the experiment trace tests
-KEEP
-)"
-nonTest="$(find internal cmd examples bench -name '*.go' ! -name '*_test.go' | sort)"
-uncalled="$(for f in $(find internal -name '*.go' ! -name '*_test.go' | sort); do
-	pkg="$(basename "$(dirname "$f")")"
-	sed -nE 's/^func (\([^)]*\) )?([A-Z][A-Za-z0-9_]*)[(\[].*/\2/p' "$f" | sort -u | while read -r name; do
-		grep -hw -- "$name" $nonTest |
-			grep -vE "^func (\([^)]*\) )?$name[(\[]|^[[:space:]]*//" |
-			sed -E 's/"([^"\\]|\\.)*"//g; s/`[^`]*`//g' |
-			grep -qw -- "$name" || echo "$pkg.$name"
-	done
-done | sort)"
-extra="$(echo "$uncalled" | grep -vxF "$keep" || true)"
-stale="$(echo "$keep" | grep -vxF "$uncalled" || true)"
-if [ -n "$extra$stale" ]; then
-	echo "exported entry points no non-test code calls, not on the keep-list: $(echo $extra)" >&2
-	echo "keep-list entries that have a caller now, or are gone: $(echo $stale)" >&2
 	exit 1
 fi
 echo "== go test -race (all packages except sim-heavy experiments)"
