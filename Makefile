@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test bench bench-layers audit-torture vet build fmt loc
+.PHONY: check test bench bench-layers audit-torture deploy-cover vet build fmt loc
 
 check: ## gofmt + vet + build + race-enabled tests (tier-1 verify)
 	sh scripts/check.sh
@@ -16,6 +16,9 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+deploy-cover: ## per-package statement coverage of every command, example and bench workload run, and the internal/ functions none of them enters (minutes; not part of check)
+	sh scripts/deploycover.sh
 
 loc: ## non-blank, non-comment lines of non-test Go code, per package directory and repo-wide
 	sh scripts/loc.sh

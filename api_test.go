@@ -1,6 +1,10 @@
 package shardmanager
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -190,7 +194,7 @@ func TestOptionStructFields(t *testing.T) {
 			"EnableSwap", "Sampler", "Seed", "Progress"},
 		reflect.TypeOf(routing.Options{}):       {"MaxAttempts"},
 		reflect.TypeOf(taskcontroller.Policy{}): {"DrainOnRestart", "MaxConcurrentOps", "MaxUnavailableReplicas"},
-		reflect.TypeOf(cluster.Options{}):       {"StartDuration", "StopDuration", "RestartDuration", "NegotiationDelay"},
+		reflect.TypeOf(cluster.Options{}):       {"StartDuration", "RestartDuration", "NegotiationDelay"},
 		reflect.TypeOf(rpcnet.Network{}):        {"Messages", "Dropped"}, // not options: counts the fabric keeps for tests
 		reflect.TypeOf(experiments.DeploymentSpec{}): {"Regions", "ServersPerRegion", "Latency", "Orch", "TaskPolicy",
 			"AppFactory", "ClusterOpts", "Tracer", "Health", "Profiler", "Audit", "Seed"},
@@ -206,6 +210,51 @@ func TestOptionStructFields(t *testing.T) {
 	}
 	if n := reflect.TypeOf(trace.New).NumIn(); n != 0 {
 		t.Errorf("trace.New takes %d parameters, want none: the tracer has no options", n)
+	}
+}
+
+// TestDeploymentShapeIsConfiguration pins what went with the paths only tests
+// selected: a job's size, a shard's replica count and where a container runs
+// are configuration, the cluster manager's one operation is a restart, and
+// maintenance takes machines off the network. (Names assembled from stems, as
+// above.)
+func TestDeploymentShapeIsConfiguration(t *testing.T) {
+	if have, want := exportedFields(reflect.TypeOf(cluster.Operation{})), []string{"ID", "Container", "Reason", "Negotiable"}; !reflect.DeepEqual(have, want) {
+		t.Errorf("cluster.Operation fields = %v, want exactly %v", have, want)
+	}
+	if have, want := exportedFields(reflect.TypeOf(cluster.MaintenanceEvent{})), []string{"Machines", "Start", "End"}; !reflect.DeepEqual(have, want) {
+		t.Errorf("cluster.MaintenanceEvent fields = %v, want exactly %v", have, want)
+	}
+	mgr := reflect.TypeOf((*cluster.Manager)(nil))
+	if _, ok := mgr.MethodByName("Re" + "size"); ok {
+		t.Errorf("%v can resize a job: a job's size is fixed at CreateJob", mgr)
+	}
+	if m, ok := mgr.MethodByName("ScheduleMaintenance"); !ok || m.Type.NumIn() != 4 {
+		t.Errorf("(*cluster.Manager).ScheduleMaintenance = %v (present %v), want (machines, start, end)", m.Type, ok)
+	}
+	orch := reflect.TypeOf((*orchestrator.Orchestrator)(nil))
+	if _, ok := orch.MethodByName("Set" + "Replicas"); ok {
+		t.Errorf("%v can change a replica count: it is the shard's configuration", orch)
+	}
+	files, err := filepath.Glob("internal/cluster/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := map[string]bool{"Op" + "Type": true, "Maintenance" + "Impact": true}
+	for _, name := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.TYPE {
+				for _, spec := range g.Specs {
+					if id := spec.(*ast.TypeSpec).Name.Name; gone[id] {
+						t.Errorf("%s declares cluster.%s: an operation is a restart, maintenance a network loss", name, id)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func main() {
 		cc, _ := d.Managers["odn"].Container(m2[0])
 		fmt.Printf("\nscheduling rack maintenance for machine %s\n", cc.Machine)
 		d.Managers["odn"].ScheduleMaintenance([]topology.MachineID{cc.Machine},
-			d.Loop.Now()+5*time.Minute, d.Loop.Now()+10*time.Minute, cluster.ImpactNetworkLoss)
+			d.Loop.Now()+5*time.Minute, d.Loop.Now()+10*time.Minute)
 		d.Loop.RunFor(12 * time.Minute)
 		step("after maintenance window")
 	}

@@ -44,8 +44,7 @@ type ServerInfo struct {
 // ShardSpec describes one shard's placement requirements.
 type ShardSpec struct {
 	ID shard.ID
-	// Replicas is the desired replica count (the shard scaler adjusts
-	// this, §6.1).
+	// Replicas is the replica count, fixed by the shard's configuration.
 	Replicas int
 	// Load is the measured per-replica load.
 	Load topology.Capacity
@@ -61,8 +60,8 @@ type Input struct {
 	Servers []ServerInfo
 	Shards  []ShardSpec
 	// Current maps each shard to the servers currently holding its
-	// replicas (one element per replica; length may differ from the
-	// spec's Replicas when scaling or after failures).
+	// replicas (one element per replica, at most the spec's Replicas: a
+	// replica not placed yet is missing from the end).
 	Current map[shard.ID][]shard.ServerID
 }
 
@@ -141,7 +140,7 @@ func DefaultPolicy(metrics ...topology.Resource) Policy {
 }
 
 // ReplicaMove is one element of the emitted diff. From == "" is a new
-// placement (add); To == "" is a removal (drop); otherwise a migration.
+// placement (add); otherwise a migration.
 type ReplicaMove struct {
 	Shard shard.ID
 	From  shard.ServerID
@@ -150,19 +149,16 @@ type ReplicaMove struct {
 
 // Kind classifies the move.
 func (m ReplicaMove) Kind() string {
-	switch {
-	case m.From == "":
+	if m.From == "" {
 		return "add"
-	case m.To == "":
-		return "drop"
-	default:
-		return "move"
 	}
+	return "move"
 }
 
 // Result is the outcome of one allocation run.
 type Result struct {
-	// Moves is the emitted diff, adds first.
+	// Moves is the emitted diff: adds, then migrations, each in shard
+	// order.
 	Moves []ReplicaMove
 	// Deferred counts moves the solver made that the per-shard cap or a
 	// replica collision kept out of the diff; the next periodic run will
@@ -199,7 +195,8 @@ func New(policy Policy, seed uint64) *Allocator {
 }
 
 // Run performs one allocation and returns the bounded diff. The input is
-// not mutated.
+// not mutated. No shard's Current list may be longer than its Replicas: a
+// replica count is configuration, so there is never a surplus to drop.
 func (a *Allocator) Run(in Input, mode Mode) *Result {
 	p := a.policy
 	metricNames := make([]string, len(p.Metrics))
@@ -254,13 +251,13 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	// has replicas to keep apart, else -1: the group of both the server-scope
 	// conflict and the spread goal.
 	shardOf := make([]int32, 0, replicas)
-	// drops are the surplus current replicas on live servers, shard by shard
-	// (a shard scaled to zero replicas is left out of the diff).
-	var drops []ReplicaMove
 	grouped := false
 	var affinities []solver.AffinityGoal
 	for si, spec := range in.Shards {
 		cur := in.Current[spec.ID]
+		if len(cur) > spec.Replicas {
+			panic(fmt.Sprintf("allocator: shard %s has %d current replicas, wants %d", spec.ID, len(cur), spec.Replicas))
+		}
 		group := int32(-1)
 		if spec.Replicas > 1 {
 			group = int32(si)
@@ -296,11 +293,6 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 					Domain: string(spec.RegionPreference),
 					Weight: w,
 				})
-			}
-		}
-		for idx := spec.Replicas; idx < len(cur) && spec.Replicas > 0; idx++ {
-			if _, ok := bucketOf[cur[idx]]; ok {
-				drops = append(drops, ReplicaMove{Shard: spec.ID, From: cur[idx]})
 			}
 		}
 	}
@@ -379,21 +371,21 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	}
 	res.Elapsed = time.Since(start)
 
-	res.Moves, res.Deferred = a.capDiff(in, prob.Entities, serverOf, drops)
+	res.Moves, res.Deferred = a.capDiff(in, prob.Entities, serverOf)
 	sortMoves(res.Moves)
 	return res
 }
 
 // capDiff compares where the solver left each replica (its Bucket) with where
-// it started (its Home) and emits a diff bounded by the per-shard churn cap,
-// followed by the drops. The global cap needs nothing here: the solver spent
-// it as its move budget. Adds (restoring availability) are never capped;
-// migrations of already-placed replicas are. Every decision is made on bucket
-// numbers — only live servers are buckets, so a replica on a dead server had
-// no home — and is written over the entity's bucket: a replica ends at home
-// (kept), somewhere when it had none (added), or elsewhere (migrated). A
-// bucket is named only when its move is emitted.
-func (a *Allocator) capDiff(in Input, ents []solver.Entity, serverOf []shard.ServerID, drops []ReplicaMove) ([]ReplicaMove, int) {
+// it started (its Home) and emits a diff bounded by the per-shard churn cap.
+// The global cap needs nothing here: the solver spent it as its move budget.
+// Adds (restoring availability) are never capped; migrations of
+// already-placed replicas are. Every decision is made on bucket numbers —
+// only live servers are buckets, so a replica on a dead server had no home —
+// and is written over the entity's bucket: a replica ends at home (kept),
+// somewhere when it had none (added), or elsewhere (migrated). A bucket is
+// named only when its move is emitted.
+func (a *Allocator) capDiff(in Input, ents []solver.Entity, serverOf []shard.ServerID) ([]ReplicaMove, int) {
 	p := a.policy
 	var adds, migrations []ReplicaMove
 	deferred := 0
@@ -462,7 +454,7 @@ func (a *Allocator) capDiff(in Input, ents []solver.Entity, serverOf []shard.Ser
 			}
 		}
 	}
-	return append(append(adds, migrations...), drops...), deferred
+	return append(adds, migrations...), deferred
 }
 
 func sortMoves(moves []ReplicaMove) {
@@ -481,12 +473,9 @@ func sortMoves(moves []ReplicaMove) {
 func FormatMoves(moves []ReplicaMove) string {
 	parts := make([]string, len(moves))
 	for i, m := range moves {
-		switch m.Kind() {
-		case "add":
+		if m.Kind() == "add" {
 			parts[i] = fmt.Sprintf("+%s@%s", m.Shard, m.To)
-		case "drop":
-			parts[i] = fmt.Sprintf("-%s@%s", m.Shard, m.From)
-		default:
+		} else {
 			parts[i] = fmt.Sprintf("%s:%s->%s", m.Shard, m.From, m.To)
 		}
 	}

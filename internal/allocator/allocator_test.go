@@ -43,10 +43,9 @@ func makeShards(n, replicas int, cpu float64) []ShardSpec {
 }
 
 // applyMoves returns in.Current after moves, applied as the orchestrator
-// applies a diff: a move re-homes its From replica in place, an add fills the
-// first replica that is empty or on a server not alive in in (else it
-// appends), and a drop removes its From replica. It is the placement Run's
-// answer is checked by.
+// applies a diff: a move re-homes its From replica in place, and an add fills
+// the first replica that is empty or on a server not alive in in (else it
+// appends). It is the placement Run's answer is checked by.
 func applyMoves(in Input, moves []ReplicaMove) map[shard.ID][]shard.ServerID {
 	alive := map[shard.ServerID]bool{}
 	for _, s := range in.Servers {
@@ -58,18 +57,12 @@ func applyMoves(in Input, moves []ReplicaMove) map[shard.ID][]shard.ServerID {
 	}
 	for _, m := range moves {
 		list := out[m.Shard]
-		switch m.Kind() {
-		case "add":
-			if i := slices.IndexFunc(list, func(s shard.ServerID) bool { return s == "" || !alive[s] }); i != -1 {
-				list[i] = m.To
-			} else {
-				out[m.Shard] = append(list, m.To)
-			}
-		case "move":
+		if m.Kind() == "move" {
 			list[slices.Index(list, m.From)] = m.To
-		case "drop":
-			i := slices.Index(list, m.From)
-			out[m.Shard] = slices.Delete(list, i, i+1)
+		} else if i := slices.IndexFunc(list, func(s shard.ServerID) bool { return s == "" || !alive[s] }); i != -1 {
+			list[i] = m.To
+		} else {
+			out[m.Shard] = append(list, m.To)
 		}
 	}
 	return out
@@ -274,33 +267,19 @@ func TestDrainingServerSheds(t *testing.T) {
 	}
 }
 
-func TestShrinkReplicasEmitsDrops(t *testing.T) {
-	a := New(DefaultPolicy(topology.ResourceCPU), 1)
+// TestRunPanicsOnSurplusReplicas: a replica count is configuration, so a
+// shard never holds more replicas than its spec asks for; an input that does
+// is a caller's bug, and Run says so instead of dropping one.
+func TestRunPanicsOnSurplusReplicas(t *testing.T) {
 	servers := makeServers(6, []string{"r1", "r2"}, 100)
-	shards := makeShards(4, 3, 1)
-	in := Input{Servers: servers, Shards: shards, Current: map[shard.ID][]shard.ServerID{}}
-	first := applyMoves(in, a.Run(in, Periodic).Moves)
-
-	for i := range shards {
-		shards[i].Replicas = 2
-	}
-	in2 := Input{Servers: servers, Shards: shards, Current: first}
-	res := a.Run(in2, Periodic)
-	drops := 0
-	for _, m := range res.Moves {
-		if m.Kind() == "drop" {
-			drops++
+	shards := makeShards(4, 2, 1)
+	cur := map[shard.ID][]shard.ServerID{shards[2].ID: {servers[0].ID, servers[1].ID, servers[2].ID}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
 		}
-	}
-	if drops != 4 {
-		t.Fatalf("drops = %d, want 4 (one per shard)", drops)
-	}
-	placed := applyMoves(in2, res.Moves)
-	for _, sp := range shards {
-		if len(placed[sp.ID]) != 2 {
-			t.Fatalf("shard %s has %d replicas, want 2", sp.ID, len(placed[sp.ID]))
-		}
-	}
+	}()
+	New(DefaultPolicy(topology.ResourceCPU), 1).Run(Input{Servers: servers, Shards: shards, Current: cur}, Periodic)
 }
 
 func TestLoadBalancingReducesHotServer(t *testing.T) {
@@ -365,13 +344,12 @@ func TestModeString(t *testing.T) {
 
 func TestMoveKindAndFormat(t *testing.T) {
 	add := ReplicaMove{Shard: "s", To: "b"}
-	drop := ReplicaMove{Shard: "s", From: "a"}
 	mv := ReplicaMove{Shard: "s", From: "a", To: "b"}
-	if add.Kind() != "add" || drop.Kind() != "drop" || mv.Kind() != "move" {
+	if add.Kind() != "add" || mv.Kind() != "move" {
 		t.Fatal("kinds wrong")
 	}
-	s := FormatMoves([]ReplicaMove{add, drop, mv})
-	if s != "+s@b -s@a s:a->b" {
+	s := FormatMoves([]ReplicaMove{add, mv})
+	if s != "+s@b s:a->b" {
 		t.Fatalf("FormatMoves = %q", s)
 	}
 }

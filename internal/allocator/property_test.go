@@ -116,17 +116,9 @@ func propertyWorld(seed uint64) (Input, Policy, Mode) {
 }
 
 // checkRunInvariants runs the allocator on propertyWorld(seed) and reports
-// whether the hard invariants hold (logging any violation). propertyWorld
-// never gives a shard more current replicas than its spec, so for one seed in
-// three every third shard is scaled down by one replica first: its surplus
-// replicas are dropped (or, scaled to zero, left out of the diff).
+// whether the hard invariants hold (logging any violation).
 func checkRunInvariants(t *testing.T, seed uint64) bool {
 	in, pol, mode := propertyWorld(seed)
-	if seed%3 == 0 {
-		for i := 0; i < len(in.Shards); i += 3 {
-			in.Shards[i].Replicas--
-		}
-	}
 	current := in.Current
 	liveSet := map[shard.ServerID]bool{}
 	for _, s := range in.Servers {
@@ -134,25 +126,12 @@ func checkRunInvariants(t *testing.T, seed uint64) bool {
 			liveSet[s.ID] = true
 		}
 	}
-	replicasOf := map[shard.ID]int{}
-	for _, sp := range in.Shards {
-		replicasOf[sp.ID] = sp.Replicas
-	}
 	res := New(pol, seed).Run(in, mode)
 
-	// Every move starts from a live current replica of its shard, and a drop
-	// from a surplus one (past the spec's replica count) only.
+	// Every migration starts from a live current replica of its shard.
 	for _, m := range res.Moves {
-		if m.Kind() == "add" {
-			continue
-		}
-		i := slices.Index(current[m.Shard], m.From)
-		if i == -1 || !liveSet[m.From] {
-			t.Logf("seed %d: %s of %s from %s, which holds no live replica of it", seed, m.Kind(), m.Shard, m.From)
-			return false
-		}
-		if surplus := i >= replicasOf[m.Shard]; surplus != (m.Kind() == "drop") {
-			t.Logf("seed %d: %s of %s from replica %d of %d wanted", seed, m.Kind(), m.Shard, i, replicasOf[m.Shard])
+		if m.Kind() == "move" && (!slices.Contains(current[m.Shard], m.From) || !liveSet[m.From]) {
+			t.Logf("seed %d: move of %s from %s, which holds no live replica of it", seed, m.Shard, m.From)
 			return false
 		}
 	}
@@ -189,7 +168,7 @@ func checkRunInvariants(t *testing.T, seed uint64) bool {
 			perShard[m.Shard]++
 			totalMigrations++
 		}
-		if m.Kind() != "drop" && !liveSet[m.To] {
+		if !liveSet[m.To] {
 			t.Logf("seed %d: move targets dead server %s", seed, m.To)
 			return false
 		}

@@ -14,8 +14,7 @@ import (
 // mode and each kind of input the goal stages treat differently. The rows
 // were recorded before the stages shared one solver.Problem: a stage that
 // loses the goals of the stage before it, or states them twice, changes
-// them. "replica count down" was recorded while capDiff compared server
-// names, and pins the surplus drops.
+// them.
 //
 // The rows were re-recorded once when the global cap became the solver's move
 // budget: the search stops spending moves at MaxTotalMoves instead of
@@ -66,16 +65,6 @@ func TestRunRecorded(t *testing.T) {
 			edit:   func(in *Input, _ *Policy) { in.Shards[10].Load[topology.ResourceCPU] = 150 },
 			moves:  "+s000@srv00 +s000@srv01 +s000@srv08 +s001@srv00 +s001@srv08 +s001@srv10 +s002@srv02 +s002@srv10 +s003@srv02 +s003@srv10 +s004@srv01 +s004@srv02 +s005@srv01 +s006@srv02 +s007@srv00 +s008@srv00 +s008@srv02 +s009@srv08 +s013@srv10 +s014@srv02 +s014@srv06 +s015@srv00 +s015@srv10 +s016@srv00 +s017@srv02 +s017@srv06 +s017@srv10 +s018@srv09 +s019@srv01 +s020@srv08 +s021@srv02 +s022@srv00 +s022@srv01 +s022@srv02 +s023@srv08 +s023@srv10 +s025@srv08 +s026@srv03 +s027@srv10 +s028@srv02 +s029@srv08 +s030@srv00 +s030@srv01 +s030@srv08 +s031@srv00 +s031@srv02 +s031@srv10 +s032@srv08 s006:srv05->srv00 s008:srv05->srv10 s009:srv07->srv10 s011:srv05->srv10 s012:srv07->srv02 s013:srv04->srv00 s014:srv09->srv10 s016:srv04->srv08 s020:srv07->srv06 s021:srv09->srv01 s023:srv04->srv00 s024:srv09->srv10 s025:srv04->srv06 s029:srv07->srv01 s033:srv04->srv10",
 			counts: "deferred=3 solves=3 evaluated=11380 initial={3 0 0 0 0 0 48} final={3 0 6 0 3 0 0}"},
-		// Every third shard is scaled down to one replica, so its surplus
-		// current replicas are dropped beside the adds and migrations.
-		{name: "replica count down", mode: Periodic,
-			edit: func(in *Input, _ *Policy) {
-				for i := 0; i < len(in.Shards); i += 3 {
-					in.Shards[i].Replicas = 1
-				}
-			},
-			moves:  "+s000@srv03 +s001@srv07 +s001@srv08 +s001@srv09 +s002@srv01 +s002@srv08 +s004@srv02 +s004@srv09 +s005@srv07 +s007@srv00 +s008@srv03 +s008@srv04 +s013@srv03 +s014@srv05 +s014@srv10 +s016@srv06 +s017@srv05 +s017@srv07 +s017@srv09 +s019@srv06 +s020@srv03 +s022@srv01 +s022@srv02 +s022@srv06 +s023@srv02 +s023@srv09 +s025@srv06 +s026@srv09 +s028@srv02 +s029@srv00 +s030@srv03 +s031@srv08 +s031@srv09 +s031@srv10 +s032@srv09 s004:srv00->srv04 -s006@srv01 -s009@srv03 s010:srv04->srv00 s011:srv02->srv10 -s012@srv06 -s012@srv05 s016:srv04->srv05 -s018@srv01 s019:srv00->srv01 s020:srv10->srv02 -s021@srv07 -s024@srv02 -s024@srv06 s025:srv04->srv05 s026:srv10->srv02 -s027@srv09 s032:srv00->srv05 -s033@srv04 -s033@srv00",
-			counts: "deferred=0 solves=3 evaluated=3618 initial={0 0 0 0 0 0 35} final={0 0 0 0 0 0 0}"},
 		// A cap of three moves, with the shards in reverse ID order: the
 		// search spends the cap, hottest bucket first, and capDiff walks the
 		// shards in the order given. Neither is shard-ID order.

@@ -5,10 +5,11 @@
 // protocol about *when* container lifecycle operations may safely execute
 // (§4.1), and receives advance notice of non-negotiable maintenance events
 // (§4.2). This package provides that substrate: jobs made of containers
-// placed on machines, negotiable lifecycle operations (start / stop /
-// restart / move) gated on an external Controller, rolling upgrades with a
-// concurrency limit, scheduled maintenance with advance notice, and
-// unplanned failure injection (machine and whole-region losses).
+// placed on machines, container restarts gated on an external Controller,
+// rolling upgrades with a concurrency limit, scheduled maintenance with
+// advance notice, and unplanned failure injection (machine and whole-region
+// losses). A job's size is fixed when it is created, and its containers never
+// change machine.
 //
 // One Manager governs one region; a geo-distributed application is hosted by
 // several Managers, and a single TaskController coordinates approvals across
@@ -43,33 +44,6 @@ type ContainerID string
 // OperationID names a pending or executing lifecycle operation.
 type OperationID int64
 
-// OpType enumerates container lifecycle operations.
-type OpType int
-
-// Lifecycle operation types.
-const (
-	OpStart OpType = iota
-	OpStop
-	OpRestart
-	OpMove
-)
-
-// String returns the op name.
-func (o OpType) String() string {
-	switch o {
-	case OpStart:
-		return "start"
-	case OpStop:
-		return "stop"
-	case OpRestart:
-		return "restart"
-	case OpMove:
-		return "move"
-	default:
-		return fmt.Sprintf("op(%d)", int(o))
-	}
-}
-
 // ContainerState enumerates the observable states of a container.
 type ContainerState int
 
@@ -79,20 +53,14 @@ const (
 	StateDown                   // stopped, restarting, or lost
 )
 
-// Operation is one requested container lifecycle change.
+// Operation is one requested container restart.
 type Operation struct {
 	ID        OperationID
-	Type      OpType
 	Container ContainerID
-	Job       JobID
-	// Target is the destination machine for OpMove and the placement
-	// machine for OpStart (empty = manager chooses).
-	Target topology.MachineID
-	// Reason is a free-form tag ("upgrade", "autoscale", "drain", ...).
+	// Reason is a free-form tag ("upgrade", "canary", ...).
 	Reason string
 	// Negotiable operations wait for Controller approval; non-negotiable
-	// ones execute immediately (used internally for maintenance and
-	// failure handling).
+	// ones execute without asking.
 	Negotiable bool
 }
 
@@ -123,44 +91,12 @@ type Controller interface {
 	OperationComplete(region topology.RegionID, op Operation)
 }
 
-// MaintenanceImpact classifies what a maintenance event does to the
-// machines it touches (§4.2).
-type MaintenanceImpact int
-
-// Maintenance impacts, mildest first.
-const (
-	// ImpactNetworkLoss: machines stay up but are unreachable for the
-	// duration.
-	ImpactNetworkLoss MaintenanceImpact = iota
-	// ImpactRestart: containers on the machines restart (runtime state
-	// loss); they come back when the event ends.
-	ImpactRestart
-	// ImpactMachineLoss: the machines are gone for the duration;
-	// containers die and are restarted elsewhere only if moved.
-	ImpactMachineLoss
-)
-
-// String returns the impact name.
-func (i MaintenanceImpact) String() string {
-	switch i {
-	case ImpactNetworkLoss:
-		return "network-loss"
-	case ImpactRestart:
-		return "restart"
-	case ImpactMachineLoss:
-		return "machine-loss"
-	default:
-		return fmt.Sprintf("impact(%d)", int(i))
-	}
-}
-
 // MaintenanceEvent is an unavoidable infrastructure event with advance
 // notice.
 type MaintenanceEvent struct {
 	Machines []topology.MachineID
 	Start    time.Duration
 	End      time.Duration
-	Impact   MaintenanceImpact
 }
 
 // MaintenanceListener receives advance notice of maintenance events so that
@@ -184,8 +120,6 @@ type Listener interface {
 type Options struct {
 	// StartDuration is the time to cold-start a container.
 	StartDuration time.Duration
-	// StopDuration is the time to tear a container down.
-	StopDuration time.Duration
 	// RestartDuration is the in-place restart time (binary swap).
 	RestartDuration time.Duration
 	// NegotiationDelay batches pending ops before offering them to the
@@ -197,7 +131,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		StartDuration:    30 * time.Second,
-		StopDuration:     5 * time.Second,
 		RestartDuration:  60 * time.Second,
 		NegotiationDelay: 1 * time.Second,
 	}
@@ -335,8 +268,8 @@ func (m *Manager) startContainer(c *Container, reason string) {
 }
 
 // containerUp transitions a container to StateRunning and notifies
-// listeners. Every start path (cold start, restart, move, maintenance
-// recovery) funnels through here so the running-container metrics stay
+// listeners. Every start path (cold start, restart, machine restore)
+// funnels through here so the running-container metrics stay
 // consistent.
 func (m *Manager) containerUp(c *Container) {
 	c.State = StateRunning
@@ -370,35 +303,16 @@ func (m *Manager) stopContainer(c *Container, reason string, planned bool) {
 	c.State = StateDown
 }
 
-// removeContainer permanently decommissions a stopped container.
-func (m *Manager) removeContainer(c *Container) {
-	delete(m.containers, c.ID)
-	m.perMachine[c.Machine]--
-	if j := m.jobs[c.Job]; j != nil {
-		for i, id := range j.containers {
-			if id == c.ID {
-				j.containers = append(j.containers[:i], j.containers[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// Submit queues a lifecycle operation. Negotiable operations wait for
-// controller approval; others execute after NegotiationDelay without asking.
-// It returns the assigned operation ID.
+// Submit queues a restart. Negotiable operations wait for controller
+// approval; others execute after NegotiationDelay without asking. It returns
+// the assigned operation ID.
 func (m *Manager) Submit(op Operation) OperationID {
-	c := m.containers[op.Container]
-	if c == nil && op.Type != OpStart {
-		panic(fmt.Sprintf("cluster: Submit %v for unknown container %q", op.Type, op.Container))
+	if m.containers[op.Container] == nil {
+		panic(fmt.Sprintf("cluster: Submit for unknown container %q", op.Container))
 	}
 	m.nextOp++
 	op.ID = m.nextOp
-	if c != nil {
-		op.Job = c.Job
-	}
-	stored := op
-	m.pending = append(m.pending, &stored)
+	m.pending = append(m.pending, &op)
 	m.scheduleNegotiation()
 	return op.ID
 }
@@ -456,7 +370,8 @@ func (m *Manager) negotiate() {
 	}
 }
 
-// execute runs one approved operation to completion.
+// execute restarts an approved operation's container in place; a container
+// already down completes it at once.
 func (m *Manager) execute(op *Operation) {
 	done := func() {
 		if op.Negotiable && m.controller != nil {
@@ -475,73 +390,17 @@ func (m *Manager) execute(op *Operation) {
 		}
 	}
 	c := m.containers[op.Container]
-	switch op.Type {
-	case OpRestart:
-		if c == nil || c.State == StateDown {
-			done()
-			return
-		}
-		m.stopContainer(c, op.Reason, true)
-		m.loop.AfterL(m.opts.RestartDuration, lbOpExec, func() {
-			if !m.deadMachine[c.Machine] {
-				m.containerUp(c)
-			}
-			done()
-		})
-	case OpStop:
-		if c != nil {
-			m.stopContainer(c, op.Reason, true)
-			m.removeContainer(c)
-		}
-		m.loop.AfterL(m.opts.StopDuration, lbOpExec, done)
-	case OpStart:
-		if c == nil {
-			// New container appended to the job.
-			j := m.jobs[op.Job]
-			if j == nil {
-				panic(fmt.Sprintf("cluster: OpStart for unknown job %q", op.Job))
-			}
-			machine := op.Target
-			if machine == "" {
-				machine = m.pickMachine()
-			}
-			c = &Container{ID: op.Container, Job: op.Job, Machine: machine, State: StateDown}
-			m.containers[op.Container] = c
-			m.perMachine[machine]++
-			j.containers = append(j.containers, op.Container)
-		}
-		if c.State == StateRunning {
-			done()
-			return
-		}
-		m.loop.AfterL(m.opts.StartDuration, lbOpExec, func() {
-			if !m.deadMachine[c.Machine] && c.State == StateDown {
-				m.containerUp(c)
-			}
-			done()
-		})
-	case OpMove:
-		if c == nil {
-			done()
-			return
-		}
-		target := op.Target
-		if target == "" {
-			target = m.pickMachine()
-		}
-		m.stopContainer(c, op.Reason, true)
-		m.loop.AfterL(m.opts.StopDuration+m.opts.StartDuration, lbOpExec, func() {
-			if !m.deadMachine[target] {
-				m.perMachine[c.Machine]--
-				c.Machine = target
-				m.perMachine[c.Machine]++
-				m.containerUp(c)
-			}
-			done()
-		})
-	default:
-		panic(fmt.Sprintf("cluster: unknown op type %v", op.Type))
+	if c.State == StateDown {
+		done()
+		return
 	}
+	m.stopContainer(c, op.Reason, true)
+	m.loop.AfterL(m.opts.RestartDuration, lbOpExec, func() {
+		if !m.deadMachine[c.Machine] {
+			m.containerUp(c)
+		}
+		done()
+	})
 }
 
 // RollingUpgrade submits negotiable restart operations for every container
@@ -571,7 +430,6 @@ func (m *Manager) RollingUpgrade(job JobID, maxConcurrent int, reason string, on
 			remaining = remaining[1:]
 			inFlight++
 			m.submitTracked(Operation{
-				Type:       OpRestart,
 				Container:  cid,
 				Negotiable: true,
 				Reason:     reason,
@@ -595,27 +453,11 @@ func (m *Manager) submitTracked(op Operation, onDone func()) {
 	m.tracked[id] = onDone
 }
 
-// Resize grows or shrinks the job to n containers via negotiable start/stop
-// operations (the auto-scaler path of §4.1).
-func (m *Manager) Resize(job JobID, n int) {
-	j := m.jobs[job]
-	if j == nil {
-		panic(fmt.Sprintf("cluster: Resize of unknown job %q", job))
-	}
-	cur := len(j.containers)
-	for i := cur; i < n; i++ {
-		cid := ContainerID(fmt.Sprintf("%s/%d", job, i))
-		m.Submit(Operation{Type: OpStart, Container: cid, Job: job, Negotiable: true, Reason: "autoscale"})
-	}
-	for i := cur - 1; i >= n; i-- {
-		m.Submit(Operation{Type: OpStop, Container: j.containers[i], Negotiable: true, Reason: "autoscale"})
-	}
-}
-
 // ScheduleMaintenance registers a non-negotiable maintenance event and
-// notifies maintenance listeners immediately (the advance notice). At
-// event start the impact is applied; at event end machines recover.
-func (m *Manager) ScheduleMaintenance(machines []topology.MachineID, start, end time.Duration, impact MaintenanceImpact) MaintenanceEvent {
+// notifies maintenance listeners immediately (the advance notice). From
+// event start the machines are unreachable, their containers down; at event
+// end they recover.
+func (m *Manager) ScheduleMaintenance(machines []topology.MachineID, start, end time.Duration) MaintenanceEvent {
 	if end <= start {
 		panic("cluster: maintenance end before start")
 	}
@@ -623,10 +465,8 @@ func (m *Manager) ScheduleMaintenance(machines []topology.MachineID, start, end 
 		Machines: append([]topology.MachineID(nil), machines...),
 		Start:    start,
 		End:      end,
-		Impact:   impact,
 	}
-	m.loop.Metrics().Counter("cluster_maintenance_total",
-		"region", string(m.Region), "impact", impact.String()).Inc()
+	m.loop.Metrics().Counter("cluster_maintenance_total", "region", string(m.Region)).Inc()
 	for _, l := range m.maintaince {
 		l.MaintenanceScheduled(m.Region, ev)
 	}
@@ -635,30 +475,14 @@ func (m *Manager) ScheduleMaintenance(machines []topology.MachineID, start, end 
 }
 
 func (m *Manager) beginMaintenance(ev MaintenanceEvent) {
-	switch ev.Impact {
-	case ImpactNetworkLoss, ImpactMachineLoss:
-		for _, mach := range ev.Machines {
-			m.killMachineInternal(mach, "maintenance", true)
-		}
-		m.loop.AtL(ev.End, lbMaintenance, func() {
-			for _, mach := range ev.Machines {
-				m.RestoreMachine(mach)
-			}
-		})
-	case ImpactRestart:
-		for _, mach := range ev.Machines {
-			for _, id := range m.ContainersOnMachine(mach) {
-				if c := m.containers[id]; c.State == StateRunning {
-					m.stopContainer(c, "maintenance", true)
-					m.loop.AfterL(m.opts.RestartDuration, lbMaintenance, func() {
-						if !m.deadMachine[c.Machine] && c.State == StateDown {
-							m.containerUp(c)
-						}
-					})
-				}
-			}
-		}
+	for _, mach := range ev.Machines {
+		m.killMachineInternal(mach, "maintenance", true)
 	}
+	m.loop.AtL(ev.End, lbMaintenance, func() {
+		for _, mach := range ev.Machines {
+			m.RestoreMachine(mach)
+		}
+	})
 }
 
 // KillMachine simulates an unplanned machine failure: all its containers

@@ -89,7 +89,7 @@ func TestRestartWithoutControllerExecutes(t *testing.T) {
 	m.CreateJob("app", 1)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
-	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true, Reason: "upgrade"})
+	m.Submit(Operation{Container: cid, Negotiable: true, Reason: "upgrade"})
 	loop.RunFor(5 * time.Minute)
 	after, _ := m.Container(cid)
 	if after.State != StateRunning {
@@ -131,7 +131,7 @@ func TestControllerGatesNegotiableOps(t *testing.T) {
 	m.CreateJob("app", 2)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
-	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})
+	m.Submit(Operation{Container: cid, Negotiable: true})
 	loop.RunFor(time.Minute)
 	if rl.starts(cid) != 1 {
 		t.Fatal("unapproved op executed")
@@ -159,7 +159,7 @@ func TestNonNegotiableSkipsController(t *testing.T) {
 	m.CreateJob("app", 1)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
-	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: false})
+	m.Submit(Operation{Container: cid, Negotiable: false})
 	loop.RunFor(5 * time.Minute)
 	if rl.starts(cid) != 2 {
 		t.Fatal("non-negotiable op blocked by controller")
@@ -190,22 +190,6 @@ func TestRollingUpgradeBoundedConcurrency(t *testing.T) {
 	}
 	if got := len(m.RunningContainers("app")); got != 10 {
 		t.Fatalf("running after upgrade = %d", got)
-	}
-}
-
-func TestResizeGrowAndShrink(t *testing.T) {
-	loop, m, _ := newTestManager(t)
-	m.CreateJob("app", 3)
-	loop.RunFor(time.Minute)
-	m.Resize("app", 6)
-	loop.RunFor(5 * time.Minute)
-	if got := len(m.RunningContainers("app")); got != 6 {
-		t.Fatalf("after grow = %d, want 6", got)
-	}
-	m.Resize("app", 2)
-	loop.RunFor(5 * time.Minute)
-	if got := len(m.RunningContainers("app")); got != 2 {
-		t.Fatalf("after shrink = %d, want 2", got)
 	}
 }
 
@@ -261,7 +245,7 @@ func TestMaintenanceAdvanceNoticeAndImpact(t *testing.T) {
 	m.CreateJob("app", 10)
 	loop.RunFor(time.Minute)
 	c0, _ := m.Container(m.RunningContainers("app")[0])
-	m.ScheduleMaintenance([]topology.MachineID{c0.Machine}, loop.Now()+10*time.Minute, loop.Now()+20*time.Minute, ImpactNetworkLoss)
+	m.ScheduleMaintenance([]topology.MachineID{c0.Machine}, loop.Now()+10*time.Minute, loop.Now()+20*time.Minute)
 	if len(mr.events) != 1 {
 		t.Fatal("no advance notice")
 	}
@@ -289,25 +273,8 @@ func TestMaintenanceAdvanceNoticeAndImpact(t *testing.T) {
 	}
 }
 
-func TestMaintenanceRestartImpact(t *testing.T) {
-	loop, m, rl := newTestManager(t)
-	m.CreateJob("app", 10)
-	loop.RunFor(time.Minute)
-	c0, _ := m.Container(m.RunningContainers("app")[0])
-	before := rl.starts(c0.ID)
-	m.ScheduleMaintenance([]topology.MachineID{c0.Machine}, loop.Now()+time.Minute, loop.Now()+10*time.Minute, ImpactRestart)
-	loop.RunFor(10 * time.Minute)
-	after, _ := m.Container(c0.ID)
-	if got := rl.starts(c0.ID); got != before+1 {
-		t.Fatalf("starts = %d, want %d", got, before+1)
-	}
-	if after.State != StateRunning {
-		t.Fatal("container not running after restart maintenance")
-	}
-}
-
 // TestMachineContainersStopAndStartInIDOrder kills and restores a machine
-// that holds two containers, ten times, then restarts it for maintenance:
+// that holds two containers, ten times, then takes it down for maintenance:
 // listeners must hear the stops and the starts in container-ID order every
 // time, or a crash or restore is not reproducible from the seed.
 func TestMachineContainersStopAndStartInIDOrder(t *testing.T) {
@@ -334,7 +301,7 @@ func TestMachineContainersStopAndStartInIDOrder(t *testing.T) {
 		check("started", rl.started)
 	}
 	rl.stopping, rl.started = nil, nil
-	m.ScheduleMaintenance([]topology.MachineID{c0.Machine}, loop.Now()+time.Minute, loop.Now()+2*time.Minute, ImpactRestart)
+	m.ScheduleMaintenance([]topology.MachineID{c0.Machine}, loop.Now()+time.Minute, loop.Now()+2*time.Minute)
 	loop.RunFor(5 * time.Minute)
 	check("maintenance stopping", rl.stopping)
 	check("maintenance started", rl.started)
@@ -347,9 +314,8 @@ func TestPanicsOnMisuse(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"dup job":        func() { m.CreateJob("app", 1) },
 		"empty job":      func() { m.CreateJob("other", 0) },
-		"unknown target": func() { m.Submit(Operation{Type: OpRestart, Container: "nope"}) },
-		"bad maint":      func() { m.ScheduleMaintenance(nil, 10, 5, ImpactRestart) },
-		"unknown resize": func() { m.Resize("nope", 3) },
+		"unknown target": func() { m.Submit(Operation{Container: "nope"}) },
+		"bad maint":      func() { m.ScheduleMaintenance(nil, 10, 5) },
 		"unknown roll":   func() { m.RollingUpgrade("nope", 1, "", nil) },
 	} {
 		func() {
@@ -360,11 +326,5 @@ func TestPanicsOnMisuse(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestOpTypeString(t *testing.T) {
-	if OpRestart.String() != "restart" || OpMove.String() != "move" {
-		t.Fatal("op names wrong")
 	}
 }

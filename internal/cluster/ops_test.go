@@ -26,61 +26,6 @@ func (c *countingController) OfferOperations(_ topology.RegionID, pending []Oper
 
 func (c *countingController) OperationComplete(topology.RegionID, Operation) { c.completes++ }
 
-func TestMoveOperationRelocatesContainer(t *testing.T) {
-	loop := sim.NewLoop(1)
-	fleet := testFleet()
-	m := NewManager(loop, fleet, "r1", DefaultOptions())
-	rl := &recordingListener{}
-	m.AddListener(rl)
-	m.CreateJob("app", 2)
-	loop.RunFor(time.Minute)
-	cid := m.RunningContainers("app")[0]
-	before, _ := m.Container(cid)
-
-	var target topology.MachineID
-	for _, mach := range fleet.MachinesInRegion("r1") {
-		if mach.ID != before.Machine {
-			used := false
-			for _, other := range m.RunningContainers("app") {
-				if c, _ := m.Container(other); c.Machine == mach.ID {
-					used = true
-				}
-			}
-			if !used {
-				target = mach.ID
-				break
-			}
-		}
-	}
-	m.Submit(Operation{Type: OpMove, Container: cid, Target: target, Negotiable: true, Reason: "rebalance"})
-	loop.RunFor(5 * time.Minute)
-	after, _ := m.Container(cid)
-	if after.Machine != target {
-		t.Fatalf("container on %s, want %s", after.Machine, target)
-	}
-	if after.State != StateRunning {
-		t.Fatal("container not running after move")
-	}
-	if got := rl.starts(cid); got != 2 {
-		t.Fatalf("starts = %d, want 2 (deploy and move)", got)
-	}
-}
-
-func TestMoveToDefaultTargetPicksColdMachine(t *testing.T) {
-	loop := sim.NewLoop(1)
-	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
-	m.CreateJob("app", 2)
-	loop.RunFor(time.Minute)
-	cid := m.RunningContainers("app")[0]
-	before, _ := m.Container(cid)
-	m.Submit(Operation{Type: OpMove, Container: cid, Negotiable: false})
-	loop.RunFor(5 * time.Minute)
-	after, _ := m.Container(cid)
-	if after.Machine == before.Machine {
-		t.Fatal("move without target stayed on the same machine")
-	}
-}
-
 func TestNegotiationReoffersWhilePending(t *testing.T) {
 	loop := sim.NewLoop(1)
 	m := NewManager(loop, testFleet(), "r1", DefaultOptions())
@@ -89,7 +34,7 @@ func TestNegotiationReoffersWhilePending(t *testing.T) {
 	m.CreateJob("app", 1)
 	loop.RunFor(time.Minute)
 	cid := m.RunningContainers("app")[0]
-	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})
+	m.Submit(Operation{Container: cid, Negotiable: true})
 	loop.RunFor(10 * time.Second)
 	// With 1s negotiation delay, the manager must have re-offered the
 	// pending op many times ("Periodically, Twine notifies...").
@@ -106,7 +51,7 @@ func TestOperationCompleteNotifiesController(t *testing.T) {
 	m.CreateJob("app", 3)
 	loop.RunFor(time.Minute)
 	for _, cid := range m.RunningContainers("app") {
-		m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})
+		m.Submit(Operation{Container: cid, Negotiable: true})
 	}
 	loop.RunFor(10 * time.Minute)
 	if ctrl.completes != 3 {
@@ -147,7 +92,7 @@ func TestRestartOfDownContainerCompletesImmediately(t *testing.T) {
 	cid := m.RunningContainers("app")[0]
 	c, _ := m.Container(cid)
 	m.KillMachine(c.Machine)
-	m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})
+	m.Submit(Operation{Container: cid, Negotiable: true})
 	loop.RunFor(time.Minute)
 	if ctrl.completes != 1 {
 		t.Fatalf("restart of down container should complete as a no-op (completes=%d)", ctrl.completes)
@@ -165,7 +110,7 @@ func TestStopStatsCountPlannedAndUnplanned(t *testing.T) {
 	m.CreateJob("app", 4)
 	loop.RunFor(time.Minute)
 	ids := m.RunningContainers("app")
-	m.Submit(Operation{Type: OpRestart, Container: ids[0], Negotiable: false, Reason: "upgrade"})
+	m.Submit(Operation{Container: ids[0], Negotiable: false, Reason: "upgrade"})
 	loop.RunFor(5 * time.Minute)
 	c, _ := m.Container(ids[1])
 	m.KillMachine(c.Machine)
@@ -186,7 +131,7 @@ func BenchmarkNegotiationRound(b *testing.B) {
 	m.CreateJob("app", 100)
 	loop.RunFor(time.Minute)
 	for _, cid := range m.RunningContainers("app") {
-		m.Submit(Operation{Type: OpRestart, Container: cid, Negotiable: true})
+		m.Submit(Operation{Container: cid, Negotiable: true})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -39,16 +39,13 @@ type EventType int
 
 // Watch event types.
 const (
-	EventCreated EventType = iota
-	EventDeleted
+	EventDeleted EventType = iota
 	EventChildrenChanged
 )
 
 // String returns the event-type name.
 func (e EventType) String() string {
 	switch e {
-	case EventCreated:
-		return "created"
 	case EventDeleted:
 		return "deleted"
 	case EventChildrenChanged:

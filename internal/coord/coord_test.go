@@ -239,7 +239,7 @@ func TestSessionIDsUnique(t *testing.T) {
 }
 
 func TestEventTypeString(t *testing.T) {
-	if EventCreated.String() != "created" || EventDeleted.String() != "deleted" {
+	if EventDeleted.String() != "deleted" || EventChildrenChanged.String() != "children-changed" {
 		t.Fatal("event names wrong")
 	}
 	if EventType(42).String() != "event(42)" {

@@ -157,10 +157,7 @@ func Fig18(c RunConfig, p ProductionTraceParams) *Report {
 			// Canary: restart the first canarySize containers.
 			ids := mgr.RunningContainers(job)
 			for i := 0; i < canarySize && i < len(ids); i++ {
-				mgr.Submit(cluster.Operation{
-					Type: cluster.OpRestart, Container: ids[i],
-					Negotiable: true, Reason: "canary",
-				})
+				mgr.Submit(cluster.Operation{Container: ids[i], Negotiable: true, Reason: "canary"})
 			}
 		})
 		d.Loop.AtL(dayStart+p.FullAt, lbExpAdmin, func() {

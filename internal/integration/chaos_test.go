@@ -16,7 +16,7 @@ import (
 
 // TestChaosRandomEventsConvergeToValidState drives the full stack through a
 // randomized schedule of unplanned failures, restorations, negotiable
-// restarts, drains, replica-count changes, and preference changes, then
+// restarts, drains and preference changes, then
 // checks the paper's steady-state invariants after quiescence:
 //
 //   - the published shard map is always structurally valid,
@@ -67,7 +67,7 @@ func runChaos(t *testing.T, seed uint64) {
 		d.Loop.RunFor(time.Duration(30+rng.Intn(120)) * time.Second)
 		checkMapValid()
 		events++
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0: // unplanned machine failure (bounded)
 			if len(dead) >= 2 {
 				continue
@@ -94,7 +94,6 @@ func runChaos(t *testing.T, seed uint64) {
 				continue
 			}
 			mgr.Submit(cluster.Operation{
-				Type:       cluster.OpRestart,
 				Container:  running[rng.Intn(len(running))],
 				Negotiable: true,
 				Reason:     "chaos-upgrade",
@@ -107,11 +106,7 @@ func runChaos(t *testing.T, seed uint64) {
 			}
 			srv := shard.ServerID(running[rng.Intn(len(running))])
 			d.Orch.Drain(srv, func() { d.Orch.CancelDrain(srv) })
-		case 4: // scale a shard between 2 and 3 replicas
-			id := shard.ID(fmt.Sprintf("s%05d", rng.Intn(shardsN)))
-			n := 2 + rng.Intn(2)
-			d.Orch.SetReplicas(id, n)
-		case 5: // flip a region preference
+		case 4: // flip a region preference
 			id := shard.ID(fmt.Sprintf("s%05d", rng.Intn(shardsN)))
 			region := managers[rng.Intn(len(managers))].Region
 			d.Orch.SetRegionPreference(id, region, 200)

@@ -86,8 +86,8 @@ type allocation struct {
 
 // TestMemoReplaysWhatAFreshSolveGives builds the allocator's input beside
 // every allocation of an orchestrator that is drained, loses a machine, has
-// sessions expire inside and past the grace, has replica counts, the loads and
-// a region preference edited, sees migrations abort, and idles in between.
+// sessions expire inside and past the grace, has the loads and a region
+// preference edited, sees migrations abort, and idles in between.
 // Whatever solve returned, a fresh run on that input must give the same moves
 // and counts; a remembered result must be for the very input the last fresh
 // solve was given; and a fresh solve must not be for that input in the same
@@ -171,8 +171,6 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 			t.Fatal("ExpireSession found no session")
 		}
 	})
-	step("replica count up", time.Minute, 2, 1, many, func() { o.SetReplicas("s003", 3) })
-	step("replica count down", time.Minute, 2, 1, many, func() { o.SetReplicas("s003", 2) })
 	step("load change", 2*time.Minute, 6, 1, many, func() {
 		cpu = 3
 		// Every shard's load changed; one live server's marks reach them all.
@@ -182,8 +180,7 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	})
 	step("idle", 2*time.Minute, 7, 0, 0, func() {})
 	step("region preference", 2*time.Minute, 5, 1, many, func() { o.SetRegionPreference("s007", "r2", 0) })
-	step("edits that write the values held", time.Minute, 4, 0, 0, func() {
-		o.SetReplicas("s003", 2)
+	step("an edit that writes the values held", time.Minute, 4, 0, 0, func() {
 		o.SetRegionPreference("s007", "r2", 0)
 	})
 	// Every migration off a server in r2 fails while r1 — the orchestrator's
@@ -247,7 +244,7 @@ var inputSources = []struct {
 	{"ServerInfo.Alive", []string{"alive", "deadSince"}, []string{"syncMembership"}},
 	{"ServerInfo.Draining", []string{"draining"}, []string{"Drain", "CancelDrain"}},
 	{"ShardSpec.ID", []string{"order"}, []string{"New"}},
-	{"ShardSpec.Replicas", []string{"Replicas"}, []string{"New", "SetReplicas"}},
+	{"ShardSpec.Replicas", []string{"Replicas"}, []string{"New"}},
 	{"ShardSpec.Load", []string{"load", "DefaultLoad", "replicas", "Server"},
 		[]string{"collectLoads", "addReplica", "removeReplica", "rehomeReplica"}},
 	{"ShardSpec.RegionPreference", []string{"RegionPreference"}, []string{"SetRegionPreference"}},

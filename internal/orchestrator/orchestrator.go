@@ -667,8 +667,8 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 				continue
 			}
 			// The add takes the place of a replica on a dead server (the
-			// one it replaces) if there is one; it lengthens the list only
-			// for genuine replica-count growth.
+			// one it replaces) if there is one; otherwise it fills a place
+			// never taken yet (the initial placement).
 			role := o.roleForNewReplica(ss)
 			if i := o.findDeadReplica(ss); i != -1 {
 				o.rehomeReplica(ss, i, mv.To)
@@ -677,15 +677,6 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 				o.addReplica(ss, mv.To, role)
 			}
 			o.rpcAddShard(mv.To, mv.Shard, role)
-			o.ShardMoves.Inc()
-			changed = true
-		case "drop":
-			i := ss.find(mv.From)
-			if i == -1 {
-				continue
-			}
-			o.removeReplica(ss, i)
-			o.rpcDropShard(mv.From, mv.Shard)
 			o.ShardMoves.Inc()
 			changed = true
 		case "move":
@@ -1222,14 +1213,6 @@ func (o *Orchestrator) retryAdd(s shard.ID, id shard.ServerID) {
 	o.rpcAddShard(id, s, ss.replicas[i].Role)
 }
 
-func (o *Orchestrator) rpcDropShard(id shard.ServerID, s shard.ID) {
-	o.callStep(o.curAlloc, "drop_shard", s, id,
-		func(srv *appserver.Server) { srv.DropShard(s) }, nil, func() {
-			o.failedRPC()
-			o.scheduleOrphanDrop(s, id, nil)
-		})
-}
-
 // rpcChangeRole issues a change_role RPC; done, if not nil, runs with true
 // after the server acknowledged the role change and with false if it was
 // unreachable. DemotePrimaries chains demote→promote through it so the two
@@ -1302,11 +1285,7 @@ func (o *Orchestrator) publish() {
 				panic(fmt.Sprintf("orchestrator: invalid map after sanitize: %v", err))
 			}
 		}
-		if len(ss.replicas) == 0 {
-			d.Remove(id)
-		} else {
-			d.Set(id, ss.replicas)
-		}
+		d.Set(id, ss.replicas)
 		// The mutators marked the servers the change touched; the shard's
 		// other servers get their (unchanged) node rewritten as well, because
 		// coord's write count is part of the seeded record (ROADMAP 1(d)).
@@ -1403,18 +1382,6 @@ func (o *Orchestrator) AliveReplicas(server shard.ServerID) map[shard.ID]int {
 	return out
 }
 
-// SetReplicas changes a shard's desired replica count; the next allocation
-// adds or drops replicas to match (the shard scaler's lever, §6.1).
-func (o *Orchestrator) SetReplicas(s shard.ID, n int) {
-	if n <= 0 {
-		panic(fmt.Sprintf("orchestrator: SetReplicas(%s, %d)", s, n))
-	}
-	if ss := o.shards[s]; ss != nil && ss.cfg.Replicas != n {
-		ss.cfg.Replicas = n
-		o.touch()
-	}
-}
-
 // SetRegionPreference updates a shard's regional placement preference; the
 // next periodic allocation migrates replicas toward it (the Fig 20
 // AppShard-follows-DBShard workflow).
@@ -1427,7 +1394,7 @@ func (o *Orchestrator) SetRegionPreference(s shard.ID, region topology.RegionID,
 }
 
 // ShardLoadValue returns the latest measured load of a shard for one
-// resource (the shard scaler's input).
+// resource.
 func (o *Orchestrator) ShardLoadValue(s shard.ID, r topology.Resource) float64 {
 	if ss := o.shards[s]; ss != nil {
 		return o.shardLoad(ss).Get(r)

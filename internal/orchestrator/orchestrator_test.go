@@ -225,7 +225,7 @@ func TestQuickRestartDoesNotTriggerFailover(t *testing.T) {
 	w.loop.RunFor(3 * time.Minute)
 	mgr := w.managers["r1"]
 	cid := mgr.RunningContainers("app-job-r1")[0]
-	mgr.Submit(cluster.Operation{Type: cluster.OpRestart, Container: cid, Negotiable: false, Reason: "upgrade"})
+	mgr.Submit(cluster.Operation{Container: cid, Negotiable: false, Reason: "upgrade"})
 	w.loop.RunFor(10 * time.Minute)
 	if w.orch.EmergencyRuns.Value() != 0 {
 		t.Fatalf("emergency ran %d times for a quick restart", w.orch.EmergencyRuns.Value())

@@ -31,13 +31,11 @@ func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role sh
 	o.reindex(ss, server)
 }
 
-// removeReplica deletes replica i of ss.
+// removeReplica deletes replica i of ss, a second copy of an earlier one
+// (sanitizeReplicas), so the list never empties.
 func (o *Orchestrator) removeReplica(ss *shardState, i int) {
 	server := ss.replicas[i].Server
 	ss.replicas = slices.Delete(ss.replicas, i, i+1)
-	if len(ss.replicas) == 0 {
-		o.placed--
-	}
 	o.touch()
 	o.reindex(ss, server)
 }

@@ -215,11 +215,11 @@ func (au *pubAudit) step(what string, min int, do func()) {
 	}
 }
 
-// TestIndexTracksPlacementThroughOverlappingFaults overlaps a replica-count
-// cut, a drain, a machine kill, a false-dead session expiry with reconnect and
-// a coord write stall, so that replicas are dropped, migrations commit, roles
-// fail over, a rejoin sync runs and assignment writes are refused all in the
-// same minute — under auditPublications.
+// TestIndexTracksPlacementThroughOverlappingFaults overlaps a drain, a machine
+// kill, a false-dead session expiry with reconnect and a coord write stall, so
+// that migrations commit, replicas are re-homed, roles fail over, a rejoin
+// sync runs and assignment writes are refused all in the same minute — under
+// auditPublications.
 func TestIndexTracksPlacementThroughOverlappingFaults(t *testing.T) {
 	cfg := baseConfig(shard.PrimarySecondary, 16, 2)
 	cfg.FailoverGrace = 20 * time.Second
@@ -232,7 +232,6 @@ func TestIndexTracksPlacementThroughOverlappingFaults(t *testing.T) {
 	drained, killed, expired := w.orch.byID[0], w.orch.byID[1], w.orch.byID[2]
 	killedMachine := w.machineOf(t, killed.id)
 	au.step("overlapping faults", 5, func() {
-		w.orch.SetReplicas("s015", 1) // the drain's allocation drops one
 		w.orch.Drain(drained.id, nil)
 		w.loop.RunFor(2 * time.Second)
 		w.managers["r1"].KillMachine(killedMachine)
@@ -259,11 +258,9 @@ func TestIndexTracksPlacementThroughOverlappingFaults(t *testing.T) {
 	if !expired.alive || w.orch.ShardsOnServer(drained.id) != 0 {
 		t.Fatalf("expired server alive=%v, drained server holds %d", expired.alive, w.orch.ShardsOnServer(drained.id))
 	}
-	if au.removals != 0 || len(au.last.Replicas("s015")) != 1 {
-		t.Fatalf("removals = %d, s015 = %+v", au.removals, au.last.Replicas("s015"))
+	if au.removals != 0 {
+		t.Fatalf("removals = %d", au.removals)
 	}
-	w.orch.SetReplicas("s015", 2)
-	au.settle(3 * time.Minute)
 	assertConverged(t, w, 2)
 }
 

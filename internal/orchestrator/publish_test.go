@@ -17,8 +17,8 @@ import (
 // TestPublishedDeltasMatchSnapshotDiffs scripts every kind of placement
 // mutation — initial executeDiff adds, a drain's graceful and
 // make-before-break migrations, reconcileRoles after a server dies, the
-// emergency re-add, DemotePrimaries, a sanitize repair and the removal of an
-// entry — under auditPublications: each publication's delta must be exactly
+// emergency re-add, DemotePrimaries and a sanitize repair — under
+// auditPublications: each publication's delta must be exactly
 // the Diff of the AssignmentSnapshots around it, the snapshot must validate as
 // a whole, the per-server index must equal the scans it replaced, and discovery
 // must hold that same map.
@@ -76,22 +76,11 @@ func TestPublishedDeltasMatchSnapshotDiffs(t *testing.T) {
 			t.Fatalf("after repair: replicas %+v, published %+v", ss.replicas, au.last.Replicas("s003"))
 		}
 	})
-	// Dropping every replica of a shard removes its entry; the next periodic
-	// allocation places it again.
-	step("entry removed and re-added", 2, func() {
-		var drops []allocator.ReplicaMove
-		for _, a := range au.last.Replicas("s004") {
-			drops = append(drops, allocator.ReplicaMove{Shard: "s004", From: a.Server})
-		}
-		w.orch.executeDiff(&allocator.Result{Moves: drops})
-		if au.removals != 1 || au.last.Replicas("s004") != nil {
-			t.Fatalf("removals = %d, s004 = %+v", au.removals, au.last.Replicas("s004"))
-		}
-		settle(3 * time.Minute)
-		if len(au.last.Replicas("s004")) != 2 {
-			t.Fatalf("s004 not placed again: %+v", au.last.Replicas("s004"))
-		}
-	})
+	// A shard's replica count is configuration: no publication removes an
+	// entry.
+	if au.removals != 0 {
+		t.Fatalf("removals = %d", au.removals)
+	}
 }
 
 // TestPublishResyncsAfterForeignPublish: when another publisher's version
@@ -173,7 +162,7 @@ func TestStalledAssignmentWriteHealsOnNextPublish(t *testing.T) {
 	w.loop.RunFor(time.Minute)
 	w.orch.Stop()
 	mgr := w.managers["r1"]
-	mgr.Submit(cluster.Operation{Type: cluster.OpRestart, Container: cluster.ContainerID(to), Negotiable: false, Reason: "restart"})
+	mgr.Submit(cluster.Operation{Container: cluster.ContainerID(to), Negotiable: false, Reason: "restart"})
 	w.loop.RunFor(10 * time.Minute)
 	srv := w.dir.Lookup(to)
 	if srv == nil {

@@ -97,45 +97,29 @@ func TestRestartedPrimaryComesBackAsSecondary(t *testing.T) {
 	}
 }
 
-// TestSetReplicasGrowAndShrinkLive: the shard scaler's lever works against
-// a live deployment in both directions.
-func TestSetReplicasGrowAndShrinkLive(t *testing.T) {
+// TestLostReplicaReplacedLive: a replica whose server stays dead past the
+// grace is replaced on a live server, which actively holds it, and the shard
+// keeps its configured replica count.
+func TestLostReplicaReplacedLive(t *testing.T) {
 	cfg := baseConfig(shard.SecondaryOnly, 6, 2)
+	cfg.FailoverGrace = 20 * time.Second
 	w := buildWorld(t, []topology.RegionID{"r1", "r2"}, 4, cfg)
 	w.loop.RunFor(5 * time.Minute)
 	assertConverged(t, w, 2)
 
-	w.orch.SetReplicas("s000", 3)
+	lost := w.orch.AssignmentSnapshot().Replicas("s000")[0].Server
+	w.managers[w.net.Region(rpcnet.Endpoint(lost))].KillMachine(w.machineOf(t, lost))
 	w.loop.RunFor(5 * time.Minute)
 	m := w.orch.AssignmentSnapshot()
-	if got := len(m.Replicas("s000")); got != 3 {
-		t.Fatalf("after grow: %d replicas", got)
+	if got := len(m.Replicas("s000")); got != 2 {
+		t.Fatalf("after the loss: %d replicas", got)
 	}
-	// The new replica landed on a live server and is actively held.
 	for _, a := range m.Replicas("s000") {
 		srv := w.dir.Lookup(a.Server)
-		if srv == nil || !srv.HoldsActive("s000") {
+		if a.Server == lost || srv == nil || !srv.HoldsActive("s000") {
 			t.Fatalf("replica on %s not active", a.Server)
 		}
 	}
-
-	w.orch.SetReplicas("s000", 2)
-	w.loop.RunFor(5 * time.Minute)
-	m = w.orch.AssignmentSnapshot()
-	if got := len(m.Replicas("s000")); got != 2 {
-		t.Fatalf("after shrink: %d replicas", got)
-	}
-}
-
-func TestSetReplicasPanicsOnZero(t *testing.T) {
-	cfg := baseConfig(shard.SecondaryOnly, 2, 2)
-	w := buildWorld(t, []topology.RegionID{"r1"}, 2, cfg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	w.orch.SetReplicas("s000", 0)
 }
 
 // TestRegionPreferenceChangeTriggersMigration: updating a shard's region
@@ -330,7 +314,6 @@ func TestAccessorsAndStop(t *testing.T) {
 	v := w.orch.version
 	w.orch.Stop()
 	w.orch.Stop()
-	w.orch.SetReplicas("s000", 1)
 	w.loop.RunFor(5 * time.Minute)
 	if w.orch.version != v {
 		t.Fatal("version moved while stopped")

@@ -3,20 +3,21 @@
 // cluster managers and decides *when* container lifecycle operations may
 // safely execute.
 //
-// For negotiable events (software upgrades, auto-scaling) the TaskController
-// never approves unsafe operations: it enforces the application's
-// preconfigured policy — whether to drain shards out of impacted containers,
-// a global cap on concurrent container operations, and a per-shard cap on
-// simultaneously unavailable replicas — counting replicas that are already
-// unavailable due to ongoing unplanned outages. Because one TaskController
+// For negotiable events (software upgrades: container restarts) the
+// TaskController never approves unsafe operations: it enforces the
+// application's preconfigured policy — whether to drain shards out of
+// impacted containers, a global cap on concurrent container operations, and a
+// per-shard cap on simultaneously unavailable replicas — counting replicas
+// that are already unavailable due to ongoing unplanned outages. Because one TaskController
 // receives notifications from every involved cluster manager, it coordinates
 // operations across geo-distributed regions: two regions restarting two
 // containers that happen to host two replicas of the same shard will have
 // one of them delayed (§2.3, §4.1).
 //
-// For non-negotiable events (hardware maintenance, kernel upgrades) it
-// receives advance notice and proactively drains or demotes replicas before
-// the event starts (§4.2).
+// For non-negotiable events (network-loss maintenance) it receives advance
+// notice and demotes the affected primaries before the event starts (§4.2).
+// The paper's destructive maintenance, which drains instead, is not
+// reproduced: no run schedules it.
 package taskcontroller
 
 import (
@@ -53,7 +54,7 @@ type ShardStateProvider interface {
 // Policy is the application's preconfigured TaskController policy (§4.1).
 type Policy struct {
 	// DrainOnRestart drains shards out of a container before approving
-	// its restart/stop/move (Fig 8: most applications drain primaries).
+	// its restart (Fig 8: most applications drain primaries).
 	DrainOnRestart bool
 	// MaxConcurrentOps is the global cap on concurrent container
 	// operations across all regions (e.g. 10% of containers). <= 0
@@ -176,7 +177,7 @@ func (c *Controller) OfferOperations(region topology.RegionID, pending []cluster
 			c.Delayed.Inc()
 			continue
 		}
-		needsDrain := c.policy.DrainOnRestart && opImpactsShards(op.Type) &&
+		needsDrain := c.policy.DrainOnRestart &&
 			c.shards.ShardsOnServer(shard.ServerID(op.Container)) > 0
 		t := &trackedOp{op: op}
 		c.ops[op.Container] = t
@@ -196,16 +197,6 @@ func (c *Controller) OfferOperations(region topology.RegionID, pending []cluster
 		})
 	}
 	return approved
-}
-
-// opImpactsShards reports whether the op takes the container down.
-func opImpactsShards(t cluster.OpType) bool {
-	switch t {
-	case cluster.OpRestart, cluster.OpStop, cluster.OpMove:
-		return true
-	default:
-		return false
-	}
 }
 
 // shardCapAllows checks the per-shard unavailability cap for taking the
@@ -259,23 +250,11 @@ func (c *Controller) MaintenanceScheduled(region topology.RegionID, ev cluster.M
 	c.loop.AtL(prepareAt, lbMaintPrepare, func() {
 		for _, machine := range ev.Machines {
 			for _, container := range mgr.ContainersOnMachine(machine) {
-				server := shard.ServerID(container)
-				switch ev.Impact {
-				case cluster.ImpactNetworkLoss:
-					// Short blip: keep secondaries in place,
-					// demote primaries so writes keep flowing
-					// (the paper's rack-switch example).
-					c.Demotions.Inc()
-					c.shards.DemotePrimaries(server)
-				case cluster.ImpactRestart, cluster.ImpactMachineLoss:
-					if c.policy.DrainOnRestart {
-						c.Drains.Inc()
-						c.shards.Drain(server, nil)
-					} else {
-						c.Demotions.Inc()
-						c.shards.DemotePrimaries(server)
-					}
-				}
+				// Short blip: keep secondaries in place, demote
+				// primaries so writes keep flowing (the paper's
+				// rack-switch example).
+				c.Demotions.Inc()
+				c.shards.DemotePrimaries(shard.ServerID(container))
 			}
 		}
 	})

@@ -87,7 +87,6 @@ func (f *fakeShards) DemotePrimaries(server shard.ServerID) { f.demoted = append
 func op(id int, container string) cluster.Operation {
 	return cluster.Operation{
 		ID:         cluster.OperationID(id),
-		Type:       cluster.OpRestart,
 		Container:  cluster.ContainerID(container),
 		Negotiable: true,
 	}
@@ -242,7 +241,7 @@ func TestMaintenanceNetworkLossDemotes(t *testing.T) {
 	cid := mgr.RunningContainers("job")[0]
 	cont, _ := mgr.Container(cid)
 	mgr.ScheduleMaintenance([]topology.MachineID{cont.Machine},
-		loop.Now()+10*time.Minute, loop.Now()+15*time.Minute, cluster.ImpactNetworkLoss)
+		loop.Now()+10*time.Minute, loop.Now()+15*time.Minute)
 
 	// Preparation happens maintenanceLead before start.
 	loop.RunFor(7 * time.Minute)
@@ -257,33 +256,6 @@ func TestMaintenanceNetworkLossDemotes(t *testing.T) {
 	loop.RunFor(10 * time.Minute)
 	if len(fs.cancelled) == 0 {
 		t.Fatal("no cancel after maintenance end")
-	}
-}
-
-func TestMaintenanceMachineLossDrains(t *testing.T) {
-	loop := sim.NewLoop(1)
-	fleet := topology.Build(topology.Spec{
-		Regions:           []topology.RegionID{"r1"},
-		MachinesPerRegion: 2,
-	})
-	mgr := cluster.NewManager(loop, fleet, "r1", cluster.DefaultOptions())
-	mgr.CreateJob("job", 2)
-	loop.RunFor(time.Minute)
-
-	fs := newFakeShards()
-	fs.instantDone = true
-	for _, cid := range mgr.RunningContainers("job") {
-		fs.place(shard.ServerID(cid), "s1")
-	}
-	c := New(loop, fs, DefaultPolicy(4))
-	c.Attach(mgr)
-	cid := mgr.RunningContainers("job")[0]
-	cont, _ := mgr.Container(cid)
-	mgr.ScheduleMaintenance([]topology.MachineID{cont.Machine},
-		loop.Now()+5*time.Minute, loop.Now()+10*time.Minute, cluster.ImpactMachineLoss)
-	loop.RunFor(4 * time.Minute)
-	if len(fs.drains) != 1 {
-		t.Fatalf("drains = %v", fs.drains)
 	}
 }
 

@@ -24,7 +24,6 @@ const (
 	LevelRegion FaultDomainLevel = iota
 	LevelDatacenter
 	LevelRack
-	LevelMachine
 )
 
 // String returns the lowercase level name.
@@ -36,8 +35,6 @@ func (l FaultDomainLevel) String() string {
 		return "datacenter"
 	case LevelRack:
 		return "rack"
-	case LevelMachine:
-		return "machine"
 	default:
 		return fmt.Sprintf("level(%d)", int(l))
 	}
@@ -80,8 +77,6 @@ func (m *Machine) Domain(level FaultDomainLevel) string {
 		return string(m.Region) + "/" + m.Datacenter
 	case LevelRack:
 		return string(m.Region) + "/" + m.Datacenter + "/" + m.Rack
-	case LevelMachine:
-		return string(m.Region) + "/" + m.Datacenter + "/" + m.Rack + "/" + string(m.ID)
 	default:
 		panic(fmt.Sprintf("topology: unknown level %d", int(level)))
 	}

@@ -40,9 +40,6 @@ func TestMachineDomains(t *testing.T) {
 	if m.Domain(LevelRack) != "frc/dc0/rack00" {
 		t.Fatalf("rack domain = %q", m.Domain(LevelRack))
 	}
-	if m.Domain(LevelMachine) != "frc/dc0/rack00/frc-m0000" {
-		t.Fatalf("machine domain = %q", m.Domain(LevelMachine))
-	}
 }
 
 func TestDomainNamesAreGloballyUnique(t *testing.T) {
