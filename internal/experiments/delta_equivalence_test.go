@@ -190,7 +190,11 @@ func runPublishBurstWorld(t *testing.T, seed uint64) []string {
 // were re-recorded once since, when the solver's equivalence classes were
 // deleted (32bdceeb22a22ebc and e5dc3397c13b43aa before): a hot bucket's
 // candidates changed, so the allocations chose other moves and the requests
-// took other routes.
+// took other routes. The "burst seed 5" row was re-recorded once more when a
+// hot bucket began offering its penalty-carrying entities before its inert
+// ones (3798 results, 32be6617a5db34e8 before): the drains' allocations chose
+// other moves, and two more requests completed inside the window. The drain
+// rows held.
 func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -200,7 +204,7 @@ func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	}{
 		{"drain seed 3", func() []string { return runDeltaEquivalenceWorld(t, 3) }, 992, "07e8ab9d54ea6025"},
 		{"drain seed 11", func() []string { return runDeltaEquivalenceWorld(t, 11) }, 992, "f636326fad66feaf"},
-		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3798, "32be6617a5db34e8"},
+		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3800, "2d5c1c2ec5219870"},
 	} {
 		results := c.run()
 		sum := sha256.Sum256([]byte(strings.Join(results, "\n")))

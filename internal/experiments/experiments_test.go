@@ -226,6 +226,22 @@ func TestFig22OptimizedBeatsBaseline(t *testing.T) {
 	}
 }
 
+// TestAblationsAllOptimizationsFixEveryViolation runs `-fig ablations -scale
+// quick` and requires the "all optimizations" arm to end at 0 violations. It
+// ended at 487 while a hot bucket's 16 candidates were its largest movable
+// entities whether or not they carried penalty: the small violators were never
+// offered. It finishes in well under a second of its 10 s limit.
+func TestAblationsAllOptimizationsFixEveryViolation(t *testing.T) {
+	r, err := Run("ablations", RunConfig{Scale: ScaleQuick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := r.Tables[0].Rows[0]
+	if row[0] != "all optimizations" || row[1] != "0" {
+		t.Fatalf("ablations row %v: want \"all optimizations\" at 0 final violations", row)
+	}
+}
+
 func TestFig23KeepsP99Bounded(t *testing.T) {
 	p := DefaultContinuousLBParams()
 	p.Servers, p.Shards, p.Days = 40, 1200, 1

@@ -185,8 +185,12 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	})
 	// Every migration off a server in r2 fails while r1 — the orchestrator's
 	// home — cannot reach r2; each abort asks for an emergency allocation of
-	// the unchanged problem.
-	aborted := step("migrations abort", time.Minute, 5, 5, many, func() {
+	// the unchanged problem. Three allocations must be fresh: the drain's
+	// (the problem changed), the first abort's (the memo holds one mode) and
+	// the next periodic tick's (the mode changed back). More are fresh only
+	// if one of the drain's moves completes inside the step, which depends on
+	// which moves the search picked.
+	aborted := step("migrations abort", time.Minute, 5, 3, many, func() {
 		w.net.SetLinkFault("r1", "r2", rpcnet.LinkFault{DropProb: 1})
 		o.Drain(abortFrom.id, nil)
 	})
@@ -221,7 +225,10 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 		t.Fatalf("no allocation at the grace's end %v: %+v", expire+cfg.FailoverGrace, allocs)
 	}
 	step("drain cancelled", 2*time.Minute, 6, 1, many, func() { o.CancelDrain(drained.id) })
-	step("machine back", 3*time.Minute, 8, 2, many, func() { w.managers["r1"].RestoreMachine(killed) })
+	// The rejoin changes the problem, so one allocation must be fresh; a
+	// second one is fresh only if that solve moves replicas onto the machine,
+	// which this world's goals do not require.
+	step("machine back", 3*time.Minute, 8, 1, many, func() { w.managers["r1"].RestoreMachine(killed) })
 }
 
 // inputSources pins, for every field of the allocator's input structs, the

@@ -129,7 +129,9 @@ type Options struct {
 	CandidateTargets int
 	// BigFirst evaluates a hot bucket's largest entities first (§5.3:
 	// "SM guides ReBalancer to evaluate large shards earlier"), largest by
-	// metric 0, the caller's primary metric.
+	// metric 0, the caller's primary metric. It orders the entities that
+	// carry the bucket's penalty; the inert ones, which cannot help alone,
+	// come after all of them. Off, a hot bucket's entities are shuffled.
 	BigFirst bool
 	// EnableSwap tries two-way swaps when no single move improves.
 	EnableSwap bool
@@ -208,10 +210,12 @@ type solveCtx struct {
 	// valid until a move touches b (see applyRaw).
 	entCache      [][]EntityID
 	entCacheValid []bool
-	// shuffleScratch holds the shuffled copy when BigFirst is off.
-	shuffleScratch []EntityID
+	// cands holds the candidates candidateEntities returns.
+	cands []EntityID
 
 	// The sampled (entity, target) grid of one fix attempt, flattened.
+	// preps[i] is cands[i] prepared; the second half of preps parks the
+	// inert entities candidateEntities walks past.
 	preps      []prepared
 	pairPrep   []int32
 	pairTarget []BucketID
@@ -262,7 +266,7 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 		start:         start,
 		entCache:      make([][]EntityID, len(p.Buckets)),
 		entCacheValid: make([]bool, len(p.Buckets)),
-		preps:         make([]prepared, maxEntitiesPerBucket),
+		preps:         make([]prepared, 2*maxEntitiesPerBucket),
 	}
 	for i := range ctx.preps {
 		ctx.preps[i] = newPrepared(st)
@@ -435,11 +439,19 @@ func (c *solveCtx) fireProgress() {
 	})
 }
 
-// candidateEntities picks the entities of bucket b to evaluate this attempt:
-// the bucket's cached movable list (sorted once per invalidation, not per
-// attempt; without the entities at home while the move budget is spent),
-// truncated to maxEntitiesPerBucket. The returned slice is scratch, valid
-// until the next call.
+// candidateEntities picks at most maxEntitiesPerBucket entities of bucket b to
+// evaluate this attempt and prepares each into c.preps, in the returned order.
+// They come from the bucket's cached movable list (sorted once per
+// invalidation, not per attempt; without the entities at home while the move
+// budget is spent). With BigFirst the entities that carry penalty come first
+// and the inert ones after, each part largest Load[0] first, ties by ID, and
+// the cut comes after the partition: an inert entity cannot improve the
+// objective alone, so it only fills the slots the carrying ones leave. The
+// walk stops once the cut's worth of carrying entities is prepared.
+// Inertness reads domain loads and where the other group members sit, which
+// a move in another bucket changes, so it is prepared afresh every attempt,
+// never cached. Without BigFirst the whole list is shuffled and cut,
+// unpartitioned. The returned slice is scratch, valid until the next call.
 //
 // §5.3's "reuses the computation for equivalent shards" is not reproduced
 // (DESIGN §2): a shard's replicas never share a bucket and each carries its
@@ -479,20 +491,47 @@ func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 	if !opt.BigFirst {
 		// Random order is per-attempt, so shuffle a scratch copy and
 		// leave the cache intact.
-		c.shuffleScratch = append(c.shuffleScratch[:0], ents...)
-		c.rng.Shuffle(len(c.shuffleScratch), func(i, j int) {
-			c.shuffleScratch[i], c.shuffleScratch[j] = c.shuffleScratch[j], c.shuffleScratch[i]
-		})
-		ents = c.shuffleScratch
+		cs := append(c.cands[:0], ents...)
+		c.rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+		c.cands = cs[:min(len(cs), maxEntitiesPerBucket)]
+		for i, e := range c.cands {
+			st.prepare(&c.preps[i], e)
+		}
+		return c.cands
 	}
-	return ents[:min(len(ents), maxEntitiesPerBucket)]
+	// Carrying entities are prepared in place, into preps[:nc]; an inert one
+	// is parked in the second half and moved in behind them after the walk.
+	// Swapping prepared values swaps slice headers, so nothing allocates.
+	const k = maxEntitiesPerBucket
+	nc, ni := 0, 0
+	for _, e := range ents {
+		if nc == k {
+			break
+		}
+		st.prepare(&c.preps[nc], e)
+		if !c.preps[nc].inert() {
+			nc++
+		} else if ni < k {
+			c.preps[nc], c.preps[k+ni] = c.preps[k+ni], c.preps[nc]
+			ni++
+		}
+	}
+	c.cands = c.cands[:0]
+	for i := range min(ni, k-nc) {
+		c.preps[nc+i], c.preps[k+i] = c.preps[k+i], c.preps[nc+i]
+	}
+	for i := range nc + min(ni, k-nc) {
+		c.cands = append(c.cands, c.preps[i].e)
+	}
+	return c.cands
 }
 
 // bestGridMove samples targets for every candidate entity, then evaluates the
 // flattened (entity, target) grid and returns the feasible pair with the most
-// negative delta. Ties break toward the earliest pair. An inert entity's pairs
-// cannot beat -improveEps, so they are pruned, not queued; its targets are
-// still sampled (the RNG draws and the sampler's rotation do not depend on
+// negative delta. Ties break toward the earliest pair. ents are
+// candidateEntities' answer, so c.preps holds them prepared. An inert entity's
+// pairs cannot beat -improveEps, so they are pruned, not queued; its targets
+// are still sampled (the RNG draws and the sampler's rotation do not depend on
 // which entities are inert) and still counted in Result.Evaluated.
 func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, BucketID, bool) {
 	st, opt := c.st, &c.opt
@@ -500,9 +539,7 @@ func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, Bucke
 	c.pairTarget = c.pairTarget[:0]
 	pruned := 0
 	for pi, e := range ents {
-		pr := &c.preps[pi]
-		st.prepare(pr, e)
-		inert := pr.inert()
+		inert := c.preps[pi].inert()
 		for _, t := range opt.Sampler(c.rng, e, opt.CandidateTargets, c.view) {
 			if t == hotB {
 				continue

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -250,67 +251,125 @@ func TestDomainScopedCapacity(t *testing.T) {
 	}
 }
 
-// TestCandidateEntitiesAreLargestMovable pins what a hot bucket offers the
-// search: its movable entities, largest Load[0] first with ties broken by ID,
-// at most maxEntitiesPerBucket of them. Once the move budget is spent the
-// entities at home drop out; a move home returns a unit and brings them back,
-// and a move away spends it again.
-func TestCandidateEntitiesAreLargestMovable(t *testing.T) {
+// TestCandidateEntitiesCarryingFirst pins what a hot bucket offers the search:
+// its movable entities that carry penalty (not inert), then its inert ones,
+// each part largest Load[0] first with ties broken by ID, cut to
+// maxEntitiesPerBucket only after that partition, and each prepared into
+// c.preps in the order offered. Inertness is judged afresh on every attempt: a
+// move between two other buckets of the bucket's region makes an entity carry
+// or stop carrying. Once the move budget is spent the entities at home drop
+// out; a move home returns a unit and brings them back, and a move away
+// spends it again.
+func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	p := NewProblem([]string{"cpu"})
-	p.AddBucket(Bucket{Name: "b0", Capacity: []float64{1000}})
-	p.AddBucket(Bucket{Name: "b1", Capacity: []float64{1000}})
+	p.AddBucket(Bucket{Name: "b0", Capacity: []float64{1000}, Props: map[string]string{"region": "r0"}})
+	p.AddBucket(Bucket{Name: "b1", Capacity: []float64{1000}, Props: map[string]string{"region": "r0"}})
+	p.AddBucket(Bucket{Name: "b2", Capacity: []float64{1000}, Props: map[string]string{"region": "r1"}})
 	// 24 entities on b0 with loads 1–5 (so ties), every sixth pinned; the
 	// six with i%4 == 1 belong on b1, so they are away and spend the budget.
-	for i := 0; i < 24; i++ {
+	// Entity 24+i is entity i's sibling in a region-scoped spread group: on
+	// b1, in b0's region, it makes entity i carry; on b2 it leaves it inert.
+	const n = 24
+	group := make([]int32, 2*n)
+	for i := 0; i < n; i++ {
 		e := p.AddEntity(Entity{Load: []float64{float64(1 + i%5)}, Bucket: 0, Movable: i%6 != 0})
 		if i%4 == 1 {
 			p.Entities[e].Home = 1
 		}
+		group[i] = int32(i)
 	}
-	// largest lists b0's movable entities the contract's way.
-	largest := func(c *solveCtx, skipHome bool) []EntityID {
-		var out []EntityID
+	sibling := func(i EntityID) EntityID { return n + i }
+	carrying := []EntityID{5, 10, 20, 23} // 5, 10 and 20 are among the smallest
+	for i := 0; i < n; i++ {
+		b := BucketID(2)
+		if slices.Contains(carrying, EntityID(i)) {
+			b = 1
+		}
+		p.AddEntity(Entity{Load: []float64{1}, Bucket: b, Movable: true})
+		group[n+i] = int32(i)
+	}
+	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: group, NumGroups: n, Weight: 1})
+
+	// offered lists b0's movable entities the contract's way, judging each
+	// with a fresh prepare.
+	offered := func(c *solveCtx, skipHome bool) (carry, inert []EntityID) {
+		pr := newPrepared(c.st)
 		for _, e := range c.st.byBucket[0] {
-			if ent := &p.Entities[e]; ent.Movable && !(skipHome && ent.Home == 0) {
-				out = append(out, e)
+			if ent := &p.Entities[e]; !ent.Movable || skipHome && ent.Home == 0 {
+				continue
+			}
+			if c.st.prepare(&pr, e); pr.inert() {
+				inert = append(inert, e)
+			} else {
+				carry = append(carry, e)
 			}
 		}
-		slices.SortFunc(out, func(a, b EntityID) int {
-			if c := cmp.Compare(p.Entities[b].Load[0], p.Entities[a].Load[0]); c != 0 {
-				return c
+		for _, part := range [][]EntityID{carry, inert} {
+			slices.SortFunc(part, func(a, b EntityID) int {
+				if c := cmp.Compare(p.Entities[b].Load[0], p.Entities[a].Load[0]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+		return carry, inert
+	}
+	want := func(c *solveCtx, skipHome bool) []EntityID {
+		carry, inert := offered(c, skipHome)
+		all := append(carry, inert...)
+		return all[:min(len(all), maxEntitiesPerBucket)]
+	}
+	prepped := func(c *solveCtx, step string, got []EntityID) {
+		t.Helper()
+		pr := newPrepared(c.st)
+		for i, e := range got {
+			if c.st.prepare(&pr, e); !reflect.DeepEqual(c.preps[i], pr) {
+				t.Fatalf("%s: preps[%d] is not candidate %d prepared", step, i, e)
 			}
-			return cmp.Compare(a, b)
-		})
-		return out[:min(len(out), maxEntitiesPerBucket)]
+		}
 	}
 	check := func(c *solveCtx, step string, want []EntityID) {
 		t.Helper()
-		if got := c.candidateEntities(0); !slices.Equal(got, want) {
+		got := c.candidateEntities(0)
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s: candidates %v, want %v", step, got, want)
 		}
+		prepped(c, step, got)
 	}
 
 	opt := DefaultOptions()
 	c := newSolveCtx(p, opt)
-	if want := largest(c, false); len(want) != maxEntitiesPerBucket {
-		t.Fatalf("world offers %d candidates; it must overflow the cap", len(want))
-	} else {
-		check(c, "no budget", want)
+	carry, inert := offered(c, false)
+	if !slices.Equal(carry, []EntityID{23, 5, 10, 20}) || len(carry)+len(inert) <= maxEntitiesPerBucket {
+		t.Fatalf("world offers carrying %v and %d inert; it must overflow the cap with small carriers", carry, len(inert))
 	}
+	check(c, "no budget", want(c, false))
+	// Moves between b1 and b2 touch neither b0 nor its cached list, yet 15
+	// starts carrying and 23 stops.
+	c.applyRaw(sibling(15), 1)
+	c.applyRaw(sibling(23), 2)
+	if carry, _ := offered(c, false); !slices.Equal(carry, []EntityID{5, 10, 15, 20}) {
+		t.Fatalf("after the siblings' moves the carriers are %v", carry)
+	}
+	check(c, "siblings moved", want(c, false))
 
 	opt.MoveBudget = 6
 	c = newSolveCtx(p, opt)
-	check(c, "budget spent", []EntityID{9, 13, 17, 1, 21, 5})
+	check(c, "budget spent", []EntityID{5, 9, 13, 17, 1, 21})
 	c.applyRaw(9, 1) // home: a unit returns
-	check(c, "unit returned", largest(c, false))
+	check(c, "unit returned", want(c, false))
 	c.applyRaw(2, 1) // away from home: spent again
-	check(c, "spent again", []EntityID{13, 17, 1, 21, 5})
+	check(c, "spent again", []EntityID{5, 13, 17, 1, 21})
+	c.applyRaw(sibling(17), 1)
+	check(c, "spent, a sibling moved", []EntityID{17, 5, 13, 1, 21})
 
-	// Without BigFirst the cap holds over a shuffled copy of the same list.
+	// Without BigFirst the cap holds over a shuffled copy of the same list,
+	// unpartitioned and prepared too.
 	opt = DefaultOptions()
 	opt.BigFirst = false
 	c = newSolveCtx(p, opt)
 	got := slices.Clone(c.candidateEntities(0))
+	prepped(c, "shuffled", got)
 	slices.Sort(got)
 	if len(got) != maxEntitiesPerBucket || len(slices.Compact(got)) != len(got) {
 		t.Fatalf("shuffled candidates %v: want %d distinct entities", got, maxEntitiesPerBucket)
