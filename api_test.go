@@ -191,7 +191,7 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(allocator.Policy{}): {"Metrics", "UtilCap", "MaxDiff", "SpreadLevel", "SpreadWeight",
 			"AffinityWeight", "PerShardMoveCap", "MaxTotalMoves"},
 		reflect.TypeOf(solver.Options{}): {"TimeLimit", "EvalBudget", "MoveBudget", "CandidateTargets", "BigFirst",
-			"EnableSwap", "Sampler", "Seed", "Progress"},
+			"Sampler", "Seed", "Progress"},
 		reflect.TypeOf(routing.Options{}):       {"MaxAttempts"},
 		reflect.TypeOf(taskcontroller.Policy{}): {"DrainOnRestart", "MaxConcurrentOps", "MaxUnavailableReplicas"},
 		reflect.TypeOf(cluster.Options{}):       {"StartDuration", "RestartDuration", "NegotiationDelay"},

@@ -44,7 +44,7 @@ var onlyTests = map[string]string{
 	"rpcnet.Network.Reachable":                "probe of endpoint registration and revert",
 	"sim.Loop.Run":                            "drives a hand-built world until its queue drains (the rpcnet, appserver, audit, sim and simprof tests)",
 	"sim.RNG.Perm":                            "draws propertyWorld's inputs: recorded_test.go's rows are a function of its draw order",
-	"solver.Move.Entity":                      "the search's step record: TestSolveDeterministicForSeed compares runs by it, budget_test.go counts swaps in it",
+	"solver.Move.Entity":                      "the search's step record: TestSolveDeterministicForSeed compares runs by it",
 	"solver.Move.From":                        "the search's step record (see solver.Move.Entity)",
 	"solver.Move.To":                          "the search's step record (see solver.Move.Entity)",
 	"trace.Span.Attr":                         "probe of span attributes: the trace, experiment and orchestrator tests check migration spans by it",

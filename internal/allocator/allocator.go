@@ -112,10 +112,10 @@ type Policy struct {
 }
 
 // What every application gets (§5.3's optimizations are not per-application
-// policy: Run always samples by group, orders big shards first, tries swaps
-// and solves the goals in priority stages; smbench -fig fig22 measures the
-// sampling and -fig ablations big-shards-first and swaps on solver.Options
-// directly, and no run measures the stages).
+// policy: Run always samples by group, orders big shards first and solves the
+// goals in priority stages; smbench -fig fig22 measures the sampling and -fig
+// ablations big-shards-first on solver.Options directly, and no run measures
+// the stages).
 const (
 	// drainWeight penalizes a replica on a draining server (§5.1 soft goal 3).
 	drainWeight = 500

@@ -261,13 +261,12 @@ func Fig22(params SolverAblationParams) *Report {
 	return r
 }
 
-// Ablations runs the remaining §5.3 design-choice ablations called out in
-// DESIGN.md: big-shards-first and swap moves.
+// Ablations runs the remaining §5.3 design-choice ablation called out in
+// DESIGN.md: big-shards-first.
 func Ablations(params SolverAblationParams) *Report {
 	r, _ := runAblation(params, []ablationVariant{
 		{"all optimizations", func(*solver.Options, *solver.Problem) {}},
 		{"no big-shards-first", func(o *solver.Options, _ *solver.Problem) { o.BigFirst = false }},
-		{"no swap moves", func(o *solver.Options, _ *solver.Problem) { o.EnableSwap = false }},
 	})
 	r.ID = "ablations"
 	r.Title = "Design-choice ablations for the §5.3 solver optimizations"

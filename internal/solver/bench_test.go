@@ -161,17 +161,20 @@ func BenchmarkSolveReplicated(b *testing.B) {
 	}
 }
 
-// BenchmarkMoveDelta measures the hot loop in isolation; the fast path's
-// contract is zero allocations per evaluation (see TestMoveDeltaAllocFree).
+// BenchmarkMoveDelta measures the hot loop's evaluation of one (entity,
+// target) pair in isolation; its contract is zero allocations per evaluation
+// (see TestMoveDeltaAllocFree).
 func BenchmarkMoveDelta(b *testing.B) {
 	p := scaleProblem(sim.NewRNG(1), 500, 10000)
 	st := newState(p)
 	rng := sim.NewRNG(2)
 	n := len(p.Entities)
 	nb := len(p.Buckets)
+	pr := newPrepared(st)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.moveDelta(EntityID(rng.Intn(n)), BucketID(rng.Intn(nb)))
+		st.prepare(&pr, EntityID(rng.Intn(n)))
+		st.evalTarget(&pr, BucketID(rng.Intn(nb)))
 	}
 }

@@ -20,19 +20,6 @@ func awayFromHome(p *Problem) int {
 	return n
 }
 
-// swaps counts the committed two-way swaps in a move list: trySwap appends
-// its pair back to back, each entity taking the other's bucket.
-func swaps(moves []Move) int {
-	n := 0
-	for i := 1; i < len(moves); i++ {
-		a, b := moves[i-1], moves[i]
-		if a.Entity != b.Entity && a.From == b.To && a.To == b.From {
-			n++
-		}
-	}
-	return n
-}
-
 // TestMoveBudgetAboveEntityCountChangesNothing: a budget no search can spend
 // leaves the search exactly as it is without one — the same moves, the same
 // evaluations, the same final assignment — on the replicated shape the
@@ -66,10 +53,10 @@ func TestMoveBudgetAboveEntityCountChangesNothing(t *testing.T) {
 // TestMoveBudgetBoundsEntitiesAwayFromHome walks random problems of every
 // spec type through two solves each — the second starting where the first
 // left off, as the allocator's goal stages do — and checks after each that no
-// more than the budget of homed entities are away. Swaps must be among the
-// steps taken, or the pair check went untested.
+// more than the budget of homed entities are away. Some solves must end at the
+// budget, or the bound went untested.
 func TestMoveBudgetBoundsEntitiesAwayFromHome(t *testing.T) {
-	swapped, bound := 0, 0
+	bound := 0
 	for seed := uint64(1); seed <= 200; seed++ {
 		rng := sim.NewRNG(seed)
 		p := randomProblem(rng)
@@ -79,8 +66,7 @@ func TestMoveBudgetBoundsEntitiesAwayFromHome(t *testing.T) {
 			opt.Seed = seed*2 + stage
 			opt.Sampler = GroupedSampler(p, 0)
 			opt.MoveBudget = budget
-			res := Solve(p, opt)
-			swapped += swaps(res.Moves)
+			Solve(p, opt)
 			if n := awayFromHome(p); n > budget {
 				t.Fatalf("seed %d stage %d: %d entities away from home, budget %d", seed, stage, n, budget)
 			} else if n == budget {
@@ -88,40 +74,8 @@ func TestMoveBudgetBoundsEntitiesAwayFromHome(t *testing.T) {
 			}
 		}
 	}
-	if swapped == 0 || bound == 0 {
-		t.Fatalf("%d swaps committed, %d solves ended at the budget: the walk no longer reaches the pair check", swapped, bound)
-	}
-}
-
-// TestMoveBudgetRefusesAnOverdrawingSwap: the problem of
-// TestSwapConsidersMultipleEntities is fixed only by swapping two entities at
-// home, which spends two units. A budget of one refuses the pair; two allow it.
-func TestMoveBudgetRefusesAnOverdrawingSwap(t *testing.T) {
-	build := func() *Problem {
-		p := NewProblem([]string{"cpu"})
-		p.AddBucket(Bucket{Name: "A", Capacity: []float64{30}, Props: map[string]string{"region": "rA"}})
-		p.AddBucket(Bucket{Name: "B", Capacity: []float64{30}, Props: map[string]string{"region": "rB"}})
-		for _, b := range []BucketID{0, 0, 1, 1} {
-			p.AddEntity(Entity{Load: []float64{10}, Bucket: b, Movable: true})
-		}
-		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 0, Domain: "rA", Weight: 50})
-		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 1, Domain: "rB", Weight: 10})
-		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 3, Domain: "rA", Weight: 10})
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 2})
-		return p
-	}
-	for budget, wantFixed := range map[int]bool{1: false, 2: true} {
-		opt := DefaultOptions()
-		opt.MoveBudget = budget
-		p := build()
-		res := Solve(p, opt)
-		if fixed := res.Final.Affinity == 0; fixed != wantFixed {
-			t.Errorf("budget %d: affinity fixed = %v, want %v (%d moves)", budget, fixed, wantFixed, len(res.Moves))
-		}
-		if n := awayFromHome(p); n > budget {
-			t.Errorf("budget %d: %d entities away from home", budget, n)
-		}
+	if bound == 0 {
+		t.Fatal("no solve ended at the budget: the walk no longer reaches the bound")
 	}
 }
 

@@ -9,21 +9,13 @@ package solver
 // Ties break toward the lower bucket ID so the pull order is deterministic.
 type hotSet struct {
 	// pen[b] is bucket b's current penalty (maintained incrementally; small
-	// float drift versus a from-scratch bucketPenalty is expected and
+	// float drift versus a full bucketPenalty is expected and
 	// harmless — it only orders the search).
 	pen []float64
 	// heap holds the unfrozen bucket IDs in max-heap order.
 	heap []int32
 	// pos[b] is b's index in heap, or -1 while frozen.
 	pos []int32
-	// tentative marks a speculative apply/rollback window (swap probes).
-	// While set, add leaves frozen buckets frozen and records them in
-	// touched instead of re-pushing them: a probe that is rolled back
-	// restores their penalties, so nothing actually changed and unfreezing
-	// them would livelock the freeze bookkeeping (probe on bucket A thaws
-	// frozen bucket B, probe on B thaws A, forever, with no accepted moves).
-	tentative bool
-	touched   []int32
 }
 
 func newHotSet(n int) *hotSet {
@@ -106,10 +98,6 @@ func (h *hotSet) top() (BucketID, float64) {
 func (h *hotSet) add(b BucketID, delta float64) {
 	h.pen[b] += delta
 	if h.pos[b] < 0 {
-		if h.tentative {
-			h.touched = append(h.touched, int32(b))
-			return
-		}
 		h.push(int32(b))
 		return
 	}
@@ -139,33 +127,6 @@ func (h *hotSet) freeze(b BucketID) {
 		h.siftDown(i)
 		h.siftUp(i)
 	}
-}
-
-// beginTentative opens a speculative window: penalty changes on frozen
-// buckets are recorded but do not unfreeze them.
-func (h *hotSet) beginTentative() {
-	h.tentative = true
-	h.touched = h.touched[:0]
-}
-
-// commitTentative closes the window keeping its changes: frozen buckets
-// whose penalties really changed are unfrozen now. Duplicates in touched are
-// harmless — push is skipped once pos is set.
-func (h *hotSet) commitTentative() {
-	h.tentative = false
-	for _, b := range h.touched {
-		if h.pos[b] < 0 {
-			h.push(b)
-		}
-	}
-	h.touched = h.touched[:0]
-}
-
-// abortTentative closes the window after a rollback: penalties were
-// restored, so the recorded touches are simply dropped.
-func (h *hotSet) abortTentative() {
-	h.tentative = false
-	h.touched = h.touched[:0]
 }
 
 // unfreezeAll returns every frozen bucket to the heap (epoch boundary).

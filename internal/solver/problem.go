@@ -459,9 +459,6 @@ type state struct {
 	// hot tracks every bucket's penalty incrementally (see hotset.go);
 	// apply keeps it in sync with the aggregates above.
 	hot *hotSet
-
-	// scratch backs the allocation-free public moveDelta.
-	scratch prepared
 }
 
 // newState builds the incremental state from the problem's current
@@ -585,8 +582,6 @@ func newState(p *Problem) *state {
 		s.hot.pen[b] = s.bucketPenalty(BucketID(b))
 	}
 	s.hot.init()
-
-	s.scratch = newPrepared(s)
 	return s
 }
 
@@ -605,9 +600,6 @@ func (s *state) affinityPenalty(e EntityID, b BucketID) float64 {
 	}
 	return pen
 }
-
-// drainPenalty returns the penalty of an entity sitting on bucket b.
-func (s *state) drainPenalty(b BucketID) float64 { return s.drainPen[b] }
 
 // prepared caches the from-side of a candidate move for one entity: loads,
 // source domains, and the penalty deltas of leaving them. Preparing once and
@@ -791,15 +783,6 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 	return delta, true
 }
 
-// moveDelta returns the objective change of moving e from its current bucket
-// to target, and whether the move is feasible w.r.t. hard constraints. It is
-// allocation-free: it prepares into state-owned scratch, where the grid search
-// keeps one prepared per candidate entity and calls evalTarget directly.
-func (s *state) moveDelta(e EntityID, target BucketID) (float64, bool) {
-	s.prepare(&s.scratch, e)
-	return s.evalTarget(&s.scratch, target)
-}
-
 // apply commits the move of e to target, updating all aggregate state and
 // the incremental hot-bucket penalties.
 func (s *state) apply(e EntityID, target BucketID) {
@@ -974,7 +957,7 @@ func (s *state) violations() ViolationCounts {
 		if s.affinityPenalty(EntityID(e), b) > 0 {
 			v.Affinity++
 		}
-		if s.drainPenalty(b) > 0 {
+		if s.drainPen[b] > 0 {
 			v.Drain++
 		}
 	}
@@ -988,7 +971,7 @@ func (s *state) violations() ViolationCounts {
 	return v
 }
 
-// bucketPenalty recomputes from scratch how much bucket b contributes to the
+// bucketPenalty recomputes in full how much bucket b contributes to the
 // objective. newState seeds the hot set with it; afterwards apply maintains
 // the same quantity incrementally (tests cross-check the two).
 func (s *state) bucketPenalty(b BucketID) float64 {
@@ -999,7 +982,7 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 		pen += sp.domPenalty(d, sp.load[d])
 	}
 	for _, e := range s.byBucket[b] {
-		pen += s.affinityPenalty(e, b) + s.drainPenalty(b)
+		pen += s.affinityPenalty(e, b) + s.drainPen[b]
 		for xi := range s.excls {
 			ex := &s.excls[xi]
 			if g := ex.entGroup[e]; g >= 0 {

@@ -80,10 +80,7 @@ func GroupedSampler(p *Problem, utilMetric int) Sampler {
 			return nil
 		}
 		ng := len(order)
-		perGroup := (k + ng - 1) / ng
-		if perGroup < 1 {
-			perGroup = 1
-		}
+		perGroup := (k + ng - 1) / ng // >= 1, since k >= 1
 		start := rot % ng
 		used := 0
 		out = out[:0]
@@ -133,8 +130,6 @@ type Options struct {
 	// carry the bucket's penalty; the inert ones, which cannot help alone,
 	// come after all of them. Off, a hot bucket's entities are shuffled.
 	BigFirst bool
-	// EnableSwap tries two-way swaps when no single move improves.
-	EnableSwap bool
 	// Sampler picks candidate targets (default RandomSampler).
 	Sampler Sampler
 	// Seed drives the solver's deterministic RNG.
@@ -150,7 +145,6 @@ func DefaultOptions() Options {
 	return Options{
 		CandidateTargets: 16,
 		BigFirst:         true,
-		EnableSwap:       true,
 		Seed:             1,
 	}
 }
@@ -184,17 +178,12 @@ type Result struct {
 
 const improveEps = 1e-9
 
-const (
-	// maxEntitiesPerBucket is how many entities of a hot bucket one fix
-	// attempt evaluates.
-	maxEntitiesPerBucket = 16
-	// maxSwapEntities bounds how many of a hot bucket's candidate entities a
-	// swap attempt considers before giving up.
-	maxSwapEntities = 4
-)
+// maxEntitiesPerBucket is how many entities of a hot bucket one fix attempt
+// evaluates.
+const maxEntitiesPerBucket = 16
 
 // solveCtx carries one Solve call's mutable machinery: budgets, per-bucket
-// candidate caches and scratch buffers. All buffers are reused across
+// candidate caches and reused buffers. All buffers are reused across
 // attempts so the hot loop does not allocate.
 type solveCtx struct {
 	p        *Problem
@@ -207,18 +196,15 @@ type solveCtx struct {
 	deadline time.Time
 
 	// entCache[b] is bucket b's movable entities, sorted for BigFirst;
-	// valid until a move touches b (see applyRaw).
+	// valid until a move touches b (see applyMove).
 	entCache      [][]EntityID
 	entCacheValid []bool
-	// cands holds the candidates candidateEntities returns.
+	// cands is the shuffled copy of a bucket's list without BigFirst.
 	cands []EntityID
 
-	// The sampled (entity, target) grid of one fix attempt, flattened.
-	// preps[i] is cands[i] prepared; the second half of preps parks the
-	// inert entities candidateEntities walks past.
-	preps      []prepared
-	pairPrep   []int32
-	pairTarget []BucketID
+	// preps[:n] are the n candidates candidateEntities offers, prepared; the
+	// second half of preps parks the inert entities it walks past.
+	preps []prepared
 
 	// spent counts the entities away from home (kept only under a
 	// MoveBudget); cachePinned is whether the entCache lists were built
@@ -307,21 +293,12 @@ func (c *solveCtx) movesSpent() bool {
 	return c.opt.MoveBudget > 0 && c.spent >= c.opt.MoveBudget
 }
 
-// overdraws reports whether swapping e (on b, to t) with e2 (on t, to b)
-// would leave more entities away from home than the move budget allows.
-func (c *solveCtx) overdraws(e EntityID, b, t BucketID, e2 EntityID) bool {
-	if c.opt.MoveBudget <= 0 {
-		return false
-	}
-	after := c.spent + c.away(e, t) - c.away(e, b) + c.away(e2, b) - c.away(e2, t)
-	return after > c.opt.MoveBudget
-}
-
-// applyRaw commits a move, keeps the move budget's count, and invalidates the
-// touched buckets' candidate caches (the state's own aggregates update
-// incrementally inside apply).
-func (c *solveCtx) applyRaw(e EntityID, to BucketID) {
+// applyMove commits a move, records it, keeps the move budget's count, and
+// invalidates the touched buckets' candidate caches (the state's own
+// aggregates update incrementally inside apply).
+func (c *solveCtx) applyMove(e EntityID, to BucketID) {
 	from := c.st.assignment[e]
+	c.res.Moves = append(c.res.Moves, Move{Entity: e, From: from, To: to})
 	if c.opt.MoveBudget > 0 {
 		c.spent += c.away(e, to) - c.away(e, from)
 	}
@@ -330,11 +307,6 @@ func (c *solveCtx) applyRaw(e EntityID, to BucketID) {
 		c.entCacheValid[from] = false
 	}
 	c.entCacheValid[to] = false
-}
-
-func (c *solveCtx) applyMove(e EntityID, to BucketID) {
-	c.res.Moves = append(c.res.Moves, Move{Entity: e, From: c.st.assignment[e], To: to})
-	c.applyRaw(e, to)
 }
 
 // phase1 (emergency placement) assigns every unassigned entity to its best
@@ -389,7 +361,7 @@ func (c *solveCtx) phase1() {
 // search either stops (nothing improved this epoch) or thaws everything and
 // starts the next epoch.
 func (c *solveCtx) phase2() {
-	st, opt := c.st, &c.opt
+	st := c.st
 	improved := false
 	for c.budgetLeft() {
 		b, pen := st.hot.top()
@@ -407,24 +379,19 @@ func (c *solveCtx) phase2() {
 			improved = false
 		}
 		// Repeatedly chip away at this bucket until it stops improving.
+		// §5.3's two-way swaps are not reproduced (DESIGN §2): a bucket no
+		// single move improves is frozen.
 		for attempt := 0; attempt < 64; attempt++ {
 			if !c.budgetLeft() || st.hot.pen[b] <= improveEps {
 				break
 			}
-			ents := c.candidateEntities(b)
-			e, t, found := c.bestGridMove(ents, b)
-			if found {
-				c.applyMove(e, t)
-				improved = true
-				continue
+			e, t, found := c.bestGridMove(c.candidateEntities(b), b)
+			if !found {
+				st.hot.freeze(b)
+				break
 			}
-			// No single move helps; optionally try a swap.
-			if opt.EnableSwap && len(ents) > 0 && c.trySwap(ents, b) {
-				improved = true
-				continue
-			}
-			st.hot.freeze(b)
-			break
+			c.applyMove(e, t)
+			improved = true
 		}
 	}
 }
@@ -440,24 +407,23 @@ func (c *solveCtx) fireProgress() {
 }
 
 // candidateEntities picks at most maxEntitiesPerBucket entities of bucket b to
-// evaluate this attempt and prepares each into c.preps, in the returned order.
-// They come from the bucket's cached movable list (sorted once per
-// invalidation, not per attempt; without the entities at home while the move
-// budget is spent). With BigFirst the entities that carry penalty come first
-// and the inert ones after, each part largest Load[0] first, ties by ID, and
-// the cut comes after the partition: an inert entity cannot improve the
-// objective alone, so it only fills the slots the carrying ones leave. The
-// walk stops once the cut's worth of carrying entities is prepared.
-// Inertness reads domain loads and where the other group members sit, which
-// a move in another bucket changes, so it is prepared afresh every attempt,
-// never cached. Without BigFirst the whole list is shuffled and cut,
-// unpartitioned. The returned slice is scratch, valid until the next call.
+// evaluate this attempt, prepares them into c.preps in order and returns how
+// many it picked. They come from the bucket's cached movable list (sorted once
+// per invalidation, not per attempt; without the entities at home while the
+// move budget is spent). With BigFirst the entities that carry penalty come
+// first and the inert ones after, each part largest Load[0] first, ties by ID,
+// and the cut comes after the partition: an inert entity cannot improve the
+// objective alone, so it only fills the slots the carrying ones leave. The walk
+// stops once the cut's worth of carrying entities is prepared. Inertness reads
+// domain loads and where the other group members sit, which a move in another
+// bucket changes, so it is prepared afresh every attempt, never cached. Without
+// BigFirst the whole list is shuffled and cut, unpartitioned.
 //
 // §5.3's "reuses the computation for equivalent shards" is not reproduced
 // (DESIGN §2): a shard's replicas never share a bucket and each carries its
 // own exclusion group, so on replicated worlds no two candidates of a bucket
 // are interchangeable.
-func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
+func (c *solveCtx) candidateEntities(b BucketID) int {
 	st, opt := c.st, &c.opt
 	if spent := c.movesSpent(); spent != c.cachePinned {
 		// The budget ran out, or a move home gave a unit back: every
@@ -489,15 +455,16 @@ func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 	}
 	ents := c.entCache[b]
 	if !opt.BigFirst {
-		// Random order is per-attempt, so shuffle a scratch copy and
+		// Random order is per-attempt, so shuffle a reused copy and
 		// leave the cache intact.
 		cs := append(c.cands[:0], ents...)
 		c.rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
-		c.cands = cs[:min(len(cs), maxEntitiesPerBucket)]
-		for i, e := range c.cands {
+		c.cands = cs
+		n := min(len(cs), maxEntitiesPerBucket)
+		for i, e := range cs[:n] {
 			st.prepare(&c.preps[i], e)
 		}
-		return c.cands
+		return n
 	}
 	// Carrying entities are prepared in place, into preps[:nc]; an inert one
 	// is parked in the second half and moved in behind them after the walk.
@@ -516,126 +483,42 @@ func (c *solveCtx) candidateEntities(b BucketID) []EntityID {
 			ni++
 		}
 	}
-	c.cands = c.cands[:0]
-	for i := range min(ni, k-nc) {
+	fill := min(ni, k-nc)
+	for i := range fill {
 		c.preps[nc+i], c.preps[k+i] = c.preps[k+i], c.preps[nc+i]
 	}
-	for i := range nc + min(ni, k-nc) {
-		c.cands = append(c.cands, c.preps[i].e)
-	}
-	return c.cands
+	return nc + fill
 }
 
-// bestGridMove samples targets for every candidate entity, then evaluates the
-// flattened (entity, target) grid and returns the feasible pair with the most
-// negative delta. Ties break toward the earliest pair. ents are
-// candidateEntities' answer, so c.preps holds them prepared. An inert entity's
-// pairs cannot beat -improveEps, so they are pruned, not queued; its targets
-// are still sampled (the RNG draws and the sampler's rotation do not depend on
-// which entities are inert) and still counted in Result.Evaluated.
-func (c *solveCtx) bestGridMove(ents []EntityID, hotB BucketID) (EntityID, BucketID, bool) {
+// bestGridMove samples targets for every candidate entity, evaluating each
+// (entity, target) pair as it is drawn, and returns the feasible pair with the
+// most negative delta. Ties break toward the earliest pair. The candidates are
+// c.preps[:n], as candidateEntities left them. An inert entity's pairs cannot
+// beat -improveEps, so they are pruned, not scored; its targets are still
+// sampled (the RNG draws and the sampler's rotation do not depend on which
+// entities are inert) and still counted in Result.Evaluated.
+func (c *solveCtx) bestGridMove(n int, hotB BucketID) (EntityID, BucketID, bool) {
 	st, opt := c.st, &c.opt
-	c.pairPrep = c.pairPrep[:0]
-	c.pairTarget = c.pairTarget[:0]
-	pruned := 0
-	for pi, e := range ents {
-		inert := c.preps[pi].inert()
-		for _, t := range opt.Sampler(c.rng, e, opt.CandidateTargets, c.view) {
+	bestPrep, bestTarget := -1, Unassigned
+	bestDelta := -improveEps
+	for pi := range n {
+		pr := &c.preps[pi]
+		inert := pr.inert()
+		for _, t := range opt.Sampler(c.rng, pr.e, opt.CandidateTargets, c.view) {
 			if t == hotB {
 				continue
 			}
+			c.res.Evaluated++
 			if inert {
-				pruned++
 				continue
 			}
-			c.pairPrep = append(c.pairPrep, int32(pi))
-			c.pairTarget = append(c.pairTarget, t)
+			if d, ok := st.evalTarget(pr, t); ok && d < bestDelta {
+				bestDelta, bestPrep, bestTarget = d, pi, t
+			}
 		}
 	}
-	n := len(c.pairTarget)
-	c.res.Evaluated += n + pruned
-	if n == 0 {
+	if bestPrep < 0 {
 		return 0, Unassigned, false
 	}
-	bestIdx := -1
-	bestDelta := -improveEps
-	for i := 0; i < n; i++ {
-		d, ok := st.evalTarget(&c.preps[c.pairPrep[i]], c.pairTarget[i])
-		if ok && d < bestDelta {
-			bestDelta, bestIdx = d, i
-		}
-	}
-	if bestIdx < 0 {
-		return 0, Unassigned, false
-	}
-	return c.preps[c.pairPrep[bestIdx]].e, c.pairTarget[bestIdx], true
-}
-
-// trySwap attempts a two-way swap between an entity of hot bucket b and an
-// entity of a sampled target bucket; it applies the swap and returns true if
-// the combined delta improves the objective (§5.3: "it may consider two-way
-// swapping of shards"). Up to maxSwapEntities candidates are tried — the
-// first (largest) entity is often unmovable precisely because it is large.
-// A pair that would overdraw the move budget is not tried. Every half of a
-// pair counts toward Result.Evaluated, including the ones whose tentative
-// move is rolled back and the ones pruned unprobed.
-//
-// A pair of inert entities is not probed: neither leaves a penalty behind, so
-// capacity and balance on b and t are flat over the loads the two free,
-// neither leaves a crowded domain, and the swap cannot improve. ents are the
-// grid's candidates, so c.preps holds their leave side; a roll-back may leave
-// a float residue in b's loads, so after one they are prepared again.
-func (c *solveCtx) trySwap(ents []EntityID, b BucketID) bool {
-	st, opt := c.st, &c.opt
-	n := min(len(ents), maxSwapEntities)
-	rolledBack := false
-	for pi, e := range ents[:n] {
-		pr := &c.preps[pi]
-		stale := rolledBack
-		for _, t := range opt.Sampler(c.rng, e, opt.CandidateTargets, c.view) {
-			if t == b || len(st.byBucket[t]) == 0 {
-				continue
-			}
-			peers := st.byBucket[t]
-			e2 := peers[c.rng.Intn(len(peers))]
-			if !c.p.Entities[e2].Movable || c.overdraws(e, b, t, e2) {
-				continue
-			}
-			if stale {
-				st.prepare(pr, e)
-				stale = false
-			}
-			d1, ok := st.evalTarget(pr, t)
-			c.res.Evaluated++
-			if !ok {
-				continue
-			}
-			if pr.inert() {
-				st.prepare(&st.scratch, e2)
-				if st.scratch.inert() {
-					c.res.Evaluated++
-					continue
-				}
-			}
-			// Evaluate sequentially: move e off b first so e2 can take
-			// its place; roll back if the pair does not improve. The
-			// tentative window keeps frozen buckets frozen across
-			// probe/rollback pairs (they net to zero change).
-			st.hot.beginTentative()
-			c.applyRaw(e, t)
-			d2, ok2 := st.moveDelta(e2, b)
-			c.res.Evaluated++
-			if ok2 && d1+d2 < -improveEps {
-				c.res.Moves = append(c.res.Moves, Move{Entity: e, From: b, To: t})
-				c.res.Moves = append(c.res.Moves, Move{Entity: e2, From: t, To: b})
-				c.applyRaw(e2, b)
-				st.hot.commitTentative()
-				return true
-			}
-			c.applyRaw(e, b) // roll back
-			st.hot.abortTentative()
-			rolledBack, stale = true, true
-		}
-	}
-	return false
+	return c.preps[bestPrep].e, bestTarget, true
 }

@@ -328,9 +328,17 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 			}
 		}
 	}
+	// candidates runs candidateEntities on b0 and lists what it prepared.
+	candidates := func(c *solveCtx) []EntityID {
+		var ids []EntityID
+		for i := range c.candidateEntities(0) {
+			ids = append(ids, c.preps[i].e)
+		}
+		return ids
+	}
 	check := func(c *solveCtx, step string, want []EntityID) {
 		t.Helper()
-		got := c.candidateEntities(0)
+		got := candidates(c)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: candidates %v, want %v", step, got, want)
 		}
@@ -346,8 +354,8 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	check(c, "no budget", want(c, false))
 	// Moves between b1 and b2 touch neither b0 nor its cached list, yet 15
 	// starts carrying and 23 stops.
-	c.applyRaw(sibling(15), 1)
-	c.applyRaw(sibling(23), 2)
+	c.applyMove(sibling(15), 1)
+	c.applyMove(sibling(23), 2)
 	if carry, _ := offered(c, false); !slices.Equal(carry, []EntityID{5, 10, 15, 20}) {
 		t.Fatalf("after the siblings' moves the carriers are %v", carry)
 	}
@@ -356,11 +364,11 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	opt.MoveBudget = 6
 	c = newSolveCtx(p, opt)
 	check(c, "budget spent", []EntityID{5, 9, 13, 17, 1, 21})
-	c.applyRaw(9, 1) // home: a unit returns
+	c.applyMove(9, 1) // home: a unit returns
 	check(c, "unit returned", want(c, false))
-	c.applyRaw(2, 1) // away from home: spent again
+	c.applyMove(2, 1) // away from home: spent again
 	check(c, "spent again", []EntityID{5, 13, 17, 1, 21})
-	c.applyRaw(sibling(17), 1)
+	c.applyMove(sibling(17), 1)
 	check(c, "spent, a sibling moved", []EntityID{17, 5, 13, 1, 21})
 
 	// Without BigFirst the cap holds over a shuffled copy of the same list,
@@ -368,7 +376,7 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	opt = DefaultOptions()
 	opt.BigFirst = false
 	c = newSolveCtx(p, opt)
-	got := slices.Clone(c.candidateEntities(0))
+	got := candidates(c)
 	prepped(c, "shuffled", got)
 	slices.Sort(got)
 	if len(got) != maxEntitiesPerBucket || len(slices.Compact(got)) != len(got) {
@@ -487,9 +495,8 @@ func TestEvalBudgetRespected(t *testing.T) {
 	}
 	res := run()
 	// The budget is checked per fix attempt, so one attempt may overshoot
-	// by its grid (maxEntitiesPerBucket * CandidateTargets) plus a swap
-	// probe (maxSwapEntities * CandidateTargets * 2).
-	if res.Evaluated >= 500+maxEntitiesPerBucket*16+maxSwapEntities*16*2+1 {
+	// by its grid (maxEntitiesPerBucket * CandidateTargets).
+	if res.Evaluated >= 500+maxEntitiesPerBucket*16+1 {
 		t.Fatalf("evaluated %d, budget 500 overshot by more than one attempt", res.Evaluated)
 	}
 	unbudgeted := func() *Result {
@@ -505,44 +512,6 @@ func TestEvalBudgetRespected(t *testing.T) {
 	if again := run(); again.Evaluated != res.Evaluated || len(again.Moves) != len(res.Moves) {
 		t.Fatalf("EvalBudget run not deterministic: %d/%d vs %d/%d evals/moves",
 			res.Evaluated, len(res.Moves), again.Evaluated, len(again.Moves))
-	}
-}
-
-// TestSwapConsidersMultipleEntities builds a state where the hot bucket's
-// first (largest-by-tie-break) entity can never participate in an improving
-// swap but its second one can: two full-ish buckets whose small entities
-// each prefer the other's region, with balance penalties making the single
-// moves non-improving. The old trySwap only tried ents[0] and deadlocked.
-func TestSwapConsidersMultipleEntities(t *testing.T) {
-	build := func() *Problem {
-		p := NewProblem([]string{"cpu"})
-		p.AddBucket(Bucket{Name: "A", Capacity: []float64{30}, Props: map[string]string{"region": "rA"}})
-		p.AddBucket(Bucket{Name: "B", Capacity: []float64{30}, Props: map[string]string{"region": "rB"}})
-		// e0 is gripped to A by a heavy affinity; e1 wants B.
-		p.AddEntity(Entity{Load: []float64{10}, Bucket: 0, Movable: true})
-		p.AddEntity(Entity{Load: []float64{10}, Bucket: 0, Movable: true})
-		p.AddEntity(Entity{Load: []float64{10}, Bucket: 1, Movable: true})
-		p.AddEntity(Entity{Load: []float64{10}, Bucket: 1, Movable: true})
-		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 0, Domain: "rA", Weight: 50})
-		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 1, Domain: "rB", Weight: 10})
-		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: 3, Domain: "rA", Weight: 10})
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		// Mean util 40/60 = 2/3; band 0.767. A lone extra entity pushes a
-		// bucket to 1.0, costing (1.0-0.767)*30*2 = 14 > the 10 an
-		// affinity fix gains, so no single move improves.
-		p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 2})
-		return p
-	}
-	opt := DefaultOptions()
-	res := Solve(build(), opt)
-	if res.Final.Affinity != 0 {
-		t.Fatalf("swap failed to fix affinity: final %+v, %d moves", res.Final, len(res.Moves))
-	}
-	// Sanity: without swaps the state is genuinely stuck.
-	noSwap := opt
-	noSwap.EnableSwap = false
-	if res2 := Solve(build(), noSwap); res2.Final.Affinity == 0 {
-		t.Fatal("expected the no-swap solver to stay stuck; test premise broken")
 	}
 }
 
