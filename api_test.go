@@ -360,3 +360,41 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 		t.Errorf("solver.ExclusionSpec fields = %v, want exactly %v (no Groups map beside the dense slice)", fields, want)
 	}
 }
+
+// TestMigrationPathTakesNoContinuations pins the orchestrator's migrations and
+// cleanups as records: a step's outcome goes to the record that sent it, not
+// to a callback handed along with the RPC. A non-test function in
+// internal/orchestrator may take a func-typed parameter only if it is on the
+// keep-list below, each entry with its reason.
+func TestMigrationPathTakesNoContinuations(t *testing.T) {
+	keep := map[string]string{
+		"Drain":         "onDone is the TaskController's API: it hears when the server is empty",
+		"call":          "the plain RPC under callStep; its handle/done/fail also serve DemotePrimaries' demote-then-promote chain, which is not a migration",
+		"rpcChangeRole": "done chains DemotePrimaries' promote after the acknowledged demote, which is not a migration",
+	}
+	files, err := filepath.Glob("internal/orchestrator/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || keep[fn.Name.Name] != "" {
+				continue
+			}
+			for _, p := range fn.Type.Params.List {
+				if _, ok := p.Type.(*ast.FuncType); ok {
+					t.Errorf("%s: %s takes a func-typed parameter: a migration step reports its outcome to its record", name, fn.Name.Name)
+					break
+				}
+			}
+		}
+	}
+}

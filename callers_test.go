@@ -21,35 +21,34 @@ import (
 // "Entry points"); anything else that only tests reach goes, with the tests
 // that checked only it.
 var onlyTests = map[string]string{
-	"allocator.FormatMoves":                   "what recorded_test.go compares, row by row",
-	"apps.DataBus.Publish":                    "the stream app's only input: the stream-processor tests append the events a new owner replays",
-	"apps.QueueOpDequeue":                     "the consuming half of the queue app that Fig 17/18 and rolling_upgrade run; no run dequeues yet, and ROADMAP 6(a)'s no-loss checker needs one that does",
-	"apps.StreamOpPoke":                       "the stream app's consume request; Fig 20 runs the app but sends it none, and ROADMAP 6(a)'s offset checker needs a run that does",
-	"apps.StreamOpQuery":                      "the stream app's read request (see apps.StreamOpPoke)",
-	"appserver.PhaseNone":                     "the phase every replica record is created in (&replica{}): each deployment's first grant to a server reads it",
-	"appserver.Server.Shards":                 "probe of what a server holds: the orchestrator's restore and role tests and the chaos test compare it with the placement",
-	"coord.Stat.Ephemeral":                    "the node metadata Get answers with: the session tests check an ephemeral node by it",
-	"coord.Stat.Version":                      "the versioned-write contract: TestVersionCAS and the model test check Set's compare-and-swap by it",
-	"discovery.FixedDelay":                    "pins propagation delay so tests can count events",
-	"discovery.Subscription.Cancel":           "drives the store's reclamation behind the slowest cursor",
-	"discovery.View.Map":                      "probe of what the store holds at a version: the publish and delta tests compare it with the orchestrator's snapshot",
-	"discovery.View.Replicas":                 "the by-name read FuzzVersionedStore and routing's reference picker check the Cell reads against",
-	"experiments.TortureRun.Deployment":       "reaches a torture world's metrics: the audit integration test reads its fence and publish-refusal counters",
-	"orchestrator.Orchestrator.ForceAllocate": "drives an allocation without waiting out AllocInterval",
-	"orchestrator.Orchestrator.Stop":          "drives §6.2's control-plane outage (TestControlPlaneOutageDoesNotTakeAppDown)",
-	"rpcnet.Network.Delay":                    "probe of the latency model and injected link faults",
-	"rpcnet.Network.Dropped":                  "probe of injected drops: the rpcnet tests count them",
-	"rpcnet.Network.Messages":                 "probe of what the fabric delivered: routing's terminal-path rows and the rpcnet tests count messages by it",
-	"rpcnet.Network.Partitioned":              "probe of the fault injector's link state",
-	"rpcnet.Network.Reachable":                "probe of endpoint registration and revert",
-	"sim.Loop.Run":                            "drives a hand-built world until its queue drains (the rpcnet, appserver, audit, sim and simprof tests)",
-	"sim.RNG.Perm":                            "draws propertyWorld's inputs: recorded_test.go's rows are a function of its draw order",
-	"solver.Move.Entity":                      "the search's step record: TestSolveDeterministicForSeed compares runs by it",
-	"solver.Move.From":                        "the search's step record (see solver.Move.Entity)",
-	"solver.Move.To":                          "the search's step record (see solver.Move.Entity)",
-	"trace.Span.Attr":                         "probe of span attributes: the trace, experiment and orchestrator tests check migration spans by it",
-	"trace.Tracer.FindSpans":                  "probe of span parentage in the experiment trace tests",
-	"workload.AppProfile.RegionPreferences":   "its write draws from the Figs 1-16 demographics stream, so it stays until that stream is re-recorded",
+	"allocator.FormatMoves":                 "what recorded_test.go compares, row by row",
+	"apps.DataBus.Publish":                  "the stream app's only input: the stream-processor tests append the events a new owner replays",
+	"apps.QueueOpDequeue":                   "the consuming half of the queue app that Fig 17/18 and rolling_upgrade run; no run dequeues yet, and ROADMAP 6(a)'s no-loss checker needs one that does",
+	"apps.StreamOpPoke":                     "the stream app's consume request; Fig 20 runs the app but sends it none, and ROADMAP 6(a)'s offset checker needs a run that does",
+	"apps.StreamOpQuery":                    "the stream app's read request (see apps.StreamOpPoke)",
+	"appserver.PhaseNone":                   "the phase every replica record is created in (&replica{}): each deployment's first grant to a server reads it",
+	"appserver.Server.Shards":               "probe of what a server holds: the orchestrator's restore and role tests and the chaos test compare it with the placement",
+	"coord.Stat.Ephemeral":                  "the node metadata Get answers with: the session tests check an ephemeral node by it",
+	"coord.Stat.Version":                    "the versioned-write contract: TestVersionCAS and the model test check Set's compare-and-swap by it",
+	"discovery.FixedDelay":                  "pins propagation delay so tests can count events",
+	"discovery.Subscription.Cancel":         "drives the store's reclamation behind the slowest cursor",
+	"discovery.View.Map":                    "probe of what the store holds at a version: the publish and delta tests compare it with the orchestrator's snapshot",
+	"discovery.View.Replicas":               "the by-name read FuzzVersionedStore and routing's reference picker check the Cell reads against",
+	"experiments.TortureRun.Deployment":     "reaches a torture world's metrics: the audit integration test reads its fence and publish-refusal counters",
+	"orchestrator.Orchestrator.Stop":        "drives §6.2's control-plane outage (TestControlPlaneOutageDoesNotTakeAppDown)",
+	"rpcnet.Network.Delay":                  "probe of the latency model and injected link faults",
+	"rpcnet.Network.Dropped":                "probe of injected drops: the rpcnet tests count them",
+	"rpcnet.Network.Messages":               "probe of what the fabric delivered: routing's terminal-path rows and the rpcnet tests count messages by it",
+	"rpcnet.Network.Partitioned":            "probe of the fault injector's link state",
+	"rpcnet.Network.Reachable":              "probe of endpoint registration and revert",
+	"sim.Loop.Run":                          "drives a hand-built world until its queue drains (the rpcnet, appserver, audit, sim and simprof tests)",
+	"sim.RNG.Perm":                          "draws propertyWorld's inputs: recorded_test.go's rows are a function of its draw order",
+	"solver.Move.Entity":                    "the search's step record: TestSolveDeterministicForSeed compares runs by it",
+	"solver.Move.From":                      "the search's step record (see solver.Move.Entity)",
+	"solver.Move.To":                        "the search's step record (see solver.Move.Entity)",
+	"trace.Span.Attr":                       "probe of span attributes: the trace, experiment and orchestrator tests check migration spans by it",
+	"trace.Tracer.FindSpans":                "probe of span parentage in the experiment trace tests",
+	"workload.AppProfile.RegionPreferences": "its write draws from the Figs 1-16 demographics stream, so it stays until that stream is re-recorded",
 }
 
 // TestNothingOnlyTestsReach is the caller gate. It type-checks the module's

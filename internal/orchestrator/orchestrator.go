@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"time"
 
 	"shardmanager/internal/allocator"
@@ -158,21 +159,19 @@ type shardState struct {
 	// (placement.go). changed is set while the shard is on o.changed.
 	replicas []shard.Assignment
 	changed  bool
-	// migrating marks an in-flight migration touching this shard.
-	migrating bool
-	// mig is the in-flight migration itself (nil unless migrating); rejoin
-	// syncs consult it so they never drop a half-handed-over replica.
+	// mig is the shard's migration, queued or started (nil for none): while
+	// it is set, allocation, role reconciliation and demotion leave the shard
+	// alone, and rejoin syncs protect a started one's half-handed-over replica.
 	mig *migration
 	// holdUntil blocks primary promotion for this shard until the given
 	// sim time: set when a dead server's primary is demoted in place, it
 	// gives the possibly-false-dead old primary time to self-fence.
 	holdUntil time.Duration
-	// orphans names servers that may still hold an unacknowledged replica
-	// of this shard (a cleanup drop failed and is being retried). While any
-	// orphan is pending, the shard's old primary must not resume serving:
-	// the orphan could be an active primary whose add executed even though
-	// the reply was lost.
-	orphans map[shard.ServerID]bool
+	// cleanups are the RPCs owed to the shard's servers until acknowledged:
+	// orphan drops, source resumes and adds (cleanup). While an orphan is
+	// pending, the shard's old primary must not resume serving: the orphan
+	// could be an active primary whose add executed though its reply was lost.
+	cleanups []*cleanup
 }
 
 // Hooks let an external monitor observe control-plane transitions. Unlike a
@@ -184,9 +183,10 @@ type Hooks struct {
 	MigrationStarted func(s shard.ID, from, to shard.ServerID, graceful bool)
 	// MigrationFinished fires when a migration completes or fails.
 	MigrationFinished func(s shard.ID, ok bool)
-	// MigrationStep fires when one shard-lifecycle RPC (prepare_add_shard,
-	// prepare_drop_shard, add_shard, drop_shard) completes, with status "ok"
-	// or "failed".
+	// MigrationStep fires when one shard-lifecycle RPC completes, with status
+	// "ok" or "failed": a migration's prepare_add_shard, prepare_drop_shard,
+	// add_shard or drop_shard, and a cleanup's drop_orphan, resume_shard or
+	// add_shard — the last also for a replica added outside any migration.
 	MigrationStep func(s shard.ID, step string, server shard.ServerID, status string)
 	// RoleChanged fires when the orchestrator issues a change_role RPC.
 	RoleChanged func(s shard.ID, server shard.ServerID, from, to shard.Role)
@@ -224,7 +224,7 @@ type Orchestrator struct {
 	changed      []*shardState
 	delta        *shard.Delta
 
-	migrationQueue []migration
+	migrationQueue []*migration
 	inFlight       int
 	curAlloc       trace.SpanID // open "allocate" span, parent of spawned work
 
@@ -239,15 +239,6 @@ type Orchestrator struct {
 	EmergencyRuns metrics.Counter
 	PeriodicRuns  metrics.Counter
 	FailedRPCs    metrics.Counter
-}
-
-type migration struct {
-	shard    shard.ID
-	from, to shard.ServerID
-	graceful bool
-	// span covers the whole migration from enqueue to finish; the per-step
-	// RPCs (prepare_add_shard, add_shard, drop_shard, ...) are its children.
-	span trace.SpanID
 }
 
 // New creates an orchestrator. Call Start to begin managing.
@@ -343,7 +334,7 @@ func (o *Orchestrator) Stop() {
 	// would ever plan for it again.
 	tr := o.loop.Tracer()
 	for _, m := range o.migrationQueue {
-		o.shards[m.shard].migrating = false
+		o.shards[m.shard].mig = nil
 		if tr.Enabled() {
 			tr.EndSpan(m.span, trace.Bool("ok", false))
 		}
@@ -384,7 +375,7 @@ func (o *Orchestrator) syncMembership() {
 		if err != nil {
 			continue
 		}
-		id := unescapeID(kid)
+		id := shard.ServerID(strings.ReplaceAll(kid, "~", "/")) // node names escape '/' as '~'
 		seen[id] = true
 		st := o.servers[id]
 		rejoined := st != nil && !st.alive
@@ -432,16 +423,6 @@ func (o *Orchestrator) syncMembership() {
 	}
 }
 
-func unescapeID(kid string) shard.ServerID {
-	b := []byte(kid)
-	for i := range b {
-		if b[i] == '~' {
-			b[i] = '/'
-		}
-	}
-	return shard.ServerID(b)
-}
-
 // resolveMachine fills the server's placement metadata from its liveness
 // node payload (the machine ID written by the SM library's host).
 func (o *Orchestrator) resolveMachine(st *serverState, payload string) {
@@ -487,7 +468,7 @@ func (o *Orchestrator) syncServer(id shard.ServerID) {
 	var protect map[shard.ID]bool
 	for _, sid := range o.order {
 		ss := o.shards[sid]
-		if ss.mig != nil && ss.mig.to == id {
+		if ss.mig != nil && ss.mig.phase != queued && ss.mig.to == id {
 			if protect == nil {
 				protect = make(map[shard.ID]bool)
 			}
@@ -499,7 +480,7 @@ func (o *Orchestrator) syncServer(id shard.ServerID) {
 		"app", string(o.cfg.App)).Inc()
 	o.call(id, func(srv *appserver.Server) {
 		srv.SyncAssignment(want, protect, gen)
-	}, nil, func() { o.failedRPC() })
+	}, func() {}, o.failedRPC)
 }
 
 // --- load collection ---
@@ -538,9 +519,7 @@ func (o *Orchestrator) collectLoads() {
 					st.load[e.Shard] = e.Load
 				}
 			})
-		}, nil, func() {
-			o.failedRPC()
-		})
+		}, nil, o.failedRPC)
 	}
 }
 
@@ -646,10 +625,10 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 	changed := false
 	for _, mv := range res.Moves {
 		ss := o.shards[mv.Shard]
-		if ss == nil || ss.migrating {
+		if ss == nil || ss.mig != nil {
 			continue
 		}
-		if len(ss.orphans) > 0 {
+		if ss.orphaned() {
 			// An unresolved orphan may be an active primary whose cleanup
 			// drop hasn't been acknowledged yet; starting a new move could
 			// activate a second primary next to it. The next allocation
@@ -676,7 +655,7 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 			} else {
 				o.addReplica(ss, mv.To, role)
 			}
-			o.rpcAddShard(mv.To, mv.Shard, role)
+			o.callStep(o.curAlloc, addShard, mv.Shard, mv.To, "", role, nil, o.owe(ss, addShard, mv.To, ""))
 			o.ShardMoves.Inc()
 			changed = true
 		case "move":
@@ -754,7 +733,7 @@ func (o *Orchestrator) roleForNewReplica(ss *shardState) shard.Role {
 // no alive primary remains a secondary is promoted (automatic failover of
 // the primary role). Returns true if anything changed.
 func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
-	if o.cfg.Strategy == shard.SecondaryOnly || ss.migrating {
+	if o.cfg.Strategy == shard.SecondaryOnly || ss.mig != nil {
 		return false
 	}
 	changed := false
@@ -784,7 +763,7 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 	// Promotion additionally waits for pending orphans: an orphan may be an
 	// active primary whose cleanup drop wasn't acknowledged, and promoting a
 	// secondary next to it would put two primaries up at once.
-	if alivePrimary == -1 && o.loop.Now() >= ss.holdUntil && len(ss.orphans) == 0 {
+	if alivePrimary == -1 && o.loop.Now() >= ss.holdUntil && !ss.orphaned() {
 		for i, a := range ss.replicas {
 			if a.Role != shard.RoleSecondary {
 				continue
@@ -818,9 +797,143 @@ func (o *Orchestrator) reconcileAllRoles() {
 
 // --- migrations ---
 
+// A migration moves one replica of a shard from one server to another. It is
+// a record the step table drives: its phase names the list of steps it is on,
+// and step the one it is at. An RPC or timer in flight holds the record, never
+// a continuation: its outcome goes through advance, and drive carries out
+// what advance returns.
+type migration struct {
+	shard    shard.ID
+	from, to shard.ServerID
+	graceful bool
+	// role is the moving replica's, read when the migration leaves the queue;
+	// every grant of the move carries it.
+	role  shard.Role
+	phase phase
+	step  int // index into steps[phase]
+	// span covers the whole migration from enqueue to finish; the per-step
+	// RPCs (prepare_add_shard, add_shard, drop_shard, ...) are its children.
+	span trace.SpanID
+}
+
+// phase is where a migration is: queued, on one of the step lists, or
+// finished.
+type phase uint8
+
+const (
+	queued          phase = iota // behind the concurrency cap
+	gracefulMove                 // §4.3's primary hand-off
+	makeBeforeBreak              // a secondary: add the new, then drop the old
+	breakBeforeMake              // a primary without §4.3 (Fig 17's ablation): drop, then add
+	rollingBack                  // undoing a graceful move that failed before its commit
+	finished                     // only its last effects are left to run
+)
+
+// op is one RPC, named as its span and MigrationStep hook are, or one wait.
+type op string
+
+const (
+	prepareAdd   op = "prepare_add_shard"
+	prepareDrop  op = "prepare_drop_shard" // the source forwards to the target
+	addShard     op = "add_shard"
+	dropShard    op = "drop_shard"
+	orphanDrop   op = "drop_orphan"
+	sourceResume op = "resume_shard"
+	loadWait     op = "load_wait"    // ShardLoadTime, while the target loads
+	publishWait  op = "publish_wait" // publishMargin, while clients learn the map
+)
+
+// effect is one thing a transition does besides issuing its next op.
+type effect uint8
+
+const (
+	commit             effect = iota + 1 // re-home the replica to the target and publish
+	orphanTarget                         // the target may hold the shard: make it a pending orphan
+	orphanTargetResume                   // the same, and resume the source once the orphan settles
+	orphanSource                         // the source may still hold the shard: make it a pending orphan
+	succeed                              // finish ok
+	fail                                 // count the failed RPC and finish failed: the emergency plan runs
+	resume                               // resume the source now
+)
+
+// A stepDef is one step: its op, on the target unless atSource, and the
+// effects of its success and of its failure, in order. A failure with no
+// effects carries on as a success would, unless the step rolls back. The
+// last step's success, and every failure with effects, ends the migration.
+type stepDef struct {
+	op           op
+	atSource     bool
+	onOK, onFail []effect
+	rollsBack    bool
+}
+
+// steps are the step lists. An orphan is registered before its migration
+// finishes: finishing failed runs an emergency allocation, whose plan must see
+// the orphan and leave the shard alone. A rolled-back source resumes only once
+// the target provably holds nothing (after the drop, or once the orphan
+// settles), or two primaries could be active at once.
+var steps = [...][]stepDef{
+	gracefulMove: {
+		// Any RPC may have executed though its reply was lost, so a failure
+		// before the commit rolls back even where nothing was added yet.
+		{op: prepareAdd, rollsBack: true},
+		{op: loadWait},
+		{op: prepareDrop, atSource: true, rollsBack: true},
+		{op: addShard, onOK: []effect{commit}, rollsBack: true},
+		{op: publishWait},
+		// The move committed, but an unacknowledged drop may leave the source
+		// forwarding, or serving, unless it is retried.
+		{op: dropShard, atSource: true, onOK: []effect{succeed}, onFail: []effect{orphanSource, succeed}},
+	},
+	makeBeforeBreak: {
+		{op: addShard, onOK: []effect{commit}, onFail: []effect{orphanTarget, fail}},
+		{op: publishWait},
+		{op: dropShard, atSource: true, onOK: []effect{succeed}, onFail: []effect{orphanSource, succeed}},
+	},
+	breakBeforeMake: {
+		{op: dropShard, atSource: true}, // failed: the source is dead already
+		{op: addShard, onOK: []effect{commit, succeed}, onFail: []effect{orphanTarget, fail}},
+	},
+	rollingBack: {
+		{op: dropShard, onOK: []effect{fail, resume}, onFail: []effect{orphanTargetResume, fail}},
+	},
+}
+
+// advance is the migrations' transition function. Given a migration and the
+// outcome of its current step (a wait always succeeds), it returns the
+// migration's next state, the effects to run and the step to issue next (none
+// once it finished). A queued migration starts: a graceful primary move runs
+// §4.3's protocol, a secondary moves make-before-break and any other primary
+// move break-before-make. It reads and writes nothing else.
+func advance(m migration, ok bool) (migration, []effect, stepDef) {
+	if m.phase == queued {
+		m.phase = breakBeforeMake
+		if m.role == shard.RoleSecondary {
+			m.phase = makeBeforeBreak
+		} else if m.graceful && m.role == shard.RolePrimary {
+			m.phase = gracefulMove
+		}
+		return m, nil, steps[m.phase][0]
+	}
+	st := steps[m.phase][m.step]
+	switch {
+	case !ok && st.rollsBack:
+		m.phase, m.step = rollingBack, 0
+		return m, nil, steps[rollingBack][0]
+	case !ok && st.onFail != nil:
+		m.phase = finished
+		return m, st.onFail, stepDef{}
+	case m.step == len(steps[m.phase])-1:
+		m.phase = finished
+		return m, st.onOK, stepDef{}
+	}
+	m.step++
+	return m, st.onOK, steps[m.phase][m.step]
+}
+
 func (o *Orchestrator) enqueueMigration(m migration) {
-	ss := o.shards[m.shard]
-	ss.migrating = true
+	m.phase = queued
+	o.shards[m.shard].mig = &m
 	if tr := o.loop.Tracer(); tr.Enabled() {
 		// The span opens at enqueue so queueing delay behind the
 		// concurrency cap is part of the migration's measured latency.
@@ -830,7 +943,7 @@ func (o *Orchestrator) enqueueMigration(m migration) {
 			trace.String("to", string(m.to)),
 			trace.Bool("graceful", m.graceful))
 	}
-	o.migrationQueue = append(o.migrationQueue, m)
+	o.migrationQueue = append(o.migrationQueue, &m)
 }
 
 // pumpMigrations starts queued migrations up to the concurrency cap.
@@ -839,31 +952,38 @@ func (o *Orchestrator) pumpMigrations() {
 		m := o.migrationQueue[0]
 		o.migrationQueue = o.migrationQueue[1:]
 		o.inFlight++
-		o.runMigration(m)
+		ss := o.shards[m.shard]
+		m.role = ss.replicas[ss.find(m.from)].Role
+		if tr := o.loop.Tracer(); tr.Enabled() {
+			tr.Event("orchestrator", "migration_start", m.span,
+				trace.String("shard", string(m.shard)),
+				trace.String("role", m.role.String()))
+		}
+		o.loop.Metrics().Gauge("orchestrator_migrations_inflight",
+			"app", string(o.cfg.App)).Set(float64(o.inFlight))
+		for _, h := range o.hooks {
+			if h.MigrationStarted != nil {
+				h.MigrationStarted(m.shard, m.from, m.to, m.graceful)
+			}
+		}
+		o.drive(m, true)
 	}
 }
 
-func (o *Orchestrator) finishMigration(m migration, ok bool) {
+func (o *Orchestrator) finishMigration(m *migration, ok bool) {
 	if tr := o.loop.Tracer(); tr.Enabled() {
 		tr.EndSpan(m.span, trace.Bool("ok", ok))
 	}
 	o.inFlight--
-	if mr := o.loop.Metrics(); mr != nil {
-		outcome := "ok"
-		if !ok {
-			outcome = "failed"
-		}
-		mr.Counter("orchestrator_migrations_total", "app", string(o.cfg.App), "outcome", outcome).Inc()
-		mr.Gauge("orchestrator_migrations_inflight", "app", string(o.cfg.App)).Set(float64(o.inFlight))
-	}
+	mr := o.loop.Metrics()
+	mr.Counter("orchestrator_migrations_total", "app", string(o.cfg.App), "outcome", status(ok)).Inc()
+	mr.Gauge("orchestrator_migrations_inflight", "app", string(o.cfg.App)).Set(float64(o.inFlight))
 	for _, h := range o.hooks {
 		if h.MigrationFinished != nil {
 			h.MigrationFinished(m.shard, ok)
 		}
 	}
-	ss := o.shards[m.shard]
-	ss.migrating = false
-	ss.mig = nil
+	o.shards[m.shard].mig = nil
 	if ok {
 		o.ShardMoves.Inc()
 	}
@@ -876,242 +996,152 @@ func (o *Orchestrator) finishMigration(m migration, ok bool) {
 	o.checkDrainsDone()
 }
 
-// runMigration executes one replica move. Graceful primary migration uses
-// the 5-step protocol of §4.3; other moves use make-before-break
-// (add-then-drop) for secondaries, which never reduces read availability,
-// and break-before-make for non-graceful primary moves (the Fig 17
-// ablation), which opens a visible gap.
-func (o *Orchestrator) runMigration(m migration) {
+// drive is the migrations' one executor: it feeds the outcome of m's current
+// step through advance, runs the effects in order and issues the next step.
+func (o *Orchestrator) drive(m *migration, ok bool) {
+	n, effects, next := advance(*m, ok)
+	*m = n
 	ss := o.shards[m.shard]
-	role := ss.replicas[ss.find(m.from)].Role
-	ss.mig = &m
-	if tr := o.loop.Tracer(); tr.Enabled() {
-		tr.Event("orchestrator", "migration_start", m.span,
-			trace.String("shard", string(m.shard)),
-			trace.String("role", role.String()))
-	}
-	o.loop.Metrics().Gauge("orchestrator_migrations_inflight",
-		"app", string(o.cfg.App)).Set(float64(o.inFlight))
-	for _, h := range o.hooks {
-		if h.MigrationStarted != nil {
-			h.MigrationStarted(m.shard, m.from, m.to, m.graceful)
+	for _, e := range effects {
+		switch e {
+		case commit:
+			o.rehomeReplica(ss, ss.find(m.from), m.to)
+			o.publish()
+		case orphanTarget:
+			o.retryCleanup(o.owe(ss, orphanDrop, m.to, ""))
+		case orphanTargetResume:
+			o.retryCleanup(o.owe(ss, orphanDrop, m.to, m.from))
+		case orphanSource:
+			o.retryCleanup(o.owe(ss, orphanDrop, m.from, ""))
+		case succeed:
+			o.finishMigration(m, true)
+		case fail:
+			o.failedRPC()
+			o.finishMigration(m, false)
+		case resume:
+			o.runCleanup(o.owe(ss, sourceResume, m.from, ""))
 		}
 	}
-	fail := func() {
-		o.failedRPC()
-		o.finishMigration(m, false)
+	server, peer := m.to, m.from
+	if next.atSource {
+		server, peer = m.from, m.to
 	}
-	commit := func() {
-		o.rehomeReplica(ss, ss.find(m.from), m.to)
-		o.publish()
-	}
-	// abort rolls back a half-added replica on the target before declaring
-	// the migration failed, so a later plan can reuse the server without
-	// tripping the duplicate-replica guards or leaving a stuck forwarder.
-	// Any step's RPC can have executed on the server even though the reply
-	// was lost, so the rollback can never be fire-and-forget: the target
-	// drop retries until acknowledged (an unacknowledged "failed" add may
-	// be a live orphan primary), and only once the target is provably gone
-	// does the old primary resume serving — resuming earlier could put two
-	// active primaries up at once. As on the other failure paths, the
-	// orphan is registered before fail(): fail runs an emergency
-	// allocation, whose plan must see the orphan and leave the shard alone.
-	abort := func() {
-		o.callStep(m.span, "drop_shard", m.shard, m.to, func(srv *appserver.Server) {
-			srv.DropShard(m.shard)
-		}, func() {
-			fail()
-			o.resumeSource(m.shard, m.from)
-		}, func() {
-			o.scheduleOrphanDrop(m.shard, m.to, func() { o.resumeSource(m.shard, m.from) })
-			fail()
-		})
-	}
-	switch {
-	case m.graceful && role == shard.RolePrimary:
-		// Step 1: prepare_add on the new primary, then give it time to
-		// load the shard's state; the old primary keeps serving. A failed
-		// prepare_add still aborts (not plain fail): the RPC may have
-		// executed, leaving a half-prepared replica to clean up.
-		gen := o.store.NextEpoch()
-		o.callStep(m.span, "prepare_add_shard", m.shard, m.to, func(srv *appserver.Server) {
-			srv.PrepareAddShard(m.shard, m.from, shard.RolePrimary, gen)
-		}, func() {
-			o.loop.AfterL(o.cfg.ShardLoadTime, lbMigrationLoad, func() { o.gracefulStep2(m, commit, abort) })
-		}, abort)
-	case role == shard.RoleSecondary:
-		// Make-before-break: add the new secondary, then drop the old.
-		gen := o.store.NextEpoch()
-		o.callStep(m.span, "add_shard", m.shard, m.to, func(srv *appserver.Server) {
-			srv.AddShard(m.shard, shard.RoleSecondary, gen)
-		}, func() {
-			commit()
-			o.loop.AfterL(publishMargin, lbPublishMargin, func() {
-				o.callStep(m.span, "drop_shard", m.shard, m.from, func(srv *appserver.Server) {
-					srv.DropShard(m.shard)
-				}, func() { o.finishMigration(m, true) },
-					func() {
-						o.scheduleOrphanDrop(m.shard, m.from, nil)
-						o.finishMigration(m, true)
-					})
-			})
-		}, func() {
-			o.scheduleOrphanDrop(m.shard, m.to, nil)
-			fail()
-		})
+	switch next.op {
+	case "":
+	case loadWait:
+		o.loop.AfterL(o.cfg.ShardLoadTime, lbMigrationLoad, func() { o.drive(m, true) })
+	case publishWait:
+		o.loop.AfterL(publishMargin, lbPublishMargin, func() { o.drive(m, true) })
 	default:
-		// Non-graceful primary move: drop, then add. SM's guarantee
-		// that no two servers serve the same shard forces the gap.
-		addNew := func() {
-			gen := o.store.NextEpoch()
-			o.callStep(m.span, "add_shard", m.shard, m.to, func(srv *appserver.Server) {
-				srv.AddShard(m.shard, role, gen)
-			}, func() {
-				commit()
-				o.finishMigration(m, true)
-			}, func() {
-				o.scheduleOrphanDrop(m.shard, m.to, nil)
-				fail()
-			})
+		o.callStep(m.span, next.op, m.shard, server, peer, m.role, m, nil)
+	}
+}
+
+// A cleanup is an RPC the control plane owes one server of a shard until the
+// server acknowledges it or no longer needs it: the drop of a replica a
+// migration may have left behind (an orphan: an RPC can execute yet report
+// failure when the reply is lost, and an orphaned active primary is invisible
+// to the replica lists), the resume of an aborted hand-off's source (its
+// prepare_drop may have executed, leaving it forwarding to a target that no
+// longer holds the shard), or an add the published map already promises
+// (clients route to it; an unrepaired replica bounces them with not-owner).
+// Each is retried every orphanRetry by runCleanup until it settles.
+type cleanup struct {
+	ss     *shardState
+	op     op // orphanDrop, sourceResume or addShard
+	server shard.ServerID
+	then   shard.ServerID // an orphan drop's: the source its settling resumes
+}
+
+// owe records a cleanup on ss.
+func (o *Orchestrator) owe(ss *shardState, op op, server, then shard.ServerID) *cleanup {
+	c := &cleanup{ss: ss, op: op, server: server, then: then}
+	ss.cleanups = append(ss.cleanups, c)
+	return c
+}
+
+// orphaned reports whether the shard has a pending orphan.
+func (ss *shardState) orphaned() bool {
+	return slices.ContainsFunc(ss.cleanups, func(c *cleanup) bool { return c.op == orphanDrop })
+}
+
+// facts decide a cleanup: whether a migration of the shard is queued or
+// started, has started, has started and moves the shard to or from the
+// server; whether the replica list names the server; whether it is alive; and
+// whether the shard has a pending orphan.
+type facts struct {
+	migrating, started, owned, listed, alive, orphaned bool
+}
+
+// decide is a cleanup's rule: whether it is still owed and, if so, whether
+// its RPC goes out now rather than after orphanRetry. An orphan drop settles
+// once a started migration owns the server's replica state, the server
+// legitimately holds the shard again, or it died (its replicas die with the process; a rejoin runs
+// SyncAssignment). Re-engaging is narrow: executeDiff starts nothing on a
+// shard with a pending orphan and every orphan is registered before its
+// migration finishes, so the one writer that can list a pending orphan's
+// server again is the commit of a migration enqueued before the orphan was
+// registered, which added the shard there under a newer generation. A resume
+// settles once a started migration or another assignment supersedes it or the
+// server died, and waits while any orphan is pending: an orphan may be an
+// active primary, and resuming next to it would put two primaries up at once
+// (ResumeShard itself no-ops unless the replica forwards). An add waits while
+// a migration owns the shard's transitions and settles once the replica is
+// re-assigned or the server died.
+func decide(op op, f facts) (owed, now bool) {
+	switch {
+	case op == orphanDrop && (f.owned || f.listed || !f.alive),
+		op == sourceResume && (f.started || !f.listed || !f.alive),
+		op == addShard && !f.migrating && (!f.listed || !f.alive):
+		return false, false
+	case op == sourceResume && f.orphaned, op == addShard && f.migrating:
+		return true, false
+	}
+	return true, true
+}
+
+// runCleanup decides c and carries the verdict out.
+func (o *Orchestrator) runCleanup(c *cleanup) {
+	ss, st, m := c.ss, o.servers[c.server], c.ss.mig
+	i := ss.find(c.server)
+	f := facts{migrating: m != nil, listed: i != -1, alive: st != nil && st.alive, orphaned: ss.orphaned()}
+	f.started = m != nil && m.phase != queued
+	f.owned = f.started && (m.from == c.server || m.to == c.server)
+	switch owed, now := decide(c.op, f); {
+	case !owed:
+		o.settle(c)
+	case !now:
+		o.retryCleanup(c)
+	default:
+		var role shard.Role
+		if c.op == addShard {
+			role = ss.replicas[i].Role
 		}
-		o.callStep(m.span, "drop_shard", m.shard, m.from, func(srv *appserver.Server) {
-			srv.DropShard(m.shard)
-		}, addNew, func() {
-			// Old server is already dead; just add the new one.
-			addNew()
-		})
+		o.callStep(o.curAlloc, c.op, ss.cfg.ID, c.server, "", role, nil, c)
 	}
 }
 
-// gracefulStep2 continues a graceful primary migration after the new
-// primary finished loading: prepare_drop on the old (it starts forwarding),
-// add_shard on the new, publish, and finally drop the old replica. fail is
-// the caller's rollback path (drops the half-added target replica).
-func (o *Orchestrator) gracefulStep2(m migration, commit func(), fail func()) {
-	// Step 2: prepare_drop on the old; it starts forwarding.
-	o.callStep(m.span, "prepare_drop_shard", m.shard, m.from, func(srv *appserver.Server) {
-		srv.PrepareDropShard(m.shard, m.to, shard.RolePrimary)
-	}, func() {
-		// Step 3: add_shard on the new primary.
-		gen := o.store.NextEpoch()
-		o.callStep(m.span, "add_shard", m.shard, m.to, func(srv *appserver.Server) {
-			srv.AddShard(m.shard, shard.RolePrimary, gen)
-		}, func() {
-			// Step 4: publish the new map.
-			commit()
-			// Step 5: drop the old replica once clients have
-			// learned the new map.
-			o.loop.AfterL(publishMargin, lbPublishMargin, func() {
-				o.callStep(m.span, "drop_shard", m.shard, m.from, func(srv *appserver.Server) {
-					srv.DropShard(m.shard)
-				}, func() {
-					o.finishMigration(m, true)
-				}, func() {
-					// The migration still succeeded, but the old
-					// replica may survive an unacknowledged drop
-					// (e.g. the reply was lost): keep retrying so
-					// it cannot forward — or serve — forever.
-					o.scheduleOrphanDrop(m.shard, m.from, nil)
-					o.finishMigration(m, true)
-				})
-			})
-		}, fail)
-	}, fail)
+// retryCleanup runs c again after orphanRetry.
+func (o *Orchestrator) retryCleanup(c *cleanup) {
+	o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.runCleanup(c) })
 }
 
-// scheduleOrphanDrop arms a retry for a cleanup drop that failed: the
-// replica on id may still exist (an RPC can execute yet report failure when
-// the reply is lost), and an orphaned active primary is invisible to the
-// replica lists, so nothing else would ever reclaim it. The server is
-// registered as a pending orphan of the shard — resumeSource refuses to resume
-// an old primary while any orphan is pending. then (optional) runs once the
-// orphan is resolved (drop acknowledged, server died, or a newer migration
-// took the server over).
-func (o *Orchestrator) scheduleOrphanDrop(s shard.ID, id shard.ServerID, then func()) {
-	if ss := o.shards[s]; ss != nil {
-		if ss.orphans == nil {
-			ss.orphans = make(map[shard.ServerID]bool)
-		}
-		ss.orphans[id] = true
+// settle removes c from its shard; an orphan drop's settling resumes the
+// source it names.
+func (o *Orchestrator) settle(c *cleanup) {
+	i := slices.Index(c.ss.cleanups, c)
+	c.ss.cleanups = slices.Delete(c.ss.cleanups, i, i+1)
+	if c.then != "" {
+		o.runCleanup(o.owe(c.ss, sourceResume, c.then, ""))
 	}
-	o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.dropOrphan(s, id, then) })
 }
 
-// dropOrphan retries a drop_shard until the server acknowledges it, dies
-// (its replicas die with the process; a rejoin runs SyncAssignment), or
-// legitimately re-engages with the shard. Every exit path clears the
-// shard's pending-orphan mark and fires then.
-//
-// Re-engaging is narrow. executeDiff starts no add or move on a shard with a
-// pending orphan, and every failure path registers its orphan before fail()
-// runs the emergency plan. So the one writer that can still put a pending
-// orphan's server back into the replica list is runMigration's commit
-// (rehomeReplica) of a migration enqueued before the orphan was registered.
-// That migration added the shard on the server under a newer generation.
-func (o *Orchestrator) dropOrphan(s shard.ID, id shard.ServerID, then func()) {
-	ss := o.shards[s]
-	if ss == nil {
-		return
+// status names an RPC's or a migration's outcome.
+func status(ok bool) string {
+	if ok {
+		return "ok"
 	}
-	resolved := func() {
-		delete(ss.orphans, id)
-		if then != nil {
-			then()
-		}
-	}
-	if ss.mig != nil && (ss.mig.to == id || ss.mig.from == id) {
-		resolved() // a live migration owns this server's replica state now
-		return
-	}
-	if ss.find(id) != -1 {
-		resolved() // the server legitimately holds the shard again
-		return
-	}
-	st := o.servers[id]
-	if st == nil || !st.alive {
-		resolved() // death or the rejoin sync cleans up
-		return
-	}
-	o.callStep(o.curAlloc, "drop_orphan", s, id, func(srv *appserver.Server) {
-		srv.DropShard(s)
-	}, func() {
-		o.loop.Metrics().Counter("orchestrator_orphan_drops_total",
-			"app", string(o.cfg.App)).Inc()
-		resolved()
-	}, func() {
-		o.failedRPC()
-		o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.dropOrphan(s, id, then) })
-	})
-}
-
-// resumeSource returns an aborted graceful migration's old primary to active
-// serving: its prepare_drop may have executed (leaving it forwarding to a
-// target that no longer holds the shard) even though the reply was lost.
-// Safe to issue blindly — ResumeShard no-ops unless the replica is
-// forwarding. It waits out any pending orphan of the shard first: an orphan
-// may be an active primary, and resuming next to it would put two primaries
-// up at once. Retries until acknowledged: a stuck forwarder bounces every
-// client of the shard.
-func (o *Orchestrator) resumeSource(s shard.ID, id shard.ServerID) {
-	ss := o.shards[s]
-	if ss == nil || ss.mig != nil || ss.find(id) == -1 {
-		return // superseded: a newer migration or assignment owns the shard
-	}
-	st := o.servers[id]
-	if st == nil || !st.alive {
-		return
-	}
-	if len(ss.orphans) > 0 {
-		o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.resumeSource(s, id) })
-		return
-	}
-	gen := o.store.NextEpoch()
-	o.callStep(o.curAlloc, "resume_shard", s, id, func(srv *appserver.Server) {
-		srv.ResumeShard(s, gen)
-	}, nil, func() {
-		o.failedRPC()
-		o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.resumeSource(s, id) })
-	})
+	return "failed"
 }
 
 // failedRPC counts one failed orchestrator->server RPC in both the legacy
@@ -1124,93 +1154,69 @@ func (o *Orchestrator) failedRPC() {
 
 // call performs an orchestrator->server RPC: handle runs at the server,
 // done runs back home after the round trip, fail runs if the server is
-// unreachable.
+// unreachable. None may be nil.
 func (o *Orchestrator) call(id shard.ServerID, handle func(*appserver.Server), done func(), fail func()) {
 	o.net.Call(o.cfg.HomeRegion, rpcnet.Endpoint(id), func() {
 		if srv := o.dir.Lookup(id); srv != nil {
 			handle(srv)
 		}
-	}, func(time.Duration) {
-		if done != nil {
-			done()
-		}
-	}, func() {
-		if fail != nil {
-			fail()
-		}
-	})
+	}, func(time.Duration) { done() }, fail)
 }
 
-// callStep performs one shard-lifecycle RPC as a traced child span of
-// parent, so a migration reads as its protocol steps in the trace viewer.
-// The step's completion (ok or failed) also fires the MigrationStep hook.
-func (o *Orchestrator) callStep(parent trace.SpanID, step string, s shard.ID, id shard.ServerID,
-	handle func(*appserver.Server), done func(), fail func()) {
+// callStep performs one shard-lifecycle RPC, step on server about shard s
+// (peer: prepare_add's current owner, prepare_drop's new owner), as a traced
+// child span of parent, so a migration reads as its protocol steps in the
+// trace viewer. A grant draws its generation here. The outcome fires the
+// MigrationStep hook and goes to the record that sent the RPC: the migration
+// m, or else the cleanup c, which settles or is retried.
+func (o *Orchestrator) callStep(parent trace.SpanID, step op, s shard.ID, server, peer shard.ServerID,
+	role shard.Role, m *migration, c *cleanup) {
+	var gen int64
+	if step == prepareAdd || step == addShard || step == sourceResume {
+		gen = o.store.NextEpoch()
+	}
 	tr := o.loop.Tracer()
 	var sp trace.SpanID
 	if tr.Enabled() {
-		sp = tr.StartSpan("orchestrator", step, parent, trace.String("server", string(id)))
+		sp = tr.StartSpan("orchestrator", string(step), parent, trace.String("server", string(server)))
 	}
-	stepDone := func(status string) {
+	report := func(ok bool) {
+		if tr.Enabled() {
+			tr.EndSpan(sp, trace.String("status", status(ok)))
+		}
 		for _, h := range o.hooks {
 			if h.MigrationStep != nil {
-				h.MigrationStep(s, step, id, status)
+				h.MigrationStep(s, string(step), server, status(ok))
 			}
 		}
-	}
-	o.call(id, handle, func() {
-		if tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", "ok"))
-		}
-		stepDone("ok")
-		if done != nil {
-			done()
-		}
-	}, func() {
-		if tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", "failed"))
-		}
-		stepDone("failed")
-		if fail != nil {
-			fail()
-		}
-	})
-}
-
-func (o *Orchestrator) rpcAddShard(id shard.ServerID, s shard.ID, role shard.Role) {
-	gen := o.store.NextEpoch()
-	o.callStep(o.curAlloc, "add_shard", s, id,
-		func(srv *appserver.Server) { srv.AddShard(s, role, gen) }, nil, func() {
+		switch {
+		case m != nil:
+			o.drive(m, ok)
+		case !ok:
 			o.failedRPC()
-			o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.retryAdd(s, id) })
-		})
-}
-
-// retryAdd re-issues an add_shard whose RPC failed while the shard's replica
-// list still names the server: the published map already promises the
-// replica there, so clients route to it — an unrepaired replica bounces them
-// with not-owner until something else happens to move the shard. Retries
-// stop once the replica is reassigned or the server dies; an add that executed
-// even though its reply was lost makes the retry an idempotent no-op.
-func (o *Orchestrator) retryAdd(s shard.ID, id shard.ServerID) {
-	ss := o.shards[s]
-	if ss == nil {
-		return
+			o.retryCleanup(c)
+		default:
+			if step == orphanDrop {
+				o.loop.Metrics().Counter("orchestrator_orphan_drops_total",
+					"app", string(o.cfg.App)).Inc()
+			}
+			o.settle(c)
+		}
 	}
-	if ss.migrating {
-		// A migration owns this shard's transitions; re-check after it.
-		o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.retryAdd(s, id) })
-		return
-	}
-	i := ss.find(id)
-	if i == -1 {
-		return // replica reassigned; the map no longer promises it here
-	}
-	st := o.servers[id]
-	if st == nil || !st.alive {
-		return // death or the rejoin sync reconciles
-	}
-	o.rpcAddShard(id, s, ss.replicas[i].Role)
+	o.call(server, func(srv *appserver.Server) {
+		switch step {
+		case prepareAdd:
+			srv.PrepareAddShard(s, peer, role, gen)
+		case prepareDrop:
+			srv.PrepareDropShard(s, peer, role)
+		case addShard:
+			srv.AddShard(s, role, gen)
+		case sourceResume:
+			srv.ResumeShard(s, gen)
+		default:
+			srv.DropShard(s)
+		}
+	}, func() { report(true) }, func() { report(false) })
 }
 
 // rpcChangeRole issues a change_role RPC; done, if not nil, runs with true
@@ -1288,7 +1294,7 @@ func (o *Orchestrator) publish() {
 		d.Set(id, ss.replicas)
 		// The mutators marked the servers the change touched; the shard's
 		// other servers get their (unchanged) node rewritten as well, because
-		// coord's write count is part of the seeded record (ROADMAP 1(d)).
+		// coord's write count is part of the seeded record (ROADMAP 3(b)).
 		for _, a := range ss.replicas {
 			if st := o.servers[a.Server]; st != nil {
 				st.nodeStale = true
@@ -1503,7 +1509,7 @@ func (o *Orchestrator) DemotePrimaries(id shard.ServerID) {
 	changed := false
 	for _, ss := range o.shardsOn(st) {
 		i := ss.find(id)
-		if ss.migrating || ss.replicas[i].Role != shard.RolePrimary {
+		if ss.mig != nil || ss.replicas[i].Role != shard.RolePrimary {
 			continue
 		}
 		// Find an alive secondary to promote.
@@ -1550,10 +1556,6 @@ func (o *Orchestrator) DemotePrimaries(id shard.ServerID) {
 		o.publish()
 	}
 }
-
-// ForceAllocate triggers an immediate allocation (exposed for tests and
-// the smbench harness).
-func (o *Orchestrator) ForceAllocate(mode allocator.Mode) { o.allocate(mode) }
 
 // Stats returns a human-readable summary for smctl.
 func (o *Orchestrator) Stats() string {

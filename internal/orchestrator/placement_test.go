@@ -151,6 +151,16 @@ func checkIndex(t *testing.T, w *world, when string) {
 			t.Fatalf("%s: %s's migration from %s is queued, but %s holds no replica of it", when, mg.shard, mg.from, mg.from)
 		}
 	}
+	// Every migration that left the queue, and no other, is in flight.
+	started := 0
+	for _, ss := range w.orch.shards {
+		if ss.mig != nil && ss.mig.phase != queued {
+			started++
+		}
+	}
+	if started != w.orch.inFlight {
+		t.Fatalf("%s: %d migrations have left the queue, %d are in flight", when, started, w.orch.inFlight)
+	}
 }
 
 // pubAudit checks every publication of one orchestrator; see auditPublications.
@@ -290,8 +300,8 @@ func TestStopReleasesQueuedMigrations(t *testing.T) {
 	w.loop.RunFor(10 * time.Minute)
 
 	for id, ss := range w.orch.shards {
-		if ss.migrating {
-			t.Errorf("%s is still marked migrating (mig %v)", id, ss.mig)
+		if ss.mig != nil {
+			t.Errorf("%s still holds a migration (%+v)", id, *ss.mig)
 		}
 	}
 	if n := w.orch.ShardsOnServer(victim); n != 0 || !drained {

@@ -113,7 +113,7 @@ func TestStalledAssignmentWriteHealsOnNextPublish(t *testing.T) {
 	cfg.AllocInterval = time.Hour // after the initial placement, only the scripted moves
 	w := buildWorld(t, []topology.RegionID{"r1"}, 4, cfg)
 	w.loop.RunFor(2 * time.Minute) // servers come up
-	w.orch.ForceAllocate(allocator.Periodic)
+	w.orch.allocate(allocator.Periodic)
 	w.loop.RunFor(3 * time.Minute)
 	assertConverged(t, w, 2)
 	m := w.orch.AssignmentSnapshot()

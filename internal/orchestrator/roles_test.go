@@ -1,9 +1,11 @@
 package orchestrator
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"shardmanager/internal/allocator"
 	"shardmanager/internal/cluster"
 	"shardmanager/internal/metrics"
 	"shardmanager/internal/rpcnet"
@@ -165,7 +167,7 @@ func TestMigrationTargetDiesMidFlight(t *testing.T) {
 	for _, id := range w.orch.ShardIDs() {
 		w.orch.SetRegionPreference(id, "r2", 300)
 	}
-	w.orch.ForceAllocate(0) // Periodic
+	w.orch.allocate(allocator.Periodic)
 	// Kill r2 during the migrations' state-load window (prepare_add has
 	// been sent; add_shard has not), so the protocol aborts mid-flight.
 	w.loop.RunFor(5 * time.Second)
@@ -244,7 +246,9 @@ func TestFailedRollbackRegistersOrphanBeforeEmergencyPlan(t *testing.T) {
 				return
 			}
 			finished = true
-			orphanAtFinish = w.orch.shards[s].orphans[target]
+			orphanAtFinish = slices.ContainsFunc(w.orch.shards[s].cleanups, func(c *cleanup) bool {
+				return c.op == orphanDrop && c.server == target
+			})
 			// The emergency plan runs right after this hook, in the same
 			// event; look at the replica list once it is done.
 			w.loop.AfterL(0, 0, func() { targetHeldAfter = w.orch.shards[s].find(target) != -1 })
