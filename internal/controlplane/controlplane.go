@@ -31,14 +31,6 @@ const (
 	Geo
 )
 
-// String returns the kind name.
-func (k Kind) String() string {
-	if k == Geo {
-		return "geo-distributed"
-	}
-	return "regional"
-}
-
 // AppSpec registers an application with the control plane.
 type AppSpec struct {
 	App     shard.AppID

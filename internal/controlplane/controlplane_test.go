@@ -149,12 +149,6 @@ func TestNewPanicsOnBadLimits(t *testing.T) {
 	New(Limits{})
 }
 
-func TestKindString(t *testing.T) {
-	if Regional.String() != "regional" || Geo.String() != "geo-distributed" {
-		t.Fatal("kind names wrong")
-	}
-}
-
 // --- chunk boundary behavior ---
 
 // TestChunkPartitionsExactly pins chunk's off-by-one behavior: the parts sum

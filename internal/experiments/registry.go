@@ -23,17 +23,6 @@ const (
 	ScaleStress
 )
 
-// String returns the scale name.
-func (s Scale) String() string {
-	switch s {
-	case ScaleFull:
-		return "full"
-	case ScaleStress:
-		return "stress"
-	}
-	return "quick"
-}
-
 // RunConfig is everything a caller can vary about one experiment run. The
 // zero value runs at ScaleQuick with no instruments attached and every
 // experiment's built-in parameters.

@@ -63,8 +63,8 @@ type TortureParams struct {
 	MaxBugNotes int
 }
 
-// DefaultTortureParams return the standard sweep sizing (the full sweep;
-// `make audit-torture` and check.sh scale Seeds down for smokes).
+// DefaultTortureParams return the standard sweep sizing (the full sweep that
+// `make audit-torture` runs; the quick scale sweeps seeds 1-40).
 func DefaultTortureParams() TortureParams {
 	return TortureParams{
 		Seeds:            500,

@@ -67,8 +67,8 @@ func (st *Status) Render() string {
 	if len(st.Regions) > 0 {
 		b.WriteString("\ncluster\n")
 		for _, r := range st.Regions {
-			fmt.Fprintf(&b, "  region %-8s containers %d running, %d starts, %d stops (%d unplanned), %d maintenance\n",
-				r.Region, r.Running, r.Starts, r.Stops, r.Unplanned, r.Maintenance)
+			fmt.Fprintf(&b, "  region %-8s containers %d running, %d starts, %d stops (%d unplanned)\n",
+				r.Region, r.Running, r.Starts, r.Stops, r.Unplanned)
 		}
 	}
 	return b.String()

@@ -2,7 +2,7 @@
 // aggregates signals from the orchestrator (migrations, role changes, map
 // publications), application servers and routing clients (per-request
 // outcomes), service discovery (map propagation staleness), and the cluster
-// manager (container churn, maintenance) into live per-app shard
+// manager (container churn) into live per-app shard
 // availability, SLO burn-rate windows, violation intervals, and
 // per-failure-domain breakdowns — the §8.1 evaluation numbers, computed
 // continuously on the simulated clock instead of ad hoc per experiment.
@@ -84,11 +84,10 @@ type appHealth struct {
 
 // regionHealth is the monitor's state for one cluster-manager region.
 type regionHealth struct {
-	running     int64
-	starts      int64
-	stops       int64
-	unplanned   int64
-	maintenance int64
+	running   int64
+	starts    int64
+	stops     int64
+	unplanned int64
 }
 
 // Monitor aggregates health signals. Create with New, attach with the
@@ -262,13 +261,10 @@ func (m *Monitor) WatchDiscovery(s *discovery.Service) {
 	})
 }
 
-// WatchManager observes one region's container lifecycle and maintenance
-// notices. Listeners are append-only and RNG-free, so this is safe on a
-// seeded run.
+// WatchManager observes one region's container lifecycle. Listeners are
+// append-only and RNG-free, so this is safe on a seeded run.
 func (m *Monitor) WatchManager(mgr *cluster.Manager) {
-	w := &clusterWatch{m: m, region: mgr.Region}
-	mgr.AddListener(w)
-	mgr.AddMaintenanceListener(w)
+	mgr.AddListener(&clusterWatch{m: m, region: mgr.Region})
 }
 
 type clusterWatch struct {
@@ -289,10 +285,6 @@ func (w *clusterWatch) ContainerStopping(c cluster.Container, reason string) {
 	if reason == "machine-failure" {
 		r.unplanned++
 	}
-}
-
-func (w *clusterWatch) MaintenanceScheduled(region topology.RegionID, ev cluster.MaintenanceEvent) {
-	w.m.region(region).maintenance++
 }
 
 // --- cross-check accessors ---
@@ -357,12 +349,11 @@ type AppStatus struct {
 
 // RegionStatus is the health snapshot of one cluster region.
 type RegionStatus struct {
-	Region      topology.RegionID
-	Running     int64
-	Starts      int64
-	Stops       int64
-	Unplanned   int64
-	Maintenance int64
+	Region    topology.RegionID
+	Running   int64
+	Starts    int64
+	Stops     int64
+	Unplanned int64
 }
 
 // Status is a point-in-time health snapshot.
@@ -393,12 +384,11 @@ func (m *Monitor) Snapshot() *Status {
 	for _, id := range regions {
 		r := m.regions[id]
 		st.Regions = append(st.Regions, RegionStatus{
-			Region:      id,
-			Running:     r.running,
-			Starts:      r.starts,
-			Stops:       r.stops,
-			Unplanned:   r.unplanned,
-			Maintenance: r.maintenance,
+			Region:    id,
+			Running:   r.running,
+			Starts:    r.starts,
+			Stops:     r.stops,
+			Unplanned: r.unplanned,
 		})
 	}
 	return st

@@ -298,6 +298,7 @@ func TestTwoAppsShareFleetIndependently(t *testing.T) {
 		}),
 		Policy:         pol,
 		ServerCapacity: topology.Capacity{topology.ResourceShardCount: 100},
+		HomeRegion:     "r1",
 	}
 	qBacking := apps.NewQueueBacking()
 	host2 := appserver.NewHost(d1.Loop, d1.Net, d1.Dir, d1.Store, d1.Fleet, "second", "second-job",

@@ -283,6 +283,7 @@ func TestLoadReportsMatchFullScan(t *testing.T) {
 func benchCollection(b *testing.B, shards int) (*Orchestrator, *appserver.Server) {
 	const servers = 40
 	cfg := baseConfig(shard.SecondaryOnly, shards, 2)
+	cfg.HomeRegion = "r1"
 	fleet := topology.Build(topology.Spec{Regions: []topology.RegionID{"r1"}, MachinesPerRegion: servers})
 	loop := sim.NewLoop(1)
 	store := coord.NewStore()

@@ -72,6 +72,7 @@ type Config struct {
 	// ServerCapacity is the per-server capacity used for balancing.
 	ServerCapacity topology.Capacity
 	// HomeRegion is where this mini-SM runs (RPC latency origin).
+	// experiments.Build defaults it to the deployment's last region.
 	HomeRegion topology.RegionID
 	// GracefulMigration enables the §4.3 protocol for primary moves;
 	// disabling it is the "no graceful migration" ablation of Fig 17.
@@ -248,9 +249,6 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 	cfg.fillDefaults()
 	if cfg.FailoverGrace <= promoteHold {
 		panic(fmt.Sprintf("orchestrator: FailoverGrace %v must exceed the promote hold %v", cfg.FailoverGrace, promoteHold))
-	}
-	if cfg.HomeRegion == "" {
-		cfg.HomeRegion = fleet.Regions()[0]
 	}
 	o := &Orchestrator{
 		cfg:      cfg,

@@ -79,6 +79,7 @@ func buildWorldOf(t *testing.T, regions []topology.RegionID, serversPerRegion in
 		w.host = host
 		mgr.CreateJob(job, serversPerRegion)
 	}
+	cfg.HomeRegion = regions[0]
 	w.orch = New(loop, w.store, w.disc, w.net, w.dir, fleet, cfg, 1)
 	w.orch.Start()
 	return w

@@ -323,6 +323,7 @@ func TestStopReleasesQueuedMigrations(t *testing.T) {
 // assignment node costs the same to rewrite.
 func benchPlacement(b *testing.B, shards, servers int) (*Orchestrator, []int) {
 	cfg := baseConfig(shard.SecondaryOnly, shards, 2)
+	cfg.HomeRegion = "r1"
 	fleet := topology.Build(topology.Spec{Regions: []topology.RegionID{"r1"}, MachinesPerRegion: servers})
 	loop := sim.NewLoop(1)
 	store := coord.NewStore()

@@ -55,9 +55,6 @@ type LinkFault struct {
 	DropProb float64
 }
 
-// partitioned reports whether the fault drops every message.
-func (f LinkFault) partitioned() bool { return f.DropProb >= 1 }
-
 // active reports whether the fault changes anything.
 func (f LinkFault) active() bool {
 	return f.DropProb > 0 || f.LatencyAdd > 0 || (f.LatencyScale > 0 && f.LatencyScale != 1)
@@ -253,16 +250,10 @@ func (n *Network) ClearLinkFault(from, to topology.RegionID) {
 	delete(n.faults, n.link(from, to))
 }
 
-// LinkFaultOn returns the fault installed on the directed link (zero value
-// when healthy).
-func (n *Network) LinkFaultOn(from, to topology.RegionID) LinkFault {
-	return n.faults[n.link(from, to)]
-}
-
 // Partitioned reports whether the directed link from -> to currently drops
 // all traffic.
 func (n *Network) Partitioned(from, to topology.RegionID) bool {
-	return n.LinkFaultOn(from, to).partitioned()
+	return n.faults[n.link(from, to)].DropProb >= 1
 }
 
 // Delay returns one sampled one-way latency between two regions, including

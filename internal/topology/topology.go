@@ -86,7 +86,6 @@ func (m *Machine) Domain(level FaultDomainLevel) string {
 type Fleet struct {
 	machines map[MachineID]*Machine
 	order    []MachineID
-	regions  []RegionID // regions that hold a machine, in first-seen order
 
 	// names numbers every region name the fleet has been asked about —
 	// machines' regions, SetLatency's, and whatever RegionIndex was handed
@@ -118,17 +117,7 @@ func (f *Fleet) AddMachine(m *Machine) {
 	}
 	f.machines[m.ID] = m
 	f.order = append(f.order, m.ID)
-	found := false
-	for _, r := range f.regions {
-		if r == m.Region {
-			found = true
-			break
-		}
-	}
-	if !found {
-		f.regions = append(f.regions, m.Region)
-		f.RegionIndex(m.Region)
-	}
+	f.RegionIndex(m.Region)
 }
 
 // Machine returns the machine with the given ID, or nil.
@@ -156,13 +145,6 @@ func (f *Fleet) MachinesInDomain(level FaultDomainLevel, name string) []*Machine
 			out = append(out, m)
 		}
 	}
-	return out
-}
-
-// Regions returns the regions present, in first-seen order.
-func (f *Fleet) Regions() []RegionID {
-	out := make([]RegionID, len(f.regions))
-	copy(out, f.regions)
 	return out
 }
 

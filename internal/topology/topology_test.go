@@ -22,9 +22,8 @@ func TestBuildCounts(t *testing.T) {
 	if got := len(f.MachinesInRegion("frc")); got != 8 {
 		t.Fatalf("frc machines = %d, want 8", got)
 	}
-	regions := f.Regions()
-	if len(regions) != 2 || regions[0] != "frc" || regions[1] != "prn" {
-		t.Fatalf("Regions = %v", regions)
+	if len(f.names) != 2 || f.RegionIndex("frc") != 0 || f.RegionIndex("prn") != 1 {
+		t.Fatalf("regions numbered %v, want [frc prn]", f.names)
 	}
 }
 
@@ -46,7 +45,7 @@ func TestDomainNamesAreGloballyUnique(t *testing.T) {
 	f := testFleet()
 	// rack00 exists in both regions but the qualified names must differ.
 	domains := make(map[string]bool)
-	for _, r := range f.Regions() {
+	for _, r := range []RegionID{"frc", "prn"} {
 		for _, m := range f.MachinesInRegion(r) {
 			domains[m.Domain(LevelRack)] = true
 		}

@@ -53,8 +53,13 @@ echo "== go test -race (all packages except sim-heavy experiments)"
 go test -race $(go list ./... | grep -v 'internal/experiments$')
 echo "== go test ./internal/experiments"
 go test ./internal/experiments
-echo "== audit torture smoke (12 seeds, must be violation-free)"
-go run ./cmd/smbench -fig torture -torture-seeds 12 -fail-on-bugs
+echo "== every function a run enters, or listed with its reason (scripts/deploycover.sh)"
+# The commands, examples and bench workloads run under coverage; a non-test
+# function under internal/ that none of them enters must be on
+# scripts/unreached.txt, and every entry there must still be unentered. Its
+# smbench -fig all -scale quick run sweeps torture seeds 1-40 with
+# -fail-on-bugs, so it is also the audit smoke.
+sh scripts/deploycover.sh
 echo "== layer-drive smokes (-benchtime=1x: compiled and run once, never timed against a committed number)"
 go test ./internal/solver -run '^$' -bench . -benchtime=1x
 go test ./internal/sim -run '^$' -bench LoopScheduleAndRun -benchtime=1x
