@@ -1158,7 +1158,7 @@ func (o *Orchestrator) call(id shard.ServerID, handle func(*appserver.Server), d
 		if srv := o.dir.Lookup(id); srv != nil {
 			handle(srv)
 		}
-	}, func(time.Duration) { done() }, fail)
+	}, done, fail)
 }
 
 // callStep performs one shard-lifecycle RPC, step on server about shard s

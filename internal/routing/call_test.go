@@ -318,7 +318,7 @@ func pickServerReference(c *Client, s shard.ID, write bool, tried map[shard.Serv
 		if tried[a.Server] {
 			continue
 		}
-		lat := c.fleet.Latency(c.fleet.RegionName(c.region), c.net.Region(rpcnet.Endpoint(a.Server)))
+		lat := c.fleet.LatencyAt(c.region, c.fleet.RegionIndex(c.net.Region(rpcnet.Endpoint(a.Server))))
 		cands = append(cands, cand{srv: a.Server, lat: lat, tie: c.rng.Uint64()})
 	}
 	if len(cands) == 0 {

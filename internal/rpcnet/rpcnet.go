@@ -72,7 +72,6 @@ type linkKey struct {
 // restart re-registers the same record, possibly in another region, and the
 // holder sees that through it.
 type Peer struct {
-	name   Endpoint
 	region topology.RegionID
 	ri     int  // region's number in the fleet
 	known  bool // registered at least once, so region means something
@@ -120,9 +119,7 @@ type Network struct {
 type envelope struct {
 	n       *Network
 	to      *Peer
-	sp      trace.SpanID
 	sentAt  time.Duration
-	status  string
 	fn      func(any)
 	arg     any
 	onFail  func(any)
@@ -152,10 +149,9 @@ type callState struct {
 	n      *Network
 	from   int // the caller's region number
 	to     *Peer
-	start  time.Duration
 	sp     trace.SpanID
 	handle func()
-	done   func(time.Duration)
+	done   func()
 	fail   func()
 	next   *callState
 }
@@ -196,7 +192,7 @@ func NewNetwork(loop *sim.Loop, fleet *topology.Fleet) *Network {
 func (n *Network) Peer(e Endpoint) *Peer {
 	p := n.peers[e]
 	if p == nil {
-		p = &Peer{name: e, ri: n.noRegion}
+		p = &Peer{ri: n.noRegion}
 		n.peers[e] = p
 	}
 	return p
@@ -337,24 +333,15 @@ func (n *Network) SendTo(from int, to *Peer, fn func(any), arg any, onFail func(
 	} else {
 		d = n.delayAt(from, from)
 	}
-	tr := n.loop.Tracer()
-	var sp trace.SpanID
-	if tr.Enabled() {
-		sp = tr.StartSpan("rpcnet", "send", 0,
-			trace.String("from", string(n.fleet.RegionName(from))),
-			trace.String("to", string(to.name)))
-		tr.Event("rpcnet", "tx", sp)
-	}
 	if to.known && n.lost(from, to.ri) {
 		n.Dropped++
 		e := n.allocEnv()
-		e.to, e.sp, e.status = to, sp, "dropped"
 		e.onFail, e.failArg = onFail, failArg
 		n.loop.PostArgL(sendTimeout, lbTimeout, envTimeout, e)
 		return
 	}
 	e := n.allocEnv()
-	e.to, e.sp = to, sp
+	e.to = to
 	e.sentAt = n.loop.Now()
 	e.fn, e.arg = fn, arg
 	e.onFail, e.failArg = onFail, failArg
@@ -372,7 +359,6 @@ func envDeliver(a any) {
 		// Failure detection is by timeout from the send instant; if
 		// the (possibly inflated) delivery delay already exceeds the
 		// timeout the sender has been waiting long enough.
-		e.status = "unreachable"
 		wait := e.sentAt + sendTimeout - n.loop.Now()
 		if wait > 0 {
 			n.loop.PostArgL(wait, lbTimeout, envTimeout, e)
@@ -380,11 +366,6 @@ func envDeliver(a any) {
 		}
 		envTimeout(e)
 		return
-	}
-	tr := n.loop.Tracer()
-	if tr.Enabled() {
-		tr.Event("rpcnet", "rx", e.sp)
-		tr.EndSpan(e.sp, trace.String("status", "delivered"))
 	}
 	fn, arg := e.fn, e.arg
 	n.freeEnv(e)
@@ -396,14 +377,8 @@ func envDeliver(a any) {
 // envTimeout reports a lost message to the sender at its detection instant.
 func envTimeout(a any) {
 	e := a.(*envelope)
-	n := e.n
-	tr := n.loop.Tracer()
-	if tr.Enabled() {
-		tr.Event("rpcnet", "timeout", e.sp, trace.String("to", string(e.to.name)))
-		tr.EndSpan(e.sp, trace.String("status", e.status))
-	}
 	onFail, failArg := e.onFail, e.failArg
-	n.freeEnv(e)
+	e.n.freeEnv(e)
 	if onFail != nil {
 		onFail(failArg)
 	}
@@ -451,13 +426,14 @@ func envInvoke(a any) {
 }
 
 // Call performs a round trip: deliver the request, run handle at the
-// destination, then deliver the reply back and run done with the total
-// round-trip time. If the destination is unreachable or either leg is lost,
-// fail runs after the sender's timeout for that leg. handle runs only if the
-// destination is reachable.
-func (n *Network) Call(fromRegion topology.RegionID, to Endpoint, handle func(), done func(rtt time.Duration), fail func()) {
+// destination, then deliver the reply back and run done. If the destination
+// is unreachable or either leg is lost, fail runs after the sender's timeout
+// for that leg. handle runs only if the destination is reachable. Each call
+// is one "rpc" span in the trace, the fabric's only record: a bare SendTo or
+// ReplyAt message is the sending layer's to trace.
+func (n *Network) Call(fromRegion topology.RegionID, to Endpoint, handle func(), done func(), fail func()) {
 	c := n.allocCall()
-	c.from, c.to, c.start = n.fleet.RegionIndex(fromRegion), n.Peer(to), n.loop.Now()
+	c.from, c.to = n.fleet.RegionIndex(fromRegion), n.Peer(to)
 	c.handle, c.done, c.fail = handle, done, fail
 	tr := n.loop.Tracer()
 	if tr.Enabled() {
@@ -485,11 +461,11 @@ func callDone(c *callState, status string, ok bool) {
 	if tr.Enabled() {
 		tr.EndSpan(c.sp, trace.String("status", status))
 	}
-	done, fail, rtt := c.done, c.fail, n.loop.Now()-c.start
+	done, fail := c.done, c.fail
 	n.freeCall(c)
 	if ok {
 		if done != nil {
-			done(rtt)
+			done()
 		}
 		return
 	}

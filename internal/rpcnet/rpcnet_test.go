@@ -6,6 +6,7 @@ import (
 
 	"shardmanager/internal/sim"
 	"shardmanager/internal/topology"
+	"shardmanager/internal/trace"
 )
 
 func testNet(t *testing.T) (*sim.Loop, *Network) {
@@ -85,7 +86,7 @@ func TestCallRoundTrip(t *testing.T) {
 	n.Register("dst", "b")
 	var rtt time.Duration
 	handled := false
-	n.Call("a", "dst", func() { handled = true }, func(d time.Duration) { rtt = d }, nil)
+	n.Call("a", "dst", func() { handled = true }, func() { rtt = loop.Now() }, nil)
 	loop.Run()
 	if !handled {
 		t.Fatal("handler not invoked")
@@ -216,7 +217,7 @@ func TestCallFailsWhenReplyLost(t *testing.T) {
 	n.Register("dst", "b")
 	n.SetLinkFault("b", "a", LinkFault{DropProb: 1}) // only the reply leg
 	handled, done, failed := false, false, false
-	n.Call("a", "dst", func() { handled = true }, func(time.Duration) { done = true }, func() { failed = true })
+	n.Call("a", "dst", func() { handled = true }, func() { done = true }, func() { failed = true })
 	loop.Run()
 	if !handled || done || !failed {
 		t.Fatalf("handled=%v done=%v failed=%v; want request delivered, reply lost", handled, done, failed)
@@ -228,7 +229,7 @@ func TestSendDeliverReplyAllocationFree(t *testing.T) {
 	n.Register("dst", "b")
 	served := 0
 	handle := func() {}
-	done := func(time.Duration) { served++ }
+	done := func() { served++ }
 	fail := func() { t.Error("call failed on a healthy link") }
 	// Warm the event, envelope, and callState freelists.
 	for i := 0; i < 100; i++ {
@@ -317,5 +318,54 @@ func TestExactlyOneCallbackPerMessage(t *testing.T) {
 	}
 	if total.delivered == 0 || total.failed == 0 {
 		t.Fatalf("lossy link: %+v, want both outcomes exercised", total)
+	}
+}
+
+// TestTraceRecordsCallsNotMessages pins what the fabric traces: a bare
+// message (SendTo, ReplyAt) records nothing, since the layer that sent it
+// owns its fate in its own span, and each Call records exactly one "rpc"
+// span whose status says how the round trip ended.
+func TestTraceRecordsCallsNotMessages(t *testing.T) {
+	loop, n := testNet(t)
+	tr := trace.New()
+	loop.SetTracer(tr)
+	n.Register("dst", "b")
+	n.Register("far", "b")
+	n.SetLinkFault("a", "a", LinkFault{DropProb: 1})
+	a, b := n.fleet.RegionIndex("a"), n.fleet.RegionIndex("b")
+	nop := func(any) {}
+	n.SendTo(a, n.Peer("dst"), nop, nil, nop, nil)
+	n.SendTo(a, n.Peer("ghost"), nop, nil, nop, nil)
+	n.ReplyAt(b, a, nop, nil, nop, nil)
+	n.ReplyAt(a, a, nop, nil, nop, nil)
+	loop.Run()
+	if spans, events := tr.Spans(), tr.Events(); len(spans) != 0 || len(events) != 0 {
+		t.Fatalf("bare messages recorded %d spans and %d events, want none", len(spans), len(events))
+	}
+
+	n.Call("a", "dst", nil, nil, nil) // ok
+	loop.Run()
+	n.Call("a", "ghost", nil, nil, nil) // failed: unknown endpoint
+	n.SetLinkFault("b", "a", LinkFault{DropProb: 1})
+	n.Call("a", "far", nil, nil, nil) // reply-lost: the reply leg is cut
+	loop.Run()
+	if events := tr.Events(); len(events) != 0 {
+		t.Fatalf("calls recorded %d events, want none", len(events))
+	}
+	var got []string
+	for _, sp := range tr.Spans() {
+		if sp.Component != "rpcnet" || sp.Name != "rpc" || !sp.Ended {
+			t.Fatalf("span %s/%s (ended %v), want only ended rpcnet/rpc spans", sp.Component, sp.Name, sp.Ended)
+		}
+		got = append(got, sp.Attr("to")+":"+sp.Attr("status"))
+	}
+	want := []string{"dst:ok", "ghost:failed", "far:reply-lost"}
+	if len(got) != len(want) {
+		t.Fatalf("rpc spans %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rpc spans %v, want %v", got, want)
+		}
 	}
 }

@@ -92,7 +92,9 @@ func (l *Loop) RNG() *RNG { return l.rng }
 // SetTracer attaches a tracer to the loop and binds it to the loop's clock.
 // The loop is the natural home for the tracer: every control-plane
 // component holds the loop, so all of them reach the same tracer through
-// Tracer() without extra plumbing. Pass nil to disable tracing.
+// Tracer() without extra plumbing. Pass nil to disable tracing. The loop
+// itself records nothing: the trace observes the simulated system, and
+// dispatch is the simulator's, which simprof times (SetProfiler).
 func (l *Loop) SetTracer(tr *trace.Tracer) {
 	l.tracer = tr
 	if tr != nil {
@@ -273,20 +275,11 @@ func (l *Loop) stepBounded(deadline time.Duration, limited bool) bool {
 	}
 	heapPop(&w.near)
 	w.stored--
-	lag := ev.at - l.now
 	l.now = ev.at
 	lb, fn, fnA, arg := ev.label, ev.fn, ev.fnA, ev.arg
 	l.recycle(ev)
 	l.dispatched++
-	if tr := l.tracer; tr != nil {
-		sp := tr.StartSpan("sim.loop", "dispatch", 0)
-		l.invoke(lb, fn, fnA, arg)
-		tr.EndSpan(sp)
-		tr.Counter("sim.loop", "queue_depth", float64(w.stored))
-		tr.Counter("sim.loop", "loop_lag_ms", float64(lag)/float64(time.Millisecond))
-	} else {
-		l.invoke(lb, fn, fnA, arg)
-	}
+	l.invoke(lb, fn, fnA, arg)
 	return true
 }
 

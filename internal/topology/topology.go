@@ -87,13 +87,12 @@ type Fleet struct {
 	machines map[MachineID]*Machine
 	order    []MachineID
 
-	// names numbers every region name the fleet has been asked about —
+	// index numbers every region name the fleet has been asked about —
 	// machines' regions, SetLatency's, and whatever RegionIndex was handed
 	// (an unknown region still has default latencies). A number, once
 	// given, is never reused or changed.
-	names []RegionID
 	index map[RegionID]int
-	// latency is the len(names) x len(names) one-way latency matrix,
+	// latency is the len(index) x len(index) one-way latency matrix,
 	// row-major; unset is negative.
 	latency []time.Duration
 }
@@ -155,7 +154,7 @@ func (f *Fleet) RegionIndex(r RegionID) int {
 	if i, ok := f.index[r]; ok {
 		return i
 	}
-	n := len(f.names)
+	n := len(f.index)
 	grown := make([]time.Duration, (n+1)*(n+1))
 	for i := range grown {
 		grown[i] = -1
@@ -164,13 +163,9 @@ func (f *Fleet) RegionIndex(r RegionID) int {
 		copy(grown[i*(n+1):], f.latency[i*n:(i+1)*n])
 	}
 	f.latency = grown
-	f.names = append(f.names, r)
 	f.index[r] = n
 	return n
 }
-
-// RegionName returns the region numbered i.
-func (f *Fleet) RegionName(i int) RegionID { return f.names[i] }
 
 // SetLatency records the one-way network latency between two regions
 // (symmetric).
@@ -179,7 +174,7 @@ func (f *Fleet) SetLatency(a, b RegionID, d time.Duration) {
 		panic("topology: negative latency")
 	}
 	i, j := f.RegionIndex(a), f.RegionIndex(b)
-	n := len(f.names)
+	n := len(f.index)
 	f.latency[i*n+j] = d
 	f.latency[j*n+i] = d
 }
@@ -193,7 +188,7 @@ func (f *Fleet) Latency(a, b RegionID) time.Duration {
 
 // LatencyAt is Latency between the regions numbered i and j.
 func (f *Fleet) LatencyAt(i, j int) time.Duration {
-	if d := f.latency[i*len(f.names)+j]; d >= 0 {
+	if d := f.latency[i*len(f.index)+j]; d >= 0 {
 		return d
 	}
 	if i == j {

@@ -22,8 +22,8 @@ func TestBuildCounts(t *testing.T) {
 	if got := len(f.MachinesInRegion("frc")); got != 8 {
 		t.Fatalf("frc machines = %d, want 8", got)
 	}
-	if len(f.names) != 2 || f.RegionIndex("frc") != 0 || f.RegionIndex("prn") != 1 {
-		t.Fatalf("regions numbered %v, want [frc prn]", f.names)
+	if len(f.index) != 2 || f.RegionIndex("frc") != 0 || f.RegionIndex("prn") != 1 {
+		t.Fatalf("regions numbered %v, want frc:0 prn:1", f.index)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Chrome trace-event export. The output loads directly into
 // chrome://tracing and https://ui.perfetto.dev: one "thread" per component,
-// complete ("X") events for spans, instant ("i") events for point events,
-// and counter ("C") tracks for gauges.
+// complete ("X") events for spans and instant ("i") events for point
+// events.
 //
 // The writer never iterates a Go map and renders every number itself, so a
 // fixed-seed simulation exports byte-identical JSON on every run — the
@@ -36,10 +36,8 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	comps := make([]string, len(t.comps))
 	copy(comps, t.comps)
 	events := make(map[string][]Event, len(comps))
-	samples := make(map[string][]Sample, len(comps))
 	for _, c := range comps {
-		events[c] = t.perComp[c].events.items()
-		samples[c] = t.perComp[c].samples.items()
+		events[c] = t.perComp[c].items()
 	}
 	now := t.now()
 	droppedSpans, droppedEvents := t.droppedSpans, t.droppedEvents
@@ -100,14 +98,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 				`,"args":{"span":"` + strconv.FormatUint(uint64(ev.Span), 10) + `"` +
 				attrsJSON(ev.Attrs) + `}}`
 			recs = append(recs, chromeRecord{ts: ev.Time, seq: ev.seq, line: line})
-		}
-		for _, s := range samples[c] {
-			line := `{"ph":"C","name":` + jsonString(s.Name) +
-				`,"cat":` + jsonString(s.Component) +
-				`,"ts":` + usec(s.Time) +
-				`,"pid":1,"tid":` + strconv.Itoa(tid[s.Component]) +
-				`,"args":{"value":` + strconv.FormatFloat(s.Value, 'g', -1, 64) + `}}`
-			recs = append(recs, chromeRecord{ts: s.Time, seq: s.seq, line: line})
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool {

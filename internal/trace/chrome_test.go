@@ -13,8 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // buildFixedTrace records a small, fully deterministic trace exercising every
-// record kind: nested spans, an open span, events, counters, and attribute
-// values needing JSON escaping.
+// record kind: nested spans, an open span, events, and attribute values
+// needing JSON escaping.
 func buildFixedTrace() *Tracer {
 	clk := newTestClock(0)
 	tr := New()
@@ -27,12 +27,10 @@ func buildFixedTrace() *Tracer {
 	tr.Event("rpcnet", "tx", prep)
 	clk.Advance(2 * time.Millisecond)
 	tr.EndSpan(prep, String("status", "ok"))
-	tr.Counter("sim.loop", "queue_depth", 3)
 	clk.Advance(time.Duration(2500500)) // 2.5005ms: fractional microseconds
 	tr.Event("orchestrator", "publish", root, Int64("version", 7))
 	tr.EndSpan(root, Bool("ok", true))
 	tr.StartSpan("routing", "request", 0, String("key", "s00001/key")) // left open
-	tr.Counter("sim.loop", "queue_depth", 0.5)
 	return tr
 }
 
@@ -85,17 +83,14 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		byPhase[ev["ph"].(string)]++
 	}
-	if byPhase["M"] != 4 { // orchestrator, rpcnet, sim.loop, routing
-		t.Fatalf("thread_name records = %d, want 4 (%v)", byPhase["M"], byPhase)
+	if byPhase["M"] != 3 { // orchestrator, rpcnet, routing
+		t.Fatalf("thread_name records = %d, want 3 (%v)", byPhase["M"], byPhase)
 	}
 	if byPhase["X"] != 3 { // migration, prepare_add_shard, and the open request span
 		t.Fatalf("span records = %d, want 3 (%v)", byPhase["X"], byPhase)
 	}
 	if byPhase["i"] != 2 { // tx, publish
 		t.Fatalf("instant records = %d, want 2 (%v)", byPhase["i"], byPhase)
-	}
-	if byPhase["C"] != 2 {
-		t.Fatalf("counter records = %d, want 2 (%v)", byPhase["C"], byPhase)
 	}
 }
 

@@ -28,7 +28,6 @@ func (t *Tracer) WriteText(w io.Writer) error {
 	}
 	spans := t.Spans()
 	events := t.Events()
-	samples := t.Samples()
 	droppedSpans, droppedEvents := t.Dropped()
 
 	// Span depth via parent chains, for indentation.
@@ -61,10 +60,6 @@ func (t *Tracer) WriteText(w io.Writer) error {
 		recs = append(recs, textRecord{ev.Time, ev.seq, fmt.Sprintf(
 			"%-12s %-14s * %s span=%d%s", fmtTS(ev.Time), ev.Component, ev.Name, ev.Span, attrsText(ev.Attrs))})
 	}
-	for _, s := range samples {
-		recs = append(recs, textRecord{s.Time, s.seq, fmt.Sprintf(
-			"%-12s %-14s = %s %g", fmtTS(s.Time), s.Component, s.Name, s.Value)})
-	}
 	sort.SliceStable(recs, func(i, j int) bool {
 		if recs[i].ts != recs[j].ts {
 			return recs[i].ts < recs[j].ts
@@ -73,8 +68,8 @@ func (t *Tracer) WriteText(w io.Writer) error {
 	})
 
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "trace: %d spans, %d events, %d samples (dropped: %d spans, %d events)\n",
-		len(spans), len(events), len(samples), droppedSpans, droppedEvents)
+	fmt.Fprintf(bw, "trace: %d spans, %d events (dropped: %d spans, %d events)\n",
+		len(spans), len(events), droppedSpans, droppedEvents)
 	for _, r := range recs {
 		bw.WriteString(r.line)
 		bw.WriteByte('\n')

@@ -2,11 +2,14 @@
 // subsystem for the Shard Manager control plane. The paper's evaluation is
 // built on narratives — what happened during a failover, an upgrade window,
 // a migration storm (§7–§8) — and aggregate curves cannot answer "why did
-// this one migration take 9s". A Tracer records hierarchical spans,
-// structured point events, and counter samples against the simulation
-// clock, in bounded per-component rings, and exports them as Chrome
-// trace-event JSON (chrome://tracing / Perfetto) or a human-readable text
-// timeline.
+// this one migration take 9s". A Tracer records hierarchical spans and
+// structured point events against the simulation clock, in bounded rings,
+// and exports them as Chrome trace-event JSON (chrome://tracing / Perfetto)
+// or a human-readable text timeline.
+//
+// The trace observes the simulated system — requests, RPCs, migrations,
+// publishes — not the simulator: the event loop's dispatches are simprof's,
+// and a message's fate belongs to the span of the layer that sent it.
 //
 // Because every timestamp comes from the deterministic simulation clock and
 // every record carries a global insertion sequence, the exported trace of a
@@ -105,22 +108,10 @@ type Event struct {
 	seq uint64
 }
 
-// Sample is one counter observation (a gauge over time, rendered as a
-// Chrome counter track).
-type Sample struct {
-	Component string
-	Name      string
-	Time      time.Duration
-	Value     float64
-
-	seq uint64
-}
-
 // The tracer's memory bounds: each ring drops its oldest records first.
 const (
-	maxSpans   = 1 << 17 // retained spans
-	maxEvents  = 1 << 15 // retained events per component
-	maxSamples = 1 << 15 // retained counter samples per component
+	maxSpans  = 1 << 17 // retained spans
+	maxEvents = 1 << 15 // retained events per component
 )
 
 // ring is a bounded FIFO: pushing past capacity drops the oldest element.
@@ -158,13 +149,7 @@ func (r *ring[T]) items() []T {
 	return out
 }
 
-// componentEvents holds one component's bounded event and counter rings.
-type componentEvents struct {
-	events  *ring[Event]
-	samples *ring[Sample]
-}
-
-// Tracer records spans, events, and counter samples on a simulated clock.
+// Tracer records spans and events on a simulated clock.
 // The zero value is not usable; create one with New. A nil *Tracer is the
 // disabled tracer: all methods are no-ops.
 //
@@ -174,9 +159,8 @@ type componentEvents struct {
 type Tracer struct {
 	mu    sync.Mutex
 	clock Clock
-	// eventCap and sampleCap size each component's rings: maxEvents and
-	// maxSamples.
-	eventCap, sampleCap int
+	// eventCap sizes each component's event ring: maxEvents.
+	eventCap int
 
 	seq      uint64
 	nextSpan SpanID
@@ -189,7 +173,7 @@ type Tracer struct {
 	free []*Span
 
 	comps   []string // component first-use order, for stable export
-	perComp map[string]*componentEvents
+	perComp map[string]*ring[Event]
 
 	droppedSpans  uint64
 	droppedEvents uint64
@@ -200,11 +184,10 @@ type Tracer struct {
 // t=0.
 func New() *Tracer {
 	return &Tracer{
-		eventCap:  maxEvents,
-		sampleCap: maxSamples,
-		spans:     newRing[*Span](maxSpans),
-		open:      make(map[SpanID]*Span),
-		perComp:   make(map[string]*componentEvents),
+		eventCap: maxEvents,
+		spans:    newRing[*Span](maxSpans),
+		open:     make(map[SpanID]*Span),
+		perComp:  make(map[string]*ring[Event]),
 	}
 }
 
@@ -230,17 +213,16 @@ func (t *Tracer) now() time.Duration {
 	return t.clock.Now()
 }
 
-func (t *Tracer) component(name string) *componentEvents {
-	ce, ok := t.perComp[name]
+// component returns the named component's event ring, making it (and the
+// component's export slot) on first use.
+func (t *Tracer) component(name string) *ring[Event] {
+	r, ok := t.perComp[name]
 	if !ok {
-		ce = &componentEvents{
-			events:  newRing[Event](t.eventCap),
-			samples: newRing[Sample](t.sampleCap),
-		}
-		t.perComp[name] = ce
+		r = newRing[Event](t.eventCap)
+		t.perComp[name] = r
 		t.comps = append(t.comps, name)
 	}
-	return ce
+	return r
 }
 
 // StartSpan opens a span under parent (0 for a root span) and returns its
@@ -332,21 +314,7 @@ func (t *Tracer) Event(component, name string, span SpanID, attrs ...Attr) {
 		Attrs:     attrs,
 		seq:       t.seq,
 	}
-	if t.component(component).events.push(ev) {
-		t.droppedEvents++
-	}
-}
-
-// Counter records one sample of a named gauge (queue depth, loop lag).
-func (t *Tracer) Counter(component, name string, value float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	s := Sample{Component: component, Name: name, Time: t.now(), Value: value, seq: t.seq}
-	if t.component(component).samples.push(s) {
+	if t.component(component).push(ev) {
 		t.droppedEvents++
 	}
 }
@@ -372,26 +340,12 @@ func (t *Tracer) Events() []Event {
 	defer t.mu.Unlock()
 	var out []Event
 	for _, c := range t.comps {
-		out = append(out, t.perComp[c].events.items()...)
+		out = append(out, t.perComp[c].items()...)
 	}
 	return out
 }
 
-// Samples returns the retained counter samples of every component.
-func (t *Tracer) Samples() []Sample {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Sample
-	for _, c := range t.comps {
-		out = append(out, t.perComp[c].samples.items()...)
-	}
-	return out
-}
-
-// Dropped returns how many spans and events/samples were evicted from the
+// Dropped returns how many spans and events were evicted from the
 // bounded rings; exporters report it so a truncated trace never reads as a
 // complete one.
 func (t *Tracer) Dropped() (spans, events uint64) {

@@ -26,9 +26,8 @@ func TestNilTracerIsSafeAndDisabled(t *testing.T) {
 	}
 	tr.EndSpan(sp)
 	tr.Event("c", "n", 0)
-	tr.Counter("c", "n", 1)
 	tr.SetClock(newTestClock(0))
-	if tr.Spans() != nil || tr.Events() != nil || tr.Samples() != nil {
+	if tr.Spans() != nil || tr.Events() != nil {
 		t.Fatal("nil tracer returned records")
 	}
 	if s, e := tr.Dropped(); s != 0 || e != 0 {
@@ -104,7 +103,7 @@ func TestEndSpanEdgeCases(t *testing.T) {
 func TestRingDropsOldestAndCounts(t *testing.T) {
 	tr := New()
 	tr.spans = newRing[*Span](4)
-	tr.eventCap, tr.sampleCap = 3, 2
+	tr.eventCap = 3
 	for i := 0; i < 6; i++ {
 		id := tr.StartSpan("c", "s", 0, Int("i", i))
 		tr.EndSpan(id)
@@ -118,20 +117,16 @@ func TestRingDropsOldestAndCounts(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		tr.Event("c", "e", 0, Int("i", i))
-		tr.Counter("c", "g", float64(i))
 	}
 	if n := len(tr.Events()); n != 3 {
 		t.Fatalf("retained %d events, want 3", n)
-	}
-	if n := len(tr.Samples()); n != 2 {
-		t.Fatalf("retained %d samples, want 2", n)
 	}
 	ds, de := tr.Dropped()
 	if ds != 2 {
 		t.Fatalf("droppedSpans = %d, want 2", ds)
 	}
-	if de != 5 { // 2 events + 3 samples evicted
-		t.Fatalf("droppedEvents = %d, want 5", de)
+	if de != 2 {
+		t.Fatalf("droppedEvents = %d, want 2", de)
 	}
 }
 
@@ -164,7 +159,6 @@ func TestWriteTextTimeline(t *testing.T) {
 	clk.Advance(time.Second)
 	tr.EndSpan(child)
 	tr.EndSpan(root)
-	tr.Counter("loop", "depth", 7)
 
 	var buf bytes.Buffer
 	if err := tr.WriteText(&buf); err != nil {
@@ -172,12 +166,11 @@ func TestWriteTextTimeline(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"2 spans, 1 events, 1 samples",
+		"trace: 2 spans, 1 events (dropped: 0 spans, 0 events)\n",
 		"> migration #1 shard=s1",
 		"  > add_shard #2", // indented one level under the root
 		"* rx span=2",
 		"< add_shard #2 dur=1s",
-		"= depth 7",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, out)

@@ -66,8 +66,9 @@ go test ./internal/sim -run '^$' -bench LoopScheduleAndRun -benchtime=1x
 go test ./internal/discovery -run '^$' -bench Publish -benchtime=1x
 go test ./internal/routing -run '^$' -bench ClientRequestRoundTrip -benchmem -benchtime=1x
 go test ./internal/orchestrator -run '^$' -bench 'MoveAndPublish|AllocateIncremental|CollectLoads' -benchtime=1x
-echo "== profiler-overhead benchmark smoke (-benchtime=1x)"
+echo "== profiler- and tracing-overhead benchmark smokes (-benchtime=1x)"
 go test . -run '^$' -bench ProfilerOverhead -benchtime=1x
+go test . -run '^$' -bench TracingOverhead -benchtime=1x
 echo "== code lines (scripts/loc.sh)"
 sh scripts/loc.sh
 echo "check: OK"
