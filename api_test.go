@@ -14,6 +14,7 @@ import (
 	"shardmanager/internal/appserver"
 	"shardmanager/internal/audit"
 	"shardmanager/internal/cluster"
+	"shardmanager/internal/coord"
 	"shardmanager/internal/discovery"
 	"shardmanager/internal/experiments"
 	"shardmanager/internal/healthmon"
@@ -32,8 +33,9 @@ import (
 // carry a second way to do the same thing, so a removed entry point cannot
 // drift back in: the loop schedules through exactly four methods, grants
 // come only generation-stamped under the paper's names, hooks attach only
-// through Add*, and a shard map is published one way: discovery has one
-// Publish and one Subscribe, and no configuration selects another.
+// through Add*, a shard map is published one way: discovery has one
+// Publish and one Subscribe, and no configuration selects another, and a
+// trace has one record, the span, reached through the loop.
 func TestOneEntryPointPerMechanism(t *testing.T) {
 	// A scheduling method is one that takes a callback.
 	var scheduling []string
@@ -71,6 +73,10 @@ func TestOneEntryPointPerMechanism(t *testing.T) {
 		// of the handle forms; ReplyAt is the one reply form, SendTo the one
 		// arg-carrying send.
 		reflect.TypeOf((*rpcnet.Network)(nil)): {"Re" + "ply", "Reply" + "Arg", "Send" + "Arg"},
+		// A point in time is a zero-length span, and every traced component
+		// reaches the tracer through its loop.
+		reflect.TypeOf((*trace.Tracer)(nil)): {"Ev" + "ent", "Ev" + "ents"},
+		reflect.TypeOf((*coord.Store)(nil)):  {"Set" + "Tracer"},
 	} {
 		for _, name := range removed {
 			if _, ok := typ.MethodByName(name); ok {

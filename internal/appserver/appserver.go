@@ -882,10 +882,10 @@ func (s *Server) forward(req *Request, to shard.ServerID, reply func(Response)) 
 		mr.Counter("appserver_forwarded_total", "app", string(s.App)).Inc()
 	}
 	if tr := s.loop.Tracer(); tr.Enabled() {
-		tr.Event("appserver", "forward", req.TraceSpan,
+		tr.EndSpan(tr.StartSpan("appserver", "forward", req.TraceSpan,
 			trace.String("from", string(s.ID)),
 			trace.String("to", string(to)),
-			trace.String("shard", string(req.Shard)))
+			trace.String("shard", string(req.Shard))))
 	}
 	fwd := *req
 	fwd.Forwarded = true

@@ -12,6 +12,7 @@ import (
 	"shardmanager/internal/shard"
 	"shardmanager/internal/sim"
 	"shardmanager/internal/topology"
+	"shardmanager/internal/trace"
 )
 
 // echoApp records callbacks and echoes request keys.
@@ -240,6 +241,42 @@ func TestForwardToDeadServerFails(t *testing.T) {
 	resp := serve(t, env, old, &Request{Shard: "sh1", Write: true})
 	if resp.OK || resp.Err != "forward-failed" {
 		t.Fatalf("resp = %+v", resp)
+	}
+}
+
+// TestForwardRecordsZeroLengthSpan checks the trace a forwarding replica
+// leaves: one zero-length appserver/forward span under the request's span,
+// naming both ends and the shard.
+func TestForwardRecordsZeroLengthSpan(t *testing.T) {
+	env := newEnv()
+	tr := trace.New()
+	env.loop.SetTracer(tr)
+	old := env.server("old", "a", newEchoApp())
+	env.server("new", "b", newEchoApp()).PrepareAddShard("sh1", "old", shard.RolePrimary, 1)
+	old.AddShard("sh1", shard.RolePrimary, 1)
+	old.PrepareDropShard("sh1", "new", shard.RolePrimary)
+	env.loop.RunFor(time.Second)
+
+	req := tr.StartSpan("routing", "request", 0)
+	at := env.loop.Now()
+	if resp := serve(t, env, old, &Request{Shard: "sh1", Write: true, TraceSpan: req}); !resp.OK || resp.Hops != 1 {
+		t.Fatalf("forwarded resp = %+v", resp)
+	}
+	fwd := tr.FindSpans("appserver", "forward")
+	if len(fwd) != 1 {
+		t.Fatalf("forward spans = %d, want 1", len(fwd))
+	}
+	sp := fwd[0]
+	if sp.Parent != req {
+		t.Fatalf("forward span parent = %d, want the request's span %d", sp.Parent, req)
+	}
+	if !sp.Ended || sp.Start != at || sp.Duration() != 0 {
+		t.Fatalf("forward span at %v (ended %v, lasts %v), want zero-length at %v", sp.Start, sp.Ended, sp.Duration(), at)
+	}
+	for k, want := range map[string]string{"from": "old", "to": "new", "shard": "sh1"} {
+		if got := sp.Attr(k); got != want {
+			t.Fatalf("forward span %s = %q, want %q", k, got, want)
+		}
 	}
 }
 

@@ -19,8 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"shardmanager/internal/trace"
 )
 
 // Errors returned by store operations.
@@ -95,8 +93,7 @@ type Store struct {
 	// ordered across sessions, role grants, and shard-map generations —
 	// the fencing-token construction from the MIT 6.824 Spanner lecture's
 	// "two servers both believe they own a shard" discussion.
-	epoch  int64
-	tracer *trace.Tracer
+	epoch int64
 	// writeGate, if set, is consulted before every mutating client
 	// operation (Create/Set/Delete) and may veto it, typically with
 	// ErrUnavailable. Fault injection uses it to model znode-write stalls;
@@ -148,15 +145,6 @@ func (s *Store) gated(op, path string) error {
 		return nil
 	}
 	return g(op, path)
-}
-
-// SetTracer attaches a tracer; every watch delivery is recorded as a
-// "watch_fire" event. The store has no event loop of its own, so unlike the
-// loop-bound components it is wired explicitly. Pass nil to disable.
-func (s *Store) SetTracer(tr *trace.Tracer) {
-	s.mu.Lock()
-	s.tracer = tr
-	s.mu.Unlock()
 }
 
 // NewStore returns an empty store containing only the root node "/".
@@ -270,19 +258,7 @@ type pendingEvent struct {
 
 // dispatch fires watch callbacks outside the store's lock.
 func (s *Store) dispatch(pend []pendingEvent) {
-	if len(pend) == 0 {
-		return
-	}
-	s.mu.Lock()
-	tr := s.tracer
-	s.mu.Unlock()
 	for _, p := range pend {
-		if tr.Enabled() {
-			tr.Event("coord", "watch_fire", 0,
-				trace.String("path", p.ev.Path),
-				trace.String("type", p.ev.Type.String()),
-				trace.Int("watchers", len(p.watchers)))
-		}
 		for _, w := range p.watchers {
 			w(p.ev)
 		}
@@ -537,11 +513,4 @@ func (s *Store) WatchChildren(path string, w Watcher) error {
 	}
 	n.childWatch = append(n.childWatch, w)
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

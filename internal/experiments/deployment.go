@@ -95,8 +95,7 @@ func Build(spec DeploymentSpec) *Deployment {
 		panic("experiments: deployment needs regions and servers")
 	}
 	loop := sim.NewLoop(spec.Seed)
-	tr := spec.Tracer
-	loop.SetTracer(tr) // before any component is built or scheduled
+	loop.SetTracer(spec.Tracer) // before any component is built or scheduled
 	if spec.Profiler != nil {
 		loop.SetProfiler(spec.Profiler)
 	}
@@ -122,7 +121,6 @@ func Build(spec DeploymentSpec) *Deployment {
 		Health:   mon,
 		App:      spec.Orch.App,
 	}
-	d.Store.SetTracer(tr)
 	d.Disc = discovery.NewService(loop, nil) // DefaultDelay: a map arrives 0.5-2 s after its publish
 
 	for _, r := range spec.Regions {

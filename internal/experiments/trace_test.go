@@ -139,18 +139,17 @@ func TestFailoverTraceCapturesMigrationLifecycle(t *testing.T) {
 			t.Fatalf("retained span %s/%s, want none from sim.loop and only rpc from rpcnet", sp.Component, sp.Name)
 		}
 	}
-	// Map publishes and coordination watch fires are visible as events.
-	var publishes, watches int
-	for _, ev := range tr.Events() {
-		switch {
-		case ev.Component == "orchestrator" && ev.Name == "publish":
-			publishes++
-		case ev.Component == "coord" && ev.Name == "watch_fire":
-			watches++
-		}
+	// Map publishes and membership watch fires are visible as zero-length
+	// spans; the orchestrator, which consumes the watch, records its fire.
+	publishes := tr.FindSpans("orchestrator", "publish")
+	watches := tr.FindSpans("orchestrator", "watch_fire")
+	if len(publishes) == 0 || len(watches) == 0 {
+		t.Fatalf("publish spans = %d, watch_fire spans = %d; want both > 0", len(publishes), len(watches))
 	}
-	if publishes == 0 || watches == 0 {
-		t.Fatalf("publish events = %d, watch_fire events = %d; want both > 0", publishes, watches)
+	for _, sp := range append(publishes, watches...) {
+		if !sp.Ended || sp.Duration() != 0 {
+			t.Fatalf("%s span (ended %v) lasts %v, want a zero-length span", sp.Name, sp.Ended, sp.Duration())
+		}
 	}
 }
 

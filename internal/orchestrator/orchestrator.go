@@ -351,7 +351,12 @@ func mustEnsure(store *coord.Store, path string) {
 // --- membership ---
 
 func (o *Orchestrator) watchMembership() {
-	err := o.store.WatchChildren(o.paths.ServersPath, func(coord.Event) {
+	err := o.store.WatchChildren(o.paths.ServersPath, func(ev coord.Event) {
+		if tr := o.loop.Tracer(); tr.Enabled() {
+			tr.EndSpan(tr.StartSpan("orchestrator", "watch_fire", 0,
+				trace.String("path", ev.Path),
+				trace.String("type", ev.Type.String())))
+		}
 		o.syncMembership()
 		o.watchMembership() // re-arm the one-shot watch
 	})
@@ -889,7 +894,9 @@ var steps = [...][]stepDef{
 		{op: dropShard, atSource: true, onOK: []effect{succeed}, onFail: []effect{orphanSource, succeed}},
 	},
 	breakBeforeMake: {
-		{op: dropShard, atSource: true}, // failed: the source is dead already
+		// A failed drop may leave a live source serving: adding the target
+		// then would make a second primary, so the move fails instead.
+		{op: dropShard, atSource: true, onFail: []effect{orphanSource, fail}},
 		{op: addShard, onOK: []effect{commit, succeed}, onFail: []effect{orphanTarget, fail}},
 	},
 	rollingBack: {
@@ -953,9 +960,9 @@ func (o *Orchestrator) pumpMigrations() {
 		ss := o.shards[m.shard]
 		m.role = ss.replicas[ss.find(m.from)].Role
 		if tr := o.loop.Tracer(); tr.Enabled() {
-			tr.Event("orchestrator", "migration_start", m.span,
+			tr.EndSpan(tr.StartSpan("orchestrator", "migration_start", m.span,
 				trace.String("shard", string(m.shard)),
-				trace.String("role", m.role.String()))
+				trace.String("role", m.role.String())))
 		}
 		o.loop.Metrics().Gauge("orchestrator_migrations_inflight",
 			"app", string(o.cfg.App)).Set(float64(o.inFlight))
@@ -1302,10 +1309,10 @@ func (o *Orchestrator) publish() {
 	}
 	o.changed = o.changed[:0]
 	if tr := o.loop.Tracer(); tr.Enabled() {
-		tr.Event("orchestrator", "publish", o.curAlloc,
+		tr.EndSpan(tr.StartSpan("orchestrator", "publish", o.curAlloc,
 			trace.String("app", string(o.cfg.App)),
 			trace.Int64("version", o.version),
-			trace.Int("entries", o.placed))
+			trace.Int("entries", o.placed)))
 	}
 	o.loop.Metrics().Counter("orchestrator_publishes_total",
 		"app", string(o.cfg.App)).Inc()

@@ -525,13 +525,6 @@ func (c *mChecker) rpc(s mstate, x int, step op, peer int, primary bool) (out []
 		return []mstate{s}, []bool{false}
 	}
 	for _, oc := range []mOutcome{mReplied, mNotRun, mLostAck, mServerDied} {
-		if oc == mNotRun && s.m.phase == breakBeforeMake && step == dropShard {
-			// Break-before-make carries on after a failed drop, taking the
-			// source for dead: a live source that missed the drop would be a
-			// second primary. Fig 17's ablation accepts that gap, so here its
-			// source is only ever dead or dropped.
-			continue
-		}
 		n := s
 		switch oc {
 		case mReplied, mLostAck:
@@ -780,9 +773,10 @@ var modelStarts = map[string]migration{
 // reachable state has two active primaries or a forwarder whose target is not
 // live with nothing left to resume or drop it, and every path can end, with no
 // pending orphan and no replica outside the list. Then it checks that the
-// model catches the two orderings that keep primaries apart, broken: a failed
+// model catches the three rules that keep primaries apart, broken: a failed
 // rollback that finishes before it registers its orphan (the order behind the
-// seed-69 dual primary), and a resume that does not wait for pending orphans.
+// seed-69 dual primary), a resume that does not wait for pending orphans, and
+// a break-before-make that adds its target after a failed drop.
 func TestMigrationModel(t *testing.T) {
 	for name, m := range modelStarts {
 		n, bad := (&mChecker{start: m, decide: decide}).explore()
@@ -811,5 +805,13 @@ func TestMigrationModel(t *testing.T) {
 	}
 	if _, bad := (&mChecker{start: graceful, decide: impatient}).explore(); bad == "" {
 		t.Error("a resume that ignores pending orphans passes the model")
+	}
+
+	saved = steps[breakBeforeMake]
+	steps[breakBeforeMake] = append([]stepDef{{op: dropShard, atSource: true}}, saved[1:]...)
+	_, bad = (&mChecker{start: modelStarts["break-before-make"], decide: decide}).explore()
+	steps[breakBeforeMake] = saved
+	if bad == "" {
+		t.Error("a break-before-make that adds after a failed drop passes the model")
 	}
 }

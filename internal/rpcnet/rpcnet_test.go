@@ -339,8 +339,8 @@ func TestTraceRecordsCallsNotMessages(t *testing.T) {
 	n.ReplyAt(b, a, nop, nil, nop, nil)
 	n.ReplyAt(a, a, nop, nil, nop, nil)
 	loop.Run()
-	if spans, events := tr.Spans(), tr.Events(); len(spans) != 0 || len(events) != 0 {
-		t.Fatalf("bare messages recorded %d spans and %d events, want none", len(spans), len(events))
+	if spans := tr.Spans(); len(spans) != 0 {
+		t.Fatalf("bare messages recorded %d spans, want none", len(spans))
 	}
 
 	n.Call("a", "dst", nil, nil, nil) // ok
@@ -349,9 +349,6 @@ func TestTraceRecordsCallsNotMessages(t *testing.T) {
 	n.SetLinkFault("b", "a", LinkFault{DropProb: 1})
 	n.Call("a", "far", nil, nil, nil) // reply-lost: the reply leg is cut
 	loop.Run()
-	if events := tr.Events(); len(events) != 0 {
-		t.Fatalf("calls recorded %d events, want none", len(events))
-	}
 	var got []string
 	for _, sp := range tr.Spans() {
 		if sp.Component != "rpcnet" || sp.Name != "rpc" || !sp.Ended {

@@ -90,9 +90,10 @@ func (l *Loop) Now() time.Duration { return l.now }
 func (l *Loop) RNG() *RNG { return l.rng }
 
 // SetTracer attaches a tracer to the loop and binds it to the loop's clock.
-// The loop is the natural home for the tracer: every control-plane
-// component holds the loop, so all of them reach the same tracer through
-// Tracer() without extra plumbing. Pass nil to disable tracing. The loop
+// The loop is the tracer's one way in: every traced component holds the
+// loop and reaches the same tracer through Tracer(), and none takes a
+// tracer of its own (a store with no loop, like coord's, is recorded by the
+// component that consumes it). Pass nil to disable tracing. The loop
 // itself records nothing: the trace observes the simulated system, and
 // dispatch is the simulator's, which simprof times (SetProfiler).
 func (l *Loop) SetTracer(tr *trace.Tracer) {

@@ -1,7 +1,6 @@
 // Chrome trace-event export. The output loads directly into
-// chrome://tracing and https://ui.perfetto.dev: one "thread" per component,
-// complete ("X") events for spans and instant ("i") events for point
-// events.
+// chrome://tracing and https://ui.perfetto.dev: one "thread" per component
+// and one complete ("X") event per span, a point in time drawn with dur 0.
 //
 // The writer never iterates a Go map and renders every number itself, so a
 // fixed-seed simulation exports byte-identical JSON on every run — the
@@ -18,14 +17,7 @@ import (
 	"time"
 )
 
-// chromeRecord is one trace-event line, pre-sorted by (ts, seq).
-type chromeRecord struct {
-	ts   time.Duration
-	seq  uint64
-	line string
-}
-
-// WriteChrome renders the retained records as Chrome trace-event JSON.
+// WriteChrome renders the retained spans as Chrome trace-event JSON.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[]}`+"\n")
@@ -33,25 +25,29 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	}
 	t.mu.Lock()
 	spans := t.spans.items()
-	comps := make([]string, len(t.comps))
-	copy(comps, t.comps)
-	events := make(map[string][]Event, len(comps))
-	for _, c := range comps {
-		events[c] = t.perComp[c].items()
-	}
 	now := t.now()
-	droppedSpans, droppedEvents := t.droppedSpans, t.droppedEvents
+	dropped := t.dropped
 	t.mu.Unlock()
 
-	tid := make(map[string]int, len(comps))
-	for i, c := range comps {
-		tid[c] = i + 1
+	// One thread per component, numbered in first-appearance order.
+	var comps []string
+	tid := make(map[string]int)
+	for _, sp := range spans {
+		if tid[sp.Component] == 0 {
+			comps = append(comps, sp.Component)
+			tid[sp.Component] = len(comps)
+		}
 	}
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
+		}
+		return spans[i].ID < spans[j].ID
+	})
 
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ms","otherData":{`)
-	bw.WriteString(`"droppedSpans":` + strconv.FormatUint(droppedSpans, 10))
-	bw.WriteString(`,"droppedEvents":` + strconv.FormatUint(droppedEvents, 10))
+	bw.WriteString(`"droppedSpans":` + strconv.FormatUint(dropped, 10))
 	bw.WriteString(`},"traceEvents":[`)
 
 	first := true
@@ -65,13 +61,11 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		bw.WriteString(line)
 	}
 
-	// Thread-name metadata first, in component first-use order.
+	// Thread-name metadata first, in component first-appearance order.
 	for _, c := range comps {
 		emit(`{"ph":"M","name":"thread_name","pid":1,"tid":` +
 			strconv.Itoa(tid[c]) + `,"args":{"name":` + jsonString(c) + `}}`)
 	}
-
-	var recs []chromeRecord
 	for _, sp := range spans {
 		end := sp.End
 		extra := ""
@@ -79,35 +73,14 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			end = now // still open at export: draw it up to "now"
 			extra = `,"incomplete":"true"`
 		}
-		line := `{"ph":"X","name":` + jsonString(sp.Name) +
+		emit(`{"ph":"X","name":` + jsonString(sp.Name) +
 			`,"cat":` + jsonString(sp.Component) +
 			`,"ts":` + usec(sp.Start) +
 			`,"dur":` + usec(end-sp.Start) +
 			`,"pid":1,"tid":` + strconv.Itoa(tid[sp.Component]) +
 			`,"args":{"span":"` + strconv.FormatUint(uint64(sp.ID), 10) +
 			`","parent":"` + strconv.FormatUint(uint64(sp.Parent), 10) + `"` +
-			extra + attrsJSON(sp.Attrs) + `}}`
-		recs = append(recs, chromeRecord{ts: sp.Start, seq: sp.seq, line: line})
-	}
-	for _, c := range comps {
-		for _, ev := range events[c] {
-			line := `{"ph":"i","s":"t","name":` + jsonString(ev.Name) +
-				`,"cat":` + jsonString(ev.Component) +
-				`,"ts":` + usec(ev.Time) +
-				`,"pid":1,"tid":` + strconv.Itoa(tid[ev.Component]) +
-				`,"args":{"span":"` + strconv.FormatUint(uint64(ev.Span), 10) + `"` +
-				attrsJSON(ev.Attrs) + `}}`
-			recs = append(recs, chromeRecord{ts: ev.Time, seq: ev.seq, line: line})
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].ts != recs[j].ts {
-			return recs[i].ts < recs[j].ts
-		}
-		return recs[i].seq < recs[j].seq
-	})
-	for _, r := range recs {
-		emit(r.line)
+			extra + attrsJSON(sp.Attrs) + `}}`)
 	}
 
 	bw.WriteString("\n]}\n")

@@ -13,8 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // buildFixedTrace records a small, fully deterministic trace exercising every
-// record kind: nested spans, an open span, events, and attribute values
-// needing JSON escaping.
+// shape of span: nested spans, an open span, zero-length spans, and
+// attribute values needing JSON escaping.
 func buildFixedTrace() *Tracer {
 	clk := newTestClock(0)
 	tr := New()
@@ -24,11 +24,11 @@ func buildFixedTrace() *Tracer {
 		String("shard", "s00001"), String("from", `srv"a"`), Bool("graceful", true))
 	clk.Advance(1500 * time.Microsecond)
 	prep := tr.StartSpan("orchestrator", "prepare_add_shard", root, String("server", "srv-b"))
-	tr.Event("rpcnet", "tx", prep)
+	tr.EndSpan(tr.StartSpan("rpcnet", "tx", prep))
 	clk.Advance(2 * time.Millisecond)
 	tr.EndSpan(prep, String("status", "ok"))
 	clk.Advance(time.Duration(2500500)) // 2.5005ms: fractional microseconds
-	tr.Event("orchestrator", "publish", root, Int64("version", 7))
+	tr.EndSpan(tr.StartSpan("orchestrator", "publish", root, Int64("version", 7)))
 	tr.EndSpan(root, Bool("ok", true))
 	tr.StartSpan("routing", "request", 0, String("key", "s00001/key")) // left open
 	return tr
@@ -68,8 +68,7 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 		OtherData       struct {
-			DroppedSpans  uint64 `json:"droppedSpans"`
-			DroppedEvents uint64 `json:"droppedEvents"`
+			DroppedSpans uint64 `json:"droppedSpans"`
 		} `json:"otherData"`
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
@@ -86,11 +85,10 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 	if byPhase["M"] != 3 { // orchestrator, rpcnet, routing
 		t.Fatalf("thread_name records = %d, want 3 (%v)", byPhase["M"], byPhase)
 	}
-	if byPhase["X"] != 3 { // migration, prepare_add_shard, and the open request span
-		t.Fatalf("span records = %d, want 3 (%v)", byPhase["X"], byPhase)
-	}
-	if byPhase["i"] != 2 { // tx, publish
-		t.Fatalf("instant records = %d, want 2 (%v)", byPhase["i"], byPhase)
+	// migration, prepare_add_shard, the zero-length tx and publish, and the
+	// open request span; nothing else.
+	if byPhase["X"] != 5 || len(doc.TraceEvents) != 8 {
+		t.Fatalf("span records = %d of %d, want 5 of 8 (%v)", byPhase["X"], len(doc.TraceEvents), byPhase)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Human-readable text timeline export: every retained record on one line,
+// Human-readable text timeline export: every retained span's start and end,
 // in simulated-time order, with span begin/end markers indented by depth.
 // Useful for quick terminal inspection and for diffing two runs without a
 // trace viewer.
@@ -13,22 +13,20 @@ import (
 	"time"
 )
 
-// textRecord is one renderable line.
+// textRecord is one renderable line, ordered by (ts, span).
 type textRecord struct {
 	ts   time.Duration
-	seq  uint64
+	span SpanID
 	line string
 }
 
-// WriteText renders the retained records as a chronological text timeline.
+// WriteText renders the retained spans as a chronological text timeline.
 func (t *Tracer) WriteText(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "(tracing disabled)\n")
 		return err
 	}
 	spans := t.Spans()
-	events := t.Events()
-	droppedSpans, droppedEvents := t.Dropped()
 
 	// Span depth via parent chains, for indentation.
 	byID := make(map[SpanID]*Span, len(spans))
@@ -47,29 +45,24 @@ func (t *Tracer) WriteText(w io.Writer) error {
 	var recs []textRecord
 	for _, sp := range spans {
 		ind := indent(depth(sp.ID))
-		recs = append(recs, textRecord{sp.Start, sp.seq, fmt.Sprintf(
+		recs = append(recs, textRecord{sp.Start, sp.ID, fmt.Sprintf(
 			"%-12s %-14s %s> %s #%d%s", fmtTS(sp.Start), sp.Component, ind, sp.Name, sp.ID, attrsText(sp.Attrs))})
 		if sp.Ended {
-			// End lines sort by end time; give them a seq after every
-			// start at the same instant by reusing the span's seq.
-			recs = append(recs, textRecord{sp.End, sp.seq, fmt.Sprintf(
+			// An end line sorts by end time, and among lines at that
+			// instant by its span's ID, right after its own start line.
+			recs = append(recs, textRecord{sp.End, sp.ID, fmt.Sprintf(
 				"%-12s %-14s %s< %s #%d dur=%s", fmtTS(sp.End), sp.Component, ind, sp.Name, sp.ID, sp.Duration())})
 		}
-	}
-	for _, ev := range events {
-		recs = append(recs, textRecord{ev.Time, ev.seq, fmt.Sprintf(
-			"%-12s %-14s * %s span=%d%s", fmtTS(ev.Time), ev.Component, ev.Name, ev.Span, attrsText(ev.Attrs))})
 	}
 	sort.SliceStable(recs, func(i, j int) bool {
 		if recs[i].ts != recs[j].ts {
 			return recs[i].ts < recs[j].ts
 		}
-		return recs[i].seq < recs[j].seq
+		return recs[i].span < recs[j].span
 	})
 
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "trace: %d spans, %d events (dropped: %d spans, %d events)\n",
-		len(spans), len(events), droppedSpans, droppedEvents)
+	fmt.Fprintf(bw, "trace: %d spans (dropped: %d)\n", len(spans), t.Dropped())
 	for _, r := range recs {
 		bw.WriteString(r.line)
 		bw.WriteByte('\n')

@@ -25,12 +25,11 @@ func TestNilTracerIsSafeAndDisabled(t *testing.T) {
 		t.Fatalf("nil StartSpan = %d, want 0", sp)
 	}
 	tr.EndSpan(sp)
-	tr.Event("c", "n", 0)
 	tr.SetClock(newTestClock(0))
-	if tr.Spans() != nil || tr.Events() != nil {
+	if tr.Spans() != nil {
 		t.Fatal("nil tracer returned records")
 	}
-	if s, e := tr.Dropped(); s != 0 || e != 0 {
+	if tr.Dropped() != 0 {
 		t.Fatal("nil tracer reports drops")
 	}
 	var buf bytes.Buffer
@@ -102,8 +101,7 @@ func TestEndSpanEdgeCases(t *testing.T) {
 
 func TestRingDropsOldestAndCounts(t *testing.T) {
 	tr := New()
-	tr.spans = newRing[*Span](4)
-	tr.eventCap = 3
+	tr.spans = newRing(4)
 	for i := 0; i < 6; i++ {
 		id := tr.StartSpan("c", "s", 0, Int("i", i))
 		tr.EndSpan(id)
@@ -115,18 +113,8 @@ func TestRingDropsOldestAndCounts(t *testing.T) {
 	if spans[0].Attr("i") != "2" || spans[3].Attr("i") != "5" {
 		t.Fatalf("wrong retained window: first=%s last=%s", spans[0].Attr("i"), spans[3].Attr("i"))
 	}
-	for i := 0; i < 5; i++ {
-		tr.Event("c", "e", 0, Int("i", i))
-	}
-	if n := len(tr.Events()); n != 3 {
-		t.Fatalf("retained %d events, want 3", n)
-	}
-	ds, de := tr.Dropped()
-	if ds != 2 {
-		t.Fatalf("droppedSpans = %d, want 2", ds)
-	}
-	if de != 2 {
-		t.Fatalf("droppedEvents = %d, want 2", de)
+	if d := tr.Dropped(); d != 2 {
+		t.Fatalf("dropped = %d, want 2", d)
 	}
 }
 
@@ -155,7 +143,7 @@ func TestWriteTextTimeline(t *testing.T) {
 	root := tr.StartSpan("orch", "migration", 0, String("shard", "s1"))
 	clk.Advance(time.Second)
 	child := tr.StartSpan("orch", "add_shard", root)
-	tr.Event("net", "rx", child)
+	tr.EndSpan(tr.StartSpan("net", "rx", child))
 	clk.Advance(time.Second)
 	tr.EndSpan(child)
 	tr.EndSpan(root)
@@ -166,10 +154,10 @@ func TestWriteTextTimeline(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"trace: 2 spans, 1 events (dropped: 0 spans, 0 events)\n",
+		"trace: 3 spans (dropped: 0)\n",
 		"> migration #1 shard=s1",
 		"  > add_shard #2", // indented one level under the root
-		"* rx span=2",
+		"    > rx #3\n1s           net                < rx #3 dur=0s\n",
 		"< add_shard #2 dur=1s",
 	} {
 		if !strings.Contains(out, want) {
