@@ -189,13 +189,35 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 			follow: 1,
 			between: func(e *env) {
 				e.addServer("ghost", "near").AddShard("s1", shard.RoleSecondary, 1)
+				e.publish(2, map[shard.ID][]shard.Assignment{"s1": {
+					{Server: "ghost", Role: shard.RoleSecondary}, {Server: "far-srv", Role: shard.RoleSecondary}}})
+				e.loop.RunFor(time.Second)
 			},
 			// Unregistered, "ghost" is a default WAN hop away (40ms, closer
 			// than far-srv's 60ms): picked, unreachable, retried on far-srv.
-			// Registered in "near" it is 1ms away and serves.
+			// Registered in "near" it is 1ms away, and once a newer map lifts
+			// its suspicion it serves.
 			want: []Result{
 				{OK: true, Payload: "v:abc", Latency: 1324769456, Attempts: 2, Server: "far-srv", Shard: "s1", MapVersion: 1},
-				{OK: true, Payload: "v:abc", Latency: 2 * time.Millisecond, Attempts: 1, Server: "ghost", Shard: "s1", MapVersion: 1}},
+				{OK: true, Payload: "v:abc", Latency: 2 * time.Millisecond, Attempts: 1, Server: "ghost", Shard: "s1", MapVersion: 2}},
+			messages: 3,
+		},
+		{
+			name:    "endpoint registered after it was found unreachable, same map",
+			servers: func(e *env) { e.addServer("far-srv", "far").AddShard("s1", shard.RoleSecondary, 1) },
+			replicas: []shard.Assignment{
+				{Server: "ghost", Role: shard.RoleSecondary}, {Server: "far-srv", Role: shard.RoleSecondary}},
+			read:   true,
+			follow: 1,
+			between: func(e *env) {
+				e.addServer("ghost", "near").AddShard("s1", shard.RoleSecondary, 1)
+			},
+			// Still under version 1, "ghost" is suspect: the second read goes
+			// straight to far-srv. Recorded from the client that keeps the
+			// mark; the by-name client sent it to "ghost".
+			want: []Result{
+				{OK: true, Payload: "v:abc", Latency: 1324769456, Attempts: 2, Server: "far-srv", Shard: "s1", MapVersion: 1},
+				{OK: true, Payload: "v:abc", Latency: 120 * time.Millisecond, Attempts: 1, Server: "far-srv", Shard: "s1", MapVersion: 1}},
 			messages: 3,
 		},
 		{
@@ -289,10 +311,10 @@ func TestEveryTerminalPathCompletesOnce(t *testing.T) {
 	}
 }
 
-// pickServerReference is pickServer as it was before the one-pass rewrite:
-// collect the untried replicas, sort.Slice them by (latency, tie), take the
-// first.
-func pickServerReference(c *Client, s shard.ID, write bool, tried map[shard.ServerID]bool) (shard.ServerID, bool) {
+// pickServerReference is pickServer as it was before the one-pass rewrite,
+// with the suspect key added: collect the untried replicas, sort.Slice them
+// by (suspect, latency, tie), take the first.
+func pickServerReference(c *Client, s shard.ID, write bool, tried, suspect map[shard.ServerID]bool) (shard.ServerID, bool) {
 	replicas := c.view.Replicas(s)
 	if len(replicas) == 0 {
 		return "", false
@@ -309,9 +331,10 @@ func pickServerReference(c *Client, s shard.ID, write bool, tried map[shard.Serv
 		return "", false
 	}
 	type cand struct {
-		srv shard.ServerID
-		lat time.Duration
-		tie uint64
+		srv     shard.ServerID
+		suspect bool
+		lat     time.Duration
+		tie     uint64
 	}
 	cands := make([]cand, 0, len(replicas))
 	for _, a := range replicas {
@@ -319,12 +342,15 @@ func pickServerReference(c *Client, s shard.ID, write bool, tried map[shard.Serv
 			continue
 		}
 		lat := c.fleet.LatencyAt(c.region, c.fleet.RegionIndex(c.net.Region(rpcnet.Endpoint(a.Server))))
-		cands = append(cands, cand{srv: a.Server, lat: lat, tie: c.rng.Uint64()})
+		cands = append(cands, cand{srv: a.Server, suspect: suspect[a.Server], lat: lat, tie: c.rng.Uint64()})
 	}
 	if len(cands) == 0 {
 		return "", false
 	}
 	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].suspect != cands[j].suspect {
+			return !cands[i].suspect
+		}
 		if cands[i].lat != cands[j].lat {
 			return cands[i].lat < cands[j].lat
 		}
@@ -334,9 +360,9 @@ func pickServerReference(c *Client, s shard.ID, write bool, tried map[shard.Serv
 }
 
 // TestPickServerMatchesSortingReference: over random replica sets (several
-// servers per region, so latencies tie), roles and tried sets, the one-pass
-// pickServer returns the reference's server and leaves the client's RNG where
-// the reference leaves it — same draws, same order.
+// servers per region, so latencies tie), roles, tried sets and suspect marks,
+// the one-pass pickServer returns the reference's server and leaves the
+// client's RNG where the reference leaves it — same draws, same order.
 func TestPickServerMatchesSortingReference(t *testing.T) {
 	e := newEnv(t)
 	var servers []shard.ServerID
@@ -373,20 +399,27 @@ func TestPickServerMatchesSortingReference(t *testing.T) {
 			// pickServer takes what the request path has resolved: the shard's
 			// cell and the tried servers' numbers. A tried server that is not
 			// among the replicas has no bearing on either implementation.
+			// Each replica's server carries a random mark: never, under the
+			// previous generation (expired), or under the current one.
 			var triedNums []uint32
+			suspectSet := map[shard.ServerID]bool{}
 			for _, r := range c.view.Replicas("s1") {
 				if triedSet[r.Server] {
 					triedNums = append(triedNums, r.Num)
 				}
+				c.resolve(r)
+				mark := []int64{0, version - 1, version}[in.Intn(3)]
+				c.servers[r.Num].suspect = mark
+				suspectSet[r.Server] = mark == version
 			}
 			before := *c.rng
-			wantSrv, wantOK := pickServerReference(c, "s1", write, triedSet)
+			wantSrv, wantOK := pickServerReference(c, "s1", write, triedSet, suspectSet)
 			after := *c.rng
 			*c.rng = before
 			got, gotOK := c.pickServer(c.cells[e.ks.Locate("abc")], write, triedNums)
 			if gotSrv := got.Server; gotSrv != wantSrv || gotOK != wantOK || *c.rng != after {
-				t.Fatalf("version %d replicas %v tried %v write %v: got (%q, %v), reference (%q, %v); same RNG state: %v",
-					version, replicas, tried, write, got.Server, gotOK, wantSrv, wantOK, *c.rng == after)
+				t.Fatalf("version %d replicas %v tried %v suspect %v write %v: got (%q, %v), reference (%q, %v); same RNG state: %v",
+					version, replicas, tried, suspectSet, write, got.Server, gotOK, wantSrv, wantOK, *c.rng == after)
 			}
 		}
 	}
@@ -394,27 +427,29 @@ func TestPickServerMatchesSortingReference(t *testing.T) {
 
 // TestCloserKeepsTheFirstOnAFullTie forces what the client's RNG cannot
 // produce (splitmix64 never repeats a value within one scan): candidates
-// equal in latency and in tie-break. Keeping the minimum under closer picks
-// the candidate the reference's sort.Slice put first — the earliest — for
-// the up to 12 candidates on which sort.Slice is a stable insertion sort.
+// equal in suspicion, latency and tie-break. Keeping the minimum under closer
+// picks the candidate the reference's sort.Slice put first — the earliest —
+// for the up to 12 candidates on which sort.Slice is a stable insertion sort.
 func TestCloserKeepsTheFirstOnAFullTie(t *testing.T) {
 	type cand struct {
 		idx int
-		lat time.Duration
-		tie uint64
+		rank
 	}
 	in := sim.NewRNG(7)
 	for trial := 0; trial < 5000; trial++ {
 		cands := make([]cand, 1+in.Intn(12))
 		best := 0
 		for i := range cands {
-			cands[i] = cand{idx: i, lat: time.Duration(in.Intn(2)), tie: uint64(in.Intn(3))}
-			if closer(cands[i].lat, cands[i].tie, cands[best].lat, cands[best].tie) {
+			cands[i] = cand{idx: i, rank: rank{suspect: in.Intn(2) == 0, lat: time.Duration(in.Intn(2)), tie: uint64(in.Intn(3))}}
+			if cands[i].closer(cands[best].rank) {
 				best = i
 			}
 		}
 		sorted := append([]cand(nil), cands...)
 		sort.Slice(sorted, func(i, j int) bool {
+			if sorted[i].suspect != sorted[j].suspect {
+				return !sorted[i].suspect
+			}
 			if sorted[i].lat != sorted[j].lat {
 				return sorted[i].lat < sorted[j].lat
 			}

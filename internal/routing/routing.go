@@ -3,7 +3,10 @@
 // the service discovery system, maps keys to shards through the app-owned
 // keyspace, picks a replica (the primary for writes, the closest replica
 // for reads), sends the request over the simulated network, and retries on
-// failures and on "wrong owner" rejections caused by stale maps.
+// failures and on "wrong owner" rejections caused by stale maps. A server a
+// send found unreachable stays suspect until the client installs a newer map:
+// until then reads try every other replica first, so a dead server costs each
+// client one timeout per map generation rather than one per read.
 //
 // The client-facing API mirrors §3.3:
 //
@@ -315,7 +318,14 @@ func callDelivered(a any) {
 	srv.Serve(&k.req, k.onResponse)
 }
 
-func callUnreachable(a any) { inFlight(a).fail("unreachable") }
+// callUnreachable marks the target suspect under the client's current map
+// generation before failing the attempt: reads rank it last until a newer
+// map arrives.
+func callUnreachable(a any) {
+	k := inFlight(a)
+	k.c.servers[k.tried[len(k.tried)-1]].suspect = k.c.view.Gen
+	k.fail("unreachable")
+}
 
 // serverReplied sends the response back to the client's region over the
 // fabric, so injected link faults can lose or delay the reply leg too.
@@ -430,11 +440,15 @@ func (k *call) finish(res Result) {
 }
 
 // server is what a client keeps per server number: the fabric's record of the
-// endpoint and the directory's slot for the ID. Both outlive restarts, so an
-// entry is resolved once.
+// endpoint and the directory's slot for the ID, both resolved once because
+// they outlive restarts, and suspect, the map generation the client routed by
+// when a send to the server last came back unreachable. The server is suspect
+// while that generation is the client's current one; no generation is 0, so
+// an entry never marked is not.
 type server struct {
-	peer *rpcnet.Peer
-	slot *appserver.Slot
+	peer    *rpcnet.Peer
+	slot    *appserver.Slot
+	suspect int64
 }
 
 // resolve returns the client's entry for r's server, looking the two names up
@@ -452,12 +466,15 @@ func (c *Client) resolve(r discovery.Replica) server {
 }
 
 // pickServer chooses a replica of the cell's shard for the request: the
-// primary for writes, the closest untried replica for reads (locality-aware,
-// which is what makes the Fig 19 latency curves move), ties broken randomly to
-// spread load — one draw per untried replica, in replica order. It is one
-// pass that keeps the minimum; on a full tie the earlier replica stays. An
-// endpoint the fabric has not seen registered is in region "", a default WAN
-// hop from anywhere.
+// primary for writes, suspect or not; for reads the untried replica first by
+// (suspect, latency, tie): one the client has not found unreachable under its
+// current map, then the closest (locality-aware, which is what makes the Fig
+// 19 latency curves move), ties broken randomly to spread load — one draw per
+// untried replica, in replica order, so a client with no suspect makes the
+// same draws and choices as one that keeps no marks. A suspect is chosen only
+// when every untried replica is suspect. It is one pass that keeps the
+// minimum; on a full tie the earlier replica stays. An endpoint the fabric has
+// not seen registered is in region "", a default WAN hop from anywhere.
 func (c *Client) pickServer(cell *discovery.Cell, write bool, tried []uint32) (discovery.Replica, bool) {
 	replicas := c.view.At(cell)
 	if write {
@@ -472,29 +489,44 @@ func (c *Client) pickServer(cell *discovery.Cell, write bool, tried []uint32) (d
 		return discovery.Replica{}, false
 	}
 	var (
-		best    discovery.Replica
-		bestLat time.Duration
-		bestTie uint64
-		found   bool
+		best  discovery.Replica
+		bestR rank
+		found bool
 	)
 	for _, a := range replicas {
 		if slices.Contains(tried, a.Num) {
 			continue
 		}
-		lat := c.fleet.LatencyAt(c.region, c.resolve(a).peer.RegionIndex())
-		tie := c.rng.Uint64()
-		if !found || closer(lat, tie, bestLat, bestTie) {
-			best, bestLat, bestTie, found = a, lat, tie, true
+		sv := c.resolve(a)
+		r := rank{
+			suspect: sv.suspect >= c.view.Gen,
+			lat:     c.fleet.LatencyAt(c.region, sv.peer.RegionIndex()),
+			tie:     c.rng.Uint64(),
+		}
+		if !found || r.closer(bestR) {
+			best, bestR, found = a, r, true
 		}
 	}
 	return best, found
 }
 
-// closer orders read candidates: by latency from the client's region, then
-// by the random tie-break.
-func closer(lat time.Duration, tie uint64, thanLat time.Duration, thanTie uint64) bool {
-	if lat != thanLat {
-		return lat < thanLat
+// rank is a read candidate's sort key: whether the client has found it
+// unreachable under its current map, its latency from the client's region,
+// and the random tie-break.
+type rank struct {
+	suspect bool
+	lat     time.Duration
+	tie     uint64
+}
+
+// closer orders read candidates by (suspect, latency, tie): a replica not
+// suspect before a suspect one, then the lower latency, then the lower draw.
+func (r rank) closer(than rank) bool {
+	if r.suspect != than.suspect {
+		return !r.suspect
 	}
-	return tie < thanTie
+	if r.lat != than.lat {
+		return r.lat < than.lat
+	}
+	return r.tie < than.tie
 }

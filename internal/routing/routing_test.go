@@ -162,6 +162,61 @@ func TestReadFailsOverToRemoteReplica(t *testing.T) {
 	}
 }
 
+// TestUnreachableServerGoesLastUntilNewerMap: a read that found the near
+// replica unreachable marks it suspect, so the client's later reads under the
+// same map go straight to the far replica; a newer map listing the server
+// again buys it one more probe. A suspect that is a read's only replica, or a
+// write's primary, is still sent to.
+func TestUnreachableServerGoesLastUntilNewerMap(t *testing.T) {
+	e := newEnv(t)
+	e.addServer("near-srv", "near").AddShard("s1", shard.RoleSecondary, 1)
+	e.addServer("far-srv", "far").AddShard("s1", shard.RoleSecondary, 1)
+	entries := map[shard.ID][]shard.Assignment{
+		"s1": {{Server: "near-srv", Role: shard.RoleSecondary}, {Server: "far-srv", Role: shard.RoleSecondary}},
+		"s2": {{Server: "near-srv", Role: shard.RolePrimary}},
+	}
+	e.publish(1, entries)
+	c := NewClient(e.loop, e.net, e.dir, e.disc, e.fleet, "app", e.ks, "near", Options{MaxAttempts: 3})
+	e.loop.RunFor(time.Second)
+	e.killServer("near-srv")
+
+	sent := e.net.Messages
+	for i := 0; i < 20; i++ {
+		res := do(t, e, c, "abc", false)
+		want := 1
+		if i == 0 {
+			want = 2
+		}
+		if !res.OK || res.Server != "far-srv" || res.Attempts != want {
+			t.Fatalf("read %d under v1: %+v, want far-srv in %d attempts", i, res, want)
+		}
+	}
+	if got := e.net.Messages - sent; got != 21 {
+		t.Fatalf("20 reads under v1 sent %d messages, want 21: one probe of near-srv, then far-srv only", got)
+	}
+
+	// "zebra" is in s2, whose only replica and primary is the suspect.
+	for _, write := range []bool{false, true} {
+		sent = e.net.Messages
+		res := do(t, e, c, "zebra", write)
+		if res.Err != "unreachable" || res.RejectedBy != "near-srv" || e.net.Messages-sent != 2 {
+			t.Fatalf("write=%v to the suspect's only replica: %+v after %d messages, want unreachable from near-srv after 2",
+				write, res, e.net.Messages-sent)
+		}
+	}
+
+	e.publish(2, entries)
+	e.loop.RunFor(time.Second)
+	if c.MapVersion() != 2 {
+		t.Fatalf("map version = %d, want 2", c.MapVersion())
+	}
+	for i, want := range []int{2, 1} {
+		if res := do(t, e, c, "abc", false); !res.OK || res.Server != "far-srv" || res.Attempts != want {
+			t.Fatalf("read %d under v2: %+v, want far-srv in %d attempts", i, res, want)
+		}
+	}
+}
+
 func TestNoMapFailsAfterRetries(t *testing.T) {
 	e := newEnv(t)
 	c := e.client("near")
