@@ -26,8 +26,9 @@ loc: ## non-blank, non-comment lines of non-test Go code, per package directory 
 bench:
 	$(GO) test -bench=. -benchmem .
 
-bench-layers: ## the five layer drives: solver at 100k x 5k and on 6,000 replicated groups x 300 buckets, kernel at 1k and 10k pending timers, discovery publish at 10k..1M entries, one routed request, one orchestrator move and one fresh allocation at 3k and 30k shards, one load collection at 4k and 40k replicas
+bench-layers: ## the six layer drives: solver at 100k x 5k and on 6,000 replicated groups x 300 buckets, a first placement of 3k and 30k shards x 2 replicas over 120 servers, kernel at 1k and 10k pending timers, discovery publish at 10k..1M entries, one routed request, one orchestrator move and one fresh allocation at 3k and 30k shards, one load collection at 4k and 40k replicas
 	$(GO) test ./internal/solver -run '^$$' -bench 'SolveScale|SolveReplicated|MoveDelta' -benchmem
+	$(GO) test ./internal/allocator -run '^$$' -bench RunFirstPlacement -benchmem
 	$(GO) test ./internal/sim -run '^$$' -bench LoopScheduleAndRun -benchmem
 	$(GO) test ./internal/discovery -run '^$$' -bench Publish -benchmem
 	$(GO) test ./internal/routing -run '^$$' -bench ClientRequestRoundTrip -benchmem

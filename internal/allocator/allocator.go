@@ -164,9 +164,11 @@ type Result struct {
 	// replica collision kept out of the diff; the next periodic run will
 	// retry them.
 	Deferred int
-	// Initial and Final are the solver's violation counts. Final is counted
-	// on the placement the search reached within MaxTotalMoves, before the
-	// Deferred moves were taken back out.
+	// Initial and Final are the solver's violation counts. Initial is counted
+	// by the run's first solve: the critical goals alone when every replica
+	// was placed, else the critical and placement goals together. Final is
+	// counted on the placement the search reached within MaxTotalMoves,
+	// before the Deferred moves were taken back out.
 	Initial, Final solver.ViolationCounts
 	// Solves is the number of solver batches run.
 	Solves int
@@ -252,6 +254,7 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	// conflict and the spread goal.
 	shardOf := make([]int32, 0, replicas)
 	grouped := false
+	unplaced := 0 // entities with no live server to start from
 	var affinities []solver.AffinityGoal
 	for si, spec := range in.Shards {
 		cur := in.Current[spec.ID]
@@ -274,6 +277,9 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 				if b, ok := bucketOf[cur[idx]]; ok {
 					bucket = b
 				}
+			}
+			if bucket == solver.Unassigned {
+				unplaced++
 			}
 			movable := mode != Emergency || bucket == solver.Unassigned
 			id := prob.AddEntity(solver.Entity{
@@ -321,8 +327,13 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	// problem on top of the earlier stages', so a later stage cannot undo an
 	// earlier fix for free; Solve builds its state from the problem as it
 	// then stands and leaves the assignment it reached in prob.Entities for
-	// the next stage. Periodic solves after every stage; emergency solves
-	// once, for the hard constraints and placement only, and skips balance.
+	// the next stage. Emergency solves once, for the hard constraints and
+	// placement only, and skips balance. Periodic solves after the placement
+	// and balance stages, and after the critical stage only when every
+	// replica is placed: a replica placed on the critical goals alone lands
+	// blind to spread and region preference, and the placement stage would
+	// spend far more evaluations moving it than placing it with them in view
+	// costs. A placing run may therefore leave a drain to the next run.
 
 	// Critical: capacity, no two replicas of a shard on one server, drains.
 	for _, m := range metricNames {
@@ -337,7 +348,7 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 		})
 	}
 	prob.AddDrainGoal(drainWeight)
-	if mode != Emergency {
+	if mode != Emergency && unplaced == 0 {
 		solve()
 	}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"shardmanager/internal/shard"
+	"shardmanager/internal/solver"
 	"shardmanager/internal/topology"
 )
 
@@ -116,6 +117,47 @@ func TestSpreadAcrossRegions(t *testing.T) {
 		}
 		if len(regions) != 3 {
 			t.Fatalf("shard %s spans %d regions, want 3", sp.ID, len(regions))
+		}
+	}
+}
+
+// TestFirstPlacementNeedsNoSpreadRepair pins the stage rule for a run with
+// replicas to place: it skips the critical-only solve, so each replica is
+// placed once with spread in view, and balance finds nothing to repair. Were
+// the critical goals solved alone first, every replica would be placed blind
+// to spread and a third solve would spend thousands of evaluations moving
+// them apart again.
+func TestFirstPlacementNeedsNoSpreadRepair(t *testing.T) {
+	a := New(DefaultPolicy(topology.ResourceCPU), 1)
+	in := Input{
+		Servers: makeServers(12, []string{"r1", "r2", "r3"}, 100),
+		Shards:  makeShards(60, 3, 1),
+		Current: map[shard.ID][]shard.ServerID{},
+	}
+	res := a.Run(in, Periodic)
+	if res.Solves != 2 {
+		t.Errorf("solves = %d, want 2 (placement, balance)", res.Solves)
+	}
+	if res.Final.Exclusion != 0 {
+		t.Errorf("final = %+v, want no spread violation", res.Final)
+	}
+	if want := 180 * solver.DefaultOptions().CandidateTargets; res.Evaluated != want {
+		t.Errorf("evaluated = %d, want %d: one sampled round per replica", res.Evaluated, want)
+	}
+}
+
+// TestPlacingRunFinishesDrainsOnTheNext checks drain liveness across a
+// placing run. Such a run solves the drain goal together with the placement
+// goals, so in these two worlds it leaves one replica on a draining server;
+// the next run, on the placement the first one emitted, must move it.
+func TestPlacingRunFinishesDrainsOnTheNext(t *testing.T) {
+	for _, seed := range []uint64{1876, 2642} {
+		in, pol, _ := propertyWorld(seed)
+		first := New(pol, seed).Run(in, Periodic)
+		in.Current = applyMoves(in, first.Moves)
+		if second := New(pol, seed).Run(in, Periodic); second.Final.Drain != 0 {
+			t.Errorf("seed %d: drain violations %d after the first run, %d after the second; want 0",
+				seed, first.Final.Drain, second.Final.Drain)
 		}
 	}
 }

@@ -48,6 +48,16 @@ import (
 // same final counts; "a shard over any server's capacity" ends with one
 // exclusion fewer and defers one move more. "periodic" and "one dead server"
 // held byte for byte. Again, a final count that rises is a bug.
+//
+// The six periodic rows were re-recorded once more (2026-10-17) when a run
+// with replicas to place stopped solving the critical goals alone first: every
+// row here places replicas, so each goes from three solves to two, the first
+// placing with spread and region preference in view. Evaluations fall to
+// 1,806 / 1,822 / 2,673 / 4,670 / 2,221 / 2,712 from 6,691 / 7,602 / 8,428 /
+// 10,091 / 9,901 / 6,707, and Initial now counts the placement goals too.
+// Final counts are equal in "periodic", "one dead server" and "region
+// preference" and lower in the other three. The emergency row held byte for
+// byte. A final count that rises is still a bug.
 func TestRunRecorded(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -57,31 +67,31 @@ func TestRunRecorded(t *testing.T) {
 		counts string
 	}{
 		{name: "periodic", mode: Periodic,
-			moves:  "+s000@srv06 +s000@srv07 +s000@srv08 +s001@srv02 +s001@srv06 +s001@srv10 +s002@srv02 +s002@srv10 +s003@srv05 +s003@srv07 +s004@srv01 +s004@srv03 +s005@srv07 +s006@srv03 +s007@srv00 +s008@srv03 +s008@srv04 +s009@srv06 +s013@srv06 +s014@srv05 +s014@srv06 +s015@srv00 +s015@srv10 +s016@srv00 +s017@srv01 +s017@srv05 +s017@srv06 +s018@srv09 +s019@srv06 +s020@srv03 +s021@srv06 +s022@srv03 +s022@srv07 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv03 +s027@srv03 +s028@srv03 +s029@srv03 +s030@srv06 +s030@srv08 +s030@srv10 +s031@srv04 +s031@srv06 +s031@srv08 +s032@srv05 s004:srv00->srv02 s009:srv03->srv08 s010:srv04->srv06 s011:srv02->srv07 s014:srv09->srv01 s016:srv04->srv05 s019:srv00->srv04 s020:srv10->srv08 s021:srv09->srv02 s024:srv09->srv04 s025:srv04->srv02 s026:srv10->srv02 s027:srv09->srv10 s028:srv09->srv08 s033:srv06->srv09",
-			counts: "deferred=1 solves=3 evaluated=6691 initial={0 0 0 0 0 0 48} final={0 0 0 0 0 0 0}"},
+			moves:  "+s000@srv01 +s000@srv02 +s000@srv06 +s001@srv00 +s001@srv02 +s001@srv10 +s002@srv05 +s002@srv10 +s003@srv01 +s003@srv08 +s004@srv04 +s004@srv05 +s005@srv04 +s006@srv09 +s007@srv00 +s008@srv00 +s008@srv01 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv08 +s015@srv09 +s015@srv10 +s016@srv06 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv00 +s019@srv07 +s020@srv03 +s021@srv02 +s022@srv03 +s022@srv04 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv09 +s027@srv07 +s028@srv02 +s029@srv03 +s030@srv02 +s030@srv06 +s030@srv10 +s031@srv03 +s031@srv05 +s031@srv07 +s032@srv05 s010:srv04->srv06 s011:srv02->srv01 s016:srv04->srv05 s020:srv10->srv02 s024:srv06->srv04 s025:srv04->srv02 s026:srv10->srv05 s033:srv06->srv08",
+			counts: "deferred=0 solves=2 evaluated=1806 initial={0 0 0 0 8 0 48} final={0 0 0 0 0 0 0}"},
 		{name: "emergency", mode: Emergency,
 			moves:  "+s000@srv01 +s000@srv02 +s000@srv06 +s001@srv00 +s001@srv02 +s001@srv10 +s002@srv05 +s002@srv10 +s003@srv01 +s003@srv08 +s004@srv04 +s004@srv05 +s005@srv04 +s006@srv09 +s007@srv00 +s008@srv00 +s008@srv01 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv08 +s015@srv09 +s015@srv10 +s016@srv06 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv00 +s019@srv07 +s020@srv03 +s021@srv02 +s022@srv03 +s022@srv04 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv09 +s027@srv07 +s028@srv02 +s029@srv03 +s030@srv02 +s030@srv06 +s030@srv10 +s031@srv03 +s031@srv05 +s031@srv07 +s032@srv05",
 			counts: "deferred=0 solves=1 evaluated=1300 initial={0 0 0 0 8 0 48} final={0 0 0 0 8 0 0}"},
 		{name: "one dead server", mode: Periodic,
 			edit:   func(in *Input, _ *Policy) { in.Servers[1].Alive = false },
-			moves:  "+s000@srv00 +s000@srv04 +s000@srv08 +s001@srv02 +s001@srv04 +s001@srv09 +s002@srv00 +s002@srv02 +s003@srv05 +s003@srv09 +s004@srv05 +s004@srv09 +s005@srv00 +s006@srv00 +s006@srv10 +s007@srv00 +s007@srv07 +s008@srv09 +s008@srv10 +s009@srv00 +s013@srv06 +s014@srv02 +s014@srv10 +s015@srv00 +s015@srv10 +s016@srv00 +s016@srv08 +s017@srv04 +s017@srv05 +s017@srv09 +s018@srv06 +s018@srv10 +s019@srv04 +s020@srv06 +s021@srv05 +s022@srv02 +s022@srv09 +s022@srv10 +s023@srv02 +s023@srv09 +s025@srv03 +s026@srv08 +s026@srv09 +s027@srv10 +s028@srv07 +s028@srv08 +s029@srv09 +s030@srv00 +s030@srv05 +s030@srv07 +s031@srv04 +s031@srv08 +s031@srv09 +s032@srv03 s002:srv06->srv10 s003:srv06->srv07 s004:srv00->srv04 s005:srv06->srv07 s009:srv03->srv08 s010:srv04->srv00 s011:srv02->srv04 s020:srv07->srv05 s024:srv06->srv07 s025:srv04->srv08 s032:srv00->srv08 s033:srv06->srv02",
-			counts: "deferred=0 solves=3 evaluated=7602 initial={0 0 0 0 0 0 54} final={0 0 0 0 0 0 0}"},
+			moves:  "+s000@srv00 +s000@srv04 +s000@srv05 +s001@srv05 +s001@srv07 +s001@srv09 +s002@srv02 +s002@srv04 +s003@srv02 +s003@srv10 +s004@srv08 +s004@srv10 +s005@srv07 +s006@srv03 +s006@srv10 +s007@srv00 +s007@srv10 +s008@srv03 +s008@srv04 +s009@srv02 +s013@srv06 +s014@srv07 +s014@srv08 +s015@srv00 +s015@srv04 +s016@srv03 +s016@srv05 +s017@srv03 +s017@srv04 +s017@srv08 +s018@srv03 +s018@srv10 +s019@srv10 +s020@srv06 +s021@srv02 +s022@srv02 +s022@srv04 +s022@srv06 +s023@srv02 +s023@srv06 +s025@srv03 +s026@srv02 +s026@srv03 +s027@srv07 +s028@srv05 +s028@srv07 +s029@srv09 +s030@srv00 +s030@srv07 +s030@srv08 +s031@srv08 +s031@srv09 +s031@srv10 +s032@srv05 s010:srv04->srv00 s011:srv02->srv04 s020:srv07->srv05 s024:srv06->srv07 s025:srv04->srv08 s033:srv06->srv02",
+			counts: "deferred=0 solves=2 evaluated=1822 initial={0 0 0 0 6 0 54} final={0 0 0 0 0 0 0}"},
 		{name: "one draining server", mode: Periodic,
 			edit:   func(in *Input, _ *Policy) { in.Servers[2].Draining = true },
-			moves:  "+s000@srv00 +s000@srv04 +s000@srv05 +s001@srv00 +s001@srv04 +s001@srv05 +s002@srv03 +s002@srv05 +s003@srv03 +s003@srv05 +s004@srv03 +s004@srv07 +s005@srv08 +s006@srv03 +s007@srv00 +s008@srv03 +s008@srv10 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv03 +s015@srv00 +s015@srv05 +s016@srv00 +s017@srv01 +s017@srv03 +s017@srv08 +s018@srv09 +s019@srv01 +s020@srv09 +s021@srv08 +s022@srv03 +s022@srv04 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv03 +s027@srv03 +s028@srv03 +s029@srv03 +s030@srv00 +s030@srv05 +s030@srv07 +s031@srv03 +s031@srv08 +s031@srv10 +s032@srv08 s002:srv06->srv07 s003:srv06->srv10 s004:srv00->srv05 s005:srv02->srv03 s010:srv04->srv06 s011:srv02->srv07 s014:srv09->srv05 s015:srv02->srv10 s016:srv04->srv08 s020:srv10->srv05 s024:srv09->srv08 s025:srv04->srv08 s027:srv09->srv10 s028:srv09->srv08 s033:srv06->srv05",
-			counts: "deferred=3 solves=3 evaluated=8428 initial={0 0 0 0 0 4 48} final={0 0 2 0 1 0 0}"},
+			moves:  "+s000@srv01 +s000@srv05 +s000@srv06 +s001@srv00 +s001@srv08 +s001@srv10 +s002@srv05 +s002@srv10 +s003@srv01 +s003@srv08 +s004@srv04 +s004@srv05 +s005@srv04 +s006@srv09 +s007@srv00 +s008@srv00 +s008@srv01 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv08 +s015@srv09 +s015@srv10 +s016@srv06 +s017@srv01 +s017@srv03 +s017@srv08 +s018@srv00 +s019@srv07 +s020@srv03 +s021@srv08 +s022@srv03 +s022@srv04 +s022@srv05 +s023@srv03 +s023@srv05 +s025@srv03 +s026@srv09 +s027@srv07 +s028@srv08 +s029@srv03 +s030@srv05 +s030@srv06 +s030@srv10 +s031@srv03 +s031@srv07 +s031@srv08 +s032@srv05 s005:srv02->srv08 s010:srv04->srv09 s011:srv02->srv10 s015:srv02->srv05 s016:srv01->srv08 s020:srv07->srv05 s024:srv02->srv07 s025:srv04->srv05 s026:srv01->srv08 s033:srv06->srv08",
+			counts: "deferred=1 solves=2 evaluated=2673 initial={0 0 0 0 8 4 48} final={0 0 2 0 0 0 0}"},
 		{name: "region preference", mode: Periodic,
 			edit: func(in *Input, _ *Policy) {
 				for i := 0; i < 6; i++ {
 					in.Shards[i].RegionPreference = "r1"
 				}
 			},
-			moves:  "+s000@srv01 +s000@srv04 +s000@srv10 +s001@srv01 +s001@srv04 +s001@srv10 +s002@srv01 +s002@srv07 +s003@srv04 +s003@srv10 +s004@srv01 +s004@srv10 +s005@srv04 +s006@srv03 +s007@srv00 +s008@srv03 +s008@srv04 +s009@srv08 +s013@srv06 +s014@srv03 +s014@srv10 +s015@srv04 +s015@srv09 +s016@srv00 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv09 +s019@srv10 +s020@srv03 +s021@srv02 +s022@srv03 +s022@srv08 +s022@srv10 +s023@srv02 +s023@srv03 +s025@srv03 +s026@srv03 +s027@srv03 +s028@srv03 +s029@srv03 +s030@srv04 +s030@srv05 +s030@srv09 +s031@srv03 +s031@srv05 +s031@srv07 +s032@srv09 s002:srv06->srv10 s003:srv06->srv07 s004:srv00->srv07 s005:srv02->srv10 s010:srv04->srv00 s011:srv02->srv07 s014:srv09->srv02 s016:srv01->srv05 s020:srv10->srv08 s024:srv06->srv01 s025:srv10->srv08 s026:srv10->srv02 s027:srv09->srv04 s028:srv09->srv05 s032:srv00->srv08 s033:srv06->srv02",
-			counts: "deferred=1 solves=3 evaluated=10091 initial={0 0 0 0 0 0 48} final={0 0 0 0 12 0 0}"},
+			moves:  "+s000@srv04 +s000@srv07 +s000@srv10 +s001@srv01 +s001@srv07 +s001@srv10 +s002@srv04 +s002@srv10 +s003@srv01 +s003@srv04 +s004@srv04 +s004@srv10 +s005@srv01 +s006@srv09 +s007@srv00 +s008@srv00 +s008@srv01 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv08 +s015@srv09 +s015@srv10 +s016@srv06 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv00 +s019@srv07 +s020@srv03 +s021@srv02 +s022@srv03 +s022@srv04 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv09 +s027@srv07 +s028@srv02 +s029@srv03 +s030@srv02 +s030@srv06 +s030@srv10 +s031@srv03 +s031@srv05 +s031@srv07 +s032@srv05 s002:srv06->srv07 s003:srv06->srv07 s004:srv00->srv01 s005:srv02->srv10 s010:srv04->srv00 s011:srv02->srv10 s016:srv04->srv05 s020:srv10->srv08 s024:srv06->srv10 s025:srv04->srv05 s026:srv10->srv05 s033:srv06->srv02",
+			counts: "deferred=1 solves=2 evaluated=4670 initial={0 0 0 5 8 0 48} final={0 0 0 0 12 0 0}"},
 		{name: "a shard over any server's capacity", mode: Periodic,
 			edit:   func(in *Input, _ *Policy) { in.Shards[10].Load[topology.ResourceCPU] = 150 },
-			moves:  "+s000@srv00 +s000@srv02 +s000@srv10 +s001@srv00 +s001@srv08 +s001@srv10 +s002@srv01 +s002@srv02 +s003@srv01 +s003@srv02 +s004@srv02 +s004@srv10 +s005@srv10 +s006@srv03 +s007@srv00 +s008@srv00 +s008@srv02 +s009@srv10 +s013@srv01 +s014@srv08 +s014@srv10 +s015@srv00 +s015@srv10 +s016@srv00 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv09 +s019@srv01 +s020@srv03 +s021@srv01 +s022@srv00 +s022@srv08 +s022@srv10 +s023@srv08 +s023@srv10 +s025@srv03 +s026@srv03 +s027@srv10 +s028@srv08 +s029@srv03 +s030@srv00 +s030@srv01 +s030@srv08 +s031@srv00 +s031@srv01 +s031@srv02 +s032@srv02 s006:srv05->srv08 s008:srv05->srv01 s009:srv07->srv08 s011:srv05->srv01 s012:srv07->srv03 s013:srv04->srv00 s016:srv04->srv02 s020:srv07->srv02 s021:srv07->srv08 s023:srv04->srv00 s024:srv06->srv01 s025:srv04->srv08 s029:srv07->srv10 s033:srv06->srv10",
-			counts: "deferred=4 solves=3 evaluated=9901 initial={3 0 0 0 0 0 48} final={3 0 6 0 2 0 0}"},
+			moves:  "+s000@srv01 +s000@srv02 +s000@srv06 +s001@srv00 +s001@srv02 +s001@srv10 +s002@srv02 +s002@srv10 +s003@srv01 +s003@srv08 +s004@srv02 +s004@srv10 +s005@srv01 +s006@srv09 +s007@srv00 +s008@srv00 +s008@srv10 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv08 +s015@srv01 +s015@srv09 +s016@srv06 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv00 +s019@srv01 +s020@srv03 +s021@srv08 +s022@srv01 +s022@srv03 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv09 +s027@srv10 +s028@srv02 +s029@srv03 +s030@srv02 +s030@srv06 +s030@srv10 +s031@srv03 +s031@srv08 +s031@srv10 +s032@srv02 s006:srv05->srv02 s008:srv05->srv08 s009:srv07->srv01 s011:srv05->srv10 s012:srv07->srv10 s013:srv04->srv10 s016:srv04->srv08 s020:srv07->srv02 s021:srv07->srv01 s023:srv04->srv01 s024:srv06->srv01 s025:srv04->srv08 s026:srv01->srv08 s029:srv07->srv01 s033:srv06->srv02",
+			counts: "deferred=3 solves=2 evaluated=2221 initial={3 0 0 0 8 0 48} final={3 0 6 0 1 0 0}"},
 		// A cap of three moves, with the shards in reverse ID order: the
 		// search spends the cap, hottest bucket first, and capDiff walks the
 		// shards in the order given. Neither is shard-ID order.
@@ -90,8 +100,8 @@ func TestRunRecorded(t *testing.T) {
 				slices.Reverse(in.Shards)
 				pol.MaxTotalMoves = 3
 			},
-			moves:  "+s000@srv04 +s000@srv06 +s000@srv08 +s001@srv06 +s001@srv08 +s001@srv10 +s002@srv04 +s002@srv05 +s003@srv04 +s003@srv08 +s004@srv08 +s004@srv10 +s005@srv01 +s006@srv03 +s007@srv00 +s008@srv01 +s008@srv03 +s009@srv05 +s013@srv06 +s014@srv06 +s014@srv08 +s015@srv00 +s015@srv01 +s016@srv00 +s017@srv02 +s017@srv06 +s017@srv07 +s018@srv09 +s019@srv01 +s020@srv03 +s021@srv06 +s022@srv02 +s022@srv03 +s022@srv07 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv03 +s027@srv07 +s028@srv08 +s029@srv03 +s030@srv02 +s030@srv06 +s030@srv10 +s031@srv05 +s031@srv06 +s031@srv10 +s032@srv05 s014:srv09->srv01 s021:srv09->srv02 s024:srv09->srv04",
-			counts: "deferred=0 solves=3 evaluated=6707 initial={0 0 0 0 0 0 48} final={0 0 0 0 7 0 0}"},
+			moves:  "+s000@srv01 +s000@srv02 +s000@srv06 +s001@srv00 +s001@srv02 +s001@srv10 +s002@srv05 +s002@srv10 +s003@srv01 +s003@srv08 +s004@srv04 +s004@srv05 +s005@srv04 +s006@srv09 +s007@srv00 +s008@srv00 +s008@srv01 +s009@srv08 +s013@srv06 +s014@srv01 +s014@srv08 +s015@srv09 +s015@srv10 +s016@srv06 +s017@srv01 +s017@srv02 +s017@srv03 +s018@srv00 +s019@srv07 +s020@srv03 +s021@srv02 +s022@srv03 +s022@srv04 +s022@srv08 +s023@srv03 +s023@srv08 +s025@srv03 +s026@srv09 +s027@srv07 +s028@srv02 +s029@srv03 +s030@srv02 +s030@srv06 +s030@srv10 +s031@srv03 +s031@srv05 +s031@srv07 +s032@srv05 s010:srv04->srv06 s016:srv04->srv05 s025:srv04->srv02",
+			counts: "deferred=0 solves=2 evaluated=2712 initial={0 0 0 0 8 0 48} final={0 0 0 0 5 0 0}"},
 	}
 	for _, c := range cases {
 		in, pol, _ := propertyWorld(21)

@@ -194,7 +194,13 @@ func runPublishBurstWorld(t *testing.T, seed uint64) []string {
 // hot bucket began offering its penalty-carrying entities before its inert
 // ones (3798 results, 32be6617a5db34e8 before): the drains' allocations chose
 // other moves, and two more requests completed inside the window. The drain
-// rows held.
+// rows held. All three rows were re-recorded once more when a run with
+// replicas to place stopped solving the critical goals alone first (drain
+// seeds 3 and 11: 07e8ab9d54ea6025 and f636326fad66feaf before; burst seed 5:
+// 3800 results, 2d5c1c2ec5219870 before): the first placement, and so every
+// later move and route, changed. The burst world still completes all 3900
+// requests it issues when run 30 s past the window; one of them now completes
+// 15 ms after the window closes instead of inside it.
 func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -202,9 +208,9 @@ func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 		count  int
 		digest string
 	}{
-		{"drain seed 3", func() []string { return runDeltaEquivalenceWorld(t, 3) }, 992, "07e8ab9d54ea6025"},
-		{"drain seed 11", func() []string { return runDeltaEquivalenceWorld(t, 11) }, 992, "f636326fad66feaf"},
-		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3800, "2d5c1c2ec5219870"},
+		{"drain seed 3", func() []string { return runDeltaEquivalenceWorld(t, 3) }, 992, "c41bd62bcb5e4ea0"},
+		{"drain seed 11", func() []string { return runDeltaEquivalenceWorld(t, 11) }, 992, "f204fd2e02ebc8fb"},
+		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3799, "70859375e6a7f2d9"},
 	} {
 		results := c.run()
 		sum := sha256.Sum256([]byte(strings.Join(results, "\n")))

@@ -62,6 +62,7 @@ echo "== every function a run enters, or listed with its reason (scripts/deployc
 sh scripts/deploycover.sh
 echo "== layer-drive smokes (-benchtime=1x: compiled and run once, never timed against a committed number)"
 go test ./internal/solver -run '^$' -bench . -benchtime=1x
+go test ./internal/allocator -run '^$' -bench RunFirstPlacement -benchtime=1x
 go test ./internal/sim -run '^$' -bench LoopScheduleAndRun -benchtime=1x
 go test ./internal/discovery -run '^$' -bench Publish -benchtime=1x
 go test ./internal/routing -run '^$' -bench ClientRequestRoundTrip -benchmem -benchtime=1x
