@@ -43,9 +43,8 @@ var onlyTests = map[string]string{
 	"rpcnet.Network.Reachable":              "probe of endpoint registration and revert",
 	"sim.Loop.Run":                          "drives a hand-built world until its queue drains (the rpcnet, appserver, audit, sim and simprof tests)",
 	"sim.RNG.Perm":                          "draws propertyWorld's inputs: recorded_test.go's rows are a function of its draw order",
-	"solver.Move.Entity":                    "the search's step record: TestSolveDeterministicForSeed compares runs by it",
-	"solver.Move.From":                      "the search's step record (see solver.Move.Entity)",
-	"solver.Move.To":                        "the search's step record (see solver.Move.Entity)",
+	"solver.Move.From":                      "the search's step record: TestSolveDeterministicForSeed compares runs by it",
+	"solver.Move.To":                        "the search's step record (see solver.Move.From)",
 	"trace.Span.Attr":                       "probe of span attributes: the trace, experiment and orchestrator tests check migration spans by it",
 	"trace.Tracer.FindSpans":                "probe of span parentage in the experiment trace tests",
 	"workload.AppProfile.RegionPreferences": "its write draws from the Figs 1-16 demographics stream, so it stays until that stream is re-recorded",

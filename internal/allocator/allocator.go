@@ -14,6 +14,7 @@ package allocator
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -196,119 +197,259 @@ func New(policy Policy, seed uint64) *Allocator {
 	return &Allocator{policy: policy, seed: seed}
 }
 
-// Run performs one allocation and returns the bounded diff. The input is
-// not mutated. No shard's Current list may be longer than its Replicas: a
-// replica count is configuration, so there is never a surplus to drop.
+// Run performs one allocation and returns the bounded diff: it builds the
+// problem of in and runs it once. The input is not mutated. No shard's Current
+// list may be longer than its Replicas: a replica count is configuration, so
+// there is never a surplus to drop.
 func (a *Allocator) Run(in Input, mode Mode) *Result {
-	p := a.policy
-	metricNames := make([]string, len(p.Metrics))
-	for i, m := range p.Metrics {
-		metricNames[i] = string(m)
+	return a.fromInput(in).Run(mode)
+}
+
+// fromInput builds the problem the input states, resolving server names to
+// buckets once.
+func (a *Allocator) fromInput(in Input) *Problem {
+	p := a.NewProblem(in.Shards)
+	bucketOf := make(map[shard.ServerID]int, len(in.Servers))
+	for i, b := range p.SetServers(in.Servers) {
+		if b >= 0 {
+			bucketOf[in.Servers[i].ID] = b
+		}
+	}
+	var cur []int
+	for i, spec := range in.Shards {
+		cur = cur[:0]
+		for _, id := range in.Current[spec.ID] {
+			b, ok := bucketOf[id]
+			if !ok {
+				b = -1
+			}
+			cur = append(cur, b)
+		}
+		p.SetCurrent(i, cur)
+	}
+	return p
+}
+
+// Problem is one partition's allocation problem, kept from run to run: the
+// live servers are the solver's buckets, and every shard has an entity range,
+// one entity per desired replica in shard order, and a per-metric load slot
+// its replicas share. Its owner restates what changed between runs —
+// SetServers, SetShard, SetCurrent — and Run answers as Allocator.Run does on
+// the equivalent Input; Allocator.Run is this type built from an Input and run
+// once. The solver problem and its state are kept too: a run restates the
+// entities and the goals, and the solver sums every load afresh, so only the
+// building is saved.
+type Problem struct {
+	a      *Allocator
+	shards []shardSlot
+	// loads[i*len(Metrics):][:len(Metrics)] is shard i's load slot.
+	loads []float64
+	// cur[e] is the bucket entity e's replica is on: Unassigned when it has
+	// no live server, or no replica yet.
+	cur []solver.BucketID
+	// group[e] is the index of entity e's shard when that shard has replicas
+	// to keep apart, else -1: the group of both the server-scope conflict and
+	// the spread goal.
+	group   []int32
+	grouped bool
+	// preferring counts the shards with a region preference.
+	preferring int
+
+	// buckets[i] is the bucket of the i-th server of the last SetServers, -1
+	// for one not live; serverOf is its inverse.
+	buckets  []int
+	serverOf []shard.ServerID
+	// prob is the solver's problem over the live servers; nil while none is.
+	prob *solver.Problem
+}
+
+// shardSlot is one shard of a Problem.
+type shardSlot struct {
+	id              shard.ID
+	first, replicas int // its entities are first .. first+replicas-1
+	pref            topology.RegionID
+	weight          float64
+}
+
+// NewProblem returns the problem of the given shards, in that order, with
+// their loads and preferences and no server: SetServers and SetCurrent state
+// the rest.
+func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
+	p := &Problem{a: a, shards: make([]shardSlot, len(shards))}
+	n := 0
+	for i, spec := range shards {
+		p.shards[i] = shardSlot{id: spec.ID, first: n, replicas: spec.Replicas}
+		n += spec.Replicas
+	}
+	p.loads = make([]float64, len(shards)*len(a.policy.Metrics))
+	p.cur = make([]solver.BucketID, n)
+	p.group = make([]int32, n)
+	for i, spec := range shards {
+		g := int32(-1)
+		if spec.Replicas > 1 {
+			g = int32(i)
+			p.grouped = true
+		}
+		for e := p.shards[i].first; e < p.shards[i].first+spec.Replicas; e++ {
+			p.cur[e] = solver.Unassigned
+			p.group[e] = g
+		}
+		p.SetShard(i, spec)
+	}
+	return p
+}
+
+// SetServers states the servers. Only live ones are buckets, numbered in
+// list order; it returns each server's bucket, -1 for one not live, in a
+// slice the problem keeps until the next call. A bucket number another
+// server held before must be restated by SetCurrent for every shard with a
+// replica there. When the live servers, their domains and their capacities
+// are the ones stated last, only their drains are rewritten. A Domains map is
+// read, not copied: changed domains come in a new map.
+func (p *Problem) SetServers(servers []ServerInfo) []int {
+	metrics := p.a.policy.Metrics
+	same := p.prob != nil
+	live := 0
+	p.buckets = p.buckets[:0]
+	for _, s := range servers {
+		b := -1
+		if s.Alive {
+			b = live
+			live++
+			same = same && b < len(p.serverOf) && p.serverOf[b] == s.ID &&
+				maps.Equal(p.prob.Buckets[b].Props, s.Domains)
+			for i, m := range metrics {
+				same = same && p.prob.Buckets[b].Capacity[i] == s.Capacity.Get(m)
+			}
+		}
+		p.buckets = append(p.buckets, b)
+	}
+	if same && live == len(p.serverOf) {
+		for i, s := range servers {
+			if b := p.buckets[i]; b >= 0 {
+				p.prob.Buckets[b].Draining = s.Draining
+			}
+		}
+		return p.buckets
 	}
 
+	p.prob, p.serverOf = nil, p.serverOf[:0]
+	if live == 0 {
+		return p.buckets
+	}
+	metricNames := make([]string, len(metrics))
+	for i, m := range metrics {
+		metricNames[i] = string(m)
+	}
 	prob := solver.NewProblem(metricNames)
-
-	// Buckets: live servers only. Dead servers' replicas become
-	// unassigned entities.
-	bucketOf := make(map[shard.ServerID]solver.BucketID)
-	var serverOf []shard.ServerID // indexed by BucketID
-	for _, s := range in.Servers {
+	caps := make([]float64, live*len(metrics))
+	for _, s := range servers {
 		if !s.Alive {
 			continue
 		}
-		cap := make([]float64, len(p.Metrics))
-		for i, m := range p.Metrics {
-			cap[i] = s.Capacity.Get(m)
+		c := caps[:len(metrics):len(metrics)]
+		caps = caps[len(metrics):]
+		for i, m := range metrics {
+			c[i] = s.Capacity.Get(m)
 		}
 		group := s.Domains[topology.LevelRegion.String()]
 		if group == "" {
 			group = "all"
 		}
-		bucketOf[s.ID] = prob.AddBucket(solver.Bucket{
+		prob.AddBucket(solver.Bucket{
 			Name:     string(s.ID),
-			Capacity: cap,
+			Capacity: c,
 			Props:    s.Domains,
 			Group:    group,
 			Draining: s.Draining,
 		})
-		serverOf = append(serverOf, s.ID)
+		p.serverOf = append(p.serverOf, s.ID)
 	}
-	if len(bucketOf) == 0 {
+	// The entities are restated at every run; their count is known, so the
+	// slice is sized once.
+	prob.Entities = make([]solver.Entity, 0, len(p.cur))
+	for i := range p.shards {
+		for range p.shards[i].replicas {
+			prob.AddEntity(solver.Entity{Load: p.slot(i), Bucket: solver.Unassigned})
+		}
+	}
+	p.prob = prob
+	return p.buckets
+}
+
+// SetShard states shard i's load and region preference; its ID and replica
+// count are the ones NewProblem was given.
+func (p *Problem) SetShard(i int, spec ShardSpec) {
+	sh := &p.shards[i]
+	if spec.ID != sh.id || spec.Replicas != sh.replicas {
+		panic(fmt.Sprintf("allocator: shard %d is %s with %d replicas, not %s with %d", i, sh.id, sh.replicas, spec.ID, spec.Replicas))
+	}
+	load := p.slot(i)
+	for m, r := range p.a.policy.Metrics {
+		load[m] = spec.Load.Get(r)
+	}
+	switch {
+	case sh.pref == "" && spec.RegionPreference != "":
+		p.preferring++
+	case sh.pref != "" && spec.RegionPreference == "":
+		p.preferring--
+	}
+	sh.pref, sh.weight = spec.RegionPreference, spec.PreferenceWeight
+}
+
+// SetCurrent states the buckets shard i's replicas are on, one element per
+// replica placed (-1 for one on a server that is not live), at most its
+// replica count.
+func (p *Problem) SetCurrent(i int, buckets []int) {
+	sh := &p.shards[i]
+	if len(buckets) > sh.replicas {
+		panic(fmt.Sprintf("allocator: shard %s has %d current replicas, wants %d", sh.id, len(buckets), sh.replicas))
+	}
+	for r := range sh.replicas {
+		b := solver.Unassigned
+		if r < len(buckets) && buckets[r] >= 0 {
+			b = solver.BucketID(buckets[r])
+		}
+		p.cur[sh.first+r] = b
+	}
+}
+
+// slot returns shard i's load slot.
+func (p *Problem) slot(i int) []float64 {
+	m := len(p.a.policy.Metrics)
+	return p.loads[i*m : (i+1)*m : (i+1)*m]
+}
+
+// Run performs one allocation on the problem as stated and returns the
+// bounded diff.
+func (p *Problem) Run(mode Mode) *Result {
+	prob := p.prob
+	if prob == nil {
 		return &Result{}
 	}
+	pol := p.a.policy
 
-	// Entities: one per desired replica, shard by shard in in.Shards' order.
-	// Existing placements on live servers keep their bucket; others start
-	// unassigned. In emergency mode, placed replicas are pinned. The count is
-	// known, so the entity slice, their loads and their groups are each sized
-	// once: growing them per replica is megabytes of garbage per run, in
-	// bursts large enough to raise the process's peak heap.
-	replicas := 0
-	for _, spec := range in.Shards {
-		replicas += spec.Replicas
-	}
-	prob.Entities = make([]solver.Entity, 0, replicas)
-	loads := make([]float64, replicas*len(p.Metrics))
-	// shardOf[e] is the index in in.Shards of entity e's shard when that shard
-	// has replicas to keep apart, else -1: the group of both the server-scope
-	// conflict and the spread goal.
-	shardOf := make([]int32, 0, replicas)
-	grouped := false
+	// Entities: existing placements on live servers keep their bucket; others
+	// start unassigned. In emergency mode, placed replicas are pinned.
+	prob.ClearGoals()
 	unplaced := 0 // entities with no live server to start from
-	var affinities []solver.AffinityGoal
-	for si, spec := range in.Shards {
-		cur := in.Current[spec.ID]
-		if len(cur) > spec.Replicas {
-			panic(fmt.Sprintf("allocator: shard %s has %d current replicas, wants %d", spec.ID, len(cur), spec.Replicas))
+	for e, b := range p.cur {
+		if b == solver.Unassigned {
+			unplaced++
+		} else if int(b) >= len(p.serverOf) {
+			panic(fmt.Sprintf("allocator: entity %d is on bucket %d, %d servers are live: a renumbered replica was not restated", e, b, len(p.serverOf)))
 		}
-		group := int32(-1)
-		if spec.Replicas > 1 {
-			group = int32(si)
-			grouped = true
-		}
-		for idx := 0; idx < spec.Replicas; idx++ {
-			load := loads[:len(p.Metrics):len(p.Metrics)]
-			loads = loads[len(p.Metrics):]
-			for i, m := range p.Metrics {
-				load[i] = spec.Load.Get(m)
-			}
-			bucket := solver.Unassigned
-			if idx < len(cur) {
-				if b, ok := bucketOf[cur[idx]]; ok {
-					bucket = b
-				}
-			}
-			if bucket == solver.Unassigned {
-				unplaced++
-			}
-			movable := mode != Emergency || bucket == solver.Unassigned
-			id := prob.AddEntity(solver.Entity{
-				Load:    load,
-				Bucket:  bucket,
-				Movable: movable,
-			})
-			shardOf = append(shardOf, group)
-			if spec.RegionPreference != "" && movable {
-				w := spec.PreferenceWeight
-				if w == 0 {
-					w = p.AffinityWeight
-				}
-				affinities = append(affinities, solver.AffinityGoal{
-					Scope:  topology.LevelRegion.String(),
-					Entity: id,
-					Domain: string(spec.RegionPreference),
-					Weight: w,
-				})
-			}
-		}
+		ent := &prob.Entities[e]
+		ent.Bucket, ent.Home = b, b
+		ent.Movable = mode != Emergency || b == solver.Unassigned
 	}
 
 	res := &Result{}
 	opt := solver.DefaultOptions()
-	opt.Seed = a.seed
+	opt.Seed = p.a.seed
 	// Every stage spends one budget: an entity's Home is where this run
 	// found it.
-	opt.MoveBudget = p.MaxTotalMoves
+	opt.MoveBudget = pol.MaxTotalMoves
 	start := time.Now()
 	solve := func() {
 		// A sampler keeps a rotation; every stage starts a fresh one.
@@ -325,8 +466,8 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	// Goal stages, highest priority first (§5.3: "groups placement goals of
 	// similar priorities into batches"). Each stage adds its goals to the
 	// problem on top of the earlier stages', so a later stage cannot undo an
-	// earlier fix for free; Solve builds its state from the problem as it
-	// then stands and leaves the assignment it reached in prob.Entities for
+	// earlier fix for free; Solve brings its state in step with the problem as
+	// it then stands and leaves the assignment it reached in prob.Entities for
 	// the next stage. Emergency solves once, for the hard constraints and
 	// placement only, and skips balance. Periodic solves after the placement
 	// and balance stages, and after the critical stage only when every
@@ -336,15 +477,15 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	// costs. A placing run may therefore leave a drain to the next run.
 
 	// Critical: capacity, no two replicas of a shard on one server, drains.
-	for _, m := range metricNames {
+	for _, m := range prob.Metrics {
 		prob.AddConstraint(solver.CapacitySpec{Metric: m})
 	}
-	if grouped {
+	if p.grouped {
 		// Invariant: a shard's replicas never share a server (hard).
 		prob.AddConflict(solver.ExclusionSpec{
 			Scope:     solver.ScopeBucket,
-			Group:     shardOf,
-			NumGroups: len(in.Shards),
+			Group:     p.group,
+			NumGroups: len(p.shards),
 		})
 	}
 	prob.AddDrainGoal(drainWeight)
@@ -353,27 +494,44 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	}
 
 	// Placement: spread and region preference.
-	if p.SpreadWeight > 0 && grouped {
+	if pol.SpreadWeight > 0 && p.grouped {
 		prob.AddExclusionGoal(solver.ExclusionSpec{
-			Scope:     p.SpreadLevel.String(),
-			Group:     shardOf,
-			NumGroups: len(in.Shards),
-			Weight:    p.SpreadWeight,
+			Scope:     pol.SpreadLevel.String(),
+			Group:     p.group,
+			NumGroups: len(p.shards),
+			Weight:    pol.SpreadWeight,
 		})
 	}
-	for _, g := range affinities {
-		prob.AddAffinityGoal(g)
+	for i := 0; p.preferring > 0 && i < len(p.shards); i++ {
+		sh := &p.shards[i]
+		if sh.pref == "" {
+			continue
+		}
+		w := sh.weight
+		if w == 0 {
+			w = pol.AffinityWeight
+		}
+		for e := sh.first; e < sh.first+sh.replicas; e++ {
+			if prob.Entities[e].Movable {
+				prob.AddAffinityGoal(solver.AffinityGoal{
+					Scope:  topology.LevelRegion.String(),
+					Entity: solver.EntityID(e),
+					Domain: string(sh.pref),
+					Weight: w,
+				})
+			}
+		}
 	}
 	solve()
 
 	// Balance.
 	if mode != Emergency {
-		if p.UtilCap > 0 || p.MaxDiff > 0 {
-			for _, m := range metricNames {
+		if pol.UtilCap > 0 || pol.MaxDiff > 0 {
+			for _, m := range prob.Metrics {
 				prob.AddBalanceGoal(solver.BalanceSpec{
 					Metric:  m,
-					UtilCap: p.UtilCap,
-					MaxDiff: p.MaxDiff,
+					UtilCap: pol.UtilCap,
+					MaxDiff: pol.MaxDiff,
 					Weight:  balanceWeight,
 				})
 			}
@@ -382,7 +540,7 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 	}
 	res.Elapsed = time.Since(start)
 
-	res.Moves, res.Deferred = a.capDiff(in, prob.Entities, serverOf)
+	res.Moves, res.Deferred = p.capDiff(prob.Entities)
 	sortMoves(res.Moves)
 	return res
 }
@@ -396,14 +554,12 @@ func (a *Allocator) Run(in Input, mode Mode) *Result {
 // and is written over the entity's bucket: a replica ends at home (kept),
 // somewhere when it had none (added), or elsewhere (migrated). A bucket is
 // named only when its move is emitted.
-func (a *Allocator) capDiff(in Input, ents []solver.Entity, serverOf []shard.ServerID) ([]ReplicaMove, int) {
-	p := a.policy
+func (p *Problem) capDiff(ents []solver.Entity) ([]ReplicaMove, int) {
+	perShard := p.a.policy.PerShardMoveCap
 	var adds, migrations []ReplicaMove
 	deferred := 0
-	hi := 0
-	for _, spec := range in.Shards {
-		lo := hi
-		hi += spec.Replicas
+	for _, sh := range p.shards {
+		lo, hi := sh.first, sh.first+sh.replicas
 		shardMoves := 0
 		for e := lo; e < hi; e++ {
 			ent := &ents[e]
@@ -415,7 +571,7 @@ func (a *Allocator) capDiff(in Input, ents []solver.Entity, serverOf []shard.Ser
 				// Solver failed to place an existing replica; keep it
 				// where it is.
 				ent.Bucket = ent.Home
-			case shardMoves >= p.PerShardMoveCap:
+			case shardMoves >= perShard:
 				// A migration over the per-shard cap.
 				deferred++
 				ent.Bucket = ent.Home
@@ -459,9 +615,9 @@ func (a *Allocator) capDiff(in Input, ents []solver.Entity, serverOf []shard.Ser
 			switch to, from := ents[e].Bucket, ents[e].Home; {
 			case to == from:
 			case from == solver.Unassigned:
-				adds = append(adds, ReplicaMove{Shard: spec.ID, To: serverOf[to]})
+				adds = append(adds, ReplicaMove{Shard: sh.id, To: p.serverOf[to]})
 			default:
-				migrations = append(migrations, ReplicaMove{Shard: spec.ID, From: serverOf[from], To: serverOf[to]})
+				migrations = append(migrations, ReplicaMove{Shard: sh.id, From: p.serverOf[from], To: p.serverOf[to]})
 			}
 		}
 	}

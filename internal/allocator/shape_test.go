@@ -12,10 +12,10 @@ import (
 
 // TestNoMapsBesideTheInput keeps the allocator on numbers from the solver to
 // the diff. Its non-test code states a map type only in the shape of its input
-// (Input, ServerInfo) and in Run's one resolution of server names to buckets,
-// bucketOf: a placement keyed by shard or server name — a proposal to compare
-// names with, a set of live servers, a final placement returned beside the
-// moves — fails here.
+// (Input, ServerInfo) and in the from-Input constructor's one resolution of
+// server names to buckets, bucketOf: a placement keyed by shard or server name
+// — a proposal to compare names with, a set of live servers, a final placement
+// returned beside the moves, a kept problem's name index — fails here.
 func TestNoMapsBesideTheInput(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -38,9 +38,9 @@ func TestNoMapsBesideTheInput(t *testing.T) {
 					return n.Name.Name != "Input" && n.Name.Name != "ServerInfo"
 				case *ast.AssignStmt:
 					id, ok := n.Lhs[0].(*ast.Ident)
-					return !ok || id.Name != "bucketOf" || fn == nil || fn.Name.Name != "Run"
+					return !ok || id.Name != "bucketOf" || fn == nil || fn.Name.Name != "fromInput"
 				case *ast.MapType:
-					t.Errorf("%s: %s: the allocator states a map only in Input, ServerInfo and Run's bucketOf",
+					t.Errorf("%s: %s: the allocator states a map only in Input, ServerInfo and fromInput's bucketOf",
 						fset.Position(n.Pos()), types.ExprString(n))
 				}
 				return true

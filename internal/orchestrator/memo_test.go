@@ -71,6 +71,61 @@ func TestLoadReportDoesNotAliasTheApplication(t *testing.T) {
 	}
 }
 
+// refInput is the allocation problem of the orchestrator's state built from
+// nothing, as an allocator.Input: the reference the kept problem's refresh is
+// held to. It counts a server dead for less than the failover grace as alive
+// and finds every server by name, not through shardState.hosts.
+func refInput(o *Orchestrator) allocator.Input {
+	in := allocator.Input{Current: make(map[shard.ID][]shard.ServerID, len(o.shards))}
+	now := o.loop.Now()
+	for _, st := range o.byID {
+		in.Servers = append(in.Servers, allocator.ServerInfo{
+			ID:       st.id,
+			Domains:  st.domains,
+			Capacity: o.cfg.ServerCapacity,
+			Alive:    st.alive || now-st.deadSince < o.cfg.FailoverGrace,
+			Draining: st.draining,
+		})
+	}
+	for _, id := range o.order {
+		ss := o.shards[id]
+		in.Shards = append(in.Shards, allocator.ShardSpec{
+			ID:               id,
+			Replicas:         ss.cfg.Replicas,
+			Load:             refShardLoad(o, ss),
+			RegionPreference: ss.cfg.RegionPreference,
+			PreferenceWeight: ss.cfg.PreferenceWeight,
+		})
+		cur := make([]shard.ServerID, len(ss.replicas))
+		for i, a := range ss.replicas {
+			cur[i] = a.Server
+		}
+		in.Current[id] = cur
+	}
+	return in
+}
+
+// refShardLoad is shardLoad by name: the report of the last replica in the
+// shard's list whose server has one (a nil one reads as the default), or the
+// configured default.
+func refShardLoad(o *Orchestrator, ss *shardState) topology.Capacity {
+	var latest topology.Capacity
+	for _, a := range ss.replicas {
+		if st := o.servers[a.Server]; st != nil {
+			if l, ok := st.load[ss.cfg.ID]; ok {
+				latest = l
+			}
+		}
+	}
+	if latest == nil {
+		latest = ss.cfg.DefaultLoad
+	}
+	if latest == nil {
+		latest = topology.Capacity{topology.ResourceShardCount: 1}
+	}
+	return latest
+}
+
 // sameVerdict reports whether two results agree in everything allocate uses:
 // the moves, in order, and the violation counts.
 func sameVerdict(a, b *allocator.Result) bool {
@@ -107,7 +162,7 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	var lastMode allocator.Mode
 	o.memo.solved = func(mode allocator.Mode, res *allocator.Result, remembered bool) {
 		now := w.loop.Now()
-		in := o.buildInput()
+		in := refInput(o)
 		if want := fresh.Run(in, mode); !sameVerdict(res, want) {
 			t.Fatalf("%v at %v (remembered: %v): solve returned %d moves %+v -> %+v, a fresh run %d moves %+v -> %+v",
 				mode, now, remembered, len(res.Moves), res.Initial, res.Final, len(want.Moves), want.Initial, want.Final)
@@ -232,11 +287,14 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 }
 
 // inputSources pins, for every field of the allocator's input structs, the
-// orchestrator state buildInput reads it from — named by the field or
-// variable an assignment writes — and the functions allowed to write that
-// state. Each writer other than New (which runs before any solve) must call
-// touch: an input value that changes without a bump would be replayed stale.
-// Alive is the one value the clock also changes; graceEnd covers it.
+// orchestrator state the refresh restates it from — named by the field or
+// variable an assignment writes; hosts is derived from the replica lists — and
+// the functions allowed to write that state. Each writer other than New (which
+// runs before any solve) must call touch, and must mark what it changed for
+// the refresh (markShard or markServers): an input value that changes without
+// a bump would be replayed stale, and one that changes without a mark would be
+// solved stale. Alive is the one value the clock also changes; graceEnd
+// covers it for the memo and bucketsUntil for the refresh.
 var inputSources = []struct {
 	field   string
 	sources []string
@@ -244,7 +302,7 @@ var inputSources = []struct {
 }{
 	{"Input.Servers", []string{"byID"}, []string{"syncMembership"}},
 	{"Input.Shards", []string{"order"}, []string{"New"}},
-	{"Input.Current", []string{"replicas", "Server"}, []string{"addReplica", "removeReplica", "rehomeReplica"}},
+	{"Input.Current", []string{"replicas", "Server", "hosts"}, []string{"addReplica", "removeReplica", "rehomeReplica"}},
 	{"ServerInfo.ID", []string{"byID"}, []string{"syncMembership"}},
 	{"ServerInfo.Domains", []string{"domains"}, []string{"resolveMachine"}},
 	{"ServerInfo.Capacity", []string{"ServerCapacity"}, nil},
@@ -252,7 +310,7 @@ var inputSources = []struct {
 	{"ServerInfo.Draining", []string{"draining"}, []string{"Drain", "CancelDrain"}},
 	{"ShardSpec.ID", []string{"order"}, []string{"New"}},
 	{"ShardSpec.Replicas", []string{"Replicas"}, []string{"New"}},
-	{"ShardSpec.Load", []string{"load", "DefaultLoad", "replicas", "Server"},
+	{"ShardSpec.Load", []string{"load", "DefaultLoad", "replicas", "Server", "hosts"},
 		[]string{"collectLoads", "addReplica", "removeReplica", "rehomeReplica"}},
 	{"ShardSpec.RegionPreference", []string{"RegionPreference"}, []string{"SetRegionPreference"}},
 	{"ShardSpec.PreferenceWeight", []string{"PreferenceWeight"}, []string{"SetRegionPreference"}},
@@ -282,7 +340,8 @@ func written(e ast.Expr) *ast.Ident {
 // ShardSpec — found by reflection, so a field added later fails here until it
 // has a row — has its sources and writers in inputSources; the package's
 // non-test code writes a source nowhere but in a listed writer; every listed
-// writer but New bumps the epoch; and nothing else does.
+// writer but New bumps the epoch and marks what it changed for the refresh;
+// and nothing else bumps it.
 func TestMemoComparesEveryField(t *testing.T) {
 	rows := map[string]bool{}
 	writersOf := map[string][]string{} // source -> functions allowed to write it
@@ -319,7 +378,7 @@ func TestMemoComparesEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	touches := map[string]bool{}
+	touches, marks := map[string]bool{}, map[string]bool{}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -360,6 +419,9 @@ func TestMemoComparesEveryField(t *testing.T) {
 					if sel, ok := s.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "touch" {
 						touches[fname] = true
 					}
+					if sel, ok := s.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "markShard" || sel.Sel.Name == "markServers") {
+						marks[fname] = true
+					}
 				}
 				return true
 			})
@@ -368,6 +430,9 @@ func TestMemoComparesEveryField(t *testing.T) {
 	for f, must := range mustTouch {
 		if must && !touches[f] {
 			t.Errorf("%s writes a source of the allocator's input and never bumps the epoch", f)
+		}
+		if must && !marks[f] {
+			t.Errorf("%s writes a source of the allocator's input and never marks it for the refresh", f)
 		}
 	}
 	for f := range touches {

@@ -141,6 +141,9 @@ type serverState struct {
 	draining bool
 	// deadSince is when the server was last seen dying.
 	deadSince time.Duration
+	// bucket is the server's number in the kept allocation problem, -1 while
+	// it is none (dead past its grace, or not stated yet).
+	bucket int
 	// load is the latest per-shard load report.
 	load map[shard.ID]topology.Capacity
 	// shards is the server's part of the placement — the shards' replica
@@ -160,6 +163,13 @@ type shardState struct {
 	// (placement.go). changed is set while the shard is on o.changed.
 	replicas []shard.Assignment
 	changed  bool
+	// hosts[i] is the server of replicas[i] (nil for one not known), kept in
+	// step by the same mutators: the refresh reads a shard's load and buckets
+	// through it without a lookup by name.
+	hosts []*serverState
+	// stale is set while the shard is on o.stale: its load or placement
+	// changed since the kept allocation problem last stated them.
+	stale bool
 	// mig is the shard's migration, queued or started (nil for none): while
 	// it is set, allocation, role reconciliation and demotion leave the shard
 	// alone, and rejoin syncs protect a started one's half-handed-over replica.
@@ -208,9 +218,20 @@ type Orchestrator struct {
 	net   *rpcnet.Network
 	dir   *appserver.Directory
 	fleet *topology.Fleet
-	alloc *allocator.Allocator
 	memo  solveMemo
 	paths appserver.CoordPaths
+
+	// prob is the allocation problem, kept across solves and restated where
+	// the writers marked it (refresh): stale lists the shards marked,
+	// serversStale says the server list changed, and bucketsUntil is when a
+	// dead server's grace next runs out and it leaves the bucket list. infos
+	// and cur are refresh's scratch.
+	prob         *allocator.Problem
+	stale        []*shardState
+	serversStale bool
+	bucketsUntil time.Duration
+	infos        []allocator.ServerInfo
+	cur          []int
 
 	servers map[shard.ServerID]*serverState
 	byID    []*serverState // the same servers sorted by ID: deterministic iteration
@@ -258,7 +279,6 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		net:      net,
 		dir:      dir,
 		fleet:    fleet,
-		alloc:    allocator.New(cfg.Policy, seed),
 		paths:    appserver.DefaultPaths(cfg.App),
 		delta:    shard.NewDelta(cfg.App),
 		servers:  make(map[shard.ServerID]*serverState),
@@ -275,6 +295,14 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		o.shards[sc.ID] = &shardState{cfg: sc, pos: len(o.order)}
 		o.order = append(o.order, sc.ID)
 	}
+	specs := make([]allocator.ShardSpec, len(o.order))
+	for i, id := range o.order {
+		ss := o.shards[id]
+		specs[i] = allocator.ShardSpec{ID: id, Replicas: ss.cfg.Replicas}
+		o.markShard(ss)
+	}
+	o.prob = allocator.New(cfg.Policy, seed).NewProblem(specs)
+	o.markServers()
 	return o
 }
 
@@ -383,7 +411,7 @@ func (o *Orchestrator) syncMembership() {
 		st := o.servers[id]
 		rejoined := st != nil && !st.alive
 		if st == nil {
-			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity), nodeStale: true}
+			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity), nodeStale: true, bucket: -1}
 			o.servers[id] = st
 			i, _ := slices.BinarySearchFunc(o.byID, id, func(s *serverState, id shard.ServerID) int {
 				return cmp.Compare(s.id, id)
@@ -395,6 +423,7 @@ func (o *Orchestrator) syncMembership() {
 				o.touch() // it had dropped out of the remembered problem
 			}
 			st.alive = true
+			o.markServers()
 			o.resolveMachine(st, string(data))
 		}
 		if rejoined && o.started {
@@ -411,6 +440,7 @@ func (o *Orchestrator) syncMembership() {
 		if !seen[st.id] && st.alive {
 			st.alive = false
 			st.deadSince = o.loop.Now()
+			o.markServers()
 			anyDied = true
 			o.scheduleFailover(st.id, st.deadSince)
 		}
@@ -441,6 +471,7 @@ func (o *Orchestrator) resolveMachine(st *serverState, payload string) {
 	if !maps.Equal(st.domains, domains) {
 		st.domains = domains
 		o.touch()
+		o.markServers()
 	}
 }
 
@@ -502,24 +533,29 @@ func (o *Orchestrator) collectLoads() {
 			report := srv.LoadReport()
 			o.loop.AfterL(0, lbLoadApply, func() {
 				// A report is a value (appserver.LoadReporter), held as it
-				// came; a replica it leaves out reports what is held. While a
-				// remembered result could still be replayed, an entry that
-				// changes what shardLoad reads bumps the epoch; an equal
-				// value, or one shardLoad does not read, bumps nothing. Once
-				// the epoch has moved there is nothing to check.
+				// came; a replica it leaves out reports what is held. Every
+				// shard it names is marked, for the refresh to restate its
+				// load. While a remembered result could still be replayed, an
+				// entry that changes what shardLoad reads bumps the epoch; an
+				// equal value, or one shardLoad does not read, bumps nothing.
+				// Once the epoch has moved there is nothing to check.
 				for _, e := range report {
+					ss := o.shards[e.Shard]
+					if ss == nil {
+						st.load[e.Shard] = e.Load
+						continue
+					}
 					held, ok := st.load[e.Shard]
 					if o.memo.replayable() && !(ok && maps.Equal(held, e.Load)) {
-						if ss := o.shards[e.Shard]; ss != nil {
-							was := o.shardLoad(ss)
-							st.load[e.Shard] = e.Load
-							if !maps.Equal(was, o.shardLoad(ss)) {
-								o.touch()
-							}
-							continue
+						was := o.shardLoad(ss)
+						st.load[e.Shard] = e.Load
+						if !maps.Equal(was, o.shardLoad(ss)) {
+							o.touch()
 						}
+					} else {
+						st.load[e.Shard] = e.Load
 					}
-					st.load[e.Shard] = e.Load
+					o.markShard(ss)
 				}
 			})
 		}, nil, o.failedRPC)
@@ -529,21 +565,19 @@ func (o *Orchestrator) collectLoads() {
 // shardLoad returns the shard's measured load — the report of the last
 // replica in its list whose server has one — or its configured default.
 func (o *Orchestrator) shardLoad(ss *shardState) topology.Capacity {
-	var latest topology.Capacity
-	for _, a := range ss.replicas {
-		if st := o.servers[a.Server]; st != nil {
-			if l, ok := st.load[ss.cfg.ID]; ok {
-				latest = l
+	for i := len(ss.hosts) - 1; i >= 0; i-- {
+		if st := ss.hosts[i]; st != nil {
+			if l, ok := st.load[ss.cfg.ID]; ok && l != nil {
+				return l
+			} else if ok {
+				break // a nil report reads as the default
 			}
 		}
 	}
-	if latest == nil {
-		latest = ss.cfg.DefaultLoad
+	if ss.cfg.DefaultLoad != nil {
+		return ss.cfg.DefaultLoad
 	}
-	if latest == nil {
-		latest = topology.Capacity{topology.ResourceShardCount: 1}
-	}
-	return latest
+	return topology.Capacity{topology.ResourceShardCount: 1}
 }
 
 // --- allocation ---
@@ -587,40 +621,6 @@ func (o *Orchestrator) allocate(mode allocator.Mode) {
 			trace.Int("violations", res.Final.Total()))
 	}
 	o.curAlloc = 0
-}
-
-func (o *Orchestrator) buildInput() allocator.Input {
-	in := allocator.Input{Current: make(map[shard.ID][]shard.ServerID, len(o.shards))}
-	now := o.loop.Now()
-	for _, st := range o.byID {
-		// A server dead for less than the failover grace (e.g. a quick
-		// in-place restart) keeps its replicas: treating it as dead
-		// would make every planned restart churn the whole placement.
-		alive := st.alive || now-st.deadSince < o.cfg.FailoverGrace
-		in.Servers = append(in.Servers, allocator.ServerInfo{
-			ID:       st.id,
-			Domains:  st.domains,
-			Capacity: o.cfg.ServerCapacity,
-			Alive:    alive,
-			Draining: st.draining,
-		})
-	}
-	for _, id := range o.order {
-		ss := o.shards[id]
-		in.Shards = append(in.Shards, allocator.ShardSpec{
-			ID:               id,
-			Replicas:         ss.cfg.Replicas,
-			Load:             o.shardLoad(ss),
-			RegionPreference: ss.cfg.RegionPreference,
-			PreferenceWeight: ss.cfg.PreferenceWeight,
-		})
-		cur := make([]shard.ServerID, len(ss.replicas))
-		for i, a := range ss.replicas {
-			cur[i] = a.Server
-		}
-		in.Current[id] = cur
-	}
-	return in
 }
 
 // executeDiff turns allocator moves into RPC sequences.
@@ -1401,6 +1401,7 @@ func (o *Orchestrator) SetRegionPreference(s shard.ID, region topology.RegionID,
 		ss.cfg.RegionPreference = region
 		ss.cfg.PreferenceWeight = weight
 		o.touch()
+		o.markShard(ss)
 	}
 }
 
@@ -1458,6 +1459,7 @@ func (o *Orchestrator) Drain(id shard.ServerID, onDone func()) {
 	if !st.draining {
 		st.draining = true
 		o.touch()
+		o.markServers()
 	}
 	o.draining[id] = onDone
 	o.allocate(allocator.Periodic)
@@ -1469,6 +1471,7 @@ func (o *Orchestrator) CancelDrain(id shard.ServerID) {
 	if st := o.servers[id]; st != nil && st.draining {
 		st.draining = false
 		o.touch()
+		o.markServers()
 	}
 	delete(o.draining, id)
 }

@@ -10,24 +10,28 @@ import (
 
 // The placement — which replicas sit on which server — is kept once: each
 // shard's replica list (shardState.replicas), of the type the shard map
-// publishes. Two things are derived from it and must never fall out of step:
-// every server's index of the shards it holds (serverState.shards, which is
-// also what its assignment node should contain, in the node's order: by shard
-// name) and the list of shards changed since the last publication
-// (Orchestrator.changed). The four mutators below
-// are the only code that writes a replica list, and each brings both up to date
-// in the same breath; every other function reads. They are also all a standby
-// needs to rebuild the placement from the coord assignment nodes. The three
-// that change which server holds a replica bump the allocation problem's epoch
-// (memo.go); setRole does not, since the allocator is told servers, not roles.
+// publishes. Three things are derived from it and must never fall out of
+// step: every server's index of the shards it holds (serverState.shards, which
+// is also what its assignment node should contain, in the node's order: by
+// shard name), the list of shards changed since the last publication
+// (Orchestrator.changed) and every replica's server (shardState.hosts). The
+// four mutators below are the only code that writes a replica list, and each
+// brings all three up to date in the same breath; every other function reads.
+// They are also all a standby needs to rebuild the placement from the coord
+// assignment nodes. The three that change which server holds a replica bump
+// the allocation problem's epoch and mark the shard for the refresh
+// (memo.go); setRole does neither, since the allocator is told servers, not
+// roles.
 
 // addReplica appends a replica of ss on server.
 func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role shard.Role) {
 	ss.replicas = append(ss.replicas, shard.Assignment{Server: server, Role: role})
+	ss.hosts = append(ss.hosts, o.servers[server])
 	if len(ss.replicas) == 1 {
 		o.placed++
 	}
 	o.touch()
+	o.markShard(ss)
 	o.reindex(ss, server)
 }
 
@@ -36,7 +40,9 @@ func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role sh
 func (o *Orchestrator) removeReplica(ss *shardState, i int) {
 	server := ss.replicas[i].Server
 	ss.replicas = slices.Delete(ss.replicas, i, i+1)
+	ss.hosts = slices.Delete(ss.hosts, i, i+1)
 	o.touch()
+	o.markShard(ss)
 	o.reindex(ss, server)
 }
 
@@ -51,7 +57,9 @@ func (o *Orchestrator) setRole(ss *shardState, i int, role shard.Role) {
 func (o *Orchestrator) rehomeReplica(ss *shardState, i int, to shard.ServerID) {
 	from := ss.replicas[i].Server
 	ss.replicas[i].Server = to
+	ss.hosts[i] = o.servers[to]
 	o.touch()
+	o.markShard(ss)
 	o.reindex(ss, from)
 	o.reindex(ss, to)
 }

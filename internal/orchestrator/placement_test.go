@@ -110,7 +110,8 @@ func refIndex(m *shard.Map, id shard.ServerID) []appserver.AssignEntry {
 // checkIndex requires, for every server the orchestrator knows, that its
 // index is the snapshot inverted and sorted by name, that the per-server
 // questions answer as their reference scans do, and — unless the node is
-// marked stale — that its coord assignment node holds exactly that inversion.
+// marked stale — that its coord assignment node holds exactly that inversion;
+// and, for every shard, that each replica's host is its server by name.
 func checkIndex(t *testing.T, w *world, when string) {
 	t.Helper()
 	m := w.orch.AssignmentSnapshot()
@@ -141,6 +142,17 @@ func checkIndex(t *testing.T, w *world, when string) {
 		data, _, err := w.store.Get(w.orch.paths.AssignNode(id))
 		if err != nil || string(data) != string(appserver.EncodeAssignment(want)) {
 			t.Fatalf("%s: %s node (not marked stale) holds %q (%v), want %q", when, id, data, err, appserver.EncodeAssignment(want))
+		}
+	}
+	// Every replica's host is its server found by name.
+	for id, ss := range w.orch.shards {
+		if len(ss.hosts) != len(ss.replicas) {
+			t.Fatalf("%s: %s has %d replicas and %d hosts", when, id, len(ss.replicas), len(ss.hosts))
+		}
+		for i, a := range ss.replicas {
+			if ss.hosts[i] != w.orch.servers[a.Server] {
+				t.Fatalf("%s: %s replica %d is on %s, its host is another server", when, id, i, a.Server)
+			}
 		}
 	}
 	// A queued migration's source keeps its replica until the move commits,
@@ -322,23 +334,7 @@ func TestStopReleasesQueuedMigrations(t *testing.T) {
 // of replicas per server is the same at every size the benchmarks use, so an
 // assignment node costs the same to rewrite.
 func benchPlacement(b *testing.B, shards, servers int) (*Orchestrator, []int) {
-	cfg := baseConfig(shard.SecondaryOnly, shards, 2)
-	cfg.HomeRegion = "r1"
-	fleet := topology.Build(topology.Spec{Regions: []topology.RegionID{"r1"}, MachinesPerRegion: servers})
-	loop := sim.NewLoop(1)
-	store := coord.NewStore()
-	o := New(loop, store, discovery.NewService(loop, nil), rpcnet.NewNetwork(loop, fleet),
-		appserver.NewDirectory(), fleet, cfg, 1)
-	sess := store.NewSession()
-	machines := fleet.MachinesInRegion("r1")
-	for i := 0; i < servers; i++ {
-		id := shard.ServerID(fmt.Sprintf("srv%04d", i))
-		if err := store.CreateAll(o.paths.ServerNode(id), []byte(machines[i].ID), sess); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mustEnsure(store, o.paths.AssignPath)
-	o.syncMembership()
+	o := benchServers(b, baseConfig(shard.SecondaryOnly, shards, 2), []topology.RegionID{"r1"}, servers)
 	home := make([]int, shards)
 	for i, id := range o.order {
 		home[i] = 2 * i % servers
@@ -347,6 +343,69 @@ func benchPlacement(b *testing.B, shards, servers int) (*Orchestrator, []int) {
 	}
 	o.publish()
 	return o, home
+}
+
+// benchServers builds an orchestrator for cfg with perRegion live servers in
+// each region, registered through their liveness nodes, and no replica placed.
+// Servers are named by region, so o.byID lists a region's servers together.
+func benchServers(tb testing.TB, cfg Config, regions []topology.RegionID, perRegion int) *Orchestrator {
+	cfg.HomeRegion = regions[0]
+	fleet := topology.Build(topology.Spec{Regions: regions, MachinesPerRegion: perRegion})
+	loop := sim.NewLoop(1)
+	store := coord.NewStore()
+	o := New(loop, store, discovery.NewService(loop, nil), rpcnet.NewNetwork(loop, fleet),
+		appserver.NewDirectory(), fleet, cfg, 1)
+	sess := store.NewSession()
+	for _, r := range regions {
+		for i, m := range fleet.MachinesInRegion(r) {
+			id := shard.ServerID(fmt.Sprintf("%s-srv%04d", r, i))
+			if len(regions) == 1 {
+				id = shard.ServerID(fmt.Sprintf("srv%04d", i))
+			}
+			if err := store.CreateAll(o.paths.ServerNode(id), []byte(m.ID), sess); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	mustEnsure(store, o.paths.AssignPath)
+	o.syncMembership()
+	return o
+}
+
+// spreadPlacement builds benchServers' world over three regions for
+// two-replica shards and places them settled for spread and balance: replica
+// 0 of shard i in region i mod 3, replica 1 in the next region, each on its
+// region's servers in turn. Every shard loads one CPU unless loads says
+// otherwise. The solve at the end builds the kept problem.
+func spreadPlacement(tb testing.TB, cfg Config, perRegion int) *Orchestrator {
+	regions := []topology.RegionID{"r1", "r2", "r3"}
+	o := benchServers(tb, cfg, regions, perRegion)
+	next := make([]int, len(regions))
+	for i, id := range o.order {
+		for r := range 2 {
+			reg := (i + r) % len(regions)
+			o.addReplica(o.shards[id], o.byID[reg*perRegion+next[reg]].id, shard.RoleSecondary)
+			next[reg] = (next[reg] + 1) % perRegion
+		}
+	}
+	o.publish()
+	if o.solve(allocator.Periodic) == nil {
+		tb.Fatal("no allocation")
+	}
+	return o
+}
+
+// setLoads states shard i's measured load as loads[i], reported by every
+// server holding a replica, the way collectLoads' apply holds a report.
+func setLoads(o *Orchestrator, loads []topology.Capacity) {
+	for i, id := range o.order {
+		ss := o.shards[id]
+		for _, a := range ss.replicas {
+			o.servers[a.Server].load[id] = loads[i]
+		}
+		o.markShard(ss)
+	}
+	o.touch()
 }
 
 // benchSizes are the two worlds the placement benchmarks compare: ten times
@@ -383,11 +442,20 @@ func BenchmarkMoveAndPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocateIncremental drives the allocation path alone on the same
-// worlds: one op re-homes one replica, which bumps the input epoch, so solve
-// runs buildInput and allocator.Run afresh on a problem one move away from the
-// last. Today its cost grows with the shard count; an incremental allocation
-// is what would make the two sizes read alike.
+// BenchmarkAllocateIncremental drives the allocation path alone. On the same
+// worlds as BenchmarkMoveAndPublish, one op re-homes one replica, which bumps
+// the input epoch, so solve refreshes the kept problem and runs it afresh on a
+// problem one move away from the last. The lb_churn row is that workload's
+// problem — 6k two-replica shards over 3×100 servers, loads spread 20x, a move
+// cap of 30 and a half-point balance band — with every shard's load redrawn
+// (15% noise) between ops, so each op restates every load slot and the search
+// runs into the move cap. Five parent and six change runs of -benchtime=20x
+// on a 2-vCPU host, parent (buildInput and a from-scratch allocator.Run) →
+// change: shards=3k 8.2–10.1 → 5.4–6.8 ms/op and 9,214 → 135 allocs/op;
+// shards=30k 109–152 → 57–75 ms/op and 83,917 → 947 allocs/op, most of what
+// is left being the search over 1,200 buckets that all hold replicas whose
+// spread no target can fix; lb_churn 11.8–15.5 → 4.4–6.2 ms/op and 15,058 →
+// 158 allocs/op, with 7,676 evals/op on both sides.
 func BenchmarkAllocateIncremental(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(size.name, func(b *testing.B) {
@@ -404,4 +472,83 @@ func BenchmarkAllocateIncremental(b *testing.B) {
 			}
 		})
 	}
+	b.Run("lb_churn", func(b *testing.B) {
+		const shards, perRegion = 6000, 100
+		cfg := baseConfig(shard.SecondaryOnly, shards, 2)
+		cfg.Policy.MaxTotalMoves = 30
+		cfg.Policy.MaxDiff = 0.005
+		cfg.ServerCapacity = topology.Capacity{topology.ResourceCPU: 80, topology.ResourceShardCount: shards}
+		rng := sim.NewRNG(1)
+		base := make([]float64, shards)
+		for i := range base {
+			base[i] = 0.1 + 1.9*rng.Float64()
+		}
+		draws := make([][]topology.Capacity, 4)
+		for d := range draws {
+			draws[d] = make([]topology.Capacity, shards)
+			for i := range draws[d] {
+				noise := max(1+0.15*rng.NormFloat64(), 0.1)
+				draws[d][i] = topology.Capacity{topology.ResourceCPU: base[i] * noise, topology.ResourceShardCount: 1}
+			}
+		}
+		o := spreadPlacement(b, cfg, perRegion)
+		evals := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			setLoads(o, draws[n%len(draws)])
+			res := o.solve(allocator.Periodic)
+			if res == nil {
+				b.Fatal("no allocation")
+			}
+			evals += res.Evaluated
+		}
+		b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	})
+}
+
+// TestFreshSolveAllocationsDoNotGrowWithShards: a fresh periodic solve on a
+// settled world, after a few load and placement changes, allocates what the
+// changes and the search's moves need and nothing per shard or server: the
+// count at 30k shards is within 2x of the count at 3k. Allocation counts
+// repeat exactly, so the gate is deterministic.
+func TestFreshSolveAllocationsDoNotGrowWithShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 30k-shard world")
+	}
+	allocs := map[int]float64{}
+	for _, shards := range []int{3000, 30000} {
+		cfg := baseConfig(shard.SecondaryOnly, shards, 2)
+		cfg.ServerCapacity = topology.Capacity{topology.ResourceCPU: 200, topology.ResourceShardCount: 1000}
+		o := spreadPlacement(t, cfg, shards/150)
+		heavy := topology.Capacity{topology.ResourceCPU: 4, topology.ResourceShardCount: 1}
+		light := topology.Capacity{topology.ResourceCPU: 1, topology.ResourceShardCount: 1}
+		n := 0
+		allocs[shards] = testing.AllocsPerRun(20, func() {
+			n++
+			for k := range 3 {
+				ss := o.shards[o.order[(7*n+k)%shards]]
+				load := heavy
+				if n%2 == 0 {
+					load = light
+				}
+				o.servers[ss.replicas[1].Server].load[ss.cfg.ID] = load
+				o.markShard(ss)
+			}
+			// Swap two shards' first replicas, which keeps every server's
+			// count and every shard's spread.
+			a, b := o.shards[o.order[n%shards]], o.shards[o.order[(n+3)%shards]]
+			sa, sb := a.replicas[0].Server, b.replicas[0].Server
+			o.rehomeReplica(a, 0, sb)
+			o.rehomeReplica(b, 0, sa)
+			o.touch()
+			if o.solve(allocator.Periodic) == nil {
+				t.Fatal("no allocation")
+			}
+		})
+	}
+	if allocs[30000] > 2*allocs[3000] {
+		t.Fatalf("a fresh solve allocates %.0f times at 30k shards, %.0f at 3k: more than 2x", allocs[30000], allocs[3000])
+	}
+	t.Logf("allocations per fresh solve: %.0f at 3k shards, %.0f at 30k", allocs[3000], allocs[30000])
 }

@@ -9,7 +9,7 @@ package solver
 // Ties break toward the lower bucket ID so the pull order is deterministic.
 type hotSet struct {
 	// pen[b] is bucket b's current penalty (maintained incrementally; small
-	// float drift versus a full bucketPenalty is expected and
+	// float drift versus a full recomputation is expected and
 	// harmless — it only orders the search).
 	pen []float64
 	// heap holds the unfrozen bucket IDs in max-heap order.
@@ -19,20 +19,25 @@ type hotSet struct {
 }
 
 func newHotSet(n int) *hotSet {
-	h := &hotSet{
-		pen:  make([]float64, n),
-		heap: make([]int32, n),
-		pos:  make([]int32, n),
-	}
+	h := &hotSet{}
+	h.reset(n)
+	return h
+}
+
+// reset sizes the set for n buckets, every one unfrozen in ID order, reusing
+// its arrays; pen is left for the caller to fill before init.
+func (h *hotSet) reset(n int) {
+	h.pen = resize(h.pen, n)
+	h.heap = resize(h.heap, n)
+	h.pos = resize(h.pos, n)
 	for i := range h.heap {
 		h.heap[i] = int32(i)
 		h.pos[i] = int32(i)
 	}
-	return h
 }
 
-// init heapifies after the caller has filled pen directly (newState does
-// this once with full bucketPenalty recomputations).
+// init heapifies after the caller has filled pen directly (state.sync does
+// this with full seedPenalty computations).
 func (h *hotSet) init() {
 	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)

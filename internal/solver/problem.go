@@ -47,7 +47,8 @@ type Entity struct {
 	Bucket BucketID
 	// Home is the bucket the entity was added in: AddEntity sets it from
 	// Bucket, and Solve never changes it, so every Solve of one problem
-	// counts Options.MoveBudget against the same starting placement.
+	// counts Options.MoveBudget against the same starting placement. A caller
+	// restating an entity in place (a new run) sets both.
 	Home BucketID
 	// Movable entities may be reassigned; pinned ones contribute load
 	// but never move.
@@ -64,7 +65,8 @@ type Bucket struct {
 	// reads it, so buckets (and the caller's own records) may share one map.
 	Props map[string]string
 	// Group tags the bucket for grouped candidate sampling (set by the
-	// caller; typically the region or hardware class).
+	// caller; typically the region or hardware class). Like Props it is read
+	// once per problem and must not change after.
 	Group string
 	// Draining marks buckets that should shed entities (pending
 	// maintenance or software upgrade, §5.1 soft goal 3).
@@ -112,14 +114,21 @@ type ExclusionSpec struct {
 	Scope string
 	// Group[e] is entity e's group number in [0, NumGroups), or -1 for an
 	// entity outside the spec; it has one element per entity of the problem
-	// at Solve time. The solver only reads it, so specs may share one slice.
+	// at Solve time. The solver only reads it, so specs may share one slice,
+	// and indexes it at the first Solve that sees the spec: it must not change
+	// while the spec is in the problem.
 	Group     []int32
 	NumGroups int
 	Weight    float64
 }
 
 // Problem is a mutable assignment problem under construction. Build it with
-// the Add* methods, then call Solve.
+// the Add* methods, then call Solve. A problem may be solved again: after more
+// goals are added (the allocator's goal stages), or after ClearGoals and new
+// entity placements have restated it (the allocator's next run). What Solve
+// builds from the buckets and entities is kept with the problem and brought in
+// step with it at the next Solve, which sums the loads again and reuses the
+// rest.
 type Problem struct {
 	Metrics []string
 	midx    map[string]int
@@ -129,14 +138,21 @@ type Problem struct {
 
 	capacitySpecs  []CapacitySpec
 	balanceSpecs   []BalanceSpec
-	affinityGoals  map[EntityID][]AffinityGoal
+	affinityGoals  []AffinityGoal // in the order added
 	exclusionSpecs []ExclusionSpec
 	conflictSpecs  []ExclusionSpec
 	drainWeight    float64
 
 	// domTable interns (bucket, scope) -> domain strings; built lazily
-	// (see intern.go).
+	// (see intern.go). groups is the buckets by Group tag, for
+	// GroupedSampler; built lazily too.
 	domTable *domainTable
+	groups   [][]BucketID
+
+	// st and ctx are the last Solve's state and search machinery, kept for
+	// the next (see Problem.state).
+	st  *state
+	ctx *solveCtx
 }
 
 // NewProblem creates a problem with the given load metrics.
@@ -152,9 +168,8 @@ func NewProblem(metrics []string) *Problem {
 		midx[m] = i
 	}
 	return &Problem{
-		Metrics:       append([]string(nil), metrics...),
-		midx:          midx,
-		affinityGoals: make(map[EntityID][]AffinityGoal),
+		Metrics: append([]string(nil), metrics...),
+		midx:    midx,
 	}
 }
 
@@ -215,7 +230,7 @@ func (p *Problem) AddAffinityGoal(g AffinityGoal) {
 	if g.Entity < 0 || int(g.Entity) >= len(p.Entities) {
 		panic(fmt.Sprintf("solver: affinity for unknown entity %d", g.Entity))
 	}
-	p.affinityGoals[g.Entity] = append(p.affinityGoals[g.Entity], g)
+	p.affinityGoals = append(p.affinityGoals, g)
 }
 
 // AddExclusionGoal registers a soft spread goal.
@@ -240,6 +255,25 @@ func (p *Problem) AddDrainGoal(w float64) {
 		panic("solver: drain goal needs positive weight")
 	}
 	p.drainWeight = w
+}
+
+// ClearGoals removes every constraint and goal — capacity, balance, affinity,
+// exclusion, conflict and drain — and keeps the buckets, the entities and
+// what the last Solve built from them, so the problem can be stated again
+// with fresh goals.
+func (p *Problem) ClearGoals() {
+	if s := p.st; s != nil {
+		for _, g := range p.affinityGoals[:s.nAff] {
+			s.aff[g.Entity] = s.aff[g.Entity][:0]
+		}
+		s.nAff, s.nExcl, s.nConf = 0, 0, 0
+	}
+	p.capacitySpecs = p.capacitySpecs[:0]
+	p.balanceSpecs = p.balanceSpecs[:0]
+	p.affinityGoals = p.affinityGoals[:0]
+	p.exclusionSpecs = p.exclusionSpecs[:0]
+	p.conflictSpecs = p.conflictSpecs[:0]
+	p.drainWeight = 0
 }
 
 // domainOf returns the aggregation key of bucket b at scope: the bucket's
@@ -347,6 +381,9 @@ type confState struct {
 	// ents[start[g]:start[g+1]] are group g's entities, in entity order.
 	start []int32
 	ents  []EntityID
+	// extra counts, over every (group, domain), the entities beyond the
+	// first: walked at sync, kept by apply.
+	extra int
 }
 
 // exclState is one soft exclusion spec: the same membership, and what each
@@ -356,12 +393,14 @@ type exclState struct {
 	weight float64
 }
 
-// newConfState indexes spec's groups over n entities.
-func newConfState(spec *ExclusionSpec, dom *scopeDomains, n int) confState {
+// index indexes spec's groups over n entities, into cs's own buffers; fill is
+// scratch.
+func (cs *confState) index(spec *ExclusionSpec, dom *scopeDomains, n int, fill *[]int32) {
 	if len(spec.Group) != n {
 		panic(fmt.Sprintf("solver: exclusion spec at scope %q states groups for %d entities, problem has %d", spec.Scope, len(spec.Group), n))
 	}
-	start := make([]int32, spec.NumGroups+1)
+	start := resize(cs.start, spec.NumGroups+1)
+	clear(start)
 	for e, g := range spec.Group {
 		if g < -1 || int(g) >= spec.NumGroups {
 			panic(fmt.Sprintf("solver: entity %d in group %d, spec has %d groups", e, g, spec.NumGroups))
@@ -373,15 +412,25 @@ func newConfState(spec *ExclusionSpec, dom *scopeDomains, n int) confState {
 	for g := 0; g < spec.NumGroups; g++ {
 		start[g+1] += start[g]
 	}
-	ents := make([]EntityID, start[spec.NumGroups])
-	fill := append([]int32(nil), start[:spec.NumGroups]...)
+	ents := resize(cs.ents, int(start[spec.NumGroups]))
+	f := append((*fill)[:0], start[:spec.NumGroups]...)
 	for e, g := range spec.Group {
 		if g >= 0 {
-			ents[fill[g]] = EntityID(e)
-			fill[g]++
+			ents[f[g]] = EntityID(e)
+			f[g]++
 		}
 	}
-	return confState{dom: dom, entGroup: spec.Group, start: start, ents: ents}
+	*fill = f
+	*cs = confState{dom: dom, entGroup: spec.Group, start: start, ents: ents}
+}
+
+// resize returns buf resliced to n elements, reusing its array when it is
+// large enough; the elements are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // others counts the entities of group g other than e that sit in domain d,
@@ -400,22 +449,49 @@ func (cs *confState) others(assignment []BucketID, g, d int32, e EntityID) (n in
 }
 
 // colocated counts, over every (group, domain), the entities beyond the first.
-func (cs *confState) colocated(assignment []BucketID) int {
+func (cs *confState) colocated(assignment []BucketID) int { return cs.walk(assignment, nil) }
+
+// walk is colocated, and with crowd it also sets crowd[e], for every placed
+// entity e of the spec, to whether another member of its group shares its
+// domain; it leaves the other entities' flags as they were (or sets them
+// false). It goes through the groups in order, which is cheaper than asking
+// others entity by entity.
+func (cs *confState) walk(assignment []BucketID, crowd []bool) int {
 	var n int
 	for g := 0; g+1 < len(cs.start); g++ {
 		grp := cs.ents[cs.start[g]:cs.start[g+1]]
+		if len(grp) == 2 {
+			// The common group, a shard's two replicas, in one comparison.
+			a, b := assignment[grp[0]], assignment[grp[1]]
+			shared := a != Unassigned && b != Unassigned && cs.dom.bucketDom[a] == cs.dom.bucketDom[b]
+			if shared {
+				n++
+			}
+			if crowd != nil {
+				crowd[grp[0]], crowd[grp[1]] = shared, shared
+			}
+			continue
+		}
 		for i, m := range grp {
 			b := assignment[m]
 			if b == Unassigned {
 				continue
 			}
-			// m is an extra if an earlier member shares its domain.
+			// m is an extra if an earlier member shares its domain, and
+			// crowded if any other does.
 			d := cs.dom.bucketDom[b]
-			for _, o := range grp[:i] {
-				if ob := assignment[o]; ob != Unassigned && cs.dom.bucketDom[ob] == d {
-					n++
-					break
+			extra, crowded := false, false
+			for j, o := range grp {
+				if ob := assignment[o]; j != i && ob != Unassigned && cs.dom.bucketDom[ob] == d {
+					crowded = true
+					extra = extra || j < i
 				}
+			}
+			if extra {
+				n++
+			}
+			if crowd != nil {
+				crowd[m] = crowded
 			}
 		}
 	}
@@ -439,12 +515,22 @@ type state struct {
 	specs []specState
 	excls []exclState
 	confs []confState
+	// nExcl, nConf and nAff count the problem's exclusion specs, conflict
+	// specs and affinity goals that excls, confs and aff hold: the ones there
+	// at the last sync (ClearGoals zeroes them).
+	nExcl, nConf, nAff int
+	fill               []int32 // confState.index's scratch
+	// crowd[xi][e] is whether entity e shared its domain with another member
+	// of its group in exclusion spec xi at the last sync: walk's answer, read
+	// while the hot set is seeded.
+	crowd [][]bool
 
-	// aff[e] lists entity e's interned affinity terms (nil for most).
+	// aff[e] lists entity e's interned affinity terms (empty for most).
 	aff [][]affTerm
 	// drainPen[b] is the per-entity drain penalty of bucket b (0 or the
-	// problem's drain weight).
+	// problem's drain weight); draining is whether any is not 0.
 	drainPen []float64
+	draining bool
 
 	// Per-bucket entity sets, maintained for neighborhood generation.
 	byBucket [][]EntityID
@@ -453,8 +539,12 @@ type state struct {
 	// regardless of spec scopes; samplers use it to prefer cold targets.
 	bucketLoad [][]float64
 
-	// unassigned counts entities without a bucket.
-	unassigned int
+	// unassigned counts entities without a bucket, away the ones placed off
+	// their Home (at the last sync). affN and drainN count the placed
+	// entities with an affinity penalty and those on a draining bucket:
+	// counted at sync, kept by apply.
+	unassigned, away int
+	affN, drainN     int
 
 	// hot tracks every bucket's penalty incrementally (see hotset.go);
 	// apply keeps it in sync with the aggregates above.
@@ -464,125 +554,215 @@ type state struct {
 // newState builds the incremental state from the problem's current
 // assignment.
 func newState(p *Problem) *state {
-	s := &state{
-		p:          p,
-		assignment: make([]BucketID, len(p.Entities)),
-		byBucket:   make([][]EntityID, len(p.Buckets)),
+	s := &state{p: p}
+	s.sync()
+	return s
+}
+
+// state returns the problem's kept state brought in step with the problem as
+// it now stands, building it afresh when the buckets or entities were added
+// to since.
+func (p *Problem) state() *state {
+	if s := p.st; s != nil && len(s.assignment) == len(p.Entities) && len(s.byBucket) == len(p.Buckets) {
+		s.sync()
+		return s
 	}
-	s.bucketLoad = make([][]float64, len(p.Buckets))
-	for b := range s.bucketLoad {
-		s.bucketLoad[b] = make([]float64, len(p.Metrics))
+	p.st = newState(p)
+	return p.st
+}
+
+// sync brings the state in step with its problem, reusing its buffers. The
+// assignment is read off the entities, and every aggregate is summed afresh
+// in entity order, so a state synced again equals one built from nothing to
+// the bit: carrying the sums over from the last Solve would leave its moves'
+// rounding in them. Exclusion and conflict specs and affinity goals added
+// since the last sync are indexed; the ones before stay as they were.
+func (s *state) sync() {
+	p := s.p
+	nM := len(p.Metrics)
+	s.assignment = resize(s.assignment, len(p.Entities))
+	if len(s.byBucket) != len(p.Buckets) {
+		s.byBucket = make([][]EntityID, len(p.Buckets))
+		s.bucketLoad = make([][]float64, len(p.Buckets))
+		loads := make([]float64, len(p.Buckets)*nM)
+		for b := range s.bucketLoad {
+			s.bucketLoad[b] = loads[b*nM : (b+1)*nM : (b+1)*nM]
+		}
 	}
+	for b := range s.byBucket {
+		s.byBucket[b] = s.byBucket[b][:0]
+		clear(s.bucketLoad[b])
+	}
+	s.unassigned, s.away = 0, 0
 	for i := range p.Entities {
-		s.assignment[i] = p.Entities[i].Bucket
-		if p.Entities[i].Bucket == Unassigned {
+		ent := &p.Entities[i]
+		s.assignment[i] = ent.Bucket
+		if ent.Bucket == Unassigned {
 			s.unassigned++
-		} else {
-			s.byBucket[p.Entities[i].Bucket] = append(s.byBucket[p.Entities[i].Bucket], EntityID(i))
-			for m, l := range p.Entities[i].Load {
-				s.bucketLoad[p.Entities[i].Bucket][m] += l
-			}
+			continue
+		}
+		if ent.Home != Unassigned && ent.Bucket != ent.Home {
+			s.away++
+		}
+		s.byBucket[ent.Bucket] = append(s.byBucket[ent.Bucket], EntityID(i))
+		for m, l := range ent.Load {
+			s.bucketLoad[ent.Bucket][m] += l
 		}
 	}
 
 	table := p.domainTable()
 
-	// Merge capacity and balance specs by (metric, scope).
-	type specKey struct {
-		midx  int
-		scope string
-	}
-	specIdx := make(map[specKey]int)
-	getSpec := func(metric, scope string) *specState {
-		k := specKey{p.MetricIndex(metric), scope}
-		si, ok := specIdx[k]
-		if !ok {
-			si = len(s.specs)
-			specIdx[k] = si
-			dom := table.domains(p, scope)
-			sp := specState{
-				midx: k.midx,
-				dom:  dom,
-				load: make([]float64, dom.numDomains()),
-				cap:  make([]float64, dom.numDomains()),
-			}
-			for b := range p.Buckets {
-				sp.cap[dom.bucketDom[b]] += p.Buckets[b].Capacity[sp.midx]
-			}
-			for e := range p.Entities {
-				if s.assignment[e] == Unassigned {
-					continue
-				}
-				sp.load[dom.bucketDom[s.assignment[e]]] += p.Entities[e].Load[sp.midx]
-			}
-			var totLoad, totCap float64
-			for d := range sp.cap {
-				totCap += sp.cap[d]
-				totLoad += sp.load[d]
-			}
-			// Unplaced load joins in entity order: float addition is not
-			// associative, and the balance target must be the same bits on
-			// every run of one input.
-			for e := range p.Entities {
-				if s.assignment[e] == Unassigned {
-					totLoad += p.Entities[e].Load[sp.midx]
-				}
-			}
-			if totCap > 0 {
-				sp.meanUtil = totLoad / totCap
-			}
-			s.specs = append(s.specs, sp)
-		}
-		return &s.specs[si]
-	}
+	// Merge capacity and balance specs by (metric, scope), capacity first.
+	s.specs = s.specs[:0]
 	for _, c := range p.capacitySpecs {
-		getSpec(c.Metric, c.Scope).nHard++
+		s.spec(table, c.Metric, c.Scope).nHard++
 	}
 	for _, b := range p.balanceSpecs {
-		sp := getSpec(b.Metric, b.Scope)
+		sp := s.spec(table, b.Metric, b.Scope)
 		sp.bals = append(sp.bals, balParams{utilCap: b.UtilCap, maxDiff: b.MaxDiff, weight: b.Weight})
 	}
 
-	for i := range p.exclusionSpecs {
+	s.excls = s.excls[:s.nExcl]
+	for i := s.nExcl; i < len(p.exclusionSpecs); i++ {
 		ex := &p.exclusionSpecs[i]
-		s.excls = append(s.excls, exclState{
-			confState: newConfState(ex, table.domains(p, ex.Scope), len(p.Entities)),
-			weight:    ex.Weight,
-		})
+		s.excls = grow(s.excls)
+		x := &s.excls[i]
+		x.index(ex, table.domains(p, ex.Scope), len(p.Entities), &s.fill)
+		x.weight = ex.Weight
 	}
-	for i := range p.conflictSpecs {
+	s.nExcl = len(p.exclusionSpecs)
+	s.confs = s.confs[:s.nConf]
+	for i := s.nConf; i < len(p.conflictSpecs); i++ {
 		cf := &p.conflictSpecs[i]
-		s.confs = append(s.confs, newConfState(cf, table.domains(p, cf.Scope), len(p.Entities)))
+		s.confs = grow(s.confs)
+		s.confs[i].index(cf, table.domains(p, cf.Scope), len(p.Entities), &s.fill)
+	}
+	s.nConf = len(p.conflictSpecs)
+	for ci := range s.confs {
+		s.confs[ci].extra = s.confs[ci].colocated(s.assignment)
+	}
+	s.crowd = s.crowd[:0]
+	for xi := range s.excls {
+		s.crowd = grow(s.crowd)
+		s.crowd[xi] = resize(s.crowd[xi], len(p.Entities))
+		s.excls[xi].extra = s.excls[xi].walk(s.assignment, s.crowd[xi])
 	}
 
-	s.aff = make([][]affTerm, len(p.Entities))
-	for e, goals := range p.affinityGoals {
-		terms := make([]affTerm, 0, len(goals))
-		for _, g := range goals {
-			dom := table.domains(p, g.Scope)
-			domID, ok := dom.index[g.Domain]
-			if !ok {
-				domID = -1 // no bucket is in the preferred domain
-			}
-			terms = append(terms, affTerm{bucketDom: dom.bucketDom, domID: domID, weight: g.Weight})
-		}
-		s.aff[e] = terms
+	if len(s.aff) != len(p.Entities) {
+		s.aff = make([][]affTerm, len(p.Entities))
 	}
-	s.drainPen = make([]float64, len(p.Buckets))
-	if p.drainWeight > 0 {
-		for b := range p.Buckets {
-			if p.Buckets[b].Draining {
-				s.drainPen[b] = p.drainWeight
-			}
+	for _, g := range p.affinityGoals[s.nAff:] {
+		dom := table.domains(p, g.Scope)
+		domID, ok := dom.index[g.Domain]
+		if !ok {
+			domID = -1 // no bucket is in the preferred domain
 		}
+		s.aff[g.Entity] = append(s.aff[g.Entity], affTerm{bucketDom: dom.bucketDom, domID: domID, weight: g.Weight})
 	}
+	s.nAff = len(p.affinityGoals)
 
-	s.hot = newHotSet(len(p.Buckets))
+	s.drainPen = resize(s.drainPen, len(p.Buckets))
+	s.draining = false
 	for b := range p.Buckets {
-		s.hot.pen[b] = s.bucketPenalty(BucketID(b))
+		s.drainPen[b] = 0
+		if p.drainWeight > 0 && p.Buckets[b].Draining {
+			s.drainPen[b] = p.drainWeight
+			s.draining = true
+		}
+	}
+
+	s.affN, s.drainN = 0, 0
+	for e := 0; (s.nAff > 0 || s.draining) && e < len(p.Entities); e++ {
+		if b := s.assignment[e]; b != Unassigned {
+			s.affN += b2i(s.affinityPenalty(EntityID(e), b) > 0)
+			s.drainN += b2i(s.drainPen[b] > 0)
+		}
+	}
+
+	if s.hot == nil {
+		s.hot = newHotSet(len(p.Buckets))
+	} else {
+		s.hot.reset(len(p.Buckets))
+	}
+	for b := range p.Buckets {
+		s.hot.pen[b] = s.seedPenalty(BucketID(b))
 	}
 	s.hot.init()
-	return s
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(ok bool) int {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
+// grow extends buf by one element, reusing the array (and so the buffers of
+// an element it held before) when it has room.
+func grow[T any](buf []T) []T {
+	if len(buf) < cap(buf) {
+		return buf[:len(buf)+1]
+	}
+	var zero T
+	return append(buf, zero)
+}
+
+// spec returns the merged spec state of (metric, scope), adding it with its
+// domains' capacities and loads summed when it is new.
+func (s *state) spec(table *domainTable, metric, scope string) *specState {
+	p := s.p
+	midx, dom := p.MetricIndex(metric), table.domains(p, scope)
+	for i := range s.specs {
+		if sp := &s.specs[i]; sp.midx == midx && sp.dom == dom {
+			return sp
+		}
+	}
+	s.specs = grow(s.specs)
+	sp := &s.specs[len(s.specs)-1]
+	*sp = specState{
+		midx: midx,
+		dom:  dom,
+		bals: sp.bals[:0],
+		load: resize(sp.load, dom.numDomains()),
+		cap:  resize(sp.cap, dom.numDomains()),
+	}
+	clear(sp.load)
+	clear(sp.cap)
+	for b := range p.Buckets {
+		sp.cap[dom.bucketDom[b]] += p.Buckets[b].Capacity[midx]
+	}
+	if dom.numDomains() == len(p.Buckets) {
+		// Every bucket is its own domain, numbered as the bucket is: the
+		// domain's load is the bucket's, summed in the same order.
+		for b := range s.bucketLoad {
+			sp.load[b] = s.bucketLoad[b][midx]
+		}
+	} else {
+		for e := range p.Entities {
+			if s.assignment[e] == Unassigned {
+				continue
+			}
+			sp.load[dom.bucketDom[s.assignment[e]]] += p.Entities[e].Load[midx]
+		}
+	}
+	var totLoad, totCap float64
+	for d := range sp.cap {
+		totCap += sp.cap[d]
+		totLoad += sp.load[d]
+	}
+	// Unplaced load joins in entity order: float addition is not
+	// associative, and the balance target must be the same bits on every run
+	// of one input.
+	for e := 0; s.unassigned > 0 && e < len(p.Entities); e++ {
+		if s.assignment[e] == Unassigned {
+			totLoad += p.Entities[e].Load[midx]
+		}
+	}
+	if totCap > 0 {
+		sp.meanUtil = totLoad / totCap
+	}
+	return sp
 }
 
 // affinityPenalty returns the affinity penalty of entity e sitting on bucket b.
@@ -628,16 +808,21 @@ type prepared struct {
 }
 
 func newPrepared(s *state) prepared {
-	return prepared{
-		load:        make([]float64, len(s.specs)),
-		fromDom:     make([]int32, len(s.specs)),
-		fromDelta:   make([]float64, len(s.specs)),
-		confGid:     make([]int32, len(s.confs)),
-		confFromDom: make([]int32, len(s.confs)),
-		exGid:       make([]int32, len(s.excls)),
-		exFromDom:   make([]int32, len(s.excls)),
-		exFromDelta: make([]float64, len(s.excls)),
-	}
+	var pr prepared
+	pr.fit(s)
+	return pr
+}
+
+// fit sizes pr's per-spec arrays for s's specs, reusing them.
+func (pr *prepared) fit(s *state) {
+	pr.load = resize(pr.load, len(s.specs))
+	pr.fromDom = resize(pr.fromDom, len(s.specs))
+	pr.fromDelta = resize(pr.fromDelta, len(s.specs))
+	pr.confGid = resize(pr.confGid, len(s.confs))
+	pr.confFromDom = resize(pr.confFromDom, len(s.confs))
+	pr.exGid = resize(pr.exGid, len(s.excls))
+	pr.exFromDom = resize(pr.exFromDom, len(s.excls))
+	pr.exFromDelta = resize(pr.exFromDelta, len(s.excls))
 }
 
 // prepare fills pr with entity e's from-side move state.
@@ -824,7 +1009,29 @@ func (s *state) apply(e EntityID, target BucketID) {
 		}
 	}
 
-	// Exclusion crowding. bucketPenalty charges Weight to each entity sharing
+	// Hard conflicts only keep their count: the penalty has no term for them.
+	for ci := range s.confs {
+		cs := &s.confs[ci]
+		g := cs.entGroup[e]
+		if g < 0 {
+			continue
+		}
+		td := cs.dom.bucketDom[target]
+		if from != Unassigned {
+			fd := cs.dom.bucketDom[from]
+			if fd == td {
+				continue
+			}
+			if fn, _ := cs.others(s.assignment, g, fd, e); fn >= 1 {
+				cs.extra--
+			}
+		}
+		if tn, _ := cs.others(s.assignment, g, td, e); tn >= 1 {
+			cs.extra++
+		}
+	}
+
+	// Exclusion crowding. The penalty charges Weight to each entity sharing
 	// its domain with another group member, so crossing the 1<->2 member
 	// boundary also changes the penalty of the other member's bucket. e's
 	// peers are read off the assignment, where e itself is never counted.
@@ -851,6 +1058,7 @@ func (s *state) apply(e EntityID, target BucketID) {
 			fn, fsole := ex.others(s.assignment, g, fd, e)
 			if fn >= 1 {
 				hot.add(from, -w) // e was crowded at the source
+				ex.extra--
 			}
 			if fn == 1 {
 				hot.add(s.assignment[fsole], -w) // last peer no longer crowded
@@ -858,6 +1066,7 @@ func (s *state) apply(e EntityID, target BucketID) {
 		}
 		if tn >= 1 {
 			hot.add(target, w) // e becomes crowded at the target
+			ex.extra++
 		}
 		if tn == 1 {
 			hot.add(s.assignment[tsole], w) // sole occupant now crowded
@@ -866,11 +1075,17 @@ func (s *state) apply(e EntityID, target BucketID) {
 
 	// Affinity and drain are per-entity terms that travel with e.
 	if from != Unassigned {
-		if d := s.affinityPenalty(e, from) + s.drainPen[from]; d != 0 {
+		fa := s.affinityPenalty(e, from)
+		s.affN -= b2i(fa > 0)
+		s.drainN -= b2i(s.drainPen[from] > 0)
+		if d := fa + s.drainPen[from]; d != 0 {
 			hot.add(from, -d)
 		}
 	}
-	if d := s.affinityPenalty(e, target) + s.drainPen[target]; d != 0 {
+	ta := s.affinityPenalty(e, target)
+	s.affN += b2i(ta > 0)
+	s.drainN += b2i(s.drainPen[target] > 0)
+	if d := ta + s.drainPen[target]; d != 0 {
 		hot.add(target, d)
 	}
 
@@ -920,7 +1135,9 @@ func (v ViolationCounts) Total() int {
 	return v.Capacity + v.Conflict + v.Balance + v.Affinity + v.Exclusion + v.Drain + v.Unassigned
 }
 
-// violations does a full scan; used for reporting, not in the hot path.
+// violations counts the violations of the state as it stands: the capacity
+// and balance rules by a scan of the domains, the rest off the counts sync
+// took and apply keeps. It is for reporting, not the hot path.
 func (s *state) violations() ViolationCounts {
 	var v ViolationCounts
 	for si := range s.specs {
@@ -949,46 +1166,41 @@ func (s *state) violations() ViolationCounts {
 			}
 		}
 	}
-	for e := range s.p.Entities {
-		b := s.assignment[e]
-		if b == Unassigned {
-			continue
-		}
-		if s.affinityPenalty(EntityID(e), b) > 0 {
-			v.Affinity++
-		}
-		if s.drainPen[b] > 0 {
-			v.Drain++
-		}
-	}
+	v.Affinity, v.Drain = s.affN, s.drainN
 	for xi := range s.excls {
-		v.Exclusion += s.excls[xi].colocated(s.assignment)
+		v.Exclusion += s.excls[xi].extra
 	}
 	for ci := range s.confs {
-		v.Conflict += s.confs[ci].colocated(s.assignment)
+		v.Conflict += s.confs[ci].extra
 	}
 	v.Unassigned = s.unassigned
 	return v
 }
 
-// bucketPenalty recomputes in full how much bucket b contributes to the
-// objective. newState seeds the hot set with it; afterwards apply maintains
-// the same quantity incrementally (tests cross-check the two).
-func (s *state) bucketPenalty(b BucketID) float64 {
+// seedPenalty returns how much bucket b contributes to the objective, as sync
+// seeds the hot set with it; afterwards apply maintains the same quantity
+// incrementally. An entity's crowding is read off crowd, which sync's walks
+// just filled; the terms are added in one order on every sync, so a state
+// synced again seeds the same bits.
+func (s *state) seedPenalty(b BucketID) float64 {
 	var pen float64
 	for si := range s.specs {
 		sp := &s.specs[si]
 		d := sp.dom.bucketDom[b]
 		pen += sp.domPenalty(d, sp.load[d])
 	}
+	// An affinity or drain term that is 0 adds nothing, so it is not read.
+	travel := s.nAff > 0 || s.drainPen[b] != 0
+	if !travel && len(s.excls) == 0 {
+		return pen
+	}
 	for _, e := range s.byBucket[b] {
-		pen += s.affinityPenalty(e, b) + s.drainPen[b]
+		if travel {
+			pen += s.affinityPenalty(e, b) + s.drainPen[b]
+		}
 		for xi := range s.excls {
-			ex := &s.excls[xi]
-			if g := ex.entGroup[e]; g >= 0 {
-				if n, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); n >= 1 {
-					pen += ex.weight
-				}
+			if s.excls[xi].entGroup[e] >= 0 && s.crowd[xi][e] {
+				pen += s.excls[xi].weight
 			}
 		}
 	}

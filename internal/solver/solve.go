@@ -1,7 +1,8 @@
 package solver
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"shardmanager/internal/sim"
@@ -58,28 +59,14 @@ func RandomSampler(p *Problem) Sampler {
 // group is covered across successive calls and candidate counts still match
 // CandidateTargets.
 func GroupedSampler(p *Problem, utilMetric int) Sampler {
-	groups := make(map[string][]BucketID)
-	var order []string
-	for b := range p.Buckets {
-		g := p.Buckets[b].Group
-		if _, ok := groups[g]; !ok {
-			order = append(order, g)
-		}
-		groups[g] = append(groups[g], BucketID(b))
-	}
-	// Flatten to a slice indexed by group position: the sampler is the
-	// solver's hottest caller-supplied code and must not hash strings.
-	byGroup := make([][]BucketID, len(order))
-	for i, g := range order {
-		byGroup[i] = groups[g]
-	}
+	byGroup := p.bucketGroups()
 	var rot int
 	var out []BucketID
 	return func(rng *sim.RNG, _ EntityID, k int, view *View) []BucketID {
 		if k <= 0 {
 			return nil
 		}
-		ng := len(order)
+		ng := len(byGroup)
 		perGroup := (k + ng - 1) / ng // >= 1, since k >= 1
 		start := rot % ng
 		used := 0
@@ -104,6 +91,32 @@ func GroupedSampler(p *Problem, utilMetric int) Sampler {
 		rot = start + used
 		return out
 	}
+}
+
+// bucketGroups returns the buckets grouped by their Group tag, groups in order
+// of first appearance, each in bucket order: indexed by group position, since
+// the sampler is the solver's hottest caller-supplied code and must not hash
+// strings. It is built once and kept with the problem, as the domain table is.
+func (p *Problem) bucketGroups() [][]BucketID {
+	n := 0
+	for _, g := range p.groups {
+		n += len(g)
+	}
+	if p.groups != nil && n == len(p.Buckets) {
+		return p.groups
+	}
+	index := make(map[string]int)
+	p.groups = nil
+	for b := range p.Buckets {
+		g, ok := index[p.Buckets[b].Group]
+		if !ok {
+			g = len(p.groups)
+			index[p.Buckets[b].Group] = g
+			p.groups = append(p.groups, nil)
+		}
+		p.groups[g] = append(p.groups[g], BucketID(b))
+	}
+	return p.groups
 }
 
 // Options configure one Solve call.
@@ -184,7 +197,8 @@ const maxEntitiesPerBucket = 16
 
 // solveCtx carries one Solve call's mutable machinery: budgets, per-bucket
 // candidate caches and reused buffers. All buffers are reused across
-// attempts so the hot loop does not allocate.
+// attempts so the hot loop does not allocate, and across Solves of one
+// problem (newSolveCtx).
 type solveCtx struct {
 	p        *Problem
 	st       *state
@@ -206,6 +220,9 @@ type solveCtx struct {
 	// second half of preps parks the inert entities it walks past.
 	preps []prepared
 
+	// pending is phase1's list of the entities to place.
+	pending []EntityID
+
 	// spent counts the entities away from home (kept only under a
 	// MoveBudget); cachePinned is whether the entCache lists were built
 	// with the budget spent, and so leave out the entities at home.
@@ -224,14 +241,18 @@ func Solve(p *Problem, opt Options) *Result {
 	st, res := ctx.st, ctx.res
 	res.Final = st.violations()
 	res.Elapsed = time.Since(ctx.start)
-	for i := range p.Entities {
-		p.Entities[i].Bucket = st.assignment[i]
+	// Only a move changes an assignment, and sync read the rest off the
+	// entities.
+	for _, m := range res.Moves {
+		p.Entities[m.Entity].Bucket = st.assignment[m.Entity]
 	}
 	return res
 }
 
-// newSolveCtx builds the incremental state of p's assignment and the search
-// machinery around it, with opt's defaults filled in.
+// newSolveCtx brings p's kept state in step with p and readies the search
+// machinery around it, with opt's defaults filled in. The machinery is p's
+// too: its buffers serve the next Solve, and a fresh one is made only with a
+// fresh state.
 func newSolveCtx(p *Problem, opt Options) *solveCtx {
 	if opt.CandidateTargets <= 0 {
 		opt.CandidateTargets = 16
@@ -239,33 +260,49 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 	if opt.Sampler == nil {
 		opt.Sampler = RandomSampler(p)
 	}
-	st := newState(p)
-	res := &Result{Initial: st.violations()}
-	start := time.Now()
-	ctx := &solveCtx{
-		p:             p,
-		st:            st,
-		opt:           opt,
-		rng:           sim.NewRNG(opt.Seed),
-		view:          &View{st: st},
-		res:           res,
-		start:         start,
-		entCache:      make([][]EntityID, len(p.Buckets)),
-		entCacheValid: make([]bool, len(p.Buckets)),
-		preps:         make([]prepared, 2*maxEntitiesPerBucket),
-	}
-	for i := range ctx.preps {
-		ctx.preps[i] = newPrepared(st)
-	}
-	if opt.TimeLimit > 0 {
-		ctx.deadline = start.Add(opt.TimeLimit)
-	}
-	if opt.MoveBudget > 0 {
-		for e, b := range st.assignment {
-			ctx.spent += ctx.away(EntityID(e), b)
+	st := p.state()
+	c := p.ctx
+	if c == nil || c.st != st {
+		c = &solveCtx{
+			p:             p,
+			st:            st,
+			view:          &View{st: st},
+			entCache:      make([][]EntityID, len(p.Buckets)),
+			entCacheValid: make([]bool, len(p.Buckets)),
+			preps:         make([]prepared, 2*maxEntitiesPerBucket),
+		}
+		for i := range c.preps {
+			c.preps[i] = newPrepared(st)
+		}
+		p.ctx = c
+	} else {
+		clear(c.entCacheValid)
+		for i := range c.preps {
+			c.preps[i].fit(st)
 		}
 	}
-	return ctx
+	c.opt = opt
+	c.rng = sim.NewRNG(opt.Seed)
+	c.res = &Result{Initial: st.violations()}
+	c.start = time.Now()
+	c.deadline = time.Time{}
+	if opt.TimeLimit > 0 {
+		c.deadline = c.start.Add(opt.TimeLimit)
+	}
+	c.spent, c.cachePinned = 0, false
+	if opt.MoveBudget > 0 {
+		c.spent = st.away
+	}
+	return c
+}
+
+// bigFirst orders entities largest Load[0] first, ties by ID: a total order,
+// so every sort of one list gives one result.
+func (c *solveCtx) bigFirst(a, b EntityID) int {
+	if la, lb := c.p.Entities[a].Load[0], c.p.Entities[b].Load[0]; la != lb {
+		return cmp.Compare(lb, la)
+	}
+	return cmp.Compare(a, b)
 }
 
 func (c *solveCtx) budgetLeft() bool {
@@ -317,21 +354,14 @@ func (c *solveCtx) phase1() {
 	if st.unassigned == 0 {
 		return
 	}
-	pending := make([]EntityID, 0, st.unassigned)
+	pending := c.pending[:0]
 	for e, b := range st.assignment {
 		if b == Unassigned {
 			pending = append(pending, EntityID(e))
 		}
 	}
-	sort.Slice(pending, func(i, j int) bool {
-		a, b := pending[i], pending[j]
-		la := c.p.Entities[a].Load[0]
-		lb := c.p.Entities[b].Load[0]
-		if la != lb {
-			return la > lb
-		}
-		return a < b
-	})
+	c.pending = pending
+	slices.SortFunc(pending, c.bigFirst)
 	pr := &c.preps[0]
 	for _, e := range pending {
 		if !c.budgetLeft() {
@@ -441,14 +471,7 @@ func (c *solveCtx) candidateEntities(b BucketID) int {
 			}
 		}
 		if opt.BigFirst {
-			sort.Slice(cached, func(i, j int) bool {
-				li := c.p.Entities[cached[i]].Load[0]
-				lj := c.p.Entities[cached[j]].Load[0]
-				if li != lj {
-					return li > lj
-				}
-				return cached[i] < cached[j]
-			})
+			slices.SortFunc(cached, c.bigFirst)
 		}
 		c.entCache[b] = cached
 		c.entCacheValid[b] = true

@@ -574,3 +574,98 @@ func TestBuilderPanics(t *testing.T) {
 		}()
 	}
 }
+
+// freshCopy builds from nothing a problem stated as p now is: its buckets,
+// its entities where they sit (with their Home), and its goals.
+func freshCopy(p *Problem) *Problem {
+	q := NewProblem(p.Metrics)
+	for _, b := range p.Buckets {
+		q.AddBucket(b)
+	}
+	for _, e := range p.Entities {
+		id := q.AddEntity(Entity{Load: append([]float64(nil), e.Load...), Bucket: e.Bucket, Movable: e.Movable})
+		q.Entities[id].Home = e.Home
+	}
+	for _, c := range p.capacitySpecs {
+		q.AddConstraint(c)
+	}
+	for _, b := range p.balanceSpecs {
+		q.AddBalanceGoal(b)
+	}
+	for _, g := range p.affinityGoals {
+		q.AddAffinityGoal(g)
+	}
+	for _, x := range p.exclusionSpecs {
+		q.AddExclusionGoal(x)
+	}
+	for _, c := range p.conflictSpecs {
+		q.AddConflict(c)
+	}
+	if p.drainWeight > 0 {
+		q.AddDrainGoal(p.drainWeight)
+	}
+	return q
+}
+
+// TestKeptStateSolvesAsAFreshOne: a problem solved in goal stages, then
+// stated again — ClearGoals, its entities placed anew in place, its goals
+// added again — and solved in stages again, gives at every Solve what a
+// problem built from nothing with the same statement gives: the same moves,
+// counts and evaluations, to the bit. The kept state, synced, is the state a
+// fresh build makes.
+func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := sim.NewRNG(seed)
+		p := randomProblem(rng)
+		all := freshCopy(p) // the goals, kept aside
+		opt := DefaultOptions()
+		opt.Seed = seed
+		opt.MoveBudget = rng.Intn(4) // 0 is none
+		solve := func(step string) {
+			t.Helper()
+			want := freshCopy(p)
+			o := opt
+			o.Sampler = GroupedSampler(want, 0)
+			wr := Solve(want, o)
+			o.Sampler = GroupedSampler(p, 0)
+			gr := Solve(p, o)
+			if !reflect.DeepEqual(gr.Moves, wr.Moves) || gr.Initial != wr.Initial || gr.Final != wr.Final || gr.Evaluated != wr.Evaluated {
+				t.Fatalf("seed %d, %s: kept state %d moves %+v -> %+v, %d evaluated; fresh %d moves %+v -> %+v, %d evaluated",
+					seed, step, len(gr.Moves), gr.Initial, gr.Final, gr.Evaluated, len(wr.Moves), wr.Initial, wr.Final, wr.Evaluated)
+			}
+		}
+		stages := func(run string) {
+			t.Helper()
+			p.ClearGoals()
+			for _, c := range all.capacitySpecs {
+				p.AddConstraint(c)
+			}
+			for _, c := range all.conflictSpecs {
+				p.AddConflict(c)
+			}
+			p.AddDrainGoal(all.drainWeight)
+			solve(run + ", critical stage")
+			for _, x := range all.exclusionSpecs {
+				p.AddExclusionGoal(x)
+			}
+			for _, g := range all.affinityGoals {
+				p.AddAffinityGoal(g)
+			}
+			solve(run + ", placement stage")
+			for _, b := range all.balanceSpecs {
+				p.AddBalanceGoal(b)
+			}
+			solve(run + ", balance stage")
+		}
+		stages("first run")
+		for i := range p.Entities {
+			if b := BucketID(rng.Intn(len(p.Buckets)+1)) - 1; rng.Intn(3) == 0 {
+				p.Entities[i].Bucket, p.Entities[i].Home = b, b
+			} else {
+				p.Entities[i].Home = p.Entities[i].Bucket
+			}
+			p.Entities[i].Load[0] *= 0.5 + rng.Float64()
+		}
+		stages("second run")
+	}
+}

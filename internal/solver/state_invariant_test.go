@@ -238,6 +238,31 @@ func TestIncrementalStateMatchesRebuild(t *testing.T) {
 	}
 }
 
+// bucketPenalty recomputes in full how much bucket b contributes to the
+// objective, asking each entity's group where its peers sit: the reference
+// for seedPenalty (equal to the bit at sync) and for the penalties apply
+// maintains.
+func (s *state) bucketPenalty(b BucketID) float64 {
+	var pen float64
+	for si := range s.specs {
+		sp := &s.specs[si]
+		d := sp.dom.bucketDom[b]
+		pen += sp.domPenalty(d, sp.load[d])
+	}
+	for _, e := range s.byBucket[b] {
+		pen += s.affinityPenalty(e, b) + s.drainPen[b]
+		for xi := range s.excls {
+			ex := &s.excls[xi]
+			if g := ex.entGroup[e]; g >= 0 {
+				if n, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); n >= 1 {
+					pen += ex.weight
+				}
+			}
+		}
+	}
+	return pen
+}
+
 // newStateFresh rebuilds solver state with a fresh domain table, as a solver
 // entry point would; reusing p's existing (lazily grown) table is fine too,
 // but a fresh one also re-exercises interning.
@@ -279,6 +304,9 @@ func TestHotSetMatchesRecompute(t *testing.T) {
 		for b := 0; b < nB; b++ {
 			got := st.hot.pen[b]
 			want := fresh.bucketPenalty(BucketID(b))
+			if seeded := fresh.hot.pen[b]; math.Float64bits(seeded) != math.Float64bits(want) {
+				t.Fatalf("seed %d: seeded pen[%d] = %v, recomputed %v", seed, b, seeded, want)
+			}
 			// Incremental penalties accumulate float error
 			// proportional to the magnitudes that flowed through.
 			tol := 1e-6 * (math.Abs(want) + 1)
@@ -578,5 +606,57 @@ func TestSearchStateHasNoMaps(t *testing.T) {
 	}
 	for _, root := range []any{state{}, specState{}, exclState{}, confState{}, prepared{}, hotSet{}, solveCtx{}} {
 		walk(reflect.TypeOf(root).Name(), reflect.TypeOf(root))
+	}
+}
+
+// TestWalkMatchesOthers: what sync's walks find — each spec's count of
+// entities beyond the first in their (group, domain), and whether each placed
+// entity shares its domain — is what others answers entity by entity, on
+// groups of the sizes the allocator states (one to three members) with
+// members unplaced, alone or sharing a domain.
+func TestWalkMatchesOthers(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for trial := 0; trial < 200; trial++ {
+		p := NewProblem([]string{"cpu"})
+		nB := 2 + rng.Intn(4)
+		for b := 0; b < nB; b++ {
+			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", b), Capacity: []float64{10},
+				Props: map[string]string{"region": fmt.Sprintf("r%d", b%2)}})
+		}
+		var group []int32
+		for g := int32(0); len(group) < 30; g++ {
+			for range 1 + rng.Intn(3) {
+				group = append(group, g)
+				p.AddEntity(Entity{Load: []float64{1}, Bucket: BucketID(rng.Intn(nB+1)) - 1, Movable: true})
+			}
+		}
+		groups := int(group[len(group)-1]) + 1
+		p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Group: group, NumGroups: groups})
+		p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: group, NumGroups: groups, Weight: 1})
+		st := newState(p)
+		for i, cs := range []*confState{&st.confs[0], &st.excls[0].confState} {
+			extra := 0
+			for e, b := range st.assignment {
+				if b == Unassigned {
+					continue
+				}
+				n, _ := cs.others(st.assignment, cs.entGroup[e], cs.dom.bucketDom[b], EntityID(e))
+				earlier := 0
+				for _, m := range cs.ents[cs.start[cs.entGroup[e]]:cs.start[cs.entGroup[e]+1]] {
+					if m < EntityID(e) && st.assignment[m] != Unassigned && cs.dom.bucketDom[st.assignment[m]] == cs.dom.bucketDom[b] {
+						earlier++
+					}
+				}
+				if earlier > 0 {
+					extra++
+				}
+				if i == 1 && st.crowd[0][e] != (n >= 1) {
+					t.Fatalf("trial %d: entity %d crowded %v, others counts %d", trial, e, st.crowd[0][e], n)
+				}
+			}
+			if cs.extra != extra {
+				t.Fatalf("trial %d, spec %d: walk counts %d extras, others %d", trial, i, cs.extra, extra)
+			}
+		}
 	}
 }
