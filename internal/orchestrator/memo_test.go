@@ -71,6 +71,57 @@ func TestLoadReportDoesNotAliasTheApplication(t *testing.T) {
 	}
 }
 
+// storageApp is countApp reporting a fixed CPU load and the storage load the
+// test last set: a metric basePolicy does not balance on. A test that sets it
+// marks the shards (appserver.Server.LoadChanged).
+type storageApp struct {
+	*countApp
+	storage *float64
+}
+
+func (a storageApp) ShardLoad(shard.ID) topology.Capacity {
+	return topology.Capacity{topology.ResourceCPU: 1, topology.ResourceStorage: *a.storage, topology.ResourceShardCount: 1}
+}
+
+// TestLoadOutsideThePolicyReplays: load reports that change only a metric the
+// policy does not balance on change nothing the allocator reads, so over the
+// next two AllocIntervals no allocation is solved afresh.
+func TestLoadOutsideThePolicyReplays(t *testing.T) {
+	cfg := baseConfig(shard.PrimarySecondary, 24, 2)
+	cfg.AllocInterval = 15 * time.Second
+	storage := 1.0
+	w := buildWorldOf(t, []topology.RegionID{"r1", "r2"}, 4, cfg,
+		func(*appserver.Server) appserver.Application { return storageApp{newCountApp(), &storage} })
+	o := w.orch
+	if slices.Contains(o.cfg.Policy.Metrics, topology.ResourceStorage) {
+		t.Fatal("the policy balances on storage")
+	}
+	var prev *allocator.Result
+	allocs, fresh := 0, 0
+	o.solved = func(_ allocator.Mode, res *allocator.Result) {
+		allocs++
+		if res != prev {
+			fresh++
+		}
+		prev = res
+	}
+	w.loop.RunFor(3 * time.Minute)
+	assertConverged(t, w, 2)
+
+	allocs, fresh = 0, 0
+	storage = 5
+	for _, id := range o.order {
+		w.dir.Lookup(o.byID[0].id).LoadChanged(id)
+	}
+	w.loop.RunFor(2 * cfg.AllocInterval)
+	if got := o.ShardLoadValue("s000", topology.ResourceStorage); got != 5 {
+		t.Fatalf("collected storage load %v, want 5", got)
+	}
+	if allocs < 2 || fresh != 0 {
+		t.Fatalf("%d allocations after a storage-only load change, %d of them fresh: want at least 2, none fresh", allocs, fresh)
+	}
+}
+
 // refInput is the allocation problem of the orchestrator's state built from
 // nothing, as an allocator.Input: the reference the kept problem's refresh is
 // held to. It counts a server dead for less than the failover grace as alive
@@ -146,7 +197,7 @@ type allocation struct {
 // Whatever solve returned, a fresh run on that input must give the same moves
 // and counts; a remembered result must be for the very input the last fresh
 // solve was given; and a fresh solve must not be for that input in the same
-// mode — a hit the memo could have made and did not.
+// mode — a hit the kept problem could have made and did not.
 func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	cfg := baseConfig(shard.PrimarySecondary, 24, 2)
 	cfg.FailoverGrace = 20 * time.Second
@@ -160,7 +211,10 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	var log []allocation
 	var last allocator.Input // the problem of the last fresh solve
 	var lastMode allocator.Mode
-	o.memo.solved = func(mode allocator.Mode, res *allocator.Result, remembered bool) {
+	var prev *allocator.Result
+	o.solved = func(mode allocator.Mode, res *allocator.Result) {
+		remembered := res == prev
+		prev = res
 		now := w.loop.Now()
 		in := refInput(o)
 		if want := fresh.Run(in, mode); !sameVerdict(res, want) {
@@ -241,7 +295,7 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 	// Every migration off a server in r2 fails while r1 — the orchestrator's
 	// home — cannot reach r2; each abort asks for an emergency allocation of
 	// the unchanged problem. Three allocations must be fresh: the drain's
-	// (the problem changed), the first abort's (the memo holds one mode) and
+	// (the problem changed), the first abort's (a run remembers one mode) and
 	// the next periodic tick's (the mode changed back). More are fresh only
 	// if one of the drain's moves completes inside the step, which depends on
 	// which moves the search picked.
@@ -289,31 +343,32 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 // inputSources pins, for every field of the allocator's input structs, the
 // orchestrator state the refresh restates it from — named by the field or
 // variable an assignment writes; hosts is derived from the replica lists — and
-// the functions allowed to write that state. Each writer other than New (which
-// runs before any solve) must call touch, and must mark what it changed for
-// the refresh (markShard or markServers): an input value that changes without
-// a bump would be replayed stale, and one that changes without a mark would be
-// solved stale. Alive is the one value the clock also changes; graceEnd
-// covers it for the memo and bucketsUntil for the refresh.
+// the functions allowed to write that state. The server list is read at every
+// refresh (everyRefresh), so its writers need do nothing more; a writer of a
+// shard's values other than New (which runs before any solve) must mark the
+// shard for the refresh (markShard), or its change would be solved stale.
+// Whether a solve may replay is not the writers' business: the kept problem
+// compares what it reads.
 var inputSources = []struct {
-	field   string
-	sources []string
-	writers []string
+	field        string
+	sources      []string
+	writers      []string
+	everyRefresh bool
 }{
-	{"Input.Servers", []string{"byID"}, []string{"syncMembership"}},
-	{"Input.Shards", []string{"order"}, []string{"New"}},
-	{"Input.Current", []string{"replicas", "Server", "hosts"}, []string{"addReplica", "removeReplica", "rehomeReplica"}},
-	{"ServerInfo.ID", []string{"byID"}, []string{"syncMembership"}},
-	{"ServerInfo.Domains", []string{"domains"}, []string{"resolveMachine"}},
-	{"ServerInfo.Capacity", []string{"ServerCapacity"}, nil},
-	{"ServerInfo.Alive", []string{"alive", "deadSince"}, []string{"syncMembership"}},
-	{"ServerInfo.Draining", []string{"draining"}, []string{"Drain", "CancelDrain"}},
-	{"ShardSpec.ID", []string{"order"}, []string{"New"}},
-	{"ShardSpec.Replicas", []string{"Replicas"}, []string{"New"}},
+	{"Input.Servers", []string{"byID"}, []string{"syncMembership"}, true},
+	{"Input.Shards", []string{"order"}, []string{"New"}, false},
+	{"Input.Current", []string{"replicas", "Server", "hosts"}, []string{"addReplica", "removeReplica", "rehomeReplica"}, false},
+	{"ServerInfo.ID", []string{"byID"}, []string{"syncMembership"}, true},
+	{"ServerInfo.Domains", []string{"domains"}, []string{"resolveMachine"}, true},
+	{"ServerInfo.Capacity", []string{"ServerCapacity"}, nil, true},
+	{"ServerInfo.Alive", []string{"alive", "deadSince"}, []string{"syncMembership"}, true},
+	{"ServerInfo.Draining", []string{"draining"}, []string{"Drain", "CancelDrain"}, true},
+	{"ShardSpec.ID", []string{"order"}, []string{"New"}, false},
+	{"ShardSpec.Replicas", []string{"Replicas"}, []string{"New"}, false},
 	{"ShardSpec.Load", []string{"load", "DefaultLoad", "replicas", "Server", "hosts"},
-		[]string{"collectLoads", "addReplica", "removeReplica", "rehomeReplica"}},
-	{"ShardSpec.RegionPreference", []string{"RegionPreference"}, []string{"SetRegionPreference"}},
-	{"ShardSpec.PreferenceWeight", []string{"PreferenceWeight"}, []string{"SetRegionPreference"}},
+		[]string{"collectLoads", "addReplica", "removeReplica", "rehomeReplica"}, false},
+	{"ShardSpec.RegionPreference", []string{"RegionPreference"}, []string{"SetRegionPreference"}, false},
+	{"ShardSpec.PreferenceWeight", []string{"PreferenceWeight"}, []string{"SetRegionPreference"}, false},
 }
 
 // written returns the name an assignment target writes: the last field
@@ -339,13 +394,13 @@ func written(e ast.Expr) *ast.Ident {
 // TestMemoComparesEveryField: every field of allocator.Input, ServerInfo and
 // ShardSpec — found by reflection, so a field added later fails here until it
 // has a row — has its sources and writers in inputSources; the package's
-// non-test code writes a source nowhere but in a listed writer; every listed
-// writer but New bumps the epoch and marks what it changed for the refresh;
-// and nothing else bumps it.
+// non-test code writes a source nowhere but in a listed writer; and every
+// listed writer of a value not read at every refresh, but New, marks the
+// shard it changed for the refresh.
 func TestMemoComparesEveryField(t *testing.T) {
 	rows := map[string]bool{}
 	writersOf := map[string][]string{} // source -> functions allowed to write it
-	mustTouch := map[string]bool{}
+	mustMark := map[string]bool{}
 	for _, r := range inputSources {
 		if rows[r.field] {
 			t.Errorf("%s has two rows", r.field)
@@ -355,7 +410,9 @@ func TestMemoComparesEveryField(t *testing.T) {
 			writersOf[s] = append(writersOf[s], r.writers...)
 		}
 		for _, f := range r.writers {
-			mustTouch[f] = f != "New"
+			if !r.everyRefresh && f != "New" {
+				mustMark[f] = true
+			}
 		}
 	}
 	for _, typ := range []reflect.Type{
@@ -364,7 +421,7 @@ func TestMemoComparesEveryField(t *testing.T) {
 		for i := 0; i < typ.NumField(); i++ {
 			field := typ.Name() + "." + typ.Field(i).Name
 			if !rows[field] {
-				t.Errorf("%s: no row in inputSources — what writes it, and does that bump the epoch?", field)
+				t.Errorf("%s: no row in inputSources — what writes it, and does the refresh read it?", field)
 			}
 			delete(rows, field)
 		}
@@ -378,7 +435,7 @@ func TestMemoComparesEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	touches, marks := map[string]bool{}, map[string]bool{}
+	marks := map[string]bool{}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -416,10 +473,7 @@ func TestMemoComparesEveryField(t *testing.T) {
 				case *ast.IncDecStmt:
 					check(s.X)
 				case *ast.CallExpr:
-					if sel, ok := s.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "touch" {
-						touches[fname] = true
-					}
-					if sel, ok := s.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "markShard" || sel.Sel.Name == "markServers") {
+					if sel, ok := s.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "markShard" {
 						marks[fname] = true
 					}
 				}
@@ -427,17 +481,9 @@ func TestMemoComparesEveryField(t *testing.T) {
 			})
 		}
 	}
-	for f, must := range mustTouch {
-		if must && !touches[f] {
-			t.Errorf("%s writes a source of the allocator's input and never bumps the epoch", f)
-		}
-		if must && !marks[f] {
-			t.Errorf("%s writes a source of the allocator's input and never marks it for the refresh", f)
-		}
-	}
-	for f := range touches {
-		if !mustTouch[f] {
-			t.Errorf("%s bumps the epoch and is no writer in inputSources", f)
+	for f := range mustMark {
+		if !marks[f] {
+			t.Errorf("%s writes a shard's input to the allocator and never marks it for the refresh", f)
 		}
 	}
 }

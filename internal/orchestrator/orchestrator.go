@@ -20,7 +20,6 @@ package orchestrator
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -218,20 +217,18 @@ type Orchestrator struct {
 	net   *rpcnet.Network
 	dir   *appserver.Directory
 	fleet *topology.Fleet
-	memo  solveMemo
 	paths appserver.CoordPaths
 
-	// prob is the allocation problem, kept across solves and restated where
-	// the writers marked it (refresh): stale lists the shards marked,
-	// serversStale says the server list changed, and bucketsUntil is when a
-	// dead server's grace next runs out and it leaves the bucket list. infos
-	// and cur are refresh's scratch.
-	prob         *allocator.Problem
-	stale        []*shardState
-	serversStale bool
-	bucketsUntil time.Duration
-	infos        []allocator.ServerInfo
-	cur          []int
+	// prob is the allocation problem, kept across solves and restated by
+	// refresh: the server list every time, the shards on stale where the
+	// writers marked them. infos and cur are refresh's scratch.
+	prob  *allocator.Problem
+	stale []*shardState
+	infos []allocator.ServerInfo
+	cur   []int
+	// solved, when set, is told every result solve returned: the seam
+	// through which the tests run the allocator fresh beside the kept problem.
+	solved func(mode allocator.Mode, res *allocator.Result)
 
 	servers map[shard.ServerID]*serverState
 	byID    []*serverState // the same servers sorted by ID: deterministic iteration
@@ -302,7 +299,6 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		o.markShard(ss)
 	}
 	o.prob = allocator.New(cfg.Policy, seed).NewProblem(specs)
-	o.markServers()
 	return o
 }
 
@@ -419,11 +415,7 @@ func (o *Orchestrator) syncMembership() {
 			o.byID = slices.Insert(o.byID, i, st)
 		}
 		if !st.alive {
-			if st.deadSince+o.cfg.FailoverGrace <= o.memo.at {
-				o.touch() // it had dropped out of the remembered problem
-			}
 			st.alive = true
-			o.markServers()
 			o.resolveMachine(st, string(data))
 		}
 		if rejoined && o.started {
@@ -440,12 +432,10 @@ func (o *Orchestrator) syncMembership() {
 		if !seen[st.id] && st.alive {
 			st.alive = false
 			st.deadSince = o.loop.Now()
-			o.markServers()
 			anyDied = true
 			o.scheduleFailover(st.id, st.deadSince)
 		}
 	}
-	o.memo.until = o.graceEnd()
 	if anyDied && o.started {
 		// Demote the dead servers' primaries immediately, but promotion of
 		// replacements waits out promoteHold (reconcileRoles gates on
@@ -463,15 +453,10 @@ func (o *Orchestrator) resolveMachine(st *serverState, payload string) {
 	if m == nil {
 		panic(fmt.Sprintf("orchestrator: server %s on unknown machine %q", st.id, payload))
 	}
-	domains := map[string]string{
+	st.domains = map[string]string{
 		topology.LevelRegion.String():     m.Domain(topology.LevelRegion),
 		topology.LevelDatacenter.String(): m.Domain(topology.LevelDatacenter),
 		topology.LevelRack.String():       m.Domain(topology.LevelRack),
-	}
-	if !maps.Equal(st.domains, domains) {
-		st.domains = domains
-		o.touch()
-		o.markServers()
 	}
 }
 
@@ -535,27 +520,12 @@ func (o *Orchestrator) collectLoads() {
 				// A report is a value (appserver.LoadReporter), held as it
 				// came; a replica it leaves out reports what is held. Every
 				// shard it names is marked, for the refresh to restate its
-				// load. While a remembered result could still be replayed, an
-				// entry that changes what shardLoad reads bumps the epoch; an
-				// equal value, or one shardLoad does not read, bumps nothing.
-				// Once the epoch has moved there is nothing to check.
+				// load.
 				for _, e := range report {
-					ss := o.shards[e.Shard]
-					if ss == nil {
-						st.load[e.Shard] = e.Load
-						continue
+					st.load[e.Shard] = e.Load
+					if ss := o.shards[e.Shard]; ss != nil {
+						o.markShard(ss)
 					}
-					held, ok := st.load[e.Shard]
-					if o.memo.replayable() && !(ok && maps.Equal(held, e.Load)) {
-						was := o.shardLoad(ss)
-						st.load[e.Shard] = e.Load
-						if !maps.Equal(was, o.shardLoad(ss)) {
-							o.touch()
-						}
-					} else {
-						st.load[e.Shard] = e.Load
-					}
-					o.markShard(ss)
 				}
 			})
 		}, nil, o.failedRPC)
@@ -1397,10 +1367,9 @@ func (o *Orchestrator) AliveReplicas(server shard.ServerID) map[shard.ID]int {
 // next periodic allocation migrates replicas toward it (the Fig 20
 // AppShard-follows-DBShard workflow).
 func (o *Orchestrator) SetRegionPreference(s shard.ID, region topology.RegionID, weight float64) {
-	if ss := o.shards[s]; ss != nil && (ss.cfg.RegionPreference != region || ss.cfg.PreferenceWeight != weight) {
+	if ss := o.shards[s]; ss != nil {
 		ss.cfg.RegionPreference = region
 		ss.cfg.PreferenceWeight = weight
-		o.touch()
 		o.markShard(ss)
 	}
 }
@@ -1456,11 +1425,7 @@ func (o *Orchestrator) Drain(id shard.ServerID, onDone func()) {
 		}
 		return
 	}
-	if !st.draining {
-		st.draining = true
-		o.touch()
-		o.markServers()
-	}
+	st.draining = true
 	o.draining[id] = onDone
 	o.allocate(allocator.Periodic)
 	o.checkDrainsDone() // arms the periodic re-check
@@ -1468,10 +1433,8 @@ func (o *Orchestrator) Drain(id shard.ServerID, onDone func()) {
 
 // CancelDrain clears the draining mark (e.g. operation aborted).
 func (o *Orchestrator) CancelDrain(id shard.ServerID) {
-	if st := o.servers[id]; st != nil && st.draining {
+	if st := o.servers[id]; st != nil {
 		st.draining = false
-		o.touch()
-		o.markServers()
 	}
 	delete(o.draining, id)
 }

@@ -18,10 +18,9 @@ import (
 // four mutators below are the only code that writes a replica list, and each
 // brings all three up to date in the same breath; every other function reads.
 // They are also all a standby needs to rebuild the placement from the coord
-// assignment nodes. The three that change which server holds a replica bump
-// the allocation problem's epoch and mark the shard for the refresh
-// (memo.go); setRole does neither, since the allocator is told servers, not
-// roles.
+// assignment nodes. The three that change which server holds a replica mark
+// the shard for the allocation problem's refresh (refresh.go); setRole does
+// not, since the allocator is told servers, not roles.
 
 // addReplica appends a replica of ss on server.
 func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role shard.Role) {
@@ -30,7 +29,6 @@ func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role sh
 	if len(ss.replicas) == 1 {
 		o.placed++
 	}
-	o.touch()
 	o.markShard(ss)
 	o.reindex(ss, server)
 }
@@ -41,7 +39,6 @@ func (o *Orchestrator) removeReplica(ss *shardState, i int) {
 	server := ss.replicas[i].Server
 	ss.replicas = slices.Delete(ss.replicas, i, i+1)
 	ss.hosts = slices.Delete(ss.hosts, i, i+1)
-	o.touch()
 	o.markShard(ss)
 	o.reindex(ss, server)
 }
@@ -58,7 +55,6 @@ func (o *Orchestrator) rehomeReplica(ss *shardState, i int, to shard.ServerID) {
 	from := ss.replicas[i].Server
 	ss.replicas[i].Server = to
 	ss.hosts[i] = o.servers[to]
-	o.touch()
 	o.markShard(ss)
 	o.reindex(ss, from)
 	o.reindex(ss, to)

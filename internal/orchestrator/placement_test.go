@@ -405,7 +405,6 @@ func setLoads(o *Orchestrator, loads []topology.Capacity) {
 		}
 		o.markShard(ss)
 	}
-	o.touch()
 }
 
 // benchSizes are the two worlds the placement benchmarks compare: ten times
@@ -443,13 +442,14 @@ func BenchmarkMoveAndPublish(b *testing.B) {
 }
 
 // BenchmarkAllocateIncremental drives the allocation path alone. On the same
-// worlds as BenchmarkMoveAndPublish, one op re-homes one replica, which bumps
-// the input epoch, so solve refreshes the kept problem and runs it afresh on a
-// problem one move away from the last. The lb_churn row is that workload's
-// problem — 6k two-replica shards over 3×100 servers, loads spread 20x, a move
-// cap of 30 and a half-point balance band — with every shard's load redrawn
-// (15% noise) between ops, so each op restates every load slot and the search
-// runs into the move cap. Five parent and six change runs of -benchtime=20x
+// worlds as BenchmarkMoveAndPublish, one op re-homes one replica, so solve
+// refreshes the kept problem and runs it afresh on a problem one move away
+// from the last; an op whose solve replays the last result fails, since it
+// would time no search. The lb_churn row is that workload's problem — 6k
+// two-replica shards over 3×100 servers, loads spread 20x, a move cap of 30
+// and a half-point balance band — with every shard's load redrawn (15% noise)
+// between ops, so each op restates every load slot and the search runs into
+// the move cap. Five parent and six change runs of -benchtime=20x
 // on a 2-vCPU host, parent (buildInput and a from-scratch allocator.Run) →
 // change: shards=3k 8.2–10.1 → 5.4–6.8 ms/op and 9,214 → 135 allocs/op;
 // shards=30k 109–152 → 57–75 ms/op and 83,917 → 947 allocs/op, most of what
@@ -460,15 +460,14 @@ func BenchmarkAllocateIncremental(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(size.name, func(b *testing.B) {
 			o, home := benchPlacement(b, size.shards, size.servers)
+			var prev *allocator.Result
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				i := n % size.shards
 				home[i] = (home[i] + 2) % size.servers
 				o.rehomeReplica(o.shards[o.order[i]], 0, o.byID[home[i]].id)
-				if o.solve(allocator.Periodic) == nil {
-					b.Fatal("no allocation")
-				}
+				prev = mustSolveFresh(b, o, prev)
 			}
 		})
 	}
@@ -492,26 +491,37 @@ func BenchmarkAllocateIncremental(b *testing.B) {
 			}
 		}
 		o := spreadPlacement(b, cfg, perRegion)
+		var prev *allocator.Result
 		evals := 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			setLoads(o, draws[n%len(draws)])
-			res := o.solve(allocator.Periodic)
-			if res == nil {
-				b.Fatal("no allocation")
-			}
-			evals += res.Evaluated
+			prev = mustSolveFresh(b, o, prev)
+			evals += prev.Evaluated
 		}
 		b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 	})
+}
+
+// mustSolveFresh runs a periodic solve and fails when it replays: when it
+// returns prev, the result of the solve before.
+func mustSolveFresh(tb testing.TB, o *Orchestrator, prev *allocator.Result) *allocator.Result {
+	res := o.solve(allocator.Periodic)
+	if res == nil {
+		tb.Fatal("no allocation")
+	}
+	if res == prev {
+		tb.Fatal("the solve replayed the last result: no fresh solve was measured")
+	}
+	return res
 }
 
 // TestFreshSolveAllocationsDoNotGrowWithShards: a fresh periodic solve on a
 // settled world, after a few load and placement changes, allocates what the
 // changes and the search's moves need and nothing per shard or server: the
 // count at 30k shards is within 2x of the count at 3k. Allocation counts
-// repeat exactly, so the gate is deterministic.
+// repeat exactly, so the gate is deterministic; a solve that replays fails it.
 func TestFreshSolveAllocationsDoNotGrowWithShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 30k-shard world")
@@ -521,6 +531,7 @@ func TestFreshSolveAllocationsDoNotGrowWithShards(t *testing.T) {
 		cfg := baseConfig(shard.SecondaryOnly, shards, 2)
 		cfg.ServerCapacity = topology.Capacity{topology.ResourceCPU: 200, topology.ResourceShardCount: 1000}
 		o := spreadPlacement(t, cfg, shards/150)
+		var prev *allocator.Result
 		heavy := topology.Capacity{topology.ResourceCPU: 4, topology.ResourceShardCount: 1}
 		light := topology.Capacity{topology.ResourceCPU: 1, topology.ResourceShardCount: 1}
 		n := 0
@@ -541,10 +552,7 @@ func TestFreshSolveAllocationsDoNotGrowWithShards(t *testing.T) {
 			sa, sb := a.replicas[0].Server, b.replicas[0].Server
 			o.rehomeReplica(a, 0, sb)
 			o.rehomeReplica(b, 0, sa)
-			o.touch()
-			if o.solve(allocator.Periodic) == nil {
-				t.Fatal("no allocation")
-			}
+			prev = mustSolveFresh(t, o, prev)
 		})
 	}
 	if allocs[30000] > 2*allocs[3000] {
