@@ -322,16 +322,13 @@ func checkpoint(mon *healthmon.Monitor, title string) {
 	fmt.Print(mon.Snapshot().Render())
 }
 
-// startTraffic issues a steady read workload from an FRC client so the
+// startTraffic drives a steady read workload from an FRC client so the
 // monitor has a request stream to grade.
 func startTraffic(d *experiments.Deployment, shards int) {
 	ks := experiments.KeyspaceFor(shards)
 	client := d.NewClient("frc", ks, routing.DefaultOptions())
-	rng := d.Loop.RNG().Fork()
-	d.Loop.EveryL(250*time.Millisecond, sim.LabelFor("smctl", "traffic"), func() {
-		key := experiments.KeyForShard(rng.Intn(shards))
-		client.Do(key, false, apps.KVOpScan, nil, func(routing.Result) {})
-	})
+	d.Drive(client, 250*time.Millisecond, shards, nil,
+		func(*sim.RNG, int) (bool, string, any) { return false, apps.KVOpScan, nil }, nil)
 }
 
 // statusDemo runs the default demo scenario (same world as plain smctl)

@@ -225,6 +225,34 @@ func (d *Deployment) NewClient(region topology.RegionID, ks *shard.Keyspace, opt
 	return c
 }
 
+// Drive starts an open-loop workload on client c: every interval it sends
+// count(rng) requests (one when count is nil), each to a uniformly drawn shard
+// index i among the first shards of the keyspace, at key KeyForShard(i), with
+// the write flag, op and payload req returns for i. done, when non-nil, gets
+// every request's result. Its randomness is one fork of the loop RNG, taken
+// at the call; each tick draws the count, then per request its shard and
+// whatever req draws. Outside routing, the benchmark and the examples, it is
+// the one sender of client requests.
+func (d *Deployment) Drive(c *routing.Client, interval time.Duration, shards int,
+	count func(*sim.RNG) int, req func(rng *sim.RNG, i int) (write bool, op string, payload any),
+	done func(routing.Result)) {
+	rng := d.Loop.RNG().Fork()
+	if done == nil {
+		done = func(routing.Result) {}
+	}
+	d.Loop.EveryL(interval, lbExpClient, func() {
+		n := 1
+		if count != nil {
+			n = count(rng)
+		}
+		for ; n > 0; n-- {
+			i := rng.Intn(shards)
+			write, op, payload := req(rng, i)
+			c.Do(KeyForShard(i), write, op, payload, done)
+		}
+	})
+}
+
 // UniformShardConfigs builds n single-load shard configs named "sNNNNN".
 func UniformShardConfigs(n, replicas int, load topology.Capacity) []orchestrator.ShardConfig {
 	out := make([]orchestrator.ShardConfig, n)

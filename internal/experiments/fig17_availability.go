@@ -12,6 +12,7 @@ import (
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/shard"
+	"shardmanager/internal/sim"
 	"shardmanager/internal/taskcontroller"
 	"shardmanager/internal/topology"
 )
@@ -165,15 +166,10 @@ func runAvailabilityVariant(c RunConfig, p AvailabilityParams, v availabilityVar
 	// Client traffic: enqueue to a random shard every tick.
 	ks := KeyspaceFor(p.Shards)
 	client := d.NewClient("region1", ks, routing.DefaultOptions())
-	rng := d.Loop.RNG().Fork()
 	ratio := metrics.NewSuccessRatio(30 * time.Second)
-	interval := time.Second / time.Duration(p.RequestRate)
-	d.Loop.EveryL(interval, lbExpClient, func() {
-		key := KeyForShard(rng.Intn(p.Shards))
-		client.Do(key, true, apps.QueueOpEnqueue, "msg", func(res routing.Result) {
-			ratio.Observe(d.Loop.Now(), res.OK)
-		})
-	})
+	d.Drive(client, time.Second/time.Duration(p.RequestRate), p.Shards, nil,
+		func(*sim.RNG, int) (bool, string, any) { return true, apps.QueueOpEnqueue, "msg" },
+		func(res routing.Result) { ratio.Observe(d.Loop.Now(), res.OK) })
 	// Warm-up traffic before the upgrade starts.
 	d.Loop.RunFor(2 * time.Minute)
 

@@ -11,6 +11,7 @@ import (
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/shard"
+	"shardmanager/internal/sim"
 	"shardmanager/internal/taskcontroller"
 	"shardmanager/internal/topology"
 	"shardmanager/internal/workload"
@@ -103,7 +104,6 @@ func Fig18(c RunConfig, p ProductionTraceParams) *Report {
 
 	ks := KeyspaceFor(p.Shards)
 	client := d.NewClient("region1", ks, routing.DefaultOptions())
-	rng := d.Loop.RNG().Fork()
 	t0 := d.Loop.Now()
 
 	var sent, completed, failed int64
@@ -124,24 +124,21 @@ func Fig18(c RunConfig, p ProductionTraceParams) *Report {
 
 	// Diurnal request generator: every second issue a Poisson-ish number
 	// of enqueues around BaseRate * diurnal(t).
-	d.Loop.EveryL(time.Second, lbExpClient, func() {
-		t := d.Loop.Now() - t0
-		rate := float64(p.BaseRate) * workload.Diurnal(t, 0.5)
+	d.Drive(client, time.Second, p.Shards, func(rng *sim.RNG) int {
+		rate := float64(p.BaseRate) * workload.Diurnal(d.Loop.Now()-t0, 0.5)
 		n := int(rate)
 		if rng.Float64() < rate-float64(n) {
 			n++
 		}
-		for i := 0; i < n; i++ {
-			sent++
-			key := KeyForShard(rng.Intn(p.Shards))
-			client.Do(key, true, apps.QueueOpEnqueue, "m", func(res routing.Result) {
-				completed++
-				if !res.OK {
-					failed++
-				}
-			})
-		}
-	})
+		sent += int64(n)
+		return n
+	}, func(*sim.RNG, int) (bool, string, any) { return true, apps.QueueOpEnqueue, "m" },
+		func(res routing.Result) {
+			completed++
+			if !res.OK {
+				failed++
+			}
+		})
 
 	// Daily staged upgrades: canary (10% of containers), then full scale
 	// three hours later.
@@ -169,18 +166,11 @@ func Fig18(c RunConfig, p ProductionTraceParams) *Report {
 	r.Curves = append(r.Curves, rateCurve, errCurve, moveCurve)
 	// Success over completed requests (requests still in flight at the
 	// horizon have no outcome), matching what external monitors observe.
-	overall := 1 - float64(failed)/float64(maxI64(completed, 1))
+	overall := 1 - float64(failed)/float64(max(completed, 1))
 	r.AddValue("overall_success_rate", overall)
 	r.AddNote("overall success rate across %d requests: %.4f%%", sent, overall*100)
 	r.AddNote("peak error rate bucket: %.3f errors/s at request rates up to %.0f req/s",
 		maxVal(errCurve.Points, 0, 1<<62), maxVal(rateCurve.Points, 0, 1<<62))
 	r.AddNote("shard-move spikes align with the daily canary and full-scale upgrades; the error curve stays flat (paper: 'hardly changes')")
 	return r
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,6 +10,7 @@ import (
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/shard"
+	"shardmanager/internal/sim"
 	"shardmanager/internal/topology"
 )
 
@@ -65,26 +66,23 @@ type kvReads struct {
 	Latency, Failures *metrics.Series
 }
 
-// startKVReads begins issuing rate reads per second from client, each to a
-// uniformly chosen shard among the first shards of the keyspace. It forks the
-// loop RNG once, at the call.
+// startKVReads drives rate reads per second from client, each to a uniformly
+// chosen shard among the first shards of the keyspace.
 func startKVReads(d *Deployment, client *routing.Client, rate, shards int) *kvReads {
-	rng := d.Loop.RNG().Fork()
 	w := &kvReads{
 		T0:       d.Loop.Now(),
 		Latency:  &metrics.Series{},
 		Failures: &metrics.Series{},
 	}
-	d.Loop.EveryL(time.Second/time.Duration(rate), lbExpClient, func() {
-		key := KeyForShard(rng.Intn(shards))
-		client.Do(key, false, apps.KVOpScan, nil, func(res routing.Result) {
+	d.Drive(client, time.Second/time.Duration(rate), shards, nil,
+		func(*sim.RNG, int) (bool, string, any) { return false, apps.KVOpScan, nil },
+		func(res routing.Result) {
 			if res.OK {
 				w.Latency.Record(d.Loop.Now()-w.T0, float64(res.Latency)/float64(time.Millisecond))
 			} else {
 				w.Failures.Record(d.Loop.Now()-w.T0, 1)
 			}
 		})
-	})
 	return w
 }
 

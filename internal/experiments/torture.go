@@ -36,9 +36,8 @@ func NewAuditArtifacts(a *audit.Auditor) *AuditArtifacts {
 // Kernel-profiler labels for the torture drivers, so the sweep itself shows
 // up attributed in simprof output instead of as unlabeled events.
 var (
-	lbTortureClient = sim.LabelFor("torture", "client")
-	lbTortureChurn  = sim.LabelFor("torture", "churn")
-	lbTortureDrain  = sim.LabelFor("torture", "drain")
+	lbTortureChurn = sim.LabelFor("torture", "churn")
+	lbTortureDrain = sim.LabelFor("torture", "drain")
 )
 
 // TortureParams configure the randomized migration-torture sweep: many
@@ -241,17 +240,13 @@ func RunTortureSeed(c RunConfig, p TortureParams, seed uint64) *TortureRun {
 
 		// Mixed read/write traffic; writes are what the write-owner invariant
 		// bites on.
-		trafficRNG := d.Loop.RNG().Fork()
-		d.Loop.EveryL(time.Second/time.Duration(p.RequestRate), lbTortureClient, func() {
-			i := trafficRNG.Intn(p.Shards)
-			key := KeyForShard(i)
-			if trafficRNG.Float64() < 0.5 {
-				client.Do(key, true, apps.KVOpPut,
-					apps.KVPut{Value: fmt.Sprintf("v%d", i)}, func(routing.Result) {})
-			} else {
-				client.Do(key, false, apps.KVOpGet, nil, func(routing.Result) {})
-			}
-		})
+		d.Drive(client, time.Second/time.Duration(p.RequestRate), p.Shards, nil,
+			func(rng *sim.RNG, i int) (bool, string, any) {
+				if rng.Float64() < 0.5 {
+					return true, apps.KVOpPut, apps.KVPut{Value: fmt.Sprintf("v%d", i)}
+				}
+				return false, apps.KVOpGet, nil
+			}, nil)
 
 		// Migration churn concurrent with the faults: region-preference flips
 		// force graceful primary migrations, and periodic drains force bulk

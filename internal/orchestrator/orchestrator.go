@@ -163,8 +163,8 @@ type shardState struct {
 	replicas []shard.Assignment
 	changed  bool
 	// hosts[i] is the server of replicas[i] (nil for one not known), kept in
-	// step by the same mutators: the refresh reads a shard's load and buckets
-	// through it without a lookup by name.
+	// step by the same mutators: the refresh (a shard's load and buckets) and
+	// every liveness read of a replica's server go through it, not by name.
 	hosts []*serverState
 	// stale is set while the shard is on o.stale: its load or placement
 	// changed since the kept allocation problem last stated them.
@@ -665,8 +665,8 @@ func (o *Orchestrator) executeDiff(res *allocator.Result) {
 // findDeadReplica returns the index of the shard's first replica on a dead
 // server, or -1.
 func (o *Orchestrator) findDeadReplica(ss *shardState) int {
-	for i, a := range ss.replicas {
-		if st := o.servers[a.Server]; st == nil || !st.alive {
+	for i, st := range ss.hosts {
+		if st == nil || !st.alive {
 			return i
 		}
 	}
@@ -682,11 +682,9 @@ func (o *Orchestrator) roleForNewReplica(ss *shardState) shard.Role {
 	case shard.SecondaryOnly:
 		return shard.RoleSecondary
 	default:
-		for _, a := range ss.replicas {
-			if a.Role == shard.RolePrimary {
-				if st := o.servers[a.Server]; st != nil && st.alive {
-					return shard.RoleSecondary
-				}
+		for i, a := range ss.replicas {
+			if st := ss.hosts[i]; a.Role == shard.RolePrimary && st != nil && st.alive {
+				return shard.RoleSecondary
 			}
 		}
 		if o.loop.Now() < ss.holdUntil {
@@ -715,8 +713,7 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 		if a.Role != shard.RolePrimary {
 			continue
 		}
-		st := o.servers[a.Server]
-		if st == nil || !st.alive {
+		if st := ss.hosts[i]; st == nil || !st.alive {
 			// Demote in place (no RPC — the server is gone), and hold
 			// promotion of a successor until the possibly-false-dead old
 			// primary has had time to self-fence.
@@ -741,8 +738,7 @@ func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
 			if a.Role != shard.RoleSecondary {
 				continue
 			}
-			st := o.servers[a.Server]
-			if st != nil && st.alive {
+			if st := ss.hosts[i]; st != nil && st.alive {
 				o.setRole(ss, i, shard.RolePrimary)
 				o.rpcChangeRole(a.Server, ss.cfg.ID, shard.RoleSecondary, shard.RolePrimary, nil)
 				changed = true
@@ -1270,8 +1266,8 @@ func (o *Orchestrator) publish() {
 		// The mutators marked the servers the change touched; the shard's
 		// other servers get their (unchanged) node rewritten as well, because
 		// coord's write count is part of the seeded record (ROADMAP 3(b)).
-		for _, a := range ss.replicas {
-			if st := o.servers[a.Server]; st != nil {
+		for _, st := range ss.hosts {
+			if st != nil {
 				st.nodeStale = true
 			}
 		}
@@ -1353,8 +1349,8 @@ func (o *Orchestrator) AliveReplicas(server shard.ServerID) map[shard.ID]int {
 	out := make(map[shard.ID]int, len(st.shards))
 	for _, e := range st.shards {
 		alive := 0
-		for _, a := range o.shards[e.Shard].replicas {
-			if host := o.servers[a.Server]; host != nil && host.alive {
+		for _, host := range o.shards[e.Shard].hosts {
+			if host != nil && host.alive {
 				alive++
 			}
 		}
@@ -1489,7 +1485,7 @@ func (o *Orchestrator) DemotePrimaries(id shard.ServerID) {
 			if other.Role != shard.RoleSecondary {
 				continue
 			}
-			if host := o.servers[other.Server]; host != nil && host.alive && !host.draining {
+			if host := ss.hosts[j]; host != nil && host.alive && !host.draining {
 				promote = j
 				break
 			}

@@ -25,6 +25,21 @@ if [ -n "$byname$fabric" ]; then
 	echo "$byname$fabric" >&2
 	exit 1
 fi
+echo "== client traffic through the one driver"
+# Outside the benchmark, the examples and routing itself, one non-test
+# function sends client requests: (*Deployment).Drive, so the figures, the
+# torture sweep and smctl draw their traffic in one order (DESIGN §3). A .Do(
+# anywhere else is a hand-written traffic loop coming back.
+loops="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/*' \
+	! -path './internal/routing/*' | sort | xargs awk '
+	/^func / {drive = /^func \(d \*Deployment\) Drive\(/}
+	/^}/ {drive = 0}
+	/\.Do\(/ && !drive {print FILENAME ":" FNR ": " $0}')"
+if [ -n "$loops" ]; then
+	echo "client requests sent outside (*Deployment).Drive:" >&2
+	echo "$loops" >&2
+	exit 1
+fi
 echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
