@@ -68,16 +68,41 @@ func TestKVStoreSurvivesMigration(t *testing.T) {
 	}
 }
 
+// shardLoad is what the application reports for the shard, into a map of
+// the caller's, as a server asks for it.
+func shardLoad(lr appserver.LoadReporter, s shard.ID) topology.Capacity {
+	into := topology.Capacity{}
+	lr.ShardLoad(s, into)
+	return into
+}
+
 func TestKVStoreLoadReport(t *testing.T) {
 	kv := NewKVStore(nil, NewKVBacking())
 	kv.AddShard("s1", shard.RolePrimary)
 	kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "k", Payload: KVPut{Value: "v"}})
-	if got := kv.ShardLoad("s1").Get(topology.ResourceStorage); got != 1 {
+	if got := shardLoad(kv, "s1").Get(topology.ResourceStorage); got != 1 {
 		t.Fatalf("storage load = %v", got)
 	}
 	kv.SetShardLoad("s1", topology.Capacity{topology.ResourceCPU: 42})
-	if got := kv.ShardLoad("s1").Get(topology.ResourceCPU); got != 42 {
+	if got := shardLoad(kv, "s1").Get(topology.ResourceCPU); got != 42 {
 		t.Fatalf("override load = %v", got)
+	}
+}
+
+// TestKVGetAllocatesNothing: a get hands out the value as it was boxed when
+// written, so serving a read allocates nothing.
+func TestKVGetAllocatesNothing(t *testing.T) {
+	kv := NewKVStore(nil, NewKVBacking())
+	kv.AddShard("s1", shard.RolePrimary)
+	kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "k", Payload: KVPut{Value: "v"}})
+	get := &appserver.Request{Shard: "s1", Op: KVOpGet, Key: "k"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, err := kv.HandleRequest(get); err != nil || v != "v" {
+			t.Fatalf("get = %v err=%v", v, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a get allocated %v times", allocs)
 	}
 }
 
@@ -143,7 +168,7 @@ func TestQueueLoadReportsDepth(t *testing.T) {
 	q := NewQueue(nil, NewQueueBacking())
 	q.AddShard("s1", shard.RolePrimary)
 	q.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpEnqueue, Payload: "x"})
-	if got := q.ShardLoad("s1").Get("queue_depth"); got != 1 {
+	if got := shardLoad(q, "s1").Get("queue_depth"); got != 1 {
 		t.Fatalf("queue_depth = %v", got)
 	}
 }

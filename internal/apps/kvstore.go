@@ -10,7 +10,6 @@ package apps
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -35,15 +34,17 @@ type KVStore struct {
 	// owned tracks the shards this replica currently serves, each with the
 	// backing's map for the shard (guarded by the backing's mutex), so that a
 	// get or put looks the shard up once.
-	owned map[shard.ID]map[string]string
+	owned map[shard.ID]map[string]any
 	// loads optionally reports synthetic per-shard load.
 	loads map[shard.ID]topology.Capacity
 }
 
 // KVBacking is the durable shard state shared by an application's replicas.
 type KVBacking struct {
-	mu   sync.Mutex
-	data map[shard.ID]map[string]string
+	mu sync.Mutex
+	// data holds each shard's values, every one a string boxed once when it
+	// is written, so that a get hands it out without allocating.
+	data map[shard.ID]map[string]any
 	// server is the first server a store was built for on the backing: a write
 	// that adds a key marks the shard's load through it, and the mark reaches
 	// every server of its directory, which holds all of the application's.
@@ -52,15 +53,15 @@ type KVBacking struct {
 
 // NewKVBacking returns an empty backing store.
 func NewKVBacking() *KVBacking {
-	return &KVBacking{data: make(map[shard.ID]map[string]string)}
+	return &KVBacking{data: make(map[shard.ID]map[string]any)}
 }
 
 // shard returns the shard's map, making it on first use; the map, once
 // made, is the shard's for good. The caller holds b.mu.
-func (b *KVBacking) shard(s shard.ID) map[string]string {
+func (b *KVBacking) shard(s shard.ID) map[string]any {
 	m := b.data[s]
 	if m == nil {
-		m = make(map[string]string)
+		m = make(map[string]any)
 		b.data[s] = m
 	}
 	return m
@@ -74,7 +75,7 @@ func (b *KVBacking) Put(s shard.ID, key, value string) {
 }
 
 // put writes to data, shard s's map. A new key grows the shard's storage load.
-func (b *KVBacking) put(s shard.ID, data map[string]string, key, value string) {
+func (b *KVBacking) put(s shard.ID, data map[string]any, key, value string) {
 	keys := len(data)
 	data[key] = value
 	if len(data) != keys {
@@ -113,15 +114,22 @@ func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 	return &KVStore{
 		server:  server,
 		backing: backing,
-		owned:   make(map[shard.ID]map[string]string),
+		owned:   make(map[shard.ID]map[string]any),
 		loads:   make(map[shard.ID]topology.Capacity),
 	}
 }
 
-// SetShardLoad sets the synthetic load reported for a shard. The store keeps
-// a copy: what ShardLoad reports must not change under the caller's edits.
+// SetShardLoad sets the synthetic load reported for a shard. The store copies
+// it into its own map for the shard, made at the shard's first load and
+// rewritten after that: what ShardLoad reports must not change under the
+// caller's edits.
 func (k *KVStore) SetShardLoad(s shard.ID, load topology.Capacity) {
-	k.loads[s] = maps.Clone(load)
+	held := k.loads[s]
+	if held == nil {
+		held = make(topology.Capacity, len(load))
+		k.loads[s] = held
+	}
+	held.CopyFrom(load)
 	k.server.LoadChanged(s)
 }
 
@@ -140,15 +148,14 @@ func (k *KVStore) ChangeRole(s shard.ID, _, to shard.Role) { k.AddShard(s, to) }
 
 // ShardLoad implements appserver.LoadReporter. SetShardLoad and a write that
 // adds a key mark it.
-func (k *KVStore) ShardLoad(s shard.ID) topology.Capacity {
+func (k *KVStore) ShardLoad(s shard.ID, into topology.Capacity) {
 	if l, ok := k.loads[s]; ok {
-		return l
+		into.CopyFrom(l)
+		return
 	}
-	return topology.Capacity{
-		topology.ResourceShardCount: 1,
-		topology.ResourceCPU:        1,
-		topology.ResourceStorage:    float64(k.backing.Keys(s)),
-	}
+	into[topology.ResourceShardCount] = 1
+	into[topology.ResourceCPU] = 1
+	into[topology.ResourceStorage] = float64(k.backing.Keys(s))
 }
 
 // KV operation names.

@@ -84,11 +84,9 @@ func (q *Queue) ChangeRole(shard.ID, shard.Role, shard.Role) {}
 
 // ShardLoad implements appserver.LoadReporter: queue depth as the synthetic
 // metric ("single synthetic" LB, §2.2.4). Every enqueue and dequeue marks it.
-func (q *Queue) ShardLoad(s shard.ID) topology.Capacity {
-	return topology.Capacity{
-		topology.ResourceShardCount: 1,
-		"queue_depth":               float64(q.backing.Len(s)),
-	}
+func (q *Queue) ShardLoad(s shard.ID, into topology.Capacity) {
+	into[topology.ResourceShardCount] = 1
+	into["queue_depth"] = float64(q.backing.Len(s))
 }
 
 // Queue operation names.

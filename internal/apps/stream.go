@@ -102,8 +102,9 @@ func (p *StreamProcessor) ChangeRole(shard.ID, shard.Role, shard.Role) {}
 
 // ShardLoad implements appserver.LoadReporter with a constant, which needs no
 // mark.
-func (p *StreamProcessor) ShardLoad(shard.ID) topology.Capacity {
-	return topology.Capacity{topology.ResourceShardCount: 1, topology.ResourceCPU: 1}
+func (p *StreamProcessor) ShardLoad(_ shard.ID, into topology.Capacity) {
+	into[topology.ResourceShardCount] = 1
+	into[topology.ResourceCPU] = 1
 }
 
 // consumeLocked advances the shard's cursor through the bus.

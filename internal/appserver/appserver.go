@@ -51,15 +51,17 @@ type Application interface {
 
 // LoadReporter is optionally implemented by applications that report
 // per-shard load for load balancing (§2.2.4). Servers without it report
-// shard count only. A report is a value, as if it had crossed the network:
-// the orchestrator keeps the map ShardLoad returns, so the application must
-// not modify it afterwards — a new load is a new map. A server asks for a
-// replica's load when the replica is new and after that only once its shard
-// is marked (Server.LoadChanged): an application whose ShardLoad can change
-// must mark the shard whenever it may have, or the orchestrator keeps the old
-// value. A constant load needs no mark.
+// shard count only. ShardLoad writes the shard's load into into, a map the
+// server owns and has cleared, and keeps no reference to it: the values are
+// copied out of the application as the report is made, as if they had crossed
+// the network, so nothing the application does afterwards reaches what the
+// orchestrator holds. A server asks for a replica's load when the replica is
+// new and after that only once its shard is marked (Server.LoadChanged): an
+// application whose ShardLoad can change must mark the shard whenever it may
+// have, or the orchestrator keeps the old value. A constant load needs no
+// mark.
 type LoadReporter interface {
-	ShardLoad(s shard.ID) topology.Capacity
+	ShardLoad(s shard.ID, into topology.Capacity)
 }
 
 // Request is one client request routed to a server.
@@ -153,6 +155,9 @@ type replica struct {
 	// reported is the shard's load generation (Directory.loadGens) at this
 	// replica's last load report; 0 until the first.
 	reported uint64
+	// load is the replica's last reported load, made at its first report and
+	// rewritten by each one after: a LoadReport entry carries it.
+	load topology.Capacity
 }
 
 // tombstoneTTL is how long a server keeps forwarding requests for a shard
@@ -205,6 +210,9 @@ type Server struct {
 	// the shard's name first.
 	replicas   map[ShardNum]*replica
 	tombstones map[ShardNum]shard.ServerID
+	// report is LoadReport's buffer, reused by every report: a report is
+	// gathered here and handed out as an exact-size copy.
+	report []LoadEntry
 
 	// fenced marks lost-lease state: the server's coordination session
 	// expired and no newer-generation sync has arrived, so its primary
@@ -762,25 +770,36 @@ type LoadEntry struct {
 // last report, in no particular order; a replica left out reports what it
 // reported last. Applications implementing LoadReporter control the numbers;
 // otherwise each shard reports shard_count=1. A round in which nothing changed
-// asks the application nothing and returns nil.
+// asks the application nothing and returns nil. An entry's Load is the
+// replica's own map, which the replica's next report rewrites: a caller that
+// keeps a load past the round copies it.
 func (s *Server) LoadReport() []LoadEntry {
 	lr, _ := s.app.(LoadReporter)
-	var out []LoadEntry
+	out := s.report[:0]
 	for num, r := range s.replicas {
 		gen := s.dir.loadGens[num-1]
 		if r.reported == gen {
 			continue
 		}
 		r.reported = gen
-		e := LoadEntry{Shard: s.dir.shardID(num)}
-		if lr != nil {
-			e.Load = lr.ShardLoad(e.Shard)
+		if r.load == nil {
+			r.load = make(topology.Capacity)
 		} else {
-			e.Load = topology.Capacity{topology.ResourceShardCount: 1}
+			clear(r.load)
 		}
-		out = append(out, e)
+		id := s.dir.shardID(num)
+		if lr != nil {
+			lr.ShardLoad(id, r.load)
+		} else {
+			r.load[topology.ResourceShardCount] = 1
+		}
+		out = append(out, LoadEntry{Shard: id, Load: r.load})
 	}
-	return out
+	s.report = out
+	if len(out) == 0 {
+		return nil
+	}
+	return slices.Clone(out)
 }
 
 // LoadChanged marks the shard's load as possibly changed: at the next

@@ -308,9 +308,9 @@ type loadApp struct {
 	asked int
 }
 
-func (l *loadApp) ShardLoad(s shard.ID) topology.Capacity {
+func (l *loadApp) ShardLoad(_ shard.ID, into topology.Capacity) {
 	l.asked++
-	return topology.Capacity{topology.ResourceCPU: l.cpu}
+	into[topology.ResourceCPU] = l.cpu
 }
 
 func TestLoadReporterOverride(t *testing.T) {

@@ -18,7 +18,7 @@ func BenchmarkPublishFanout(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		svc.Subscribe("app", func(View) { delivered++ })
 	}
-	m := shard.NewMap("app")
+	m := &shard.Map{App: "app", Entries: map[shard.ID][]shard.Assignment{}}
 	for i := 0; i < 1000; i++ {
 		id := shard.ID(fmt.Sprintf("s%04d", i))
 		m.Entries[id] = []shard.Assignment{{Server: "srv", Role: shard.RolePrimary}}
@@ -37,7 +37,7 @@ func BenchmarkPublishFanout(b *testing.B) {
 
 // benchMap builds an n-shard single-primary map.
 func benchMap(n int) *shard.Map {
-	m := shard.NewMap("app")
+	m := &shard.Map{App: "app", Entries: map[shard.ID][]shard.Assignment{}}
 	m.Version, m.Gen = 1, 1
 	for i := 0; i < n; i++ {
 		id := shard.ID(fmt.Sprintf("s%07d", i))

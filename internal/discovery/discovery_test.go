@@ -9,7 +9,7 @@ import (
 )
 
 func mapV(v int64) *shard.Map {
-	m := shard.NewMap("app")
+	m := &shard.Map{App: "app", Entries: map[shard.ID][]shard.Assignment{}}
 	m.Version, m.Gen = v, v
 	m.Entries["s1"] = []shard.Assignment{{Server: shard.ServerID("srv"), Role: shard.RolePrimary}}
 	return m

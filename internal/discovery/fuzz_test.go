@@ -95,7 +95,7 @@ func (z *storeFuzz) publish(d *shard.Delta) {
 	if !accept {
 		return
 	}
-	next := shard.NewMap("app")
+	next := &shard.Map{App: "app", Entries: map[shard.ID][]shard.Assignment{}}
 	if d.FromVersion != 0 {
 		next = cur.Clone()
 	}

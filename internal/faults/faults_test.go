@@ -58,7 +58,7 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := shard.NewMap("app")
+	m := &shard.Map{App: "app", Entries: map[shard.ID][]shard.Assignment{}}
 	m.Version, m.Gen = 1, 1
 	m.Entries = map[shard.ID][]shard.Assignment{
 		"s1": {{Server: "far-srv", Role: shard.RoleSecondary}},

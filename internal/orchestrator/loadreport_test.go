@@ -23,11 +23,13 @@ import (
 func fullReport(srv *appserver.Server, app appserver.Application) map[shard.ID]topology.Capacity {
 	out := make(map[shard.ID]topology.Capacity)
 	for id := range srv.Shards() {
+		load := topology.Capacity{}
 		if lr, ok := app.(appserver.LoadReporter); ok {
-			out[id] = lr.ShardLoad(id)
+			lr.ShardLoad(id, load)
 		} else {
-			out[id] = topology.Capacity{topology.ResourceShardCount: 1}
+			load[topology.ResourceShardCount] = 1
 		}
+		out[id] = load
 	}
 	return out
 }
@@ -280,7 +282,7 @@ func TestLoadReportsMatchFullScan(t *testing.T) {
 // benchCollection builds an orchestrator (not started) and forty live servers
 // in one region holding shards×2 KV replicas, after one collection round that
 // took every replica's first report.
-func benchCollection(b *testing.B, shards int) (*Orchestrator, *appserver.Server) {
+func benchCollection(b testing.TB, shards int) (*Orchestrator, *appserver.Server) {
 	const servers = 40
 	cfg := baseConfig(shard.SecondaryOnly, shards, 2)
 	cfg.HomeRegion = "r1"
@@ -313,11 +315,36 @@ func benchCollection(b *testing.B, shards int) (*Orchestrator, *appserver.Server
 	return o, srvs[0]
 }
 
+// TestCollectionAllocationsDoNotGrowWithReplicas: a collection round in which
+// every shard was marked, so that every server reports every replica, copies
+// each load into maps its holders made at the first round: it allocates per
+// server, not per replica, and makes the same number of allocations at 40k
+// replicas as at 4k. Allocation counts repeat exactly, so the gate is
+// deterministic.
+func TestCollectionAllocationsDoNotGrowWithReplicas(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, replicas := range []int{4000, 40000} {
+		o, marker := benchCollection(t, replicas/2)
+		allocs[replicas] = testing.AllocsPerRun(5, func() {
+			for _, id := range o.order {
+				marker.LoadChanged(id)
+			}
+			o.collectLoads()
+			o.loop.RunFor(time.Second)
+		})
+	}
+	if allocs[40000] != allocs[4000] {
+		t.Fatalf("a round with every replica marked allocates %.0f times at 40k replicas, %.0f at 4k", allocs[40000], allocs[4000])
+	}
+	t.Logf("allocations per round with every replica marked: %.0f at 4k and 40k replicas", allocs[4000])
+}
+
 // BenchmarkCollectLoads drives one load-collection round alone: every server
 // is called, reports, and its report is applied. Forty servers hold 4k or 40k
 // replicas, of which the shards marked before the round — none, 1% or all —
-// report again; a round with none marked asks no application anything and
-// must make the same allocations at both sizes.
+// report again; a round with none marked asks no application anything, and
+// every round makes the same allocations at both sizes (120 with none marked,
+// 160 with 1% or all: per server, not per replica).
 func BenchmarkCollectLoads(b *testing.B) {
 	for _, replicas := range []int{4000, 40000} {
 		for _, pct := range []int{0, 1, 100} {

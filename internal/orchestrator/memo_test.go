@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,21 +29,43 @@ type loadApp struct {
 	cpu *float64
 }
 
-func (a loadApp) ShardLoad(shard.ID) topology.Capacity {
-	return topology.Capacity{topology.ResourceCPU: *a.cpu, topology.ResourceShardCount: 1}
+func (a loadApp) ShardLoad(_ shard.ID, into topology.Capacity) {
+	into[topology.ResourceCPU] = *a.cpu
+	into[topology.ResourceShardCount] = 1
+}
+
+// reportingKV is a KVStore that runs reported, once, right after the next
+// ShardLoad it answers for s000: inside the collection, after that server's
+// report is made and before the orchestrator applies it.
+type reportingKV struct {
+	*apps.KVStore
+	reported func()
+}
+
+func (k *reportingKV) ShardLoad(s shard.ID, into topology.Capacity) {
+	k.KVStore.ShardLoad(s, into)
+	if f := k.reported; f != nil && s == "s000" {
+		k.reported = nil
+		f()
+	}
 }
 
 // TestLoadReportDoesNotAliasTheApplication: what the orchestrator holds of a
-// load report is what the report said when it was collected. A caller editing
+// load report is what the report said when it was made. A caller editing
 // the map it gave KVStore.SetShardLoad — the map the store then reported, as
 // the bench injects loads — changes nothing the next collection brings in;
-// only a new SetShardLoad does.
+// only a new SetShardLoad does, and not before that collection. The store
+// rewrites its own map for the shard in place, so the load is copied out of
+// it when the report is made, and again into the orchestrator's own map when
+// the report is applied: until the apply the orchestrator holds the last
+// collection's load, and a SetShardLoad between the two belongs to the next
+// report.
 func TestLoadReportDoesNotAliasTheApplication(t *testing.T) {
 	backing := apps.NewKVBacking()
-	var stores []*apps.KVStore
+	var stores []*reportingKV
 	w := buildWorldOf(t, []topology.RegionID{"r1"}, 2, baseConfig(shard.PrimaryOnly, 4, 1),
 		func(s *appserver.Server) appserver.Application {
-			kv := apps.NewKVStore(s, backing)
+			kv := &reportingKV{KVStore: apps.NewKVStore(s, backing)}
 			stores = append(stores, kv)
 			return kv
 		})
@@ -55,6 +78,9 @@ func TestLoadReportDoesNotAliasTheApplication(t *testing.T) {
 	}
 	cpu := func() float64 { return w.orch.ShardLoadValue("s000", topology.ResourceCPU) }
 	setLoad()
+	if got := cpu(); got != 1 {
+		t.Fatalf("load %v after SetShardLoad and before a collection, want the default 1", got)
+	}
 	w.loop.RunFor(loadInterval)
 	if got := cpu(); got != 2 {
 		t.Fatalf("collected load %v, want 2", got)
@@ -65,9 +91,36 @@ func TestLoadReportDoesNotAliasTheApplication(t *testing.T) {
 		t.Fatalf("load %v after the caller edited its map: the orchestrator holds the caller's map", got)
 	}
 	setLoad()
+	if got := cpu(); got != 2 {
+		t.Fatalf("load %v after SetShardLoad and before a collection: the orchestrator holds the store's map", got)
+	}
 	w.loop.RunFor(loadInterval)
 	if got := cpu(); got != 9 {
 		t.Fatalf("load %v after SetShardLoad and a collection, want 9", got)
+	}
+
+	load[topology.ResourceCPU] = 4
+	setLoad()
+	held := 0.0
+	for _, kv := range stores {
+		kv.reported = func() {
+			w.loop.AfterL(0, 0, func() {
+				held = cpu()
+				load[topology.ResourceCPU] = 6
+				setLoad()
+			})
+		}
+	}
+	w.loop.RunFor(loadInterval)
+	if held != 9 {
+		t.Fatalf("load %v between a report and its apply, want the last collection's 9: the orchestrator holds the server's map", held)
+	}
+	if got := cpu(); got != 4 {
+		t.Fatalf("load %v after a SetShardLoad between a report and its apply, want the reported 4", got)
+	}
+	w.loop.RunFor(loadInterval)
+	if got := cpu(); got != 6 {
+		t.Fatalf("load %v a collection after that SetShardLoad, want 6", got)
 	}
 }
 
@@ -79,8 +132,10 @@ type storageApp struct {
 	storage *float64
 }
 
-func (a storageApp) ShardLoad(shard.ID) topology.Capacity {
-	return topology.Capacity{topology.ResourceCPU: 1, topology.ResourceStorage: *a.storage, topology.ResourceShardCount: 1}
+func (a storageApp) ShardLoad(_ shard.ID, into topology.Capacity) {
+	into[topology.ResourceCPU] = 1
+	into[topology.ResourceStorage] = *a.storage
+	into[topology.ResourceShardCount] = 1
 }
 
 // TestLoadOutsideThePolicyReplays: load reports that change only a metric the
@@ -157,14 +212,14 @@ func refInput(o *Orchestrator) allocator.Input {
 }
 
 // refShardLoad is shardLoad by name: the report of the last replica in the
-// shard's list whose server has one (a nil one reads as the default), or the
-// configured default.
+// shard's list whose server has one, or the configured default. The report is
+// copied, since a later collection rewrites the held map in place.
 func refShardLoad(o *Orchestrator, ss *shardState) topology.Capacity {
 	var latest topology.Capacity
 	for _, a := range ss.replicas {
 		if st := o.servers[a.Server]; st != nil {
 			if l, ok := st.load[ss.cfg.ID]; ok {
-				latest = l
+				latest = maps.Clone(l)
 			}
 		}
 	}

@@ -143,7 +143,9 @@ type serverState struct {
 	// bucket is the server's number in the kept allocation problem, -1 while
 	// it is none (dead past its grace, or not stated yet).
 	bucket int
-	// load is the latest per-shard load report.
+	// load is the latest per-shard load report, each shard's a map of the
+	// orchestrator's own, made at its first report and rewritten by each
+	// report applied after that.
 	load map[shard.ID]topology.Capacity
 	// shards is the server's part of the placement — the shards' replica
 	// lists inverted, sorted by shard, kept in step by the mutators
@@ -517,12 +519,18 @@ func (o *Orchestrator) collectLoads() {
 			}
 			report := srv.LoadReport()
 			o.loop.AfterL(0, lbLoadApply, func() {
-				// A report is a value (appserver.LoadReporter), held as it
-				// came; a replica it leaves out reports what is held. Every
-				// shard it names is marked, for the refresh to restate its
-				// load.
+				// A report's loads are the server's maps, rewritten at its
+				// next report: each is copied into the one held for the
+				// shard. A replica the report leaves out reports what is
+				// held. Every shard it names is marked, for the refresh to
+				// restate its load.
 				for _, e := range report {
-					st.load[e.Shard] = e.Load
+					held := st.load[e.Shard]
+					if held == nil {
+						held = make(topology.Capacity, len(e.Load))
+						st.load[e.Shard] = held
+					}
+					held.CopyFrom(e.Load)
 					if ss := o.shards[e.Shard]; ss != nil {
 						o.markShard(ss)
 					}
@@ -537,10 +545,8 @@ func (o *Orchestrator) collectLoads() {
 func (o *Orchestrator) shardLoad(ss *shardState) topology.Capacity {
 	for i := len(ss.hosts) - 1; i >= 0; i-- {
 		if st := ss.hosts[i]; st != nil {
-			if l, ok := st.load[ss.cfg.ID]; ok && l != nil {
+			if l := st.load[ss.cfg.ID]; l != nil {
 				return l
-			} else if ok {
-				break // a nil report reads as the default
 			}
 		}
 	}
@@ -1325,13 +1331,20 @@ func (o *Orchestrator) publish() {
 
 // AssignmentSnapshot returns a copy of the current authoritative shard map
 // (not the possibly stale discovery view), stamped with the last published
-// version.
+// version. Its entries share one backing array, each capped at its own
+// length, so that a reader's append copies the entry rather than write over
+// the next.
 func (o *Orchestrator) AssignmentSnapshot() *shard.Map {
-	m := shard.NewMap(o.cfg.App)
-	m.Version = o.version
+	n := 0
+	for _, ss := range o.shards {
+		n += len(ss.replicas)
+	}
+	all := make([]shard.Assignment, 0, n)
+	m := &shard.Map{App: o.cfg.App, Version: o.version, Entries: make(map[shard.ID][]shard.Assignment, o.placed)}
 	for id, ss := range o.shards {
 		if len(ss.replicas) > 0 {
-			m.Entries[id] = slices.Clone(ss.replicas)
+			all = append(all, ss.replicas...)
+			m.Entries[id] = all[len(all)-len(ss.replicas) : len(all) : len(all)]
 		}
 	}
 	return m

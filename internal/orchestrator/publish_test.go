@@ -89,7 +89,7 @@ func TestPublishedDeltasMatchSnapshotDiffs(t *testing.T) {
 func TestPublishResyncsAfterForeignPublish(t *testing.T) {
 	w := buildWorld(t, []topology.RegionID{"r1"}, 4, baseConfig(shard.PrimarySecondary, 6, 2))
 	w.loop.RunFor(3 * time.Minute)
-	foreign := shard.NewMap("app")
+	foreign := &shard.Map{App: "app", Entries: map[shard.ID][]shard.Assignment{}}
 	foreign.Version, foreign.Gen = 1, w.store.NextEpoch()
 	foreign.Entries["elsewhere"] = []shard.Assignment{{Server: "x", Role: shard.RolePrimary}}
 	w.disc.Publish(foreign.Diff(nil, nil))

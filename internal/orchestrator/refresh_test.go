@@ -18,8 +18,9 @@ type tableApp struct {
 	cpu map[shard.ID]float64
 }
 
-func (a tableApp) ShardLoad(id shard.ID) topology.Capacity {
-	return topology.Capacity{topology.ResourceCPU: a.cpu[id], topology.ResourceShardCount: 1}
+func (a tableApp) ShardLoad(id shard.ID, into topology.Capacity) {
+	into[topology.ResourceCPU] = a.cpu[id]
+	into[topology.ResourceShardCount] = 1
 }
 
 // TestKeptProblemMatchesFromScratch drives one world through moves, load

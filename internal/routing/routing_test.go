@@ -74,7 +74,7 @@ func (e *env) killServer(id shard.ServerID) {
 }
 
 func (e *env) publish(version int64, entries map[shard.ID][]shard.Assignment) {
-	m := shard.NewMap("app")
+	m := &shard.Map{App: "app", Entries: map[shard.ID][]shard.Assignment{}}
 	m.Version, m.Gen = version, version
 	m.Entries = entries
 	e.disc.Publish(m.Diff(nil, nil))

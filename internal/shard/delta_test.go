@@ -27,7 +27,7 @@ func mapsDeepEqual(a, b *Map) error {
 }
 
 func TestDiffApplyRoundTrip(t *testing.T) {
-	prev := NewMap("app")
+	prev := newMap("app")
 	prev.Version, prev.Gen = 3, 7
 	prev.Entries["s0"] = []Assignment{{Server: "a", Role: RolePrimary}}
 	prev.Entries["s1"] = []Assignment{{Server: "b", Role: RolePrimary}, {Server: "c", Role: RoleSecondary}}
@@ -65,7 +65,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 	if snap.FromVersion != 0 || snap.ToVersion != 4 || len(snap.Changed) != len(next.Entries) || len(snap.Removed) != 0 {
 		t.Fatalf("snapshot delta %+v", snap)
 	}
-	fresh := NewMap("app")
+	fresh := newMap("app")
 	if err := fresh.ApplyDelta(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 }
 
 func TestApplyDeltaVersionAndAppChecks(t *testing.T) {
-	m := NewMap("app")
+	m := newMap("app")
 	m.Version = 5
 	d := NewDelta("app").Reset("app", 4, 5, 0)
 	if err := m.ApplyDelta(d); err == nil {
@@ -112,7 +112,7 @@ func TestDeltaApplyEquivalenceRandomChurn(t *testing.T) {
 		for i := range servers {
 			servers[i] = ServerID(fmt.Sprintf("srv%02d", i))
 		}
-		pub := NewMap("churn")
+		pub := newMap("churn")
 		pub.Version, pub.Gen = 1, 1
 		for i := 0; i < shards; i++ {
 			pub.Entries[ID(fmt.Sprintf("s%04d", i))] = []Assignment{
@@ -158,7 +158,7 @@ func TestDeltaApplyEquivalenceRandomChurn(t *testing.T) {
 // same-shape delta allocates nothing.
 func TestDeltaStagingSteadyStateAllocs(t *testing.T) {
 	const n = 64
-	m := NewMap("app")
+	m := newMap("app")
 	m.Version = 1
 	ids := make([]ID, n)
 	for i := range ids {
@@ -193,7 +193,7 @@ func TestDeltaStagingSteadyStateAllocs(t *testing.T) {
 // TestMapApproxBytes pins the accounting bench's shard.map_bytes reads: a
 // 32-byte header, 4 bytes of framing per shard id, 5 per replica.
 func TestMapApproxBytes(t *testing.T) {
-	m := NewMap("app")
+	m := newMap("app")
 	if got := m.ApproxBytes(); got != 32 {
 		t.Fatalf("empty map = %d bytes, want 32", got)
 	}

@@ -98,11 +98,6 @@ type Map struct {
 	Entries map[ID][]Assignment
 }
 
-// NewMap returns an empty shard map for app.
-func NewMap(app AppID) *Map {
-	return &Map{App: app, Entries: make(map[ID][]Assignment)}
-}
-
 // Clone returns a deep copy.
 func (m *Map) Clone() *Map {
 	out := &Map{App: m.App, Version: m.Version, Gen: m.Gen, Entries: make(map[ID][]Assignment, len(m.Entries))}

@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// newMap returns an empty shard map for app.
+func newMap(app AppID) *Map {
+	return &Map{App: app, Entries: map[ID][]Assignment{}}
+}
+
 func TestRoleAndStrategyStrings(t *testing.T) {
 	if RolePrimary.String() != "primary" || RoleSecondary.String() != "secondary" {
 		t.Fatal("role names wrong")
@@ -19,7 +24,7 @@ func TestRoleAndStrategyStrings(t *testing.T) {
 }
 
 func TestMapPrimaryAndReplicas(t *testing.T) {
-	m := NewMap("app")
+	m := newMap("app")
 	m.Entries["s1"] = []Assignment{
 		{Server: "a", Role: RoleSecondary},
 		{Server: "b", Role: RolePrimary},
@@ -37,7 +42,7 @@ func TestMapPrimaryAndReplicas(t *testing.T) {
 }
 
 func TestMapCloneIsDeep(t *testing.T) {
-	m := NewMap("app")
+	m := newMap("app")
 	m.Entries["s1"] = []Assignment{{Server: "a", Role: RolePrimary}}
 	c := m.Clone()
 	c.Entries["s1"][0].Server = "x"
@@ -48,7 +53,7 @@ func TestMapCloneIsDeep(t *testing.T) {
 }
 
 func TestMapServers(t *testing.T) {
-	m := NewMap("app")
+	m := newMap("app")
 	m.Entries["s1"] = []Assignment{{Server: "b", Role: RolePrimary}, {Server: "a", Role: RoleSecondary}}
 	m.Entries["s2"] = []Assignment{{Server: "a", Role: RolePrimary}}
 	servers := m.Servers()
@@ -58,7 +63,7 @@ func TestMapServers(t *testing.T) {
 }
 
 func TestMapValidate(t *testing.T) {
-	m := NewMap("app")
+	m := newMap("app")
 	m.Entries["ok"] = []Assignment{{Server: "a", Role: RolePrimary}, {Server: "b", Role: RoleSecondary}}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("valid map rejected: %v", err)
