@@ -401,13 +401,24 @@ func (p *Problem) SetShard(i int, spec ShardSpec) {
 	for m, r := range p.a.policy.Metrics {
 		load[m] = spec.Load.Get(r)
 	}
+	p.SetPreference(i, spec.RegionPreference, spec.PreferenceWeight)
+}
+
+// SetLoad states shard i's load, one value per Policy.Metrics in that order.
+func (p *Problem) SetLoad(i int, load []float64) {
+	copy(p.slot(i), load)
+}
+
+// SetPreference states shard i's region preference and its weight.
+func (p *Problem) SetPreference(i int, region topology.RegionID, weight float64) {
+	sh := &p.shards[i]
 	switch {
-	case sh.pref == "" && spec.RegionPreference != "":
+	case sh.pref == "" && region != "":
 		p.preferring++
-	case sh.pref != "" && spec.RegionPreference == "":
+	case sh.pref != "" && region == "":
 		p.preferring--
 	}
-	sh.pref, sh.weight = spec.RegionPreference, spec.PreferenceWeight
+	sh.pref, sh.weight = region, weight
 }
 
 // SetCurrent states the buckets shard i's replicas are on, one element per

@@ -35,8 +35,15 @@ type KVStore struct {
 	// backing's map for the shard (guarded by the backing's mutex), so that a
 	// get or put looks the shard up once.
 	owned map[shard.ID]map[string]any
-	// loads optionally reports synthetic per-shard load.
-	loads map[shard.ID]topology.Capacity
+	// loads holds the synthetic load SetShardLoad last set for a shard, as
+	// its resources and their values.
+	loads map[shard.ID][]resourceLoad
+}
+
+// resourceLoad is one resource's value in a shard's synthetic load.
+type resourceLoad struct {
+	r topology.Resource
+	v float64
 }
 
 // KVBacking is the durable shard state shared by an application's replicas.
@@ -115,21 +122,19 @@ func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 		server:  server,
 		backing: backing,
 		owned:   make(map[shard.ID]map[string]any),
-		loads:   make(map[shard.ID]topology.Capacity),
+		loads:   make(map[shard.ID][]resourceLoad),
 	}
 }
 
 // SetShardLoad sets the synthetic load reported for a shard. The store copies
-// it into its own map for the shard, made at the shard's first load and
-// rewritten after that: what ShardLoad reports must not change under the
-// caller's edits.
+// the values, reusing the shard's slice once it has one of the size: what
+// ShardLoad reports must not change under the caller's edits.
 func (k *KVStore) SetShardLoad(s shard.ID, load topology.Capacity) {
-	held := k.loads[s]
-	if held == nil {
-		held = make(topology.Capacity, len(load))
-		k.loads[s] = held
+	held := k.loads[s][:0]
+	for r, v := range load {
+		held = append(held, resourceLoad{r, v})
 	}
-	held.CopyFrom(load)
+	k.loads[s] = held
 	k.server.LoadChanged(s)
 }
 
@@ -149,8 +154,10 @@ func (k *KVStore) ChangeRole(s shard.ID, _, to shard.Role) { k.AddShard(s, to) }
 // ShardLoad implements appserver.LoadReporter. SetShardLoad and a write that
 // adds a key mark it.
 func (k *KVStore) ShardLoad(s shard.ID, into topology.Capacity) {
-	if l, ok := k.loads[s]; ok {
-		into.CopyFrom(l)
+	if held, ok := k.loads[s]; ok {
+		for _, l := range held {
+			into[l.r] = l.v
+		}
 		return
 	}
 	into[topology.ResourceShardCount] = 1

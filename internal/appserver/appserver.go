@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"shardmanager/internal/cluster"
@@ -52,14 +53,14 @@ type Application interface {
 // LoadReporter is optionally implemented by applications that report
 // per-shard load for load balancing (§2.2.4). Servers without it report
 // shard count only. ShardLoad writes the shard's load into into, a map the
-// server owns and has cleared, and keeps no reference to it: the values are
-// copied out of the application as the report is made, as if they had crossed
-// the network, so nothing the application does afterwards reaches what the
-// orchestrator holds. A server asks for a replica's load when the replica is
-// new and after that only once its shard is marked (Server.LoadChanged): an
-// application whose ShardLoad can change must mark the shard whenever it may
-// have, or the orchestrator keeps the old value. A constant load needs no
-// mark.
+// server owns and has cleared, and keeps no reference to it: the values of
+// the metrics the orchestrator balances on are copied out as the report is
+// made, as if they had crossed the network, so nothing the application does
+// afterwards reaches what the orchestrator holds. A server asks for a
+// replica's load when the replica is new and after that only once its shard
+// is marked (Server.LoadChanged): an application whose ShardLoad can change
+// must mark the shard whenever it may have, or the orchestrator keeps the old
+// value. A constant load needs no mark.
 type LoadReporter interface {
 	ShardLoad(s shard.ID, into topology.Capacity)
 }
@@ -155,9 +156,6 @@ type replica struct {
 	// reported is the shard's load generation (Directory.loadGens) at this
 	// replica's last load report; 0 until the first.
 	reported uint64
-	// load is the replica's last reported load, made at its first report and
-	// rewritten by each one after: a LoadReport entry carries it.
-	load topology.Capacity
 }
 
 // tombstoneTTL is how long a server keeps forwarding requests for a shard
@@ -210,9 +208,10 @@ type Server struct {
 	// the shard's name first.
 	replicas   map[ShardNum]*replica
 	tombstones map[ShardNum]shard.ServerID
-	// report is LoadReport's buffer, reused by every report: a report is
-	// gathered here and handed out as an exact-size copy.
-	report []LoadEntry
+	// asked is the map LoadReport hands the application for each shard's
+	// load, cleared before every ask: the server's one, made at its first
+	// report.
+	asked topology.Capacity
 
 	// fenced marks lost-lease state: the server's coordination session
 	// expired and no newer-generation sync has arrived, so its primary
@@ -303,6 +302,9 @@ type Directory struct {
 	// loadGens[n-1] counts, from 1, the marks of shard n's load
 	// (Server.LoadChanged).
 	loadGens []uint64
+	// metrics are, per application, the metrics its orchestrator balances
+	// on: a load report carries each replica's values in this order.
+	metrics map[shard.AppID][]topology.Resource
 	// byKeyspace holds, per keyspace a client routes by, the shard number at
 	// each position: one table for all clients.
 	byKeyspace map[*shard.Keyspace][]ShardNum
@@ -363,7 +365,15 @@ func NewDirectory() *Directory {
 		slots:      make(map[shard.ServerID]*Slot),
 		shardNums:  make(map[shard.ID]ShardNum),
 		byKeyspace: make(map[*shard.Keyspace][]ShardNum),
+		metrics:    make(map[shard.AppID][]topology.Resource),
 	}
+}
+
+// SetMetrics states the metrics the application's orchestrator balances on,
+// in its policy's order (allocator.Policy.Metrics): its servers' load reports
+// carry those values, in that order, and no others.
+func (d *Directory) SetMetrics(app shard.AppID, metrics []topology.Resource) {
+	d.metrics[app] = metrics
 }
 
 // Slot resolves a server ID to its slot, making an empty one on first sight.
@@ -759,47 +769,61 @@ func (s *Server) HoldsActive(id shard.ID) bool {
 	return r != nil && r.phase == PhaseActive
 }
 
-// LoadEntry is one shard's load in a load report.
+// LoadEntry is one shard's load in a load report: one value per metric the
+// application's orchestrator balances on, in the order the directory was
+// given (Directory.SetMetrics).
 type LoadEntry struct {
 	Shard shard.ID
-	Load  topology.Capacity
+	Load  []float64
 }
 
 // LoadReport returns, for the orchestrator's collection cycle, the load of
 // every replica that is new or whose shard was marked (LoadChanged) since its
 // last report, in no particular order; a replica left out reports what it
 // reported last. Applications implementing LoadReporter control the numbers;
-// otherwise each shard reports shard_count=1. A round in which nothing changed
-// asks the application nothing and returns nil. An entry's Load is the
-// replica's own map, which the replica's next report rewrites: a caller that
-// keeps a load past the round copies it.
+// otherwise each shard reports shard_count=1. A metric the application
+// reports and its orchestrator does not balance on is left out, and one it
+// balances on and the application does not report reads 0. A round in which
+// nothing changed asks the application nothing and returns nil. The report
+// owns its entries and their values: nothing the application or the server
+// does afterwards changes them.
 func (s *Server) LoadReport() []LoadEntry {
+	n := 0
+	for num, r := range s.replicas {
+		if r.reported != s.dir.loadGens[num-1] {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	metrics := s.dir.metrics[s.App]
+	out := make([]LoadEntry, 0, n)
+	vals := make([]float64, 0, n*len(metrics))
+	if s.asked == nil {
+		s.asked = make(topology.Capacity, len(metrics))
+	}
 	lr, _ := s.app.(LoadReporter)
-	out := s.report[:0]
 	for num, r := range s.replicas {
 		gen := s.dir.loadGens[num-1]
 		if r.reported == gen {
 			continue
 		}
 		r.reported = gen
-		if r.load == nil {
-			r.load = make(topology.Capacity)
-		} else {
-			clear(r.load)
-		}
+		clear(s.asked)
 		id := s.dir.shardID(num)
 		if lr != nil {
-			lr.ShardLoad(id, r.load)
+			lr.ShardLoad(id, s.asked)
 		} else {
-			r.load[topology.ResourceShardCount] = 1
+			s.asked[topology.ResourceShardCount] = 1
 		}
-		out = append(out, LoadEntry{Shard: id, Load: r.load})
+		at := len(vals)
+		for _, m := range metrics {
+			vals = append(vals, s.asked[m])
+		}
+		out = append(out, LoadEntry{Shard: id, Load: vals[at:len(vals):len(vals)]})
 	}
-	s.report = out
-	if len(out) == 0 {
-		return nil
-	}
-	return slices.Clone(out)
+	return out
 }
 
 // LoadChanged marks the shard's load as possibly changed: at the next
@@ -951,13 +975,7 @@ func DefaultPaths(app shard.AppID) CoordPaths {
 // EscapeID flattens a server ID (which may contain '/', e.g. "job/3") into
 // a single coordination-store path segment.
 func EscapeID(id shard.ServerID) string {
-	b := []byte(string(id))
-	for i := range b {
-		if b[i] == '/' {
-			b[i] = '~'
-		}
-	}
-	return string(b)
+	return strings.ReplaceAll(string(id), "/", "~")
 }
 
 // ServerNode returns the liveness node path for a server.
@@ -1220,20 +1238,9 @@ func EncodeEntries(entries []AssignEntry) []byte {
 
 func splitAssign(s string) []AssignEntry {
 	var out []AssignEntry
-	for len(s) > 0 {
-		nl := -1
-		for i := 0; i < len(s); i++ {
-			if s[i] == '\n' {
-				nl = i
-				break
-			}
-		}
+	for s != "" {
 		var line string
-		if nl == -1 {
-			line, s = s, ""
-		} else {
-			line, s = s[:nl], s[nl+1:]
-		}
+		line, s, _ = strings.Cut(s, "\n")
 		if len(line) < 3 {
 			continue
 		}

@@ -55,8 +55,14 @@ func newEnv() *testEnv {
 	})
 	loop := sim.NewLoop(1)
 	net := rpcnet.NewNetwork(loop, fleet)
-	return &testEnv{loop: loop, fleet: fleet, net: net, dir: NewDirectory()}
+	dir := NewDirectory()
+	dir.SetMetrics("app", testMetrics)
+	return &testEnv{loop: loop, fleet: fleet, net: net, dir: dir}
 }
+
+// testMetrics are the metrics the test servers' loads are reported in: a
+// report entry's Load[0] is the CPU load, Load[1] the shard count.
+var testMetrics = []topology.Resource{topology.ResourceCPU, topology.ResourceShardCount}
 
 func (e *testEnv) server(id shard.ServerID, region topology.RegionID, app Application) *Server {
 	s := NewServer(e.loop, e.net, e.dir, app, "app", id, region)
@@ -297,7 +303,7 @@ func TestLoadReportDefaultsToShardCount(t *testing.T) {
 	s.AddShard("a", shard.RolePrimary, 1)
 	s.AddShard("b", shard.RoleSecondary, 1)
 	rep := s.LoadReport()
-	if len(rep) != 2 || rep[0].Load.Get(topology.ResourceShardCount) != 1 || rep[1].Load.Get(topology.ResourceShardCount) != 1 {
+	if len(rep) != 2 || rep[0].Load[1] != 1 || rep[1].Load[1] != 1 {
 		t.Fatalf("LoadReport = %v", rep)
 	}
 }
@@ -317,7 +323,7 @@ func TestLoadReporterOverride(t *testing.T) {
 	env := newEnv()
 	s := env.server("s1", "a", &loadApp{echoApp: newEchoApp(), cpu: 7})
 	s.AddShard("a", shard.RolePrimary, 1)
-	if rep := s.LoadReport(); len(rep) != 1 || rep[0].Load.Get(topology.ResourceCPU) != 7 {
+	if rep := s.LoadReport(); len(rep) != 1 || rep[0].Load[0] != 7 {
 		t.Fatalf("LoadReport = %v", rep)
 	}
 }
@@ -350,7 +356,7 @@ func TestLoadReportCarriesWhatChanged(t *testing.T) {
 	other.LoadChanged("b")
 	other.LoadChanged("unknown") // a shard no server was given: nothing to mark
 	rep := s.LoadReport()
-	if len(rep) != 1 || rep[0].Shard != "b" || rep[0].Load.Get(topology.ResourceCPU) != 2 {
+	if len(rep) != 1 || rep[0].Shard != "b" || rep[0].Load[0] != 2 {
 		t.Fatalf("report after marking b = %v", rep)
 	}
 	s.DropShard("c")

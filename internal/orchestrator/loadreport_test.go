@@ -3,10 +3,12 @@ package orchestrator
 import (
 	"fmt"
 	"maps"
-	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"shardmanager/internal/allocator"
 	"shardmanager/internal/apps"
 	"shardmanager/internal/appserver"
 	"shardmanager/internal/coord"
@@ -19,9 +21,10 @@ import (
 
 // fullReport is the report a server sent before load reports carried only
 // what changed, kept as their reference: a walk of every replica the server
-// holds, whatever its phase, asking the application for each.
-func fullReport(srv *appserver.Server, app appserver.Application) map[shard.ID]topology.Capacity {
-	out := make(map[shard.ID]topology.Capacity)
+// holds, whatever its phase, asking the application for each, and keeping
+// the values of o's metrics.
+func fullReport(o *Orchestrator, srv *appserver.Server, app appserver.Application) map[shard.ID][]float64 {
+	out := make(map[shard.ID][]float64)
 	for id := range srv.Shards() {
 		load := topology.Capacity{}
 		if lr, ok := app.(appserver.LoadReporter); ok {
@@ -29,16 +32,49 @@ func fullReport(srv *appserver.Server, app appserver.Application) map[shard.ID]t
 		} else {
 			load[topology.ResourceShardCount] = 1
 		}
-		out[id] = load
+		out[id] = vector(o, load)
+	}
+	return out
+}
+
+// vector is load's values of o's metrics, in the policy's order.
+func vector(o *Orchestrator, load topology.Capacity) []float64 {
+	out := make([]float64, len(o.cfg.Policy.Metrics))
+	for k, r := range o.cfg.Policy.Metrics {
+		out[k] = load[r]
+	}
+	return out
+}
+
+// balancing adds r to the metrics cfg's policy balances on, with room for a
+// thousand on every server: a report carries only the policy's metrics, so a
+// test of the marks that keep a metric fresh must balance on it.
+func balancing(cfg Config, r topology.Resource) Config {
+	cfg.Policy.Metrics = append(slices.Clip(cfg.Policy.Metrics), r)
+	cfg.ServerCapacity = maps.Clone(cfg.ServerCapacity)
+	cfg.ServerCapacity[r] = 1000
+	return cfg
+}
+
+// heldFrom is what the orchestrator holds of st's reports, by shard.
+func heldFrom(o *Orchestrator, st *serverState) map[shard.ID][]float64 {
+	out := make(map[shard.ID][]float64)
+	for _, ss := range o.shards {
+		if l := ss.reported(st, len(o.cfg.Policy.Metrics)); l != nil {
+			out[ss.cfg.ID] = l
+		}
 	}
 	return out
 }
 
 // loadCheck runs a world collection by collection beside ref, the loads the
 // full walk would have delivered: after every collection, each server the
-// round reached has its walk written over its ref entries (held loads are
-// never deleted, so neither are these), and what the orchestrator holds for
-// every server must deep-equal its ref.
+// round reached has its walk written over its ref entries, which are never
+// deleted. Every load the orchestrator holds for a server must equal the
+// server's ref entry for the shard, and every replica the placement lists on
+// a server the round reached, and which the server holds, must have its load
+// held: the placement dropping a replica drops its load, and shardLoad reads
+// only the replicas listed.
 //
 // The walk is taken once the round's reports are in, so the round must be
 // quiet: the steps run 4.5 s before a collection, and a replica transition
@@ -47,7 +83,7 @@ type loadCheck struct {
 	t    *testing.T
 	w    *world
 	apps map[shard.ServerID]appserver.Application // each server's running instance
-	ref  map[shard.ServerID]map[shard.ID]topology.Capacity
+	ref  map[shard.ServerID]map[shard.ID][]float64
 	// lastChange is the time of the last replica transition on any server.
 	lastChange time.Duration
 	// cut is a region the test has cut off from the orchestrator's: the
@@ -61,7 +97,7 @@ func newLoadCheck(t *testing.T, regions []topology.RegionID, servers int, cfg Co
 	// when a 30 s allocation tick would place them inside a collection.
 	cfg.AllocInterval = 33 * time.Second
 	c := &loadCheck{t: t, apps: map[shard.ServerID]appserver.Application{},
-		ref: map[shard.ServerID]map[shard.ID]topology.Capacity{}}
+		ref: map[shard.ServerID]map[shard.ID][]float64{}}
 	c.w = buildWorldOf(t, regions, servers, cfg, func(s *appserver.Server) appserver.Application {
 		app := factory(s)
 		c.apps[s.ID] = app
@@ -77,7 +113,7 @@ func newLoadCheck(t *testing.T, regions []topology.RegionID, servers int, cfg Co
 }
 
 // round runs do (when not nil) 4.5 s before the next collection, then the
-// collection, and compares what the orchestrator holds with ref.
+// collection, and checks what the orchestrator holds against ref.
 func (c *loadCheck) round(what string, do func()) {
 	c.t.Helper()
 	w, o := c.w, c.w.orch
@@ -93,15 +129,26 @@ func (c *loadCheck) round(what string, do func()) {
 	for _, st := range o.byID {
 		ref := c.ref[st.id]
 		if ref == nil {
-			ref = map[shard.ID]topology.Capacity{}
+			ref = map[shard.ID][]float64{}
 			c.ref[st.id] = ref
 		}
+		var walk map[shard.ID][]float64
 		if srv := w.dir.Lookup(st.id); st.alive && srv != nil && w.net.Region(rpcnet.Endpoint(st.id)) != c.cut {
-			maps.Copy(ref, fullReport(srv, c.apps[st.id]))
+			walk = fullReport(o, srv, c.apps[st.id])
+			maps.Copy(ref, walk)
 		}
-		if !reflect.DeepEqual(st.load, ref) {
-			c.t.Fatalf("%s: after the collection at %v the orchestrator holds for %s\n %v\nthe full walk delivered\n %v",
-				what, at, st.id, st.load, ref)
+		held := heldFrom(o, st)
+		for id, load := range held {
+			if want, ok := ref[id]; !ok || !slices.Equal(load, want) {
+				c.t.Fatalf("%s: after the collection at %v the orchestrator holds for %s of %s %v, the full walk delivered %v (reported: %v)",
+					what, at, id, st.id, load, want, ok)
+			}
+		}
+		for _, e := range st.shards {
+			if _, ok := held[e.Shard]; !ok && walk[e.Shard] != nil {
+				c.t.Fatalf("%s: after the collection at %v the orchestrator holds no load for %s on %s, which the placement lists",
+					what, at, e.Shard, st.id)
+			}
 		}
 	}
 }
@@ -122,8 +169,9 @@ func (c *loadCheck) stale() int {
 		if srv == nil {
 			continue
 		}
-		for id, load := range fullReport(srv, c.apps[st.id]) {
-			if !reflect.DeepEqual(st.load[id], load) {
+		held := heldFrom(c.w.orch, st)
+		for id, load := range fullReport(c.w.orch, srv, c.apps[st.id]) {
+			if !slices.Equal(held[id], load) {
 				n++
 				break
 			}
@@ -156,7 +204,8 @@ func (c *loadCheck) serve(id shard.ID, op string, payload any) {
 // by a partition, and an application that reports no load.
 func TestLoadReportsMatchFullScan(t *testing.T) {
 	t.Run("kvstore", func(t *testing.T) {
-		cfg := baseConfig(shard.PrimarySecondary, 12, 2)
+		// The puts change the KV store's storage load.
+		cfg := balancing(baseConfig(shard.PrimarySecondary, 12, 2), topology.ResourceStorage)
 		cfg.FailoverGrace = 5 * time.Minute // a restart is downtime, not a failover
 		backing := apps.NewKVBacking()
 		c := newLoadCheck(t, []topology.RegionID{"r1", "r2"}, 3, cfg, func(s *appserver.Server) appserver.Application {
@@ -220,7 +269,7 @@ func TestLoadReportsMatchFullScan(t *testing.T) {
 	t.Run("queue", func(t *testing.T) {
 		backing := apps.NewQueueBacking()
 		queues := map[shard.ServerID]*apps.Queue{}
-		c := newLoadCheck(t, []topology.RegionID{"r1"}, 3, baseConfig(shard.PrimaryOnly, 6, 1),
+		c := newLoadCheck(t, []topology.RegionID{"r1"}, 3, balancing(baseConfig(shard.PrimaryOnly, 6, 1), "queue_depth"),
 			func(s *appserver.Server) appserver.Application {
 				q := apps.NewQueue(s, backing)
 				queues[s.ID] = q
@@ -280,8 +329,7 @@ func TestLoadReportsMatchFullScan(t *testing.T) {
 }
 
 // benchCollection builds an orchestrator (not started) and forty live servers
-// in one region holding shards×2 KV replicas, after one collection round that
-// took every replica's first report.
+// in one region holding shards×2 KV replicas, none of which has reported yet.
 func benchCollection(b testing.TB, shards int) (*Orchestrator, *appserver.Server) {
 	const servers = 40
 	cfg := baseConfig(shard.SecondaryOnly, shards, 2)
@@ -310,46 +358,78 @@ func benchCollection(b testing.TB, shards int) (*Orchestrator, *appserver.Server
 		srvs[2*i%servers].AddShard(id, shard.RoleSecondary, 1)
 		srvs[(2*i+1)%servers].AddShard(id, shard.RoleSecondary, 1)
 	}
-	o.collectLoads()
-	loop.RunFor(time.Second)
 	return o, srvs[0]
 }
 
-// TestCollectionAllocationsDoNotGrowWithReplicas: a collection round in which
-// every shard was marked, so that every server reports every replica, copies
-// each load into maps its holders made at the first round: it allocates per
-// server, not per replica, and makes the same number of allocations at 40k
-// replicas as at 4k. Allocation counts repeat exactly, so the gate is
-// deterministic.
+// collect runs one collection round: every server is called, reports, and its
+// report is applied.
+func collect(o *Orchestrator) {
+	o.collectLoads()
+	o.loop.RunFor(time.Second)
+}
+
+// allocsOnce counts the allocations of one call of f. testing.AllocsPerRun
+// calls f once before it counts, so it cannot count a first of anything.
+func allocsOnce(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCollectionAllocationsDoNotGrowWithReplicas: the first collection round,
+// in which every replica is new, and a later one in which every shard was
+// marked, so that every server reports every replica, each allocate per
+// server, not per replica: the loads are held in room New made, and a report
+// is values, not a map per replica. Each round makes the same number of
+// allocations at 40k replicas as at 4k. Allocation counts repeat exactly, so
+// the gate is deterministic.
 func TestCollectionAllocationsDoNotGrowWithReplicas(t *testing.T) {
-	allocs := map[int]float64{}
+	first, marked := map[int]uint64{}, map[int]float64{}
 	for _, replicas := range []int{4000, 40000} {
 		o, marker := benchCollection(t, replicas/2)
-		allocs[replicas] = testing.AllocsPerRun(5, func() {
+		first[replicas] = allocsOnce(func() { collect(o) })
+		marked[replicas] = testing.AllocsPerRun(5, func() {
 			for _, id := range o.order {
 				marker.LoadChanged(id)
 			}
-			o.collectLoads()
-			o.loop.RunFor(time.Second)
+			collect(o)
 		})
 	}
-	if allocs[40000] != allocs[4000] {
-		t.Fatalf("a round with every replica marked allocates %.0f times at 40k replicas, %.0f at 4k", allocs[40000], allocs[4000])
+	if first[40000] != first[4000] {
+		t.Errorf("the first round allocates %d times at 40k replicas, %d at 4k", first[40000], first[4000])
 	}
-	t.Logf("allocations per round with every replica marked: %.0f at 4k and 40k replicas", allocs[4000])
+	if marked[40000] != marked[4000] {
+		t.Errorf("a round with every replica marked allocates %.0f times at 40k replicas, %.0f at 4k", marked[40000], marked[4000])
+	}
+	t.Logf("allocations per round at 4k and 40k replicas: %d in the first, %.0f with every replica marked", first[4000], marked[4000])
 }
 
 // BenchmarkCollectLoads drives one load-collection round alone: every server
 // is called, reports, and its report is applied. Forty servers hold 4k or 40k
-// replicas, of which the shards marked before the round — none, 1% or all —
-// report again; a round with none marked asks no application anything, and
-// every round makes the same allocations at both sizes (120 with none marked,
-// 160 with 1% or all: per server, not per replica).
+// replicas. In the first round every replica is new and reports; after it, the
+// shards marked before the round — none, 1% or all — report again, and a
+// round with none marked asks no application anything. Every round makes the
+// same allocations at both sizes, per server and not per replica (368 in the
+// first round, 120 with none marked, 200 with 1% or all). The room the loads
+// are held in is made by New, so the first round's B/op is the reports alone.
 func BenchmarkCollectLoads(b *testing.B) {
 	for _, replicas := range []int{4000, 40000} {
+		b.Run(fmt.Sprintf("replicas=%dk/first", replicas/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				o, _ := benchCollection(b, replicas/2)
+				b.StartTimer()
+				collect(o)
+			}
+		})
 		for _, pct := range []int{0, 1, 100} {
 			b.Run(fmt.Sprintf("replicas=%dk/marked=%d%%", replicas/1000, pct), func(b *testing.B) {
 				o, marker := benchCollection(b, replicas/2)
+				collect(o)
 				marked := o.order[:len(o.order)*pct/100]
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -357,10 +437,186 @@ func BenchmarkCollectLoads(b *testing.B) {
 					for _, id := range marked {
 						marker.LoadChanged(id)
 					}
-					o.collectLoads()
-					o.loop.RunFor(time.Second)
+					collect(o)
 				}
 			})
 		}
 	}
+}
+
+// serverLoadApp is countApp reporting, for every shard, the CPU load the test
+// set for its server.
+type serverLoadApp struct {
+	*countApp
+	cpu *float64
+}
+
+func (a serverLoadApp) ShardLoad(_ shard.ID, into topology.Capacity) {
+	into[topology.ResourceCPU] = *a.cpu
+	into[topology.ResourceShardCount] = 1
+}
+
+// TestHeldLoadsGoWithTheirReplicas: a load is held for as long as the
+// placement lists its replica. After a move the source holds no load for the
+// shard, and a replica moved back to a server it left reads the other
+// replica's load, or with no other replica the default, until its first
+// report, not the report it made before it left.
+func TestHeldLoadsGoWithTheirReplicas(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			cfg := baseConfig(shard.SecondaryOnly, 4, replicas)
+			cfg.AllocInterval = time.Hour // no allocation but the one the test runs
+			cpu := map[shard.ServerID]*float64{}
+			w := buildWorldOf(t, []topology.RegionID{"r1"}, 4, cfg, func(s *appserver.Server) appserver.Application {
+				v := float64(len(cpu) + 2)
+				cpu[s.ID] = &v
+				return serverLoadApp{newCountApp(), &v}
+			})
+			o := w.orch
+			ss := o.shards["s000"]
+			m := len(o.cfg.Policy.Metrics)
+			load := func() float64 { return o.ShardLoadValue("s000", topology.ResourceCPU) }
+			// move starts a move of s000 just after a collection and returns
+			// once it has committed, and after that once it has finished.
+			move := func(from, to shard.ServerID) (finish func()) {
+				t.Helper()
+				w.loop.RunUntil((w.loop.Now()/loadInterval+1)*loadInterval + 500*time.Millisecond)
+				o.executeDiff(&allocator.Result{Moves: []allocator.ReplicaMove{{Shard: "s000", From: from, To: to}}})
+				for ss.find(to) == -1 {
+					w.loop.RunFor(10 * time.Millisecond)
+					if ss.mig == nil {
+						t.Fatalf("the move of s000 from %s to %s did not commit", from, to)
+					}
+				}
+				return func() {
+					for ss.mig != nil {
+						w.loop.RunFor(100 * time.Millisecond)
+					}
+				}
+			}
+
+			w.loop.RunFor(35 * time.Second) // the containers are up
+			o.allocate(allocator.Periodic)
+			w.loop.RunFor(time.Minute)
+			assertConverged(t, w, replicas)
+			from := ss.replicas[replicas-1].Server
+			var to shard.ServerID
+			for _, st := range o.byID {
+				if to == "" && ss.find(st.id) == -1 {
+					to = st.id
+				}
+			}
+			if got := load(); got != *cpu[from] {
+				t.Fatalf("s000's load %v, want %s's report %v", got, from, *cpu[from])
+			}
+			move(from, to)()
+			if l := ss.reported(o.servers[from], m); l != nil {
+				t.Fatalf("after moving s000 off %s the orchestrator holds its report %v", from, l)
+			}
+			w.loop.RunFor(loadInterval)
+			if got := load(); got != *cpu[to] {
+				t.Fatalf("s000's load %v after the move, want %s's report %v", got, to, *cpu[to])
+			}
+
+			*cpu[from] = 100
+			finish := move(to, from)
+			want := 1.0 // the default
+			if replicas > 1 {
+				want = *cpu[ss.replicas[0].Server]
+			}
+			if got := load(); got != want {
+				t.Fatalf("s000's load %v right after it moved back to %s, want %v", got, from, want)
+			}
+			finish()
+			if l := ss.reported(o.servers[to], m); l != nil {
+				t.Fatalf("after moving s000 off %s the orchestrator holds its report %v", to, l)
+			}
+			w.loop.RunFor(loadInterval)
+			if got := load(); got != 100 {
+				t.Fatalf("s000's load %v a collection after it moved back to %s, want its report 100", got, from)
+			}
+		})
+	}
+}
+
+// TestMetricsOutsideThePolicyStayOnTheServer: a queue reports its depth, which
+// the policy does not balance on. No report carries it, so the orchestrator
+// never holds it, and a report of a queue's shards allocates what a report of
+// as many shards of an application reporting only the policy's metrics does.
+func TestMetricsOutsideThePolicyStayOnTheServer(t *testing.T) {
+	backing := apps.NewQueueBacking()
+	w := buildWorldOf(t, []topology.RegionID{"r1"}, 3, baseConfig(shard.PrimaryOnly, 6, 1),
+		func(s *appserver.Server) appserver.Application { return apps.NewQueue(s, backing) })
+	o := w.orch
+	w.loop.RunFor(time.Minute)
+	assertConverged(t, w, 1)
+	prim, _ := o.AssignmentSnapshot().Primary("s000")
+	srv := w.dir.Lookup(prim)
+	for range 3 {
+		srv.Serve(&appserver.Request{Shard: "s000", Write: true, Op: apps.QueueOpEnqueue, Payload: "m"},
+			func(appserver.Response) {})
+	}
+	if got := backing.Len("s000"); got != 3 {
+		t.Fatalf("s000 holds %d items, want 3", got)
+	}
+	w.loop.RunFor(loadInterval)
+	m := len(o.cfg.Policy.Metrics)
+	for _, id := range o.order {
+		if l := o.shardLoad(o.shards[id]); len(l) != m {
+			t.Fatalf("%s: the orchestrator holds %v, want %d values", id, l, m)
+		}
+	}
+	if got := o.ShardLoadValue("s000", "queue_depth"); got != 0 {
+		t.Fatalf("the orchestrator reads a queue depth of %v", got)
+	}
+	srv.LoadChanged("s000")
+	rep := srv.LoadReport()
+	if len(rep) != 1 || len(rep[0].Load) != m {
+		t.Fatalf("a report of s000 carries %v, want one entry of %d values", rep, m)
+	}
+
+	// The same shards on two servers outside the world, one running a queue
+	// and one a stream processor, which reports the policy's metrics alone.
+	ask := func(app appserver.Application) float64 {
+		s := appserver.NewServer(w.loop, w.net, w.dir, app, o.cfg.App, "lone", "r1")
+		for _, id := range o.order {
+			s.AddShard(id, shard.RolePrimary, 1)
+		}
+		return testing.AllocsPerRun(10, func() {
+			for _, id := range o.order {
+				s.LoadChanged(id)
+			}
+			if rep := s.LoadReport(); len(rep) != len(o.order) {
+				t.Fatalf("a report of every shard has %d entries", len(rep))
+			}
+		})
+	}
+	queue, stream := ask(apps.NewQueue(nil, backing)), ask(apps.NewStreamProcessor(apps.NewDataBus()))
+	if queue != stream {
+		t.Fatalf("a report of a queue's shards allocates %v times, of a stream processor's %v", queue, stream)
+	}
+}
+
+// TestMembershipSyncAllocationsDoNotGrowWithServers: a membership event that
+// changes nothing reads no live server's node: it allocates the same at 300
+// live servers as at 30.
+func TestMembershipSyncAllocationsDoNotGrowWithServers(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, servers := range []int{30, 300} {
+		w := buildWorld(t, []topology.RegionID{"r1"}, servers, baseConfig(shard.SecondaryOnly, 4, 1))
+		w.loop.RunFor(time.Minute)
+		if n := len(w.orch.byID); n != servers {
+			t.Fatalf("%d servers joined, want %d", n, servers)
+		}
+		allocs[servers] = testing.AllocsPerRun(10, w.orch.syncMembership)
+		for _, st := range w.orch.byID {
+			if !st.alive {
+				t.Fatalf("%s died in a sync that changed nothing", st.id)
+			}
+		}
+	}
+	if allocs[300] != allocs[30] {
+		t.Fatalf("a membership sync allocates %.0f times at 300 live servers, %.0f at 30", allocs[300], allocs[30])
+	}
+	t.Logf("allocations per membership sync: %.0f at 30 and 300 live servers", allocs[30])
 }

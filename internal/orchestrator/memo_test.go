@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -52,14 +51,13 @@ func (k *reportingKV) ShardLoad(s shard.ID, into topology.Capacity) {
 
 // TestLoadReportDoesNotAliasTheApplication: what the orchestrator holds of a
 // load report is what the report said when it was made. A caller editing
-// the map it gave KVStore.SetShardLoad — the map the store then reported, as
-// the bench injects loads — changes nothing the next collection brings in;
-// only a new SetShardLoad does, and not before that collection. The store
-// rewrites its own map for the shard in place, so the load is copied out of
-// it when the report is made, and again into the orchestrator's own map when
-// the report is applied: until the apply the orchestrator holds the last
-// collection's load, and a SetShardLoad between the two belongs to the next
-// report.
+// the map it gave KVStore.SetShardLoad, as the bench injects loads, changes
+// nothing the next collection brings in; only a new SetShardLoad does, and
+// not before that collection. A load travels as values: the store copies the
+// caller's, the report copies the store's out of the map the server handed
+// it, and the apply copies the report's into what the orchestrator holds.
+// Until the apply the orchestrator holds the last collection's load, and a
+// SetShardLoad between the two belongs to the next report.
 func TestLoadReportDoesNotAliasTheApplication(t *testing.T) {
 	backing := apps.NewKVBacking()
 	var stores []*reportingKV
@@ -126,13 +124,16 @@ func TestLoadReportDoesNotAliasTheApplication(t *testing.T) {
 
 // storageApp is countApp reporting a fixed CPU load and the storage load the
 // test last set: a metric basePolicy does not balance on. A test that sets it
-// marks the shards (appserver.Server.LoadChanged).
+// marks the shards (appserver.Server.LoadChanged). asked counts, by storage
+// load, the shards it reported.
 type storageApp struct {
 	*countApp
 	storage *float64
+	asked   map[float64]int
 }
 
 func (a storageApp) ShardLoad(_ shard.ID, into topology.Capacity) {
+	a.asked[*a.storage]++
 	into[topology.ResourceCPU] = 1
 	into[topology.ResourceStorage] = *a.storage
 	into[topology.ResourceShardCount] = 1
@@ -140,13 +141,16 @@ func (a storageApp) ShardLoad(_ shard.ID, into topology.Capacity) {
 
 // TestLoadOutsideThePolicyReplays: load reports that change only a metric the
 // policy does not balance on change nothing the allocator reads, so over the
-// next two AllocIntervals no allocation is solved afresh.
+// next two AllocIntervals no allocation is solved afresh. That the reports
+// came in is shown by every replica reporting the new storage load, and by
+// the apply marking every shard for the refresh.
 func TestLoadOutsideThePolicyReplays(t *testing.T) {
 	cfg := baseConfig(shard.PrimarySecondary, 24, 2)
 	cfg.AllocInterval = 15 * time.Second
 	storage := 1.0
+	asked := map[float64]int{}
 	w := buildWorldOf(t, []topology.RegionID{"r1", "r2"}, 4, cfg,
-		func(*appserver.Server) appserver.Application { return storageApp{newCountApp(), &storage} })
+		func(*appserver.Server) appserver.Application { return storageApp{newCountApp(), &storage, asked} })
 	o := w.orch
 	if slices.Contains(o.cfg.Policy.Metrics, topology.ResourceStorage) {
 		t.Fatal("the policy balances on storage")
@@ -168,9 +172,19 @@ func TestLoadOutsideThePolicyReplays(t *testing.T) {
 	for _, id := range o.order {
 		w.dir.Lookup(o.byID[0].id).LoadChanged(id)
 	}
-	w.loop.RunFor(2 * cfg.AllocInterval)
-	if got := o.ShardLoadValue("s000", topology.ResourceStorage); got != 5 {
-		t.Fatalf("collected storage load %v, want 5", got)
+	// The collections fall between the allocations (every 10 s against
+	// every 15 s), so a once-a-second look sees the apply's marks before a
+	// refresh clears them.
+	marked := 0
+	for range 2 * cfg.AllocInterval / time.Second {
+		w.loop.RunFor(time.Second)
+		if len(o.stale) == len(o.order) {
+			marked++
+		}
+	}
+	if asked[5] != 2*len(o.order) || marked == 0 {
+		t.Fatalf("%d replicas reported the storage load 5 and %d looks saw every shard marked: want %d, and at least one",
+			asked[5], marked, 2*len(o.order))
 	}
 	if allocs < 2 || fresh != 0 {
 		t.Fatalf("%d allocations after a storage-only load change, %d of them fresh: want at least 2, none fresh", allocs, fresh)
@@ -213,23 +227,27 @@ func refInput(o *Orchestrator) allocator.Input {
 
 // refShardLoad is shardLoad by name: the report of the last replica in the
 // shard's list whose server has one, or the configured default. The report is
-// copied, since a later collection rewrites the held map in place.
+// copied, since a later collection rewrites the held values in place.
 func refShardLoad(o *Orchestrator, ss *shardState) topology.Capacity {
-	var latest topology.Capacity
+	var latest []float64
 	for _, a := range ss.replicas {
 		if st := o.servers[a.Server]; st != nil {
-			if l, ok := st.load[ss.cfg.ID]; ok {
-				latest = maps.Clone(l)
+			if l := ss.reported(st, len(o.cfg.Policy.Metrics)); l != nil {
+				latest = slices.Clone(l)
 			}
 		}
 	}
 	if latest == nil {
-		latest = ss.cfg.DefaultLoad
+		if ss.cfg.DefaultLoad != nil {
+			return ss.cfg.DefaultLoad
+		}
+		return topology.Capacity{topology.ResourceShardCount: 1}
 	}
-	if latest == nil {
-		latest = topology.Capacity{topology.ResourceShardCount: 1}
+	load := topology.Capacity{}
+	for k, r := range o.cfg.Policy.Metrics {
+		load[r] = latest[k]
 	}
-	return latest
+	return load
 }
 
 // sameVerdict reports whether two results agree in everything allocate uses:
@@ -420,8 +438,8 @@ var inputSources = []struct {
 	{"ServerInfo.Draining", []string{"draining"}, []string{"Drain", "CancelDrain"}, true},
 	{"ShardSpec.ID", []string{"order"}, []string{"New"}, false},
 	{"ShardSpec.Replicas", []string{"Replicas"}, []string{"New"}, false},
-	{"ShardSpec.Load", []string{"load", "DefaultLoad", "replicas", "Server", "hosts"},
-		[]string{"collectLoads", "addReplica", "removeReplica", "rehomeReplica"}, false},
+	{"ShardSpec.Load", []string{"loadFrom", "loads", "defaults", "DefaultLoad", "replicas", "Server", "hosts"},
+		[]string{"New", "holdLoad", "dropLoad", "addReplica", "removeReplica", "rehomeReplica"}, false},
 	{"ShardSpec.RegionPreference", []string{"RegionPreference"}, []string{"SetRegionPreference"}, false},
 	{"ShardSpec.PreferenceWeight", []string{"PreferenceWeight"}, []string{"SetRegionPreference"}, false},
 }

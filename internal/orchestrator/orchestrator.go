@@ -143,10 +143,9 @@ type serverState struct {
 	// bucket is the server's number in the kept allocation problem, -1 while
 	// it is none (dead past its grace, or not stated yet).
 	bucket int
-	// load is the latest per-shard load report, each shard's a map of the
-	// orchestrator's own, made at its first report and rewritten by each
-	// report applied after that.
-	load map[shard.ID]topology.Capacity
+	// seen is the membership sync (Orchestrator.syncs) that last found the
+	// server's liveness node.
+	seen uint64
 	// shards is the server's part of the placement — the shards' replica
 	// lists inverted, sorted by shard, kept in step by the mutators
 	// (placement.go) — which is what its assignment node in the coordination
@@ -184,6 +183,21 @@ type shardState struct {
 	// pending, the shard's old primary must not resume serving: the orphan
 	// could be an active primary whose add executed though its reply was lost.
 	cleanups []*cleanup
+	// loadFrom lists the servers whose last report named the shard, and loads
+	// holds what they reported, one value per policy metric in the policy's
+	// order: loadFrom[k]'s values are loads[k*m:(k+1)*m] for m metrics. A
+	// server's next report is written over its values (holdLoad), and its
+	// entry goes when the placement stops listing the shard on it (dropLoad).
+	loadFrom []*serverState
+	loads    []float64
+}
+
+// reported returns st's last report of the shard's m metrics, or nil for none.
+func (ss *shardState) reported(st *serverState, m int) []float64 {
+	if k := slices.Index(ss.loadFrom, st); k >= 0 {
+		return ss.loads[k*m : (k+1)*m : (k+1)*m]
+	}
+	return nil
 }
 
 // Hooks let an external monitor observe control-plane transitions. Unlike a
@@ -234,8 +248,15 @@ type Orchestrator struct {
 
 	servers map[shard.ServerID]*serverState
 	byID    []*serverState // the same servers sorted by ID: deterministic iteration
-	shards  map[shard.ID]*shardState
-	order   []shard.ID // deterministic shard iteration
+	// nodes are the same servers by liveness node name, and syncs counts the
+	// membership syncs (serverState.seen).
+	nodes  map[string]*serverState
+	syncs  uint64
+	shards map[shard.ID]*shardState
+	order  []shard.ID // deterministic shard iteration
+	// defaults[i*m:(i+1)*m] is the configured default load of the shard at
+	// position i, converted once to the policy's m metrics.
+	defaults []float64
 	// version and gen stamp the last publication, placed counts the shards
 	// with at least one replica (the map's entries), changed lists the shards
 	// whose replica list was written since, and delta is publish's staging
@@ -281,6 +302,7 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		paths:    appserver.DefaultPaths(cfg.App),
 		delta:    shard.NewDelta(cfg.App),
 		servers:  make(map[shard.ServerID]*serverState),
+		nodes:    make(map[string]*serverState),
 		shards:   make(map[shard.ID]*shardState),
 		draining: make(map[shard.ServerID]func()),
 	}
@@ -294,10 +316,32 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		o.shards[sc.ID] = &shardState{cfg: sc, pos: len(o.order)}
 		o.order = append(o.order, sc.ID)
 	}
+	// Every replica's report is held in room made here, so that a collection
+	// allocates nothing per replica: a shard has room for its replica count,
+	// and grows only while a migration has it on one server more.
+	dir.SetMetrics(cfg.App, cfg.Policy.Metrics)
+	m := len(cfg.Policy.Metrics)
+	replicas := 0
+	for _, ss := range o.shards {
+		replicas += ss.cfg.Replicas
+	}
+	from := make([]*serverState, replicas)
+	vals := make([]float64, replicas*m)
+	o.defaults = make([]float64, len(o.order)*m)
 	specs := make([]allocator.ShardSpec, len(o.order))
 	for i, id := range o.order {
 		ss := o.shards[id]
-		specs[i] = allocator.ShardSpec{ID: id, Replicas: ss.cfg.Replicas}
+		def := ss.cfg.DefaultLoad
+		if def == nil {
+			def = topology.Capacity{topology.ResourceShardCount: 1}
+		}
+		for k, r := range cfg.Policy.Metrics {
+			o.defaults[i*m+k] = def.Get(r)
+		}
+		n := ss.cfg.Replicas
+		ss.loadFrom, ss.loads = from[:0:n], vals[:0:n*m]
+		from, vals = from[n:], vals[n*m:]
+		specs[i] = allocator.ShardSpec{ID: id, Replicas: n}
 		o.markShard(ss)
 	}
 	o.prob = allocator.New(cfg.Policy, seed).NewProblem(specs)
@@ -392,34 +436,39 @@ func (o *Orchestrator) watchMembership() {
 }
 
 // syncMembership reconciles the coordination store's liveness nodes with
-// the orchestrator's server table.
+// the orchestrator's server table. A node whose server is held alive is only
+// marked seen: its payload and its name are read for a server not held
+// alive.
 func (o *Orchestrator) syncMembership() {
 	kids, err := o.store.Children(o.paths.ServersPath)
 	if err != nil {
 		return
 	}
-	seen := make(map[shard.ServerID]bool, len(kids))
+	o.syncs++
 	for _, kid := range kids {
+		if st := o.nodes[kid]; st != nil && st.alive {
+			st.seen = o.syncs
+			continue
+		}
 		data, _, err := o.store.Get(o.paths.ServersPath + "/" + kid)
 		if err != nil {
 			continue
 		}
 		id := shard.ServerID(strings.ReplaceAll(kid, "~", "/")) // node names escape '/' as '~'
-		seen[id] = true
 		st := o.servers[id]
-		rejoined := st != nil && !st.alive
+		rejoined := st != nil
 		if st == nil {
-			st = &serverState{id: id, load: make(map[shard.ID]topology.Capacity), nodeStale: true, bucket: -1}
+			st = &serverState{id: id, nodeStale: true, bucket: -1}
 			o.servers[id] = st
+			o.nodes[kid] = st
 			i, _ := slices.BinarySearchFunc(o.byID, id, func(s *serverState, id shard.ServerID) int {
 				return cmp.Compare(s.id, id)
 			})
 			o.byID = slices.Insert(o.byID, i, st)
 		}
-		if !st.alive {
-			st.alive = true
-			o.resolveMachine(st, string(data))
-		}
+		st.seen = o.syncs
+		st.alive = true
+		o.resolveMachine(st, string(data))
 		if rejoined && o.started {
 			// A server coming back from the dead (false-dead reconnect or
 			// in-place restart) may hold a stale — possibly fenced —
@@ -431,7 +480,7 @@ func (o *Orchestrator) syncMembership() {
 	}
 	anyDied := false
 	for _, st := range o.byID {
-		if !seen[st.id] && st.alive {
+		if st.seen != o.syncs && st.alive {
 			st.alive = false
 			st.deadSince = o.loop.Now()
 			anyDied = true
@@ -519,20 +568,13 @@ func (o *Orchestrator) collectLoads() {
 			}
 			report := srv.LoadReport()
 			o.loop.AfterL(0, lbLoadApply, func() {
-				// A report's loads are the server's maps, rewritten at its
-				// next report: each is copied into the one held for the
-				// shard. A replica the report leaves out reports what is
-				// held. Every shard it names is marked, for the refresh to
-				// restate its load.
+				// Each entry's values are copied into the room its shard
+				// holds for this server. A replica the report leaves out
+				// reports what is held. Every shard it names is marked, for
+				// the refresh to restate its load.
 				for _, e := range report {
-					held := st.load[e.Shard]
-					if held == nil {
-						held = make(topology.Capacity, len(e.Load))
-						st.load[e.Shard] = held
-					}
-					held.CopyFrom(e.Load)
 					if ss := o.shards[e.Shard]; ss != nil {
-						o.markShard(ss)
+						o.holdLoad(ss, st, e.Load)
 					}
 				}
 			})
@@ -540,20 +582,40 @@ func (o *Orchestrator) collectLoads() {
 	}
 }
 
+// holdLoad holds load as st's report of the shard and marks the shard.
+func (o *Orchestrator) holdLoad(ss *shardState, st *serverState, load []float64) {
+	if k := slices.Index(ss.loadFrom, st); k >= 0 {
+		copy(ss.loads[k*len(load):], load)
+	} else {
+		ss.loadFrom = append(ss.loadFrom, st)
+		ss.loads = append(ss.loads, load...)
+	}
+	o.markShard(ss)
+}
+
+// dropLoad forgets st's report of the shard, if it holds one, and marks the
+// shard.
+func (o *Orchestrator) dropLoad(ss *shardState, st *serverState) {
+	if k := slices.Index(ss.loadFrom, st); k >= 0 {
+		m := len(o.cfg.Policy.Metrics)
+		ss.loadFrom = slices.Delete(ss.loadFrom, k, k+1)
+		ss.loads = slices.Delete(ss.loads, k*m, (k+1)*m)
+		o.markShard(ss)
+	}
+}
+
 // shardLoad returns the shard's measured load — the report of the last
-// replica in its list whose server has one — or its configured default.
-func (o *Orchestrator) shardLoad(ss *shardState) topology.Capacity {
+// replica in its list whose server has one — or its configured default, one
+// value per policy metric in the policy's order. The slice is the held one:
+// read it, do not keep it.
+func (o *Orchestrator) shardLoad(ss *shardState) []float64 {
+	m := len(o.cfg.Policy.Metrics)
 	for i := len(ss.hosts) - 1; i >= 0; i-- {
-		if st := ss.hosts[i]; st != nil {
-			if l := st.load[ss.cfg.ID]; l != nil {
-				return l
-			}
+		if l := ss.reported(ss.hosts[i], m); l != nil {
+			return l
 		}
 	}
-	if ss.cfg.DefaultLoad != nil {
-		return ss.cfg.DefaultLoad
-	}
-	return topology.Capacity{topology.ResourceShardCount: 1}
+	return o.defaults[ss.pos*m : (ss.pos+1)*m : (ss.pos+1)*m]
 }
 
 // --- allocation ---
@@ -1384,12 +1446,15 @@ func (o *Orchestrator) SetRegionPreference(s shard.ID, region topology.RegionID,
 }
 
 // ShardLoadValue returns the latest measured load of a shard for one
-// resource.
+// resource. It is 0 for a resource the policy does not balance on: reports
+// carry only the policy's metrics.
 func (o *Orchestrator) ShardLoadValue(s shard.ID, r topology.Resource) float64 {
-	if ss := o.shards[s]; ss != nil {
-		return o.shardLoad(ss).Get(r)
+	ss := o.shards[s]
+	k := slices.Index(o.cfg.Policy.Metrics, r)
+	if ss == nil || k < 0 {
+		return 0
 	}
-	return 0
+	return o.shardLoad(ss)[k]
 }
 
 // ShardIDs returns the managed shard IDs in configuration order.

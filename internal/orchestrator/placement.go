@@ -81,8 +81,13 @@ func (o *Orchestrator) reindex(ss *shardState, server shard.ServerID) {
 		st.shards[at].Role = ss.replicas[i].Role
 	case i != -1:
 		st.shards = slices.Insert(st.shards, at, appserver.AssignEntry{Shard: ss.cfg.ID, Role: ss.replicas[i].Role})
-	case held:
-		st.shards = slices.Delete(st.shards, at, at+1)
+	default:
+		if held {
+			st.shards = slices.Delete(st.shards, at, at+1)
+		}
+		// Its report was its replica's: one placed there again reads the
+		// other replicas' reports, or the default, until it reports.
+		o.dropLoad(ss, st)
 	}
 	st.nodeStale = true
 }

@@ -401,9 +401,8 @@ func setLoads(o *Orchestrator, loads []topology.Capacity) {
 	for i, id := range o.order {
 		ss := o.shards[id]
 		for _, a := range ss.replicas {
-			o.servers[a.Server].load[id] = loads[i]
+			o.holdLoad(ss, o.servers[a.Server], vector(o, loads[i]))
 		}
-		o.markShard(ss)
 	}
 }
 
@@ -532,8 +531,8 @@ func TestFreshSolveAllocationsDoNotGrowWithShards(t *testing.T) {
 		cfg.ServerCapacity = topology.Capacity{topology.ResourceCPU: 200, topology.ResourceShardCount: 1000}
 		o := spreadPlacement(t, cfg, shards/150)
 		var prev *allocator.Result
-		heavy := topology.Capacity{topology.ResourceCPU: 4, topology.ResourceShardCount: 1}
-		light := topology.Capacity{topology.ResourceCPU: 1, topology.ResourceShardCount: 1}
+		heavy := vector(o, topology.Capacity{topology.ResourceCPU: 4, topology.ResourceShardCount: 1})
+		light := vector(o, topology.Capacity{topology.ResourceCPU: 1, topology.ResourceShardCount: 1})
 		n := 0
 		allocs[shards] = testing.AllocsPerRun(20, func() {
 			n++
@@ -543,8 +542,7 @@ func TestFreshSolveAllocationsDoNotGrowWithShards(t *testing.T) {
 				if n%2 == 0 {
 					load = light
 				}
-				o.servers[ss.replicas[1].Server].load[ss.cfg.ID] = load
-				o.markShard(ss)
+				o.holdLoad(ss, o.servers[ss.replicas[1].Server], load)
 			}
 			// Swap two shards' first replicas, which keeps every server's
 			// count and every shard's spread.

@@ -62,13 +62,8 @@ func (o *Orchestrator) refresh() {
 		}
 	}
 	for _, ss := range o.stale {
-		o.prob.SetShard(ss.pos, allocator.ShardSpec{
-			ID:               ss.cfg.ID,
-			Replicas:         ss.cfg.Replicas,
-			Load:             o.shardLoad(ss),
-			RegionPreference: ss.cfg.RegionPreference,
-			PreferenceWeight: ss.cfg.PreferenceWeight,
-		})
+		o.prob.SetLoad(ss.pos, o.shardLoad(ss))
+		o.prob.SetPreference(ss.pos, ss.cfg.RegionPreference, ss.cfg.PreferenceWeight)
 		cur := o.cur[:0]
 		for _, st := range ss.hosts {
 			b := -1

@@ -7,7 +7,6 @@ package topology
 
 import (
 	"fmt"
-	"maps"
 	"time"
 )
 
@@ -59,19 +58,6 @@ type Capacity map[Resource]float64
 
 // Get returns the value for r (0 if absent).
 func (c Capacity) Get(r Resource) float64 { return c[r] }
-
-// CopyFrom makes c equal to from in place, allocating nothing once c has
-// held a vector of from's size. from's values are written over c's, and c is
-// cleared and written again only when it named a resource from does not: after
-// the first write c has as many entries as from exactly when every resource it
-// held is one from names.
-func (c Capacity) CopyFrom(from Capacity) {
-	maps.Copy(c, from)
-	if len(c) != len(from) {
-		clear(c)
-		maps.Copy(c, from)
-	}
-}
 
 // Machine is one physical host.
 type Machine struct {

@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -137,29 +135,5 @@ func TestFaultDomainLevelString(t *testing.T) {
 	}
 	if FaultDomainLevel(99).String() != "level(99)" {
 		t.Fatal("unknown level name wrong")
-	}
-}
-
-// TestCopyFromIsExact: CopyFrom leaves c equal to from whatever c held —
-// the same resources, fewer, more or others — and, once c has held a vector
-// of from's resources, allocates nothing.
-func TestCopyFromIsExact(t *testing.T) {
-	from := Capacity{ResourceCPU: 2, ResourceShardCount: 1}
-	for _, held := range []Capacity{
-		{},
-		{ResourceCPU: 5, ResourceShardCount: 1},
-		{ResourceCPU: 5},
-		{ResourceCPU: 5, ResourceShardCount: 1, ResourceStorage: 3},
-		{ResourceCPU: 5, ResourceStorage: 3},
-	} {
-		was := fmt.Sprint(held)
-		held.CopyFrom(from)
-		if !reflect.DeepEqual(held, from) {
-			t.Errorf("CopyFrom(%v) over %s = %v", from, was, held)
-		}
-	}
-	held := Capacity{ResourceCPU: 5, ResourceShardCount: 1}
-	if allocs := testing.AllocsPerRun(100, func() { held.CopyFrom(from) }); allocs != 0 {
-		t.Errorf("CopyFrom over the same resources allocated %v times", allocs)
 	}
 }

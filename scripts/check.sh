@@ -25,6 +25,26 @@ if [ -n "$byname$fabric" ]; then
 	echo "$byname$fabric" >&2
 	exit 1
 fi
+echo "== no map per replica on the load path"
+# A replica's load is a few numbers in the policy's metric order, from the
+# report to the solver (DESIGN §6 "No aliasing"): appserver, apps and the
+# orchestrator hold no Capacity map per shard or per replica. Maps stay at the
+# configuration edge and in the one map a server hands its application.
+loadmaps="$(ls internal/appserver/*.go internal/apps/*.go internal/orchestrator/*.go | grep -v _test.go |
+	xargs awk '
+	/^type [A-Za-z_][A-Za-z0-9_]* struct \{/ {typ = $2; next}
+	/^}/ {typ = ""}
+	/map\[shard\.ID\]topology\.Capacity/ {print FILENAME ":" FNR ": " $0; next}
+	typ != "" && /^[\t ]+[A-Za-z_][A-Za-z0-9_, ]*[\t ]+[^\/]*topology\.Capacity/ {
+		field = typ "." $1
+		if (field != "Config.ServerCapacity" && field != "ShardConfig.DefaultLoad" && field != "Server.asked")
+			print FILENAME ":" FNR ": " $0
+	}')"
+if [ -n "$loadmaps" ]; then
+	echo "a Capacity held per shard or replica on the load path (hold a []float64 in the policy's order):" >&2
+	echo "$loadmaps" >&2
+	exit 1
+fi
 echo "== client traffic through the one driver"
 # Outside the benchmark, the examples and routing itself, one non-test
 # function sends client requests: (*Deployment).Drive, so the figures, the
