@@ -26,6 +26,7 @@ import (
 	"shardmanager/internal/simprof"
 	"shardmanager/internal/solver"
 	"shardmanager/internal/taskcontroller"
+	"shardmanager/internal/topology"
 	"shardmanager/internal/trace"
 )
 
@@ -209,6 +210,7 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(audit.Options{}):     {"App"},
 		reflect.TypeOf(healthmon.Options{}): {"Registry"},
 		reflect.TypeOf(simprof.Options{}):   {"Allocs", "Registry"},
+		reflect.TypeOf(topology.Spec{}):     {"Regions", "MachinesPerRegion", "Latency"},
 	} {
 		if have := exportedFields(typ); !reflect.DeepEqual(have, want) {
 			t.Errorf("%v exported fields = %v, want exactly %v", typ, have, want)
@@ -338,7 +340,8 @@ func exportedFields(typ reflect.Type) []string {
 // by side, and a server keys its replicas and tombstones by the directory's
 // shard number, not by the shard's name. Off the request path the same rule:
 // the solver is told an entity's group one way, as a number, not as a string
-// in a map it must intern.
+// in a map it must intern, and a capacity or balance rule has no scope: it
+// judges each server's load, which the search already sums.
 func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 	net := reflect.TypeOf(rpcnet.Network{})
 	for _, gone := range []string{"regions", "down"} {
@@ -357,13 +360,18 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 			t.Errorf("appserver.Server.%s = %v (present %v), want a map keyed by appserver.ShardNum", table, f.Type, ok)
 		}
 	}
-	spec := reflect.TypeOf(solver.ExclusionSpec{})
-	var fields []string
-	for i := 0; i < spec.NumField(); i++ {
-		fields = append(fields, spec.Field(i).Name)
-	}
-	if want := []string{"Scope", "Group", "NumGroups", "Weight"}; !reflect.DeepEqual(fields, want) {
-		t.Errorf("solver.ExclusionSpec fields = %v, want exactly %v (no Groups map beside the dense slice)", fields, want)
+	for spec, want := range map[reflect.Type][]string{
+		reflect.TypeOf(solver.ExclusionSpec{}): {"Scope", "Group", "NumGroups", "Weight"}, // no Groups map beside the dense slice
+		reflect.TypeOf(solver.CapacitySpec{}):  {"Metric"},
+		reflect.TypeOf(solver.BalanceSpec{}):   {"Metric", "UtilCap", "MaxDiff", "Weight"},
+	} {
+		var fields []string
+		for i := 0; i < spec.NumField(); i++ {
+			fields = append(fields, spec.Field(i).Name)
+		}
+		if !reflect.DeepEqual(fields, want) {
+			t.Errorf("%v fields = %v, want exactly %v", spec, fields, want)
+		}
 	}
 }
 

@@ -22,6 +22,9 @@ import (
 // that checked only it.
 var onlyTests = map[string]string{
 	"allocator.FormatMoves":                 "what recorded_test.go compares, row by row",
+	"apps.BusEvent.Count":                   "only DataBus.Publish's test callers build a BusEvent (see apps.DataBus.Publish; ROADMAP 20)",
+	"apps.BusEvent.Key":                     "only DataBus.Publish's test callers build a BusEvent (see apps.DataBus.Publish; ROADMAP 20)",
+	"apps.BusEvent.Shard":                   "only DataBus.Publish's test callers build a BusEvent (see apps.DataBus.Publish; ROADMAP 20)",
 	"apps.DataBus.Publish":                  "the stream app's only input: the stream-processor tests append the events a new owner replays",
 	"apps.QueueOpDequeue":                   "the consuming half of the queue app that Fig 17/18 and rolling_upgrade run; no run dequeues yet, and ROADMAP 6(a)'s no-loss checker needs one that does",
 	"apps.StreamOpPoke":                     "the stream app's consume request; Fig 20 runs the app but sends it none, and ROADMAP 6(a)'s offset checker needs a run that does",
@@ -36,6 +39,7 @@ var onlyTests = map[string]string{
 	"discovery.View.Replicas":               "the by-name read FuzzVersionedStore and routing's reference picker check the Cell reads against",
 	"experiments.TortureRun.Deployment":     "reaches a torture world's metrics: the audit integration test reads its fence and publish-refusal counters",
 	"orchestrator.Orchestrator.Stop":        "drives §6.2's control-plane outage (TestControlPlaneOutageDoesNotTakeAppDown)",
+	"orchestrator.Orchestrator.solved":      "the test seam that compares the kept allocation problem with a fresh one (TestMemoReplaysWhatAFreshSolveGives)",
 	"rpcnet.Network.Delay":                  "probe of the latency model and injected link faults",
 	"rpcnet.Network.Dropped":                "probe of injected drops: the rpcnet tests count them",
 	"rpcnet.Network.Messages":               "probe of what the fabric delivered: routing's terminal-path rows and the rpcnet tests count messages by it",
@@ -45,6 +49,7 @@ var onlyTests = map[string]string{
 	"sim.RNG.Perm":                          "draws propertyWorld's inputs: recorded_test.go's rows are a function of its draw order",
 	"solver.Move.From":                      "the search's step record: TestSolveDeterministicForSeed compares runs by it",
 	"solver.Move.To":                        "the search's step record (see solver.Move.From)",
+	"solver.Options.EvalBudget":             "the deterministic stop the solver tests and benchmarks set; making it a constant is recorded, not done (DESIGN §4 Options)",
 	"trace.Span.Attr":                       "probe of span attributes: the trace, experiment and orchestrator tests check migration spans by it",
 	"trace.Tracer.FindSpans":                "probe of span parentage in the experiment trace tests",
 	"workload.AppProfile.RegionPreferences": "its write draws from the Figs 1-16 demographics stream, so it stays until that stream is re-recorded",
@@ -54,7 +59,8 @@ var onlyTests = map[string]string{
 // non-test code and fails when a function, method, package-level
 // const/type/var or struct field declared under internal/ has no user in
 // non-test code under internal/, cmd/, examples/ or bench/, when a field is
-// only ever written, or when an onlyTests entry has a user now or is gone.
+// only ever written or never written (a constant that a zero value states),
+// or when an onlyTests entry has a user now or is gone.
 // Names resolve by type, so a method whose name another symbol shares is
 // judged on its own. What counts as use beyond a named reference:
 //   - a method implements an interface method that non-test code calls, or an
@@ -65,10 +71,14 @@ var onlyTests = map[string]string{
 //
 // A reference inside the item's own declaration or body does not count, nor
 // does a method's receiver or a read in the right-hand side of an assignment
-// to the same field (x.f = append(x.f, v) only writes f). Matching is not
-// producing: a package-level constant that non-test code only compares
-// against, as a case label or an operand of == or !=, selects a branch that no
-// run takes, and counts as unused.
+// to the same field (x.f = append(x.f, v) only writes f). A field is written
+// by an assignment or increment to or through it (x.f.n++), a delete from it,
+// a composite-literal key, and, as a read too, by taking its address: &x.f, or
+// a pointer-receiver method called on it (x.mu.Lock()) or through a field
+// embedded in it. Through a pointer a method call only reads (x.loop.Now()
+// reads loop). Matching is not producing: a package-level constant that
+// non-test code only compares against, as a case label or an operand of == or
+// !=, selects a branch that no run takes, and counts as unused.
 func TestNothingOnlyTestsReach(t *testing.T) {
 	m := loadModule(t, "internal", "cmd", "examples", "bench")
 	found := m.unreached("internal/")
@@ -204,8 +214,8 @@ func origin(obj types.Object) types.Object {
 }
 
 // unreached returns, by key, what is declared in packages under prefix and has
-// no non-test user ("no non-test user") or is a field only ever written ("only
-// written").
+// no non-test user ("no non-test user"), or is a field only ever written
+// ("only written") or read and never written ("never written").
 func (m *module) unreached(prefix string) map[string]string {
 	decls := map[types.Object]*decl{}
 	for _, p := range m.pkgs {
@@ -226,6 +236,8 @@ func (m *module) unreached(prefix string) map[string]string {
 			out[d.key] = m.fset.Position(d.pos).String() + ": no non-test user"
 		case d.field && !d.read:
 			out[d.key] = m.fset.Position(d.pos).String() + ": only written"
+		case d.field && !d.used:
+			out[d.key] = m.fset.Position(d.pos).String() + ": never written"
 		}
 	}
 	return out
@@ -328,9 +340,10 @@ func embeddedIdent(x ast.Expr) *ast.Ident {
 // calls.
 func (m *module) use(p *pkg, decls map[types.Object]*decl, ifaceCalls map[types.Object]bool) {
 	info := p.info
-	read := func(obj types.Object) {
+	read := func(obj types.Object, write bool) {
 		if d := decls[origin(obj)]; d != nil {
 			d.read = true
+			d.used = d.used || write
 		}
 	}
 	// A map's key equality reads every field of a struct key.
@@ -340,7 +353,7 @@ func (m *module) use(p *pkg, decls map[types.Object]*decl, ifaceCalls map[types.
 		if st, ok := t.Underlying().(*types.Struct); ok && !seen[t] {
 			seen[t] = true
 			for i := 0; i < st.NumFields(); i++ {
-				read(st.Field(i))
+				read(st.Field(i), false)
 				readAll(st.Field(i).Type())
 			}
 		}
@@ -372,21 +385,32 @@ func (m *module) use(p *pkg, decls map[types.Object]*decl, ifaceCalls map[types.
 
 // useNode judges one node given its ancestors.
 func useNode(n ast.Node, stack []ast.Node, info *types.Info, decls map[types.Object]*decl,
-	ifaceCalls map[types.Object]bool, read func(types.Object)) {
+	ifaceCalls map[types.Object]bool, read func(types.Object, bool)) {
 	switch n := n.(type) {
 	case *ast.SelectorExpr:
 		// Reaching a promoted field or method reads the embedded fields on
-		// the way.
-		if sel := info.Selections[n]; sel != nil && len(sel.Index()) > 1 {
-			t := sel.Recv()
-			for _, i := range sel.Index()[:len(sel.Index())-1] {
-				if pt, ok := t.Underlying().(*types.Pointer); ok {
-					t = pt.Elem()
-				}
-				f := t.Underlying().(*types.Struct).Field(i)
-				read(f)
-				t = f.Type()
+		// the way. Writing the field writes them all; a pointer-receiver
+		// method takes the address of the embedded values that hold it.
+		sel := info.Selections[n]
+		if sel == nil || len(sel.Index()) < 2 {
+			break
+		}
+		write, _, _ := access(n, stack, len(stack)-1, info)
+		path := make([]*types.Var, 0, len(sel.Index())-1)
+		t := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if pt, ok := t.Underlying().(*types.Pointer); ok {
+				t = pt.Elem()
 			}
+			f := t.Underlying().(*types.Struct).Field(i)
+			path = append(path, f)
+			t = f.Type()
+		}
+		addressed := sel.Kind() == types.MethodVal && pointerRecv(sel.Obj())
+		for i := len(path) - 1; i >= 0; i-- {
+			_, ptr := path[i].Type().Underlying().(*types.Pointer)
+			addressed = addressed && !ptr
+			read(path[i], write || addressed)
 		}
 	case *ast.CompositeLit:
 		// An unkeyed struct literal writes every field.
@@ -420,13 +444,9 @@ func useNode(n ast.Node, stack []ast.Node, info *types.Info, decls map[types.Obj
 			}
 			return
 		}
-		write, selfRead := fieldAccess(n, obj, stack, info)
-		switch {
-		case write:
-			d.used = true
-		case !selfRead:
-			d.read = true
-		}
+		write, reads := fieldAccess(n, obj, stack, info)
+		d.used = d.used || write
+		d.read = d.read || reads
 	}
 }
 
@@ -454,20 +474,43 @@ func matched(id *ast.Ident, stack []ast.Node) bool {
 	return false
 }
 
-// fieldAccess says whether the field reference id is a write (an assignment
-// to it or into it, an increment, a composite-literal key, a delete), and
-// whether a read of it is on the right-hand side of an assignment to it.
-func fieldAccess(id *ast.Ident, obj types.Object, stack []ast.Node, info *types.Info) (write, selfRead bool) {
+// fieldAccess says whether the field reference id writes the field and
+// whether it reads it. A read on the right-hand side of an assignment to the
+// same field is not one.
+func fieldAccess(id *ast.Ident, obj types.Object, stack []ast.Node, info *types.Info) (write, read bool) {
 	parent := stack[len(stack)-1]
 	if kv, ok := parent.(*ast.KeyValueExpr); ok && kv.Key == id {
 		return true, false
 	}
 	sel, ok := parent.(*ast.SelectorExpr)
 	if !ok || sel.Sel != id {
-		return false, false
+		return false, true
 	}
-	var x ast.Expr = sel
-	i := len(stack) - 2
+	write, read, i := access(sel, stack, len(stack)-2, info)
+	if write {
+		return write, read
+	}
+	for ; i >= 0; i-- {
+		as, ok := stack[i].(*ast.AssignStmt)
+		if !ok {
+			continue
+		}
+		for _, l := range as.Lhs {
+			if lid := assignedField(l); lid != nil && origin(info.Uses[lid]) == obj {
+				return false, false
+			}
+		}
+		break
+	}
+	return false, true
+}
+
+// access judges the field selection x, whose parent is stack[i]: it is written
+// by an assignment, increment or delete to or through it (through an index,
+// parentheses, a dereference or a field selection), and written and read when
+// its address is taken, by & or by a pointer-receiver method called on a value
+// it holds. It also returns the index of the node that judged it.
+func access(x ast.Expr, stack []ast.Node, i int, info *types.Info) (write, read bool, at int) {
 	for ; i >= 0; i-- {
 		switch a := stack[i].(type) {
 		case *ast.IndexExpr:
@@ -481,40 +524,48 @@ func fieldAccess(id *ast.Ident, obj types.Object, stack []ast.Node, info *types.
 		case *ast.StarExpr:
 			x = a
 			continue
-		}
-		break
-	}
-	if i >= 0 {
-		switch a := stack[i].(type) {
-		case *ast.AssignStmt:
-			for _, l := range a.Lhs {
-				if l == x {
-					return true, false
-				}
-			}
-		case *ast.IncDecStmt:
-			return true, false
-		case *ast.CallExpr:
-			if fn, ok := a.Fun.(*ast.Ident); ok && fn.Name == "delete" && a.Args[0] == x {
-				if _, builtin := info.Uses[fn].(*types.Builtin); builtin {
-					return true, false
-				}
-			}
-		}
-	}
-	for j := i; j >= 0; j-- {
-		as, ok := stack[j].(*ast.AssignStmt)
-		if !ok {
-			continue
-		}
-		for _, l := range as.Lhs {
-			if lid := assignedField(l); lid != nil && origin(info.Uses[lid]) == obj {
-				return false, true
+		case *ast.SelectorExpr:
+			if sel := info.Selections[a]; a.X == x && sel != nil && sel.Kind() == types.FieldVal {
+				x = a
+				continue
 			}
 		}
 		break
 	}
-	return false, false
+	if i < 0 {
+		return false, false, i
+	}
+	switch a := stack[i].(type) {
+	case *ast.AssignStmt:
+		if slices.Contains(a.Lhs, x) {
+			return true, false, i
+		}
+	case *ast.IncDecStmt:
+		return true, false, i
+	case *ast.CallExpr:
+		if fn, ok := a.Fun.(*ast.Ident); ok && fn.Name == "delete" && a.Args[0] == x {
+			if _, builtin := info.Uses[fn].(*types.Builtin); builtin {
+				return true, false, i
+			}
+		}
+	case *ast.UnaryExpr:
+		if a.Op == token.AND {
+			return true, true, i
+		}
+	case *ast.SelectorExpr:
+		if sel := info.Selections[a]; sel != nil && sel.Kind() == types.MethodVal && pointerRecv(sel.Obj()) {
+			if _, ptr := info.Types[x].Type.Underlying().(*types.Pointer); !ptr {
+				return true, true, i
+			}
+		}
+	}
+	return false, false, i
+}
+
+// pointerRecv says whether method fn has a pointer receiver.
+func pointerRecv(fn types.Object) bool {
+	_, ptr := fn.Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	return ptr
 }
 
 // assignedField is the field selector an assignment's left-hand side writes.

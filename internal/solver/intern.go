@@ -4,15 +4,16 @@ import "fmt"
 
 // domainTable interns (bucket, scope) -> domain strings into dense int IDs
 // so the solver's hot loop indexes flat slices instead of hashing strings.
-// Scopes are interned on demand the first time a spec references them and
-// kept with the Problem, so a problem solved again with more goals (the
-// allocator's goal stages) interns each scope once.
+// Conflicts, exclusions and affinities name the scopes; each is interned on
+// demand the first time one references it and kept with the Problem, so a
+// problem solved again with more goals (the allocator's goal stages) interns
+// each scope once.
 type domainTable struct {
 	scopes map[string]*scopeDomains
 }
 
-// scopeDomains is the interned view of one scope: every bucket's domain ID,
-// the reverse ID -> name mapping, and the member buckets of each domain.
+// scopeDomains is the interned view of one scope: every bucket's domain ID
+// and the reverse ID -> name mapping.
 type scopeDomains struct {
 	// bucketDom[b] is the dense domain ID of bucket b at this scope.
 	bucketDom []int32
@@ -20,12 +21,7 @@ type scopeDomains struct {
 	names []string
 	// index maps a domain string back to its ID.
 	index map[string]int32
-	// members[d] lists the buckets in domain d.
-	members [][]int32
 }
-
-// numDomains returns the number of distinct domains at this scope.
-func (sd *scopeDomains) numDomains() int { return len(sd.names) }
 
 // domains returns the interned view of scope, building it on first use.
 // Buckets lacking a Props entry for the scope panic with the same message as
@@ -48,10 +44,8 @@ func (t *domainTable) domains(p *Problem, scope string) *scopeDomains {
 			id = int32(len(sd.names))
 			sd.index[name] = id
 			sd.names = append(sd.names, name)
-			sd.members = append(sd.members, nil)
 		}
 		sd.bucketDom[b] = id
-		sd.members[id] = append(sd.members[id], int32(b))
 	}
 	t.scopes[scope] = sd
 	return sd

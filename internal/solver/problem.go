@@ -13,10 +13,9 @@
 //
 // Incremental evaluation: the paper describes representing the objective as
 // a tree of variables so that evaluating a move touches only O(log n)
-// nodes. We achieve the same asymptotics with per-spec aggregate state
-// (per-bucket/per-domain load sums) updated in O(1) per move; a group's
-// occupancy of a domain is read off the assignment in O(group size), and
-// evaluating a candidate move never rescans entities.
+// nodes. We achieve the same asymptotics with per-bucket load sums updated in
+// O(1) per move; a group's occupancy of a domain is read off the assignment in
+// O(group size), and evaluating a candidate move never rescans entities.
 package solver
 
 import "fmt"
@@ -73,21 +72,20 @@ type Bucket struct {
 	Draining bool
 }
 
-// CapacitySpec is a hard constraint: for each aggregation key at Scope, the
-// sum of entity loads for Metric must not exceed the key's capacity (the sum
-// of its buckets' capacities). Mirrors addConstraint(CapacitySpec{...}) in
-// Fig 13.
+// CapacitySpec is a hard constraint: on each bucket, the sum of entity loads
+// for Metric must not exceed the bucket's capacity. Mirrors
+// addConstraint(CapacitySpec{...}) in Fig 13 at server scope; a metric takes
+// one.
 type CapacitySpec struct {
 	Metric string
-	Scope  string
 }
 
-// BalanceSpec is a soft goal: keep each aggregation key's utilization of
-// Metric under UtilCap, and within MaxDiff of the mean utilization
-// (§5.1 soft goals 4-6). Mirrors addGoal(BalanceSpec{...}) in Fig 13.
+// BalanceSpec is a soft goal: keep each bucket's utilization of Metric under
+// UtilCap, and within MaxDiff of the mean utilization (§5.1 soft goals 4-6).
+// Mirrors addGoal(BalanceSpec{...}) in Fig 13 at server scope; a metric takes
+// one.
 type BalanceSpec struct {
 	Metric string
-	Scope  string
 	// UtilCap is the absolute utilization threshold (e.g. 0.9); <= 0
 	// disables it.
 	UtilCap float64
@@ -99,7 +97,7 @@ type BalanceSpec struct {
 
 // AffinityGoal is a soft goal: one entity prefers buckets whose domain at
 // Scope equals Domain, with the given weight (region preference, §5.1 soft
-// goal 1; Fig 13 statements 5-6).
+// goal 1; Fig 13 statements 5-6). An entity takes one.
 type AffinityGoal struct {
 	Scope  string
 	Entity EntityID
@@ -207,12 +205,22 @@ func (p *Problem) AddEntity(e Entity) EntityID {
 // AddConstraint registers a hard capacity constraint.
 func (p *Problem) AddConstraint(c CapacitySpec) {
 	p.MetricIndex(c.Metric)
+	for _, o := range p.capacitySpecs {
+		if o.Metric == c.Metric {
+			panic(fmt.Sprintf("solver: second capacity constraint on %q", c.Metric))
+		}
+	}
 	p.capacitySpecs = append(p.capacitySpecs, c)
 }
 
 // AddBalanceGoal registers a soft balance goal.
 func (p *Problem) AddBalanceGoal(b BalanceSpec) {
 	p.MetricIndex(b.Metric)
+	for _, o := range p.balanceSpecs {
+		if o.Metric == b.Metric {
+			panic(fmt.Sprintf("solver: second balance goal on %q", b.Metric))
+		}
+	}
 	if b.Weight <= 0 {
 		panic("solver: balance goal needs positive weight")
 	}
@@ -222,7 +230,8 @@ func (p *Problem) AddBalanceGoal(b BalanceSpec) {
 	p.balanceSpecs = append(p.balanceSpecs, b)
 }
 
-// AddAffinityGoal registers a soft per-entity domain preference.
+// AddAffinityGoal registers a soft per-entity domain preference. A second one
+// for an entity panics at the next Solve.
 func (p *Problem) AddAffinityGoal(g AffinityGoal) {
 	if g.Weight <= 0 {
 		panic("solver: affinity goal needs positive weight")
@@ -263,9 +272,7 @@ func (p *Problem) AddDrainGoal(w float64) {
 // with fresh goals.
 func (p *Problem) ClearGoals() {
 	if s := p.st; s != nil {
-		for _, g := range p.affinityGoals[:s.nAff] {
-			s.aff[g.Entity] = s.aff[g.Entity][:0]
-		}
+		clear(s.aff)
 		s.nAff, s.nExcl, s.nConf = 0, 0, 0
 	}
 	p.capacitySpecs = p.capacitySpecs[:0]
@@ -276,8 +283,8 @@ func (p *Problem) ClearGoals() {
 	p.drainWeight = 0
 }
 
-// domainOf returns the aggregation key of bucket b at scope: the bucket's
-// own index for ScopeBucket, else its Props value.
+// domainOf returns the domain of bucket b at scope: the bucket's own name for
+// ScopeBucket, else its Props value.
 func (p *Problem) domainOf(b BucketID, scope string) string {
 	if scope == ScopeBucket {
 		return p.Buckets[b].Name
@@ -292,32 +299,28 @@ func (p *Problem) domainOf(b BucketID, scope string) string {
 // ---------------------------------------------------------------------------
 // Incremental evaluation state.
 //
-// All (bucket, scope) -> domain strings are interned into dense int IDs at
-// newState time (see intern.go): the hot path indexes flat slices instead of
-// concatenating and hashing strings. Capacity
-// and balance specs sharing a (metric, scope) pair are merged into one
-// specState so their shared load/capacity aggregates are maintained once.
+// The (bucket, scope) -> domain strings of conflicts, exclusions and
+// affinities are interned into dense int IDs at newState time (see intern.go):
+// the hot path indexes flat slices instead of concatenating and hashing
+// strings. Capacity and balance rules are per bucket and read each bucket's
+// load off state.bucketLoad.
 
-// balParams is one merged balance goal on a specState.
+// balParams is a metric's balance goal; weight 0 means it has none.
 type balParams struct {
 	utilCap float64
 	maxDiff float64
 	weight  float64
 }
 
-// specState holds the per-domain load/capacity aggregates for one
-// (metric, scope) pair, serving every capacity and balance spec on it.
+// specState is one metric's load rules: its capacity constraint and its
+// balance goal, either of which may be absent.
 type specState struct {
 	midx int
-	dom  *scopeDomains
-	// nHard counts merged hard capacity specs on this (metric, scope);
-	// >0 gates move feasibility, and multiplies the overflow penalty so
-	// duplicate AddConstraint calls keep their historical weight.
-	nHard int
-	bals  []balParams
-	load  []float64 // per domain ID
-	cap   []float64 // per domain ID
-	// meanUtil is the mean utilization over domains with capacity, fixed
+	// hard is whether a capacity constraint gates moves on the metric.
+	hard bool
+	bal  balParams
+	cap  []float64 // per bucket, the metric's Capacity
+	// meanUtil is the mean utilization over buckets with capacity, fixed
 	// at state-build time (moves conserve total load). Unassigned load is
 	// included: once placed it pushes utilization up, and the target must
 	// account for it or the solver would chase a moving average.
@@ -327,47 +330,40 @@ type specState struct {
 // capPenalty treats hard-constraint overflow as a very large soft penalty so
 // local search can repair infeasible initial states while the feasibility
 // check prevents creating new overflow.
-func (sp *specState) capPenalty(d int32, load float64) float64 {
-	if sp.nHard == 0 {
-		return 0
-	}
-	if c := sp.cap[d]; load > c {
-		return float64(sp.nHard) * 1e6 * (load - c)
+func (sp *specState) capPenalty(b BucketID, load float64) float64 {
+	if c := sp.cap[b]; sp.hard && load > c {
+		return 1e6 * (load - c)
 	}
 	return 0
 }
 
-// balPenalty sums the merged balance goals' penalties for one domain given
-// its load. Penalty is measured in capacity-weighted overload so that moving
-// a large entity off an overloaded domain helps proportionally.
-func (sp *specState) balPenalty(d int32, load float64) float64 {
-	var pen float64
-	c := sp.cap[d]
-	for i := range sp.bals {
-		b := &sp.bals[i]
-		if c <= 0 {
-			// Load on a zero-capacity domain is maximally penalized.
-			if load > 0 {
-				pen += b.weight * load
-			}
-			continue
-		}
-		u := load / c
-		var over float64
-		if b.utilCap > 0 && u > b.utilCap {
-			over += (u - b.utilCap) * c
-		}
-		if b.maxDiff > 0 && u > sp.meanUtil+b.maxDiff {
-			over += (u - sp.meanUtil - b.maxDiff) * c
-		}
-		pen += b.weight * over
+// balPenalty is the balance goal's penalty for one bucket given its load.
+// Penalty is measured in capacity-weighted overload so that moving a large
+// entity off an overloaded bucket helps proportionally.
+func (sp *specState) balPenalty(b BucketID, load float64) float64 {
+	bp := &sp.bal
+	if bp.weight == 0 {
+		return 0
 	}
-	return pen
+	c := sp.cap[b]
+	if c <= 0 {
+		// Load on a zero-capacity bucket is maximally penalized.
+		return bp.weight * max(load, 0)
+	}
+	u := load / c
+	var over float64
+	if bp.utilCap > 0 && u > bp.utilCap {
+		over += (u - bp.utilCap) * c
+	}
+	if bp.maxDiff > 0 && u > sp.meanUtil+bp.maxDiff {
+		over += (u - sp.meanUtil - bp.maxDiff) * c
+	}
+	return bp.weight * over
 }
 
-// domPenalty is the domain's total capacity+balance penalty at the given load.
-func (sp *specState) domPenalty(d int32, load float64) float64 {
-	return sp.capPenalty(d, load) + sp.balPenalty(d, load)
+// penalty is the bucket's total capacity+balance penalty at the given load.
+func (sp *specState) penalty(b BucketID, load float64) float64 {
+	return sp.capPenalty(b, load) + sp.balPenalty(b, load)
 }
 
 // confState is one hard conflict spec: each entity's group, and each group's
@@ -498,8 +494,9 @@ func (cs *confState) walk(assignment []BucketID, crowd []bool) int {
 	return n
 }
 
-// affTerm is one interned affinity goal of an entity: penalty weight applies
+// affTerm is an entity's interned affinity goal: penalty weight applies
 // whenever the entity's bucket is outside domain domID at the goal's scope.
+// Weight 0 means the entity has none.
 type affTerm struct {
 	bucketDom []int32 // the scope's bucket -> domain mapping
 	domID     int32   // preferred domain; -1 if no bucket is in it
@@ -525,8 +522,8 @@ type state struct {
 	// while the hot set is seeded.
 	crowd [][]bool
 
-	// aff[e] lists entity e's interned affinity terms (empty for most).
-	aff [][]affTerm
+	// aff[e] is entity e's interned affinity goal (none for most).
+	aff []affTerm
 	// drainPen[b] is the per-entity drain penalty of bucket b (0 or the
 	// problem's drain weight); draining is whether any is not 0.
 	drainPen []float64
@@ -535,8 +532,9 @@ type state struct {
 	// Per-bucket entity sets, maintained for neighborhood generation.
 	byBucket [][]EntityID
 
-	// bucketLoad[b][m] is the total load of metric m on bucket b,
-	// regardless of spec scopes; samplers use it to prefer cold targets.
+	// bucketLoad[b][m] is the total load of metric m on bucket b: what the
+	// capacity and balance rules judge, and what samplers read to prefer cold
+	// targets.
 	bucketLoad [][]float64
 
 	// unassigned counts entities without a bucket, away the ones placed off
@@ -612,14 +610,13 @@ func (s *state) sync() {
 
 	table := p.domainTable()
 
-	// Merge capacity and balance specs by (metric, scope), capacity first.
+	// One spec state per metric, capacity first.
 	s.specs = s.specs[:0]
 	for _, c := range p.capacitySpecs {
-		s.spec(table, c.Metric, c.Scope).nHard++
+		s.spec(c.Metric).hard = true
 	}
 	for _, b := range p.balanceSpecs {
-		sp := s.spec(table, b.Metric, b.Scope)
-		sp.bals = append(sp.bals, balParams{utilCap: b.UtilCap, maxDiff: b.MaxDiff, weight: b.Weight})
+		s.spec(b.Metric).bal = balParams{utilCap: b.UtilCap, maxDiff: b.MaxDiff, weight: b.Weight}
 	}
 
 	s.excls = s.excls[:s.nExcl]
@@ -649,15 +646,18 @@ func (s *state) sync() {
 	}
 
 	if len(s.aff) != len(p.Entities) {
-		s.aff = make([][]affTerm, len(p.Entities))
+		s.aff = make([]affTerm, len(p.Entities))
 	}
 	for _, g := range p.affinityGoals[s.nAff:] {
+		if s.aff[g.Entity].weight != 0 {
+			panic(fmt.Sprintf("solver: second affinity goal for entity %d", g.Entity))
+		}
 		dom := table.domains(p, g.Scope)
 		domID, ok := dom.index[g.Domain]
 		if !ok {
 			domID = -1 // no bucket is in the preferred domain
 		}
-		s.aff[g.Entity] = append(s.aff[g.Entity], affTerm{bucketDom: dom.bucketDom, domID: domID, weight: g.Weight})
+		s.aff[g.Entity] = affTerm{bucketDom: dom.bucketDom, domID: domID, weight: g.Weight}
 	}
 	s.nAff = len(p.affinityGoals)
 
@@ -708,48 +708,24 @@ func grow[T any](buf []T) []T {
 	return append(buf, zero)
 }
 
-// spec returns the merged spec state of (metric, scope), adding it with its
-// domains' capacities and loads summed when it is new.
-func (s *state) spec(table *domainTable, metric, scope string) *specState {
+// spec returns the spec state of metric, adding it with its buckets'
+// capacities and its mean utilization when it is new.
+func (s *state) spec(metric string) *specState {
 	p := s.p
-	midx, dom := p.MetricIndex(metric), table.domains(p, scope)
+	midx := p.MetricIndex(metric)
 	for i := range s.specs {
-		if sp := &s.specs[i]; sp.midx == midx && sp.dom == dom {
+		if sp := &s.specs[i]; sp.midx == midx {
 			return sp
 		}
 	}
 	s.specs = grow(s.specs)
 	sp := &s.specs[len(s.specs)-1]
-	*sp = specState{
-		midx: midx,
-		dom:  dom,
-		bals: sp.bals[:0],
-		load: resize(sp.load, dom.numDomains()),
-		cap:  resize(sp.cap, dom.numDomains()),
-	}
-	clear(sp.load)
-	clear(sp.cap)
-	for b := range p.Buckets {
-		sp.cap[dom.bucketDom[b]] += p.Buckets[b].Capacity[midx]
-	}
-	if dom.numDomains() == len(p.Buckets) {
-		// Every bucket is its own domain, numbered as the bucket is: the
-		// domain's load is the bucket's, summed in the same order.
-		for b := range s.bucketLoad {
-			sp.load[b] = s.bucketLoad[b][midx]
-		}
-	} else {
-		for e := range p.Entities {
-			if s.assignment[e] == Unassigned {
-				continue
-			}
-			sp.load[dom.bucketDom[s.assignment[e]]] += p.Entities[e].Load[midx]
-		}
-	}
+	*sp = specState{midx: midx, cap: resize(sp.cap, len(p.Buckets))}
 	var totLoad, totCap float64
-	for d := range sp.cap {
-		totCap += sp.cap[d]
-		totLoad += sp.load[d]
+	for b := range p.Buckets {
+		sp.cap[b] = p.Buckets[b].Capacity[midx]
+		totCap += sp.cap[b]
+		totLoad += s.bucketLoad[b][midx]
 	}
 	// Unplaced load joins in entity order: float addition is not
 	// associative, and the balance target must be the same bits on every run
@@ -767,18 +743,10 @@ func (s *state) spec(table *domainTable, metric, scope string) *specState {
 
 // affinityPenalty returns the affinity penalty of entity e sitting on bucket b.
 func (s *state) affinityPenalty(e EntityID, b BucketID) float64 {
-	terms := s.aff[e]
-	if len(terms) == 0 {
-		return 0
+	if t := &s.aff[e]; t.weight != 0 && t.bucketDom[b] != t.domID {
+		return t.weight
 	}
-	var pen float64
-	for i := range terms {
-		t := &terms[i]
-		if t.bucketDom[b] != t.domID {
-			pen += t.weight
-		}
-	}
-	return pen
+	return 0
 }
 
 // prepared caches the from-side of a candidate move for one entity: loads,
@@ -792,10 +760,9 @@ type prepared struct {
 	// base is the target-independent delta: leaving the source bucket's
 	// affinity/drain penalties, or -unassignedPenalty when unplaced.
 	base float64
-	// Per merged spec (parallel to state.specs):
+	// Per spec state (parallel to state.specs):
 	load      []float64 // entity load on the spec's metric
-	fromDom   []int32   // source domain, -1 when unassigned
-	fromDelta []float64 // penalty delta of the source domain losing load
+	fromDelta []float64 // penalty delta of the source bucket losing load
 
 	// Per conflict spec (parallel to state.confs):
 	confGid     []int32
@@ -816,7 +783,6 @@ func newPrepared(s *state) prepared {
 // fit sizes pr's per-spec arrays for s's specs, reusing them.
 func (pr *prepared) fit(s *state) {
 	pr.load = resize(pr.load, len(s.specs))
-	pr.fromDom = resize(pr.fromDom, len(s.specs))
 	pr.fromDelta = resize(pr.fromDelta, len(s.specs))
 	pr.confGid = resize(pr.confGid, len(s.confs))
 	pr.confFromDom = resize(pr.confFromDom, len(s.confs))
@@ -835,13 +801,10 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 		sp := &s.specs[si]
 		l := ent.Load[sp.midx]
 		pr.load[si] = l
-		pr.fromDom[si] = -1
 		pr.fromDelta[si] = 0
 		if from != Unassigned && l != 0 {
-			fd := sp.dom.bucketDom[from]
-			pr.fromDom[si] = fd
-			lf := sp.load[fd]
-			pr.fromDelta[si] = sp.domPenalty(fd, lf-l) - sp.domPenalty(fd, lf)
+			lf := s.bucketLoad[from][sp.midx]
+			pr.fromDelta[si] = sp.penalty(from, lf-l) - sp.penalty(from, lf)
 		}
 	}
 	for ci := range s.confs {
@@ -878,7 +841,7 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 // inert reports whether leaving the prepared entity's bucket frees no penalty:
 // every leave term of evalTarget's delta (base, fromDelta, exFromDelta) is
 // exactly 0. Every join term is >= 0 — affinity and drain at the target, a
-// domain's penalty at a higher load less at the lower one (capPenalty and
+// bucket's penalty at a higher load less at the lower one (capPenalty and
 // balPenalty are non-decreasing in load, in floating point too), Weight on
 // joining a crowded domain — so an inert entity's delta is >= 0 at every
 // target and no move of it alone can improve the objective. A negative load
@@ -902,8 +865,8 @@ func (pr *prepared) inert() bool {
 
 // evalTarget returns the objective change of moving the prepared entity to
 // target, and whether the move is feasible (hard conflicts and capacity).
-// Only strictly safe targets are feasible: every capacity domain the move
-// loads must remain within capacity. evalTarget does not mutate state and is
+// Only strictly safe targets are feasible: the target must remain within
+// every capacity constraint. evalTarget does not mutate state and is
 // safe to call concurrently with other evalTarget calls.
 func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 	if target == pr.from {
@@ -936,16 +899,12 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 			continue
 		}
 		sp := &s.specs[si]
-		td := sp.dom.bucketDom[target]
-		if td == pr.fromDom[si] {
-			continue // same aggregation domain: no change
-		}
-		lt := sp.load[td]
+		lt := s.bucketLoad[target][sp.midx]
 		newLoad := lt + l
-		if sp.nHard > 0 && newLoad > sp.cap[td] {
+		if sp.hard && newLoad > sp.cap[target] {
 			return 0, false
 		}
-		delta += sp.domPenalty(td, newLoad) - sp.domPenalty(td, lt) + pr.fromDelta[si]
+		delta += sp.penalty(target, newLoad) - sp.penalty(target, lt) + pr.fromDelta[si]
 	}
 
 	// Exclusion deltas: joining a domain that already has a group member
@@ -978,34 +937,23 @@ func (s *state) apply(e EntityID, target BucketID) {
 	ent := &s.p.Entities[e]
 	hot := s.hot
 
-	// Merged spec aggregates. A domain's penalty change is credited to
-	// every bucket in the domain (they share the aggregate).
+	// Capacity and balance penalties follow the two buckets' loads, which
+	// the bucketLoad update at the end commits.
 	for si := range s.specs {
 		sp := &s.specs[si]
 		l := ent.Load[sp.midx]
 		if l == 0 {
 			continue
 		}
-		td := sp.dom.bucketDom[target]
 		if from != Unassigned {
-			fd := sp.dom.bucketDom[from]
-			if fd == td {
-				continue
-			}
-			before := sp.domPenalty(fd, sp.load[fd])
-			sp.load[fd] -= l
-			if d := sp.domPenalty(fd, sp.load[fd]) - before; d != 0 {
-				for _, b := range sp.dom.members[fd] {
-					hot.add(BucketID(b), d)
-				}
+			lf := s.bucketLoad[from][sp.midx]
+			if d := sp.penalty(from, lf-l) - sp.penalty(from, lf); d != 0 {
+				hot.add(from, d)
 			}
 		}
-		before := sp.domPenalty(td, sp.load[td])
-		sp.load[td] += l
-		if d := sp.domPenalty(td, sp.load[td]) - before; d != 0 {
-			for _, b := range sp.dom.members[td] {
-				hot.add(BucketID(b), d)
-			}
+		lt := s.bucketLoad[target][sp.midx]
+		if d := sp.penalty(target, lt+l) - sp.penalty(target, lt); d != 0 {
+			hot.add(target, d)
 		}
 	}
 
@@ -1113,12 +1061,13 @@ func (s *state) apply(e EntityID, target BucketID) {
 
 // ViolationCounts summarizes constraint and goal violations.
 type ViolationCounts struct {
-	// Capacity keys over their hard capacity.
+	// Buckets over their hard capacity, per constrained metric.
 	Capacity int
 	// Conflict counts colocated same-group entities under hard conflict
 	// specs (pairs beyond the first per domain).
 	Conflict int
-	// Balance keys over UtilCap or over mean+MaxDiff (each rule counts).
+	// Buckets over UtilCap or over mean+MaxDiff, per metric (each rule
+	// counts).
 	Balance int
 	// Entities not on their preferred domain.
 	Affinity int
@@ -1136,33 +1085,27 @@ func (v ViolationCounts) Total() int {
 }
 
 // violations counts the violations of the state as it stands: the capacity
-// and balance rules by a scan of the domains, the rest off the counts sync
+// and balance rules by a scan of the buckets, the rest off the counts sync
 // took and apply keeps. It is for reporting, not the hot path.
 func (s *state) violations() ViolationCounts {
 	var v ViolationCounts
 	for si := range s.specs {
 		sp := &s.specs[si]
-		if sp.nHard > 0 {
-			for d := range sp.load {
-				if sp.load[d] > sp.cap[d]+1e-9 {
-					v.Capacity += sp.nHard
-				}
+		bp := &sp.bal
+		for b, c := range sp.cap {
+			load := s.bucketLoad[b][sp.midx]
+			if sp.hard && load > c+1e-9 {
+				v.Capacity++
 			}
-		}
-		for i := range sp.bals {
-			bp := &sp.bals[i]
-			for d := range sp.cap {
-				c := sp.cap[d]
-				if c <= 0 {
-					continue
-				}
-				u := sp.load[d] / c
-				if bp.utilCap > 0 && u > bp.utilCap+1e-9 {
-					v.Balance++
-				}
-				if bp.maxDiff > 0 && u > sp.meanUtil+bp.maxDiff+1e-9 {
-					v.Balance++
-				}
+			if bp.weight == 0 || c <= 0 {
+				continue
+			}
+			u := load / c
+			if bp.utilCap > 0 && u > bp.utilCap+1e-9 {
+				v.Balance++
+			}
+			if bp.maxDiff > 0 && u > sp.meanUtil+bp.maxDiff+1e-9 {
+				v.Balance++
 			}
 		}
 	}
@@ -1186,8 +1129,7 @@ func (s *state) seedPenalty(b BucketID) float64 {
 	var pen float64
 	for si := range s.specs {
 		sp := &s.specs[si]
-		d := sp.dom.bucketDom[b]
-		pen += sp.domPenalty(d, sp.load[d])
+		pen += sp.penalty(b, s.bucketLoad[b][sp.midx])
 	}
 	// An affinity or drain term that is 0 adds nothing, so it is not read.
 	travel := s.nAff > 0 || s.drainPen[b] != 0

@@ -217,40 +217,6 @@ func TestSolveDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestDomainScopedCapacity(t *testing.T) {
-	// Rack-scoped network capacity (Fig 13 statement 2): two buckets per
-	// rack, each with network capacity 10; rack capacity is 20. Six
-	// entities of load 5 would fit per-bucket (2x10... no: 3 entities
-	// of 5 on one rack = 15 < 20 fits; 5 entities = 25 > 20 must spill).
-	p := NewProblem([]string{"net"})
-	for i := 0; i < 4; i++ {
-		p.AddBucket(Bucket{
-			Name:     fmt.Sprintf("b%d", i),
-			Capacity: []float64{10},
-			Props:    map[string]string{"rack": fmt.Sprintf("rk%d", i/2)},
-		})
-	}
-	for i := 0; i < 6; i++ {
-		p.AddEntity(Entity{Load: []float64{5}, Bucket: Unassigned, Movable: true})
-	}
-	p.AddConstraint(CapacitySpec{Metric: "net", Scope: "rack"})
-	res := Solve(p, DefaultOptions())
-	if res.Final.Unassigned != 0 || res.Final.Capacity != 0 {
-		t.Fatalf("final = %+v", res.Final)
-	}
-	// Each rack holds at most 4 entities (4*5=20).
-	rack := map[string]float64{}
-	for i := range p.Entities {
-		b := p.Entities[i].Bucket
-		rack[p.Buckets[b].Props["rack"]] += 5
-	}
-	for r, load := range rack {
-		if load > 20 {
-			t.Fatalf("rack %s load %v > 20", r, load)
-		}
-	}
-}
-
 // TestCandidateEntitiesCarryingFirst pins what a hot bucket offers the search:
 // its movable entities that carry penalty (not inert), then its inert ones,
 // each part largest Load[0] first with ties broken by ID, cut to
@@ -561,8 +527,26 @@ func TestBuilderPanics(t *testing.T) {
 		"balance weight":  func() { p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9}) },
 		"balance no rule": func() { p.AddBalanceGoal(BalanceSpec{Metric: "cpu", Weight: 1}) },
 		"affinity weight": func() { p.AddAffinityGoal(AffinityGoal{Entity: 0, Domain: "d"}) },
-		"excl weight":     func() { p.AddExclusionGoal(ExclusionSpec{Scope: "r"}) },
-		"drain weight":    func() { p.AddDrainGoal(0) },
+		"second capacity": func() {
+			q := NewProblem([]string{"cpu"})
+			q.AddConstraint(CapacitySpec{Metric: "cpu"})
+			q.AddConstraint(CapacitySpec{Metric: "cpu"})
+		},
+		"second balance": func() {
+			q := NewProblem([]string{"cpu"})
+			q.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, Weight: 1})
+			q.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
+		},
+		"second affinity": func() {
+			q := NewProblem([]string{"cpu"})
+			q.AddBucket(Bucket{Name: "b", Capacity: []float64{1}})
+			e := q.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true})
+			q.AddAffinityGoal(AffinityGoal{Entity: e, Domain: "b", Weight: 1})
+			q.AddAffinityGoal(AffinityGoal{Entity: e, Domain: "b", Weight: 1})
+			Solve(q, DefaultOptions())
+		},
+		"excl weight":  func() { p.AddExclusionGoal(ExclusionSpec{Scope: "r"}) },
+		"drain weight": func() { p.AddDrainGoal(0) },
 	} {
 		func() {
 			defer func() {

@@ -56,9 +56,9 @@ func randomProblem(rng *sim.RNG) *Problem {
 		}
 	}
 	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddConstraint(CapacitySpec{Metric: "mem", Scope: "rack"})
+	p.AddConstraint(CapacitySpec{Metric: "mem"})
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
-	p.AddBalanceGoal(BalanceSpec{Metric: "mem", Scope: "region", MaxDiff: 0.2, Weight: 0.5})
+	p.AddBalanceGoal(BalanceSpec{Metric: "mem", MaxDiff: 0.2, Weight: 0.5})
 	if hasExcl {
 		p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: excl, NumGroups: nExcl, Weight: 3})
 	}
@@ -115,7 +115,7 @@ func (ref occupancyRef) check(t *testing.T, cs *confState, assignment []BucketID
 	extras := 0
 	for g := int32(0); int(g)+1 < len(cs.start); g++ {
 		askers := append([]EntityID{-1}, cs.ents[cs.start[g]:cs.start[g+1]]...)
-		for d := int32(0); int(d) < cs.dom.numDomains(); d++ {
+		for d := int32(0); int(d) < len(cs.dom.names); d++ {
 			all := ref[refKey(g, d)]
 			if len(all) > 1 {
 				extras += len(all) - 1
@@ -182,15 +182,6 @@ func (o *occupancyRefs) apply(t *testing.T, e EntityID, to BucketID) bool {
 // from-scratch rebuild.
 func statesEqual(t *testing.T, got, want *state) bool {
 	t.Helper()
-	for si := range want.specs {
-		g, w := &got.specs[si], &want.specs[si]
-		for d := range w.load {
-			if math.Abs(g.load[d]-w.load[d]) > 1e-6 {
-				t.Logf("spec %d domain %d load diverged: %v vs %v", si, d, g.load[d], w.load[d])
-				return false
-			}
-		}
-	}
 	for b := range want.bucketLoad {
 		for m := range want.bucketLoad[b] {
 			if math.Abs(got.bucketLoad[b][m]-want.bucketLoad[b][m]) > 1e-6 {
@@ -246,8 +237,7 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 	var pen float64
 	for si := range s.specs {
 		sp := &s.specs[si]
-		d := sp.dom.bucketDom[b]
-		pen += sp.domPenalty(d, sp.load[d])
+		pen += sp.penalty(b, s.bucketLoad[b][sp.midx])
 	}
 	for _, e := range s.byBucket[b] {
 		pen += s.affinityPenalty(e, b) + s.drainPen[b]
@@ -366,8 +356,8 @@ func TestMoveDeltaMatchesAppliedObjective(t *testing.T) {
 		var total float64
 		for si := range st.specs {
 			sp := &st.specs[si]
-			for d := range sp.load {
-				total += sp.domPenalty(int32(d), sp.load[d])
+			for b := range st.bucketLoad {
+				total += sp.penalty(BucketID(b), st.bucketLoad[b][sp.midx])
 			}
 		}
 		for e := range st.p.Entities {

@@ -210,13 +210,10 @@ const (
 type Spec struct {
 	// Regions to create, in order.
 	Regions []RegionID
-	// MachinesPerRegion is the machine count in each region.
+	// MachinesPerRegion is the machine count in each region. Each region
+	// has one datacenter, dc0, and max(1, MachinesPerRegion/4) racks, its
+	// machines spread round-robin across them.
 	MachinesPerRegion int
-	// RacksPerRegion controls rack granularity (machines are spread
-	// round-robin across racks). Defaults to MachinesPerRegion/4, min 1.
-	RacksPerRegion int
-	// DatacentersPerRegion defaults to 1.
-	DatacentersPerRegion int
 	// Latency maps region pairs to one-way latency. Optional.
 	Latency map[[2]RegionID]time.Duration
 }
@@ -229,24 +226,14 @@ func Build(spec Spec) *Fleet {
 	if spec.MachinesPerRegion <= 0 {
 		panic("topology: Build with no machines")
 	}
-	dcs := spec.DatacentersPerRegion
-	if dcs <= 0 {
-		dcs = 1
-	}
-	racks := spec.RacksPerRegion
-	if racks <= 0 {
-		racks = spec.MachinesPerRegion / 4
-		if racks < 1 {
-			racks = 1
-		}
-	}
+	racks := max(1, spec.MachinesPerRegion/4)
 	f := NewFleet()
 	for _, region := range spec.Regions {
 		for i := 0; i < spec.MachinesPerRegion; i++ {
 			f.AddMachine(&Machine{
 				ID:         MachineID(fmt.Sprintf("%s-m%04d", region, i)),
 				Region:     region,
-				Datacenter: fmt.Sprintf("dc%d", i%dcs),
+				Datacenter: "dc0",
 				Rack:       fmt.Sprintf("rack%02d", i%racks),
 			})
 		}

@@ -7,10 +7,8 @@ import (
 
 func testFleet() *Fleet {
 	return Build(Spec{
-		Regions:              []RegionID{"frc", "prn"},
-		MachinesPerRegion:    8,
-		RacksPerRegion:       4,
-		DatacentersPerRegion: 2,
+		Regions:           []RegionID{"frc", "prn"},
+		MachinesPerRegion: 8,
 	})
 }
 
@@ -50,8 +48,8 @@ func TestDomainNamesAreGloballyUnique(t *testing.T) {
 			domains[m.Domain(LevelRack)] = true
 		}
 	}
-	if len(domains) != 8 {
-		t.Fatalf("distinct racks = %d, want 8 (4 per region)", len(domains))
+	if len(domains) != 4 {
+		t.Fatalf("distinct racks = %d, want 4 (2 per region)", len(domains))
 	}
 }
 
@@ -96,8 +94,8 @@ func TestBuildSpreadsRacksRoundRobin(t *testing.T) {
 		counts[m.Domain(LevelRack)]++
 	}
 	for rack, n := range counts {
-		if n != 2 {
-			t.Fatalf("rack %s has %d machines, want 2", rack, n)
+		if n != 4 {
+			t.Fatalf("rack %s has %d machines, want 4", rack, n)
 		}
 	}
 }
