@@ -26,7 +26,7 @@ loc: ## non-blank, non-comment lines of non-test Go code, per package directory 
 bench:
 	$(GO) test -bench=. -benchmem .
 
-bench-layers: ## the six layer drives: solver at 100k x 5k and on 6,000 replicated groups x 300 buckets, a first placement of 3k and 30k shards x 2 replicas over 120 servers, kernel at 1k and 10k pending timers, discovery publish at 10k..1M entries, one routed request, one orchestrator move at 3k and 30k shards, one fresh allocation of the kept problem at 3k and 30k shards and on lb_churn's problem with its loads redrawn, one load collection at 4k and 40k replicas
+bench-layers: ## the six layer drives: solver at 100k x 5k and on 6,000 replicated groups x 300 buckets, a first placement of 3k and 30k shards x 2 replicas over 120 servers, kernel at 1k and 10k pending timers, discovery publish at 10k..1M entries, one routed request, one orchestrator move at 3k and 30k shards, one fresh allocation of the kept problem at 3k, 30k and 300k shards (evals/op on every row) and on lb_churn's problem with its loads redrawn, one load collection at 4k and 40k replicas
 	$(GO) test ./internal/solver -run '^$$' -bench 'SolveScale|SolveReplicated|MoveDelta' -benchmem
 	$(GO) test ./internal/allocator -run '^$$' -bench RunFirstPlacement -benchmem
 	$(GO) test ./internal/sim -run '^$$' -bench LoopScheduleAndRun -benchmem
@@ -34,7 +34,8 @@ bench-layers: ## the six layer drives: solver at 100k x 5k and on 6,000 replicat
 	$(GO) test ./internal/routing -run '^$$' -bench ClientRequestRoundTrip -benchmem
 	$(GO) test ./internal/orchestrator -run '^$$' -bench 'MoveAndPublish|AllocateIncremental|CollectLoads'
 
-audit-torture: ## full 500-seed migration-torture sweep -> FOUNDBUGS_audit.json (fails on drift vs the committed log)
+audit-torture: ## both 500-seed migration-torture sweeps, seeds 1-500 -> FOUNDBUGS_audit.json and 501-1000 -> FOUNDBUGS_audit_501.json (fails on drift vs the committed logs)
 	$(GO) run ./cmd/smbench -fig torture -foundbugs-out FOUNDBUGS_audit.json
-	git diff --exit-code -- FOUNDBUGS_audit.json || { \
-		echo "audit-torture: FOUNDBUGS_audit.json drifted from the committed log (see diff above)"; exit 1; }
+	$(GO) run ./cmd/smbench -fig torture -torture-start 501 -torture-seeds 500 -foundbugs-out FOUNDBUGS_audit_501.json
+	git diff --exit-code -- FOUNDBUGS_audit.json FOUNDBUGS_audit_501.json || { \
+		echo "audit-torture: a found-bug log drifted from the committed one (see diff above)"; exit 1; }

@@ -282,13 +282,14 @@ func TestExportedStateFields(t *testing.T) {
 }
 
 // TestAllocationAnswersWithMoves pins what an allocation answers: the bounded
-// diff and the solver's counts, not a copy of the placement beside them. The
+// diff and the solver's counts with their floor, not a copy of the placement
+// beside them. The
 // orchestrator executes the moves and nothing else; the solver leaves its
 // final buckets in the problem's entities, where the allocator reads them.
 func TestAllocationAnswersWithMoves(t *testing.T) {
 	for typ, want := range map[reflect.Type][]string{
-		reflect.TypeOf(allocator.Result{}): {"Moves", "Deferred", "Initial", "Final", "Solves", "Elapsed", "Evaluated"},
-		reflect.TypeOf(solver.Result{}):    {"Moves", "Initial", "Final", "Evaluated", "Elapsed"},
+		reflect.TypeOf(allocator.Result{}): {"Moves", "Deferred", "Initial", "Final", "Floor", "Solves", "Elapsed", "Evaluated"},
+		reflect.TypeOf(solver.Result{}):    {"Moves", "Initial", "Final", "Floor", "Evaluated", "Elapsed"},
 	} {
 		if have := exportedFields(typ); !reflect.DeepEqual(have, want) {
 			t.Errorf("%v exported fields = %v, want exactly %v", typ, have, want)

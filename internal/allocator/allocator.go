@@ -172,12 +172,15 @@ type Result struct {
 	// counted on the placement the search reached within MaxTotalMoves,
 	// before the Deferred moves were taken back out.
 	Initial, Final solver.ViolationCounts
+	// Floor is the last solve's floor, a lower bound on Final kind by kind
+	// (solver.Result).
+	Floor solver.ViolationCounts
 	// Solves is the number of solver batches run.
 	Solves int
 	// Elapsed is total solver wall-clock time.
 	Elapsed time.Duration
-	// Evaluated counts the solver's candidate moves over all stages: pairs
-	// considered, scored or pruned.
+	// Evaluated counts the solver's candidate moves over all stages: the
+	// pairs its grids scored and the runner-ups they checked again.
 	Evaluated int
 }
 
@@ -507,7 +510,7 @@ func (p *Problem) run(mode Mode) *Result {
 		if res.Solves == 0 {
 			res.Initial = sres.Initial
 		}
-		res.Final = sres.Final
+		res.Final, res.Floor = sres.Final, sres.Floor
 		res.Solves++
 		res.Evaluated += sres.Evaluated
 	}

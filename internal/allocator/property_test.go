@@ -9,13 +9,15 @@ import (
 
 	"shardmanager/internal/shard"
 	"shardmanager/internal/sim"
+	"shardmanager/internal/solver"
 	"shardmanager/internal/topology"
 )
 
 // TestRunInvariantsProperty checks the allocator's hard guarantees on
 // random inputs: every emitted placement targets a live server, no shard
 // ever has two replicas on one server, per-shard and global churn caps are
-// respected, and the result is internally consistent with its own moves.
+// respected, the result is internally consistent with its own moves, and its
+// floor is at most its final count in every kind.
 // The 60 inputs come from a fixed source, so a failure replays; widen the
 // search by changing the source, and pin what it finds in
 // TestRunInvariantsRegressions.
@@ -183,5 +185,18 @@ func checkRunInvariants(t *testing.T, seed uint64) bool {
 		t.Logf("seed %d: %d migrations > cap %d", seed, totalMigrations, pol.MaxTotalMoves)
 		return false
 	}
+	// (d) the floor is a lower bound.
+	if !floorBelow(res.Floor, res.Final) {
+		t.Logf("seed %d: floor %+v above final %+v", seed, res.Floor, res.Final)
+		return false
+	}
 	return true
+}
+
+// floorBelow reports whether floor is at most final in every kind.
+func floorBelow(floor, final solver.ViolationCounts) bool {
+	return floor.Capacity <= final.Capacity && floor.Conflict <= final.Conflict &&
+		floor.Balance <= final.Balance && floor.Affinity <= final.Affinity &&
+		floor.Exclusion <= final.Exclusion && floor.Drain <= final.Drain &&
+		floor.Unassigned <= final.Unassigned
 }

@@ -156,6 +156,10 @@ type replica struct {
 	// reported is the shard's load generation (Directory.loadGens) at this
 	// replica's last load report; 0 until the first.
 	reported uint64
+	// granted is the fencing generation of the last grant that set the
+	// replica up (add, prepare_add, change_role, resume or sync): a sync
+	// older than it leaves the replica alone.
+	granted int64
 }
 
 // tombstoneTTL is how long a server keeps forwarding requests for a shard
@@ -208,6 +212,10 @@ type Server struct {
 	// the shard's name first.
 	replicas   map[ShardNum]*replica
 	tombstones map[ShardNum]shard.ServerID
+	// dropped[num] is the granted generation of shard num's replica when it
+	// was last dropped, so an older sync does not add it back; an add
+	// forgets it.
+	dropped map[ShardNum]int64
 	// asked is the map LoadReport hands the application for each shard's
 	// load, cleared before every ask: the server's one, made at its first
 	// report.
@@ -460,6 +468,7 @@ func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Applicat
 		app:        app,
 		replicas:   make(map[ShardNum]*replica),
 		tombstones: make(map[ShardNum]shard.ServerID),
+		dropped:    make(map[ShardNum]int64),
 	}
 }
 
@@ -504,19 +513,17 @@ func (s *Server) AddShard(id shard.ID, role shard.Role, gen int64) {
 	if !s.acceptGrant(gen) {
 		return
 	}
-	s.addShard(id, role, true)
+	s.addShard(id, role, true, gen)
 }
 
-func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool) {
+// addShard is AddShard after the screen, for a grant at gen (0 for a restore
+// from the persisted assignment).
+func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool, gen int64) {
 	num := s.dir.ShardNum(id)
-	r := s.replicas[num]
-	if r == nil {
-		r = &replica{}
-		s.replicas[num] = r
-		s.replicaMetric(1)
-	}
+	r := s.newReplica(num)
 	s.opMetric("add")
 	r.role = role
+	r.granted = max(r.granted, gen)
 	r.forwardTo = ""
 	wasUnconfirmed := r.unconfirmed
 	r.unconfirmed = !confirmed
@@ -539,6 +546,19 @@ func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool) {
 	}
 	s.notifyReplica(id, r)
 	s.app.AddShard(id, role)
+}
+
+// newReplica returns shard num's replica, making it if the server holds none;
+// a new one forgets the shard's drop.
+func (s *Server) newReplica(num ShardNum) *replica {
+	r := s.replicas[num]
+	if r == nil {
+		r = &replica{}
+		s.replicas[num] = r
+		delete(s.dropped, num)
+		s.replicaMetric(1)
+	}
+	return r
 }
 
 // startLoad begins the replica's state load; on completion it becomes
@@ -579,6 +599,7 @@ func (s *Server) DropShard(id shard.ID) {
 		})
 	}
 	delete(s.replicas, num)
+	s.dropped[num] = r.granted
 	s.replicaMetric(-1)
 	s.opMetric("drop")
 	_, tomb := s.tombstones[num]
@@ -605,6 +626,7 @@ func (s *Server) ChangeRole(id shard.ID, from, to shard.Role, gen int64) error {
 		return fmt.Errorf("appserver: shard %s role is %v, not %v", id, r.role, from)
 	}
 	r.role = to
+	r.granted = max(r.granted, gen)
 	if r.unconfirmed {
 		r.unconfirmed = false
 		s.notifyConfirmed(id, true)
@@ -625,14 +647,10 @@ func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role 
 		return
 	}
 	num := s.dir.ShardNum(id)
-	r := s.replicas[num]
-	if r == nil {
-		r = &replica{}
-		s.replicas[num] = r
-		s.replicaMetric(1)
-	}
+	r := s.newReplica(num)
 	s.opMetric("prepare_add")
 	r.role = role
+	r.granted = max(r.granted, gen)
 	if r.phase == PhaseNone && s.LoadTime > 0 {
 		s.startLoad(id, num, r)
 	} else if r.phase != PhaseLoading {
@@ -669,6 +687,7 @@ func (s *Server) ResumeShard(id shard.ID, gen int64) {
 		return
 	}
 	s.opMetric("resume")
+	r.granted = max(r.granted, gen)
 	r.phase = PhaseActive
 	r.forwardTo = ""
 	s.notifyReplica(id, r)
@@ -689,6 +708,10 @@ func (s *Server) ResumeShard(id shard.ID, gen int64) {
 // the authoritative placement still names the old owner until the migration
 // commits, so such replicas are neither dropped nor cold-added here — the
 // migration's own add_shard grant settles them.
+//
+// The view is the one at gen, and a grant drawn after it may have reached the
+// server first: a replica granted at a newer generation is neither dropped
+// nor re-roled, and one dropped after such a grant is not added back.
 func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.ID]bool, gen int64) {
 	if !s.acceptGrant(gen) {
 		return
@@ -696,9 +719,10 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 	s.opMetric("sync")
 	for _, id := range s.shardIDs() {
 		r := s.replicas[s.dir.shardNums[id]]
-		if r.phase != PhaseActive {
+		if r.phase != PhaseActive || r.granted > gen {
 			continue
 		}
+		r.granted = gen
 		role, ok := want[id]
 		if !ok {
 			if !protect[id] {
@@ -723,14 +747,15 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 	}
 	missing := make([]string, 0, len(want))
 	for id := range want {
-		if s.replicas[s.dir.shardNums[id]] == nil {
+		num := s.dir.shardNums[id]
+		if s.replicas[num] == nil && s.dropped[num] <= gen {
 			missing = append(missing, string(id))
 		}
 	}
 	sort.Strings(missing)
 	for _, sid := range missing {
 		id := shard.ID(sid)
-		s.addShard(id, want[id], true)
+		s.addShard(id, want[id], true, gen)
 	}
 	// Unfence last: the fence may only lift once the replica set matches the
 	// authoritative assignment — lifting it first would momentarily revive
@@ -1178,7 +1203,7 @@ func (h *Host) restoreAssignment(srv *Server) {
 		return
 	}
 	for _, e := range splitAssign(string(data)) {
-		srv.addShard(e.Shard, e.Role, e.Role != shard.RolePrimary)
+		srv.addShard(e.Shard, e.Role, e.Role != shard.RolePrimary, 0)
 	}
 }
 

@@ -109,3 +109,71 @@ func TestReconnectedSessionDisarmsStaleFence(t *testing.T) {
 		t.Fatalf("write after reconnect rejected: %+v", resp)
 	}
 }
+
+// A rejoin sync is built from the orchestrator's view at its generation, and
+// a grant the orchestrator issues after it can reach the server first. The
+// sync must not undo it: a replica granted at a newer generation is neither
+// dropped nor re-roled by an older sync, and a replica dropped after such a
+// grant is not added back. Each step's generation is the order the
+// orchestrator drew them in; the server sees them out of that order.
+
+// TestOlderSyncKeepsNewerAddShard: add_shard at gen 11 lands before a sync
+// built at gen 10 without the shard; the replica stays active.
+func TestOlderSyncKeepsNewerAddShard(t *testing.T) {
+	env := newEnv()
+	srv := env.server("s1", "a", newEchoApp())
+	srv.AddShard("sh1", shard.RoleSecondary, 11)
+	srv.SyncAssignment(map[shard.ID]shard.Role{}, nil, 10)
+	if !srv.HoldsActive("sh1") {
+		t.Fatal("a sync at gen 10 dropped the replica granted at gen 11")
+	}
+	// A sync newer than the grant still corrects the server.
+	srv.SyncAssignment(map[shard.ID]shard.Role{}, nil, 12)
+	if srv.HoldsActive("sh1") {
+		t.Fatal("a sync at gen 12 kept a replica its view does not list")
+	}
+}
+
+// TestOlderSyncKeepsNewerChangeRole: change_role at gen 11 lands before a sync
+// built at gen 10 that still names the old role; the new role stays.
+func TestOlderSyncKeepsNewerChangeRole(t *testing.T) {
+	env := newEnv()
+	srv := env.server("s1", "a", newEchoApp())
+	srv.AddShard("sh1", shard.RoleSecondary, 5)
+	if err := srv.ChangeRole("sh1", shard.RoleSecondary, shard.RolePrimary, 11); err != nil {
+		t.Fatal(err)
+	}
+	srv.SyncAssignment(map[shard.ID]shard.Role{"sh1": shard.RoleSecondary}, nil, 10)
+	if role := srv.Shards()["sh1"]; role != shard.RolePrimary {
+		t.Fatalf("a sync at gen 10 re-roled the replica granted primary at gen 11 to %v", role)
+	}
+}
+
+// TestOlderSyncDoesNotReAddDroppedReplica: the converse. A replica granted at
+// gen 11 and then dropped must not come back from a sync built at gen 10 that
+// still lists it, nor one a sync at gen 13 dropped from a sync at gen 12; a
+// replica whose last grant is older than the sync does come back.
+func TestOlderSyncDoesNotReAddDroppedReplica(t *testing.T) {
+	env := newEnv()
+	srv := env.server("s1", "a", newEchoApp())
+	srv.AddShard("sh1", shard.RoleSecondary, 11)
+	srv.DropShard("sh1")
+	srv.SyncAssignment(map[shard.ID]shard.Role{"sh1": shard.RoleSecondary}, nil, 10)
+	if _, ok := srv.Shards()["sh1"]; ok {
+		t.Fatal("a sync at gen 10 added back the replica dropped after its gen-11 grant")
+	}
+	srv.AddShard("sh2", shard.RoleSecondary, 3)
+	srv.DropShard("sh2")
+	srv.SyncAssignment(map[shard.ID]shard.Role{"sh2": shard.RoleSecondary}, nil, 10)
+	if !srv.HoldsActive("sh2") {
+		t.Fatal("a sync at gen 10 did not restore a replica last granted at gen 3")
+	}
+	// A sync's own drop is a decision at its generation too.
+	srv.SyncAssignment(map[shard.ID]shard.Role{"sh2": shard.RoleSecondary}, nil, 12)
+	srv.AddShard("sh3", shard.RoleSecondary, 11)
+	srv.SyncAssignment(map[shard.ID]shard.Role{"sh2": shard.RoleSecondary}, nil, 13)
+	srv.SyncAssignment(map[shard.ID]shard.Role{"sh2": shard.RoleSecondary, "sh3": shard.RoleSecondary}, nil, 12)
+	if _, ok := srv.Shards()["sh3"]; ok {
+		t.Fatal("a sync at gen 12 added back the replica a sync at gen 13 dropped")
+	}
+}

@@ -200,7 +200,11 @@ func runPublishBurstWorld(t *testing.T, seed uint64) []string {
 // 3800 results, 2d5c1c2ec5219870 before): the first placement, and so every
 // later move and route, changed. The burst world still completes all 3900
 // requests it issues when run 30 s past the window; one of them now completes
-// 15 ms after the window closes instead of inside it.
+// 15 ms after the window closes instead of inside it. The "burst seed 5" row
+// was re-recorded once more when the solver stopped searching standing
+// violations and began applying every improving move a grid found
+// (70859375e6a7f2d9 before, the same 3799 results): the drains' allocations
+// chose other moves, so the requests took other routes. The drain rows held.
 func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -210,7 +214,7 @@ func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	}{
 		{"drain seed 3", func() []string { return runDeltaEquivalenceWorld(t, 3) }, 992, "c41bd62bcb5e4ea0"},
 		{"drain seed 11", func() []string { return runDeltaEquivalenceWorld(t, 11) }, 992, "f204fd2e02ebc8fb"},
-		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3799, "70859375e6a7f2d9"},
+		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3799, "a00a0b6f9b19a300"},
 	} {
 		results := c.run()
 		sum := sha256.Sum256([]byte(strings.Join(results, "\n")))

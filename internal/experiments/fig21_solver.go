@@ -100,7 +100,8 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 // Fig21 regenerates Figure 21: violations-vs-time curves at three problem
 // sizes, with total solve times. The paper reports 30s for 75K shards and
 // 205s for 375K (6.8x for 5x size) on production hardware; the shape that
-// must hold is sub-~1.5x-superlinear growth and zero remaining violations.
+// must hold is sub-~1.5x-superlinear growth and a final count at the floor
+// (solver.Result.Floor), which is zero on these worlds.
 func Fig21(params SolverScaleParams) *Report {
 	r := &Report{
 		ID:    "fig21",
@@ -112,10 +113,11 @@ func Fig21(params SolverScaleParams) *Report {
 	}
 	t := Table{
 		Title:   "solve summary",
-		Columns: []string{"servers", "shards", "initial violations", "final violations", "moves", "solve time"},
+		Columns: []string{"servers", "shards", "initial violations", "final violations", "floor", "moves", "solve time"},
 	}
 	var firstTime, lastTime time.Duration
 	var firstSize, lastSize int
+	atFloor := true
 	for _, scale := range params.Scales {
 		servers, shards := scale[0], scale[1]
 		rng := sim.NewRNG(params.Seed)
@@ -132,9 +134,10 @@ func Fig21(params SolverScaleParams) *Report {
 		r.Curves = append(r.Curves, curve)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(servers), fmt.Sprint(shards),
-			fmt.Sprint(res.Initial.Total()), fmt.Sprint(res.Final.Total()),
+			fmt.Sprint(res.Initial.Total()), fmt.Sprint(res.Final.Total()), fmt.Sprint(res.Floor.Total()),
 			fmt.Sprint(len(res.Moves)), res.Elapsed.Truncate(time.Millisecond).String(),
 		})
+		atFloor = atFloor && res.Final == res.Floor
 		if firstTime == 0 {
 			firstTime, firstSize = res.Elapsed, shards
 		}
@@ -145,7 +148,11 @@ func Fig21(params SolverScaleParams) *Report {
 		r.AddNote("solve time grew %.1fx for a %.0fx problem-size increase (paper: 6.8x for 5x)",
 			float64(lastTime)/float64(firstTime), float64(lastSize)/float64(firstSize))
 	}
-	r.AddNote("all violations fixed at every scale (paper: allocator fixes all violations in all stress tests)")
+	if atFloor {
+		r.AddNote("final violations reach the floor at every scale (paper: allocator fixes all violations in all stress tests)")
+	} else {
+		r.AddNote("final violations stay above the floor at some scale (paper: allocator fixes all violations in all stress tests)")
+	}
 	return r
 }
 
@@ -184,7 +191,7 @@ func runAblation(params SolverAblationParams, variants []ablationVariant) (*Repo
 	}
 	t := Table{
 		Title:   "variant comparison",
-		Columns: []string{"variant", "final violations", "moves", "evaluations", "evals to fix 90%", "solve time"},
+		Columns: []string{"variant", "final violations", "moves", "evaluations", "evals to fix 90%", "solve time", "floor"},
 	}
 	var results []solver.Result
 	for _, v := range variants {
@@ -210,7 +217,7 @@ func runAblation(params SolverAblationParams, variants []ablationVariant) (*Repo
 			v.name, fmt.Sprint(res.Final.Total()), fmt.Sprint(len(res.Moves)),
 			fmt.Sprint(res.Evaluated),
 			fmt.Sprint(int64(timeToFix(curve.Points, res.Initial.Total(), 0.9) / time.Microsecond)),
-			res.Elapsed.Truncate(time.Millisecond).String(),
+			res.Elapsed.Truncate(time.Millisecond).String(), fmt.Sprint(res.Floor.Total()),
 		})
 		results = append(results, *res)
 	}

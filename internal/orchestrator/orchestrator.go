@@ -631,15 +631,21 @@ func (o *Orchestrator) allocate(mode allocator.Mode) {
 	if mode == allocator.Periodic && len(o.migrationQueue) > 0 {
 		return
 	}
-	res := o.solve(mode)
-	if res == nil {
-		return
-	}
+	// The span covers the solve, so a trace puts the search inside the
+	// allocation it belongs to.
 	tr := o.loop.Tracer()
 	if tr.Enabled() {
 		o.curAlloc = tr.StartSpan("orchestrator", "allocate", 0,
 			trace.String("app", string(o.cfg.App)),
 			trace.String("mode", mode.String()))
+	}
+	res := o.solve(mode)
+	if res == nil {
+		if tr.Enabled() {
+			tr.EndSpan(o.curAlloc)
+		}
+		o.curAlloc = 0
+		return
 	}
 	if mode == allocator.Emergency {
 		o.EmergencyRuns.Inc()

@@ -326,6 +326,31 @@ func TestStopReleasesQueuedMigrations(t *testing.T) {
 	}
 }
 
+// TestAllocateSpanCoversTheSolve: with a tracer on, an allocation's span is
+// open while its solve runs, so a trace timeline puts the search inside the
+// allocation it belongs to, and every allocate span ends.
+func TestAllocateSpanCoversTheSolve(t *testing.T) {
+	w := buildWorld(t, []topology.RegionID{"r1", "r2"}, 3, baseConfig(shard.SecondaryOnly, 12, 2))
+	tr := trace.New()
+	w.loop.SetTracer(tr)
+	solves := 0
+	w.orch.solved = func(allocator.Mode, *allocator.Result) {
+		solves++
+		if w.orch.curAlloc == 0 {
+			t.Fatal("a solve ran outside its allocation's span")
+		}
+	}
+	w.loop.RunFor(3 * time.Minute)
+	if solves == 0 {
+		t.Fatal("no allocation solved")
+	}
+	for _, sp := range tr.FindSpans("orchestrator", "allocate") {
+		if !sp.Ended {
+			t.Error("an allocate span never ended")
+		}
+	}
+}
+
 // benchPlacement builds an orchestrator with the given numbers of live
 // servers (one region) and two-replica shards, places the replicas
 // round-robin through the mutators, without an allocator run, and publishes. Replica 0 of shard i
@@ -333,8 +358,8 @@ func TestStopReleasesQueuedMigrations(t *testing.T) {
 // moving replica 0 two servers along never lands it on its sibling. The number
 // of replicas per server is the same at every size the benchmarks use, so an
 // assignment node costs the same to rewrite.
-func benchPlacement(b *testing.B, shards, servers int) (*Orchestrator, []int) {
-	o := benchServers(b, baseConfig(shard.SecondaryOnly, shards, 2), []topology.RegionID{"r1"}, servers)
+func benchPlacement(tb testing.TB, shards, servers int) (*Orchestrator, []int) {
+	o := benchServers(tb, baseConfig(shard.SecondaryOnly, shards, 2), []topology.RegionID{"r1"}, servers)
 	home := make([]int, shards)
 	for i, id := range o.order {
 		home[i] = 2 * i % servers
@@ -440,26 +465,33 @@ func BenchmarkMoveAndPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocateIncremental drives the allocation path alone. On the same
-// worlds as BenchmarkMoveAndPublish, one op re-homes one replica, so solve
-// refreshes the kept problem and runs it afresh on a problem one move away
-// from the last; an op whose solve replays the last result fails, since it
-// would time no search. The lb_churn row is that workload's problem — 6k
-// two-replica shards over 3×100 servers, loads spread 20x, a move cap of 30
-// and a half-point balance band — with every shard's load redrawn (15% noise)
-// between ops, so each op restates every load slot and the search runs into
-// the move cap. Five parent and six change runs of -benchtime=20x
-// on a 2-vCPU host, parent (buildInput and a from-scratch allocator.Run) →
-// change: shards=3k 8.2–10.1 → 5.4–6.8 ms/op and 9,214 → 135 allocs/op;
-// shards=30k 109–152 → 57–75 ms/op and 83,917 → 947 allocs/op, most of what
-// is left being the search over 1,200 buckets that all hold replicas whose
-// spread no target can fix; lb_churn 11.8–15.5 → 4.4–6.2 ms/op and 15,058 →
-// 158 allocs/op, with 7,676 evals/op on both sides.
+// BenchmarkAllocateIncremental drives the allocation path alone. On the
+// worlds of BenchmarkMoveAndPublish and a 300k-shard one over 12,000 servers,
+// one op re-homes one replica, so solve refreshes the kept problem and runs it
+// afresh on a problem one move away from the last; an op whose solve replays
+// the last result fails, since it would time no search. The lb_churn row is
+// that workload's problem — 6k two-replica shards over 3×100 servers, loads
+// spread 20x, a move cap of 30 and a half-point balance band — with every
+// shard's load redrawn (15% noise) between ops, so each op restates every
+// load slot and the search runs into the move cap. Every row reports
+// evals/op. On benchPlacement's one-region worlds every spread violation is
+// at its floor, so a fresh solve evaluates nothing. On a 2-vCPU host, parent
+// (5 ops, with a 300k row added) → change (20 ops, two runs): shards=3k 4.6 →
+// 1.1–1.3 ms/op, 60,928 → 0 evals/op; shards=30k 93 → 11–14 ms/op, 613,844 →
+// 0; shards=300k 1,079 → 141–156 ms/op, 6,143,450 → 0, what is left being
+// the passes over every entity that each stage makes; lb_churn 3.5–6.0 →
+// 3.3–4.9 ms/op and 7,676 → 1,569 evals/op, since a grid applies every
+// improving move it found.
 func BenchmarkAllocateIncremental(b *testing.B) {
-	for _, size := range benchSizes {
+	sizes := append(benchSizes[:len(benchSizes):len(benchSizes)], struct {
+		name            string
+		shards, servers int
+	}{"shards=300k", 300000, 12000})
+	for _, size := range sizes {
 		b.Run(size.name, func(b *testing.B) {
 			o, home := benchPlacement(b, size.shards, size.servers)
 			var prev *allocator.Result
+			evals := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -467,7 +499,9 @@ func BenchmarkAllocateIncremental(b *testing.B) {
 				home[i] = (home[i] + 2) % size.servers
 				o.rehomeReplica(o.shards[o.order[i]], 0, o.byID[home[i]].id)
 				prev = mustSolveFresh(b, o, prev)
+				evals += prev.Evaluated
 			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 		})
 	}
 	b.Run("lb_churn", func(b *testing.B) {
@@ -514,6 +548,32 @@ func mustSolveFresh(tb testing.TB, o *Orchestrator, prev *allocator.Result) *all
 		tb.Fatal("the solve replayed the last result: no fresh solve was measured")
 	}
 	return res
+}
+
+// TestFreshSolveEvaluationsDoNotGrowWithShards: on benchPlacement's world a
+// shard's two replicas share its one region, a spread violation no placement
+// can fix, so every violation stands at its floor: a fresh periodic solve
+// after a replica is re-homed evaluates no candidate, at 3k shards as at 30k,
+// and ends at its floor. Evaluation counts are exact, so the gate is by count;
+// a solve that replays fails it.
+func TestFreshSolveEvaluationsDoNotGrowWithShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 30k-shard world")
+	}
+	for _, size := range benchSizes {
+		o, home := benchPlacement(t, size.shards, size.servers)
+		var prev *allocator.Result
+		for n := range 4 {
+			i := 7 * n % size.shards
+			home[i] = (home[i] + 2) % size.servers
+			o.rehomeReplica(o.shards[o.order[i]], 0, o.byID[home[i]].id)
+			prev = mustSolveFresh(t, o, prev)
+			if prev.Evaluated != 0 || prev.Final != prev.Floor || prev.Floor.Exclusion != size.shards {
+				t.Fatalf("%s, solve %d: %d evaluations, final %+v, floor %+v; want 0 evaluations and a final count at a floor of %d spread violations",
+					size.name, n, prev.Evaluated, prev.Final, prev.Floor, size.shards)
+			}
+		}
+	}
 }
 
 // TestFreshSolveAllocationsDoNotGrowWithShards: a fresh periodic solve on a

@@ -18,7 +18,10 @@
 // O(group size), and evaluating a candidate move never rescans entities.
 package solver
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // EntityID indexes an entity within a Problem.
 type EntityID int
@@ -378,8 +381,10 @@ type confState struct {
 	start []int32
 	ents  []EntityID
 	// extra counts, over every (group, domain), the entities beyond the
-	// first: walked at sync, kept by apply.
-	extra int
+	// first: counted at sync, kept by apply (move). floor counts, over every
+	// group, the extras its placed members must have at sync: r of them over
+	// D domains share at least r - D.
+	extra, floor int
 }
 
 // exclState is one soft exclusion spec: the same membership, and what each
@@ -444,63 +449,74 @@ func (cs *confState) others(assignment []BucketID, g, d int32, e EntityID) (n in
 	return n, sole
 }
 
-// colocated counts, over every (group, domain), the entities beyond the first.
-func (cs *confState) colocated(assignment []BucketID) int { return cs.walk(assignment, nil) }
-
-// walk is colocated, and with crowd it also sets crowd[e], for every placed
-// entity e of the spec, to whether another member of its group shares its
-// domain; it leaves the other entities' flags as they were (or sets them
-// false). It goes through the groups in order, which is cheaper than asking
-// others entity by entity.
-func (cs *confState) walk(assignment []BucketID, crowd []bool) int {
-	var n int
-	for g := 0; g+1 < len(cs.start); g++ {
-		grp := cs.ents[cs.start[g]:cs.start[g+1]]
-		if len(grp) == 2 {
-			// The common group, a shard's two replicas, in one comparison.
-			a, b := assignment[grp[0]], assignment[grp[1]]
-			shared := a != Unassigned && b != Unassigned && cs.dom.bucketDom[a] == cs.dom.bucketDom[b]
-			if shared {
-				n++
-			}
-			if crowd != nil {
-				crowd[grp[0]], crowd[grp[1]] = shared, shared
-			}
+// tally counts group g's placed members, and its extras: the members an
+// earlier member shares a domain with.
+func (cs *confState) tally(assignment []BucketID, g int32) (placed, extras int) {
+	grp := cs.ents[cs.start[g]:cs.start[g+1]]
+	for i, m := range grp {
+		b := assignment[m]
+		if b == Unassigned {
 			continue
 		}
-		for i, m := range grp {
-			b := assignment[m]
-			if b == Unassigned {
-				continue
-			}
-			// m is an extra if an earlier member shares its domain, and
-			// crowded if any other does.
-			d := cs.dom.bucketDom[b]
-			extra, crowded := false, false
-			for j, o := range grp {
-				if ob := assignment[o]; j != i && ob != Unassigned && cs.dom.bucketDom[ob] == d {
-					crowded = true
-					extra = extra || j < i
-				}
-			}
-			if extra {
-				n++
-			}
-			if crowd != nil {
-				crowd[m] = crowded
+		placed++
+		for _, o := range grp[:i] {
+			if ob := assignment[o]; ob != Unassigned && cs.dom.bucketDom[ob] == cs.dom.bucketDom[b] {
+				extras++
+				break
 			}
 		}
 	}
-	return n
+	return placed, extras
+}
+
+// count sums, over every group, its extras and the extras its placed members
+// must have: r of them over D domains share at least r - D.
+func (cs *confState) count(assignment []BucketID) (extras, floor int) {
+	for g := int32(0); int(g)+1 < len(cs.start); g++ {
+		placed, x := cs.tally(assignment, g)
+		extras += x
+		floor += max(0, placed-len(cs.dom.names))
+	}
+	return extras, floor
+}
+
+// atFloor reports whether group g sits at its floor: its placed members
+// occupy min(placed, domains) distinct domains, the most any placement of
+// them can, so no move lowers the group's extras.
+func (cs *confState) atFloor(assignment []BucketID, g int32) bool {
+	placed, extras := cs.tally(assignment, g)
+	return placed-extras >= min(placed, len(cs.dom.names))
+}
+
+// move keeps the spec's extra count as entity e moves from one bucket to
+// another, reading its peers off the assignment before the move.
+func (cs *confState) move(assignment []BucketID, e EntityID, from, to BucketID) {
+	g := cs.entGroup[e]
+	if g < 0 {
+		return
+	}
+	td := cs.dom.bucketDom[to]
+	if from != Unassigned {
+		fd := cs.dom.bucketDom[from]
+		if fd == td {
+			return
+		}
+		if fn, _ := cs.others(assignment, g, fd, e); fn >= 1 {
+			cs.extra--
+		}
+	}
+	if tn, _ := cs.others(assignment, g, td, e); tn >= 1 {
+		cs.extra++
+	}
 }
 
 // affTerm is an entity's interned affinity goal: penalty weight applies
 // whenever the entity's bucket is outside domain domID at the goal's scope.
 // Weight 0 means the entity has none.
 type affTerm struct {
-	bucketDom []int32 // the scope's bucket -> domain mapping
-	domID     int32   // preferred domain; -1 if no bucket is in it
-	weight    float64
+	dom    *scopeDomains // the goal's scope
+	domID  int32         // preferred domain; -1 if no bucket is in it
+	weight float64
 }
 
 // state is the solver's incremental view of a problem.
@@ -517,10 +533,10 @@ type state struct {
 	// at the last sync (ClearGoals zeroes them).
 	nExcl, nConf, nAff int
 	fill               []int32 // confState.index's scratch
-	// crowd[xi][e] is whether entity e shared its domain with another member
-	// of its group in exclusion spec xi at the last sync: walk's answer, read
-	// while the hot set is seeded.
-	crowd [][]bool
+	// peers and pens are apply's scratch: the entities whose share of the hot
+	// set a move can change, and their shares before it.
+	peers []EntityID
+	pens  []float64
 
 	// aff[e] is entity e's interned affinity goal (none for most).
 	aff []affTerm
@@ -536,6 +552,10 @@ type state struct {
 	// capacity and balance rules judge, and what samplers read to prefer cold
 	// targets.
 	bucketLoad [][]float64
+	// least[m] is the least load of metric m over every entity, or 0 if
+	// none is negative, and most[m] the largest over the placed ones, at the
+	// last sync: what floor reads of the loads.
+	least, most []float64
 
 	// unassigned counts entities without a bucket, away the ones placed off
 	// their Home (at the last sync). affN and drainN count the placed
@@ -544,8 +564,9 @@ type state struct {
 	unassigned, away int
 	affN, drainN     int
 
-	// hot tracks every bucket's penalty incrementally (see hotset.go);
-	// apply keeps it in sync with the aggregates above.
+	// hot tracks every bucket's penalty, less what stands, incrementally
+	// (see hotset.go and entityPen); apply keeps it in sync with the
+	// aggregates above.
 	hot *hotSet
 }
 
@@ -591,10 +612,16 @@ func (s *state) sync() {
 		s.byBucket[b] = s.byBucket[b][:0]
 		clear(s.bucketLoad[b])
 	}
+	s.least, s.most = resize(s.least, nM), resize(s.most, nM)
+	clear(s.least)
+	clear(s.most)
 	s.unassigned, s.away = 0, 0
 	for i := range p.Entities {
 		ent := &p.Entities[i]
 		s.assignment[i] = ent.Bucket
+		for m, l := range ent.Load {
+			s.least[m] = min(s.least[m], l)
+		}
 		if ent.Bucket == Unassigned {
 			s.unassigned++
 			continue
@@ -605,6 +632,7 @@ func (s *state) sync() {
 		s.byBucket[ent.Bucket] = append(s.byBucket[ent.Bucket], EntityID(i))
 		for m, l := range ent.Load {
 			s.bucketLoad[ent.Bucket][m] += l
+			s.most[m] = max(s.most[m], l)
 		}
 	}
 
@@ -636,13 +664,12 @@ func (s *state) sync() {
 	}
 	s.nConf = len(p.conflictSpecs)
 	for ci := range s.confs {
-		s.confs[ci].extra = s.confs[ci].colocated(s.assignment)
+		cs := &s.confs[ci]
+		cs.extra, cs.floor = cs.count(s.assignment)
 	}
-	s.crowd = s.crowd[:0]
 	for xi := range s.excls {
-		s.crowd = grow(s.crowd)
-		s.crowd[xi] = resize(s.crowd[xi], len(p.Entities))
-		s.excls[xi].extra = s.excls[xi].walk(s.assignment, s.crowd[xi])
+		ex := &s.excls[xi]
+		ex.extra, ex.floor = ex.count(s.assignment)
 	}
 
 	if len(s.aff) != len(p.Entities) {
@@ -657,7 +684,7 @@ func (s *state) sync() {
 		if !ok {
 			domID = -1 // no bucket is in the preferred domain
 		}
-		s.aff[g.Entity] = affTerm{bucketDom: dom.bucketDom, domID: domID, weight: g.Weight}
+		s.aff[g.Entity] = affTerm{dom: dom, domID: domID, weight: g.Weight}
 	}
 	s.nAff = len(p.affinityGoals)
 
@@ -743,7 +770,7 @@ func (s *state) spec(metric string) *specState {
 
 // affinityPenalty returns the affinity penalty of entity e sitting on bucket b.
 func (s *state) affinityPenalty(e EntityID, b BucketID) float64 {
-	if t := &s.aff[e]; t.weight != 0 && t.bucketDom[b] != t.domID {
+	if t := &s.aff[e]; t.weight != 0 && t.dom.bucketDom[b] != t.domID {
 		return t.weight
 	}
 	return 0
@@ -772,6 +799,10 @@ type prepared struct {
 	exGid       []int32
 	exFromDom   []int32
 	exFromDelta []float64 // -weight when leaving a crowded domain
+
+	// inert is whether no move of the entity alone can lower the objective
+	// (state.inert): the search does not offer it.
+	inert bool
 }
 
 func newPrepared(s *state) prepared {
@@ -836,18 +867,27 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 	} else {
 		pr.base = -unassignedPenalty
 	}
+	pr.inert = s.inert(pr)
 }
 
-// inert reports whether leaving the prepared entity's bucket frees no penalty:
-// every leave term of evalTarget's delta (base, fromDelta, exFromDelta) is
-// exactly 0. Every join term is >= 0 — affinity and drain at the target, a
-// bucket's penalty at a higher load less at the lower one (capPenalty and
-// balPenalty are non-decreasing in load, in floating point too), Weight on
-// joining a crowded domain — so an inert entity's delta is >= 0 at every
-// target and no move of it alone can improve the objective. A negative load
-// would make a join term negative, so an entity carrying one is never inert.
-func (pr *prepared) inert() bool {
-	if pr.base != 0 {
+// inert reports whether no move of the prepared entity alone can improve the
+// objective: every leave term of evalTarget's delta (base, fromDelta,
+// exFromDelta) is 0 or standing. Every join term is >= 0 — affinity and drain
+// at the target, a bucket's penalty at a higher load less at the lower one
+// (capPenalty and balPenalty are non-decreasing in load, in floating point
+// too), Weight on joining a crowded domain — so a leave term of 0 gains
+// nothing. A standing one is paid back at every target:
+//   - leaving a crowded domain of a group at its floor (atFloor): leaving and
+//     joining together change the group's extras by >= 0;
+//   - an affinity penalty affStanding names: every target outside the
+//     preferred domain charges it again, and joining the domain charges a
+//     spread weight at least as large, which nothing frees since the entity
+//     has its own domain to itself.
+//
+// A negative load would make a join term negative, so an entity carrying one
+// is never inert.
+func (s *state) inert(pr *prepared) bool {
+	if pr.from == Unassigned || s.drainPen[pr.from] != 0 {
 		return false
 	}
 	for si, d := range pr.fromDelta {
@@ -855,12 +895,89 @@ func (pr *prepared) inert() bool {
 			return false
 		}
 	}
-	for _, d := range pr.exFromDelta {
-		if d != 0 {
+	for xi, d := range pr.exFromDelta {
+		if d != 0 && !s.excls[xi].atFloor(s.assignment, pr.exGid[xi]) {
 			return false
 		}
 	}
-	return true
+	return s.affinityPenalty(pr.e, pr.from) == 0 || s.affStanding(pr.e, pr.from)
+}
+
+// affStanding reports whether entity e's affinity penalty on bucket b stands:
+// no move of e alone can remove it at a gain. Either no bucket is in the
+// preferred domain, or a spread goal at the goal's scope that weighs at least
+// as much holds a sibling of e there while e has its domain to itself, so
+// moving in trades the penalty for the spread's.
+func (s *state) affStanding(e EntityID, b BucketID) bool {
+	t := &s.aff[e]
+	if t.domID < 0 {
+		return true
+	}
+	for xi := range s.excls {
+		ex := &s.excls[xi]
+		g := ex.entGroup[e]
+		if g < 0 || ex.dom != t.dom || ex.weight < t.weight {
+			continue
+		}
+		if in, _ := ex.others(s.assignment, g, t.domID, e); in == 0 {
+			continue
+		}
+		if here, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); here == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// affAbove is entity e's affinity penalty on bucket b unless it stands.
+func (s *state) affAbove(e EntityID, b BucketID) float64 {
+	if a := s.affinityPenalty(e, b); a != 0 && !s.affStanding(e, b) {
+		return a
+	}
+	return 0
+}
+
+// entityPen is what placed entity e adds to its bucket's penalty, less what
+// stands: its affinity penalty unless it stands, its drain, and each
+// exclusion's weight where it shares its domain and its group is above its
+// floor.
+func (s *state) entityPen(e EntityID) float64 {
+	b := s.assignment[e]
+	if b == Unassigned {
+		return 0
+	}
+	var pen float64
+	if s.nAff > 0 {
+		pen = s.affAbove(e, b)
+	}
+	pen += s.drainPen[b]
+	for xi := range s.excls {
+		ex := &s.excls[xi]
+		if g := ex.entGroup[e]; g >= 0 {
+			if n, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); n >= 1 && !ex.atFloor(s.assignment, g) {
+				pen += ex.weight
+			}
+		}
+	}
+	return pen
+}
+
+// peersOf lists e and every member of its exclusion groups, each once: the
+// entities whose entityPen a move of e can change.
+func (s *state) peersOf(e EntityID) []EntityID {
+	ps := append(s.peers[:0], e)
+	for xi := range s.excls {
+		ex := &s.excls[xi]
+		if g := ex.entGroup[e]; g >= 0 {
+			for _, m := range ex.ents[ex.start[g]:ex.start[g+1]] {
+				if !slices.Contains(ps, m) {
+					ps = append(ps, m)
+				}
+			}
+		}
+	}
+	s.peers = ps
+	return ps
 }
 
 // evalTarget returns the objective change of moving the prepared entity to
@@ -957,85 +1074,26 @@ func (s *state) apply(e EntityID, target BucketID) {
 		}
 	}
 
-	// Hard conflicts only keep their count: the penalty has no term for them.
+	// The per-entity terms: e's travel with it, and a peer's crowding and
+	// standing read where e sits, so each share is taken before the move and
+	// again after it.
+	peers := s.peersOf(e)
+	pens := s.pens[:0]
+	for _, m := range peers {
+		pens = append(pens, s.entityPen(m))
+	}
 	for ci := range s.confs {
-		cs := &s.confs[ci]
-		g := cs.entGroup[e]
-		if g < 0 {
-			continue
-		}
-		td := cs.dom.bucketDom[target]
-		if from != Unassigned {
-			fd := cs.dom.bucketDom[from]
-			if fd == td {
-				continue
-			}
-			if fn, _ := cs.others(s.assignment, g, fd, e); fn >= 1 {
-				cs.extra--
-			}
-		}
-		if tn, _ := cs.others(s.assignment, g, td, e); tn >= 1 {
-			cs.extra++
-		}
+		s.confs[ci].move(s.assignment, e, from, target)
 	}
-
-	// Exclusion crowding. The penalty charges Weight to each entity sharing
-	// its domain with another group member, so crossing the 1<->2 member
-	// boundary also changes the penalty of the other member's bucket. e's
-	// peers are read off the assignment, where e itself is never counted.
 	for xi := range s.excls {
-		ex := &s.excls[xi]
-		g := ex.entGroup[e]
-		if g < 0 {
-			continue
-		}
-		w := ex.weight
-		td := ex.dom.bucketDom[target]
-		tn, tsole := ex.others(s.assignment, g, td, e)
-		if from != Unassigned {
-			fd := ex.dom.bucketDom[from]
-			if fd == td {
-				// Same domain: counts unchanged, but e's own crowding
-				// term moves with it.
-				if tn >= 1 {
-					hot.add(from, -w)
-					hot.add(target, w)
-				}
-				continue
-			}
-			fn, fsole := ex.others(s.assignment, g, fd, e)
-			if fn >= 1 {
-				hot.add(from, -w) // e was crowded at the source
-				ex.extra--
-			}
-			if fn == 1 {
-				hot.add(s.assignment[fsole], -w) // last peer no longer crowded
-			}
-		}
-		if tn >= 1 {
-			hot.add(target, w) // e becomes crowded at the target
-			ex.extra++
-		}
-		if tn == 1 {
-			hot.add(s.assignment[tsole], w) // sole occupant now crowded
-		}
+		s.excls[xi].move(s.assignment, e, from, target)
 	}
-
-	// Affinity and drain are per-entity terms that travel with e.
 	if from != Unassigned {
-		fa := s.affinityPenalty(e, from)
-		s.affN -= b2i(fa > 0)
+		s.affN -= b2i(s.affinityPenalty(e, from) > 0)
 		s.drainN -= b2i(s.drainPen[from] > 0)
-		if d := fa + s.drainPen[from]; d != 0 {
-			hot.add(from, -d)
-		}
 	}
-	ta := s.affinityPenalty(e, target)
-	s.affN += b2i(ta > 0)
+	s.affN += b2i(s.affinityPenalty(e, target) > 0)
 	s.drainN += b2i(s.drainPen[target] > 0)
-	if d := ta + s.drainPen[target]; d != 0 {
-		hot.add(target, d)
-	}
 
 	if from != Unassigned {
 		lst := s.byBucket[from]
@@ -1057,6 +1115,19 @@ func (s *state) apply(e EntityID, target BucketID) {
 		s.bucketLoad[target][m] += l
 	}
 	s.assignment[e] = target
+
+	if pens[0] != 0 {
+		hot.add(from, -pens[0])
+	}
+	if pen := s.entityPen(e); pen != 0 {
+		hot.add(target, pen)
+	}
+	for i, m := range peers[1:] {
+		if d := s.entityPen(m) - pens[i+1]; d != 0 {
+			hot.add(s.assignment[m], d)
+		}
+	}
+	s.pens = pens
 }
 
 // ViolationCounts summarizes constraint and goal violations.
@@ -1120,31 +1191,83 @@ func (s *state) violations() ViolationCounts {
 	return v
 }
 
-// seedPenalty returns how much bucket b contributes to the objective, as sync
-// seeds the hot set with it; afterwards apply maintains the same quantity
-// incrementally. An entity's crowding is read off crowd, which sync's walks
-// just filled; the terms are added in one order on every sync, so a state
-// synced again seeds the same bits.
+// floor returns a lower bound on each count violations gives, for every
+// placement the search can reach from the state as it stands: a search places
+// entities and moves them, and never unplaces one. It costs O(entities +
+// buckets).
+//   - Exclusion and conflict: a group's placed members over D domains share at
+//     least r - D (confState.count).
+//   - Affinity: the placed entities whose preferred domain has no bucket. An
+//     affinity penalty affStanding names for a spread goal's sake is not
+//     counted: no single move removes it at a gain, but a path of moves can,
+//     once another member crowds the entity's domain or a drain or a
+//     balance rule pays for the spread.
+//   - Capacity and balance, per rule: one bucket when the placed load is more
+//     than every bucket's limit together, or one entity's load more than the
+//     largest bucket's limit. A negative load could make room, and a bucket
+//     without capacity escapes the balance count, so either leaves the metric
+//     without a floor.
+func (s *state) floor() ViolationCounts {
+	var v ViolationCounts
+	for xi := range s.excls {
+		v.Exclusion += s.excls[xi].floor
+	}
+	for ci := range s.confs {
+		v.Conflict += s.confs[ci].floor
+	}
+	for e := 0; s.affN > 0 && e < len(s.assignment); e++ {
+		if b := s.assignment[e]; b != Unassigned && s.aff[e].weight != 0 && s.aff[e].domID < 0 {
+			v.Affinity++
+		}
+	}
+	for si := range s.specs {
+		sp := &s.specs[si]
+		largest := s.most[sp.midx]
+		var total, capSum, capMax float64
+		ok := s.least[sp.midx] >= 0
+		for b, c := range sp.cap {
+			ok = ok && c > 0
+			capSum += c
+			capMax = max(capMax, c)
+			total += s.bucketLoad[b][sp.midx]
+		}
+		if !ok {
+			continue
+		}
+		// The sums have room for their own rounding; the thresholds are the
+		// ones violations counts by.
+		if sp.hard && (total > (capSum+1e-9*float64(len(sp.cap)))*(1+1e-9) || largest > capMax+1e-9) {
+			v.Capacity++
+		}
+		forced := func(util float64) bool {
+			util += 1e-9
+			return total > util*capSum*(1+1e-9) || largest/capMax > util
+		}
+		if bp := &sp.bal; bp.weight != 0 {
+			v.Balance += b2i(bp.utilCap > 0 && forced(bp.utilCap))
+			v.Balance += b2i(bp.maxDiff > 0 && forced(sp.meanUtil+bp.maxDiff))
+		}
+	}
+	return v
+}
+
+// seedPenalty returns how much bucket b contributes to the objective, less
+// what stands, as sync seeds the hot set with it; afterwards apply maintains the
+// same quantity incrementally. The terms are added in one order on every
+// sync, so a state synced again seeds the same bits.
 func (s *state) seedPenalty(b BucketID) float64 {
 	var pen float64
 	for si := range s.specs {
 		sp := &s.specs[si]
 		pen += sp.penalty(b, s.bucketLoad[b][sp.midx])
 	}
-	// An affinity or drain term that is 0 adds nothing, so it is not read.
-	travel := s.nAff > 0 || s.drainPen[b] != 0
-	if !travel && len(s.excls) == 0 {
+	// Without affinity goals, a drain or an exclusion an entity carries
+	// nothing, so none is read.
+	if s.nAff == 0 && s.drainPen[b] == 0 && len(s.excls) == 0 {
 		return pen
 	}
 	for _, e := range s.byBucket[b] {
-		if travel {
-			pen += s.affinityPenalty(e, b) + s.drainPen[b]
-		}
-		for xi := range s.excls {
-			if s.excls[xi].entGroup[e] >= 0 && s.crowd[xi][e] {
-				pen += s.excls[xi].weight
-			}
-		}
+		pen += s.entityPen(e)
 	}
 	return pen
 }

@@ -140,8 +140,9 @@ type Options struct {
 	// BigFirst evaluates a hot bucket's largest entities first (§5.3:
 	// "SM guides ReBalancer to evaluate large shards earlier"), largest by
 	// metric 0, the caller's primary metric. It orders the entities that
-	// carry the bucket's penalty; the inert ones, which cannot help alone,
-	// come after all of them. Off, a hot bucket's entities are shuffled.
+	// carry the bucket's penalty and leaves out the inert ones, which cannot
+	// help alone. Off, a hot bucket's entities are shuffled and cut, inert
+	// ones included, and the grid skips the inert ones.
 	BigFirst bool
 	// Sampler picks candidate targets (default RandomSampler).
 	Sampler Sampler
@@ -183,7 +184,12 @@ type Result struct {
 	Moves []Move
 	// Initial and Final violation counts.
 	Initial, Final ViolationCounts
-	// Evaluated counts candidate moves: pairs considered, scored or pruned.
+	// Floor is a lower bound on Final, kind by kind, computed from the input
+	// (state.floor): the violations no placement the search can reach
+	// removes.
+	Floor ViolationCounts
+	// Evaluated counts candidate moves: the pairs a grid scored and the
+	// runner-ups it checked again.
 	Evaluated int
 	// Elapsed wall-clock time.
 	Elapsed time.Duration
@@ -216,9 +222,10 @@ type solveCtx struct {
 	// cands is the shuffled copy of a bucket's list without BigFirst.
 	cands []EntityID
 
-	// preps[:n] are the n candidates candidateEntities offers, prepared; the
-	// second half of preps parks the inert entities it walks past.
+	// preps[:n] are the n candidates candidateEntities offers, prepared.
 	preps []prepared
+	// picks is gridMoves' answer: each candidate's best improving target.
+	picks []pick
 
 	// pending is phase1's list of the entities to place.
 	pending []EntityID
@@ -269,7 +276,7 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 			view:          &View{st: st},
 			entCache:      make([][]EntityID, len(p.Buckets)),
 			entCacheValid: make([]bool, len(p.Buckets)),
-			preps:         make([]prepared, 2*maxEntitiesPerBucket),
+			preps:         make([]prepared, maxEntitiesPerBucket),
 		}
 		for i := range c.preps {
 			c.preps[i] = newPrepared(st)
@@ -283,7 +290,7 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 	}
 	c.opt = opt
 	c.rng = sim.NewRNG(opt.Seed)
-	c.res = &Result{Initial: st.violations()}
+	c.res = &Result{Initial: st.violations(), Floor: st.floor()}
 	c.start = time.Now()
 	c.deadline = time.Time{}
 	if opt.TimeLimit > 0 {
@@ -415,12 +422,12 @@ func (c *solveCtx) phase2() {
 			if !c.budgetLeft() || st.hot.pen[b] <= improveEps {
 				break
 			}
-			e, t, found := c.bestGridMove(c.candidateEntities(b), b)
-			if !found {
+			picks := c.gridMoves(c.candidateEntities(b), b)
+			if len(picks) == 0 {
 				st.hot.freeze(b)
 				break
 			}
-			c.applyMove(e, t)
+			c.applyPicks(picks, b)
 			improved = true
 		}
 	}
@@ -440,14 +447,13 @@ func (c *solveCtx) fireProgress() {
 // evaluate this attempt, prepares them into c.preps in order and returns how
 // many it picked. They come from the bucket's cached movable list (sorted once
 // per invalidation, not per attempt; without the entities at home while the
-// move budget is spent). With BigFirst the entities that carry penalty come
-// first and the inert ones after, each part largest Load[0] first, ties by ID,
-// and the cut comes after the partition: an inert entity cannot improve the
-// objective alone, so it only fills the slots the carrying ones leave. The walk
-// stops once the cut's worth of carrying entities is prepared. Inertness reads
-// domain loads and where the other group members sit, which a move in another
-// bucket changes, so it is prepared afresh every attempt, never cached. Without
-// BigFirst the whole list is shuffled and cut, unpartitioned.
+// move budget is spent). With BigFirst only the entities that are not inert
+// are offered, largest Load[0] first, ties by ID: an inert entity cannot
+// improve the objective alone. The walk stops once the cut's worth is
+// prepared. Inertness reads domain loads and where the other group members
+// sit, which a move in another bucket changes, so it is prepared afresh every
+// attempt, never cached. Without BigFirst the whole list is shuffled and cut,
+// inert entities included; the grid skips them.
 //
 // §5.3's "reuses the computation for equivalent shards" is not reproduced
 // (DESIGN §2): a shard's replicas never share a bucket and each carries its
@@ -489,59 +495,76 @@ func (c *solveCtx) candidateEntities(b BucketID) int {
 		}
 		return n
 	}
-	// Carrying entities are prepared in place, into preps[:nc]; an inert one
-	// is parked in the second half and moved in behind them after the walk.
-	// Swapping prepared values swaps slice headers, so nothing allocates.
-	const k = maxEntitiesPerBucket
-	nc, ni := 0, 0
+	n := 0
 	for _, e := range ents {
-		if nc == k {
+		if n == maxEntitiesPerBucket {
 			break
 		}
-		st.prepare(&c.preps[nc], e)
-		if !c.preps[nc].inert() {
-			nc++
-		} else if ni < k {
-			c.preps[nc], c.preps[k+ni] = c.preps[k+ni], c.preps[nc]
-			ni++
+		if st.prepare(&c.preps[n], e); !c.preps[n].inert {
+			n++
 		}
 	}
-	fill := min(ni, k-nc)
-	for i := range fill {
-		c.preps[nc+i], c.preps[k+i] = c.preps[k+i], c.preps[nc+i]
-	}
-	return nc + fill
+	return n
 }
 
-// bestGridMove samples targets for every candidate entity, evaluating each
-// (entity, target) pair as it is drawn, and returns the feasible pair with the
-// most negative delta. Ties break toward the earliest pair. The candidates are
-// c.preps[:n], as candidateEntities left them. An inert entity's pairs cannot
-// beat -improveEps, so they are pruned, not scored; its targets are still
-// sampled (the RNG draws and the sampler's rotation do not depend on which
-// entities are inert) and still counted in Result.Evaluated.
-func (c *solveCtx) bestGridMove(n int, hotB BucketID) (EntityID, BucketID, bool) {
+// pick is one candidate's best improving target in a grid, and its delta.
+type pick struct {
+	e     EntityID
+	to    BucketID
+	delta float64
+}
+
+// gridMoves samples targets for every candidate entity that is not inert,
+// evaluating each (entity, target) pair as it is drawn, and returns each
+// candidate's feasible target with the most negative delta below
+// -improveEps, ties toward the earliest draw, ordered by delta and ties by
+// grid order. The candidates are c.preps[:n], as candidateEntities left them.
+// An inert entity draws no targets: none of its pairs can improve.
+func (c *solveCtx) gridMoves(n int, hotB BucketID) []pick {
 	st, opt := c.st, &c.opt
-	bestPrep, bestTarget := -1, Unassigned
-	bestDelta := -improveEps
+	picks := c.picks[:0]
 	for pi := range n {
 		pr := &c.preps[pi]
-		inert := pr.inert()
+		if pr.inert {
+			continue
+		}
+		best := pick{e: pr.e, to: Unassigned, delta: -improveEps}
 		for _, t := range opt.Sampler(c.rng, pr.e, opt.CandidateTargets, c.view) {
 			if t == hotB {
 				continue
 			}
 			c.res.Evaluated++
-			if inert {
-				continue
-			}
-			if d, ok := st.evalTarget(pr, t); ok && d < bestDelta {
-				bestDelta, bestPrep, bestTarget = d, pi, t
+			if d, ok := st.evalTarget(pr, t); ok && d < best.delta {
+				best.to, best.delta = t, d
 			}
 		}
+		if best.to != Unassigned {
+			picks = append(picks, best)
+		}
 	}
-	if bestPrep < 0 {
-		return 0, Unassigned, false
+	slices.SortStableFunc(picks, func(a, b pick) int { return cmp.Compare(a.delta, b.delta) })
+	c.picks = picks
+	return picks
+}
+
+// applyPicks applies a grid's best move, then walks the runner-ups in order
+// and applies each that still improves: its grid delta is stale once a move
+// is applied, so it is prepared and evaluated again against the state as it
+// stands, and the check counts in Result.Evaluated. The walk stops when the
+// bucket is no longer hot or a budget is spent. The picks are distinct
+// entities of the bucket, so none has left it before its turn.
+func (c *solveCtx) applyPicks(picks []pick, b BucketID) {
+	st := c.st
+	c.applyMove(picks[0].e, picks[0].to)
+	pr := &c.preps[0]
+	for _, pk := range picks[1:] {
+		if st.hot.pen[b] <= improveEps || c.movesSpent() || !c.budgetLeft() {
+			return
+		}
+		st.prepare(pr, pk.e)
+		c.res.Evaluated++
+		if d, ok := st.evalTarget(pr, pk.to); ok && d < -improveEps {
+			c.applyMove(pk.e, pk.to)
+		}
 	}
-	return c.preps[bestPrep].e, bestTarget, true
 }

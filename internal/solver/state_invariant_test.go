@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -51,7 +52,7 @@ func randomProblem(rng *sim.RNG) *Problem {
 		if rng.Intn(3) == 0 {
 			p.AddAffinityGoal(AffinityGoal{
 				Scope: "region", Entity: id,
-				Domain: fmt.Sprintf("r%d", rng.Intn(3)), Weight: 1 + rng.Float64(),
+				Domain: fmt.Sprintf("r%d", rng.Intn(3)), Weight: 1 + 4*rng.Float64(),
 			})
 		}
 	}
@@ -135,8 +136,8 @@ func (ref occupancyRef) check(t *testing.T, cs *confState, assignment []BucketID
 			}
 		}
 	}
-	if got := cs.colocated(assignment); got != extras {
-		t.Logf("colocated = %d, reference holds %d extras", got, extras)
+	if got, _ := cs.count(assignment); got != extras {
+		t.Logf("count = %d extras, reference holds %d", got, extras)
 		return false
 	}
 	return true
@@ -230,9 +231,9 @@ func TestIncrementalStateMatchesRebuild(t *testing.T) {
 }
 
 // bucketPenalty recomputes in full how much bucket b contributes to the
-// objective, asking each entity's group where its peers sit: the reference
-// for seedPenalty (equal to the bit at sync) and for the penalties apply
-// maintains.
+// objective, less what stands, asking each entity's group where its peers sit:
+// the reference for seedPenalty (equal to the bit at sync) and for the
+// penalties apply maintains.
 func (s *state) bucketPenalty(b BucketID) float64 {
 	var pen float64
 	for si := range s.specs {
@@ -240,17 +241,70 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 		pen += sp.penalty(b, s.bucketLoad[b][sp.midx])
 	}
 	for _, e := range s.byBucket[b] {
-		pen += s.affinityPenalty(e, b) + s.drainPen[b]
+		ep := s.refAffAbove(e, b) + s.drainPen[b]
 		for xi := range s.excls {
 			ex := &s.excls[xi]
-			if g := ex.entGroup[e]; g >= 0 {
+			if g := ex.entGroup[e]; g >= 0 && !refAtFloor(&ex.confState, s.assignment, g) {
 				if n, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); n >= 1 {
-					pen += ex.weight
+					ep += ex.weight
 				}
 			}
 		}
+		pen += ep
 	}
 	return pen
+}
+
+// refMembers lists the domains group g's placed members sit in, one element
+// per member.
+func refMembers(cs *confState, assignment []BucketID, g int32) []int32 {
+	var doms []int32
+	for e, eg := range cs.entGroup {
+		if b := assignment[e]; eg == g && b != Unassigned {
+			doms = append(doms, cs.dom.bucketDom[b])
+		}
+	}
+	return doms
+}
+
+// refAtFloor is atFloor by a set of the group's domains.
+func refAtFloor(cs *confState, assignment []BucketID, g int32) bool {
+	doms := refMembers(cs, assignment, g)
+	distinct := map[int32]bool{}
+	for _, d := range doms {
+		distinct[d] = true
+	}
+	return len(distinct) >= min(len(doms), len(cs.dom.names))
+}
+
+// refAffAbove is affAbove read off refMembers: the penalty stands when its
+// domain has no bucket, or when a spread goal at its scope weighing as much
+// has a member in the preferred domain and no other member in e's.
+func (s *state) refAffAbove(e EntityID, b BucketID) float64 {
+	t := &s.aff[e]
+	if t.weight == 0 || t.dom.bucketDom[b] == t.domID {
+		return 0
+	}
+	if t.domID < 0 {
+		return 0
+	}
+	for xi := range s.excls {
+		ex := &s.excls[xi]
+		g := ex.entGroup[e]
+		if g < 0 || ex.dom != t.dom || ex.weight < t.weight {
+			continue
+		}
+		// e is counted in its own domain.
+		inPref, inOwn := 0, 0
+		for _, d := range refMembers(&ex.confState, s.assignment, g) {
+			inPref += b2i(d == t.domID)
+			inOwn += b2i(d == ex.dom.bucketDom[b])
+		}
+		if inPref > 0 && inOwn == 1 {
+			return 0
+		}
+	}
+	return t.weight
 }
 
 // newStateFresh rebuilds solver state with a fresh domain table, as a solver
@@ -349,30 +403,35 @@ func TestHotSetFreezeUnfreeze(t *testing.T) {
 	}
 }
 
+// softObjective recomputes in full the objective the search lowers, less the
+// unassigned penalty: every capacity and balance penalty, affinity, drain and
+// each exclusion's weighted extras.
+func (st *state) softObjective() float64 {
+	var total float64
+	for si := range st.specs {
+		sp := &st.specs[si]
+		for b := range st.bucketLoad {
+			total += sp.penalty(BucketID(b), st.bucketLoad[b][sp.midx])
+		}
+	}
+	for e := range st.p.Entities {
+		if b := st.assignment[e]; b != Unassigned {
+			total += st.affinityPenalty(EntityID(e), b) + st.drainPen[b]
+		}
+	}
+	for xi := range st.excls {
+		ex := &st.excls[xi]
+		extras, _ := ex.count(st.assignment)
+		total += ex.weight * float64(extras)
+	}
+	return total
+}
+
 // TestMoveDeltaMatchesAppliedObjective checks that moveDelta's prediction
 // equals the actual objective change measured by full evaluation.
 func TestMoveDeltaMatchesAppliedObjective(t *testing.T) {
 	objective := func(st *state) float64 {
-		var total float64
-		for si := range st.specs {
-			sp := &st.specs[si]
-			for b := range st.bucketLoad {
-				total += sp.penalty(BucketID(b), st.bucketLoad[b][sp.midx])
-			}
-		}
-		for e := range st.p.Entities {
-			b := st.assignment[e]
-			if b == Unassigned {
-				total += unassignedPenalty
-				continue
-			}
-			total += st.affinityPenalty(EntityID(e), b) + st.drainPen[b]
-		}
-		for xi := range st.excls {
-			ex := &st.excls[xi]
-			total += ex.weight * float64(ex.colocated(st.assignment))
-		}
-		return total
+		return st.softObjective() + unassignedPenalty*float64(st.unassigned)
 	}
 	if err := quick.Check(func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
@@ -406,9 +465,13 @@ func TestMoveDeltaMatchesAppliedObjective(t *testing.T) {
 // TestInertEntitiesCannotImprove checks the bound the search prunes by, on
 // random worlds walked through random moves: an inert entity's move to any
 // bucket is infeasible or >= 0, so the grid may drop its pairs. Every leave
-// term counts: inert() ignoring base, fromDelta or exFromDelta fails here.
+// term counts: inert ignoring base, fromDelta or exFromDelta fails here, and
+// so does a floor that counts a penalty some single move removes (an
+// exclusion group below its floor, or an affinity penalty whose spread goal
+// weighs less or whose entity shares its domain). The worlds must reach
+// inert entities whose leave terms are not all 0.
 func TestInertEntitiesCannotImprove(t *testing.T) {
-	singles := 0
+	singles, standing := 0, 0
 	for seed := uint64(1); seed <= 150; seed++ {
 		rng := sim.NewRNG(seed)
 		p := randomProblem(rng)
@@ -423,8 +486,11 @@ func TestInertEntitiesCannotImprove(t *testing.T) {
 					continue
 				}
 				st.prepare(&pr, e)
-				if !pr.inert() {
+				if !pr.inert {
 					continue
+				}
+				if pr.base != 0 || slices.ContainsFunc(pr.exFromDelta, func(d float64) bool { return d != 0 }) {
+					standing++
 				}
 				for t2 := BucketID(0); int(t2) < nB; t2++ {
 					if d, ok := st.evalTarget(&pr, t2); ok {
@@ -441,9 +507,88 @@ func TestInertEntitiesCannotImprove(t *testing.T) {
 			}
 		}
 	}
-	if singles == 0 {
-		t.Fatal("the worlds checked no inert moves")
+	if singles == 0 || standing == 0 {
+		t.Fatalf("the worlds checked %d inert moves, %d entities inert by a standing term", singles, standing)
 	}
+}
+
+// TestFloorIsALowerBound: on random worlds, whatever a Solve reaches counts at
+// least its floor in every kind. Every fifth entity without a region
+// preference is given one for a region with no bucket, so the worlds reach
+// affinity floors as well as exclusion floors (more members than regions).
+// The standing penalties the search skips are not all floor: counting an
+// affinity penalty that a heavier spread goal holds out of its region fails
+// here.
+func TestFloorIsALowerBound(t *testing.T) {
+	var seen ViolationCounts
+	for seed := uint64(1); seed <= 300; seed++ {
+		p := randomProblem(sim.NewRNG(seed))
+		preferring := make([]bool, len(p.Entities))
+		for _, g := range p.affinityGoals {
+			preferring[g.Entity] = true
+		}
+		for e := 0; e < len(p.Entities); e += 5 {
+			if !preferring[e] {
+				p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: EntityID(e), Domain: "r9", Weight: 2})
+			}
+		}
+		res := Solve(p, DefaultOptions())
+		f, v := res.Floor, res.Final
+		if f.Capacity > v.Capacity || f.Conflict > v.Conflict || f.Balance > v.Balance || f.Affinity > v.Affinity ||
+			f.Exclusion > v.Exclusion || f.Drain > v.Drain || f.Unassigned > v.Unassigned {
+			t.Fatalf("seed %d: floor %+v above final %+v", seed, f, v)
+		}
+		seen.Capacity += f.Capacity
+		seen.Balance += f.Balance
+		seen.Affinity += f.Affinity
+		seen.Exclusion += f.Exclusion
+	}
+	if seen.Affinity == 0 || seen.Exclusion == 0 {
+		t.Fatalf("the worlds reach no affinity or no exclusion floor: %+v", seen)
+	}
+	t.Logf("floors summed over the worlds: %+v", seen)
+}
+
+// TestEveryAppliedMoveLowersTheObjective: on random worlds, every move a
+// Solve applies, runner-ups of a grid included, lowers the objective
+// recomputed in full when it is replayed from the same start: a placement
+// lowers the unplaced count, any other move the rest. A runner-up applied on
+// its stale grid delta fails here. The worlds must apply runner-ups: after
+// phase 1, one grid on each world's hottest bucket is counted apart.
+func TestEveryAppliedMoveLowersTheObjective(t *testing.T) {
+	runnerUps := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		p := randomProblem(sim.NewRNG(seed))
+		replay := newState(freshCopy(p))
+		lowers := func(moves []Move) {
+			t.Helper()
+			for i, m := range moves {
+				before, unplaced := replay.softObjective(), replay.unassigned
+				replay.apply(m.Entity, m.To)
+				if after := replay.softObjective(); replay.unassigned == unplaced && !(after < before) {
+					t.Fatalf("seed %d: move %d of %d, %+v, takes the objective from %v to %v", seed, i, len(moves), m, before, after)
+				}
+			}
+		}
+		lowers(Solve(p, DefaultOptions()).Moves)
+
+		p = randomProblem(sim.NewRNG(seed))
+		replay = newState(freshCopy(p))
+		c := newSolveCtx(p, DefaultOptions())
+		c.phase1()
+		if b, pen := c.st.hot.top(); b >= 0 && pen > improveEps {
+			placed := len(c.res.Moves)
+			if picks := c.gridMoves(c.candidateEntities(b), b); len(picks) > 0 {
+				c.applyPicks(picks, b)
+				runnerUps += len(c.res.Moves) - placed - 1
+			}
+		}
+		lowers(c.res.Moves)
+	}
+	if runnerUps == 0 {
+		t.Fatal("no grid applied a runner-up")
+	}
+	t.Logf("one grid per world applied %d runner-ups", runnerUps)
 }
 
 // moveDelta returns the objective change of moving e from its current bucket
@@ -456,8 +601,8 @@ func (s *state) moveDelta(e EntityID, target BucketID) (float64, bool) {
 }
 
 // TestMoveDeltaAllocFree: the hot loop's contract is zero allocations per
-// candidate evaluation — a prepare, an inert check and an evalTarget into a
-// reused prepared — and per commit: apply, here an apply and the apply that
+// candidate evaluation — a prepare, its inert check included, and an
+// evalTarget into a reused prepared — and per commit: apply, here an apply and the apply that
 // moves the entity back, groups present.
 func TestMoveDeltaAllocFree(t *testing.T) {
 	rng := sim.NewRNG(7)
@@ -471,12 +616,11 @@ func TestMoveDeltaAllocFree(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		st.prepare(&pr, EntityID(i%nE))
-		pr.inert()
 		st.evalTarget(&pr, BucketID((i*7)%nB))
 		i++
 	})
 	if allocs > 0 {
-		t.Fatalf("prepare, inert and evalTarget allocate %.1f times per call, want 0", allocs)
+		t.Fatalf("prepare and evalTarget allocate %.1f times per call, want 0", allocs)
 	}
 
 	for e := range p.Entities {
@@ -599,12 +743,13 @@ func TestSearchStateHasNoMaps(t *testing.T) {
 	}
 }
 
-// TestWalkMatchesOthers: what sync's walks find — each spec's count of
-// entities beyond the first in their (group, domain), and whether each placed
-// entity shares its domain — is what others answers entity by entity, on
-// groups of the sizes the allocator states (one to three members) with
-// members unplaced, alone or sharing a domain.
-func TestWalkMatchesOthers(t *testing.T) {
+// TestCountMatchesAScan: what sync counts — each spec's entities beyond
+// the first in their (group, domain) — is what a scan entity by entity
+// counts; whether each group is at its floor is refAtFloor's answer; and the
+// spec's floor is what refMembers' domain counts give. The groups have the
+// sizes the allocator states (one to three members), with members unplaced,
+// alone or sharing a domain.
+func TestCountMatchesAScan(t *testing.T) {
 	rng := sim.NewRNG(5)
 	for trial := 0; trial < 200; trial++ {
 		p := NewProblem([]string{"cpu"})
@@ -630,22 +775,25 @@ func TestWalkMatchesOthers(t *testing.T) {
 				if b == Unassigned {
 					continue
 				}
-				n, _ := cs.others(st.assignment, cs.entGroup[e], cs.dom.bucketDom[b], EntityID(e))
-				earlier := 0
 				for _, m := range cs.ents[cs.start[cs.entGroup[e]]:cs.start[cs.entGroup[e]+1]] {
 					if m < EntityID(e) && st.assignment[m] != Unassigned && cs.dom.bucketDom[st.assignment[m]] == cs.dom.bucketDom[b] {
-						earlier++
+						extra++
+						break
 					}
-				}
-				if earlier > 0 {
-					extra++
-				}
-				if i == 1 && st.crowd[0][e] != (n >= 1) {
-					t.Fatalf("trial %d: entity %d crowded %v, others counts %d", trial, e, st.crowd[0][e], n)
 				}
 			}
 			if cs.extra != extra {
-				t.Fatalf("trial %d, spec %d: walk counts %d extras, others %d", trial, i, cs.extra, extra)
+				t.Fatalf("trial %d, spec %d: sync counts %d extras, the scan %d", trial, i, cs.extra, extra)
+			}
+			floor := 0
+			for g := int32(0); int(g) < groups; g++ {
+				if cs.atFloor(st.assignment, g) != refAtFloor(cs, st.assignment, g) {
+					t.Fatalf("trial %d, spec %d: group %d at floor %v", trial, i, g, !refAtFloor(cs, st.assignment, g))
+				}
+				floor += max(0, len(refMembers(cs, st.assignment, g))-len(cs.dom.names))
+			}
+			if cs.floor != floor {
+				t.Fatalf("trial %d, spec %d: floor %d, the scan %d", trial, i, cs.floor, floor)
 			}
 		}
 	}

@@ -101,7 +101,10 @@ go test ./internal/allocator -run '^$' -bench RunFirstPlacement -benchtime=1x
 go test ./internal/sim -run '^$' -bench LoopScheduleAndRun -benchtime=1x
 go test ./internal/discovery -run '^$' -bench Publish -benchtime=1x
 go test ./internal/routing -run '^$' -bench ClientRequestRoundTrip -benchmem -benchtime=1x
-go test ./internal/orchestrator -run '^$' -bench 'MoveAndPublish|AllocateIncremental|CollectLoads' -benchtime=1x
+go test ./internal/orchestrator -run '^$' -bench 'MoveAndPublish|CollectLoads' -benchtime=1x
+# The 300k-shard row of the allocation drive builds a ~0.6 GB world; the smoke
+# runs the other three.
+go test ./internal/orchestrator -run '^$' -bench 'AllocateIncremental/^(shards=3k|shards=30k|lb_churn)$' -benchtime=1x
 echo "== profiler- and tracing-overhead benchmark smokes (-benchtime=1x)"
 go test . -run '^$' -bench ProfilerOverhead -benchtime=1x
 go test . -run '^$' -bench TracingOverhead -benchtime=1x
