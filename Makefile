@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check test bench bench-layers audit-torture deploy-cover vet build fmt loc
+.PHONY: check test bench bench-layers audit-torture deploy-cover mutants vet build fmt loc
 
 check: ## gofmt + vet + build + race-enabled tests (tier-1 verify)
 	sh scripts/check.sh
@@ -19,6 +19,9 @@ vet:
 
 deploy-cover: ## per-package statement coverage of every command, example and bench workload run; fails unless the internal/ functions none of them enters are exactly scripts/unreached.txt (under a minute; part of check)
 	sh scripts/deploycover.sh
+
+mutants: ## every scripts/mutants/<name>.patch applied to a copy of the tree must fail the tests its header names (seconds; part of check)
+	sh scripts/mutants.sh
 
 loc: ## non-blank, non-comment lines of non-test Go code, per package directory and repo-wide
 	sh scripts/loc.sh

@@ -340,8 +340,11 @@ func exportedFields(typ reflect.Type) []string {
 // fabric keeps one record per endpoint, not a region map and a down map side
 // by side, and a server keys its replicas and tombstones by the directory's
 // shard number, not by the shard's name. Off the request path the same rule:
-// the solver is told an entity's group one way, as a number, not as a string
-// in a map it must intern, and a capacity or balance rule has no scope: it
+// the solver is told an entity's group one way, as a number on the entity, not
+// as a string in a map it must intern nor as a spec listing groups per goal
+// (no conflict or exclusion-goal adder: the bucket rule comes with the
+// grouping, and the spread names only a scope and a weight; names assembled
+// from stems, as above), and a capacity or balance rule has no scope: it
 // judges each server's load, which the search already sums.
 func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 	net := reflect.TypeOf(rpcnet.Network{})
@@ -362,9 +365,9 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 		}
 	}
 	for spec, want := range map[reflect.Type][]string{
-		reflect.TypeOf(solver.ExclusionSpec{}): {"Scope", "Group", "NumGroups", "Weight"}, // no Groups map beside the dense slice
-		reflect.TypeOf(solver.CapacitySpec{}):  {"Metric"},
-		reflect.TypeOf(solver.BalanceSpec{}):   {"Metric", "UtilCap", "MaxDiff", "Weight"},
+		reflect.TypeOf(solver.Entity{}):       {"Load", "Bucket", "Home", "Movable", "Group"},
+		reflect.TypeOf(solver.CapacitySpec{}): {"Metric"},
+		reflect.TypeOf(solver.BalanceSpec{}):  {"Metric", "UtilCap", "MaxDiff", "Weight"},
 	} {
 		var fields []string
 		for i := 0; i < spec.NumField(); i++ {
@@ -372,6 +375,15 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 		}
 		if !reflect.DeepEqual(fields, want) {
 			t.Errorf("%v fields = %v, want exactly %v", spec, fields, want)
+		}
+	}
+	if f, _ := reflect.TypeOf(solver.Entity{}).FieldByName("Group"); f.Type != reflect.TypeOf(int32(0)) {
+		t.Errorf("solver.Entity.Group is a %v, want the group's number as an int32", f.Type)
+	}
+	prob := reflect.TypeOf((*solver.Problem)(nil))
+	for _, gone := range []string{"Add" + "Conflict", "Add" + "Exclusion" + "Goal"} {
+		if _, ok := prob.MethodByName(gone); ok {
+			t.Errorf("%v has %s: the bucket rule and the spread act on the entities' one grouping", prob, gone)
 		}
 	}
 }

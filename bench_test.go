@@ -136,6 +136,7 @@ func BenchmarkSolverMoveEvaluation(b *testing.B) {
 			Load:    []float64{0.2 + 4*rng.Float64()},
 			Bucket:  solver.BucketID(rng.Intn(500)),
 			Movable: true,
+			Group:   -1,
 		})
 	}
 	p.AddConstraint(solver.CapacitySpec{Metric: "cpu"})

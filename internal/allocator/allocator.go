@@ -13,6 +13,7 @@
 package allocator
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -52,7 +53,8 @@ type ShardSpec struct {
 	Load topology.Capacity
 	// RegionPreference, if non-empty, is the preferred region for this
 	// shard's replicas (§5.1 soft goal 1). Weight defaults to
-	// Policy.AffinityWeight when PreferenceWeight is zero.
+	// Policy.AffinityWeight when PreferenceWeight is zero; a weight that is
+	// zero then states no preference.
 	RegionPreference topology.RegionID
 	PreferenceWeight float64
 }
@@ -103,7 +105,8 @@ type Policy struct {
 	// replicas spread (§5.1 soft goal 2); SpreadWeight 0 disables.
 	SpreadLevel  topology.FaultDomainLevel
 	SpreadWeight float64
-	// AffinityWeight is the default region-preference weight.
+	// AffinityWeight is the default region-preference weight; 0 disables
+	// the preferences that state no weight of their own.
 	AffinityWeight float64
 	// PerShardMoveCap bounds concurrent replica moves per shard emitted
 	// in one run (hard constraint 1 of §5.1). 0 means 1.
@@ -252,11 +255,6 @@ type Problem struct {
 	// cur[e] is the bucket entity e's replica is on: Unassigned when it has
 	// no live server, or no replica yet.
 	cur []solver.BucketID
-	// group[e] is the index of entity e's shard when that shard has replicas
-	// to keep apart, else -1: the group of both the server-scope conflict and
-	// the spread goal.
-	group   []int32
-	grouped bool
 	// preferring counts the shards with a region preference.
 	preferring int
 
@@ -297,16 +295,9 @@ func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
 	}
 	p.loads = make([]float64, len(shards)*len(a.policy.Metrics))
 	p.cur = make([]solver.BucketID, n)
-	p.group = make([]int32, n)
 	for i, spec := range shards {
-		g := int32(-1)
-		if spec.Replicas > 1 {
-			g = int32(i)
-			p.grouped = true
-		}
 		for e := p.shards[i].first; e < p.shards[i].first+spec.Replicas; e++ {
 			p.cur[e] = solver.Unassigned
-			p.group[e] = g
 		}
 		p.SetShard(i, spec)
 	}
@@ -382,11 +373,15 @@ func (p *Problem) SetServers(servers []ServerInfo) []int {
 		p.serverOf = append(p.serverOf, s.ID)
 	}
 	// The entities are restated at every run; their count is known, so the
-	// slice is sized once.
+	// slice is sized once. A shard with replicas to keep apart is a group.
 	prob.Entities = make([]solver.Entity, 0, len(p.cur))
-	for i := range p.shards {
-		for range p.shards[i].replicas {
-			prob.AddEntity(solver.Entity{Load: p.slot(i), Bucket: solver.Unassigned})
+	for i, sh := range p.shards {
+		g := int32(-1)
+		if sh.replicas > 1 {
+			g = int32(i)
+		}
+		for range sh.replicas {
+			prob.AddEntity(solver.Entity{Load: p.slot(i), Bucket: solver.Unassigned, Group: g})
 		}
 	}
 	p.prob = prob
@@ -528,17 +523,10 @@ func (p *Problem) run(mode Mode) *Result {
 	// spend far more evaluations moving it than placing it with them in view
 	// costs. A placing run may therefore leave a drain to the next run.
 
-	// Critical: capacity, no two replicas of a shard on one server, drains.
+	// Critical: capacity, drains, and (the solver's own rule on the
+	// grouping) no two replicas of a shard on one server.
 	for _, m := range prob.Metrics {
 		prob.AddConstraint(solver.CapacitySpec{Metric: m})
-	}
-	if p.grouped {
-		// Invariant: a shard's replicas never share a server (hard).
-		prob.AddConflict(solver.ExclusionSpec{
-			Scope:     solver.ScopeBucket,
-			Group:     p.group,
-			NumGroups: len(p.shards),
-		})
 	}
 	prob.AddDrainGoal(drainWeight)
 	if mode != Emergency && unplaced == 0 {
@@ -546,22 +534,14 @@ func (p *Problem) run(mode Mode) *Result {
 	}
 
 	// Placement: spread and region preference.
-	if pol.SpreadWeight > 0 && p.grouped {
-		prob.AddExclusionGoal(solver.ExclusionSpec{
-			Scope:     pol.SpreadLevel.String(),
-			Group:     p.group,
-			NumGroups: len(p.shards),
-			Weight:    pol.SpreadWeight,
-		})
+	if pol.SpreadWeight > 0 {
+		prob.AddSpreadGoal(pol.SpreadLevel.String(), pol.SpreadWeight)
 	}
 	for i := 0; p.preferring > 0 && i < len(p.shards); i++ {
 		sh := &p.shards[i]
-		if sh.pref == "" {
+		w := cmp.Or(sh.weight, pol.AffinityWeight)
+		if sh.pref == "" || w == 0 {
 			continue
-		}
-		w := sh.weight
-		if w == 0 {
-			w = pol.AffinityWeight
 		}
 		for e := sh.first; e < sh.first+sh.replicas; e++ {
 			if prob.Entities[e].Movable {

@@ -186,6 +186,34 @@ func TestRegionPreferenceHonored(t *testing.T) {
 	}
 }
 
+// TestZeroAffinityWeightStatesNoPreference: under the zero-value policy
+// (AffinityWeight 0), a region preference with no weight of its own resolves
+// to weight 0, which states no goal, as SpreadWeight 0 states no spread: the
+// run places every replica and counts no affinity violation. A shard's own
+// weight still states its preference.
+func TestZeroAffinityWeightStatesNoPreference(t *testing.T) {
+	shards := makeShards(10, 1, 1)
+	for i := range shards {
+		shards[i].RegionPreference = "r2"
+	}
+	shards[0].PreferenceWeight = 5
+	in := Input{
+		Servers: makeServers(6, []string{"r1", "r2"}, 100),
+		Shards:  shards,
+		Current: map[shard.ID][]shard.ServerID{"s0000": {"srv000"}},
+	}
+	pol := Policy{Metrics: []topology.Resource{topology.ResourceCPU}}
+	for _, mode := range []Mode{Periodic, Emergency} {
+		res := New(pol, 1).Run(in, mode)
+		if res.Final.Unassigned != 0 || res.Initial.Affinity > 1 || res.Final.Affinity > 1 {
+			t.Errorf("%v: initial %+v, final %+v: want every replica placed and only s0000's preference stated", mode, res.Initial, res.Final)
+		}
+	}
+	if res := New(pol, 1).Run(in, Periodic); res.Initial.Affinity != 1 || res.Final.Affinity != 0 {
+		t.Errorf("s0000's own weight: affinity %d -> %d, want 1 -> 0", res.Initial.Affinity, res.Final.Affinity)
+	}
+}
+
 func TestEmergencyPinsHealthyReplicas(t *testing.T) {
 	a := New(DefaultPolicy(topology.ResourceCPU), 1)
 	servers := makeServers(6, []string{"r1", "r2"}, 100)

@@ -76,6 +76,7 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 			Load:    []float64{baseStorage * skew, baseCPU * skew, 1},
 			Bucket:  solver.BucketID(rng.Intn(servers)),
 			Movable: true,
+			Group:   -1,
 		})
 		if geo && i%5 == 0 {
 			// A fifth of shards dictate a regional placement

@@ -30,6 +30,7 @@ func scaleProblem(rng *sim.RNG, buckets, entities int) *Problem {
 			Load:    []float64{baseStorage * skew, baseCPU * skew, 1},
 			Bucket:  BucketID(rng.Intn(buckets)),
 			Movable: true,
+			Group:   -1,
 		})
 	}
 	for _, m := range []string{"storage", "cpu"} {
@@ -64,9 +65,9 @@ func BenchmarkSolveScale(b *testing.B) {
 // replicatedProblem builds the problem the allocator states for the bench's
 // lb_churn workload at its balance stage, which scaleProblem lacks every
 // group-keyed part of: 300 buckets in 3 regions, 6,000 groups of 2 entities
-// under a bucket-scope conflict and a region-scope exclusion, a region
-// preference on a third of the groups, 20x load spread, and a random
-// conflict-free initial assignment.
+// under the bucket rule and a region-scope spread, a region preference on a
+// third of the groups, 20x load spread, and a random initial assignment that
+// keeps the bucket rule.
 func replicatedProblem(rng *sim.RNG) *Problem {
 	const buckets, groups, replicas, regions = 300, 6000, 2, 3
 	p := NewProblem([]string{"cpu", "shard_count"})
@@ -80,7 +81,6 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 		})
 	}
 	baseCPU := buckets * 100 * 0.55 / (groups * replicas)
-	group := make([]int32, 0, groups*replicas)
 	for g := 0; g < groups; g++ {
 		load := []float64{baseCPU * (0.1 + 1.9*rng.Float64()), 1}
 		first := rng.Intn(buckets)
@@ -89,8 +89,8 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 				Load:    load,
 				Bucket:  BucketID((first + r*(1+rng.Intn(buckets-1))) % buckets),
 				Movable: true,
+				Group:   int32(g),
 			})
-			group = append(group, int32(g))
 			if g%3 == 0 {
 				p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: id, Domain: fmt.Sprintf("r%d", g%regions), Weight: 200})
 			}
@@ -100,15 +100,14 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 		p.AddConstraint(CapacitySpec{Metric: m})
 		p.AddBalanceGoal(BalanceSpec{Metric: m, UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
 	}
-	p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Group: group, NumGroups: groups})
-	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: group, NumGroups: groups, Weight: 100})
+	p.AddSpreadGoal("region", 100)
 	p.AddDrainGoal(500)
 	return p
 }
 
 // BenchmarkSolveReplicated drives the code an allocation of replicated shards
-// spends its time in — building the state with both group specs, then
-// conflict and spread checks on every candidate — and reports the
+// spends its time in — building the state with its grouping, then the bucket
+// rule and spread checks on every candidate — and reports the
 // evaluations per solve and the cost of each, state build included. The
 // budget=30 case spends lb_churn's move cap (the allocator's MaxTotalMoves)
 // as the search's move budget. The settled case solves the world to

@@ -91,9 +91,9 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{100}})
 		}
-		homed := p.AddEntity(Entity{Load: []float64{1}, Bucket: drain, Movable: true})
+		homed := p.AddEntity(Entity{Load: []float64{1}, Bucket: drain, Movable: true, Group: -1})
 		for i := 0; i < 20; i++ {
-			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true})
+			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
 		}
 		p.AddConstraint(CapacitySpec{Metric: "cpu"})
 		p.AddDrainGoal(10)
@@ -113,8 +113,8 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		b := p.AddBucket(Bucket{Name: "B", Capacity: []float64{100}, Draining: true})
 		c := p.AddBucket(Bucket{Name: "C", Capacity: []float64{100}})
 		d := p.AddBucket(Bucket{Name: "D", Capacity: []float64{100}, Draining: true})
-		x := p.AddEntity(Entity{Load: []float64{1}, Bucket: a, Movable: true})
-		y := p.AddEntity(Entity{Load: []float64{1}, Bucket: d, Movable: true})
+		x := p.AddEntity(Entity{Load: []float64{1}, Bucket: a, Movable: true, Group: -1})
+		y := p.AddEntity(Entity{Load: []float64{1}, Bucket: d, Movable: true, Group: -1})
 		p.Entities[x].Bucket = b
 		p.AddConstraint(CapacitySpec{Metric: "cpu"})
 		p.AddDrainGoal(10)

@@ -4,28 +4,25 @@ import "fmt"
 
 // domainTable interns (bucket, scope) -> domain strings into dense int IDs
 // so the solver's hot loop indexes flat slices instead of hashing strings.
-// Conflicts, exclusions and affinities name the scopes; each is interned on
-// demand the first time one references it and kept with the Problem, so a
-// problem solved again with more goals (the allocator's goal stages) interns
-// each scope once.
+// The spread and affinities name the scopes; each is interned on demand the
+// first time one references it and kept with the Problem, so a problem solved
+// again with more goals (the allocator's goal stages) interns each scope once.
 type domainTable struct {
 	scopes map[string]*scopeDomains
 }
 
-// scopeDomains is the interned view of one scope: every bucket's domain ID
-// and the reverse ID -> name mapping.
+// scopeDomains is the interned view of one scope: every bucket's domain ID.
 type scopeDomains struct {
 	// bucketDom[b] is the dense domain ID of bucket b at this scope.
 	bucketDom []int32
-	// names[d] is the domain string of ID d.
-	names []string
-	// index maps a domain string back to its ID.
+	// n is the number of domains.
+	n int
+	// index maps a domain string to its ID.
 	index map[string]int32
 }
 
-// domains returns the interned view of scope, building it on first use.
-// Buckets lacking a Props entry for the scope panic with the same message as
-// the string-keyed path did.
+// domains returns the interned view of scope, building it on first use. A
+// bucket lacking a Props entry for the scope panics.
 func (t *domainTable) domains(p *Problem, scope string) *scopeDomains {
 	if sd, ok := t.scopes[scope]; ok {
 		if len(sd.bucketDom) != len(p.Buckets) {
@@ -38,12 +35,15 @@ func (t *domainTable) domains(p *Problem, scope string) *scopeDomains {
 		index:     make(map[string]int32),
 	}
 	for b := range p.Buckets {
-		name := p.domainOf(BucketID(b), scope)
+		name, ok := p.Buckets[b].Props[scope]
+		if !ok {
+			panic(fmt.Sprintf("solver: bucket %q lacks scope %q", p.Buckets[b].Name, scope))
+		}
 		id, ok := sd.index[name]
 		if !ok {
-			id = int32(len(sd.names))
+			id = int32(sd.n)
 			sd.index[name] = id
-			sd.names = append(sd.names, name)
+			sd.n++
 		}
 		sd.bucketDom[b] = id
 	}

@@ -1,6 +1,7 @@
 // Package solver implements a generic constraint solver for assignment
 // problems, modeled after ReBalancer (§5.2): callers describe entities
-// (shard replicas), buckets (servers), hard capacity constraints, and
+// (shard replicas) and their one grouping (a shard's replicas, which never
+// share a bucket), buckets (servers), hard capacity constraints, and
 // weighted soft goals through a high-level API, and the solver improves the
 // assignment with local search (§5.3).
 //
@@ -33,10 +34,6 @@ type BucketID int
 // Unassigned marks an entity without a bucket.
 const Unassigned BucketID = -1
 
-// ScopeBucket is the Scope value meaning "each bucket individually"; any
-// other scope string refers to a bucket property (e.g. "region", "rack").
-const ScopeBucket = ""
-
 // unassignedPenalty dominates every soft goal so that placing unassigned
 // entities is always the most urgent improvement.
 const unassignedPenalty = 1e12
@@ -55,6 +52,11 @@ type Entity struct {
 	// Movable entities may be reassigned; pinned ones contribute load
 	// but never move.
 	Movable bool
+	// Group is the entity's group number, or -1 for none. Two members of one
+	// group never share a bucket (a hard rule), and the spread goal
+	// (AddSpreadGoal) keeps them in distinct domains. Like Bucket.Props it is
+	// read when the state is built and must not change after.
+	Group int32
 }
 
 // Bucket is one assignment target (a server).
@@ -108,21 +110,6 @@ type AffinityGoal struct {
 	Weight float64
 }
 
-// ExclusionSpec is a soft goal: entities of one group should occupy distinct
-// domains at Scope (spread of replicas, §5.1 soft goal 2; Fig 13 statements
-// 7-8). Each colocated extra entity costs Weight.
-type ExclusionSpec struct {
-	Scope string
-	// Group[e] is entity e's group number in [0, NumGroups), or -1 for an
-	// entity outside the spec; it has one element per entity of the problem
-	// at Solve time. The solver only reads it, so specs may share one slice,
-	// and indexes it at the first Solve that sees the spec: it must not change
-	// while the spec is in the problem.
-	Group     []int32
-	NumGroups int
-	Weight    float64
-}
-
 // Problem is a mutable assignment problem under construction. Build it with
 // the Add* methods, then call Solve. A problem may be solved again: after more
 // goals are added (the allocator's goal stages), or after ClearGoals and new
@@ -137,12 +124,13 @@ type Problem struct {
 	Entities []Entity
 	Buckets  []Bucket
 
-	capacitySpecs  []CapacitySpec
-	balanceSpecs   []BalanceSpec
-	affinityGoals  []AffinityGoal // in the order added
-	exclusionSpecs []ExclusionSpec
-	conflictSpecs  []ExclusionSpec
-	drainWeight    float64
+	capacitySpecs []CapacitySpec
+	balanceSpecs  []BalanceSpec
+	affinityGoals []AffinityGoal // in the order added
+	// spreadScope and spreadWeight are the spread goal; weight 0 means none.
+	spreadScope  string
+	spreadWeight float64
+	drainWeight  float64
 
 	// domTable interns (bucket, scope) -> domain strings; built lazily
 	// (see intern.go). groups is the buckets by Group tag, for
@@ -200,6 +188,9 @@ func (p *Problem) AddEntity(e Entity) EntityID {
 	if e.Bucket != Unassigned && (e.Bucket < 0 || int(e.Bucket) >= len(p.Buckets)) {
 		panic(fmt.Sprintf("solver: entity %d assigned to unknown bucket %d", len(p.Entities), e.Bucket))
 	}
+	if e.Group < -1 {
+		panic(fmt.Sprintf("solver: entity %d in group %d", len(p.Entities), e.Group))
+	}
 	e.Home = e.Bucket
 	p.Entities = append(p.Entities, e)
 	return EntityID(len(p.Entities) - 1)
@@ -245,20 +236,18 @@ func (p *Problem) AddAffinityGoal(g AffinityGoal) {
 	p.affinityGoals = append(p.affinityGoals, g)
 }
 
-// AddExclusionGoal registers a soft spread goal.
-func (p *Problem) AddExclusionGoal(s ExclusionSpec) {
-	if s.Weight <= 0 {
-		panic("solver: exclusion goal needs positive weight")
+// AddSpreadGoal registers the soft spread goal: the members of each group
+// should occupy distinct domains at scope, a bucket property such as "region"
+// (spread of replicas, §5.1 soft goal 2; Fig 13 statements 7-8). Each member
+// that shares its domain with an earlier one costs weight. A problem takes one.
+func (p *Problem) AddSpreadGoal(scope string, weight float64) {
+	if weight <= 0 {
+		panic("solver: spread goal needs positive weight")
 	}
-	p.exclusionSpecs = append(p.exclusionSpecs, s)
-}
-
-// AddConflict registers a HARD exclusion: no two entities of the same group
-// may occupy the same domain at Scope. Moves that would colocate are
-// infeasible. Shard Manager uses it at server scope — two replicas of one
-// shard must never share a server. Weight is ignored.
-func (p *Problem) AddConflict(s ExclusionSpec) {
-	p.conflictSpecs = append(p.conflictSpecs, s)
+	if p.spreadWeight != 0 {
+		panic(fmt.Sprintf("solver: second spread goal, at %q", scope))
+	}
+	p.spreadScope, p.spreadWeight = scope, weight
 }
 
 // AddDrainGoal penalizes every entity on a Draining bucket with weight w.
@@ -270,43 +259,29 @@ func (p *Problem) AddDrainGoal(w float64) {
 }
 
 // ClearGoals removes every constraint and goal — capacity, balance, affinity,
-// exclusion, conflict and drain — and keeps the buckets, the entities and
-// what the last Solve built from them, so the problem can be stated again
+// spread and drain — and keeps the buckets, the entities and their grouping,
+// and what the last Solve built from them, so the problem can be stated again
 // with fresh goals.
 func (p *Problem) ClearGoals() {
 	if s := p.st; s != nil {
 		clear(s.aff)
-		s.nAff, s.nExcl, s.nConf = 0, 0, 0
+		s.nAff = 0
 	}
 	p.capacitySpecs = p.capacitySpecs[:0]
 	p.balanceSpecs = p.balanceSpecs[:0]
 	p.affinityGoals = p.affinityGoals[:0]
-	p.exclusionSpecs = p.exclusionSpecs[:0]
-	p.conflictSpecs = p.conflictSpecs[:0]
+	p.spreadScope, p.spreadWeight = "", 0
 	p.drainWeight = 0
-}
-
-// domainOf returns the domain of bucket b at scope: the bucket's own name for
-// ScopeBucket, else its Props value.
-func (p *Problem) domainOf(b BucketID, scope string) string {
-	if scope == ScopeBucket {
-		return p.Buckets[b].Name
-	}
-	d, ok := p.Buckets[b].Props[scope]
-	if !ok {
-		panic(fmt.Sprintf("solver: bucket %q lacks scope %q", p.Buckets[b].Name, scope))
-	}
-	return d
 }
 
 // ---------------------------------------------------------------------------
 // Incremental evaluation state.
 //
-// The (bucket, scope) -> domain strings of conflicts, exclusions and
-// affinities are interned into dense int IDs at newState time (see intern.go):
-// the hot path indexes flat slices instead of concatenating and hashing
-// strings. Capacity and balance rules are per bucket and read each bucket's
-// load off state.bucketLoad.
+// The (bucket, scope) -> domain strings of the spread and affinities are
+// interned into dense int IDs at newState time (see intern.go): the hot path
+// indexes flat slices instead of concatenating and hashing strings. Capacity
+// and balance rules are per bucket and read each bucket's load off
+// state.bucketLoad.
 
 // balParams is a metric's balance goal; weight 0 means it has none.
 type balParams struct {
@@ -369,60 +344,62 @@ func (sp *specState) penalty(b BucketID, load float64) float64 {
 	return sp.capPenalty(b, load) + sp.balPenalty(b, load)
 }
 
-// confState is one hard conflict spec: each entity's group, and each group's
-// entities listed once (CSR). How many of a group sit in a domain is not
-// stored: others reads it off state.assignment, which costs O(group size) — a
-// group is one shard's replicas, one to three on every deployment — where a
-// stored count costs a hash per question and a write per move.
-type confState struct {
-	dom      *scopeDomains
-	entGroup []int32 // entity -> group, -1 if not in the spec (the spec's own slice)
-	// ents[start[g]:start[g+1]] are group g's entities, in entity order.
+// grouping is the problem's one grouping (Entity.Group), indexed when the state
+// is built: each entity's group, and each group's members listed once (CSR).
+// How many of a group sit in a domain is not stored: shares reads it off
+// state.assignment, which costs O(group size) — a group is one shard's
+// replicas, one to three on every deployment — where a stored count costs a
+// hash per question and a write per move.
+type grouping struct {
+	of []int32 // entity -> group, -1 for none
+	// ents[start[g]:start[g+1]] are group g's members, in entity order.
 	start []int32
 	ents  []EntityID
-	// extra counts, over every (group, domain), the entities beyond the
-	// first: counted at sync, kept by apply (move). floor counts, over every
-	// group, the extras its placed members must have at sync: r of them over
-	// D domains share at least r - D.
-	extra, floor int
 }
 
-// exclState is one soft exclusion spec: the same membership, and what each
-// colocated extra entity costs.
-type exclState struct {
-	confState
+// index lists each group's members, reading the entities' Group fields.
+func (gr *grouping) index(ents []Entity) {
+	gr.of = make([]int32, len(ents))
+	n := int32(0)
+	for e := range ents {
+		gr.of[e] = ents[e].Group
+		n = max(n, ents[e].Group+1)
+	}
+	gr.start = make([]int32, n+1)
+	for _, g := range gr.of {
+		if g >= 0 {
+			gr.start[g+1]++
+		}
+	}
+	for g := range n {
+		gr.start[g+1] += gr.start[g]
+	}
+	gr.ents = make([]EntityID, gr.start[n])
+	fill := slices.Clone(gr.start[:n])
+	for e, g := range gr.of {
+		if g >= 0 {
+			gr.ents[fill[g]] = EntityID(e)
+			fill[g]++
+		}
+	}
+}
+
+// members returns group g's entities.
+func (gr *grouping) members(g int32) []EntityID {
+	return gr.ents[gr.start[g]:gr.start[g+1]]
+}
+
+// rule is the grouping judged at one scope: the bucket rule at each bucket's
+// own domain, or the spread at its scope.
+type rule struct {
+	dom *scopeDomains
+	// weight is what each extra costs: the spread's, and 0 for the bucket
+	// rule, which is hard, or for no spread.
 	weight float64
-}
-
-// index indexes spec's groups over n entities, into cs's own buffers; fill is
-// scratch.
-func (cs *confState) index(spec *ExclusionSpec, dom *scopeDomains, n int, fill *[]int32) {
-	if len(spec.Group) != n {
-		panic(fmt.Sprintf("solver: exclusion spec at scope %q states groups for %d entities, problem has %d", spec.Scope, len(spec.Group), n))
-	}
-	start := resize(cs.start, spec.NumGroups+1)
-	clear(start)
-	for e, g := range spec.Group {
-		if g < -1 || int(g) >= spec.NumGroups {
-			panic(fmt.Sprintf("solver: entity %d in group %d, spec has %d groups", e, g, spec.NumGroups))
-		}
-		if g >= 0 {
-			start[g+1]++
-		}
-	}
-	for g := 0; g < spec.NumGroups; g++ {
-		start[g+1] += start[g]
-	}
-	ents := resize(cs.ents, int(start[spec.NumGroups]))
-	f := append((*fill)[:0], start[:spec.NumGroups]...)
-	for e, g := range spec.Group {
-		if g >= 0 {
-			ents[f[g]] = EntityID(e)
-			f[g]++
-		}
-	}
-	*fill = f
-	*cs = confState{dom: dom, entGroup: spec.Group, start: start, ents: ents}
+	// extra counts, over every group, the members that share a domain with an
+	// earlier member: counted at sync, kept by apply (move). floor is the
+	// extras no placement the search can reach removes (state.count).
+	extra, floor int
 }
 
 // resize returns buf resliced to n elements, reusing its array when it is
@@ -434,79 +411,91 @@ func resize[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// others counts the entities of group g other than e that sit in domain d,
-// and names the one when it is alone there. Unassigned entities sit nowhere.
-func (cs *confState) others(assignment []BucketID, g, d int32, e EntityID) (n int, sole EntityID) {
-	for _, m := range cs.ents[cs.start[g]:cs.start[g+1]] {
-		if m == e {
-			continue
-		}
-		if b := assignment[m]; b != Unassigned && cs.dom.bucketDom[b] == d {
-			n++
-			sole = m
+// shares reports whether a member of group g other than e sits in domain d at
+// dom. Unassigned members sit nowhere.
+func (s *state) shares(dom *scopeDomains, g, d int32, e EntityID) bool {
+	for _, m := range s.grp.members(g) {
+		if b := s.assignment[m]; m != e && b != Unassigned && dom.bucketDom[b] == d {
+			return true
 		}
 	}
-	return n, sole
+	return false
 }
 
-// tally counts group g's placed members, and its extras: the members an
-// earlier member shares a domain with.
-func (cs *confState) tally(assignment []BucketID, g int32) (placed, extras int) {
-	grp := cs.ents[cs.start[g]:cs.start[g+1]]
-	for i, m := range grp {
-		b := assignment[m]
-		if b == Unassigned {
-			continue
-		}
-		placed++
-		for _, o := range grp[:i] {
-			if ob := assignment[o]; ob != Unassigned && cs.dom.bucketDom[ob] == cs.dom.bucketDom[b] {
-				extras++
-				break
+// count sums, over every group, its extras at dom and the extras no placement
+// the search can reach removes: a search places entities and moves the
+// movable ones, so the pinned members keep theirs, and each movable placed
+// member beyond the domains the pinned ones leave free adds one.
+func (s *state) count(dom *scopeDomains) (extras, floor int) {
+	ents := s.p.Entities
+	for g := int32(0); int(g)+1 < len(s.grp.start); g++ {
+		grp := s.grp.members(g)
+		var movable, pinnedExtras, pinnedDoms int
+		for i, m := range grp {
+			b := s.assignment[m]
+			if b == Unassigned {
+				continue
+			}
+			shared, sharedPinned := false, false
+			for _, o := range grp[:i] {
+				if ob := s.assignment[o]; ob != Unassigned && dom.bucketDom[ob] == dom.bucketDom[b] {
+					shared = true
+					sharedPinned = sharedPinned || !ents[o].Movable
+				}
+			}
+			extras += b2i(shared)
+			switch {
+			case ents[m].Movable:
+				movable++
+			case sharedPinned:
+				pinnedExtras++
+			default:
+				pinnedDoms++
 			}
 		}
-	}
-	return placed, extras
-}
-
-// count sums, over every group, its extras and the extras its placed members
-// must have: r of them over D domains share at least r - D.
-func (cs *confState) count(assignment []BucketID) (extras, floor int) {
-	for g := int32(0); int(g)+1 < len(cs.start); g++ {
-		placed, x := cs.tally(assignment, g)
-		extras += x
-		floor += max(0, placed-len(cs.dom.names))
+		floor += pinnedExtras + max(0, movable-(dom.n-pinnedDoms))
 	}
 	return extras, floor
 }
 
-// atFloor reports whether group g sits at its floor: its placed members
-// occupy min(placed, domains) distinct domains, the most any placement of
-// them can, so no move lowers the group's extras.
-func (cs *confState) atFloor(assignment []BucketID, g int32) bool {
-	placed, extras := cs.tally(assignment, g)
-	return placed-extras >= min(placed, len(cs.dom.names))
+// atFloor reports whether group g sits at its floor at dom: its placed members
+// occupy min(placed, domains) distinct domains, the most any placement of them
+// can, so no move lowers the group's extras.
+func (s *state) atFloor(dom *scopeDomains, g int32) bool {
+	grp := s.grp.members(g)
+	placed, distinct := 0, 0
+	for i, m := range grp {
+		b := s.assignment[m]
+		if b == Unassigned {
+			continue
+		}
+		placed++
+		distinct++
+		for _, o := range grp[:i] {
+			if ob := s.assignment[o]; ob != Unassigned && dom.bucketDom[ob] == dom.bucketDom[b] {
+				distinct--
+				break
+			}
+		}
+	}
+	return distinct >= min(placed, dom.n)
 }
 
-// move keeps the spec's extra count as entity e moves from one bucket to
+// move keeps r's extra count as entity e of group g moves from one bucket to
 // another, reading its peers off the assignment before the move.
-func (cs *confState) move(assignment []BucketID, e EntityID, from, to BucketID) {
-	g := cs.entGroup[e]
-	if g < 0 {
-		return
-	}
-	td := cs.dom.bucketDom[to]
+func (s *state) move(r *rule, g int32, e EntityID, from, to BucketID) {
+	td := r.dom.bucketDom[to]
 	if from != Unassigned {
-		fd := cs.dom.bucketDom[from]
+		fd := r.dom.bucketDom[from]
 		if fd == td {
 			return
 		}
-		if fn, _ := cs.others(assignment, g, fd, e); fn >= 1 {
-			cs.extra--
+		if s.shares(r.dom, g, fd, e) {
+			r.extra--
 		}
 	}
-	if tn, _ := cs.others(assignment, g, td, e); tn >= 1 {
-		cs.extra++
+	if s.shares(r.dom, g, td, e) {
+		r.extra++
 	}
 }
 
@@ -526,13 +515,14 @@ type state struct {
 	assignment []BucketID
 
 	specs []specState
-	excls []exclState
-	confs []confState
-	// nExcl, nConf and nAff count the problem's exclusion specs, conflict
-	// specs and affinity goals that excls, confs and aff hold: the ones there
-	// at the last sync (ClearGoals zeroes them).
-	nExcl, nConf, nAff int
-	fill               []int32 // confState.index's scratch
+	// grp is the problem's grouping; conflict is the bucket rule over it, at
+	// a scope where each bucket is its own domain, and spread the spread
+	// goal's (weight 0: none).
+	grp              grouping
+	conflict, spread rule
+	// nAff counts the problem's affinity goals that aff holds: the ones there
+	// at the last sync (ClearGoals zeroes it).
+	nAff int
 	// peers and pens are apply's scratch: the entities whose share of the hot
 	// set a move can change, and their shares before it.
 	peers []EntityID
@@ -571,9 +561,15 @@ type state struct {
 }
 
 // newState builds the incremental state from the problem's current
-// assignment.
+// assignment, indexing its grouping.
 func newState(p *Problem) *state {
 	s := &state{p: p}
+	s.grp.index(p.Entities)
+	byBucket := &scopeDomains{bucketDom: make([]int32, len(p.Buckets)), n: len(p.Buckets)}
+	for b := range byBucket.bucketDom {
+		byBucket.bucketDom[b] = int32(b)
+	}
+	s.conflict.dom = byBucket
 	s.sync()
 	return s
 }
@@ -594,8 +590,8 @@ func (p *Problem) state() *state {
 // assignment is read off the entities, and every aggregate is summed afresh
 // in entity order, so a state synced again equals one built from nothing to
 // the bit: carrying the sums over from the last Solve would leave its moves'
-// rounding in them. Exclusion and conflict specs and affinity goals added
-// since the last sync are indexed; the ones before stay as they were.
+// rounding in them. Affinity goals added since the last sync are indexed; the
+// ones before stay as they were.
 func (s *state) sync() {
 	p := s.p
 	nM := len(p.Metrics)
@@ -647,29 +643,11 @@ func (s *state) sync() {
 		s.spec(b.Metric).bal = balParams{utilCap: b.UtilCap, maxDiff: b.MaxDiff, weight: b.Weight}
 	}
 
-	s.excls = s.excls[:s.nExcl]
-	for i := s.nExcl; i < len(p.exclusionSpecs); i++ {
-		ex := &p.exclusionSpecs[i]
-		s.excls = grow(s.excls)
-		x := &s.excls[i]
-		x.index(ex, table.domains(p, ex.Scope), len(p.Entities), &s.fill)
-		x.weight = ex.Weight
-	}
-	s.nExcl = len(p.exclusionSpecs)
-	s.confs = s.confs[:s.nConf]
-	for i := s.nConf; i < len(p.conflictSpecs); i++ {
-		cf := &p.conflictSpecs[i]
-		s.confs = grow(s.confs)
-		s.confs[i].index(cf, table.domains(p, cf.Scope), len(p.Entities), &s.fill)
-	}
-	s.nConf = len(p.conflictSpecs)
-	for ci := range s.confs {
-		cs := &s.confs[ci]
-		cs.extra, cs.floor = cs.count(s.assignment)
-	}
-	for xi := range s.excls {
-		ex := &s.excls[xi]
-		ex.extra, ex.floor = ex.count(s.assignment)
+	s.conflict.extra, s.conflict.floor = s.count(s.conflict.dom)
+	s.spread = rule{}
+	if p.spreadWeight > 0 && len(s.grp.ents) > 0 {
+		s.spread = rule{dom: table.domains(p, p.spreadScope), weight: p.spreadWeight}
+		s.spread.extra, s.spread.floor = s.count(s.spread.dom)
 	}
 
 	if len(s.aff) != len(p.Entities) {
@@ -791,14 +769,12 @@ type prepared struct {
 	load      []float64 // entity load on the spec's metric
 	fromDelta []float64 // penalty delta of the source bucket losing load
 
-	// Per conflict spec (parallel to state.confs):
-	confGid     []int32
-	confFromDom []int32
-
-	// Per exclusion spec (parallel to state.excls):
-	exGid       []int32
-	exFromDom   []int32
-	exFromDelta []float64 // -weight when leaving a crowded domain
+	// group is the entity's group (-1: none); spreadFrom is the source
+	// domain at the spread's scope (-1: none), and spreadLeave the spread's
+	// leave term: -weight when leaving a crowded domain.
+	group       int32
+	spreadFrom  int32
+	spreadLeave float64
 
 	// inert is whether no move of the entity alone can lower the objective
 	// (state.inert): the search does not offer it.
@@ -815,11 +791,6 @@ func newPrepared(s *state) prepared {
 func (pr *prepared) fit(s *state) {
 	pr.load = resize(pr.load, len(s.specs))
 	pr.fromDelta = resize(pr.fromDelta, len(s.specs))
-	pr.confGid = resize(pr.confGid, len(s.confs))
-	pr.confFromDom = resize(pr.confFromDom, len(s.confs))
-	pr.exGid = resize(pr.exGid, len(s.excls))
-	pr.exFromDom = resize(pr.exFromDom, len(s.excls))
-	pr.exFromDelta = resize(pr.exFromDelta, len(s.excls))
 }
 
 // prepare fills pr with entity e's from-side move state.
@@ -838,28 +809,13 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 			pr.fromDelta[si] = sp.penalty(from, lf-l) - sp.penalty(from, lf)
 		}
 	}
-	for ci := range s.confs {
-		cs := &s.confs[ci]
-		g := cs.entGroup[e]
-		pr.confGid[ci] = g
-		pr.confFromDom[ci] = -1
-		if g >= 0 && from != Unassigned {
-			pr.confFromDom[ci] = cs.dom.bucketDom[from]
-		}
-	}
-	for xi := range s.excls {
-		ex := &s.excls[xi]
-		g := ex.entGroup[e]
-		pr.exGid[xi] = g
-		pr.exFromDom[xi] = -1
-		pr.exFromDelta[xi] = 0
-		if g >= 0 && from != Unassigned {
-			fd := ex.dom.bucketDom[from]
-			pr.exFromDom[xi] = fd
-			// Leaving a domain shared with another group member saves Weight.
-			if n, _ := ex.others(s.assignment, g, fd, e); n >= 1 {
-				pr.exFromDelta[xi] = -ex.weight
-			}
+	pr.group = s.grp.of[e]
+	pr.spreadFrom, pr.spreadLeave = -1, 0
+	if sp := &s.spread; sp.weight != 0 && pr.group >= 0 && from != Unassigned {
+		pr.spreadFrom = sp.dom.bucketDom[from]
+		// Leaving a domain shared with another group member saves the weight.
+		if s.shares(sp.dom, pr.group, pr.spreadFrom, e) {
+			pr.spreadLeave = -sp.weight
 		}
 	}
 	if from != Unassigned {
@@ -872,7 +828,7 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 
 // inert reports whether no move of the prepared entity alone can improve the
 // objective: every leave term of evalTarget's delta (base, fromDelta,
-// exFromDelta) is 0 or standing. Every join term is >= 0 — affinity and drain
+// spreadLeave) is 0 or standing. Every join term is >= 0 — affinity and drain
 // at the target, a bucket's penalty at a higher load less at the lower one
 // (capPenalty and balPenalty are non-decreasing in load, in floating point
 // too), Weight on joining a crowded domain — so a leave term of 0 gains
@@ -895,38 +851,25 @@ func (s *state) inert(pr *prepared) bool {
 			return false
 		}
 	}
-	for xi, d := range pr.exFromDelta {
-		if d != 0 && !s.excls[xi].atFloor(s.assignment, pr.exGid[xi]) {
-			return false
-		}
+	if pr.spreadLeave != 0 && !s.atFloor(s.spread.dom, pr.group) {
+		return false
 	}
 	return s.affinityPenalty(pr.e, pr.from) == 0 || s.affStanding(pr.e, pr.from)
 }
 
 // affStanding reports whether entity e's affinity penalty on bucket b stands:
 // no move of e alone can remove it at a gain. Either no bucket is in the
-// preferred domain, or a spread goal at the goal's scope that weighs at least
-// as much holds a sibling of e there while e has its domain to itself, so
-// moving in trades the penalty for the spread's.
+// preferred domain, or the spread goal, at the goal's scope and weighing at
+// least as much, holds a sibling of e there while e has its domain to itself,
+// so moving in trades the penalty for the spread's.
 func (s *state) affStanding(e EntityID, b BucketID) bool {
 	t := &s.aff[e]
 	if t.domID < 0 {
 		return true
 	}
-	for xi := range s.excls {
-		ex := &s.excls[xi]
-		g := ex.entGroup[e]
-		if g < 0 || ex.dom != t.dom || ex.weight < t.weight {
-			continue
-		}
-		if in, _ := ex.others(s.assignment, g, t.domID, e); in == 0 {
-			continue
-		}
-		if here, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); here == 0 {
-			return true
-		}
-	}
-	return false
+	sp, g := &s.spread, s.grp.of[e]
+	return g >= 0 && sp.dom == t.dom && sp.weight >= t.weight &&
+		s.shares(sp.dom, g, t.domID, e) && !s.shares(sp.dom, g, sp.dom.bucketDom[b], e)
 }
 
 // affAbove is entity e's affinity penalty on bucket b unless it stands.
@@ -938,9 +881,8 @@ func (s *state) affAbove(e EntityID, b BucketID) float64 {
 }
 
 // entityPen is what placed entity e adds to its bucket's penalty, less what
-// stands: its affinity penalty unless it stands, its drain, and each
-// exclusion's weight where it shares its domain and its group is above its
-// floor.
+// stands: its affinity penalty unless it stands, its drain, and the spread's
+// weight where it shares its domain and its group is above its floor.
 func (s *state) entityPen(e EntityID) float64 {
 	b := s.assignment[e]
 	if b == Unassigned {
@@ -951,28 +893,21 @@ func (s *state) entityPen(e EntityID) float64 {
 		pen = s.affAbove(e, b)
 	}
 	pen += s.drainPen[b]
-	for xi := range s.excls {
-		ex := &s.excls[xi]
-		if g := ex.entGroup[e]; g >= 0 {
-			if n, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); n >= 1 && !ex.atFloor(s.assignment, g) {
-				pen += ex.weight
-			}
-		}
+	if sp, g := &s.spread, s.grp.of[e]; sp.weight != 0 && g >= 0 &&
+		s.shares(sp.dom, g, sp.dom.bucketDom[b], e) && !s.atFloor(sp.dom, g) {
+		pen += sp.weight
 	}
 	return pen
 }
 
-// peersOf lists e and every member of its exclusion groups, each once: the
-// entities whose entityPen a move of e can change.
+// peersOf lists e and, under a spread goal, the other members of its group:
+// the entities whose entityPen a move of e can change.
 func (s *state) peersOf(e EntityID) []EntityID {
 	ps := append(s.peers[:0], e)
-	for xi := range s.excls {
-		ex := &s.excls[xi]
-		if g := ex.entGroup[e]; g >= 0 {
-			for _, m := range ex.ents[ex.start[g]:ex.start[g+1]] {
-				if !slices.Contains(ps, m) {
-					ps = append(ps, m)
-				}
+	if g := s.grp.of[e]; s.spread.weight != 0 && g >= 0 {
+		for _, m := range s.grp.members(g) {
+			if m != e {
+				ps = append(ps, m)
 			}
 		}
 	}
@@ -981,7 +916,7 @@ func (s *state) peersOf(e EntityID) []EntityID {
 }
 
 // evalTarget returns the objective change of moving the prepared entity to
-// target, and whether the move is feasible (hard conflicts and capacity).
+// target, and whether the move is feasible (the bucket rule and capacity).
 // Only strictly safe targets are feasible: the target must remain within
 // every capacity constraint. evalTarget does not mutate state and is
 // safe to call concurrently with other evalTarget calls.
@@ -990,21 +925,11 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 		return 0, false
 	}
 
-	// Hard conflict feasibility: a group member may not join a domain
-	// that already holds one.
-	for ci := range s.confs {
-		g := pr.confGid[ci]
-		if g < 0 {
-			continue
-		}
-		cs := &s.confs[ci]
-		td := cs.dom.bucketDom[target]
-		if td == pr.confFromDom[ci] {
-			continue
-		}
-		if n, _ := cs.others(s.assignment, g, td, pr.e); n >= 1 {
-			return 0, false
-		}
+	// The bucket rule: a group member may not join a bucket that holds
+	// another.
+	g := pr.group
+	if g >= 0 && s.shares(s.conflict.dom, g, int32(target), pr.e) {
+		return 0, false
 	}
 
 	delta := pr.base + s.affinityPenalty(pr.e, target) + s.drainPen[target]
@@ -1024,22 +949,15 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 		delta += sp.penalty(target, newLoad) - sp.penalty(target, lt) + pr.fromDelta[si]
 	}
 
-	// Exclusion deltas: joining a domain that already has a group member
-	// costs Weight; leaving a crowded one saves it (precomputed).
-	for xi := range s.excls {
-		g := pr.exGid[xi]
-		if g < 0 {
-			continue
+	// The spread: joining a domain that already has a group member costs its
+	// weight; leaving a crowded one saves it (prepared).
+	if sp := &s.spread; sp.weight != 0 && g >= 0 {
+		if td := sp.dom.bucketDom[target]; td != pr.spreadFrom {
+			if s.shares(sp.dom, g, td, pr.e) {
+				delta += sp.weight
+			}
+			delta += pr.spreadLeave
 		}
-		ex := &s.excls[xi]
-		td := ex.dom.bucketDom[target]
-		if td == pr.exFromDom[xi] {
-			continue
-		}
-		if n, _ := ex.others(s.assignment, g, td, pr.e); n >= 1 {
-			delta += ex.weight
-		}
-		delta += pr.exFromDelta[xi]
 	}
 	return delta, true
 }
@@ -1082,11 +1000,11 @@ func (s *state) apply(e EntityID, target BucketID) {
 	for _, m := range peers {
 		pens = append(pens, s.entityPen(m))
 	}
-	for ci := range s.confs {
-		s.confs[ci].move(s.assignment, e, from, target)
-	}
-	for xi := range s.excls {
-		s.excls[xi].move(s.assignment, e, from, target)
+	if g := s.grp.of[e]; g >= 0 {
+		s.move(&s.conflict, g, e, from, target)
+		if s.spread.weight != 0 {
+			s.move(&s.spread, g, e, from, target)
+		}
 	}
 	if from != Unassigned {
 		s.affN -= b2i(s.affinityPenalty(e, from) > 0)
@@ -1134,15 +1052,16 @@ func (s *state) apply(e EntityID, target BucketID) {
 type ViolationCounts struct {
 	// Buckets over their hard capacity, per constrained metric.
 	Capacity int
-	// Conflict counts colocated same-group entities under hard conflict
-	// specs (pairs beyond the first per domain).
+	// Conflict counts the group members that share a bucket with an earlier
+	// member of their group (the hard bucket rule, broken only by the input).
 	Conflict int
 	// Buckets over UtilCap or over mean+MaxDiff, per metric (each rule
 	// counts).
 	Balance int
 	// Entities not on their preferred domain.
 	Affinity int
-	// Colocated same-group entity pairs beyond the first per domain.
+	// Exclusion counts the group members that share a domain at the spread
+	// goal's scope with an earlier member of their group.
 	Exclusion int
 	// Entities on draining buckets.
 	Drain int
@@ -1181,12 +1100,7 @@ func (s *state) violations() ViolationCounts {
 		}
 	}
 	v.Affinity, v.Drain = s.affN, s.drainN
-	for xi := range s.excls {
-		v.Exclusion += s.excls[xi].extra
-	}
-	for ci := range s.confs {
-		v.Conflict += s.confs[ci].extra
-	}
+	v.Conflict, v.Exclusion = s.conflict.extra, s.spread.extra
 	v.Unassigned = s.unassigned
 	return v
 }
@@ -1195,8 +1109,9 @@ func (s *state) violations() ViolationCounts {
 // placement the search can reach from the state as it stands: a search places
 // entities and moves them, and never unplaces one. It costs O(entities +
 // buckets).
-//   - Exclusion and conflict: a group's placed members over D domains share at
-//     least r - D (confState.count).
+//   - Exclusion and conflict: a group's pinned members keep the domains they
+//     share, and its movable placed members beyond the domains the pinned ones
+//     leave free share one each (state.count).
 //   - Affinity: the placed entities whose preferred domain has no bucket. An
 //     affinity penalty affStanding names for a spread goal's sake is not
 //     counted: no single move removes it at a gain, but a path of moves can,
@@ -1208,13 +1123,7 @@ func (s *state) violations() ViolationCounts {
 //     without capacity escapes the balance count, so either leaves the metric
 //     without a floor.
 func (s *state) floor() ViolationCounts {
-	var v ViolationCounts
-	for xi := range s.excls {
-		v.Exclusion += s.excls[xi].floor
-	}
-	for ci := range s.confs {
-		v.Conflict += s.confs[ci].floor
-	}
+	v := ViolationCounts{Conflict: s.conflict.floor, Exclusion: s.spread.floor}
 	for e := 0; s.affN > 0 && e < len(s.assignment); e++ {
 		if b := s.assignment[e]; b != Unassigned && s.aff[e].weight != 0 && s.aff[e].domID < 0 {
 			v.Affinity++
@@ -1261,9 +1170,9 @@ func (s *state) seedPenalty(b BucketID) float64 {
 		sp := &s.specs[si]
 		pen += sp.penalty(b, s.bucketLoad[b][sp.midx])
 	}
-	// Without affinity goals, a drain or an exclusion an entity carries
-	// nothing, so none is read.
-	if s.nAff == 0 && s.drainPen[b] == 0 && len(s.excls) == 0 {
+	// Without affinity goals, a drain or a spread an entity carries nothing,
+	// so none is read.
+	if s.nAff == 0 && s.drainPen[b] == 0 && s.spread.weight == 0 {
 		return pen
 	}
 	for _, e := range s.byBucket[b] {

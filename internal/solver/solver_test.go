@@ -30,6 +30,7 @@ func buildSkewed(nBuckets, nEntities int, load float64) *Problem {
 			Load:    []float64{load},
 			Bucket:  0,
 			Movable: true,
+			Group:   -1,
 		})
 	}
 	return p
@@ -65,7 +66,7 @@ func TestSolveRespectsHardCapacity(t *testing.T) {
 	big := p.AddBucket(Bucket{Name: "big", Capacity: []float64{100}})
 	p.AddBucket(Bucket{Name: "tiny", Capacity: []float64{10}})
 	for i := 0; i < 5; i++ {
-		p.AddEntity(Entity{Load: []float64{10}, Bucket: big, Movable: true})
+		p.AddEntity(Entity{Load: []float64{10}, Bucket: big, Movable: true, Group: -1})
 	}
 	p.AddConstraint(CapacitySpec{Metric: "cpu"})
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.01, Weight: 1})
@@ -85,7 +86,7 @@ func TestSolvePlacesUnassignedEntities(t *testing.T) {
 		p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{100}})
 	}
 	for i := 0; i < 20; i++ {
-		p.AddEntity(Entity{Load: []float64{5}, Bucket: Unassigned, Movable: true})
+		p.AddEntity(Entity{Load: []float64{5}, Bucket: Unassigned, Movable: true, Group: -1})
 	}
 	p.AddConstraint(CapacitySpec{Metric: "cpu"})
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, Weight: 1})
@@ -124,8 +125,9 @@ func TestSolveHonorsAffinity(t *testing.T) {
 }
 
 func TestSolveSpreadsReplicas(t *testing.T) {
-	// 3 replicas per group, 6 buckets across 3 regions; exclusion at
-	// region scope should land each group's replicas in distinct regions.
+	// 3 replicas per group, 6 buckets across 3 regions; the spread at
+	// region scope should land each group's replicas in distinct regions, and
+	// the bucket rule, broken by the start, holds at the end.
 	p := NewProblem([]string{"cpu"})
 	for i := 0; i < 6; i++ {
 		p.AddBucket(Bucket{
@@ -134,27 +136,26 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 			Props:    map[string]string{"region": fmt.Sprintf("r%d", i%3)},
 		})
 	}
-	var groups []int32
 	for g := 0; g < 5; g++ {
 		for r := 0; r < 3; r++ {
 			p.AddEntity(Entity{
 				Load:    []float64{1},
 				Bucket:  0, // all colocated initially
 				Movable: true,
+				Group:   int32(g),
 			})
-			groups = append(groups, int32(g))
 		}
 	}
 	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: groups, NumGroups: 5, Weight: 10})
+	p.AddSpreadGoal("region", 10)
 	res := Solve(p, DefaultOptions())
-	if res.Final.Exclusion != 0 {
-		t.Fatalf("exclusion violations = %d (initial %d)", res.Final.Exclusion, res.Initial.Exclusion)
+	if res.Final.Exclusion != 0 || res.Final.Conflict != 0 {
+		t.Fatalf("final %+v (initial %+v)", res.Final, res.Initial)
 	}
 	// Verify each group touches 3 distinct regions.
 	perGroup := make(map[int32]map[string]bool)
-	for id, g := range groups {
-		b := p.Entities[id].Bucket
+	for _, ent := range p.Entities {
+		g, b := ent.Group, ent.Bucket
 		if perGroup[g] == nil {
 			perGroup[g] = map[string]bool{}
 		}
@@ -173,7 +174,7 @@ func TestSolveDrainsMarkedBuckets(t *testing.T) {
 	p.AddBucket(Bucket{Name: "ok1", Capacity: []float64{100}})
 	p.AddBucket(Bucket{Name: "ok2", Capacity: []float64{100}})
 	for i := 0; i < 10; i++ {
-		p.AddEntity(Entity{Load: []float64{5}, Bucket: draining, Movable: true})
+		p.AddEntity(Entity{Load: []float64{5}, Bucket: draining, Movable: true, Group: -1})
 	}
 	p.AddConstraint(CapacitySpec{Metric: "cpu"})
 	p.AddDrainGoal(10)
@@ -232,16 +233,15 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	p.AddBucket(Bucket{Name: "b2", Capacity: []float64{1000}, Props: map[string]string{"region": "r1"}})
 	// 24 entities on b0 with loads 1–5 (so ties), every sixth pinned; the
 	// six with i%4 == 1 belong on b1, so they are away and spend the budget.
-	// Entity 24+i is entity i's sibling in a region-scoped spread group: on
-	// b1, in b0's region, it makes entity i carry; on b2 it leaves it inert.
+	// Entity 24+i is entity i's sibling in its group, under a region-scoped
+	// spread: on b1, in b0's region, it makes entity i carry; on b2 it leaves
+	// it inert.
 	const n = 24
-	group := make([]int32, 2*n)
 	for i := 0; i < n; i++ {
-		e := p.AddEntity(Entity{Load: []float64{float64(1 + i%5)}, Bucket: 0, Movable: i%6 != 0})
+		e := p.AddEntity(Entity{Load: []float64{float64(1 + i%5)}, Bucket: 0, Movable: i%6 != 0, Group: int32(i)})
 		if i%4 == 1 {
 			p.Entities[e].Home = 1
 		}
-		group[i] = int32(i)
 	}
 	sibling := func(i EntityID) EntityID { return n + i }
 	carrying := []EntityID{5, 10, 20, 23} // 5, 10 and 20 are among the smallest
@@ -250,10 +250,9 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 		if slices.Contains(carrying, EntityID(i)) {
 			b = 1
 		}
-		p.AddEntity(Entity{Load: []float64{1}, Bucket: b, Movable: true})
-		group[n+i] = int32(i)
+		p.AddEntity(Entity{Load: []float64{1}, Bucket: b, Movable: true, Group: int32(i)})
 	}
-	p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: group, NumGroups: n, Weight: 1})
+	p.AddSpreadGoal("region", 1)
 
 	// offered lists b0's movable entities the contract's way, judging each
 	// with a fresh prepare.
@@ -361,7 +360,7 @@ func TestMeanUtilSummedInEntityOrder(t *testing.T) {
 	p := NewProblem([]string{"cpu"})
 	p.AddBucket(Bucket{Name: "b0", Capacity: []float64{1}})
 	for _, l := range []float64{1e16, 1, 1} {
-		p.AddEntity(Entity{Load: []float64{l}, Bucket: Unassigned, Movable: true})
+		p.AddEntity(Entity{Load: []float64{l}, Bucket: Unassigned, Movable: true, Group: -1})
 	}
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
 	want := math.Float64bits(newState(p).specs[0].meanUtil)
@@ -426,7 +425,7 @@ func TestGroupedSamplerCapsAtK(t *testing.T) {
 			Group:    fmt.Sprintf("g%d", i),
 		})
 	}
-	p.AddEntity(Entity{Load: []float64{1}, Bucket: 0, Movable: true})
+	p.AddEntity(Entity{Load: []float64{1}, Bucket: 0, Movable: true, Group: -1})
 	st := newState(p)
 	view := &View{st: st}
 	s := GroupedSampler(p, 0)
@@ -494,7 +493,7 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 		for i := 0; i < nE; i++ {
 			l := 1 + float64(r.Intn(10))
 			total += l
-			p.AddEntity(Entity{Load: []float64{l}, Bucket: BucketID(r.Intn(nB)), Movable: true})
+			p.AddEntity(Entity{Load: []float64{l}, Bucket: BucketID(r.Intn(nB)), Movable: true, Group: -1})
 		}
 		p.AddConstraint(CapacitySpec{Metric: "cpu"})
 		p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
@@ -538,13 +537,20 @@ func TestBuilderPanics(t *testing.T) {
 		"second affinity": func() {
 			q := NewProblem([]string{"cpu"})
 			q.AddBucket(Bucket{Name: "b", Capacity: []float64{1}})
-			e := q.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true})
+			e := q.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
 			q.AddAffinityGoal(AffinityGoal{Entity: e, Domain: "b", Weight: 1})
 			q.AddAffinityGoal(AffinityGoal{Entity: e, Domain: "b", Weight: 1})
 			Solve(q, DefaultOptions())
 		},
-		"excl weight":  func() { p.AddExclusionGoal(ExclusionSpec{Scope: "r"}) },
-		"drain weight": func() { p.AddDrainGoal(0) },
+		"spread weight":   func() { p.AddSpreadGoal("r", 0) },
+		"negative spread": func() { p.AddSpreadGoal("r", -1) },
+		"second spread": func() {
+			q := NewProblem([]string{"cpu"})
+			q.AddSpreadGoal("region", 1)
+			q.AddSpreadGoal("rack", 1)
+		},
+		"group below -1": func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Group: -2}) },
+		"drain weight":   func() { p.AddDrainGoal(0) },
 	} {
 		func() {
 			defer func() {
@@ -565,7 +571,7 @@ func freshCopy(p *Problem) *Problem {
 		q.AddBucket(b)
 	}
 	for _, e := range p.Entities {
-		id := q.AddEntity(Entity{Load: append([]float64(nil), e.Load...), Bucket: e.Bucket, Movable: e.Movable})
+		id := q.AddEntity(Entity{Load: append([]float64(nil), e.Load...), Bucket: e.Bucket, Movable: e.Movable, Group: e.Group})
 		q.Entities[id].Home = e.Home
 	}
 	for _, c := range p.capacitySpecs {
@@ -577,11 +583,8 @@ func freshCopy(p *Problem) *Problem {
 	for _, g := range p.affinityGoals {
 		q.AddAffinityGoal(g)
 	}
-	for _, x := range p.exclusionSpecs {
-		q.AddExclusionGoal(x)
-	}
-	for _, c := range p.conflictSpecs {
-		q.AddConflict(c)
+	if p.spreadWeight > 0 {
+		q.AddSpreadGoal(p.spreadScope, p.spreadWeight)
 	}
 	if p.drainWeight > 0 {
 		q.AddDrainGoal(p.drainWeight)
@@ -622,13 +625,10 @@ func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
 			for _, c := range all.capacitySpecs {
 				p.AddConstraint(c)
 			}
-			for _, c := range all.conflictSpecs {
-				p.AddConflict(c)
-			}
 			p.AddDrainGoal(all.drainWeight)
 			solve(run + ", critical stage")
-			for _, x := range all.exclusionSpecs {
-				p.AddExclusionGoal(x)
+			if all.spreadWeight > 0 {
+				p.AddSpreadGoal(all.spreadScope, all.spreadWeight)
 			}
 			for _, g := range all.affinityGoals {
 				p.AddAffinityGoal(g)

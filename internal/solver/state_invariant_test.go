@@ -11,7 +11,9 @@ import (
 	"shardmanager/internal/sim"
 )
 
-// randomProblem builds a random instance exercising every spec type.
+// randomProblem builds a random instance exercising every goal: about half
+// the entities in one of five groups, under the bucket rule, and on three
+// seeds in four a spread at region scope.
 func randomProblem(rng *sim.RNG) *Problem {
 	nB := 3 + rng.Intn(6)
 	nE := 5 + rng.Intn(40)
@@ -28,27 +30,22 @@ func randomProblem(rng *sim.RNG) *Problem {
 			Draining: rng.Intn(5) == 0,
 		})
 	}
-	const nExcl, nConf = 5, 7
-	excl := make([]int32, nE)
-	conf := make([]int32, nE)
-	hasExcl, hasConf := false, false
+	const nGroups = 5
 	for i := 0; i < nE; i++ {
 		b := BucketID(rng.Intn(nB))
 		if rng.Intn(8) == 0 {
 			b = Unassigned
 		}
+		g := int32(-1)
+		if rng.Intn(2) == 0 {
+			g = int32(i % nGroups)
+		}
 		id := p.AddEntity(Entity{
 			Load:    []float64{1 + 9*rng.Float64(), 1 + 4*rng.Float64()},
 			Bucket:  b,
 			Movable: true,
+			Group:   g,
 		})
-		excl[id], conf[id] = -1, -1
-		if rng.Intn(2) == 0 {
-			excl[id], hasExcl = int32(i%nExcl), true
-		}
-		if rng.Intn(3) == 0 {
-			conf[id], hasConf = int32(i%nConf), true
-		}
 		if rng.Intn(3) == 0 {
 			p.AddAffinityGoal(AffinityGoal{
 				Scope: "region", Entity: id,
@@ -60,29 +57,26 @@ func randomProblem(rng *sim.RNG) *Problem {
 	p.AddConstraint(CapacitySpec{Metric: "mem"})
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
 	p.AddBalanceGoal(BalanceSpec{Metric: "mem", MaxDiff: 0.2, Weight: 0.5})
-	if hasExcl {
-		p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: excl, NumGroups: nExcl, Weight: 3})
-	}
-	if hasConf {
-		p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Group: conf, NumGroups: nConf})
+	if rng.Intn(4) != 0 {
+		p.AddSpreadGoal("region", 3)
 	}
 	p.AddDrainGoal(2)
 	return p
 }
 
 // occupancyRef is the test's own copy of what the solver derives from the
-// assignment: for one exclusion or conflict spec, the entities of each
-// (group, domain), kept as the map the solver used to keep. The walks update it
-// beside every apply and compare the scan's answers with it after every step.
+// assignment: for one rule on the grouping, the entities of each (group,
+// domain), kept as the map the solver used to keep. The walks update it beside
+// every apply and compare the scan's answers with it after every step.
 type occupancyRef map[uint64][]EntityID
 
 func refKey(group, dom int32) uint64 { return uint64(uint32(group))<<32 | uint64(uint32(dom)) }
 
-func newOccupancyRef(cs *confState, assignment []BucketID) occupancyRef {
+func newOccupancyRef(st *state, dom *scopeDomains) occupancyRef {
 	ref := occupancyRef{}
-	for e, g := range cs.entGroup {
-		if b := assignment[e]; g >= 0 && b != Unassigned {
-			k := refKey(g, cs.dom.bucketDom[b])
+	for e, g := range st.grp.of {
+		if b := st.assignment[e]; g >= 0 && b != Unassigned {
+			k := refKey(g, dom.bucketDom[b])
 			ref[k] = append(ref[k], EntityID(e))
 		}
 	}
@@ -90,13 +84,13 @@ func newOccupancyRef(cs *confState, assignment []BucketID) occupancyRef {
 }
 
 // move records e going from one bucket (or none) to another.
-func (ref occupancyRef) move(cs *confState, e EntityID, from, to BucketID) {
-	g := cs.entGroup[e]
+func (ref occupancyRef) move(st *state, dom *scopeDomains, e EntityID, from, to BucketID) {
+	g := st.grp.of[e]
 	if g < 0 {
 		return
 	}
 	if from != Unassigned {
-		k := refKey(g, cs.dom.bucketDom[from])
+		k := refKey(g, dom.bucketDom[from])
 		for i, m := range ref[k] {
 			if m == e {
 				ref[k] = append(ref[k][:i:i], ref[k][i+1:]...)
@@ -104,62 +98,53 @@ func (ref occupancyRef) move(cs *confState, e EntityID, from, to BucketID) {
 			}
 		}
 	}
-	k := refKey(g, cs.dom.bucketDom[to])
+	k := refKey(g, dom.bucketDom[to])
 	ref[k] = append(ref[k], e)
 }
 
 // check compares the scan with the reference for every (group, domain) and
 // every entity the solver can ask on behalf of: none, and each member of the
-// group (which the scan must not count, wherever it sits).
-func (ref occupancyRef) check(t *testing.T, cs *confState, assignment []BucketID) bool {
+// group (which the scan must not count, wherever it sits); and the rule's kept
+// extra count and a fresh count with the reference's.
+func (ref occupancyRef) check(t *testing.T, st *state, r *rule) bool {
 	t.Helper()
 	extras := 0
-	for g := int32(0); int(g)+1 < len(cs.start); g++ {
-		askers := append([]EntityID{-1}, cs.ents[cs.start[g]:cs.start[g+1]]...)
-		for d := int32(0); int(d) < len(cs.dom.names); d++ {
+	for g := int32(0); int(g)+1 < len(st.grp.start); g++ {
+		askers := append([]EntityID{-1}, st.grp.members(g)...)
+		for d := int32(0); int(d) < r.dom.n; d++ {
 			all := ref[refKey(g, d)]
-			if len(all) > 1 {
-				extras += len(all) - 1
-			}
+			extras += max(0, len(all)-1)
 			for _, e := range askers {
-				var want []EntityID
-				for _, m := range all {
-					if m != e {
-						want = append(want, m)
-					}
-				}
-				n, sole := cs.others(assignment, g, d, e)
-				if n != len(want) || (n == 1 && sole != want[0]) {
-					t.Logf("group %d domain %d asked by %d: scan says %d (sole %d), reference holds %v", g, d, e, n, sole, want)
+				want := slices.ContainsFunc(all, func(m EntityID) bool { return m != e })
+				if got := st.shares(r.dom, g, d, e); got != want {
+					t.Logf("group %d domain %d asked by %d: scan says %v, reference holds %v", g, d, e, got, all)
 					return false
 				}
 			}
 		}
 	}
-	if got, _ := cs.count(assignment); got != extras {
-		t.Logf("count = %d extras, reference holds %d", got, extras)
+	if got, _ := st.count(r.dom); got != extras || r.extra != extras {
+		t.Logf("count = %d extras, kept %d, reference holds %d", got, r.extra, extras)
 		return false
 	}
 	return true
 }
 
-// occupancyRefs is one reference per spec of a state, exclusions first.
+// occupancyRefs is one reference per rule of a state: the spread's when the
+// problem states one, and the bucket rule's.
 type occupancyRefs struct {
 	st    *state
-	specs []*confState
+	rules []*rule
 	refs  []occupancyRef
 }
 
 func newOccupancyRefs(st *state) *occupancyRefs {
-	o := &occupancyRefs{st: st}
-	for xi := range st.excls {
-		o.specs = append(o.specs, &st.excls[xi].confState)
+	o := &occupancyRefs{st: st, rules: []*rule{&st.conflict}}
+	if st.spread.weight != 0 {
+		o.rules = append(o.rules, &st.spread)
 	}
-	for ci := range st.confs {
-		o.specs = append(o.specs, &st.confs[ci])
-	}
-	for _, cs := range o.specs {
-		o.refs = append(o.refs, newOccupancyRef(cs, st.assignment))
+	for _, r := range o.rules {
+		o.refs = append(o.refs, newOccupancyRef(st, r.dom))
 	}
 	return o
 }
@@ -169,10 +154,10 @@ func (o *occupancyRefs) apply(t *testing.T, e EntityID, to BucketID) bool {
 	t.Helper()
 	from := o.st.assignment[e]
 	o.st.apply(e, to)
-	for i, cs := range o.specs {
-		o.refs[i].move(cs, e, from, to)
-		if !o.refs[i].check(t, cs, o.st.assignment) {
-			t.Logf("spec %d after moving %d from %d to %d", i, e, from, to)
+	for i, r := range o.rules {
+		o.refs[i].move(o.st, r.dom, e, from, to)
+		if !o.refs[i].check(t, o.st, r) {
+			t.Logf("rule %d after moving %d from %d to %d", i, e, from, to)
 			return false
 		}
 	}
@@ -240,14 +225,12 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 		sp := &s.specs[si]
 		pen += sp.penalty(b, s.bucketLoad[b][sp.midx])
 	}
+	sp := &s.spread
 	for _, e := range s.byBucket[b] {
 		ep := s.refAffAbove(e, b) + s.drainPen[b]
-		for xi := range s.excls {
-			ex := &s.excls[xi]
-			if g := ex.entGroup[e]; g >= 0 && !refAtFloor(&ex.confState, s.assignment, g) {
-				if n, _ := ex.others(s.assignment, g, ex.dom.bucketDom[b], e); n >= 1 {
-					ep += ex.weight
-				}
+		if g := s.grp.of[e]; sp.weight != 0 && g >= 0 && !refAtFloor(s, sp.dom, g) {
+			if slices.Contains(refMembers(s, sp.dom, g, e), sp.dom.bucketDom[b]) {
+				ep += sp.weight
 			}
 		}
 		pen += ep
@@ -255,31 +238,31 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 	return pen
 }
 
-// refMembers lists the domains group g's placed members sit in, one element
-// per member.
-func refMembers(cs *confState, assignment []BucketID, g int32) []int32 {
+// refMembers lists the domains at dom that group g's placed members other than
+// e sit in, one element per member.
+func refMembers(s *state, dom *scopeDomains, g int32, e EntityID) []int32 {
 	var doms []int32
-	for e, eg := range cs.entGroup {
-		if b := assignment[e]; eg == g && b != Unassigned {
-			doms = append(doms, cs.dom.bucketDom[b])
+	for m, mg := range s.grp.of {
+		if b := s.assignment[m]; mg == g && EntityID(m) != e && b != Unassigned {
+			doms = append(doms, dom.bucketDom[b])
 		}
 	}
 	return doms
 }
 
 // refAtFloor is atFloor by a set of the group's domains.
-func refAtFloor(cs *confState, assignment []BucketID, g int32) bool {
-	doms := refMembers(cs, assignment, g)
+func refAtFloor(s *state, dom *scopeDomains, g int32) bool {
+	doms := refMembers(s, dom, g, -1)
 	distinct := map[int32]bool{}
 	for _, d := range doms {
 		distinct[d] = true
 	}
-	return len(distinct) >= min(len(doms), len(cs.dom.names))
+	return len(distinct) >= min(len(doms), dom.n)
 }
 
 // refAffAbove is affAbove read off refMembers: the penalty stands when its
-// domain has no bucket, or when a spread goal at its scope weighing as much
-// has a member in the preferred domain and no other member in e's.
+// domain has no bucket, or when a spread at its scope weighing as much has
+// another member in the preferred domain and none in e's.
 func (s *state) refAffAbove(e EntityID, b BucketID) float64 {
 	t := &s.aff[e]
 	if t.weight == 0 || t.dom.bucketDom[b] == t.domID {
@@ -288,19 +271,10 @@ func (s *state) refAffAbove(e EntityID, b BucketID) float64 {
 	if t.domID < 0 {
 		return 0
 	}
-	for xi := range s.excls {
-		ex := &s.excls[xi]
-		g := ex.entGroup[e]
-		if g < 0 || ex.dom != t.dom || ex.weight < t.weight {
-			continue
-		}
-		// e is counted in its own domain.
-		inPref, inOwn := 0, 0
-		for _, d := range refMembers(&ex.confState, s.assignment, g) {
-			inPref += b2i(d == t.domID)
-			inOwn += b2i(d == ex.dom.bucketDom[b])
-		}
-		if inPref > 0 && inOwn == 1 {
+	sp, g := &s.spread, s.grp.of[e]
+	if g >= 0 && sp.dom == t.dom && sp.weight >= t.weight {
+		others := refMembers(s, sp.dom, g, e)
+		if slices.Contains(others, t.domID) && !slices.Contains(others, sp.dom.bucketDom[b]) {
 			return 0
 		}
 	}
@@ -405,7 +379,7 @@ func TestHotSetFreezeUnfreeze(t *testing.T) {
 
 // softObjective recomputes in full the objective the search lowers, less the
 // unassigned penalty: every capacity and balance penalty, affinity, drain and
-// each exclusion's weighted extras.
+// the spread's weighted extras.
 func (st *state) softObjective() float64 {
 	var total float64
 	for si := range st.specs {
@@ -419,10 +393,9 @@ func (st *state) softObjective() float64 {
 			total += st.affinityPenalty(EntityID(e), b) + st.drainPen[b]
 		}
 	}
-	for xi := range st.excls {
-		ex := &st.excls[xi]
-		extras, _ := ex.count(st.assignment)
-		total += ex.weight * float64(extras)
+	if sp := &st.spread; sp.weight != 0 {
+		extras, _ := st.count(sp.dom)
+		total += sp.weight * float64(extras)
 	}
 	return total
 }
@@ -465,10 +438,10 @@ func TestMoveDeltaMatchesAppliedObjective(t *testing.T) {
 // TestInertEntitiesCannotImprove checks the bound the search prunes by, on
 // random worlds walked through random moves: an inert entity's move to any
 // bucket is infeasible or >= 0, so the grid may drop its pairs. Every leave
-// term counts: inert ignoring base, fromDelta or exFromDelta fails here, and
-// so does a floor that counts a penalty some single move removes (an
-// exclusion group below its floor, or an affinity penalty whose spread goal
-// weighs less or whose entity shares its domain). The worlds must reach
+// term counts: inert ignoring base, fromDelta or spreadLeave fails here, and
+// so does a floor that counts a penalty some single move removes (a spread
+// group below its floor, or an affinity penalty whose spread goal weighs less
+// or whose entity shares its domain). The worlds must reach
 // inert entities whose leave terms are not all 0.
 func TestInertEntitiesCannotImprove(t *testing.T) {
 	singles, standing := 0, 0
@@ -489,7 +462,7 @@ func TestInertEntitiesCannotImprove(t *testing.T) {
 				if !pr.inert {
 					continue
 				}
-				if pr.base != 0 || slices.ContainsFunc(pr.exFromDelta, func(d float64) bool { return d != 0 }) {
+				if pr.base != 0 || pr.spreadLeave != 0 {
 					standing++
 				}
 				for t2 := BucketID(0); int(t2) < nB; t2++ {
@@ -515,10 +488,11 @@ func TestInertEntitiesCannotImprove(t *testing.T) {
 // TestFloorIsALowerBound: on random worlds, whatever a Solve reaches counts at
 // least its floor in every kind. Every fifth entity without a region
 // preference is given one for a region with no bucket, so the worlds reach
-// affinity floors as well as exclusion floors (more members than regions).
-// The standing penalties the search skips are not all floor: counting an
-// affinity penalty that a heavier spread goal holds out of its region fails
-// here.
+// affinity floors as well as exclusion floors (more members than regions);
+// every third entity is pinned, so they reach the floor pinned members keep
+// (a conflict floor is one). The standing penalties the search skips are not
+// all floor: counting an affinity penalty that a heavier spread goal holds out
+// of its region fails here.
 func TestFloorIsALowerBound(t *testing.T) {
 	var seen ViolationCounts
 	for seed := uint64(1); seed <= 300; seed++ {
@@ -532,6 +506,9 @@ func TestFloorIsALowerBound(t *testing.T) {
 				p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: EntityID(e), Domain: "r9", Weight: 2})
 			}
 		}
+		for e := 1; e < len(p.Entities); e += 3 {
+			p.Entities[e].Movable = false
+		}
 		res := Solve(p, DefaultOptions())
 		f, v := res.Floor, res.Final
 		if f.Capacity > v.Capacity || f.Conflict > v.Conflict || f.Balance > v.Balance || f.Affinity > v.Affinity ||
@@ -539,12 +516,13 @@ func TestFloorIsALowerBound(t *testing.T) {
 			t.Fatalf("seed %d: floor %+v above final %+v", seed, f, v)
 		}
 		seen.Capacity += f.Capacity
+		seen.Conflict += f.Conflict
 		seen.Balance += f.Balance
 		seen.Affinity += f.Affinity
 		seen.Exclusion += f.Exclusion
 	}
-	if seen.Affinity == 0 || seen.Exclusion == 0 {
-		t.Fatalf("the worlds reach no affinity or no exclusion floor: %+v", seen)
+	if seen.Affinity == 0 || seen.Exclusion == 0 || seen.Conflict == 0 {
+		t.Fatalf("the worlds reach no affinity, exclusion or conflict floor: %+v", seen)
 	}
 	t.Logf("floors summed over the worlds: %+v", seen)
 }
@@ -609,8 +587,8 @@ func TestMoveDeltaAllocFree(t *testing.T) {
 	p := randomProblem(rng)
 	st := newState(p)
 	nE, nB := len(p.Entities), len(p.Buckets)
-	if len(st.excls) == 0 || len(st.confs) == 0 {
-		t.Fatal("seed 7 no longer draws a problem with both group specs")
+	if len(st.grp.ents) == 0 || st.spread.weight == 0 {
+		t.Fatal("seed 7 no longer draws a problem with groups and a spread")
 	}
 	pr := newPrepared(st)
 	i := 0
@@ -645,22 +623,24 @@ func TestMoveDeltaAllocFree(t *testing.T) {
 }
 
 // TestConflictFeasibilityNeverColocates: moveDelta must refuse any move
-// that would colocate two hard-conflict group members.
+// that would colocate two members of one group, with a spread goal (odd
+// seeds) or without one.
 func TestConflictFeasibilityNeverColocates(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		p := NewProblem([]string{"cpu"})
 		nB := 2 + rng.Intn(4)
 		for i := 0; i < nB; i++ {
-			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{1000}})
+			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{1000},
+				Props: map[string]string{"region": fmt.Sprintf("r%d", i%2)}})
 		}
-		groups := make([]int32, 12)
-		for i := range groups {
-			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true})
-			groups[i] = int32(i % 4)
+		for i := range 12 {
+			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: int32(i % 4)})
 		}
 		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Group: groups, NumGroups: 4})
+		if seed%2 == 1 {
+			p.AddSpreadGoal("region", 1)
+		}
 		st := newState(p)
 		for step := 0; step < 200; step++ {
 			e := EntityID(rng.Intn(len(p.Entities)))
@@ -673,7 +653,7 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 		for b := range p.Buckets {
 			seen := map[int32]bool{}
 			for _, e := range st.byBucket[b] {
-				g := groups[e]
+				g := p.Entities[e].Group
 				if seen[g] {
 					return false
 				}
@@ -738,19 +718,22 @@ func TestSearchStateHasNoMaps(t *testing.T) {
 			}
 		}
 	}
-	for _, root := range []any{state{}, specState{}, exclState{}, confState{}, prepared{}, hotSet{}, solveCtx{}} {
+	for _, root := range []any{state{}, specState{}, grouping{}, rule{}, prepared{}, hotSet{}, solveCtx{}} {
 		walk(reflect.TypeOf(root).Name(), reflect.TypeOf(root))
 	}
 }
 
-// TestCountMatchesAScan: what sync counts — each spec's entities beyond
-// the first in their (group, domain) — is what a scan entity by entity
-// counts; whether each group is at its floor is refAtFloor's answer; and the
-// spec's floor is what refMembers' domain counts give. The groups have the
-// sizes the allocator states (one to three members), with members unplaced,
-// alone or sharing a domain.
+// TestCountMatchesAScan: what sync counts for each rule on the grouping — the
+// members beyond the first in their (group, domain) — is what a scan entity by
+// entity counts; whether each group is at its floor is refAtFloor's answer;
+// and the rule's floor is what a set of each group's pinned domains gives: the
+// pinned extras, and every movable placed member beyond the domains the pinned
+// ones leave free. The groups have the sizes the allocator states (one to
+// three members), with members unplaced, alone or sharing a domain, a third
+// of them pinned, and a spread on every other trial.
 func TestCountMatchesAScan(t *testing.T) {
 	rng := sim.NewRNG(5)
+	pinnedFloors := 0
 	for trial := 0; trial < 200; trial++ {
 		p := NewProblem([]string{"cpu"})
 		nB := 2 + rng.Intn(4)
@@ -758,43 +741,61 @@ func TestCountMatchesAScan(t *testing.T) {
 			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", b), Capacity: []float64{10},
 				Props: map[string]string{"region": fmt.Sprintf("r%d", b%2)}})
 		}
-		var group []int32
-		for g := int32(0); len(group) < 30; g++ {
+		groups := int32(0)
+		for ; len(p.Entities) < 30; groups++ {
 			for range 1 + rng.Intn(3) {
-				group = append(group, g)
-				p.AddEntity(Entity{Load: []float64{1}, Bucket: BucketID(rng.Intn(nB+1)) - 1, Movable: true})
+				p.AddEntity(Entity{Load: []float64{1}, Bucket: BucketID(rng.Intn(nB+1)) - 1,
+					Movable: rng.Intn(3) != 0, Group: groups})
 			}
 		}
-		groups := int(group[len(group)-1]) + 1
-		p.AddConflict(ExclusionSpec{Scope: ScopeBucket, Group: group, NumGroups: groups})
-		p.AddExclusionGoal(ExclusionSpec{Scope: "region", Group: group, NumGroups: groups, Weight: 1})
+		rules := map[string]*rule{}
+		if trial%2 == 0 {
+			p.AddSpreadGoal("region", 1)
+		}
 		st := newState(p)
-		for i, cs := range []*confState{&st.confs[0], &st.excls[0].confState} {
-			extra := 0
-			for e, b := range st.assignment {
-				if b == Unassigned {
-					continue
+		rules["bucket"] = &st.conflict
+		if st.spread.weight != 0 {
+			rules["spread"] = &st.spread
+		}
+		if v := st.violations(); v.Exclusion != st.spread.extra || (trial%2 == 1 && v.Exclusion != 0) {
+			t.Fatalf("trial %d: %d exclusions counted with the spread %v", trial, v.Exclusion, trial%2 == 0)
+		}
+		for name, r := range rules {
+			extra, floor := 0, 0
+			for g := int32(0); g < groups; g++ {
+				if st.atFloor(r.dom, g) != refAtFloor(st, r.dom, g) {
+					t.Fatalf("trial %d, %s rule: group %d at floor %v", trial, name, g, !refAtFloor(st, r.dom, g))
 				}
-				for _, m := range cs.ents[cs.start[cs.entGroup[e]]:cs.start[cs.entGroup[e]+1]] {
-					if m < EntityID(e) && st.assignment[m] != Unassigned && cs.dom.bucketDom[st.assignment[m]] == cs.dom.bucketDom[b] {
-						extra++
-						break
+				seen := map[int32]bool{}
+				pinned := map[int32]bool{}
+				pinnedN, movable := 0, 0
+				for _, m := range st.grp.members(g) {
+					b := st.assignment[m]
+					if b == Unassigned {
+						continue
+					}
+					d := r.dom.bucketDom[b]
+					extra += b2i(seen[d])
+					seen[d] = true
+					if p.Entities[m].Movable {
+						movable++
+					} else {
+						pinnedN++
+						pinned[d] = true
 					}
 				}
+				floor += pinnedN - len(pinned) + max(0, movable-(r.dom.n-len(pinned)))
+				pinnedFloors += b2i(pinnedN > len(pinned))
 			}
-			if cs.extra != extra {
-				t.Fatalf("trial %d, spec %d: sync counts %d extras, the scan %d", trial, i, cs.extra, extra)
+			if r.extra != extra {
+				t.Fatalf("trial %d, %s rule: sync counts %d extras, the scan %d", trial, name, r.extra, extra)
 			}
-			floor := 0
-			for g := int32(0); int(g) < groups; g++ {
-				if cs.atFloor(st.assignment, g) != refAtFloor(cs, st.assignment, g) {
-					t.Fatalf("trial %d, spec %d: group %d at floor %v", trial, i, g, !refAtFloor(cs, st.assignment, g))
-				}
-				floor += max(0, len(refMembers(cs, st.assignment, g))-len(cs.dom.names))
-			}
-			if cs.floor != floor {
-				t.Fatalf("trial %d, spec %d: floor %d, the scan %d", trial, i, cs.floor, floor)
+			if r.floor != floor {
+				t.Fatalf("trial %d, %s rule: floor %d, the scan %d", trial, name, r.floor, floor)
 			}
 		}
+	}
+	if pinnedFloors == 0 {
+		t.Fatal("no group kept an extra among its pinned members")
 	}
 }

@@ -88,6 +88,10 @@ echo "== go test -race (all packages except sim-heavy experiments)"
 go test -race $(go list ./... | grep -v 'internal/experiments$')
 echo "== go test ./internal/experiments"
 go test ./internal/experiments
+echo "== the mutant catalogue stays killed (scripts/mutants.sh)"
+# Each scripts/mutants/<name>.patch is a bug a test once caught; applied to a
+# copy of the tree it must still fail the tests its header names.
+sh scripts/mutants.sh
 echo "== every function a run enters, or listed with its reason (scripts/deploycover.sh)"
 # The commands, examples and bench workloads run under coverage; a non-test
 # function under internal/ that none of them enters must be on

@@ -1,0 +1,52 @@
+#!/bin/sh
+# The mutant catalogue (`make mutants`): each scripts/mutants/<name>.patch is a
+# deliberate bug, a `git diff` against the tree, headed by what must catch it:
+#
+#   package: ./internal/solver
+#   run: ^TestSomething$
+#   found-by: where the mutant was first killed
+#
+# The script copies the tree (the files git tracks or would add) under a
+# temporary directory, applies each patch there in turn with `git apply`,
+# checks that the mutant still compiles, runs `go test -run <run> <package>`
+# (a mutant that hangs is killed by the timeout) and takes the patch back out.
+# It fails, naming the mutant, when a patch no longer applies (the code it
+# breaks has changed: re-cut the patch and look at the mutant again), when a
+# mutant does not compile (a broken patch proves nothing) or when one survives
+# (its tests pass).
+set -eu
+cd "$(dirname "$0")/.."
+root="$(pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+git ls-files -z --cached --others --exclude-standard | tar --null -T - -cf - | tar -xf - -C "$work"
+failed=""
+for patch in scripts/mutants/*.patch; do
+	name="$(basename "$patch" .patch)"
+	pkg="$(sed -n 's/^package: //p' "$patch")"
+	run="$(sed -n 's/^run: //p' "$patch")"
+	if [ -z "$pkg" ] || [ -z "$run" ]; then
+		echo "mutant $name: the header names no package or no run pattern" >&2
+		failed="$failed $name"
+		continue
+	fi
+	if ! (cd "$work" && git apply "$root/$patch"); then
+		echo "mutant $name: the patch no longer applies" >&2
+		failed="$failed $name"
+		continue
+	fi
+	if ! (cd "$work" && go test -count=1 -run '^$' "$pkg" >/dev/null); then
+		echo "mutant $name: does not compile" >&2
+		failed="$failed $name"
+	elif (cd "$work" && go test -count=1 -timeout 120s -run "$run" "$pkg" >/dev/null 2>&1); then
+		echo "mutant $name: survived go test -run '$run' $pkg" >&2
+		failed="$failed $name"
+	else
+		echo "mutant $name: killed by $run"
+	fi
+	(cd "$work" && git apply -R "$root/$patch")
+done
+if [ -n "$failed" ]; then
+	echo "mutants:$failed" >&2
+	exit 1
+fi
