@@ -197,7 +197,7 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(appserver.Host{}): nil,
 		reflect.TypeOf(allocator.Policy{}): {"Metrics", "UtilCap", "MaxDiff", "SpreadLevel", "SpreadWeight",
 			"AffinityWeight", "PerShardMoveCap", "MaxTotalMoves"},
-		reflect.TypeOf(solver.Options{}): {"TimeLimit", "EvalBudget", "MoveBudget", "CandidateTargets", "BigFirst",
+		reflect.TypeOf(solver.Options{}): {"EvalBudget", "MoveBudget", "CandidateTargets", "BigFirst",
 			"Sampler", "Seed", "Progress"},
 		reflect.TypeOf(routing.Options{}):       {"MaxAttempts"},
 		reflect.TypeOf(taskcontroller.Policy{}): {"DrainOnRestart", "MaxConcurrentOps", "MaxUnavailableReplicas"},

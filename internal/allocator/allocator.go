@@ -6,10 +6,11 @@
 // a bounded set of replica moves.
 //
 // The allocator is where SM's domain knowledge lives (§5.3): it groups
-// servers for sampling, orders big shards first, batches goals by priority,
-// and enforces the churn hard constraints: the global move cap is the
-// solver's move budget, spent by the search, and the per-shard cap is
-// applied to the emitted diff.
+// servers for sampling, orders big shards first, batches goals by priority —
+// every run solves the placement goals, hard constraints included, and a
+// periodic run then adds the balance goals and solves again — and enforces
+// the churn hard constraints: the global move cap is the solver's move budget,
+// spent by the search, and the per-shard cap is applied to the emitted diff.
 package allocator
 
 import (
@@ -118,9 +119,9 @@ type Policy struct {
 
 // What every application gets (§5.3's optimizations are not per-application
 // policy: Run always samples by group, orders big shards first and solves the
-// goals in priority stages; smbench -fig fig22 measures the sampling and -fig
-// ablations big-shards-first on solver.Options directly, and no run measures
-// the stages).
+// goals in two priority batches; smbench -fig fig22 measures the sampling and
+// -fig ablations big-shards-first on solver.Options directly, and no run
+// measures the batches).
 const (
 	// drainWeight penalizes a replica on a draining server (§5.1 soft goal 3).
 	drainWeight = 500
@@ -170,19 +171,19 @@ type Result struct {
 	// retry them.
 	Deferred int
 	// Initial and Final are the solver's violation counts. Initial is counted
-	// by the run's first solve: the critical goals alone when every replica
-	// was placed, else the critical and placement goals together. Final is
-	// counted on the placement the search reached within MaxTotalMoves,
-	// before the Deferred moves were taken back out.
+	// by the placement batch on the input: the critical and placement goals,
+	// never balance. Final is counted on the placement the search reached
+	// within MaxTotalMoves, before the Deferred moves were taken back out.
 	Initial, Final solver.ViolationCounts
 	// Floor is the last solve's floor, a lower bound on Final kind by kind
 	// (solver.Result).
 	Floor solver.ViolationCounts
-	// Solves is the number of solver batches run.
+	// Solves is the number of solver batches run: 2 for a periodic run
+	// (placement, then balance), 1 for an emergency one.
 	Solves int
 	// Elapsed is total solver wall-clock time.
 	Elapsed time.Duration
-	// Evaluated counts the solver's candidate moves over all stages: the
+	// Evaluated counts the solver's candidate moves over all batches: the
 	// pairs its grids scored and the runner-ups they checked again.
 	Evaluated int
 }
@@ -479,11 +480,8 @@ func (p *Problem) run(mode Mode) *Result {
 	// Entities: existing placements on live servers keep their bucket; others
 	// start unassigned. In emergency mode, placed replicas are pinned.
 	prob.ClearGoals()
-	unplaced := 0 // entities with no live server to start from
 	for e, b := range p.cur {
-		if b == solver.Unassigned {
-			unplaced++
-		} else if int(b) >= len(p.serverOf) {
+		if b != solver.Unassigned && int(b) >= len(p.serverOf) {
 			panic(fmt.Sprintf("allocator: entity %d is on bucket %d, %d servers are live: a renumbered replica was not restated", e, b, len(p.serverOf)))
 		}
 		ent := &prob.Entities[e]
@@ -494,12 +492,12 @@ func (p *Problem) run(mode Mode) *Result {
 	res := &Result{}
 	opt := solver.DefaultOptions()
 	opt.Seed = p.a.seed
-	// Every stage spends one budget: an entity's Home is where this run
+	// Both batches spend one budget: an entity's Home is where this run
 	// found it.
 	opt.MoveBudget = pol.MaxTotalMoves
 	start := time.Now()
 	solve := func() {
-		// A sampler keeps a rotation; every stage starts a fresh one.
+		// A sampler keeps a rotation; every batch starts a fresh one.
 		opt.Sampler = solver.GroupedSampler(prob, 0)
 		sres := solver.Solve(prob, opt)
 		if res.Solves == 0 {
@@ -510,30 +508,20 @@ func (p *Problem) run(mode Mode) *Result {
 		res.Evaluated += sres.Evaluated
 	}
 
-	// Goal stages, highest priority first (§5.3: "groups placement goals of
-	// similar priorities into batches"). Each stage adds its goals to the
-	// problem on top of the earlier stages', so a later stage cannot undo an
-	// earlier fix for free; Solve brings its state in step with the problem as
-	// it then stands and leaves the assignment it reached in prob.Entities for
-	// the next stage. Emergency solves once, for the hard constraints and
-	// placement only, and skips balance. Periodic solves after the placement
-	// and balance stages, and after the critical stage only when every
-	// replica is placed: a replica placed on the critical goals alone lands
-	// blind to spread and region preference, and the placement stage would
-	// spend far more evaluations moving it than placing it with them in view
-	// costs. A placing run may therefore leave a drain to the next run.
-
-	// Critical: capacity, drains, and (the solver's own rule on the
-	// grouping) no two replicas of a shard on one server.
+	// Two goal batches, highest priority first (§5.3: "groups placement goals
+	// of similar priorities into batches"). The placement batch holds the
+	// critical goals — capacity, drains and (the solver's own rule on the
+	// grouping) no two replicas of a shard on one server — with spread and
+	// region preference, so a replica is placed or moved off a drain once,
+	// with all of them in view. Every run solves it; a periodic run then adds
+	// the balance goals on top and solves again, so balance cannot undo a
+	// placement fix for free. Solve brings its state in step with the problem
+	// as it then stands and leaves the assignment it reached in prob.Entities
+	// for the next batch. An emergency run solves the placement batch alone.
 	for _, m := range prob.Metrics {
 		prob.AddConstraint(solver.CapacitySpec{Metric: m})
 	}
 	prob.AddDrainGoal(drainWeight)
-	if mode != Emergency && unplaced == 0 {
-		solve()
-	}
-
-	// Placement: spread and region preference.
 	if pol.SpreadWeight > 0 {
 		prob.AddSpreadGoal(pol.SpreadLevel.String(), pol.SpreadWeight)
 	}

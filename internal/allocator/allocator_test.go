@@ -121,12 +121,12 @@ func TestSpreadAcrossRegions(t *testing.T) {
 	}
 }
 
-// TestFirstPlacementNeedsNoSpreadRepair pins the stage rule for a run with
-// replicas to place: it skips the critical-only solve, so each replica is
-// placed once with spread in view, and balance finds nothing to repair. Were
-// the critical goals solved alone first, every replica would be placed blind
-// to spread and a third solve would spend thousands of evaluations moving
-// them apart again.
+// TestFirstPlacementNeedsNoSpreadRepair pins the batches for a run with
+// replicas to place: no run solves the critical goals alone, so each replica
+// is placed once with spread in view, and balance finds nothing to repair.
+// Were the critical goals solved alone first, every replica would be placed
+// blind to spread and a third solve would spend thousands of evaluations
+// moving them apart again.
 func TestFirstPlacementNeedsNoSpreadRepair(t *testing.T) {
 	a := New(DefaultPolicy(topology.ResourceCPU), 1)
 	in := Input{
@@ -143,6 +143,41 @@ func TestFirstPlacementNeedsNoSpreadRepair(t *testing.T) {
 	}
 	if want := 180 * solver.DefaultOptions().CandidateTargets; res.Evaluated != want {
 		t.Errorf("evaluated = %d, want %d: one sampled round per replica", res.Evaluated, want)
+	}
+}
+
+// TestDrainRepairNeedsNoSpreadRepair is TestFirstPlacementNeedsNoSpreadRepair
+// for a drain on a fully placed world: the replicas on the draining server
+// move once, with spread in view, in the placement batch. Were the critical
+// goals solved alone first, they would move blind to spread, and the
+// placement batch would spend as many evaluations again moving them apart.
+func TestDrainRepairNeedsNoSpreadRepair(t *testing.T) {
+	a := New(DefaultPolicy(topology.ResourceCPU), 1)
+	in := Input{
+		Servers: makeServers(12, []string{"r1", "r2", "r3"}, 100),
+		Shards:  makeShards(60, 3, 1),
+		Current: map[shard.ID][]shard.ServerID{},
+	}
+	in.Current = applyMoves(in, a.Run(in, Periodic).Moves)
+	in.Servers[1].Draining = true
+	on := 0
+	for _, srvs := range in.Current {
+		if slices.Contains(srvs, in.Servers[1].ID) {
+			on++
+		}
+	}
+	if on != 15 {
+		t.Fatalf("%d replicas on the drained server, want 15", on)
+	}
+	res := a.Run(in, Periodic)
+	if res.Final.Drain != 0 || res.Final.Exclusion != 0 {
+		t.Errorf("final = %+v, want no drain or spread violation", res.Final)
+	}
+	if res.Solves != 2 {
+		t.Errorf("solves = %d, want 2 (placement, balance)", res.Solves)
+	}
+	if limit := 15 * solver.DefaultOptions().CandidateTargets; res.Evaluated > limit {
+		t.Errorf("evaluated = %d, want at most %d: one sampled round per drained replica", res.Evaluated, limit)
 	}
 }
 

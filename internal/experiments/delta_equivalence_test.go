@@ -205,6 +205,10 @@ func runPublishBurstWorld(t *testing.T, seed uint64) []string {
 // violations and began applying every improving move a grid found
 // (70859375e6a7f2d9 before, the same 3799 results): the drains' allocations
 // chose other moves, so the requests took other routes. The drain rows held.
+// The "burst seed 5" row was re-recorded once more when no run solved the
+// critical goals alone any more (a00a0b6f9b19a300 before, the same 3799
+// results): the drains were repaired with spread in view, so the allocations
+// chose other moves and the requests took other routes. The drain rows held.
 func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -214,7 +218,7 @@ func TestDeltaPublishRoutingOutcomesIdentical(t *testing.T) {
 	}{
 		{"drain seed 3", func() []string { return runDeltaEquivalenceWorld(t, 3) }, 992, "c41bd62bcb5e4ea0"},
 		{"drain seed 11", func() []string { return runDeltaEquivalenceWorld(t, 11) }, 992, "f204fd2e02ebc8fb"},
-		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3799, "a00a0b6f9b19a300"},
+		{"burst seed 5", func() []string { return runPublishBurstWorld(t, 5) }, 3799, "e7fc526d5971801f"},
 	} {
 		results := c.run()
 		sum := sha256.Sum256([]byte(strings.Join(results, "\n")))

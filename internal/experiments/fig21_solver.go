@@ -161,17 +161,13 @@ func Fig21(params SolverScaleParams) *Report {
 type SolverAblationParams struct {
 	Servers, Shards int
 	Seed            uint64
-	// TimeLimit bounds each solve; the paper's baseline fails to finish
-	// within 300s.
-	TimeLimit time.Duration
 }
 
 // DefaultSolverAblationParams scale the paper's 75K-shard comparison to a
-// size where convergence is reachable within the time limit on commodity
-// hardware (the structure — 24 regions, region preferences, hot servers —
-// is preserved).
+// size where convergence is reachable in seconds on commodity hardware (the
+// structure — 24 regions, region preferences, hot servers — is preserved).
 func DefaultSolverAblationParams() SolverAblationParams {
-	return SolverAblationParams{Servers: 600, Shards: 45000, Seed: 1, TimeLimit: 90 * time.Second}
+	return SolverAblationParams{Servers: 600, Shards: 45000, Seed: 1}
 }
 
 // ablationVariant is one solver configuration under test.
@@ -187,7 +183,6 @@ func runAblation(params SolverAblationParams, variants []ablationVariant) (*Repo
 		Params: map[string]string{
 			"servers": fmt.Sprint(params.Servers),
 			"shards":  fmt.Sprint(params.Shards),
-			"limit":   params.TimeLimit.String(),
 		},
 	}
 	t := Table{
@@ -200,7 +195,6 @@ func runAblation(params SolverAblationParams, variants []ablationVariant) (*Repo
 		p := zippyProblem(rng, params.Servers, params.Shards, true)
 		opt := solver.DefaultOptions()
 		opt.Seed = params.Seed
-		opt.TimeLimit = params.TimeLimit
 		// Both variants get the same candidate budget (one per region)
 		// so the comparison isolates *where* candidates come from, not
 		// how many there are.

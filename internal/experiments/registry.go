@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"shardmanager/internal/healthmon"
 	"shardmanager/internal/sim"
@@ -125,7 +124,7 @@ var registry = []runner{
 		p := DefaultSolverAblationParams()
 		switch c.Scale {
 		case ScaleQuick:
-			p.Servers, p.Shards, p.TimeLimit = 400, 30000, 10*time.Second
+			p.Servers, p.Shards = 400, 30000
 		case ScaleStress:
 			p.Servers, p.Shards = 5000, 100000
 		}
@@ -161,7 +160,7 @@ var registry = []runner{
 	{"ablations", "extra §5.3 design-choice ablations", func(c RunConfig) *Report {
 		p := DefaultSolverAblationParams()
 		if c.Scale == ScaleQuick {
-			p.Servers, p.Shards, p.TimeLimit = 400, 30000, 10*time.Second
+			p.Servers, p.Shards = 400, 30000
 		}
 		return Ablations(p)
 	}},

@@ -121,12 +121,9 @@ func (p *Problem) bucketGroups() [][]BucketID {
 
 // Options configure one Solve call.
 type Options struct {
-	// TimeLimit bounds wall-clock solving time; <= 0 means no limit.
-	TimeLimit time.Duration
 	// EvalBudget bounds the number of candidate-move evaluations; <= 0
-	// means no limit. Unlike TimeLimit, an evaluation budget is
-	// deterministic: two runs with the same seed stop at the same point.
-	// Only tests and benchmarks set it.
+	// means no limit. The budget is deterministic: two runs with the same
+	// seed stop at the same point. Only tests and benchmarks set it.
 	EvalBudget int
 	// MoveBudget bounds how many entities end the solve away from their
 	// Home (§5.1's churn cap, spent by the search); <= 0 means no limit.
@@ -206,14 +203,13 @@ const maxEntitiesPerBucket = 16
 // attempts so the hot loop does not allocate, and across Solves of one
 // problem (newSolveCtx).
 type solveCtx struct {
-	p        *Problem
-	st       *state
-	opt      Options
-	rng      *sim.RNG
-	view     *View
-	res      *Result
-	start    time.Time
-	deadline time.Time
+	p     *Problem
+	st    *state
+	opt   Options
+	rng   *sim.RNG
+	view  *View
+	res   *Result
+	start time.Time
 
 	// entCache[b] is bucket b's movable entities, sorted for BigFirst;
 	// valid until a move touches b (see applyMove).
@@ -292,10 +288,6 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 	c.rng = sim.NewRNG(opt.Seed)
 	c.res = &Result{Initial: st.violations(), Floor: st.floor()}
 	c.start = time.Now()
-	c.deadline = time.Time{}
-	if opt.TimeLimit > 0 {
-		c.deadline = c.start.Add(opt.TimeLimit)
-	}
 	c.spent, c.cachePinned = 0, false
 	if opt.MoveBudget > 0 {
 		c.spent = st.away
@@ -313,13 +305,7 @@ func (c *solveCtx) bigFirst(a, b EntityID) int {
 }
 
 func (c *solveCtx) budgetLeft() bool {
-	if c.opt.EvalBudget > 0 && c.res.Evaluated >= c.opt.EvalBudget {
-		return false
-	}
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
-		return false
-	}
-	return true
+	return c.opt.EvalBudget <= 0 || c.res.Evaluated < c.opt.EvalBudget
 }
 
 // away is 1 when entity e on bucket b counts against the move budget: it has
