@@ -343,9 +343,11 @@ func exportedFields(typ reflect.Type) []string {
 // the solver is told an entity's group one way, as a number on the entity, not
 // as a string in a map it must intern nor as a spec listing groups per goal
 // (no conflict or exclusion-goal adder: the bucket rule comes with the
-// grouping, and the spread names only a scope and a weight; names assembled
-// from stems, as above), and a capacity or balance rule has no scope: it
-// judges each server's load, which the search already sums.
+// grouping; names assembled from stems, as above). No goal names a scope
+// either: a bucket has one domain, which the spread, a preference and the
+// grouped sampler all read, so the spread takes only its weight, and a
+// capacity or balance rule judges each server's load, which the search
+// already sums.
 func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 	net := reflect.TypeOf(rpcnet.Network{})
 	for _, gone := range []string{"regions", "down"} {
@@ -366,6 +368,8 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 	}
 	for spec, want := range map[reflect.Type][]string{
 		reflect.TypeOf(solver.Entity{}):       {"Load", "Bucket", "Home", "Movable", "Group"},
+		reflect.TypeOf(solver.Bucket{}):       {"Capacity", "Domain", "Draining"},
+		reflect.TypeOf(solver.AffinityGoal{}): {"Entity", "Domain", "Weight"},
 		reflect.TypeOf(solver.CapacitySpec{}): {"Metric"},
 		reflect.TypeOf(solver.BalanceSpec{}):  {"Metric", "UtilCap", "MaxDiff", "Weight"},
 	} {
@@ -385,6 +389,11 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 		if _, ok := prob.MethodByName(gone); ok {
 			t.Errorf("%v has %s: the bucket rule and the spread act on the entities' one grouping", prob, gone)
 		}
+	}
+	// A bucket has one domain, so the spread names no scope: its weight is
+	// all it takes.
+	if m, ok := prob.MethodByName("AddSpreadGoal"); !ok || m.Type.NumIn() != 2 || m.Type.In(1) != reflect.TypeOf(float64(0)) {
+		t.Errorf("%v.AddSpreadGoal is %v, want one float64 parameter, the weight", prob, m.Type)
 	}
 }
 

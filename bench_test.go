@@ -126,9 +126,8 @@ func BenchmarkSolverMoveEvaluation(b *testing.B) {
 	p := solver.NewProblem([]string{"cpu"})
 	for i := 0; i < 500; i++ {
 		p.AddBucket(solver.Bucket{
-			Name:     fmt.Sprintf("b%d", i),
 			Capacity: []float64{100},
-			Group:    fmt.Sprintf("g%d", i%4),
+			Domain:   fmt.Sprintf("g%d", i%4),
 		})
 	}
 	for i := 0; i < 20000; i++ {

@@ -29,7 +29,6 @@ func main() {
 	const numShards = 24
 
 	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	pol.SpreadLevel = topology.LevelRegion
 	cfg := orchestrator.Config{
 		App:      "zippy",
 		Strategy: shard.PrimarySecondary,

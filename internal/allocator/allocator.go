@@ -16,7 +16,6 @@ package allocator
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -32,7 +31,8 @@ import (
 type ServerInfo struct {
 	ID shard.ServerID
 	// Domains maps fault-domain level names ("region", "datacenter",
-	// "rack") to this server's domain at that level.
+	// "rack") to this server's domain at that level. The allocator reads
+	// only the region.
 	Domains map[string]string
 	// Capacity per resource. Resources missing from the map have zero
 	// capacity for balancing purposes.
@@ -103,7 +103,8 @@ type Policy struct {
 	// soft goals 5-6); 0 disables.
 	MaxDiff float64
 	// SpreadLevel is the fault-domain level across which a shard's
-	// replicas spread (§5.1 soft goal 2); SpreadWeight 0 disables.
+	// replicas spread (§5.1 soft goal 2); SpreadWeight 0 disables. The
+	// region is the one level: New panics on another.
 	SpreadLevel  topology.FaultDomainLevel
 	SpreadWeight float64
 	// AffinityWeight is the default region-preference weight; 0 disables
@@ -198,6 +199,9 @@ type Allocator struct {
 func New(policy Policy, seed uint64) *Allocator {
 	if len(policy.Metrics) == 0 {
 		panic("allocator: policy needs at least one metric")
+	}
+	if policy.SpreadLevel != topology.LevelRegion {
+		panic(fmt.Sprintf("allocator: spread at %v, only the region is supported", policy.SpreadLevel))
 	}
 	if policy.PerShardMoveCap <= 0 {
 		policy.PerShardMoveCap = 1
@@ -309,13 +313,14 @@ func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
 // list order; it returns each server's bucket, -1 for one not live, in a
 // slice the problem keeps until the next call. A bucket number another
 // server held before must be restated by SetCurrent for every shard with a
-// replica there. When the live servers, their domains and their capacities
-// are the ones stated last, only their drains are rewritten; otherwise the
-// bucket list is rebuilt. A drain that differs from the one held, like a
-// rebuilt list, makes the next Run run afresh. A Domains map is read, not
-// copied: changed domains come in a new map.
+// replica there. A server's region is its bucket's domain, and nothing else
+// of its Domains is read. When the live servers, their regions and their
+// capacities are the ones stated last, only their drains are rewritten;
+// otherwise the bucket list is rebuilt. A drain that differs from the one
+// held, like a rebuilt list, makes the next Run run afresh.
 func (p *Problem) SetServers(servers []ServerInfo) []int {
 	metrics := p.a.policy.Metrics
+	region := topology.LevelRegion.String()
 	same := p.prob != nil
 	live := 0
 	p.buckets = p.buckets[:0]
@@ -325,7 +330,7 @@ func (p *Problem) SetServers(servers []ServerInfo) []int {
 			b = live
 			live++
 			same = same && b < len(p.serverOf) && p.serverOf[b] == s.ID &&
-				maps.Equal(p.prob.Buckets[b].Props, s.Domains)
+				p.prob.Buckets[b].Domain == s.Domains[region]
 			for i, m := range metrics {
 				same = same && p.prob.Buckets[b].Capacity[i] == s.Capacity.Get(m)
 			}
@@ -360,17 +365,7 @@ func (p *Problem) SetServers(servers []ServerInfo) []int {
 		for i, m := range metrics {
 			c[i] = s.Capacity.Get(m)
 		}
-		group := s.Domains[topology.LevelRegion.String()]
-		if group == "" {
-			group = "all"
-		}
-		prob.AddBucket(solver.Bucket{
-			Name:     string(s.ID),
-			Capacity: c,
-			Props:    s.Domains,
-			Group:    group,
-			Draining: s.Draining,
-		})
+		prob.AddBucket(solver.Bucket{Capacity: c, Domain: s.Domains[region], Draining: s.Draining})
 		p.serverOf = append(p.serverOf, s.ID)
 	}
 	// The entities are restated at every run; their count is known, so the
@@ -523,7 +518,7 @@ func (p *Problem) run(mode Mode) *Result {
 	}
 	prob.AddDrainGoal(drainWeight)
 	if pol.SpreadWeight > 0 {
-		prob.AddSpreadGoal(pol.SpreadLevel.String(), pol.SpreadWeight)
+		prob.AddSpreadGoal(pol.SpreadWeight)
 	}
 	for i := 0; p.preferring > 0 && i < len(p.shards); i++ {
 		sh := &p.shards[i]
@@ -533,12 +528,7 @@ func (p *Problem) run(mode Mode) *Result {
 		}
 		for e := sh.first; e < sh.first+sh.replicas; e++ {
 			if prob.Entities[e].Movable {
-				prob.AddAffinityGoal(solver.AffinityGoal{
-					Scope:  topology.LevelRegion.String(),
-					Entity: solver.EntityID(e),
-					Domain: string(sh.pref),
-					Weight: w,
-				})
+				prob.AddAffinityGoal(solver.AffinityGoal{Entity: solver.EntityID(e), Domain: string(sh.pref), Weight: w})
 			}
 		}
 	}

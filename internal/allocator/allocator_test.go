@@ -467,3 +467,17 @@ func TestNewPanicsWithoutMetrics(t *testing.T) {
 	}()
 	New(Policy{}, 1)
 }
+
+// TestNewPanicsOnSpreadBelowRegion: the region is the one level a spread
+// keeps replicas apart at; a policy naming another is refused, not run at the
+// region.
+func TestNewPanicsOnSpreadBelowRegion(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	pol := DefaultPolicy(topology.ResourceCPU)
+	pol.SpreadLevel = topology.LevelRack
+	New(pol, 1)
+}

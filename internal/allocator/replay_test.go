@@ -69,9 +69,9 @@ func (w replayWorld) input() Input {
 // a run reads is the one the last run read and the mode is the same: values
 // restated equal, a load in a metric the policy does not balance on, a load or
 // a replica's move undone before the run, a drain or a replica on servers that
-// are not live. Any other change — a policy metric's load, a preference
-// weight, a live server's drain, domains or capacity, a replica between live
-// servers, the mode — runs afresh. Whatever Run returns gives the moves and
+// are not live, a live server's rack (only its region is read). Any other
+// change — a policy metric's load, a preference weight, a live server's drain,
+// region or capacity, a replica between live servers, the mode — runs afresh. Whatever Run returns gives the moves and
 // counts a run from scratch on the same input gives.
 func TestKeptProblemReplaysOnlyWhatItRead(t *testing.T) {
 	cpu := func(v float64) topology.Capacity {
@@ -101,13 +101,18 @@ func TestKeptProblemReplaysOnlyWhatItRead(t *testing.T) {
 		{"replica moved between servers not live", Periodic, []func(*replayWorld){func(w *replayWorld) {
 			w.hosts[0][1] = 7
 		}}, true},
+		{"rack", Periodic, []func(*replayWorld){func(w *replayWorld) {
+			d := maps.Clone(w.servers[1].Domains)
+			d["rack"] = "r2/dc0/rack99"
+			w.servers[1].Domains = d
+		}}, true},
 
 		{"policy metric load", Periodic, []func(*replayWorld){func(w *replayWorld) { w.shards[3].Load = cpu(3) }}, false},
 		{"preference weight", Periodic, []func(*replayWorld){func(w *replayWorld) { w.shards[5].PreferenceWeight = 50 }}, false},
 		{"live server's drain flip", Periodic, []func(*replayWorld){func(w *replayWorld) { w.servers[2].Draining = true }}, false},
-		{"domain", Periodic, []func(*replayWorld){func(w *replayWorld) {
+		{"region", Periodic, []func(*replayWorld){func(w *replayWorld) {
 			d := maps.Clone(w.servers[1].Domains)
-			d["rack"] = "r2/dc0/rack99"
+			d["region"] = "r9"
 			w.servers[1].Domains = d
 		}}, false},
 		{"capacity", Periodic, []func(*replayWorld){func(w *replayWorld) {

@@ -45,15 +45,11 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 	for i := 0; i < servers; i++ {
 		// Heterogeneous hardware: storage capacity varies up to 20%.
 		storageCap := 1000 * (1 + 0.2*rng.Float64())
-		b := solver.Bucket{
-			Name:     fmt.Sprintf("srv%05d", i),
-			Capacity: []float64{storageCap, 100, 1000},
-			Group:    fmt.Sprintf("g%d", i%8),
-		}
+		// A bucket's domain is its hardware class, or its region in the geo
+		// variant.
+		b := solver.Bucket{Capacity: []float64{storageCap, 100, 1000}, Domain: fmt.Sprintf("g%d", i%8)}
 		if geo {
-			region := fmt.Sprintf("region%02d", i%geoRegions)
-			b.Group = region
-			b.Props = map[string]string{"region": region}
+			b.Domain = fmt.Sprintf("region%02d", i%geoRegions)
 		}
 		p.AddBucket(b)
 	}
@@ -83,7 +79,6 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 			// preference (§2.2.4: 33% of geo-distributed server
 			// usage is preference-driven).
 			p.AddAffinityGoal(solver.AffinityGoal{
-				Scope:  "region",
 				Entity: id,
 				Domain: fmt.Sprintf("region%02d", rng.Intn(geoRegions)),
 				Weight: 20,

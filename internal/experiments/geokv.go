@@ -23,7 +23,6 @@ import (
 func GeoKVSpec(app shard.AppID, regions [3]topology.RegionID, home topology.RegionID,
 	shards, replicas, serversPerRegion int, seed uint64) DeploymentSpec {
 	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	pol.SpreadLevel = topology.LevelRegion
 	pol.SpreadWeight = 100
 	backing := apps.NewKVBacking()
 	return DeploymentSpec{

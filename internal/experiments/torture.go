@@ -187,7 +187,6 @@ func tortureScenario(rng *sim.RNG, fleet *topology.Fleet, horizon time.Duration,
 // violations, same timelines.
 func RunTortureSeed(c RunConfig, p TortureParams, seed uint64) *TortureRun {
 	pol := allocator.DefaultPolicy(topology.ResourceCPU, topology.ResourceShardCount)
-	pol.SpreadLevel = topology.LevelRegion
 	pol.SpreadWeight = 100
 	cfg := orchestrator.Config{
 		App:      "torture",

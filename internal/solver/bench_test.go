@@ -9,7 +9,7 @@ import (
 
 // scaleProblem builds a ZippyDB-like problem (mirroring the experiments
 // package's workload, rebuilt locally to keep the solver package
-// dependency-free): heterogeneous buckets in 8 groups, 20x shard-load
+// dependency-free): heterogeneous buckets in 8 domains, 20x shard-load
 // spread, capacity constraints plus utilization-band balance goals, and a
 // random initial assignment.
 func scaleProblem(rng *sim.RNG, buckets, entities int) *Problem {
@@ -17,9 +17,8 @@ func scaleProblem(rng *sim.RNG, buckets, entities int) *Problem {
 	for i := 0; i < buckets; i++ {
 		storageCap := 1000 * (1 + 0.2*rng.Float64())
 		p.AddBucket(Bucket{
-			Name:     fmt.Sprintf("srv%05d", i),
 			Capacity: []float64{storageCap, 100, 1000},
-			Group:    fmt.Sprintf("g%d", i%8),
+			Domain:   fmt.Sprintf("g%d", i%8),
 		})
 	}
 	baseStorage := float64(buckets) * 1100 * 0.55 / float64(entities)
@@ -65,20 +64,14 @@ func BenchmarkSolveScale(b *testing.B) {
 // replicatedProblem builds the problem the allocator states for the bench's
 // lb_churn workload at its balance stage, which scaleProblem lacks every
 // group-keyed part of: 300 buckets in 3 regions, 6,000 groups of 2 entities
-// under the bucket rule and a region-scope spread, a region preference on a
+// under the bucket rule and a spread over the regions, a region preference on a
 // third of the groups, 20x load spread, and a random initial assignment that
 // keeps the bucket rule.
 func replicatedProblem(rng *sim.RNG) *Problem {
 	const buckets, groups, replicas, regions = 300, 6000, 2, 3
 	p := NewProblem([]string{"cpu", "shard_count"})
 	for i := 0; i < buckets; i++ {
-		region := fmt.Sprintf("r%d", i%regions)
-		p.AddBucket(Bucket{
-			Name:     fmt.Sprintf("srv%03d", i),
-			Capacity: []float64{100, 80},
-			Props:    map[string]string{"region": region},
-			Group:    region,
-		})
+		p.AddBucket(Bucket{Capacity: []float64{100, 80}, Domain: fmt.Sprintf("r%d", i%regions)})
 	}
 	baseCPU := buckets * 100 * 0.55 / (groups * replicas)
 	for g := 0; g < groups; g++ {
@@ -92,7 +85,7 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 				Group:   int32(g),
 			})
 			if g%3 == 0 {
-				p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: id, Domain: fmt.Sprintf("r%d", g%regions), Weight: 200})
+				p.AddAffinityGoal(AffinityGoal{Entity: id, Domain: fmt.Sprintf("r%d", g%regions), Weight: 200})
 			}
 		}
 	}
@@ -100,7 +93,7 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 		p.AddConstraint(CapacitySpec{Metric: m})
 		p.AddBalanceGoal(BalanceSpec{Metric: m, UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
 	}
-	p.AddSpreadGoal("region", 100)
+	p.AddSpreadGoal(100)
 	p.AddDrainGoal(500)
 	return p
 }

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -87,9 +86,9 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		// Twenty unplaced entities and one at home on a draining bucket,
 		// budget one: every placement is free, so the drain move still fits.
 		p := NewProblem([]string{"cpu"})
-		drain := p.AddBucket(Bucket{Name: "drain", Capacity: []float64{100}, Draining: true})
+		drain := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
 		for i := 0; i < 3; i++ {
-			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{100}})
+			p.AddBucket(Bucket{Capacity: []float64{100}})
 		}
 		homed := p.AddEntity(Entity{Load: []float64{1}, Bucket: drain, Movable: true, Group: -1})
 		for i := 0; i < 20; i++ {
@@ -109,10 +108,10 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		// A, B and D drain. The budget of one is spent on x before the
 		// search begins: x may still leave B for C, y may not leave D.
 		p := NewProblem([]string{"cpu"})
-		a := p.AddBucket(Bucket{Name: "A", Capacity: []float64{100}, Draining: true})
-		b := p.AddBucket(Bucket{Name: "B", Capacity: []float64{100}, Draining: true})
-		c := p.AddBucket(Bucket{Name: "C", Capacity: []float64{100}})
-		d := p.AddBucket(Bucket{Name: "D", Capacity: []float64{100}, Draining: true})
+		a := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
+		b := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
+		c := p.AddBucket(Bucket{Capacity: []float64{100}})
+		d := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
 		x := p.AddEntity(Entity{Load: []float64{1}, Bucket: a, Movable: true, Group: -1})
 		y := p.AddEntity(Entity{Load: []float64{1}, Bucket: d, Movable: true, Group: -1})
 		p.Entities[x].Bucket = b

@@ -1,61 +1,35 @@
 package solver
 
-import "fmt"
-
-// domainTable interns (bucket, scope) -> domain strings into dense int IDs
-// so the solver's hot loop indexes flat slices instead of hashing strings.
-// The spread and affinities name the scopes; each is interned on demand the
-// first time one references it and kept with the Problem, so a problem solved
-// again with more goals (the allocator's goal stages) interns each scope once.
-type domainTable struct {
-	scopes map[string]*scopeDomains
-}
-
-// scopeDomains is the interned view of one scope: every bucket's domain ID.
-type scopeDomains struct {
-	// bucketDom[b] is the dense domain ID of bucket b at this scope.
-	bucketDom []int32
-	// n is the number of domains.
-	n int
-	// index maps a domain string to its ID.
+// domains numbers the buckets' domains (Bucket.Domain) densely, in order of
+// first appearance, so the hot loop indexes flat slices instead of hashing
+// strings. The spread, the affinities and GroupedSampler all read this one
+// numbering; it is kept with the Problem and built again only when buckets
+// were added since.
+type domains struct {
+	// of[b] is bucket b's domain number.
+	of []int32
+	// index maps a domain to its number.
 	index map[string]int32
+	// buckets[d] are domain d's buckets, in bucket order.
+	buckets [][]BucketID
 }
 
-// domains returns the interned view of scope, building it on first use. A
-// bucket lacking a Props entry for the scope panics.
-func (t *domainTable) domains(p *Problem, scope string) *scopeDomains {
-	if sd, ok := t.scopes[scope]; ok {
-		if len(sd.bucketDom) != len(p.Buckets) {
-			panic(fmt.Sprintf("solver: domain table built for %d buckets used with %d", len(sd.bucketDom), len(p.Buckets)))
-		}
-		return sd
+// domains returns the problem's numbering of its buckets' domains.
+func (p *Problem) domains() *domains {
+	if d := p.dom; d != nil && len(d.of) == len(p.Buckets) {
+		return d
 	}
-	sd := &scopeDomains{
-		bucketDom: make([]int32, len(p.Buckets)),
-		index:     make(map[string]int32),
-	}
+	d := &domains{of: make([]int32, len(p.Buckets)), index: make(map[string]int32)}
 	for b := range p.Buckets {
-		name, ok := p.Buckets[b].Props[scope]
+		id, ok := d.index[p.Buckets[b].Domain]
 		if !ok {
-			panic(fmt.Sprintf("solver: bucket %q lacks scope %q", p.Buckets[b].Name, scope))
+			id = int32(len(d.buckets))
+			d.index[p.Buckets[b].Domain] = id
+			d.buckets = append(d.buckets, nil)
 		}
-		id, ok := sd.index[name]
-		if !ok {
-			id = int32(sd.n)
-			sd.index[name] = id
-			sd.n++
-		}
-		sd.bucketDom[b] = id
+		d.of[b] = id
+		d.buckets[id] = append(d.buckets[id], BucketID(b))
 	}
-	t.scopes[scope] = sd
-	return sd
-}
-
-// domainTable returns the problem's interning table, creating an empty one
-// on first use. Scope entries are populated lazily by newState.
-func (p *Problem) domainTable() *domainTable {
-	if p.domTable == nil {
-		p.domTable = &domainTable{scopes: make(map[string]*scopeDomains)}
-	}
-	return p.domTable
+	p.dom = d
+	return d
 }

@@ -54,24 +54,20 @@ type Entity struct {
 	Movable bool
 	// Group is the entity's group number, or -1 for none. Two members of one
 	// group never share a bucket (a hard rule), and the spread goal
-	// (AddSpreadGoal) keeps them in distinct domains. Like Bucket.Props it is
+	// (AddSpreadGoal) keeps them in distinct domains. Like Bucket.Domain it is
 	// read when the state is built and must not change after.
 	Group int32
 }
 
 // Bucket is one assignment target (a server).
 type Bucket struct {
-	Name string
 	// Capacity per metric, indexed like Problem.Metrics.
 	Capacity []float64
-	// Props maps a scope name to this bucket's domain at that scope,
-	// e.g. {"region": "frc", "rack": "frc/dc0/rack01"}. The solver only
-	// reads it, so buckets (and the caller's own records) may share one map.
-	Props map[string]string
-	// Group tags the bucket for grouped candidate sampling (set by the
-	// caller; typically the region or hardware class). Like Props it is read
-	// once per problem and must not change after.
-	Group string
+	// Domain is the bucket's domain (the allocator states its region): the
+	// spread keeps a group's members in distinct domains, an affinity goal
+	// prefers one, and GroupedSampler draws across them. It is read once per
+	// problem and must not change after.
+	Domain string
 	// Draining marks buckets that should shed entities (pending
 	// maintenance or software upgrade, §5.1 soft goal 3).
 	Draining bool
@@ -100,11 +96,10 @@ type BalanceSpec struct {
 	Weight  float64
 }
 
-// AffinityGoal is a soft goal: one entity prefers buckets whose domain at
-// Scope equals Domain, with the given weight (region preference, §5.1 soft
-// goal 1; Fig 13 statements 5-6). An entity takes one.
+// AffinityGoal is a soft goal: one entity prefers buckets in Domain, with the
+// given weight (region preference, §5.1 soft goal 1; Fig 13 statements 5-6).
+// An entity takes one.
 type AffinityGoal struct {
-	Scope  string
 	Entity EntityID
 	Domain string
 	Weight float64
@@ -127,16 +122,12 @@ type Problem struct {
 	capacitySpecs []CapacitySpec
 	balanceSpecs  []BalanceSpec
 	affinityGoals []AffinityGoal // in the order added
-	// spreadScope and spreadWeight are the spread goal; weight 0 means none.
-	spreadScope  string
+	// spreadWeight is the spread goal's; 0 means none.
 	spreadWeight float64
 	drainWeight  float64
 
-	// domTable interns (bucket, scope) -> domain strings; built lazily
-	// (see intern.go). groups is the buckets by Group tag, for
-	// GroupedSampler; built lazily too.
-	domTable *domainTable
-	groups   [][]BucketID
+	// dom numbers the buckets' domains; built lazily (see intern.go).
+	dom *domains
 
 	// st and ctx are the last Solve's state and search machinery, kept for
 	// the next (see Problem.state).
@@ -174,7 +165,7 @@ func (p *Problem) MetricIndex(metric string) int {
 // AddBucket registers a bucket and returns its ID.
 func (p *Problem) AddBucket(b Bucket) BucketID {
 	if len(b.Capacity) != len(p.Metrics) {
-		panic(fmt.Sprintf("solver: bucket %q capacity has %d metrics, want %d", b.Name, len(b.Capacity), len(p.Metrics)))
+		panic(fmt.Sprintf("solver: bucket %d capacity has %d metrics, want %d", len(p.Buckets), len(b.Capacity), len(p.Metrics)))
 	}
 	p.Buckets = append(p.Buckets, b)
 	return BucketID(len(p.Buckets) - 1)
@@ -237,17 +228,17 @@ func (p *Problem) AddAffinityGoal(g AffinityGoal) {
 }
 
 // AddSpreadGoal registers the soft spread goal: the members of each group
-// should occupy distinct domains at scope, a bucket property such as "region"
-// (spread of replicas, §5.1 soft goal 2; Fig 13 statements 7-8). Each member
-// that shares its domain with an earlier one costs weight. A problem takes one.
-func (p *Problem) AddSpreadGoal(scope string, weight float64) {
+// should occupy distinct domains (spread of replicas, §5.1 soft goal 2; Fig 13
+// statements 7-8). Each member that shares its domain with an earlier one
+// costs weight. A problem takes one.
+func (p *Problem) AddSpreadGoal(weight float64) {
 	if weight <= 0 {
 		panic("solver: spread goal needs positive weight")
 	}
 	if p.spreadWeight != 0 {
-		panic(fmt.Sprintf("solver: second spread goal, at %q", scope))
+		panic("solver: second spread goal")
 	}
-	p.spreadScope, p.spreadWeight = scope, weight
+	p.spreadWeight = weight
 }
 
 // AddDrainGoal penalizes every entity on a Draining bucket with weight w.
@@ -270,18 +261,17 @@ func (p *Problem) ClearGoals() {
 	p.capacitySpecs = p.capacitySpecs[:0]
 	p.balanceSpecs = p.balanceSpecs[:0]
 	p.affinityGoals = p.affinityGoals[:0]
-	p.spreadScope, p.spreadWeight = "", 0
+	p.spreadWeight = 0
 	p.drainWeight = 0
 }
 
 // ---------------------------------------------------------------------------
 // Incremental evaluation state.
 //
-// The (bucket, scope) -> domain strings of the spread and affinities are
-// interned into dense int IDs at newState time (see intern.go): the hot path
-// indexes flat slices instead of concatenating and hashing strings. Capacity
-// and balance rules are per bucket and read each bucket's load off
-// state.bucketLoad.
+// The buckets' domains, which the spread and the affinities read, are numbered
+// densely (see intern.go): the hot path indexes flat slices instead of hashing
+// strings. Capacity and balance rules are per bucket and read each bucket's
+// load off state.bucketLoad.
 
 // balParams is a metric's balance goal; weight 0 means it has none.
 type balParams struct {
@@ -389,10 +379,12 @@ func (gr *grouping) members(g int32) []EntityID {
 	return gr.ents[gr.start[g]:gr.start[g+1]]
 }
 
-// rule is the grouping judged at one scope: the bucket rule at each bucket's
-// own domain, or the spread at its scope.
+// rule is the grouping judged over one numbering of the buckets: the bucket
+// rule, where each bucket is its own domain, or the spread over Bucket.Domain.
 type rule struct {
-	dom *scopeDomains
+	// dom[b] is bucket b's domain, one of n.
+	dom []int32
+	n   int
 	// weight is what each extra costs: the spread's, and 0 for the bucket
 	// rule, which is hard, or for no spread.
 	weight float64
@@ -411,22 +403,22 @@ func resize[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// shares reports whether a member of group g other than e sits in domain d at
+// shares reports whether a member of group g other than e sits in domain d of
 // dom. Unassigned members sit nowhere.
-func (s *state) shares(dom *scopeDomains, g, d int32, e EntityID) bool {
+func (s *state) shares(dom []int32, g, d int32, e EntityID) bool {
 	for _, m := range s.grp.members(g) {
-		if b := s.assignment[m]; m != e && b != Unassigned && dom.bucketDom[b] == d {
+		if b := s.assignment[m]; m != e && b != Unassigned && dom[b] == d {
 			return true
 		}
 	}
 	return false
 }
 
-// count sums, over every group, its extras at dom and the extras no placement
-// the search can reach removes: a search places entities and moves the
-// movable ones, so the pinned members keep theirs, and each movable placed
+// count sums, over every group, its extras under r and the extras no
+// placement the search can reach removes: a search places entities and moves
+// the movable ones, so the pinned members keep theirs, and each movable placed
 // member beyond the domains the pinned ones leave free adds one.
-func (s *state) count(dom *scopeDomains) (extras, floor int) {
+func (s *state) count(r *rule) (extras, floor int) {
 	ents := s.p.Entities
 	for g := int32(0); int(g)+1 < len(s.grp.start); g++ {
 		grp := s.grp.members(g)
@@ -438,7 +430,7 @@ func (s *state) count(dom *scopeDomains) (extras, floor int) {
 			}
 			shared, sharedPinned := false, false
 			for _, o := range grp[:i] {
-				if ob := s.assignment[o]; ob != Unassigned && dom.bucketDom[ob] == dom.bucketDom[b] {
+				if ob := s.assignment[o]; ob != Unassigned && r.dom[ob] == r.dom[b] {
 					shared = true
 					sharedPinned = sharedPinned || !ents[o].Movable
 				}
@@ -453,15 +445,15 @@ func (s *state) count(dom *scopeDomains) (extras, floor int) {
 				pinnedDoms++
 			}
 		}
-		floor += pinnedExtras + max(0, movable-(dom.n-pinnedDoms))
+		floor += pinnedExtras + max(0, movable-(r.n-pinnedDoms))
 	}
 	return extras, floor
 }
 
-// atFloor reports whether group g sits at its floor at dom: its placed members
-// occupy min(placed, domains) distinct domains, the most any placement of them
-// can, so no move lowers the group's extras.
-func (s *state) atFloor(dom *scopeDomains, g int32) bool {
+// atFloor reports whether group g sits at its floor under r: its placed
+// members occupy min(placed, domains) distinct domains, the most any placement
+// of them can, so no move lowers the group's extras.
+func (s *state) atFloor(r *rule, g int32) bool {
 	grp := s.grp.members(g)
 	placed, distinct := 0, 0
 	for i, m := range grp {
@@ -472,21 +464,21 @@ func (s *state) atFloor(dom *scopeDomains, g int32) bool {
 		placed++
 		distinct++
 		for _, o := range grp[:i] {
-			if ob := s.assignment[o]; ob != Unassigned && dom.bucketDom[ob] == dom.bucketDom[b] {
+			if ob := s.assignment[o]; ob != Unassigned && r.dom[ob] == r.dom[b] {
 				distinct--
 				break
 			}
 		}
 	}
-	return distinct >= min(placed, dom.n)
+	return distinct >= min(placed, r.n)
 }
 
 // move keeps r's extra count as entity e of group g moves from one bucket to
 // another, reading its peers off the assignment before the move.
 func (s *state) move(r *rule, g int32, e EntityID, from, to BucketID) {
-	td := r.dom.bucketDom[to]
+	td := r.dom[to]
 	if from != Unassigned {
-		fd := r.dom.bucketDom[from]
+		fd := r.dom[from]
 		if fd == td {
 			return
 		}
@@ -500,11 +492,10 @@ func (s *state) move(r *rule, g int32, e EntityID, from, to BucketID) {
 }
 
 // affTerm is an entity's interned affinity goal: penalty weight applies
-// whenever the entity's bucket is outside domain domID at the goal's scope.
-// Weight 0 means the entity has none.
+// whenever the entity's bucket is outside domain domID. Weight 0 means the
+// entity has none.
 type affTerm struct {
-	dom    *scopeDomains // the goal's scope
-	domID  int32         // preferred domain; -1 if no bucket is in it
+	domID  int32 // preferred domain; -1 if no bucket is in it
 	weight float64
 }
 
@@ -515,11 +506,12 @@ type state struct {
 	assignment []BucketID
 
 	specs []specState
-	// grp is the problem's grouping; conflict is the bucket rule over it, at
-	// a scope where each bucket is its own domain, and spread the spread
-	// goal's (weight 0: none).
+	// grp is the problem's grouping; conflict is the bucket rule over it, and
+	// spread the spread goal's (weight 0: none).
 	grp              grouping
 	conflict, spread rule
+	// dom[b] is bucket b's domain number (Problem.domains).
+	dom []int32
 	// nAff counts the problem's affinity goals that aff holds: the ones there
 	// at the last sync (ClearGoals zeroes it).
 	nAff int
@@ -565,11 +557,10 @@ type state struct {
 func newState(p *Problem) *state {
 	s := &state{p: p}
 	s.grp.index(p.Entities)
-	byBucket := &scopeDomains{bucketDom: make([]int32, len(p.Buckets)), n: len(p.Buckets)}
-	for b := range byBucket.bucketDom {
-		byBucket.bucketDom[b] = int32(b)
+	s.conflict.dom, s.conflict.n = make([]int32, len(p.Buckets)), len(p.Buckets)
+	for b := range s.conflict.dom {
+		s.conflict.dom[b] = int32(b)
 	}
-	s.conflict.dom = byBucket
 	s.sync()
 	return s
 }
@@ -632,7 +623,8 @@ func (s *state) sync() {
 		}
 	}
 
-	table := p.domainTable()
+	dom := p.domains()
+	s.dom = dom.of
 
 	// One spec state per metric, capacity first.
 	s.specs = s.specs[:0]
@@ -643,11 +635,11 @@ func (s *state) sync() {
 		s.spec(b.Metric).bal = balParams{utilCap: b.UtilCap, maxDiff: b.MaxDiff, weight: b.Weight}
 	}
 
-	s.conflict.extra, s.conflict.floor = s.count(s.conflict.dom)
+	s.conflict.extra, s.conflict.floor = s.count(&s.conflict)
 	s.spread = rule{}
 	if p.spreadWeight > 0 && len(s.grp.ents) > 0 {
-		s.spread = rule{dom: table.domains(p, p.spreadScope), weight: p.spreadWeight}
-		s.spread.extra, s.spread.floor = s.count(s.spread.dom)
+		s.spread = rule{dom: dom.of, n: len(dom.buckets), weight: p.spreadWeight}
+		s.spread.extra, s.spread.floor = s.count(&s.spread)
 	}
 
 	if len(s.aff) != len(p.Entities) {
@@ -657,12 +649,11 @@ func (s *state) sync() {
 		if s.aff[g.Entity].weight != 0 {
 			panic(fmt.Sprintf("solver: second affinity goal for entity %d", g.Entity))
 		}
-		dom := table.domains(p, g.Scope)
 		domID, ok := dom.index[g.Domain]
 		if !ok {
 			domID = -1 // no bucket is in the preferred domain
 		}
-		s.aff[g.Entity] = affTerm{dom: dom, domID: domID, weight: g.Weight}
+		s.aff[g.Entity] = affTerm{domID: domID, weight: g.Weight}
 	}
 	s.nAff = len(p.affinityGoals)
 
@@ -748,7 +739,7 @@ func (s *state) spec(metric string) *specState {
 
 // affinityPenalty returns the affinity penalty of entity e sitting on bucket b.
 func (s *state) affinityPenalty(e EntityID, b BucketID) float64 {
-	if t := &s.aff[e]; t.weight != 0 && t.dom.bucketDom[b] != t.domID {
+	if t := &s.aff[e]; t.weight != 0 && s.dom[b] != t.domID {
 		return t.weight
 	}
 	return 0
@@ -770,8 +761,8 @@ type prepared struct {
 	fromDelta []float64 // penalty delta of the source bucket losing load
 
 	// group is the entity's group (-1: none); spreadFrom is the source
-	// domain at the spread's scope (-1: none), and spreadLeave the spread's
-	// leave term: -weight when leaving a crowded domain.
+	// domain under the spread (-1: none), and spreadLeave the spread's leave
+	// term: -weight when leaving a crowded domain.
 	group       int32
 	spreadFrom  int32
 	spreadLeave float64
@@ -812,7 +803,7 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 	pr.group = s.grp.of[e]
 	pr.spreadFrom, pr.spreadLeave = -1, 0
 	if sp := &s.spread; sp.weight != 0 && pr.group >= 0 && from != Unassigned {
-		pr.spreadFrom = sp.dom.bucketDom[from]
+		pr.spreadFrom = sp.dom[from]
 		// Leaving a domain shared with another group member saves the weight.
 		if s.shares(sp.dom, pr.group, pr.spreadFrom, e) {
 			pr.spreadLeave = -sp.weight
@@ -851,7 +842,7 @@ func (s *state) inert(pr *prepared) bool {
 			return false
 		}
 	}
-	if pr.spreadLeave != 0 && !s.atFloor(s.spread.dom, pr.group) {
+	if pr.spreadLeave != 0 && !s.atFloor(&s.spread, pr.group) {
 		return false
 	}
 	return s.affinityPenalty(pr.e, pr.from) == 0 || s.affStanding(pr.e, pr.from)
@@ -859,17 +850,17 @@ func (s *state) inert(pr *prepared) bool {
 
 // affStanding reports whether entity e's affinity penalty on bucket b stands:
 // no move of e alone can remove it at a gain. Either no bucket is in the
-// preferred domain, or the spread goal, at the goal's scope and weighing at
-// least as much, holds a sibling of e there while e has its domain to itself,
-// so moving in trades the penalty for the spread's.
+// preferred domain, or the spread goal, weighing at least as much, holds a
+// sibling of e there while e has its domain to itself, so moving in trades the
+// penalty for the spread's.
 func (s *state) affStanding(e EntityID, b BucketID) bool {
 	t := &s.aff[e]
 	if t.domID < 0 {
 		return true
 	}
 	sp, g := &s.spread, s.grp.of[e]
-	return g >= 0 && sp.dom == t.dom && sp.weight >= t.weight &&
-		s.shares(sp.dom, g, t.domID, e) && !s.shares(sp.dom, g, sp.dom.bucketDom[b], e)
+	return g >= 0 && sp.weight >= t.weight &&
+		s.shares(sp.dom, g, t.domID, e) && !s.shares(sp.dom, g, sp.dom[b], e)
 }
 
 // affAbove is entity e's affinity penalty on bucket b unless it stands.
@@ -894,7 +885,7 @@ func (s *state) entityPen(e EntityID) float64 {
 	}
 	pen += s.drainPen[b]
 	if sp, g := &s.spread, s.grp.of[e]; sp.weight != 0 && g >= 0 &&
-		s.shares(sp.dom, g, sp.dom.bucketDom[b], e) && !s.atFloor(sp.dom, g) {
+		s.shares(sp.dom, g, sp.dom[b], e) && !s.atFloor(sp, g) {
 		pen += sp.weight
 	}
 	return pen
@@ -952,7 +943,7 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 	// The spread: joining a domain that already has a group member costs its
 	// weight; leaving a crowded one saves it (prepared).
 	if sp := &s.spread; sp.weight != 0 && g >= 0 {
-		if td := sp.dom.bucketDom[target]; td != pr.spreadFrom {
+		if td := sp.dom[target]; td != pr.spreadFrom {
 			if s.shares(sp.dom, g, td, pr.e) {
 				delta += sp.weight
 			}
@@ -1060,8 +1051,8 @@ type ViolationCounts struct {
 	Balance int
 	// Entities not on their preferred domain.
 	Affinity int
-	// Exclusion counts the group members that share a domain at the spread
-	// goal's scope with an earlier member of their group.
+	// Exclusion counts the group members that share a domain with an earlier
+	// member of their group, under the spread goal.
 	Exclusion int
 	// Entities on draining buckets.
 	Drain int

@@ -48,35 +48,35 @@ func RandomSampler(p *Problem) Sampler {
 	}
 }
 
-// GroupedSampler groups buckets by their Group tag and draws candidates
-// across groups, preferring underloaded buckets within each group. This is
-// the domain-knowledge optimization of §5.3: sampling across groups has a
+// GroupedSampler draws candidates across the buckets' domains
+// (Bucket.Domain), preferring underloaded buckets within each domain. This is
+// the domain-knowledge optimization of §5.3: sampling across domains has a
 // much better chance of finding a target that satisfies region-preference
 // and spread goals than uniform sampling.
 //
-// At most k candidates are returned. With more groups than k, a rotation
-// over the group order decides which groups contribute this call, so every
-// group is covered across successive calls and candidate counts still match
+// At most k candidates are returned. With more domains than k, a rotation
+// over the domain order decides which domains contribute this call, so every
+// domain is covered across successive calls and candidate counts still match
 // CandidateTargets.
 func GroupedSampler(p *Problem, utilMetric int) Sampler {
-	byGroup := p.bucketGroups()
+	byDomain := p.domains().buckets
 	var rot int
 	var out []BucketID
 	return func(rng *sim.RNG, _ EntityID, k int, view *View) []BucketID {
 		if k <= 0 {
 			return nil
 		}
-		ng := len(byGroup)
-		perGroup := (k + ng - 1) / ng // >= 1, since k >= 1
-		start := rot % ng
+		nd := len(byDomain)
+		perDomain := (k + nd - 1) / nd // >= 1, since k >= 1
+		start := rot % nd
 		used := 0
 		out = out[:0]
-		for gi := 0; gi < ng && len(out) < k; gi++ {
+		for di := 0; di < nd && len(out) < k; di++ {
 			used++
-			members := byGroup[(start+gi)%ng]
+			members := byDomain[(start+di)%nd]
 			// Draw 2x candidates, keep the least-utilized half:
 			// cheap bias toward cold targets.
-			for i := 0; i < perGroup && len(out) < k; i++ {
+			for i := 0; i < perDomain && len(out) < k; i++ {
 				a := members[rng.Intn(len(members))]
 				b := members[rng.Intn(len(members))]
 				if view.Utilization(b, utilMetric) < view.Utilization(a, utilMetric) {
@@ -85,38 +85,12 @@ func GroupedSampler(p *Problem, utilMetric int) Sampler {
 				out = append(out, a)
 			}
 		}
-		// Advance the rotation past the groups consumed, so the next
-		// call starts where this one left off and all groups get
+		// Advance the rotation past the domains consumed, so the next
+		// call starts where this one left off and all domains get
 		// covered across successive calls.
 		rot = start + used
 		return out
 	}
-}
-
-// bucketGroups returns the buckets grouped by their Group tag, groups in order
-// of first appearance, each in bucket order: indexed by group position, since
-// the sampler is the solver's hottest caller-supplied code and must not hash
-// strings. It is built once and kept with the problem, as the domain table is.
-func (p *Problem) bucketGroups() [][]BucketID {
-	n := 0
-	for _, g := range p.groups {
-		n += len(g)
-	}
-	if p.groups != nil && n == len(p.Buckets) {
-		return p.groups
-	}
-	index := make(map[string]int)
-	p.groups = nil
-	for b := range p.Buckets {
-		g, ok := index[p.Buckets[b].Group]
-		if !ok {
-			g = len(p.groups)
-			index[p.Buckets[b].Group] = g
-			p.groups = append(p.groups, nil)
-		}
-		p.groups[g] = append(p.groups[g], BucketID(b))
-	}
-	return p.groups
 }
 
 // Options configure one Solve call.

@@ -19,10 +19,8 @@ func buildSkewed(nBuckets, nEntities int, load float64) *Problem {
 	p := NewProblem([]string{"cpu"})
 	for i := 0; i < nBuckets; i++ {
 		p.AddBucket(Bucket{
-			Name:     fmt.Sprintf("b%d", i),
 			Capacity: []float64{100},
-			Props:    map[string]string{"region": fmt.Sprintf("r%d", i%2)},
-			Group:    fmt.Sprintf("r%d", i%2),
+			Domain:   fmt.Sprintf("r%d", i%2),
 		})
 	}
 	for i := 0; i < nEntities; i++ {
@@ -63,8 +61,8 @@ func TestSolveRespectsHardCapacity(t *testing.T) {
 	// the large bucket; moving more than one to the tiny bucket would
 	// overflow it.
 	p := NewProblem([]string{"cpu"})
-	big := p.AddBucket(Bucket{Name: "big", Capacity: []float64{100}})
-	p.AddBucket(Bucket{Name: "tiny", Capacity: []float64{10}})
+	big := p.AddBucket(Bucket{Capacity: []float64{100}})
+	p.AddBucket(Bucket{Capacity: []float64{10}})
 	for i := 0; i < 5; i++ {
 		p.AddEntity(Entity{Load: []float64{10}, Bucket: big, Movable: true, Group: -1})
 	}
@@ -83,7 +81,7 @@ func TestSolveRespectsHardCapacity(t *testing.T) {
 func TestSolvePlacesUnassignedEntities(t *testing.T) {
 	p := NewProblem([]string{"cpu"})
 	for i := 0; i < 4; i++ {
-		p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{100}})
+		p.AddBucket(Bucket{Capacity: []float64{100}})
 	}
 	for i := 0; i < 20; i++ {
 		p.AddEntity(Entity{Load: []float64{5}, Bucket: Unassigned, Movable: true, Group: -1})
@@ -110,7 +108,7 @@ func TestSolveHonorsAffinity(t *testing.T) {
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.2, Weight: 1})
 	// Entities 0..7 prefer region r1 (odd buckets).
 	for i := 0; i < 8; i++ {
-		p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: EntityID(i), Domain: "r1", Weight: 5})
+		p.AddAffinityGoal(AffinityGoal{Entity: EntityID(i), Domain: "r1", Weight: 5})
 	}
 	res := Solve(p, DefaultOptions())
 	if res.Final.Affinity != 0 {
@@ -118,22 +116,21 @@ func TestSolveHonorsAffinity(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		b := p.Entities[i].Bucket
-		if p.Buckets[b].Props["region"] != "r1" {
-			t.Fatalf("entity %d on region %s", i, p.Buckets[b].Props["region"])
+		if p.Buckets[b].Domain != "r1" {
+			t.Fatalf("entity %d on region %s", i, p.Buckets[b].Domain)
 		}
 	}
 }
 
 func TestSolveSpreadsReplicas(t *testing.T) {
-	// 3 replicas per group, 6 buckets across 3 regions; the spread at
-	// region scope should land each group's replicas in distinct regions, and
-	// the bucket rule, broken by the start, holds at the end.
+	// 3 replicas per group, 6 buckets across 3 regions; the spread should
+	// land each group's replicas in distinct regions, and the bucket rule,
+	// broken by the start, holds at the end.
 	p := NewProblem([]string{"cpu"})
 	for i := 0; i < 6; i++ {
 		p.AddBucket(Bucket{
-			Name:     fmt.Sprintf("b%d", i),
 			Capacity: []float64{100},
-			Props:    map[string]string{"region": fmt.Sprintf("r%d", i%3)},
+			Domain:   fmt.Sprintf("r%d", i%3),
 		})
 	}
 	for g := 0; g < 5; g++ {
@@ -147,7 +144,7 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 		}
 	}
 	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddSpreadGoal("region", 10)
+	p.AddSpreadGoal(10)
 	res := Solve(p, DefaultOptions())
 	if res.Final.Exclusion != 0 || res.Final.Conflict != 0 {
 		t.Fatalf("final %+v (initial %+v)", res.Final, res.Initial)
@@ -159,7 +156,7 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 		if perGroup[g] == nil {
 			perGroup[g] = map[string]bool{}
 		}
-		perGroup[g][p.Buckets[b].Props["region"]] = true
+		perGroup[g][p.Buckets[b].Domain] = true
 	}
 	for g, regions := range perGroup {
 		if len(regions) != 3 {
@@ -170,9 +167,9 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 
 func TestSolveDrainsMarkedBuckets(t *testing.T) {
 	p := NewProblem([]string{"cpu"})
-	draining := p.AddBucket(Bucket{Name: "draining", Capacity: []float64{100}, Draining: true})
-	p.AddBucket(Bucket{Name: "ok1", Capacity: []float64{100}})
-	p.AddBucket(Bucket{Name: "ok2", Capacity: []float64{100}})
+	draining := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
+	p.AddBucket(Bucket{Capacity: []float64{100}})
+	p.AddBucket(Bucket{Capacity: []float64{100}})
 	for i := 0; i < 10; i++ {
 		p.AddEntity(Entity{Load: []float64{5}, Bucket: draining, Movable: true, Group: -1})
 	}
@@ -228,14 +225,13 @@ func TestSolveDeterministicForSeed(t *testing.T) {
 // spends it again.
 func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	p := NewProblem([]string{"cpu"})
-	p.AddBucket(Bucket{Name: "b0", Capacity: []float64{1000}, Props: map[string]string{"region": "r0"}})
-	p.AddBucket(Bucket{Name: "b1", Capacity: []float64{1000}, Props: map[string]string{"region": "r0"}})
-	p.AddBucket(Bucket{Name: "b2", Capacity: []float64{1000}, Props: map[string]string{"region": "r1"}})
+	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r0"})
+	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r0"})
+	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r1"})
 	// 24 entities on b0 with loads 1–5 (so ties), every sixth pinned; the
 	// six with i%4 == 1 belong on b1, so they are away and spend the budget.
-	// Entity 24+i is entity i's sibling in its group, under a region-scoped
-	// spread: on b1, in b0's region, it makes entity i carry; on b2 it leaves
-	// it inert.
+	// Entity 24+i is entity i's sibling in its group, under the spread: on
+	// b1, in b0's region, it makes entity i carry; on b2 it leaves it inert.
 	const n = 24
 	for i := 0; i < n; i++ {
 		e := p.AddEntity(Entity{Load: []float64{float64(1 + i%5)}, Bucket: 0, Movable: i%6 != 0, Group: int32(i)})
@@ -252,7 +248,7 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 		}
 		p.AddEntity(Entity{Load: []float64{1}, Bucket: b, Movable: true, Group: int32(i)})
 	}
-	p.AddSpreadGoal("region", 1)
+	p.AddSpreadGoal(1)
 
 	// offered lists b0's movable entities the contract's way, judging each
 	// with a fresh prepare.
@@ -358,7 +354,7 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 // build of one input.
 func TestMeanUtilSummedInEntityOrder(t *testing.T) {
 	p := NewProblem([]string{"cpu"})
-	p.AddBucket(Bucket{Name: "b0", Capacity: []float64{1}})
+	p.AddBucket(Bucket{Capacity: []float64{1}})
 	for _, l := range []float64{1e16, 1, 1} {
 		p.AddEntity(Entity{Load: []float64{l}, Bucket: Unassigned, Movable: true, Group: -1})
 	}
@@ -404,25 +400,24 @@ func TestGroupedSamplerCoversAllGroups(t *testing.T) {
 	s := GroupedSampler(p, 0)
 	rng := sim.NewRNG(1)
 	got := s(rng, 0, 8, view)
-	groups := map[string]bool{}
+	domains := map[string]bool{}
 	for _, b := range got {
-		groups[p.Buckets[b].Group] = true
+		domains[p.Buckets[b].Domain] = true
 	}
-	if !groups["r0"] || !groups["r1"] {
-		t.Fatalf("sampler missed a group: %v", groups)
+	if !domains["r0"] || !domains["r1"] {
+		t.Fatalf("sampler missed a domain: %v", domains)
 	}
 }
 
 func TestGroupedSamplerCapsAtK(t *testing.T) {
-	// 8 groups, one bucket each; k=3 must return exactly 3 candidates
-	// (the old sampler returned len(groups) = 8), and successive calls
-	// must rotate through the groups so all of them get covered.
+	// 8 domains, one bucket each; k=3 must return exactly 3 candidates
+	// (the old sampler returned len(domains) = 8), and successive calls
+	// must rotate through the domains so all of them get covered.
 	p := NewProblem([]string{"cpu"})
 	for i := 0; i < 8; i++ {
 		p.AddBucket(Bucket{
-			Name:     fmt.Sprintf("b%d", i),
 			Capacity: []float64{100},
-			Group:    fmt.Sprintf("g%d", i),
+			Domain:   fmt.Sprintf("g%d", i),
 		})
 	}
 	p.AddEntity(Entity{Load: []float64{1}, Bucket: 0, Movable: true, Group: -1})
@@ -437,13 +432,13 @@ func TestGroupedSamplerCapsAtK(t *testing.T) {
 			t.Fatalf("call %d returned %d candidates, want 3", call, len(got))
 		}
 		for _, b := range got {
-			covered[p.Buckets[b].Group] = true
+			covered[p.Buckets[b].Domain] = true
 		}
 	}
-	// 4 calls x 3 candidates with rotation must touch more groups than a
-	// single call's 3; with one bucket per group, rotation covers 8.
+	// 4 calls x 3 candidates with rotation must touch more domains than a
+	// single call's 3; with one bucket per domain, rotation covers 8.
 	if len(covered) != 8 {
-		t.Fatalf("rotation covered %d groups over 4 calls, want 8", len(covered))
+		t.Fatalf("rotation covered %d domains over 4 calls, want 8", len(covered))
 	}
 }
 
@@ -487,7 +482,7 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 		nE := 1 + r.Intn(30)
 		p := NewProblem([]string{"cpu"})
 		for i := 0; i < nB; i++ {
-			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{100}})
+			p.AddBucket(Bucket{Capacity: []float64{100}})
 		}
 		var total float64
 		for i := 0; i < nE; i++ {
@@ -513,11 +508,11 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 
 func TestBuilderPanics(t *testing.T) {
 	p := NewProblem([]string{"cpu"})
-	p.AddBucket(Bucket{Name: "b", Capacity: []float64{1}})
+	p.AddBucket(Bucket{Capacity: []float64{1}})
 	for name, fn := range map[string]func(){
 		"no metrics":      func() { NewProblem(nil) },
 		"dup metrics":     func() { NewProblem([]string{"a", "a"}) },
-		"bad bucket":      func() { p.AddBucket(Bucket{Name: "x", Capacity: []float64{1, 2}}) },
+		"bad bucket":      func() { p.AddBucket(Bucket{Capacity: []float64{1, 2}}) },
 		"bad entity":      func() { p.AddEntity(Entity{Load: []float64{1, 2}}) },
 		"bad assignment":  func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: 99}) },
 		"unknown metric":  func() { p.AddConstraint(CapacitySpec{Metric: "nope"}) },
@@ -536,18 +531,18 @@ func TestBuilderPanics(t *testing.T) {
 		},
 		"second affinity": func() {
 			q := NewProblem([]string{"cpu"})
-			q.AddBucket(Bucket{Name: "b", Capacity: []float64{1}})
+			q.AddBucket(Bucket{Capacity: []float64{1}})
 			e := q.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
 			q.AddAffinityGoal(AffinityGoal{Entity: e, Domain: "b", Weight: 1})
 			q.AddAffinityGoal(AffinityGoal{Entity: e, Domain: "b", Weight: 1})
 			Solve(q, DefaultOptions())
 		},
-		"spread weight":   func() { p.AddSpreadGoal("r", 0) },
-		"negative spread": func() { p.AddSpreadGoal("r", -1) },
+		"spread weight":   func() { p.AddSpreadGoal(0) },
+		"negative spread": func() { p.AddSpreadGoal(-1) },
 		"second spread": func() {
 			q := NewProblem([]string{"cpu"})
-			q.AddSpreadGoal("region", 1)
-			q.AddSpreadGoal("rack", 1)
+			q.AddSpreadGoal(1)
+			q.AddSpreadGoal(2)
 		},
 		"group below -1": func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Group: -2}) },
 		"drain weight":   func() { p.AddDrainGoal(0) },
@@ -584,7 +579,7 @@ func freshCopy(p *Problem) *Problem {
 		q.AddAffinityGoal(g)
 	}
 	if p.spreadWeight > 0 {
-		q.AddSpreadGoal(p.spreadScope, p.spreadWeight)
+		q.AddSpreadGoal(p.spreadWeight)
 	}
 	if p.drainWeight > 0 {
 		q.AddDrainGoal(p.drainWeight)
@@ -628,7 +623,7 @@ func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
 			p.AddDrainGoal(all.drainWeight)
 			solve(run + ", critical stage")
 			if all.spreadWeight > 0 {
-				p.AddSpreadGoal(all.spreadScope, all.spreadWeight)
+				p.AddSpreadGoal(all.spreadWeight)
 			}
 			for _, g := range all.affinityGoals {
 				p.AddAffinityGoal(g)

@@ -13,20 +13,15 @@ import (
 
 // randomProblem builds a random instance exercising every goal: about half
 // the entities in one of five groups, under the bucket rule, and on three
-// seeds in four a spread at region scope.
+// seeds in four a spread over the regions.
 func randomProblem(rng *sim.RNG) *Problem {
 	nB := 3 + rng.Intn(6)
 	nE := 5 + rng.Intn(40)
 	p := NewProblem([]string{"cpu", "mem"})
 	for i := 0; i < nB; i++ {
 		p.AddBucket(Bucket{
-			Name:     fmt.Sprintf("b%d", i),
 			Capacity: []float64{50 + 100*rng.Float64(), 200},
-			Props: map[string]string{
-				"region": fmt.Sprintf("r%d", i%3),
-				"rack":   fmt.Sprintf("rk%d", i%2),
-			},
-			Group:    fmt.Sprintf("r%d", i%3),
+			Domain:   fmt.Sprintf("r%d", i%3),
 			Draining: rng.Intn(5) == 0,
 		})
 	}
@@ -48,8 +43,7 @@ func randomProblem(rng *sim.RNG) *Problem {
 		})
 		if rng.Intn(3) == 0 {
 			p.AddAffinityGoal(AffinityGoal{
-				Scope: "region", Entity: id,
-				Domain: fmt.Sprintf("r%d", rng.Intn(3)), Weight: 1 + 4*rng.Float64(),
+				Entity: id, Domain: fmt.Sprintf("r%d", rng.Intn(3)), Weight: 1 + 4*rng.Float64(),
 			})
 		}
 	}
@@ -58,7 +52,7 @@ func randomProblem(rng *sim.RNG) *Problem {
 	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
 	p.AddBalanceGoal(BalanceSpec{Metric: "mem", MaxDiff: 0.2, Weight: 0.5})
 	if rng.Intn(4) != 0 {
-		p.AddSpreadGoal("region", 3)
+		p.AddSpreadGoal(3)
 	}
 	p.AddDrainGoal(2)
 	return p
@@ -72,11 +66,11 @@ type occupancyRef map[uint64][]EntityID
 
 func refKey(group, dom int32) uint64 { return uint64(uint32(group))<<32 | uint64(uint32(dom)) }
 
-func newOccupancyRef(st *state, dom *scopeDomains) occupancyRef {
+func newOccupancyRef(st *state, dom []int32) occupancyRef {
 	ref := occupancyRef{}
 	for e, g := range st.grp.of {
 		if b := st.assignment[e]; g >= 0 && b != Unassigned {
-			k := refKey(g, dom.bucketDom[b])
+			k := refKey(g, dom[b])
 			ref[k] = append(ref[k], EntityID(e))
 		}
 	}
@@ -84,13 +78,13 @@ func newOccupancyRef(st *state, dom *scopeDomains) occupancyRef {
 }
 
 // move records e going from one bucket (or none) to another.
-func (ref occupancyRef) move(st *state, dom *scopeDomains, e EntityID, from, to BucketID) {
+func (ref occupancyRef) move(st *state, dom []int32, e EntityID, from, to BucketID) {
 	g := st.grp.of[e]
 	if g < 0 {
 		return
 	}
 	if from != Unassigned {
-		k := refKey(g, dom.bucketDom[from])
+		k := refKey(g, dom[from])
 		for i, m := range ref[k] {
 			if m == e {
 				ref[k] = append(ref[k][:i:i], ref[k][i+1:]...)
@@ -98,7 +92,7 @@ func (ref occupancyRef) move(st *state, dom *scopeDomains, e EntityID, from, to 
 			}
 		}
 	}
-	k := refKey(g, dom.bucketDom[to])
+	k := refKey(g, dom[to])
 	ref[k] = append(ref[k], e)
 }
 
@@ -111,7 +105,7 @@ func (ref occupancyRef) check(t *testing.T, st *state, r *rule) bool {
 	extras := 0
 	for g := int32(0); int(g)+1 < len(st.grp.start); g++ {
 		askers := append([]EntityID{-1}, st.grp.members(g)...)
-		for d := int32(0); int(d) < r.dom.n; d++ {
+		for d := int32(0); int(d) < r.n; d++ {
 			all := ref[refKey(g, d)]
 			extras += max(0, len(all)-1)
 			for _, e := range askers {
@@ -123,7 +117,7 @@ func (ref occupancyRef) check(t *testing.T, st *state, r *rule) bool {
 			}
 		}
 	}
-	if got, _ := st.count(r.dom); got != extras || r.extra != extras {
+	if got, _ := st.count(r); got != extras || r.extra != extras {
 		t.Logf("count = %d extras, kept %d, reference holds %d", got, r.extra, extras)
 		return false
 	}
@@ -228,8 +222,8 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 	sp := &s.spread
 	for _, e := range s.byBucket[b] {
 		ep := s.refAffAbove(e, b) + s.drainPen[b]
-		if g := s.grp.of[e]; sp.weight != 0 && g >= 0 && !refAtFloor(s, sp.dom, g) {
-			if slices.Contains(refMembers(s, sp.dom, g, e), sp.dom.bucketDom[b]) {
+		if g := s.grp.of[e]; sp.weight != 0 && g >= 0 && !refAtFloor(s, sp, g) {
+			if slices.Contains(refMembers(s, sp.dom, g, e), sp.dom[b]) {
 				ep += sp.weight
 			}
 		}
@@ -238,54 +232,54 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 	return pen
 }
 
-// refMembers lists the domains at dom that group g's placed members other than
+// refMembers lists the domains of dom that group g's placed members other than
 // e sit in, one element per member.
-func refMembers(s *state, dom *scopeDomains, g int32, e EntityID) []int32 {
+func refMembers(s *state, dom []int32, g int32, e EntityID) []int32 {
 	var doms []int32
 	for m, mg := range s.grp.of {
 		if b := s.assignment[m]; mg == g && EntityID(m) != e && b != Unassigned {
-			doms = append(doms, dom.bucketDom[b])
+			doms = append(doms, dom[b])
 		}
 	}
 	return doms
 }
 
 // refAtFloor is atFloor by a set of the group's domains.
-func refAtFloor(s *state, dom *scopeDomains, g int32) bool {
-	doms := refMembers(s, dom, g, -1)
+func refAtFloor(s *state, r *rule, g int32) bool {
+	doms := refMembers(s, r.dom, g, -1)
 	distinct := map[int32]bool{}
 	for _, d := range doms {
 		distinct[d] = true
 	}
-	return len(distinct) >= min(len(doms), dom.n)
+	return len(distinct) >= min(len(doms), r.n)
 }
 
 // refAffAbove is affAbove read off refMembers: the penalty stands when its
-// domain has no bucket, or when a spread at its scope weighing as much has
-// another member in the preferred domain and none in e's.
+// domain has no bucket, or when a spread weighing as much has another member
+// in the preferred domain and none in e's.
 func (s *state) refAffAbove(e EntityID, b BucketID) float64 {
 	t := &s.aff[e]
-	if t.weight == 0 || t.dom.bucketDom[b] == t.domID {
+	if t.weight == 0 || s.dom[b] == t.domID {
 		return 0
 	}
 	if t.domID < 0 {
 		return 0
 	}
 	sp, g := &s.spread, s.grp.of[e]
-	if g >= 0 && sp.dom == t.dom && sp.weight >= t.weight {
+	if g >= 0 && sp.weight >= t.weight {
 		others := refMembers(s, sp.dom, g, e)
-		if slices.Contains(others, t.domID) && !slices.Contains(others, sp.dom.bucketDom[b]) {
+		if slices.Contains(others, t.domID) && !slices.Contains(others, sp.dom[b]) {
 			return 0
 		}
 	}
 	return t.weight
 }
 
-// newStateFresh rebuilds solver state with a fresh domain table, as a solver
-// entry point would; reusing p's existing (lazily grown) table is fine too,
-// but a fresh one also re-exercises interning.
+// newStateFresh rebuilds solver state with a fresh domain numbering, as a
+// solver entry point would; reusing p's kept one is fine too, but a fresh one
+// also re-exercises interning.
 func newStateFresh(p *Problem) *state {
-	p.domTable = nil
+	p.dom = nil
 	return newState(p)
 }
 
@@ -394,7 +388,7 @@ func (st *state) softObjective() float64 {
 		}
 	}
 	if sp := &st.spread; sp.weight != 0 {
-		extras, _ := st.count(sp.dom)
+		extras, _ := st.count(sp)
 		total += sp.weight * float64(extras)
 	}
 	return total
@@ -503,7 +497,7 @@ func TestFloorIsALowerBound(t *testing.T) {
 		}
 		for e := 0; e < len(p.Entities); e += 5 {
 			if !preferring[e] {
-				p.AddAffinityGoal(AffinityGoal{Scope: "region", Entity: EntityID(e), Domain: "r9", Weight: 2})
+				p.AddAffinityGoal(AffinityGoal{Entity: EntityID(e), Domain: "r9", Weight: 2})
 			}
 		}
 		for e := 1; e < len(p.Entities); e += 3 {
@@ -631,15 +625,14 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 		p := NewProblem([]string{"cpu"})
 		nB := 2 + rng.Intn(4)
 		for i := 0; i < nB; i++ {
-			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", i), Capacity: []float64{1000},
-				Props: map[string]string{"region": fmt.Sprintf("r%d", i%2)}})
+			p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: fmt.Sprintf("r%d", i%2)})
 		}
 		for i := range 12 {
 			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: int32(i % 4)})
 		}
 		p.AddConstraint(CapacitySpec{Metric: "cpu"})
 		if seed%2 == 1 {
-			p.AddSpreadGoal("region", 1)
+			p.AddSpreadGoal(1)
 		}
 		st := newState(p)
 		for step := 0; step < 200; step++ {
@@ -692,8 +685,7 @@ func TestSolveIdempotentOnCleanState(t *testing.T) {
 func TestSearchStateHasNoMaps(t *testing.T) {
 	// Where the walk stops, and why.
 	stop := map[string]string{
-		"*solver.Problem":    "the caller's input, read while the state is built",
-		"scopeDomains.index": "build-time lookup of an affinity goal's domain name",
+		"*solver.Problem": "the caller's input, read while the state is built",
 	}
 	seen := map[reflect.Type]bool{}
 	var walk func(path string, typ reflect.Type)
@@ -738,8 +730,7 @@ func TestCountMatchesAScan(t *testing.T) {
 		p := NewProblem([]string{"cpu"})
 		nB := 2 + rng.Intn(4)
 		for b := 0; b < nB; b++ {
-			p.AddBucket(Bucket{Name: fmt.Sprintf("b%d", b), Capacity: []float64{10},
-				Props: map[string]string{"region": fmt.Sprintf("r%d", b%2)}})
+			p.AddBucket(Bucket{Capacity: []float64{10}, Domain: fmt.Sprintf("r%d", b%2)})
 		}
 		groups := int32(0)
 		for ; len(p.Entities) < 30; groups++ {
@@ -750,7 +741,7 @@ func TestCountMatchesAScan(t *testing.T) {
 		}
 		rules := map[string]*rule{}
 		if trial%2 == 0 {
-			p.AddSpreadGoal("region", 1)
+			p.AddSpreadGoal(1)
 		}
 		st := newState(p)
 		rules["bucket"] = &st.conflict
@@ -763,8 +754,8 @@ func TestCountMatchesAScan(t *testing.T) {
 		for name, r := range rules {
 			extra, floor := 0, 0
 			for g := int32(0); g < groups; g++ {
-				if st.atFloor(r.dom, g) != refAtFloor(st, r.dom, g) {
-					t.Fatalf("trial %d, %s rule: group %d at floor %v", trial, name, g, !refAtFloor(st, r.dom, g))
+				if st.atFloor(r, g) != refAtFloor(st, r, g) {
+					t.Fatalf("trial %d, %s rule: group %d at floor %v", trial, name, g, !refAtFloor(st, r, g))
 				}
 				seen := map[int32]bool{}
 				pinned := map[int32]bool{}
@@ -774,7 +765,7 @@ func TestCountMatchesAScan(t *testing.T) {
 					if b == Unassigned {
 						continue
 					}
-					d := r.dom.bucketDom[b]
+					d := r.dom[b]
 					extra += b2i(seen[d])
 					seen[d] = true
 					if p.Entities[m].Movable {
@@ -784,7 +775,7 @@ func TestCountMatchesAScan(t *testing.T) {
 						pinned[d] = true
 					}
 				}
-				floor += pinnedN - len(pinned) + max(0, movable-(r.dom.n-len(pinned)))
+				floor += pinnedN - len(pinned) + max(0, movable-(r.n-len(pinned)))
 				pinnedFloors += b2i(pinnedN > len(pinned))
 			}
 			if r.extra != extra {
