@@ -1241,13 +1241,15 @@ func EncodeAssignment(shards map[shard.ID]shard.Role) []byte {
 		entries = append(entries, AssignEntry{Shard: id, Role: role})
 	}
 	slices.SortFunc(entries, func(a, b AssignEntry) int { return cmp.Compare(a.Shard, b.Shard) })
-	return EncodeEntries(entries)
+	return AppendEntries(nil, entries)
 }
 
-// EncodeEntries renders a server's assignment from its entries sorted by
-// shard: a deterministic order, so that the store's contents are stable.
-func EncodeEntries(entries []AssignEntry) []byte {
-	out := make([]byte, 0, len(entries)*16)
+// AppendEntries appends to dst the rendering of a server's assignment from
+// its entries sorted by shard: a deterministic order, so that the store's
+// contents are stable. A caller that keeps dst and passes dst[:0] encodes
+// without allocating once the buffer has grown to its largest node.
+func AppendEntries(dst []byte, entries []AssignEntry) []byte {
+	out := slices.Grow(dst, len(entries)*16)
 	for _, e := range entries {
 		out = append(out, e.Shard...)
 		out = append(out, ' ')

@@ -383,8 +383,11 @@ func TestEncodeDecodeAssignment(t *testing.T) {
 		entries[1].Shard != "beta" || entries[1].Role != shard.RoleSecondary {
 		t.Fatalf("decoded = %+v", entries)
 	}
-	if again := EncodeEntries(entries); string(again) != string(data) {
+	if again := AppendEntries(nil, entries); string(again) != string(data) {
 		t.Fatalf("the decoded entries encode to %q, want %q", again, data)
+	}
+	if again := AppendEntries([]byte("x"), entries); string(again) != "x"+string(data) {
+		t.Fatalf("appended to %q, the entries give %q", "x", again)
 	}
 }
 

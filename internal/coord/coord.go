@@ -265,35 +265,40 @@ func (s *Store) dispatch(pend []pendingEvent) {
 	}
 }
 
-// splitPath validates and splits an absolute path like "/a/b/c".
-func splitPath(path string) ([]string, error) {
+// checkPath validates an absolute path like "/a/b/c": "/" or a slash
+// followed by non-empty names separated by single slashes.
+func checkPath(path string) error {
 	if path == "/" {
-		return nil, nil
+		return nil
 	}
-	if !strings.HasPrefix(path, "/") || strings.HasSuffix(path, "/") {
-		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
+	if !strings.HasPrefix(path, "/") || strings.HasSuffix(path, "/") || strings.Contains(path, "//") {
+		return fmt.Errorf("%w: %q", ErrBadPath, path)
 	}
-	parts := strings.Split(path[1:], "/")
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
-		}
-	}
-	return parts, nil
+	return nil
 }
 
+// splitPath validates and splits an absolute path like "/a/b/c".
+func splitPath(path string) ([]string, error) {
+	if err := checkPath(path); err != nil || path == "/" {
+		return nil, err
+	}
+	return strings.Split(path[1:], "/"), nil
+}
+
+// lookup finds the node at path. It validates the whole path before walking
+// it, so a malformed path is ErrBadPath even where a prefix is missing, and
+// it allocates nothing unless it fails.
 func (s *Store) lookup(path string) (*node, error) {
-	parts, err := splitPath(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return nil, err
 	}
 	n := s.root
-	for _, p := range parts {
-		child, ok := n.children[p]
-		if !ok {
+	for rest := path[1:]; rest != ""; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
+		if n = n.children[name]; n == nil {
 			return nil, fmt.Errorf("%w: %q", ErrNoNode, path)
 		}
-		n = child
 	}
 	return n, nil
 }
@@ -391,6 +396,9 @@ func statOf(n *node) Stat {
 
 // Set replaces the data at path. If version >= 0 it must match the node's
 // current version (compare-and-swap); pass -1 to overwrite unconditionally.
+// The data is copied into the node's own bytes, so the caller may reuse its
+// buffer, and a write no longer than the node's largest earlier one
+// allocates nothing.
 func (s *Store) Set(path string, data []byte, version int) (Stat, error) {
 	if err := s.gated("set", path); err != nil {
 		return Stat{}, err
@@ -405,7 +413,7 @@ func (s *Store) Set(path string, data []byte, version int) (Stat, error) {
 		s.mu.Unlock()
 		return Stat{}, fmt.Errorf("%w: %q have %d want %d", ErrBadVersion, path, n.version, version)
 	}
-	n.data = append([]byte(nil), data...)
+	n.data = append(n.data[:0], data...) // Get copies out, so no caller holds these bytes
 	n.version++
 	st := statOf(n)
 	s.mu.Unlock()

@@ -212,6 +212,83 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestSetCopiesTheCallersBytes: Set copies the data into the node's own
+// bytes, so a caller that reuses its buffer (the orchestrator encodes every
+// assignment node into one) never changes what the node holds, and a shorter
+// write followed by a longer one each read back exactly.
+func TestSetCopiesTheCallersBytes(t *testing.T) {
+	s := NewStore()
+	s.Create("/n", []byte("first"), nil)
+	buf := []byte("second")
+	if _, err := s.Set("/n", buf, -1); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXXXX")
+	if data, _, _ := s.Get("/n"); string(data) != "second" {
+		t.Fatalf("after the caller overwrote its buffer, Get = %q, want %q", data, "second")
+	}
+	for _, want := range []string{"ab", "a much longer payload than before", "", "xyz"} {
+		if _, err := s.Set("/n", []byte(want), -1); err != nil {
+			t.Fatal(err)
+		}
+		if data, _, _ := s.Get("/n"); string(data) != want {
+			t.Fatalf("Set(%q) then Get = %q", want, data)
+		}
+	}
+}
+
+// TestNodeWritesAndLookupsAllocateNothing pins the two store calls every
+// assignment-node write makes: Exists on a node that is there, and Set on it
+// with data no longer than its last write.
+func TestNodeWritesAndLookupsAllocateNothing(t *testing.T) {
+	s := NewStore()
+	if err := s.CreateAll("/app/assign/srv1", []byte("s001 p\ns002 s\n"), nil); err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("s001 s\n")
+	if n := testing.AllocsPerRun(100, func() {
+		if !s.Exists("/app/assign/srv1") {
+			t.Fatal("the node is gone")
+		}
+	}); n != 0 {
+		t.Errorf("Exists allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.Set("/app/assign/srv1", data, -1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Set with a shorter payload allocates %v times, want 0", n)
+	}
+}
+
+// TestLookupErrors: a path is validated whole before it is walked, so a
+// malformed one is ErrBadPath even where its first name is missing, and a
+// missing node is ErrNoNode; every read and write reports the same error.
+func TestLookupErrors(t *testing.T) {
+	s := NewStore()
+	s.Create("/a", nil, nil)
+	for _, c := range []struct{ path, want string }{
+		{"a", `coord: malformed path: "a"`},
+		{"/a/", `coord: malformed path: "/a/"`},
+		{"/a//b", `coord: malformed path: "/a//b"`},
+		{"/missing//x", `coord: malformed path: "/missing//x"`},
+		{"/a/missing", `coord: node does not exist: "/a/missing"`},
+	} {
+		_, _, getErr := s.Get(c.path)
+		_, setErr := s.Set(c.path, nil, -1)
+		_, kidsErr := s.Children(c.path)
+		for _, err := range []error{getErr, setErr, kidsErr, s.Delete(c.path, -1)} {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%q: %v, want %s", c.path, err, c.want)
+			}
+		}
+		if s.Exists(c.path) {
+			t.Errorf("Exists(%q) = true", c.path)
+		}
+	}
+}
+
 func TestMultipleEphemeralsOneSession(t *testing.T) {
 	s := NewStore()
 	s.Create("/servers", nil, nil)

@@ -151,8 +151,10 @@ type serverState struct {
 	// (placement.go) — which is what its assignment node in the coordination
 	// store should hold; nodeStale is set while the node does not hold it:
 	// never written, changed since the last write, or the last write failed.
+	// node is that node's path.
 	shards    []appserver.AssignEntry
 	nodeStale bool
+	node      string
 }
 
 type shardState struct {
@@ -259,12 +261,16 @@ type Orchestrator struct {
 	defaults []float64
 	// version and gen stamp the last publication, placed counts the shards
 	// with at least one replica (the map's entries), changed lists the shards
-	// whose replica list was written since, and delta is publish's staging
-	// buffer, restaged every time.
+	// whose replica list was written since, and delta and enc are publish's
+	// staging buffers, restaged every time: the delta and an assignment node's
+	// bytes. snap is AssignmentSnapshot's map, nil until it is asked for and
+	// again from the next write or publication on.
 	version, gen int64
 	placed       int
 	changed      []*shardState
 	delta        *shard.Delta
+	enc          []byte
+	snap         *shard.Map
 
 	migrationQueue []*migration
 	inFlight       int
@@ -458,7 +464,7 @@ func (o *Orchestrator) syncMembership() {
 		st := o.servers[id]
 		rejoined := st != nil
 		if st == nil {
-			st = &serverState{id: id, nodeStale: true, bucket: -1}
+			st = &serverState{id: id, nodeStale: true, node: o.paths.AssignNode(id), bucket: -1}
 			o.servers[id] = st
 			o.nodes[kid] = st
 			i, _ := slices.BinarySearchFunc(o.byID, id, func(s *serverState, id shard.ServerID) int {
@@ -1321,6 +1327,7 @@ func (o *Orchestrator) publishRejected(reason string) {
 func (o *Orchestrator) publish() {
 	lastVersion, lastGen := o.version, o.gen // what discovery should be holding
 	o.version, o.gen = lastVersion+1, o.store.NextEpoch()
+	o.snap = nil // it carries the version
 	d := o.delta.Reset(o.cfg.App, lastVersion, o.version, o.gen)
 	slices.SortFunc(o.changed, byPos)
 	for _, ss := range o.changed {
@@ -1368,8 +1375,8 @@ func (o *Orchestrator) publish() {
 		// Discovery is not where this orchestrator left it: another
 		// incarnation published in between, so the last delta was dropped or
 		// this one would land on a map it was not made against. Resend the
-		// whole map.
-		m := o.AssignmentSnapshot()
+		// whole map, stamped on a copy: the snapshot is shared.
+		m := *o.AssignmentSnapshot()
 		m.Gen = o.gen
 		o.disc.Publish(m.Diff(nil, nil))
 	} else {
@@ -1383,13 +1390,12 @@ func (o *Orchestrator) publish() {
 		if !st.nodeStale {
 			continue
 		}
-		node := o.paths.AssignNode(st.id)
-		data := appserver.EncodeEntries(st.shards)
+		o.enc = appserver.AppendEntries(o.enc[:0], st.shards)
 		var err error
-		if o.store.Exists(node) {
-			_, err = o.store.Set(node, data, -1)
+		if o.store.Exists(st.node) {
+			_, err = o.store.Set(st.node, o.enc, -1)
 		} else {
-			err = o.store.Create(node, data, nil)
+			err = o.store.Create(st.node, o.enc, nil)
 		}
 		st.nodeStale = err != nil
 	}
@@ -1397,12 +1403,18 @@ func (o *Orchestrator) publish() {
 
 // --- TaskController-facing API ---
 
-// AssignmentSnapshot returns a copy of the current authoritative shard map
-// (not the possibly stale discovery view), stamped with the last published
-// version. Its entries share one backing array, each capped at its own
-// length, so that a reader's append copies the entry rather than write over
-// the next.
+// AssignmentSnapshot returns the current authoritative shard map (not the
+// possibly stale discovery view), stamped with the last published version.
+// The map is shared and read-only: it is built on the first call after the
+// placement or the version changed and handed to every caller until the next
+// change, which builds a new one and leaves the old one as it was. Its
+// entries share one backing array, each capped at its own length, so that a
+// reader's append copies the entry rather than write over the next. A reader
+// that wants to edit the map edits a Clone.
 func (o *Orchestrator) AssignmentSnapshot() *shard.Map {
+	if o.snap != nil {
+		return o.snap
+	}
 	n := 0
 	for _, ss := range o.shards {
 		n += len(ss.replicas)
@@ -1415,6 +1427,7 @@ func (o *Orchestrator) AssignmentSnapshot() *shard.Map {
 			m.Entries[id] = all[len(all)-len(ss.replicas) : len(all) : len(all)]
 		}
 	}
+	o.snap = m
 	return m
 }
 

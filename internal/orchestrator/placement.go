@@ -16,7 +16,8 @@ import (
 // shard name), the list of shards changed since the last publication
 // (Orchestrator.changed) and every replica's server (shardState.hosts). The
 // four mutators below are the only code that writes a replica list, and each
-// brings all three up to date in the same breath; every other function reads.
+// brings all three up to date in the same breath, and drops the kept
+// AssignmentSnapshot; every other function reads.
 // They are also all a standby needs to rebuild the placement from the coord
 // assignment nodes. The three that change which server holds a replica mark
 // the shard for the allocation problem's refresh (refresh.go); setRole does
@@ -61,10 +62,12 @@ func (o *Orchestrator) rehomeReplica(ss *shardState, i int, to shard.ServerID) {
 }
 
 // reindex is the mutators' common tail: ss goes on the changed list (once),
-// and server's index entry for it is read back from the list just written —
-// so a list that names a server twice, which only sanitizeReplicas ever
-// sees, still leaves the index right — and its assignment node is stale.
+// the kept snapshot no longer shows the placement, and server's index entry
+// for it is read back from the list just written — so a list that names a
+// server twice, which only sanitizeReplicas ever sees, still leaves the
+// index right — and its assignment node is stale.
 func (o *Orchestrator) reindex(ss *shardState, server shard.ServerID) {
+	o.snap = nil
 	if !ss.changed {
 		ss.changed = true
 		o.changed = append(o.changed, ss)

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -171,4 +172,139 @@ func TestStalledAssignmentWriteHealsOnNextPublish(t *testing.T) {
 	if !srv.HoldsActive("s000") {
 		t.Fatalf("restarted target restored %v, without s000", srv.Shards())
 	}
+}
+
+// TestAssignmentSnapshotSharedUntilWritten: AssignmentSnapshot hands every
+// caller the same map until the placement is written or a publication bumps
+// the version; a write through each mutator, with no publication between,
+// yields a new map that shows it; a handed-out map never changes afterwards;
+// and the whole-map resend stamps its generation on a copy, not on the
+// shared map.
+func TestAssignmentSnapshotSharedUntilWritten(t *testing.T) {
+	o := benchServers(t, baseConfig(shard.PrimarySecondary, 4, 2), []topology.RegionID{"r1"}, 6)
+	srv := func(i int) shard.ServerID { return o.byID[i].id }
+	for _, p := range []struct {
+		id   shard.ID
+		reps []shard.Assignment
+	}{
+		{"s000", []shard.Assignment{{Server: srv(0), Role: shard.RolePrimary}, {Server: srv(1), Role: shard.RoleSecondary}}},
+		{"s001", []shard.Assignment{{Server: srv(2), Role: shard.RolePrimary}, {Server: srv(3), Role: shard.RoleSecondary}}},
+		{"s002", []shard.Assignment{{Server: srv(4), Role: shard.RoleSecondary}, {Server: srv(5), Role: shard.RoleSecondary}}},
+		{"s003", []shard.Assignment{{Server: srv(0), Role: shard.RolePrimary}, {Server: srv(2), Role: shard.RoleSecondary}}},
+	} {
+		for _, a := range p.reps {
+			o.addReplica(o.shards[p.id], a.Server, a.Role)
+		}
+	}
+	o.publish()
+
+	type handout struct {
+		what      string
+		snap, was *shard.Map
+	}
+	var handed []handout
+	last := o.AssignmentSnapshot()
+	if again := o.AssignmentSnapshot(); again != last {
+		t.Fatal("two snapshots with no write between them are different maps")
+	}
+	handed = append(handed, handout{"first", last, last.Clone()})
+	check := func(what string, version int64) {
+		t.Helper()
+		m := o.AssignmentSnapshot()
+		if m == last {
+			t.Fatalf("%s: the snapshot from before it was handed out again", what)
+		}
+		want := map[shard.ID][]shard.Assignment{}
+		for _, id := range o.order {
+			if reps := o.shards[id].replicas; len(reps) > 0 {
+				want[id] = reps
+			}
+		}
+		if m.Version != version || !reflect.DeepEqual(m.Entries, want) {
+			t.Fatalf("%s: snapshot v%d %+v, want v%d %+v", what, m.Version, m.Entries, version, want)
+		}
+		last = m
+		handed = append(handed, handout{what, m, m.Clone()})
+	}
+	v := o.version
+	o.addReplica(o.shards["s000"], srv(2), shard.RoleSecondary)
+	check("add", v)
+	o.rehomeReplica(o.shards["s001"], 1, srv(4))
+	check("move", v)
+	o.setRole(o.shards["s002"], 0, shard.RolePrimary)
+	check("promotion", v)
+	s003 := o.shards["s003"]
+	o.addReplica(s003, srv(0), shard.RoleSecondary) // a second copy on the primary's server
+	check("duplicate add", v)
+	o.sanitizeReplicas(s003) // its removeReplica is the only write
+	if len(s003.replicas) != 2 {
+		t.Fatalf("sanitize left %+v", s003.replicas)
+	}
+	check("sanitize", v)
+	o.publish()
+	check("publish", v+1)
+
+	// Another publisher lands in discovery: the next publication resends the
+	// whole map, stamped with its generation.
+	foreign := &shard.Map{App: "app", Version: 1, Gen: o.store.NextEpoch(),
+		Entries: map[shard.ID][]shard.Assignment{"elsewhere": {{Server: "x", Role: shard.RolePrimary}}}}
+	o.disc.Publish(foreign.Diff(nil, nil))
+	o.rehomeReplica(o.shards["s000"], 1, srv(5))
+	o.publish()
+	check("resend", v+2)
+	if got := o.disc.Latest("app"); got.Version != last.Version || got.Gen != o.gen {
+		t.Fatalf("discovery holds v%d gen %d, want the resent v%d gen %d", got.Version, got.Gen, last.Version, o.gen)
+	}
+	if last.Gen != 0 {
+		t.Fatalf("the resend stamped gen %d on the shared snapshot", last.Gen)
+	}
+
+	for _, h := range handed {
+		if !reflect.DeepEqual(h.snap, h.was) {
+			t.Errorf("the snapshot handed out at %q changed: now %+v, was %+v", h.what, h.snap, h.was)
+		}
+	}
+}
+
+// bytesOnce returns the bytes f allocates.
+func bytesOnce(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPublishBytesDoNotGrowWithTheNode: a publication of one move rewrites
+// the two assignment nodes it touched, but encodes them into the
+// orchestrator's one buffer and the store copies them into the nodes' own
+// bytes, so the bytes it allocates do not depend on how big a node is. On
+// benchPlacement's world over 120 servers, a node holds 50 shards at 3k shards
+// and 500 at 30k. A first pass of 100 one-move publications lets a node that
+// grows past the room its creation gave it grow once; a second pass then
+// allocates within 10% as many bytes per publication at both sizes.
+func TestPublishBytesDoNotGrowWithTheNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 30k-shard world")
+	}
+	const servers, publishes = 120, 100
+	perPublish := map[int]float64{}
+	for _, shards := range []int{3000, 30000} {
+		o, home := benchPlacement(t, shards, servers)
+		pass := func() {
+			for i := range publishes {
+				home[i] = (home[i] + 2) % servers
+				o.rehomeReplica(o.shards[o.order[i]], 0, o.byID[home[i]].id)
+				o.publish()
+			}
+		}
+		pass()
+		perPublish[shards] = float64(bytesOnce(pass)) / publishes
+	}
+	small, large := perPublish[3000], perPublish[30000]
+	if large > 1.1*small || small > 1.1*large {
+		t.Errorf("a one-move publication allocates %.0f bytes with 500 shards per node, %.0f with 50", large, small)
+	}
+	t.Logf("bytes per one-move publication: %.0f with 50 shards per node, %.0f with 500", small, large)
 }
