@@ -405,7 +405,7 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 func TestMigrationPathTakesNoContinuations(t *testing.T) {
 	keep := map[string]string{
 		"Drain":         "onDone is the TaskController's API: it hears when the server is empty",
-		"call":          "the plain RPC under callStep; its handle/done/fail also serve DemotePrimaries' demote-then-promote chain, which is not a migration",
+		"call":          "the plain RPC of syncServer and rpcChangeRole; its handle/done/fail serve DemotePrimaries' demote-then-promote chain, which is not a migration",
 		"rpcChangeRole": "done chains DemotePrimaries' promote after the acknowledged demote, which is not a migration",
 	}
 	files, err := filepath.Glob("internal/orchestrator/*.go")

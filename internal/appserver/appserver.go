@@ -220,6 +220,11 @@ type Server struct {
 	// load, cleared before every ask: the server's one, made at its first
 	// report.
 	asked topology.Capacity
+	// report and reportVals hold LoadReport's answer, its entries and their
+	// values, until the next report. Each is remade at the exact count when a
+	// report needs more room, never grown by doubling.
+	report     []LoadEntry
+	reportVals []float64
 
 	// fenced marks lost-lease state: the server's coordination session
 	// expired and no newer-generation sync has arrived, so its primary
@@ -810,8 +815,9 @@ type LoadEntry struct {
 // reports and its orchestrator does not balance on is left out, and one it
 // balances on and the application does not report reads 0. A round in which
 // nothing changed asks the application nothing and returns nil. The report
-// owns its entries and their values: nothing the application or the server
-// does afterwards changes them.
+// is the server's until its next LoadReport: its entries and their values are
+// written into two buffers the server keeps, and nothing the application
+// does changes them.
 func (s *Server) LoadReport() []LoadEntry {
 	n := 0
 	for num, r := range s.replicas {
@@ -823,8 +829,13 @@ func (s *Server) LoadReport() []LoadEntry {
 		return nil
 	}
 	metrics := s.dir.metrics[s.App]
-	out := make([]LoadEntry, 0, n)
-	vals := make([]float64, 0, n*len(metrics))
+	if len(s.report) < n {
+		s.report = make([]LoadEntry, n)
+	}
+	if len(s.reportVals) < n*len(metrics) {
+		s.reportVals = make([]float64, n*len(metrics))
+	}
+	out, vals := s.report[:0], s.reportVals[:0]
 	if s.asked == nil {
 		s.asked = make(topology.Capacity, len(metrics))
 	}

@@ -2,6 +2,7 @@ package appserver
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -366,6 +367,22 @@ func TestLoadReportCarriesWhatChanged(t *testing.T) {
 	}
 	if rep := other.LoadReport(); len(rep) != 1 || rep[0].Shard != "b" {
 		t.Fatalf("the other server's first report = %v", rep)
+	}
+	// A report outgrowing the server's buffers carries its own entries only,
+	// each with its own values.
+	app.cpu = 3
+	for _, id := range []shard.ID{"d", "e", "f", "g"} {
+		s.AddShard(id, shard.RoleSecondary, 1)
+	}
+	var got []shard.ID
+	for _, e := range s.LoadReport() {
+		got = append(got, e.Shard)
+		if len(e.Load) != 2 || e.Load[0] != 3 {
+			t.Fatalf("%s reports %v, want cpu 3", e.Shard, e.Load)
+		}
+	}
+	if slices.Sort(got); !slices.Equal(got, []shard.ID{"d", "e", "f", "g"}) {
+		t.Fatalf("the report after adding four replicas names %v", got)
 	}
 }
 

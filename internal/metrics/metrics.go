@@ -88,35 +88,24 @@ func (s *Series) MeanBetween(from, to time.Duration) float64 {
 	return sum / float64(len(pts))
 }
 
-// Quantile returns the q-quantile of vals by nearest rank. vals is not
-// modified. It panics if q is outside [0, 1] and returns 0 for empty input.
+// Quantile returns the q-quantile of vals by nearest rank. vals is neither
+// copied nor reordered. It panics if q is outside [0, 1] and returns 0 for
+// empty input. NaNs rank below every number, as sort.Float64s puts them.
 func Quantile(vals []float64, q float64) float64 {
+	checkQ(q)
 	if len(vals) == 0 {
-		checkQ(q)
 		return 0
 	}
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
-	sort.Float64s(sorted)
-	return nearestRank(sorted, q)
+	return selectRank(vals, nearestRank(len(vals), q))
 }
 
-// Quantiles returns the q-quantile for each of qs over vals, sorting the
-// data once instead of once per quantile. vals is not modified. It panics if
-// any q is outside [0, 1]; empty input yields all zeros.
+// Quantiles returns the q-quantile for each of qs over vals, as Quantile
+// does; the result is its only allocation. It panics if any q is outside
+// [0, 1]; empty input yields all zeros.
 func Quantiles(vals []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
-	if len(vals) == 0 {
-		for _, q := range qs {
-			checkQ(q)
-		}
-		return out
-	}
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
-	sort.Float64s(sorted)
 	for i, q := range qs {
-		out[i] = nearestRank(sorted, q)
+		out[i] = Quantile(vals, q)
 	}
 	return out
 }
@@ -127,17 +116,53 @@ func checkQ(q float64) {
 	}
 }
 
-// nearestRank returns the q-quantile of an already sorted, non-empty slice.
-func nearestRank(sorted []float64, q float64) float64 {
-	checkQ(q)
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
+// nearestRank returns the 0-based rank of the q-quantile of n > 0 values.
+func nearestRank(n int, q float64) int {
+	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
+}
+
+// selectRank returns the value of rank k in vals' ascending order, NaNs
+// first: a radix select over orderKey, one byte per pass from the top. Each
+// pass counts, by their next byte, the values whose higher bytes are the ones
+// chosen so far, and chooses the byte the rank falls in.
+func selectRank(vals []float64, k int) float64 {
+	var prefix, mask uint64
+	for shift := 56; shift >= 0; shift -= 8 {
+		var count [256]int
+		for _, v := range vals {
+			if key := orderKey(v); key&mask == prefix {
+				count[key>>shift&0xff]++
+			}
+		}
+		d := 0
+		for k >= count[d] {
+			k -= count[d]
+			d++
+		}
+		prefix |= uint64(d) << shift
+		mask |= 0xff << shift
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	if prefix == 0 {
+		return math.NaN()
 	}
-	return sorted[idx]
+	if prefix>>63 == 1 {
+		return math.Float64frombits(prefix &^ (1 << 63))
+	}
+	return math.Float64frombits(^prefix)
+}
+
+// orderKey maps v to a key whose unsigned order is v's numeric order, -0
+// before +0, with every NaN at 0, below -Inf's key: the sign bit is flipped
+// on a non-negative float and every bit on a negative one.
+func orderKey(v float64) uint64 {
+	if v != v {
+		return 0
+	}
+	b := math.Float64bits(v)
+	if b>>63 == 1 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // SuccessRatio tracks a ratio of successes to total attempts within bucketed

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,64 @@ func TestQuantilesPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	Quantiles([]float64{1}, 0.5, -0.1)
+}
+
+// sortedQuantile is the reference Quantile and Quantiles are held to: sort a
+// copy, take the nearest rank.
+func sortedQuantile(vals []float64, q float64) float64 {
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	return sorted[nearestRank(len(sorted), q)]
+}
+
+// TestQuantilesMatchSortedReference: the selection gives the value a sort of
+// a copy gives, on random inputs with duplicates, ±Inf, NaN and ±0, equal by
+// == or NaN where the reference is NaN; the input keeps its order, and the
+// result slice is the only allocation.
+func TestQuantilesMatchSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1, -1}
+	qs := []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
+	for trial := 0; trial < 500; trial++ {
+		vals := make([]float64, 1+rng.IntN(200))
+		for i := range vals {
+			switch rng.IntN(4) {
+			case 0:
+				vals[i] = special[rng.IntN(len(special))]
+			case 1:
+				vals[i] = float64(rng.IntN(5) - 2) // duplicates
+			default:
+				vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.IntN(20)-10))
+			}
+		}
+		before := append([]float64(nil), vals...)
+		got := Quantiles(vals, qs...)
+		for i, q := range qs {
+			want := sortedQuantile(vals, q)
+			if got[i] != want && !(math.IsNaN(want) && math.IsNaN(got[i])) {
+				t.Fatalf("trial %d: Quantiles(%v)[%v] = %v, the sorted copy gives %v", trial, vals, q, got[i], want)
+			}
+			if one := Quantile(vals, q); one != got[i] && !(math.IsNaN(one) && math.IsNaN(got[i])) {
+				t.Fatalf("trial %d: Quantile(%v) = %v, Quantiles gives %v", trial, q, one, got[i])
+			}
+		}
+		for i := range vals {
+			if math.Float64bits(vals[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("trial %d: the input was reordered: %v, was %v", trial, vals, before)
+			}
+		}
+	}
+	vals := make([]float64, 10000)
+	for i := range vals {
+		vals[i] = rng.ExpFloat64()
+	}
+	if n := testing.AllocsPerRun(10, func() { Quantile(vals, 0.99) }); n != 0 {
+		t.Errorf("Quantile allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { Quantiles(vals, 0.5, 0.99, 0.999) }); n != 1 {
+		t.Errorf("Quantiles allocates %v times, want 1: the result", n)
+	}
 }
 
 func TestSuccessRatio(t *testing.T) {

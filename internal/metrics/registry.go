@@ -182,16 +182,13 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *F
 }
 
 // cell resolves (and lazily creates) the family and cell, enforcing a
-// consistent kind and label schema per family.
+// consistent kind and label schema per family. It keeps no reference to
+// labels, copying what a new family or cell keeps, so the caller's label list
+// does not escape: a lookup builds it on the stack, and one on a nil registry
+// allocates nothing.
 func (r *Registry) cell(name string, kind Kind, bounds []float64, labels []string) *cell {
 	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("metrics: %s: odd label list %v", name, labels))
-	}
-	keys := make([]string, 0, len(labels)/2)
-	vals := make([]string, 0, len(labels)/2)
-	for i := 0; i < len(labels); i += 2 {
-		keys = append(keys, labels[i])
-		vals = append(vals, labels[i+1])
+		panic(fmt.Sprintf("metrics: %s: odd label list %s", name, listText(labels, 0, 1)))
 	}
 	f := r.families[name]
 	if f == nil || f.kind == -1 {
@@ -200,7 +197,10 @@ func (r *Registry) cell(name string, kind Kind, bounds []float64, labels []strin
 			r.families[name] = f
 		}
 		f.kind = kind
-		f.keys = keys
+		f.keys = make([]string, len(labels)/2)
+		for i := range f.keys {
+			f.keys[i] = strings.Clone(labels[2*i])
+		}
 		if kind == KindHistogram {
 			if bounds == nil {
 				bounds = DefaultLatencyBuckets
@@ -211,25 +211,52 @@ func (r *Registry) cell(name string, kind Kind, bounds []float64, labels []strin
 		if f.kind != kind {
 			panic(fmt.Sprintf("metrics: %s registered as %v, used as %v", name, f.kind, kind))
 		}
-		if len(f.keys) != len(keys) {
-			panic(fmt.Sprintf("metrics: %s label keys %v, used with %v", name, f.keys, keys))
+		same := 2*len(f.keys) == len(labels)
+		for i := 0; same && i < len(f.keys); i++ {
+			same = f.keys[i] == labels[2*i]
 		}
-		for i := range keys {
-			if f.keys[i] != keys[i] {
-				panic(fmt.Sprintf("metrics: %s label keys %v, used with %v", name, f.keys, keys))
-			}
+		if !same {
+			panic(fmt.Sprintf("metrics: %s label keys %v, used with %s", name, f.keys, listText(labels, 0, 2)))
 		}
 	}
-	key := strings.Join(vals, "\xff")
-	c := f.cells[key]
+	// The cell's key is its label values joined by 0xff, built on the stack:
+	// a lookup with a []byte key allocates no string.
+	var buf [128]byte
+	key := buf[:0]
+	for i := 1; i < len(labels); i += 2 {
+		if i > 1 {
+			key = append(key, 0xff)
+		}
+		key = append(key, labels[i]...)
+	}
+	c := f.cells[string(key)]
 	if c == nil {
+		vals := make([]string, len(labels)/2)
+		for i := range vals {
+			vals[i] = strings.Clone(labels[2*i+1])
+		}
 		c = &cell{labels: vals}
 		if f.kind == KindHistogram {
 			c.hist = NewFixedHistogram(f.buckets)
 		}
-		f.cells[key] = c
+		f.cells[string(key)] = c
 	}
 	return c
+}
+
+// listText formats every step-th element of list from the first, as %v formats
+// a list, copying the bytes so that list does not escape.
+func listText(list []string, first, step int) string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for i := first; i < len(list); i += step {
+		if i > first {
+			b.WriteByte(' ')
+		}
+		b.WriteString(list[i])
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // sortedFamilies returns the families ordered by name; exporters and tests

@@ -103,6 +103,48 @@ func TestLabeledRegistryOddLabelsPanics(t *testing.T) {
 	r.Counter("m", "app")
 }
 
+// TestLabelListsDoNotEscape: a lookup's label list stays on the caller's
+// stack, so a lookup on a nil registry allocates nothing, and neither does a
+// repeated one on a live registry; the panic texts still name the lists.
+func TestLabelListsDoNotEscape(t *testing.T) {
+	app := string([]byte("kv")) // not a constant
+	var nilReg *Registry
+	if n := testing.AllocsPerRun(100, func() {
+		nilReg.Counter("c", "app", app, "op", "add").Inc()
+		nilReg.Gauge("g", "app", app).Add(1)
+		nilReg.Histogram("h", nil, "app", app).Observe(1)
+	}); n != 0 {
+		t.Errorf("a nil-registry lookup with labels allocates %v times, want 0", n)
+	}
+	r := NewRegistry()
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("c", "app", app, "op", "add").Inc()
+		r.Gauge("g", "app", app).Add(1)
+	}); n != 0 {
+		t.Errorf("a repeated lookup allocates %v times, want 0", n)
+	}
+	if got := r.Counter("c", "app", app, "op", "add").Value(); got != 101 {
+		t.Errorf("the counter reads %d after 101 increments", got)
+	}
+	for _, c := range []struct {
+		want string
+		do   func()
+	}{
+		{"metrics: m: odd label list [app kv op]", func() { r.Counter("m", "app", app, "op") }},
+		{"metrics: c label keys [app op], used with [app]", func() { r.Counter("c", "app", app) }},
+		{"metrics: c label keys [app op], used with [app shard]", func() { r.Counter("c", "app", app, "shard", "s") }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("panic %q, want %q", got, c.want)
+				}
+			}()
+			c.do()
+		}()
+	}
+}
+
 func TestFixedHistogramRejectsUnsortedBounds(t *testing.T) {
 	defer func() {
 		if recover() == nil {

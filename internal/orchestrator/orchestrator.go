@@ -155,6 +155,13 @@ type serverState struct {
 	shards    []appserver.AssignEntry
 	nodeStale bool
 	node      string
+	// collect and apply are the server's load-collection callbacks, bound
+	// once when the server is first seen: collect runs at the server and
+	// keeps its report in report, which is the server's own buffer, and apply
+	// holds the report's loads back home at the same instant, long before the
+	// next round asks the server again.
+	collect, apply func()
+	report         []appserver.LoadEntry
 }
 
 type shardState struct {
@@ -275,6 +282,11 @@ type Orchestrator struct {
 	migrationQueue []*migration
 	inFlight       int
 	curAlloc       trace.SpanID // open "allocate" span, parent of spawned work
+	// freeSteps is the free list of step records (stepCall), and failRPC is
+	// o.failedRPC, bound once: the RPCs the control plane sends all the time
+	// allocate no record and no closure.
+	freeSteps *stepCall
+	failRPC   func()
 
 	draining        map[shard.ServerID]func() // a drain's completion callback, nil for none
 	drainCheckArmed bool
@@ -312,6 +324,7 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		shards:   make(map[shard.ID]*shardState),
 		draining: make(map[shard.ServerID]func()),
 	}
+	o.failRPC = o.failedRPC
 	for _, sc := range cfg.Shards {
 		if sc.Replicas <= 0 {
 			sc.Replicas = 1
@@ -465,6 +478,7 @@ func (o *Orchestrator) syncMembership() {
 		rejoined := st != nil
 		if st == nil {
 			st = &serverState{id: id, nodeStale: true, node: o.paths.AssignNode(id), bucket: -1}
+			o.bindCollection(st)
 			o.servers[id] = st
 			o.nodes[kid] = st
 			i, _ := slices.BinarySearchFunc(o.byID, id, func(s *serverState, id shard.ServerID) int {
@@ -556,35 +570,43 @@ func (o *Orchestrator) syncServer(id shard.ServerID) {
 		"app", string(o.cfg.App)).Inc()
 	o.call(id, func(srv *appserver.Server) {
 		srv.SyncAssignment(want, protect, gen)
-	}, func() {}, o.failedRPC)
+	}, func() {}, o.failRPC)
 }
 
 // --- load collection ---
 
+// collectLoads asks every live server for its load report. A round allocates
+// nothing once every server has reported once: the callbacks are bound on the
+// server's state and the report is written into the server's buffers.
 func (o *Orchestrator) collectLoads() {
 	for _, st := range o.byID {
-		if !st.alive {
-			continue
+		if st.alive {
+			o.net.Call(o.cfg.HomeRegion, rpcnet.Endpoint(st.id), st.collect, nil, o.failRPC)
 		}
-		id := st.id
-		o.net.Call(o.cfg.HomeRegion, rpcnet.Endpoint(id), func() {
-			srv := o.dir.Lookup(id)
-			if srv == nil {
-				return
+	}
+}
+
+// bindCollection binds st's load-collection callbacks.
+func (o *Orchestrator) bindCollection(st *serverState) {
+	st.collect = func() {
+		srv := o.dir.Lookup(st.id)
+		if srv == nil {
+			return
+		}
+		st.report = srv.LoadReport()
+		o.loop.AfterL(0, lbLoadApply, st.apply)
+	}
+	st.apply = func() {
+		// Each entry's values are copied into the room its shard holds for
+		// this server. A replica the report leaves out reports what is held.
+		// Every shard it names is marked, for the refresh to restate its
+		// load.
+		for _, e := range st.report {
+			if ss := o.shards[e.Shard]; ss != nil {
+				o.holdLoad(ss, st, e.Load)
 			}
-			report := srv.LoadReport()
-			o.loop.AfterL(0, lbLoadApply, func() {
-				// Each entry's values are copied into the room its shard
-				// holds for this server. A replica the report leaves out
-				// reports what is held. Every shard it names is marked, for
-				// the refresh to restate its load.
-				for _, e := range report {
-					if ss := o.shards[e.Shard]; ss != nil {
-						o.holdLoad(ss, st, e.Load)
-					}
-				}
-			})
-		}, nil, o.failedRPC)
+		}
+		st.report = nil
 	}
 }
 
@@ -1222,52 +1244,98 @@ func (o *Orchestrator) call(id shard.ServerID, handle func(*appserver.Server), d
 // m, or else the cleanup c, which settles or is retried.
 func (o *Orchestrator) callStep(parent trace.SpanID, step op, s shard.ID, server, peer shard.ServerID,
 	role shard.Role, m *migration, c *cleanup) {
-	var gen int64
+	r := o.freeSteps
+	if r == nil {
+		r = &stepCall{o: o}
+		r.handle, r.done, r.fail = r.run, r.succeeded, r.failed
+	} else {
+		o.freeSteps = r.next
+		r.next = nil
+	}
+	r.step, r.shard, r.server, r.peer, r.role, r.m, r.c = step, s, server, peer, role, m, c
 	if step == prepareAdd || step == addShard || step == sourceResume {
-		gen = o.store.NextEpoch()
+		r.gen = o.store.NextEpoch()
 	}
-	tr := o.loop.Tracer()
-	var sp trace.SpanID
-	if tr.Enabled() {
-		sp = tr.StartSpan("orchestrator", string(step), parent, trace.String("server", string(server)))
+	if tr := o.loop.Tracer(); tr.Enabled() {
+		r.span = tr.StartSpan("orchestrator", string(step), parent, trace.String("server", string(server)))
 	}
-	report := func(ok bool) {
-		if tr.Enabled() {
-			tr.EndSpan(sp, trace.String("status", status(ok)))
-		}
-		for _, h := range o.hooks {
-			if h.MigrationStep != nil {
-				h.MigrationStep(s, string(step), server, status(ok))
-			}
-		}
-		switch {
-		case m != nil:
-			o.drive(m, ok)
-		case !ok:
-			o.failedRPC()
-			o.retryCleanup(c)
-		default:
-			if step == orphanDrop {
-				o.loop.Metrics().Counter("orchestrator_orphan_drops_total",
-					"app", string(o.cfg.App)).Inc()
-			}
-			o.settle(c)
+	o.net.Call(o.cfg.HomeRegion, rpcnet.Endpoint(server), r.handle, r.done, r.fail)
+}
+
+// A stepCall is one shard-lifecycle RPC in flight: callStep's arguments, the
+// generation it drew and its span. It comes off the orchestrator's free list,
+// and its handle, done and fail are its methods bound once, when the record
+// is made, so a step allocates nothing. rpcnet runs handle at most once and
+// then exactly one of done and fail, and report puts the record back after it
+// has read the fields and before the outcome runs anything, so a step that
+// issues the next one reuses the record.
+type stepCall struct {
+	o            *Orchestrator
+	next         *stepCall // free-list link
+	step         op
+	shard        shard.ID
+	server, peer shard.ServerID
+	role         shard.Role
+	gen          int64
+	span         trace.SpanID
+	m            *migration
+	c            *cleanup
+
+	handle, done, fail func()
+}
+
+// run carries the step out at the server.
+func (r *stepCall) run() {
+	srv := r.o.dir.Lookup(r.server)
+	if srv == nil {
+		return
+	}
+	switch r.step {
+	case prepareAdd:
+		srv.PrepareAddShard(r.shard, r.peer, r.role, r.gen)
+	case prepareDrop:
+		srv.PrepareDropShard(r.shard, r.peer, r.role)
+	case addShard:
+		srv.AddShard(r.shard, r.role, r.gen)
+	case sourceResume:
+		srv.ResumeShard(r.shard, r.gen)
+	default:
+		srv.DropShard(r.shard)
+	}
+}
+
+func (r *stepCall) succeeded() { r.report(true) }
+func (r *stepCall) failed()    { r.report(false) }
+
+// report returns the record to the free list and then ends the step's span,
+// fires the MigrationStep hook and hands the outcome to the migration or the
+// cleanup that sent the step.
+func (r *stepCall) report(ok bool) {
+	o, step, s, server, sp, m, c := r.o, r.step, r.shard, r.server, r.span, r.m, r.c
+	*r = stepCall{o: o, next: o.freeSteps, handle: r.handle, done: r.done, fail: r.fail}
+	o.freeSteps = r
+
+	if tr := o.loop.Tracer(); tr.Enabled() {
+		tr.EndSpan(sp, trace.String("status", status(ok)))
+	}
+	for _, h := range o.hooks {
+		if h.MigrationStep != nil {
+			h.MigrationStep(s, string(step), server, status(ok))
 		}
 	}
-	o.call(server, func(srv *appserver.Server) {
-		switch step {
-		case prepareAdd:
-			srv.PrepareAddShard(s, peer, role, gen)
-		case prepareDrop:
-			srv.PrepareDropShard(s, peer, role)
-		case addShard:
-			srv.AddShard(s, role, gen)
-		case sourceResume:
-			srv.ResumeShard(s, gen)
-		default:
-			srv.DropShard(s)
+	switch {
+	case m != nil:
+		o.drive(m, ok)
+	case !ok:
+		o.failedRPC()
+		o.retryCleanup(c)
+	default:
+		if step == orphanDrop {
+			o.loop.Metrics().Counter("orchestrator_orphan_drops_total",
+				"app", string(o.cfg.App)).Inc()
 		}
-	}, func() { report(true) }, func() { report(false) })
+		o.settle(c)
+	}
 }
 
 // rpcChangeRole issues a change_role RPC; done, if not nil, runs with true
