@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"shardmanager/internal/appserver"
@@ -132,6 +133,58 @@ func TestQueueFIFOOrder(t *testing.T) {
 	}
 	if backing.Enqueued != 3 {
 		t.Fatalf("enqueued = %d", backing.Enqueued)
+	}
+}
+
+// TestQueueBackingMatchesASlice: interleaved pushes and pops over blocks of
+// queueBlockLen items, emptying a queue and refilling it, deliver in the order
+// a plain slice does, with the same depth after every operation.
+func TestQueueBackingMatchesASlice(t *testing.T) {
+	b := NewQueueBacking()
+	var ref []string
+	n := 0
+	push := func(k int) {
+		for range k {
+			item := fmt.Sprint(n)
+			n++
+			b.push("s1", item)
+			ref = append(ref, item)
+		}
+	}
+	pop := func(k int) {
+		for range k {
+			got, ok := b.pop("s1")
+			if len(ref) == 0 {
+				if ok || got != "" {
+					t.Fatalf("an empty queue popped %q", got)
+				}
+				continue
+			}
+			if !ok || got != ref[0] {
+				t.Fatalf("popped %q, %v; want %q", got, ok, ref[0])
+			}
+			ref = ref[1:]
+		}
+	}
+	for round, op := range []struct{ push, pop int }{
+		{1, 1}, {3, 5}, // empty, and popped past empty
+		{queueBlockLen, 0}, {1, queueBlockLen}, // one block full, then one item into the next
+		{3 * queueBlockLen, queueBlockLen + 3}, {5, 7},
+		{0, 3 * queueBlockLen}, // read out to empty across blocks
+		{queueBlockLen - 1, 2}, {queueBlockLen + 2, queueBlockLen + 20},
+		{2 * queueBlockLen, 1}, {0, 2 * queueBlockLen},
+	} {
+		push(op.push)
+		pop(op.pop)
+		if got := b.Len("s1"); got != len(ref) {
+			t.Fatalf("round %d: depth %d, want %d", round, got, len(ref))
+		}
+	}
+	if b.Len("s2") != 0 {
+		t.Fatal("a shard never pushed to has items")
+	}
+	if int(b.Enqueued) != n {
+		t.Fatalf("enqueued = %d, want %d", b.Enqueued, n)
 	}
 }
 

@@ -26,21 +26,54 @@ type Queue struct {
 // servers.
 type QueueBacking struct {
 	mu     sync.Mutex
-	queues map[shard.ID][]string
+	queues map[shard.ID]*shardQueue
 	// Enqueued counts enqueues.
 	Enqueued int64
 }
 
+// queueBlockLen is how many items a block of a shard queue holds.
+const queueBlockLen = 16
+
+// A queueBlock is a run of a shard queue's items and the link to the next.
+type queueBlock struct {
+	items [queueBlockLen]string
+	next  *queueBlock
+}
+
+// A shardQueue is one shard's FIFO, a list of blocks, so that a push never
+// copies the items before it: the items are head.items[first:] through
+// tail.items[:end], n of them. A pop clears its slot and drops the head block
+// once it is read out; an emptied queue keeps its one block for the next push.
+type shardQueue struct {
+	head, tail *queueBlock
+	first, end int
+	n          int
+}
+
 // NewQueueBacking returns an empty backing store.
 func NewQueueBacking() *QueueBacking {
-	return &QueueBacking{queues: make(map[shard.ID][]string)}
+	return &QueueBacking{queues: make(map[shard.ID]*shardQueue)}
 }
 
 // push appends an item to a shard's queue.
 func (b *QueueBacking) push(s shard.ID, item string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.queues[s] = append(b.queues[s], item)
+	q := b.queues[s]
+	if q == nil {
+		blk := &queueBlock{}
+		q = &shardQueue{head: blk, tail: blk}
+		b.queues[s] = q
+	}
+	tail := q.tail
+	if q.end == queueBlockLen {
+		tail.next = &queueBlock{}
+		tail, q.end = tail.next, 0
+		q.tail = tail
+	}
+	tail.items[q.end] = item
+	q.end++
+	q.n++
 	b.Enqueued++
 }
 
@@ -49,11 +82,19 @@ func (b *QueueBacking) pop(s shard.ID) (string, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	q := b.queues[s]
-	if len(q) == 0 {
+	if q == nil || q.n == 0 {
 		return "", false
 	}
-	item := q[0]
-	b.queues[s] = q[1:]
+	item := q.head.items[q.first]
+	q.head.items[q.first] = ""
+	q.first++
+	q.n--
+	switch {
+	case q.n == 0: // the head is the tail
+		q.first, q.end = 0, 0
+	case q.first == queueBlockLen:
+		q.head, q.first = q.head.next, 0
+	}
 	return item, true
 }
 
@@ -61,7 +102,10 @@ func (b *QueueBacking) pop(s shard.ID) (string, bool) {
 func (b *QueueBacking) Len(s shard.ID) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.queues[s])
+	if q := b.queues[s]; q != nil {
+		return q.n
+	}
+	return 0
 }
 
 // NewQueue builds the application instance for one server.

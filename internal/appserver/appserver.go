@@ -201,6 +201,11 @@ type Server struct {
 	net  *rpcnet.Network
 	dir  *Directory
 	app  Application
+	// reporter is app as a LoadReporter, nil if it is not one: asserted once
+	// here, because an interface assertion fills its call site's cache at
+	// random (about 1 miss in 1024), and that allocation must not land in a
+	// load report.
+	reporter LoadReporter
 
 	// serveDelay stalls every request by this much before processing — a
 	// gray failure: the process is alive (liveness node intact, orchestrator
@@ -221,8 +226,9 @@ type Server struct {
 	// report.
 	asked topology.Capacity
 	// report and reportVals hold LoadReport's answer, its entries and their
-	// values, until the next report. Each is remade at the exact count when a
-	// report needs more room, never grown by doubling.
+	// values, until the next report. When a report needs more room, both are
+	// remade for every replica the server holds, the most a report can carry,
+	// so a server remakes them only when it holds more replicas than ever.
 	report     []LoadEntry
 	reportVals []float64
 
@@ -463,6 +469,7 @@ func (d *Directory) ShardNums(ks *shard.Keyspace) []ShardNum {
 // NewServer constructs a server; Hosts normally do this.
 func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Application,
 	appID shard.AppID, id shard.ServerID, region topology.RegionID) *Server {
+	reporter, _ := app.(LoadReporter)
 	return &Server{
 		ID:         id,
 		App:        appID,
@@ -471,6 +478,7 @@ func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Applicat
 		net:        net,
 		dir:        dir,
 		app:        app,
+		reporter:   reporter,
 		replicas:   make(map[ShardNum]*replica),
 		tombstones: make(map[ShardNum]shard.ServerID),
 		dropped:    make(map[ShardNum]int64),
@@ -830,16 +838,14 @@ func (s *Server) LoadReport() []LoadEntry {
 	}
 	metrics := s.dir.metrics[s.App]
 	if len(s.report) < n {
-		s.report = make([]LoadEntry, n)
-	}
-	if len(s.reportVals) < n*len(metrics) {
-		s.reportVals = make([]float64, n*len(metrics))
+		s.report = make([]LoadEntry, len(s.replicas))
+		s.reportVals = make([]float64, len(s.replicas)*len(metrics))
 	}
 	out, vals := s.report[:0], s.reportVals[:0]
 	if s.asked == nil {
 		s.asked = make(topology.Capacity, len(metrics))
 	}
-	lr, _ := s.app.(LoadReporter)
+	lr := s.reporter
 	for num, r := range s.replicas {
 		gen := s.dir.loadGens[num-1]
 		if r.reported == gen {
@@ -1101,6 +1107,7 @@ func (h *Host) ContainerStarted(c cluster.Container) {
 	}
 	srv := NewServer(h.loop, h.net, h.dir, nil, h.appID, id, machine.Region)
 	srv.app = h.factory(srv)
+	srv.reporter, _ = srv.app.(LoadReporter)
 	h.servers[id] = srv
 	h.machines[id] = machine.ID
 	h.dir.Register(srv)

@@ -2,6 +2,7 @@ package appserver
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -383,6 +384,41 @@ func TestLoadReportCarriesWhatChanged(t *testing.T) {
 	}
 	if slices.Sort(got); !slices.Equal(got, []shard.ID{"d", "e", "f", "g"}) {
 		t.Fatalf("the report after adding four replicas names %v", got)
+	}
+}
+
+// TestLoadReportBuffersGrowOnce: a server whose reports grow by one entry a
+// round, from 1 to all n of its replicas, remakes its report buffers once,
+// for every replica it holds, not at each new high.
+func TestLoadReportBuffersGrowOnce(t *testing.T) {
+	const n = 20
+	env := newEnv()
+	s := env.server("s1", "a", newEchoApp())
+	ids := make([]shard.ID, n)
+	for i := range ids {
+		ids[i] = shard.ID(fmt.Sprintf("sh%02d", i))
+		s.AddShard(ids[i], shard.RolePrimary, 1)
+		if rep := s.LoadReport(); len(rep) != 1 { // the new replica alone
+			t.Fatalf("report after adding %s = %v", ids[i], rep)
+		}
+	}
+	remade := 0
+	entry, vals := &s.report[0], &s.reportVals[0]
+	for k := 1; k <= n; k++ {
+		for _, id := range ids[:k] {
+			s.LoadChanged(id)
+		}
+		if rep := s.LoadReport(); len(rep) != k {
+			t.Fatalf("round %d reported %d entries", k, len(rep))
+		}
+		if &s.report[0] != entry || &s.reportVals[0] != vals {
+			remade++
+			entry, vals = &s.report[0], &s.reportVals[0]
+		}
+	}
+	if remade != 1 || len(s.report) != n || len(s.reportVals) != n*len(testMetrics) {
+		t.Fatalf("reports growing from 1 to %d entries remade the buffers %d times, to %d entries and %d values",
+			n, remade, len(s.report), len(s.reportVals))
 	}
 }
 

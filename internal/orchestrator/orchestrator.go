@@ -266,14 +266,13 @@ type Orchestrator struct {
 	// defaults[i*m:(i+1)*m] is the configured default load of the shard at
 	// position i, converted once to the policy's m metrics.
 	defaults []float64
-	// version and gen stamp the last publication, placed counts the shards
-	// with at least one replica (the map's entries), changed lists the shards
+	// version and gen stamp the last publication, changed lists the shards
 	// whose replica list was written since, and delta and enc are publish's
 	// staging buffers, restaged every time: the delta and an assignment node's
-	// bytes. snap is AssignmentSnapshot's map, nil until it is asked for and
-	// again from the next write or publication on.
+	// bytes. snap is AssignmentSnapshot's map, kept current: every mutator
+	// writes the shard's entry (reindex) and every publication its version;
+	// its entries are the shards with at least one replica.
 	version, gen int64
-	placed       int
 	changed      []*shardState
 	delta        *shard.Delta
 	enc          []byte
@@ -282,11 +281,15 @@ type Orchestrator struct {
 	migrationQueue []*migration
 	inFlight       int
 	curAlloc       trace.SpanID // open "allocate" span, parent of spawned work
-	// freeSteps is the free list of step records (stepCall), and failRPC is
-	// o.failedRPC, bound once: the RPCs the control plane sends all the time
-	// allocate no record and no closure.
-	freeSteps *stepCall
-	failRPC   func()
+	// freeSteps and freeMigs are the free lists of step records (stepCall)
+	// and migration records, and failRPC, waited and retried are o.failedRPC,
+	// a migration's wait ending and a cleanup's retry, bound once: the RPCs
+	// and waits the control plane issues all the time allocate no record and
+	// no closure.
+	freeSteps       *stepCall
+	freeMigs        *migration
+	failRPC         func()
+	waited, retried func(any)
 
 	draining        map[shard.ServerID]func() // a drain's completion callback, nil for none
 	drainCheckArmed bool
@@ -325,6 +328,8 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		draining: make(map[shard.ServerID]func()),
 	}
 	o.failRPC = o.failedRPC
+	o.waited = func(m any) { o.drive(m.(*migration), true) }
+	o.retried = func(c any) { o.runCleanup(c.(*cleanup)) }
 	for _, sc := range cfg.Shards {
 		if sc.Replicas <= 0 {
 			sc.Replicas = 1
@@ -335,6 +340,7 @@ func New(loop *sim.Loop, store *coord.Store, disc *discovery.Service,
 		o.shards[sc.ID] = &shardState{cfg: sc, pos: len(o.order)}
 		o.order = append(o.order, sc.ID)
 	}
+	o.snap = &shard.Map{App: cfg.App, Entries: make(map[shard.ID][]shard.Assignment, len(o.order))}
 	// Every replica's report is held in room made here, so that a collection
 	// allocates nothing per replica: a shard has room for its replica count,
 	// and grows only while a migration has it on one server more.
@@ -425,8 +431,10 @@ func (o *Orchestrator) Stop() {
 		if tr.Enabled() {
 			tr.EndSpan(m.span, trace.Bool("ok", false))
 		}
+		o.freeMigration(m)
 	}
-	o.migrationQueue = nil
+	clear(o.migrationQueue)
+	o.migrationQueue = o.migrationQueue[:0]
 }
 
 func mustEnsure(store *coord.Store, path string) {
@@ -885,6 +893,7 @@ type migration struct {
 	// span covers the whole migration from enqueue to finish; the per-step
 	// RPCs (prepare_add_shard, add_shard, drop_shard, ...) are its children.
 	span trace.SpanID
+	next *migration // free-list link
 }
 
 // phase is where a migration is: queued, on one of the step lists, or
@@ -1004,26 +1013,42 @@ func advance(m migration, ok bool) (migration, []effect, stepDef) {
 	return m, st.onOK, steps[m.phase][m.step]
 }
 
+// enqueueMigration queues m, copied into a record off the free list.
 func (o *Orchestrator) enqueueMigration(m migration) {
-	m.phase = queued
-	o.shards[m.shard].mig = &m
+	r := o.freeMigs
+	if r == nil {
+		r = &migration{}
+	} else {
+		o.freeMigs = r.next
+	}
+	*r = m
+	r.phase = queued
+	o.shards[r.shard].mig = r
 	if tr := o.loop.Tracer(); tr.Enabled() {
 		// The span opens at enqueue so queueing delay behind the
 		// concurrency cap is part of the migration's measured latency.
-		m.span = tr.StartSpan("orchestrator", "migration", o.curAlloc,
-			trace.String("shard", string(m.shard)),
-			trace.String("from", string(m.from)),
-			trace.String("to", string(m.to)),
-			trace.Bool("graceful", m.graceful))
+		r.span = tr.StartSpan("orchestrator", "migration", o.curAlloc,
+			trace.String("shard", string(r.shard)),
+			trace.String("from", string(r.from)),
+			trace.String("to", string(r.to)),
+			trace.Bool("graceful", r.graceful))
 	}
-	o.migrationQueue = append(o.migrationQueue, &m)
+	o.migrationQueue = append(o.migrationQueue, r)
 }
 
-// pumpMigrations starts queued migrations up to the concurrency cap.
+// freeMigration puts a record that nothing holds any more, one finished or
+// dropped from the queue, on the free list.
+func (o *Orchestrator) freeMigration(m *migration) {
+	*m = migration{next: o.freeMigs}
+	o.freeMigs = m
+}
+
+// pumpMigrations starts queued migrations up to the concurrency cap. The
+// queue is shifted down in place, so that it keeps its room.
 func (o *Orchestrator) pumpMigrations() {
 	for o.inFlight < o.cfg.MaxConcurrentMigrations && len(o.migrationQueue) > 0 {
 		m := o.migrationQueue[0]
-		o.migrationQueue = o.migrationQueue[1:]
+		o.migrationQueue = slices.Delete(o.migrationQueue, 0, 1)
 		o.inFlight++
 		ss := o.shards[m.shard]
 		m.role = ss.replicas[ss.find(m.from)].Role
@@ -1071,6 +1096,9 @@ func (o *Orchestrator) finishMigration(m *migration, ok bool) {
 
 // drive is the migrations' one executor: it feeds the outcome of m's current
 // step through advance, runs the effects in order and issues the next step.
+// A wait holds the record as its argument. A finished record goes back on the
+// free list only after the last effect: a failed rollback resumes its source
+// after it finished, and finishing can enqueue new migrations.
 func (o *Orchestrator) drive(m *migration, ok bool) {
 	n, effects, next := advance(*m, ok)
 	*m = n
@@ -1101,10 +1129,11 @@ func (o *Orchestrator) drive(m *migration, ok bool) {
 	}
 	switch next.op {
 	case "":
+		o.freeMigration(m)
 	case loadWait:
-		o.loop.AfterL(o.cfg.ShardLoadTime, lbMigrationLoad, func() { o.drive(m, true) })
+		o.loop.PostArgL(o.cfg.ShardLoadTime, lbMigrationLoad, o.waited, m)
 	case publishWait:
-		o.loop.AfterL(publishMargin, lbPublishMargin, func() { o.drive(m, true) })
+		o.loop.PostArgL(publishMargin, lbPublishMargin, o.waited, m)
 	default:
 		o.callStep(m.span, next.op, m.shard, server, peer, m.role, m, nil)
 	}
@@ -1196,7 +1225,7 @@ func (o *Orchestrator) runCleanup(c *cleanup) {
 
 // retryCleanup runs c again after orphanRetry.
 func (o *Orchestrator) retryCleanup(c *cleanup) {
-	o.loop.AfterL(orphanRetry, lbOrphanGC, func() { o.runCleanup(c) })
+	o.loop.PostArgL(orphanRetry, lbOrphanGC, o.retried, c)
 }
 
 // settle removes c from its shard; an orphan drop's settling resumes the
@@ -1395,7 +1424,7 @@ func (o *Orchestrator) publishRejected(reason string) {
 func (o *Orchestrator) publish() {
 	lastVersion, lastGen := o.version, o.gen // what discovery should be holding
 	o.version, o.gen = lastVersion+1, o.store.NextEpoch()
-	o.snap = nil // it carries the version
+	o.snap.Version = o.version
 	d := o.delta.Reset(o.cfg.App, lastVersion, o.version, o.gen)
 	slices.SortFunc(o.changed, byPos)
 	for _, ss := range o.changed {
@@ -1427,13 +1456,13 @@ func (o *Orchestrator) publish() {
 		tr.EndSpan(tr.StartSpan("orchestrator", "publish", o.curAlloc,
 			trace.String("app", string(o.cfg.App)),
 			trace.Int64("version", o.version),
-			trace.Int("entries", o.placed)))
+			trace.Int("entries", len(o.snap.Entries))))
 	}
 	o.loop.Metrics().Counter("orchestrator_publishes_total",
 		"app", string(o.cfg.App)).Inc()
 	for _, h := range o.hooks {
 		if h.MapPublished != nil {
-			h.MapPublished(o.version, o.placed)
+			h.MapPublished(o.version, len(o.snap.Entries))
 		}
 		if h.MapDelta != nil {
 			h.MapDelta(d)
@@ -1443,8 +1472,8 @@ func (o *Orchestrator) publish() {
 		// Discovery is not where this orchestrator left it: another
 		// incarnation published in between, so the last delta was dropped or
 		// this one would land on a map it was not made against. Resend the
-		// whole map, stamped on a copy: the snapshot is shared.
-		m := *o.AssignmentSnapshot()
+		// whole map, its generation stamped on a copy of the kept map.
+		m := *o.snap
 		m.Gen = o.gen
 		o.disc.Publish(m.Diff(nil, nil))
 	} else {
@@ -1473,31 +1502,12 @@ func (o *Orchestrator) publish() {
 
 // AssignmentSnapshot returns the current authoritative shard map (not the
 // possibly stale discovery view), stamped with the last published version.
-// The map is shared and read-only: it is built on the first call after the
-// placement or the version changed and handed to every caller until the next
-// change, which builds a new one and leaves the old one as it was. Its
-// entries share one backing array, each capped at its own length, so that a
-// reader's append copies the entry rather than write over the next. A reader
-// that wants to edit the map edits a Clone.
-func (o *Orchestrator) AssignmentSnapshot() *shard.Map {
-	if o.snap != nil {
-		return o.snap
-	}
-	n := 0
-	for _, ss := range o.shards {
-		n += len(ss.replicas)
-	}
-	all := make([]shard.Assignment, 0, n)
-	m := &shard.Map{App: o.cfg.App, Version: o.version, Entries: make(map[shard.ID][]shard.Assignment, o.placed)}
-	for id, ss := range o.shards {
-		if len(ss.replicas) > 0 {
-			all = append(all, ss.replicas...)
-			m.Entries[id] = all[len(all)-len(ss.replicas) : len(all) : len(all)]
-		}
-	}
-	o.snap = m
-	return m
-}
+// The map is the orchestrator's own, kept current as the placement changes,
+// so a read allocates nothing: it is read-only, and valid until the placement
+// next changes. A reader that keeps it across a change, or edits it, takes a
+// Clone. Each entry is capped at its own length, so a reader's append copies
+// it rather than write into the placement.
+func (o *Orchestrator) AssignmentSnapshot() *shard.Map { return o.snap }
 
 // AliveReplicas returns, for each shard with a replica on server, how many
 // of its replicas are currently on alive servers (draining or not); nil for

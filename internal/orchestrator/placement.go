@@ -16,8 +16,8 @@ import (
 // shard name), the list of shards changed since the last publication
 // (Orchestrator.changed) and every replica's server (shardState.hosts). The
 // four mutators below are the only code that writes a replica list, and each
-// brings all three up to date in the same breath, and drops the kept
-// AssignmentSnapshot; every other function reads.
+// brings all three up to date in the same breath, and writes the shard's
+// entry in the kept AssignmentSnapshot; every other function reads.
 // They are also all a standby needs to rebuild the placement from the coord
 // assignment nodes. The three that change which server holds a replica mark
 // the shard for the allocation problem's refresh (refresh.go); setRole does
@@ -27,9 +27,6 @@ import (
 func (o *Orchestrator) addReplica(ss *shardState, server shard.ServerID, role shard.Role) {
 	ss.replicas = append(ss.replicas, shard.Assignment{Server: server, Role: role})
 	ss.hosts = append(ss.hosts, o.servers[server])
-	if len(ss.replicas) == 1 {
-		o.placed++
-	}
 	o.markShard(ss)
 	o.reindex(ss, server)
 }
@@ -62,12 +59,17 @@ func (o *Orchestrator) rehomeReplica(ss *shardState, i int, to shard.ServerID) {
 }
 
 // reindex is the mutators' common tail: ss goes on the changed list (once),
-// the kept snapshot no longer shows the placement, and server's index entry
-// for it is read back from the list just written — so a list that names a
-// server twice, which only sanitizeReplicas ever sees, still leaves the
-// index right — and its assignment node is stale.
+// the kept snapshot's entry for it is the list just written (capped, so that
+// a reader's append copies it; none for an empty list), and server's index
+// entry for it is read back from the list — so a list that names a server
+// twice, which only sanitizeReplicas ever sees, still leaves the index right
+// — and its assignment node is stale.
 func (o *Orchestrator) reindex(ss *shardState, server shard.ServerID) {
-	o.snap = nil
+	if n := len(ss.replicas); n > 0 {
+		o.snap.Entries[ss.cfg.ID] = ss.replicas[:n:n]
+	} else {
+		delete(o.snap.Entries, ss.cfg.ID)
+	}
 	if !ss.changed {
 		ss.changed = true
 		o.changed = append(o.changed, ss)

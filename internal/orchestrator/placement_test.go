@@ -179,7 +179,7 @@ func checkIndex(t *testing.T, w *world, when string) {
 type pubAudit struct {
 	t                   *testing.T
 	w                   *world
-	last                *shard.Map // the snapshot at the last publication
+	last                *shard.Map // a Clone of the snapshot at the last publication
 	publishes, removals int
 }
 
@@ -187,7 +187,7 @@ type pubAudit struct {
 // carry exactly the Diff of the AssignmentSnapshots around it, (b) announce
 // the snapshot's entry count and (c) pass checkIndex.
 func auditPublications(t *testing.T, w *world) *pubAudit {
-	au := &pubAudit{t: t, w: w, last: w.orch.AssignmentSnapshot()}
+	au := &pubAudit{t: t, w: w, last: w.orch.AssignmentSnapshot().Clone()}
 	w.orch.AddHooks(Hooks{
 		MapPublished: func(version int64, entries int) {
 			if m := w.orch.AssignmentSnapshot(); version != m.Version || entries != len(m.Entries) {
@@ -210,7 +210,7 @@ func auditPublications(t *testing.T, w *world) *pubAudit {
 				t.Fatalf("publication %d (g%d):\n delta %+v\n diff  %+v", au.publishes, d.Gen, got, want)
 			}
 			checkIndex(t, w, fmt.Sprintf("publication %d", au.publishes))
-			au.last = after
+			au.last = after.Clone()
 		},
 	})
 	return au

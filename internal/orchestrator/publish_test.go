@@ -174,15 +174,36 @@ func TestStalledAssignmentWriteHealsOnNextPublish(t *testing.T) {
 	}
 }
 
-// TestAssignmentSnapshotSharedUntilWritten: AssignmentSnapshot hands every
-// caller the same map until the placement is written or a publication bumps
-// the version; a write through each mutator, with no publication between,
-// yields a new map that shows it; a handed-out map never changes afterwards;
-// and the whole-map resend stamps its generation on a copy, not on the
-// shared map.
-func TestAssignmentSnapshotSharedUntilWritten(t *testing.T) {
+// TestAssignmentSnapshotFollowsThePlacement: AssignmentSnapshot hands out one
+// map that the orchestrator keeps current. After a write through each
+// mutator, with no publication between, and after a publication, it is the
+// same map as before, its entries are the replica lists, it carries the last
+// published version, and reading it allocates nothing. The whole-map resend
+// stamps its generation on a copy, not on the kept map.
+func TestAssignmentSnapshotFollowsThePlacement(t *testing.T) {
 	o := benchServers(t, baseConfig(shard.PrimarySecondary, 4, 2), []topology.RegionID{"r1"}, 6)
 	srv := func(i int) shard.ServerID { return o.byID[i].id }
+	kept := o.AssignmentSnapshot()
+	check := func(what string) {
+		t.Helper()
+		m := o.AssignmentSnapshot()
+		if m != kept {
+			t.Fatalf("%s: the snapshot is a different map", what)
+		}
+		want := map[shard.ID][]shard.Assignment{}
+		for _, id := range o.order {
+			if reps := o.shards[id].replicas; len(reps) > 0 {
+				want[id] = reps
+			}
+		}
+		if m.Version != o.version || !reflect.DeepEqual(m.Entries, want) {
+			t.Fatalf("%s: snapshot v%d %+v, want v%d %+v", what, m.Version, m.Entries, o.version, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = o.AssignmentSnapshot() }); n != 0 {
+			t.Fatalf("%s: a snapshot read allocates %v times", what, n)
+		}
+	}
+	check("empty")
 	for _, p := range []struct {
 		id   shard.ID
 		reps []shard.Assignment
@@ -194,55 +215,34 @@ func TestAssignmentSnapshotSharedUntilWritten(t *testing.T) {
 	} {
 		for _, a := range p.reps {
 			o.addReplica(o.shards[p.id], a.Server, a.Role)
+			check("place " + string(p.id))
 		}
 	}
 	o.publish()
+	check("first publish")
 
-	type handout struct {
-		what      string
-		snap, was *shard.Map
-	}
-	var handed []handout
-	last := o.AssignmentSnapshot()
-	if again := o.AssignmentSnapshot(); again != last {
-		t.Fatal("two snapshots with no write between them are different maps")
-	}
-	handed = append(handed, handout{"first", last, last.Clone()})
-	check := func(what string, version int64) {
-		t.Helper()
-		m := o.AssignmentSnapshot()
-		if m == last {
-			t.Fatalf("%s: the snapshot from before it was handed out again", what)
-		}
-		want := map[shard.ID][]shard.Assignment{}
-		for _, id := range o.order {
-			if reps := o.shards[id].replicas; len(reps) > 0 {
-				want[id] = reps
-			}
-		}
-		if m.Version != version || !reflect.DeepEqual(m.Entries, want) {
-			t.Fatalf("%s: snapshot v%d %+v, want v%d %+v", what, m.Version, m.Entries, version, want)
-		}
-		last = m
-		handed = append(handed, handout{what, m, m.Clone()})
-	}
-	v := o.version
 	o.addReplica(o.shards["s000"], srv(2), shard.RoleSecondary)
-	check("add", v)
-	o.rehomeReplica(o.shards["s001"], 1, srv(4))
-	check("move", v)
+	check("add")
+	// A reader's append copies the entry rather than write into the placement.
+	s001 := o.shards["s001"]
+	_ = append(kept.Entries["s001"], shard.Assignment{Server: srv(5)})
+	if len(s001.replicas) != 2 || cap(kept.Entries["s001"]) != 2 {
+		t.Fatalf("an append to the snapshot's entry reached the placement: %+v", s001.replicas)
+	}
+	o.rehomeReplica(s001, 1, srv(4))
+	check("move")
 	o.setRole(o.shards["s002"], 0, shard.RolePrimary)
-	check("promotion", v)
+	check("promotion")
 	s003 := o.shards["s003"]
 	o.addReplica(s003, srv(0), shard.RoleSecondary) // a second copy on the primary's server
-	check("duplicate add", v)
+	check("duplicate add")
 	o.sanitizeReplicas(s003) // its removeReplica is the only write
 	if len(s003.replicas) != 2 {
 		t.Fatalf("sanitize left %+v", s003.replicas)
 	}
-	check("sanitize", v)
+	check("sanitize")
 	o.publish()
-	check("publish", v+1)
+	check("publish")
 
 	// Another publisher lands in discovery: the next publication resends the
 	// whole map, stamped with its generation.
@@ -251,18 +251,12 @@ func TestAssignmentSnapshotSharedUntilWritten(t *testing.T) {
 	o.disc.Publish(foreign.Diff(nil, nil))
 	o.rehomeReplica(o.shards["s000"], 1, srv(5))
 	o.publish()
-	check("resend", v+2)
-	if got := o.disc.Latest("app"); got.Version != last.Version || got.Gen != o.gen {
-		t.Fatalf("discovery holds v%d gen %d, want the resent v%d gen %d", got.Version, got.Gen, last.Version, o.gen)
+	check("resend")
+	if got := o.disc.Latest("app"); got.Version != kept.Version || got.Gen != o.gen {
+		t.Fatalf("discovery holds v%d gen %d, want the resent v%d gen %d", got.Version, got.Gen, kept.Version, o.gen)
 	}
-	if last.Gen != 0 {
-		t.Fatalf("the resend stamped gen %d on the shared snapshot", last.Gen)
-	}
-
-	for _, h := range handed {
-		if !reflect.DeepEqual(h.snap, h.was) {
-			t.Errorf("the snapshot handed out at %q changed: now %+v, was %+v", h.what, h.snap, h.was)
-		}
+	if kept.Gen != 0 {
+		t.Fatalf("the resend stamped gen %d on the kept snapshot", kept.Gen)
 	}
 }
 
@@ -283,28 +277,45 @@ func bytesOnce(f func()) uint64 {
 // benchPlacement's world over 120 servers, a node holds 50 shards at 3k shards
 // and 500 at 30k. A first pass of 100 one-move publications lets a node that
 // grows past the room its creation gave it grow once; a second pass then
-// allocates within 10% as many bytes per publication at both sizes.
+// allocates within 10% as many bytes per publication at both sizes. The move
+// itself, read back through AssignmentSnapshot and not yet published,
+// allocates exactly as many bytes at both sizes: the snapshot is patched, not
+// rebuilt.
 func TestPublishBytesDoNotGrowWithTheNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 30k-shard world")
 	}
 	const servers, publishes = 120, 100
-	perPublish := map[int]float64{}
+	perPublish, perMove := map[int]float64{}, map[int]float64{}
 	for _, shards := range []int{3000, 30000} {
 		o, home := benchPlacement(t, shards, servers)
+		move := func(i int) {
+			home[i] = (home[i] + 2) % servers
+			o.rehomeReplica(o.shards[o.order[i]], 0, o.byID[home[i]].id)
+			_ = o.AssignmentSnapshot()
+		}
 		pass := func() {
 			for i := range publishes {
-				home[i] = (home[i] + 2) % servers
-				o.rehomeReplica(o.shards[o.order[i]], 0, o.byID[home[i]].id)
+				move(i)
 				o.publish()
 			}
 		}
 		pass()
 		perPublish[shards] = float64(bytesOnce(pass)) / publishes
+		var moved uint64
+		for i := range publishes {
+			moved += bytesOnce(func() { move(i) })
+			o.publish()
+		}
+		perMove[shards] = float64(moved) / publishes
 	}
 	small, large := perPublish[3000], perPublish[30000]
 	if large > 1.1*small || small > 1.1*large {
 		t.Errorf("a one-move publication allocates %.0f bytes with 500 shards per node, %.0f with 50", large, small)
 	}
-	t.Logf("bytes per one-move publication: %.0f with 50 shards per node, %.0f with 500", small, large)
+	if perMove[3000] != perMove[30000] {
+		t.Errorf("a one-move change allocates %.0f bytes at 30k shards, %.0f at 3k", perMove[30000], perMove[3000])
+	}
+	t.Logf("bytes per one-move publication: %.0f with 50 shards per node, %.0f with 500; per move before its publication: %.0f and %.0f",
+		small, large, perMove[3000], perMove[30000])
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"shardmanager/internal/allocator"
 	"shardmanager/internal/shard"
 	"shardmanager/internal/topology"
 )
@@ -14,10 +15,16 @@ import (
 // step and server, in the protocol's order, so a record shared by two steps
 // in flight, or cleared before report reads it, shows here. A warmed
 // orchestrator's step round trip then allocates nothing: its record comes off
-// the free list with its callbacks bound.
+// the free list with its callbacks bound. Nor does a whole graceful move,
+// enqueued to finished: its migration record comes off its own free list, and
+// its waits hold the record as their argument.
 func TestStepRecordsCarryTheirOwnFields(t *testing.T) {
-	w := buildWorld(t, []topology.RegionID{"r1"}, 4, baseConfig(shard.PrimaryOnly, 2, 1))
-	w.loop.RunFor(3 * time.Minute)
+	cfg := baseConfig(shard.PrimaryOnly, 2, 1)
+	cfg.AllocInterval = time.Hour // after the initial placement, only the moves below
+	w := buildWorld(t, []topology.RegionID{"r1"}, 4, cfg)
+	w.loop.RunFor(2 * time.Minute) // servers come up
+	w.orch.allocate(allocator.Periodic)
+	w.loop.RunFor(time.Minute)
 	o := w.orch
 
 	type stepSeen struct {
@@ -83,5 +90,36 @@ func TestStepRecordsCarryTheirOwnFields(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, roundTrip); n != 0 {
 		t.Errorf("a step round trip allocates %v times, want 0", n)
+	}
+
+	s001 := o.shards["s001"]
+	here, there := s001.replicas[0].Server, busy[0]
+	move := func() {
+		o.enqueueMigration(migration{shard: s001.cfg.ID, from: here, to: there, graceful: true})
+		o.pumpMigrations()
+		for s001.mig != nil {
+			w.loop.Step()
+		}
+		if s001.replicas[0].Server != there {
+			t.Fatalf("the move of s001 to %s left it on %s", there, s001.replicas[0].Server)
+		}
+		here, there = there, here
+	}
+	// Warm up across two load collections, so that the shard's held loads
+	// have grown their room for the one server more a move reports from.
+	for start := w.loop.Now(); w.loop.Now() < start+2*loadInterval; {
+		move()
+	}
+	// What a move allocates is outside the orchestrator, one each: the
+	// target's replica record (appserver), the source's tombstone timer once
+	// it drops the forwarding replica (appserver), and discovery's stored
+	// copy of the changed entry.
+	const perMove = 3
+	if n := allocsOnce(func() {
+		for range 10 {
+			move()
+		}
+	}); n != 10*perMove {
+		t.Errorf("ten warmed graceful moves allocate %d times, want %d", n, 10*perMove)
 	}
 }
