@@ -395,6 +395,13 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 	if m, ok := prob.MethodByName("AddSpreadGoal"); !ok || m.Type.NumIn() != 2 || m.Type.In(1) != reflect.TypeOf(float64(0)) {
 		t.Errorf("%v.AddSpreadGoal is %v, want one float64 parameter, the weight", prob, m.Type)
 	}
+	// A problem is restated, not rebuilt: ClearGoals starts a run's goals and
+	// ClearBuckets its buckets, the allocator's live servers.
+	for _, name := range []string{"ClearGoals", "ClearBuckets"} {
+		if m, ok := prob.MethodByName(name); !ok || m.Type.NumIn() != 1 || m.Type.NumOut() != 0 {
+			t.Errorf("%v.%s is %v (present %v), want a method without parameters or results", prob, name, m.Type, ok)
+		}
+	}
 }
 
 // TestMigrationPathTakesNoContinuations pins the orchestrator's migrations and

@@ -17,7 +17,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -248,10 +247,11 @@ func (a *Allocator) fromInput(in Input) *Problem {
 // its replicas share. Its owner restates what changed between runs —
 // SetServers, SetShard, SetCurrent — and Run answers as Allocator.Run does on
 // the equivalent Input; Allocator.Run is this type built from an Input and run
-// once. The solver problem and its state are kept too: a run restates the
-// entities and the goals, and the solver sums every load afresh, so only the
-// building is saved, and a run whose values are all the last run's is not
-// run again (Run).
+// once. The solver problem and its state are kept too, made once with the
+// entities the shard specs fix: a run restates the buckets when the live
+// servers changed, the entities' placements and the goals, and the solver sums
+// every load afresh, so only the building is saved, and a run whose values are
+// all the last run's is not run again (Run).
 type Problem struct {
 	a      *Allocator
 	shards []shardSlot
@@ -267,8 +267,13 @@ type Problem struct {
 	// for one not live; serverOf is its inverse.
 	buckets  []int
 	serverOf []shard.ServerID
-	// prob is the solver's problem over the live servers; nil while none is.
+	// prob is the solver's problem: the live servers are its buckets, caps
+	// holds their capacities, and its entities are the shards' replicas.
 	prob *solver.Problem
+	caps []float64
+
+	// moves is the room capDiff writes a fresh run's diff in.
+	moves []ReplicaMove
 
 	// last is the last run's result (nil: none, or SetServers changed a live
 	// server since), lastMode its mode, and ranLoads, ranCur and ranShards the
@@ -292,7 +297,11 @@ type shardSlot struct {
 // their loads and preferences and no server: SetServers and SetCurrent state
 // the rest.
 func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
-	p := &Problem{a: a, shards: make([]shardSlot, len(shards))}
+	metricNames := make([]string, len(a.policy.Metrics))
+	for i, m := range a.policy.Metrics {
+		metricNames[i] = string(m)
+	}
+	p := &Problem{a: a, shards: make([]shardSlot, len(shards)), prob: solver.NewProblem(metricNames)}
 	n := 0
 	for i, spec := range shards {
 		p.shards[i] = shardSlot{id: spec.ID, first: n, replicas: spec.Replicas}
@@ -300,9 +309,18 @@ func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
 	}
 	p.loads = make([]float64, len(shards)*len(a.policy.Metrics))
 	p.cur = make([]solver.BucketID, n)
+	// The entities are restated in place at every run: one per replica,
+	// sharing its shard's load slot, and a shard with replicas to keep apart
+	// is a group.
+	p.prob.Entities = make([]solver.Entity, 0, n)
 	for i, spec := range shards {
+		g := int32(-1)
+		if spec.Replicas > 1 {
+			g = int32(i)
+		}
 		for e := p.shards[i].first; e < p.shards[i].first+spec.Replicas; e++ {
 			p.cur[e] = solver.Unassigned
+			p.prob.AddEntity(solver.Entity{Load: p.slot(i), Bucket: solver.Unassigned, Group: g})
 		}
 		p.SetShard(i, spec)
 	}
@@ -314,14 +332,16 @@ func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
 // slice the problem keeps until the next call. A bucket number another
 // server held before must be restated by SetCurrent for every shard with a
 // replica there. A server's region is its bucket's domain, and nothing else
-// of its Domains is read. When the live servers, their regions and their
-// capacities are the ones stated last, only their drains are rewritten;
-// otherwise the bucket list is rebuilt. A drain that differs from the one
-// held, like a rebuilt list, makes the next Run run afresh.
+// of its Domains is read. The live servers are written into the solver
+// problem as its buckets, and their drains always; the buckets are restated
+// (solver.Problem.ClearBuckets) only when a live server, its region or its
+// capacity differs from the one stated last. A drain that differs from the one
+// held, like a restated list, makes the next Run run afresh.
 func (p *Problem) SetServers(servers []ServerInfo) []int {
 	metrics := p.a.policy.Metrics
 	region := topology.LevelRegion.String()
-	same := p.prob != nil
+	prob := p.prob
+	same := true
 	live := 0
 	p.buckets = p.buckets[:0]
 	for _, s := range servers {
@@ -330,57 +350,36 @@ func (p *Problem) SetServers(servers []ServerInfo) []int {
 			b = live
 			live++
 			same = same && b < len(p.serverOf) && p.serverOf[b] == s.ID &&
-				p.prob.Buckets[b].Domain == s.Domains[region]
+				prob.Buckets[b].Domain == s.Domains[region]
 			for i, m := range metrics {
-				same = same && p.prob.Buckets[b].Capacity[i] == s.Capacity.Get(m)
+				same = same && prob.Buckets[b].Capacity[i] == s.Capacity.Get(m)
 			}
 		}
 		p.buckets = append(p.buckets, b)
 	}
-	if same && live == len(p.serverOf) {
-		for i, s := range servers {
-			if b := p.buckets[i]; b >= 0 && p.prob.Buckets[b].Draining != s.Draining {
-				p.prob.Buckets[b].Draining, p.last = s.Draining, nil
+	if !same || live != len(p.serverOf) {
+		prob.ClearBuckets()
+		p.serverOf, p.last = p.serverOf[:0], nil
+		nM := len(metrics)
+		p.caps = slices.Grow(p.caps[:0], live*nM)[:live*nM]
+		for _, s := range servers {
+			if !s.Alive {
+				continue
 			}
+			c := p.caps[len(prob.Buckets)*nM:][:nM:nM]
+			for i, m := range metrics {
+				c[i] = s.Capacity.Get(m)
+			}
+			prob.AddBucket(solver.Bucket{Capacity: c, Domain: s.Domains[region], Draining: s.Draining})
+			p.serverOf = append(p.serverOf, s.ID)
 		}
 		return p.buckets
 	}
-
-	p.prob, p.serverOf, p.last = nil, p.serverOf[:0], nil
-	if live == 0 {
-		return p.buckets
-	}
-	metricNames := make([]string, len(metrics))
-	for i, m := range metrics {
-		metricNames[i] = string(m)
-	}
-	prob := solver.NewProblem(metricNames)
-	caps := make([]float64, live*len(metrics))
-	for _, s := range servers {
-		if !s.Alive {
-			continue
-		}
-		c := caps[:len(metrics):len(metrics)]
-		caps = caps[len(metrics):]
-		for i, m := range metrics {
-			c[i] = s.Capacity.Get(m)
-		}
-		prob.AddBucket(solver.Bucket{Capacity: c, Domain: s.Domains[region], Draining: s.Draining})
-		p.serverOf = append(p.serverOf, s.ID)
-	}
-	// The entities are restated at every run; their count is known, so the
-	// slice is sized once. A shard with replicas to keep apart is a group.
-	prob.Entities = make([]solver.Entity, 0, len(p.cur))
-	for i, sh := range p.shards {
-		g := int32(-1)
-		if sh.replicas > 1 {
-			g = int32(i)
-		}
-		for range sh.replicas {
-			prob.AddEntity(solver.Entity{Load: p.slot(i), Bucket: solver.Unassigned, Group: g})
+	for i, s := range servers {
+		if b := p.buckets[i]; b >= 0 && prob.Buckets[b].Draining != s.Draining {
+			prob.Buckets[b].Draining, p.last = s.Draining, nil
 		}
 	}
-	p.prob = prob
 	return p.buckets
 }
 
@@ -467,7 +466,7 @@ func kept[T comparable](ran *[]T, held []T) bool {
 // run is Run without the replay.
 func (p *Problem) run(mode Mode) *Result {
 	prob := p.prob
-	if prob == nil {
+	if len(prob.Buckets) == 0 {
 		return &Result{}
 	}
 	pol := p.a.policy
@@ -552,6 +551,9 @@ func (p *Problem) run(mode Mode) *Result {
 
 	res.Moves, res.Deferred = p.capDiff(prob.Entities)
 	sortMoves(res.Moves)
+	if len(res.Moves) == 0 {
+		res.Moves = nil // as a problem run the first time reports none
+	}
 	return res
 }
 
@@ -563,11 +565,12 @@ func (p *Problem) run(mode Mode) *Result {
 // only live servers are buckets, so a replica on a dead server had no home —
 // and is written over the entity's bucket: a replica ends at home (kept),
 // somewhere when it had none (added), or elsewhere (migrated). A bucket is
-// named only when its move is emitted.
+// named only when its move is emitted. The diff is written in shard order into
+// room the problem keeps, valid until the next fresh run; sortMoves puts the
+// adds first.
 func (p *Problem) capDiff(ents []solver.Entity) ([]ReplicaMove, int) {
 	perShard := p.a.policy.PerShardMoveCap
-	var adds, migrations []ReplicaMove
-	deferred := 0
+	deferred, n := 0, 0
 	for _, sh := range p.shards {
 		lo, hi := sh.first, sh.first+sh.replicas
 		shardMoves := 0
@@ -622,27 +625,46 @@ func (p *Problem) capDiff(ents []solver.Entity) ([]ReplicaMove, int) {
 			}
 		}
 		for e := lo; e < hi; e++ {
-			switch to, from := ents[e].Bucket, ents[e].Home; {
-			case to == from:
-			case from == solver.Unassigned:
-				adds = append(adds, ReplicaMove{Shard: sh.id, To: p.serverOf[to]})
-			default:
-				migrations = append(migrations, ReplicaMove{Shard: sh.id, From: p.serverOf[from], To: p.serverOf[to]})
+			if ents[e].Bucket != ents[e].Home {
+				n++
 			}
 		}
 	}
-	return append(adds, migrations...), deferred
+	// Counted first, the diff grows the kept room once.
+	moves := slices.Grow(p.moves[:0], n)
+	for _, sh := range p.shards {
+		for e := sh.first; e < sh.first+sh.replicas; e++ {
+			switch to, from := ents[e].Bucket, ents[e].Home; {
+			case to == from:
+			case from == solver.Unassigned:
+				moves = append(moves, ReplicaMove{Shard: sh.id, To: p.serverOf[to]})
+			default:
+				moves = append(moves, ReplicaMove{Shard: sh.id, From: p.serverOf[from], To: p.serverOf[to]})
+			}
+		}
+	}
+	// Room for a move of every replica is the initial placement's: kept, it
+	// would stay live for good.
+	p.moves = nil
+	if cap(moves) < len(p.cur) {
+		p.moves = moves
+	}
+	return moves, deferred
 }
 
+// sortMoves orders a diff: adds before migrations, then by shard and target.
+// No two moves of a diff share all three (capDiff cancels a move onto a
+// server another replica of its shard ends on), so the order is total and
+// does not depend on the order capDiff wrote them in.
 func sortMoves(moves []ReplicaMove) {
-	sort.SliceStable(moves, func(i, j int) bool {
-		if (moves[i].From == "") != (moves[j].From == "") {
-			return moves[i].From == ""
+	slices.SortStableFunc(moves, func(a, b ReplicaMove) int {
+		if (a.From == "") != (b.From == "") {
+			if a.From == "" {
+				return -1
+			}
+			return 1
 		}
-		if moves[i].Shard != moves[j].Shard {
-			return moves[i].Shard < moves[j].Shard
-		}
-		return moves[i].To < moves[j].To
+		return cmp.Or(cmp.Compare(a.Shard, b.Shard), cmp.Compare(a.To, b.To))
 	})
 }
 

@@ -144,8 +144,8 @@ type replica struct {
 	// pendingActive marks a replica that must activate as soon as its
 	// state load completes (AddShard arrived during/starting the load).
 	pendingActive bool
-	// loadGen guards stale load-completion timers.
-	loadGen int
+	// num is the shard the record holds, for its load's timer.
+	num ShardNum
 	// unconfirmed marks a primary restored from the persisted assignment
 	// at start-up: that snapshot may be stale (assignment writes are
 	// skipped while the coordination store is unavailable), so the replica
@@ -160,6 +160,14 @@ type replica struct {
 	// replica up (add, prepare_add, change_role, resume or sync): a sync
 	// older than it leaves the replica alone.
 	granted int64
+}
+
+// tombstoneTimer is one pending tombstone expiry, the argument of a post whose
+// callback the server bound once (Server.expired): shard num's tombstone
+// forwarding to to. The records are the server's, reused once they fire.
+type tombstoneTimer struct {
+	num ShardNum
+	to  shard.ServerID
 }
 
 // tombstoneTTL is how long a server keeps forwarding requests for a shard
@@ -231,6 +239,14 @@ type Server struct {
 	// so a server remakes them only when it holds more replicas than ever.
 	report     []LoadEntry
 	reportVals []float64
+
+	// free holds the replica records the server released, for newReplica,
+	// and tombs the tombstone timers that fired. loaded and expired are the
+	// callbacks of a load's timer, whose argument is the replica, and of a
+	// tombstone's, bound once.
+	free            []*replica
+	tombs           []*tombstoneTimer
+	loaded, expired func(any)
 
 	// fenced marks lost-lease state: the server's coordination session
 	// expired and no newer-generation sync has arrived, so its primary
@@ -470,7 +486,7 @@ func (d *Directory) ShardNums(ks *shard.Keyspace) []ShardNum {
 func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Application,
 	appID shard.AppID, id shard.ServerID, region topology.RegionID) *Server {
 	reporter, _ := app.(LoadReporter)
-	return &Server{
+	s := &Server{
 		ID:         id,
 		App:        appID,
 		Region:     region,
@@ -483,6 +499,8 @@ func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Applicat
 		tombstones: make(map[ShardNum]shard.ServerID),
 		dropped:    make(map[ShardNum]int64),
 	}
+	s.loaded, s.expired = s.loadDone, s.tombstoneDone
+	return s
 }
 
 // --- SM library API, invoked by the orchestrator (Fig 11) ---
@@ -547,7 +565,7 @@ func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool, gen int6
 	case PhaseNone:
 		if s.LoadTime > 0 {
 			r.pendingActive = true
-			s.startLoad(id, num, r)
+			s.startLoad(r)
 		} else {
 			r.phase = PhaseActive
 		}
@@ -561,12 +579,19 @@ func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool, gen int6
 	s.app.AddShard(id, role)
 }
 
-// newReplica returns shard num's replica, making it if the server holds none;
-// a new one forgets the shard's drop.
+// newReplica returns shard num's replica, making it if the server holds none,
+// from a record the server released if it has one; a new one forgets the
+// shard's drop.
 func (s *Server) newReplica(num ShardNum) *replica {
 	r := s.replicas[num]
 	if r == nil {
-		r = &replica{}
+		if n := len(s.free); n > 0 {
+			r, s.free = s.free[n-1], s.free[:n-1]
+			*r = replica{}
+		} else {
+			r = &replica{}
+		}
+		r.num = num
 		s.replicas[num] = r
 		delete(s.dropped, num)
 		s.replicaMetric(1)
@@ -574,24 +599,38 @@ func (s *Server) newReplica(num ShardNum) *replica {
 	return r
 }
 
-// startLoad begins the replica's state load; on completion it becomes
-// active (if AddShard already arrived) or prepared.
-func (s *Server) startLoad(id shard.ID, num ShardNum, r *replica) {
+// startLoad begins the replica's state load; on completion (loadDone) it
+// becomes active (if AddShard already arrived) or prepared. A replica loads
+// once, from PhaseNone, so its record has at most one load out.
+func (s *Server) startLoad(r *replica) {
 	r.phase = PhaseLoading
-	r.loadGen++
-	gen := r.loadGen
-	s.loop.AfterL(s.LoadTime, lbShardLoad, func() {
-		if s.replicas[num] != r || r.loadGen != gen || r.phase != PhaseLoading {
-			return
-		}
-		if r.pendingActive {
-			r.pendingActive = false
-			r.phase = PhaseActive
-		} else {
-			r.phase = PhasePreparingAdd
-		}
-		s.notifyReplica(id, r)
-	})
+	s.loop.PostArgL(s.LoadTime, lbShardLoad, s.loaded, r)
+}
+
+// loadDone completes the replica's load, unless it was dropped since.
+func (s *Server) loadDone(arg any) {
+	r := arg.(*replica)
+	if s.replicas[r.num] != r || r.phase != PhaseLoading {
+		return
+	}
+	if r.pendingActive {
+		r.pendingActive = false
+		r.phase = PhaseActive
+	} else {
+		r.phase = PhasePreparingAdd
+	}
+	s.notifyReplica(s.dir.shardID(r.num), r)
+}
+
+// tombstoneDone ends the tombstone its timer left, unless a newer one
+// replaced it, and keeps the timer for the next.
+func (s *Server) tombstoneDone(arg any) {
+	t := arg.(*tombstoneTimer)
+	if s.tombstones[t.num] == t.to {
+		delete(s.tombstones, t.num)
+	}
+	*t = tombstoneTimer{}
+	s.tombs = append(s.tombs, t)
 }
 
 // DropShard releases the shard. If the replica was forwarding, a tombstone
@@ -603,16 +642,23 @@ func (s *Server) DropShard(id shard.ID) {
 		return
 	}
 	if r.phase == PhaseForwarding && r.forwardTo != "" {
-		to := r.forwardTo
-		s.tombstones[num] = to
-		s.loop.AfterL(tombstoneTTL, lbTombstoneGC, func() {
-			if s.tombstones[num] == to {
-				delete(s.tombstones, num)
-			}
-		})
+		s.tombstones[num] = r.forwardTo
+		var t *tombstoneTimer
+		if n := len(s.tombs); n > 0 {
+			t, s.tombs = s.tombs[n-1], s.tombs[:n-1]
+		} else {
+			t = &tombstoneTimer{}
+		}
+		t.num, t.to = num, r.forwardTo
+		s.loop.PostArgL(tombstoneTTL, lbTombstoneGC, s.expired, t)
 	}
 	delete(s.replicas, num)
 	s.dropped[num] = r.granted
+	if r.phase != PhaseLoading {
+		// A record whose load is still out is left to the collector, so no
+		// load timer ever finds a record reused.
+		s.free = append(s.free, r)
+	}
 	s.replicaMetric(-1)
 	s.opMetric("drop")
 	_, tomb := s.tombstones[num]
@@ -665,7 +711,7 @@ func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role 
 	r.role = role
 	r.granted = max(r.granted, gen)
 	if r.phase == PhaseNone && s.LoadTime > 0 {
-		s.startLoad(id, num, r)
+		s.startLoad(r)
 	} else if r.phase != PhaseLoading {
 		r.phase = PhasePreparingAdd
 	}

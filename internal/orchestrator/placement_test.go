@@ -576,6 +576,83 @@ func TestFreshSolveEvaluationsDoNotGrowWithShards(t *testing.T) {
 	}
 }
 
+// TestMembershipChangeSolveBytesDoNotGrowWithShards: a server's death past
+// its failover grace, and its return, restate the kept problem's buckets in
+// place, so the solve after each allocates the same bytes at 30k shards as at
+// 3k. spreadPlacement's worlds hold 100 replicas on every server at both
+// sizes, so the dead server's replicas ask the same search of both. And a
+// run's moves land in room the problem keeps: once a solve has emitted many
+// moves, a fresh solve emitting as many allocates no more than one emitting a
+// single move. Byte counts repeat exactly, so the gate is by equality.
+func TestMembershipChangeSolveBytesDoNotGrowWithShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 30k-shard world")
+	}
+	type reading struct{ death, rejoin uint64 }
+	got := map[int]reading{}
+	for _, shards := range []int{3000, 30000} {
+		cfg := baseConfig(shard.SecondaryOnly, shards, 2)
+		cfg.FailoverGrace = 20 * time.Second
+		cfg.ServerCapacity = topology.Capacity{topology.ResourceCPU: 200, topology.ResourceShardCount: 1000}
+		o := spreadPlacement(t, cfg, shards/150)
+		node := o.paths.ServerNode(o.byID[5].id)
+		machine, _, err := o.store.Get(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev *allocator.Result
+		solve := func() (uint64, int) {
+			t.Helper()
+			n := bytesOnce(func() { prev = mustSolveFresh(t, o, prev) })
+			return n, len(prev.Moves)
+		}
+		die := func() {
+			t.Helper()
+			if err := o.store.Delete(node, -1); err != nil {
+				t.Fatal(err)
+			}
+			o.syncMembership()
+			o.loop.RunFor(cfg.FailoverGrace + time.Second)
+		}
+		rejoin := func() {
+			t.Helper()
+			if err := o.store.Create(node, machine, nil); err != nil {
+				t.Fatal(err)
+			}
+			o.syncMembership()
+		}
+
+		die()
+		death, moves := solve()
+		if moves < 50 {
+			t.Fatalf("%d shards: the solve after a death emits %d moves, want the dead server's 100 replicas placed", shards, moves)
+		}
+		rejoin()
+		rejoined, _ := solve()
+		got[shards] = reading{death, rejoined}
+
+		die()
+		many, manyMoves := solve()
+		rejoin()
+		solve()
+		// Replica 1 of the first shard joins replica 0's region: the one move
+		// that mends the spread.
+		ss := o.shards[o.order[0]]
+		o.rehomeReplica(ss, 1, o.byID[1].id)
+		one, oneMove := solve()
+		if oneMove != 1 || manyMoves < 50 {
+			t.Fatalf("%d shards: the solves emit %d and %d moves, want many and one", shards, manyMoves, oneMove)
+		}
+		if many > one {
+			t.Errorf("%d shards: a warmed solve emitting %d moves allocates %d B, one emitting a single move %d B", shards, manyMoves, many, one)
+		}
+		t.Logf("%d shards: %d B after a death, %d B after the return; warmed, %d B for %d moves and %d B for one", shards, death, rejoined, many, manyMoves, one)
+	}
+	if got[3000] != got[30000] {
+		t.Fatalf("the solves after a death and a return allocate %+v B at 3k shards and %+v B at 30k", got[3000], got[30000])
+	}
+}
+
 // TestFreshSolveAllocationsDoNotGrowWithShards: a fresh periodic solve on a
 // settled world, after a few load and placement changes, allocates what the
 // changes and the search's moves need and nothing per shard or server: the

@@ -54,8 +54,8 @@ type Entity struct {
 	Movable bool
 	// Group is the entity's group number, or -1 for none. Two members of one
 	// group never share a bucket (a hard rule), and the spread goal
-	// (AddSpreadGoal) keeps them in distinct domains. Like Bucket.Domain it is
-	// read when the state is built and must not change after.
+	// (AddSpreadGoal) keeps them in distinct domains. It is read when the
+	// state is built and must not change after.
 	Group int32
 }
 
@@ -65,8 +65,9 @@ type Bucket struct {
 	Capacity []float64
 	// Domain is the bucket's domain (the allocator states its region): the
 	// spread keeps a group's members in distinct domains, an affinity goal
-	// prefers one, and GroupedSampler draws across them. It is read once per
-	// problem and must not change after.
+	// prefers one, and GroupedSampler draws across them. It changes only
+	// through ClearBuckets: the buckets are stated again, and the next Solve
+	// numbers their domains afresh.
 	Domain string
 	// Draining marks buckets that should shed entities (pending
 	// maintenance or software upgrade, §5.1 soft goal 3).
@@ -107,11 +108,11 @@ type AffinityGoal struct {
 
 // Problem is a mutable assignment problem under construction. Build it with
 // the Add* methods, then call Solve. A problem may be solved again: after more
-// goals are added (the allocator's goal stages), or after ClearGoals and new
-// entity placements have restated it (the allocator's next run). What Solve
-// builds from the buckets and entities is kept with the problem and brought in
-// step with it at the next Solve, which sums the loads again and reuses the
-// rest.
+// goals are added (the allocator's goal stages), or after ClearGoals, new
+// entity placements and, through ClearBuckets, new buckets have restated it
+// (the allocator's next run). What Solve builds from the buckets and entities
+// is kept with the problem and brought in step with it at the next Solve,
+// which sums the loads again and reuses the rest.
 type Problem struct {
 	Metrics []string
 	midx    map[string]int
@@ -263,6 +264,25 @@ func (p *Problem) ClearGoals() {
 	p.affinityGoals = p.affinityGoals[:0]
 	p.spreadWeight = 0
 	p.drainWeight = 0
+}
+
+// ClearBuckets removes every bucket and keeps the entities, their grouping, the
+// goals and what the last Solve built, so the buckets can be stated again with
+// AddBucket (the allocator's next server list). The next Solve numbers the new
+// buckets' domains afresh, in first-appearance order, and fits the kept
+// state's per-bucket parts to them in place; the affinity goals are indexed
+// again on the new numbering. Before that Solve, every entity's Bucket and
+// Home must name a bucket of the new list or be Unassigned. A sampler made
+// before reads the old numbering: make a new one.
+func (p *Problem) ClearBuckets() {
+	p.Buckets = p.Buckets[:0]
+	if p.dom != nil {
+		p.dom.stale = true
+	}
+	if s := p.st; s != nil {
+		clear(s.aff)
+		s.nAff = 0
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -557,19 +577,16 @@ type state struct {
 func newState(p *Problem) *state {
 	s := &state{p: p}
 	s.grp.index(p.Entities)
-	s.conflict.dom, s.conflict.n = make([]int32, len(p.Buckets)), len(p.Buckets)
-	for b := range s.conflict.dom {
-		s.conflict.dom[b] = int32(b)
-	}
 	s.sync()
 	return s
 }
 
 // state returns the problem's kept state brought in step with the problem as
-// it now stands, building it afresh when the buckets or entities were added
-// to since.
+// it now stands, building it afresh when entities were added since: the
+// grouping is indexed only when the state is built. A change of buckets is
+// fitted by sync.
 func (p *Problem) state() *state {
-	if s := p.st; s != nil && len(s.assignment) == len(p.Entities) && len(s.byBucket) == len(p.Buckets) {
+	if s := p.st; s != nil && len(s.assignment) == len(p.Entities) {
 		s.sync()
 		return s
 	}
@@ -581,18 +598,28 @@ func (p *Problem) state() *state {
 // assignment is read off the entities, and every aggregate is summed afresh
 // in entity order, so a state synced again equals one built from nothing to
 // the bit: carrying the sums over from the last Solve would leave its moves'
-// rounding in them. Affinity goals added since the last sync are indexed; the
-// ones before stay as they were.
+// rounding in them. The per-bucket parts are fitted to the buckets in place.
+// Affinity goals added since the last sync are indexed; the ones before stay
+// as they were.
 func (s *state) sync() {
 	p := s.p
 	nM := len(p.Metrics)
 	s.assignment = resize(s.assignment, len(p.Entities))
-	if len(s.byBucket) != len(p.Buckets) {
-		s.byBucket = make([][]EntityID, len(p.Buckets))
-		s.bucketLoad = make([][]float64, len(p.Buckets))
-		loads := make([]float64, len(p.Buckets)*nM)
-		for b := range s.bucketLoad {
-			s.bucketLoad[b] = loads[b*nM : (b+1)*nM : (b+1)*nM]
+	if nB := len(p.Buckets); len(s.byBucket) != nB {
+		s.byBucket = resize(s.byBucket, nB)
+		if cap(s.bucketLoad) < nB {
+			// Every row of a new table is carved, so a table resliced within
+			// its capacity has its rows.
+			s.bucketLoad = make([][]float64, nB)
+			loads := make([]float64, nB*nM)
+			for b := range s.bucketLoad {
+				s.bucketLoad[b] = loads[b*nM : (b+1)*nM : (b+1)*nM]
+			}
+		}
+		s.bucketLoad = s.bucketLoad[:nB]
+		s.conflict.dom, s.conflict.n = resize(s.conflict.dom, nB), nB
+		for b := range s.conflict.dom {
+			s.conflict.dom[b] = int32(b)
 		}
 	}
 	for b := range s.byBucket {

@@ -57,7 +57,8 @@ func RandomSampler(p *Problem) Sampler {
 // At most k candidates are returned. With more domains than k, a rotation
 // over the domain order decides which domains contribute this call, so every
 // domain is covered across successive calls and candidate counts still match
-// CandidateTargets.
+// CandidateTargets. The sampler reads the domains as numbered when it is made:
+// after ClearBuckets, make a new one.
 func GroupedSampler(p *Problem, utilMetric int) Sampler {
 	byDomain := p.domains().buckets
 	var rot int
@@ -199,6 +200,8 @@ type solveCtx struct {
 
 	// pending is phase1's list of the entities to place.
 	pending []EntityID
+	// moves is the room the Solve's Result.Moves is recorded in.
+	moves []Move
 
 	// spent counts the entities away from home (kept only under a
 	// MoveBudget); cachePinned is whether the entCache lists were built
@@ -209,13 +212,23 @@ type solveCtx struct {
 
 // Solve improves the problem's assignment with local search and returns the
 // result. The Problem's Entities' Bucket fields are updated in place to the
-// final assignment.
+// final assignment. The result's Moves are recorded in room the problem keeps:
+// they are valid until its next Solve.
 func Solve(p *Problem, opt Options) *Result {
 	ctx := newSolveCtx(p, opt)
 	ctx.phase1()
 	ctx.phase2()
 
 	st, res := ctx.st, ctx.res
+	// Room for a move of every entity is the first placement's: kept, it
+	// would stay live for good.
+	ctx.moves = nil
+	if cap(res.Moves) < len(p.Entities) {
+		ctx.moves = res.Moves
+	}
+	if len(res.Moves) == 0 {
+		res.Moves = nil // as a problem solved the first time reports none
+	}
 	res.Final = st.violations()
 	res.Elapsed = time.Since(ctx.start)
 	// Only a move changes an assignment, and sync read the rest off the
@@ -253,6 +266,8 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 		}
 		p.ctx = c
 	} else {
+		c.entCache = resize(c.entCache, len(p.Buckets))
+		c.entCacheValid = resize(c.entCacheValid, len(p.Buckets))
 		clear(c.entCacheValid)
 		for i := range c.preps {
 			c.preps[i].fit(st)
@@ -260,7 +275,8 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 	}
 	c.opt = opt
 	c.rng = sim.NewRNG(opt.Seed)
-	c.res = &Result{Initial: st.violations(), Floor: st.floor()}
+	// Every unplaced entity placed is a move: the room grows for them at once.
+	c.res = &Result{Moves: slices.Grow(c.moves[:0], st.unassigned), Initial: st.violations(), Floor: st.floor()}
 	c.start = time.Now()
 	c.spent, c.cachePinned = 0, false
 	if opt.MoveBudget > 0 {

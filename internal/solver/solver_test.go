@@ -591,8 +591,11 @@ func freshCopy(p *Problem) *Problem {
 // stated again — ClearGoals, its entities placed anew in place, its goals
 // added again — and solved in stages again, gives at every Solve what a
 // problem built from nothing with the same statement gives: the same moves,
-// counts and evaluations, to the bit. The kept state, synced, is the state a
-// fresh build makes.
+// counts and evaluations, to the bit. So does it after its buckets are
+// restated through ClearBuckets: one removed, with its entities unplaced and
+// the later buckets renumbered; the removed one added back; and all of them
+// in reverse order, the same count with the domains first seen in another
+// order. The kept state, synced, is the state a fresh build makes.
 func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := sim.NewRNG(seed)
@@ -644,5 +647,44 @@ func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
 			p.Entities[i].Load[0] *= 0.5 + rng.Float64()
 		}
 		stages("second run")
+
+		// held[b] is the original number of bucket b as now stated.
+		orig := slices.Clone(p.Buckets)
+		held := make([]int, len(orig))
+		for b := range held {
+			held[b] = b
+		}
+		restate := func(run string, order []int) {
+			t.Helper()
+			to := make([]BucketID, len(orig))
+			for i := range to {
+				to[i] = Unassigned
+			}
+			p.ClearBuckets()
+			for _, ob := range order {
+				to[ob] = p.AddBucket(orig[ob])
+			}
+			for i := range p.Entities {
+				e := &p.Entities[i]
+				if e.Bucket != Unassigned {
+					e.Bucket = to[held[e.Bucket]]
+				}
+				e.Home = e.Bucket
+			}
+			held = order
+			stages(run)
+		}
+		removed := rng.Intn(len(orig))
+		var without, every, reversed []int
+		for b := range orig {
+			if b != removed {
+				without = append(without, b)
+			}
+			every = append(every, b)
+			reversed = append(reversed, len(orig)-1-b)
+		}
+		restate("a bucket removed", without)
+		restate("the bucket added back", every)
+		restate("the buckets reversed", reversed)
 	}
 }

@@ -561,6 +561,41 @@ func TestEveryAppliedMoveLowersTheObjective(t *testing.T) {
 		t.Fatal("no grid applied a runner-up")
 	}
 	t.Logf("one grid per world applied %d runner-ups", runnerUps)
+
+	// A runner-up whose delta went stale while its move stayed feasible:
+	// three entities of load 4 on a bucket of capacity 20 whose balance band
+	// ends at 5, and an empty bucket beside it. Every candidate's grid delta
+	// to the empty bucket is -4; once the first has moved, the second would
+	// take the hot bucket from 3 to 0 and the cold one from 0 to 3, a delta of
+	// 0, though it still fits. A runner-up applied on its grid delta, even
+	// after a feasibility check, fails here.
+	p := NewProblem([]string{"cpu"})
+	for range 2 {
+		p.AddBucket(Bucket{Capacity: []float64{20}, Domain: "r0"})
+	}
+	for range 3 {
+		p.AddEntity(Entity{Load: []float64{4}, Bucket: 0, Movable: true, Group: -1})
+	}
+	p.AddConstraint(CapacitySpec{Metric: "cpu"})
+	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.25, Weight: 1})
+	replay := newState(freshCopy(p))
+	c := newSolveCtx(p, DefaultOptions())
+	b, _ := c.st.hot.top()
+	picks := c.gridMoves(c.candidateEntities(b), b)
+	if len(picks) != 3 || picks[1].to != picks[0].to || picks[1].delta != picks[0].delta {
+		t.Fatalf("the stale-delta world's grid picks %+v, want its three entities onto the empty bucket at one delta", picks)
+	}
+	c.applyPicks(picks, b)
+	for i, m := range c.res.Moves {
+		before := replay.softObjective()
+		replay.apply(m.Entity, m.To)
+		if after := replay.softObjective(); !(after < before) {
+			t.Fatalf("the stale-delta world: move %d of %d, %+v, takes the objective from %v to %v", i, len(c.res.Moves), m, before, after)
+		}
+	}
+	if len(c.res.Moves) != 1 {
+		t.Fatalf("the stale-delta world's grid applied %d moves, want 1", len(c.res.Moves))
+	}
 }
 
 // moveDelta returns the objective change of moving e from its current bucket
