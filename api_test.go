@@ -345,9 +345,10 @@ func exportedFields(typ reflect.Type) []string {
 // (no conflict or exclusion-goal adder: the bucket rule comes with the
 // grouping; names assembled from stems, as above). No goal names a scope
 // either: a bucket has one domain, which the spread, a preference and the
-// grouped sampler all read, so the spread takes only its weight, and a
+// grouped sampler all read, so the spread is only its weight, and a
 // capacity or balance rule judges each server's load, which the search
-// already sums.
+// already sums. Every goal is a field, of the problem or of the entity that
+// prefers, not an element of a list that is cleared and stated again.
 func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 	net := reflect.TypeOf(rpcnet.Network{})
 	for _, gone := range []string{"regions", "down"} {
@@ -367,11 +368,9 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 		}
 	}
 	for spec, want := range map[reflect.Type][]string{
-		reflect.TypeOf(solver.Entity{}):       {"Load", "Bucket", "Home", "Movable", "Group"},
-		reflect.TypeOf(solver.Bucket{}):       {"Capacity", "Domain", "Draining"},
-		reflect.TypeOf(solver.AffinityGoal{}): {"Entity", "Domain", "Weight"},
-		reflect.TypeOf(solver.CapacitySpec{}): {"Metric"},
-		reflect.TypeOf(solver.BalanceSpec{}):  {"Metric", "UtilCap", "MaxDiff", "Weight"},
+		reflect.TypeOf(solver.Entity{}):      {"Load", "Bucket", "Home", "Movable", "Group", "Prefer", "PreferWeight"},
+		reflect.TypeOf(solver.Bucket{}):      {"Capacity", "Domain", "Draining"},
+		reflect.TypeOf(solver.BalanceRule{}): {"UtilCap", "MaxDiff", "Weight"},
 	} {
 		var fields []string
 		for i := 0; i < spec.NumField(); i++ {
@@ -390,16 +389,42 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 			t.Errorf("%v has %s: the bucket rule and the spread act on the entities' one grouping", prob, gone)
 		}
 	}
-	// A bucket has one domain, so the spread names no scope: its weight is
-	// all it takes.
-	if m, ok := prob.MethodByName("AddSpreadGoal"); !ok || m.Type.NumIn() != 2 || m.Type.In(1) != reflect.TypeOf(float64(0)) {
-		t.Errorf("%v.AddSpreadGoal is %v, want one float64 parameter, the weight", prob, m.Type)
+	// A goal is a field: no method adds one, clears them or names a metric.
+	for _, gone := range []string{"Clear" + "Goals", "Add" + "Constraint", "Add" + "Balance" + "Goal", "Add" + "Drain" + "Goal",
+		"Add" + "Spread" + "Goal", "Add" + "Affinity" + "Goal", "Metric" + "Index"} {
+		if _, ok := prob.MethodByName(gone); ok {
+			t.Errorf("%v has %s: every goal is a field of the problem or of an entity", prob, gone)
+		}
 	}
-	// A problem is restated, not rebuilt: ClearGoals starts a run's goals and
-	// ClearBuckets its buckets, the allocator's live servers.
-	for _, name := range []string{"ClearGoals", "ClearBuckets"} {
-		if m, ok := prob.MethodByName(name); !ok || m.Type.NumIn() != 1 || m.Type.NumOut() != 0 {
-			t.Errorf("%v.%s is %v (present %v), want a method without parameters or results", prob, name, m.Type, ok)
+	for name, typ := range map[string]reflect.Type{"Balance": reflect.TypeOf([]solver.BalanceRule(nil)),
+		"SpreadWeight": reflect.TypeOf(float64(0)), "DrainWeight": reflect.TypeOf(float64(0))} {
+		if f, ok := prob.Elem().FieldByName(name); !ok || f.Type != typ {
+			t.Errorf("solver.Problem.%s is %v (present %v), want a %v", name, f.Type, ok, typ)
+		}
+	}
+	// A problem is restated, not rebuilt: ClearBuckets restates its buckets,
+	// the allocator's live servers.
+	if m, ok := prob.MethodByName("ClearBuckets"); !ok || m.Type.NumIn() != 1 || m.Type.NumOut() != 0 {
+		t.Errorf("%v.ClearBuckets is %v (present %v), want a method without parameters or results", prob, m.Type, ok)
+	}
+	files, err := filepath.Glob("internal/solver/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := map[string]bool{"Capacity" + "Spec": true, "Affinity" + "Goal": true, "Balance" + "Spec": true}
+	for _, name := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.TYPE {
+				for _, spec := range g.Specs {
+					if id := spec.(*ast.TypeSpec).Name.Name; gone[id] {
+						t.Errorf("%s declares solver.%s: capacity is on every metric, a balance rule is a BalanceRule and a preference is on its entity", name, id)
+					}
+				}
+			}
 		}
 	}
 }

@@ -123,7 +123,7 @@ func makeBenchShards(rng *sim.RNG, n int) []allocator.ShardSpec {
 // candidate evaluations per second on a mid-size problem.
 func BenchmarkSolverMoveEvaluation(b *testing.B) {
 	rng := sim.NewRNG(1)
-	p := solver.NewProblem([]string{"cpu"})
+	p := solver.NewProblem(1)
 	for i := 0; i < 500; i++ {
 		p.AddBucket(solver.Bucket{
 			Capacity: []float64{100},
@@ -138,8 +138,7 @@ func BenchmarkSolverMoveEvaluation(b *testing.B) {
 			Group:   -1,
 		})
 	}
-	p.AddConstraint(solver.CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(solver.BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
+	p.Balance = []solver.BalanceRule{{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}}
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {

@@ -243,15 +243,16 @@ func (a *Allocator) fromInput(in Input) *Problem {
 
 // Problem is one partition's allocation problem, kept from run to run: the
 // live servers are the solver's buckets, and every shard has an entity range,
-// one entity per desired replica in shard order, and a per-metric load slot
-// its replicas share. Its owner restates what changed between runs —
-// SetServers, SetShard, SetCurrent — and Run answers as Allocator.Run does on
-// the equivalent Input; Allocator.Run is this type built from an Input and run
-// once. The solver problem and its state are kept too, made once with the
-// entities the shard specs fix: a run restates the buckets when the live
-// servers changed, the entities' placements and the goals, and the solver sums
-// every load afresh, so only the building is saved, and a run whose values are
-// all the last run's is not run again (Run).
+// one entity per desired replica in shard order, which holds its region
+// preference, and a per-metric load slot its replicas share. Its owner
+// restates what changed between runs — SetServers, SetShard, SetCurrent — and
+// Run answers as Allocator.Run does on the equivalent Input; Allocator.Run is
+// this type built from an Input and run once. The solver problem and its state
+// are kept too, made once with the entities the shard specs fix and the goals
+// the policy states: a run restates the buckets when the live servers changed
+// and the entities' placements, and the solver sums every load afresh, so only
+// the building is saved, and a run whose values are all the last run's is not
+// run again (Run).
 type Problem struct {
 	a      *Allocator
 	shards []shardSlot
@@ -260,8 +261,6 @@ type Problem struct {
 	// cur[e] is the bucket entity e's replica is on: Unassigned when it has
 	// no live server, or no replica yet.
 	cur []solver.BucketID
-	// preferring counts the shards with a region preference.
-	preferring int
 
 	// buckets[i] is the bucket of the i-th server of the last SetServers, -1
 	// for one not live; serverOf is its inverse.
@@ -271,37 +270,46 @@ type Problem struct {
 	// holds their capacities, and its entities are the shards' replicas.
 	prob *solver.Problem
 	caps []float64
+	// balance is the balance batch's rules, one per metric (nil: the policy
+	// states none); the placement batch solves without them.
+	balance []solver.BalanceRule
 
 	// moves is the room capDiff writes a fresh run's diff in.
 	moves []ReplicaMove
 
-	// last is the last run's result (nil: none, or SetServers changed a live
-	// server since), lastMode its mode, and ranLoads, ranCur and ranShards the
-	// loads, buckets and preferences it read.
-	last      *Result
-	lastMode  Mode
-	ranLoads  []float64
-	ranCur    []solver.BucketID
-	ranShards []shardSlot
+	// last is the last run's result (nil: none, or SetServers or
+	// SetPreference changed what it read since), lastMode its mode, and
+	// ranLoads and ranCur the loads and buckets it read.
+	last     *Result
+	lastMode Mode
+	ranLoads []float64
+	ranCur   []solver.BucketID
 }
 
 // shardSlot is one shard of a Problem.
 type shardSlot struct {
 	id              shard.ID
 	first, replicas int // its entities are first .. first+replicas-1
-	pref            topology.RegionID
-	weight          float64
 }
 
 // NewProblem returns the problem of the given shards, in that order, with
-// their loads and preferences and no server: SetServers and SetCurrent state
-// the rest.
+// their loads and preferences, the policy's goals and no server: SetServers
+// and SetCurrent state the rest.
 func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
-	metricNames := make([]string, len(a.policy.Metrics))
-	for i, m := range a.policy.Metrics {
-		metricNames[i] = string(m)
+	pol := a.policy
+	p := &Problem{a: a, shards: make([]shardSlot, len(shards)), prob: solver.NewProblem(len(pol.Metrics))}
+	// Two goal batches, highest priority first (§5.3: "groups placement goals
+	// of similar priorities into batches"): the placement batch holds the
+	// critical goals — capacity, drains and (the solver's own rule on the
+	// grouping) no two replicas of a shard on one server — with spread and
+	// region preference, and the balance batch adds the balance rules (run).
+	p.prob.DrainWeight, p.prob.SpreadWeight = drainWeight, pol.SpreadWeight
+	if pol.UtilCap > 0 || pol.MaxDiff > 0 {
+		p.balance = make([]solver.BalanceRule, len(pol.Metrics))
+		for m := range p.balance {
+			p.balance[m] = solver.BalanceRule{UtilCap: pol.UtilCap, MaxDiff: pol.MaxDiff, Weight: balanceWeight}
+		}
 	}
-	p := &Problem{a: a, shards: make([]shardSlot, len(shards)), prob: solver.NewProblem(metricNames)}
 	n := 0
 	for i, spec := range shards {
 		p.shards[i] = shardSlot{id: spec.ID, first: n, replicas: spec.Replicas}
@@ -402,16 +410,21 @@ func (p *Problem) SetLoad(i int, load []float64) {
 	copy(p.slot(i), load)
 }
 
-// SetPreference states shard i's region preference and its weight.
+// SetPreference states shard i's region preference and its weight, which
+// defaults to Policy.AffinityWeight, on each of its replicas' entities. A
+// preference written other than the one held makes the next Run run afresh,
+// even if it is written back before.
 func (p *Problem) SetPreference(i int, region topology.RegionID, weight float64) {
 	sh := &p.shards[i]
-	switch {
-	case sh.pref == "" && region != "":
-		p.preferring++
-	case sh.pref != "" && region == "":
-		p.preferring--
+	w := cmp.Or(weight, p.a.policy.AffinityWeight)
+	if region == "" {
+		w = 0
 	}
-	sh.pref, sh.weight = region, weight
+	for e := sh.first; e < sh.first+sh.replicas; e++ {
+		if ent := &p.prob.Entities[e]; ent.Prefer != string(region) || ent.PreferWeight != w {
+			ent.Prefer, ent.PreferWeight, p.last = string(region), w, nil
+		}
+	}
 }
 
 // SetCurrent states the buckets shard i's replicas are on, one element per
@@ -441,13 +454,12 @@ func (p *Problem) slot(i int) []float64 {
 // bounded diff, which must not be modified. A run is a function of the values
 // stated and the mode alone — the seed is fixed and nothing reads the clock —
 // so Run returns the last run's result again, the same pointer, while the
-// mode is that run's, SetServers has changed no live server and every load,
-// bucket and preference equals what that run read (a value changed and
-// changed back is equal).
+// mode is that run's, neither SetServers nor SetPreference has changed what
+// it read, and every load and bucket equals what that run read (a value
+// changed and changed back is equal).
 func (p *Problem) Run(mode Mode) *Result {
 	same := kept(&p.ranLoads, p.loads)
 	same = kept(&p.ranCur, p.cur) && same
-	same = kept(&p.ranShards, p.shards) && same
 	if p.last == nil || mode != p.lastMode || !same {
 		p.last, p.lastMode = p.run(mode), mode
 	}
@@ -472,8 +484,8 @@ func (p *Problem) run(mode Mode) *Result {
 	pol := p.a.policy
 
 	// Entities: existing placements on live servers keep their bucket; others
-	// start unassigned. In emergency mode, placed replicas are pinned.
-	prob.ClearGoals()
+	// start unassigned. In emergency mode, placed replicas are pinned, and
+	// the solver reads no pinned replica's preference.
 	for e, b := range p.cur {
 		if b != solver.Unassigned && int(b) >= len(p.serverOf) {
 			panic(fmt.Sprintf("allocator: entity %d is on bucket %d, %d servers are live: a renumbered replica was not restated", e, b, len(p.serverOf)))
@@ -502,49 +514,16 @@ func (p *Problem) run(mode Mode) *Result {
 		res.Evaluated += sres.Evaluated
 	}
 
-	// Two goal batches, highest priority first (§5.3: "groups placement goals
-	// of similar priorities into batches"). The placement batch holds the
-	// critical goals — capacity, drains and (the solver's own rule on the
-	// grouping) no two replicas of a shard on one server — with spread and
-	// region preference, so a replica is placed or moved off a drain once,
-	// with all of them in view. Every run solves it; a periodic run then adds
-	// the balance goals on top and solves again, so balance cannot undo a
+	// The placement batch places a replica or moves it off a drain once, with
+	// spread and preference in view. Every run solves it; a periodic run then
+	// adds the balance rules and solves again, so balance cannot undo a
 	// placement fix for free. Solve brings its state in step with the problem
 	// as it then stands and leaves the assignment it reached in prob.Entities
 	// for the next batch. An emergency run solves the placement batch alone.
-	for _, m := range prob.Metrics {
-		prob.AddConstraint(solver.CapacitySpec{Metric: m})
-	}
-	prob.AddDrainGoal(drainWeight)
-	if pol.SpreadWeight > 0 {
-		prob.AddSpreadGoal(pol.SpreadWeight)
-	}
-	for i := 0; p.preferring > 0 && i < len(p.shards); i++ {
-		sh := &p.shards[i]
-		w := cmp.Or(sh.weight, pol.AffinityWeight)
-		if sh.pref == "" || w == 0 {
-			continue
-		}
-		for e := sh.first; e < sh.first+sh.replicas; e++ {
-			if prob.Entities[e].Movable {
-				prob.AddAffinityGoal(solver.AffinityGoal{Entity: solver.EntityID(e), Domain: string(sh.pref), Weight: w})
-			}
-		}
-	}
+	prob.Balance = nil
 	solve()
-
-	// Balance.
 	if mode != Emergency {
-		if pol.UtilCap > 0 || pol.MaxDiff > 0 {
-			for _, m := range prob.Metrics {
-				prob.AddBalanceGoal(solver.BalanceSpec{
-					Metric:  m,
-					UtilCap: pol.UtilCap,
-					MaxDiff: pol.MaxDiff,
-					Weight:  balanceWeight,
-				})
-			}
-		}
+		prob.Balance = p.balance
 		solve()
 	}
 	res.Elapsed = time.Since(start)

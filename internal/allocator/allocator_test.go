@@ -279,6 +279,26 @@ func TestEmergencyPinsHealthyReplicas(t *testing.T) {
 	}
 }
 
+// TestEmergencyReadsNoPinnedPreference: an emergency run pins the placed
+// replicas and the solver reads no pinned replica's preference, so a shard
+// placed outside the region it prefers counts no affinity violation there; a
+// periodic run, which may move it, counts both its replicas.
+func TestEmergencyReadsNoPinnedPreference(t *testing.T) {
+	shards := makeShards(2, 2, 1)
+	shards[0].RegionPreference = "r2"
+	in := Input{
+		Servers: makeServers(4, []string{"r1", "r2"}, 100),
+		Shards:  shards,
+		Current: map[shard.ID][]shard.ServerID{"s0000": {"srv000", "srv002"}},
+	}
+	a := New(DefaultPolicy(topology.ResourceCPU), 1)
+	for mode, want := range map[Mode]int{Emergency: 0, Periodic: 2} {
+		if got := a.Run(in, mode).Initial.Affinity; got != want {
+			t.Errorf("%v: %d affinity violations at the start, want %d", mode, got, want)
+		}
+	}
+}
+
 func TestPerShardMoveCapLimitsChurn(t *testing.T) {
 	pol := DefaultPolicy(topology.ResourceCPU)
 	pol.PerShardMoveCap = 1

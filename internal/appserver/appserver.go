@@ -236,7 +236,8 @@ type Server struct {
 	// report and reportVals hold LoadReport's answer, its entries and their
 	// values, until the next report. When a report needs more room, both are
 	// remade for every replica the server holds, the most a report can carry,
-	// so a server remakes them only when it holds more replicas than ever.
+	// and at least twice their old room, so a server whose replica count keeps
+	// setting new highs remakes them a logarithmic number of times.
 	report     []LoadEntry
 	reportVals []float64
 
@@ -884,8 +885,9 @@ func (s *Server) LoadReport() []LoadEntry {
 	}
 	metrics := s.dir.metrics[s.App]
 	if len(s.report) < n {
-		s.report = make([]LoadEntry, len(s.replicas))
-		s.reportVals = make([]float64, len(s.replicas)*len(metrics))
+		size := max(len(s.replicas), 2*len(s.report))
+		s.report = make([]LoadEntry, size)
+		s.reportVals = make([]float64, size*len(metrics))
 	}
 	out, vals := s.report[:0], s.reportVals[:0]
 	if s.asked == nil {

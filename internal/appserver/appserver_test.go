@@ -3,6 +3,7 @@ package appserver
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 	"time"
@@ -389,7 +390,9 @@ func TestLoadReportCarriesWhatChanged(t *testing.T) {
 
 // TestLoadReportBuffersGrowOnce: a server whose reports grow by one entry a
 // round, from 1 to all n of its replicas, remakes its report buffers once,
-// for every replica it holds, not at each new high.
+// for every replica it holds, not at each new high. A server whose replica
+// count rises one at a time, each report carrying every replica, remakes them
+// at most log2(n)+1 times: each remake at least doubles the room.
 func TestLoadReportBuffersGrowOnce(t *testing.T) {
 	const n = 20
 	env := newEnv()
@@ -419,6 +422,28 @@ func TestLoadReportBuffersGrowOnce(t *testing.T) {
 	if remade != 1 || len(s.report) != n || len(s.reportVals) != n*len(testMetrics) {
 		t.Fatalf("reports growing from 1 to %d entries remade the buffers %d times, to %d entries and %d values",
 			n, remade, len(s.report), len(s.reportVals))
+	}
+
+	const rising = 64
+	s = env.server("s2", "a", newEchoApp())
+	made := 0
+	for i := range rising {
+		id := shard.ID(fmt.Sprintf("up%02d", i))
+		s.AddShard(id, shard.RolePrimary, 1)
+		for j := range i {
+			s.LoadChanged(shard.ID(fmt.Sprintf("up%02d", j)))
+		}
+		before := s.report
+		if rep := s.LoadReport(); len(rep) != i+1 {
+			t.Fatalf("report %d carried %d entries, want every replica", i, len(rep))
+		}
+		if len(before) == 0 || &s.report[0] != &before[0] {
+			made++
+		}
+	}
+	if limit := bits.Len(rising) + 1; made > limit || len(s.reportVals) != len(s.report)*len(testMetrics) {
+		t.Fatalf("a replica count rising to %d made the report buffers %d times (at most %d), %d entries and %d values",
+			rising, made, limit, len(s.report), len(s.reportVals))
 	}
 }
 

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"shardmanager/internal/metrics"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +209,32 @@ func TestFig21AllViolationsFixedAndScaling(t *testing.T) {
 			t.Fatalf("violations remain at scale %s: %s", row[0], row[3])
 		}
 	}
+	// Servers, shards, initial, final, floor and moves, then the evaluation
+	// count at the curve's last point: every column a seed fixes.
+	checkSolverRows(t, r, 6, [][]string{
+		{"200", "15000", "49", "0", "0", "121", "7509"},
+		{"1000", "75000", "203", "0", "0", "455", "34875"},
+	})
+}
+
+// checkSolverRows holds a solver figure's rows, less the wall-time column
+// timeCol, with each curve's last evaluation count appended, to the ones
+// recorded: the solver is deterministic, so a change that means to keep its
+// search keeps these to the digit.
+func checkSolverRows(t *testing.T, r *Report, timeCol int, want [][]string) {
+	t.Helper()
+	rows := r.Tables[0].Rows
+	if len(rows) != len(want) || len(r.Curves) != len(rows) {
+		t.Fatalf("%d rows and %d curves, want %d", len(rows), len(r.Curves), len(want))
+	}
+	for i, row := range rows {
+		pts := r.Curves[i].Points
+		got := slices.Concat(row[:timeCol], row[timeCol+1:],
+			[]string{fmt.Sprint(int64(pts[len(pts)-1].T / time.Microsecond))})
+		if !slices.Equal(got, want[i]) {
+			t.Errorf("row %d: %q, want %q", i, got, want[i])
+		}
+	}
 }
 
 func TestFig22OptimizedBeatsBaseline(t *testing.T) {
@@ -224,6 +252,12 @@ func TestFig22OptimizedBeatsBaseline(t *testing.T) {
 	if float64(baseMoves) < float64(optMoves)*0.98 {
 		t.Fatalf("baseline moves (%d) should not undercut optimized (%d)", baseMoves, optMoves)
 	}
+	// Variant, final, moves, evaluations, evaluations to fix 90% and floor,
+	// then the evaluation count at the curve's last point.
+	checkSolverRows(t, r, 5, [][]string{
+		{"optimized (grouped, utilization-aware sampling)", "0", "6056", "213938", "211830", "0", "213938"},
+		{"baseline (uniform random sampling)", "0", "6294", "324997", "315473", "0", "324997"},
+	})
 }
 
 // TestAblationsAllOptimizationsFixEveryViolation runs `-fig ablations -scale

@@ -41,7 +41,8 @@ func DefaultSolverScaleParams() SolverScaleParams {
 // make domain-guided sampling matter (§5.3; Fig 22's ablation uses it).
 func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 	const geoRegions = 24
-	p := solver.NewProblem([]string{"storage", "cpu", "shard_count"})
+	// The metrics are storage, CPU and shard count, in that order.
+	p := solver.NewProblem(3)
 	for i := 0; i < servers; i++ {
 		// Heterogeneous hardware: storage capacity varies up to 20%.
 		storageCap := 1000 * (1 + 0.2*rng.Float64())
@@ -68,28 +69,27 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 	baseCPU := float64(servers) * 100 * meanUtil / float64(shards)
 	for i := 0; i < shards; i++ {
 		skew := 0.1 + 1.9*rng.Float64() // 20x spread around the mean
-		id := p.AddEntity(solver.Entity{
+		e := solver.Entity{
 			Load:    []float64{baseStorage * skew, baseCPU * skew, 1},
 			Bucket:  solver.BucketID(rng.Intn(servers)),
 			Movable: true,
 			Group:   -1,
-		})
+		}
 		if geo && i%5 == 0 {
 			// A fifth of shards dictate a regional placement
 			// preference (§2.2.4: 33% of geo-distributed server
 			// usage is preference-driven).
-			p.AddAffinityGoal(solver.AffinityGoal{
-				Entity: id,
-				Domain: fmt.Sprintf("region%02d", rng.Intn(geoRegions)),
-				Weight: 20,
-			})
+			e.Prefer, e.PreferWeight = fmt.Sprintf("region%02d", rng.Intn(geoRegions)), 20
 		}
+		p.AddEntity(e)
 	}
-	for _, m := range []string{"storage", "cpu"} {
-		p.AddConstraint(solver.CapacitySpec{Metric: m})
-		p.AddBalanceGoal(solver.BalanceSpec{Metric: m, UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
+	// A shard-count capacity of 1000 is never reached: the count is balanced,
+	// not bounded.
+	p.Balance = []solver.BalanceRule{
+		{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1},
+		{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1},
+		{MaxDiff: 0.15, Weight: 0.5},
 	}
-	p.AddBalanceGoal(solver.BalanceSpec{Metric: "shard_count", MaxDiff: 0.15, Weight: 0.5})
 	return p
 }
 

@@ -13,7 +13,7 @@ import (
 // spread, capacity constraints plus utilization-band balance goals, and a
 // random initial assignment.
 func scaleProblem(rng *sim.RNG, buckets, entities int) *Problem {
-	p := NewProblem([]string{"storage", "cpu", "shard_count"})
+	p := NewProblem(3)
 	for i := 0; i < buckets; i++ {
 		storageCap := 1000 * (1 + 0.2*rng.Float64())
 		p.AddBucket(Bucket{
@@ -32,11 +32,11 @@ func scaleProblem(rng *sim.RNG, buckets, entities int) *Problem {
 			Group:   -1,
 		})
 	}
-	for _, m := range []string{"storage", "cpu"} {
-		p.AddConstraint(CapacitySpec{Metric: m})
-		p.AddBalanceGoal(BalanceSpec{Metric: m, UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
+	p.Balance = []BalanceRule{
+		{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1},
+		{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1},
+		{MaxDiff: 0.15, Weight: 0.5},
 	}
-	p.AddBalanceGoal(BalanceSpec{Metric: "shard_count", MaxDiff: 0.15, Weight: 0.5})
 	return p
 }
 
@@ -69,7 +69,7 @@ func BenchmarkSolveScale(b *testing.B) {
 // keeps the bucket rule.
 func replicatedProblem(rng *sim.RNG) *Problem {
 	const buckets, groups, replicas, regions = 300, 6000, 2, 3
-	p := NewProblem([]string{"cpu", "shard_count"})
+	p := NewProblem(2)
 	for i := 0; i < buckets; i++ {
 		p.AddBucket(Bucket{Capacity: []float64{100, 80}, Domain: fmt.Sprintf("r%d", i%regions)})
 	}
@@ -78,23 +78,22 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 		load := []float64{baseCPU * (0.1 + 1.9*rng.Float64()), 1}
 		first := rng.Intn(buckets)
 		for r := 0; r < replicas; r++ {
-			id := p.AddEntity(Entity{
+			e := Entity{
 				Load:    load,
 				Bucket:  BucketID((first + r*(1+rng.Intn(buckets-1))) % buckets),
 				Movable: true,
 				Group:   int32(g),
-			})
-			if g%3 == 0 {
-				p.AddAffinityGoal(AffinityGoal{Entity: id, Domain: fmt.Sprintf("r%d", g%regions), Weight: 200})
 			}
+			if g%3 == 0 {
+				e.Prefer, e.PreferWeight = fmt.Sprintf("r%d", g%regions), 200
+			}
+			p.AddEntity(e)
 		}
 	}
-	for _, m := range p.Metrics {
-		p.AddConstraint(CapacitySpec{Metric: m})
-		p.AddBalanceGoal(BalanceSpec{Metric: m, UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
-	}
-	p.AddSpreadGoal(100)
-	p.AddDrainGoal(500)
+	rule := BalanceRule{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}
+	p.Balance = []BalanceRule{rule, rule}
+	p.SpreadWeight = 100
+	p.DrainWeight = 500
 	return p
 }
 

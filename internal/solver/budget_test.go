@@ -85,7 +85,7 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 	t.Run("placements", func(t *testing.T) {
 		// Twenty unplaced entities and one at home on a draining bucket,
 		// budget one: every placement is free, so the drain move still fits.
-		p := NewProblem([]string{"cpu"})
+		p := NewProblem(1)
 		drain := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
 		for i := 0; i < 3; i++ {
 			p.AddBucket(Bucket{Capacity: []float64{100}})
@@ -94,8 +94,7 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
 		}
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddDrainGoal(10)
+		p.DrainWeight = 10
 		opt := DefaultOptions()
 		opt.MoveBudget = 1
 		res := Solve(p, opt)
@@ -107,7 +106,7 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		// x's home is A, an earlier solve left it on B; y is at home on D.
 		// A, B and D drain. The budget of one is spent on x before the
 		// search begins: x may still leave B for C, y may not leave D.
-		p := NewProblem([]string{"cpu"})
+		p := NewProblem(1)
 		a := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
 		b := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
 		c := p.AddBucket(Bucket{Capacity: []float64{100}})
@@ -115,8 +114,7 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		x := p.AddEntity(Entity{Load: []float64{1}, Bucket: a, Movable: true, Group: -1})
 		y := p.AddEntity(Entity{Load: []float64{1}, Bucket: d, Movable: true, Group: -1})
 		p.Entities[x].Bucket = b
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddDrainGoal(10)
+		p.DrainWeight = 10
 		opt := DefaultOptions()
 		opt.MoveBudget = 1
 		Solve(p, opt)

@@ -1,9 +1,9 @@
 // Package solver implements a generic constraint solver for assignment
 // problems, modeled after ReBalancer (§5.2): callers describe entities
 // (shard replicas) and their one grouping (a shard's replicas, which never
-// share a bucket), buckets (servers), hard capacity constraints, and
-// weighted soft goals through a high-level API, and the solver improves the
-// assignment with local search (§5.3).
+// share a bucket), buckets (servers) with a capacity per metric, which is
+// always hard, and weighted soft goals, each a field of the problem, and the
+// solver improves the assignment with local search (§5.3).
 //
 // The solver is domain-independent: it knows nothing about shards, regions,
 // or load balancing. Shard Manager's allocator (package allocator)
@@ -40,7 +40,7 @@ const unassignedPenalty = 1e12
 
 // Entity is one assignable unit (a shard replica).
 type Entity struct {
-	// Load per metric, indexed like Problem.Metrics.
+	// Load per metric, in the order the caller numbers its metrics.
 	Load []float64
 	// Bucket is the current assignment (Unassigned if none).
 	Bucket BucketID
@@ -53,19 +53,27 @@ type Entity struct {
 	// but never move.
 	Movable bool
 	// Group is the entity's group number, or -1 for none. Two members of one
-	// group never share a bucket (a hard rule), and the spread goal
-	// (AddSpreadGoal) keeps them in distinct domains. It is read when the
-	// state is built and must not change after.
+	// group never share a bucket (a hard rule), and the spread
+	// (Problem.SpreadWeight) keeps them in distinct domains. It is read when
+	// the state is built and must not change after.
 	Group int32
+	// Prefer is the domain the entity prefers, at a cost of PreferWeight on a
+	// bucket outside it (region preference, §5.1 soft goal 1; Fig 13
+	// statements 5-6). A weight of 0 states no preference, and a pinned
+	// entity's is not read.
+	Prefer       string
+	PreferWeight float64
 }
 
 // Bucket is one assignment target (a server).
 type Bucket struct {
-	// Capacity per metric, indexed like Problem.Metrics.
+	// Capacity per metric, indexed like Entity.Load: on each bucket, the sum
+	// of its entities' loads must not exceed it (Fig 13's
+	// addConstraint(CapacitySpec{...}) at server scope, on every metric).
 	Capacity []float64
 	// Domain is the bucket's domain (the allocator states its region): the
-	// spread keeps a group's members in distinct domains, an affinity goal
-	// prefers one, and GroupedSampler draws across them. It changes only
+	// spread keeps a group's members in distinct domains, an entity may
+	// prefer one, and GroupedSampler draws across them. It changes only
 	// through ClearBuckets: the buckets are stated again, and the next Solve
 	// numbers their domains afresh.
 	Domain string
@@ -74,20 +82,11 @@ type Bucket struct {
 	Draining bool
 }
 
-// CapacitySpec is a hard constraint: on each bucket, the sum of entity loads
-// for Metric must not exceed the bucket's capacity. Mirrors
-// addConstraint(CapacitySpec{...}) in Fig 13 at server scope; a metric takes
-// one.
-type CapacitySpec struct {
-	Metric string
-}
-
-// BalanceSpec is a soft goal: keep each bucket's utilization of Metric under
-// UtilCap, and within MaxDiff of the mean utilization (§5.1 soft goals 4-6).
-// Mirrors addGoal(BalanceSpec{...}) in Fig 13 at server scope; a metric takes
-// one.
-type BalanceSpec struct {
-	Metric string
+// BalanceRule is one metric's soft balance goal: keep each bucket's
+// utilization under UtilCap, and within MaxDiff of the mean utilization (§5.1
+// soft goals 4-6). Mirrors addGoal(BalanceSpec{...}) in Fig 13 at server
+// scope. A Weight of 0 states no rule.
+type BalanceRule struct {
 	// UtilCap is the absolute utilization threshold (e.g. 0.9); <= 0
 	// disables it.
 	UtilCap float64
@@ -97,35 +96,31 @@ type BalanceSpec struct {
 	Weight  float64
 }
 
-// AffinityGoal is a soft goal: one entity prefers buckets in Domain, with the
-// given weight (region preference, §5.1 soft goal 1; Fig 13 statements 5-6).
-// An entity takes one.
-type AffinityGoal struct {
-	Entity EntityID
-	Domain string
-	Weight float64
-}
-
-// Problem is a mutable assignment problem under construction. Build it with
-// the Add* methods, then call Solve. A problem may be solved again: after more
-// goals are added (the allocator's goal stages), or after ClearGoals, new
-// entity placements and, through ClearBuckets, new buckets have restated it
-// (the allocator's next run). What Solve builds from the buckets and entities
-// is kept with the problem and brought in step with it at the next Solve,
-// which sums the loads again and reuses the rest.
+// Problem is an assignment problem: its entities, its buckets and its goals,
+// every one a field. Add the buckets and entities with AddBucket and AddEntity,
+// set the goals, then call Solve. A problem may be solved again after any field
+// changed: its goals (the allocator's balance batch), its entities' placements
+// and preferences, or, through ClearBuckets, its buckets (the allocator's next
+// run). What Solve builds from the fields is kept with the problem and brought
+// in step with them at the next Solve, which reads every field again, sums the
+// loads again and reuses the rest.
 type Problem struct {
-	Metrics []string
-	midx    map[string]int
-
 	Entities []Entity
 	Buckets  []Bucket
 
-	capacitySpecs []CapacitySpec
-	balanceSpecs  []BalanceSpec
-	affinityGoals []AffinityGoal // in the order added
-	// spreadWeight is the spread goal's; 0 means none.
-	spreadWeight float64
-	drainWeight  float64
+	// Balance[m] is metric m's balance rule; nil states none on any metric.
+	Balance []BalanceRule
+	// SpreadWeight is the spread goal's: the members of each group should
+	// occupy distinct domains (spread of replicas, §5.1 soft goal 2; Fig 13
+	// statements 7-8), and each member that shares its domain with an earlier
+	// one costs SpreadWeight. 0 states no spread.
+	SpreadWeight float64
+	// DrainWeight is what every entity on a Draining bucket costs; 0 states
+	// no drain.
+	DrainWeight float64
+
+	// metrics is how many load metrics every entity and bucket carries.
+	metrics int
 
 	// dom numbers the buckets' domains; built lazily (see intern.go).
 	dom *domains
@@ -136,37 +131,19 @@ type Problem struct {
 	ctx *solveCtx
 }
 
-// NewProblem creates a problem with the given load metrics.
-func NewProblem(metrics []string) *Problem {
-	if len(metrics) == 0 {
+// NewProblem creates a problem with the given number of load metrics, and no
+// goal beyond the capacities.
+func NewProblem(metrics int) *Problem {
+	if metrics <= 0 {
 		panic("solver: NewProblem with no metrics")
 	}
-	midx := make(map[string]int, len(metrics))
-	for i, m := range metrics {
-		if _, dup := midx[m]; dup {
-			panic(fmt.Sprintf("solver: duplicate metric %q", m))
-		}
-		midx[m] = i
-	}
-	return &Problem{
-		Metrics: append([]string(nil), metrics...),
-		midx:    midx,
-	}
-}
-
-// MetricIndex returns the index of a metric name.
-func (p *Problem) MetricIndex(metric string) int {
-	i, ok := p.midx[metric]
-	if !ok {
-		panic(fmt.Sprintf("solver: unknown metric %q", metric))
-	}
-	return i
+	return &Problem{metrics: metrics}
 }
 
 // AddBucket registers a bucket and returns its ID.
 func (p *Problem) AddBucket(b Bucket) BucketID {
-	if len(b.Capacity) != len(p.Metrics) {
-		panic(fmt.Sprintf("solver: bucket %d capacity has %d metrics, want %d", len(p.Buckets), len(b.Capacity), len(p.Metrics)))
+	if len(b.Capacity) != p.metrics {
+		panic(fmt.Sprintf("solver: bucket %d capacity has %d metrics, want %d", len(p.Buckets), len(b.Capacity), p.metrics))
 	}
 	p.Buckets = append(p.Buckets, b)
 	return BucketID(len(p.Buckets) - 1)
@@ -174,8 +151,8 @@ func (p *Problem) AddBucket(b Bucket) BucketID {
 
 // AddEntity registers an entity and returns its ID.
 func (p *Problem) AddEntity(e Entity) EntityID {
-	if len(e.Load) != len(p.Metrics) {
-		panic(fmt.Sprintf("solver: entity %d load has %d metrics, want %d", len(p.Entities), len(e.Load), len(p.Metrics)))
+	if len(e.Load) != p.metrics {
+		panic(fmt.Sprintf("solver: entity %d load has %d metrics, want %d", len(p.Entities), len(e.Load), p.metrics))
 	}
 	if e.Bucket != Unassigned && (e.Bucket < 0 || int(e.Bucket) >= len(p.Buckets)) {
 		panic(fmt.Sprintf("solver: entity %d assigned to unknown bucket %d", len(p.Entities), e.Bucket))
@@ -188,100 +165,17 @@ func (p *Problem) AddEntity(e Entity) EntityID {
 	return EntityID(len(p.Entities) - 1)
 }
 
-// AddConstraint registers a hard capacity constraint.
-func (p *Problem) AddConstraint(c CapacitySpec) {
-	p.MetricIndex(c.Metric)
-	for _, o := range p.capacitySpecs {
-		if o.Metric == c.Metric {
-			panic(fmt.Sprintf("solver: second capacity constraint on %q", c.Metric))
-		}
-	}
-	p.capacitySpecs = append(p.capacitySpecs, c)
-}
-
-// AddBalanceGoal registers a soft balance goal.
-func (p *Problem) AddBalanceGoal(b BalanceSpec) {
-	p.MetricIndex(b.Metric)
-	for _, o := range p.balanceSpecs {
-		if o.Metric == b.Metric {
-			panic(fmt.Sprintf("solver: second balance goal on %q", b.Metric))
-		}
-	}
-	if b.Weight <= 0 {
-		panic("solver: balance goal needs positive weight")
-	}
-	if b.UtilCap <= 0 && b.MaxDiff <= 0 {
-		panic("solver: balance goal needs UtilCap or MaxDiff")
-	}
-	p.balanceSpecs = append(p.balanceSpecs, b)
-}
-
-// AddAffinityGoal registers a soft per-entity domain preference. A second one
-// for an entity panics at the next Solve.
-func (p *Problem) AddAffinityGoal(g AffinityGoal) {
-	if g.Weight <= 0 {
-		panic("solver: affinity goal needs positive weight")
-	}
-	if g.Entity < 0 || int(g.Entity) >= len(p.Entities) {
-		panic(fmt.Sprintf("solver: affinity for unknown entity %d", g.Entity))
-	}
-	p.affinityGoals = append(p.affinityGoals, g)
-}
-
-// AddSpreadGoal registers the soft spread goal: the members of each group
-// should occupy distinct domains (spread of replicas, §5.1 soft goal 2; Fig 13
-// statements 7-8). Each member that shares its domain with an earlier one
-// costs weight. A problem takes one.
-func (p *Problem) AddSpreadGoal(weight float64) {
-	if weight <= 0 {
-		panic("solver: spread goal needs positive weight")
-	}
-	if p.spreadWeight != 0 {
-		panic("solver: second spread goal")
-	}
-	p.spreadWeight = weight
-}
-
-// AddDrainGoal penalizes every entity on a Draining bucket with weight w.
-func (p *Problem) AddDrainGoal(w float64) {
-	if w <= 0 {
-		panic("solver: drain goal needs positive weight")
-	}
-	p.drainWeight = w
-}
-
-// ClearGoals removes every constraint and goal — capacity, balance, affinity,
-// spread and drain — and keeps the buckets, the entities and their grouping,
-// and what the last Solve built from them, so the problem can be stated again
-// with fresh goals.
-func (p *Problem) ClearGoals() {
-	if s := p.st; s != nil {
-		clear(s.aff)
-		s.nAff = 0
-	}
-	p.capacitySpecs = p.capacitySpecs[:0]
-	p.balanceSpecs = p.balanceSpecs[:0]
-	p.affinityGoals = p.affinityGoals[:0]
-	p.spreadWeight = 0
-	p.drainWeight = 0
-}
-
 // ClearBuckets removes every bucket and keeps the entities, their grouping, the
 // goals and what the last Solve built, so the buckets can be stated again with
 // AddBucket (the allocator's next server list). The next Solve numbers the new
 // buckets' domains afresh, in first-appearance order, and fits the kept
-// state's per-bucket parts to them in place; the affinity goals are indexed
-// again on the new numbering. Before that Solve, every entity's Bucket and
-// Home must name a bucket of the new list or be Unassigned. A sampler made
-// before reads the old numbering: make a new one.
+// state's per-bucket parts to them in place. Before that Solve, every entity's
+// Bucket and Home must name a bucket of the new list or be Unassigned. A
+// sampler made before reads the old numbering: make a new one.
 func (p *Problem) ClearBuckets() {
 	p.Buckets = p.Buckets[:0]
 	if p.dom != nil {
 		p.dom.stale = true
-	}
-	if s := p.st; s != nil {
-		clear(s.aff)
-		s.nAff = 0
 	}
 }
 
@@ -293,21 +187,11 @@ func (p *Problem) ClearBuckets() {
 // strings. Capacity and balance rules are per bucket and read each bucket's
 // load off state.bucketLoad.
 
-// balParams is a metric's balance goal; weight 0 means it has none.
-type balParams struct {
-	utilCap float64
-	maxDiff float64
-	weight  float64
-}
-
-// specState is one metric's load rules: its capacity constraint and its
-// balance goal, either of which may be absent.
+// specState is one metric's load rules: its capacity constraint, always
+// there, and its balance rule (weight 0: none).
 type specState struct {
-	midx int
-	// hard is whether a capacity constraint gates moves on the metric.
-	hard bool
-	bal  balParams
-	cap  []float64 // per bucket, the metric's Capacity
+	bal BalanceRule
+	cap []float64 // per bucket, the metric's Capacity
 	// meanUtil is the mean utilization over buckets with capacity, fixed
 	// at state-build time (moves conserve total load). Unassigned load is
 	// included: once placed it pushes utilization up, and the target must
@@ -319,7 +203,7 @@ type specState struct {
 // local search can repair infeasible initial states while the feasibility
 // check prevents creating new overflow.
 func (sp *specState) capPenalty(b BucketID, load float64) float64 {
-	if c := sp.cap[b]; sp.hard && load > c {
+	if c := sp.cap[b]; load > c {
 		return 1e6 * (load - c)
 	}
 	return 0
@@ -330,23 +214,23 @@ func (sp *specState) capPenalty(b BucketID, load float64) float64 {
 // entity off an overloaded bucket helps proportionally.
 func (sp *specState) balPenalty(b BucketID, load float64) float64 {
 	bp := &sp.bal
-	if bp.weight == 0 {
+	if bp.Weight == 0 {
 		return 0
 	}
 	c := sp.cap[b]
 	if c <= 0 {
 		// Load on a zero-capacity bucket is maximally penalized.
-		return bp.weight * max(load, 0)
+		return bp.Weight * max(load, 0)
 	}
 	u := load / c
 	var over float64
-	if bp.utilCap > 0 && u > bp.utilCap {
-		over += (u - bp.utilCap) * c
+	if bp.UtilCap > 0 && u > bp.UtilCap {
+		over += (u - bp.UtilCap) * c
 	}
-	if bp.maxDiff > 0 && u > sp.meanUtil+bp.maxDiff {
-		over += (u - sp.meanUtil - bp.maxDiff) * c
+	if bp.MaxDiff > 0 && u > sp.meanUtil+bp.MaxDiff {
+		over += (u - sp.meanUtil - bp.MaxDiff) * c
 	}
-	return bp.weight * over
+	return bp.Weight * over
 }
 
 // penalty is the bucket's total capacity+balance penalty at the given load.
@@ -511,9 +395,9 @@ func (s *state) move(r *rule, g int32, e EntityID, from, to BucketID) {
 	}
 }
 
-// affTerm is an entity's interned affinity goal: penalty weight applies
-// whenever the entity's bucket is outside domain domID. Weight 0 means the
-// entity has none.
+// affTerm is an entity's interned preference: penalty weight applies whenever
+// the entity's bucket is outside domain domID. Weight 0 means the entity has
+// none.
 type affTerm struct {
 	domID  int32 // preferred domain; -1 if no bucket is in it
 	weight float64
@@ -525,6 +409,7 @@ type state struct {
 	// assignment[e] is the current bucket of entity e.
 	assignment []BucketID
 
+	// specs[m] is metric m's load rules.
 	specs []specState
 	// grp is the problem's grouping; conflict is the bucket rule over it, and
 	// spread the spread goal's (weight 0: none).
@@ -532,15 +417,15 @@ type state struct {
 	conflict, spread rule
 	// dom[b] is bucket b's domain number (Problem.domains).
 	dom []int32
-	// nAff counts the problem's affinity goals that aff holds: the ones there
-	// at the last sync (ClearGoals zeroes it).
-	nAff int
+	// preferring is whether any entity's aff term has a weight.
+	preferring bool
 	// peers and pens are apply's scratch: the entities whose share of the hot
 	// set a move can change, and their shares before it.
 	peers []EntityID
 	pens  []float64
 
-	// aff[e] is entity e's interned affinity goal (none for most).
+	// aff[e] is entity e's interned preference (none for most), read off
+	// the entity at sync when it is movable.
 	aff []affTerm
 	// drainPen[b] is the per-entity drain penalty of bucket b (0 or the
 	// problem's drain weight); draining is whether any is not 0.
@@ -598,13 +483,22 @@ func (p *Problem) state() *state {
 // assignment is read off the entities, and every aggregate is summed afresh
 // in entity order, so a state synced again equals one built from nothing to
 // the bit: carrying the sums over from the last Solve would leave its moves'
-// rounding in them. The per-bucket parts are fitted to the buckets in place.
-// Affinity goals added since the last sync are indexed; the ones before stay
-// as they were.
+// rounding in them. The per-bucket parts are fitted to the buckets in place,
+// and every goal is read off its field.
 func (s *state) sync() {
 	p := s.p
-	nM := len(p.Metrics)
+	nM := p.metrics
+	if p.Balance != nil && len(p.Balance) != nM {
+		panic(fmt.Sprintf("solver: %d balance rules, want %d", len(p.Balance), nM))
+	}
+	if p.SpreadWeight < 0 || p.DrainWeight < 0 {
+		panic("solver: negative goal weight")
+	}
+	dom := p.domains()
+	s.dom = dom.of
 	s.assignment = resize(s.assignment, len(p.Entities))
+	s.aff = resize(s.aff, len(p.Entities))
+	s.preferring = false
 	if nB := len(p.Buckets); len(s.byBucket) != nB {
 		s.byBucket = resize(s.byBucket, nB)
 		if cap(s.bucketLoad) < nB {
@@ -633,6 +527,17 @@ func (s *state) sync() {
 	for i := range p.Entities {
 		ent := &p.Entities[i]
 		s.assignment[i] = ent.Bucket
+		s.aff[i] = affTerm{}
+		if ent.PreferWeight < 0 {
+			panic(fmt.Sprintf("solver: entity %d prefers at weight %v", i, ent.PreferWeight))
+		}
+		if ent.Movable && ent.PreferWeight != 0 {
+			domID, ok := dom.index[ent.Prefer]
+			if !ok {
+				domID = -1 // no bucket is in the preferred domain
+			}
+			s.aff[i], s.preferring = affTerm{domID: domID, weight: ent.PreferWeight}, true
+		}
 		for m, l := range ent.Load {
 			s.least[m] = min(s.least[m], l)
 		}
@@ -650,52 +555,30 @@ func (s *state) sync() {
 		}
 	}
 
-	dom := p.domains()
-	s.dom = dom.of
-
-	// One spec state per metric, capacity first.
-	s.specs = s.specs[:0]
-	for _, c := range p.capacitySpecs {
-		s.spec(c.Metric).hard = true
-	}
-	for _, b := range p.balanceSpecs {
-		s.spec(b.Metric).bal = balParams{utilCap: b.UtilCap, maxDiff: b.MaxDiff, weight: b.Weight}
+	s.specs = resize(s.specs, nM)
+	for m := range s.specs {
+		s.fitSpec(m)
 	}
 
 	s.conflict.extra, s.conflict.floor = s.count(&s.conflict)
 	s.spread = rule{}
-	if p.spreadWeight > 0 && len(s.grp.ents) > 0 {
-		s.spread = rule{dom: dom.of, n: len(dom.buckets), weight: p.spreadWeight}
+	if p.SpreadWeight > 0 && len(s.grp.ents) > 0 {
+		s.spread = rule{dom: dom.of, n: len(dom.buckets), weight: p.SpreadWeight}
 		s.spread.extra, s.spread.floor = s.count(&s.spread)
 	}
-
-	if len(s.aff) != len(p.Entities) {
-		s.aff = make([]affTerm, len(p.Entities))
-	}
-	for _, g := range p.affinityGoals[s.nAff:] {
-		if s.aff[g.Entity].weight != 0 {
-			panic(fmt.Sprintf("solver: second affinity goal for entity %d", g.Entity))
-		}
-		domID, ok := dom.index[g.Domain]
-		if !ok {
-			domID = -1 // no bucket is in the preferred domain
-		}
-		s.aff[g.Entity] = affTerm{domID: domID, weight: g.Weight}
-	}
-	s.nAff = len(p.affinityGoals)
 
 	s.drainPen = resize(s.drainPen, len(p.Buckets))
 	s.draining = false
 	for b := range p.Buckets {
 		s.drainPen[b] = 0
-		if p.drainWeight > 0 && p.Buckets[b].Draining {
-			s.drainPen[b] = p.drainWeight
+		if p.DrainWeight > 0 && p.Buckets[b].Draining {
+			s.drainPen[b] = p.DrainWeight
 			s.draining = true
 		}
 	}
 
 	s.affN, s.drainN = 0, 0
-	for e := 0; (s.nAff > 0 || s.draining) && e < len(p.Entities); e++ {
+	for e := 0; (s.preferring || s.draining) && e < len(p.Entities); e++ {
 		if b := s.assignment[e]; b != Unassigned {
 			s.affN += b2i(s.affinityPenalty(EntityID(e), b) > 0)
 			s.drainN += b2i(s.drainPen[b] > 0)
@@ -731,37 +614,35 @@ func grow[T any](buf []T) []T {
 	return append(buf, zero)
 }
 
-// spec returns the spec state of metric, adding it with its buckets'
-// capacities and its mean utilization when it is new.
-func (s *state) spec(metric string) *specState {
+// fitSpec states metric m's load rules: its buckets' capacities, its balance
+// rule and its mean utilization.
+func (s *state) fitSpec(m int) {
 	p := s.p
-	midx := p.MetricIndex(metric)
-	for i := range s.specs {
-		if sp := &s.specs[i]; sp.midx == midx {
-			return sp
+	sp := &s.specs[m]
+	*sp = specState{cap: resize(sp.cap, len(p.Buckets))}
+	if p.Balance != nil {
+		sp.bal = p.Balance[m]
+		if r := sp.bal; r.Weight < 0 || r.Weight > 0 && r.UtilCap <= 0 && r.MaxDiff <= 0 {
+			panic(fmt.Sprintf("solver: balance rule %+v on metric %d", r, m))
 		}
 	}
-	s.specs = grow(s.specs)
-	sp := &s.specs[len(s.specs)-1]
-	*sp = specState{midx: midx, cap: resize(sp.cap, len(p.Buckets))}
 	var totLoad, totCap float64
 	for b := range p.Buckets {
-		sp.cap[b] = p.Buckets[b].Capacity[midx]
+		sp.cap[b] = p.Buckets[b].Capacity[m]
 		totCap += sp.cap[b]
-		totLoad += s.bucketLoad[b][midx]
+		totLoad += s.bucketLoad[b][m]
 	}
 	// Unplaced load joins in entity order: float addition is not
 	// associative, and the balance target must be the same bits on every run
 	// of one input.
 	for e := 0; s.unassigned > 0 && e < len(p.Entities); e++ {
 		if s.assignment[e] == Unassigned {
-			totLoad += p.Entities[e].Load[midx]
+			totLoad += p.Entities[e].Load[m]
 		}
 	}
 	if totCap > 0 {
 		sp.meanUtil = totLoad / totCap
 	}
-	return sp
 }
 
 // affinityPenalty returns the affinity penalty of entity e sitting on bucket b.
@@ -817,14 +698,14 @@ func (s *state) prepare(pr *prepared, e EntityID) {
 	pr.e = e
 	pr.from = from
 	ent := &s.p.Entities[e]
-	for si := range s.specs {
-		sp := &s.specs[si]
-		l := ent.Load[sp.midx]
-		pr.load[si] = l
-		pr.fromDelta[si] = 0
+	for m := range s.specs {
+		sp := &s.specs[m]
+		l := ent.Load[m]
+		pr.load[m] = l
+		pr.fromDelta[m] = 0
 		if from != Unassigned && l != 0 {
-			lf := s.bucketLoad[from][sp.midx]
-			pr.fromDelta[si] = sp.penalty(from, lf-l) - sp.penalty(from, lf)
+			lf := s.bucketLoad[from][m]
+			pr.fromDelta[m] = sp.penalty(from, lf-l) - sp.penalty(from, lf)
 		}
 	}
 	pr.group = s.grp.of[e]
@@ -864,8 +745,8 @@ func (s *state) inert(pr *prepared) bool {
 	if pr.from == Unassigned || s.drainPen[pr.from] != 0 {
 		return false
 	}
-	for si, d := range pr.fromDelta {
-		if d != 0 || pr.load[si] < 0 {
+	for m, d := range pr.fromDelta {
+		if d != 0 || pr.load[m] < 0 {
 			return false
 		}
 	}
@@ -907,7 +788,7 @@ func (s *state) entityPen(e EntityID) float64 {
 		return 0
 	}
 	var pen float64
-	if s.nAff > 0 {
+	if s.preferring {
 		pen = s.affAbove(e, b)
 	}
 	pen += s.drainPen[b]
@@ -953,18 +834,18 @@ func (s *state) evalTarget(pr *prepared, target BucketID) (float64, bool) {
 	delta := pr.base + s.affinityPenalty(pr.e, target) + s.drainPen[target]
 
 	// Hard capacity feasibility + capacity/balance penalty deltas.
-	for si := range s.specs {
-		l := pr.load[si]
+	for m := range s.specs {
+		l := pr.load[m]
 		if l == 0 {
 			continue
 		}
-		sp := &s.specs[si]
-		lt := s.bucketLoad[target][sp.midx]
+		sp := &s.specs[m]
+		lt := s.bucketLoad[target][m]
 		newLoad := lt + l
-		if sp.hard && newLoad > sp.cap[target] {
+		if newLoad > sp.cap[target] {
 			return 0, false
 		}
-		delta += sp.penalty(target, newLoad) - sp.penalty(target, lt) + pr.fromDelta[si]
+		delta += sp.penalty(target, newLoad) - sp.penalty(target, lt) + pr.fromDelta[m]
 	}
 
 	// The spread: joining a domain that already has a group member costs its
@@ -992,19 +873,19 @@ func (s *state) apply(e EntityID, target BucketID) {
 
 	// Capacity and balance penalties follow the two buckets' loads, which
 	// the bucketLoad update at the end commits.
-	for si := range s.specs {
-		sp := &s.specs[si]
-		l := ent.Load[sp.midx]
+	for m := range s.specs {
+		sp := &s.specs[m]
+		l := ent.Load[m]
 		if l == 0 {
 			continue
 		}
 		if from != Unassigned {
-			lf := s.bucketLoad[from][sp.midx]
+			lf := s.bucketLoad[from][m]
 			if d := sp.penalty(from, lf-l) - sp.penalty(from, lf); d != 0 {
 				hot.add(from, d)
 			}
 		}
-		lt := s.bucketLoad[target][sp.midx]
+		lt := s.bucketLoad[target][m]
 		if d := sp.penalty(target, lt+l) - sp.penalty(target, lt); d != 0 {
 			hot.add(target, d)
 		}
@@ -1097,22 +978,22 @@ func (v ViolationCounts) Total() int {
 // took and apply keeps. It is for reporting, not the hot path.
 func (s *state) violations() ViolationCounts {
 	var v ViolationCounts
-	for si := range s.specs {
-		sp := &s.specs[si]
+	for m := range s.specs {
+		sp := &s.specs[m]
 		bp := &sp.bal
 		for b, c := range sp.cap {
-			load := s.bucketLoad[b][sp.midx]
-			if sp.hard && load > c+1e-9 {
+			load := s.bucketLoad[b][m]
+			if load > c+1e-9 {
 				v.Capacity++
 			}
-			if bp.weight == 0 || c <= 0 {
+			if bp.Weight == 0 || c <= 0 {
 				continue
 			}
 			u := load / c
-			if bp.utilCap > 0 && u > bp.utilCap+1e-9 {
+			if bp.UtilCap > 0 && u > bp.UtilCap+1e-9 {
 				v.Balance++
 			}
-			if bp.maxDiff > 0 && u > sp.meanUtil+bp.maxDiff+1e-9 {
+			if bp.MaxDiff > 0 && u > sp.meanUtil+bp.MaxDiff+1e-9 {
 				v.Balance++
 			}
 		}
@@ -1147,32 +1028,32 @@ func (s *state) floor() ViolationCounts {
 			v.Affinity++
 		}
 	}
-	for si := range s.specs {
-		sp := &s.specs[si]
-		largest := s.most[sp.midx]
+	for m := range s.specs {
+		sp := &s.specs[m]
+		largest := s.most[m]
 		var total, capSum, capMax float64
-		ok := s.least[sp.midx] >= 0
+		ok := s.least[m] >= 0
 		for b, c := range sp.cap {
 			ok = ok && c > 0
 			capSum += c
 			capMax = max(capMax, c)
-			total += s.bucketLoad[b][sp.midx]
+			total += s.bucketLoad[b][m]
 		}
 		if !ok {
 			continue
 		}
 		// The sums have room for their own rounding; the thresholds are the
 		// ones violations counts by.
-		if sp.hard && (total > (capSum+1e-9*float64(len(sp.cap)))*(1+1e-9) || largest > capMax+1e-9) {
+		if total > (capSum+1e-9*float64(len(sp.cap)))*(1+1e-9) || largest > capMax+1e-9 {
 			v.Capacity++
 		}
 		forced := func(util float64) bool {
 			util += 1e-9
 			return total > util*capSum*(1+1e-9) || largest/capMax > util
 		}
-		if bp := &sp.bal; bp.weight != 0 {
-			v.Balance += b2i(bp.utilCap > 0 && forced(bp.utilCap))
-			v.Balance += b2i(bp.maxDiff > 0 && forced(sp.meanUtil+bp.maxDiff))
+		if bp := &sp.bal; bp.Weight != 0 {
+			v.Balance += b2i(bp.UtilCap > 0 && forced(bp.UtilCap))
+			v.Balance += b2i(bp.MaxDiff > 0 && forced(sp.meanUtil+bp.MaxDiff))
 		}
 	}
 	return v
@@ -1184,13 +1065,12 @@ func (s *state) floor() ViolationCounts {
 // sync, so a state synced again seeds the same bits.
 func (s *state) seedPenalty(b BucketID) float64 {
 	var pen float64
-	for si := range s.specs {
-		sp := &s.specs[si]
-		pen += sp.penalty(b, s.bucketLoad[b][sp.midx])
+	for m := range s.specs {
+		pen += s.specs[m].penalty(b, s.bucketLoad[b][m])
 	}
-	// Without affinity goals, a drain or a spread an entity carries nothing,
-	// so none is read.
-	if s.nAff == 0 && s.drainPen[b] == 0 && s.spread.weight == 0 {
+	// Without a preference, a drain or a spread an entity carries nothing, so
+	// none is read.
+	if !s.preferring && s.drainPen[b] == 0 && s.spread.weight == 0 {
 		return pen
 	}
 	for _, e := range s.byBucket[b] {

@@ -16,7 +16,7 @@ import (
 // "cpu") and nEntities entities of the given load, all initially on bucket
 // 0 (maximally imbalanced).
 func buildSkewed(nBuckets, nEntities int, load float64) *Problem {
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	for i := 0; i < nBuckets; i++ {
 		p.AddBucket(Bucket{
 			Capacity: []float64{100},
@@ -37,8 +37,7 @@ func buildSkewed(nBuckets, nEntities int, load float64) *Problem {
 func TestSolveBalancesLoad(t *testing.T) {
 	// 40 entities x 10 load on one of 8 buckets: bucket 0 holds 400/100.
 	p := buildSkewed(8, 40, 10)
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
+	p.Balance = []BalanceRule{{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}}
 	res := Solve(p, DefaultOptions())
 	if res.Initial.Total() == 0 {
 		t.Fatal("initial state should violate")
@@ -60,14 +59,13 @@ func TestSolveRespectsHardCapacity(t *testing.T) {
 	// 2 buckets: one tiny (cap 10), one large. 5 entities of load 10 on
 	// the large bucket; moving more than one to the tiny bucket would
 	// overflow it.
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	big := p.AddBucket(Bucket{Capacity: []float64{100}})
 	p.AddBucket(Bucket{Capacity: []float64{10}})
 	for i := 0; i < 5; i++ {
 		p.AddEntity(Entity{Load: []float64{10}, Bucket: big, Movable: true, Group: -1})
 	}
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.01, Weight: 1})
+	p.Balance = []BalanceRule{{MaxDiff: 0.01, Weight: 1}}
 	res := Solve(p, DefaultOptions())
 	st := newState(p)
 	if st.bucketLoad[1][0] > 10 {
@@ -79,15 +77,14 @@ func TestSolveRespectsHardCapacity(t *testing.T) {
 }
 
 func TestSolvePlacesUnassignedEntities(t *testing.T) {
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	for i := 0; i < 4; i++ {
 		p.AddBucket(Bucket{Capacity: []float64{100}})
 	}
 	for i := 0; i < 20; i++ {
 		p.AddEntity(Entity{Load: []float64{5}, Bucket: Unassigned, Movable: true, Group: -1})
 	}
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, Weight: 1})
+	p.Balance = []BalanceRule{{UtilCap: 0.9, Weight: 1}}
 	res := Solve(p, DefaultOptions())
 	if res.Initial.Unassigned != 20 {
 		t.Fatalf("initial unassigned = %d", res.Initial.Unassigned)
@@ -104,11 +101,10 @@ func TestSolvePlacesUnassignedEntities(t *testing.T) {
 
 func TestSolveHonorsAffinity(t *testing.T) {
 	p := buildSkewed(8, 16, 10)
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.2, Weight: 1})
+	p.Balance = []BalanceRule{{UtilCap: 0.9, MaxDiff: 0.2, Weight: 1}}
 	// Entities 0..7 prefer region r1 (odd buckets).
 	for i := 0; i < 8; i++ {
-		p.AddAffinityGoal(AffinityGoal{Entity: EntityID(i), Domain: "r1", Weight: 5})
+		p.Entities[EntityID(i)].Prefer, p.Entities[EntityID(i)].PreferWeight = "r1", 5
 	}
 	res := Solve(p, DefaultOptions())
 	if res.Final.Affinity != 0 {
@@ -126,7 +122,7 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 	// 3 replicas per group, 6 buckets across 3 regions; the spread should
 	// land each group's replicas in distinct regions, and the bucket rule,
 	// broken by the start, holds at the end.
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	for i := 0; i < 6; i++ {
 		p.AddBucket(Bucket{
 			Capacity: []float64{100},
@@ -143,8 +139,7 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 			})
 		}
 	}
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddSpreadGoal(10)
+	p.SpreadWeight = 10
 	res := Solve(p, DefaultOptions())
 	if res.Final.Exclusion != 0 || res.Final.Conflict != 0 {
 		t.Fatalf("final %+v (initial %+v)", res.Final, res.Initial)
@@ -166,15 +161,14 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 }
 
 func TestSolveDrainsMarkedBuckets(t *testing.T) {
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	draining := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
 	p.AddBucket(Bucket{Capacity: []float64{100}})
 	p.AddBucket(Bucket{Capacity: []float64{100}})
 	for i := 0; i < 10; i++ {
 		p.AddEntity(Entity{Load: []float64{5}, Bucket: draining, Movable: true, Group: -1})
 	}
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddDrainGoal(10)
+	p.DrainWeight = 10
 	res := Solve(p, DefaultOptions())
 	if res.Final.Drain != 0 {
 		t.Fatalf("drain violations = %d", res.Final.Drain)
@@ -184,8 +178,7 @@ func TestSolveDrainsMarkedBuckets(t *testing.T) {
 func TestPinnedEntitiesNeverMove(t *testing.T) {
 	p := buildSkewed(4, 10, 10)
 	p.Entities[0].Movable = false
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.05, Weight: 1})
+	p.Balance = []BalanceRule{{MaxDiff: 0.05, Weight: 1}}
 	res := Solve(p, DefaultOptions())
 	for _, m := range res.Moves {
 		if m.Entity == 0 {
@@ -200,8 +193,7 @@ func TestPinnedEntitiesNeverMove(t *testing.T) {
 func TestSolveDeterministicForSeed(t *testing.T) {
 	run := func() []Move {
 		p := buildSkewed(8, 40, 10)
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
+		p.Balance = []BalanceRule{{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}}
 		return Solve(p, DefaultOptions()).Moves
 	}
 	a, b := run(), run()
@@ -224,7 +216,7 @@ func TestSolveDeterministicForSeed(t *testing.T) {
 // out; a move home returns a unit and brings them back, and a move away
 // spends it again.
 func TestCandidateEntitiesCarryingFirst(t *testing.T) {
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r0"})
 	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r0"})
 	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r1"})
@@ -248,7 +240,7 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 		}
 		p.AddEntity(Entity{Load: []float64{1}, Bucket: b, Movable: true, Group: int32(i)})
 	}
-	p.AddSpreadGoal(1)
+	p.SpreadWeight = 1
 
 	// offered lists b0's movable entities the contract's way, judging each
 	// with a fresh prepare.
@@ -353,12 +345,12 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 // (1 + 1) is not — so the sum must take the entities in one order on every
 // build of one input.
 func TestMeanUtilSummedInEntityOrder(t *testing.T) {
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	p.AddBucket(Bucket{Capacity: []float64{1}})
 	for _, l := range []float64{1e16, 1, 1} {
 		p.AddEntity(Entity{Load: []float64{l}, Bucket: Unassigned, Movable: true, Group: -1})
 	}
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
+	p.Balance = []BalanceRule{{MaxDiff: 0.1, Weight: 1}}
 	want := math.Float64bits(newState(p).specs[0].meanUtil)
 	for i := 1; i < 64; i++ {
 		if got := math.Float64bits(newState(p).specs[0].meanUtil); got != want {
@@ -376,8 +368,7 @@ func TestViolationCountsTotal(t *testing.T) {
 
 func TestProgressCallbackInvoked(t *testing.T) {
 	p := buildSkewed(8, 40, 10)
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
+	p.Balance = []BalanceRule{{MaxDiff: 0.1, Weight: 1}}
 	opt := DefaultOptions()
 	n, last := 0, 0
 	opt.Progress = func(pi ProgressInfo) {
@@ -413,7 +404,7 @@ func TestGroupedSamplerCapsAtK(t *testing.T) {
 	// 8 domains, one bucket each; k=3 must return exactly 3 candidates
 	// (the old sampler returned len(domains) = 8), and successive calls
 	// must rotate through the domains so all of them get covered.
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	for i := 0; i < 8; i++ {
 		p.AddBucket(Bucket{
 			Capacity: []float64{100},
@@ -445,8 +436,7 @@ func TestGroupedSamplerCapsAtK(t *testing.T) {
 func TestEvalBudgetRespected(t *testing.T) {
 	run := func() *Result {
 		p := buildSkewed(16, 200, 5)
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.05, Weight: 1})
+		p.Balance = []BalanceRule{{MaxDiff: 0.05, Weight: 1}}
 		opt := DefaultOptions()
 		opt.EvalBudget = 500
 		return Solve(p, opt)
@@ -459,8 +449,7 @@ func TestEvalBudgetRespected(t *testing.T) {
 	}
 	unbudgeted := func() *Result {
 		p := buildSkewed(16, 200, 5)
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.05, Weight: 1})
+		p.Balance = []BalanceRule{{MaxDiff: 0.05, Weight: 1}}
 		return Solve(p, DefaultOptions())
 	}()
 	if res.Evaluated >= unbudgeted.Evaluated {
@@ -480,7 +469,7 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 		r := sim.NewRNG(seed)
 		nB := 2 + r.Intn(6)
 		nE := 1 + r.Intn(30)
-		p := NewProblem([]string{"cpu"})
+		p := NewProblem(1)
 		for i := 0; i < nB; i++ {
 			p.AddBucket(Bucket{Capacity: []float64{100}})
 		}
@@ -490,8 +479,7 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 			total += l
 			p.AddEntity(Entity{Load: []float64{l}, Bucket: BucketID(r.Intn(nB)), Movable: true, Group: -1})
 		}
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
-		p.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
+		p.Balance = []BalanceRule{{MaxDiff: 0.1, Weight: 1}}
 		opt := DefaultOptions()
 		opt.Seed = seed
 		Solve(p, opt)
@@ -507,45 +495,31 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 }
 
 func TestBuilderPanics(t *testing.T) {
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	p.AddBucket(Bucket{Capacity: []float64{1}})
-	for name, fn := range map[string]func(){
-		"no metrics":      func() { NewProblem(nil) },
-		"dup metrics":     func() { NewProblem([]string{"a", "a"}) },
-		"bad bucket":      func() { p.AddBucket(Bucket{Capacity: []float64{1, 2}}) },
-		"bad entity":      func() { p.AddEntity(Entity{Load: []float64{1, 2}}) },
-		"bad assignment":  func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: 99}) },
-		"unknown metric":  func() { p.AddConstraint(CapacitySpec{Metric: "nope"}) },
-		"balance weight":  func() { p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9}) },
-		"balance no rule": func() { p.AddBalanceGoal(BalanceSpec{Metric: "cpu", Weight: 1}) },
-		"affinity weight": func() { p.AddAffinityGoal(AffinityGoal{Entity: 0, Domain: "d"}) },
-		"second capacity": func() {
-			q := NewProblem([]string{"cpu"})
-			q.AddConstraint(CapacitySpec{Metric: "cpu"})
-			q.AddConstraint(CapacitySpec{Metric: "cpu"})
-		},
-		"second balance": func() {
-			q := NewProblem([]string{"cpu"})
-			q.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, Weight: 1})
-			q.AddBalanceGoal(BalanceSpec{Metric: "cpu", MaxDiff: 0.1, Weight: 1})
-		},
-		"second affinity": func() {
-			q := NewProblem([]string{"cpu"})
+	// solved solves a one-bucket, one-entity problem with edit applied: a goal
+	// field is read, and checked, when Solve syncs the state.
+	solved := func(edit func(q *Problem)) func() {
+		return func() {
+			q := NewProblem(1)
 			q.AddBucket(Bucket{Capacity: []float64{1}})
-			e := q.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
-			q.AddAffinityGoal(AffinityGoal{Entity: e, Domain: "b", Weight: 1})
-			q.AddAffinityGoal(AffinityGoal{Entity: e, Domain: "b", Weight: 1})
+			q.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
+			edit(q)
 			Solve(q, DefaultOptions())
-		},
-		"spread weight":   func() { p.AddSpreadGoal(0) },
-		"negative spread": func() { p.AddSpreadGoal(-1) },
-		"second spread": func() {
-			q := NewProblem([]string{"cpu"})
-			q.AddSpreadGoal(1)
-			q.AddSpreadGoal(2)
-		},
-		"group below -1": func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Group: -2}) },
-		"drain weight":   func() { p.AddDrainGoal(0) },
+		}
+	}
+	for name, fn := range map[string]func(){
+		"no metrics":       func() { NewProblem(0) },
+		"bad bucket":       func() { p.AddBucket(Bucket{Capacity: []float64{1, 2}}) },
+		"bad entity":       func() { p.AddEntity(Entity{Load: []float64{1, 2}}) },
+		"bad assignment":   func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: 99}) },
+		"group below -1":   func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Group: -2}) },
+		"balance rules":    solved(func(q *Problem) { q.Balance = []BalanceRule{{}, {}} }),
+		"balance weight":   solved(func(q *Problem) { q.Balance = []BalanceRule{{UtilCap: 0.9, Weight: -1}} }),
+		"balance no limit": solved(func(q *Problem) { q.Balance = []BalanceRule{{Weight: 1}} }),
+		"negative spread":  solved(func(q *Problem) { q.SpreadWeight = -1 }),
+		"negative drain":   solved(func(q *Problem) { q.DrainWeight = -1 }),
+		"negative prefer":  solved(func(q *Problem) { q.Entities[0].PreferWeight = -1 }),
 	} {
 		func() {
 			defer func() {
@@ -559,39 +533,28 @@ func TestBuilderPanics(t *testing.T) {
 }
 
 // freshCopy builds from nothing a problem stated as p now is: its buckets,
-// its entities where they sit (with their Home), and its goals.
+// its entities where they sit (with their Home and preference), and its goals.
 func freshCopy(p *Problem) *Problem {
-	q := NewProblem(p.Metrics)
+	q := NewProblem(p.metrics)
 	for _, b := range p.Buckets {
 		q.AddBucket(b)
 	}
 	for _, e := range p.Entities {
-		id := q.AddEntity(Entity{Load: append([]float64(nil), e.Load...), Bucket: e.Bucket, Movable: e.Movable, Group: e.Group})
+		e.Load = slices.Clone(e.Load)
+		id := q.AddEntity(e)
 		q.Entities[id].Home = e.Home
 	}
-	for _, c := range p.capacitySpecs {
-		q.AddConstraint(c)
-	}
-	for _, b := range p.balanceSpecs {
-		q.AddBalanceGoal(b)
-	}
-	for _, g := range p.affinityGoals {
-		q.AddAffinityGoal(g)
-	}
-	if p.spreadWeight > 0 {
-		q.AddSpreadGoal(p.spreadWeight)
-	}
-	if p.drainWeight > 0 {
-		q.AddDrainGoal(p.drainWeight)
-	}
+	q.Balance = slices.Clone(p.Balance)
+	q.SpreadWeight, q.DrainWeight = p.SpreadWeight, p.DrainWeight
 	return q
 }
 
-// TestKeptStateSolvesAsAFreshOne: a problem solved in goal stages, then
-// stated again — ClearGoals, its entities placed anew in place, its goals
-// added again — and solved in stages again, gives at every Solve what a
-// problem built from nothing with the same statement gives: the same moves,
-// counts and evaluations, to the bit. So does it after its buckets are
+// TestKeptStateSolvesAsAFreshOne: a problem solved in the allocator's two goal
+// stages, placement without balance and then with it, then stated again — its
+// entities placed anew in place, a third of their preferences set, changed or
+// cleared, some pinned or freed — and solved in stages again, gives at every
+// Solve what a problem built from nothing with the same statement gives: the
+// same moves, counts and evaluations, to the bit. So does it after its buckets are
 // restated through ClearBuckets: one removed, with its entities unplaced and
 // the later buckets renumbered; the removed one added back; and all of them
 // in reverse order, the same count with the domains first seen in another
@@ -600,7 +563,7 @@ func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := sim.NewRNG(seed)
 		p := randomProblem(rng)
-		all := freshCopy(p) // the goals, kept aside
+		balance := p.Balance
 		opt := DefaultOptions()
 		opt.Seed = seed
 		opt.MoveBudget = rng.Intn(4) // 0 is none
@@ -619,32 +582,28 @@ func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
 		}
 		stages := func(run string) {
 			t.Helper()
-			p.ClearGoals()
-			for _, c := range all.capacitySpecs {
-				p.AddConstraint(c)
-			}
-			p.AddDrainGoal(all.drainWeight)
-			solve(run + ", critical stage")
-			if all.spreadWeight > 0 {
-				p.AddSpreadGoal(all.spreadWeight)
-			}
-			for _, g := range all.affinityGoals {
-				p.AddAffinityGoal(g)
-			}
+			p.Balance = nil
 			solve(run + ", placement stage")
-			for _, b := range all.balanceSpecs {
-				p.AddBalanceGoal(b)
-			}
+			p.Balance = balance
 			solve(run + ", balance stage")
 		}
 		stages("first run")
 		for i := range p.Entities {
+			e := &p.Entities[i]
 			if b := BucketID(rng.Intn(len(p.Buckets)+1)) - 1; rng.Intn(3) == 0 {
-				p.Entities[i].Bucket, p.Entities[i].Home = b, b
+				e.Bucket, e.Home = b, b
 			} else {
-				p.Entities[i].Home = p.Entities[i].Bucket
+				e.Home = e.Bucket
 			}
-			p.Entities[i].Load[0] *= 0.5 + rng.Float64()
+			e.Load[0] *= 0.5 + rng.Float64()
+			switch rng.Intn(6) {
+			case 0: // set or changed
+				e.Prefer, e.PreferWeight = fmt.Sprintf("r%d", rng.Intn(4)), 1+4*rng.Float64()
+			case 1: // cleared
+				e.Prefer, e.PreferWeight = "", 0
+			case 2:
+				e.Movable = !e.Movable
+			}
 		}
 		stages("second run")
 

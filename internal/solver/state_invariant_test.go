@@ -17,7 +17,7 @@ import (
 func randomProblem(rng *sim.RNG) *Problem {
 	nB := 3 + rng.Intn(6)
 	nE := 5 + rng.Intn(40)
-	p := NewProblem([]string{"cpu", "mem"})
+	p := NewProblem(2)
 	for i := 0; i < nB; i++ {
 		p.AddBucket(Bucket{
 			Capacity: []float64{50 + 100*rng.Float64(), 200},
@@ -35,26 +35,22 @@ func randomProblem(rng *sim.RNG) *Problem {
 		if rng.Intn(2) == 0 {
 			g = int32(i % nGroups)
 		}
-		id := p.AddEntity(Entity{
+		e := Entity{
 			Load:    []float64{1 + 9*rng.Float64(), 1 + 4*rng.Float64()},
 			Bucket:  b,
 			Movable: true,
 			Group:   g,
-		})
-		if rng.Intn(3) == 0 {
-			p.AddAffinityGoal(AffinityGoal{
-				Entity: id, Domain: fmt.Sprintf("r%d", rng.Intn(3)), Weight: 1 + 4*rng.Float64(),
-			})
 		}
+		if rng.Intn(3) == 0 {
+			e.Prefer, e.PreferWeight = fmt.Sprintf("r%d", rng.Intn(3)), 1+4*rng.Float64()
+		}
+		p.AddEntity(e)
 	}
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddConstraint(CapacitySpec{Metric: "mem"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
-	p.AddBalanceGoal(BalanceSpec{Metric: "mem", MaxDiff: 0.2, Weight: 0.5})
+	p.Balance = []BalanceRule{{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}, {MaxDiff: 0.2, Weight: 0.5}}
 	if rng.Intn(4) != 0 {
-		p.AddSpreadGoal(3)
+		p.SpreadWeight = 3
 	}
-	p.AddDrainGoal(2)
+	p.DrainWeight = 2
 	return p
 }
 
@@ -217,7 +213,7 @@ func (s *state) bucketPenalty(b BucketID) float64 {
 	var pen float64
 	for si := range s.specs {
 		sp := &s.specs[si]
-		pen += sp.penalty(b, s.bucketLoad[b][sp.midx])
+		pen += sp.penalty(b, s.bucketLoad[b][si])
 	}
 	sp := &s.spread
 	for _, e := range s.byBucket[b] {
@@ -379,7 +375,7 @@ func (st *state) softObjective() float64 {
 	for si := range st.specs {
 		sp := &st.specs[si]
 		for b := range st.bucketLoad {
-			total += sp.penalty(BucketID(b), st.bucketLoad[b][sp.midx])
+			total += sp.penalty(BucketID(b), st.bucketLoad[b][si])
 		}
 	}
 	for e := range st.p.Entities {
@@ -491,13 +487,9 @@ func TestFloorIsALowerBound(t *testing.T) {
 	var seen ViolationCounts
 	for seed := uint64(1); seed <= 300; seed++ {
 		p := randomProblem(sim.NewRNG(seed))
-		preferring := make([]bool, len(p.Entities))
-		for _, g := range p.affinityGoals {
-			preferring[g.Entity] = true
-		}
 		for e := 0; e < len(p.Entities); e += 5 {
-			if !preferring[e] {
-				p.AddAffinityGoal(AffinityGoal{Entity: EntityID(e), Domain: "r9", Weight: 2})
+			if ent := &p.Entities[e]; ent.PreferWeight == 0 {
+				ent.Prefer, ent.PreferWeight = "r9", 2
 			}
 		}
 		for e := 1; e < len(p.Entities); e += 3 {
@@ -569,15 +561,14 @@ func TestEveryAppliedMoveLowersTheObjective(t *testing.T) {
 	// take the hot bucket from 3 to 0 and the cold one from 0 to 3, a delta of
 	// 0, though it still fits. A runner-up applied on its grid delta, even
 	// after a feasibility check, fails here.
-	p := NewProblem([]string{"cpu"})
+	p := NewProblem(1)
 	for range 2 {
 		p.AddBucket(Bucket{Capacity: []float64{20}, Domain: "r0"})
 	}
 	for range 3 {
 		p.AddEntity(Entity{Load: []float64{4}, Bucket: 0, Movable: true, Group: -1})
 	}
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.25, Weight: 1})
+	p.Balance = []BalanceRule{{UtilCap: 0.25, Weight: 1}}
 	replay := newState(freshCopy(p))
 	c := newSolveCtx(p, DefaultOptions())
 	b, _ := c.st.hot.top()
@@ -657,7 +648,7 @@ func TestMoveDeltaAllocFree(t *testing.T) {
 func TestConflictFeasibilityNeverColocates(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		p := NewProblem([]string{"cpu"})
+		p := NewProblem(1)
 		nB := 2 + rng.Intn(4)
 		for i := 0; i < nB; i++ {
 			p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: fmt.Sprintf("r%d", i%2)})
@@ -665,9 +656,8 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 		for i := range 12 {
 			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: int32(i % 4)})
 		}
-		p.AddConstraint(CapacitySpec{Metric: "cpu"})
 		if seed%2 == 1 {
-			p.AddSpreadGoal(1)
+			p.SpreadWeight = 1
 		}
 		st := newState(p)
 		for step := 0; step < 200; step++ {
@@ -698,8 +688,7 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 // problem must produce no moves.
 func TestSolveIdempotentOnCleanState(t *testing.T) {
 	p := buildSkewed(8, 40, 10)
-	p.AddConstraint(CapacitySpec{Metric: "cpu"})
-	p.AddBalanceGoal(BalanceSpec{Metric: "cpu", UtilCap: 0.9, MaxDiff: 0.1, Weight: 1})
+	p.Balance = []BalanceRule{{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}}
 	first := Solve(p, DefaultOptions())
 	if first.Final.Total() != 0 {
 		t.Fatalf("first solve left violations: %+v", first.Final)
@@ -762,10 +751,10 @@ func TestCountMatchesAScan(t *testing.T) {
 	rng := sim.NewRNG(5)
 	pinnedFloors := 0
 	for trial := 0; trial < 200; trial++ {
-		p := NewProblem([]string{"cpu"})
+		p := NewProblem(1)
 		nB := 2 + rng.Intn(4)
 		for b := 0; b < nB; b++ {
-			p.AddBucket(Bucket{Capacity: []float64{10}, Domain: fmt.Sprintf("r%d", b%2)})
+			p.AddBucket(Bucket{Capacity: []float64{100}, Domain: fmt.Sprintf("r%d", b%2)})
 		}
 		groups := int32(0)
 		for ; len(p.Entities) < 30; groups++ {
@@ -776,7 +765,7 @@ func TestCountMatchesAScan(t *testing.T) {
 		}
 		rules := map[string]*rule{}
 		if trial%2 == 0 {
-			p.AddSpreadGoal(1)
+			p.SpreadWeight = 1
 		}
 		st := newState(p)
 		rules["bucket"] = &st.conflict
