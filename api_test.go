@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -197,8 +198,7 @@ func TestOptionStructFields(t *testing.T) {
 		reflect.TypeOf(appserver.Host{}): nil,
 		reflect.TypeOf(allocator.Policy{}): {"Metrics", "UtilCap", "MaxDiff", "SpreadLevel", "SpreadWeight",
 			"AffinityWeight", "PerShardMoveCap", "MaxTotalMoves"},
-		reflect.TypeOf(solver.Options{}): {"EvalBudget", "MoveBudget", "CandidateTargets", "BigFirst",
-			"Sampler", "Seed", "Progress"},
+		reflect.TypeOf(solver.Options{}):        {"EvalBudget", "MoveBudget", "Seed", "Uniform", "Progress"},
 		reflect.TypeOf(routing.Options{}):       {"MaxAttempts"},
 		reflect.TypeOf(taskcontroller.Policy{}): {"DrainOnRestart", "MaxConcurrentOps", "MaxUnavailableReplicas"},
 		reflect.TypeOf(cluster.Options{}):       {"StartDuration", "RestartDuration", "NegotiationDelay"},
@@ -218,6 +218,50 @@ func TestOptionStructFields(t *testing.T) {
 	}
 	if n := reflect.TypeOf(trace.New).NumIn(); n != 0 {
 		t.Errorf("trace.New takes %d parameters, want none: the tracer has no options", n)
+	}
+}
+
+// TestSolverSearchesOneWay pins what went when §5.3's sampling and ordering
+// became the solver's own search: no sampler type or constructor, no view of
+// the search's state, no default-options constructor (a caller writes its
+// seed), and no figure that ablates big-first by option (the mutant
+// no-big-first does). Fig 22's baseline is Options.Uniform. (Names assembled
+// from stems, as above.)
+func TestSolverSearchesOneWay(t *testing.T) {
+	files, err := filepath.Glob("internal/solver/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := map[string]bool{"Sam" + "pler": true, "Vi" + "ew": true, "Random" + "Sampler": true,
+		"Grouped" + "Sampler": true, "Default" + "Options": true}
+	for _, name := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			var ids []string
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					ids = append(ids, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						ids = append(ids, ts.Name.Name)
+					}
+				}
+			}
+			for _, id := range ids {
+				if gone[id] {
+					t.Errorf("%s declares solver.%s: the solver draws its targets one way, and Options has no defaults to fill", name, id)
+				}
+			}
+		}
+	}
+	if slices.Contains(experiments.IDs(), "abl"+"ations") {
+		t.Errorf("experiment %q is registered: big-first is ablated by a mutant, not by an option", "abl"+"ations")
 	}
 }
 
@@ -345,7 +389,7 @@ func exportedFields(typ reflect.Type) []string {
 // (no conflict or exclusion-goal adder: the bucket rule comes with the
 // grouping; names assembled from stems, as above). No goal names a scope
 // either: a bucket has one domain, which the spread, a preference and the
-// grouped sampler all read, so the spread is only its weight, and a
+// solver's target draw all read, so the spread is only its weight, and a
 // capacity or balance rule judges each server's load, which the search
 // already sums. Every goal is a field, of the problem or of the entity that
 // prefers, not an element of a list that is cleared and stated again.

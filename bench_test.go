@@ -58,9 +58,9 @@ func BenchmarkFig19GeoFailover(b *testing.B)        { benchExperiment(b, "fig19"
 func BenchmarkFig20DBShardFollowing(b *testing.B)   { benchExperiment(b, "fig20") }
 func BenchmarkFig23ContinuousLB(b *testing.B)       { benchExperiment(b, "fig23") }
 
-// Fig 21/22 and the extra ablations are solver stress tests; the quick
-// registry entries are still multi-second, so bench tighter configurations
-// here and leave the full sweep to smbench.
+// Fig 21/22 are solver stress tests; the quick registry entries are still
+// multi-second, so bench tighter configurations here and leave the full sweep
+// to smbench.
 
 func BenchmarkFig21SolverScale(b *testing.B) {
 	p := experiments.DefaultSolverScaleParams()
@@ -142,10 +142,7 @@ func BenchmarkSolverMoveEvaluation(b *testing.B) {
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		opt := solver.DefaultOptions()
-		opt.Seed = uint64(i + 1)
-		opt.EvalBudget = 50_000
-		res := solver.Solve(p, opt)
+		res := solver.Solve(p, solver.Options{Seed: uint64(i + 1), EvalBudget: 50_000})
 		total += res.Evaluated
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "evals/op")

@@ -93,7 +93,7 @@ func (m Mode) String() string {
 // Policy configures the allocator for one application.
 type Policy struct {
 	// Metrics to balance on; the first is the primary metric used for
-	// big-first ordering and sampler utilization bias.
+	// big-first ordering and the target draw's utilization bias.
 	Metrics []topology.Resource
 	// UtilCap is the per-server utilization threshold (§5.1 soft goal 4);
 	// 0 disables.
@@ -118,10 +118,10 @@ type Policy struct {
 }
 
 // What every application gets (§5.3's optimizations are not per-application
-// policy: Run always samples by group, orders big shards first and solves the
-// goals in two priority batches; smbench -fig fig22 measures the sampling and
-// -fig ablations big-shards-first on solver.Options directly, and no run
-// measures the batches).
+// policy: the solver always samples by region and orders big shards first, and
+// Run always solves the goals in two priority batches; smbench -fig fig22
+// measures the sampling against Options.Uniform, the mutant no-big-first
+// measures big-shards-first, and no run measures the batches).
 const (
 	// drainWeight penalizes a replica on a draining server (§5.1 soft goal 3).
 	drainWeight = 500
@@ -496,15 +496,11 @@ func (p *Problem) run(mode Mode) *Result {
 	}
 
 	res := &Result{}
-	opt := solver.DefaultOptions()
-	opt.Seed = p.a.seed
 	// Both batches spend one budget: an entity's Home is where this run
 	// found it.
-	opt.MoveBudget = pol.MaxTotalMoves
+	opt := solver.Options{Seed: p.a.seed, MoveBudget: pol.MaxTotalMoves}
 	start := time.Now()
 	solve := func() {
-		// A sampler keeps a rotation; every batch starts a fresh one.
-		opt.Sampler = solver.GroupedSampler(prob, 0)
 		sres := solver.Solve(prob, opt)
 		if res.Solves == 0 {
 			res.Initial = sres.Initial

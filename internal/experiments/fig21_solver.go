@@ -41,14 +41,15 @@ func DefaultSolverScaleParams() SolverScaleParams {
 // make domain-guided sampling matter (§5.3; Fig 22's ablation uses it).
 func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 	const geoRegions = 24
-	// The metrics are storage, CPU and shard count, in that order.
+	// The metrics are CPU, storage and shard count, in that order: the
+	// solver's cold bias and big-first ordering read metric 0.
 	p := solver.NewProblem(3)
 	for i := 0; i < servers; i++ {
 		// Heterogeneous hardware: storage capacity varies up to 20%.
 		storageCap := 1000 * (1 + 0.2*rng.Float64())
 		// A bucket's domain is its hardware class, or its region in the geo
 		// variant.
-		b := solver.Bucket{Capacity: []float64{storageCap, 100, 1000}, Domain: fmt.Sprintf("g%d", i%8)}
+		b := solver.Bucket{Capacity: []float64{100, storageCap, 1000}, Domain: fmt.Sprintf("g%d", i%8)}
 		if geo {
 			b.Domain = fmt.Sprintf("region%02d", i%geoRegions)
 		}
@@ -70,7 +71,7 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 	for i := 0; i < shards; i++ {
 		skew := 0.1 + 1.9*rng.Float64() // 20x spread around the mean
 		e := solver.Entity{
-			Load:    []float64{baseStorage * skew, baseCPU * skew, 1},
+			Load:    []float64{baseCPU * skew, baseStorage * skew, 1},
 			Bucket:  solver.BucketID(rng.Intn(servers)),
 			Movable: true,
 			Group:   -1,
@@ -119,9 +120,7 @@ func Fig21(params SolverScaleParams) *Report {
 		rng := sim.NewRNG(params.Seed)
 		p := zippyProblem(rng, servers, shards, false)
 		curve := Curve{Name: fmt.Sprintf("%dK shards on %dK servers", shards/1000, servers/1000), Unit: "violations"}
-		opt := solver.DefaultOptions()
-		opt.Seed = params.Seed
-		opt.Sampler = solver.GroupedSampler(p, 1) // utilization bias on CPU
+		opt := solver.Options{Seed: params.Seed}
 		opt.Progress = func(pi solver.ProgressInfo) {
 			curve.Points = append(curve.Points, point(evalTime(pi.Evaluated), float64(pi.Violations.Total())))
 		}
@@ -152,7 +151,7 @@ func Fig21(params SolverScaleParams) *Report {
 	return r
 }
 
-// SolverAblationParams configure Fig 22 and the extra §5.3 ablations.
+// SolverAblationParams configure Fig 22.
 type SolverAblationParams struct {
 	Servers, Shards int
 	Seed            uint64
@@ -165,13 +164,14 @@ func DefaultSolverAblationParams() SolverAblationParams {
 	return SolverAblationParams{Servers: 600, Shards: 45000, Seed: 1}
 }
 
-// ablationVariant is one solver configuration under test.
-type ablationVariant struct {
-	name  string
-	tweak func(*solver.Options, *solver.Problem)
-}
-
-func runAblation(params SolverAblationParams, variants []ablationVariant) (*Report, []solver.Result) {
+// Fig22 regenerates Figure 22: the domain-knowledge sampling optimization
+// (§5.3 item 4) against a random-sampling baseline (Options.Uniform). The
+// paper's claims are that without the optimization the solver cannot finish
+// in its 300s budget and the solution needs 22% more shard moves; the
+// reproduced shape is "baseline is slower to fix violations and moves more
+// shards". Both arms draw one candidate per region (24), so the comparison
+// isolates where candidates come from, not how many there are.
+func Fig22(params SolverAblationParams) *Report {
 	r := &Report{
 		ID:    "fig22",
 		Title: "Optimizations help scale the constraint solver (grouped sampling ablation)",
@@ -184,35 +184,39 @@ func runAblation(params SolverAblationParams, variants []ablationVariant) (*Repo
 		Title:   "variant comparison",
 		Columns: []string{"variant", "final violations", "moves", "evaluations", "evals to fix 90%", "solve time", "floor"},
 	}
-	var results []solver.Result
-	for _, v := range variants {
+	var fixes, moves []int
+	for _, arm := range []struct {
+		name    string
+		uniform bool
+	}{
+		{"optimized (grouped, utilization-aware sampling)", false},
+		{"baseline (uniform random sampling)", true},
+	} {
 		rng := sim.NewRNG(params.Seed)
 		p := zippyProblem(rng, params.Servers, params.Shards, true)
-		opt := solver.DefaultOptions()
-		opt.Seed = params.Seed
-		// Both variants get the same candidate budget (one per region)
-		// so the comparison isolates *where* candidates come from, not
-		// how many there are.
-		opt.CandidateTargets = 24
-		opt.Sampler = solver.GroupedSampler(p, 1)
-		v.tweak(&opt, p)
-		curve := Curve{Name: v.name, Unit: "violations"}
+		opt := solver.Options{Seed: params.Seed, Uniform: arm.uniform}
+		curve := Curve{Name: arm.name, Unit: "violations"}
 		opt.Progress = func(pi solver.ProgressInfo) {
 			curve.Points = append(curve.Points, point(evalTime(pi.Evaluated), float64(pi.Violations.Total())))
 		}
 		res := solver.Solve(p, opt)
 		curve.Points = append(curve.Points, point(evalTime(res.Evaluated), float64(res.Final.Total())))
 		r.Curves = append(r.Curves, curve)
+		fix := int(timeToFix(curve.Points, res.Initial.Total(), 0.9) / time.Microsecond)
 		t.Rows = append(t.Rows, []string{
-			v.name, fmt.Sprint(res.Final.Total()), fmt.Sprint(len(res.Moves)),
-			fmt.Sprint(res.Evaluated),
-			fmt.Sprint(int64(timeToFix(curve.Points, res.Initial.Total(), 0.9) / time.Microsecond)),
+			arm.name, fmt.Sprint(res.Final.Total()), fmt.Sprint(len(res.Moves)),
+			fmt.Sprint(res.Evaluated), fmt.Sprint(fix),
 			res.Elapsed.Truncate(time.Millisecond).String(), fmt.Sprint(res.Floor.Total()),
 		})
-		results = append(results, *res)
+		fixes, moves = append(fixes, fix), append(moves, len(res.Moves))
 	}
 	r.Tables = append(r.Tables, t)
-	return r, results
+	r.AddNote("evaluations to fix 90%% of violations: optimized %d vs baseline %d", fixes[0], fixes[1])
+	if moves[0] > 0 {
+		r.AddNote("baseline used %.0f%% more shard moves (paper: 22%% more)",
+			100*(float64(moves[1])/float64(moves[0])-1))
+	}
+	return r
 }
 
 // timeToFix returns the curve position at which the violation curve first
@@ -230,42 +234,4 @@ func timeToFix(pts []metrics.Point, initial int, frac float64) time.Duration {
 		return 0
 	}
 	return pts[len(pts)-1].T
-}
-
-// Fig22 regenerates Figure 22: the domain-knowledge sampling optimization
-// (§5.3 item 4) against a random-sampling baseline. The paper's claims are
-// that without the optimization the solver cannot finish in its 300s budget
-// and the solution needs 22% more shard moves; the reproduced shape is
-// "baseline is slower to fix violations and moves more shards".
-func Fig22(params SolverAblationParams) *Report {
-	r, results := runAblation(params, []ablationVariant{
-		{"optimized (grouped, utilization-aware sampling)", func(*solver.Options, *solver.Problem) {}},
-		{"baseline (uniform random sampling)", func(o *solver.Options, p *solver.Problem) {
-			o.Sampler = solver.RandomSampler(p)
-		}},
-	})
-	if len(results) == 2 {
-		opt, base := results[0], results[1]
-		optFix := timeToFix(r.Curves[0].Points, opt.Initial.Total(), 0.9)
-		baseFix := timeToFix(r.Curves[1].Points, base.Initial.Total(), 0.9)
-		r.AddNote("evaluations to fix 90%% of violations: optimized %d vs baseline %d",
-			int64(optFix/time.Microsecond), int64(baseFix/time.Microsecond))
-		if len(opt.Moves) > 0 {
-			r.AddNote("baseline used %.0f%% more shard moves (paper: 22%% more)",
-				100*(float64(len(base.Moves))/float64(len(opt.Moves))-1))
-		}
-	}
-	return r
-}
-
-// Ablations runs the remaining §5.3 design-choice ablation called out in
-// DESIGN.md: big-shards-first.
-func Ablations(params SolverAblationParams) *Report {
-	r, _ := runAblation(params, []ablationVariant{
-		{"all optimizations", func(*solver.Options, *solver.Problem) {}},
-		{"no big-shards-first", func(o *solver.Options, _ *solver.Problem) { o.BigFirst = false }},
-	})
-	r.ID = "ablations"
-	r.Title = "Design-choice ablations for the §5.3 solver optimizations"
-	return r
 }

@@ -157,13 +157,6 @@ var registry = []runner{
 		}
 		return Torture(c, p)
 	}},
-	{"ablations", "extra §5.3 design-choice ablations", func(c RunConfig) *Report {
-		p := DefaultSolverAblationParams()
-		if c.Scale == ScaleQuick {
-			p.Servers, p.Shards = 400, 30000
-		}
-		return Ablations(p)
-	}},
 }
 
 // IDs returns the registered experiment ids in display order.

@@ -25,8 +25,9 @@ func (a tableApp) ShardLoad(id shard.ID, into topology.Capacity) {
 
 // TestKeptProblemMatchesFromScratch drives one world through moves, load
 // reports that change some shards and leave others equal, a drain and its
-// cancel, a death inside and past the failover grace, a rejoin and a region
-// preference edit. After every step, in both modes, the kept problem —
+// cancel, a death inside and past the failover grace, a rejoin, a region
+// preference edit and a load skew that puts a server past the balance band
+// (MaxDiff). After every step, in both modes, the kept problem —
 // refreshed where the writers marked it — must give what allocator.Run gives
 // on the problem built from nothing (refInput): the same moves, deferrals,
 // violation counts, solves and evaluations.
@@ -123,5 +124,19 @@ func TestKeptProblemMatchesFromScratch(t *testing.T) {
 	o.SetRegionPreference(o.order[3], "r2", 0)
 	check("region preference")
 	run("region preference", time.Minute)
+
+	// The shards on one r1 server load ten times as much: the server is
+	// outside the balance band from the load collection that reports it to
+	// the allocation that moves replicas off, so a periodic run starts with
+	// a balance violation and only its balance batch may act on it.
+	for _, id := range o.order {
+		for _, a := range o.shards[id].replicas {
+			if a.Server == r1[2].id {
+				cpu[id] = 10
+				mark(id)
+			}
+		}
+	}
+	run("a server pushed past the balance band", time.Minute)
 	t.Logf("%d checks", checks)
 }

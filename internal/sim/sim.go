@@ -381,14 +381,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements via swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fork derives an independent generator; useful to give each component its
 // own stream so that adding randomness in one place does not perturb others.
 func (r *RNG) Fork() *RNG {

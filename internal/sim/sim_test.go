@@ -238,19 +238,6 @@ func mustPanic(t *testing.T, fn func()) {
 	fn()
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRNG(11)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	for _, v := range vals {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: %v", vals)
-	}
-}
-
 // BenchmarkLoopScheduleAndRun is the kernel's layer drive: file `pending`
 // events, then drain them. One shared callback rides PostArgL and the delays
 // come from delayMix, so near, the slot level, the block-boundary drains and

@@ -28,12 +28,7 @@ func TestMoveBudgetAboveEntityCountChangesNothing(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		solve := func(budget int) (*Problem, *Result) {
 			p := replicatedProblem(sim.NewRNG(seed))
-			opt := DefaultOptions()
-			opt.Seed = seed
-			opt.Sampler = GroupedSampler(p, 0)
-			opt.EvalBudget = 60_000
-			opt.MoveBudget = budget
-			return p, Solve(p, opt)
+			return p, Solve(p, Options{Seed: seed, EvalBudget: 60_000, MoveBudget: budget})
 		}
 		p0, r0 := solve(0)
 		pb, rb := solve(len(p0.Entities))
@@ -61,11 +56,7 @@ func TestMoveBudgetBoundsEntitiesAwayFromHome(t *testing.T) {
 		p := randomProblem(rng)
 		budget := 1 + rng.Intn(4)
 		for stage := uint64(0); stage < 2; stage++ {
-			opt := DefaultOptions()
-			opt.Seed = seed*2 + stage
-			opt.Sampler = GroupedSampler(p, 0)
-			opt.MoveBudget = budget
-			Solve(p, opt)
+			Solve(p, Options{Seed: seed*2 + stage, MoveBudget: budget})
 			if n := awayFromHome(p); n > budget {
 				t.Fatalf("seed %d stage %d: %d entities away from home, budget %d", seed, stage, n, budget)
 			} else if n == budget {
@@ -95,9 +86,7 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
 		}
 		p.DrainWeight = 10
-		opt := DefaultOptions()
-		opt.MoveBudget = 1
-		res := Solve(p, opt)
+		res := Solve(p, Options{Seed: 1, MoveBudget: 1})
 		if res.Final.Unassigned != 0 || p.Entities[homed].Bucket == drain {
 			t.Fatalf("final %+v, homed entity on %d: placements spent the budget", res.Final, p.Entities[homed].Bucket)
 		}
@@ -115,9 +104,7 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		y := p.AddEntity(Entity{Load: []float64{1}, Bucket: d, Movable: true, Group: -1})
 		p.Entities[x].Bucket = b
 		p.DrainWeight = 10
-		opt := DefaultOptions()
-		opt.MoveBudget = 1
-		Solve(p, opt)
+		Solve(p, Options{Seed: 1, MoveBudget: 1})
 		if got := p.Entities[x].Bucket; got != c {
 			t.Errorf("x ends on %d, want C (%d): an entity away from home stays movable", got, c)
 		}

@@ -2,7 +2,7 @@ package solver
 
 // domains numbers the buckets' domains (Bucket.Domain) densely, in order of
 // first appearance, so the hot loop indexes flat slices instead of hashing
-// strings. The spread, the affinities and GroupedSampler all read this one
+// strings. The spread, the affinities and Solve's target draw all read this one
 // numbering; it is kept with the Problem and numbered again, into its own
 // buffers, when buckets were added since or ClearBuckets restated them.
 type domains struct {

@@ -7,10 +7,11 @@
 //
 // The solver is domain-independent: it knows nothing about shards, regions,
 // or load balancing. Shard Manager's allocator (package allocator)
-// translates its placement problem into this vocabulary and supplies domain
-// knowledge — grouped target sampling, big-entities-first ordering, and
-// goal batching — that the paper shows is essential to make local search
-// converge quickly (Fig 22).
+// translates its placement problem into this vocabulary and supplies goal
+// batching. The search has §5.3's other domain knowledge built in, which the
+// paper shows is essential to make local search converge quickly (Fig 22):
+// targets are drawn across the buckets' domains, biased toward cold buckets
+// on metric 0, and a hot bucket offers its largest entities first.
 //
 // Incremental evaluation: the paper describes representing the objective as
 // a tree of variables so that evaluating a move touches only O(log n)
@@ -73,7 +74,7 @@ type Bucket struct {
 	Capacity []float64
 	// Domain is the bucket's domain (the allocator states its region): the
 	// spread keeps a group's members in distinct domains, an entity may
-	// prefer one, and GroupedSampler draws across them. It changes only
+	// prefer one, and Solve draws targets across them. It changes only
 	// through ClearBuckets: the buckets are stated again, and the next Solve
 	// numbers their domains afresh.
 	Domain string
@@ -170,8 +171,7 @@ func (p *Problem) AddEntity(e Entity) EntityID {
 // AddBucket (the allocator's next server list). The next Solve numbers the new
 // buckets' domains afresh, in first-appearance order, and fits the kept
 // state's per-bucket parts to them in place. Before that Solve, every entity's
-// Bucket and Home must name a bucket of the new list or be Unassigned. A
-// sampler made before reads the old numbering: make a new one.
+// Bucket and Home must name a bucket of the new list or be Unassigned.
 func (p *Problem) ClearBuckets() {
 	p.Buckets = p.Buckets[:0]
 	if p.dom != nil {
@@ -436,7 +436,7 @@ type state struct {
 	byBucket [][]EntityID
 
 	// bucketLoad[b][m] is the total load of metric m on bucket b: what the
-	// capacity and balance rules judge, and what samplers read to prefer cold
+	// capacity and balance rules judge, and what sample reads to prefer cold
 	// targets.
 	bucketLoad [][]float64
 	// least[m] is the least load of metric m over every entity, or 0 if
@@ -594,6 +594,19 @@ func (s *state) sync() {
 		s.hot.pen[b] = s.seedPenalty(BucketID(b))
 	}
 	s.hot.init()
+}
+
+// utilization is bucket b's load over its capacity on metric 0, what sample
+// prefers low; a bucket without capacity reads 1e18 if loaded, 0 if not.
+func (s *state) utilization(b BucketID) float64 {
+	c, l := s.p.Buckets[b].Capacity[0], s.bucketLoad[b][0]
+	if c <= 0 {
+		if l > 0 {
+			return 1e18
+		}
+		return 0
+	}
+	return l / c
 }
 
 // b2i is 1 for true and 0 for false.

@@ -8,92 +8,6 @@ import (
 	"shardmanager/internal/sim"
 )
 
-// View gives samplers read access to the evolving assignment so they can
-// prefer underloaded targets.
-type View struct {
-	st *state
-}
-
-// Utilization returns bucket b's current utilization for metric index m
-// (load / capacity; +Inf-free: zero capacity with load returns 1e18).
-func (v *View) Utilization(b BucketID, m int) float64 {
-	c := v.st.p.Buckets[b].Capacity[m]
-	l := v.st.bucketLoad[b][m]
-	if c <= 0 {
-		if l > 0 {
-			return 1e18
-		}
-		return 0
-	}
-	return l / c
-}
-
-// Sampler picks candidate target buckets for an entity. It may return fewer
-// than k buckets; duplicates are tolerated. The returned slice is only valid
-// until the next call — samplers may reuse its backing array, and the solver
-// consumes each batch before sampling again.
-type Sampler func(rng *sim.RNG, e EntityID, k int, view *View) []BucketID
-
-// RandomSampler samples buckets uniformly — the baseline that Fig 22
-// compares against grouped, utilization-aware sampling.
-func RandomSampler(p *Problem) Sampler {
-	n := len(p.Buckets)
-	var out []BucketID
-	return func(rng *sim.RNG, _ EntityID, k int, _ *View) []BucketID {
-		out = out[:0]
-		for i := 0; i < k; i++ {
-			out = append(out, BucketID(rng.Intn(n)))
-		}
-		return out
-	}
-}
-
-// GroupedSampler draws candidates across the buckets' domains
-// (Bucket.Domain), preferring underloaded buckets within each domain. This is
-// the domain-knowledge optimization of §5.3: sampling across domains has a
-// much better chance of finding a target that satisfies region-preference
-// and spread goals than uniform sampling.
-//
-// At most k candidates are returned. With more domains than k, a rotation
-// over the domain order decides which domains contribute this call, so every
-// domain is covered across successive calls and candidate counts still match
-// CandidateTargets. The sampler reads the domains as numbered when it is made:
-// after ClearBuckets, make a new one.
-func GroupedSampler(p *Problem, utilMetric int) Sampler {
-	byDomain := p.domains().buckets
-	var rot int
-	var out []BucketID
-	return func(rng *sim.RNG, _ EntityID, k int, view *View) []BucketID {
-		if k <= 0 {
-			return nil
-		}
-		nd := len(byDomain)
-		perDomain := (k + nd - 1) / nd // >= 1, since k >= 1
-		start := rot % nd
-		used := 0
-		out = out[:0]
-		for di := 0; di < nd && len(out) < k; di++ {
-			used++
-			members := byDomain[(start+di)%nd]
-			// Draw 2x candidates, keep the least-utilized half:
-			// cheap bias toward cold targets.
-			for i := 0; i < perDomain && len(out) < k; i++ {
-				a := members[rng.Intn(len(members))]
-				b := members[rng.Intn(len(members))]
-				if view.Utilization(b, utilMetric) < view.Utilization(a, utilMetric) {
-					a = b
-				}
-				out = append(out, a)
-			}
-		}
-		// Advance the rotation past the domains consumed, so the next
-		// call starts where this one left off and all domains get
-		// covered across successive calls.
-		rot = start + used
-		return out
-	}
-}
-
 // Options configure one Solve call.
 type Options struct {
 	// EvalBudget bounds the number of candidate-move evaluations; <= 0
@@ -106,33 +20,16 @@ type Options struct {
 	// home returns its unit. Once the budget is spent, entities at home are
 	// pinned and the search goes on with the ones already away.
 	MoveBudget int
-	// CandidateTargets is how many target buckets to sample per entity
-	// (default 16).
-	CandidateTargets int
-	// BigFirst evaluates a hot bucket's largest entities first (§5.3:
-	// "SM guides ReBalancer to evaluate large shards earlier"), largest by
-	// metric 0, the caller's primary metric. It orders the entities that
-	// carry the bucket's penalty and leaves out the inert ones, which cannot
-	// help alone. Off, a hot bucket's entities are shuffled and cut, inert
-	// ones included, and the grid skips the inert ones.
-	BigFirst bool
-	// Sampler picks candidate targets (default RandomSampler).
-	Sampler Sampler
 	// Seed drives the solver's deterministic RNG.
 	Seed uint64
+	// Uniform draws candidate targets uniformly at random from every
+	// bucket instead of across the buckets' domains (see sample): Fig 22's
+	// baseline, the search without §5.3's domain knowledge.
+	Uniform bool
 	// Progress, if set, is invoked after every search round with the
 	// current violation counts; experiments use it to plot
 	// violations-vs-evaluations curves (Fig 21/22).
 	Progress func(ProgressInfo)
-}
-
-// DefaultOptions returns the fully optimized configuration.
-func DefaultOptions() Options {
-	return Options{
-		CandidateTargets: 16,
-		BigFirst:         true,
-		Seed:             1,
-	}
 }
 
 // ProgressInfo is a snapshot of solver progress.
@@ -173,6 +70,10 @@ const improveEps = 1e-9
 // evaluates.
 const maxEntitiesPerBucket = 16
 
+// minTargets is the fewest candidate targets one draw returns; a problem with
+// more domains draws one per domain (see sample).
+const minTargets = 16
+
 // solveCtx carries one Solve call's mutable machinery: budgets, per-bucket
 // candidate caches and reused buffers. All buffers are reused across
 // attempts so the hot loop does not allocate, and across Solves of one
@@ -182,16 +83,20 @@ type solveCtx struct {
 	st    *state
 	opt   Options
 	rng   *sim.RNG
-	view  *View
 	res   *Result
 	start time.Time
 
-	// entCache[b] is bucket b's movable entities, sorted for BigFirst;
+	// byDomain[d] is domain d's buckets (Problem.domains), what sample draws
+	// across; k is how many targets a draw returns, rot the domain the next
+	// draw starts at, and targets the room a draw is returned in.
+	byDomain [][]BucketID
+	k, rot   int
+	targets  []BucketID
+
+	// entCache[b] is bucket b's movable entities, largest first (bigFirst);
 	// valid until a move touches b (see applyMove).
 	entCache      [][]EntityID
 	entCacheValid []bool
-	// cands is the shuffled copy of a bucket's list without BigFirst.
-	cands []EntityID
 
 	// preps[:n] are the n candidates candidateEntities offers, prepared.
 	preps []prepared
@@ -240,23 +145,15 @@ func Solve(p *Problem, opt Options) *Result {
 }
 
 // newSolveCtx brings p's kept state in step with p and readies the search
-// machinery around it, with opt's defaults filled in. The machinery is p's
-// too: its buffers serve the next Solve, and a fresh one is made only with a
-// fresh state.
+// machinery around it. The machinery is p's too: its buffers serve the next
+// Solve, and a fresh one is made only with a fresh state.
 func newSolveCtx(p *Problem, opt Options) *solveCtx {
-	if opt.CandidateTargets <= 0 {
-		opt.CandidateTargets = 16
-	}
-	if opt.Sampler == nil {
-		opt.Sampler = RandomSampler(p)
-	}
 	st := p.state()
 	c := p.ctx
 	if c == nil || c.st != st {
 		c = &solveCtx{
 			p:             p,
 			st:            st,
-			view:          &View{st: st},
 			entCache:      make([][]EntityID, len(p.Buckets)),
 			entCacheValid: make([]bool, len(p.Buckets)),
 			preps:         make([]prepared, maxEntitiesPerBucket),
@@ -275,6 +172,10 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 	}
 	c.opt = opt
 	c.rng = sim.NewRNG(opt.Seed)
+	// The state is synced, so the domains are numbered as this Solve reads
+	// them, and the rotation starts afresh.
+	c.byDomain = p.domains().buckets
+	c.k, c.rot = max(minTargets, len(c.byDomain)), 0
 	// Every unplaced entity placed is a move: the room grows for them at once.
 	c.res = &Result{Moves: slices.Grow(c.moves[:0], st.unassigned), Initial: st.violations(), Floor: st.floor()}
 	c.start = time.Now()
@@ -285,13 +186,55 @@ func newSolveCtx(p *Problem, opt Options) *solveCtx {
 	return c
 }
 
-// bigFirst orders entities largest Load[0] first, ties by ID: a total order,
-// so every sort of one list gives one result.
+// bigFirst orders entities largest Load[0] first, ties by ID (§5.3: "SM
+// guides ReBalancer to evaluate large shards earlier"; metric 0 is the
+// caller's primary metric): a total order, so every sort of one list gives
+// one result.
 func (c *solveCtx) bigFirst(a, b EntityID) int {
 	if la, lb := c.p.Entities[a].Load[0], c.p.Entities[b].Load[0]; la != lb {
 		return cmp.Compare(lb, la)
 	}
 	return cmp.Compare(a, b)
+}
+
+// sample draws the candidate targets for one entity: c.k buckets, drawn
+// across the buckets' domains (Bucket.Domain) and biased toward cold ones.
+// This is the domain-knowledge optimization of §5.3: sampling across domains
+// has a much better chance of finding a target that satisfies region
+// preference and spread than uniform sampling. Within a domain two buckets
+// are drawn and the less utilized one on metric 0 is kept. With more domains
+// than c.k a rotation over the domain order decides which domains contribute
+// a draw, so successive draws cover every domain. Under Options.Uniform the
+// c.k targets are drawn uniformly from every bucket instead. The draw is
+// returned in c.targets, which the next draw reuses.
+func (c *solveCtx) sample() []BucketID {
+	out := c.targets[:0]
+	if c.opt.Uniform {
+		for range c.k {
+			out = append(out, BucketID(c.rng.Intn(len(c.p.Buckets))))
+		}
+	} else {
+		nd := len(c.byDomain)
+		perDomain := (c.k + nd - 1) / nd // >= 1, since k >= nd
+		start := c.rot % nd
+		used := 0
+		for di := 0; di < nd && len(out) < c.k; di++ {
+			used++
+			members := c.byDomain[(start+di)%nd]
+			for i := 0; i < perDomain && len(out) < c.k; i++ {
+				a := members[c.rng.Intn(len(members))]
+				b := members[c.rng.Intn(len(members))]
+				if c.st.utilization(b) < c.st.utilization(a) {
+					a = b
+				}
+				out = append(out, a)
+			}
+		}
+		// The next draw starts past the domains this one consumed.
+		c.rot = start + used
+	}
+	c.targets = out
+	return out
 }
 
 func (c *solveCtx) budgetLeft() bool {
@@ -333,7 +276,7 @@ func (c *solveCtx) applyMove(e EntityID, to BucketID) {
 // sampled feasible target. This is what the emergency mode (§5.1) does
 // first — restore availability, then polish.
 func (c *solveCtx) phase1() {
-	st, opt := c.st, &c.opt
+	st := c.st
 	if st.unassigned == 0 {
 		return
 	}
@@ -353,7 +296,7 @@ func (c *solveCtx) phase1() {
 		st.prepare(pr, e)
 		bestDelta := 0.0
 		bestTarget := Unassigned
-		for _, t := range opt.Sampler(c.rng, e, opt.CandidateTargets, c.view) {
+		for _, t := range c.sample() {
 			d, ok := st.evalTarget(pr, t)
 			c.res.Evaluated++
 			if ok && (bestTarget == Unassigned || d < bestDelta) {
@@ -423,20 +366,19 @@ func (c *solveCtx) fireProgress() {
 // evaluate this attempt, prepares them into c.preps in order and returns how
 // many it picked. They come from the bucket's cached movable list (sorted once
 // per invalidation, not per attempt; without the entities at home while the
-// move budget is spent). With BigFirst only the entities that are not inert
-// are offered, largest Load[0] first, ties by ID: an inert entity cannot
+// move budget is spent). Only the entities that are not inert are offered,
+// largest Load[0] first, ties by ID (bigFirst): an inert entity cannot
 // improve the objective alone. The walk stops once the cut's worth is
 // prepared. Inertness reads domain loads and where the other group members
 // sit, which a move in another bucket changes, so it is prepared afresh every
-// attempt, never cached. Without BigFirst the whole list is shuffled and cut,
-// inert entities included; the grid skips them.
+// attempt, never cached.
 //
 // §5.3's "reuses the computation for equivalent shards" is not reproduced
 // (DESIGN §2): a shard's replicas never share a bucket and each carries its
 // own exclusion group, so on replicated worlds no two candidates of a bucket
 // are interchangeable.
 func (c *solveCtx) candidateEntities(b BucketID) int {
-	st, opt := c.st, &c.opt
+	st := c.st
 	if spent := c.movesSpent(); spent != c.cachePinned {
 		// The budget ran out, or a move home gave a unit back: every
 		// list gains or loses its entities at home.
@@ -452,27 +394,12 @@ func (c *solveCtx) candidateEntities(b BucketID) int {
 				cached = append(cached, e)
 			}
 		}
-		if opt.BigFirst {
-			slices.SortFunc(cached, c.bigFirst)
-		}
+		slices.SortFunc(cached, c.bigFirst)
 		c.entCache[b] = cached
 		c.entCacheValid[b] = true
 	}
-	ents := c.entCache[b]
-	if !opt.BigFirst {
-		// Random order is per-attempt, so shuffle a reused copy and
-		// leave the cache intact.
-		cs := append(c.cands[:0], ents...)
-		c.rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
-		c.cands = cs
-		n := min(len(cs), maxEntitiesPerBucket)
-		for i, e := range cs[:n] {
-			st.prepare(&c.preps[i], e)
-		}
-		return n
-	}
 	n := 0
-	for _, e := range ents {
+	for _, e := range c.entCache[b] {
 		if n == maxEntitiesPerBucket {
 			break
 		}
@@ -490,22 +417,18 @@ type pick struct {
 	delta float64
 }
 
-// gridMoves samples targets for every candidate entity that is not inert,
-// evaluating each (entity, target) pair as it is drawn, and returns each
-// candidate's feasible target with the most negative delta below
-// -improveEps, ties toward the earliest draw, ordered by delta and ties by
-// grid order. The candidates are c.preps[:n], as candidateEntities left them.
-// An inert entity draws no targets: none of its pairs can improve.
+// gridMoves samples targets for every candidate entity, evaluating each
+// (entity, target) pair as it is drawn, and returns each candidate's feasible
+// target with the most negative delta below -improveEps, ties toward the
+// earliest draw, ordered by delta and ties by grid order. The candidates are
+// c.preps[:n], as candidateEntities left them: none is inert.
 func (c *solveCtx) gridMoves(n int, hotB BucketID) []pick {
-	st, opt := c.st, &c.opt
+	st := c.st
 	picks := c.picks[:0]
 	for pi := range n {
 		pr := &c.preps[pi]
-		if pr.inert {
-			continue
-		}
 		best := pick{e: pr.e, to: Unassigned, delta: -improveEps}
-		for _, t := range opt.Sampler(c.rng, pr.e, opt.CandidateTargets, c.view) {
+		for _, t := range c.sample() {
 			if t == hotB {
 				continue
 			}

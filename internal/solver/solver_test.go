@@ -38,7 +38,7 @@ func TestSolveBalancesLoad(t *testing.T) {
 	// 40 entities x 10 load on one of 8 buckets: bucket 0 holds 400/100.
 	p := buildSkewed(8, 40, 10)
 	p.Balance = []BalanceRule{{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}}
-	res := Solve(p, DefaultOptions())
+	res := Solve(p, Options{Seed: 1})
 	if res.Initial.Total() == 0 {
 		t.Fatal("initial state should violate")
 	}
@@ -66,7 +66,7 @@ func TestSolveRespectsHardCapacity(t *testing.T) {
 		p.AddEntity(Entity{Load: []float64{10}, Bucket: big, Movable: true, Group: -1})
 	}
 	p.Balance = []BalanceRule{{MaxDiff: 0.01, Weight: 1}}
-	res := Solve(p, DefaultOptions())
+	res := Solve(p, Options{Seed: 1})
 	st := newState(p)
 	if st.bucketLoad[1][0] > 10 {
 		t.Fatalf("tiny bucket overloaded: %v", st.bucketLoad[1][0])
@@ -85,7 +85,7 @@ func TestSolvePlacesUnassignedEntities(t *testing.T) {
 		p.AddEntity(Entity{Load: []float64{5}, Bucket: Unassigned, Movable: true, Group: -1})
 	}
 	p.Balance = []BalanceRule{{UtilCap: 0.9, Weight: 1}}
-	res := Solve(p, DefaultOptions())
+	res := Solve(p, Options{Seed: 1})
 	if res.Initial.Unassigned != 20 {
 		t.Fatalf("initial unassigned = %d", res.Initial.Unassigned)
 	}
@@ -106,7 +106,7 @@ func TestSolveHonorsAffinity(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.Entities[EntityID(i)].Prefer, p.Entities[EntityID(i)].PreferWeight = "r1", 5
 	}
-	res := Solve(p, DefaultOptions())
+	res := Solve(p, Options{Seed: 1})
 	if res.Final.Affinity != 0 {
 		t.Fatalf("affinity violations = %d", res.Final.Affinity)
 	}
@@ -140,7 +140,7 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 		}
 	}
 	p.SpreadWeight = 10
-	res := Solve(p, DefaultOptions())
+	res := Solve(p, Options{Seed: 1})
 	if res.Final.Exclusion != 0 || res.Final.Conflict != 0 {
 		t.Fatalf("final %+v (initial %+v)", res.Final, res.Initial)
 	}
@@ -169,7 +169,7 @@ func TestSolveDrainsMarkedBuckets(t *testing.T) {
 		p.AddEntity(Entity{Load: []float64{5}, Bucket: draining, Movable: true, Group: -1})
 	}
 	p.DrainWeight = 10
-	res := Solve(p, DefaultOptions())
+	res := Solve(p, Options{Seed: 1})
 	if res.Final.Drain != 0 {
 		t.Fatalf("drain violations = %d", res.Final.Drain)
 	}
@@ -179,7 +179,7 @@ func TestPinnedEntitiesNeverMove(t *testing.T) {
 	p := buildSkewed(4, 10, 10)
 	p.Entities[0].Movable = false
 	p.Balance = []BalanceRule{{MaxDiff: 0.05, Weight: 1}}
-	res := Solve(p, DefaultOptions())
+	res := Solve(p, Options{Seed: 1})
 	for _, m := range res.Moves {
 		if m.Entity == 0 {
 			t.Fatal("pinned entity moved")
@@ -194,7 +194,7 @@ func TestSolveDeterministicForSeed(t *testing.T) {
 	run := func() []Move {
 		p := buildSkewed(8, 40, 10)
 		p.Balance = []BalanceRule{{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}}
-		return Solve(p, DefaultOptions()).Moves
+		return Solve(p, Options{Seed: 1}).Moves
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -296,7 +296,7 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 		prepped(c, step, got)
 	}
 
-	opt := DefaultOptions()
+	opt := Options{Seed: 1}
 	c := newSolveCtx(p, opt)
 	carry, inert := offered(c, false)
 	if !slices.Equal(carry, []EntityID{23, 5, 10, 20}) || len(carry)+len(inert) <= maxEntitiesPerBucket {
@@ -321,23 +321,6 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	check(c, "spent again", []EntityID{5})
 	c.applyMove(sibling(17), 1)
 	check(c, "spent, a sibling moved", []EntityID{17, 5})
-
-	// Without BigFirst the cap holds over a shuffled copy of the same list,
-	// unpartitioned and prepared too.
-	opt = DefaultOptions()
-	opt.BigFirst = false
-	c = newSolveCtx(p, opt)
-	got := candidates(c)
-	prepped(c, "shuffled", got)
-	slices.Sort(got)
-	if len(got) != maxEntitiesPerBucket || len(slices.Compact(got)) != len(got) {
-		t.Fatalf("shuffled candidates %v: want %d distinct entities", got, maxEntitiesPerBucket)
-	}
-	for _, e := range got {
-		if !p.Entities[e].Movable || c.st.assignment[e] != 0 {
-			t.Fatalf("shuffled candidate %d is not a movable entity of b0", e)
-		}
-	}
 }
 
 // TestMeanUtilSummedInEntityOrder: the balance target includes unplaced load,
@@ -369,7 +352,7 @@ func TestViolationCountsTotal(t *testing.T) {
 func TestProgressCallbackInvoked(t *testing.T) {
 	p := buildSkewed(8, 40, 10)
 	p.Balance = []BalanceRule{{MaxDiff: 0.1, Weight: 1}}
-	opt := DefaultOptions()
+	opt := Options{Seed: 1}
 	n, last := 0, 0
 	opt.Progress = func(pi ProgressInfo) {
 		n++
@@ -384,73 +367,84 @@ func TestProgressCallbackInvoked(t *testing.T) {
 	}
 }
 
+// TestGroupedSamplerCoversAllGroups: a draw reaches both domains, and keeps
+// the colder of two draws within one: bucket 0, the one loaded bucket of its
+// domain's four, is drawn far less often than a uniform draw's quarter.
 func TestGroupedSamplerCoversAllGroups(t *testing.T) {
-	p := buildSkewed(8, 1, 1)
-	st := newState(p)
-	view := &View{st: st}
-	s := GroupedSampler(p, 0)
-	rng := sim.NewRNG(1)
-	got := s(rng, 0, 8, view)
-	domains := map[string]bool{}
-	for _, b := range got {
-		domains[p.Buckets[b].Domain] = true
+	p := buildSkewed(8, 40, 10)
+	c := newSolveCtx(p, Options{Seed: 1})
+	inR0, hot := 0, 0
+	for draw := 0; draw < 100; draw++ {
+		domains := map[string]bool{}
+		for _, b := range c.sample() {
+			domains[p.Buckets[b].Domain] = true
+			if p.Buckets[b].Domain == "r0" {
+				inR0++
+				hot += b2i(b == 0)
+			}
+		}
+		if !domains["r0"] || !domains["r1"] {
+			t.Fatalf("draw %d missed a domain: %v", draw, domains)
+		}
 	}
-	if !domains["r0"] || !domains["r1"] {
-		t.Fatalf("sampler missed a domain: %v", domains)
+	if hot*8 > inR0 {
+		t.Fatalf("the loaded bucket was %d of its domain's %d targets: the draw is not biased toward cold buckets", hot, inR0)
 	}
 }
 
+// TestGroupedSamplerCapsAtK: a draw returns max(16, domains) targets, under
+// Uniform too. Five domains of one bucket each take four per domain, so a
+// draw reaches four of them, and the rotation starts the next draw at the
+// fifth; 24 domains take one target each.
 func TestGroupedSamplerCapsAtK(t *testing.T) {
-	// 8 domains, one bucket each; k=3 must return exactly 3 candidates
-	// (the old sampler returned len(domains) = 8), and successive calls
-	// must rotate through the domains so all of them get covered.
-	p := NewProblem(1)
-	for i := 0; i < 8; i++ {
-		p.AddBucket(Bucket{
-			Capacity: []float64{100},
-			Domain:   fmt.Sprintf("g%d", i),
-		})
-	}
-	p.AddEntity(Entity{Load: []float64{1}, Bucket: 0, Movable: true, Group: -1})
-	st := newState(p)
-	view := &View{st: st}
-	s := GroupedSampler(p, 0)
-	rng := sim.NewRNG(1)
-	covered := map[string]bool{}
-	for call := 0; call < 4; call++ {
-		got := s(rng, 0, 3, view)
-		if len(got) != 3 {
-			t.Fatalf("call %d returned %d candidates, want 3", call, len(got))
+	problem := func(domains int) *Problem {
+		p := NewProblem(1)
+		for i := 0; i < domains; i++ {
+			p.AddBucket(Bucket{Capacity: []float64{100}, Domain: fmt.Sprintf("g%d", i)})
 		}
+		p.AddEntity(Entity{Load: []float64{1}, Bucket: 0, Movable: true, Group: -1})
+		return p
+	}
+	draw := func(c *solveCtx) map[string]bool {
+		t.Helper()
+		got := c.sample()
+		if len(got) != c.k {
+			t.Fatalf("%d domains: a draw returned %d targets, want %d", len(c.p.Buckets), len(got), c.k)
+		}
+		covered := map[string]bool{}
 		for _, b := range got {
-			covered[p.Buckets[b].Domain] = true
+			covered[c.p.Buckets[b].Domain] = true
 		}
+		return covered
 	}
-	// 4 calls x 3 candidates with rotation must touch more domains than a
-	// single call's 3; with one bucket per domain, rotation covers 8.
-	if len(covered) != 8 {
-		t.Fatalf("rotation covered %d domains over 4 calls, want 8", len(covered))
+	c := newSolveCtx(problem(5), Options{Seed: 1})
+	first, second := draw(c), draw(c)
+	if c.k != minTargets || len(first) != 4 || len(second) != 4 || !second["g4"] {
+		t.Fatalf("5 domains, %d targets a draw: the first draw reached %v, the second %v; want 4 each, the second from g4", c.k, first, second)
 	}
+	c = newSolveCtx(problem(24), Options{Seed: 1})
+	if got := draw(c); c.k != 24 || len(got) != 24 {
+		t.Fatalf("24 domains, %d targets a draw: one draw reached %d domains, want all 24", c.k, len(got))
+	}
+	draw(newSolveCtx(problem(24), Options{Seed: 1, Uniform: true}))
 }
 
 func TestEvalBudgetRespected(t *testing.T) {
 	run := func() *Result {
 		p := buildSkewed(16, 200, 5)
 		p.Balance = []BalanceRule{{MaxDiff: 0.05, Weight: 1}}
-		opt := DefaultOptions()
-		opt.EvalBudget = 500
-		return Solve(p, opt)
+		return Solve(p, Options{Seed: 1, EvalBudget: 500})
 	}
 	res := run()
 	// The budget is checked per fix attempt, so one attempt may overshoot
-	// by its grid (maxEntitiesPerBucket * CandidateTargets).
-	if res.Evaluated >= 500+maxEntitiesPerBucket*16+1 {
+	// by its grid (maxEntitiesPerBucket * minTargets on these two domains).
+	if res.Evaluated >= 500+maxEntitiesPerBucket*minTargets+1 {
 		t.Fatalf("evaluated %d, budget 500 overshot by more than one attempt", res.Evaluated)
 	}
 	unbudgeted := func() *Result {
 		p := buildSkewed(16, 200, 5)
 		p.Balance = []BalanceRule{{MaxDiff: 0.05, Weight: 1}}
-		return Solve(p, DefaultOptions())
+		return Solve(p, Options{Seed: 1})
 	}()
 	if res.Evaluated >= unbudgeted.Evaluated {
 		t.Fatalf("budgeted run evaluated %d >= unbudgeted %d", res.Evaluated, unbudgeted.Evaluated)
@@ -480,9 +474,7 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 			p.AddEntity(Entity{Load: []float64{l}, Bucket: BucketID(r.Intn(nB)), Movable: true, Group: -1})
 		}
 		p.Balance = []BalanceRule{{MaxDiff: 0.1, Weight: 1}}
-		opt := DefaultOptions()
-		opt.Seed = seed
-		Solve(p, opt)
+		Solve(p, Options{Seed: seed})
 		st := newState(p)
 		var after float64
 		for b := range p.Buckets {
@@ -505,7 +497,7 @@ func TestBuilderPanics(t *testing.T) {
 			q.AddBucket(Bucket{Capacity: []float64{1}})
 			q.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
 			edit(q)
-			Solve(q, DefaultOptions())
+			Solve(q, Options{Seed: 1})
 		}
 	}
 	for name, fn := range map[string]func(){
@@ -564,17 +556,12 @@ func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		p := randomProblem(rng)
 		balance := p.Balance
-		opt := DefaultOptions()
-		opt.Seed = seed
-		opt.MoveBudget = rng.Intn(4) // 0 is none
+		opt := Options{Seed: seed, MoveBudget: rng.Intn(4)} // a MoveBudget of 0 is none
 		solve := func(step string) {
 			t.Helper()
 			want := freshCopy(p)
-			o := opt
-			o.Sampler = GroupedSampler(want, 0)
-			wr := Solve(want, o)
-			o.Sampler = GroupedSampler(p, 0)
-			gr := Solve(p, o)
+			wr := Solve(want, opt)
+			gr := Solve(p, opt)
 			if !reflect.DeepEqual(gr.Moves, wr.Moves) || gr.Initial != wr.Initial || gr.Final != wr.Final || gr.Evaluated != wr.Evaluated {
 				t.Fatalf("seed %d, %s: kept state %d moves %+v -> %+v, %d evaluated; fresh %d moves %+v -> %+v, %d evaluated",
 					seed, step, len(gr.Moves), gr.Initial, gr.Final, gr.Evaluated, len(wr.Moves), wr.Initial, wr.Final, wr.Evaluated)

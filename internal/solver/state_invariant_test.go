@@ -495,7 +495,7 @@ func TestFloorIsALowerBound(t *testing.T) {
 		for e := 1; e < len(p.Entities); e += 3 {
 			p.Entities[e].Movable = false
 		}
-		res := Solve(p, DefaultOptions())
+		res := Solve(p, Options{Seed: 1})
 		f, v := res.Floor, res.Final
 		if f.Capacity > v.Capacity || f.Conflict > v.Conflict || f.Balance > v.Balance || f.Affinity > v.Affinity ||
 			f.Exclusion > v.Exclusion || f.Drain > v.Drain || f.Unassigned > v.Unassigned {
@@ -534,11 +534,11 @@ func TestEveryAppliedMoveLowersTheObjective(t *testing.T) {
 				}
 			}
 		}
-		lowers(Solve(p, DefaultOptions()).Moves)
+		lowers(Solve(p, Options{Seed: 1}).Moves)
 
 		p = randomProblem(sim.NewRNG(seed))
 		replay = newState(freshCopy(p))
-		c := newSolveCtx(p, DefaultOptions())
+		c := newSolveCtx(p, Options{Seed: 1})
 		c.phase1()
 		if b, pen := c.st.hot.top(); b >= 0 && pen > improveEps {
 			placed := len(c.res.Moves)
@@ -570,7 +570,7 @@ func TestEveryAppliedMoveLowersTheObjective(t *testing.T) {
 	}
 	p.Balance = []BalanceRule{{UtilCap: 0.25, Weight: 1}}
 	replay := newState(freshCopy(p))
-	c := newSolveCtx(p, DefaultOptions())
+	c := newSolveCtx(p, Options{Seed: 1})
 	b, _ := c.st.hot.top()
 	picks := c.gridMoves(c.candidateEntities(b), b)
 	if len(picks) != 3 || picks[1].to != picks[0].to || picks[1].delta != picks[0].delta {
@@ -689,11 +689,11 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 func TestSolveIdempotentOnCleanState(t *testing.T) {
 	p := buildSkewed(8, 40, 10)
 	p.Balance = []BalanceRule{{UtilCap: 0.9, MaxDiff: 0.1, Weight: 1}}
-	first := Solve(p, DefaultOptions())
+	first := Solve(p, Options{Seed: 1})
 	if first.Final.Total() != 0 {
 		t.Fatalf("first solve left violations: %+v", first.Final)
 	}
-	second := Solve(p, DefaultOptions())
+	second := Solve(p, Options{Seed: 1})
 	if len(second.Moves) != 0 {
 		t.Fatalf("second solve produced %d moves on a clean state", len(second.Moves))
 	}

@@ -4,16 +4,18 @@
 #
 #   package: ./internal/solver
 #   run: ^TestSomething$
+#   run: ^TestSomethingElse$
 #   found-by: where the mutant was first killed
 #
-# The script copies the tree (the files git tracks or would add) under a
-# temporary directory, applies each patch there in turn with `git apply`,
-# checks that the mutant still compiles, runs `go test -run <run> <package>`
-# (a mutant that hangs is killed by the timeout) and takes the patch back out.
-# It fails, naming the mutant, when a patch no longer applies (the code it
-# breaks has changed: re-cut the patch and look at the mutant again), when a
-# mutant does not compile (a broken patch proves nothing) or when one survives
-# (its tests pass).
+# A header names one or more `run:` lines, and each must kill the mutant on
+# its own. The script copies the tree (the files git tracks or would add)
+# under a temporary directory, applies each patch there in turn with `git
+# apply`, checks that the mutant still compiles, runs `go test -run <run>
+# <package>` once per `run:` line (a mutant that hangs is killed by the
+# timeout) and takes the patch back out. It fails, naming the mutant, when a
+# patch no longer applies (the code it breaks has changed: re-cut the patch and
+# look at the mutant again), when a mutant does not compile (a broken patch
+# proves nothing) or when one survives any of its runs (those tests pass).
 set -eu
 cd "$(dirname "$0")/.."
 root="$(pwd)"
@@ -24,8 +26,8 @@ failed=""
 for patch in scripts/mutants/*.patch; do
 	name="$(basename "$patch" .patch)"
 	pkg="$(sed -n 's/^package: //p' "$patch")"
-	run="$(sed -n 's/^run: //p' "$patch")"
-	if [ -z "$pkg" ] || [ -z "$run" ]; then
+	runs="$(sed -n 's/^run: //p' "$patch")"
+	if [ -z "$pkg" ] || [ -z "$runs" ]; then
 		echo "mutant $name: the header names no package or no run pattern" >&2
 		failed="$failed $name"
 		continue
@@ -38,11 +40,17 @@ for patch in scripts/mutants/*.patch; do
 	if ! (cd "$work" && go test -count=1 -run '^$' "$pkg" >/dev/null); then
 		echo "mutant $name: does not compile" >&2
 		failed="$failed $name"
-	elif (cd "$work" && go test -count=1 -timeout 120s -run "$run" "$pkg" >/dev/null 2>&1); then
-		echo "mutant $name: survived go test -run '$run' $pkg" >&2
-		failed="$failed $name"
 	else
-		echo "mutant $name: killed by $run"
+		while IFS= read -r run; do
+			if (cd "$work" && go test -count=1 -timeout 120s -run "$run" "$pkg" >/dev/null 2>&1); then
+				echo "mutant $name: survived go test -run '$run' $pkg" >&2
+				failed="$failed $name"
+			else
+				echo "mutant $name: killed by $run"
+			fi
+		done <<EOF
+$runs
+EOF
 	fi
 	(cd "$work" && git apply -R "$root/$patch")
 done
