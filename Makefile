@@ -29,7 +29,7 @@ loc: ## non-blank, non-comment lines of non-test Go code, per package directory 
 bench:
 	$(GO) test -bench=. -benchmem .
 
-bench-layers: ## the six layer drives: solver at 100k x 5k and on 6,000 replicated groups x 300 buckets, a first placement of 3k and 30k shards x 2 replicas over 120 servers, kernel at 1k and 10k pending timers, discovery publish at 10k..1M entries, one routed request, one orchestrator move at 3k and 30k shards, one fresh allocation of the kept problem at 3k, 30k and 300k shards (evals/op on every row) and on lb_churn's problem with its loads redrawn, one load collection at 4k and 40k replicas
+bench-layers: ## the six layer drives: solver at 100k x 5k and on 6,000 replicated groups x 300 buckets, a first placement of 3k and 30k shards x 2 replicas over 120 servers, kernel at 1k and 10k pending timers and in steady_serving's self-rescheduling request/reply traffic (steady, ns/event), discovery publish at 10k..1M entries, one routed request in a two-shard world and in steady_serving's 3k-shard x 120-server world (world=3k-shards-120-servers), one orchestrator move at 3k and 30k shards, one fresh allocation of the kept problem at 3k, 30k and 300k shards (evals/op on every row) and on lb_churn's problem with its loads redrawn, one load collection at 4k and 40k replicas
 	$(GO) test ./internal/solver -run '^$$' -bench 'SolveScale|SolveReplicated|MoveDelta' -benchmem
 	$(GO) test ./internal/allocator -run '^$$' -bench RunFirstPlacement -benchmem
 	$(GO) test ./internal/sim -run '^$$' -bench LoopScheduleAndRun -benchmem

@@ -22,7 +22,6 @@ import (
 	"shardmanager/internal/orchestrator"
 	"shardmanager/internal/routing"
 	"shardmanager/internal/rpcnet"
-	"shardmanager/internal/shard"
 	"shardmanager/internal/sim"
 	"shardmanager/internal/simprof"
 	"shardmanager/internal/solver"
@@ -356,7 +355,7 @@ func TestLoadReportsCarryWhatChanged(t *testing.T) {
 	}
 	srv := reflect.TypeOf((*appserver.Server)(nil))
 	for name, want := range map[string]reflect.Type{
-		"LoadChanged": reflect.TypeOf(func(*appserver.Server, shard.ID) {}),
+		"LoadChanged": reflect.TypeOf(func(*appserver.Server, appserver.ShardNum) {}),
 		"LoadReport":  reflect.TypeOf(func(*appserver.Server) []appserver.LoadEntry { return nil }),
 	} {
 		if m, ok := srv.MethodByName(name); !ok || m.Type != want {
@@ -382,8 +381,9 @@ func exportedFields(typ reflect.Type) []string {
 // TestResolvedNamesReplaceTheirMaps pins what the request path's handles
 // replaced, by the names and types reflect reports for unexported fields: the
 // fabric keeps one record per endpoint, not a region map and a down map side
-// by side, and a server keys its replicas and tombstones by the directory's
-// shard number, not by the shard's name. Off the request path the same rule:
+// by side, and a server finds its replicas in the directory's lists by the
+// shard's number, one list per number and no map of its own beside them, and
+// keys its tombstones by the number, not by the shard's name. Off the request path the same rule:
 // the solver is told an entity's group one way, as a number on the entity, not
 // as a string in a map it must intern nor as a spec listing groups per goal
 // (no conflict or exclusion-goal adder: the bucket rule comes with the
@@ -405,11 +405,16 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 		t.Errorf("rpcnet.Network.peers = %v (present %v), want the one map from endpoint name to *rpcnet.Peer", peers.Type, ok)
 	}
 	srv := reflect.TypeOf(appserver.Server{})
-	for _, table := range []string{"replicas", "tombstones"} {
-		f, ok := srv.FieldByName(table)
-		if !ok || f.Type.Kind() != reflect.Map || f.Type.Key() != reflect.TypeOf(appserver.ShardNum(0)) {
-			t.Errorf("appserver.Server.%s = %v (present %v), want a map keyed by appserver.ShardNum", table, f.Type, ok)
+	if f, ok := srv.FieldByName("tombstones"); !ok || f.Type.Kind() != reflect.Map || f.Type.Key() != reflect.TypeOf(appserver.ShardNum(0)) {
+		t.Errorf("appserver.Server.tombstones = %v (present %v), want a map keyed by appserver.ShardNum", f.Type, ok)
+	}
+	for i := 0; i < srv.NumField(); i++ {
+		if f := srv.Field(i); f.Type.Kind() == reflect.Map && f.Name != "tombstones" && f.Name != "dropped" && f.Name != "asked" {
+			t.Errorf("appserver.Server.%s is a %v: a server's replicas are in the directory's lists", f.Name, f.Type)
 		}
+	}
+	if f, ok := reflect.TypeOf(appserver.Directory{}).FieldByName("holders"); !ok || f.Type.Kind() != reflect.Slice || f.Type.Elem().Kind() != reflect.Slice {
+		t.Errorf("appserver.Directory.holders = %v (present %v), want a list of replicas per shard number", f.Type, ok)
 	}
 	for spec, want := range map[reflect.Type][]string{
 		reflect.TypeOf(solver.Entity{}):      {"Load", "Bucket", "Home", "Movable", "Group", "Prefer", "PreferWeight"},

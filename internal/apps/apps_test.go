@@ -6,26 +6,51 @@ import (
 
 	"shardmanager/internal/appserver"
 	"shardmanager/internal/shard"
+	"shardmanager/internal/sim"
 	"shardmanager/internal/topology"
 )
 
+// shards numbers shards for applications driven by hand, as the servers of
+// one directory do.
+type shards struct{ dir *appserver.Directory }
+
+func newShards() shards { return shards{appserver.NewDirectory()} }
+
+// on builds an application for a server of d's directory: the server numbers
+// the shards the application is given.
+func on[A appserver.Application](d shards, build func(*appserver.Server) A) A {
+	var app A
+	appserver.NewServer(sim.NewLoop(1), nil, d.dir, func(s *appserver.Server) appserver.Application {
+		app = build(s)
+		return app
+	}, "app", "srv", "r1")
+	return app
+}
+
+// req is a request for shard id as Serve hands it to the application, with
+// the shard's number filled in.
+func (d shards) req(id shard.ID, op, key string, payload any) *appserver.Request {
+	return &appserver.Request{Shard: id, ShardNum: d.dir.ShardNum(id), Op: op, Key: key, Payload: payload}
+}
+
 func TestKVStorePutGetScan(t *testing.T) {
+	d := newShards()
 	backing := NewKVBacking()
-	kv := NewKVStore(nil, backing)
+	kv := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, backing) })
 	kv.AddShard("s1", shard.RolePrimary)
 
-	if _, err := kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "user:1", Payload: KVPut{Value: "alice"}}); err != nil {
+	if _, err := kv.HandleRequest(d.req("s1", KVOpPut, "user:1", KVPut{Value: "alice"})); err != nil {
 		t.Fatal(err)
 	}
-	kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "user:2", Payload: KVPut{Value: "bob"}})
-	kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "item:9", Payload: KVPut{Value: "x"}})
+	kv.HandleRequest(d.req("s1", KVOpPut, "user:2", KVPut{Value: "bob"}))
+	kv.HandleRequest(d.req("s1", KVOpPut, "item:9", KVPut{Value: "x"}))
 
-	v, err := kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpGet, Key: "user:1"})
+	v, err := kv.HandleRequest(d.req("s1", KVOpGet, "user:1", nil))
 	if err != nil || v != "alice" {
 		t.Fatalf("get = %v err=%v", v, err)
 	}
 	// Prefix scan needs key locality (§3.1).
-	scan, err := kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpScan, Key: "user:"})
+	scan, err := kv.HandleRequest(d.req("s1", KVOpScan, "user:", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,34 +61,36 @@ func TestKVStorePutGetScan(t *testing.T) {
 }
 
 func TestKVStoreErrors(t *testing.T) {
-	kv := NewKVStore(nil, NewKVBacking())
-	if _, err := kv.HandleRequest(&appserver.Request{Shard: "nope", Op: KVOpGet}); err == nil {
+	d := newShards()
+	kv := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, NewKVBacking()) })
+	if _, err := kv.HandleRequest(d.req("nope", KVOpGet, "", nil)); err == nil {
 		t.Fatal("unowned shard accepted")
 	}
 	kv.AddShard("s1", shard.RolePrimary)
-	if _, err := kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpGet, Key: "missing"}); err == nil {
+	if _, err := kv.HandleRequest(d.req("s1", KVOpGet, "missing", nil)); err == nil {
 		t.Fatal("missing key returned no error")
 	}
-	if _, err := kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "k", Payload: 42}); err == nil {
+	if _, err := kv.HandleRequest(d.req("s1", KVOpPut, "k", 42)); err == nil {
 		t.Fatal("bad payload accepted")
 	}
-	if _, err := kv.HandleRequest(&appserver.Request{Shard: "s1", Op: "bogus"}); err == nil {
+	if _, err := kv.HandleRequest(d.req("s1", "bogus", "", nil)); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
 
 func TestKVStoreSurvivesMigration(t *testing.T) {
+	d := newShards()
 	// Two replicas over the same backing: writes through the old owner
 	// are visible to the new one — the property graceful migration
 	// relies on.
 	backing := NewKVBacking()
-	a := NewKVStore(nil, backing)
-	b := NewKVStore(nil, backing)
+	a := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, backing) })
+	b := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, backing) })
 	a.AddShard("s1", shard.RolePrimary)
-	a.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "k", Payload: KVPut{Value: "v"}})
+	a.HandleRequest(d.req("s1", KVOpPut, "k", KVPut{Value: "v"}))
 	a.DropShard("s1")
 	b.AddShard("s1", shard.RolePrimary)
-	v, err := b.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpGet, Key: "k"})
+	v, err := b.HandleRequest(d.req("s1", KVOpGet, "k", nil))
 	if err != nil || v != "v" {
 		t.Fatalf("migrated read = %v err=%v", v, err)
 	}
@@ -78,9 +105,10 @@ func shardLoad(lr appserver.LoadReporter, s shard.ID) topology.Capacity {
 }
 
 func TestKVStoreLoadReport(t *testing.T) {
-	kv := NewKVStore(nil, NewKVBacking())
+	d := newShards()
+	kv := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, NewKVBacking()) })
 	kv.AddShard("s1", shard.RolePrimary)
-	kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "k", Payload: KVPut{Value: "v"}})
+	kv.HandleRequest(d.req("s1", KVOpPut, "k", KVPut{Value: "v"}))
 	if got := shardLoad(kv, "s1").Get(topology.ResourceStorage); got != 1 {
 		t.Fatalf("storage load = %v", got)
 	}
@@ -93,10 +121,11 @@ func TestKVStoreLoadReport(t *testing.T) {
 // TestKVGetAllocatesNothing: a get hands out the value as it was boxed when
 // written, so serving a read allocates nothing.
 func TestKVGetAllocatesNothing(t *testing.T) {
-	kv := NewKVStore(nil, NewKVBacking())
+	d := newShards()
+	kv := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, NewKVBacking()) })
 	kv.AddShard("s1", shard.RolePrimary)
-	kv.HandleRequest(&appserver.Request{Shard: "s1", Op: KVOpPut, Key: "k", Payload: KVPut{Value: "v"}})
-	get := &appserver.Request{Shard: "s1", Op: KVOpGet, Key: "k"}
+	kv.HandleRequest(d.req("s1", KVOpPut, "k", KVPut{Value: "v"}))
+	get := d.req("s1", KVOpGet, "k", nil)
 	allocs := testing.AllocsPerRun(100, func() {
 		if v, err := kv.HandleRequest(get); err != nil || v != "v" {
 			t.Fatalf("get = %v err=%v", v, err)
@@ -108,26 +137,27 @@ func TestKVGetAllocatesNothing(t *testing.T) {
 }
 
 func TestQueueFIFOOrder(t *testing.T) {
+	d := newShards()
 	backing := NewQueueBacking()
-	q := NewQueue(nil, backing)
+	q := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, backing) })
 	q.AddShard("s1", shard.RolePrimary)
 	for _, m := range []string{"a", "b", "c"} {
-		if _, err := q.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpEnqueue, Payload: m}); err != nil {
+		if _, err := q.HandleRequest(d.req("s1", QueueOpEnqueue, "", m)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	depth, _ := q.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpDepth})
+	depth, _ := q.HandleRequest(d.req("s1", QueueOpDepth, "", nil))
 	if depth != 3 {
 		t.Fatalf("depth = %v", depth)
 	}
 	for _, want := range []string{"a", "b", "c"} {
-		got, err := q.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpDequeue})
+		got, err := q.HandleRequest(d.req("s1", QueueOpDequeue, "", nil))
 		if err != nil || got != want {
 			t.Fatalf("dequeue = %v err=%v, want %s", got, err, want)
 		}
 	}
 	// Empty dequeue is not an error (in-order delivery just waits).
-	got, err := q.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpDequeue})
+	got, err := q.HandleRequest(d.req("s1", QueueOpDequeue, "", nil))
 	if err != nil || got != "" {
 		t.Fatalf("empty dequeue = %v err=%v", got, err)
 	}
@@ -141,19 +171,20 @@ func TestQueueFIFOOrder(t *testing.T) {
 // a plain slice does, with the same depth after every operation.
 func TestQueueBackingMatchesASlice(t *testing.T) {
 	b := NewQueueBacking()
+	q := b.queue("s1")
 	var ref []string
 	n := 0
 	push := func(k int) {
 		for range k {
 			item := fmt.Sprint(n)
 			n++
-			b.push("s1", item)
+			b.push(q, item)
 			ref = append(ref, item)
 		}
 	}
 	pop := func(k int) {
 		for range k {
-			got, ok := b.pop("s1")
+			got, ok := b.pop(q)
 			if len(ref) == 0 {
 				if ok || got != "" {
 					t.Fatalf("an empty queue popped %q", got)
@@ -189,98 +220,91 @@ func TestQueueBackingMatchesASlice(t *testing.T) {
 }
 
 func TestQueueSurvivesOwnerChange(t *testing.T) {
+	d := newShards()
 	backing := NewQueueBacking()
-	a := NewQueue(nil, backing)
-	b := NewQueue(nil, backing)
+	a := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, backing) })
+	b := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, backing) })
 	a.AddShard("s1", shard.RolePrimary)
-	a.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpEnqueue, Payload: "m1"})
-	a.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpEnqueue, Payload: "m2"})
+	a.HandleRequest(d.req("s1", QueueOpEnqueue, "", "m1"))
+	a.HandleRequest(d.req("s1", QueueOpEnqueue, "", "m2"))
 	a.DropShard("s1")
 	b.AddShard("s1", shard.RolePrimary)
-	got, err := b.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpDequeue})
+	got, err := b.HandleRequest(d.req("s1", QueueOpDequeue, "", nil))
 	if err != nil || got != "m1" {
 		t.Fatalf("in-order delivery broken across owners: %v err=%v", got, err)
 	}
 }
 
 func TestQueueErrors(t *testing.T) {
-	q := NewQueue(nil, NewQueueBacking())
-	if _, err := q.HandleRequest(&appserver.Request{Shard: "nope", Op: QueueOpDequeue}); err == nil {
+	d := newShards()
+	q := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, NewQueueBacking()) })
+	if _, err := q.HandleRequest(d.req("nope", QueueOpDequeue, "", nil)); err == nil {
 		t.Fatal("unowned shard accepted")
 	}
 	q.AddShard("s1", shard.RolePrimary)
-	if _, err := q.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpEnqueue, Payload: 3}); err == nil {
+	if _, err := q.HandleRequest(d.req("s1", QueueOpEnqueue, "", 3)); err == nil {
 		t.Fatal("bad payload accepted")
 	}
-	if _, err := q.HandleRequest(&appserver.Request{Shard: "s1", Op: "bogus"}); err == nil {
+	if _, err := q.HandleRequest(d.req("s1", "bogus", "", nil)); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
 
 func TestQueueLoadReportsDepth(t *testing.T) {
-	q := NewQueue(nil, NewQueueBacking())
+	d := newShards()
+	q := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, NewQueueBacking()) })
 	q.AddShard("s1", shard.RolePrimary)
-	q.HandleRequest(&appserver.Request{Shard: "s1", Op: QueueOpEnqueue, Payload: "x"})
+	q.HandleRequest(d.req("s1", QueueOpEnqueue, "", "x"))
 	if got := shardLoad(q, "s1").Get("queue_depth"); got != 1 {
 		t.Fatalf("queue_depth = %v", got)
 	}
 }
 
 func TestStreamProcessorMaterializesFromBus(t *testing.T) {
+	d := newShards()
 	bus := NewDataBus()
 	bus.Publish(BusEvent{Shard: "s1", Key: "ad1", Count: 3})
 	bus.Publish(BusEvent{Shard: "s1", Key: "ad1", Count: 2})
 	bus.Publish(BusEvent{Shard: "s1", Key: "ad2", Count: 1})
 
-	p := NewStreamProcessor(bus)
+	p := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(s, bus) })
 	p.AddShard("s1", shard.RolePrimary)
-	got, err := p.HandleRequest(&appserver.Request{Shard: "s1", Op: StreamOpQuery, Key: "ad1"})
+	got, err := p.HandleRequest(d.req("s1", StreamOpQuery, "ad1", nil))
 	if err != nil || got != int64(5) {
 		t.Fatalf("query = %v err=%v", got, err)
 	}
 	// New events are consumed on poke/query.
 	bus.Publish(BusEvent{Shard: "s1", Key: "ad1", Count: 10})
-	got, _ = p.HandleRequest(&appserver.Request{Shard: "s1", Op: StreamOpQuery, Key: "ad1"})
+	got, _ = p.HandleRequest(d.req("s1", StreamOpQuery, "ad1", nil))
 	if got != int64(15) {
 		t.Fatalf("query after publish = %v", got)
 	}
 }
 
 func TestStreamProcessorRebuildOnMigration(t *testing.T) {
+	d := newShards()
 	bus := NewDataBus()
 	bus.Publish(BusEvent{Shard: "s1", Key: "k", Count: 7})
-	a := NewStreamProcessor(bus)
-	b := NewStreamProcessor(bus)
+	a := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(s, bus) })
+	b := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(s, bus) })
 	a.AddShard("s1", shard.RolePrimary)
 	a.DropShard("s1")
 	// The new owner rebuilds the materialized view from the bus.
 	b.AddShard("s1", shard.RolePrimary)
-	got, err := b.HandleRequest(&appserver.Request{Shard: "s1", Op: StreamOpQuery, Key: "k"})
+	got, err := b.HandleRequest(d.req("s1", StreamOpQuery, "k", nil))
 	if err != nil || got != int64(7) {
 		t.Fatalf("rebuilt query = %v err=%v", got, err)
 	}
 }
 
 func TestStreamProcessorErrors(t *testing.T) {
-	p := NewStreamProcessor(NewDataBus())
-	if _, err := p.HandleRequest(&appserver.Request{Shard: "nope", Op: StreamOpQuery}); err == nil {
+	d := newShards()
+	p := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(s, NewDataBus()) })
+	if _, err := p.HandleRequest(d.req("nope", StreamOpQuery, "", nil)); err == nil {
 		t.Fatal("unowned shard accepted")
 	}
 	p.AddShard("s1", shard.RolePrimary)
-	if _, err := p.HandleRequest(&appserver.Request{Shard: "s1", Op: "bogus"}); err == nil {
+	if _, err := p.HandleRequest(d.req("s1", "bogus", "", nil)); err == nil {
 		t.Fatal("unknown op accepted")
-	}
-}
-
-func TestDataBusReadFrom(t *testing.T) {
-	bus := NewDataBus()
-	for i := 0; i < 5; i++ {
-		bus.Publish(BusEvent{Shard: "s1", Key: "k", Count: int64(i)})
-	}
-	if got := len(bus.ReadFrom("s1", 3)); got != 2 {
-		t.Fatalf("ReadFrom(3) = %d events", got)
-	}
-	if got := bus.ReadFrom("s1", 99); got != nil {
-		t.Fatalf("ReadFrom past end = %v", got)
 	}
 }

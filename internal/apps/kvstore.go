@@ -31,10 +31,11 @@ type KVStore struct {
 	// backing is shared by all replicas of the application (the
 	// "durable" store); keyed by shard then key.
 	backing *KVBacking
-	// owned tracks the shards this replica currently serves, each with the
-	// backing's map for the shard (guarded by the backing's mutex), so that a
-	// get or put looks the shard up once.
-	owned map[shard.ID]map[string]any
+	// owned tracks the shards this replica currently serves, by the number
+	// requests carry (Request.ShardNum), each with the backing's map for the
+	// shard (guarded by the backing's mutex), so that a request finds its
+	// data without hashing the shard's name.
+	owned map[appserver.ShardNum]map[string]any
 	// loads holds the synthetic load SetShardLoad last set for a shard, as
 	// its resources and their values.
 	loads map[shard.ID][]resourceLoad
@@ -55,6 +56,7 @@ type KVBacking struct {
 	// server is the first server a store was built for on the backing: a write
 	// that adds a key marks the shard's load through it, and the mark reaches
 	// every server of its directory, which holds all of the application's.
+	// Nil until a store is built, and then no write is marked.
 	server *appserver.Server
 }
 
@@ -78,26 +80,25 @@ func (b *KVBacking) shard(s shard.ID) map[string]any {
 func (b *KVBacking) Put(s shard.ID, key, value string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.put(s, b.shard(s), key, value)
-}
-
-// put writes to data, shard s's map. A new key grows the shard's storage load.
-func (b *KVBacking) put(s shard.ID, data map[string]any, key, value string) {
-	keys := len(data)
-	data[key] = value
-	if len(data) != keys {
-		b.server.LoadChanged(s)
+	if b.put(b.shard(s), key, value) && b.server != nil {
+		b.server.LoadChanged(b.server.ShardNum(s))
 	}
 }
 
-// Scan returns the sorted keys in a shard with the given prefix — the
-// prefix-scan operation that requires key locality (§3.1, the Laser
-// example).
-func (b *KVBacking) Scan(s shard.ID, prefix string) []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// put writes to data, a shard's map, and reports whether the key is new: a
+// new key grows the shard's storage load, which the caller marks.
+func (b *KVBacking) put(data map[string]any, key, value string) bool {
+	keys := len(data)
+	data[key] = value
+	return len(data) != keys
+}
+
+// scan returns the sorted keys in a shard's map with the given prefix — the
+// prefix-scan operation that requires key locality (§3.1, the Laser example).
+// The caller holds the backing's mutex.
+func scan(data map[string]any, prefix string) []string {
 	var out []string
-	for k := range b.data[s] {
+	for k := range data {
 		if strings.HasPrefix(k, prefix) {
 			out = append(out, k)
 		}
@@ -113,7 +114,8 @@ func (b *KVBacking) Keys(s shard.ID) int {
 	return len(b.data[s])
 }
 
-// NewKVStore builds the application instance for one server.
+// NewKVStore builds the application instance for one server, which numbers
+// the shards it is given.
 func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 	if backing.server == nil {
 		backing.server = server
@@ -121,7 +123,7 @@ func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 	return &KVStore{
 		server:  server,
 		backing: backing,
-		owned:   make(map[shard.ID]map[string]any),
+		owned:   make(map[appserver.ShardNum]map[string]any),
 		loads:   make(map[shard.ID][]resourceLoad),
 	}
 }
@@ -135,18 +137,18 @@ func (k *KVStore) SetShardLoad(s shard.ID, load topology.Capacity) {
 		held = append(held, resourceLoad{r, v})
 	}
 	k.loads[s] = held
-	k.server.LoadChanged(s)
+	k.server.LoadChanged(k.server.ShardNum(s))
 }
 
 // AddShard implements appserver.Application.
 func (k *KVStore) AddShard(s shard.ID, _ shard.Role) {
 	k.backing.mu.Lock()
 	defer k.backing.mu.Unlock()
-	k.owned[s] = k.backing.shard(s)
+	k.owned[k.server.ShardNum(s)] = k.backing.shard(s)
 }
 
 // DropShard implements appserver.Application.
-func (k *KVStore) DropShard(s shard.ID) { delete(k.owned, s) }
+func (k *KVStore) DropShard(s shard.ID) { delete(k.owned, k.server.ShardNum(s)) }
 
 // ChangeRole implements appserver.Application.
 func (k *KVStore) ChangeRole(s shard.ID, _, to shard.Role) { k.AddShard(s, to) }
@@ -179,7 +181,7 @@ type KVPut struct {
 
 // HandleRequest implements appserver.Application.
 func (k *KVStore) HandleRequest(req *appserver.Request) (any, error) {
-	data, ok := k.owned[req.Shard]
+	data, ok := k.owned[req.ShardNum]
 	if !ok {
 		return nil, fmt.Errorf("kvstore: shard %s not owned", req.Shard)
 	}
@@ -191,8 +193,11 @@ func (k *KVStore) HandleRequest(req *appserver.Request) (any, error) {
 			return nil, errors.New("kvstore: bad put payload")
 		}
 		b.mu.Lock()
-		b.put(req.Shard, data, req.Key, p.Value)
+		added := b.put(data, req.Key, p.Value)
 		b.mu.Unlock()
+		if added {
+			k.server.LoadChanged(req.ShardNum)
+		}
 		return "ok", nil
 	case KVOpGet:
 		b.mu.Lock()
@@ -203,7 +208,9 @@ func (k *KVStore) HandleRequest(req *appserver.Request) (any, error) {
 		}
 		return v, nil
 	case KVOpScan:
-		return k.backing.Scan(req.Shard, req.Key), nil
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return scan(data, req.Key), nil
 	default:
 		return nil, fmt.Errorf("kvstore: unknown op %q", req.Op)
 	}

@@ -19,7 +19,9 @@ import (
 type Queue struct {
 	server  *appserver.Server
 	backing *QueueBacking
-	owned   map[shard.ID]bool
+	// owned holds the queues of the shards this server owns, by the number
+	// requests carry (Request.ShardNum).
+	owned map[appserver.ShardNum]*shardQueue
 }
 
 // QueueBacking is the durable queue state shared by an application's
@@ -55,15 +57,28 @@ func NewQueueBacking() *QueueBacking {
 	return &QueueBacking{queues: make(map[shard.ID]*shardQueue)}
 }
 
-// push appends an item to a shard's queue.
-func (b *QueueBacking) push(s shard.ID, item string) {
+// queue returns shard s's queue, making it on first use; the queue, once
+// made, is the shard's for good. Its first block waits for its first push:
+// a server is given every shard it holds at start-up, and most are not
+// written to for a while.
+func (b *QueueBacking) queue(s shard.ID) *shardQueue {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	q := b.queues[s]
 	if q == nil {
-		blk := &queueBlock{}
-		q = &shardQueue{head: blk, tail: blk}
+		q = &shardQueue{}
 		b.queues[s] = q
+	}
+	return q
+}
+
+// push appends an item to a shard's queue.
+func (b *QueueBacking) push(q *shardQueue, item string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if q.tail == nil {
+		q.head = &queueBlock{}
+		q.tail = q.head
 	}
 	tail := q.tail
 	if q.end == queueBlockLen {
@@ -78,11 +93,10 @@ func (b *QueueBacking) push(s shard.ID, item string) {
 }
 
 // pop removes the head of a shard's queue.
-func (b *QueueBacking) pop(s shard.ID) (string, bool) {
+func (b *QueueBacking) pop(q *shardQueue) (string, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	q := b.queues[s]
-	if q == nil || q.n == 0 {
+	if q.n == 0 {
 		return "", false
 	}
 	item := q.head.items[q.first]
@@ -108,20 +122,23 @@ func (b *QueueBacking) Len(s shard.ID) int {
 	return 0
 }
 
-// NewQueue builds the application instance for one server.
+// NewQueue builds the application instance for one server, which numbers
+// the shards it is given.
 func NewQueue(server *appserver.Server, backing *QueueBacking) *Queue {
 	return &Queue{
 		server:  server,
 		backing: backing,
-		owned:   make(map[shard.ID]bool),
+		owned:   make(map[appserver.ShardNum]*shardQueue),
 	}
 }
 
 // AddShard implements appserver.Application.
-func (q *Queue) AddShard(s shard.ID, _ shard.Role) { q.owned[s] = true }
+func (q *Queue) AddShard(s shard.ID, _ shard.Role) {
+	q.owned[q.server.ShardNum(s)] = q.backing.queue(s)
+}
 
 // DropShard implements appserver.Application.
-func (q *Queue) DropShard(s shard.ID) { delete(q.owned, s) }
+func (q *Queue) DropShard(s shard.ID) { delete(q.owned, q.server.ShardNum(s)) }
 
 // ChangeRole implements appserver.Application (primary-only: no-op).
 func (q *Queue) ChangeRole(shard.ID, shard.Role, shard.Role) {}
@@ -142,7 +159,8 @@ const (
 
 // HandleRequest implements appserver.Application.
 func (q *Queue) HandleRequest(req *appserver.Request) (any, error) {
-	if !q.owned[req.Shard] {
+	sq := q.owned[req.ShardNum]
+	if sq == nil {
 		return nil, fmt.Errorf("queue: shard %s not owned", req.Shard)
 	}
 	switch req.Op {
@@ -151,18 +169,20 @@ func (q *Queue) HandleRequest(req *appserver.Request) (any, error) {
 		if !ok {
 			return nil, errors.New("queue: bad enqueue payload")
 		}
-		q.backing.push(req.Shard, item)
-		q.server.LoadChanged(req.Shard)
+		q.backing.push(sq, item)
+		q.server.LoadChanged(req.ShardNum)
 		return "ok", nil
 	case QueueOpDequeue:
-		item, ok := q.backing.pop(req.Shard)
+		item, ok := q.backing.pop(sq)
 		if !ok {
 			return "", nil // empty queue is not an error
 		}
-		q.server.LoadChanged(req.Shard)
+		q.server.LoadChanged(req.ShardNum)
 		return item, nil
 	case QueueOpDepth:
-		return q.backing.Len(req.Shard), nil
+		q.backing.mu.Lock()
+		defer q.backing.mu.Unlock()
+		return sq.n, nil
 	default:
 		return nil, fmt.Errorf("queue: unknown op %q", req.Op)
 	}

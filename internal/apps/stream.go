@@ -16,13 +16,20 @@ import (
 // total state loss rebuilds by replaying the bus from the shard's last
 // checkpoint.
 type StreamProcessor struct {
-	bus *DataBus
-	mu  sync.Mutex
-	// state is this replica's materialized view: shard -> key -> count.
-	state map[shard.ID]map[string]int64
-	// cursor is the bus offset each owned shard has consumed through.
-	cursor map[shard.ID]int
-	owned  map[shard.ID]bool
+	server *appserver.Server
+	bus    *DataBus
+	mu     sync.Mutex
+	// owned holds this replica's materialized view of each shard it owns, by
+	// the number requests carry (Request.ShardNum).
+	owned map[appserver.ShardNum]*streamShard
+}
+
+// streamShard is one owned shard's materialized view: its bus log, the
+// offset consumed through and the per-key aggregates.
+type streamShard struct {
+	log    *busLog
+	cursor int
+	state  map[string]int64
 }
 
 // BusEvent is one record on the data bus.
@@ -37,41 +44,44 @@ type BusEvent struct {
 // external tools such as a Kafka-like data bus" of §2.4.
 type DataBus struct {
 	mu   sync.Mutex
-	logs map[shard.ID][]BusEvent
+	logs map[shard.ID]*busLog
+}
+
+// busLog is one shard's log, made on first use and the shard's for good.
+type busLog struct {
+	events []BusEvent
 }
 
 // NewDataBus returns an empty bus.
 func NewDataBus() *DataBus {
-	return &DataBus{logs: make(map[shard.ID][]BusEvent)}
+	return &DataBus{logs: make(map[shard.ID]*busLog)}
+}
+
+// log returns shard s's log, making it on first use. The caller holds b.mu.
+func (b *DataBus) log(s shard.ID) *busLog {
+	l := b.logs[s]
+	if l == nil {
+		l = &busLog{}
+		b.logs[s] = l
+	}
+	return l
 }
 
 // Publish appends an event to its shard's log.
 func (b *DataBus) Publish(ev BusEvent) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.logs[ev.Shard] = append(b.logs[ev.Shard], ev)
+	l := b.log(ev.Shard)
+	l.events = append(l.events, ev)
 }
 
-// ReadFrom returns the events of a shard's log starting at offset.
-func (b *DataBus) ReadFrom(s shard.ID, offset int) []BusEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	log := b.logs[s]
-	if offset >= len(log) {
-		return nil
-	}
-	out := make([]BusEvent, len(log)-offset)
-	copy(out, log[offset:])
-	return out
-}
-
-// NewStreamProcessor builds the application instance for one server.
-func NewStreamProcessor(bus *DataBus) *StreamProcessor {
+// NewStreamProcessor builds the application instance for one server, which
+// numbers the shards it is given.
+func NewStreamProcessor(server *appserver.Server, bus *DataBus) *StreamProcessor {
 	return &StreamProcessor{
+		server: server,
 		bus:    bus,
-		state:  make(map[shard.ID]map[string]int64),
-		cursor: make(map[shard.ID]int),
-		owned:  make(map[shard.ID]bool),
+		owned:  make(map[appserver.ShardNum]*streamShard),
 	}
 }
 
@@ -81,10 +91,12 @@ func NewStreamProcessor(bus *DataBus) *StreamProcessor {
 func (p *StreamProcessor) AddShard(s shard.ID, _ shard.Role) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.owned[s] = true
-	p.state[s] = make(map[string]int64)
-	p.cursor[s] = 0
-	p.consumeLocked(s)
+	p.bus.mu.Lock()
+	log := p.bus.log(s)
+	p.bus.mu.Unlock()
+	sh := &streamShard{log: log, state: make(map[string]int64)}
+	p.owned[p.server.ShardNum(s)] = sh
+	p.consumeLocked(sh)
 }
 
 // DropShard implements appserver.Application: the materialized state is
@@ -92,9 +104,7 @@ func (p *StreamProcessor) AddShard(s shard.ID, _ shard.Role) {
 func (p *StreamProcessor) DropShard(s shard.ID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.owned, s)
-	delete(p.state, s)
-	delete(p.cursor, s)
+	delete(p.owned, p.server.ShardNum(s))
 }
 
 // ChangeRole implements appserver.Application (primary-only: no-op).
@@ -107,12 +117,14 @@ func (p *StreamProcessor) ShardLoad(_ shard.ID, into topology.Capacity) {
 	into[topology.ResourceCPU] = 1
 }
 
-// consumeLocked advances the shard's cursor through the bus.
-func (p *StreamProcessor) consumeLocked(s shard.ID) {
-	for _, ev := range p.bus.ReadFrom(s, p.cursor[s]) {
-		p.state[s][ev.Key] += ev.Count
-		p.cursor[s]++
+// consumeLocked advances the shard's cursor through its bus log.
+func (p *StreamProcessor) consumeLocked(sh *streamShard) {
+	p.bus.mu.Lock()
+	defer p.bus.mu.Unlock()
+	for _, ev := range sh.log.events[sh.cursor:] {
+		sh.state[ev.Key] += ev.Count
 	}
+	sh.cursor = len(sh.log.events)
 }
 
 // Stream operation names.
@@ -128,16 +140,17 @@ const (
 func (p *StreamProcessor) HandleRequest(req *appserver.Request) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.owned[req.Shard] {
+	sh := p.owned[req.ShardNum]
+	if sh == nil {
 		return nil, fmt.Errorf("stream: shard %s not owned", req.Shard)
 	}
 	switch req.Op {
 	case StreamOpPoke:
-		p.consumeLocked(req.Shard)
-		return p.cursor[req.Shard], nil
+		p.consumeLocked(sh)
+		return sh.cursor, nil
 	case StreamOpQuery:
-		p.consumeLocked(req.Shard)
-		return p.state[req.Shard][req.Key], nil
+		p.consumeLocked(sh)
+		return sh.state[req.Key], nil
 	default:
 		return nil, fmt.Errorf("stream: unknown op %q", req.Op)
 	}

@@ -36,7 +36,8 @@ import (
 // its own per-shard state.
 type Application interface {
 	// AddShard makes the server officially own the shard in the given
-	// role and accept requests for it.
+	// role and accept requests for it. The requests carry the shard's
+	// number (Request.ShardNum), which the server's ShardNum gives for s.
 	AddShard(s shard.ID, role shard.Role)
 	// DropShard releases the shard.
 	DropShard(s shard.ID)
@@ -69,8 +70,9 @@ type LoadReporter interface {
 type Request struct {
 	Shard shard.ID
 	// ShardNum is Shard's number in the serving Directory (Directory.ShardNum),
-	// which servers key their replicas by. A sender that has resolved it sets
-	// it; Serve resolves it from Shard when it is 0.
+	// by which a server finds its replica and an application the shard's
+	// state. A sender that has resolved it sets it; Serve resolves it from
+	// Shard when it is 0.
 	ShardNum ShardNum
 	Key      string
 	// Write marks primary-related requests that only the primary may
@@ -101,7 +103,7 @@ type Response struct {
 // Phase is the runtime state of one shard replica on one server. It is
 // exported so observers (the runtime auditor) can reason about the §4.3
 // protocol steps a replica is in.
-type Phase int
+type Phase uint8
 
 // Replica phases, in rough lifecycle order.
 const (
@@ -137,15 +139,16 @@ func (p Phase) String() string {
 	}
 }
 
-type replica struct {
-	role      shard.Role
-	phase     Phase
-	forwardTo shard.ServerID
-	// pendingActive marks a replica that must activate as soon as its
-	// state load completes (AddShard arrived during/starting the load).
-	pendingActive bool
-	// num is the shard the record holds, for its load's timer.
-	num ShardNum
+// holder is one server's replica of one shard, an entry in the directory's
+// list of the shard's replicas (Directory.holders). A server finds its replica
+// by scanning that short list for itself, and the fields a request reads are
+// here, by value, so that serving touches the replica's record only to
+// forward. The entry is the one copy of them.
+type holder struct {
+	srv   *Server
+	r     *replica
+	role  shard.Role
+	phase Phase
 	// unconfirmed marks a primary restored from the persisted assignment
 	// at start-up: that snapshot may be stale (assignment writes are
 	// skipped while the coordination store is unavailable), so the replica
@@ -153,6 +156,16 @@ type replica struct {
 	// confirms the role. Reads still serve — the data is no worse than a
 	// secondary's.
 	unconfirmed bool
+}
+
+// replica is the rest of a replica's state: what a request does not read.
+type replica struct {
+	forwardTo shard.ServerID
+	// pendingActive marks a replica that must activate as soon as its
+	// state load completes (AddShard arrived during/starting the load).
+	pendingActive bool
+	// num is the shard the record holds.
+	num ShardNum
 	// reported is the shard's load generation (Directory.loadGens) at this
 	// replica's last load report; 0 until the first.
 	reported uint64
@@ -218,12 +231,18 @@ type Server struct {
 	// serveDelay stalls every request by this much before processing — a
 	// gray failure: the process is alive (liveness node intact, orchestrator
 	// sees it healthy) but slow. Set by fault injection via SetServeDelay.
+	// stalled counts the requests it holds, which are served when their stall
+	// ends even if the server has left the directory (removed) meanwhile.
 	serveDelay time.Duration
+	stalled    int
+	removed    bool
 
-	// replicas and tombstones are keyed by the shard's number in dir, so that
-	// serving a request hashes an integer; anything that walks them sorts by
-	// the shard's name first.
-	replicas   map[ShardNum]*replica
+	// held lists the server's replicas: the walks read it, and a request
+	// finds its replica in the directory's list for the shard instead
+	// (holding). Anything that walks held sorts by the shard's name first
+	// where order matters.
+	held []*replica
+	// tombstones is keyed by the shard's number in dir.
 	tombstones map[ShardNum]shard.ServerID
 	// dropped[num] is the granted generation of shard num's replica when it
 	// was last dropped, so an older sync does not add it back; an add
@@ -335,6 +354,10 @@ type Directory struct {
 	slots     map[shard.ServerID]*Slot
 	shardNums map[shard.ID]ShardNum
 	shardIDs  []shard.ID // shardIDs[n-1] is the shard numbered n
+	// holders[n] lists shard n's replicas, one entry per server that holds
+	// one (holders[0] stays empty): a server serving a request scans it for
+	// itself. A server leaving the directory takes its entries out.
+	holders [][]holder
 	// loadGens[n-1] counts, from 1, the marks of shard n's load
 	// (Server.LoadChanged).
 	loadGens []uint64
@@ -369,10 +392,10 @@ type ShardNum uint32
 func (d *Directory) AddObserver(o Observer) { d.observers = append(d.observers, o) }
 
 // notifyReplica reports a replica's post-transition state to observers.
-func (s *Server) notifyReplica(id shard.ID, r *replica) {
+func (s *Server) notifyReplica(id shard.ID, h *holder) {
 	for i := range s.dir.observers {
 		if fn := s.dir.observers[i].ReplicaChanged; fn != nil {
-			fn(s.ID, id, r.role, r.phase, r.forwardTo)
+			fn(s.ID, id, h.role, h.phase, h.r.forwardTo)
 		}
 	}
 }
@@ -400,6 +423,7 @@ func NewDirectory() *Directory {
 	return &Directory{
 		slots:      make(map[shard.ServerID]*Slot),
 		shardNums:  make(map[shard.ID]ShardNum),
+		holders:    make([][]holder, 1),
 		byKeyspace: make(map[*shard.Keyspace][]ShardNum),
 		metrics:    make(map[shard.AppID][]topology.Resource),
 	}
@@ -436,14 +460,19 @@ func (d *Directory) Register(s *Server) {
 	d.Slot(s.ID).srv = s
 }
 
-// Remove deletes a server from the directory. Observers are told the server
-// is gone: every replica it held died with the process, so ownership views
-// must not keep counting them as live.
+// Remove deletes a server from the directory. A successor under the same ID
+// is a server of its own, so it never finds the server's replicas, and they
+// leave the directory's lists once no request the gray-failure stall holds can
+// still reach the server (Server.release). Observers are told the server is
+// gone: every replica it held died with the process, so ownership views must
+// not keep counting them as live.
 func (d *Directory) Remove(id shard.ServerID) {
 	sl := d.slots[id]
 	if sl == nil || sl.srv == nil {
 		return
 	}
+	sl.srv.removed = true
+	sl.srv.release()
 	sl.srv = nil
 	for i := range d.observers {
 		if fn := d.observers[i].ServerRemoved; fn != nil {
@@ -459,6 +488,7 @@ func (d *Directory) ShardNum(id shard.ID) ShardNum {
 	if n == 0 {
 		d.shardIDs = append(d.shardIDs, id)
 		d.loadGens = append(d.loadGens, 1)
+		d.holders = append(d.holders, nil)
 		n = ShardNum(len(d.shardIDs))
 		d.shardNums[id] = n
 	}
@@ -467,6 +497,11 @@ func (d *Directory) ShardNum(id shard.ID) ShardNum {
 
 // shardID is ShardNum's inverse.
 func (d *Directory) shardID(n ShardNum) shard.ID { return d.shardIDs[n-1] }
+
+// unhold takes srv's entry out of shard num's list, if it has one.
+func (d *Directory) unhold(srv *Server, num ShardNum) {
+	d.holders[num] = slices.DeleteFunc(d.holders[num], func(h holder) bool { return h.srv == srv })
+}
 
 // ShardNums returns the shard number at each position of ks
 // (shard.Keyspace.Locate). The slice is made on the first call for a keyspace
@@ -483,10 +518,10 @@ func (d *Directory) ShardNums(ks *shard.Keyspace) []ShardNum {
 	return nums
 }
 
-// NewServer constructs a server; Hosts normally do this.
-func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Application,
+// NewServer constructs a server running the application newApp builds for
+// it; Hosts normally do this.
+func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, newApp func(*Server) Application,
 	appID shard.AppID, id shard.ServerID, region topology.RegionID) *Server {
-	reporter, _ := app.(LoadReporter)
 	s := &Server{
 		ID:         id,
 		App:        appID,
@@ -494,15 +529,20 @@ func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, app Applicat
 		loop:       loop,
 		net:        net,
 		dir:        dir,
-		app:        app,
-		reporter:   reporter,
-		replicas:   make(map[ShardNum]*replica),
 		tombstones: make(map[ShardNum]shard.ServerID),
 		dropped:    make(map[ShardNum]int64),
 	}
+	s.app = newApp(s)
+	s.reporter, _ = s.app.(LoadReporter)
 	s.loaded, s.expired = s.loadDone, s.tombstoneDone
 	return s
 }
+
+// ShardNum resolves a shard ID to its number in the server's directory
+// (Directory.ShardNum), the number requests for the shard carry
+// (Request.ShardNum): an application learns it when it is given the shard, so
+// that serving finds the shard's state without hashing its name.
+func (s *Server) ShardNum(id shard.ID) ShardNum { return s.dir.ShardNum(id) }
 
 // --- SM library API, invoked by the orchestrator (Fig 11) ---
 
@@ -552,75 +592,105 @@ func (s *Server) AddShard(id shard.ID, role shard.Role, gen int64) {
 // from the persisted assignment).
 func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool, gen int64) {
 	num := s.dir.ShardNum(id)
-	r := s.newReplica(num)
+	h := s.newReplica(num)
+	r := h.r
 	s.opMetric("add")
-	r.role = role
+	h.role = role
 	r.granted = max(r.granted, gen)
 	r.forwardTo = ""
-	wasUnconfirmed := r.unconfirmed
-	r.unconfirmed = !confirmed
+	wasUnconfirmed := h.unconfirmed
+	h.unconfirmed = !confirmed
 	delete(s.tombstones, num)
-	switch r.phase {
+	switch h.phase {
 	case PhaseLoading:
 		r.pendingActive = true
 	case PhaseNone:
 		if s.LoadTime > 0 {
 			r.pendingActive = true
-			s.startLoad(r)
+			s.startLoad(h)
 		} else {
-			r.phase = PhaseActive
+			h.phase = PhaseActive
 		}
 	default: // prepared, active, or forwarding: state already present
-		r.phase = PhaseActive
+		h.phase = PhaseActive
 	}
-	if r.unconfirmed != wasUnconfirmed {
-		s.notifyConfirmed(id, !r.unconfirmed)
+	if h.unconfirmed != wasUnconfirmed {
+		s.notifyConfirmed(id, !h.unconfirmed)
 	}
-	s.notifyReplica(id, r)
+	s.notifyReplica(id, h)
 	s.app.AddShard(id, role)
+}
+
+// release takes a removed server's entries out of the directory's lists once
+// no stalled request can reach them.
+func (s *Server) release() {
+	if !s.removed || s.stalled > 0 {
+		return
+	}
+	for _, r := range s.held {
+		s.dir.unhold(s, r.num)
+	}
+	s.held = nil
+}
+
+// holding returns the server's entry in shard num's list, or nil if it holds
+// no replica of the shard. The entry moves when a replica of the shard is
+// added or dropped anywhere in the directory: use it before that.
+func (s *Server) holding(num ShardNum) *holder {
+	hs := s.dir.holders[num]
+	for i := range hs {
+		if hs[i].srv == s {
+			return &hs[i]
+		}
+	}
+	return nil
 }
 
 // newReplica returns shard num's replica, making it if the server holds none,
 // from a record the server released if it has one; a new one forgets the
 // shard's drop.
-func (s *Server) newReplica(num ShardNum) *replica {
-	r := s.replicas[num]
-	if r == nil {
-		if n := len(s.free); n > 0 {
-			r, s.free = s.free[n-1], s.free[:n-1]
-			*r = replica{}
-		} else {
-			r = &replica{}
-		}
-		r.num = num
-		s.replicas[num] = r
-		delete(s.dropped, num)
-		s.replicaMetric(1)
+func (s *Server) newReplica(num ShardNum) *holder {
+	if h := s.holding(num); h != nil {
+		return h
 	}
-	return r
+	var r *replica
+	if n := len(s.free); n > 0 {
+		r, s.free = s.free[n-1], s.free[:n-1]
+		*r = replica{}
+	} else {
+		r = &replica{}
+	}
+	r.num = num
+	s.held = append(s.held, r)
+	hs := append(s.dir.holders[num], holder{srv: s, r: r})
+	s.dir.holders[num] = hs
+	delete(s.dropped, num)
+	s.replicaMetric(1)
+	return &hs[len(hs)-1]
 }
 
 // startLoad begins the replica's state load; on completion (loadDone) it
 // becomes active (if AddShard already arrived) or prepared. A replica loads
 // once, from PhaseNone, so its record has at most one load out.
-func (s *Server) startLoad(r *replica) {
-	r.phase = PhaseLoading
-	s.loop.PostArgL(s.LoadTime, lbShardLoad, s.loaded, r)
+func (s *Server) startLoad(h *holder) {
+	h.phase = PhaseLoading
+	s.loop.PostArgL(s.LoadTime, lbShardLoad, s.loaded, h.r)
 }
 
 // loadDone completes the replica's load, unless it was dropped since.
 func (s *Server) loadDone(arg any) {
 	r := arg.(*replica)
-	if s.replicas[r.num] != r || r.phase != PhaseLoading {
+	h := s.holding(r.num)
+	if h == nil || h.r != r || h.phase != PhaseLoading {
 		return
 	}
 	if r.pendingActive {
 		r.pendingActive = false
-		r.phase = PhaseActive
+		h.phase = PhaseActive
 	} else {
-		r.phase = PhasePreparingAdd
+		h.phase = PhasePreparingAdd
 	}
-	s.notifyReplica(s.dir.shardID(r.num), r)
+	s.notifyReplica(s.dir.shardID(r.num), h)
 }
 
 // tombstoneDone ends the tombstone its timer left, unless a newer one
@@ -638,11 +708,12 @@ func (s *Server) tombstoneDone(arg any) {
 // keeps forwarding stragglers for tombstoneTTL (step 5 of §4.3).
 func (s *Server) DropShard(id shard.ID) {
 	num := s.dir.shardNums[id]
-	r := s.replicas[num]
-	if r == nil {
+	h := s.holding(num)
+	if h == nil {
 		return
 	}
-	if r.phase == PhaseForwarding && r.forwardTo != "" {
+	r := h.r
+	if h.phase == PhaseForwarding && r.forwardTo != "" {
 		s.tombstones[num] = r.forwardTo
 		var t *tombstoneTimer
 		if n := len(s.tombs); n > 0 {
@@ -653,13 +724,15 @@ func (s *Server) DropShard(id shard.ID) {
 		t.num, t.to = num, r.forwardTo
 		s.loop.PostArgL(tombstoneTTL, lbTombstoneGC, s.expired, t)
 	}
-	delete(s.replicas, num)
-	s.dropped[num] = r.granted
-	if r.phase != PhaseLoading {
+	if h.phase != PhaseLoading {
 		// A record whose load is still out is left to the collector, so no
 		// load timer ever finds a record reused.
 		s.free = append(s.free, r)
 	}
+	s.dir.unhold(s, num) // h is gone
+	i := slices.Index(s.held, r)
+	s.held = slices.Delete(s.held, i, i+1)
+	s.dropped[num] = r.granted
 	s.replicaMetric(-1)
 	s.opMetric("drop")
 	_, tomb := s.tombstones[num]
@@ -678,21 +751,21 @@ func (s *Server) ChangeRole(id shard.ID, from, to shard.Role, gen int64) error {
 	if !s.acceptGrant(gen) {
 		return fmt.Errorf("appserver: stale role grant for %s (gen %d <= fence %d)", id, gen, s.fenceGen)
 	}
-	r := s.replicas[s.dir.shardNums[id]]
-	if r == nil {
+	h := s.holding(s.dir.shardNums[id])
+	if h == nil {
 		return fmt.Errorf("appserver: %s does not hold shard %s", s.ID, id)
 	}
-	if r.role != from {
-		return fmt.Errorf("appserver: shard %s role is %v, not %v", id, r.role, from)
+	if h.role != from {
+		return fmt.Errorf("appserver: shard %s role is %v, not %v", id, h.role, from)
 	}
-	r.role = to
-	r.granted = max(r.granted, gen)
-	if r.unconfirmed {
-		r.unconfirmed = false
+	h.role = to
+	h.r.granted = max(h.r.granted, gen)
+	if h.unconfirmed {
+		h.unconfirmed = false
 		s.notifyConfirmed(id, true)
 	}
 	s.opMetric("change_role")
-	s.notifyReplica(id, r)
+	s.notifyReplica(id, h)
 	s.app.ChangeRole(id, from, to)
 	return nil
 }
@@ -706,30 +779,29 @@ func (s *Server) PrepareAddShard(id shard.ID, currentOwner shard.ServerID, role 
 	if !s.acceptGrant(gen) {
 		return
 	}
-	num := s.dir.ShardNum(id)
-	r := s.newReplica(num)
+	h := s.newReplica(s.dir.ShardNum(id))
 	s.opMetric("prepare_add")
-	r.role = role
-	r.granted = max(r.granted, gen)
-	if r.phase == PhaseNone && s.LoadTime > 0 {
-		s.startLoad(r)
-	} else if r.phase != PhaseLoading {
-		r.phase = PhasePreparingAdd
+	h.role = role
+	h.r.granted = max(h.r.granted, gen)
+	if h.phase == PhaseNone && s.LoadTime > 0 {
+		s.startLoad(h)
+	} else if h.phase != PhaseLoading {
+		h.phase = PhasePreparingAdd
 	}
-	s.notifyReplica(id, r)
+	s.notifyReplica(id, h)
 }
 
 // PrepareDropShard tells this server that newOwner is taking over: from now
 // on it forwards the shard's requests to newOwner (step 2 of §4.3).
 func (s *Server) PrepareDropShard(id shard.ID, newOwner shard.ServerID, role shard.Role) {
-	r := s.replicas[s.dir.shardNums[id]]
-	if r == nil {
+	h := s.holding(s.dir.shardNums[id])
+	if h == nil {
 		return
 	}
 	s.opMetric("prepare_drop")
-	r.phase = PhaseForwarding
-	r.forwardTo = newOwner
-	s.notifyReplica(id, r)
+	h.phase = PhaseForwarding
+	h.r.forwardTo = newOwner
+	s.notifyReplica(id, h)
 }
 
 // ResumeShard cancels a hand-off: a forwarding replica returns to active
@@ -742,15 +814,15 @@ func (s *Server) ResumeShard(id shard.ID, gen int64) {
 	if !s.acceptGrant(gen) {
 		return
 	}
-	r := s.replicas[s.dir.shardNums[id]]
-	if r == nil || r.phase != PhaseForwarding {
+	h := s.holding(s.dir.shardNums[id])
+	if h == nil || h.phase != PhaseForwarding {
 		return
 	}
 	s.opMetric("resume")
-	r.granted = max(r.granted, gen)
-	r.phase = PhaseActive
-	r.forwardTo = ""
-	s.notifyReplica(id, r)
+	h.r.granted = max(h.r.granted, gen)
+	h.phase = PhaseActive
+	h.r.forwardTo = ""
+	s.notifyReplica(id, h)
 }
 
 // SyncAssignment reconciles this server's replica set against the
@@ -778,11 +850,11 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 	}
 	s.opMetric("sync")
 	for _, id := range s.shardIDs() {
-		r := s.replicas[s.dir.shardNums[id]]
-		if r.phase != PhaseActive || r.granted > gen {
+		h := s.holding(s.dir.shardNums[id])
+		if h.phase != PhaseActive || h.r.granted > gen {
 			continue
 		}
-		r.granted = gen
+		h.r.granted = gen
 		role, ok := want[id]
 		if !ok {
 			if !protect[id] {
@@ -790,25 +862,25 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 			}
 			continue
 		}
-		if r.role != role {
-			old := r.role
-			r.role = role
-			if r.unconfirmed {
-				r.unconfirmed = false
+		if h.role != role {
+			old := h.role
+			h.role = role
+			if h.unconfirmed {
+				h.unconfirmed = false
 				s.notifyConfirmed(id, true)
 			}
-			s.notifyReplica(id, r)
+			s.notifyReplica(id, h)
 			s.app.ChangeRole(id, old, role)
-		} else if r.unconfirmed {
-			r.unconfirmed = false
+		} else if h.unconfirmed {
+			h.unconfirmed = false
 			s.notifyConfirmed(id, true)
-			s.notifyReplica(id, r)
+			s.notifyReplica(id, h)
 		}
 	}
 	missing := make([]string, 0, len(want))
 	for id := range want {
 		num := s.dir.shardNums[id]
-		if s.replicas[num] == nil && s.dropped[num] <= gen {
+		if s.holding(num) == nil && s.dropped[num] <= gen {
 			missing = append(missing, string(id))
 		}
 	}
@@ -831,9 +903,9 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 // phases), sorted: the order everything that walks the replicas uses, since
 // the table's own keys are first-sight numbers.
 func (s *Server) shardIDs() []shard.ID {
-	ids := make([]shard.ID, 0, len(s.replicas))
-	for num := range s.replicas {
-		ids = append(ids, s.dir.shardID(num))
+	ids := make([]shard.ID, 0, len(s.held))
+	for _, r := range s.held {
+		ids = append(ids, s.dir.shardID(r.num))
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -841,17 +913,17 @@ func (s *Server) shardIDs() []shard.ID {
 
 // Shards returns a snapshot of owned shards and their roles (all phases).
 func (s *Server) Shards() map[shard.ID]shard.Role {
-	out := make(map[shard.ID]shard.Role, len(s.replicas))
-	for num, r := range s.replicas {
-		out[s.dir.shardID(num)] = r.role
+	out := make(map[shard.ID]shard.Role, len(s.held))
+	for _, r := range s.held {
+		out[s.dir.shardID(r.num)] = s.holding(r.num).role
 	}
 	return out
 }
 
 // HoldsActive reports whether the server actively owns the shard.
 func (s *Server) HoldsActive(id shard.ID) bool {
-	r := s.replicas[s.dir.shardNums[id]]
-	return r != nil && r.phase == PhaseActive
+	h := s.holding(s.dir.shardNums[id])
+	return h != nil && h.phase == PhaseActive
 }
 
 // LoadEntry is one shard's load in a load report: one value per metric the
@@ -875,8 +947,8 @@ type LoadEntry struct {
 // does changes them.
 func (s *Server) LoadReport() []LoadEntry {
 	n := 0
-	for num, r := range s.replicas {
-		if r.reported != s.dir.loadGens[num-1] {
+	for _, r := range s.held {
+		if r.reported != s.dir.loadGens[r.num-1] {
 			n++
 		}
 	}
@@ -885,7 +957,7 @@ func (s *Server) LoadReport() []LoadEntry {
 	}
 	metrics := s.dir.metrics[s.App]
 	if len(s.report) < n {
-		size := max(len(s.replicas), 2*len(s.report))
+		size := max(len(s.held), 2*len(s.report))
 		s.report = make([]LoadEntry, size)
 		s.reportVals = make([]float64, size*len(metrics))
 	}
@@ -894,14 +966,14 @@ func (s *Server) LoadReport() []LoadEntry {
 		s.asked = make(topology.Capacity, len(metrics))
 	}
 	lr := s.reporter
-	for num, r := range s.replicas {
-		gen := s.dir.loadGens[num-1]
+	for _, r := range s.held {
+		gen := s.dir.loadGens[r.num-1]
 		if r.reported == gen {
 			continue
 		}
 		r.reported = gen
 		clear(s.asked)
-		id := s.dir.shardID(num)
+		id := s.dir.shardID(r.num)
 		if lr != nil {
 			lr.ShardLoad(id, s.asked)
 		} else {
@@ -916,15 +988,12 @@ func (s *Server) LoadReport() []LoadEntry {
 	return out
 }
 
-// LoadChanged marks the shard's load as possibly changed: at the next
-// collection every server of the directory that holds a replica of it reports
-// it again. A nil server (an application driven on its own) marks nothing.
-func (s *Server) LoadChanged(id shard.ID) {
-	if s == nil {
-		return
-	}
-	if n := s.dir.shardNums[id]; n != 0 {
-		s.dir.loadGens[n-1]++
+// LoadChanged marks shard num's load (ShardNum) as possibly changed: at the
+// next collection every server of the directory that holds a replica of it
+// reports it again. Number 0 marks nothing.
+func (s *Server) LoadChanged(num ShardNum) {
+	if num != 0 {
+		s.dir.loadGens[num-1]++
 	}
 }
 
@@ -937,7 +1006,12 @@ func (s *Server) Serve(req *Request, reply func(Response)) {
 		req.ShardNum = s.dir.shardNums[req.Shard]
 	}
 	if s.serveDelay > 0 {
-		s.loop.AfterL(s.serveDelay, lbServeDelay, func() { s.serve(req, reply) })
+		s.stalled++
+		s.loop.AfterL(s.serveDelay, lbServeDelay, func() {
+			s.stalled--
+			s.serve(req, reply)
+			s.release()
+		})
 		return
 	}
 	s.serve(req, reply)
@@ -948,8 +1022,8 @@ func (s *Server) Serve(req *Request, reply func(Response)) {
 func (s *Server) SetServeDelay(d time.Duration) { s.serveDelay = d }
 
 func (s *Server) serve(req *Request, reply func(Response)) {
-	r := s.replicas[req.ShardNum]
-	if r == nil {
+	h := s.holding(req.ShardNum)
+	if h == nil {
 		if to, ok := s.tombstones[req.ShardNum]; ok {
 			s.forward(req, to, reply)
 			return
@@ -957,32 +1031,32 @@ func (s *Server) serve(req *Request, reply func(Response)) {
 		s.reject(req.Shard, reply, "not-owner")
 		return
 	}
-	switch r.phase {
+	switch h.phase {
 	case PhaseActive:
 		// Lost lease: a fenced primary serves nothing — the orchestrator
 		// may already have promoted a replacement, and any response from
 		// here could contradict it. An unconfirmed (restored-from-store)
 		// primary only blocks writes: its data is no staler than a
 		// secondary's, but write ownership needs an authoritative grant.
-		if r.role == shard.RolePrimary && (s.fenced || (req.Write && r.unconfirmed)) {
+		if h.role == shard.RolePrimary && (s.fenced || (req.Write && h.unconfirmed)) {
 			s.reject(req.Shard, reply, "fenced")
 			return
 		}
-		if req.Write && r.role != shard.RolePrimary {
+		if req.Write && h.role != shard.RolePrimary {
 			s.reject(req.Shard, reply, "not-primary")
 			return
 		}
-		s.handle(req, r.phase, reply)
+		s.handle(req, h.phase, reply)
 	case PhaseLoading:
 		s.reject(req.Shard, reply, "loading")
 	case PhasePreparingAdd:
 		if req.Forwarded {
-			s.handle(req, r.phase, reply)
+			s.handle(req, h.phase, reply)
 			return
 		}
 		s.reject(req.Shard, reply, "preparing")
 	case PhaseForwarding:
-		s.forward(req, r.forwardTo, reply)
+		s.forward(req, h.r.forwardTo, reply)
 	default:
 		panic("appserver: unknown replica phase")
 	}
@@ -1153,9 +1227,7 @@ func (h *Host) ContainerStarted(c cluster.Container) {
 	if machine == nil {
 		panic(fmt.Sprintf("appserver: container %s on unknown machine %s", c.ID, c.Machine))
 	}
-	srv := NewServer(h.loop, h.net, h.dir, nil, h.appID, id, machine.Region)
-	srv.app = h.factory(srv)
-	srv.reporter, _ = srv.app.(LoadReporter)
+	srv := NewServer(h.loop, h.net, h.dir, h.factory, h.appID, id, machine.Region)
 	h.servers[id] = srv
 	h.machines[id] = machine.ID
 	h.dir.Register(srv)

@@ -68,7 +68,7 @@ func newEnv() *testEnv {
 var testMetrics = []topology.Resource{topology.ResourceCPU, topology.ResourceShardCount}
 
 func (e *testEnv) server(id shard.ServerID, region topology.RegionID, app Application) *Server {
-	s := NewServer(e.loop, e.net, e.dir, app, "app", id, region)
+	s := NewServer(e.loop, e.net, e.dir, func(*Server) Application { return app }, "app", id, region)
 	e.dir.Register(s)
 	e.net.Register(rpcnet.Endpoint(id), region)
 	return s
@@ -356,8 +356,8 @@ func TestLoadReportCarriesWhatChanged(t *testing.T) {
 		t.Fatalf("an unchanged report allocated %v times and asked %d loads", allocs, app.asked)
 	}
 	app.cpu = 2
-	other.LoadChanged("b")
-	other.LoadChanged("unknown") // a shard no server was given: nothing to mark
+	other.LoadChanged(other.ShardNum("b"))
+	other.LoadChanged(other.ShardNum("unknown")) // a shard no server was given: nothing to mark
 	rep := s.LoadReport()
 	if len(rep) != 1 || rep[0].Shard != "b" || rep[0].Load[0] != 2 {
 		t.Fatalf("report after marking b = %v", rep)
@@ -409,7 +409,7 @@ func TestLoadReportBuffersGrowOnce(t *testing.T) {
 	entry, vals := &s.report[0], &s.reportVals[0]
 	for k := 1; k <= n; k++ {
 		for _, id := range ids[:k] {
-			s.LoadChanged(id)
+			s.LoadChanged(s.ShardNum(id))
 		}
 		if rep := s.LoadReport(); len(rep) != k {
 			t.Fatalf("round %d reported %d entries", k, len(rep))
@@ -431,7 +431,7 @@ func TestLoadReportBuffersGrowOnce(t *testing.T) {
 		id := shard.ID(fmt.Sprintf("up%02d", i))
 		s.AddShard(id, shard.RolePrimary, 1)
 		for j := range i {
-			s.LoadChanged(shard.ID(fmt.Sprintf("up%02d", j)))
+			s.LoadChanged(s.ShardNum(shard.ID(fmt.Sprintf("up%02d", j))))
 		}
 		before := s.report
 		if rep := s.LoadReport(); len(rep) != i+1 {

@@ -47,7 +47,7 @@ func newRig(t *testing.T, opts Options) *rig {
 	a := New(loop, opts)
 	a.WatchDirectory(dir)
 	mk := func(id shard.ServerID) *appserver.Server {
-		srv := appserver.NewServer(loop, nil, dir, fakeApp{}, opts.App, id, "rgn-a")
+		srv := appserver.NewServer(loop, nil, dir, func(*appserver.Server) appserver.Application { return fakeApp{} }, opts.App, id, "rgn-a")
 		dir.Register(srv)
 		return srv
 	}

@@ -50,7 +50,7 @@ func newWorld(t testing.TB) *world {
 	net := rpcnet.NewNetwork(loop, fleet)
 	dir := appserver.NewDirectory()
 	disc := discovery.NewService(loop, discovery.FixedDelay(100*time.Millisecond))
-	srv := appserver.NewServer(loop, net, dir, okApp{}, "app", "far-srv", "far")
+	srv := appserver.NewServer(loop, net, dir, func(*appserver.Server) appserver.Application { return okApp{} }, "app", "far-srv", "far")
 	dir.Register(srv)
 	net.Register("far-srv", "far")
 	srv.AddShard("s1", shard.RoleSecondary, 1)

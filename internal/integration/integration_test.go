@@ -227,8 +227,8 @@ func TestStreamProcessorSurvivesDrainEndToEnd(t *testing.T) {
 		ServersPerRegion: 4,
 		Orch:             cfg,
 		ClusterOpts:      cluster.DefaultOptions(),
-		AppFactory: func(*appserver.Server) appserver.Application {
-			return apps.NewStreamProcessor(bus)
+		AppFactory: func(s *appserver.Server) appserver.Application {
+			return apps.NewStreamProcessor(s, bus)
 		},
 		Seed: 3,
 	})

@@ -288,7 +288,7 @@ func TestLoadReportsMatchFullScan(t *testing.T) {
 		// The source's application serves what the library lets through and
 		// owns the shard until drop_shard, so it is where the queue moves.
 		direct := func(op string) {
-			if _, err := queues[src].HandleRequest(&appserver.Request{Shard: x, Op: op, Payload: "m"}); err != nil {
+			if _, err := queues[src].HandleRequest(&appserver.Request{Shard: x, ShardNum: c.w.dir.ShardNum(x), Op: op, Payload: "m"}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -309,7 +309,7 @@ func TestLoadReportsMatchFullScan(t *testing.T) {
 		c.round("the target takes over and dequeues", func() {
 			dstSrv.AddShard(x, shard.RolePrimary, c.w.store.NextEpoch())
 			srcSrv.DropShard(x)
-			if _, err := queues[dst].HandleRequest(&appserver.Request{Shard: x, Op: apps.QueueOpDequeue}); err != nil {
+			if _, err := queues[dst].HandleRequest(&appserver.Request{Shard: x, ShardNum: c.w.dir.ShardNum(x), Op: apps.QueueOpDequeue}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -349,7 +349,9 @@ func benchCollection(b testing.TB, shards int) (*Orchestrator, *appserver.Server
 		if err := store.CreateAll(o.paths.ServerNode(id), []byte(m.ID), sess); err != nil {
 			b.Fatal(err)
 		}
-		srv := appserver.NewServer(loop, net, dir, apps.NewKVStore(nil, backing), cfg.App, id, "r1")
+		srv := appserver.NewServer(loop, net, dir, func(s *appserver.Server) appserver.Application {
+			return apps.NewKVStore(s, backing)
+		}, cfg.App, id, "r1")
 		dir.Register(srv)
 		net.Register(rpcnet.Endpoint(id), "r1")
 		srvs = append(srvs, srv)
@@ -397,7 +399,7 @@ func TestCollectionAllocationsDoNotGrowWithReplicas(t *testing.T) {
 		first[replicas] = allocsOnce(func() { collect(o) })
 		marked[replicas] = testing.AllocsPerRun(5, func() {
 			for _, id := range o.order {
-				marker.LoadChanged(id)
+				marker.LoadChanged(marker.ShardNum(id))
 			}
 			collect(o)
 		})
@@ -424,7 +426,7 @@ func TestCollectionRoundsAfterTheFirstAllocateNothing(t *testing.T) {
 			marked := o.order[:len(o.order)*pct/100]
 			if n := testing.AllocsPerRun(5, func() {
 				for _, id := range marked {
-					marker.LoadChanged(id)
+					marker.LoadChanged(marker.ShardNum(id))
 				}
 				collect(o)
 			}); n != 0 {
@@ -463,7 +465,7 @@ func BenchmarkCollectLoads(b *testing.B) {
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
 					for _, id := range marked {
-						marker.LoadChanged(id)
+						marker.LoadChanged(marker.ShardNum(id))
 					}
 					collect(o)
 				}
@@ -597,7 +599,7 @@ func TestMetricsOutsideThePolicyStayOnTheServer(t *testing.T) {
 	if got := o.ShardLoadValue("s000", "queue_depth"); got != 0 {
 		t.Fatalf("the orchestrator reads a queue depth of %v", got)
 	}
-	srv.LoadChanged("s000")
+	srv.LoadChanged(srv.ShardNum("s000"))
 	rep := srv.LoadReport()
 	if len(rep) != 1 || len(rep[0].Load) != m {
 		t.Fatalf("a report of s000 carries %v, want one entry of %d values", rep, m)
@@ -605,21 +607,22 @@ func TestMetricsOutsideThePolicyStayOnTheServer(t *testing.T) {
 
 	// The same shards on two servers outside the world, one running a queue
 	// and one a stream processor, which reports the policy's metrics alone.
-	ask := func(app appserver.Application) float64 {
+	ask := func(app func(*appserver.Server) appserver.Application) float64 {
 		s := appserver.NewServer(w.loop, w.net, w.dir, app, o.cfg.App, "lone", "r1")
 		for _, id := range o.order {
 			s.AddShard(id, shard.RolePrimary, 1)
 		}
 		return testing.AllocsPerRun(10, func() {
 			for _, id := range o.order {
-				s.LoadChanged(id)
+				s.LoadChanged(s.ShardNum(id))
 			}
 			if rep := s.LoadReport(); len(rep) != len(o.order) {
 				t.Fatalf("a report of every shard has %d entries", len(rep))
 			}
 		})
 	}
-	queue, stream := ask(apps.NewQueue(nil, backing)), ask(apps.NewStreamProcessor(apps.NewDataBus()))
+	queue := ask(func(s *appserver.Server) appserver.Application { return apps.NewQueue(s, backing) })
+	stream := ask(func(s *appserver.Server) appserver.Application { return apps.NewStreamProcessor(s, apps.NewDataBus()) })
 	if queue != stream {
 		t.Fatalf("a report of a queue's shards allocates %v times, of a stream processor's %v", queue, stream)
 	}

@@ -170,7 +170,7 @@ func TestLoadOutsideThePolicyReplays(t *testing.T) {
 	allocs, fresh = 0, 0
 	storage = 5
 	for _, id := range o.order {
-		w.dir.Lookup(o.byID[0].id).LoadChanged(id)
+		w.dir.Lookup(o.byID[0].id).LoadChanged(w.dir.ShardNum(id))
 	}
 	// The collections fall between the allocations (every 10 s against
 	// every 15 s), so a once-a-second look sees the apply's marks before a
@@ -357,7 +357,7 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 		cpu = 3
 		// Every shard's load changed; one live server's marks reach them all.
 		for _, id := range o.order {
-			w.dir.Lookup(drained.id).LoadChanged(id)
+			w.dir.Lookup(drained.id).LoadChanged(w.dir.ShardNum(id))
 		}
 	})
 	step("idle", 2*time.Minute, 7, 0, 0, func() {})

@@ -83,7 +83,7 @@ func TestKeptProblemMatchesFromScratch(t *testing.T) {
 			r2 = append(r2, st)
 		}
 	}
-	mark := func(id shard.ID) { w.dir.Lookup(r1[0].id).LoadChanged(id) }
+	mark := func(id shard.ID) { w.dir.Lookup(r1[0].id).LoadChanged(w.dir.ShardNum(id)) }
 
 	// Six shards load three times as much; six more are reported again at
 	// the value they had. The skew moves replicas.

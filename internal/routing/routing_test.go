@@ -62,7 +62,7 @@ func (e *env) addServer(id shard.ServerID, region topology.RegionID) *appserver.
 }
 
 func (e *env) addServerApp(id shard.ServerID, region topology.RegionID, app appserver.Application) *appserver.Server {
-	s := appserver.NewServer(e.loop, e.net, e.dir, app, "app", id, region)
+	s := appserver.NewServer(e.loop, e.net, e.dir, func(*appserver.Server) appserver.Application { return app }, "app", id, region)
 	e.dir.Register(s)
 	e.net.Register(rpcnet.Endpoint(id), region)
 	return s

@@ -12,8 +12,9 @@
 // fires, the way §4.3's fencing checks a late grant where it lands, and a
 // stopped Ticker's already-scheduled tick fires as a no-op.
 //
-// Pending events live in one timing-wheel level of 256 ~1 ms slots in front
-// of a heap for everything farther out (see wheel.go) rather than in one
+// Pending events live in one timing-wheel level of 4096 ~65 us slots, one or
+// two events to a slot at deployment density, in front of a heap for
+// everything farther out (see wheel.go) rather than in one
 // global binary heap, and event objects are recycled through a
 // per-loop freelist, so the schedule/dispatch hot path is allocation-free
 // and O(1) for the short delays that dominate cluster simulations.

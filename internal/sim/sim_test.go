@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -238,11 +239,14 @@ func mustPanic(t *testing.T, fn func()) {
 	fn()
 }
 
-// BenchmarkLoopScheduleAndRun is the kernel's layer drive: file `pending`
-// events, then drain them. One shared callback rides PostArgL and the delays
-// come from delayMix, so near, the slot level, the block-boundary drains and
-// the far heap are all on the path. pending=10k brackets the deepest queue a
-// bench workload reaches (sim.queue_depth_max 470-6,273, traced pass, seed 1).
+// BenchmarkLoopScheduleAndRun is the kernel's layer drive. The pending=N rows
+// file N events, then drain them: one shared callback rides PostArgL and the
+// delays come from delayMix, so near, the slot level, the block-boundary
+// drains and the far heap are all on the path. pending=10k brackets the
+// deepest queue a bench workload reaches (sim.queue_depth_max 470-6,273,
+// traced pass, seed 1). The steady row is the deployments' shape instead:
+// request/reply traffic that reschedules itself (steadyTraffic), ~150 events
+// pending, nearly all due within a few milliseconds.
 func BenchmarkLoopScheduleAndRun(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -271,4 +275,45 @@ func BenchmarkLoopScheduleAndRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
 		})
 	}
+	b.Run("steady", func(b *testing.B) {
+		l := steadyTraffic()
+		l.RunFor(time.Second) // every client ticking, the legs in flight
+		from := l.Dispatched()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.RunFor(100 * time.Millisecond)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(l.Dispatched()-from), "ns/event")
+	})
+}
+
+// steadyTraffic returns a loop carrying steady_serving's kind of load: 60
+// clients, each ticking every 10 ms from its own phase, send a request whose
+// leg takes 1-100 ms, and its arrival sends a reply leg drawn the same way.
+// A leg is 100^(u^4) ms for a uniform u, so most are short, as intra-region
+// ones are (median 1.3 ms, mean 7.4 ms). That is ~18,000 events per
+// simulated second with ~150 pending, the density of the bench's
+// steady_serving (4.33M events in 240 s, sim.queue_depth_avg 142).
+func steadyTraffic() *Loop {
+	l := NewLoop(1)
+	rng := NewRNG(1)
+	legs := make([]time.Duration, 4096)
+	for i := range legs {
+		u := rng.Float64()
+		legs[i] = time.Duration(float64(time.Millisecond) * math.Pow(100, u*u*u*u))
+	}
+	next := 0
+	leg := func() time.Duration {
+		next = (next + 1) & (len(legs) - 1)
+		return legs[next]
+	}
+	replied := func(any) {}
+	arrived := func(any) { l.PostArgL(leg(), 0, replied, nil) }
+	for c := 0; c < 60; c++ {
+		l.AfterL(time.Duration(rng.Intn(int(10*time.Millisecond))), 0, func() {
+			l.EveryL(10*time.Millisecond, 0, func() { l.PostArgL(leg(), 0, arrived, nil) })
+		})
+	}
+	return l
 }

@@ -11,16 +11,25 @@ import (
 // (RPC legs of 1-70 ms, retries, liveness timers) O(1) slot filing and defers
 // ordering work until a tick actually becomes due.
 //
-// Geometry. Simulated time is divided into ticks of 2^20 ns (~1.05 ms). An
+// Geometry. Simulated time is divided into ticks of 2^16 ns (~65.5 us). An
 // event whose tick is delta ticks past the cursor is filed by delta:
 //
 //	delta <= 0      near: due now, a binary min-heap on (at, seq)
-//	delta <= 2^8    L0: 256 slots of one tick each (~268 ms), slot = tick & 255
+//	delta <= 2^12   L0: 4096 slots of one tick each (~268 ms), slot = tick & 4095
 //	beyond          far: a binary min-heap on (at, seq)
 //
+// The tick is fine so that a slot holds one or two events: steady_serving
+// dispatches ~18 events per simulated millisecond, which a 1 ms tick loaded
+// into near twenty at a time, where every dispatch paid a heap sift. With a
+// slot of one or two, near stays tiny and its sifts all but vanish, and L0
+// still spans the same ~268 ms, so the far heap holds what it did.
+//
 // Slots are intrusive singly-linked lists (event.next), so filing is
-// pointer-swap cheap and allocation-free. A four-word occupancy bitmap lets
-// the cursor skip empty slots with TrailingZeros64 instead of walking them.
+// pointer-swap cheap and allocation-free. An occupancy bitmap, one bit per
+// slot, and a summary word, one bit per non-zero bitmap word, let the cursor
+// find the next occupied slot with two TrailingZeros64 instead of walking
+// empty ones; an empty summary is an empty L0.
+//
 // One level is what the deployments reach: the bench workloads hold a few
 // hundred to a few thousand pending events, nearly all within L0's span, and
 // the periodic timers beyond it (load collection, allocation, discovery
@@ -29,7 +38,7 @@ import (
 // Ordering / determinism. The loop dispatches only from near, and the cursor
 // advances only when near is empty, so the event popped from near is always
 // the globally minimal pending (at, seq) — the dispatch order of one global
-// heap, including FIFO ties by seq. When the cursor crosses into a 256-tick
+// heap, including FIFO ties by seq. When the cursor crosses into a 4096-tick
 // block, every far event of that block moves into L0 (or near) before its
 // tick can become due.
 type wheel struct {
@@ -38,7 +47,8 @@ type wheel struct {
 	near []*event // due events, min-heap on (at, seq)
 
 	l0    [l0Slots]*event
-	l0occ [l0Slots / 64]uint64
+	l0occ [l0Words]uint64 // bit s&63 of word s>>6: slot s holds events
+	l0sum uint64          // bit i: l0occ[i] != 0
 
 	far []*event // events past L0's span, min-heap on (at, seq)
 
@@ -46,10 +56,11 @@ type wheel struct {
 }
 
 const (
-	tickShift = 20 // tick = 2^20 ns ~= 1.05 ms of simulated time
+	tickShift = 16 // tick = 2^16 ns ~= 65.5 us of simulated time
 
-	l0Slots = 256
+	l0Slots = 1 << 12
 	l0Mask  = l0Slots - 1
+	l0Words = l0Slots / 64 // at most 64, the summary word's bits
 )
 
 func tickOf(at int64) uint64 { return uint64(at) >> tickShift }
@@ -74,6 +85,7 @@ func (w *wheel) file(ev *event) {
 		ev.next = w.l0[s]
 		w.l0[s] = ev
 		w.l0occ[s>>6] |= 1 << (s & 63)
+		w.l0sum |= 1 << (s >> 6)
 	default:
 		heapPush(&w.far, ev)
 	}
@@ -102,14 +114,14 @@ func (w *wheel) advance(limit uint64) {
 			w.loadL0(s)
 			return
 		}
-		// Rest of this 256-tick block is empty: jump to the next block that
+		// Rest of this block is empty: jump to the next block that
 		// holds anything (or to limit, whichever first). L0 slots below the
-		// cursor's block offset wrap into the next block (delta <= 256 spans
+		// cursor's block offset wrap into the next block (delta <= l0Slots spans
 		// the boundary), so any remaining L0 occupancy after a failed tail
 		// scan pins the jump to the very next block; otherwise the next
 		// events are the far head's, a whole number of blocks ahead.
 		nb := (t &^ uint64(l0Mask)) + l0Slots
-		if w.l0occ[0]|w.l0occ[1]|w.l0occ[2]|w.l0occ[3] == 0 {
+		if w.l0sum == 0 {
 			nb = math.MaxUint64
 			if len(w.far) > 0 {
 				nb = tickOf(int64(w.far[0].at)) &^ uint64(l0Mask)
@@ -125,7 +137,7 @@ func (w *wheel) advance(limit uint64) {
 
 // drainFar files every far event due before tick horizon. advance calls it
 // with the end of the block the cursor is entering: a far event is filed more
-// than 256 ticks ahead, so it is still in far when the cursor reaches the
+// than l0Slots ticks ahead, so it is still in far when the cursor reaches the
 // start of its block, and leaves at that boundary with a delta L0 can hold.
 func (w *wheel) drainFar(horizon uint64) {
 	for len(w.far) > 0 && tickOf(int64(w.far[0].at)) < horizon {
@@ -136,17 +148,16 @@ func (w *wheel) drainFar(horizon uint64) {
 // scanL0 returns the first occupied L0 slot index >= from, or -1.
 func (w *wheel) scanL0(from int) int {
 	wi := from >> 6
-	word := w.l0occ[wi] & (^uint64(0) << uint(from&63))
-	for {
-		if word != 0 {
-			return wi<<6 + bits.TrailingZeros64(word)
-		}
-		wi++
-		if wi == len(w.l0occ) {
-			return -1
-		}
-		word = w.l0occ[wi]
+	if word := w.l0occ[wi] & (^uint64(0) << uint(from&63)); word != 0 {
+		return wi<<6 + bits.TrailingZeros64(word)
 	}
+	// A shift by 64 (wi is the last word) leaves nothing, as it should.
+	rest := w.l0sum & (^uint64(0) << uint(wi+1))
+	if rest == 0 {
+		return -1
+	}
+	wi = bits.TrailingZeros64(rest)
+	return wi<<6 + bits.TrailingZeros64(w.l0occ[wi])
 }
 
 // loadL0 moves slot s's events into near. Within one L0 slot all events
@@ -155,7 +166,9 @@ func (w *wheel) scanL0(from int) int {
 func (w *wheel) loadL0(s int) {
 	ev := w.l0[s]
 	w.l0[s] = nil
-	w.l0occ[s>>6] &^= 1 << uint(s&63)
+	if w.l0occ[s>>6] &^= 1 << uint(s&63); w.l0occ[s>>6] == 0 {
+		w.l0sum &^= 1 << uint(s>>6)
+	}
 	for ev != nil {
 		next := ev.next
 		ev.next = nil

@@ -108,8 +108,8 @@ func delayMix(intn func(int) int) time.Duration {
 		base := time.Duration(intn(1<<14)) * tick
 		return base + time.Duration(intn(3)-1)
 	case 10:
-		// Level-horizon boundaries: 2^8, 2^14, 2^20 ticks, +/- 1 tick.
-		h := []time.Duration{1 << 8 * tick, 1 << 14 * tick, 1 << 20 * tick}[intn(3)]
+		// L0's horizon and two far ones, 2^14 and 2^20 ticks, +/- 1 tick.
+		h := []time.Duration{l0Slots * tick, 1 << 14 * tick, 1 << 20 * tick}[intn(3)]
 		return h + time.Duration(intn(3)-1)*tick
 	default:
 		return time.Duration(intn(int(2 * time.Minute)))

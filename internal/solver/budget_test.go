@@ -113,3 +113,19 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		}
 	})
 }
+
+// TestSolveWithoutBucketsPlacesNothing: with no bucket to place on, a solve
+// of an unplaced entity makes no move and counts the entity unplaced, under
+// both draws (a domain-guided draw over no domain, a uniform one over no
+// bucket).
+func TestSolveWithoutBucketsPlacesNothing(t *testing.T) {
+	for _, opt := range []Options{{Seed: 1}, {Seed: 1, Uniform: true}} {
+		p := NewProblem(1)
+		e := p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
+		res := Solve(p, opt)
+		if len(res.Moves) != 0 || res.Final.Unassigned != 1 || p.Entities[e].Bucket != Unassigned {
+			t.Fatalf("uniform=%v: moves %v, final %+v, entity on %d; want no move and one unplaced entity",
+				opt.Uniform, res.Moves, res.Final, p.Entities[e].Bucket)
+		}
+	}
+}

@@ -121,8 +121,10 @@ type solveCtx struct {
 // they are valid until its next Solve.
 func Solve(p *Problem, opt Options) *Result {
 	ctx := newSolveCtx(p, opt)
-	ctx.phase1()
-	ctx.phase2()
+	if len(p.Buckets) > 0 { // with none, nothing can be placed or moved
+		ctx.phase1()
+		ctx.phase2()
+	}
 
 	st, res := ctx.st, ctx.res
 	// Room for a move of every entity is the first placement's: kept, it

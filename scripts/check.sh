@@ -20,9 +20,19 @@ byname="$(grep -nE '\.Replicas\(|\.Lookup\(|net\.Region\(|fleet\.Latency\(|\.Sen
 fabric="$(awk '/^func \(n \*Network\) (SendTo|ReplyAt|delayAt|lost)\(|^func env(Deliver|Timeout|Reply)\(/ {body=1}
 	body && /fleet\.Latency\(|RegionIndex\(|n\.Peer\(|\.peers\[/ {print FILENAME ":" FNR ": " $0}
 	/^}/ {body=0}' internal/rpcnet/rpcnet.go)"
-if [ -n "$byname$fabric" ]; then
+# The server side too: an application's HandleRequest and the server's serve
+# and handle find the shard by the number the request carries
+# (Request.ShardNum), never by indexing a map with its name.
+served="$(awk '/^func \([a-z]+ \*[A-Za-z]+\) HandleRequest\(/ {body=1}
+	body && /\[req\.Shard\]/ {print FILENAME ":" FNR ": " $0}
+	/^}/ {body=0}' $(ls internal/apps/*.go | grep -v _test.go))
+$(awk '/^func \(s \*Server\) (serve|handle)\(/ {body=1}
+	body && /\[req\.Shard\]/ {print FILENAME ":" FNR ": " $0}
+	/^}/ {body=0}' internal/appserver/appserver.go)"
+served="$(echo "$served" | grep . || true)"
+if [ -n "$byname$fabric$served" ]; then
 	echo "by-name lookup on the request path:" >&2
-	echo "$byname$fabric" >&2
+	echo "$byname$fabric$served" >&2
 	exit 1
 fi
 echo "== no map per replica on the load path"
