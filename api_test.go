@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"shardmanager/internal/allocator"
+	"shardmanager/internal/apps"
 	"shardmanager/internal/appserver"
 	"shardmanager/internal/audit"
 	"shardmanager/internal/cluster"
@@ -383,7 +384,10 @@ func exportedFields(typ reflect.Type) []string {
 // fabric keeps one record per endpoint, not a region map and a down map side
 // by side, and a server finds its replicas in the directory's lists by the
 // shard's number, one list per number and no map of its own beside them, and
-// keys its tombstones by the number, not by the shard's name. Off the request path the same rule:
+// keys its tombstones by the number, not by the shard's name; the replica's
+// entry holds the state the application returned for the shard, which the
+// application gets back with each request, so the applications keep no table
+// of their shards. Off the request path the same rule:
 // the solver is told an entity's group one way, as a number on the entity, not
 // as a string in a map it must intern nor as a spec listing groups per goal
 // (no conflict or exclusion-goal adder: the bucket rule comes with the
@@ -415,6 +419,29 @@ func TestResolvedNamesReplaceTheirMaps(t *testing.T) {
 	}
 	if f, ok := reflect.TypeOf(appserver.Directory{}).FieldByName("holders"); !ok || f.Type.Kind() != reflect.Slice || f.Type.Elem().Kind() != reflect.Slice {
 		t.Errorf("appserver.Directory.holders = %v (present %v), want a list of replicas per shard number", f.Type, ok)
+	}
+	// The server's replica is the one record of what it owns: AddShard returns
+	// the shard's state, the server keeps it with the replica and hands it to
+	// HandleRequest, and no application keeps a table of its shards beside it.
+	app := reflect.TypeOf((*appserver.Application)(nil)).Elem()
+	var methods []string
+	for i := 0; i < app.NumMethod(); i++ {
+		methods = append(methods, app.Method(i).Name+" "+app.Method(i).Type.String())
+	}
+	if want := []string{
+		"AddShard func(shard.ID, shard.Role) interface {}",
+		"ChangeRole func(shard.ID, shard.Role, shard.Role)",
+		"DropShard func(shard.ID)",
+		"HandleRequest func(*appserver.Request, interface {}) (interface {}, error)",
+	}; !reflect.DeepEqual(methods, want) {
+		t.Errorf("appserver.Application methods = %q, want exactly %q", methods, want)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(apps.KVStore{}), reflect.TypeOf(apps.Queue{}), reflect.TypeOf(apps.StreamProcessor{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type.Kind() == reflect.Map && f.Type.Key() == reflect.TypeOf(appserver.ShardNum(0)) {
+				t.Errorf("%v.%s is a %v: a shard's state is handed over with the request", typ, f.Name, f.Type)
+			}
+		}
 	}
 	for spec, want := range map[reflect.Type][]string{
 		reflect.TypeOf(solver.Entity{}):      {"Load", "Bucket", "Home", "Movable", "Group", "Prefer", "PreferWeight"},

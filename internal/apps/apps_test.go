@@ -11,10 +11,25 @@ import (
 )
 
 // shards numbers shards for applications driven by hand, as the servers of
-// one directory do.
-type shards struct{ dir *appserver.Directory }
+// one directory do, and keeps the state each shard's last AddShard returned,
+// as a server keeps it with the replica, until the shard is dropped.
+type shards struct {
+	dir    *appserver.Directory
+	states map[shard.ID]any
+}
 
-func newShards() shards { return shards{appserver.NewDirectory()} }
+func newShards() shards { return shards{appserver.NewDirectory(), map[shard.ID]any{}} }
+
+// add gives app the shard as its primary.
+func (d shards) add(app appserver.Application, id shard.ID) {
+	d.states[id] = app.AddShard(id, shard.RolePrimary)
+}
+
+// drop takes the shard from app.
+func (d shards) drop(app appserver.Application, id shard.ID) {
+	app.DropShard(id)
+	delete(d.states, id)
+}
 
 // on builds an application for a server of d's directory: the server numbers
 // the shards the application is given.
@@ -28,16 +43,16 @@ func on[A appserver.Application](d shards, build func(*appserver.Server) A) A {
 }
 
 // req is a request for shard id as Serve hands it to the application, with
-// the shard's number filled in.
-func (d shards) req(id shard.ID, op, key string, payload any) *appserver.Request {
-	return &appserver.Request{Shard: id, ShardNum: d.dir.ShardNum(id), Op: op, Key: key, Payload: payload}
+// the shard's number filled in, and the shard's state (nil if it is not held).
+func (d shards) req(id shard.ID, op, key string, payload any) (*appserver.Request, any) {
+	return &appserver.Request{Shard: id, ShardNum: d.dir.ShardNum(id), Op: op, Key: key, Payload: payload}, d.states[id]
 }
 
 func TestKVStorePutGetScan(t *testing.T) {
 	d := newShards()
 	backing := NewKVBacking()
 	kv := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, backing) })
-	kv.AddShard("s1", shard.RolePrimary)
+	d.add(kv, "s1")
 
 	if _, err := kv.HandleRequest(d.req("s1", KVOpPut, "user:1", KVPut{Value: "alice"})); err != nil {
 		t.Fatal(err)
@@ -66,7 +81,7 @@ func TestKVStoreErrors(t *testing.T) {
 	if _, err := kv.HandleRequest(d.req("nope", KVOpGet, "", nil)); err == nil {
 		t.Fatal("unowned shard accepted")
 	}
-	kv.AddShard("s1", shard.RolePrimary)
+	d.add(kv, "s1")
 	if _, err := kv.HandleRequest(d.req("s1", KVOpGet, "missing", nil)); err == nil {
 		t.Fatal("missing key returned no error")
 	}
@@ -86,10 +101,10 @@ func TestKVStoreSurvivesMigration(t *testing.T) {
 	backing := NewKVBacking()
 	a := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, backing) })
 	b := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, backing) })
-	a.AddShard("s1", shard.RolePrimary)
+	d.add(a, "s1")
 	a.HandleRequest(d.req("s1", KVOpPut, "k", KVPut{Value: "v"}))
-	a.DropShard("s1")
-	b.AddShard("s1", shard.RolePrimary)
+	d.drop(a, "s1")
+	d.add(b, "s1")
 	v, err := b.HandleRequest(d.req("s1", KVOpGet, "k", nil))
 	if err != nil || v != "v" {
 		t.Fatalf("migrated read = %v err=%v", v, err)
@@ -107,7 +122,7 @@ func shardLoad(lr appserver.LoadReporter, s shard.ID) topology.Capacity {
 func TestKVStoreLoadReport(t *testing.T) {
 	d := newShards()
 	kv := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, NewKVBacking()) })
-	kv.AddShard("s1", shard.RolePrimary)
+	d.add(kv, "s1")
 	kv.HandleRequest(d.req("s1", KVOpPut, "k", KVPut{Value: "v"}))
 	if got := shardLoad(kv, "s1").Get(topology.ResourceStorage); got != 1 {
 		t.Fatalf("storage load = %v", got)
@@ -123,11 +138,11 @@ func TestKVStoreLoadReport(t *testing.T) {
 func TestKVGetAllocatesNothing(t *testing.T) {
 	d := newShards()
 	kv := on(d, func(s *appserver.Server) *KVStore { return NewKVStore(s, NewKVBacking()) })
-	kv.AddShard("s1", shard.RolePrimary)
+	d.add(kv, "s1")
 	kv.HandleRequest(d.req("s1", KVOpPut, "k", KVPut{Value: "v"}))
-	get := d.req("s1", KVOpGet, "k", nil)
+	get, state := d.req("s1", KVOpGet, "k", nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		if v, err := kv.HandleRequest(get); err != nil || v != "v" {
+		if v, err := kv.HandleRequest(get, state); err != nil || v != "v" {
 			t.Fatalf("get = %v err=%v", v, err)
 		}
 	})
@@ -140,7 +155,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 	d := newShards()
 	backing := NewQueueBacking()
 	q := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, backing) })
-	q.AddShard("s1", shard.RolePrimary)
+	d.add(q, "s1")
 	for _, m := range []string{"a", "b", "c"} {
 		if _, err := q.HandleRequest(d.req("s1", QueueOpEnqueue, "", m)); err != nil {
 			t.Fatal(err)
@@ -224,11 +239,11 @@ func TestQueueSurvivesOwnerChange(t *testing.T) {
 	backing := NewQueueBacking()
 	a := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, backing) })
 	b := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, backing) })
-	a.AddShard("s1", shard.RolePrimary)
+	d.add(a, "s1")
 	a.HandleRequest(d.req("s1", QueueOpEnqueue, "", "m1"))
 	a.HandleRequest(d.req("s1", QueueOpEnqueue, "", "m2"))
-	a.DropShard("s1")
-	b.AddShard("s1", shard.RolePrimary)
+	d.drop(a, "s1")
+	d.add(b, "s1")
 	got, err := b.HandleRequest(d.req("s1", QueueOpDequeue, "", nil))
 	if err != nil || got != "m1" {
 		t.Fatalf("in-order delivery broken across owners: %v err=%v", got, err)
@@ -241,7 +256,7 @@ func TestQueueErrors(t *testing.T) {
 	if _, err := q.HandleRequest(d.req("nope", QueueOpDequeue, "", nil)); err == nil {
 		t.Fatal("unowned shard accepted")
 	}
-	q.AddShard("s1", shard.RolePrimary)
+	d.add(q, "s1")
 	if _, err := q.HandleRequest(d.req("s1", QueueOpEnqueue, "", 3)); err == nil {
 		t.Fatal("bad payload accepted")
 	}
@@ -253,7 +268,7 @@ func TestQueueErrors(t *testing.T) {
 func TestQueueLoadReportsDepth(t *testing.T) {
 	d := newShards()
 	q := on(d, func(s *appserver.Server) *Queue { return NewQueue(s, NewQueueBacking()) })
-	q.AddShard("s1", shard.RolePrimary)
+	d.add(q, "s1")
 	q.HandleRequest(d.req("s1", QueueOpEnqueue, "", "x"))
 	if got := shardLoad(q, "s1").Get("queue_depth"); got != 1 {
 		t.Fatalf("queue_depth = %v", got)
@@ -267,8 +282,8 @@ func TestStreamProcessorMaterializesFromBus(t *testing.T) {
 	bus.Publish(BusEvent{Shard: "s1", Key: "ad1", Count: 2})
 	bus.Publish(BusEvent{Shard: "s1", Key: "ad2", Count: 1})
 
-	p := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(s, bus) })
-	p.AddShard("s1", shard.RolePrimary)
+	p := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(bus) })
+	d.add(p, "s1")
 	got, err := p.HandleRequest(d.req("s1", StreamOpQuery, "ad1", nil))
 	if err != nil || got != int64(5) {
 		t.Fatalf("query = %v err=%v", got, err)
@@ -285,12 +300,12 @@ func TestStreamProcessorRebuildOnMigration(t *testing.T) {
 	d := newShards()
 	bus := NewDataBus()
 	bus.Publish(BusEvent{Shard: "s1", Key: "k", Count: 7})
-	a := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(s, bus) })
-	b := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(s, bus) })
-	a.AddShard("s1", shard.RolePrimary)
-	a.DropShard("s1")
+	a := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(bus) })
+	b := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(bus) })
+	d.add(a, "s1")
+	d.drop(a, "s1")
 	// The new owner rebuilds the materialized view from the bus.
-	b.AddShard("s1", shard.RolePrimary)
+	d.add(b, "s1")
 	got, err := b.HandleRequest(d.req("s1", StreamOpQuery, "k", nil))
 	if err != nil || got != int64(7) {
 		t.Fatalf("rebuilt query = %v err=%v", got, err)
@@ -299,11 +314,11 @@ func TestStreamProcessorRebuildOnMigration(t *testing.T) {
 
 func TestStreamProcessorErrors(t *testing.T) {
 	d := newShards()
-	p := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(s, NewDataBus()) })
+	p := on(d, func(s *appserver.Server) *StreamProcessor { return NewStreamProcessor(NewDataBus()) })
 	if _, err := p.HandleRequest(d.req("nope", StreamOpQuery, "", nil)); err == nil {
 		t.Fatal("unowned shard accepted")
 	}
-	p.AddShard("s1", shard.RolePrimary)
+	d.add(p, "s1")
 	if _, err := p.HandleRequest(d.req("s1", "bogus", "", nil)); err == nil {
 		t.Fatal("unknown op accepted")
 	}

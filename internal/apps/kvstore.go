@@ -29,13 +29,9 @@ import (
 type KVStore struct {
 	server *appserver.Server
 	// backing is shared by all replicas of the application (the
-	// "durable" store); keyed by shard then key.
+	// "durable" store); keyed by shard then key. A shard's state on the
+	// server is the backing's map for it (guarded by the backing's mutex).
 	backing *KVBacking
-	// owned tracks the shards this replica currently serves, by the number
-	// requests carry (Request.ShardNum), each with the backing's map for the
-	// shard (guarded by the backing's mutex), so that a request finds its
-	// data without hashing the shard's name.
-	owned map[appserver.ShardNum]map[string]any
 	// loads holds the synthetic load SetShardLoad last set for a shard, as
 	// its resources and their values.
 	loads map[shard.ID][]resourceLoad
@@ -123,7 +119,6 @@ func NewKVStore(server *appserver.Server, backing *KVBacking) *KVStore {
 	return &KVStore{
 		server:  server,
 		backing: backing,
-		owned:   make(map[appserver.ShardNum]map[string]any),
 		loads:   make(map[shard.ID][]resourceLoad),
 	}
 }
@@ -140,18 +135,19 @@ func (k *KVStore) SetShardLoad(s shard.ID, load topology.Capacity) {
 	k.server.LoadChanged(k.server.ShardNum(s))
 }
 
-// AddShard implements appserver.Application.
-func (k *KVStore) AddShard(s shard.ID, _ shard.Role) {
+// AddShard implements appserver.Application: the shard's state is the
+// backing's map for it.
+func (k *KVStore) AddShard(s shard.ID, _ shard.Role) any {
 	k.backing.mu.Lock()
 	defer k.backing.mu.Unlock()
-	k.owned[k.server.ShardNum(s)] = k.backing.shard(s)
+	return k.backing.shard(s)
 }
 
-// DropShard implements appserver.Application.
-func (k *KVStore) DropShard(s shard.ID) { delete(k.owned, k.server.ShardNum(s)) }
+// DropShard implements appserver.Application: the data stays in the backing.
+func (k *KVStore) DropShard(shard.ID) {}
 
-// ChangeRole implements appserver.Application.
-func (k *KVStore) ChangeRole(s shard.ID, _, to shard.Role) { k.AddShard(s, to) }
+// ChangeRole implements appserver.Application: both roles serve the same map.
+func (k *KVStore) ChangeRole(shard.ID, shard.Role, shard.Role) {}
 
 // ShardLoad implements appserver.LoadReporter. SetShardLoad and a write that
 // adds a key mark it.
@@ -180,8 +176,8 @@ type KVPut struct {
 }
 
 // HandleRequest implements appserver.Application.
-func (k *KVStore) HandleRequest(req *appserver.Request) (any, error) {
-	data, ok := k.owned[req.ShardNum]
+func (k *KVStore) HandleRequest(req *appserver.Request, state any) (any, error) {
+	data, ok := state.(map[string]any)
 	if !ok {
 		return nil, fmt.Errorf("kvstore: shard %s not owned", req.Shard)
 	}

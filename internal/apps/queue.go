@@ -17,11 +17,10 @@ import (
 // database of data-persistency option 2, §2.4) so an in-place restart or a
 // migrated primary resumes exactly where the old one stopped.
 type Queue struct {
-	server  *appserver.Server
+	server *appserver.Server
+	// backing holds every shard's queue; a shard's state on the server is
+	// its queue.
 	backing *QueueBacking
-	// owned holds the queues of the shards this server owns, by the number
-	// requests carry (Request.ShardNum).
-	owned map[appserver.ShardNum]*shardQueue
 }
 
 // QueueBacking is the durable queue state shared by an application's
@@ -125,20 +124,14 @@ func (b *QueueBacking) Len(s shard.ID) int {
 // NewQueue builds the application instance for one server, which numbers
 // the shards it is given.
 func NewQueue(server *appserver.Server, backing *QueueBacking) *Queue {
-	return &Queue{
-		server:  server,
-		backing: backing,
-		owned:   make(map[appserver.ShardNum]*shardQueue),
-	}
+	return &Queue{server: server, backing: backing}
 }
 
-// AddShard implements appserver.Application.
-func (q *Queue) AddShard(s shard.ID, _ shard.Role) {
-	q.owned[q.server.ShardNum(s)] = q.backing.queue(s)
-}
+// AddShard implements appserver.Application: the shard's state is its queue.
+func (q *Queue) AddShard(s shard.ID, _ shard.Role) any { return q.backing.queue(s) }
 
-// DropShard implements appserver.Application.
-func (q *Queue) DropShard(s shard.ID) { delete(q.owned, q.server.ShardNum(s)) }
+// DropShard implements appserver.Application: the queue stays in the backing.
+func (q *Queue) DropShard(shard.ID) {}
 
 // ChangeRole implements appserver.Application (primary-only: no-op).
 func (q *Queue) ChangeRole(shard.ID, shard.Role, shard.Role) {}
@@ -158,8 +151,8 @@ const (
 )
 
 // HandleRequest implements appserver.Application.
-func (q *Queue) HandleRequest(req *appserver.Request) (any, error) {
-	sq := q.owned[req.ShardNum]
+func (q *Queue) HandleRequest(req *appserver.Request, state any) (any, error) {
+	sq, _ := state.(*shardQueue)
 	if sq == nil {
 		return nil, fmt.Errorf("queue: shard %s not owned", req.Shard)
 	}

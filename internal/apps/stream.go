@@ -16,16 +16,14 @@ import (
 // total state loss rebuilds by replaying the bus from the shard's last
 // checkpoint.
 type StreamProcessor struct {
-	server *appserver.Server
-	bus    *DataBus
-	mu     sync.Mutex
-	// owned holds this replica's materialized view of each shard it owns, by
-	// the number requests carry (Request.ShardNum).
-	owned map[appserver.ShardNum]*streamShard
+	bus *DataBus
+	// mu guards the materialized views.
+	mu sync.Mutex
 }
 
-// streamShard is one owned shard's materialized view: its bus log, the
-// offset consumed through and the per-key aggregates.
+// streamShard is one owned shard's materialized view, its state on the
+// server: its bus log, the offset consumed through and the per-key
+// aggregates.
 type streamShard struct {
 	log    *busLog
 	cursor int
@@ -75,37 +73,28 @@ func (b *DataBus) Publish(ev BusEvent) {
 	l.events = append(l.events, ev)
 }
 
-// NewStreamProcessor builds the application instance for one server, which
-// numbers the shards it is given.
-func NewStreamProcessor(server *appserver.Server, bus *DataBus) *StreamProcessor {
-	return &StreamProcessor{
-		server: server,
-		bus:    bus,
-		owned:  make(map[appserver.ShardNum]*streamShard),
-	}
+// NewStreamProcessor builds the application instance for one server.
+func NewStreamProcessor(bus *DataBus) *StreamProcessor {
+	return &StreamProcessor{bus: bus}
 }
 
 // AddShard implements appserver.Application: taking ownership rebuilds the
 // shard's materialized state by replaying the bus (option 3's recovery
 // path).
-func (p *StreamProcessor) AddShard(s shard.ID, _ shard.Role) {
+func (p *StreamProcessor) AddShard(s shard.ID, _ shard.Role) any {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.bus.mu.Lock()
 	log := p.bus.log(s)
 	p.bus.mu.Unlock()
 	sh := &streamShard{log: log, state: make(map[string]int64)}
-	p.owned[p.server.ShardNum(s)] = sh
 	p.consumeLocked(sh)
+	return sh
 }
 
-// DropShard implements appserver.Application: the materialized state is
-// discarded; the bus remains the source of truth.
-func (p *StreamProcessor) DropShard(s shard.ID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.owned, p.server.ShardNum(s))
-}
+// DropShard implements appserver.Application: the materialized state goes
+// with the replica; the bus remains the source of truth.
+func (p *StreamProcessor) DropShard(shard.ID) {}
 
 // ChangeRole implements appserver.Application (primary-only: no-op).
 func (p *StreamProcessor) ChangeRole(shard.ID, shard.Role, shard.Role) {}
@@ -137,13 +126,13 @@ const (
 )
 
 // HandleRequest implements appserver.Application.
-func (p *StreamProcessor) HandleRequest(req *appserver.Request) (any, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sh := p.owned[req.ShardNum]
+func (p *StreamProcessor) HandleRequest(req *appserver.Request, state any) (any, error) {
+	sh, _ := state.(*streamShard)
 	if sh == nil {
 		return nil, fmt.Errorf("stream: shard %s not owned", req.Shard)
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	switch req.Op {
 	case StreamOpPoke:
 		p.consumeLocked(sh)

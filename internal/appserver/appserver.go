@@ -32,23 +32,30 @@ import (
 )
 
 // Application is the programming model implemented by application owners
-// (Fig 11). The runtime invokes these callbacks; the application manages
-// its own per-shard state.
+// (Fig 11). The runtime invokes these callbacks. The application makes each
+// shard's state and the server keeps it with the replica, so the server's
+// record of what it owns is the only one: a request reaches the application
+// with the state of the replica that serves it.
 type Application interface {
 	// AddShard makes the server officially own the shard in the given
-	// role and accept requests for it. The requests carry the shard's
-	// number (Request.ShardNum), which the server's ShardNum gives for s.
-	AddShard(s shard.ID, role shard.Role)
-	// DropShard releases the shard.
+	// role and accept requests for it, and returns the shard's state,
+	// which the server hands to HandleRequest with each of the shard's
+	// requests until the replica is dropped or the server given the shard
+	// again.
+	AddShard(s shard.ID, role shard.Role) any
+	// DropShard releases the shard; the server forgets its state.
 	DropShard(s shard.ID)
 	// ChangeRole switches the shard's replica between primary and
 	// secondary (demotion ahead of maintenance, promotion on failover).
 	ChangeRole(s shard.ID, from, to shard.Role)
-	// HandleRequest processes one client request for an owned shard and
-	// returns the response payload or an error. req is valid only for the
+	// HandleRequest processes one client request and returns the response
+	// payload or an error. state is what AddShard last returned for the
+	// replica that serves it, nil if the application was never given the
+	// shard there (a replica preparing to take the shard over serves
+	// forwarded requests before its add). req is valid only for the
 	// duration of the call: the sender reuses it for its next request, so an
 	// application that needs a field later copies it.
-	HandleRequest(req *Request) (any, error)
+	HandleRequest(req *Request, state any) (any, error)
 }
 
 // LoadReporter is optionally implemented by applications that report
@@ -70,9 +77,8 @@ type LoadReporter interface {
 type Request struct {
 	Shard shard.ID
 	// ShardNum is Shard's number in the serving Directory (Directory.ShardNum),
-	// by which a server finds its replica and an application the shard's
-	// state. A sender that has resolved it sets it; Serve resolves it from
-	// Shard when it is 0.
+	// by which a server finds its replica. A sender that has resolved it sets
+	// it; Serve resolves it from Shard when it is 0.
 	ShardNum ShardNum
 	Key      string
 	// Write marks primary-related requests that only the primary may
@@ -143,10 +149,13 @@ func (p Phase) String() string {
 // list of the shard's replicas (Directory.holders). A server finds its replica
 // by scanning that short list for itself, and the fields a request reads are
 // here, by value, so that serving touches the replica's record only to
-// forward. The entry is the one copy of them.
+// forward. The entry is the one copy of them, and fits one cache line.
 type holder struct {
-	srv   *Server
-	r     *replica
+	srv *Server
+	r   *replica
+	// state is what the application's AddShard last returned for the
+	// replica, handed to HandleRequest; nil until the first.
+	state any
 	role  shard.Role
 	phase Phase
 	// unconfirmed marks a primary restored from the persisted assignment
@@ -231,10 +240,9 @@ type Server struct {
 	// serveDelay stalls every request by this much before processing — a
 	// gray failure: the process is alive (liveness node intact, orchestrator
 	// sees it healthy) but slow. Set by fault injection via SetServeDelay.
-	// stalled counts the requests it holds, which are served when their stall
-	// ends even if the server has left the directory (removed) meanwhile.
+	// removed marks a server that left the directory (its process died): a
+	// request whose stall ends after that fails as "server-gone".
 	serveDelay time.Duration
-	stalled    int
 	removed    bool
 
 	// held lists the server's replicas: the walks read it, and a request
@@ -460,19 +468,23 @@ func (d *Directory) Register(s *Server) {
 	d.Slot(s.ID).srv = s
 }
 
-// Remove deletes a server from the directory. A successor under the same ID
-// is a server of its own, so it never finds the server's replicas, and they
-// leave the directory's lists once no request the gray-failure stall holds can
-// still reach the server (Server.release). Observers are told the server is
-// gone: every replica it held died with the process, so ownership views must
-// not keep counting them as live.
+// Remove deletes a server from the directory, and its replicas from the
+// directory's lists: a successor under the same ID is a server of its own and
+// starts with none, and a request the gray-failure stall held for the dead
+// server fails (Serve). Observers are told the server is gone: every replica
+// it held died with the process, so ownership views must not keep counting
+// them as live.
 func (d *Directory) Remove(id shard.ServerID) {
 	sl := d.slots[id]
 	if sl == nil || sl.srv == nil {
 		return
 	}
-	sl.srv.removed = true
-	sl.srv.release()
+	srv := sl.srv
+	srv.removed = true
+	for _, r := range srv.held {
+		d.unhold(srv, r.num)
+	}
+	srv.held = nil
 	sl.srv = nil
 	for i := range d.observers {
 		if fn := d.observers[i].ServerRemoved; fn != nil {
@@ -540,8 +552,7 @@ func NewServer(loop *sim.Loop, net *rpcnet.Network, dir *Directory, newApp func(
 
 // ShardNum resolves a shard ID to its number in the server's directory
 // (Directory.ShardNum), the number requests for the shard carry
-// (Request.ShardNum): an application learns it when it is given the shard, so
-// that serving finds the shard's state without hashing its name.
+// (Request.ShardNum) and LoadChanged takes.
 func (s *Server) ShardNum(id shard.ID) ShardNum { return s.dir.ShardNum(id) }
 
 // --- SM library API, invoked by the orchestrator (Fig 11) ---
@@ -618,19 +629,7 @@ func (s *Server) addShard(id shard.ID, role shard.Role, confirmed bool, gen int6
 		s.notifyConfirmed(id, !h.unconfirmed)
 	}
 	s.notifyReplica(id, h)
-	s.app.AddShard(id, role)
-}
-
-// release takes a removed server's entries out of the directory's lists once
-// no stalled request can reach them.
-func (s *Server) release() {
-	if !s.removed || s.stalled > 0 {
-		return
-	}
-	for _, r := range s.held {
-		s.dir.unhold(s, r.num)
-	}
-	s.held = nil
+	h.state = s.app.AddShard(id, role)
 }
 
 // holding returns the server's entry in shard num's list, or nil if it holds
@@ -1000,17 +999,20 @@ func (s *Server) LoadChanged(num ShardNum) {
 // Serve processes one request, replying asynchronously (possibly after one
 // or more forwarding hops). reply is invoked exactly once and must not be
 // nil. A request that names its shard only by ID gets the number filled in
-// here.
+// here. A request whose stall (SetServeDelay) ends after the server was
+// removed fails as "server-gone", as a delivery to an empty slot does: the
+// process that would have served it is dead.
 func (s *Server) Serve(req *Request, reply func(Response)) {
 	if req.ShardNum == 0 {
 		req.ShardNum = s.dir.shardNums[req.Shard]
 	}
 	if s.serveDelay > 0 {
-		s.stalled++
 		s.loop.AfterL(s.serveDelay, lbServeDelay, func() {
-			s.stalled--
+			if s.removed {
+				reply(Response{Err: "server-gone", Server: s.ID})
+				return
+			}
 			s.serve(req, reply)
-			s.release()
 		})
 		return
 	}
@@ -1046,12 +1048,12 @@ func (s *Server) serve(req *Request, reply func(Response)) {
 			s.reject(req.Shard, reply, "not-primary")
 			return
 		}
-		s.handle(req, h.phase, reply)
+		s.handle(req, h, reply)
 	case PhaseLoading:
 		s.reject(req.Shard, reply, "loading")
 	case PhasePreparingAdd:
 		if req.Forwarded {
-			s.handle(req, h.phase, reply)
+			s.handle(req, h, reply)
 			return
 		}
 		s.reject(req.Shard, reply, "preparing")
@@ -1062,13 +1064,14 @@ func (s *Server) serve(req *Request, reply func(Response)) {
 	}
 }
 
-func (s *Server) handle(req *Request, phase Phase, reply func(Response)) {
+// handle runs the request in the application with the replica's state.
+func (s *Server) handle(req *Request, h *holder, reply func(Response)) {
 	for i := range s.dir.observers {
 		if fn := s.dir.observers[i].Handled; fn != nil {
-			fn(s.ID, req.Shard, req.Write, req.Forwarded, phase)
+			fn(s.ID, req.Shard, req.Write, req.Forwarded, h.phase)
 		}
 	}
-	payload, err := s.app.HandleRequest(req)
+	payload, err := s.app.HandleRequest(req, h.state)
 	if err != nil {
 		s.requestMetric("app_error")
 		reply(Response{Err: err.Error(), Server: s.ID})

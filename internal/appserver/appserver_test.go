@@ -18,26 +18,39 @@ import (
 	"shardmanager/internal/trace"
 )
 
-// echoApp records callbacks and echoes request keys.
+// echoApp records callbacks and echoes request keys. Each AddShard returns a
+// new state, kept in states until the shard is dropped, and HandleRequest
+// records the state it was handed in received.
 type echoApp struct {
-	added   []shard.ID
-	dropped []shard.ID
-	roles   map[shard.ID]shard.Role
-	failAll bool
+	added    []shard.ID
+	dropped  []shard.ID
+	roles    map[shard.ID]shard.Role
+	states   map[shard.ID]*echoState
+	received any
+	failAll  bool
 }
 
-func newEchoApp() *echoApp { return &echoApp{roles: map[shard.ID]shard.Role{}} }
+// echoState is the state echoApp returns from one AddShard.
+type echoState struct{ shard shard.ID }
 
-func (a *echoApp) AddShard(s shard.ID, role shard.Role) {
+func newEchoApp() *echoApp {
+	return &echoApp{roles: map[shard.ID]shard.Role{}, states: map[shard.ID]*echoState{}}
+}
+
+func (a *echoApp) AddShard(s shard.ID, role shard.Role) any {
 	a.added = append(a.added, s)
 	a.roles[s] = role
+	a.states[s] = &echoState{shard: s}
+	return a.states[s]
 }
 func (a *echoApp) DropShard(s shard.ID) {
 	a.dropped = append(a.dropped, s)
 	delete(a.roles, s)
+	delete(a.states, s)
 }
 func (a *echoApp) ChangeRole(s shard.ID, from, to shard.Role) { a.roles[s] = to }
-func (a *echoApp) HandleRequest(req *Request) (any, error) {
+func (a *echoApp) HandleRequest(req *Request, state any) (any, error) {
+	a.received = state
 	if a.failAll {
 		return nil, errors.New("app-error")
 	}
@@ -640,5 +653,31 @@ func TestServeDelayGrayFailure(t *testing.T) {
 	s.SetServeDelay(0)
 	if d := timed(); d != base {
 		t.Fatalf("restored serve took %v, want %v", d, base)
+	}
+}
+
+// TestStalledRequestOnARemovedServerFails: a request the gray-failure stall
+// holds when its server is removed fails as "server-gone" without reaching the
+// application, and Remove takes the server's replicas out of the directory's
+// lists at once, stall or not.
+func TestStalledRequestOnARemovedServerFails(t *testing.T) {
+	env := newEnv()
+	app := newEchoApp()
+	s := env.server("s1", "a", app)
+	s.AddShard("sh1", shard.RolePrimary, 1)
+	s.SetServeDelay(300 * time.Millisecond)
+	var resp *Response
+	s.Serve(&Request{Shard: "sh1", Key: "k"}, func(r Response) { resp = &r })
+	env.loop.RunFor(100 * time.Millisecond)
+	env.dir.Remove("s1")
+	if hs := env.dir.holders[env.dir.ShardNum("sh1")]; len(hs) != 0 {
+		t.Fatalf("the removed server still has %d entries in the shard's list", len(hs))
+	}
+	env.loop.Run()
+	if resp == nil || resp.OK || resp.Err != "server-gone" || resp.Server != "s1" {
+		t.Fatalf("the stalled request got %+v, want a server-gone failure from s1", resp)
+	}
+	if app.received != nil {
+		t.Fatal("the removed server's application handled the stalled request")
 	}
 }

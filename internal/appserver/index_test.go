@@ -5,6 +5,7 @@ import (
 	"maps"
 	"testing"
 	"time"
+	"unsafe"
 
 	"shardmanager/internal/rpcnet"
 	"shardmanager/internal/shard"
@@ -16,9 +17,16 @@ import (
 // and server restart over three servers that share one directory, and after
 // every step holds the lookup serve uses (holding, the directory's list for
 // the shard's number) to the server's own walks (Shards, LoadReport, held) and
-// to a reference of which replicas each live server holds in which role. A
-// restarted server's predecessor must have no entry left in any list.
+// to a reference of which replicas each live server holds in which role, and
+// the entry to one cache line. The
+// state a request hands the application must be what the application's
+// AddShard last returned for the replica: nil for one prepared but never
+// added, and for a shard the server does not hold. A restarted server's
+// predecessor must have no entry left in any list.
 func TestReplicaIndexMatchesTheWalks(t *testing.T) {
+	if size := unsafe.Sizeof(holder{}); size > 64 {
+		t.Fatalf("a replica entry is %d bytes: serve reads it, so it must fit one 64-byte cache line", size)
+	}
 	ids := make([]shard.ID, 8)
 	for i := range ids {
 		ids[i] = shard.ID(fmt.Sprintf("x%d", i))
@@ -95,8 +103,19 @@ func checkReplicaIndex(t *testing.T, what string, dir *Directory, ids []shard.ID
 		if got := s.Shards(); !maps.Equal(got, want[name]) {
 			t.Fatalf("%s: %s walks %v, want %v", what, name, got, want[name])
 		}
+		app := s.app.(*echoApp)
 		for _, id := range ids {
 			h := s.holding(dir.ShardNum(id))
+			var wantState, state any
+			if st, ok := app.states[id]; ok {
+				wantState = st
+			}
+			if h != nil {
+				state = h.state
+			}
+			if state != wantState {
+				t.Fatalf("%s: %s keeps state %v for %s, its application's last AddShard returned %v", what, name, state, id, wantState)
+			}
 			role, ok := want[name][id]
 			if (h != nil) != ok || h != nil && (h.role != role || h.r.num != dir.ShardNum(id)) {
 				t.Fatalf("%s: %s finds %s as %+v, the walk says held=%v role=%v", what, name, id, h, ok, role)
@@ -104,15 +123,27 @@ func checkReplicaIndex(t *testing.T, what string, dir *Directory, ids []shard.ID
 			if h != nil && h.phase == PhaseActive != s.HoldsActive(id) {
 				t.Fatalf("%s: %s serves %s in phase %v but HoldsActive says %v", what, name, id, h.phase, s.HoldsActive(id))
 			}
-			// A read is answered at once unless it is forwarded.
+			// A read is answered at once unless it is forwarded, and one the
+			// application handles carries the replica's state; so does a
+			// forwarded read that a preparing replica serves.
 			_, tomb := s.tombstones[dir.ShardNum(id)]
 			var resp *Response
+			app.received = app // not handed to HandleRequest
 			s.Serve(&Request{Shard: id, Key: "k"}, func(r Response) { resp = &r })
 			switch {
 			case h == nil && !tomb && (resp == nil || resp.Err != "not-owner"):
 				t.Fatalf("%s: %s holds no %s and answers a read with %+v", what, name, id, resp)
 			case h != nil && h.phase == PhaseActive && (resp == nil || !resp.OK):
 				t.Fatalf("%s: %s holds %s active and answers a read with %+v", what, name, id, resp)
+			case resp != nil && resp.OK && app.received != wantState:
+				t.Fatalf("%s: %s served %s with state %v, want %v", what, name, id, app.received, wantState)
+			}
+			if h != nil && h.phase == PhasePreparingAdd {
+				resp = nil
+				s.Serve(&Request{Shard: id, Key: "k", Forwarded: true}, func(r Response) { resp = &r })
+				if resp == nil || !resp.OK || app.received != wantState {
+					t.Fatalf("%s: %s prepares %s and serves a forwarded read with %+v, state %v, want %v", what, name, id, resp, app.received, wantState)
+				}
 			}
 		}
 		for _, r := range s.held {

@@ -21,10 +21,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 type fakeApp struct{}
 
-func (fakeApp) AddShard(shard.ID, shard.Role)               {}
+func (fakeApp) AddShard(shard.ID, shard.Role) any           { return nil }
 func (fakeApp) DropShard(shard.ID)                          {}
 func (fakeApp) ChangeRole(shard.ID, shard.Role, shard.Role) {}
-func (fakeApp) HandleRequest(*appserver.Request) (any, error) {
+func (fakeApp) HandleRequest(*appserver.Request, any) (any, error) {
 	return "ok", nil
 }
 

@@ -103,7 +103,7 @@ func Fig20(c RunConfig, p DBShardParams) *Report {
 		Orch:             cfg,
 		AppFactory: func(s *appserver.Server) appserver.Application {
 			s.LoadTime = 2 * time.Second
-			return apps.NewStreamProcessor(s, bus)
+			return apps.NewStreamProcessor(bus)
 		},
 		Seed: p.Seed,
 	})

@@ -18,10 +18,10 @@ import (
 
 type okApp struct{}
 
-func (okApp) AddShard(shard.ID, shard.Role)               {}
+func (okApp) AddShard(shard.ID, shard.Role) any           { return nil }
 func (okApp) DropShard(shard.ID)                          {}
 func (okApp) ChangeRole(shard.ID, shard.Role, shard.Role) {}
-func (okApp) HandleRequest(req *appserver.Request) (any, error) {
+func (okApp) HandleRequest(req *appserver.Request, _ any) (any, error) {
 	return "v:" + req.Key, nil
 }
 

@@ -228,7 +228,7 @@ func TestStreamProcessorSurvivesDrainEndToEnd(t *testing.T) {
 		Orch:             cfg,
 		ClusterOpts:      cluster.DefaultOptions(),
 		AppFactory: func(s *appserver.Server) appserver.Application {
-			return apps.NewStreamProcessor(s, bus)
+			return apps.NewStreamProcessor(bus)
 		},
 		Seed: 3,
 	})

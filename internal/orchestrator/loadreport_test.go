@@ -286,9 +286,12 @@ func TestLoadReportsMatchFullScan(t *testing.T) {
 		}
 		srcSrv, dstSrv := c.w.dir.Lookup(src), c.w.dir.Lookup(dst)
 		// The source's application serves what the library lets through and
-		// owns the shard until drop_shard, so it is where the queue moves.
+		// owns the shard until drop_shard, so it is where the queue moves. A
+		// queue's state is the shard's queue in the backing, the same for
+		// every replica and every AddShard, so asking for it changes nothing.
 		direct := func(op string) {
-			if _, err := queues[src].HandleRequest(&appserver.Request{Shard: x, ShardNum: c.w.dir.ShardNum(x), Op: op, Payload: "m"}); err != nil {
+			state := queues[src].AddShard(x, shard.RolePrimary)
+			if _, err := queues[src].HandleRequest(&appserver.Request{Shard: x, ShardNum: c.w.dir.ShardNum(x), Op: op, Payload: "m"}, state); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -309,7 +312,8 @@ func TestLoadReportsMatchFullScan(t *testing.T) {
 		c.round("the target takes over and dequeues", func() {
 			dstSrv.AddShard(x, shard.RolePrimary, c.w.store.NextEpoch())
 			srcSrv.DropShard(x)
-			if _, err := queues[dst].HandleRequest(&appserver.Request{Shard: x, ShardNum: c.w.dir.ShardNum(x), Op: apps.QueueOpDequeue}); err != nil {
+			state := queues[dst].AddShard(x, shard.RolePrimary)
+			if _, err := queues[dst].HandleRequest(&appserver.Request{Shard: x, ShardNum: c.w.dir.ShardNum(x), Op: apps.QueueOpDequeue}, state); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -622,7 +626,7 @@ func TestMetricsOutsideThePolicyStayOnTheServer(t *testing.T) {
 		})
 	}
 	queue := ask(func(s *appserver.Server) appserver.Application { return apps.NewQueue(s, backing) })
-	stream := ask(func(s *appserver.Server) appserver.Application { return apps.NewStreamProcessor(s, apps.NewDataBus()) })
+	stream := ask(func(s *appserver.Server) appserver.Application { return apps.NewStreamProcessor(apps.NewDataBus()) })
 	if queue != stream {
 		t.Fatalf("a report of a queue's shards allocates %v times, of a stream processor's %v", queue, stream)
 	}

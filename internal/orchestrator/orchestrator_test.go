@@ -25,10 +25,13 @@ type countApp struct {
 
 func newCountApp() *countApp { return &countApp{owner: map[shard.ID]shard.Role{}} }
 
-func (a *countApp) AddShard(s shard.ID, role shard.Role)    { a.owner[s] = role }
+func (a *countApp) AddShard(s shard.ID, role shard.Role) any {
+	a.owner[s] = role
+	return nil
+}
 func (a *countApp) DropShard(s shard.ID)                    { delete(a.owner, s) }
 func (a *countApp) ChangeRole(s shard.ID, _, to shard.Role) { a.owner[s] = to }
-func (a *countApp) HandleRequest(req *appserver.Request) (any, error) {
+func (a *countApp) HandleRequest(*appserver.Request, any) (any, error) {
 	return "ok", nil
 }
 

@@ -468,13 +468,15 @@ type tagApp struct {
 	tag string
 }
 
-func (a tagApp) HandleRequest(req *appserver.Request) (any, error) { return a.tag + req.Key, nil }
+func (a tagApp) HandleRequest(req *appserver.Request, _ any) (any, error) {
+	return a.tag + req.Key, nil
+}
 
 // quietApp serves without allocating, so the allocation gates below count
 // only what routing, rpcnet and appserver do.
 type quietApp struct{ okApp }
 
-func (quietApp) HandleRequest(*appserver.Request) (any, error) { return nil, nil }
+func (quietApp) HandleRequest(*appserver.Request, any) (any, error) { return nil, nil }
 
 // TestRequestPathAllocationFree: after warm-up a request allocates nothing
 // between Client.Do and the caller's done — the call record, rpcnet's

@@ -182,14 +182,16 @@ func (c *Client) MapVersion() int64 { return c.view.Version }
 func (c *Client) Do(key string, write bool, op string, payload any, done func(Result)) {
 	k := c.allocCall()
 	k.pos = c.keyspace.Locate(key)
-	k.req = appserver.Request{
-		Shard:    c.keyspace.At(k.pos),
-		ShardNum: c.shards[k.pos],
-		Key:      key,
-		Write:    write,
-		Op:       op,
-		Payload:  payload,
-	}
+	// Set field by field: a literal would copy the whole request. Forwarded
+	// stays false on a client's record (a server forwards a copy).
+	r := &k.req
+	r.Shard = c.keyspace.At(k.pos)
+	r.ShardNum = c.shards[k.pos]
+	r.Key = key
+	r.Write = write
+	r.Op = op
+	r.Payload = payload
+	r.TraceSpan = 0
 	k.done = done
 	k.start = c.loop.Now()
 	if tr := c.loop.Tracer(); tr.Enabled() {
@@ -398,11 +400,14 @@ func (k *call) fail(errMsg string) {
 
 // finish recycles the record and then reports res — root span, metrics,
 // observers, caller, in that order. Recycling first lets a done that issues
-// the client's next request reuse the record it just finished with.
+// the client's next request reuse the record it just finished with. Recycling
+// resets what the next request does not set before reading it: the live flag,
+// the attempt count and the tried list; done is dropped so that the idle
+// record holds no caller's closure.
 func (k *call) finish(res Result) {
 	c, done, root := k.c, k.done, k.req.TraceSpan
-	*k = call{c: c, next: c.freeCalls, tried: k.tried[:0], onResponse: k.onResponse}
-	c.freeCalls = k
+	k.live, k.attempt, k.tried, k.done = false, 0, k.tried[:0], nil
+	k.next, c.freeCalls = c.freeCalls, k
 
 	if tr := c.loop.Tracer(); tr.Enabled() {
 		tr.EndSpan(root,

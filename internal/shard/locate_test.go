@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -115,5 +116,101 @@ func TestLocateMatchesSortSearchRandom(t *testing.T) {
 				checkLocate(t, ks, s)
 			}
 		}
+	}
+}
+
+// TestLocateMatchesSortSearchAtBlockEdges: random keyspaces whose start
+// counts sit on and around the index's block and level boundaries (16 per
+// block), probed with every start, its neighbours, random keys and all-0xff
+// keys, whose packed prefix equals the levels' padding. Half the keyspaces
+// end in starts that pack to all-ones themselves.
+func TestLocateMatchesSortSearchAtBlockEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	word := func() string {
+		b := make([]byte, rng.Intn(11))
+		for i := range b {
+			switch rng.Intn(4) {
+			case 0:
+				b[i] = 0
+			case 1:
+				b[i] = 0xff
+			default:
+				b[i] = byte(rng.Intn(256))
+			}
+		}
+		return string(b)
+	}
+	ones := "\xff\xff\xff\xff\xff\xff\xff\xff"
+	for _, n := range []int{1, 2, 15, 16, 17, 255, 256, 257, 4097} {
+		for variant := 0; variant < 2; variant++ {
+			set := map[string]bool{"": true}
+			if variant == 1 && n >= 3 {
+				set[ones] = true
+				set[ones+"\x00"] = true
+			}
+			for len(set) < n {
+				set[word()] = true
+			}
+			starts := make([]string, 0, n)
+			for s := range set {
+				starts = append(starts, s)
+			}
+			ks := keyspaceOf(t, starts)
+			if ks.Len() != n {
+				t.Fatalf("keyspace of %d starts has %d", n, ks.Len())
+			}
+			for _, s := range ks.starts {
+				checkLocate(t, ks, s)
+				checkLocate(t, ks, s+"\x00")
+				checkLocate(t, ks, s+"\xff")
+				if m := len(s); m > 0 {
+					checkLocate(t, ks, s[:m-1])
+					if s[m-1] > 0 {
+						checkLocate(t, ks, s[:m-1]+string(s[m-1]-1)+"\xff")
+					}
+				}
+			}
+			for _, key := range []string{ones[:7], ones, ones + "\x00", ones + "\xff", ones + ones} {
+				checkLocate(t, ks, key)
+			}
+			for probe := 0; probe < 1000; probe++ {
+				checkLocate(t, ks, word())
+			}
+		}
+	}
+}
+
+// BenchmarkKeyspaceLocate locates random keys of a range keyspace of 3k and
+// 100k shards ("s%06d" starts, keys "s%06d/key"), the keyspace a client
+// searches on every request.
+func BenchmarkKeyspaceLocate(b *testing.B) {
+	for _, n := range []int{3_000, 100_000} {
+		b.Run(fmt.Sprintf("shards=%dk", n/1000), func(b *testing.B) {
+			ids := make([]ID, n)
+			starts := make([]string, n)
+			for i := range ids {
+				ids[i] = ID(fmt.Sprintf("s%06d", i))
+				if i > 0 {
+					starts[i] = string(ids[i])
+				}
+			}
+			ks, err := NewKeyspace(ids, starts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			keys := make([]string, 1<<12)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("s%06d/key", rng.Intn(n))
+			}
+			b.ResetTimer()
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				sum += ks.Locate(keys[i&(len(keys)-1)])
+			}
+			if sum < 0 {
+				b.Fatal(sum)
+			}
+		})
 	}
 }

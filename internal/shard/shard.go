@@ -11,6 +11,7 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -175,14 +176,25 @@ func ValidateEntry(s ID, as []Assignment) error {
 type Keyspace struct {
 	shards []ID
 	starts []string // starts[i] is the inclusive start key of shards[i]
-	// prefix[i] packs the first 8 bytes of starts[i], big-endian and
-	// zero-padded, so that Locate compares machine words side by side
-	// instead of chasing 3,000 string headers across the heap. Packed order
-	// agrees with string order wherever the packed values differ; on a tie
-	// (keys equal in their first 8 bytes, or differing only in trailing
-	// zero bytes) the strings decide.
-	prefix []uint64
+	// levels is Locate's index. levels[0][i] packs the first 8 bytes of
+	// starts[i], big-endian and zero-padded, so that Locate compares machine
+	// words side by side instead of chasing 3,000 string headers across the
+	// heap; levels[l+1] holds every 16th entry of levels[l], and the last
+	// level has at most 16. A level's length is its entry count, and its
+	// capacity runs on to a whole block of 16, padded with all-ones, so that
+	// every block reads as one array. Packed order agrees with string order
+	// wherever the packed values differ; on a tie (keys equal in their first
+	// 8 bytes, or differing only in trailing zero bytes) the strings decide.
+	levels [][]uint64
 }
+
+// blockLen is how many entries of a level Locate counts at a time, and a
+// level's entry i leads the block of the level below that starts at entry
+// i<<blockBits.
+const (
+	blockBits = 4
+	blockLen  = 1 << blockBits
+)
 
 // NewKeyspace builds a keyspace from ordered (shard, startKey) boundaries.
 // The first start key must be "" (covers the smallest keys) and starts must
@@ -202,12 +214,31 @@ func NewKeyspace(shards []ID, starts []string) (*Keyspace, error) {
 	ks := &Keyspace{
 		shards: append([]ID(nil), shards...),
 		starts: append([]string(nil), starts...),
-		prefix: make([]uint64, len(starts)),
 	}
+	lv := padded(len(starts))
 	for i, s := range starts {
-		ks.prefix[i] = packPrefix(s)
+		lv[i] = packPrefix(s)
+	}
+	ks.levels = append(ks.levels, lv)
+	for len(lv) > blockLen {
+		up := padded((len(lv) + blockLen - 1) / blockLen)
+		for i := range up {
+			up[i] = lv[i*blockLen]
+		}
+		ks.levels = append(ks.levels, up)
+		lv = up
 	}
 	return ks, nil
+}
+
+// padded returns a level of n entries whose capacity, up to the next whole
+// block, is filled with all-ones.
+func padded(n int) []uint64 {
+	lv := make([]uint64, (n+blockLen-1)/blockLen*blockLen)
+	for i := n; i < len(lv); i++ {
+		lv[i] = ^uint64(0)
+	}
+	return lv[:n]
 }
 
 // packPrefix returns the first 8 bytes of s as a big-endian integer, padded
@@ -231,19 +262,50 @@ func packPrefix(s string) uint64 {
 // position is a stable handle: a keyspace never changes, so whoever needs
 // something per shard can keep it in a slice indexed by position and never
 // look the shard's name up again.
+//
+// It searches for the last start <= key from the top level down: at each
+// level, i is the last entry <= key, and the next level's block under it
+// holds the entries from i's up to (not including) i+1's. A block's entries
+// are counted against the key's packed prefix without a branch; the count is
+// clamped to the level's length, since an all-ones prefix counts the padding,
+// and a tie on the prefix steps back while the start string is above the
+// key, never past the block's first entry, which is <= key.
 func (k *Keyspace) Locate(key string) int {
-	// Binary search for the last start <= key.
 	p := packPrefix(key)
-	lo, hi := 0, len(k.starts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q := k.prefix[mid]; q > p || (q == p && k.starts[mid] > key) {
-			hi = mid
-		} else {
-			lo = mid + 1
+	i := 0
+	for l := len(k.levels) - 1; l >= 0; l-- {
+		lv := k.levels[l]
+		j := i << blockBits
+		i = min(j+countAtMost((*[blockLen]uint64)(lv[j:j+blockLen]), p)-1, len(lv)-1)
+		for lv[i] == p && k.starts[i<<(blockBits*l)] > key {
+			i--
 		}
 	}
-	return lo - 1 // lo >= 1 because starts[0] == ""
+	return i
+}
+
+// countAtMost returns how many of the block's entries are <= p: 16 less the
+// borrows of p minus each entry, written out and summed as a tree rather than
+// in one chain of adds, which measured faster than a loop.
+func countAtMost(b *[blockLen]uint64, p uint64) int {
+	_, a0 := bits.Sub64(p, b[0], 0)
+	_, a1 := bits.Sub64(p, b[1], 0)
+	_, a2 := bits.Sub64(p, b[2], 0)
+	_, a3 := bits.Sub64(p, b[3], 0)
+	_, a4 := bits.Sub64(p, b[4], 0)
+	_, a5 := bits.Sub64(p, b[5], 0)
+	_, a6 := bits.Sub64(p, b[6], 0)
+	_, a7 := bits.Sub64(p, b[7], 0)
+	_, a8 := bits.Sub64(p, b[8], 0)
+	_, a9 := bits.Sub64(p, b[9], 0)
+	_, a10 := bits.Sub64(p, b[10], 0)
+	_, a11 := bits.Sub64(p, b[11], 0)
+	_, a12 := bits.Sub64(p, b[12], 0)
+	_, a13 := bits.Sub64(p, b[13], 0)
+	_, a14 := bits.Sub64(p, b[14], 0)
+	_, a15 := bits.Sub64(p, b[15], 0)
+	above := ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) + ((a8 + a9) + (a10 + a11)) + ((a12 + a13) + (a14 + a15))
+	return blockLen - int(above)
 }
 
 // At returns the shard at position pos.

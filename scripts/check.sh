@@ -20,11 +20,13 @@ byname="$(grep -nE '\.Replicas\(|\.Lookup\(|net\.Region\(|fleet\.Latency\(|\.Sen
 fabric="$(awk '/^func \(n \*Network\) (SendTo|ReplyAt|delayAt|lost)\(|^func env(Deliver|Timeout|Reply)\(/ {body=1}
 	body && /fleet\.Latency\(|RegionIndex\(|n\.Peer\(|\.peers\[/ {print FILENAME ":" FNR ": " $0}
 	/^}/ {body=0}' internal/rpcnet/rpcnet.go)"
-# The server side too: an application's HandleRequest and the server's serve
-# and handle find the shard by the number the request carries
-# (Request.ShardNum), never by indexing a map with its name.
+# The server side too: serve and handle find the replica by the number the
+# request carries (Request.ShardNum), never by indexing a map with its name,
+# and an application's HandleRequest is handed the shard's state with the
+# request, so it indexes no map by the shard's name or number: the server's
+# replica is the one record of what it owns.
 served="$(awk '/^func \([a-z]+ \*[A-Za-z]+\) HandleRequest\(/ {body=1}
-	body && /\[req\.Shard\]/ {print FILENAME ":" FNR ": " $0}
+	body && /\[req\.Shard(Num)?\]/ {print FILENAME ":" FNR ": " $0}
 	/^}/ {body=0}' $(ls internal/apps/*.go | grep -v _test.go))
 $(awk '/^func \(s \*Server\) (serve|handle)\(/ {body=1}
 	body && /\[req\.Shard\]/ {print FILENAME ":" FNR ": " $0}
@@ -114,6 +116,7 @@ go test ./internal/solver -run '^$' -bench . -benchtime=1x
 go test ./internal/allocator -run '^$' -bench RunFirstPlacement -benchtime=1x
 go test ./internal/sim -run '^$' -bench LoopScheduleAndRun -benchtime=1x
 go test ./internal/discovery -run '^$' -bench Publish -benchtime=1x
+go test ./internal/shard -run '^$' -bench KeyspaceLocate -benchtime=1x
 go test ./internal/routing -run '^$' -bench ClientRequestRoundTrip -benchmem -benchtime=1x
 go test ./internal/orchestrator -run '^$' -bench 'MoveAndPublish|CollectLoads' -benchtime=1x
 # The 300k-shard row of the allocation drive builds a ~0.6 GB world; the smoke
