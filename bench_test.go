@@ -126,13 +126,13 @@ func BenchmarkSolverMoveEvaluation(b *testing.B) {
 	p := solver.NewProblem(1)
 	for i := 0; i < 500; i++ {
 		p.AddBucket(solver.Bucket{
-			Capacity: []float64{100},
+			Capacity: []int64{solver.Quantize(100)},
 			Domain:   fmt.Sprintf("g%d", i%4),
 		})
 	}
 	for i := 0; i < 20000; i++ {
 		p.AddEntity(solver.Entity{
-			Load:    []float64{0.2 + 4*rng.Float64()},
+			Load:    []int64{solver.Quantize(0.2 + 4*rng.Float64())},
 			Bucket:  solver.BucketID(rng.Intn(500)),
 			Movable: true,
 			Group:   -1,

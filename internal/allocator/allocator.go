@@ -256,8 +256,9 @@ func (a *Allocator) fromInput(in Input) *Problem {
 type Problem struct {
 	a      *Allocator
 	shards []shardSlot
-	// loads[i*len(Metrics):][:len(Metrics)] is shard i's load slot.
-	loads []float64
+	// loads[i*len(Metrics):][:len(Metrics)] is shard i's load slot, in the
+	// solver's load units.
+	loads []int64
 	// cur[e] is the bucket entity e's replica is on: Unassigned when it has
 	// no live server, or no replica yet.
 	cur []solver.BucketID
@@ -269,7 +270,7 @@ type Problem struct {
 	// prob is the solver's problem: the live servers are its buckets, caps
 	// holds their capacities, and its entities are the shards' replicas.
 	prob *solver.Problem
-	caps []float64
+	caps []int64
 	// balance is the balance batch's rules, one per metric (nil: the policy
 	// states none); the placement batch solves without them.
 	balance []solver.BalanceRule
@@ -282,7 +283,7 @@ type Problem struct {
 	// ranLoads and ranCur the loads and buckets it read.
 	last     *Result
 	lastMode Mode
-	ranLoads []float64
+	ranLoads []int64
 	ranCur   []solver.BucketID
 }
 
@@ -315,7 +316,7 @@ func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
 		p.shards[i] = shardSlot{id: spec.ID, first: n, replicas: spec.Replicas}
 		n += spec.Replicas
 	}
-	p.loads = make([]float64, len(shards)*len(a.policy.Metrics))
+	p.loads = make([]int64, len(shards)*len(a.policy.Metrics))
 	p.cur = make([]solver.BucketID, n)
 	// The entities are restated in place at every run: one per replica,
 	// sharing its shard's load slot, and a shard with replicas to keep apart
@@ -337,9 +338,10 @@ func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
 
 // SetServers states the servers. Only live ones are buckets, numbered in
 // list order; it returns each server's bucket, -1 for one not live, in a
-// slice the problem keeps until the next call. A bucket number another
-// server held before must be restated by SetCurrent for every shard with a
-// replica there. A server's region is its bucket's domain, and nothing else
+// slice the problem keeps until the next call. A live server's capacities are
+// quantized (solver.Quantize, which panics on one it cannot hold). A bucket
+// number another server held before must be restated by SetCurrent for every
+// shard with a replica there. A server's region is its bucket's domain, and nothing else
 // of its Domains is read. The live servers are written into the solver
 // problem as its buckets, and their drains always; the buckets are restated
 // (solver.Problem.ClearBuckets) only when a live server, its region or its
@@ -360,7 +362,7 @@ func (p *Problem) SetServers(servers []ServerInfo) []int {
 			same = same && b < len(p.serverOf) && p.serverOf[b] == s.ID &&
 				prob.Buckets[b].Domain == s.Domains[region]
 			for i, m := range metrics {
-				same = same && prob.Buckets[b].Capacity[i] == s.Capacity.Get(m)
+				same = same && prob.Buckets[b].Capacity[i] == solver.Quantize(s.Capacity.Get(m))
 			}
 		}
 		p.buckets = append(p.buckets, b)
@@ -376,7 +378,7 @@ func (p *Problem) SetServers(servers []ServerInfo) []int {
 			}
 			c := p.caps[len(prob.Buckets)*nM:][:nM:nM]
 			for i, m := range metrics {
-				c[i] = s.Capacity.Get(m)
+				c[i] = solver.Quantize(s.Capacity.Get(m))
 			}
 			prob.AddBucket(solver.Bucket{Capacity: c, Domain: s.Domains[region], Draining: s.Draining})
 			p.serverOf = append(p.serverOf, s.ID)
@@ -391,23 +393,26 @@ func (p *Problem) SetServers(servers []ServerInfo) []int {
 	return p.buckets
 }
 
-// SetShard states shard i's load and region preference; its ID and replica
-// count are the ones NewProblem was given.
+// SetShard states shard i's load, quantized as SetLoad does, and its region
+// preference; its ID and replica count are the ones NewProblem was given.
 func (p *Problem) SetShard(i int, spec ShardSpec) {
 	sh := &p.shards[i]
 	if spec.ID != sh.id || spec.Replicas != sh.replicas {
 		panic(fmt.Sprintf("allocator: shard %d is %s with %d replicas, not %s with %d", i, sh.id, sh.replicas, spec.ID, spec.Replicas))
 	}
-	load := p.slot(i)
 	for m, r := range p.a.policy.Metrics {
-		load[m] = spec.Load.Get(r)
+		p.slot(i)[m] = solver.Quantize(spec.Load.Get(r))
 	}
 	p.SetPreference(i, spec.RegionPreference, spec.PreferenceWeight)
 }
 
-// SetLoad states shard i's load, one value per Policy.Metrics in that order.
+// SetLoad states shard i's load, one value per Policy.Metrics in that order,
+// quantized to the solver's load units (solver.Quantize, which panics on a
+// value it cannot hold).
 func (p *Problem) SetLoad(i int, load []float64) {
-	copy(p.slot(i), load)
+	for m, v := range load {
+		p.slot(i)[m] = solver.Quantize(v)
+	}
 }
 
 // SetPreference states shard i's region preference and its weight, which
@@ -445,7 +450,7 @@ func (p *Problem) SetCurrent(i int, buckets []int) {
 }
 
 // slot returns shard i's load slot.
-func (p *Problem) slot(i int) []float64 {
+func (p *Problem) slot(i int) []int64 {
 	m := len(p.a.policy.Metrics)
 	return p.loads[i*m : (i+1)*m : (i+1)*m]
 }

@@ -2,6 +2,7 @@ package allocator
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -500,4 +501,43 @@ func TestNewPanicsOnSpreadBelowRegion(t *testing.T) {
 	pol := DefaultPolicy(topology.ResourceCPU)
 	pol.SpreadLevel = topology.LevelRack
 	New(pol, 1)
+}
+
+// TestLoadsOutOfRangePanic: SetLoad and SetServers quantize what they are
+// given to the solver's load units (solver.Quantize), and a value the solver
+// cannot hold as an int64 count of them — NaN, an infinity, or one whose count
+// is past 2^63 — panics rather than wraps, on a load and on a capacity alike.
+// A value just inside the range is taken.
+func TestLoadsOutOfRangePanic(t *testing.T) {
+	a := New(DefaultPolicy(topology.ResourceCPU), 1)
+	problem := func() (*Problem, []ServerInfo) {
+		servers := makeServers(2, []string{"r1"}, 100)
+		p := a.NewProblem(makeShards(1, 1, 1))
+		p.SetServers(servers)
+		return p, servers
+	}
+	set := map[string]func(v float64){
+		"SetLoad": func(v float64) {
+			p, _ := problem()
+			p.SetLoad(0, []float64{v})
+		},
+		"SetServers": func(v float64) {
+			p, servers := problem()
+			servers[1].Capacity = topology.Capacity{topology.ResourceCPU: v}
+			p.SetServers(servers)
+		},
+	}
+	for name, fn := range set {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e13, -1e13} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v) took the value", name, v)
+					}
+				}()
+				fn(v)
+			}()
+		}
+		fn(9e12) // 9e18 units, below 2^63
+	}
 }

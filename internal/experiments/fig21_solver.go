@@ -49,7 +49,7 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 		storageCap := 1000 * (1 + 0.2*rng.Float64())
 		// A bucket's domain is its hardware class, or its region in the geo
 		// variant.
-		b := solver.Bucket{Capacity: []float64{100, storageCap, 1000}, Domain: fmt.Sprintf("g%d", i%8)}
+		b := solver.Bucket{Capacity: units(100, storageCap, 1000), Domain: fmt.Sprintf("g%d", i%8)}
 		if geo {
 			b.Domain = fmt.Sprintf("region%02d", i%geoRegions)
 		}
@@ -71,7 +71,7 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 	for i := 0; i < shards; i++ {
 		skew := 0.1 + 1.9*rng.Float64() // 20x spread around the mean
 		e := solver.Entity{
-			Load:    []float64{baseCPU * skew, baseStorage * skew, 1},
+			Load:    units(baseCPU*skew, baseStorage*skew, 1),
 			Bucket:  solver.BucketID(rng.Intn(servers)),
 			Movable: true,
 			Group:   -1,
@@ -92,6 +92,15 @@ func zippyProblem(rng *sim.RNG, servers, shards int, geo bool) *solver.Problem {
 		{MaxDiff: 0.15, Weight: 0.5},
 	}
 	return p
+}
+
+// units quantizes one load or capacity per metric (solver.Quantize).
+func units(vs ...float64) []int64 {
+	out := make([]int64, len(vs))
+	for i, v := range vs {
+		out[i] = solver.Quantize(v)
+	}
+	return out
 }
 
 // Fig21 regenerates Figure 21: violations-vs-time curves at three problem

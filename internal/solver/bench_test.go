@@ -18,7 +18,7 @@ func scaleProblem(rng *sim.RNG, buckets, entities int) *Problem {
 	for i := 0; i < buckets; i++ {
 		storageCap := 1000 * (1 + 0.2*rng.Float64())
 		p.AddBucket(Bucket{
-			Capacity: []float64{100, storageCap, 1000},
+			Capacity: units(100, storageCap, 1000),
 			Domain:   fmt.Sprintf("g%d", i%8),
 		})
 	}
@@ -27,7 +27,7 @@ func scaleProblem(rng *sim.RNG, buckets, entities int) *Problem {
 	for i := 0; i < entities; i++ {
 		skew := 0.1 + 1.9*rng.Float64()
 		p.AddEntity(Entity{
-			Load:    []float64{baseCPU * skew, baseStorage * skew, 1},
+			Load:    units(baseCPU*skew, baseStorage*skew, 1),
 			Bucket:  BucketID(rng.Intn(buckets)),
 			Movable: true,
 			Group:   -1,
@@ -69,11 +69,11 @@ func replicatedProblem(rng *sim.RNG) *Problem {
 	const buckets, groups, replicas, regions = 300, 6000, 2, 3
 	p := NewProblem(2)
 	for i := 0; i < buckets; i++ {
-		p.AddBucket(Bucket{Capacity: []float64{100, 80}, Domain: fmt.Sprintf("r%d", i%regions)})
+		p.AddBucket(Bucket{Capacity: units(100, 80), Domain: fmt.Sprintf("r%d", i%regions)})
 	}
 	baseCPU := buckets * 100 * 0.55 / (groups * replicas)
 	for g := 0; g < groups; g++ {
-		load := []float64{baseCPU * (0.1 + 1.9*rng.Float64()), 1}
+		load := units(baseCPU*(0.1+1.9*rng.Float64()), 1)
 		first := rng.Intn(buckets)
 		for r := 0; r < replicas; r++ {
 			e := Entity{

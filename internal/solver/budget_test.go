@@ -77,13 +77,13 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		// Twenty unplaced entities and one at home on a draining bucket,
 		// budget one: every placement is free, so the drain move still fits.
 		p := NewProblem(1)
-		drain := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
+		drain := p.AddBucket(Bucket{Capacity: units(100), Draining: true})
 		for i := 0; i < 3; i++ {
-			p.AddBucket(Bucket{Capacity: []float64{100}})
+			p.AddBucket(Bucket{Capacity: units(100)})
 		}
-		homed := p.AddEntity(Entity{Load: []float64{1}, Bucket: drain, Movable: true, Group: -1})
+		homed := p.AddEntity(Entity{Load: units(1), Bucket: drain, Movable: true, Group: -1})
 		for i := 0; i < 20; i++ {
-			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
+			p.AddEntity(Entity{Load: units(1), Bucket: Unassigned, Movable: true, Group: -1})
 		}
 		p.DrainWeight = 10
 		res := Solve(p, Options{Seed: 1, MoveBudget: 1})
@@ -96,12 +96,12 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 		// A, B and D drain. The budget of one is spent on x before the
 		// search begins: x may still leave B for C, y may not leave D.
 		p := NewProblem(1)
-		a := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
-		b := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
-		c := p.AddBucket(Bucket{Capacity: []float64{100}})
-		d := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
-		x := p.AddEntity(Entity{Load: []float64{1}, Bucket: a, Movable: true, Group: -1})
-		y := p.AddEntity(Entity{Load: []float64{1}, Bucket: d, Movable: true, Group: -1})
+		a := p.AddBucket(Bucket{Capacity: units(100), Draining: true})
+		b := p.AddBucket(Bucket{Capacity: units(100), Draining: true})
+		c := p.AddBucket(Bucket{Capacity: units(100)})
+		d := p.AddBucket(Bucket{Capacity: units(100), Draining: true})
+		x := p.AddEntity(Entity{Load: units(1), Bucket: a, Movable: true, Group: -1})
+		y := p.AddEntity(Entity{Load: units(1), Bucket: d, Movable: true, Group: -1})
 		p.Entities[x].Bucket = b
 		p.DrainWeight = 10
 		Solve(p, Options{Seed: 1, MoveBudget: 1})
@@ -121,7 +121,7 @@ func TestMoveBudgetSpentOnlyByLeavingHome(t *testing.T) {
 func TestSolveWithoutBucketsPlacesNothing(t *testing.T) {
 	for _, opt := range []Options{{Seed: 1}, {Seed: 1, Uniform: true}} {
 		p := NewProblem(1)
-		e := p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
+		e := p.AddEntity(Entity{Load: units(1), Bucket: Unassigned, Movable: true, Group: -1})
 		res := Solve(p, opt)
 		if len(res.Moves) != 0 || res.Final.Unassigned != 1 || p.Entities[e].Bucket != Unassigned {
 			t.Fatalf("uniform=%v: moves %v, final %+v, entity on %d; want no move and one unplaced entity",

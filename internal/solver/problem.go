@@ -22,6 +22,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -35,14 +36,34 @@ type BucketID int
 // Unassigned marks an entity without a bucket.
 const Unassigned BucketID = -1
 
+// PerUnit is how many load units make one of a metric's own unit. Every load
+// and capacity is an int64 count of load units, 1e-6 of its metric's unit, as
+// a time.Duration counts nanoseconds: a sum of counts is exact, so a bucket's
+// load kept through moves is the load summed afresh, and a capacity check is
+// an integer compare. Utilization and every penalty are float64, computed from
+// the counts and scaled back to the metric's unit, so a goal's weight reads as
+// before.
+const PerUnit = 1e6
+
+// Quantize returns v, in its metric's unit, as a count of load units rounded
+// to the nearest. It panics on NaN, an infinity or a count that does not fit
+// an int64: a load the solver cannot hold exactly is refused, never wrapped.
+func Quantize(v float64) int64 {
+	if u := math.Round(v * PerUnit); u >= -0x1p63 && u < 0x1p63 { // false for NaN
+		return int64(u)
+	}
+	panic(fmt.Sprintf("solver: load %v is out of range at %g load units a unit", v, PerUnit))
+}
+
 // unassignedPenalty dominates every soft goal so that placing unassigned
 // entities is always the most urgent improvement.
 const unassignedPenalty = 1e12
 
 // Entity is one assignable unit (a shard replica).
 type Entity struct {
-	// Load per metric, in the order the caller numbers its metrics.
-	Load []float64
+	// Load per metric, in the order the caller numbers its metrics, in load
+	// units (Quantize).
+	Load []int64
 	// Bucket is the current assignment (Unassigned if none).
 	Bucket BucketID
 	// Home is the bucket the entity was added in: AddEntity sets it from
@@ -68,10 +89,10 @@ type Entity struct {
 
 // Bucket is one assignment target (a server).
 type Bucket struct {
-	// Capacity per metric, indexed like Entity.Load: on each bucket, the sum
-	// of its entities' loads must not exceed it (Fig 13's
+	// Capacity per metric in load units, indexed like Entity.Load: on each
+	// bucket, the sum of its entities' loads must not exceed it (Fig 13's
 	// addConstraint(CapacitySpec{...}) at server scope, on every metric).
-	Capacity []float64
+	Capacity []int64
 	// Domain is the bucket's domain (the allocator states its region): the
 	// spread keeps a group's members in distinct domains, an entity may
 	// prefer one, and Solve draws targets across them. It changes only
@@ -191,7 +212,7 @@ func (p *Problem) ClearBuckets() {
 // there, and its balance rule (weight 0: none).
 type specState struct {
 	bal BalanceRule
-	cap []float64 // per bucket, the metric's Capacity
+	cap []int64 // per bucket, the metric's Capacity
 	// meanUtil is the mean utilization over buckets with capacity, fixed
 	// at state-build time (moves conserve total load). Unassigned load is
 	// included: once placed it pushes utilization up, and the target must
@@ -202,9 +223,9 @@ type specState struct {
 // capPenalty treats hard-constraint overflow as a very large soft penalty so
 // local search can repair infeasible initial states while the feasibility
 // check prevents creating new overflow.
-func (sp *specState) capPenalty(b BucketID, load float64) float64 {
+func (sp *specState) capPenalty(b BucketID, load int64) float64 {
 	if c := sp.cap[b]; load > c {
-		return 1e6 * (load - c)
+		return 1e6 * (float64(load-c) / PerUnit)
 	}
 	return 0
 }
@@ -212,7 +233,7 @@ func (sp *specState) capPenalty(b BucketID, load float64) float64 {
 // balPenalty is the balance goal's penalty for one bucket given its load.
 // Penalty is measured in capacity-weighted overload so that moving a large
 // entity off an overloaded bucket helps proportionally.
-func (sp *specState) balPenalty(b BucketID, load float64) float64 {
+func (sp *specState) balPenalty(b BucketID, load int64) float64 {
 	bp := &sp.bal
 	if bp.Weight == 0 {
 		return 0
@@ -220,21 +241,21 @@ func (sp *specState) balPenalty(b BucketID, load float64) float64 {
 	c := sp.cap[b]
 	if c <= 0 {
 		// Load on a zero-capacity bucket is maximally penalized.
-		return bp.Weight * max(load, 0)
+		return bp.Weight * (float64(max(load, 0)) / PerUnit)
 	}
-	u := load / c
+	u := float64(load) / float64(c)
 	var over float64
 	if bp.UtilCap > 0 && u > bp.UtilCap {
-		over += (u - bp.UtilCap) * c
+		over += (u - bp.UtilCap) * (float64(c) / PerUnit)
 	}
 	if bp.MaxDiff > 0 && u > sp.meanUtil+bp.MaxDiff {
-		over += (u - sp.meanUtil - bp.MaxDiff) * c
+		over += (u - sp.meanUtil - bp.MaxDiff) * (float64(c) / PerUnit)
 	}
 	return bp.Weight * over
 }
 
 // penalty is the bucket's total capacity+balance penalty at the given load.
-func (sp *specState) penalty(b BucketID, load float64) float64 {
+func (sp *specState) penalty(b BucketID, load int64) float64 {
 	return sp.capPenalty(b, load) + sp.balPenalty(b, load)
 }
 
@@ -438,11 +459,13 @@ type state struct {
 	// bucketLoad[b][m] is the total load of metric m on bucket b: what the
 	// capacity and balance rules judge, and what sample reads to prefer cold
 	// targets.
-	bucketLoad [][]float64
-	// least[m] is the least load of metric m over every entity, or 0 if
-	// none is negative, and most[m] the largest over the placed ones, at the
-	// last sync: what floor reads of the loads.
-	least, most []float64
+	bucketLoad [][]int64
+	// total[m] is the load of metric m over every entity, placed or not, what
+	// the mean utilization is taken of; least[m] is the least over every
+	// entity, or 0 if none is negative, and most[m] the largest over the
+	// placed ones, what floor reads of the loads. All three are taken at the
+	// last sync.
+	total, least, most []int64
 
 	// unassigned counts entities without a bucket, away the ones placed off
 	// their Home (at the last sync). affN and drainN count the placed
@@ -480,11 +503,10 @@ func (p *Problem) state() *state {
 }
 
 // sync brings the state in step with its problem, reusing its buffers. The
-// assignment is read off the entities, and every aggregate is summed afresh
-// in entity order, so a state synced again equals one built from nothing to
-// the bit: carrying the sums over from the last Solve would leave its moves'
-// rounding in them. The per-bucket parts are fitted to the buckets in place,
-// and every goal is read off its field.
+// assignment is read off the entities and every aggregate is summed afresh;
+// the sums are of integers, so a state synced again equals one built from
+// nothing. The per-bucket parts are fitted to the buckets in place, and every
+// goal is read off its field.
 func (s *state) sync() {
 	p := s.p
 	nM := p.metrics
@@ -504,8 +526,8 @@ func (s *state) sync() {
 		if cap(s.bucketLoad) < nB {
 			// Every row of a new table is carved, so a table resliced within
 			// its capacity has its rows.
-			s.bucketLoad = make([][]float64, nB)
-			loads := make([]float64, nB*nM)
+			s.bucketLoad = make([][]int64, nB)
+			loads := make([]int64, nB*nM)
 			for b := range s.bucketLoad {
 				s.bucketLoad[b] = loads[b*nM : (b+1)*nM : (b+1)*nM]
 			}
@@ -520,7 +542,8 @@ func (s *state) sync() {
 		s.byBucket[b] = s.byBucket[b][:0]
 		clear(s.bucketLoad[b])
 	}
-	s.least, s.most = resize(s.least, nM), resize(s.most, nM)
+	s.total, s.least, s.most = resize(s.total, nM), resize(s.least, nM), resize(s.most, nM)
+	clear(s.total)
 	clear(s.least)
 	clear(s.most)
 	s.unassigned, s.away = 0, 0
@@ -539,6 +562,7 @@ func (s *state) sync() {
 			s.aff[i], s.preferring = affTerm{domID: domID, weight: ent.PreferWeight}, true
 		}
 		for m, l := range ent.Load {
+			s.total[m] += l
 			s.least[m] = min(s.least[m], l)
 		}
 		if ent.Bucket == Unassigned {
@@ -601,12 +625,9 @@ func (s *state) sync() {
 func (s *state) utilization(b BucketID) float64 {
 	c, l := s.p.Buckets[b].Capacity[0], s.bucketLoad[b][0]
 	if c <= 0 {
-		if l > 0 {
-			return 1e18
-		}
-		return 0
+		return 1e18 * float64(b2i(l > 0))
 	}
-	return l / c
+	return float64(l) / float64(c)
 }
 
 // b2i is 1 for true and 0 for false.
@@ -628,7 +649,7 @@ func grow[T any](buf []T) []T {
 }
 
 // fitSpec states metric m's load rules: its buckets' capacities, its balance
-// rule and its mean utilization.
+// rule and its mean utilization, every entity's load over every capacity.
 func (s *state) fitSpec(m int) {
 	p := s.p
 	sp := &s.specs[m]
@@ -639,22 +660,13 @@ func (s *state) fitSpec(m int) {
 			panic(fmt.Sprintf("solver: balance rule %+v on metric %d", r, m))
 		}
 	}
-	var totLoad, totCap float64
+	var totCap int64
 	for b := range p.Buckets {
 		sp.cap[b] = p.Buckets[b].Capacity[m]
 		totCap += sp.cap[b]
-		totLoad += s.bucketLoad[b][m]
-	}
-	// Unplaced load joins in entity order: float addition is not
-	// associative, and the balance target must be the same bits on every run
-	// of one input.
-	for e := 0; s.unassigned > 0 && e < len(p.Entities); e++ {
-		if s.assignment[e] == Unassigned {
-			totLoad += p.Entities[e].Load[m]
-		}
 	}
 	if totCap > 0 {
-		sp.meanUtil = totLoad / totCap
+		sp.meanUtil = float64(s.total[m]) / float64(totCap)
 	}
 }
 
@@ -678,7 +690,7 @@ type prepared struct {
 	// affinity/drain penalties, or -unassignedPenalty when unplaced.
 	base float64
 	// Per spec state (parallel to state.specs):
-	load      []float64 // entity load on the spec's metric
+	load      []int64   // entity load on the spec's metric
 	fromDelta []float64 // penalty delta of the source bucket losing load
 
 	// group is the entity's group (-1: none); spreadFrom is the source
@@ -988,7 +1000,9 @@ func (v ViolationCounts) Total() int {
 
 // violations counts the violations of the state as it stands: the capacity
 // and balance rules by a scan of the buckets, the rest off the counts sync
-// took and apply keeps. It is for reporting, not the hot path.
+// took and apply keeps. It is for reporting, not the hot path. A bucket is
+// over its capacity when its load is, in load units, and over a balance limit
+// when its utilization, one float64 division of two exact counts, is.
 func (s *state) violations() ViolationCounts {
 	var v ViolationCounts
 	for m := range s.specs {
@@ -996,17 +1010,17 @@ func (s *state) violations() ViolationCounts {
 		bp := &sp.bal
 		for b, c := range sp.cap {
 			load := s.bucketLoad[b][m]
-			if load > c+1e-9 {
+			if load > c {
 				v.Capacity++
 			}
 			if bp.Weight == 0 || c <= 0 {
 				continue
 			}
-			u := load / c
-			if bp.UtilCap > 0 && u > bp.UtilCap+1e-9 {
+			u := float64(load) / float64(c)
+			if bp.UtilCap > 0 && u > bp.UtilCap {
 				v.Balance++
 			}
-			if bp.MaxDiff > 0 && u > sp.meanUtil+bp.MaxDiff+1e-9 {
+			if bp.MaxDiff > 0 && u > sp.meanUtil+bp.MaxDiff {
 				v.Balance++
 			}
 		}
@@ -1033,7 +1047,11 @@ func (s *state) violations() ViolationCounts {
 //     than every bucket's limit together, or one entity's load more than the
 //     largest bucket's limit. A negative load could make room, and a bucket
 //     without capacity escapes the balance count, so either leaves the metric
-//     without a floor.
+//     without a floor. The capacity compares are of exact counts. A balance
+//     limit is a utilization: some bucket's load over its capacity is at least
+//     the placed load over every capacity, and a correctly rounded division of
+//     counts below 2^53 keeps that order (DESIGN §5 "Loads are integers"), so
+//     the floor's utilizations are compared as violations compares its own.
 func (s *state) floor() ViolationCounts {
 	v := ViolationCounts{Conflict: s.conflict.floor, Exclusion: s.spread.floor}
 	for e := 0; s.affN > 0 && e < len(s.assignment); e++ {
@@ -1044,7 +1062,7 @@ func (s *state) floor() ViolationCounts {
 	for m := range s.specs {
 		sp := &s.specs[m]
 		largest := s.most[m]
-		var total, capSum, capMax float64
+		var total, capSum, capMax int64
 		ok := s.least[m] >= 0
 		for b, c := range sp.cap {
 			ok = ok && c > 0
@@ -1055,18 +1073,13 @@ func (s *state) floor() ViolationCounts {
 		if !ok {
 			continue
 		}
-		// The sums have room for their own rounding; the thresholds are the
-		// ones violations counts by.
-		if total > (capSum+1e-9*float64(len(sp.cap)))*(1+1e-9) || largest > capMax+1e-9 {
+		if total > capSum || largest > capMax {
 			v.Capacity++
 		}
-		forced := func(util float64) bool {
-			util += 1e-9
-			return total > util*capSum*(1+1e-9) || largest/capMax > util
-		}
 		if bp := &sp.bal; bp.Weight != 0 {
-			v.Balance += b2i(bp.UtilCap > 0 && forced(bp.UtilCap))
-			v.Balance += b2i(bp.MaxDiff > 0 && forced(sp.meanUtil+bp.MaxDiff))
+			u := max(float64(total)/float64(capSum), float64(largest)/float64(capMax))
+			v.Balance += b2i(bp.UtilCap > 0 && u > bp.UtilCap)
+			v.Balance += b2i(bp.MaxDiff > 0 && u > sp.meanUtil+bp.MaxDiff)
 		}
 	}
 	return v

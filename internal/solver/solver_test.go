@@ -3,7 +3,6 @@ package solver
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -12,6 +11,16 @@ import (
 	"shardmanager/internal/sim"
 )
 
+// units quantizes values stated in their metrics' units: an entity's Load or a
+// bucket's Capacity.
+func units(vs ...float64) []int64 {
+	out := make([]int64, len(vs))
+	for i, v := range vs {
+		out[i] = Quantize(v)
+	}
+	return out
+}
+
 // buildBalanced builds nBuckets buckets of capacity 100 (single metric
 // "cpu") and nEntities entities of the given load, all initially on bucket
 // 0 (maximally imbalanced).
@@ -19,13 +28,13 @@ func buildSkewed(nBuckets, nEntities int, load float64) *Problem {
 	p := NewProblem(1)
 	for i := 0; i < nBuckets; i++ {
 		p.AddBucket(Bucket{
-			Capacity: []float64{100},
+			Capacity: units(100),
 			Domain:   fmt.Sprintf("r%d", i%2),
 		})
 	}
 	for i := 0; i < nEntities; i++ {
 		p.AddEntity(Entity{
-			Load:    []float64{load},
+			Load:    units(load),
 			Bucket:  0,
 			Movable: true,
 			Group:   -1,
@@ -48,8 +57,8 @@ func TestSolveBalancesLoad(t *testing.T) {
 	// Mean utilization is 0.5; no bucket may exceed 0.6 (MaxDiff 0.1).
 	st := newState(p)
 	for b := range p.Buckets {
-		u := st.bucketLoad[b][0] / 100
-		if u > 0.6+1e-9 {
+		u := float64(st.bucketLoad[b][0]) / float64(Quantize(100))
+		if u > 0.6 {
 			t.Fatalf("bucket %d utilization %.2f > 0.6", b, u)
 		}
 	}
@@ -60,15 +69,15 @@ func TestSolveRespectsHardCapacity(t *testing.T) {
 	// the large bucket; moving more than one to the tiny bucket would
 	// overflow it.
 	p := NewProblem(1)
-	big := p.AddBucket(Bucket{Capacity: []float64{100}})
-	p.AddBucket(Bucket{Capacity: []float64{10}})
+	big := p.AddBucket(Bucket{Capacity: units(100)})
+	p.AddBucket(Bucket{Capacity: units(10)})
 	for i := 0; i < 5; i++ {
-		p.AddEntity(Entity{Load: []float64{10}, Bucket: big, Movable: true, Group: -1})
+		p.AddEntity(Entity{Load: units(10), Bucket: big, Movable: true, Group: -1})
 	}
 	p.Balance = []BalanceRule{{MaxDiff: 0.01, Weight: 1}}
 	res := Solve(p, Options{Seed: 1})
 	st := newState(p)
-	if st.bucketLoad[1][0] > 10 {
+	if st.bucketLoad[1][0] > Quantize(10) {
 		t.Fatalf("tiny bucket overloaded: %v", st.bucketLoad[1][0])
 	}
 	if res.Final.Capacity != 0 {
@@ -79,10 +88,10 @@ func TestSolveRespectsHardCapacity(t *testing.T) {
 func TestSolvePlacesUnassignedEntities(t *testing.T) {
 	p := NewProblem(1)
 	for i := 0; i < 4; i++ {
-		p.AddBucket(Bucket{Capacity: []float64{100}})
+		p.AddBucket(Bucket{Capacity: units(100)})
 	}
 	for i := 0; i < 20; i++ {
-		p.AddEntity(Entity{Load: []float64{5}, Bucket: Unassigned, Movable: true, Group: -1})
+		p.AddEntity(Entity{Load: units(5), Bucket: Unassigned, Movable: true, Group: -1})
 	}
 	p.Balance = []BalanceRule{{UtilCap: 0.9, Weight: 1}}
 	res := Solve(p, Options{Seed: 1})
@@ -125,14 +134,14 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 	p := NewProblem(1)
 	for i := 0; i < 6; i++ {
 		p.AddBucket(Bucket{
-			Capacity: []float64{100},
+			Capacity: units(100),
 			Domain:   fmt.Sprintf("r%d", i%3),
 		})
 	}
 	for g := 0; g < 5; g++ {
 		for r := 0; r < 3; r++ {
 			p.AddEntity(Entity{
-				Load:    []float64{1},
+				Load:    units(1),
 				Bucket:  0, // all colocated initially
 				Movable: true,
 				Group:   int32(g),
@@ -162,11 +171,11 @@ func TestSolveSpreadsReplicas(t *testing.T) {
 
 func TestSolveDrainsMarkedBuckets(t *testing.T) {
 	p := NewProblem(1)
-	draining := p.AddBucket(Bucket{Capacity: []float64{100}, Draining: true})
-	p.AddBucket(Bucket{Capacity: []float64{100}})
-	p.AddBucket(Bucket{Capacity: []float64{100}})
+	draining := p.AddBucket(Bucket{Capacity: units(100), Draining: true})
+	p.AddBucket(Bucket{Capacity: units(100)})
+	p.AddBucket(Bucket{Capacity: units(100)})
 	for i := 0; i < 10; i++ {
-		p.AddEntity(Entity{Load: []float64{5}, Bucket: draining, Movable: true, Group: -1})
+		p.AddEntity(Entity{Load: units(5), Bucket: draining, Movable: true, Group: -1})
 	}
 	p.DrainWeight = 10
 	res := Solve(p, Options{Seed: 1})
@@ -217,16 +226,16 @@ func TestSolveDeterministicForSeed(t *testing.T) {
 // spends it again.
 func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	p := NewProblem(1)
-	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r0"})
-	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r0"})
-	p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: "r1"})
+	p.AddBucket(Bucket{Capacity: units(1000), Domain: "r0"})
+	p.AddBucket(Bucket{Capacity: units(1000), Domain: "r0"})
+	p.AddBucket(Bucket{Capacity: units(1000), Domain: "r1"})
 	// 24 entities on b0 with loads 1–5 (so ties), every sixth pinned; the
 	// six with i%4 == 1 belong on b1, so they are away and spend the budget.
 	// Entity 24+i is entity i's sibling in its group, under the spread: on
 	// b1, in b0's region, it makes entity i carry; on b2 it leaves it inert.
 	const n = 24
 	for i := 0; i < n; i++ {
-		e := p.AddEntity(Entity{Load: []float64{float64(1 + i%5)}, Bucket: 0, Movable: i%6 != 0, Group: int32(i)})
+		e := p.AddEntity(Entity{Load: units(float64(1 + i%5)), Bucket: 0, Movable: i%6 != 0, Group: int32(i)})
 		if i%4 == 1 {
 			p.Entities[e].Home = 1
 		}
@@ -238,7 +247,7 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 		if slices.Contains(carrying, EntityID(i)) {
 			b = 1
 		}
-		p.AddEntity(Entity{Load: []float64{1}, Bucket: b, Movable: true, Group: int32(i)})
+		p.AddEntity(Entity{Load: units(1), Bucket: b, Movable: true, Group: int32(i)})
 	}
 	p.SpreadWeight = 1
 
@@ -323,21 +332,43 @@ func TestCandidateEntitiesCarryingFirst(t *testing.T) {
 	check(c, "spent, a sibling moved", []EntityID{17, 5})
 }
 
-// TestMeanUtilSummedInEntityOrder: the balance target includes unplaced load,
-// and float addition is not associative — (1e16 + 1) + 1 is 1e16, 1e16 +
-// (1 + 1) is not — so the sum must take the entities in one order on every
-// build of one input.
-func TestMeanUtilSummedInEntityOrder(t *testing.T) {
+// TestMeanUtilCountsUnplacedLoad: the balance target is every entity's load,
+// placed or not, over every capacity: sync's kept total, one division of two
+// exact counts, whatever bucket each entity sits on.
+func TestMeanUtilCountsUnplacedLoad(t *testing.T) {
 	p := NewProblem(1)
-	p.AddBucket(Bucket{Capacity: []float64{1}})
-	for _, l := range []float64{1e16, 1, 1} {
-		p.AddEntity(Entity{Load: []float64{l}, Bucket: Unassigned, Movable: true, Group: -1})
+	p.AddBucket(Bucket{Capacity: units(1)})
+	p.AddBucket(Bucket{Capacity: units(2)})
+	for _, l := range []float64{0.1, 0.2, 0.7} {
+		p.AddEntity(Entity{Load: units(l), Bucket: Unassigned, Movable: true, Group: -1})
 	}
 	p.Balance = []BalanceRule{{MaxDiff: 0.1, Weight: 1}}
-	want := math.Float64bits(newState(p).specs[0].meanUtil)
-	for i := 1; i < 64; i++ {
-		if got := math.Float64bits(newState(p).specs[0].meanUtil); got != want {
-			t.Fatalf("build %d: meanUtil bits %x, build 0 had %x", i, got, want)
+	want := float64(Quantize(1)) / float64(Quantize(3))
+	for i := range 9 {
+		p.Entities[i%3].Bucket = BucketID(i/3) - 1
+		if got := newState(p).specs[0].meanUtil; got != want {
+			t.Fatalf("placement %d: meanUtil %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestCapacityBoundaryIsExact: a bucket whose placed load equals its capacity
+// is within it, though the float64 sum of its loads, 0.1 + 0.2, is above the
+// float64 0.3: violations and floor count no capacity violation, and one load
+// unit more counts one in each.
+func TestCapacityBoundaryIsExact(t *testing.T) {
+	a, b, c := 0.1, 0.2, 0.3
+	if a+b <= c {
+		t.Fatalf("%v + %v = %v, not above %v: the world no longer shows float rounding", a, b, a+b, c)
+	}
+	for extra, want := range []int{0, 1} {
+		p := NewProblem(1)
+		p.AddBucket(Bucket{Capacity: units(c)})
+		p.AddEntity(Entity{Load: units(a), Bucket: 0, Group: -1})
+		p.AddEntity(Entity{Load: []int64{Quantize(b) + int64(extra)}, Bucket: 0, Group: -1})
+		st := newState(p)
+		if v, f := st.violations().Capacity, st.floor().Capacity; v != want || f != want {
+			t.Errorf("load %d units over capacity: violations count %d, floor %d; want %d", extra, v, f, want)
 		}
 	}
 }
@@ -400,9 +431,9 @@ func TestGroupedSamplerCapsAtK(t *testing.T) {
 	problem := func(domains int) *Problem {
 		p := NewProblem(1)
 		for i := 0; i < domains; i++ {
-			p.AddBucket(Bucket{Capacity: []float64{100}, Domain: fmt.Sprintf("g%d", i)})
+			p.AddBucket(Bucket{Capacity: units(100), Domain: fmt.Sprintf("g%d", i)})
 		}
-		p.AddEntity(Entity{Load: []float64{1}, Bucket: 0, Movable: true, Group: -1})
+		p.AddEntity(Entity{Load: units(1), Bucket: 0, Movable: true, Group: -1})
 		return p
 	}
 	draw := func(c *solveCtx) map[string]bool {
@@ -465,18 +496,18 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 		nE := 1 + r.Intn(30)
 		p := NewProblem(1)
 		for i := 0; i < nB; i++ {
-			p.AddBucket(Bucket{Capacity: []float64{100}})
+			p.AddBucket(Bucket{Capacity: units(100)})
 		}
-		var total float64
+		var total int64
 		for i := 0; i < nE; i++ {
-			l := 1 + float64(r.Intn(10))
-			total += l
-			p.AddEntity(Entity{Load: []float64{l}, Bucket: BucketID(r.Intn(nB)), Movable: true, Group: -1})
+			l := units(1 + float64(r.Intn(10)))
+			total += l[0]
+			p.AddEntity(Entity{Load: l, Bucket: BucketID(r.Intn(nB)), Movable: true, Group: -1})
 		}
 		p.Balance = []BalanceRule{{MaxDiff: 0.1, Weight: 1}}
 		Solve(p, Options{Seed: seed})
 		st := newState(p)
-		var after float64
+		var after int64
 		for b := range p.Buckets {
 			after += st.bucketLoad[b][0]
 		}
@@ -488,24 +519,24 @@ func TestSolveMovesConserveEntitiesProperty(t *testing.T) {
 
 func TestBuilderPanics(t *testing.T) {
 	p := NewProblem(1)
-	p.AddBucket(Bucket{Capacity: []float64{1}})
+	p.AddBucket(Bucket{Capacity: units(1)})
 	// solved solves a one-bucket, one-entity problem with edit applied: a goal
 	// field is read, and checked, when Solve syncs the state.
 	solved := func(edit func(q *Problem)) func() {
 		return func() {
 			q := NewProblem(1)
-			q.AddBucket(Bucket{Capacity: []float64{1}})
-			q.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: -1})
+			q.AddBucket(Bucket{Capacity: units(1)})
+			q.AddEntity(Entity{Load: units(1), Bucket: Unassigned, Movable: true, Group: -1})
 			edit(q)
 			Solve(q, Options{Seed: 1})
 		}
 	}
 	for name, fn := range map[string]func(){
 		"no metrics":       func() { NewProblem(0) },
-		"bad bucket":       func() { p.AddBucket(Bucket{Capacity: []float64{1, 2}}) },
-		"bad entity":       func() { p.AddEntity(Entity{Load: []float64{1, 2}}) },
-		"bad assignment":   func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: 99}) },
-		"group below -1":   func() { p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Group: -2}) },
+		"bad bucket":       func() { p.AddBucket(Bucket{Capacity: units(1, 2)}) },
+		"bad entity":       func() { p.AddEntity(Entity{Load: units(1, 2)}) },
+		"bad assignment":   func() { p.AddEntity(Entity{Load: units(1), Bucket: 99}) },
+		"group below -1":   func() { p.AddEntity(Entity{Load: units(1), Bucket: Unassigned, Group: -2}) },
 		"balance rules":    solved(func(q *Problem) { q.Balance = []BalanceRule{{}, {}} }),
 		"balance weight":   solved(func(q *Problem) { q.Balance = []BalanceRule{{UtilCap: 0.9, Weight: -1}} }),
 		"balance no limit": solved(func(q *Problem) { q.Balance = []BalanceRule{{Weight: 1}} }),
@@ -582,7 +613,7 @@ func TestKeptStateSolvesAsAFreshOne(t *testing.T) {
 			} else {
 				e.Home = e.Bucket
 			}
-			e.Load[0] *= 0.5 + rng.Float64()
+			e.Load[0] = int64(float64(e.Load[0]) * (0.5 + rng.Float64()))
 			switch rng.Intn(6) {
 			case 0: // set or changed
 				e.Prefer, e.PreferWeight = fmt.Sprintf("r%d", rng.Intn(4)), 1+4*rng.Float64()

@@ -20,7 +20,7 @@ func randomProblem(rng *sim.RNG) *Problem {
 	p := NewProblem(2)
 	for i := 0; i < nB; i++ {
 		p.AddBucket(Bucket{
-			Capacity: []float64{50 + 100*rng.Float64(), 200},
+			Capacity: units(50+100*rng.Float64(), 200),
 			Domain:   fmt.Sprintf("r%d", i%3),
 			Draining: rng.Intn(5) == 0,
 		})
@@ -36,7 +36,7 @@ func randomProblem(rng *sim.RNG) *Problem {
 			g = int32(i % nGroups)
 		}
 		e := Entity{
-			Load:    []float64{1 + 9*rng.Float64(), 1 + 4*rng.Float64()},
+			Load:    units(1+9*rng.Float64(), 1+4*rng.Float64()),
 			Bucket:  b,
 			Movable: true,
 			Group:   g,
@@ -154,23 +154,112 @@ func (o *occupancyRefs) apply(t *testing.T, e EntityID, to BucketID) bool {
 	return true
 }
 
-// statesEqual compares the incrementally maintained aggregates against a
-// from-scratch rebuild.
+// statesEqual compares what apply keeps — every bucket's load, the counts and
+// the violations — with a from-scratch rebuild, with ==: loads are integers,
+// so a sum kept through moves is the sum taken afresh.
 func statesEqual(t *testing.T, got, want *state) bool {
 	t.Helper()
 	for b := range want.bucketLoad {
-		for m := range want.bucketLoad[b] {
-			if math.Abs(got.bucketLoad[b][m]-want.bucketLoad[b][m]) > 1e-6 {
-				t.Logf("bucketLoad[%d][%d] diverged", b, m)
-				return false
-			}
+		if !slices.Equal(got.bucketLoad[b], want.bucketLoad[b]) {
+			t.Logf("bucketLoad[%d] = %v, rebuild sums %v", b, got.bucketLoad[b], want.bucketLoad[b])
+			return false
 		}
 	}
-	if got.unassigned != want.unassigned {
-		t.Logf("unassigned = %d, rebuild counts %d", got.unassigned, want.unassigned)
+	if g, w := [...]int{got.unassigned, got.affN, got.drainN}, [...]int{want.unassigned, want.affN, want.drainN}; g != w {
+		t.Logf("unassigned, affN, drainN = %v, rebuild counts %v", g, w)
+		return false
+	}
+	if g, w := got.violations(), want.violations(); g != w {
+		t.Logf("violations %+v, rebuild counts %+v", g, w)
 		return false
 	}
 	return true
+}
+
+// syncedEqual is statesEqual for a state synced since its last move, which also
+// holds what only sync takes: the totals, least and most, the entities away
+// from home and each metric's mean utilization.
+func syncedEqual(t *testing.T, got, want *state) bool {
+	t.Helper()
+	if !statesEqual(t, got, want) {
+		return false
+	}
+	for _, pair := range [][2][]int64{{got.total, want.total}, {got.least, want.least}, {got.most, want.most}} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Logf("total, least or most = %v, rebuild takes %v", pair[0], pair[1])
+			return false
+		}
+	}
+	if got.away != want.away {
+		t.Logf("away = %d, rebuild counts %d", got.away, want.away)
+		return false
+	}
+	for m := range want.specs {
+		if got.specs[m].meanUtil != want.specs[m].meanUtil {
+			t.Logf("meanUtil[%d] = %v, rebuild takes %v", m, got.specs[m].meanUtil, want.specs[m].meanUtil)
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzKeptStateMatchesSync drives a kept state through what a kept problem
+// sees — moves through apply, load edits through the entities' slots, drain
+// flips and ClearBuckets restatements — and after each op compares it, with
+// ==, with a state built afresh from the problem as it then stands: a move as
+// apply left the state (statesEqual), an edit once the sync the next Solve
+// runs has brought it in (Problem.state, then syncedEqual). The input is a
+// seed for randomProblem and up to 64 three-byte ops: the kind, then two
+// operands.
+func FuzzKeptStateMatchesSync(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 3, 1, 1, 2, 90, 2, 1, 0, 3, 1, 0, 0, 4, 2, 5, 7, 9})
+	f.Add(uint64(2), []byte{3, 2, 1, 0, 9, 4, 3, 0, 0, 1, 5, 60, 0, 11, 3})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		p := randomProblem(sim.NewRNG(seed))
+		st := p.state()
+		for i := 0; i+3 <= min(len(ops), 3*64); i += 3 {
+			op, x, y := ops[i], int(ops[i+1]), int(ops[i+2])
+			nE, nB := len(p.Entities), len(p.Buckets)
+			switch op % 4 {
+			case 0: // a move, as the search applies it
+				e, to := EntityID(x%nE), BucketID(y%nB)
+				if st.assignment[e] == to {
+					continue
+				}
+				st.apply(e, to)
+				p.Entities[e].Bucket = to
+				if !statesEqual(t, st, newState(freshCopy(p))) {
+					t.Fatalf("op %d: entity %d moved to bucket %d", i/3, e, to)
+				}
+				continue
+			case 1: // a load edit, in tenths, negative ones included
+				p.Entities[x%nE].Load[op/4%2] = Quantize(float64(y-64) / 10)
+			case 2:
+				p.Buckets[x%nB].Draining = !p.Buckets[x%nB].Draining
+			case 3: // the buckets restated, rotated by x, and on odd y the last dropped
+				kept, shift := slices.Clone(p.Buckets), x%nB
+				n := nB - y%2*b2i(nB > 1)
+				to := func(b BucketID) BucketID {
+					if k := (int(b) - shift + nB) % nB; b != Unassigned && k < n {
+						return BucketID(k)
+					}
+					return Unassigned
+				}
+				p.ClearBuckets()
+				for k := range n {
+					p.AddBucket(kept[(k+shift)%nB])
+				}
+				for e := range p.Entities {
+					ent := &p.Entities[e]
+					ent.Bucket, ent.Home = to(ent.Bucket), to(ent.Home)
+				}
+			}
+			st = p.state()
+			if !syncedEqual(t, st, newState(freshCopy(p))) {
+				t.Fatalf("op %d: kind %d on %d, %d", i/3, op%4, x, y)
+			}
+		}
+	})
 }
 
 // TestIncrementalStateMatchesRebuild is the solver's core invariant: after
@@ -305,9 +394,6 @@ func TestHotSetMatchesRecompute(t *testing.T) {
 		fresh := newStateFresh(p)
 		if !statesEqual(t, st, fresh) {
 			t.Fatalf("seed %d: aggregates diverged from rebuild", seed)
-		}
-		if sv, fv := st.violations(), fresh.violations(); sv != fv {
-			t.Fatalf("seed %d: violations diverged: %+v vs %+v", seed, sv, fv)
 		}
 		for b := 0; b < nB; b++ {
 			got := st.hot.pen[b]
@@ -563,10 +649,10 @@ func TestEveryAppliedMoveLowersTheObjective(t *testing.T) {
 	// after a feasibility check, fails here.
 	p := NewProblem(1)
 	for range 2 {
-		p.AddBucket(Bucket{Capacity: []float64{20}, Domain: "r0"})
+		p.AddBucket(Bucket{Capacity: units(20), Domain: "r0"})
 	}
 	for range 3 {
-		p.AddEntity(Entity{Load: []float64{4}, Bucket: 0, Movable: true, Group: -1})
+		p.AddEntity(Entity{Load: units(4), Bucket: 0, Movable: true, Group: -1})
 	}
 	p.Balance = []BalanceRule{{UtilCap: 0.25, Weight: 1}}
 	replay := newState(freshCopy(p))
@@ -651,10 +737,10 @@ func TestConflictFeasibilityNeverColocates(t *testing.T) {
 		p := NewProblem(1)
 		nB := 2 + rng.Intn(4)
 		for i := 0; i < nB; i++ {
-			p.AddBucket(Bucket{Capacity: []float64{1000}, Domain: fmt.Sprintf("r%d", i%2)})
+			p.AddBucket(Bucket{Capacity: units(1000), Domain: fmt.Sprintf("r%d", i%2)})
 		}
 		for i := range 12 {
-			p.AddEntity(Entity{Load: []float64{1}, Bucket: Unassigned, Movable: true, Group: int32(i % 4)})
+			p.AddEntity(Entity{Load: units(1), Bucket: Unassigned, Movable: true, Group: int32(i % 4)})
 		}
 		if seed%2 == 1 {
 			p.SpreadWeight = 1
@@ -754,12 +840,12 @@ func TestCountMatchesAScan(t *testing.T) {
 		p := NewProblem(1)
 		nB := 2 + rng.Intn(4)
 		for b := 0; b < nB; b++ {
-			p.AddBucket(Bucket{Capacity: []float64{100}, Domain: fmt.Sprintf("r%d", b%2)})
+			p.AddBucket(Bucket{Capacity: units(100), Domain: fmt.Sprintf("r%d", b%2)})
 		}
 		groups := int32(0)
 		for ; len(p.Entities) < 30; groups++ {
 			for range 1 + rng.Intn(3) {
-				p.AddEntity(Entity{Load: []float64{1}, Bucket: BucketID(rng.Intn(nB+1)) - 1,
+				p.AddEntity(Entity{Load: units(1), Bucket: BucketID(rng.Intn(nB+1)) - 1,
 					Movable: rng.Intn(3) != 0, Group: groups})
 			}
 		}
