@@ -244,31 +244,29 @@ func (a *Allocator) fromInput(in Input) *Problem {
 // Problem is one partition's allocation problem, kept from run to run: the
 // live servers are the solver's buckets, and every shard has an entity range,
 // one entity per desired replica in shard order, which holds its region
-// preference, and a per-metric load slot its replicas share. Its owner
-// restates what changed between runs — SetServers, SetShard, SetCurrent — and
-// Run answers as Allocator.Run does on the equivalent Input; Allocator.Run is
-// this type built from an Input and run once. The solver problem and its state
-// are kept too, made once with the entities the shard specs fix and the goals
-// the policy states: a run restates the buckets when the live servers changed
-// and the entities' placements, and the solver sums every load afresh, so only
-// the building is saved, and a run whose values are all the last run's is not
-// run again (Run).
+// preference and its replica's bucket (the entity's Home), and a per-metric
+// load slot its replicas share. Its owner restates what changed between runs —
+// SetServers, SetShard, SetCurrent — and Run answers as Allocator.Run does on
+// the equivalent Input; Allocator.Run is this type built from an Input and run
+// once. The solver problem and its state are kept too, made once with the
+// entities the shard specs fix and the goals the policy states: the solver
+// sums every load afresh, so only the building is saved, and a run no setter
+// has written a differing value since is not run again (Run).
 type Problem struct {
 	a      *Allocator
 	shards []shardSlot
 	// loads[i*len(Metrics):][:len(Metrics)] is shard i's load slot, in the
 	// solver's load units.
 	loads []int64
-	// cur[e] is the bucket entity e's replica is on: Unassigned when it has
-	// no live server, or no replica yet.
-	cur []solver.BucketID
 
 	// buckets[i] is the bucket of the i-th server of the last SetServers, -1
 	// for one not live; serverOf is its inverse.
 	buckets  []int
 	serverOf []shard.ServerID
 	// prob is the solver's problem: the live servers are its buckets, caps
-	// holds their capacities, and its entities are the shards' replicas.
+	// holds their capacities, and its entities are the shards' replicas, each
+	// Home the bucket its replica is on (Unassigned when it has no live
+	// server, or no replica yet).
 	prob *solver.Problem
 	caps []int64
 	// balance is the balance batch's rules, one per metric (nil: the policy
@@ -278,13 +276,10 @@ type Problem struct {
 	// moves is the room capDiff writes a fresh run's diff in.
 	moves []ReplicaMove
 
-	// last is the last run's result (nil: none, or SetServers or
-	// SetPreference changed what it read since), lastMode its mode, and
-	// ranLoads and ranCur the loads and buckets it read.
+	// last is the last run's result (nil: none, or a setter has written a
+	// value other than the one it read since), lastMode its mode.
 	last     *Result
 	lastMode Mode
-	ranLoads []int64
-	ranCur   []solver.BucketID
 }
 
 // shardSlot is one shard of a Problem.
@@ -317,7 +312,6 @@ func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
 		n += spec.Replicas
 	}
 	p.loads = make([]int64, len(shards)*len(a.policy.Metrics))
-	p.cur = make([]solver.BucketID, n)
 	// The entities are restated in place at every run: one per replica,
 	// sharing its shard's load slot, and a shard with replicas to keep apart
 	// is a group.
@@ -327,8 +321,7 @@ func (a *Allocator) NewProblem(shards []ShardSpec) *Problem {
 		if spec.Replicas > 1 {
 			g = int32(i)
 		}
-		for e := p.shards[i].first; e < p.shards[i].first+spec.Replicas; e++ {
-			p.cur[e] = solver.Unassigned
+		for range spec.Replicas {
 			p.prob.AddEntity(solver.Entity{Load: p.slot(i), Bucket: solver.Unassigned, Group: g})
 		}
 		p.SetShard(i, spec)
@@ -401,7 +394,7 @@ func (p *Problem) SetShard(i int, spec ShardSpec) {
 		panic(fmt.Sprintf("allocator: shard %d is %s with %d replicas, not %s with %d", i, sh.id, sh.replicas, spec.ID, spec.Replicas))
 	}
 	for m, r := range p.a.policy.Metrics {
-		p.slot(i)[m] = solver.Quantize(spec.Load.Get(r))
+		p.setLoad(i, m, spec.Load.Get(r))
 	}
 	p.SetPreference(i, spec.RegionPreference, spec.PreferenceWeight)
 }
@@ -411,7 +404,17 @@ func (p *Problem) SetShard(i int, spec ShardSpec) {
 // value it cannot hold).
 func (p *Problem) SetLoad(i int, load []float64) {
 	for m, v := range load {
-		p.slot(i)[m] = solver.Quantize(v)
+		p.setLoad(i, m, v)
+	}
+}
+
+// setLoad writes v, quantized, into metric m of shard i's load slot. A value
+// other than the one held makes the next Run run afresh, even if it is written
+// back before.
+func (p *Problem) setLoad(i, m int, v float64) {
+	l := &p.slot(i)[m]
+	if q := solver.Quantize(v); *l != q {
+		*l, p.last = q, nil
 	}
 }
 
@@ -434,7 +437,8 @@ func (p *Problem) SetPreference(i int, region topology.RegionID, weight float64)
 
 // SetCurrent states the buckets shard i's replicas are on, one element per
 // replica placed (-1 for one on a server that is not live), at most its
-// replica count.
+// replica count, as its entities' Homes. A bucket other than the one held
+// makes the next Run run afresh, even if it is written back before.
 func (p *Problem) SetCurrent(i int, buckets []int) {
 	sh := &p.shards[i]
 	if len(buckets) > sh.replicas {
@@ -445,7 +449,9 @@ func (p *Problem) SetCurrent(i int, buckets []int) {
 		if r < len(buckets) && buckets[r] >= 0 {
 			b = solver.BucketID(buckets[r])
 		}
-		p.cur[sh.first+r] = b
+		if ent := &p.prob.Entities[sh.first+r]; ent.Home != b {
+			ent.Home, p.last = b, nil
+		}
 	}
 }
 
@@ -459,25 +465,13 @@ func (p *Problem) slot(i int) []int64 {
 // bounded diff, which must not be modified. A run is a function of the values
 // stated and the mode alone — the seed is fixed and nothing reads the clock —
 // so Run returns the last run's result again, the same pointer, while the
-// mode is that run's, neither SetServers nor SetPreference has changed what
-// it read, and every load and bucket equals what that run read (a value
-// changed and changed back is equal).
+// mode is that run's and no setter has written a value other than the one
+// held since: each setter compares as it writes, so a replay compares nothing.
 func (p *Problem) Run(mode Mode) *Result {
-	same := kept(&p.ranLoads, p.loads)
-	same = kept(&p.ranCur, p.cur) && same
-	if p.last == nil || mode != p.lastMode || !same {
+	if p.last == nil || mode != p.lastMode {
 		p.last, p.lastMode = p.run(mode), mode
 	}
 	return p.last
-}
-
-// kept reports whether *ran equals held, and makes it so.
-func kept[T comparable](ran *[]T, held []T) bool {
-	if slices.Equal(*ran, held) {
-		return true
-	}
-	*ran = append((*ran)[:0], held...)
-	return false
 }
 
 // run is Run without the replay.
@@ -488,16 +482,16 @@ func (p *Problem) run(mode Mode) *Result {
 	}
 	pol := p.a.policy
 
-	// Entities: existing placements on live servers keep their bucket; others
-	// start unassigned. In emergency mode, placed replicas are pinned, and
-	// the solver reads no pinned replica's preference.
-	for e, b := range p.cur {
-		if b != solver.Unassigned && int(b) >= len(p.serverOf) {
+	// Entities start at their Home: a replica on a live server keeps its
+	// bucket, any other starts unassigned. In emergency mode, placed replicas
+	// are pinned, and the solver reads no pinned replica's preference.
+	for e := range prob.Entities {
+		ent := &prob.Entities[e]
+		if b := ent.Home; b != solver.Unassigned && int(b) >= len(p.serverOf) {
 			panic(fmt.Sprintf("allocator: entity %d is on bucket %d, %d servers are live: a renumbered replica was not restated", e, b, len(p.serverOf)))
 		}
-		ent := &prob.Entities[e]
-		ent.Bucket, ent.Home = b, b
-		ent.Movable = mode != Emergency || b == solver.Unassigned
+		ent.Bucket = ent.Home
+		ent.Movable = mode != Emergency || ent.Home == solver.Unassigned
 	}
 
 	res := &Result{}
@@ -626,7 +620,7 @@ func (p *Problem) capDiff(ents []solver.Entity) ([]ReplicaMove, int) {
 	// Room for a move of every replica is the initial placement's: kept, it
 	// would stay live for good.
 	p.moves = nil
-	if cap(moves) < len(p.cur) {
+	if cap(moves) < len(p.prob.Entities) {
 		p.moves = moves
 	}
 	return moves, deferred

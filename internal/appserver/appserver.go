@@ -829,11 +829,13 @@ func (s *Server) ResumeShard(id shard.ID, gen int64) {
 // step the orchestrator runs when a server rejoins (its liveness node
 // reappeared after expiry or restart). A generation newer than the fence
 // generation lifts the fence; an older one means the sync itself is stale
-// and is ignored. Only settled (active-phase) replicas are corrected —
-// replicas mid-migration (loading/preparing/forwarding) belong to the §4.3
-// protocol and are left alone. Corrections: roles fixed in place,
-// unconfirmed restores confirmed, active replicas absent from want dropped,
-// and shards the orchestrator assigns that the server lost added cold.
+// and is ignored. Only settled (active-phase) replicas and replicas restored
+// from the persisted assignment (unconfirmed, whatever their phase: a restore
+// still loading is one) are corrected — other replicas mid-migration
+// (loading/preparing/forwarding) belong to the §4.3 protocol and are left
+// alone. Corrections: roles fixed in place, unconfirmed restores confirmed,
+// such replicas absent from want dropped, and shards the orchestrator assigns
+// that the server lost added cold.
 //
 // protect lists shards that an in-flight migration is handing to this server:
 // the authoritative placement still names the old owner until the migration
@@ -850,7 +852,7 @@ func (s *Server) SyncAssignment(want map[shard.ID]shard.Role, protect map[shard.
 	s.opMetric("sync")
 	for _, id := range s.shardIDs() {
 		h := s.holding(s.dir.shardNums[id])
-		if h.phase != PhaseActive || h.r.granted > gen {
+		if (h.phase != PhaseActive && !h.unconfirmed) || h.r.granted > gen {
 			continue
 		}
 		h.r.granted = gen

@@ -420,8 +420,8 @@ func TestMemoReplaysWhatAFreshSolveGives(t *testing.T) {
 // refresh (everyRefresh), so its writers need do nothing more; a writer of a
 // shard's values other than New (which runs before any solve) must mark the
 // shard for the refresh (markShard), or its change would be solved stale.
-// Whether a solve may replay is not the writers' business: the kept problem
-// compares what it reads.
+// Whether a solve may replay is not the writers' business: the kept problem's
+// setters compare what they are told with what they hold.
 var inputSources = []struct {
 	field        string
 	sources      []string

@@ -278,8 +278,10 @@ type Orchestrator struct {
 	enc          []byte
 	snap         *shard.Map
 
+	// migrationQueue holds the migrations behind the concurrency cap, inFlight
+	// those started and not finished (the cap counts them), in start order.
 	migrationQueue []*migration
-	inFlight       int
+	inFlight       []*migration
 	curAlloc       trace.SpanID // open "allocate" span, parent of spawned work
 	// freeSteps and freeMigs are the free lists of step records (stepCall)
 	// and migration records, and failRPC, waited and retried are o.failedRPC,
@@ -564,13 +566,12 @@ func (o *Orchestrator) syncServer(id shard.ServerID) {
 		want[e.Shard] = e.Role
 	}
 	var protect map[shard.ID]bool
-	for _, sid := range o.order {
-		ss := o.shards[sid]
-		if ss.mig != nil && ss.mig.phase != queued && ss.mig.to == id {
+	for _, m := range o.inFlight {
+		if m.to == id {
 			if protect == nil {
 				protect = make(map[shard.ID]bool)
 			}
-			protect[sid] = true
+			protect[m.shard] = true
 		}
 	}
 	gen := o.store.NextEpoch()
@@ -807,14 +808,17 @@ func (o *Orchestrator) roleForNewReplica(ss *shardState) shard.Role {
 	}
 }
 
-// reconcileRoles enforces exactly one primary per shard for primary-bearing
-// strategies: primaries on dead servers are demoted in place (no RPC — the
-// server is gone; if it restarts it reads the corrected role from the
-// persisted assignment), surplus alive primaries are demoted by RPC, and if
-// no alive primary remains a secondary is promoted (automatic failover of
-// the primary role). Returns true if anything changed.
+// reconcileRoles enforces exactly one primary per shard for the
+// primary-secondary strategy: primaries on dead servers are demoted in place
+// (no RPC — the server is gone; if it restarts it reads the corrected role
+// from the persisted assignment), surplus alive primaries are demoted by RPC,
+// and if no alive primary remains a secondary is promoted (automatic failover
+// of the primary role). A primary-only shard has no secondary to promote: its
+// one replica stays primary on a dead server, and one that restarts inside
+// the failover grace is confirmed by the rejoin sync. Returns true if
+// anything changed.
 func (o *Orchestrator) reconcileRoles(ss *shardState) bool {
-	if o.cfg.Strategy == shard.SecondaryOnly || ss.mig != nil {
+	if o.cfg.Strategy != shard.PrimarySecondary || ss.mig != nil {
 		return false
 	}
 	changed := false
@@ -1046,10 +1050,10 @@ func (o *Orchestrator) freeMigration(m *migration) {
 // pumpMigrations starts queued migrations up to the concurrency cap. The
 // queue is shifted down in place, so that it keeps its room.
 func (o *Orchestrator) pumpMigrations() {
-	for o.inFlight < o.cfg.MaxConcurrentMigrations && len(o.migrationQueue) > 0 {
+	for len(o.inFlight) < o.cfg.MaxConcurrentMigrations && len(o.migrationQueue) > 0 {
 		m := o.migrationQueue[0]
 		o.migrationQueue = slices.Delete(o.migrationQueue, 0, 1)
-		o.inFlight++
+		o.inFlight = append(o.inFlight, m)
 		ss := o.shards[m.shard]
 		m.role = ss.replicas[ss.find(m.from)].Role
 		if tr := o.loop.Tracer(); tr.Enabled() {
@@ -1058,7 +1062,7 @@ func (o *Orchestrator) pumpMigrations() {
 				trace.String("role", m.role.String())))
 		}
 		o.loop.Metrics().Gauge("orchestrator_migrations_inflight",
-			"app", string(o.cfg.App)).Set(float64(o.inFlight))
+			"app", string(o.cfg.App)).Set(float64(len(o.inFlight)))
 		for _, h := range o.hooks {
 			if h.MigrationStarted != nil {
 				h.MigrationStarted(m.shard, m.from, m.to, m.graceful)
@@ -1072,10 +1076,11 @@ func (o *Orchestrator) finishMigration(m *migration, ok bool) {
 	if tr := o.loop.Tracer(); tr.Enabled() {
 		tr.EndSpan(m.span, trace.Bool("ok", ok))
 	}
-	o.inFlight--
+	i := slices.Index(o.inFlight, m)
+	o.inFlight = slices.Delete(o.inFlight, i, i+1)
 	mr := o.loop.Metrics()
 	mr.Counter("orchestrator_migrations_total", "app", string(o.cfg.App), "outcome", status(ok)).Inc()
-	mr.Gauge("orchestrator_migrations_inflight", "app", string(o.cfg.App)).Set(float64(o.inFlight))
+	mr.Gauge("orchestrator_migrations_inflight", "app", string(o.cfg.App)).Set(float64(len(o.inFlight)))
 	for _, h := range o.hooks {
 		if h.MigrationFinished != nil {
 			h.MigrationFinished(m.shard, ok)

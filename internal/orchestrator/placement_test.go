@@ -168,10 +168,13 @@ func checkIndex(t *testing.T, w *world, when string) {
 	for _, ss := range w.orch.shards {
 		if ss.mig != nil && ss.mig.phase != queued {
 			started++
+			if !slices.Contains(w.orch.inFlight, ss.mig) {
+				t.Fatalf("%s: %s's migration has left the queue but is not in flight", when, ss.mig.shard)
+			}
 		}
 	}
-	if started != w.orch.inFlight {
-		t.Fatalf("%s: %d migrations have left the queue, %d are in flight", when, started, w.orch.inFlight)
+	if started != len(w.orch.inFlight) {
+		t.Fatalf("%s: %d migrations have left the queue, %d are in flight", when, started, len(w.orch.inFlight))
 	}
 }
 
@@ -303,8 +306,8 @@ func TestStopReleasesQueuedMigrations(t *testing.T) {
 	victim := w.orch.byID[0].id
 	drained := false
 	w.orch.Drain(victim, func() { drained = true })
-	if len(w.orch.migrationQueue) == 0 || w.orch.inFlight != 1 {
-		t.Fatalf("queue %d, in flight %d: nothing queued behind the cap", len(w.orch.migrationQueue), w.orch.inFlight)
+	if len(w.orch.migrationQueue) == 0 || len(w.orch.inFlight) != 1 {
+		t.Fatalf("queue %d, in flight %d: nothing queued behind the cap", len(w.orch.migrationQueue), len(w.orch.inFlight))
 	}
 	w.orch.Stop()
 	w.loop.RunFor(time.Minute)

@@ -14,10 +14,10 @@ func (o *Orchestrator) markShard(ss *shardState) {
 }
 
 // solve refreshes the kept problem and runs it. An idle control plane asks
-// the question it asked one AllocInterval ago, and the problem answers a
-// question whose every value is the one its last run read with that run's
-// result, the same pointer (allocator.Problem.Run): such a solve costs the
-// refresh and no search. It returns nil while no server is known. A result
+// the question it asked one AllocInterval ago, and a problem the refresh
+// wrote no differing value into answers with its last run's result, the same
+// pointer (allocator.Problem.Run): such a solve costs the refresh and no
+// search. It returns nil while no server is known. A result
 // must not be modified.
 func (o *Orchestrator) solve(mode allocator.Mode) *allocator.Result {
 	if len(o.byID) == 0 {

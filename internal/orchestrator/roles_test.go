@@ -1,11 +1,13 @@
 package orchestrator
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"shardmanager/internal/allocator"
+	"shardmanager/internal/appserver"
 	"shardmanager/internal/cluster"
 	"shardmanager/internal/metrics"
 	"shardmanager/internal/rpcnet"
@@ -96,6 +98,69 @@ func TestRestartedPrimaryComesBackAsSecondary(t *testing.T) {
 	}
 	if err := w.orch.AssignmentSnapshot().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoredPrimaryOnlyReplicaIsConfirmedNotReroled: a primary-only
+// server restarted inside the failover grace keeps its shards, restores them
+// from the persisted assignment as unconfirmed primaries and loads them for
+// LoadTime; the rejoin sync lands during that load. The published map never
+// shows one of them as a secondary, no change_role is issued, and once the
+// load completes each takes a write: the sync confirmed it while it loaded.
+func TestRestoredPrimaryOnlyReplicaIsConfirmedNotReroled(t *testing.T) {
+	cfg := baseConfig(shard.PrimaryOnly, 6, 1)
+	cfg.FailoverGrace = 2 * time.Minute
+	const load = 20 * time.Second
+	w := buildWorldOf(t, []topology.RegionID{"r1"}, 3, cfg, func(s *appserver.Server) appserver.Application {
+		s.LoadTime = load
+		return newCountApp()
+	})
+	w.loop.RunFor(5 * time.Minute)
+	assertConverged(t, w, 1)
+
+	prim, _ := w.orch.AssignmentSnapshot().Primary("s000")
+	var held []shard.ID
+	for id, as := range w.orch.AssignmentSnapshot().Entries {
+		if as[0].Server == prim {
+			held = append(held, id)
+		}
+	}
+	secondary, roleChanges := "", 0
+	w.orch.AddHooks(Hooks{
+		MapPublished: func(int64, int) {
+			for id, as := range w.orch.AssignmentSnapshot().Entries {
+				if as[0].Role != shard.RolePrimary && secondary == "" {
+					secondary = fmt.Sprintf("%s on %s", id, as[0].Server)
+				}
+			}
+		},
+		RoleChanged: func(id shard.ID, srv shard.ServerID, from, to shard.Role) { roleChanges++ },
+	})
+	m := w.machineOf(t, prim)
+	w.managers["r1"].KillMachine(m)
+	w.loop.RunFor(30 * time.Second)
+	w.managers["r1"].RestoreMachine(m)
+	w.loop.RunFor(load + time.Minute)
+
+	if secondary != "" {
+		t.Fatalf("a primary-only map published a secondary: %s", secondary)
+	}
+	if roleChanges != 0 {
+		t.Fatalf("%d change_role RPCs in a primary-only world", roleChanges)
+	}
+	srv := w.dir.Lookup(prim)
+	if srv == nil {
+		t.Fatalf("%s did not come back", prim)
+	}
+	for _, id := range held {
+		if p, _ := w.orch.AssignmentSnapshot().Primary(id); p != prim {
+			t.Fatalf("%s moved to %s: the restart was not inside the grace", id, p)
+		}
+		var resp appserver.Response
+		srv.Serve(&appserver.Request{Shard: id, Write: true}, func(r appserver.Response) { resp = r })
+		if !resp.OK {
+			t.Fatalf("write to restored primary %s on %s: %+v", id, prim, resp)
+		}
 	}
 }
 

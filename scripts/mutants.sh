@@ -4,11 +4,12 @@
 #
 #   package: ./internal/solver
 #   run: ^TestSomething$
-#   run: ^TestSomethingElse$
+#   run: ^TestSomethingElse$ ./internal/allocator
 #   found-by: where the mutant was first killed
 #
 # A header names one or more `run:` lines, and each must kill the mutant on
-# its own. The script copies the tree (the files git tracks or would add)
+# its own. A `run:` line tests the header's package, or the package it names
+# after its pattern. The script copies the tree (the files git tracks or would add)
 # under a temporary directory, applies each patch there in turn with `git
 # apply`, checks that the mutant still compiles, runs `go test -run <run>
 # <package>` once per `run:` line (a mutant that hangs is killed by the
@@ -37,16 +38,17 @@ for patch in scripts/mutants/*.patch; do
 		failed="$failed $name"
 		continue
 	fi
-	if ! (cd "$work" && go test -count=1 -run '^$' "$pkg" >/dev/null); then
+	if ! (cd "$work" && go test -count=1 -run '^$' "$pkg" $(printf '%s\n' "$runs" | awk 'NF > 1 { print $2 }') >/dev/null); then
 		echo "mutant $name: does not compile" >&2
 		failed="$failed $name"
 	else
-		while IFS= read -r run; do
-			if (cd "$work" && go test -count=1 -timeout 120s -run "$run" "$pkg" >/dev/null 2>&1); then
-				echo "mutant $name: survived go test -run '$run' $pkg" >&2
+		while read -r run runpkg; do
+			runpkg="${runpkg:-$pkg}"
+			if (cd "$work" && go test -count=1 -timeout 120s -run "$run" "$runpkg" >/dev/null 2>&1); then
+				echo "mutant $name: survived go test -run '$run' $runpkg" >&2
 				failed="$failed $name"
 			else
-				echo "mutant $name: killed by $run"
+				echo "mutant $name: killed by $run ($runpkg)"
 			fi
 		done <<EOF
 $runs
